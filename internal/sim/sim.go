@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -120,29 +121,93 @@ var (
 	ErrNoDistribution = errors.New("sim: activity has no duration distribution")
 )
 
-// stateInfo caches the expensive per-state computations.
-type stateInfo struct {
-	succ  []elab.Transition
-	preds []bool // local enabledness per state-reward clause
-}
-
-// runner executes replications of one configuration.
-type runner struct {
+// plan is the read-only part of a runner: the configuration and the
+// flattened measure clauses, shared by the runners of one Run.
+type plan struct {
 	cfg   Config
 	model *elab.Model
-	// Visited states are interned into an arena and the memo is indexed by
-	// the resulting dense id — the hot path performs no string conversion
-	// and no map-of-string lookup.
-	intern *statespace.Interner
-	memo   []*stateInfo
-	keyBuf []byte
 
-	// Flattened clauses.
+	// Flattened clauses: the state-reward clauses (checked per state at
+	// compile time), and the "Instance.Action" predicate (matched per
+	// transition at compile time) and value of each transition-reward
+	// clause.
 	stateClauses []measure.Clause
-	transClauses []measure.Clause
-	// clauseOf[m] lists (kind, flattened index) per measure.
+	transPreds   []string
+	transVals    []float64
+	// stateOf[m] and transOf[m] list the flattened clauses of measure m.
 	stateOf [][]int
 	transOf [][]int
+}
+
+// stateRec is the compiled form of a visited state, built once when the
+// state is first entered. Every later event in the state touches only
+// integers and float slices: no label, activity name or state key is
+// hashed on the hot path. Transitions are numbered by the runner's
+// per-transition arrays.
+type stateRec struct {
+	// preds is the local enabledness per state-reward clause.
+	preds []bool
+	// imm lists the immediate transitions of the top priority level, in
+	// successor order, and immW their weights; a nonzero immTotal (their
+	// sum) makes the state vanishing.
+	imm      []int32
+	immW     []float64
+	immTotal float64
+	// In a timed state (immTotal == 0), acts are the activity ids of the
+	// state's transitions in first-occurrence order (empty: deadlock);
+	// vanishing states leave the activity fields empty. dists[i] is the
+	// duration distribution of acts[i] — resolved here, but nil when it
+	// has none, which is an error only once its clock must be sampled;
+	// labels[i] is its first-occurrence label, for that error's message;
+	// and cands[candOff[i]:candOff[i+1]] are its transitions in successor
+	// order.
+	acts    []int32
+	dists   []dist.Distribution
+	labels  []string
+	candOff []int32
+	cands   []int32
+}
+
+// clock is the timing slot of one activity id.
+type clock struct {
+	rem  float64 // residual duration, valid while on
+	on   bool    // the activity holds a clock (enabling memory)
+	seen uint64  // the last timed step whose state enabled the activity
+}
+
+// runner executes replications of one configuration. Everything beyond
+// the shared plan is mutable and private to one worker goroutine: the
+// state interner, the compiled state records, the activity table, the
+// per-transition arrays and the clocks.
+type runner struct {
+	*plan
+
+	// Visited states are interned into an arena; the compiled records are
+	// indexed by the resulting dense id.
+	intern *statespace.Interner
+	keyBuf []byte
+	recs   []stateRec
+
+	// Activity table: dense ids in discovery order. actID is consulted
+	// only when a state is compiled; acts names an id for the exact-tie
+	// tie-break.
+	actID map[Activity]int32
+	acts  []Activity
+
+	// Per-transition arrays, indexed by transition number. next is the
+	// memo id of the target, -1 until the transition first fires; until
+	// then pending holds the target state, released once resolved (nil
+	// from the start for a transition that can never fire). The
+	// transition-reward clauses the transition counts toward are
+	// clauseIdx[clauseOff[t]:clauseOff[t+1]].
+	next      []int32
+	pending   []elab.State
+	clauseOff []int32
+	clauseIdx []int32
+
+	// clocks is indexed by activity id; epoch numbers the timed steps.
+	clocks []clock
+	epoch  uint64
 }
 
 // Run executes the experiment and returns the estimates.
@@ -150,8 +215,16 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Model == nil {
 		return nil, errors.New("sim: nil model")
 	}
-	if cfg.RunLength <= 0 {
-		return nil, errors.New("sim: RunLength must be positive")
+	if !(cfg.RunLength > 0) || math.IsInf(cfg.RunLength, 1) {
+		return nil, fmt.Errorf("sim: RunLength must be positive and finite, got %v", cfg.RunLength)
+	}
+	// A negative warm-up would shorten the measured window while the
+	// values are still normalized by RunLength.
+	if !(cfg.Warmup >= 0) || math.IsInf(cfg.Warmup, 1) {
+		return nil, fmt.Errorf("sim: Warmup must be non-negative and finite, got %v", cfg.Warmup)
+	}
+	if cfg.Batches < 0 {
+		return nil, fmt.Errorf("sim: Batches must not be negative, got %d", cfg.Batches)
 	}
 	if cfg.Replications <= 0 {
 		cfg.Replications = 30
@@ -166,10 +239,11 @@ func Run(cfg Config) (*Result, error) {
 		cfg.MaxEvents = 50_000_000
 	}
 
-	r, err := newRunner(cfg)
+	p, err := newPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
+	r := p.newRunner()
 
 	master := rng.New(cfg.Seed)
 	accs := make([]stats.Accumulator, len(cfg.Measures))
@@ -214,47 +288,41 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// newRunner flattens the measure clauses of a configuration.
-func newRunner(cfg Config) (*runner, error) {
-	r := &runner{
-		cfg:    cfg,
-		model:  cfg.Model,
-		intern: statespace.NewInterner(),
-	}
+// newPlan flattens the measure clauses of a configuration.
+func newPlan(cfg Config) (*plan, error) {
+	p := &plan{cfg: cfg, model: cfg.Model}
 	for mi, m := range cfg.Measures {
-		r.stateOf = append(r.stateOf, nil)
-		r.transOf = append(r.transOf, nil)
+		p.stateOf = append(p.stateOf, nil)
+		p.transOf = append(p.transOf, nil)
 		if m.Derived {
 			continue // resolved from the base estimates after the runs
 		}
 		for _, cl := range m.Clauses {
 			switch cl.Kind {
 			case measure.StateReward:
-				r.stateOf[mi] = append(r.stateOf[mi], len(r.stateClauses))
-				r.stateClauses = append(r.stateClauses, cl)
+				p.stateOf[mi] = append(p.stateOf[mi], len(p.stateClauses))
+				p.stateClauses = append(p.stateClauses, cl)
 			case measure.TransReward:
-				r.transOf[mi] = append(r.transOf[mi], len(r.transClauses))
-				r.transClauses = append(r.transClauses, cl)
+				p.transOf[mi] = append(p.transOf[mi], len(p.transPreds))
+				p.transPreds = append(p.transPreds, cl.Pred())
+				p.transVals = append(p.transVals, cl.Value)
 			default:
 				return nil, fmt.Errorf("sim: measure %s: invalid clause kind", m.Name)
 			}
 		}
 	}
-	return r, nil
+	return p, nil
 }
 
-// fork returns a runner sharing the read-only configuration and flattened
-// clauses with its own state interner and memo, for use by one worker
-// goroutine (the interner is single-writer, never shared across workers).
-func (r *runner) fork() *runner {
+// newRunner returns a runner over the plan with an empty memo, for use by
+// one goroutine (the interner and the records are single-writer, never
+// shared across workers).
+func (p *plan) newRunner() *runner {
 	return &runner{
-		cfg:          r.cfg,
-		model:        r.model,
-		intern:       statespace.NewInterner(),
-		stateClauses: r.stateClauses,
-		transClauses: r.transClauses,
-		stateOf:      r.stateOf,
-		transOf:      r.transOf,
+		plan:      p,
+		intern:    statespace.NewInterner(),
+		actID:     make(map[Activity]int32),
+		clauseOff: []int32{0},
 	}
 }
 
@@ -302,7 +370,7 @@ func (r *runner) runReplications(master *rng.Rand) ([][]float64, int64, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wr := r.fork() // private state memo per worker
+			wr := r.newRunner() // private memo per worker
 			for {
 				rep := int(next.Add(1)) - 1
 				if rep >= reps || stop.Load() {
@@ -330,35 +398,138 @@ func (r *runner) runReplications(master *rng.Rand) ([][]float64, int64, error) {
 	return out, events.Load(), nil
 }
 
-// info returns the cached successor/predicate data of a state.
-func (r *runner) info(s elab.State) (*stateInfo, error) {
+// visit returns the memo id of a state, compiling its record on the first
+// visit. A runner whose compile failed is discarded with its run.
+func (r *runner) visit(s elab.State) (int32, error) {
 	r.keyBuf = r.model.AppendKey(r.keyBuf[:0], s)
-	id, fresh := r.intern.Intern(r.keyBuf)
-	if !fresh && int(id) < len(r.memo) {
-		if si := r.memo[id]; si != nil {
-			return si, nil
-		}
+	id, _ := r.intern.Intern(r.keyBuf)
+	if int(id) < len(r.recs) {
+		return int32(id), nil
 	}
+	rec, err := r.compile(s)
+	if err != nil {
+		return -1, err
+	}
+	r.recs = append(r.recs, rec)
+	return int32(id), nil
+}
+
+// successor returns the memo id of transition t's target. The first firing
+// resolves it and releases the target state; later firings read one int.
+func (r *runner) successor(t int32) (int32, error) {
+	if id := r.next[t]; id >= 0 {
+		return id, nil
+	}
+	id, err := r.visit(r.pending[t])
+	if err != nil {
+		return -1, err
+	}
+	r.next[t], r.pending[t] = id, nil
+	return id, nil
+}
+
+// compile builds the record of a state from its successors: the state-
+// reward predicates, the top-priority immediate choice, for every
+// transition its transition-reward clauses and its (unresolved) target,
+// and — in a timed state — the activities with their distributions and
+// candidate transitions.
+func (r *runner) compile(s elab.State) (stateRec, error) {
 	succ, err := r.model.Successors(s)
 	if err != nil {
-		return nil, err
+		return stateRec{}, err
 	}
-	si := &stateInfo{succ: succ}
+	var rec stateRec
 	if len(r.stateClauses) > 0 {
-		si.preds = make([]bool, len(r.stateClauses))
+		rec.preds = make([]bool, len(r.stateClauses))
 		for i, cl := range r.stateClauses {
 			ok, err := r.model.LocallyEnabled(s, cl.Instance, cl.Action)
 			if err != nil {
-				return nil, err
+				return stateRec{}, err
 			}
-			si.preds[i] = ok
+			rec.preds[i] = ok
 		}
 	}
-	for int(id) >= len(r.memo) {
-		r.memo = append(r.memo, nil)
+
+	base := int32(len(r.next))
+	maxPrio := math.MinInt32
+	for i := range succ {
+		tr := &succ[i]
+		t := base + int32(i)
+		r.next = append(r.next, -1)
+		r.pending = append(r.pending, tr.Next)
+		for j, pred := range r.transPreds {
+			if lts.LabelInvolves(tr.Label, pred) {
+				r.clauseIdx = append(r.clauseIdx, int32(j))
+			}
+		}
+		r.clauseOff = append(r.clauseOff, int32(len(r.clauseIdx)))
+
+		if tr.Rate.Kind == rates.Immediate {
+			if tr.Rate.Priority > maxPrio {
+				maxPrio, rec.immTotal = tr.Rate.Priority, 0
+				rec.imm, rec.immW = rec.imm[:0], rec.immW[:0]
+			}
+			if tr.Rate.Priority == maxPrio {
+				rec.immTotal += tr.Rate.Weight
+				rec.imm = append(rec.imm, t)
+				rec.immW = append(rec.immW, tr.Rate.Weight)
+			}
+		}
 	}
-	r.memo[id] = si
-	return si, nil
+	if rec.immTotal != 0 {
+		// Vanishing: the top-priority immediate transitions pre-empt every
+		// other one, which therefore never fires; release its target now.
+		for i := range succ {
+			if t := base + int32(i); !slices.Contains(rec.imm, t) {
+				r.pending[t] = nil
+			}
+		}
+		return rec, nil
+	}
+
+	actOf := make([]int32, len(succ)) // index into rec.acts per transition
+	for i := range succ {
+		tr := &succ[i]
+		act := Activity{Instance: r.model.InstanceName(tr.ActiveInst), Action: tr.ActiveAction}
+		id := r.activity(act)
+		k := slices.Index(rec.acts, id)
+		if k < 0 {
+			k = len(rec.acts)
+			rec.acts = append(rec.acts, id)
+			rec.dists = append(rec.dists, r.distributionFor(act, tr.Rate))
+			rec.labels = append(rec.labels, tr.Label)
+		}
+		actOf[i] = int32(k)
+	}
+
+	// Group the transitions by activity, keeping successor order.
+	rec.candOff = make([]int32, len(rec.acts)+1)
+	for _, k := range actOf {
+		rec.candOff[k+1]++
+	}
+	for k := range rec.acts {
+		rec.candOff[k+1] += rec.candOff[k]
+	}
+	rec.cands = make([]int32, len(succ))
+	fill := slices.Clone(rec.candOff[:len(rec.acts)])
+	for i, k := range actOf {
+		rec.cands[fill[k]] = base + int32(i)
+		fill[k]++
+	}
+	return rec, nil
+}
+
+// activity returns the dense id of an activity, assigning the next one on
+// its first occurrence.
+func (r *runner) activity(act Activity) int32 {
+	if id, ok := r.actID[act]; ok {
+		return id
+	}
+	id := int32(len(r.acts))
+	r.actID[act] = id
+	r.acts = append(r.acts, act)
+	r.clocks = append(r.clocks, clock{})
+	return id
 }
 
 // replicateGuarded runs one replication under a panic guard: a crash in
@@ -392,16 +563,20 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 	var (
 		now        float64
 		events     int64
-		state      = r.model.Initial()
-		clocks     = make(map[Activity]float64, 8)
 		endTime    = r.cfg.Warmup + float64(segments)*r.cfg.RunLength
 		zeroStreak = 0
+		cur        = int32(-1) // memo id of the current state; -1 before the initial one
+		via        = int32(-1) // transition whose target becomes current at the loop top
+		active     []int32     // the last timed state's activities: all that may hold a clock
 	)
+	for i := range r.clocks {
+		r.clocks[i].on = false
+	}
 	stateAcc := make([][]float64, segments)
 	transAcc := make([][]float64, segments)
 	for k := range stateAcc {
 		stateAcc[k] = make([]float64, len(r.stateClauses))
-		transAcc[k] = make([]float64, len(r.transClauses))
+		transAcc[k] = make([]float64, len(r.transVals))
 	}
 	segOf := func(t float64) int {
 		k := int((t - r.cfg.Warmup) / r.cfg.RunLength)
@@ -414,7 +589,7 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 		return k
 	}
 
-	accrue := func(si *stateInfo, dt float64) {
+	accrue := func(rec *stateRec, dt float64) {
 		if dt <= 0 || len(r.stateClauses) == 0 {
 			return
 		}
@@ -430,22 +605,21 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 				break
 			}
 			for i := range r.stateClauses {
-				if si.preds[i] {
+				if rec.preds[i] {
 					stateAcc[k][i] += r.stateClauses[i].Value * w
 				}
 			}
 			lo += w
 		}
 	}
-	countFiring := func(label string) {
-		if now < r.cfg.Warmup || len(r.transClauses) == 0 {
+	countFiring := func(t int32) {
+		lo, hi := r.clauseOff[t], r.clauseOff[t+1]
+		if now < r.cfg.Warmup || lo == hi {
 			return
 		}
-		k := segOf(now)
-		for i, cl := range r.transClauses {
-			if lts.LabelInvolves(label, cl.Pred()) {
-				transAcc[k][i] += cl.Value
-			}
+		acc := transAcc[segOf(now)]
+		for _, j := range r.clauseIdx[lo:hi] {
+			acc[j] += r.transVals[j]
 		}
 	}
 
@@ -458,66 +632,72 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 				return nil, events, err
 			}
 		}
-		si, err := r.info(state)
+		var err error
+		if via >= 0 {
+			cur, err = r.successor(via)
+		} else if cur < 0 {
+			cur, err = r.visit(r.model.Initial())
+		}
 		if err != nil {
 			return nil, events, err
 		}
-		if len(si.succ) == 0 {
-			// Deadlock: the state persists until the horizon.
-			accrue(si, endTime-now)
-			now = endTime
-			break
-		}
+		rec := &r.recs[cur]
 
 		// Immediate transitions pre-empt time.
-		if tr, ok := pickImmediate(si.succ, rnd); ok {
+		if rec.immTotal != 0 {
 			zeroStreak++
 			if zeroStreak > 1_000_000 {
 				return nil, events, ErrImmediateLivelock
 			}
-			countFiring(tr.Label)
-			state = tr.Next
+			via = rec.pickImmediate(rnd)
+			countFiring(via)
 			events++
 			continue
 		}
+		if len(rec.acts) == 0 {
+			// Deadlock: the state persists until the horizon.
+			accrue(rec, endTime-now)
+			now = endTime
+			break
+		}
 
-		// Timed step: sample clocks for newly enabled activities.
-		enabled := make(map[Activity]bool, len(si.succ))
-		for i := range si.succ {
-			tr := &si.succ[i]
-			act := Activity{
-				Instance: r.model.InstanceName(tr.ActiveInst),
-				Action:   tr.ActiveAction,
+		// Timed step. Enabling memory: activities the state does not enable
+		// lose their clock; newly enabled ones sample theirs in first-
+		// occurrence order.
+		r.epoch++
+		for _, a := range rec.acts {
+			r.clocks[a].seen = r.epoch
+		}
+		for _, a := range active {
+			if r.clocks[a].seen != r.epoch {
+				r.clocks[a].on = false
 			}
-			if enabled[act] {
+		}
+		for i, a := range rec.acts {
+			c := &r.clocks[a]
+			if c.on {
 				continue
 			}
-			enabled[act] = true
-			if _, have := clocks[act]; have {
-				continue
-			}
-			d, err := r.distributionFor(act, tr.Rate)
-			if err != nil {
+			d := rec.dists[i]
+			if d == nil {
+				act := r.acts[a]
 				return nil, events, fmt.Errorf("%w: %s.%s (label %s)",
-					ErrNoDistribution, act.Instance, act.Action, tr.Label)
+					ErrNoDistribution, act.Instance, act.Action, rec.labels[i])
 			}
-			clocks[act] = d.Sample(rnd)
+			c.rem, c.on = d.Sample(rnd), true
 		}
-		// Enabling memory: drop clocks of disabled activities.
-		for act := range clocks {
-			if !enabled[act] {
-				delete(clocks, act)
-			}
-		}
+		active = rec.acts
 
-		// Fire the minimum clock.
-		var winner Activity
-		minRem := math.Inf(1)
-		first := true
-		for act, rem := range clocks {
-			if rem < minRem || (rem == minRem && less(act, winner)) || first {
-				winner, minRem = act, rem
-				first = false
+		// Fire the minimum clock; an exact tie goes to the activity first
+		// in (Instance, Action) name order — never to the lower id, since
+		// ids follow discovery order.
+		win := 0
+		minRem := r.clocks[rec.acts[0]].rem
+		for i := 1; i < len(rec.acts); i++ {
+			a := rec.acts[i]
+			rem := r.clocks[a].rem
+			if rem < minRem || (rem == minRem && less(r.acts[a], r.acts[rec.acts[win]])) {
+				win, minRem = i, rem
 			}
 		}
 		dt := minRem
@@ -530,32 +710,24 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 			}
 		}
 		if now+dt >= endTime {
-			accrue(si, endTime-now)
+			accrue(rec, endTime-now)
 			now = endTime
 			break
 		}
-		accrue(si, dt)
-		for act := range clocks {
-			clocks[act] -= dt
+		accrue(rec, dt)
+		for _, a := range rec.acts {
+			r.clocks[a].rem -= dt
 		}
-		delete(clocks, winner)
+		r.clocks[rec.acts[win]].on = false
 		now += dt
 
 		// Choose uniformly among the winner's transitions (usually one).
-		var cands []int
-		for i := range si.succ {
-			tr := &si.succ[i]
-			if r.model.InstanceName(tr.ActiveInst) == winner.Instance &&
-				tr.ActiveAction == winner.Action {
-				cands = append(cands, i)
-			}
-		}
-		tr := &si.succ[cands[0]]
+		cands := rec.cands[rec.candOff[win]:rec.candOff[win+1]]
+		via = cands[0]
 		if len(cands) > 1 {
-			tr = &si.succ[cands[rnd.Intn(len(cands))]]
+			via = cands[rnd.Intn(len(cands))]
 		}
-		countFiring(tr.Label)
-		state = tr.Next
+		countFiring(via)
 		events++
 	}
 
@@ -579,51 +751,30 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 	return out, events, nil
 }
 
-// distributionFor resolves the duration distribution of an activity.
-func (r *runner) distributionFor(act Activity, rate rates.Rate) (dist.Distribution, error) {
+// distributionFor resolves the duration distribution of an activity: its
+// override, else the exponential of its rate, else nil.
+func (r *runner) distributionFor(act Activity, rate rates.Rate) dist.Distribution {
 	if d, ok := r.cfg.Distributions[act]; ok {
-		return d, nil
+		return d
 	}
 	if rate.Kind == rates.Exp {
-		return dist.NewExp(rate.Lambda), nil
+		return dist.NewExp(rate.Lambda)
 	}
-	return nil, ErrNoDistribution
+	return nil
 }
 
-// pickImmediate selects an immediate transition by priority and weight,
-// if any is enabled.
-func pickImmediate(succ []elab.Transition, rnd *rng.Rand) (*elab.Transition, bool) {
-	maxPrio := math.MinInt32
-	total := 0.0
-	for i := range succ {
-		if succ[i].Rate.Kind != rates.Immediate {
-			continue
-		}
-		if succ[i].Rate.Priority > maxPrio {
-			maxPrio = succ[i].Rate.Priority
-			total = 0
-		}
-		if succ[i].Rate.Priority == maxPrio {
-			total += succ[i].Rate.Weight
-		}
-	}
-	if total == 0 {
-		return nil, false
-	}
-	u := rnd.Float64() * total
+// pickImmediate selects one of the state's top-priority immediate
+// transitions by weight.
+func (rec *stateRec) pickImmediate(rnd *rng.Rand) int32 {
+	u := rnd.Float64() * rec.immTotal
 	acc := 0.0
-	var last *elab.Transition
-	for i := range succ {
-		if succ[i].Rate.Kind != rates.Immediate || succ[i].Rate.Priority != maxPrio {
-			continue
-		}
-		last = &succ[i]
-		acc += succ[i].Rate.Weight
+	for i, w := range rec.immW {
+		acc += w
 		if u < acc {
-			return &succ[i], true
+			return rec.imm[i]
 		}
 	}
-	return last, last != nil
+	return rec.imm[len(rec.imm)-1]
 }
 
 // less gives activities a total order for deterministic tie-breaking.

@@ -415,6 +415,22 @@ func TestErrorCases(t *testing.T) {
 	if _, err := Run(Config{Model: m}); err == nil {
 		t.Error("zero run length should error")
 	}
+	// A negative warm-up used to shorten the measured window while values
+	// were still divided by RunLength (p_work 0.255 instead of 0.5).
+	for _, bad := range []Config{
+		{RunLength: 1000, Warmup: -500},
+		{RunLength: 1000, Warmup: math.NaN()},
+		{RunLength: 1000, Warmup: math.Inf(1)},
+		{RunLength: math.NaN()},
+		{RunLength: math.Inf(1)},
+		{RunLength: 1000, Batches: -1},
+	} {
+		bad.Model, bad.Measures = m, workRestMeasures
+		if _, err := Run(bad); err == nil {
+			t.Errorf("RunLength %v, Warmup %v, Batches %d should error",
+				bad.RunLength, bad.Warmup, bad.Batches)
+		}
+	}
 
 	// Passive-passive composition without a distribution override fails.
 	pt := aemilia.NewElemType("PA", nil, []string{"a"},

@@ -82,6 +82,17 @@ echo "== compositional-minimization race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 -run 'Minimize|Fold' \
     ./internal/compose/ ./internal/lts/ ./internal/experiments/
 
+# Simulator race smoke at -cpu 1,2: the worker-count bit-identity and
+# reproducibility properties, batch means, and the exact-tie tie-break
+# (TestParallelReplicationsBitIdentical, TestReproducible*,
+# TestBatchMeans*, TestExactTieBreaksByName in internal/sim). Each
+# replication worker owns a runner whose activity table, compiled state
+# records, per-transition arrays and clocks are all mutable, so a fork
+# that shared any of them would race here.
+echo "== simulator race smoke (-cpu 1,2) =="
+go test -timeout 10m -race -cpu 1,2 \
+    -run 'ParallelReplicationsBitIdentical|Reproducible|BatchMeans|Tie' ./internal/sim/
+
 # Benchmark smoke run: one iteration of every benchmark, so a benchmark
 # that no longer compiles or panics fails CI without costing bench time.
 # -short skips only the 10×-buffer composition pair, whose full product
