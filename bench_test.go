@@ -13,7 +13,6 @@ import (
 	"repro/internal/aemilia"
 	"repro/internal/bisim"
 	"repro/internal/compose"
-	"repro/internal/core"
 	"repro/internal/ctmc"
 	"repro/internal/elab"
 	"repro/internal/experiments"
@@ -25,9 +24,8 @@ import (
 )
 
 // benchRunner builds a fresh experiment runner with a default Config —
-// one per op, matching the cold-start behaviour the deprecated
-// package-level experiments entry points had, so the figure benchmarks
-// keep measuring the full pipeline rather than a staged session.
+// one per op, so every op starts cold and the figure benchmarks keep
+// measuring the full pipeline rather than a staged session.
 func benchRunner() *experiments.Runner {
 	return experiments.NewRunner(pipeline.Config{})
 }
@@ -81,7 +79,7 @@ func BenchmarkFig3Markov(b *testing.B) {
 }
 
 func BenchmarkFig3General(b *testing.B) {
-	settings := core.SimSettings{RunLength: 2000, Replications: 4}
+	settings := pipeline.SimSettings{RunLength: 2000, Replications: 4}
 	for i := 0; i < b.N; i++ {
 		if _, err := benchRunner().Fig3General([]float64{2, 10, 20}, settings); err != nil {
 			b.Fatal(err)
@@ -102,7 +100,7 @@ func BenchmarkFig4Markov(b *testing.B) {
 // --- Fig. 5: validation of the general rpc model ---
 
 func BenchmarkFig5Validation(b *testing.B) {
-	settings := core.SimSettings{RunLength: 2000, Replications: 5}
+	settings := pipeline.SimSettings{RunLength: 2000, Replications: 5}
 	for i := 0; i < b.N; i++ {
 		if _, err := benchRunner().Fig5Validation([]float64{5}, settings); err != nil {
 			b.Fatal(err)
@@ -113,7 +111,7 @@ func BenchmarkFig5Validation(b *testing.B) {
 // --- Fig. 6: general streaming model ---
 
 func BenchmarkFig6General(b *testing.B) {
-	settings := core.SimSettings{RunLength: 20000, Warmup: 5000, Replications: 3}
+	settings := pipeline.SimSettings{RunLength: 20000, Warmup: 5000, Replications: 3}
 	for i := 0; i < b.N; i++ {
 		if _, err := benchRunner().Fig6General([]float64{100}, experiments.Quick, settings); err != nil {
 			b.Fatal(err)
@@ -124,7 +122,7 @@ func BenchmarkFig6General(b *testing.B) {
 // --- Fig. 7/8: trade-off curves ---
 
 func BenchmarkFig7Tradeoff(b *testing.B) {
-	settings := core.SimSettings{RunLength: 2000, Replications: 4}
+	settings := pipeline.SimSettings{RunLength: 2000, Replications: 4}
 	for i := 0; i < b.N; i++ {
 		if _, err := benchRunner().Fig7Tradeoff([]float64{1, 10, 20}, settings); err != nil {
 			b.Fatal(err)
@@ -133,7 +131,7 @@ func BenchmarkFig7Tradeoff(b *testing.B) {
 }
 
 func BenchmarkFig8Tradeoff(b *testing.B) {
-	settings := core.SimSettings{RunLength: 20000, Warmup: 5000, Replications: 3}
+	settings := pipeline.SimSettings{RunLength: 20000, Warmup: 5000, Replications: 3}
 	for i := 0; i < b.N; i++ {
 		if _, err := benchRunner().Fig8Tradeoff([]float64{100, 400}, experiments.Quick, settings); err != nil {
 			b.Fatal(err)
@@ -322,7 +320,7 @@ func BenchmarkStartupTransient(b *testing.B) {
 // core count.
 
 func benchFig3General(b *testing.B, workers int) {
-	settings := core.SimSettings{RunLength: 2000, Replications: 8, Workers: workers}
+	settings := pipeline.SimSettings{RunLength: 2000, Replications: 8, Workers: workers}
 	for i := 0; i < b.N; i++ {
 		if _, err := benchRunner().Fig3General([]float64{2, 5, 10, 15, 20, 25}, settings); err != nil {
 			b.Fatal(err)
@@ -458,7 +456,7 @@ func BenchmarkSteadyStateJacobiParallel(b *testing.B) {
 // Fresh runs the full generate+build+solve pipeline per point (the
 // pre-sweep-engine behaviour), Rebind generates and builds once, rewrites
 // the rates per point and warm-starts the solver from the anchor solution
-// (core.Phase2Sweep). Both iterate the same number of points, so the
+// (pipeline.Session.Sweep). Both iterate the same number of points, so the
 // ns/op ratio is the per-point speedup recorded in
 // results/BENCH_sweepreuse.json. Elaboration is outside the timer in both
 // cases: the delta under test is the phase-2 pipeline, not the AST walk.
@@ -482,7 +480,7 @@ func BenchmarkSweepReuseFresh(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range ms {
-			if _, err := core.Phase2ModelSolve(m, measures, lts.GenerateOptions{}, ctmc.SolveOptions{}); err != nil {
+			if _, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures}, pipeline.Config{}).Phase2(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -498,8 +496,8 @@ func BenchmarkSweepReuseFresh(b *testing.B) {
 // as the pre-batching engine did; CachedPoint keeps the shared plan but
 // still solves one point at a time; Batched hands the points to
 // SolveBatch in 8-lane chunks, one CSR pass feeding all lanes. All three
-// produce bit-identical solutions (pinned by the ctmc and core property
-// tests), so the ns/op ratios are pure solve-path speedups;
+// produce bit-identical solutions (pinned by the ctmc and pipeline
+// property tests), so the ns/op ratios are pure solve-path speedups;
 // results/BENCH_batchsolve.json records PerPoint/Batched per model.
 
 const batchSolveLanes = 8
@@ -569,7 +567,7 @@ func streamingSteadyChainParametric(b *testing.B) *ctmc.CTMC {
 }
 
 // batchSolveAnchor solves the first sweep point cold, exactly as
-// core.Phase2Sweep does before warm-starting the rest.
+// pipeline.Session.Sweep does before warm-starting the rest.
 func batchSolveAnchor(b *testing.B, chain *ctmc.CTMC, points [][]float64) []float64 {
 	b.Helper()
 	if err := chain.Rebind(points[0]); err != nil {
@@ -663,7 +661,7 @@ func BenchmarkSweepReuseRebind(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Phase2Sweep(m, measures, points, core.SweepOptions{}); err != nil {
+		if _, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures}, pipeline.Config{}).Sweep(points); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,10 +53,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/aemilia"
 	"repro/internal/aemilia/parser"
 	"repro/internal/bisim"
 	"repro/internal/compose"
-	"repro/internal/core"
 	"repro/internal/ctmc"
 	"repro/internal/elab"
 	"repro/internal/hml"
@@ -653,7 +653,7 @@ func runSolve(args []string) error {
 		Minimize: minimize,
 		Solve:    ctmc.SolveOptions{Sweep: sweep, Workers: *workers, Ctx: ctx},
 	}, pipeline.Config{Workers: *workers, LaneWidth: *lanes, Ctx: ctx})
-	var rep *core.Phase2Report
+	var rep *pipeline.Phase2Report
 	if *ckptPath != "" {
 		// Checkpointed solves go through the sweep driver: a one-point
 		// sweep at the model's own rates, saved to (and resumed from) the
@@ -768,7 +768,10 @@ func runSim(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := core.Phase3(arch, nil, ms, core.SimSettings{
+	rep, err := pipeline.NewSession(pipeline.Spec{
+		Build:    func() (*aemilia.ArchiType, error) { return arch, nil },
+		Measures: ms,
+	}, pipeline.Config{}).Phase3(nil, pipeline.SimSettings{
 		RunLength:       *runLength,
 		Warmup:          *warmup,
 		Replications:    *reps,

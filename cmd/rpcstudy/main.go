@@ -18,7 +18,6 @@ import (
 	"os"
 	"runtime"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/pipeline"
 )
@@ -83,9 +82,9 @@ func run(args []string) error {
 	cfg.CheckpointDir = *ckptDir
 	cfg.CheckpointResume = *resume
 	study := experiments.NewRunner(cfg)
-	settings := core.SimSettings{Workers: *workers}
+	settings := pipeline.SimSettings{Workers: *workers}
 	if *quick {
-		settings = core.SimSettings{RunLength: 4000, Replications: 8, Workers: *workers}
+		settings = pipeline.SimSettings{RunLength: 4000, Replications: 8, Workers: *workers}
 	}
 	render := experiments.FormatTable
 	if *csv {

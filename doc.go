@@ -15,7 +15,8 @@
 //
 // Entry points:
 //
-//   - internal/core       — the three-phase methodology (Fig. 1)
+//   - internal/pipeline   — the three-phase methodology (Fig. 1) as
+//     staged sessions: Phase1, Phase2, Sweep, Phase3, Validate
 //   - internal/models     — the rpc and streaming case studies
 //   - internal/experiments — one driver per paper figure
 //   - cmd/dpmassess       — CLI over .aem files

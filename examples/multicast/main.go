@@ -10,9 +10,8 @@ import (
 	"log"
 
 	"repro/internal/aemilia"
-	"repro/internal/core"
-	"repro/internal/lts"
 	"repro/internal/measure"
+	"repro/internal/pipeline"
 	"repro/internal/rates"
 )
 
@@ -77,7 +76,10 @@ func run() error {
 				{Instance: "SRC", Action: "publish", Kind: measure.TransReward, Value: 1},
 			}},
 		}
-		rep, err := core.Phase2(arch, measures, lts.GenerateOptions{})
+		rep, err := pipeline.NewSession(pipeline.Spec{
+			Build:    func() (*aemilia.ArchiType, error) { return arch, nil },
+			Measures: measures,
+		}, pipeline.Config{}).Phase2()
 		if err != nil {
 			return err
 		}

@@ -11,9 +11,9 @@ import (
 	"log"
 
 	"repro/internal/aemilia"
-	"repro/internal/core"
 	"repro/internal/lts"
 	"repro/internal/noninterference"
+	"repro/internal/pipeline"
 	"repro/internal/rates"
 )
 
@@ -126,7 +126,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rep, err := core.Phase1(leaky, spec, lts.GenerateOptions{})
+	rep, err := pipeline.NewSession(pipeline.Spec{
+		Build: func() (*aemilia.ArchiType, error) { return leaky, nil },
+	}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err
 	}
@@ -140,7 +142,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rep, err = core.Phase1(sealed, spec, lts.GenerateOptions{})
+	rep, err = pipeline.NewSession(pipeline.Spec{
+		Build: func() (*aemilia.ArchiType, error) { return sealed, nil },
+	}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err
 	}

@@ -9,10 +9,9 @@ import (
 	"log"
 
 	"repro/internal/aemilia"
-	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/lts"
 	"repro/internal/measure"
+	"repro/internal/pipeline"
 	"repro/internal/rates"
 )
 
@@ -72,8 +71,15 @@ func run() error {
 		}},
 	}
 
+	// One session stages the model for every phase below: it is elaborated
+	// once and shared by the exact solution and the simulation.
+	s := pipeline.NewSession(pipeline.Spec{
+		Build:    func() (*aemilia.ArchiType, error) { return arch, nil },
+		Measures: measures,
+	}, pipeline.Config{})
+
 	// Exact Markovian analysis.
-	exact, err := core.Phase2(arch, measures, lts.GenerateOptions{})
+	exact, err := s.Phase2()
 	if err != nil {
 		return err
 	}
@@ -82,7 +88,7 @@ func run() error {
 		exact.Values["utilization"], exact.Values["throughput"])
 
 	// Simulation of the same model (exponential durations).
-	sim, err := core.Phase3(arch, nil, measures, core.SimSettings{
+	sim, err := s.Phase3(nil, pipeline.SimSettings{
 		RunLength: 5000, Warmup: 100, Replications: 10, Seed: 1,
 	})
 	if err != nil {
@@ -91,7 +97,7 @@ func run() error {
 	fmt.Printf("simulated utilization=%v throughput=%v\n",
 		sim.Estimates["utilization"], sim.Estimates["throughput"])
 
-	val := core.Validate(exact, sim, 0.05)
+	val := pipeline.Validate(exact, sim, 0.05)
 	fmt.Printf("cross-validation consistent: %t\n", val.Consistent)
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/aemilia"
 	"repro/internal/experiments"
 	"repro/internal/lts"
 	"repro/internal/models"
@@ -37,7 +37,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rep1, err := core.Phase1(simplified, spec, lts.GenerateOptions{})
+	rep1, err := pipeline.NewSession(pipeline.Spec{
+		Build: func() (*aemilia.ArchiType, error) { return simplified, nil },
+	}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err
 	}
@@ -53,7 +55,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rep1b, err := core.Phase1(revised, spec, lts.GenerateOptions{})
+	rep1b, err := pipeline.NewSession(pipeline.Spec{
+		Build: func() (*aemilia.ArchiType, error) { return revised, nil },
+	}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err
 	}
@@ -75,7 +79,7 @@ func run() error {
 	// --- Phase 3a: validation (Fig. 5) ---------------------------------
 	fmt.Println("Phase 3 — validating the general model (Fig. 5)")
 	val, err := study.Fig5Validation([]float64{5, 15},
-		core.SimSettings{RunLength: 10000, Replications: 15})
+		pipeline.SimSettings{RunLength: 10000, Replications: 15})
 	if err != nil {
 		return err
 	}
@@ -85,7 +89,7 @@ func run() error {
 	// --- Phase 3b: the realistic general model (Fig. 3 right) ----------
 	fmt.Println("Phase 3 — general model with deterministic timings (Fig. 3, right)")
 	gpts, err := study.Fig3General([]float64{0, 2, 5, 8, 10, 12, 15, 25},
-		core.SimSettings{RunLength: 8000, Replications: 10})
+		pipeline.SimSettings{RunLength: 8000, Replications: 10})
 	if err != nil {
 		return err
 	}

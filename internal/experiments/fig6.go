@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 )
 
 // applyStreamingSimDefaults fills zero simulation settings with values
 // sized for the streaming model (times in ms).
-func (r *Runner) applyStreamingSimDefaults(s *core.SimSettings) {
+func (r *Runner) applyStreamingSimDefaults(s *pipeline.SimSettings) {
 	if s.RunLength == 0 {
 		s.RunLength = 400000
 	}
@@ -32,7 +32,7 @@ func (r *Runner) applyStreamingSimDefaults(s *core.SimSettings) {
 // (constant bit-rate video, deterministic PSP periods, Gaussian channel)
 // simulated across awake periods. Sweep points and the replications
 // within each run concurrently (settings.Workers, or Config.Workers).
-func (r *Runner) Fig6General(periods []float64, scale Scale, settings core.SimSettings) ([]StreamingPoint, error) {
+func (r *Runner) Fig6General(periods []float64, scale Scale, settings pipeline.SimSettings) ([]StreamingPoint, error) {
 	if periods == nil {
 		periods = DefaultAwakePeriods()
 	}

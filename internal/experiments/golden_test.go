@@ -10,8 +10,8 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ctmc"
+	"repro/internal/pipeline"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -24,12 +24,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // bit-identical float64 results.
 func collectGolden(t *testing.T, workers int) map[string]json.RawMessage {
 	t.Helper()
-	old := DefaultWorkers
-	DefaultWorkers = workers
-	defer func() { DefaultWorkers = old }()
-
-	rpcSim := core.SimSettings{RunLength: 500, Replications: 3, Workers: workers}
-	strSim := core.SimSettings{RunLength: 2000, Warmup: 500, Replications: 2, Workers: workers}
+	r := NewRunner(pipeline.Config{Workers: workers})
+	rpcSim := pipeline.SimSettings{RunLength: 500, Replications: 3, Workers: workers}
+	strSim := pipeline.SimSettings{RunLength: 2000, Warmup: 500, Replications: 2, Workers: workers}
 
 	out := make(map[string]json.RawMessage)
 	record := func(name string, v any, err error) {
@@ -44,25 +41,25 @@ func collectGolden(t *testing.T, workers int) map[string]json.RawMessage {
 		out[name] = raw
 	}
 
-	v1, err := Fig3Markov([]float64{0.5, 5, 25})
+	v1, err := r.Fig3Markov([]float64{0.5, 5, 25})
 	record("fig3_markov", v1, err)
-	v2, err := Fig3General([]float64{2, 10}, rpcSim)
+	v2, err := r.Fig3General([]float64{2, 10}, rpcSim)
 	record("fig3_general", v2, err)
-	v3, err := Fig4Markov([]float64{50, 400}, Quick)
+	v3, err := r.Fig4Markov([]float64{50, 400}, Quick)
 	record("fig4_markov", v3, err)
-	v4, err := Fig5Validation([]float64{5}, rpcSim)
+	v4, err := r.Fig5Validation([]float64{5}, rpcSim)
 	record("fig5_validation", v4, err)
-	v5, err := Fig6General([]float64{100}, Quick, strSim)
+	v5, err := r.Fig6General([]float64{100}, Quick, strSim)
 	record("fig6_general", v5, err)
-	v6, err := Fig7Tradeoff([]float64{1, 10}, rpcSim)
+	v6, err := r.Fig7Tradeoff([]float64{1, 10}, rpcSim)
 	record("fig7_tradeoff", v6, err)
-	v7, err := Fig8Tradeoff([]float64{100, 400}, Quick, strSim)
+	v7, err := r.Fig8Tradeoff([]float64{100, 400}, Quick, strSim)
 	record("fig8_tradeoff", v7, err)
-	v8, err := PolicyComparison(5)
+	v8, err := r.PolicyComparison(5)
 	record("policy_comparison", v8, err)
-	v9, err := BatteryLifetime(1000, 5, 100)
+	v9, err := r.BatteryLifetime(1000, 5, 100)
 	record("battery_lifetime", v9, err)
-	v10, err := StreamingStartupTransient([]float64{100, 500}, 100, Quick)
+	v10, err := r.StreamingStartupTransient([]float64{100, 500}, 100, Quick)
 	record("startup_transient", v10, err)
 	return out
 }
@@ -124,11 +121,7 @@ func TestGoldenExperimentOutputs(t *testing.T) {
 // with the given worker count and forced solver sweep mode.
 func collectMarkovian(t *testing.T, workers int, sweep ctmc.Sweep) map[string]json.RawMessage {
 	t.Helper()
-	oldWorkers, oldSolve := DefaultWorkers, DefaultSolve
-	DefaultWorkers = workers
-	DefaultSolve = ctmc.SolveOptions{Sweep: sweep}
-	defer func() { DefaultWorkers, DefaultSolve = oldWorkers, oldSolve }()
-
+	r := NewRunner(pipeline.Config{Workers: workers, Solve: ctmc.SolveOptions{Sweep: sweep}})
 	out := make(map[string]json.RawMessage)
 	record := func(name string, v any, err error) {
 		t.Helper()
@@ -141,11 +134,11 @@ func collectMarkovian(t *testing.T, workers int, sweep ctmc.Sweep) map[string]js
 		}
 		out[name] = raw
 	}
-	v1, err := Fig3Markov([]float64{0.5, 5, 25})
+	v1, err := r.Fig3Markov([]float64{0.5, 5, 25})
 	record("fig3_markov", v1, err)
-	v2, err := Fig4Markov([]float64{50, 400}, Quick)
+	v2, err := r.Fig4Markov([]float64{50, 400}, Quick)
 	record("fig4_markov", v2, err)
-	v3, err := PolicyComparison(5)
+	v3, err := r.PolicyComparison(5)
 	record("policy_comparison", v3, err)
 	return out
 }

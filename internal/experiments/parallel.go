@@ -15,6 +15,11 @@ import (
 // would return. A panicking fn is recovered into a
 // *fault.WorkerPanicError attributed to its worker and point instead of
 // crashing the process. workers <= 1 runs sequentially.
+//
+// It is the pool for every point that pipeline.Session.Sweep cannot take:
+// simulation points, per-policy studies, and the structure-changing
+// fallback points of the Markovian sweeps (a timeout or period <= 0),
+// each of which needs its own model rather than a rate rebind.
 func RunPoints[P, R any](points []P, workers int, fn func(P) (R, error)) ([]R, error) {
 	call := func(w, i int) (R, error) {
 		var r R

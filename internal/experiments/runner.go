@@ -29,8 +29,7 @@ type Runner struct {
 }
 
 // NewRunner returns a Runner over cfg. A non-positive cfg.Workers is
-// normalized to 1 (sequential), mirroring the historical package-global
-// resolution; every other field is used as given.
+// normalized to 1 (sequential); every other field is used as given.
 func NewRunner(cfg pipeline.Config) *Runner {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1

@@ -18,7 +18,7 @@ import (
 // so the process-wide counter deltas are exact.
 func TestFig3MarkovGeneratesOncePerStructure(t *testing.T) {
 	before := lts.GenerateCalls()
-	if _, err := Fig3Markov([]float64{0.5, 5, 25}); err != nil {
+	if _, err := newStudy().Fig3Markov([]float64{0.5, 5, 25}); err != nil {
 		t.Fatal(err)
 	}
 	if got := lts.GenerateCalls() - before; got != 2 {
@@ -26,7 +26,7 @@ func TestFig3MarkovGeneratesOncePerStructure(t *testing.T) {
 	}
 
 	before = lts.GenerateCalls()
-	if _, err := Fig3Markov([]float64{0, 5, 25}); err != nil {
+	if _, err := newStudy().Fig3Markov([]float64{0, 5, 25}); err != nil {
 		t.Fatal(err)
 	}
 	if got := lts.GenerateCalls() - before; got != 3 {
@@ -38,7 +38,7 @@ func TestFig3MarkovGeneratesOncePerStructure(t *testing.T) {
 // one generation for the no-DPM baseline, one for all positive periods.
 func TestFig4MarkovGeneratesOncePerStructure(t *testing.T) {
 	before := lts.GenerateCalls()
-	if _, err := Fig4Markov([]float64{50, 100, 400}, Quick); err != nil {
+	if _, err := newStudy().Fig4Markov([]float64{50, 100, 400}, Quick); err != nil {
 		t.Fatal(err)
 	}
 	if got := lts.GenerateCalls() - before; got != 2 {

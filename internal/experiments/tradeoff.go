@@ -1,6 +1,6 @@
 package experiments
 
-import "repro/internal/core"
+import "repro/internal/pipeline"
 
 // TradeoffPoint is one point of the energy/quality trade-off curves of
 // paper Figs. 7 and 8: the x-coordinate is the performance penalty
@@ -79,7 +79,7 @@ func StreamingTradeoffCurves(markov, general []StreamingPoint) *TradeoffCurves {
 // across shutdown timeouts. The Markovian sweep runs the
 // rate-parametric engine (one generation for all positive timeouts) and
 // each model family is solved exactly once for the whole grid.
-func (r *Runner) Fig7Tradeoff(timeouts []float64, settings core.SimSettings) (*TradeoffCurves, error) {
+func (r *Runner) Fig7Tradeoff(timeouts []float64, settings pipeline.SimSettings) (*TradeoffCurves, error) {
 	markov, err := r.Fig3Markov(timeouts)
 	if err != nil {
 		return nil, err
@@ -94,7 +94,7 @@ func (r *Runner) Fig7Tradeoff(timeouts []float64, settings core.SimSettings) (*T
 // Fig8Tradeoff reproduces paper Fig. 8: energy per frame vs miss rate for
 // the streaming system, on both the Markovian and the general model,
 // across awake periods.
-func (r *Runner) Fig8Tradeoff(periods []float64, scale Scale, settings core.SimSettings) (*TradeoffCurves, error) {
+func (r *Runner) Fig8Tradeoff(periods []float64, scale Scale, settings pipeline.SimSettings) (*TradeoffCurves, error) {
 	markov, err := r.Fig4Markov(periods, scale)
 	if err != nil {
 		return nil, err

@@ -42,7 +42,7 @@ const (
 	// SiteBatchTile fires in a tile task of the batched Jacobi pool; the
 	// key is the tile index.
 	SiteBatchTile = "ctmc.batch.tile"
-	// SiteSweepPoint fires in a sweep-point task of core.Phase2Sweep; the
+	// SiteSweepPoint fires in a sweep-point task of pipeline.Session.Sweep; the
 	// key is the global point index.
 	SiteSweepPoint = "core.sweep.point"
 	// SiteSweepNonconverge marks a sweep point whose base solve is

@@ -1,10 +1,9 @@
-package core
+package lts_test
 
 import (
 	"sync"
 	"testing"
 
-	"repro/internal/aemilia"
 	"repro/internal/lts"
 	"repro/internal/models"
 	"repro/internal/rates"
@@ -24,20 +23,17 @@ func ltsFingerprint(l *lts.LTS) []string {
 }
 
 // TestSharedModelGenerationDeterministic is the interner-determinism
-// guarantee under concurrency: many goroutines generating from one cached
-// (shared, immutable) elaborated model must observe the exact same state
+// guarantee under concurrency: many goroutines generating from one shared,
+// immutable elaborated model must observe the exact same state
 // identifiers — state i means the same global state in every sweep — and
 // the same canonical transition structure. Run with -race, this also
 // proves generation performs no hidden writes to the shared model.
 func TestSharedModelGenerationDeterministic(t *testing.T) {
-	var cache BuildCache[string]
-	p := models.DefaultRPCParams()
-	m, err := cache.Elaborated("rpc", func() (*aemilia.ArchiType, error) {
-		return models.BuildRPCRevised(p)
-	})
+	a, err := models.BuildRPCRevised(models.DefaultRPCParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := mustModel(t, a)
 
 	const workers = 8
 	prints := make([][]string, workers)
@@ -76,16 +72,11 @@ func TestSharedModelGenerationDeterministic(t *testing.T) {
 // sequentially, with fresh interners) assigns every state the same id,
 // observable through identical state descriptions per index.
 func TestRegenerationIDStability(t *testing.T) {
-	p := models.DefaultStreamingParams()
-	arch, err := models.BuildStreaming(p)
+	a, err := models.BuildStreaming(models.DefaultStreamingParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cache BuildCache[int]
-	m, err := cache.Elaborated(0, func() (*aemilia.ArchiType, error) { return arch, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustModel(t, a)
 	l1, err := lts.Generate(m, lts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)

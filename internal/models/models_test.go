@@ -5,16 +5,26 @@ import (
 	"testing"
 
 	"repro/internal/aemilia"
-	"repro/internal/core"
 	"repro/internal/elab"
 	"repro/internal/lts"
+	"repro/internal/measure"
 	"repro/internal/noninterference"
+	"repro/internal/pipeline"
 )
 
 // paperFormula is the diagnostic formula of paper Sect. 3.1, verbatim.
 const paperFormula = "EXISTS_WEAK_TRANS(LABEL(C.send_rpc_packet#RCS.get_packet); " +
 	"REACHED_STATE_SAT(NOT(EXISTS_WEAK_TRANS(LABEL(RSC.deliver_packet#C.receive_result_packet); " +
 	"REACHED_STATE_SAT(TRUE)))))"
+
+// session opens an ephemeral pipeline session on an already-built
+// architectural description.
+func session(a *aemilia.ArchiType, measures []measure.Measure) *pipeline.Session {
+	return pipeline.NewSession(pipeline.Spec{
+		Build:    func() (*aemilia.ArchiType, error) { return a, nil },
+		Measures: measures,
+	}, pipeline.Config{})
+}
 
 func rpcSpec() noninterference.Spec {
 	return noninterference.Spec{
@@ -28,7 +38,7 @@ func TestRPCSimplifiedFailsWithPaperFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase1(a, rpcSpec(), lts.GenerateOptions{})
+	rep, err := session(a, nil).Phase1(rpcSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +61,7 @@ func TestRPCRevisedPassesNoninterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase1(a, rpcSpec(), lts.GenerateOptions{})
+	rep, err := session(a, nil).Phase1(rpcSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +80,7 @@ func TestRPCRevisedWithoutDPMStillPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase1(a, rpcSpec(), lts.GenerateOptions{})
+	rep, err := session(a, nil).Phase1(rpcSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +98,10 @@ func TestStreamingPassesNoninterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase1(a, noninterference.Spec{
+	rep, err := session(a, nil).Phase1(noninterference.Spec{
 		High: lts.LabelMatcherByNames(StreamingHighLabels()...),
 		Low:  lts.LabelMatcherByInstance("C"),
-	}, lts.GenerateOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestRPCMarkovianOrderings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := core.Phase2(a, RPCMeasures(p), lts.GenerateOptions{})
+		rep, err := session(a, RPCMeasures(p)).Phase2()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +154,7 @@ func TestRPCMarkovianTimeoutMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := core.Phase2(a, RPCMeasures(p), lts.GenerateOptions{})
+		rep, err := session(a, RPCMeasures(p)).Phase2()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +177,7 @@ func TestRPCZeroTimeoutIsImmediate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase2(a, RPCMeasures(p), lts.GenerateOptions{})
+	rep, err := session(a, RPCMeasures(p)).Phase2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +189,7 @@ func TestRPCZeroTimeoutIsImmediate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep5, err := core.Phase2(a5, RPCMeasures(p5), lts.GenerateOptions{})
+	rep5, err := session(a5, RPCMeasures(p5)).Phase2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +212,7 @@ func TestStreamingMarkovianOrderings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := core.Phase2(a, StreamingMeasures(p), lts.GenerateOptions{})
+		rep, err := session(a, StreamingMeasures(p)).Phase2()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +334,7 @@ func TestShutdownInterruptsServiceVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase1(a, rpcSpec(), lts.GenerateOptions{})
+	rep, err := session(a, nil).Phase1(rpcSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +357,7 @@ func TestShutdownInterruptsServiceVariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep2, err := core.Phase2(arch, RPCMeasures(q), lts.GenerateOptions{})
+		rep2, err := session(arch, RPCMeasures(q)).Phase2()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +397,7 @@ func TestPredictivePolicyBuildsAndSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase2(a, RPCMeasures(p), lts.GenerateOptions{})
+	rep, err := session(a, RPCMeasures(p)).Phase2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +410,7 @@ func TestPredictivePolicyBuildsAndSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep1, err := core.Phase1(a, rpcSpec(), lts.GenerateOptions{})
+	rep1, err := session(a, nil).Phase1(rpcSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ type RPCParams struct {
 	// ParametricTimeout binds the shutdown-timeout rate to rate slot
 	// RPCTimeoutSlot instead of a plain constant, so a timeout sweep can
 	// generate the state space once and rebind the rate per point
-	// (core.Phase2Sweep). Only meaningful in Markovian mode with a
+	// (pipeline.Session.Sweep). Only meaningful in Markovian mode with a
 	// positive ShutdownTimeout — the ShutdownTimeout <= 0 variant is a
 	// structurally different model (the shutdown becomes immediate) and
 	// cannot be reached by rebinding.

@@ -63,7 +63,7 @@ type StreamingParams struct {
 	// ParametricPeriod binds the PSP wakeup rate to rate slot
 	// StreamingPeriodSlot instead of a plain constant, so an awake-period
 	// sweep can generate the state space once and rebind the rate per
-	// point (core.Phase2Sweep). Only meaningful in Markovian mode with
+	// point (pipeline.Session.Sweep). Only meaningful in Markovian mode with
 	// WithDPM and a positive AwakePeriod — a non-positive period makes
 	// the wakeup immediate, a structurally different model that rebinding
 	// cannot reach.

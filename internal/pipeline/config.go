@@ -8,9 +8,22 @@
 // built lazily exactly once per session state (single-flight, context
 // aware) and shared by every handle opened on the same SpecHash through a
 // Manager, so overlapping requests collapse onto shared work instead of
-// regenerating it. The phase entry points of internal/core are thin
-// adapters over ephemeral sessions, which keeps their results
-// bit-identical to the session path by construction.
+// regenerating it. One-shot callers open an ephemeral NewSession; the
+// experiment drivers intern theirs in a Manager. Both run the same staged
+// code, so their results are bit-identical by construction.
+//
+// The Session methods are the three phases of the paper's incremental
+// methodology (Fig. 1), each consuming the model of the previous one:
+//
+//  1. Functional phase (Phase1) — noninterference analysis of the
+//     untimed model: the DPM must be transparent to the client.
+//  2. Markovian phase (Phase2, Sweep) — the model enriched with
+//     exponentially distributed durations; the CTMC is solved and
+//     reward-based measures are compared with and without the DPM.
+//  3. General phase (Phase3, Validate) — exponential delays replaced by
+//     general distributions; the model is first validated against the
+//     Markovian one by simulating it with exponential durations, then
+//     simulated with the realistic durations.
 package pipeline
 
 import (

@@ -1,11 +1,12 @@
-// Fault-tolerance properties of the sweep driver: cancellation with
+// Fault-tolerance properties of the session sweep: cancellation with
 // checkpoint/resume bit-identity, panic attribution, deterministic
 // escalation traces, and the checkpoint format's failure modes.
-package core
+package pipeline_test
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,15 +15,17 @@ import (
 	"testing"
 
 	"repro/internal/ctmc"
+	"repro/internal/elab"
 	"repro/internal/fault"
 	"repro/internal/faultinject"
-	"repro/internal/lts"
+	"repro/internal/measure"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 )
 
 // rpcSweepFixture returns the parametric rpc model, its measures, and a
 // 9-point timeout grid — the shared input of the sweep property tests.
-func rpcSweepFixture(t *testing.T) (*models.RPCParams, [][]float64) {
+func rpcSweepFixture(t *testing.T) (*elab.Model, []measure.Measure, [][]float64) {
 	t.Helper()
 	p := models.DefaultRPCParams()
 	p.ParametricTimeout = true
@@ -30,10 +33,10 @@ func rpcSweepFixture(t *testing.T) (*models.RPCParams, [][]float64) {
 	for _, T := range []float64{0.5, 1, 2, 4, 5, 7.5, 10, 15, 25} {
 		points = append(points, []float64{1 / T})
 	}
-	return &p, points
+	return elaborateRPC(t, p), models.RPCMeasures(p), points
 }
 
-func requireSameReports(t *testing.T, tag string, want, got []*Phase2Report) {
+func requireSameReports(t *testing.T, tag string, want, got []*pipeline.Phase2Report) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d reports vs %d", tag, len(want), len(got))
@@ -58,18 +61,17 @@ func requireSameReports(t *testing.T, tag string, want, got []*Phase2Report) {
 // resumed, produces reports bit-identical to an uninterrupted run — at
 // every combination of worker count and lane width.
 func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
-	p, points := rpcSweepFixture(t)
-	m := elaborateRPC(t, *p)
-	measures := models.RPCMeasures(*p)
+	m, measures, points := rpcSweepFixture(t)
+	none := ctmc.SolveOptions{}
 
-	baseline, err := Phase2Sweep(m, measures, points, SweepOptions{})
+	baseline, err := sweep(m, measures, none, pipeline.Config{}, points, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{1, 8} {
 		for _, lanes := range []int{1, 8} {
-			tag := "workers=" + itoa(workers) + " lanes=" + itoa(lanes)
+			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
 			path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
 			// Cancel on the second solve to pass iteration 2: the anchor
@@ -83,12 +85,8 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 					}
 				})
 			faultinject.Activate(plan)
-			_, err := Phase2Sweep(m, measures, points, SweepOptions{
-				Workers:    workers,
-				LaneWidth:  lanes,
-				Ctx:        ctx,
-				Checkpoint: &CheckpointOptions{Path: path, Every: 1},
-			})
+			_, err := sweep(m, measures, none, pipeline.Config{Workers: workers, LaneWidth: lanes, Ctx: ctx},
+				points, &pipeline.CheckpointOptions{Path: path, Every: 1})
 			faultinject.Deactivate()
 			cancel()
 			if err == nil {
@@ -105,11 +103,8 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 				t.Fatalf("%s: canceled sweep left no checkpoint: %v", tag, err)
 			}
 
-			resumed, err := Phase2Sweep(m, measures, points, SweepOptions{
-				Workers:    workers,
-				LaneWidth:  lanes,
-				Checkpoint: &CheckpointOptions{Path: path, Every: 1, Resume: true},
-			})
+			resumed, err := sweep(m, measures, none, pipeline.Config{Workers: workers, LaneWidth: lanes},
+				points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
 			if err != nil {
 				t.Fatalf("%s: resume failed: %v", tag, err)
 			}
@@ -118,27 +113,18 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 	}
 }
 
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return string(rune('0'+n/10)) + string(rune('0'+n%10))
-}
-
 // TestPhase2SweepPanicAttribution injects a panic at sweep point 3 and
 // checks it surfaces as a typed worker-panic error — injected fault
 // intact — instead of crashing, under every solve path of the sweep.
 func TestPhase2SweepPanicAttribution(t *testing.T) {
-	p, points := rpcSweepFixture(t)
-	m := elaborateRPC(t, *p)
-	measures := models.RPCMeasures(*p)
+	m, measures, points := rpcSweepFixture(t)
 
 	for _, workers := range []int{1, 8} {
 		for _, lanes := range []int{1, 8} {
-			tag := "workers=" + itoa(workers) + " lanes=" + itoa(lanes)
+			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
 			plan := faultinject.NewPlan().Arm(faultinject.SiteSweepPoint, 3)
 			faultinject.Activate(plan)
-			_, err := Phase2Sweep(m, measures, points, SweepOptions{Workers: workers, LaneWidth: lanes})
+			_, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Workers: workers, LaneWidth: lanes}, points, nil)
 			faultinject.Deactivate()
 			if err == nil {
 				t.Fatalf("%s: injected panic vanished", tag)
@@ -169,14 +155,12 @@ func TestPhase2SweepPanicAttribution(t *testing.T) {
 // bit-identical to an uninjected run and an attempt trace that is a pure
 // function of the input — identical at every worker count and lane width.
 func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
-	p, points := rpcSweepFixture(t)
-	m := elaborateRPC(t, *p)
-	measures := models.RPCMeasures(*p)
+	m, measures, points := rpcSweepFixture(t)
 	// Auto mode resolves the scheme per worker count; trace-identity needs
 	// a pinned sweep.
 	solve := ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, Escalation: ctmc.EscalateLadder}
 
-	baseline, err := Phase2Sweep(m, measures, points, SweepOptions{Solve: solve})
+	baseline, err := sweep(m, measures, solve, pipeline.Config{}, points, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +173,10 @@ func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 	var traces []*ctmc.SolveTrace
 	for _, workers := range []int{1, 8} {
 		for _, lanes := range []int{1, 8} {
-			tag := "workers=" + itoa(workers) + " lanes=" + itoa(lanes)
+			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
 			plan := faultinject.NewPlan().Arm(faultinject.SiteSweepNonconverge, 2)
 			faultinject.Activate(plan)
-			reps, err := Phase2Sweep(m, measures, points, SweepOptions{
-				Solve:     solve,
-				Workers:   workers,
-				LaneWidth: lanes,
-			})
+			reps, err := sweep(m, measures, solve, pipeline.Config{Workers: workers, LaneWidth: lanes}, points, nil)
 			faultinject.Deactivate()
 			if err != nil {
 				t.Fatalf("%s: ladder did not recover the forced failure: %v", tag, err)
@@ -231,9 +211,7 @@ func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 	// error attributed to point 2 — never silently succeed.
 	plan := faultinject.NewPlan().Arm(faultinject.SiteSweepNonconverge, 2)
 	faultinject.Activate(plan)
-	_, err = Phase2Sweep(m, measures, points, SweepOptions{
-		Solve: ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel},
-	})
+	_, err = sweep(m, measures, ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel}, pipeline.Config{}, points, nil)
 	faultinject.Deactivate()
 	if err == nil {
 		t.Fatal("forced non-convergence vanished without the ladder")
@@ -248,21 +226,18 @@ func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 // strict: an injected failure of the first write aborts the sweep with
 // the typed checkpoint error instead of carrying on unresumable.
 func TestPhase2SweepCheckpointWriteFailure(t *testing.T) {
-	p, points := rpcSweepFixture(t)
-	m := elaborateRPC(t, *p)
-	measures := models.RPCMeasures(*p)
+	m, measures, points := rpcSweepFixture(t)
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
 	plan := faultinject.NewPlan().Arm(faultinject.SiteCheckpointWrite, 0)
 	faultinject.Activate(plan)
-	_, err := Phase2Sweep(m, measures, points, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Every: 1},
-	})
+	_, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{}, points,
+		&pipeline.CheckpointOptions{Path: path, Every: 1})
 	faultinject.Deactivate()
 	if err == nil {
 		t.Fatal("failed checkpoint write ignored")
 	}
-	var cke *CheckpointError
+	var cke *pipeline.CheckpointError
 	if !errors.As(err, &cke) || cke.Op != "write" {
 		t.Fatalf("want a write *CheckpointError, got %T: %v", err, err)
 	}
@@ -276,33 +251,28 @@ func TestPhase2SweepCheckpointWriteFailure(t *testing.T) {
 // structurally mismatched checkpoints abort loudly; a missing file means
 // a fresh start.
 func TestCheckpointResumeRejects(t *testing.T) {
-	p, points := rpcSweepFixture(t)
-	m := elaborateRPC(t, *p)
-	measures := models.RPCMeasures(*p)
+	m, measures, points := rpcSweepFixture(t)
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	run := func(points [][]float64, ck *pipeline.CheckpointOptions) ([]*pipeline.Phase2Report, error) {
+		return sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{}, points, ck)
+	}
 
 	// Missing file: resume is a fresh start, and completes the checkpoint.
-	reps, err := Phase2Sweep(m, measures, points, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Every: 1, Resume: true},
-	})
+	reps, err := run(points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A full checkpoint resumes to identical reports.
-	resumed, err := Phase2Sweep(m, measures, points, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Every: 1, Resume: true},
-	})
+	resumed, err := run(points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameReports(t, "complete-resume", reps, resumed)
 
 	// A different point set must be rejected as a mismatch.
-	_, err = Phase2Sweep(m, measures, points[:5], SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Resume: true},
-	})
-	if !errors.Is(err, ErrCheckpointMismatch) {
+	_, err = run(points[:5], &pipeline.CheckpointOptions{Path: path, Resume: true})
+	if !errors.Is(err, pipeline.ErrCheckpointMismatch) {
 		t.Errorf("mismatched sweep resumed: %v", err)
 	}
 
@@ -315,15 +285,13 @@ func TestCheckpointResumeRejects(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Phase2Sweep(m, measures, points, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Resume: true},
-	})
-	if !errors.Is(err, ErrCheckpointCorrupt) {
+	_, err = run(points, &pipeline.CheckpointOptions{Path: path, Resume: true})
+	if !errors.Is(err, pipeline.ErrCheckpointCorrupt) {
 		t.Errorf("corrupt checkpoint resumed: %v", err)
 	}
 
 	// Checkpointing with no path is a configuration error.
-	if _, err := Phase2Sweep(m, measures, points, SweepOptions{Checkpoint: &CheckpointOptions{}}); err == nil {
+	if _, err := run(points, &pipeline.CheckpointOptions{}); err == nil {
 		t.Error("empty checkpoint path accepted")
 	}
 }
@@ -331,31 +299,26 @@ func TestCheckpointResumeRejects(t *testing.T) {
 // TestPhase2SweepEdgePoints covers the degenerate sweeps: no points, a
 // single (anchor-only) point, and duplicate rate vectors.
 func TestPhase2SweepEdgePoints(t *testing.T) {
-	p, _ := rpcSweepFixture(t)
-	m := elaborateRPC(t, *p)
-	measures := models.RPCMeasures(*p)
+	m, measures, _ := rpcSweepFixture(t)
+	none := ctmc.SolveOptions{}
 
 	// Zero points: nothing to do, no error.
-	reps, err := Phase2Sweep(m, measures, nil, SweepOptions{})
+	reps, err := sweep(m, measures, none, pipeline.Config{}, nil, nil)
 	if err != nil || reps != nil {
 		t.Errorf("empty sweep: got (%v, %v), want (nil, nil)", reps, err)
 	}
 
 	// Single point at the model's own rates: the sweep is exactly one
 	// cold anchor solve, bit-identical to the non-sweep phase-2 path.
-	l, err := lts.Generate(m, lts.GenerateOptions{})
+	l, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures}, pipeline.Config{}).LTS()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defaults := l.SlotDefaults()
-	single, err := Phase2Sweep(m, measures, [][]float64{defaults}, SweepOptions{})
+	single, err := sweep(m, measures, none, pipeline.Config{}, [][]float64{l.SlotDefaults()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Phase2Model(m, measures, lts.GenerateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := phase2(t, m, measures)
 	for name, want := range direct.Values {
 		if got := single[0].Values[name]; got != want {
 			t.Errorf("single-point sweep measure %s: %v != %v (must match the direct solve bit for bit)", name, got, want)
@@ -367,29 +330,24 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 	plain := elaborateRPC(t, models.DefaultRPCParams())
 	plainMeasures := models.RPCMeasures(models.DefaultRPCParams())
 	path := filepath.Join(t.TempDir(), "single.ckpt")
-	solo, err := Phase2Sweep(plain, plainMeasures, [][]float64{{}}, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Every: 1},
-	})
+	solo, err := sweep(plain, plainMeasures, none, pipeline.Config{}, [][]float64{{}},
+		&pipeline.CheckpointOptions{Path: path, Every: 1})
 	if err != nil {
 		t.Fatalf("slot-free single-point sweep failed: %v", err)
 	}
-	plainDirect, err := Phase2Model(plain, plainMeasures, lts.GenerateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plainDirect := phase2(t, plain, plainMeasures)
 	for name, want := range plainDirect.Values {
 		if got := solo[0].Values[name]; got != want {
 			t.Errorf("slot-free solve measure %s: %v != %v", name, got, want)
 		}
 	}
-	resumedSolo, err := Phase2Sweep(plain, plainMeasures, [][]float64{{}}, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Every: 1, Resume: true},
-	})
+	resumedSolo, err := sweep(plain, plainMeasures, none, pipeline.Config{}, [][]float64{{}},
+		&pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
 	if err != nil {
 		t.Fatalf("slot-free resume failed: %v", err)
 	}
 	requireSameReports(t, "slot-free resume", solo, resumedSolo)
-	if _, err := Phase2Sweep(plain, plainMeasures, [][]float64{{}, {}}, SweepOptions{}); err == nil {
+	if _, err := sweep(plain, plainMeasures, none, pipeline.Config{}, [][]float64{{}, {}}, nil); err == nil {
 		t.Error("multi-point sweep of a slot-free model accepted")
 	}
 
@@ -397,7 +355,7 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 	// from the same anchor seed, so their reports are bit-identical.
 	dup := [][]float64{{1. / 5}, {1. / 2}, {1. / 10}, {1. / 2}, {1. / 10}}
 	for _, lanes := range []int{1, 8} {
-		reps, err := Phase2Sweep(m, measures, dup, SweepOptions{LaneWidth: lanes})
+		reps, err := sweep(m, measures, none, pipeline.Config{LaneWidth: lanes}, dup, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

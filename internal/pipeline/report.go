@@ -90,7 +90,8 @@ type ValidationReport struct {
 	// name, so the report row order is deterministic run to run.
 	PerMeasure []MeasureValidation
 	// Consistent is true when every measure is within tolerance: inside
-	// its confidence interval or within the relative-error budget.
+	// its confidence interval or within the relative-error budget. A NaN
+	// on either side is never within tolerance.
 	Consistent bool
 }
 
@@ -121,7 +122,9 @@ func Validate(exact *Phase2Report, simulated *Phase3Report, relTolerance float64
 			WithinCI: ci.Contains(exactV),
 			RelError: relErr,
 		}
-		if !mv.WithinCI && relErr > relTolerance {
+		// Written as "not within budget" so that a NaN relative error —
+		// a NaN exact value or estimate — counts as inconsistent.
+		if !mv.WithinCI && !(relErr <= relTolerance) {
 			rep.Consistent = false
 		}
 		rep.PerMeasure = append(rep.PerMeasure, mv)

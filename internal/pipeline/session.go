@@ -19,9 +19,9 @@ import (
 
 // stage is a single-flight lazily built artifact: the first caller runs
 // the builder (outside the lock), concurrent callers wait on it, and the
-// result — value or error — is latched for every later caller, mirroring
-// core.BuildCache's cache-failed-builds semantics. The one exception is
-// cancellation: a canceled build is returned to its own caller but never
+// result — value or error — is latched for every later caller: a failed
+// build is a property of the spec, so retrying it would fail the same way.
+// The one exception is cancellation: a canceled build is returned to its own caller but never
 // latched, so a timeout cannot poison the session for everyone else —
 // the next caller simply becomes the new builder.
 type stage[T any] struct {
@@ -178,8 +178,8 @@ func (mg *Manager) Len() int {
 
 // NewSession returns an ephemeral Session: same staging and single-flight
 // semantics, but the state is private to the handle (and to copies of
-// it), never interned. The core phase adapters use this so every legacy
-// call keeps its build-per-call behavior.
+// it), never interned — the shape for one-shot callers (a CLI command, an
+// example) that hold a model or a description nobody else will share.
 func NewSession(spec Spec, cfg Config) *Session {
 	return &Session{st: newSessionState(spec, spec.Hash()), cfg: cfg}
 }

@@ -1,15 +1,21 @@
 package pipeline_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/aemilia"
 	"repro/internal/ctmc"
+	"repro/internal/fault"
 	"repro/internal/lts"
 	"repro/internal/models"
+	"repro/internal/noninterference"
 	"repro/internal/pipeline"
 )
 
@@ -237,5 +243,160 @@ func TestSpecHashIgnoresScheduling(t *testing.T) {
 	ml.Solve.Sweep = ctmc.SweepMultilevel
 	if base.Hash() == ml.Hash() {
 		t.Fatalf("multilevel sweep mode did not change the spec hash")
+	}
+}
+
+// TestPhase1EndToEnd runs the noninterference check on the simplified rpc
+// model: it must fail, and the report must carry the state space size.
+func TestPhase1EndToEnd(t *testing.T) {
+	spec := pipeline.Spec{
+		Key:   "rpc-simplified",
+		Build: models.BuildRPCSimplified,
+	}
+	rep, err := pipeline.NewSession(spec, pipeline.Config{}).Phase1(noninterference.Spec{
+		High: lts.LabelMatcherByNames(models.RPCHighLabels()...),
+		Low:  lts.LabelMatcherByInstance("C"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Result.Transparent {
+		t.Error("simplified rpc should fail phase 1")
+	}
+	if rep.States == 0 || rep.Transitions == 0 {
+		t.Error("phase 1 should report the state space size")
+	}
+}
+
+// TestPhase2EndToEnd solves the revised rpc model: every measure comes
+// back positive and the report accounts for every generated state as
+// tangible or vanishing.
+func TestPhase2EndToEnd(t *testing.T) {
+	rep, err := pipeline.NewSession(rpcSpec(models.DefaultRPCParams()), pipeline.Config{}).Phase2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"throughput", "waiting_time", "energy"} {
+		v, ok := rep.Values[name]
+		if !ok {
+			t.Fatalf("measure %s missing", name)
+		}
+		if v <= 0 {
+			t.Errorf("measure %s = %v, want positive", name, v)
+		}
+	}
+	if rep.Tangible == 0 || rep.Vanishing == 0 || rep.States != rep.Tangible+rep.Vanishing {
+		t.Errorf("state accounting wrong: %d states, %d tangible, %d vanishing",
+			rep.States, rep.Tangible, rep.Vanishing)
+	}
+}
+
+// TestPhase2RejectsFunctionalModel: an untimed model has no CTMC, so the
+// Markovian phase must refuse it.
+func TestPhase2RejectsFunctionalModel(t *testing.T) {
+	p := models.DefaultRPCParams()
+	p.Mode = models.Functional
+	_, err := pipeline.NewSession(rpcSpec(p), pipeline.Config{}).Phase2()
+	if err == nil {
+		t.Fatal("an untimed model must be rejected by the Markovian phase")
+	}
+	if !strings.Contains(err.Error(), "not fully rated") {
+		t.Errorf("unexpected error: %v", err)
+	}
+}
+
+// TestPhase3AndValidation runs the paper's Sect. 5.1 cross-validation on
+// one session: the model simulated with exponential distributions must
+// agree with the exact CTMC solution.
+func TestPhase3AndValidation(t *testing.T) {
+	p := models.DefaultRPCParams()
+	p.ShutdownTimeout = 5
+	s := pipeline.NewSession(rpcSpec(p), pipeline.Config{})
+	simRep, err := s.Phase3(models.RPCExponentialDistributions(p),
+		pipeline.SimSettings{RunLength: 8000, Warmup: 200, Replications: 10, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if simRep.Events == 0 || simRep.Replications != 10 {
+		t.Errorf("phase 3 bookkeeping wrong: %+v", simRep)
+	}
+	val, err := s.ValidateAgainst(simRep, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(val.PerMeasure) != 3 {
+		t.Fatalf("validated %d measures, want 3", len(val.PerMeasure))
+	}
+	if !val.Consistent {
+		for _, mv := range val.PerMeasure {
+			t.Logf("%s: exact %v sim %v withinCI %t relErr %v",
+				mv.Name, mv.Exact, mv.Estimate, mv.WithinCI, mv.RelError)
+		}
+		t.Error("exponential simulation should validate against the CTMC")
+	}
+}
+
+// TestFailedBuildIsLatched: a build error is a property of the spec, so
+// the stage latches it — the builder runs once, and a later handle on the
+// same interned spec gets the same error without rebuilding.
+func TestFailedBuildIsLatched(t *testing.T) {
+	boom := errors.New("boom")
+	var builds atomic.Int32
+	spec := pipeline.Spec{
+		Key: "broken",
+		Build: func() (*aemilia.ArchiType, error) {
+			builds.Add(1)
+			return nil, boom
+		},
+	}
+	mgr := pipeline.NewManager()
+	for i := 0; i < 2; i++ {
+		s, err := mgr.Open(spec, pipeline.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Phase2(); !errors.Is(err, boom) {
+			t.Fatalf("handle %d: err = %v, want boom", i, err)
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("failed build ran %d times, want 1", n)
+	}
+}
+
+// TestCanceledBuildIsNotLatched: a cancellation belongs to the caller,
+// not the spec. A handle whose context is already canceled gets a
+// *fault.CanceledError, and a second handle on the same interned spec
+// with a live context then builds and solves normally.
+func TestCanceledBuildIsNotLatched(t *testing.T) {
+	p := models.DefaultRPCParams()
+	mgr := pipeline.NewManager()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	dead, err := mgr.Open(rpcSpec(p), pipeline.Config{Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = dead.Phase2()
+	var ce *fault.CanceledError
+	if !errors.As(err, &ce) {
+		t.Fatalf("canceled handle: want *fault.CanceledError, got %T: %v", err, err)
+	}
+
+	live, err := mgr.Open(rpcSpec(p), pipeline.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := live.Phase2()
+	if err != nil {
+		t.Fatalf("live handle after a canceled one: %v", err)
+	}
+	want, err := pipeline.NewSession(rpcSpec(p), pipeline.Config{}).Phase2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("report after a canceled build differs from a fresh solve:\n%+v\n%+v", got, want)
 	}
 }

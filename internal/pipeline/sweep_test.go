@@ -1,4 +1,4 @@
-package core
+package pipeline_test
 
 import (
 	"errors"
@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/ctmc"
 	"repro/internal/elab"
-	"repro/internal/lts"
 	"repro/internal/measure"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 )
 
 // elaborateRPC elaborates the revised rpc model for the given params.
@@ -27,7 +27,7 @@ func elaborateRPC(t *testing.T, p models.RPCParams) *elab.Model {
 	return m
 }
 
-// elaborateStreaming elaborates the streaming model (quick capacities).
+// elaborateStreaming elaborates the streaming model for the given params.
 func elaborateStreaming(t *testing.T, p models.StreamingParams) *elab.Model {
 	t.Helper()
 	a, err := models.BuildStreaming(p)
@@ -47,25 +47,40 @@ func quickStreamingParams() models.StreamingParams {
 	return p
 }
 
-func buildChain(t *testing.T, m *elab.Model) *ctmc.CTMC {
-	t.Helper()
-	l, err := lts.Generate(m, lts.GenerateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := ctmc.Build(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+// sweep runs a (possibly checkpointed) sweep of m on a fresh ephemeral
+// session with the given solver options and scheduling config.
+func sweep(m *elab.Model, measures []measure.Measure, solve ctmc.SolveOptions, cfg pipeline.Config,
+	points [][]float64, ck *pipeline.CheckpointOptions) ([]*pipeline.Phase2Report, error) {
+	s := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures, Solve: solve}, cfg)
+	return s.SweepCheckpointed(points, ck)
 }
 
-// TestRebindMatchesFreshBuild pins the heart of the rebind contract: a
-// parametric chain rebound to rate 1/T is bit-identical — generator
-// entries, exit rates — to a fresh build of the non-parametric model at
-// shutdown timeout T, and its steady-state measures match a fresh solve
-// within solver tolerance. Checked for the rpc (timeout) and streaming
-// (awake period) models.
+// phase2 solves m once at its built-in rates on a fresh ephemeral session.
+func phase2(t *testing.T, m *elab.Model, measures []measure.Measure) *pipeline.Phase2Report {
+	t.Helper()
+	rep, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures}, pipeline.Config{}).Phase2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// privateChain returns a private copy of the chain a session builds for
+// m: the session's own chain is shared and must not be rebound.
+func privateChain(t *testing.T, m *elab.Model) *ctmc.CTMC {
+	t.Helper()
+	c, err := pipeline.NewSession(pipeline.Spec{Model: m}, pipeline.Config{}).Chain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Clone()
+}
+
+// TestRebindMatchesFreshBuild pins the heart of the rebind contract the
+// sweep relies on: a parametric chain rebound to rate 1/T is
+// bit-identical — generator entries, exit rates — to a fresh build of the
+// non-parametric model at shutdown timeout T. Checked for the rpc
+// (timeout) and streaming (awake period) models.
 func TestRebindMatchesFreshBuild(t *testing.T) {
 	type variant struct {
 		name       string
@@ -79,12 +94,12 @@ func TestRebindMatchesFreshBuild(t *testing.T) {
 			parametric: func(t *testing.T) *ctmc.CTMC {
 				p := models.DefaultRPCParams()
 				p.ParametricTimeout = true
-				return buildChain(t, elaborateRPC(t, p))
+				return privateChain(t, elaborateRPC(t, p))
 			},
 			fresh: func(t *testing.T, T float64) *ctmc.CTMC {
 				p := models.DefaultRPCParams()
 				p.ShutdownTimeout = T
-				return buildChain(t, elaborateRPC(t, p))
+				return privateChain(t, elaborateRPC(t, p))
 			},
 			knobs: []float64{0.5, 5, 25},
 		},
@@ -93,12 +108,12 @@ func TestRebindMatchesFreshBuild(t *testing.T) {
 			parametric: func(t *testing.T) *ctmc.CTMC {
 				p := quickStreamingParams()
 				p.ParametricPeriod = true
-				return buildChain(t, elaborateStreaming(t, p))
+				return privateChain(t, elaborateStreaming(t, p))
 			},
 			fresh: func(t *testing.T, P float64) *ctmc.CTMC {
 				p := quickStreamingParams()
 				p.AwakePeriod = P
-				return buildChain(t, elaborateStreaming(t, p))
+				return privateChain(t, elaborateStreaming(t, p))
 			},
 			knobs: []float64{50, 400},
 		},
@@ -144,7 +159,7 @@ func TestRebindMatchesFreshBuild(t *testing.T) {
 func TestRebindStructuralErrors(t *testing.T) {
 	p := models.DefaultRPCParams()
 	p.ParametricTimeout = true
-	chain := buildChain(t, elaborateRPC(t, p))
+	chain := privateChain(t, elaborateRPC(t, p))
 	if err := chain.Rebind([]float64{1.0 / 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +196,7 @@ func TestRebindStructuralErrors(t *testing.T) {
 		}
 	}
 
-	plain := buildChain(t, elaborateRPC(t, models.DefaultRPCParams()))
+	plain := privateChain(t, elaborateRPC(t, models.DefaultRPCParams()))
 	if plain.NumRateSlots() != 0 {
 		t.Fatalf("non-parametric chain reports %d slots", plain.NumRateSlots())
 	}
@@ -195,9 +210,9 @@ func TestRebindStructuralErrors(t *testing.T) {
 
 // TestPhase2SweepDeterministicAndFresh checks the sweep engine on the rpc
 // model: reports are bit-identical at 1 and 8 workers, and every point
-// matches an independent per-point Phase2ModelSolve within solver
-// tolerance (the sweep warm-starts from the anchor, so the iteration
-// trajectory — not the fixed point — differs).
+// matches an independent per-point Phase2 within solver tolerance (the
+// sweep warm-starts from the anchor, so the iteration trajectory — not
+// the fixed point — differs).
 func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
 	pp := models.DefaultRPCParams()
 	pp.ParametricTimeout = true
@@ -209,9 +224,9 @@ func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
 		points[i] = []float64{1 / T}
 	}
 
-	var byWorkers [][]*Phase2Report
+	var byWorkers [][]*pipeline.Phase2Report
 	for _, workers := range []int{1, 8} {
-		reps, err := Phase2Sweep(m, measures, points, SweepOptions{Workers: workers})
+		reps, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Workers: workers}, points, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -229,10 +244,7 @@ func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
 	for i, T := range timeouts {
 		p := models.DefaultRPCParams()
 		p.ShutdownTimeout = T
-		fresh, err := Phase2ModelSolve(elaborateRPC(t, p), models.RPCMeasures(p), lts.GenerateOptions{}, ctmc.SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh := phase2(t, elaborateRPC(t, p), models.RPCMeasures(p))
 		for name, want := range fresh.Values {
 			got := byWorkers[0][i].Values[name]
 			rel := math.Abs(got-want) / math.Max(math.Abs(want), 1e-12)
@@ -267,13 +279,14 @@ func TestPhase2SweepLaneWidths(t *testing.T) {
 			for i, k := range v.knobs {
 				points[i] = []float64{1 / k}
 			}
-			base, err := Phase2Sweep(v.model, v.measures, points, SweepOptions{LaneWidth: 1, Workers: 1})
+			base, err := sweep(v.model, v.measures, ctmc.SolveOptions{}, pipeline.Config{LaneWidth: 1, Workers: 1}, points, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, laneWidth := range []int{0, 3, 8} {
 				for _, workers := range []int{1, 8} {
-					reps, err := Phase2Sweep(v.model, v.measures, points, SweepOptions{LaneWidth: laneWidth, Workers: workers})
+					cfg := pipeline.Config{LaneWidth: laneWidth, Workers: workers}
+					reps, err := sweep(v.model, v.measures, ctmc.SolveOptions{}, cfg, points, nil)
 					if err != nil {
 						t.Fatalf("lanes=%d workers=%d: %v", laneWidth, workers, err)
 					}
@@ -301,10 +314,8 @@ func TestPhase2SweepConvergenceErrorPoint(t *testing.T) {
 	m := elaborateRPC(t, pp)
 	points := [][]float64{{1. / 5}, {1. / 2}, {1. / 25}}
 	for _, laneWidth := range []int{1, 8} {
-		_, err := Phase2Sweep(m, models.RPCMeasures(pp), points, SweepOptions{
-			LaneWidth: laneWidth,
-			Solve:     ctmc.SolveOptions{MaxIterations: 2},
-		})
+		_, err := sweep(m, models.RPCMeasures(pp), ctmc.SolveOptions{MaxIterations: 2},
+			pipeline.Config{LaneWidth: laneWidth}, points, nil)
 		if !errors.Is(err, ctmc.ErrNoConvergence) {
 			t.Fatalf("lanes=%d: want ErrNoConvergence, got %v", laneWidth, err)
 		}
@@ -326,27 +337,26 @@ func TestPhase2SweepConvergenceErrorPoint(t *testing.T) {
 
 // TestPhase2SweepRejectsBadInput pins the sweep's input contract.
 func TestPhase2SweepRejectsBadInput(t *testing.T) {
+	none := ctmc.SolveOptions{}
 	plain := elaborateRPC(t, models.DefaultRPCParams())
-	if _, err := Phase2Sweep(plain, nil, [][]float64{{1}}, SweepOptions{}); err == nil {
+	if _, err := sweep(plain, nil, none, pipeline.Config{}, [][]float64{{1}}, nil); err == nil {
 		t.Error("sweeping a slot-free model should fail")
 	}
 
 	pp := models.DefaultRPCParams()
 	pp.ParametricTimeout = true
 	m := elaborateRPC(t, pp)
-	if _, err := Phase2Sweep(m, nil, [][]float64{{1, 2}}, SweepOptions{}); err == nil {
+	if _, err := sweep(m, nil, none, pipeline.Config{}, [][]float64{{1, 2}}, nil); err == nil {
 		t.Error("a point with the wrong arity should fail")
 	}
-	if _, err := Phase2Sweep(m, nil, [][]float64{{1}}, SweepOptions{
-		Solve: ctmc.SolveOptions{WarmStart: []float64{1}},
-	}); err == nil {
+	if _, err := sweep(m, nil, ctmc.SolveOptions{WarmStart: []float64{1}}, pipeline.Config{}, [][]float64{{1}}, nil); err == nil {
 		t.Error("a caller-supplied WarmStart should be rejected")
 	}
-	reps, err := Phase2Sweep(m, nil, nil, SweepOptions{})
+	reps, err := sweep(m, nil, none, pipeline.Config{}, nil, nil)
 	if err != nil || reps != nil {
 		t.Errorf("empty sweep: got (%v, %v), want (nil, nil)", reps, err)
 	}
-	if _, err := Phase2Sweep(m, []measure.Measure{}, [][]float64{{0}}, SweepOptions{}); err == nil {
+	if _, err := sweep(m, []measure.Measure{}, none, pipeline.Config{}, [][]float64{{0}}, nil); err == nil {
 		t.Error("a structure-changing point should fail")
 	}
 }

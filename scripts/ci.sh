@@ -34,15 +34,16 @@ go test -timeout 10m -race ./...
 
 # Fault-injection smoke under the race detector at -cpu 1,2: one injected
 # worker panic and one injected non-convergence per sweep mode (the
-# TestFaultInjection* and TestSweep*Escalat*/Panic*/Cancel* properties in
-# internal/core and internal/ctmc), on both the degenerate and a two-core
-# schedule. The recovery paths — panic capture, lowest-index attribution,
+# TestFaultInjection* properties in internal/ctmc and the session sweep's
+# TestPhase2Sweep*Panic*/Escalat*/Cancel*/Checkpoint* and
+# TestCheckpointResumeRejects properties in internal/pipeline), on both
+# the degenerate and a two-core schedule. The recovery paths — panic capture, lowest-index attribution,
 # escalation, checkpoint replay — are themselves concurrent code and get
 # their race coverage here.
 echo "== fault-injection smoke (-race -cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
     -run 'FaultInject|Panic|Escalat|Cancel|Checkpoint' \
-    ./internal/core/ ./internal/ctmc/ ./internal/lts/ ./internal/sim/ ./internal/faultinject/ ./internal/fault/
+    ./internal/pipeline/ ./internal/ctmc/ ./internal/lts/ ./internal/sim/ ./internal/faultinject/ ./internal/fault/
 
 # Session-sharing smoke under the race detector at -cpu 1,2: concurrent
 # goroutines open handles on one shared spec key and solve through the
@@ -96,8 +97,8 @@ go test -timeout 10m -race -cpu 1,2 \
 # Benchmark smoke run: one iteration of every benchmark, so a benchmark
 # that no longer compiles or panics fails CI without costing bench time.
 # -short skips only the 10×-buffer composition pair, whose full product
-# is minutes of generation per iteration (scripts/bench_compare.sh -C
-# times it properly).
+# is minutes of generation per iteration (run it without -short, e.g.
+# scripts/bench_compare.sh -c 1 -p 'Compose', to time it).
 echo "== bench smoke =="
 go test -timeout 10m -short -run '^$' -bench . -benchtime 1x ./...
 
