@@ -375,14 +375,14 @@ func benchSimReplications(b *testing.B, workers int) {
 func BenchmarkSimReplicationsSequential(b *testing.B) { benchSimReplications(b, 1) }
 func BenchmarkSimReplicationsParallel(b *testing.B)   { benchSimReplications(b, runtime.NumCPU()) }
 
-// --- Parallel generation and parallel solve: sequential vs parallel ---
+// --- Parallel generation: sequential vs parallel ---
 //
-// The remaining single-threaded hot paths of the analytic pipeline,
-// benchmarked at GenWorkers/Workers = 1 vs NumCPU on the full-size
-// streaming model. Outputs are bit-identical at any worker count (the
-// level-synchronized merge and the fixed Jacobi summation order), so the
-// delta is pure wall-clock; results/BENCH_genparallel.json records the
-// measured ratios with the core count.
+// State-space generation benchmarked at GenWorkers = 1 vs NumCPU on the
+// full-size streaming model. Outputs are bit-identical at any worker
+// count (the level-synchronized merge), so the delta is pure wall-clock;
+// results/BENCH_genparallel.json records the measured ratios with the
+// core count. The steady-state solve of the same chain is benchmarked
+// below; it is sequential.
 
 func benchGenerate(b *testing.B, workers int) {
 	a, err := models.BuildStreaming(models.DefaultStreamingParams())
@@ -404,9 +404,8 @@ func benchGenerate(b *testing.B, workers int) {
 func BenchmarkGenerateSequential(b *testing.B) { benchGenerate(b, 1) }
 func BenchmarkGenerateParallel(b *testing.B)   { benchGenerate(b, runtime.NumCPU()) }
 
-// streamingSteadyChain builds the full-size streaming chain once; its
-// recurrent component (1155 tangible states) sits above the Jacobi
-// threshold, so it exercises the parallel sweep in auto mode too.
+// streamingSteadyChain builds the full-size streaming chain once (its
+// recurrent component has 1155 tangible states).
 func streamingSteadyChain(b *testing.B) *ctmc.CTMC {
 	b.Helper()
 	a, err := models.BuildStreaming(models.DefaultStreamingParams())
@@ -440,14 +439,6 @@ func benchSteadyState(b *testing.B, opts ctmc.SolveOptions) {
 
 func BenchmarkSteadyStateGaussSeidel(b *testing.B) {
 	benchSteadyState(b, ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel})
-}
-
-func BenchmarkSteadyStateJacobiSequential(b *testing.B) {
-	benchSteadyState(b, ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, Workers: 1})
-}
-
-func BenchmarkSteadyStateJacobiParallel(b *testing.B) {
-	benchSteadyState(b, ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, Workers: runtime.NumCPU()})
 }
 
 // --- Rate-parametric sweep: per-point fresh pipeline vs generate-once rebind ---
@@ -829,15 +820,6 @@ const (
 func BenchmarkMultilevelEpsGaussSeidel(b *testing.B) {
 	benchSolveIters(b, benchEpsChain(b, benchEps),
 		ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, Tolerance: benchEpsTol})
-}
-
-func BenchmarkMultilevelEpsJacobi(b *testing.B) {
-	// Damped Jacobi needs ~690k sweeps here — far beyond the default
-	// budget; the raised ceiling lets the benchmark measure the real
-	// count instead of a give-up.
-	benchSolveIters(b, benchEpsChain(b, benchEps),
-		ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, Workers: 1, Tolerance: benchEpsTol,
-			MaxIterations: 4000000})
 }
 
 func BenchmarkMultilevelEpsMultilevel(b *testing.B) {

@@ -6,7 +6,7 @@
 //	dpmassess lts      [-dot out.dot] [-max N] [-compose full|minimize] [-stats]
 //	                   [-workers N] model.aem
 //	dpmassess check    -high INST -low INST [-high-labels l1,l2] [-workers N] model.aem
-//	dpmassess solve    -measures spec.msr [-sweep auto|gauss-seidel|jacobi|multilevel]
+//	dpmassess solve    -measures spec.msr [-sweep auto|gauss-seidel|multilevel]
 //	                   [-compose full|minimize] [-stats] [-lanes K]
 //	                   [-checkpoint file.ckpt] [-resume] [-workers N] model.aem
 //	dpmassess sim      -measures spec.msr [-runlength T] [-warmup T]
@@ -16,8 +16,8 @@
 //	dpmassess mc       -formula 'EXISTS_WEAK_TRANS(...)' [-hide-except INST] [-workers N] model.aem
 //
 // Every subcommand that explores a state space takes -workers: it bounds
-// the generation worker pool (and, for solve, the steady-state solver
-// pool). Outputs are bit-identical at any worker count. Every subcommand
+// the generation worker pool; the steady-state solver is sequential.
+// Outputs are bit-identical at any worker count. Every subcommand
 // also takes -timeout: an overall deadline after which generation, solves
 // and simulations are canceled promptly (reported as a cancellation error
 // naming the phase that observed it).
@@ -258,8 +258,8 @@ func runMinimize(args []string) error {
 	return nil
 }
 
-// workersFlag registers the shared -workers flag: the generation (and,
-// where applicable, solver) worker-pool bound.
+// workersFlag registers the shared -workers flag: the generation
+// worker-pool bound.
 func workersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", runtime.NumCPU(),
 		"state-space generation workers (outputs are identical at any value)")
@@ -577,8 +577,10 @@ func runSolve(args []string) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
 	measuresPath := fs.String("measures", "", "measure definition file (companion language)")
 	sweepName := fs.String("sweep", "auto",
-		"steady-state sweep mode: auto, gauss-seidel, jacobi, or multilevel\n"+
-			"(two-level aggregation/disaggregation for slow-mixing chains)")
+		"steady-state sweep mode: auto (Gauss-Seidel, switching to multilevel\n"+
+			"when the residual stalls or the iteration budget runs out),\n"+
+			"gauss-seidel, or multilevel (two-level aggregation/disaggregation\n"+
+			"for slow-mixing chains)")
 	composeMode := composeFlag(fs)
 	stats := fs.Bool("stats", false,
 		"print statistics after the measures: resident memory of the state\n"+
@@ -624,8 +626,6 @@ func runSolve(args []string) error {
 		sweep = ctmc.SweepAuto
 	case "gauss-seidel":
 		sweep = ctmc.SweepGaussSeidel
-	case "jacobi":
-		sweep = ctmc.SweepJacobi
 	case "multilevel":
 		sweep = ctmc.SweepMultilevel
 	default:
@@ -651,7 +651,7 @@ func runSolve(args []string) error {
 		Measures: ms,
 		Gen:      lts.GenerateOptions{GenWorkers: *workers, Ctx: ctx},
 		Minimize: minimize,
-		Solve:    ctmc.SolveOptions{Sweep: sweep, Workers: *workers, Ctx: ctx},
+		Solve:    ctmc.SolveOptions{Sweep: sweep, Ctx: ctx},
 	}, pipeline.Config{Workers: *workers, LaneWidth: *lanes, Ctx: ctx})
 	var rep *pipeline.Phase2Report
 	if *ckptPath != "" {

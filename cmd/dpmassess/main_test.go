@@ -38,6 +38,19 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+// TestRunSolveRejectsUnknownSweep checks that solve names the bad -sweep
+// value, including "jacobi", a scheme the solver no longer has.
+func TestRunSolveRejectsUnknownSweep(t *testing.T) {
+	model := specPath(t, "rpc_revised_markov.aem")
+	measures := specPath(t, "rpc.msr")
+	for _, sweep := range []string{"jacobi", "bogus"} {
+		err := run([]string{"solve", "-measures", measures, "-sweep", sweep, model})
+		if err == nil || !strings.Contains(err.Error(), `unknown sweep mode "`+sweep+`"`) {
+			t.Errorf("-sweep %s: got %v, want an unknown-sweep-mode error", sweep, err)
+		}
+	}
+}
+
 func TestRunLTSAndExports(t *testing.T) {
 	model := specPath(t, "rpc_simplified.aem")
 	dir := t.TempDir()

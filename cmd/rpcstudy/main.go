@@ -40,8 +40,8 @@ func run(args []string) error {
 			"composition and folds vanishing states during generation (measure\n"+
 			"values are identical either way)")
 	workers := fs.Int("workers", runtime.NumCPU(),
-		"concurrent sweep points, simulation replications, state-space generation\n"+
-			"workers, and steady-state solver workers (results are identical at any value)")
+		"concurrent sweep points, simulation replications, and state-space\n"+
+			"generation workers (results are identical at any value)")
 	lanes := fs.Int("lanes", 0,
 		"sweep points solved per batched steady-state call: 0 auto-selects,\n"+
 			"1 forces the per-point solver (results are identical at any value)")

@@ -4,17 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-
-	"repro/internal/fault"
-	"repro/internal/faultinject"
 )
 
 // BatchOptions tunes SolveBatch.
 type BatchOptions struct {
 	// Solve is the shared solver configuration: tolerance, iteration
-	// bound, sweep selection, Jacobi workers, and warm start are resolved
-	// exactly as SteadyState resolves them, and the one WarmStart vector
+	// bound, sweep selection, and warm start are resolved exactly as
+	// SteadyState resolves them, and the one WarmStart vector
 	// seeds every lane (the sweep-anchor rule: a seed that is a pure
 	// function of the input keeps results independent of lane packing).
 	Solve SolveOptions
@@ -56,7 +52,7 @@ func (e *BatchPointError) Unwrap() error { return e.Err }
 //
 //	clone := c.Clone(); clone.Rebind(points[k]); clone.SteadyState(opts.Solve)
 //
-// at any lane count and worker count: every lane replicates the solo
+// at any lane count: every lane replicates the solo
 // sweep's floating-point operations — the same contribution-term sums in
 // the same order, the same update, residual, and normalization arithmetic
 // — and lanes never mix, so a point's result does not depend on which
@@ -67,9 +63,7 @@ func (e *BatchPointError) Unwrap() error { return e.Err }
 // carries whatever rates the last Build/Rebind wrote.
 //
 // The sweep scheme is resolved per SolveOptions exactly as SteadyState
-// resolves it (auto: Jacobi at JacobiThreshold with >1 workers, otherwise
-// Gauss-Seidel, with a Gauss-Seidel retry of the Jacobi-failed lanes in
-// auto mode). On failure the lowest failed lane is reported as a
+// resolves it (see SweepAuto), lane by lane. On failure the lowest failed lane is reported as a
 // *BatchPointError wrapping that lane's error, with ConvergenceError
 // carrying the lane index and rate vector.
 func (c *CTMC) SolveBatch(points [][]float64, opts BatchOptions) ([][]float64, error) {
@@ -161,44 +155,6 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 		}
 	}
 
-	// solvePlain is the pre-multilevel scheme selection on a (sub)batch:
-	// the shared resolveSweep rule picks Jacobi or Gauss-Seidel, and auto
-	// mode retries Jacobi's failed lanes with the sequential sweep from
-	// the original start — the same fallback a solo auto solve runs,
-	// batched across exactly the lanes that need it.
-	solvePlain := func(cur *batchComponent, curTol []float64) ([][]float64, []*ConvergenceError, error) {
-		if resolveSweep(solve, cur.n) != SweepJacobi {
-			return cur.gaussSeidelBatch(solve, curTol, start)
-		}
-		cols, errs, err := cur.jacobiBatch(solve, curTol, start)
-		if err != nil {
-			return nil, nil, err
-		}
-		if solve.Sweep == SweepAuto {
-			var retry []int
-			for k, e := range errs {
-				if e != nil && errors.Is(e, ErrNoConvergence) {
-					retry = append(retry, k)
-				}
-			}
-			if len(retry) > 0 {
-				sub := cur.subBatch(retry)
-				subTol := make([]float64, len(retry))
-				for i, k := range retry {
-					subTol[i] = curTol[k]
-				}
-				subCols, subErrs, subErr := sub.gaussSeidelBatch(solve, subTol, start)
-				if subErr != nil {
-					return nil, nil, subErr
-				}
-				for i, k := range retry {
-					cols[k], errs[k] = subCols[i], subErrs[i]
-				}
-			}
-		}
-		return cols, errs, nil
-	}
-
 	var (
 		cols []([]float64)
 		errs []*ConvergenceError
@@ -210,11 +166,11 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 		// The batched mirror of the solo auto rule: probe every lane with
 		// the same fixed Gauss-Seidel trajectory (bit-identical per lane
 		// to the solo probe), route stalled lanes through the multilevel
-		// cycle and the rest through the plain schemes, and retry plain
+		// cycle and the rest through Gauss-Seidel, and retry Gauss-Seidel
 		// lanes that still exhausted their budget with the multilevel
 		// cycle from the original start — the same attempt chain a solo
 		// auto solve runs per point. When no lane needs the multilevel
-		// path this is exactly the plain path.
+		// path this is exactly the Gauss-Seidel path.
 		stalled := bc.stalledLanes(tol, start)
 		var ml, rest []int
 		for k, s := range stalled {
@@ -251,7 +207,7 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 			for i, k := range rest {
 				restTol[i] = tol[k]
 			}
-			rCols, rErrs, rErr := solvePlain(bc.subBatch(rest), restTol)
+			rCols, rErrs, rErr := bc.subBatch(rest).gaussSeidelBatch(solve, restTol, start)
 			if rErr != nil {
 				return nil, nil, rErr
 			}
@@ -270,7 +226,7 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 			}
 		}
 	default:
-		cols, errs, err = solvePlain(bc, tol)
+		cols, errs, err = bc.gaussSeidelBatch(solve, tol, start)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -361,8 +317,7 @@ func (c *CTMC) fillBatch(plan *solvePlan, points [][]float64) *batchComponent {
 }
 
 // subBatch extracts the given lanes into a new batch component sharing the
-// index structure (for the auto-mode Gauss-Seidel retry of Jacobi-failed
-// lanes).
+// index structure (for the auto-mode lane routing and for compaction).
 func (bc *batchComponent) subBatch(lanes []int) *batchComponent {
 	K2 := len(lanes)
 	sub := &batchComponent{
@@ -839,256 +794,4 @@ func (bc *batchComponent) sweepGS1(x, delta []float64, done []bool) {
 		x[j] = next
 	}
 	delta[0] = d
-}
-
-// batchTileRows is the row-tile height of the batched Jacobi kernel: with
-// eight lanes a tile's iterate slab is 256·8·8 B = 16 KiB, so a tile's
-// reads and writes stay L1-resident while the tile still amortizes the
-// worker-pool handoff. Tiling does not affect results: Jacobi rows read
-// only the previous sweep's vector, so the update is independent of how
-// rows are grouped.
-const batchTileRows = 256
-
-// jacobiBatch runs the damped Jacobi sweep on every lane of the batch at
-// once, with rows partitioned into cache-blocked tiles that a persistent
-// worker pool processes. Per-lane arithmetic replicates the solo jacobi
-// sweep — the same damped update, the same residual, the same canonical
-// sequential normalization multiplied by the inverse sum — and per-lane
-// residuals are exact max-reductions over tile maxima, so every lane is
-// bit-identical to a solo jacobi at that lane's rates, at any worker
-// count and any tiling. A lane's column is copied out after exactly the
-// sweep a solo run would return; as in gaussSeidelBatch, finished lanes
-// ride along in the full-width kernel with their bookkeeping skipped —
-// lanes never mix, so riding along cannot change any result.
-func (bc *batchComponent) jacobiBatch(solve SolveOptions, tol []float64, start []float64) ([][]float64, []*ConvergenceError, error) {
-	n, K := bc.n, bc.k
-	x := bc.spread(start)
-	next := make([]float64, n*K)
-	out := make([][]float64, K)
-	errs := make([]*ConvergenceError, K)
-	laneDone := make([]bool, K)
-	remaining := K
-	cancel := cancelChan(solve.Ctx)
-
-	nTiles := (n + batchTileRows - 1) / batchTileRows
-	workers := solve.Workers
-	if workers > nTiles {
-		workers = nTiles
-	}
-	tileDelta := make([]float64, nTiles*K)
-
-	sweepTile := func(tb int) {
-		lo := tb * batchTileRows
-		hi := lo + batchTileRows
-		if hi > n {
-			hi = n
-		}
-		if K == 8 {
-			bc.jacobiTile8(lo, hi, x, next, tileDelta[tb*8:tb*8+8], laneDone)
-		} else {
-			bc.jacobiTile(lo, hi, x, next, tileDelta[tb*K:(tb+1)*K], laneDone)
-		}
-	}
-
-	// A panicking tile is recovered into a *fault.WorkerPanicError rather
-	// than crashing the pool; the lowest tile index wins, matching the
-	// failure a sequential tile loop would hit first. The mutex write
-	// happens before the done-channel send, so the dispatcher's read after
-	// the drain is ordered after every worker's write.
-	var (
-		panicMu  sync.Mutex
-		panicIdx = nTiles
-		panicErr error
-	)
-	runTile := func(w, tb int) {
-		err := fault.Guard("ctmc.batch", w, fmt.Sprintf("tile %d", tb), func() error {
-			faultinject.MaybePanic(faultinject.SiteBatchTile, tb)
-			sweepTile(tb)
-			return nil
-		})
-		if err != nil {
-			panicMu.Lock()
-			if panicErr == nil || tb < panicIdx {
-				panicIdx, panicErr = tb, err
-			}
-			panicMu.Unlock()
-		}
-	}
-
-	// Persistent pool: workers stay parked on the work channel between
-	// sweeps; the channel operations order each sweep's buffer swap
-	// before the tile work, and the tile work before the reduction.
-	// Both channels are buffered to nTiles so the dispatcher can enqueue
-	// every tile before draining completions and a worker can always
-	// report a finished tile without blocking — with fewer workers than
-	// tiles, unbuffered channels would wedge every party mid-sweep.
-	var work, done chan int
-	if nTiles > 1 && workers > 1 {
-		work = make(chan int, nTiles)
-		done = make(chan int, nTiles)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				for b := range work {
-					runTile(w, b)
-					done <- b
-				}
-			}(w)
-		}
-		defer close(work)
-	}
-
-	delta := make([]float64, K)
-	sums := make([]float64, K)
-	scale := make([]float64, K)
-	iter := 0
-	for ; iter < solve.MaxIterations && remaining > 0; iter++ {
-		if err := pollSolve(solve.Ctx, cancel, iter); err != nil {
-			return nil, nil, err
-		}
-		if work != nil {
-			for b := 0; b < nTiles; b++ {
-				work <- b
-			}
-			for b := 0; b < nTiles; b++ {
-				<-done
-			}
-		} else {
-			for b := 0; b < nTiles; b++ {
-				runTile(0, b)
-			}
-		}
-		if panicErr != nil {
-			return nil, nil, panicErr
-		}
-		// Normalize to avoid drift: one full-width pass accumulates every
-		// live lane's canonical sequential sum, one full-width pass
-		// multiplies by the reciprocals — the solo sweep's exact per-lane
-		// operations (see gaussSeidelBatch). Finished lanes scale by
-		// exactly 1; their stale next-buffer columns stay untouched.
-		bc.laneSums(next, sums)
-		for k := 0; k < K; k++ {
-			scale[k] = 1
-			if laneDone[k] {
-				continue
-			}
-			d := 0.0
-			for b := 0; b < nTiles; b++ {
-				if td := tileDelta[b*K+k]; td > d {
-					d = td
-				}
-			}
-			delta[k] = d
-			if sums[k] <= 0 {
-				errs[k] = &ConvergenceError{Iterations: iter + 1, Residual: delta[k], Tolerance: tol[k], Sweep: SweepJacobi, Point: -1}
-				laneDone[k] = true
-				remaining--
-				continue
-			}
-			scale[k] = 1 / sums[k]
-		}
-		bc.scaleLanes(next, scale)
-		x, next = next, x
-		for k := 0; k < K; k++ {
-			if laneDone[k] || errs[k] != nil {
-				continue
-			}
-			if delta[k] < tol[k] {
-				col := make([]float64, n)
-				for j := 0; j < n; j++ {
-					col[j] = x[j*K+k]
-				}
-				out[k] = col
-				laneDone[k] = true
-				remaining--
-			}
-		}
-	}
-	for k := 0; k < K; k++ {
-		if !laneDone[k] {
-			errs[k] = &ConvergenceError{Iterations: solve.MaxIterations, Residual: delta[k], Tolerance: tol[k], Sweep: SweepJacobi, Point: -1}
-		}
-	}
-	return out, errs, nil
-}
-
-// jacobiTile is one full-width tile of a damped Jacobi sweep. Finished
-// lanes are skipped entirely, as in sweepGS: their next-buffer columns go
-// stale, which is harmless because lanes never mix and their results were
-// copied out at their convergence sweep.
-func (bc *batchComponent) jacobiTile(lo, hi int, x, next, tileDelta []float64, done []bool) {
-	K := bc.k
-	for k := 0; k < K; k++ {
-		tileDelta[k] = 0
-	}
-	for j := lo; j < hi; j++ {
-		base := j * K
-		elo, ehi := int(bc.inStart[j]), int(bc.inStart[j+1])
-		for k := 0; k < K; k++ {
-			if done[k] {
-				continue
-			}
-			nx := x[base+k]
-			if bc.exit[base+k] > 0 {
-				inflow := 0.0
-				for e := elo; e < ehi; e++ {
-					inflow += x[int(bc.inFrom[e])*K+k] * bc.rate[e*K+k]
-				}
-				nx = (1-jacobiOmega)*x[base+k] + jacobiOmega*(inflow*bc.invExit[base+k])
-			}
-			dd := math.Abs(nx - x[base+k])
-			if m := math.Max(nx, 1e-300); dd > tileDelta[k]*m*residualGuard {
-				if rel := dd / m; rel > tileDelta[k] {
-					tileDelta[k] = rel
-				}
-			}
-			next[base+k] = nx
-		}
-	}
-}
-
-// jacobiTile8 is the specialized full-width tile for eight lanes, the
-// Jacobi counterpart of sweepGS8: one CSR traversal per row feeds eight
-// scalar accumulators; finished lanes ride in the accumulation but skip
-// the per-lane epilogue. Arithmetic per live lane is identical to
-// jacobiTile.
-func (bc *batchComponent) jacobiTile8(lo, hi int, x, next, tileDelta []float64, done []bool) {
-	var d [8]float64
-	var dead [8]bool
-	copy(dead[:], done)
-	for j := lo; j < hi; j++ {
-		base := j * 8
-		elo, ehi := int(bc.inStart[j]), int(bc.inStart[j+1])
-		var a0, a1, a2, a3, a4, a5, a6, a7 float64
-		for e := elo; e < ehi; e++ {
-			fb := int(bc.inFrom[e]) * 8
-			xs := x[fb : fb+8 : fb+8]
-			rs := bc.rate[e*8 : e*8+8 : e*8+8]
-			a0 += xs[0] * rs[0]
-			a1 += xs[1] * rs[1]
-			a2 += xs[2] * rs[2]
-			a3 += xs[3] * rs[3]
-			a4 += xs[4] * rs[4]
-			a5 += xs[5] * rs[5]
-			a6 += xs[6] * rs[6]
-			a7 += xs[7] * rs[7]
-		}
-		acc := [8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
-		for k := 0; k < 8; k++ {
-			if dead[k] {
-				continue
-			}
-			nx := x[base+k]
-			if bc.exit[base+k] > 0 {
-				nx = (1-jacobiOmega)*x[base+k] + jacobiOmega*(acc[k]*bc.invExit[base+k])
-			}
-			dd := math.Abs(nx - x[base+k])
-			if m := math.Max(nx, 1e-300); dd > d[k]*m*residualGuard {
-				if rel := dd / m; rel > d[k] {
-					d[k] = rel
-				}
-			}
-			next[base+k] = nx
-		}
-	}
-	copy(tileDelta, d[:])
 }

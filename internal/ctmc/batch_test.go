@@ -120,11 +120,8 @@ func requireBitIdentical(t *testing.T, name string, want, got [][]float64) {
 
 // TestSolveBatchBitIdentity pins the tentpole contract on both paper
 // chains: the batched solve equals the sequential Rebind+SteadyState chain
-// bit for bit, at lane widths 1, 3, and 8, worker counts 1, 2, and 8,
-// under both forced sweeps, cold and warm-started. Workers=2 matters
-// beyond parity: the streaming chain spans five Jacobi tiles, so it
-// schedules fewer pool workers than tiles (a config that once deadlocked
-// on unbuffered pool channels), while 8 covers workers > tiles.
+// bit for bit, at lane widths 1, 3, and 8, under both forced schemes,
+// cold and warm-started.
 func TestSolveBatchBitIdentity(t *testing.T) {
 	chains := map[string]struct {
 		c      *ctmc.CTMC
@@ -134,75 +131,81 @@ func TestSolveBatchBitIdentity(t *testing.T) {
 		"streaming": {streamingParamChain(t), streamingPoints()},
 	}
 	for name, tc := range chains {
-		for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepJacobi} {
-			for _, workers := range []int{1, 2, 8} {
-				opts := ctmc.SolveOptions{Sweep: sweep, Workers: workers}
-				want := solveSequential(t, tc.c, tc.points, opts)
-				// Warm-started: every point seeded from the first point's
-				// solution, the sweep-anchor rule.
-				warm := opts
-				warm.WarmStart = want[0]
-				wantWarm := solveSequential(t, tc.c, tc.points, warm)
-				for _, width := range []int{1, 3, 8} {
-					got := batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: opts})
-					requireBitIdentical(t, name+"/cold", want, got)
-					got = batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: warm})
-					requireBitIdentical(t, name+"/warm", wantWarm, got)
-				}
+		for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepMultilevel} {
+			opts := ctmc.SolveOptions{Sweep: sweep}
+			want := solveSequential(t, tc.c, tc.points, opts)
+			// Warm-started: every point seeded from the first point's
+			// solution, the sweep-anchor rule.
+			warm := opts
+			warm.WarmStart = want[0]
+			wantWarm := solveSequential(t, tc.c, tc.points, warm)
+			for _, width := range []int{1, 3, 8} {
+				got := batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: opts})
+				requireBitIdentical(t, name+"/"+sweep.String()+"/cold", want, got)
+				got = batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: warm})
+				requireBitIdentical(t, name+"/"+sweep.String()+"/warm", wantWarm, got)
 			}
 		}
 	}
 }
 
 // TestSolveBatchMatchesAutoOutcome pins the auto-mode parity, including
-// the Gauss-Seidel fallback of Jacobi-failed lanes: whatever a solo auto
-// solve produces at a given iteration bound — a converged vector or a
-// typed failure — the batch must reproduce, lane for lane.
+// budget-exhausted lanes: whatever a solo auto solve produces at a given
+// iteration bound — a converged vector or a typed failure — the batch
+// must reproduce, lane for lane. The rpc component (48 states) runs plain
+// Gauss-Seidel; the streaming component (168 states) also runs the stall
+// probe and the multilevel retry of exhausted lanes.
 func TestSolveBatchMatchesAutoOutcome(t *testing.T) {
-	c := rpcParamChain(t)
-	points := rpcPoints()
-	for _, maxIter := range []int{3, 40, 400, 0} {
-		// Threshold 2 with two workers sends auto through Jacobi first on
-		// every multi-state component; small bounds force the fallback (and
-		// below that, a shared failure).
-		opts := ctmc.SolveOptions{JacobiThreshold: 2, Workers: 2, MaxIterations: maxIter}
-		chain := c.Clone()
-		want := make([][]float64, len(points))
-		wantErr := make([]error, len(points))
-		for i, pt := range points {
-			if err := chain.Rebind(pt); err != nil {
-				t.Fatal(err)
+	chains := map[string]struct {
+		c      *ctmc.CTMC
+		points [][]float64
+	}{
+		"rpc":       {rpcParamChain(t), rpcPoints()},
+		"streaming": {streamingParamChain(t), streamingPoints()},
+	}
+	for name, tc := range chains {
+		c, points := tc.c, tc.points
+		for _, maxIter := range []int{3, 40, 400, 0} {
+			// Small bounds force failures on some or all lanes.
+			opts := ctmc.SolveOptions{MaxIterations: maxIter}
+			chain := c.Clone()
+			want := make([][]float64, len(points))
+			wantErr := make([]error, len(points))
+			for i, pt := range points {
+				if err := chain.Rebind(pt); err != nil {
+					t.Fatal(err)
+				}
+				want[i], wantErr[i] = chain.SteadyState(opts)
 			}
-			want[i], wantErr[i] = chain.SteadyState(opts)
-		}
-		got, err := c.SolveBatch(points, ctmc.BatchOptions{Solve: opts})
-		firstFail := -1
-		for i, e := range wantErr {
-			if e != nil {
-				firstFail = i
-				break
+			got, err := c.SolveBatch(points, ctmc.BatchOptions{Solve: opts})
+			firstFail := -1
+			for i, e := range wantErr {
+				if e != nil {
+					firstFail = i
+					break
+				}
 			}
-		}
-		if firstFail < 0 {
-			if err != nil {
-				t.Fatalf("maxIter=%d: batch failed where solo succeeded: %v", maxIter, err)
+			if firstFail < 0 {
+				if err != nil {
+					t.Fatalf("%s maxIter=%d: batch failed where solo succeeded: %v", name, maxIter, err)
+				}
+				requireBitIdentical(t, name+"/auto", want, got)
+				continue
 			}
-			requireBitIdentical(t, "auto", want, got)
-			continue
-		}
-		var bpe *ctmc.BatchPointError
-		if !errors.As(err, &bpe) {
-			t.Fatalf("maxIter=%d: want *BatchPointError, got %v", maxIter, err)
-		}
-		if bpe.Point != firstFail {
-			t.Fatalf("maxIter=%d: failed lane %d, want %d", maxIter, bpe.Point, firstFail)
-		}
-		var ce, soloCE *ctmc.ConvergenceError
-		if !errors.As(err, &ce) || !errors.As(wantErr[firstFail], &soloCE) {
-			t.Fatalf("maxIter=%d: want ConvergenceError on both sides (%v vs %v)", maxIter, err, wantErr[firstFail])
-		}
-		if ce.Sweep != soloCE.Sweep || ce.Iterations != soloCE.Iterations || ce.Residual != soloCE.Residual {
-			t.Fatalf("maxIter=%d: batch failure %+v differs from solo %+v", maxIter, ce, soloCE)
+			var bpe *ctmc.BatchPointError
+			if !errors.As(err, &bpe) {
+				t.Fatalf("%s maxIter=%d: want *BatchPointError, got %v", name, maxIter, err)
+			}
+			if bpe.Point != firstFail {
+				t.Fatalf("%s maxIter=%d: failed lane %d, want %d", name, maxIter, bpe.Point, firstFail)
+			}
+			var ce, soloCE *ctmc.ConvergenceError
+			if !errors.As(err, &ce) || !errors.As(wantErr[firstFail], &soloCE) {
+				t.Fatalf("%s maxIter=%d: want ConvergenceError on both sides (%v vs %v)", name, maxIter, err, wantErr[firstFail])
+			}
+			if ce.Sweep != soloCE.Sweep || ce.Iterations != soloCE.Iterations || ce.Residual != soloCE.Residual {
+				t.Fatalf("%s maxIter=%d: batch failure %+v differs from solo %+v", name, maxIter, ce, soloCE)
+			}
 		}
 	}
 }
@@ -214,9 +217,9 @@ func TestSolveBatchLaneTolerances(t *testing.T) {
 	c := streamingParamChain(t)
 	points := streamingPoints()
 	tols := []float64{1e-6, 1e-13, 1e-8, 1e-10, 1e-7, 1e-12, 1e-9, 1e-11}
-	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepJacobi} {
+	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepMultilevel} {
 		got, err := c.SolveBatch(points, ctmc.BatchOptions{
-			Solve:          ctmc.SolveOptions{Sweep: sweep, Workers: 2},
+			Solve:          ctmc.SolveOptions{Sweep: sweep},
 			LaneTolerances: tols,
 		})
 		if err != nil {
@@ -224,7 +227,7 @@ func TestSolveBatchLaneTolerances(t *testing.T) {
 		}
 		for i, pt := range points {
 			want := solveSequential(t, c, [][]float64{pt},
-				ctmc.SolveOptions{Sweep: sweep, Workers: 2, Tolerance: tols[i]})
+				ctmc.SolveOptions{Sweep: sweep, Tolerance: tols[i]})
 			requireBitIdentical(t, sweep.String(), want, got[i:i+1])
 		}
 	}

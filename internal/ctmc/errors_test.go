@@ -41,7 +41,7 @@ func TestConvergenceErrorChain(t *testing.T) {
 		}
 	}
 	// Outside a sweep (Point < 0) the point suffix must disappear.
-	solo := &ctmc.ConvergenceError{Point: -1, Sweep: ctmc.SweepJacobi}
+	solo := &ctmc.ConvergenceError{Point: -1, Sweep: ctmc.SweepMultilevel}
 	if strings.Contains(solo.Error(), "sweep point") {
 		t.Errorf("solo message %q should not mention a sweep point", solo.Error())
 	}
@@ -103,7 +103,7 @@ func TestInvariantErrorChain(t *testing.T) {
 func TestWorkerPanicNesting(t *testing.T) {
 	ce := convergenceFixture()
 	bpe := &ctmc.BatchPointError{Point: 1, Err: ce}
-	err := fault.Guard("ctmc.batch", 2, "tile 5", func() error {
+	err := fault.Guard("core.sweep", 2, "points 8-15", func() error {
 		panic(bpe)
 	})
 	if !errors.Is(err, fault.ErrWorkerPanic) {
@@ -117,10 +117,10 @@ func TestWorkerPanicNesting(t *testing.T) {
 		t.Error("ConvergenceError unreachable through the panic wrapper")
 	}
 	var wpe *fault.WorkerPanicError
-	if !errors.As(err, &wpe) || wpe.Pool != "ctmc.batch" || wpe.Worker != 2 || wpe.Task != "tile 5" {
+	if !errors.As(err, &wpe) || wpe.Pool != "core.sweep" || wpe.Worker != 2 || wpe.Task != "points 8-15" {
 		t.Errorf("panic attribution wrong: %+v", wpe)
 	}
-	for _, want := range []string{"ctmc.batch", "worker 2", "tile 5"} {
+	for _, want := range []string{"core.sweep", "worker 2", "points 8-15"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("message %q missing %q", err.Error(), want)
 		}

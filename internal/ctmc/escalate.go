@@ -12,15 +12,13 @@ const (
 	// ladder of configuration changes:
 	//
 	//	rung 1: raise MaxIterations ×4
-	//	rung 2: switch the sweep scheme (Gauss-Seidel ↔ Jacobi;
-	//	        multilevel falls back to Gauss-Seidel)
-	//	rung 3: halve the damping factor Omega
-	//	rung 4: drop the warm start (cold restart; skipped when the
+	//	rung 2: halve the damping factor Omega
+	//	rung 3: drop the warm start (cold restart; skipped when the
 	//	        attempt was already cold)
-	//	rung 5: switch to the multilevel scheme (skipped when the
+	//	rung 4: switch to the multilevel scheme (skipped when the
 	//	        failing configuration already was multilevel), the
 	//	        structurally different last resort for slow-mixing
-	//	        chains the point smoothers cannot crack
+	//	        chains Gauss-Seidel cannot crack
 	//
 	// Every rung keeps the changes of the rungs below it, each attempt is
 	// recorded in the SolveTrace, and the ladder position is a pure
@@ -38,13 +36,13 @@ const escalateIterFactor = 4
 
 // SolveAttempt records one attempt of an escalated solve.
 type SolveAttempt struct {
-	// Rung is the ladder position: 0 for the base attempt, 1..5 for the
+	// Rung is the ladder position: 0 for the base attempt, 1..4 for the
 	// escalation rungs.
 	Rung int
 	// Action names what changed at this rung: "base" (or
 	// "forced-nonconvergence" when fault injection failed the base
-	// attempt), "raise-max-iterations", "switch-sweep",
-	// "increase-damping", "cold-restart", "multilevel".
+	// attempt), "raise-max-iterations", "increase-damping",
+	// "cold-restart", "multilevel".
 	Action string
 	// Sweep, MaxIterations, and Omega are the attempt's resolved solver
 	// configuration (Sweep is never SweepAuto).
@@ -60,8 +58,8 @@ type SolveAttempt struct {
 	// point of a successful one.
 	Iterations int
 	Residual   float64
-	// Cycles is the attempt's outer multilevel cycle count (zero for the
-	// point-sweep schemes, which have no outer loop).
+	// Cycles is the attempt's outer multilevel cycle count (zero for
+	// Gauss-Seidel, which has no outer loop).
 	Cycles int
 }
 
@@ -78,28 +76,24 @@ type SolveTrace struct {
 func (t *SolveTrace) Escalated() bool { return t != nil && len(t.Attempts) > 1 }
 
 // ResolveSolve reports the configuration a SteadyState call with these
-// options actually runs: defaults filled, the SweepAuto rule applied
-// against the chain's recurrent component, and the damping factor
-// resolved to the selected scheme's default when unset. The escalation
-// ladder starts from this resolved configuration. Note that in SweepAuto
-// mode the resolved scheme depends on opts.Workers; callers comparing
-// traces across worker counts must pin an explicit sweep mode. The auto
-// rule's stall probe is not run here — an auto solve that upgrades to
-// multilevel reports the upgrade through the trace's attempt record,
-// which always carries the scheme that actually ran.
+// options starts from: defaults filled, SweepAuto resolved to
+// Gauss-Seidel, and the damping factor resolved to 1 when unset. It fails
+// when the chain has no single reachable recurrent component to solve.
+// The escalation ladder starts from this resolved configuration. The
+// auto rule's stall probe and multilevel retry are not run here — an auto
+// solve that upgrades to multilevel reports the upgrade through the
+// trace's attempt record, which always carries the scheme that actually
+// ran.
 func (c *CTMC) ResolveSolve(opts SolveOptions) (SolveOptions, error) {
 	opts = solveDefaults(opts)
-	plan, err := c.ensurePlan()
-	if err != nil {
+	if _, err := c.ensurePlan(); err != nil {
 		return opts, err
 	}
-	opts.Sweep = resolveSweep(opts, len(plan.target))
+	if opts.Sweep == SweepAuto {
+		opts.Sweep = SweepGaussSeidel
+	}
 	if opts.Omega == 0 {
-		if opts.Sweep == SweepJacobi {
-			opts.Omega = jacobiOmega
-		} else {
-			opts.Omega = 1
-		}
+		opts.Omega = 1
 	}
 	return opts, nil
 }
@@ -107,9 +101,8 @@ func (c *CTMC) ResolveSolve(opts SolveOptions) (SolveOptions, error) {
 // attemptRecord summarizes one solve outcome for the trace. On success
 // the statistics come from the solver's own report; on failure from the
 // convergence error. Either way the recorded scheme is the one that
-// actually ran — in auto mode that may be the Jacobi→Gauss-Seidel
-// fallback or the stall probe's multilevel upgrade, not the statically
-// resolved scheme.
+// actually ran — in auto mode that may be the multilevel upgrade, not the
+// statically resolved Gauss-Seidel.
 func attemptRecord(rung int, action string, cfg SolveOptions, st solveStats, err error) SolveAttempt {
 	a := SolveAttempt{
 		Rung:          rung,
@@ -183,35 +176,13 @@ func (c *CTMC) EscalateFrom(opts SolveOptions, trace *SolveTrace) ([]float64, *S
 			o.MaxIterations *= escalateIterFactor
 			return true
 		}},
-		{"switch-sweep", func(o *SolveOptions) bool {
-			if o.Sweep == SweepJacobi {
-				o.Sweep = SweepGaussSeidel
-			} else {
-				// Gauss-Seidel and multilevel both switch to Jacobi — for a
-				// failed multilevel solve the point schemes are the
-				// structurally different thing to try, and rung 5 never
-				// repeats the scheme that already failed.
-				o.Sweep = SweepJacobi
-			}
-			if !explicitOmega {
-				// Re-resolve the damping to the new scheme's default:
-				// undamped Jacobi oscillates on periodic chains, and damped
-				// Gauss-Seidel converges slower for no benefit.
-				if o.Sweep == SweepJacobi {
-					o.Omega = jacobiOmega
-				} else {
-					o.Omega = 1
-				}
-			}
-			return true
-		}},
 		{"increase-damping", func(o *SolveOptions) bool {
 			o.Omega /= 2
 			return true
 		}},
 		{"cold-restart", func(o *SolveOptions) bool {
 			if len(o.WarmStart) == 0 {
-				return false // already cold; the rung would repeat rung 3
+				return false // already cold; the rung would repeat rung 2
 			}
 			o.WarmStart = nil
 			return true
@@ -222,9 +193,8 @@ func (c *CTMC) EscalateFrom(opts SolveOptions, trace *SolveTrace) ([]float64, *S
 			}
 			o.Sweep = SweepMultilevel
 			if !explicitOmega {
-				// The rungs below may have damped the smoother for Jacobi's
-				// benefit; the multilevel cycle smooths with plain
-				// Gauss-Seidel.
+				// Undo the increase-damping rung: the multilevel cycle
+				// smooths with the plain Gauss-Seidel update.
 				o.Omega = 1
 			}
 			return true

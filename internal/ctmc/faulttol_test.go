@@ -1,6 +1,5 @@
 // Fault-tolerance properties of the solver layer: cancellation at exact
-// iterations, panic isolation in the Jacobi and batched pools, and the
-// deterministic convergence-escalation ladder.
+// iterations and the deterministic convergence-escalation ladder.
 package ctmc_test
 
 import (
@@ -40,7 +39,7 @@ func findIterationBudget(t *testing.T, c *ctmc.CTMC) (int, int) {
 
 // TestEscalationLadderRecovers forces a real convergence failure (an
 // insufficient iteration budget) and checks that the ladder's first rung
-// recovers it with a full, deterministic trace and a solution
+// recovers it with a full trace that repeats run to run and a solution
 // bit-identical to an unconstrained solve.
 func TestEscalationLadderRecovers(t *testing.T) {
 	c := rpcParamChain(t)
@@ -52,40 +51,39 @@ func TestEscalationLadderRecovers(t *testing.T) {
 	}
 
 	var traces []*ctmc.SolveTrace
-	for _, workers := range []int{1, 8} {
+	for run := 1; run <= 2; run++ {
 		pi, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{
-			Sweep:         ctmc.SweepGaussSeidel, // pinned: auto mode depends on Workers
+			Sweep:         ctmc.SweepGaussSeidel,
 			MaxIterations: insufficient,
-			Workers:       workers,
 			Escalation:    ctmc.EscalateLadder,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: ladder did not recover: %v", workers, err)
+			t.Fatalf("run %d: ladder did not recover: %v", run, err)
 		}
 		if !trace.Escalated() {
-			t.Fatalf("workers=%d: expected an escalated trace, got %+v", workers, trace)
+			t.Fatalf("run %d: expected an escalated trace, got %+v", run, trace)
 		}
 		base := trace.Attempts[0]
 		if base.Rung != 0 || base.Action != "base" || base.Converged || base.Iterations != insufficient {
-			t.Errorf("workers=%d: base attempt wrong: %+v", workers, base)
+			t.Errorf("run %d: base attempt wrong: %+v", run, base)
 		}
 		last := trace.Attempts[len(trace.Attempts)-1]
 		if last.Rung != 1 || last.Action != "raise-max-iterations" || !last.Converged {
-			t.Errorf("workers=%d: recovery attempt wrong: %+v", workers, last)
+			t.Errorf("run %d: recovery attempt wrong: %+v", run, last)
 		}
 		if last.MaxIterations != 4*insufficient {
-			t.Errorf("workers=%d: rung 1 budget = %d, want %d", workers, last.MaxIterations, 4*insufficient)
+			t.Errorf("run %d: rung 1 budget = %d, want %d", run, last.MaxIterations, 4*insufficient)
 		}
 		for i := range pi {
 			if pi[i] != ref[i] {
-				t.Fatalf("workers=%d: escalated solution differs from reference at state %d: %v != %v",
-					workers, i, pi[i], ref[i])
+				t.Fatalf("run %d: escalated solution differs from reference at state %d: %v != %v",
+					run, i, pi[i], ref[i])
 			}
 		}
 		traces = append(traces, trace)
 	}
 	if !reflect.DeepEqual(traces[0], traces[1]) {
-		t.Errorf("trace depends on worker count:\n w=1: %+v\n w=8: %+v", traces[0], traces[1])
+		t.Errorf("trace differs run to run:\n run 1: %+v\n run 2: %+v", traces[0], traces[1])
 	}
 }
 
@@ -105,30 +103,29 @@ func TestEscalationLadderExhausts(t *testing.T) {
 	if !errors.Is(err, ctmc.ErrNoConvergence) {
 		t.Fatalf("exhausted ladder should report non-convergence, got %v", err)
 	}
-	// Cold solve: the cold-restart rung is skipped, leaving base + 4 rungs.
-	wantActions := []string{"base", "raise-max-iterations", "switch-sweep", "increase-damping", "multilevel"}
+	// Cold solve: the cold-restart rung is skipped, leaving base + 3 rungs.
+	wantActions := []string{"base", "raise-max-iterations", "increase-damping", "multilevel"}
+	wantRungs := []int{0, 1, 2, 4}
 	if len(trace.Attempts) != len(wantActions) {
 		t.Fatalf("attempts = %d, want %d: %+v", len(trace.Attempts), len(wantActions), trace.Attempts)
 	}
 	for i, a := range trace.Attempts {
-		if a.Action != wantActions[i] || a.Converged {
-			t.Errorf("attempt %d: got %+v, want action %q, not converged", i, a, wantActions[i])
+		if a.Action != wantActions[i] || a.Rung != wantRungs[i] || a.Converged {
+			t.Errorf("attempt %d: got %+v, want rung %d action %q, not converged", i, a, wantRungs[i], wantActions[i])
 		}
 	}
-	if trace.Attempts[2].Sweep != ctmc.SweepJacobi {
-		t.Errorf("switch-sweep rung should run Jacobi, ran %v", trace.Attempts[2].Sweep)
+	for i, a := range trace.Attempts[:3] {
+		if a.Sweep != ctmc.SweepGaussSeidel {
+			t.Errorf("attempt %d should run Gauss-Seidel, ran %v", i, a.Sweep)
+		}
 	}
-	if got, want := trace.Attempts[3].Omega, jacobiOmegaForTest/2; got != want {
-		t.Errorf("increase-damping rung omega = %v, want %v", got, want)
+	if got := trace.Attempts[2].Omega; got != 0.5 {
+		t.Errorf("increase-damping rung omega = %v, want 0.5", got)
 	}
-	if a := trace.Attempts[4]; a.Sweep != ctmc.SweepMultilevel || a.Omega != 1 {
+	if a := trace.Attempts[3]; a.Sweep != ctmc.SweepMultilevel || a.Omega != 1 {
 		t.Errorf("multilevel rung should run undamped multilevel, got %+v", a)
 	}
 }
-
-// jacobiOmegaForTest mirrors the solver's Jacobi damping default (pinned
-// by TestEscalationLadderExhausts through the rung-3 halving).
-const jacobiOmegaForTest = 0.5
 
 // TestEscalationRejectsInBatch pins the option split: Omega and Escalation
 // are solo-solver options and SolveBatch rejects them loudly instead of
@@ -151,7 +148,7 @@ func TestEscalationRejectsInBatch(t *testing.T) {
 // injected trigger and checks the typed error: phase, iteration, and the
 // context cause are all reported, for both sweep schemes.
 func TestSolveCancelAtIteration(t *testing.T) {
-	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepJacobi} {
+	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepMultilevel} {
 		ctx, cancel := context.WithCancel(context.Background())
 		plan := faultinject.NewPlan().Arm(faultinject.SiteSolveIteration, 3).
 			OnFire(faultinject.SiteSolveIteration, func(int) { cancel() })
@@ -175,36 +172,6 @@ func TestSolveCancelAtIteration(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("sweep %v: cause chain lost context.Canceled: %v", sweep, err)
 		}
-	}
-}
-
-// TestJacobiBlockPanicIsolated injects a panic into a block task of the
-// solo Jacobi pool and checks it surfaces as a typed worker-panic error
-// with the injected fault intact — at one worker (inline execution) and
-// several (pooled execution) alike.
-func TestJacobiBlockPanicIsolated(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		plan := faultinject.NewPlan().Arm(faultinject.SiteJacobiBlock, 0)
-		faultinject.Activate(plan)
-		c := rpcParamChain(t)
-		_, err := c.SteadyState(ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, Workers: workers})
-		faultinject.Deactivate()
-		requireWorkerPanic(t, err, "ctmc.jacobi", faultinject.SiteJacobiBlock, 0)
-	}
-}
-
-// TestBatchTilePanicIsolated injects a panic into a tile task of the
-// batched Jacobi pool and checks the same recovery contract.
-func TestBatchTilePanicIsolated(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		plan := faultinject.NewPlan().Arm(faultinject.SiteBatchTile, 0)
-		faultinject.Activate(plan)
-		c := rpcParamChain(t)
-		_, err := c.SolveBatch(rpcPoints()[:4], ctmc.BatchOptions{
-			Solve: ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, Workers: workers},
-		})
-		faultinject.Deactivate()
-		requireWorkerPanic(t, err, "ctmc.batch", faultinject.SiteBatchTile, 0)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // clone sharing the plan, and independent of which goroutine builds it
 // first. The smoother is the sequential Gauss-Seidel kernel and the
 // coarse solve is the sequential GTH elimination, so the whole scheme is
-// bit-identical at any worker count by construction; the batched variant
+// a pure function of its input by construction; the batched variant
 // replicates the solo schedule per lane through the pinned batch kernels.
 
 const (
@@ -289,11 +289,11 @@ func (p *component) coarseCorrect(cp *coarsePlan, x, w, sums, a, y []float64) {
 // stalledGS is the SweepAuto stall probe: a fixed number of sequential
 // Gauss-Seidel sweeps on a copy of the start vector, comparing the
 // residual at the check sweep with the final one. It is a pure function
-// of the component, the options, and the start — it never consults
-// Workers, the context, or the fault-injection sites — so solo and
-// batched auto solves at any schedule agree on it. A probe that converges
-// (or collapses) reports not-stalled and lets the plain path finish the
-// job; the probe iterate is discarded either way.
+// of the component, the options, and the start — it never consults the
+// context or the fault-injection sites — so solo and batched auto solves
+// at any schedule agree on it. A probe that converges (or collapses)
+// reports not-stalled and lets the Gauss-Seidel path finish the job; the
+// probe iterate is discarded either way.
 func (p *component) stalledGS(opts SolveOptions, start []float64) bool {
 	x := append([]float64(nil), start...)
 	omega := opts.Omega

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/fault"
@@ -13,34 +12,33 @@ import (
 )
 
 // Sweep selects the iteration scheme SteadyState uses on the recurrent
-// component.
+// component. The numeric values are persisted — hashed into
+// pipeline.SpecHash and stored in sweep-checkpoint attempt records — so
+// they never change.
 type Sweep int
 
 const (
 	// SweepAuto picks the scheme by an explicit, scheduling-independent
 	// rule, identical in the solo and batched paths:
 	//
-	//  1. Jacobi for components of at least JacobiThreshold states when
-	//     more than one worker is available (where the parallel sweep
-	//     pays off), or of at least JacobiThreshold×16 states even with
-	//     one worker (where the batched/tiled kernels' cache behavior
-	//     pays off regardless of parallelism), falling back to
-	//     Gauss-Seidel if Jacobi fails to converge;
-	//  2. Gauss-Seidel otherwise;
-	//  3. on components of at least 64 states, a fixed sequential
+	//  1. Gauss-Seidel;
+	//  2. on components of at least 64 states, a fixed sequential
 	//     Gauss-Seidel probe (24 sweeps on a copy of the start vector)
 	//     first tests for stalled residual decay; a stalled component is
-	//     solved with SweepMultilevel instead of rule 1/2. The probe is a
-	//     pure function of the chain and the start vector — never of
-	//     Workers or lane packing — and discards its iterate, so a
-	//     non-stalled solve is bit-identical to the pre-probe behavior.
-	SweepAuto Sweep = iota
+	//     solved with SweepMultilevel instead. The probe is a pure
+	//     function of the chain and the start vector — never of
+	//     scheduling or lane packing — and discards its iterate, so a
+	//     non-stalled solve is bit-identical to a forced Gauss-Seidel
+	//     solve;
+	//  3. on components of at least 64 states, a Gauss-Seidel solve that
+	//     exhausts its iteration budget is retried with SweepMultilevel
+	//     from the original start.
+	SweepAuto Sweep = 0
 	// SweepGaussSeidel forces the sequential Gauss-Seidel sweep.
-	SweepGaussSeidel
-	// SweepJacobi forces the damped Jacobi sweep, whose row updates are
-	// independent and therefore partition across workers while staying
-	// bit-identical at any worker count.
-	SweepJacobi
+	SweepGaussSeidel Sweep = 1
+	// Value 2 was the damped Jacobi sweep. It stays reserved so hashes and
+	// checkpoints written with it never decode as a different scheme.
+
 	// SweepMultilevel forces the two-level iterative aggregation/
 	// disaggregation (IAD) outer loop: Gauss-Seidel pre-smoothing, an
 	// exact (GTH) solve of the chain aggregated by a deterministic
@@ -50,44 +48,36 @@ const (
 	// Near-completely-decomposable chains (long dwell times, rare
 	// cross-cluster transitions — the DPM sleep/wake structure) converge
 	// in a bounded number of cycles where plain sweeps need O(1/ε)
-	// iterations. The smoother is always sequential Gauss-Seidel, so the
-	// result is bit-identical at any worker count by construction.
-	SweepMultilevel
+	// iterations.
+	SweepMultilevel Sweep = 3
 )
 
 // String returns the sweep mode's canonical name.
 func (s Sweep) String() string {
 	switch s {
+	case SweepAuto:
+		return "auto"
 	case SweepGaussSeidel:
 		return "gauss-seidel"
-	case SweepJacobi:
-		return "jacobi"
 	case SweepMultilevel:
 		return "multilevel"
 	default:
-		return "auto"
+		return fmt.Sprintf("Sweep(%d)", int(s))
 	}
 }
 
-// SolveOptions tunes the steady-state solver.
+// SolveOptions tunes the steady-state solver. The solver is sequential,
+// so there is no worker count: a solve's result is a function of the
+// chain and these options alone, Ctx only stopping it early.
 type SolveOptions struct {
 	// Tolerance is the convergence threshold on the max relative change
 	// per sweep (default 1e-12).
 	Tolerance float64
 	// MaxIterations bounds the sweeps (default 200000).
 	MaxIterations int
-	// Sweep selects the iteration scheme (default SweepAuto: Jacobi when
-	// the component reaches JacobiThreshold states and more than one
-	// worker is available, Gauss-Seidel otherwise).
+	// Sweep selects the iteration scheme (default SweepAuto: Gauss-Seidel,
+	// upgraded to SweepMultilevel on stalled or exhausted solves).
 	Sweep Sweep
-	// Workers bounds the Jacobi worker pool (0 = GOMAXPROCS). The solver
-	// result is bit-identical at any value: each row's inflow is summed in
-	// its fixed CSR order regardless of which worker owns the row, and the
-	// normalization sum is one canonical sequential pass.
-	Workers int
-	// JacobiThreshold is the component size at which SweepAuto switches
-	// from Gauss-Seidel to Jacobi (default 1024).
-	JacobiThreshold int
 	// WarmStart optionally seeds the iteration with a previous solution: a
 	// distribution over all tangible states (length N), typically the
 	// steady state of the same chain at nearby rate values. The solver
@@ -105,12 +95,11 @@ type SolveOptions struct {
 	// the interrupted iteration. Polling never changes the floats of a
 	// solve that runs to completion. nil disables polling.
 	Ctx context.Context
-	// Omega overrides the sweep's damping factor: the row update becomes
-	// x' = (1-ω)·x + ω·inflow/exit. 0 selects the scheme default (1 for
-	// Gauss-Seidel — the plain update, taken on a branch that performs no
-	// extra arithmetic — and jacobiOmega for Jacobi). The escalation
-	// ladder halves it on its increase-damping rung; callers normally
-	// leave it 0.
+	// Omega overrides the Gauss-Seidel damping factor: the row update
+	// becomes x' = (1-ω)·x + ω·inflow/exit. 0 selects the default ω = 1 —
+	// the plain update, taken on a branch that performs no extra
+	// arithmetic. The escalation ladder halves it on its increase-damping
+	// rung; callers normally leave it 0.
 	Omega float64
 	// Escalation selects what SteadyStateTraced does when the configured
 	// solve fails with a ConvergenceError: EscalateNever (the default)
@@ -136,8 +125,8 @@ type ConvergenceError struct {
 	Residual float64
 	// Tolerance is the convergence threshold that was not reached.
 	Tolerance float64
-	// Sweep is the iteration scheme that failed (SweepGaussSeidel,
-	// SweepJacobi, or SweepMultilevel, never SweepAuto).
+	// Sweep is the iteration scheme that failed (SweepGaussSeidel or
+	// SweepMultilevel, never SweepAuto).
 	Sweep Sweep
 	// Cycles is the number of multilevel outer cycles performed (0 for
 	// the plain sweeps).
@@ -182,40 +171,7 @@ func solveDefaults(opts SolveOptions) SolveOptions {
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = 200000
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.JacobiThreshold <= 0 {
-		opts.JacobiThreshold = 1024
-	}
 	return opts
-}
-
-// jacobiSoloFactor scales JacobiThreshold for the single-worker clause of
-// the SweepAuto rule: with one worker the Jacobi pool wins nothing from
-// parallelism, but on a huge component its tiled, cache-blocked kernels
-// still beat the sequential sweep's strided reads, so auto mode picks
-// Jacobi anyway once the component reaches JacobiThreshold×16 states.
-const jacobiSoloFactor = 16
-
-// resolveSweep applies the static half of the SweepAuto rule (rules 1 and
-// 2 of the SweepAuto docs) to the resolved options: Jacobi when the
-// component is large enough to amortize the pool (JacobiThreshold states
-// with more than one worker, JacobiThreshold×jacobiSoloFactor with one),
-// Gauss-Seidel otherwise. The dynamic half — the stalled-decay probe that
-// upgrades to SweepMultilevel — runs inside the solve, because it needs
-// the component's rates; see steadyStateStats and SolveBatchLanes.
-func resolveSweep(opts SolveOptions, componentSize int) Sweep {
-	if opts.Sweep != SweepAuto {
-		return opts.Sweep
-	}
-	if componentSize >= opts.JacobiThreshold && opts.Workers > 1 {
-		return SweepJacobi
-	}
-	if componentSize >= opts.JacobiThreshold*jacobiSoloFactor {
-		return SweepJacobi
-	}
-	return SweepGaussSeidel
 }
 
 // SteadyState computes the long-run probability distribution over tangible
@@ -229,9 +185,9 @@ func (c *CTMC) SteadyState(opts SolveOptions) ([]float64, error) {
 }
 
 // solveStats summarizes a converged solve for the trace: the scheme that
-// actually ran (after auto resolution, fallback, and the multilevel
-// upgrade), the fine-level sweep count, the multilevel cycle count (0 for
-// plain sweeps), and the final residual.
+// actually ran (after auto resolution and the multilevel upgrade), the
+// fine-level sweep count, the multilevel cycle count (0 for plain
+// sweeps), and the final residual.
 type solveStats struct {
 	Sweep      Sweep
 	Iterations int
@@ -264,37 +220,33 @@ func (c *CTMC) steadyStateStats(opts SolveOptions) ([]float64, solveStats, error
 			start = ws
 		}
 	}
-	sweep := resolveSweep(opts, len(plan.target))
-	if opts.Sweep == SweepAuto && comp.n >= multilevelAutoMin && comp.stalledGS(opts, start) {
-		// Rule 3 of the SweepAuto docs: stalled residual decay means the
-		// plain sweeps would crawl toward the budget; the multilevel outer
-		// loop attacks exactly that regime. The probe ran on a copy, so
-		// the non-stalled path below computes pre-probe floats.
-		sweep = SweepMultilevel
+	auto := opts.Sweep == SweepAuto
+	sweep := opts.Sweep
+	if auto {
+		sweep = SweepGaussSeidel
+		if comp.n >= multilevelAutoMin && comp.stalledGS(opts, start) {
+			// Rule 2 of the SweepAuto docs: stalled residual decay means
+			// Gauss-Seidel would crawl toward the budget; the multilevel
+			// outer loop attacks exactly that regime. The probe ran on a
+			// copy, so the non-stalled path below computes the floats of a
+			// forced Gauss-Seidel solve.
+			sweep = SweepMultilevel
+		}
 	}
 	var x []float64
-	switch sweep {
-	case SweepMultilevel:
+	if sweep == SweepMultilevel {
 		x, st, err = comp.multilevel(opts, start, c.ensureCoarse(plan))
-	case SweepJacobi:
-		x, st, err = comp.jacobi(opts, start)
-		if err != nil && opts.Sweep == SweepAuto && errors.Is(err, ErrNoConvergence) {
-			// Auto mode falls back to the sequential sweep: Gauss-Seidel's
-			// sequential substitution converges on chains where even the
-			// damped simultaneous update crawls.
-			x, st, err = comp.gaussSeidel(opts, start)
-		}
-	default:
+	} else {
 		x, st, err = comp.gaussSeidel(opts, start)
-	}
-	if err != nil && opts.Sweep == SweepAuto && sweep != SweepMultilevel &&
-		comp.n >= multilevelAutoMin && errors.Is(err, ErrNoConvergence) {
-		// The stall probe is a 24-sweep heuristic: a chain whose slow mode
-		// only emerges after the probe window exhausts the plain scheme's
-		// budget anyway, so auto mode retries it with the multilevel cycle
-		// from the original start — auto is never worse than the plain
-		// sweeps for the price of one extra attempt on failures.
-		x, st, err = comp.multilevel(opts, start, c.ensureCoarse(plan))
+		if err != nil && auto && comp.n >= multilevelAutoMin && errors.Is(err, ErrNoConvergence) {
+			// Rule 3: the stall probe is a 24-sweep heuristic, and a chain
+			// whose slow mode only emerges after the probe window exhausts
+			// the budget anyway, so auto mode retries it with the
+			// multilevel cycle from the original start — auto is never
+			// worse than Gauss-Seidel for the price of one extra attempt
+			// on failures.
+			x, st, err = comp.multilevel(opts, start, c.ensureCoarse(plan))
+		}
 	}
 	if err != nil {
 		return nil, st, err
@@ -330,8 +282,7 @@ type component struct {
 // guard rejects, fl(d/m) provably cannot exceed the running maximum
 // (d ≤ fl(fl(max·m)·guard) implies d/m ≤ max·(1−10⁻¹³)·(1+3ε) < max), so
 // the final residual is the exact maximum of the per-row fl(d/m) values —
-// independent of which rows happened to divide, and hence of any row
-// partition across Jacobi workers or batch tiles.
+// independent of which rows happened to divide.
 const residualGuard = 1 - 1e-13
 
 // solvePlan caches the structural half of a steady-state solve: the
@@ -698,154 +649,6 @@ func (p *component) gaussSeidel(opts SolveOptions, start []float64) ([]float64, 
 		}
 	}
 	return nil, st, &ConvergenceError{Iterations: opts.MaxIterations, Residual: maxDelta, Tolerance: opts.Tolerance, Sweep: SweepGaussSeidel, Point: -1}
-}
-
-// jacobiOmega damps the Jacobi update: x' = (1-ω)·x + ω·inflow/exit.
-// Undamped Jacobi is the power method on the embedded jump chain (in flow
-// coordinates) and oscillates forever when that chain is periodic — which
-// birth-death-like queueing chains are. Damping with ω = 1/2 iterates the
-// lazy chain instead, whose spectrum lies strictly inside the unit disk
-// away from 1, so the sweep converges to the same fixed point.
-const jacobiOmega = 0.5
-
-// jacobi runs the damped Jacobi sweep. Every row update reads only the
-// previous sweep's vector, so rows partition freely across workers; the
-// per-row inflow is summed in its fixed CSR order no matter which worker
-// owns the row, maxDelta is an order-independent max-reduction over
-// per-block maxima, and the normalization sum is one canonical sequential
-// pass — the iterate is bit-identical at any worker count.
-func (p *component) jacobi(opts SolveOptions, start []float64) ([]float64, solveStats, error) {
-	var st solveStats
-	x := append([]float64(nil), start...)
-	next := make([]float64, p.n)
-	omega := opts.Omega
-	if omega == 0 {
-		omega = jacobiOmega
-	}
-	done2 := cancelChan(opts.Ctx)
-
-	workers := opts.Workers
-	if workers > p.n {
-		workers = p.n
-	}
-	blockSize := (p.n + workers - 1) / workers
-	nblocks := (p.n + blockSize - 1) / blockSize
-	blockDelta := make([]float64, nblocks)
-
-	sweepBlock := func(b int) {
-		lo := b * blockSize
-		hi := lo + blockSize
-		if hi > p.n {
-			hi = p.n
-		}
-		d := 0.0
-		for j := lo; j < hi; j++ {
-			nx := x[j]
-			if p.exit[j] > 0 {
-				inflow := 0.0
-				for k := p.inStart[j]; k < p.inStart[j+1]; k++ {
-					inflow += x[p.inFrom[k]] * p.inRate[k]
-				}
-				nx = (1-omega)*x[j] + omega*(inflow*p.invExit[j])
-			}
-			dd := math.Abs(nx - x[j])
-			if m := math.Max(nx, 1e-300); dd > d*m*residualGuard {
-				if rel := dd / m; rel > d {
-					d = rel
-				}
-			}
-			next[j] = nx
-		}
-		blockDelta[b] = d
-	}
-
-	// Block tasks run behind the shared panic guard — on the pool and on
-	// the single-block inline path alike — so a panicking row surfaces as
-	// a *fault.WorkerPanicError naming the block, with the lowest block
-	// index winning when several blocks panic in one sweep, instead of
-	// killing the process. A recovered worker still reports its block on
-	// the done channel, so the dispatcher's drain never wedges.
-	var (
-		panicMu  sync.Mutex
-		panicIdx = nblocks
-		panicErr error
-	)
-	runBlock := func(w, b int) {
-		err := fault.Guard("ctmc.jacobi", w, fmt.Sprintf("block %d", b), func() error {
-			faultinject.MaybePanic(faultinject.SiteJacobiBlock, b)
-			sweepBlock(b)
-			return nil
-		})
-		if err != nil {
-			panicMu.Lock()
-			if panicErr == nil || b < panicIdx {
-				panicIdx, panicErr = b, err
-			}
-			panicMu.Unlock()
-		}
-	}
-
-	// Persistent pool: workers stay parked on the work channel between
-	// sweeps, so a sweep costs two channel hops per block instead of a
-	// goroutine spawn. The channel operations order each sweep's vector
-	// swap before the block work and the block work before the reduction.
-	var work, done chan int
-	if nblocks > 1 {
-		work = make(chan int)
-		done = make(chan int)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				for b := range work {
-					runBlock(w, b)
-					done <- b
-				}
-			}(w)
-		}
-		defer close(work)
-	}
-
-	maxDelta := math.Inf(1)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		if err := pollSolve(opts.Ctx, done2, iter); err != nil {
-			return nil, st, err
-		}
-		if nblocks > 1 {
-			for b := 0; b < nblocks; b++ {
-				work <- b
-			}
-			for b := 0; b < nblocks; b++ {
-				<-done
-			}
-		} else {
-			runBlock(0, 0)
-		}
-		if panicErr != nil {
-			return nil, st, panicErr
-		}
-		maxDelta = 0.0
-		for _, d := range blockDelta {
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
-		// Normalize to avoid drift: one canonical sequential sum.
-		sum := 0.0
-		for _, v := range next {
-			sum += v
-		}
-		if sum <= 0 {
-			return nil, st, &ConvergenceError{Iterations: iter + 1, Residual: maxDelta, Tolerance: opts.Tolerance, Sweep: SweepJacobi, Point: -1}
-		}
-		inv := 1 / sum
-		for j := range next {
-			next[j] *= inv
-		}
-		x, next = next, x
-		if maxDelta < opts.Tolerance {
-			return x, solveStats{Sweep: SweepJacobi, Iterations: iter + 1, Residual: maxDelta}, nil
-		}
-	}
-	return nil, st, &ConvergenceError{Iterations: opts.MaxIterations, Residual: maxDelta, Tolerance: opts.Tolerance, Sweep: SweepJacobi, Point: -1}
 }
 
 // reachableFromInitial returns the set of tangible states reachable from

@@ -6,6 +6,7 @@ package ctmc_test
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/aemilia"
@@ -29,6 +30,17 @@ func streamingChain(t *testing.T) *ctmc.CTMC {
 	p := models.DefaultStreamingParams()
 	p.APCapacity, p.ClientCapacity = 3, 3
 	a, err := models.BuildStreaming(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chainOf(t, a)
+}
+
+// fullStreamingChain builds the paper-scale streaming chain, whose
+// recurrent component has 1155 states.
+func fullStreamingChain(t *testing.T) *ctmc.CTMC {
+	t.Helper()
+	a, err := models.BuildStreaming(models.DefaultStreamingParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,76 +73,87 @@ func steadyOrFatal(t *testing.T, c *ctmc.CTMC, opts ctmc.SolveOptions) []float64
 	return pi
 }
 
-// TestJacobiMatchesGaussSeidel checks the two sweep modes agree on the
+// TestMultilevelMatchesGaussSeidel checks the two schemes agree on the
 // paper's chains to within solver tolerance: they iterate differently but
 // share the fixed point.
-func TestJacobiMatchesGaussSeidel(t *testing.T) {
+func TestMultilevelMatchesGaussSeidel(t *testing.T) {
 	chains := map[string]*ctmc.CTMC{
 		"rpc":       rpcChain(t),
 		"streaming": streamingChain(t),
 	}
 	for name, c := range chains {
 		gs := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel})
-		ja := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepJacobi})
+		ml := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepMultilevel})
 		for s := range gs {
-			diff := math.Abs(gs[s] - ja[s])
+			diff := math.Abs(gs[s] - ml[s])
 			if rel := diff / math.Max(math.Abs(gs[s]), 1e-12); rel > 1e-8 && diff > 1e-12 {
-				t.Fatalf("%s: state %d: gauss-seidel %g vs jacobi %g (rel %g)", name, s, gs[s], ja[s], rel)
+				t.Fatalf("%s: state %d: gauss-seidel %g vs multilevel %g (rel %g)", name, s, gs[s], ml[s], rel)
 			}
 		}
 	}
 }
 
-// TestJacobiWorkerBitIdentity pins the parallel solve contract: the
-// Jacobi vector is bit-identical at any worker count.
-func TestJacobiWorkerBitIdentity(t *testing.T) {
+// TestAutoResolvesGaussSeidel pins the static half of the SweepAuto rule:
+// whatever the component size (48 to 1155 states here) and however many
+// cores the runtime has, ResolveSolve reports undamped Gauss-Seidel, and
+// an auto solve's bits do not depend on GOMAXPROCS.
+func TestAutoResolvesGaussSeidel(t *testing.T) {
+	chains := map[string]*ctmc.CTMC{
+		"rpc":            rpcChain(t),
+		"streaming":      streamingChain(t),
+		"eps":            epsChain(t),
+		"streaming-full": fullStreamingChain(t),
+	}
+	for name, c := range chains {
+		var ref []float64
+		for _, procs := range []int{1, 4} {
+			old := runtime.GOMAXPROCS(procs)
+			r, err := c.ResolveSolve(ctmc.SolveOptions{})
+			pi, serr := c.SteadyState(ctmc.SolveOptions{})
+			runtime.GOMAXPROCS(old)
+			if err != nil || serr != nil {
+				t.Fatalf("%s: GOMAXPROCS=%d: %v / %v", name, procs, err, serr)
+			}
+			if r.Sweep != ctmc.SweepGaussSeidel || r.Omega != 1 {
+				t.Errorf("%s: GOMAXPROCS=%d: resolved %v with omega %v, want gauss-seidel with omega 1",
+					name, procs, r.Sweep, r.Omega)
+			}
+			if ref == nil {
+				ref = pi
+				continue
+			}
+			for s := range ref {
+				if pi[s] != ref[s] {
+					t.Fatalf("%s: GOMAXPROCS=%d: state %d: %v != %v (must be bit-identical)", name, procs, s, pi[s], ref[s])
+				}
+			}
+		}
+	}
+}
+
+// TestGaussSeidelConvergenceErrorSweep checks a failing solve reports the
+// scheme that actually ran: a forced Gauss-Seidel solve fails as
+// Gauss-Seidel (no silent multilevel retry outside auto), while auto mode
+// on the same 168-state component retries with multilevel and reports that.
+func TestGaussSeidelConvergenceErrorSweep(t *testing.T) {
 	c := streamingChain(t)
-	x1 := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, Workers: 1})
-	for _, workers := range []int{2, 4} {
-		xw := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, Workers: workers})
-		for s := range x1 {
-			if x1[s] != xw[s] {
-				t.Fatalf("workers=%d: state %d: %v != %v (must be bit-identical)", workers, s, xw[s], x1[s])
-			}
+	for _, tc := range []struct{ mode, ran ctmc.Sweep }{
+		{ctmc.SweepGaussSeidel, ctmc.SweepGaussSeidel},
+		{ctmc.SweepAuto, ctmc.SweepMultilevel},
+	} {
+		_, err := c.SteadyState(ctmc.SolveOptions{Sweep: tc.mode, MaxIterations: 2})
+		if !errors.Is(err, ctmc.ErrNoConvergence) {
+			t.Fatalf("%v: want ErrNoConvergence, got %v", tc.mode, err)
 		}
-	}
-}
-
-// TestJacobiAutoSelection checks the auto mode picks Jacobi above the
-// threshold and still lands on the Gauss-Seidel fixed point.
-func TestJacobiAutoSelection(t *testing.T) {
-	c := rpcChain(t)
-	gs := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel})
-	// Threshold 2 plus two workers forces every multi-state component
-	// through Jacobi (auto requires both the size and a real pool).
-	auto := steadyOrFatal(t, c, ctmc.SolveOptions{JacobiThreshold: 2, Workers: 2})
-	ja := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepJacobi})
-	for s := range auto {
-		if auto[s] != ja[s] {
-			t.Fatalf("state %d: auto %v != forced jacobi %v", s, auto[s], ja[s])
+		var ce *ctmc.ConvergenceError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%v: want *ConvergenceError, got %T", tc.mode, err)
 		}
-		if rel := math.Abs(auto[s]-gs[s]) / math.Max(math.Abs(gs[s]), 1e-12); rel > 1e-8 {
-			t.Fatalf("state %d: auto %v vs gauss-seidel %v (rel %g)", s, auto[s], gs[s], rel)
+		if ce.Sweep != tc.ran {
+			t.Errorf("%v: Sweep = %v, want %v", tc.mode, ce.Sweep, tc.ran)
 		}
-	}
-}
-
-// TestJacobiConvergenceErrorSweep checks a failing forced-Jacobi solve
-// reports its sweep mode (no silent Gauss-Seidel fallback outside auto).
-func TestJacobiConvergenceErrorSweep(t *testing.T) {
-	c := rpcChain(t)
-	_, err := c.SteadyState(ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, MaxIterations: 2})
-	if !errors.Is(err, ctmc.ErrNoConvergence) {
-		t.Fatalf("want ErrNoConvergence, got %v", err)
-	}
-	var ce *ctmc.ConvergenceError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *ConvergenceError, got %T", err)
-	}
-	if ce.Sweep != ctmc.SweepJacobi {
-		t.Fatalf("Sweep = %v, want jacobi", ce.Sweep)
-	}
-	if ce.Iterations != 2 {
-		t.Fatalf("Iterations = %d, want 2", ce.Iterations)
+		if ce.Iterations != 2 {
+			t.Errorf("%v: Iterations = %d, want 2", tc.mode, ce.Iterations)
+		}
 	}
 }

@@ -195,17 +195,17 @@ func approxEqualJSON(t *testing.T, name string, a, b json.RawMessage, tol float6
 // TestGoldenSolverSweepModes pins the solver-side determinism contract on
 // the Markovian slice of the golden suite: each sweep mode produces
 // bit-identical JSON at workers 1 and 8, the forced Gauss-Seidel run
-// matches the auto-selected quick-suite results byte for byte (the quick
-// components sit below the Jacobi threshold), and the two sweep modes
-// agree within solver tolerance.
+// matches the auto-selected quick-suite results byte for byte (the stall
+// probe never fires on the quick components), and multilevel agrees with
+// Gauss-Seidel within solver tolerance.
 func TestGoldenSolverSweepModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden suite is not short")
 	}
 	gs1 := collectMarkovian(t, 1, ctmc.SweepGaussSeidel)
 	gs8 := collectMarkovian(t, 8, ctmc.SweepGaussSeidel)
-	ja1 := collectMarkovian(t, 1, ctmc.SweepJacobi)
-	ja8 := collectMarkovian(t, 8, ctmc.SweepJacobi)
+	ml1 := collectMarkovian(t, 1, ctmc.SweepMultilevel)
+	ml8 := collectMarkovian(t, 8, ctmc.SweepMultilevel)
 	auto1 := collectMarkovian(t, 1, ctmc.SweepAuto)
 
 	for name, want := range gs1 {
@@ -216,12 +216,12 @@ func TestGoldenSolverSweepModes(t *testing.T) {
 			t.Errorf("%s: auto mode differs from gauss-seidel on the quick suite", name)
 		}
 	}
-	for name, want := range ja1 {
-		if !bytes.Equal(ja8[name], want) {
-			t.Errorf("%s: jacobi differs between workers 1 and 8", name)
+	for name, want := range ml1 {
+		if !bytes.Equal(ml8[name], want) {
+			t.Errorf("%s: multilevel differs between workers 1 and 8", name)
 		}
 	}
 	for name := range gs1 {
-		approxEqualJSON(t, name, gs1[name], ja1[name], 1e-6)
+		approxEqualJSON(t, name, gs1[name], ml1[name], 1e-6)
 	}
 }

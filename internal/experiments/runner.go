@@ -56,13 +56,10 @@ func (r *Runner) genOpts() lts.GenerateOptions {
 }
 
 // solveOpts is the steady-state solver configuration the Runner's
-// sessions carry: the config's solver options with the worker and
-// cancellation defaults applied.
+// sessions carry: the config's solver options with the cancellation
+// default applied.
 func (r *Runner) solveOpts() ctmc.SolveOptions {
 	s := r.cfg.Solve
-	if s.Workers <= 0 {
-		s.Workers = r.workersOr(0)
-	}
 	if s.Ctx == nil {
 		s.Ctx = r.cfg.Ctx
 	}

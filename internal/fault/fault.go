@@ -7,7 +7,7 @@
 // types:
 //
 //   - CanceledError: cooperative cancellation observed at a poll point.
-//     Workers poll at level/iteration/tile/point boundaries, so
+//     Workers poll at level/iteration/point boundaries, so
 //     cancellation is prompt but never changes the floats of work that
 //     already completed.
 //   - WorkerPanicError: a panic recovered inside a worker pool (or the
@@ -84,13 +84,13 @@ func Check(ctx context.Context, phase string, point, iteration int) error {
 // pool survives, records the error under its usual lowest-task-index
 // attribution, and surfaces it like any other task failure.
 type WorkerPanicError struct {
-	// Pool names the pool ("lts.generate", "ctmc.jacobi", "ctmc.batch",
-	// "core.sweep", "sim.replications").
+	// Pool names the pool ("lts.generate", "ctmc.multilevel",
+	// "core.sweep", "sim", "experiments").
 	Pool string
 	// Worker is the index of the worker goroutine that recovered the
 	// panic (0 on a sequential path).
 	Worker int
-	// Task identifies the panicked task ("point 3", "block 7", …).
+	// Task identifies the panicked task ("point 3", "state 7", …).
 	Task string
 	// Value is the recovered panic value.
 	Value any

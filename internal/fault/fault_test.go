@@ -49,7 +49,7 @@ func TestCanceledErrorOmitsInapplicableFields(t *testing.T) {
 }
 
 func TestGuardRecoversPanic(t *testing.T) {
-	err := Guard("ctmc.jacobi", 2, "block 7", func() error { panic("boom") })
+	err := Guard("lts.generate", 2, "state 7", func() error { panic("boom") })
 	if err == nil {
 		t.Fatal("got nil error from panicking fn")
 	}
@@ -57,7 +57,7 @@ func TestGuardRecoversPanic(t *testing.T) {
 	if !errors.As(err, &wpe) {
 		t.Fatalf("got %T, want *WorkerPanicError", err)
 	}
-	if wpe.Pool != "ctmc.jacobi" || wpe.Worker != 2 || wpe.Task != "block 7" || wpe.Value != "boom" {
+	if wpe.Pool != "lts.generate" || wpe.Worker != 2 || wpe.Task != "state 7" || wpe.Value != "boom" {
 		t.Fatalf("wrong attribution: %+v", wpe)
 	}
 	if len(wpe.Stack) == 0 {
@@ -66,7 +66,7 @@ func TestGuardRecoversPanic(t *testing.T) {
 	if !errors.Is(err, ErrWorkerPanic) {
 		t.Fatal("errors.Is(err, ErrWorkerPanic) is false")
 	}
-	want := "ctmc.jacobi: worker 2 panicked on block 7: boom"
+	want := "lts.generate: worker 2 panicked on state 7: boom"
 	if got := err.Error(); got != want {
 		t.Fatalf("message %q, want %q", got, want)
 	}

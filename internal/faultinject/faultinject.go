@@ -36,12 +36,6 @@ const (
 	// iteration; the key is the iteration number. Pair it with OnFire to
 	// cancel a solve at an exact iteration.
 	SiteSolveIteration = "ctmc.solve.iteration"
-	// SiteJacobiBlock fires in a block task of the solo Jacobi pool; the
-	// key is the block index.
-	SiteJacobiBlock = "ctmc.jacobi.block"
-	// SiteBatchTile fires in a tile task of the batched Jacobi pool; the
-	// key is the tile index.
-	SiteBatchTile = "ctmc.batch.tile"
 	// SiteSweepPoint fires in a sweep-point task of pipeline.Session.Sweep; the
 	// key is the global point index.
 	SiteSweepPoint = "core.sweep.point"

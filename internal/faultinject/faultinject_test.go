@@ -16,7 +16,7 @@ func TestFireOnlyArmedKeys(t *testing.T) {
 	if !Fire(SiteSweepPoint, 2) || !Fire(SiteSweepPoint, 5) {
 		t.Fatal("armed keys did not fire")
 	}
-	if Fire(SiteJacobiBlock, 2) {
+	if Fire(SiteSolveIteration, 2) {
 		t.Fatal("unarmed site fired")
 	}
 	if got := p.Fired(SiteSweepPoint); len(got) != 2 || got[0] != 2 || got[1] != 5 {
@@ -99,7 +99,7 @@ func TestArmSeededDeterministic(t *testing.T) {
 }
 
 func TestFireConcurrent(t *testing.T) {
-	p := NewPlan().Arm(SiteBatchTile, 0, 1, 2, 3)
+	p := NewPlan().Arm(SiteGenerateExpand, 0, 1, 2, 3)
 	Activate(p)
 	defer Deactivate()
 	var wg sync.WaitGroup
@@ -108,12 +108,12 @@ func TestFireConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 8; k++ {
-				Fire(SiteBatchTile, k)
+				Fire(SiteGenerateExpand, k)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := p.Fired(SiteBatchTile); len(got) != 4 {
+	if got := p.Fired(SiteGenerateExpand); len(got) != 4 {
 		t.Fatalf("Fired = %v, want the 4 armed keys", got)
 	}
 }

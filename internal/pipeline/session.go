@@ -220,15 +220,12 @@ func (s *Session) genOptions() lts.GenerateOptions {
 }
 
 // solveOptions resolves the spec's solver options against the session
-// Config: context and workers fall back to the Config when unset. Both
-// are scheduling-only — results are bit-identical either way.
+// Config: the context falls back to the Config's when unset. It only
+// cancels — results are bit-identical either way.
 func (s *Session) solveOptions() ctmc.SolveOptions {
 	so := s.st.spec.Solve
 	if so.Ctx == nil {
 		so.Ctx = s.cfg.Ctx
-	}
-	if so.Workers <= 0 {
-		so.Workers = s.cfg.Workers
 	}
 	return so
 }

@@ -57,10 +57,11 @@ type Spec struct {
 	// on the full model — minimization only accelerates the Markovian
 	// path, whose measures it preserves exactly. Semantic: hashed.
 	Minimize bool
-	// Solve tunes the steady-state solver. Workers and Ctx are
-	// scheduling-only and fall back to the session Config; every
-	// result-affecting field (Tolerance, MaxIterations, Sweep,
-	// JacobiThreshold, Omega, Escalation, WarmStart) is hashed.
+	// Solve tunes the steady-state solver. Ctx only cancels and falls
+	// back to the session Config; every other field (Tolerance,
+	// MaxIterations, Sweep, Omega, Escalation, WarmStart) affects the
+	// result and is hashed. The solver has no worker count, so a spec's
+	// results are the same at every Config.Workers.
 	Solve ctmc.SolveOptions
 }
 
@@ -111,7 +112,6 @@ func (s Spec) Hash() SpecHash {
 	hF64(h, s.Solve.Tolerance)
 	hU64(h, uint64(s.Solve.MaxIterations))
 	hU64(h, uint64(s.Solve.Sweep))
-	hU64(h, uint64(s.Solve.JacobiThreshold))
 	hF64(h, s.Solve.Omega)
 	hU64(h, uint64(s.Solve.Escalation))
 	hU64(h, uint64(len(s.Solve.WarmStart)))

@@ -102,23 +102,23 @@ go test -timeout 10m -race -cpu 1,2 \
 echo "== bench smoke =="
 go test -timeout 10m -short -run '^$' -bench . -benchtime 1x ./...
 
-# Race smoke of the parallel hot paths at -cpu 1,2: the worker-pooled
-# state-space generation, the Jacobi solver pool (solo and batched), the
-# batched multi-lane kernel, and the sweep/simulation pools each run one
-# iteration under the race detector on both the degenerate and a two-core
-# schedule (plain -race tests cover GOMAXPROCS as-is only).
+# Race smoke of the hot paths at -cpu 1,2: the worker-pooled state-space
+# generation, the solo steady-state solve, the batched multi-lane kernel,
+# and the sweep/simulation pools each run one iteration under the race
+# detector on both the degenerate and a two-core schedule (plain -race
+# tests cover GOMAXPROCS as-is only).
 # Only the Batched variants of the BatchSolve benches run here: the
 # per-point variants exercise the solo solver, which the SteadyState
 # patterns already race-test, so rerunning them would only add race-
 # instrumented minutes without new coverage. Of the Multilevel benches,
-# only the multilevel-scheme ε pair runs: the Gauss-Seidel/Jacobi
-# reference sides grind for hundreds of thousands of race-instrumented
-# sweeps to measure work the timing modes already report. Of the Compose
+# only the multilevel-scheme ε pair runs: the Gauss-Seidel reference
+# sides grind for tens of thousands of race-instrumented sweeps to
+# measure work the timing modes already report. Of the Compose
 # benches, the default-size rpc/streaming pairs run and the 10×-buffer
 # pair stays out — race-instrumenting a multi-minute full-product
 # generation would dominate the job for a path the default sizes already
 # cover.
 echo "== bench race smoke (-cpu 1,2) =="
-scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyState(GaussSeidel|Jacobi)|SweepReuse|BatchSolve(RPC|Streaming)Batched|MultilevelEps(Multilevel|BatchedMultilevel)|Compose(RPC|Streaming)(Full|Minimized)$'
+scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|SweepReuse|BatchSolve(RPC|Streaming)Batched|MultilevelEps(Multilevel|BatchedMultilevel)|Compose(RPC|Streaming)(Full|Minimized)$'
 
 echo "CI OK"
