@@ -185,8 +185,8 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // BenchmarkWeakBisim measures the weak-bisimulation check behind the
-// streaming noninterference analysis (tau-SCC condensation + signature
-// refinement).
+// streaming noninterference analysis (branching quotients, then
+// saturation and signature refinement on them).
 func BenchmarkWeakBisim(b *testing.B) {
 	p := models.DefaultStreamingParams()
 	p.Mode = models.Functional

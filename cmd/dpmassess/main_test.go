@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,31 @@ func specPath(t *testing.T, name string) string {
 		t.Skipf("spec %s not available: %v", name, err)
 	}
 	return p
+}
+
+// runOutput runs the CLI and returns what it printed to standard output.
+func runOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r) // the pipe only fails once closed
+		out <- b
+	}()
+	runErr := run(args)
+	os.Stdout = stdout
+	w.Close()
+	text := string(<-out)
+	if runErr != nil {
+		t.Fatalf("run(%v): %v", args, runErr)
+	}
+	return text
 }
 
 func TestRunUsageErrors(t *testing.T) {
@@ -113,6 +139,26 @@ func TestRunEquivAndMinimize(t *testing.T) {
 	}
 	if _, err := os.Stat(dot); err != nil {
 		t.Errorf("minimized dot not written: %v", err)
+	}
+}
+
+// TestRunWeakPaths pins the quotient sizes of weak minimization and the
+// Sect. 3.2 verdict at the paper's capacity, both decided on branching
+// quotients.
+func TestRunWeakPaths(t *testing.T) {
+	for _, c := range []struct{ spec, quotient string }{
+		{"rpc_revised_functional.aem", "quotient: 543 states, 1706 transitions"},
+		{"streaming_functional.aem", "quotient: 38016 states, 154464 transitions"},
+		{"rpc_simplified.aem", "quotient: 16 states, 23 transitions"},
+	} {
+		out := runOutput(t, "minimize", "-relation", "weak", specPath(t, c.spec))
+		if !strings.Contains(out, c.quotient) {
+			t.Errorf("minimize -relation weak %s:\n%s\nwant %q", c.spec, out, c.quotient)
+		}
+	}
+	out := runOutput(t, "check", "-high", "DPM", "-low", "C", specPath(t, "streaming_functional.aem"))
+	if !strings.Contains(out, "NONINTERFERENCE HOLDS") {
+		t.Errorf("check streaming_functional.aem:\n%s\nwant NONINTERFERENCE HOLDS", out)
 	}
 }
 

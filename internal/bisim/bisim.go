@@ -3,13 +3,23 @@
 // generation of distinguishing Hennessy–Milner formulas when two systems
 // are not equivalent.
 //
-// Weak bisimilarity is decided as strong bisimilarity of the saturated
-// systems (tau*·a·tau* weak moves, reflexive tau* moves), following
-// Milner. The partition is computed by signature refinement: states are
-// repeatedly split by the multiset of (label, target block) pairs they can
-// weakly reach, with the previous block included in the signature so that
-// each round refines the last. The refinement history supports
-// Cleaveland-style construction of a minimal-depth distinguishing formula.
+// Weak queries first reduce every input modulo branching bisimulation:
+// signature refinement over the direct edges of the tau-SCC condensation,
+// with inert tau steps resolved inside blocks (Blom & Orzan), which builds
+// no tau closure. Branching bisimilarity implies weak bisimilarity and each
+// quotient is weakly bisimilar to its original, so weak bisimilarity is
+// then decided, as strong bisimilarity of the saturated systems
+// (tau*·a·tau* weak moves, reflexive tau* moves) after Milner, on
+// quotients that are usually tiny. On the paper's capacity-10 streaming
+// check (38,016 hidden states, 33 weak blocks) this takes the weak check
+// from 10.6 s to 0.04 s.
+//
+// Partitions are computed by signature refinement: states are repeatedly
+// split by the set of (label, target block) pairs they can (weakly) reach,
+// interned together with the previous block so that each round refines the
+// last. Signatures are sorted integer pairs found by hash with an exact
+// comparison. The refinement history supports Cleaveland-style
+// construction of a minimal-depth distinguishing formula.
 //
 // The saturated successor structure is stored in grouped CSR form — per
 // node, label-sorted groups of deduplicated successor sets over one shared
@@ -18,9 +28,9 @@
 package bisim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/hml"
 	"repro/internal/lts"
@@ -216,7 +226,66 @@ func tauSCCs(l *lts.LTS) (comp []int32, numComp int) {
 	return comp, numComp
 }
 
-// saturate builds the successor structure for the chosen relation.
+// cedge is one edge of the tau-SCC condensation.
+type cedge struct{ src, label, dst int32 }
+
+// condensation is an LTS with every tau strongly connected component
+// collapsed to one node: mutually tau-reachable states are branching (and
+// so weakly) bisimilar, and the collapse makes the tau graph acyclic.
+// Node ids are tauSCCs' reverse topological order, so every tau edge
+// between distinct nodes points to a smaller id.
+type condensation struct {
+	comp []int32 // node of every original state
+	n    int
+	// edges are sorted by (src, label, dst) and deduplicated, without tau
+	// self-loops; node c owns edges[rowOff[c]:rowOff[c+1]].
+	edges  []cedge
+	rowOff []int32
+}
+
+func condense(l *lts.LTS) *condensation {
+	comp, nc := tauSCCs(l)
+	var edges []cedge
+	for st := 0; st < l.NumStates; st++ {
+		sp := l.Out(st)
+		cs := comp[st]
+		for k := 0; k < sp.Len(); k++ {
+			cd := comp[sp.Dst[k]]
+			if sp.Label[k] == lts.TauIndex && cs == cd {
+				continue
+			}
+			edges = append(edges, cedge{src: cs, label: sp.Label[k], dst: cd})
+		}
+	}
+	slices.SortFunc(edges, cmpCedge)
+	edges = dedupEdges(edges)
+	rowOff := make([]int32, nc+1)
+	for _, e := range edges {
+		rowOff[e.src+1]++
+	}
+	for c := 1; c <= nc; c++ {
+		rowOff[c] += rowOff[c-1]
+	}
+	return &condensation{comp: comp, n: nc, edges: edges, rowOff: rowOff}
+}
+
+// cmpCedge orders condensed edges by (src, label, dst).
+func cmpCedge(a, b cedge) int {
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.label, b.label); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.dst, b.dst)
+}
+
+// row returns the condensed edges of node c.
+func (cd *condensation) row(c int32) []cedge { return cd.edges[cd.rowOff[c]:cd.rowOff[c+1]] }
+
+// saturate builds the successor structure for the chosen relation. The
+// weak closure is only ever built over a branching quotient (see
+// branchingQuotient), which is what keeps it small.
 func saturate(l *lts.LTS, rel Relation) *sat {
 	if rel == Strong {
 		n := l.NumStates
@@ -237,49 +306,13 @@ func saturate(l *lts.LTS, rel Relation) *sat {
 		return b.s
 	}
 
-	// Weak: collapse tau-SCCs first — mutually tau-reachable states are
-	// weakly bisimilar, and condensation makes the tau graph acyclic,
-	// which keeps the saturated structure tractable.
-	comp, nc := tauSCCs(l)
-
-	// Condensed edge list, sorted and deduplicated.
-	type cedge struct{ src, label, dst int32 }
-	var edges []cedge
-	for st := 0; st < l.NumStates; st++ {
-		sp := l.Out(st)
-		cs := comp[st]
-		for k := 0; k < sp.Len(); k++ {
-			cd := comp[sp.Dst[k]]
-			if sp.Label[k] == lts.TauIndex && cs == cd {
-				continue
-			}
-			edges = append(edges, cedge{src: cs, label: sp.Label[k], dst: cd})
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.label != b.label {
-			return a.label < b.label
-		}
-		return a.dst < b.dst
-	})
-	edges = dedupEdges(edges)
-	// Row index over the condensed edges.
-	rowOff := make([]int32, nc+1)
-	for _, e := range edges {
-		rowOff[e.src+1]++
-	}
-	for c := 1; c <= nc; c++ {
-		rowOff[c] += rowOff[c-1]
-	}
+	cd := condense(l)
+	nc := cd.n
 
 	// Reflexive-transitive tau closure over the condensation, stored in a
-	// single slab. Tarjan assigns component ids in reverse topological
-	// order, so successors of c always have ids < c: a single ascending
-	// sweep suffices, and the slab only ever references finished entries.
+	// single slab. Successors of c always have ids < c, so a single
+	// ascending sweep suffices, and the slab only ever references finished
+	// entries.
 	cloOff := make([]int32, nc+1)
 	clo := make([]int32, 0, nc)
 	mark := make([]int32, nc)
@@ -290,8 +323,7 @@ func saturate(l *lts.LTS, rel Relation) *sat {
 		start := len(clo)
 		clo = append(clo, c)
 		mark[c] = c
-		for i := rowOff[c]; i < rowOff[c+1]; i++ {
-			e := edges[i]
+		for _, e := range cd.row(c) {
 			if e.label != lts.TauIndex {
 				continue
 			}
@@ -311,7 +343,7 @@ func saturate(l *lts.LTS, rel Relation) *sat {
 	b := newSatBuilder(nc, l.Symbols())
 	b.s.stateMap = make([]int, l.NumStates)
 	for st := range b.s.stateMap {
-		b.s.stateMap[st] = int(comp[st])
+		b.s.stateMap[st] = int(cd.comp[st])
 	}
 
 	// Saturation sweep: succ(c, a) = ∪ closure(d) over visible condensed
@@ -328,8 +360,7 @@ func saturate(l *lts.LTS, rel Relation) *sat {
 		b.group(lts.TauIndex, closure(c))
 		buf = buf[:0]
 		for _, u := range closure(c) {
-			for i := rowOff[u]; i < rowOff[u+1]; i++ {
-				e := edges[i]
+			for _, e := range cd.row(u) {
 				if e.label == lts.TauIndex {
 					continue
 				}
@@ -402,75 +433,61 @@ type refineResult struct {
 // blocks returns the final partition.
 func (r *refineResult) blocks() []int { return r.history[len(r.history)-1] }
 
-// refine runs signature refinement to a fixed point. The grouped CSR
-// structure is label-sorted per node, so a round is a single sweep over
-// the groups; the block-dedup stamps and the two partition buffers are
-// allocated once and reused across rounds — only the signature strings
-// and the history snapshots survive a round.
+// refine runs signature refinement to a fixed point. A node's signature is
+// the sorted set of (label, block) pairs over its groups, interned together
+// with its previous block so that each round refines the last; the grouped
+// CSR structure and the two partition buffers are reused across rounds —
+// only the history snapshots survive a round.
 func refine(s *sat) *refineResult {
 	n := s.n
 	cur := make([]int, n) // all states in block 0
 	next := make([]int, n)
 	res := &refineResult{s: s}
 	res.history = append(res.history, append([]int(nil), cur...))
-
-	// mark stamps the blocks already collected for the current
-	// (state, label) pair — a generation counter instead of a per-pair
-	// map (block ids are < n, so a flat slice suffices).
-	mark := make([]int, n)
-	gen := 0
-	blockBuf := make([]int, 0, 16)
-	sigs := make(map[string]int, n)
-	var sb strings.Builder
-
+	var tab sigTable
+	var sig []uint64
 	numBlocks := 1
 	for {
-		clear(sigs)
+		tab.reset()
 		for st := 0; st < n; st++ {
-			sb.Reset()
-			// Previous block first, so each round refines the last.
-			sb.WriteString(strconv.Itoa(cur[st]))
+			sig = sig[:0]
 			glo, ghi := s.groups(st)
 			for g := glo; g < ghi; g++ {
-				gen++
-				blockBuf = blockBuf[:0]
 				for _, d := range s.groupDsts(g) {
-					b := cur[d]
-					if mark[b] != gen {
-						mark[b] = gen
-						blockBuf = append(blockBuf, b)
-					}
-				}
-				sort.Ints(blockBuf)
-				sb.WriteByte('|')
-				sb.WriteString(strconv.Itoa(int(s.grpLabel[g])))
-				sb.WriteByte(':')
-				for _, b := range blockBuf {
-					sb.WriteString(strconv.Itoa(b))
-					sb.WriteByte(',')
+					sig = append(sig, sigPairOf(s.grpLabel[g], int32(cur[d])))
 				}
 			}
-			key := sb.String()
-			id, ok := sigs[key]
-			if !ok {
-				id = len(sigs)
-				sigs[key] = id
-			}
-			next[st] = id
+			sig = sortDedup(sig)
+			next[st] = int(tab.intern(int32(cur[st]), sig))
 		}
 		res.history = append(res.history, append([]int(nil), next...))
-		if len(sigs) == numBlocks {
+		if tab.len() == numBlocks {
 			return res
 		}
-		numBlocks = len(sigs)
+		numBlocks = tab.len()
 		cur, next = next, cur
 	}
 }
 
 // Partition computes the bisimulation partition of a single LTS: the block
 // identifier of each state. Two states are equivalent iff they share a
-// block.
+// block; blocks are numbered in order of their smallest member.
 func Partition(l *lts.LTS, rel Relation) []int {
+	if rel == Strong {
+		return partition(l, Strong)
+	}
+	q, toQuot := branchingQuotient(l)
+	qblocks := partition(q, Weak)
+	out := make([]int, l.NumStates)
+	for st, b := range toQuot {
+		out[st] = qblocks[b]
+	}
+	return renumber(out)
+}
+
+// partition refines the successor structure of l for rel and returns the
+// block of every state.
+func partition(l *lts.LTS, rel Relation) []int {
 	s := saturate(l, rel)
 	blocks := refine(s).blocks()
 	out := make([]int, l.NumStates)
@@ -480,11 +497,34 @@ func Partition(l *lts.LTS, rel Relation) []int {
 	return out
 }
 
+// renumber relabels blocks in order of their smallest member.
+func renumber(blocks []int) []int {
+	ids := make(map[int]int)
+	for st, b := range blocks {
+		id, ok := ids[b]
+		if !ok {
+			id = len(ids)
+			ids[b] = id
+		}
+		blocks[st] = id
+	}
+	return blocks
+}
+
 // Equivalent checks whether the initial states of two LTSs are bisimilar
 // under the chosen relation. Labels are matched by name. When the systems
 // are not equivalent, a distinguishing formula is returned: it holds in
 // the initial state of l1 and fails in the initial state of l2.
+//
+// For Weak, both systems are first reduced to their branching quotients.
+// Each quotient is weakly bisimilar to its original, so the verdict is
+// unchanged and a weak formula separating the quotients separates the
+// originals.
 func Equivalent(l1, l2 *lts.LTS, rel Relation) (bool, hml.Formula) {
+	if rel == Weak {
+		l1, _ = branchingQuotient(l1)
+		l2, _ = branchingQuotient(l2)
+	}
 	u, init1, init2 := union(l1, l2)
 	s := saturate(u, rel)
 	res := refine(s)

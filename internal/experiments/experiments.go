@@ -93,8 +93,8 @@ func (r *Runner) RPCNoninterferenceRevised() (*Sect3Result, error) {
 }
 
 // StreamingNoninterference reproduces the passing check of Sect. 3.2.
-// Quick scale shrinks the buffers to keep the weak-bisimulation check
-// fast; Full uses the paper's capacity of 10.
+// Quick scale shrinks the buffers to 2, which keeps state-space generation
+// small for smoke runs; Full uses the paper's capacity of 10.
 func (r *Runner) StreamingNoninterference(scale Scale) (*Sect3Result, error) {
 	p := models.DefaultStreamingParams()
 	p.Mode = models.Functional

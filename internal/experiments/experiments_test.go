@@ -44,6 +44,24 @@ func TestSect3Results(t *testing.T) {
 	}
 }
 
+// TestSect3StreamingFullScale runs the Sect. 3.2 check at the paper's
+// buffer capacity of 10: 38,016 states hidden, 6,912 restricted.
+func TestSect3StreamingFullScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale state space; skipped under -short")
+	}
+	res, err := newStudy().StreamingNoninterference(Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Transparent {
+		t.Errorf("streaming must pass at capacity 10; formula: %s", res.Formula)
+	}
+	if res.States != 38016 || res.Transitions != 154464 {
+		t.Errorf("state space %d states, %d transitions; want 38016, 154464", res.States, res.Transitions)
+	}
+}
+
 func TestFig3MarkovShapes(t *testing.T) {
 	pts, err := newStudy().Fig3Markov([]float64{0.5, 5, 25})
 	if err != nil {

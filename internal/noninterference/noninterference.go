@@ -23,6 +23,8 @@
 // fails, the returned distinguishing modal-logic formula — over low labels
 // and weak modalities — holds in variant A and fails in variant B; it is
 // the diagnostic the designer uses to repair the model (paper Sect. 3.1).
+// The equivalence checker derives the formula on reduced systems, so Check
+// model-checks it on both full variants before reporting it.
 package noninterference
 
 import (
@@ -80,10 +82,25 @@ func Check(l *lts.LTS, spec Spec) (*Result, error) {
 		RestrictedStates: restricted.NumStates,
 	}
 	if !ok {
+		if err := certify(hidden, restricted, f); err != nil {
+			return nil, err
+		}
 		res.Formula = f
 		res.FormulaText = hml.Format(f)
 	}
 	return res, nil
+}
+
+// certify checks that f holds in the initial state of the hidden variant
+// and fails in that of the restricted one.
+func certify(hidden, restricted *lts.LTS, f hml.Formula) error {
+	if !hml.NewChecker(hidden).Sat(hidden.Initial, f) {
+		return fmt.Errorf("noninterference: distinguishing formula fails in the hidden variant: %s", hml.Format(f))
+	}
+	if hml.NewChecker(restricted).Sat(restricted.Initial, f) {
+		return fmt.Errorf("noninterference: distinguishing formula holds in the restricted variant: %s", hml.Format(f))
+	}
+	return nil
 }
 
 // CheckModel generates the state space of an elaborated model and runs the

@@ -8,6 +8,7 @@ import (
 	"repro/internal/elab"
 	"repro/internal/hml"
 	"repro/internal/lts"
+	"repro/internal/models"
 	"repro/internal/rates"
 )
 
@@ -140,6 +141,46 @@ func TestInterferenceFormulaIsValidWitness(t *testing.T) {
 	}
 	if hml.NewChecker(restricted).Sat(restricted.Initial, res.Formula) {
 		t.Errorf("formula should fail in the restricted variant: %s", res.FormulaText)
+	}
+}
+
+// TestRPCSimplifiedFormulaCertified runs the failing check of paper
+// Sect. 3.1 and then hands the certification step formulas that do not
+// separate the two full variants: each must be rejected.
+func TestRPCSimplifiedFormulaCertified(t *testing.T) {
+	a, err := models.BuildRPCSimplified()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := elab.Elaborate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := lts.Generate(m, lts.GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{
+		High: lts.LabelMatcherByNames(models.RPCHighLabels()...),
+		Low:  lts.LabelMatcherByInstance("C"),
+	}
+	res, err := Check(l, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Transparent {
+		t.Fatal("the simplified rpc must fail the check")
+	}
+	notLow := func(s string) bool { return !spec.Low(s) }
+	hidden := lts.Hide(l, notLow)
+	restricted := lts.Hide(lts.Restrict(l, spec.High), notLow)
+	if err := certify(hidden, restricted, res.Formula); err != nil {
+		t.Fatalf("returned formula not certified: %v", err)
+	}
+	for _, bad := range []hml.Formula{hml.True{}, hml.Not{F: res.Formula}} {
+		if err := certify(hidden, restricted, bad); err == nil {
+			t.Errorf("formula %s does not separate the variants but was certified", hml.Format(bad))
+		}
 	}
 }
 

@@ -121,4 +121,14 @@ go test -timeout 10m -short -run '^$' -bench . -benchtime 1x ./...
 echo "== bench race smoke (-cpu 1,2) =="
 scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|SweepReuse|BatchSolve(RPC|Streaming)Batched|MultilevelEps(Multilevel|BatchedMultilevel)|Compose(RPC|Streaming)(Full|Minimized)$'
 
+# Fuzz smoke: ten seconds of coverage-guided fuzzing per target on top of
+# the seed corpora that plain `go test` replays — the Æmilia parser and
+# lexer (the byte-parsing input surface) and the weak-bisimulation check
+# against its unreduced saturation oracle. A crasher lands under the
+# package's testdata/fuzz and then replays in every later `go test`.
+echo "== fuzz smoke =="
+go test -timeout 5m -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/aemilia/parser/
+go test -timeout 5m -run '^$' -fuzz '^FuzzLexer$' -fuzztime 10s ./internal/aemilia/parser/
+go test -timeout 5m -run '^$' -fuzz '^FuzzWeakEquivalent$' -fuzztime 10s ./internal/bisim/
+
 echo "CI OK"
