@@ -375,35 +375,6 @@ func benchSimReplications(b *testing.B, workers int) {
 func BenchmarkSimReplicationsSequential(b *testing.B) { benchSimReplications(b, 1) }
 func BenchmarkSimReplicationsParallel(b *testing.B)   { benchSimReplications(b, runtime.NumCPU()) }
 
-// --- Parallel generation: sequential vs parallel ---
-//
-// State-space generation benchmarked at GenWorkers = 1 vs NumCPU on the
-// full-size streaming model. Outputs are bit-identical at any worker
-// count (the level-synchronized merge), so the delta is pure wall-clock;
-// results/BENCH_genparallel.json records the measured ratios with the
-// core count. The steady-state solve of the same chain is benchmarked
-// below; it is sequential.
-
-func benchGenerate(b *testing.B, workers int) {
-	a, err := models.BuildStreaming(models.DefaultStreamingParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := elab.Elaborate(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lts.Generate(m, lts.GenerateOptions{GenWorkers: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGenerateSequential(b *testing.B) { benchGenerate(b, 1) }
-func BenchmarkGenerateParallel(b *testing.B)   { benchGenerate(b, runtime.NumCPU()) }
-
 // streamingSteadyChain builds the full-size streaming chain once (its
 // recurrent component has 1155 tangible states).
 func streamingSteadyChain(b *testing.B) *ctmc.CTMC {

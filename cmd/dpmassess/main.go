@@ -3,22 +3,21 @@
 //
 // Usage:
 //
-//	dpmassess lts      [-dot out.dot] [-max N] [-compose full|minimize] [-stats]
-//	                   [-workers N] model.aem
-//	dpmassess check    -high INST -low INST [-high-labels l1,l2] [-workers N] model.aem
+//	dpmassess lts      [-dot out.dot] [-max N] [-compose full|minimize] [-stats] model.aem
+//	dpmassess check    -high INST -low INST [-high-labels l1,l2] model.aem
 //	dpmassess solve    -measures spec.msr [-sweep auto|gauss-seidel|multilevel]
 //	                   [-compose full|minimize] [-stats] [-lanes K]
 //	                   [-checkpoint file.ckpt] [-resume] [-workers N] model.aem
 //	dpmassess sim      -measures spec.msr [-runlength T] [-warmup T]
 //	                   [-reps N] [-seed S] [-workers N] model.aem
-//	dpmassess equiv    [-relation strong|weak|markovian] [-workers N] a.aem b.aem
-//	dpmassess minimize [-relation strong|weak|markovian] [-dot out.dot] [-workers N] model.aem
-//	dpmassess mc       -formula 'EXISTS_WEAK_TRANS(...)' [-hide-except INST] [-workers N] model.aem
+//	dpmassess equiv    [-relation strong|weak|markovian] a.aem b.aem
+//	dpmassess minimize [-relation strong|weak|markovian] [-dot out.dot] model.aem
+//	dpmassess mc       -formula 'EXISTS_WEAK_TRANS(...)' [-hide-except INST] model.aem
 //
-// Every subcommand that explores a state space takes -workers: it bounds
-// the generation worker pool; the steady-state solver is sequential.
-// Outputs are bit-identical at any worker count. Every subcommand
-// also takes -timeout: an overall deadline after which generation, solves
+// State-space generation and the steady-state solver are sequential;
+// solve and sim take -workers to bound their concurrent sweep points and
+// replications, and outputs are bit-identical at any worker count. Every
+// subcommand takes -timeout: an overall deadline after which generation, solves
 // and simulations are canceled promptly (reported as a cancellation error
 // naming the phase that observed it).
 //
@@ -106,7 +105,6 @@ func runMC(args []string) error {
 	fs := flag.NewFlagSet("mc", flag.ContinueOnError)
 	formulaText := fs.String("formula", "", "formula in TwoTowers diagnostic syntax")
 	hideExcept := fs.String("hide-except", "", "hide every label not involving this instance (observation window)")
-	workers := workersFlag(fs)
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -130,7 +128,7 @@ func runMC(args []string) error {
 	if err != nil {
 		return err
 	}
-	l, err := loadLTS(ctx, path, *workers)
+	l, err := loadLTS(ctx, path)
 	if err != nil {
 		return err
 	}
@@ -152,7 +150,6 @@ func runMC(args []string) error {
 func runEquiv(args []string) error {
 	fs := flag.NewFlagSet("equiv", flag.ContinueOnError)
 	relName := fs.String("relation", "weak", "equivalence relation (strong, weak, markovian)")
-	workers := workersFlag(fs)
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -168,11 +165,11 @@ func runEquiv(args []string) error {
 	if fs.NArg() != 2 {
 		return fmt.Errorf("equiv expects two model files")
 	}
-	l1, err := loadLTS(ctx, fs.Arg(0), *workers)
+	l1, err := loadLTS(ctx, fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	l2, err := loadLTS(ctx, fs.Arg(1), *workers)
+	l2, err := loadLTS(ctx, fs.Arg(1))
 	if err != nil {
 		return err
 	}
@@ -209,7 +206,6 @@ func runMinimize(args []string) error {
 	fs := flag.NewFlagSet("minimize", flag.ContinueOnError)
 	relName := fs.String("relation", "weak", "equivalence relation (strong, weak, markovian)")
 	dotPath := fs.String("dot", "", "write the quotient in Graphviz DOT format")
-	workers := workersFlag(fs)
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -226,7 +222,7 @@ func runMinimize(args []string) error {
 	if err != nil {
 		return err
 	}
-	l, err := loadLTS(ctx, path, *workers)
+	l, err := loadLTS(ctx, path)
 	if err != nil {
 		return err
 	}
@@ -258,13 +254,6 @@ func runMinimize(args []string) error {
 	return nil
 }
 
-// workersFlag registers the shared -workers flag: the generation
-// worker-pool bound.
-func workersFlag(fs *flag.FlagSet) *int {
-	return fs.Int("workers", runtime.NumCPU(),
-		"state-space generation workers (outputs are identical at any value)")
-}
-
 // composeFlag registers the shared -compose flag: the composition
 // strategy of the state-space-building subcommands.
 func composeFlag(fs *flag.FlagSet) *string {
@@ -287,7 +276,7 @@ func parseCompose(mode string) (minimize bool, err error) {
 }
 
 // printMemStats renders the resident-memory breakdown of a generated
-// state space: the interned state table, the CSR transition arrays, and
+// state space: the state table, the CSR transition arrays, and
 // the fold-attribution pool.
 func printMemStats(l *lts.LTS) {
 	stateTable, csrBytes, auxBytes := l.MemStats()
@@ -386,14 +375,14 @@ func (p profFlags) start() (func(), error) {
 	}, nil
 }
 
-// loadLTS parses a model file and generates its state space on the given
-// worker pool, polling ctx at BFS level boundaries.
-func loadLTS(ctx context.Context, path string, workers int) (*lts.LTS, error) {
+// loadLTS parses a model file and generates its state space, polling ctx
+// at BFS level boundaries.
+func loadLTS(ctx context.Context, path string) (*lts.LTS, error) {
 	m, err := loadModel(path)
 	if err != nil {
 		return nil, err
 	}
-	return lts.Generate(m, lts.GenerateOptions{GenWorkers: workers, Ctx: ctx})
+	return lts.Generate(m, lts.GenerateOptions{Ctx: ctx})
 }
 
 func loadModel(path string) (*elab.Model, error) {
@@ -425,7 +414,6 @@ func runLTS(args []string) error {
 		"print resident-memory statistics (state table, transition arrays,\n"+
 			"attribution pool) and, with -compose minimize, the per-component\n"+
 			"reduction")
-	workers := workersFlag(fs)
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -450,12 +438,7 @@ func runLTS(args []string) error {
 	if err != nil {
 		return err
 	}
-	genOpts := lts.GenerateOptions{
-		MaxStates:        *maxStates,
-		KeepDescriptions: *dotPath != "",
-		GenWorkers:       *workers,
-		Ctx:              ctx,
-	}
+	genOpts := lts.GenerateOptions{MaxStates: *maxStates, Ctx: ctx}
 	var compStats *compose.Stats
 	if minimize {
 		qm, st, err := compose.Minimize(m, compose.Options{})
@@ -511,7 +494,6 @@ func runCheck(args []string) error {
 	high := fs.String("high", "", "high instance (its synchronizations are the power commands)")
 	low := fs.String("low", "", "low instance (its actions are the observables)")
 	highLabels := fs.String("high-labels", "", "comma-separated explicit high labels (overrides -high)")
-	workers := workersFlag(fs)
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -544,7 +526,7 @@ func runCheck(args []string) error {
 	} else {
 		spec.High = lts.LabelMatcherByInstance(*high)
 	}
-	l, err := lts.Generate(m, lts.GenerateOptions{GenWorkers: *workers, Ctx: ctx})
+	l, err := lts.Generate(m, lts.GenerateOptions{Ctx: ctx})
 	if err != nil {
 		return err
 	}
@@ -597,7 +579,8 @@ func runSolve(args []string) error {
 	resume := fs.Bool("resume", false,
 		"resume from an existing -checkpoint file, replaying the saved solution\n"+
 			"instead of re-solving (output is identical to an uninterrupted run)")
-	workers := workersFlag(fs)
+	workers := fs.Int("workers", runtime.NumCPU(),
+		"concurrent sweep points on checkpointed solves (outputs are identical at any value)")
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -649,7 +632,7 @@ func runSolve(args []string) error {
 	s := pipeline.NewSession(pipeline.Spec{
 		Model:    m,
 		Measures: ms,
-		Gen:      lts.GenerateOptions{GenWorkers: *workers, Ctx: ctx},
+		Gen:      lts.GenerateOptions{Ctx: ctx},
 		Minimize: minimize,
 		Solve:    ctmc.SolveOptions{Sweep: sweep, Ctx: ctx},
 	}, pipeline.Config{Workers: *workers, LaneWidth: *lanes, Ctx: ctx})

@@ -12,8 +12,8 @@
 // locally-enabled predicate the measure layer observes; (3) replaces the
 // instance's behaviour by the quotient block automaton (block
 // representative = lowest interned configuration, block numbering a pure
-// function of the model). The reduced model feeds the ordinary
-// level-synchronized generator unchanged.
+// function of the model). The reduced model feeds the ordinary compiled
+// generator unchanged.
 //
 // The lumping relation is composition-sound (see
 // bisim.MarkovianPartitionFrom): blocks agree on cumulative exponential

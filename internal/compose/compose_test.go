@@ -212,8 +212,8 @@ func flatten(l *lts.LTS) []flatEdge {
 }
 
 // TestMinimizeDeterministic pins the determinism rule: two independent
-// Minimize runs produce the same quotient, and generation from it is
-// bit-identical at any worker count.
+// Minimize runs produce the same quotient, and generation from the two
+// quotients is bit-identical.
 func TestMinimizeDeterministic(t *testing.T) {
 	m := lumpableModel(t)
 	qm1, st1, err := Minimize(m, Options{})
@@ -227,28 +227,25 @@ func TestMinimizeDeterministic(t *testing.T) {
 	if st1.String() != st2.String() {
 		t.Fatalf("stats differ across runs: %q vs %q", st1, st2)
 	}
-	ref, err := lts.Generate(qm1, lts.GenerateOptions{GenWorkers: 1})
+	ref, err := lts.Generate(qm1, lts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refEdges := flatten(ref)
-	for _, workers := range []int{2, 8} {
-		l, err := lts.Generate(qm2, lts.GenerateOptions{GenWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l.NumStates != ref.NumStates || l.Initial != ref.Initial {
-			t.Fatalf("workers=%d: %d states (initial %d), want %d (initial %d)",
-				workers, l.NumStates, l.Initial, ref.NumStates, ref.Initial)
-		}
-		edges := flatten(l)
-		if len(edges) != len(refEdges) {
-			t.Fatalf("workers=%d: %d edges, want %d", workers, len(edges), len(refEdges))
-		}
-		for i := range edges {
-			if edges[i] != refEdges[i] {
-				t.Fatalf("workers=%d: edge %d = %+v, want %+v", workers, i, edges[i], refEdges[i])
-			}
+	l, err := lts.Generate(qm2, lts.GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.NumStates != ref.NumStates || l.Initial != ref.Initial {
+		t.Fatalf("%d states (initial %d), want %d (initial %d)",
+			l.NumStates, l.Initial, ref.NumStates, ref.Initial)
+	}
+	edges, refEdges := flatten(l), flatten(ref)
+	if len(edges) != len(refEdges) {
+		t.Fatalf("%d edges, want %d", len(edges), len(refEdges))
+	}
+	for i := range edges {
+		if edges[i] != refEdges[i] {
+			t.Fatalf("edge %d = %+v, want %+v", i, edges[i], refEdges[i])
 		}
 	}
 }

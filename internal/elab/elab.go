@@ -1,8 +1,9 @@
 // Package elab elaborates a validated architectural description into an
 // executable composition: it instantiates element types, resolves
 // attachments, and exposes a one-step successor function over global
-// states. Both the explicit state-space generator (internal/lts) and the
-// discrete-event simulator (internal/sim) are built on this package.
+// states. The explicit state-space generator (internal/lts) explores the
+// composition compiled to integer tables (Compile); the discrete-event
+// simulator (internal/sim) compiles its records from Successors.
 //
 // A global state is a vector of per-instance local configurations; a local
 // configuration is a position in the instance's behaviour (a process node)
@@ -119,10 +120,10 @@ type nodeInfo struct {
 // Elaborate returns — labels, roles, and node tables are precomputed and
 // never written again — so a single Model may be shared by any number of
 // goroutines: Successors, LocalMoves, LocallyEnabled, Describe, and
-// DecodeKey are safe to call concurrently, and AppendKey is safe as long
-// as each goroutine appends into its own buffer. The parallel state-space
-// generator (internal/lts) and the simulator's replication pool
-// (internal/sim) both rely on this contract.
+// Compile are safe to call concurrently, and AppendKey is safe as long as
+// each goroutine appends into its own buffer. Concurrent state-space
+// generations (internal/lts, each on its own Compiled) and the
+// simulator's replication pool (internal/sim) both rely on this contract.
 type Model struct {
 	arch  *aemilia.ArchiType
 	insts []instance

@@ -11,7 +11,7 @@ import (
 // local configuration graph lumped into blocks. In a quotient model the
 // local configuration of the instance is LocalConfig{Node: block, Args: nil}
 // — the block identifier takes the place of the process node, and the
-// canonical state encoding (AppendKey/DecodeKey) is unchanged.
+// canonical state encoding (AppendKey) is unchanged.
 type InstanceQuotient struct {
 	// Init is the initial block.
 	Init int

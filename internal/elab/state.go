@@ -2,7 +2,6 @@ package elab
 
 import (
 	"encoding/binary"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -11,9 +10,9 @@ import (
 
 // AppendKey appends the canonical byte-string encoding of a global state
 // to dst and returns the extended slice. The encoding is the interning key
-// of the state-space arena: equal states produce equal encodings, and
-// DecodeKey inverts it. Appending to a caller-owned scratch buffer keeps
-// the hot exploration path allocation-free.
+// of a state table: equal states produce equal encodings. Appending to a
+// caller-owned scratch buffer keeps the hot exploration path
+// allocation-free.
 func (m *Model) AppendKey(dst []byte, s State) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	for _, c := range s {
@@ -42,59 +41,6 @@ func (m *Model) AppendKey(dst []byte, s State) []byte {
 // as a map key during state-space exploration.
 func (m *Model) Key(s State) string {
 	return string(m.AppendKey(nil, s))
-}
-
-// DecodeKey reconstructs a global state from its canonical encoding. The
-// encoding is self-describing given the model's instance count, which is
-// how lazily rendered state descriptions recover a state from the
-// interner arena without retaining the original State values.
-func (m *Model) DecodeKey(key []byte) (State, error) {
-	s := make(State, len(m.insts))
-	pos := 0
-	for i := range m.insts {
-		node, n := binary.Uvarint(key[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("elab: truncated state key at instance %d", i)
-		}
-		pos += n
-		if pos >= len(key) {
-			return nil, fmt.Errorf("elab: truncated state key at instance %d", i)
-		}
-		argc := int(key[pos])
-		pos++
-		var args []expr.Value
-		if argc > 0 {
-			args = make([]expr.Value, argc)
-			for j := 0; j < argc; j++ {
-				if pos >= len(key) {
-					return nil, fmt.Errorf("elab: truncated state key at instance %d arg %d", i, j)
-				}
-				switch key[pos] {
-				case 'i':
-					pos++
-					v, n := binary.Varint(key[pos:])
-					if n <= 0 {
-						return nil, fmt.Errorf("elab: bad int in state key at instance %d arg %d", i, j)
-					}
-					pos += n
-					args[j] = expr.IntValue(v)
-				case 'T':
-					pos++
-					args[j] = expr.BoolValue(true)
-				case 'F':
-					pos++
-					args[j] = expr.BoolValue(false)
-				default:
-					return nil, fmt.Errorf("elab: bad tag %q in state key", key[pos])
-				}
-			}
-		}
-		s[i] = LocalConfig{Node: int(node), Args: args}
-	}
-	if pos != len(key) {
-		return nil, fmt.Errorf("elab: %d trailing byte(s) in state key", len(key)-pos)
-	}
-	return s, nil
 }
 
 // Describe renders a global state readably, for diagnostics: each instance

@@ -49,10 +49,9 @@ func (r *Runner) workersOr(n int) int {
 }
 
 // genOpts is the generation configuration the Runner's sessions carry:
-// the config worker count applied to the frontier-expansion pool and the
-// config context applied to BFS-level cancellation polls.
+// the config context applied to BFS-level cancellation polls.
 func (r *Runner) genOpts() lts.GenerateOptions {
-	return lts.GenerateOptions{GenWorkers: r.workersOr(0), Ctx: r.cfg.Ctx}
+	return lts.GenerateOptions{Ctx: r.cfg.Ctx}
 }
 
 // solveOpts is the steady-state solver configuration the Runner's

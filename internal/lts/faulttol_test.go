@@ -9,33 +9,31 @@ import (
 	"repro/internal/faultinject"
 )
 
-// TestGeneratePanicIsolated injects a panic into a state-expansion task
-// and checks it surfaces as a typed worker-panic error — with the
-// injected fault reachable — instead of crashing, on both the inline
-// (one-worker) and pooled frontier-expansion paths.
+// TestGeneratePanicIsolated injects a panic into a state expansion and
+// checks it surfaces as a typed worker-panic error — attributed to the
+// state being expanded, with the injected fault reachable — instead of
+// crashing.
 func TestGeneratePanicIsolated(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		plan := faultinject.NewPlan().Arm(faultinject.SiteGenerateExpand, 5)
-		faultinject.Activate(plan)
-		_, err := Generate(gridModel(t, 3), GenerateOptions{GenWorkers: workers})
-		faultinject.Deactivate()
-		if err == nil {
-			t.Fatalf("workers=%d: injected panic vanished", workers)
-		}
-		var wpe *fault.WorkerPanicError
-		if !errors.As(err, &wpe) {
-			t.Fatalf("workers=%d: want *fault.WorkerPanicError, got %T: %v", workers, err, err)
-		}
-		if wpe.Pool != "lts.generate" {
-			t.Errorf("workers=%d: panic attributed to pool %q, want lts.generate", workers, wpe.Pool)
-		}
-		if !errors.Is(err, fault.ErrWorkerPanic) {
-			t.Errorf("workers=%d: errors.Is(err, fault.ErrWorkerPanic) is false", workers)
-		}
-		var ie *faultinject.InjectedError
-		if !errors.As(err, &ie) || ie.Site != faultinject.SiteGenerateExpand || ie.Key != 5 {
-			t.Errorf("workers=%d: injected fault not recovered intact: %v", workers, err)
-		}
+	plan := faultinject.NewPlan().Arm(faultinject.SiteGenerateExpand, 5)
+	faultinject.Activate(plan)
+	_, err := Generate(gridModel(t, 3), GenerateOptions{})
+	faultinject.Deactivate()
+	if err == nil {
+		t.Fatal("injected panic vanished")
+	}
+	var wpe *fault.WorkerPanicError
+	if !errors.As(err, &wpe) {
+		t.Fatalf("want *fault.WorkerPanicError, got %T: %v", err, err)
+	}
+	if wpe.Pool != "lts.generate" || wpe.Task != "state 5" {
+		t.Errorf("panic attributed to %s/%q, want lts.generate/\"state 5\"", wpe.Pool, wpe.Task)
+	}
+	if !errors.Is(err, fault.ErrWorkerPanic) {
+		t.Errorf("errors.Is(err, fault.ErrWorkerPanic) is false")
+	}
+	var ie *faultinject.InjectedError
+	if !errors.As(err, &ie) || ie.Site != faultinject.SiteGenerateExpand || ie.Key != 5 {
+		t.Errorf("injected fault not recovered intact: %v", err)
 	}
 }
 
@@ -61,22 +59,42 @@ func TestGenerateCancel(t *testing.T) {
 }
 
 // TestGenerateDeterministicAfterRecovery pins that fault instrumentation
-// is observation-only: generating with a plan armed for keys that never
-// match (out of range) yields the same LTS as generating with no plan.
+// is observation-only and that a recovered panic leaves nothing behind:
+// a plan armed for a key that never matches, and a regeneration from the
+// same model after an injected panic, both yield the LTS of a clean run.
 func TestGenerateDeterministicAfterRecovery(t *testing.T) {
-	ref, err := Generate(gridModel(t, 3), GenerateOptions{GenWorkers: 4})
+	m := gridModel(t, 3)
+	ref, err := Generate(m, GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := faultinject.NewPlan().Arm(faultinject.SiteGenerateExpand, 1<<30)
-	faultinject.Activate(plan)
-	got, err := Generate(gridModel(t, 3), GenerateOptions{GenWorkers: 4})
+	faultinject.Activate(faultinject.NewPlan().Arm(faultinject.SiteGenerateExpand, 1<<30))
+	unfired, err := Generate(m, GenerateOptions{})
 	faultinject.Deactivate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.NumStates != got.NumStates || ref.NumTransitions() != got.NumTransitions() {
-		t.Errorf("armed-but-unfired plan changed the LTS: %d/%d states, %d/%d transitions",
-			ref.NumStates, got.NumStates, ref.NumTransitions(), got.NumTransitions())
+	faultinject.Activate(faultinject.NewPlan().Arm(faultinject.SiteGenerateExpand, 7))
+	_, err = Generate(m, GenerateOptions{})
+	faultinject.Deactivate()
+	if !errors.Is(err, fault.ErrWorkerPanic) {
+		t.Fatalf("injected panic not reported: %v", err)
+	}
+	again, err := Generate(m, GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := flatten(ref)
+	for name, l := range map[string]*LTS{"armed-but-unfired": unfired, "after recovery": again} {
+		got := flatten(l)
+		if l.NumStates != ref.NumStates || len(got) != len(want) {
+			t.Fatalf("%s: %d states, %d transitions; want %d, %d",
+				name, l.NumStates, len(got), ref.NumStates, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: edge %d = %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
 	}
 }

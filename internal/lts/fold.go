@@ -1,6 +1,7 @@
 package lts
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/elab"
@@ -45,30 +46,31 @@ import (
 //     cycle (a timeless trap, which ctmc.Build rejects on the full system
 //     too).
 //
-// Expansion is a pure function of the model and the successor state, so
-// the folded system is bit-identical at any worker count, exactly like the
-// unfolded generator.
+// Expansion is a pure function of the model and the successor state, and
+// works on the same compiled tuples as the unfolded generator: the memo
+// keys on tuple bytes, so a vanishing state is expanded once per
+// generation however many transitions reach it.
 
 // auxTerm is one observed-label attribution accumulated during expansion,
-// keyed by label name until the sequential merge interns it.
+// keyed by label name until the generator interns it.
 type auxTerm struct {
 	label string
 	count float64
 }
 
-// genTransition is one (possibly redirected) transition produced by a
-// worker for the sequential merge.
+// genTransition is one (possibly redirected) transition handed from the
+// folder to the generator.
 type genTransition struct {
-	label string
+	label int32 // compiled label id
 	rate  rates.Rate
-	next  elab.State
+	next  []uint32
 	aux   []auxTerm // sorted by label; nil when no attribution
 }
 
 // foldTerm is one absorption target of an expanded vanishing state.
 type foldTerm struct {
-	key     string
-	state   elab.State
+	key     string // tuple bytes
+	state   []uint32
 	prob    float64
 	auxLab  []string  // sorted observed labels traversed on the way
 	auxFlow []float64 // parallel: Σ path-probability · traversals
@@ -86,61 +88,93 @@ type foldEntry struct {
 
 var keepEntry = &foldEntry{}
 
-// foldMemoLimit bounds a worker's expansion memo; past it the memo is
-// reset (a pure speed/memory trade-off — verdicts are recomputed, never
-// changed).
+// foldMemoLimit bounds the expansion memo; past it the memo is reset (a
+// pure speed/memory trade-off — verdicts are recomputed, never changed).
 const foldMemoLimit = 1 << 21
 
-// foldCtx is one worker's folding state. Contexts are never shared across
-// workers; determinism comes from expansion being a pure function.
+// foldCtx is one generation's folding state.
 type foldCtx struct {
-	m        *elab.Model
-	observed func(string) bool
+	c        *elab.Compiled
+	n        int
+	observed []int8 // by compiled label id: 0 unknown, 1 observed, -1 not
+	match    func(string) bool
 	maxDepth int
 	memo     map[string]*foldEntry
 	onPath   map[string]bool
 	keyBuf   []byte
+	succ     []elab.Succ
+	next     []uint32
+	out      []genTransition
 }
 
-func newFoldCtx(m *elab.Model, opts *FoldOptions) *foldCtx {
+func newFoldCtx(c *elab.Compiled, opts *FoldOptions) *foldCtx {
 	depth := opts.MaxDepth
 	if depth <= 0 {
 		depth = 1024
 	}
-	obs := opts.Observed
-	if obs == nil {
-		obs = func(string) bool { return false }
+	match := opts.Observed
+	if match == nil {
+		match = func(string) bool { return false }
 	}
 	return &foldCtx{
-		m:        m,
-		observed: obs,
+		c:        c,
+		n:        c.NumInstances(),
+		match:    match,
 		maxDepth: depth,
 		memo:     make(map[string]*foldEntry, 1024),
 		onPath:   make(map[string]bool, 16),
 	}
 }
 
-func (fc *foldCtx) keyOf(s elab.State) string {
-	fc.keyBuf = fc.m.AppendKey(fc.keyBuf[:0], s)
-	return string(fc.keyBuf)
+// isObserved reports whether a compiled label is observed, asking the
+// matcher once per label.
+func (fc *foldCtx) isObserved(id int32) bool {
+	for int(id) >= len(fc.observed) {
+		fc.observed = append(fc.observed, 0)
+	}
+	if fc.observed[id] == 0 {
+		fc.observed[id] = -1
+		if fc.match(fc.c.Label(id)) {
+			fc.observed[id] = 1
+		}
+	}
+	return fc.observed[id] > 0
 }
 
-// expandTarget computes the absorption distribution of state v, memoized
-// by state key. A nil-terms entry means "keep v".
-func (fc *foldCtx) expandTarget(v elab.State, key string, depth int) (*foldEntry, error) {
-	if e, ok := fc.memo[key]; ok {
+// lookup encodes tuple v into keyBuf and returns its memoized entry.
+func (fc *foldCtx) lookup(v []uint32) (*foldEntry, bool) {
+	fc.keyBuf = appendTupleKey(fc.keyBuf[:0], v)
+	e, ok := fc.memo[string(fc.keyBuf)]
+	return e, ok
+}
+
+func (fc *foldCtx) remember(key string, e *foldEntry) {
+	if len(fc.memo) >= foldMemoLimit {
+		fc.memo = make(map[string]*foldEntry, 1024)
+	}
+	fc.memo[key] = e
+}
+
+// expandTarget computes the absorption distribution of tuple v, memoized
+// by its key. A nil-terms entry means "keep v".
+func (fc *foldCtx) expandTarget(v []uint32, depth int) (*foldEntry, error) {
+	if e, ok := fc.lookup(v); ok {
 		return e, nil
 	}
+	key := string(fc.keyBuf)
 	if depth > fc.maxDepth {
 		return keepEntry, nil // do not memoize: verdict depends on depth
 	}
 	if fc.onPath[key] {
 		return keepEntry, nil // immediate cycle: keep (timeless trap upstream)
 	}
-	succ, err := fc.m.Successors(v)
+	// Most targets are tangible, so successors go into reused slabs and
+	// are copied out only when v turns out to be vanishing.
+	succ, next, err := fc.c.Successors(v, fc.succ[:0], fc.next[:0])
 	if err != nil {
 		return nil, err
 	}
+	fc.succ, fc.next = succ, next
 	// Maximal-progress selection, mirroring ctmc.Build: the highest
 	// priority level among immediate moves wins; weights normalize the
 	// remaining choice.
@@ -154,12 +188,8 @@ func (fc *foldCtx) expandTarget(v elab.State, key string, depth int) (*foldEntry
 		}
 	}
 	if !hasImm {
-		e := keepEntry // tangible
-		if len(fc.memo) >= foldMemoLimit {
-			fc.memo = make(map[string]*foldEntry, 1024)
-		}
-		fc.memo[key] = e
-		return e, nil
+		fc.remember(key, keepEntry) // tangible
+		return keepEntry, nil
 	}
 	total := 0.0
 	for i := range succ {
@@ -174,6 +204,8 @@ func (fc *foldCtx) expandTarget(v elab.State, key string, depth int) (*foldEntry
 
 	fc.onPath[key] = true
 	defer delete(fc.onPath, key)
+	// Nested expansions reuse the slabs; the terms keep target tuples.
+	succ, next = slices.Clone(succ), slices.Clone(next)
 
 	out := make([]foldTerm, 0, 2)
 	pos := make(map[string]int, 2)
@@ -188,7 +220,7 @@ func (fc *foldCtx) expandTarget(v elab.State, key string, depth int) (*foldEntry
 		}
 		auxAcc[ti][label] += flow
 	}
-	addTerm := func(key string, st elab.State, p float64) int {
+	addTerm := func(key string, st []uint32, p float64) int {
 		if ti, ok := pos[key]; ok {
 			out[ti].prob += p
 			return ti
@@ -208,15 +240,15 @@ func (fc *foldCtx) expandTarget(v elab.State, key string, depth int) (*foldEntry
 		}
 		fired++
 		p := r.Weight / total
-		lab := succ[i].Label
-		obsLab := fc.observed(lab)
-		tkey := fc.keyOf(succ[i].Next)
-		sub, err := fc.expandTarget(succ[i].Next, tkey, depth+1)
+		lab := fc.c.Label(succ[i].Label)
+		obsLab := fc.isObserved(succ[i].Label)
+		t := next[i*fc.n : (i+1)*fc.n : (i+1)*fc.n]
+		sub, err := fc.expandTarget(t, depth+1)
 		if err != nil {
 			return nil, err
 		}
 		if sub.terms == nil {
-			ti := addTerm(tkey, succ[i].Next, p)
+			ti := addTerm(string(appendTupleKey(fc.keyBuf[:0], t)), t, p)
 			if obsLab {
 				addFlow(ti, lab, p)
 			}
@@ -260,35 +292,29 @@ func (fc *foldCtx) expandTarget(v elab.State, key string, depth int) (*foldEntry
 		out[ti].auxLab, out[ti].auxFlow = labs, flows
 	}
 	e := &foldEntry{terms: out, linear: linear && len(out) == 1}
-	if len(fc.memo) >= foldMemoLimit {
-		fc.memo = make(map[string]*foldEntry, 1024)
-	}
-	fc.memo[key] = e
+	fc.remember(key, e)
 	return e, nil
 }
 
-// foldTransitions rewrites one source state's successor list, folding
-// every foldable vanishing target. It returns worker-local transitions for
-// the sequential merge.
-func (fc *foldCtx) foldTransitions(ts []elab.Transition) ([]genTransition, error) {
-	out := make([]genTransition, 0, len(ts))
-	emitOriginal := func(tr *elab.Transition) {
-		out = append(out, genTransition{label: tr.Label, rate: tr.Rate, next: tr.Next})
-	}
-	for i := range ts {
-		tr := &ts[i]
-		r := tr.Rate
+// foldTransitions rewrites one source state's successor list (compiled
+// successors and their target tuples), folding every foldable vanishing
+// target. The returned slice is reused by the next call.
+func (fc *foldCtx) foldTransitions(succ []elab.Succ, next []uint32) ([]genTransition, error) {
+	out := fc.out[:0]
+	for i := range succ {
+		r := succ[i].Rate
+		t := next[i*fc.n : (i+1)*fc.n : (i+1)*fc.n]
+		original := genTransition{label: succ[i].Label, rate: r, next: t}
 		if r.Kind != rates.Exp && r.Kind != rates.Immediate {
-			emitOriginal(tr)
+			out = append(out, original)
 			continue
 		}
-		key := fc.keyOf(tr.Next)
-		entry, err := fc.expandTarget(tr.Next, key, 0)
+		entry, err := fc.expandTarget(t, 0)
 		if err != nil {
 			return nil, err
 		}
 		if entry.terms == nil || (r.Slot > 0 && !entry.linear) {
-			emitOriginal(tr)
+			out = append(out, original)
 			continue
 		}
 		for ti := range entry.terms {
@@ -307,8 +333,9 @@ func (fc *foldCtx) foldTransitions(ts []elab.Transition) ([]genTransition, error
 					aux[ai] = auxTerm{label: al, count: term.auxFlow[ai] / term.prob}
 				}
 			}
-			out = append(out, genTransition{label: tr.Label, rate: nr, next: term.state, aux: aux})
+			out = append(out, genTransition{label: succ[i].Label, rate: nr, next: term.state, aux: aux})
 		}
 	}
+	fc.out = out
 	return out, nil
 }

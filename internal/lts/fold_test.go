@@ -2,6 +2,7 @@ package lts_test
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/aemilia"
@@ -249,39 +250,51 @@ func TestFoldSlottedBranchingKept(t *testing.T) {
 	}
 }
 
-// TestFoldParallelBitIdentity pins determinism: folded generation is
-// bit-identical at any worker count, attribution pool included.
+// TestFoldParallelBitIdentity pins determinism: folded generations run
+// concurrently from one shared model are bit-identical to a sequential
+// one, attribution pool included.
 func TestFoldParallelBitIdentity(t *testing.T) {
 	m := vanishingModel(t)
-	opts := func(workers int) lts.GenerateOptions {
-		return lts.GenerateOptions{
-			Fold:       &lts.FoldOptions{Observed: func(s string) bool { return s == "W.pick" }},
-			GenWorkers: workers,
-		}
+	opts := lts.GenerateOptions{
+		Fold: &lts.FoldOptions{Observed: func(s string) bool { return s == "W.pick" }},
 	}
-	ref, err := lts.Generate(m, opts(1))
+	ref, err := lts.Generate(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refEdges := flatten(ref)
-	for _, workers := range []int{2, 8} {
-		l, err := lts.Generate(m, opts(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
+	got := make([]*lts.LTS, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l, err := lts.Generate(m, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[g] = l
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g, l := range got {
 		if l.NumStates != ref.NumStates || l.Initial != ref.Initial || l.NumAux() != ref.NumAux() {
-			t.Fatalf("workers=%d: shape differs (states %d/%d, aux %d/%d)",
-				workers, l.NumStates, ref.NumStates, l.NumAux(), ref.NumAux())
+			t.Fatalf("generation %d: shape differs (states %d/%d, aux %d/%d)",
+				g, l.NumStates, ref.NumStates, l.NumAux(), ref.NumAux())
 		}
 		edges := flatten(l)
 		for i := range edges {
 			if edges[i] != refEdges[i] {
-				t.Fatalf("workers=%d: edge %d = %+v, want %+v", workers, i, edges[i], refEdges[i])
+				t.Fatalf("generation %d: edge %d = %+v, want %+v", g, i, edges[i], refEdges[i])
 			}
 		}
 		for e := 0; e < l.NumTransitions(); e++ {
 			if l.EdgeAux(e) != ref.EdgeAux(e) {
-				t.Fatalf("workers=%d: edge %d aux handle %d, want %d", workers, e, l.EdgeAux(e), ref.EdgeAux(e))
+				t.Fatalf("generation %d: edge %d aux handle %d, want %d", g, e, l.EdgeAux(e), ref.EdgeAux(e))
 			}
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/elab"
@@ -18,15 +16,7 @@ import (
 // StatePred names a local-enabledness predicate to evaluate in every
 // generated state: true iff the instance's current configuration offers
 // the action locally (whether or not the topology lets it fire).
-type StatePred struct {
-	// Instance is the instance name.
-	Instance string
-	// Action is the action name.
-	Action string
-}
-
-// Name returns the canonical "Instance.Action" form of the predicate.
-func (p StatePred) Name() string { return p.Instance + "." + p.Action }
+type StatePred = elab.Pred
 
 // GenerateOptions tunes state-space generation.
 type GenerateOptions struct {
@@ -35,18 +25,8 @@ type GenerateOptions struct {
 	// fresh state beyond the limit is discovered, so the state table never
 	// overshoots it.
 	MaxStates int
-	// KeepDescriptions is kept for compatibility; state descriptions are
-	// now always available lazily (rendered on demand from the interned
-	// state encodings), so generation never pays for them up front.
-	KeepDescriptions bool
 	// Predicates are evaluated in every state and stored in the LTS.
 	Predicates []StatePred
-	// GenWorkers bounds the generation worker pool: each BFS frontier is
-	// expanded by this many workers and merged in source order, and the
-	// predicate columns are sharded the same way. 0 uses GOMAXPROCS; 1
-	// runs sequentially. The generated LTS — state numbering, transition
-	// order, predicate columns — is bit-identical at any value.
-	GenWorkers int
 	// Ctx cancels generation: it is polled at every BFS level boundary and
 	// before each predicate column, and a cancellation surfaces as a
 	// *fault.CanceledError (phase "lts.generate", Iteration = level). A
@@ -104,118 +84,50 @@ var generateCalls atomic.Int64
 // process — a test hook for pinning generate-once behaviour of sweeps.
 func GenerateCalls() int64 { return generateCalls.Load() }
 
-// genChunk is the number of frontier states a worker claims at a time;
-// it only balances load and never affects the generated LTS.
-const genChunk = 32
-
-// minParallelFrontier is the frontier size below which a level is
-// expanded inline: narrow start-up levels are not worth a pool dispatch.
-const minParallelFrontier = 2 * genChunk
-
-// parFor runs fn over [0, n) on a pool of workers claiming ascending
-// fixed-size chunks; w is the worker index running the call. On failure
-// the pool stops claiming new chunks, every claimed chunk still runs up
-// to its own first failure, and parFor returns the lowest failing index
-// with its error — the failure a sequential loop over [0, n) would have
-// hit first. Because chunks are claimed in ascending order, every index
-// below the returned one has been processed successfully. A panicking fn
-// is recovered into a *fault.WorkerPanicError (pool name, worker, index)
-// and treated as that index's failure, so one crashing task never takes
-// down the process and attribution follows the same lowest-index rule.
-func parFor(pool string, n, workers int, fn func(w, i int) error) (int, error) {
-	type failure struct {
-		idx int
-		err error
-	}
-	var (
-		wg    sync.WaitGroup
-		next  atomic.Int64
-		stop  atomic.Bool
-		fails = make([]failure, workers)
-	)
-	for w := 0; w < workers; w++ {
-		fails[w].idx = n
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for !stop.Load() {
-				lo := int(next.Add(genChunk)) - genChunk
-				if lo >= n {
-					return
-				}
-				hi := lo + genChunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					err := fault.Guard(pool, w, fmt.Sprintf("index %d", i), func() error {
-						return fn(w, i)
-					})
-					if err != nil {
-						fails[w] = failure{idx: i, err: err}
-						stop.Store(true)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	first := failure{idx: n}
-	for _, f := range fails {
-		if f.err != nil && f.idx < first.idx {
-			first = f
-		}
-	}
-	return first.idx, first.err
-}
-
 // Generate explores the reachable state space of an elaborated model and
-// returns it as an explicit LTS. Exploration is a level-synchronized
-// breadth-first search: each frontier level is expanded by a worker pool
-// (opts.GenWorkers) into private buffers — elab.Model is immutable after
-// elaboration, so Successors is safe to call concurrently — and the
-// successor lists are then merged in source order into an arena-backed
-// intern table. The merge funnels every intern through one goroutine, so
-// dense state identifiers and the CSR edge order are the ones a
-// sequential run assigns, bit for bit, at any worker count.
+// returns it as an explicit LTS. The model is compiled first
+// (elab.Model.Compile): every instance's local configurations become
+// dense local ids with precomputed move tables, a global state is a
+// fixed-width tuple of local ids held in one flat slice, and the intern
+// table keys on the tuple bytes. Exploration is breadth-first and inline,
+// so state identifiers, the CSR edge order, label ids, predicate columns
+// and the attribution pool are pure functions of the model.
 func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 	generateCalls.Add(1)
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
 		maxStates = 2_000_000
 	}
-	workers := opts.GenWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	c := m.Compile(opts.Predicates)
+	n := c.NumInstances()
 
-	var foldCtxs []*foldCtx
+	var fc *foldCtx
 	if opts.Fold != nil {
-		foldCtxs = make([]*foldCtx, workers)
-		for w := range foldCtxs {
-			foldCtxs[w] = newFoldCtx(m, opts.Fold)
-		}
+		fc = newFoldCtx(c, opts.Fold)
 	}
 
 	in := statespace.NewInterner()
-	var states []elab.State
-	keyBuf := make([]byte, 0, 64)
+	var tuples []uint32 // state s is tuples[s*n : (s+1)*n]
+	numStates := 0
+	keyBuf := make([]byte, 0, 4*n)
 
-	intern := func(s elab.State) (uint32, error) {
-		keyBuf = m.AppendKey(keyBuf[:0], s)
+	intern := func(t []uint32) (uint32, error) {
+		keyBuf = appendTupleKey(keyBuf[:0], t)
 		id, fresh := in.Intern(keyBuf)
 		if fresh {
-			if len(states) >= maxStates {
-				return 0, &TooManyStatesError{Limit: maxStates, States: len(states)}
+			if numStates >= maxStates {
+				return 0, &TooManyStatesError{Limit: maxStates, States: numStates}
 			}
-			states = append(states, s)
+			tuples = append(tuples, t...)
+			numStates++
 		}
 		return id, nil
 	}
+	tuple := func(s int) []uint32 { return tuples[s*n : (s+1)*n : (s+1)*n] }
 
-	s0 := m.Initial()
-	if _, err := m.Successors(s0); err != nil {
+	s0 := c.Initial()
+	succ, next, err := c.Successors(s0, nil, nil)
+	if err != nil {
 		// Surface composition errors (e.g. active-active sync) immediately.
 		return nil, err
 	}
@@ -225,13 +137,27 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 
 	l := NewShared(0, statespace.NewSymbols())
 	l.Initial = 0
-	edges := make([]statespace.Edge, 0, 1024)
+	// States are expanded in identifier order, so the CSR is assembled
+	// row by row.
+	rows := statespace.NewRowBuilder()
+
+	// Compiled label ids map to symbol-table indices on first use, so
+	// labels are interned in edge order exactly as their strings would be.
+	var labelSym []int32
+	symOf := func(id int32) int32 {
+		for int(id) >= len(labelSym) {
+			labelSym = append(labelSym, -1)
+		}
+		if labelSym[id] < 0 {
+			labelSym[id] = int32(l.syms.Intern(c.Label(id)))
+		}
+		return labelSym[id]
+	}
 
 	// Attribution pool: folded reward attributions are deduplicated by
 	// their canonical byte signature (label index + count bits per term)
-	// and handed out as 1-based handles. The pool is appended to only
-	// here, inside the sequential merge, so handles are assigned in merge
-	// order — a pure function of the model, like state identifiers.
+	// and handed out as 1-based handles in edge order — a pure function of
+	// the model, like state identifiers.
 	auxStart := []int32{0}
 	var (
 		auxLabel []int32
@@ -268,121 +194,87 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		return id
 	}
 
-	// merge folds the successor list of one source state into the shared
-	// tables, in the source's BFS position — the only place states, edges
-	// and attributions are appended.
-	merge := func(qi int, ts []genTransition) error {
-		for i := range ts {
-			tr := &ts[i]
-			dst, err := intern(tr.next)
-			if err != nil {
-				return err
-			}
-			edges = append(edges, statespace.Edge{
-				Src:   int32(qi),
-				Dst:   int32(dst),
-				Label: int32(l.syms.Intern(tr.label)),
-				Aux:   internAux(tr.aux),
-				Rate:  tr.rate,
-			})
+	expandErr := func(qi int, err error) error {
+		return fmt.Errorf("lts: expanding state %s: %w", m.Describe(c.State(tuple(qi))), err)
+	}
+
+	// expand appends the (possibly folded) transitions of state qi as CSR
+	// row qi. Successor lists and target tuples live in reused slabs;
+	// each target is interned before the next expansion overwrites them.
+	expand := func(qi int) error {
+		faultinject.MaybePanic(faultinject.SiteGenerateExpand, qi)
+		var err error
+		succ, next, err = c.Successors(tuple(qi), succ[:0], next[:0])
+		if err != nil {
+			return expandErr(qi, err)
 		}
+		if fc != nil {
+			ts, err := fc.foldTransitions(succ, next)
+			if err != nil {
+				return expandErr(qi, err)
+			}
+			for i := range ts {
+				dst, err := intern(ts[i].next)
+				if err != nil {
+					return err
+				}
+				// The edge label takes its symbol before the
+				// attribution's labels do.
+				label := symOf(ts[i].label)
+				rows.Add(int32(dst), label, internAux(ts[i].aux), ts[i].rate)
+			}
+		} else {
+			for k := range succ {
+				dst, err := intern(next[k*n : (k+1)*n])
+				if err != nil {
+					return err
+				}
+				rows.Add(int32(dst), symOf(succ[k].Label), 0, succ[k].Rate)
+			}
+		}
+		rows.EndRow()
 		return nil
 	}
 
-	expandErr := func(src elab.State, err error) error {
-		return fmt.Errorf("lts: expanding state %s: %w", m.Describe(src), err)
-	}
-
-	// expand computes one state's successor list under a panic guard, so a
-	// crash in the elaborated model's successor code (or an injected fault
-	// keyed by the state's dense identifier) surfaces as an error instead
-	// of taking down the process — on the inline path and the pool alike.
-	// With folding enabled the worker also resolves foldable vanishing
-	// targets here, in parallel; folding is a pure function of (model,
-	// state), so the rewritten lists are worker-count independent.
-	expand := func(w, qi int, s elab.State) (ts []genTransition, err error) {
-		err = fault.Guard("lts.generate", w, fmt.Sprintf("state %d", qi), func() error {
-			faultinject.MaybePanic(faultinject.SiteGenerateExpand, qi)
-			raw, serr := m.Successors(s)
-			if serr != nil {
-				return serr
-			}
-			if foldCtxs != nil {
-				ts, serr = foldCtxs[w].foldTransitions(raw)
-				return serr
-			}
-			ts = make([]genTransition, len(raw))
-			for i := range raw {
-				ts[i] = genTransition{label: raw[i].Label, rate: raw[i].Rate, next: raw[i].Next}
-			}
-			return nil
-		})
-		return ts, err
-	}
-
-	for level, levelStart := 0, 0; levelStart < len(states); level++ {
+	for level, levelStart := 0, 0; levelStart < numStates; level++ {
 		if err := fault.Check(opts.Ctx, "lts.generate", -1, level); err != nil {
 			return nil, err
 		}
-		levelEnd := len(states)
-		n := levelEnd - levelStart
-		if workers == 1 || n < minParallelFrontier {
-			// Narrow frontier: expand and merge inline. The merge order is
-			// the same either way, so mixing inline and pooled levels does
-			// not perturb the numbering.
-			for qi := levelStart; qi < levelEnd; qi++ {
-				ts, err := expand(0, qi, states[qi])
-				if err != nil {
-					return nil, expandErr(states[qi], err)
-				}
-				if err := merge(qi, ts); err != nil {
-					return nil, err
+		// One panic guard per level: a crash in the compiled tables or the
+		// model's term interpretation (or an injected fault keyed by the
+		// state's dense identifier) surfaces as an error naming the state
+		// being expanded instead of taking down the process.
+		levelEnd, qi := numStates, levelStart
+		err := fault.Guard("lts.generate", 0, "", func() error {
+			for ; qi < levelEnd; qi++ {
+				if err := expand(qi); err != nil {
+					return err
 				}
 			}
-			levelStart = levelEnd
-			continue
-		}
-		// Wide frontier: expand on the pool into per-source buffers, then
-		// merge in source order. parFor guarantees every source below its
-		// reported failure has a complete buffer, so the merge observes
-		// exactly the prefix a sequential run would have processed.
-		results := make([][]genTransition, n)
-		frontier := states[levelStart:levelEnd]
-		failIdx, failErr := parFor("lts.generate", n, workers, func(w, i int) error {
-			ts, err := expand(w, levelStart+i, frontier[i])
-			if err != nil {
-				return err
-			}
-			results[i] = ts
 			return nil
 		})
-		for i := 0; i < n; i++ {
-			if i == failIdx {
-				return nil, expandErr(frontier[i], failErr)
-			}
-			if err := merge(levelStart+i, results[i]); err != nil {
-				return nil, err
-			}
+		if wpe, ok := err.(*fault.WorkerPanicError); ok {
+			wpe.Task = fmt.Sprintf("state %d", qi)
+			return nil, expandErr(qi, wpe)
+		}
+		if err != nil {
+			return nil, err
 		}
 		levelStart = levelEnd
 	}
-	l.NumStates = len(states)
-	l.setCSR(statespace.Build(l.NumStates, edges))
+	l.NumStates = numStates
+	l.setCSR(rows.CSR())
 	if len(auxStart) > 1 {
 		l.setAuxPool(auxStart, auxLabel, auxCount)
 	}
-	l.SetMemBytes(in.SizeBytes())
+	// The tuples are the state table the finished system retains (for
+	// descriptions); the intern index is dropped with this frame.
+	l.SetMemBytes(4 * len(tuples))
 
-	// Descriptions are lazy: the interner's byte arena is the state table,
-	// and a description is decoded from it only when actually requested
+	// Descriptions are lazy: a state's tuple is expanded into local
+	// configurations and rendered only when actually requested
 	// (diagnostics, DOT output) — bulk sweeps never render one.
-	l.descFn = func(s int) string {
-		st, err := m.DecodeKey(in.Bytes(uint32(s)))
-		if err != nil {
-			return fmt.Sprintf("s%d", s)
-		}
-		return m.Describe(st)
-	}
+	l.descFn = func(s int) string { return m.Describe(c.State(tuple(s))) }
 
 	if len(opts.Predicates) > 0 {
 		l.PredNames = make([]string, len(opts.Predicates))
@@ -392,33 +284,25 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 				return nil, err
 			}
 			l.PredNames[p] = pred.Name()
-			col := make([]bool, len(states))
-			eval := func(i int) error {
-				ok, err := m.LocallyEnabled(states[i], pred.Instance, pred.Action)
+			col := make([]bool, numStates)
+			for s := range col {
+				ok, err := c.Enabled(p, tuple(s))
 				if err != nil {
-					return err
+					return nil, fmt.Errorf("lts: predicate %s: %w", pred.Name(), err)
 				}
-				col[i] = ok
-				return nil
-			}
-			var err error
-			if workers == 1 || len(states) < minParallelFrontier {
-				for i := range states {
-					if err = eval(i); err != nil {
-						break
-					}
-				}
-			} else {
-				// Each column cell is written by exactly one worker; the
-				// column is a pure function of the state set, so sharding
-				// cannot perturb it.
-				_, err = parFor("lts.predicates", len(states), workers, func(w, i int) error { return eval(i) })
-			}
-			if err != nil {
-				return nil, fmt.Errorf("lts: predicate %s: %w", pred.Name(), err)
+				col[s] = ok
 			}
 			l.Preds[p] = col
 		}
 	}
 	return l, nil
+}
+
+// appendTupleKey appends the interning key of a state tuple: its local
+// ids as little-endian uint32s.
+func appendTupleKey(dst []byte, t []uint32) []byte {
+	for _, id := range t {
+		dst = binary.LittleEndian.AppendUint32(dst, id)
+	}
+	return dst
 }

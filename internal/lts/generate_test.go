@@ -11,9 +11,8 @@ import (
 )
 
 // gridModel composes two independent producer/buffer/consumer triples, so
-// the BFS frontier grows to O(capacity) states wide — wide enough to
-// exercise the parallel frontier expansion (the single-buffer models never
-// exceed a frontier of two).
+// the BFS frontier grows to O(capacity) states wide (the single-buffer
+// models never exceed a frontier of two).
 func gridModel(t *testing.T, capacity int64) *elab.Model {
 	t.Helper()
 	buf := aemilia.NewElemType("Buffer_Type",
@@ -66,74 +65,17 @@ func flatten(l *LTS) []flatEdge {
 	return out
 }
 
-// TestGenerateParallelBitIdentity pins the tentpole contract: the LTS
-// generated with a worker pool is identical — state numbering, edge order,
-// labels, rates, predicate columns — to the sequential one.
-func TestGenerateParallelBitIdentity(t *testing.T) {
-	preds := []StatePred{
-		{Instance: "B1", Action: "put"},
-		{Instance: "B2", Action: "get"},
-	}
-	gen := func(workers int) *LTS {
-		l, err := Generate(gridModel(t, 40), GenerateOptions{
-			Predicates: preds,
-			GenWorkers: workers,
-		})
-		if err != nil {
-			t.Fatalf("Generate(workers=%d): %v", workers, err)
-		}
-		return l
-	}
-	seq := gen(1)
-	// 41*41 buffer fill combinations: frontiers reach width ~80, well past
-	// the inline-expansion threshold.
-	if seq.NumStates != 41*41 {
-		t.Fatalf("NumStates = %d, want %d", seq.NumStates, 41*41)
-	}
-	seqEdges := flatten(seq)
-	for _, workers := range []int{2, 8} {
-		par := gen(workers)
-		if par.NumStates != seq.NumStates {
-			t.Fatalf("workers=%d: NumStates = %d, want %d", workers, par.NumStates, seq.NumStates)
-		}
-		parEdges := flatten(par)
-		if len(parEdges) != len(seqEdges) {
-			t.Fatalf("workers=%d: %d edges, want %d", workers, len(parEdges), len(seqEdges))
-		}
-		for i := range seqEdges {
-			if parEdges[i] != seqEdges[i] {
-				t.Fatalf("workers=%d: edge %d = %+v, want %+v", workers, i, parEdges[i], seqEdges[i])
-			}
-		}
-		for _, p := range preds {
-			for s := 0; s < seq.NumStates; s++ {
-				sv, err1 := seq.Pred(p.Name(), s)
-				pv, err2 := par.Pred(p.Name(), s)
-				if err1 != nil || err2 != nil || sv != pv {
-					t.Fatalf("workers=%d: pred %s state %d: seq (%t,%v) par (%t,%v)",
-						workers, p.Name(), s, sv, err1, pv, err2)
-				}
-			}
-		}
-	}
-}
-
 // TestGenerateMaxStatesExactCount pins the intern-time MaxStates bound:
 // generation aborts with exactly Limit states interned — never an extra
-// frontier — at any worker count.
+// frontier.
 func TestGenerateMaxStatesExactCount(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		_, err := Generate(gridModel(t, 40), GenerateOptions{
-			MaxStates:  100,
-			GenWorkers: workers,
-		})
-		var tms *TooManyStatesError
-		if !errors.As(err, &tms) {
-			t.Fatalf("workers=%d: want TooManyStatesError, got %v", workers, err)
-		}
-		if tms.Limit != 100 || tms.States != 100 {
-			t.Fatalf("workers=%d: Limit=%d States=%d, want 100/100", workers, tms.Limit, tms.States)
-		}
+	_, err := Generate(gridModel(t, 40), GenerateOptions{MaxStates: 100})
+	var tms *TooManyStatesError
+	if !errors.As(err, &tms) {
+		t.Fatalf("want TooManyStatesError, got %v", err)
+	}
+	if tms.Limit != 100 || tms.States != 100 {
+		t.Fatalf("Limit=%d States=%d, want 100/100", tms.Limit, tms.States)
 	}
 }
 

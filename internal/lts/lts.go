@@ -7,8 +7,8 @@
 // transitions live in CSR (compressed sparse row) arrays, labels are
 // interned once in a symbol table shared by an LTS and every system
 // derived from it, and state descriptions are computed lazily from the
-// generator's interned state encodings, so analyses never pay for
-// diagnostics they do not print.
+// generator's state tuples, so analyses never pay for diagnostics they do
+// not print.
 package lts
 
 import (
@@ -79,7 +79,7 @@ type LTS struct {
 	auxLabel []int32
 	auxCount []float64
 	// memBytes is the extra resident memory attributed to the LTS by its
-	// producer (the generator's interner slab); 0 when unknown.
+	// producer (the generator's state tuples); 0 when unknown.
 	memBytes int
 }
 
@@ -237,7 +237,7 @@ func (l *LTS) shareAux(p *LTS) {
 }
 
 // SetMemBytes records extra resident memory attributed to the LTS by its
-// producer (the generator's interned state table).
+// producer (the generator's state tuples).
 func (l *LTS) SetMemBytes(n int) { l.memBytes = n }
 
 // MemStats reports the resident memory of the system's canonical storage:
@@ -300,7 +300,7 @@ func (l *LTS) Edges(fn func(src, dst, label int, r rates.Rate)) {
 func (l *LTS) NumTransitions() int { return l.csr.NumEdges() + len(l.pending) }
 
 // SetStateDescFunc installs a lazy state-description provider, typically a
-// closure over the generating model and its interned state table.
+// closure over the generating model and its state table.
 func (l *LTS) SetStateDescFunc(fn func(int) string) { l.descFn = fn }
 
 // HasStateDescs reports whether state descriptions are available.

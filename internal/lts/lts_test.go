@@ -72,7 +72,7 @@ func bufferModel(t *testing.T, capacity int64) *elab.Model {
 }
 
 func TestGenerateWorker(t *testing.T) {
-	l, err := Generate(workerModel(t), GenerateOptions{KeepDescriptions: true})
+	l, err := Generate(workerModel(t), GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +199,7 @@ func TestRestrict(t *testing.T) {
 
 func TestRestrictKeepsPredicates(t *testing.T) {
 	l, err := Generate(bufferModel(t, 3), GenerateOptions{
-		KeepDescriptions: true,
-		Predicates:       []StatePred{{Instance: "B", Action: "put"}},
+		Predicates: []StatePred{{Instance: "B", Action: "put"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +241,7 @@ func TestLabelMatcherByInstance(t *testing.T) {
 }
 
 func TestWriteDOT(t *testing.T) {
-	l, err := Generate(workerModel(t), GenerateOptions{KeepDescriptions: true})
+	l, err := Generate(workerModel(t), GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,10 @@ import (
 // run.
 type Config struct {
 	// Workers bounds the concurrency of everything the session schedules:
-	// sweep points in flight, the generation pool (when the spec leaves
-	// GenWorkers unset), and simulation replications (when SimSettings
-	// leaves Workers unset). 0 keeps each layer's own default. The
-	// steady-state solver is sequential and never reads it. Results are
-	// bit-identical at any value.
+	// sweep points in flight and simulation replications (when
+	// SimSettings leaves Workers unset). 0 keeps each layer's own default.
+	// State-space generation and the steady-state solver are sequential
+	// and never read it. Results are bit-identical at any value.
 	Workers int
 	// LaneWidth is the batched steady-state width of Session sweeps: 0
 	// auto-selects DefaultLaneWidth, 1 forces the per-point path, any

@@ -199,14 +199,11 @@ func (s *Session) SpecHash() SpecHash { return s.st.hash }
 func (s *Session) ctx() context.Context { return s.cfg.Ctx }
 
 // genOptions resolves the spec's generation options against the session
-// Config (workers and context are scheduling-only fallbacks) and appends
-// the measures' state predicates — exactly what the phase-2 entry points
-// have always done before generating.
+// Config (the context is a scheduling-only fallback) and appends the
+// measures' state predicates — exactly what the phase-2 entry points have
+// always done before generating.
 func (s *Session) genOptions() lts.GenerateOptions {
 	g := s.st.spec.Gen
-	if g.GenWorkers <= 0 {
-		g.GenWorkers = s.cfg.Workers
-	}
 	if g.Ctx == nil {
 		g.Ctx = s.cfg.Ctx
 	}

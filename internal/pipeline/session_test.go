@@ -208,10 +208,10 @@ func TestSpecHashIgnoresScheduling(t *testing.T) {
 	base := rpcSpec(p)
 
 	sched := base
-	sched.Gen.GenWorkers = 8
+	sched.Gen.Ctx = context.Background()
 	sched.Solve.Ctx = context.Background()
 	if base.Hash() != sched.Hash() {
-		t.Fatalf("worker counts or contexts changed the spec hash")
+		t.Fatalf("contexts changed the spec hash")
 	}
 
 	tol := base
@@ -243,6 +243,36 @@ func TestSpecHashIgnoresScheduling(t *testing.T) {
 	ml.Solve.Sweep = ctmc.SweepMultilevel
 	if base.Hash() == ml.Hash() {
 		t.Fatalf("multilevel sweep mode did not change the spec hash")
+	}
+}
+
+// TestSpecHashGenFields classifies every field of lts.GenerateOptions as
+// hashed (it shapes the LTS, so changing it must change the spec hash) or
+// scheduling-only (it must not). A field added to GenerateOptions fails
+// the test until it is classified, so a no-op knob cannot split the
+// content address of identical work.
+func TestSpecHashGenFields(t *testing.T) {
+	base := rpcSpec(models.DefaultRPCParams())
+	set := map[string]func(*lts.GenerateOptions){
+		"MaxStates":  func(g *lts.GenerateOptions) { g.MaxStates = 1000 },
+		"Predicates": func(g *lts.GenerateOptions) { g.Predicates = []lts.StatePred{{Instance: "X", Action: "y"}} },
+		"Ctx":        func(g *lts.GenerateOptions) { g.Ctx = context.Background() },
+		"Fold":       func(g *lts.GenerateOptions) { g.Fold = &lts.FoldOptions{} },
+	}
+	hashed := map[string]bool{"MaxStates": true, "Predicates": true, "Fold": true}
+	fields := reflect.TypeOf(lts.GenerateOptions{})
+	for i := 0; i < fields.NumField(); i++ {
+		name := fields.Field(i).Name
+		change, ok := set[name]
+		if !ok {
+			t.Errorf("GenerateOptions.%s is not classified as hashed or scheduling-only", name)
+			continue
+		}
+		spec := base
+		change(&spec.Gen)
+		if changed := spec.Hash() != base.Hash(); changed != hashed[name] {
+			t.Errorf("GenerateOptions.%s: hash changed = %t, want %t", name, changed, hashed[name])
+		}
 	}
 }
 

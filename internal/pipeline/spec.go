@@ -40,9 +40,9 @@ type Spec struct {
 	// predicates are appended to the generation options, exactly as the
 	// phase-2 entry points always did.
 	Measures []measure.Measure
-	// Gen tunes state-space generation. GenWorkers and Ctx are
-	// scheduling-only (results are bit-identical at any value) and fall
-	// back to the session Config; they do not participate in the hash.
+	// Gen tunes state-space generation. Ctx is scheduling-only (it only
+	// cancels) and falls back to the session Config; it does not
+	// participate in the hash.
 	// Gen.Fold is semantic (it changes the generated LTS): its presence
 	// and MaxDepth are hashed, but its Observed matcher is a function and
 	// cannot be — specs that set Fold directly should be session-local.
@@ -82,7 +82,6 @@ func (s Spec) Hash() SpecHash {
 	hStr(h, s.Key)
 	// Generation: everything that shapes the LTS.
 	hU64(h, uint64(s.Gen.MaxStates))
-	hBool(h, s.Gen.KeepDescriptions)
 	hBool(h, s.Minimize)
 	hBool(h, s.Gen.Fold != nil)
 	if s.Gen.Fold != nil {

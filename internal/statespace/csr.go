@@ -106,3 +106,90 @@ func Build(n int, edges []Edge) CSR {
 	}
 	return c
 }
+
+// RowBuilder assembles CSR storage row by row, for producers that emit
+// every edge of state 0, then of state 1, and so on (a breadth-first
+// generator expands its states in identifier order). EndRow sorts the
+// finished row in place by (label, destination), stably, so the result
+// equals Build over the same edges in the same order — without Build's
+// intermediate edge list and global sort.
+type RowBuilder struct {
+	c   CSR
+	row rowView
+}
+
+// NewRowBuilder returns a builder positioned at row 0.
+func NewRowBuilder() *RowBuilder {
+	b := &RowBuilder{c: CSR{RowStart: []int32{0}}}
+	b.row.c = &b.c
+	return b
+}
+
+// Add appends an edge to the current row. The Aux column materializes on
+// the first non-zero annotation, as in Build.
+func (b *RowBuilder) Add(dst, label, aux int32, r rates.Rate) {
+	if len(b.c.Dst) == cap(b.c.Dst) {
+		b.grow()
+	}
+	b.c.Dst = append(b.c.Dst, dst)
+	b.c.Label = append(b.c.Label, label)
+	b.c.Rate = append(b.c.Rate, r)
+	if aux != 0 && b.c.Aux == nil {
+		b.c.Aux = make([]int32, len(b.c.Dst)-1, cap(b.c.Dst))
+	}
+	if b.c.Aux != nil {
+		b.c.Aux = append(b.c.Aux, aux)
+	}
+}
+
+// grow doubles the capacity of every edge column at once: append alone
+// grows large slices by 1.25×, which would copy the 40-byte Rate column
+// several times over on a large system.
+func (b *RowBuilder) grow() {
+	n := max(1024, 2*cap(b.c.Dst))
+	b.c.Dst = append(make([]int32, 0, n), b.c.Dst...)
+	b.c.Label = append(make([]int32, 0, n), b.c.Label...)
+	b.c.Rate = append(make([]rates.Rate, 0, n), b.c.Rate...)
+	if b.c.Aux != nil {
+		b.c.Aux = append(make([]int32, 0, n), b.c.Aux...)
+	}
+}
+
+// EndRow closes the current row, sorting it canonically.
+func (b *RowBuilder) EndRow() {
+	b.row.lo = int(b.c.RowStart[len(b.c.RowStart)-1])
+	b.row.n = len(b.c.Dst) - b.row.lo
+	sort.Stable(&b.row)
+	b.c.RowStart = append(b.c.RowStart, int32(len(b.c.Dst)))
+}
+
+// CSR returns the assembled storage; its row count is the number of
+// EndRow calls.
+func (b *RowBuilder) CSR() CSR { return b.c }
+
+// rowView is one CSR row as a sort.Interface over all edge columns.
+type rowView struct {
+	c     *CSR
+	lo, n int
+}
+
+func (v *rowView) Len() int { return v.n }
+
+func (v *rowView) Less(i, j int) bool {
+	i, j = v.lo+i, v.lo+j
+	if v.c.Label[i] != v.c.Label[j] {
+		return v.c.Label[i] < v.c.Label[j]
+	}
+	return v.c.Dst[i] < v.c.Dst[j]
+}
+
+func (v *rowView) Swap(i, j int) {
+	i, j = v.lo+i, v.lo+j
+	c := v.c
+	c.Dst[i], c.Dst[j] = c.Dst[j], c.Dst[i]
+	c.Label[i], c.Label[j] = c.Label[j], c.Label[i]
+	c.Rate[i], c.Rate[j] = c.Rate[j], c.Rate[i]
+	if c.Aux != nil {
+		c.Aux[i], c.Aux[j] = c.Aux[j], c.Aux[i]
+	}
+}

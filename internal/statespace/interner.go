@@ -1,6 +1,9 @@
 package statespace
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 // Interner assigns dense uint32 identifiers to byte-string keys (canonical
 // state encodings). Keys are stored back to back in one byte slab and
@@ -10,11 +13,10 @@ import "bytes"
 // first-intern order.
 //
 // An Interner is single-writer: it is not safe for concurrent Intern
-// calls. The parallel state-space generator keeps this invariant by
-// funneling every intern through its sequential merge step — which is
-// also what makes the assigned identifiers independent of the worker
-// count (first-intern order is merge order, and merge order is BFS
-// order).
+// calls. Each state-space generation and each simulation replication
+// owns its interners, and interns in its own deterministic order (BFS
+// order for the generator), so identifiers are a pure function of the
+// model.
 type Interner struct {
 	slab  []byte
 	offs  []uint32 // offs[id]..offs[id+1] is the key of id; len = Len()+1
@@ -34,14 +36,6 @@ func NewInterner() *Interner {
 
 // Len returns the number of interned keys.
 func (in *Interner) Len() int { return len(in.offs) - 1 }
-
-// SizeBytes returns the resident size of the interner in bytes: the key
-// slab plus the offset and hash arrays. This is the state-table memory a
-// generated system pins, surfaced by `dpmassess lts -stats` so the
-// capacity effect of compositional minimization is measurable.
-func (in *Interner) SizeBytes() int {
-	return len(in.slab) + 4*len(in.offs) + 4*len(in.table)
-}
 
 // Bytes returns the stored key of an identifier. The slice aliases the
 // arena and must not be modified.
@@ -73,6 +67,11 @@ func (in *Interner) Intern(key []byte) (id uint32, fresh bool) {
 		e := in.table[i]
 		if e == 0 {
 			id = uint32(in.Len())
+			if len(in.slab)+len(key) > cap(in.slab) {
+				// Double the arena (append alone grows large slices by
+				// 1.25×, copying the whole state table several times).
+				in.slab = slices.Grow(in.slab, max(len(key), cap(in.slab)))
+			}
 			in.slab = append(in.slab, key...)
 			in.offs = append(in.offs, uint32(len(in.slab)))
 			in.table[i] = id + 1

@@ -2,6 +2,8 @@ package statespace
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/rates"
@@ -175,5 +177,36 @@ func TestCSRBuildStableOnTies(t *testing.T) {
 			t.Fatalf("tie order not stable: Rate[%d].Lambda = %v, want %v",
 				i, c.Rate[i].Lambda, want)
 		}
+	}
+}
+
+// TestRowBuilderMatchesBuild feeds the same source-ordered edge list to
+// Build and to a RowBuilder: the CSR arrays must be identical, including
+// stable tie order, a lazily materialized Aux column, and empty rows.
+func TestRowBuilderMatchesBuild(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var edges []Edge
+	const states = 200
+	for s := 0; s < states; s++ {
+		for k := r.Intn(90); k > 0; k-- { // some rows long enough for merge sorting
+			e := Edge{Src: int32(s), Dst: int32(r.Intn(5)), Label: int32(r.Intn(4)), Rate: rates.ExpRate(float64(len(edges)))}
+			if s > 50 && r.Intn(5) == 0 {
+				e.Aux = int32(1 + r.Intn(3))
+			}
+			edges = append(edges, e)
+		}
+	}
+	want := Build(states, edges)
+	b := NewRowBuilder()
+	next := 0
+	for s := 0; s < states; s++ {
+		for ; next < len(edges) && edges[next].Src == int32(s); next++ {
+			e := edges[next]
+			b.Add(e.Dst, e.Label, e.Aux, e.Rate)
+		}
+		b.EndRow()
+	}
+	if got := b.CSR(); !reflect.DeepEqual(got, want) {
+		t.Fatal("RowBuilder CSR differs from Build")
 	}
 }

@@ -16,9 +16,9 @@
 #   -c count    benchmark repetitions per side (default 5)
 #   -p pattern  -bench regexp (default: every benchmark)
 #   -s          smoke mode: one iteration of the matched benchmarks under
-#               the race detector at -cpu 1,2, so the parallel generation,
-#               solve, sweep, and simulation paths run both the degenerate
-#               and a multi-worker schedule in CI. No baseline, no timing.
+#               the race detector at -cpu 1,2, so the solve, sweep, and
+#               simulation paths run both the degenerate and a
+#               multi-worker schedule in CI. No baseline, no timing.
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -71,14 +71,15 @@ go test -timeout 10m -race -cpu 1,2 -run 'Multilevel' ./internal/ctmc/
 
 # Compositional-minimization smoke under the race detector at -cpu 1,2:
 # the quotient-vs-full properties — component lumping is deterministic
-# and generation from the quotient is bit-identical at any worker count
+# and generation from the quotient is bit-identical across runs
 # (TestMinimize* in internal/compose), vanishing-state folding preserves
-# throughputs, attributions, and parametric slots and is bit-identical in
-# parallel (TestFold* in internal/lts), and the minimized experiment
-# suite agrees with the full path within 1e-6 and is bit-identical across
-# worker/lane counts (TestGoldenMinimizeAgreement in
-# internal/experiments). The lumping and folded generation run inside the
-# generation worker pool, so their race coverage is load-bearing.
+# throughputs, attributions, and parametric slots and is bit-identical
+# when generations from one shared model run concurrently (TestFold* in
+# internal/lts), and the minimized experiment suite agrees with the full
+# path within 1e-6 and is bit-identical across worker/lane counts
+# (TestGoldenMinimizeAgreement in internal/experiments). Generation
+# itself is sequential; what races here is concurrent sessions and sweep
+# points sharing one immutable quotient model.
 echo "== compositional-minimization race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 -run 'Minimize|Fold' \
     ./internal/compose/ ./internal/lts/ ./internal/experiments/
@@ -102,11 +103,11 @@ go test -timeout 10m -race -cpu 1,2 \
 echo "== bench smoke =="
 go test -timeout 10m -short -run '^$' -bench . -benchtime 1x ./...
 
-# Race smoke of the hot paths at -cpu 1,2: the worker-pooled state-space
-# generation, the solo steady-state solve, the batched multi-lane kernel,
-# and the sweep/simulation pools each run one iteration under the race
-# detector on both the degenerate and a two-core schedule (plain -race
-# tests cover GOMAXPROCS as-is only).
+# Race smoke of the hot paths at -cpu 1,2: the solo steady-state solve,
+# the batched multi-lane kernel, and the sweep/simulation pools each run
+# one iteration under the race detector on both the degenerate and a
+# two-core schedule (plain -race tests cover GOMAXPROCS as-is only).
+# State-space generation is sequential and has no pool to race-test here.
 # Only the Batched variants of the BatchSolve benches run here: the
 # per-point variants exercise the solo solver, which the SteadyState
 # patterns already race-test, so rerunning them would only add race-
@@ -123,12 +124,15 @@ scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|Sweep
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing per target on top of
 # the seed corpora that plain `go test` replays — the Æmilia parser and
-# lexer (the byte-parsing input surface) and the weak-bisimulation check
-# against its unreduced saturation oracle. A crasher lands under the
-# package's testdata/fuzz and then replays in every later `go test`.
+# lexer (the byte-parsing input surface), the weak-bisimulation check
+# against its unreduced saturation oracle, and the compiled successor
+# enumeration of state-space generation against Model.Successors. A
+# crasher lands under the package's testdata/fuzz and then replays in
+# every later `go test`.
 echo "== fuzz smoke =="
 go test -timeout 5m -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/aemilia/parser/
 go test -timeout 5m -run '^$' -fuzz '^FuzzLexer$' -fuzztime 10s ./internal/aemilia/parser/
 go test -timeout 5m -run '^$' -fuzz '^FuzzWeakEquivalent$' -fuzztime 10s ./internal/bisim/
+go test -timeout 5m -run '^$' -fuzz '^FuzzCompiledSuccessors$' -fuzztime 10s ./internal/elab/
 
 echo "CI OK"
