@@ -570,9 +570,10 @@ func runSolve(args []string) error {
 			"solver trace — the scheme that actually ran, iterations (and\n"+
 			"multilevel cycles), final residual, and every escalation attempt")
 	lanes := fs.Int("lanes", 0,
-		"sweep points solved per batched steady-state call on checkpointed solves:\n"+
-			"0 auto-selects, 1 forces the per-point solver (results are identical at\n"+
-			"any value; matches the study tools' -lanes flag)")
+		"sweep points solved per batched steady-state call on checkpointed solves,\n"+
+			"run as ⌈K/8⌉ eight-lane groups: 0 auto-selects, 1 forces the per-point\n"+
+			"solver (results are identical at any value; matches the study tools'\n"+
+			"-lanes flag)")
 	ckptPath := fs.String("checkpoint", "",
 		"checkpoint file: the solve periodically saves its progress there\n"+
 			"(requires a model with rate parameters; empty = disabled)")

@@ -43,8 +43,9 @@ func run(args []string) error {
 		"concurrent sweep points, simulation replications, and state-space\n"+
 			"generation workers (results are identical at any value)")
 	lanes := fs.Int("lanes", 0,
-		"sweep points solved per batched steady-state call: 0 auto-selects,\n"+
-			"1 forces the per-point solver (results are identical at any value)")
+		"sweep points solved per batched steady-state call, run as ⌈K/8⌉\n"+
+			"eight-lane groups: 0 auto-selects, 1 forces the per-point solver\n"+
+			"(results are identical at any value)")
 	timeout := fs.Duration("timeout", 0,
 		"overall deadline: generation, solves, sweeps and simulations are\n"+
 			"canceled promptly once it expires (0 = no deadline)")

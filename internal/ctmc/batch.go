@@ -136,6 +136,7 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 		return nil, nil, perr
 	}
 	out = make([][]float64, K)
+	laneErrs = make([]error, K)
 
 	// An absorbing single state gets all the probability, in every lane.
 	if len(plan.target) == 1 {
@@ -144,24 +145,49 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 			pi[plan.target[0]] = 1
 			out[k] = pi
 		}
-		return out, make([]error, K), nil
+		return out, laneErrs, nil
 	}
 
-	bc := c.fillBatch(plan, points)
-	start := uniformStart(bc.n)
+	start := uniformStart(len(plan.target))
 	if len(solve.WarmStart) == c.N {
 		if ws := projectStart(solve.WarmStart, plan.target); ws != nil {
 			start = ws
 		}
 	}
 
-	var (
-		cols []([]float64)
-		errs []*ConvergenceError
-	)
+	// Larger batches run as consecutive eight-lane groups in index order;
+	// lanes never mix, so the grouping changes no bits.
+	for off := 0; off < K; off += batchLanes {
+		hi := min(off+batchLanes, K)
+		cols, errs, err := c.solveGroup(plan, points[off:hi], tol[off:hi], solve, start)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, col := range cols {
+			k := off + i
+			if ce := errs[i]; ce != nil {
+				ce.Point = k
+				ce.Params = append([]float64(nil), points[k]...)
+				laneErrs[k] = ce
+				continue
+			}
+			pi := make([]float64, c.N)
+			for j, s := range plan.target {
+				pi[s] = col[j]
+			}
+			out[k] = pi
+		}
+	}
+	return out, laneErrs, nil
+}
+
+// solveGroup solves at most batchLanes points in one eight-lane batch,
+// returning one column or one error per point (never both).
+func (c *CTMC) solveGroup(plan *solvePlan, points [][]float64, tol []float64, solve SolveOptions, start []float64) ([][]float64, []*ConvergenceError, error) {
+	bc := c.fillBatch(plan, points)
 	switch {
 	case solve.Sweep == SweepMultilevel:
-		cols, errs, err = bc.multilevelBatch(solve, tol, start, c.ensureCoarse(plan))
+		return bc.multilevelBatch(solve, tol, start, c.ensureCoarse(plan))
 	case solve.Sweep == SweepAuto && bc.n >= multilevelAutoMin:
 		// The batched mirror of the solo auto rule: probe every lane with
 		// the same fixed Gauss-Seidel trajectory (bit-identical per lane
@@ -171,24 +197,34 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 		// cycle from the original start — the same attempt chain a solo
 		// auto solve runs per point. When no lane needs the multilevel
 		// path this is exactly the Gauss-Seidel path.
-		stalled := bc.stalledLanes(tol, start)
 		var ml, rest []int
-		for k, s := range stalled {
+		for k, s := range bc.stalledLanes(tol, start) {
 			if s {
 				ml = append(ml, k)
 			} else {
 				rest = append(rest, k)
 			}
 		}
-		cols = make([][]float64, K)
-		errs = make([]*ConvergenceError, K)
-		runML := func(lanes []int) error {
+		cols := make([][]float64, len(points))
+		errs := make([]*ConvergenceError, len(points))
+		// solveLanes runs one scheme on a subset of the lanes and scatters
+		// the results back to their lane indices.
+		solveLanes := func(lanes []int, multilevel bool) error {
 			sub := bc.subBatch(lanes)
 			subTol := make([]float64, len(lanes))
 			for i, k := range lanes {
 				subTol[i] = tol[k]
 			}
-			subCols, subErrs, err := sub.multilevelBatch(solve, subTol, start, c.ensureCoarse(plan))
+			var (
+				subCols [][]float64
+				subErrs []*ConvergenceError
+				err     error
+			)
+			if multilevel {
+				subCols, subErrs, err = sub.multilevelBatch(solve, subTol, start, c.ensureCoarse(plan))
+			} else {
+				subCols, subErrs, err = sub.gaussSeidelBatch(solve, subTol, start)
+			}
 			if err != nil {
 				return err
 			}
@@ -198,63 +234,47 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 			return nil
 		}
 		if len(ml) > 0 {
-			if mlErr := runML(ml); mlErr != nil {
-				return nil, nil, mlErr
+			if err := solveLanes(ml, true); err != nil {
+				return nil, nil, err
 			}
 		}
 		if len(rest) > 0 {
-			restTol := make([]float64, len(rest))
-			for i, k := range rest {
-				restTol[i] = tol[k]
-			}
-			rCols, rErrs, rErr := bc.subBatch(rest).gaussSeidelBatch(solve, restTol, start)
-			if rErr != nil {
-				return nil, nil, rErr
+			if err := solveLanes(rest, false); err != nil {
+				return nil, nil, err
 			}
 			var retry []int
-			for i, k := range rest {
-				if rErrs[i] != nil && errors.Is(rErrs[i], ErrNoConvergence) {
+			for _, k := range rest {
+				if errs[k] != nil && errors.Is(errs[k], ErrNoConvergence) {
 					retry = append(retry, k)
-					continue
 				}
-				cols[k], errs[k] = rCols[i], rErrs[i]
 			}
 			if len(retry) > 0 {
-				if mlErr := runML(retry); mlErr != nil {
-					return nil, nil, mlErr
+				if err := solveLanes(retry, true); err != nil {
+					return nil, nil, err
 				}
 			}
 		}
+		return cols, errs, nil
 	default:
-		cols, errs, err = bc.gaussSeidelBatch(solve, tol, start)
+		return bc.gaussSeidelBatch(solve, tol, start)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	laneErrs = make([]error, K)
-	for k := 0; k < K; k++ {
-		if ce := errs[k]; ce != nil {
-			ce.Point = k
-			ce.Params = append([]float64(nil), points[k]...)
-			laneErrs[k] = ce
-			continue
-		}
-		pi := make([]float64, c.N)
-		for j, s := range plan.target {
-			pi[s] = cols[k][j]
-		}
-		out[k] = pi
-	}
-	return out, laneErrs, nil
 }
 
-// batchComponent is the K-lane analogue of component: the incoming CSR
+// batchLanes is the one width of the batched solver: eight float64 lanes
+// interleave into exactly one 64-byte cache line, and the vectorized
+// amd64 kernel processes them as two 4-double vectors.
+const batchLanes = 8
+
+// batchComponent is the eight-lane analogue of component: the incoming CSR
 // index structure is shared across lanes while rates, exit rates, and
 // iterates are stored lane-interleaved, structure-of-arrays style — the
-// value of lane k at row j (or in-edge e) lives at [j*K+k] ([e*K+k]) — so
-// one pass over the indices streams all K lanes through contiguous memory.
+// value of lane k at row j (or in-edge e) lives at [j*8+k] ([e*8+k]) — so
+// one pass over the indices streams all lanes through contiguous memory.
+// Lanes 0..live-1 carry points; the rest are pad lanes, which copy lane
+// 0's rates (so allPos and the vectorized path are unaffected), start
+// frozen, and are never reported.
 type batchComponent struct {
-	n, k    int
+	n, live int
 	inStart []int32
 	inFrom  []int32
 	rate    []float64 // lane-interleaved in-edge rates
@@ -263,22 +283,27 @@ type batchComponent struct {
 	allPos  bool      // every row of every lane has exit > 0
 }
 
-// fillBatch gathers the K per-point rate vectors into the plan's skeleton
-// by re-summing each component entry's contribution terms per lane — the
-// identical sequence of float additions Rebind replays — and accumulating
-// each lane's exit rates over the row's entries in the same
-// column-ascending order Rebind uses, so every lane's rates and exits are
-// bit-identical to a Rebind of the whole chain at that lane's values.
+// fillBatch gathers up to batchLanes per-point rate vectors into the
+// plan's skeleton by re-summing each component entry's contribution terms
+// per lane — the identical sequence of float additions Rebind replays —
+// and accumulating each lane's exit rates over the row's entries in the
+// same column-ascending order Rebind uses, so every lane's rates and exits
+// are bit-identical to a Rebind of the whole chain at that lane's values.
+// Pad lanes are filled from points[0].
 func (c *CTMC) fillBatch(plan *solvePlan, points [][]float64) *batchComponent {
-	K := len(points)
+	var lanes [batchLanes][]float64
+	for k := range lanes {
+		lanes[k] = points[0]
+	}
+	copy(lanes[:], points)
 	bc := &batchComponent{
 		n:       len(plan.target),
-		k:       K,
+		live:    len(points),
 		inStart: plan.inStart,
 		inFrom:  plan.inFrom,
-		rate:    make([]float64, len(plan.inFrom)*K),
-		exit:    make([]float64, len(plan.target)*K),
-		invExit: make([]float64, len(plan.target)*K),
+		rate:    make([]float64, len(plan.inFrom)*batchLanes),
+		exit:    make([]float64, len(plan.target)*batchLanes),
+		invExit: make([]float64, len(plan.target)*batchLanes),
 		allPos:  true,
 	}
 	t := 0
@@ -287,7 +312,7 @@ func (c *CTMC) fillBatch(plan *solvePlan, points [][]float64) *batchComponent {
 		for range c.Rows[s] {
 			lo, hi := c.termStart[gi], c.termStart[gi+1]
 			pos := plan.fillPos[t]
-			for lane, vals := range points {
+			for lane, vals := range lanes {
 				sum := 0.0
 				for ti := lo; ti < hi; ti++ {
 					tm := c.terms[ti]
@@ -298,16 +323,16 @@ func (c *CTMC) fillBatch(plan *solvePlan, points [][]float64) *batchComponent {
 					}
 				}
 				if pos >= 0 {
-					bc.rate[int(pos)*K+lane] = sum
+					bc.rate[int(pos)*batchLanes+lane] = sum
 				}
-				bc.exit[li*K+lane] += sum
+				bc.exit[li*batchLanes+lane] += sum
 			}
 			gi++
 			t++
 		}
-		for lane := 0; lane < K; lane++ {
-			if e := bc.exit[li*K+lane]; e > 0 {
-				bc.invExit[li*K+lane] = 1 / e
+		for lane := 0; lane < batchLanes; lane++ {
+			if e := bc.exit[li*batchLanes+lane]; e > 0 {
+				bc.invExit[li*batchLanes+lane] = 1 / e
 			} else {
 				bc.allPos = false
 			}
@@ -316,29 +341,37 @@ func (c *CTMC) fillBatch(plan *solvePlan, points [][]float64) *batchComponent {
 	return bc
 }
 
-// subBatch extracts the given lanes into a new batch component sharing the
-// index structure (for the auto-mode lane routing and for compaction).
+// subBatch extracts the given live lanes (ascending) into a batch sharing
+// the index structure, for the auto-mode lane routing; its pad lanes copy
+// lanes[0]. Selecting every live lane returns bc itself.
 func (bc *batchComponent) subBatch(lanes []int) *batchComponent {
-	K2 := len(lanes)
+	if len(lanes) == bc.live {
+		return bc
+	}
+	var src [batchLanes]int
+	for i := range src {
+		src[i] = lanes[0]
+	}
+	copy(src[:], lanes)
 	sub := &batchComponent{
 		n:       bc.n,
-		k:       K2,
+		live:    len(lanes),
 		inStart: bc.inStart,
 		inFrom:  bc.inFrom,
-		rate:    make([]float64, len(bc.inFrom)*K2),
-		exit:    make([]float64, bc.n*K2),
-		invExit: make([]float64, bc.n*K2),
+		rate:    make([]float64, len(bc.rate)),
+		exit:    make([]float64, len(bc.exit)),
+		invExit: make([]float64, len(bc.invExit)),
 		allPos:  bc.allPos,
 	}
 	for e := 0; e < len(bc.inFrom); e++ {
-		for i, k := range lanes {
-			sub.rate[e*K2+i] = bc.rate[e*bc.k+k]
+		for i, k := range src {
+			sub.rate[e*batchLanes+i] = bc.rate[e*batchLanes+k]
 		}
 	}
 	for j := 0; j < bc.n; j++ {
-		for i, k := range lanes {
-			sub.exit[j*K2+i] = bc.exit[j*bc.k+k]
-			sub.invExit[j*K2+i] = bc.invExit[j*bc.k+k]
+		for i, k := range src {
+			sub.exit[j*batchLanes+i] = bc.exit[j*batchLanes+k]
+			sub.invExit[j*batchLanes+i] = bc.invExit[j*batchLanes+k]
 		}
 	}
 	return sub
@@ -346,13 +379,32 @@ func (bc *batchComponent) subBatch(lanes []int) *batchComponent {
 
 // spread replicates the shared start vector into every lane's column.
 func (bc *batchComponent) spread(start []float64) []float64 {
-	x := make([]float64, bc.n*bc.k)
+	x := make([]float64, bc.n*batchLanes)
 	for j := 0; j < bc.n; j++ {
-		for k := 0; k < bc.k; k++ {
-			x[j*bc.k+k] = start[j]
+		for k := 0; k < batchLanes; k++ {
+			x[j*batchLanes+k] = start[j]
 		}
 	}
 	return x
+}
+
+// padDone is the initial deactivation mask: live lanes run, pad lanes are
+// frozen from the first sweep.
+func (bc *batchComponent) padDone() []bool {
+	done := make([]bool, batchLanes)
+	for k := bc.live; k < batchLanes; k++ {
+		done[k] = true
+	}
+	return done
+}
+
+// column copies lane k's column out of the iterate slab.
+func (bc *batchComponent) column(x []float64, k int) []float64 {
+	col := make([]float64, bc.n)
+	for j := range col {
+		col[j] = x[j*batchLanes+k]
+	}
+	return col
 }
 
 // gaussSeidelBatch runs the sequential Gauss-Seidel sweep on every lane of
@@ -362,143 +414,78 @@ func (bc *batchComponent) spread(start []float64) []float64 {
 // same residual and per-element normalization arithmetic — so every lane's
 // converged column is bit-identical to a solo gaussSeidel at that lane's
 // rates. A lane's column is copied out after exactly the sweep where a
-// solo run would return. A finished lane first rides along in the wide
-// kernel with its bookkeeping (normalization, residual check) skipped —
-// the shared index traversal makes a mostly-live wide sweep cheaper than
-// any narrowed path — and once at most four lanes are live the batch is
-// compacted to exactly the live lanes so the remaining sweeps run in a
-// narrower kernel (widths 4, 2, and 1 are specialized; width 1 degenerates
-// to the solo sweep). Neither riding along nor compaction can change any
-// result: lanes never mix, and a compacted lane keeps its exact column
-// values and its running residual. It returns one column or one error per
-// lane (never both).
+// solo run would return; from then on the lane stays frozen in the
+// eight-lane kernel with its bookkeeping (normalization, residual check)
+// skipped, like the pad lanes. The batch is never narrowed: the shared
+// index traversal makes the wide vectorized sweep with frozen lanes
+// cheaper than any narrower kernel. It returns one column or one error per
+// live lane (never both).
 func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, start []float64) ([][]float64, []*ConvergenceError, error) {
-	K := bc.k
+	K := bc.live
 	out := make([][]float64, K)
 	errs := make([]*ConvergenceError, K)
 	cancel := cancelChan(solve.Ctx)
-
-	// The current, possibly compacted, view of the batch: cur holds the
-	// rates of the lanes still being swept, x their iterate slab, and
-	// lanes[i] the original lane index of cur's lane i.
-	cur := bc
 	x := bc.spread(start)
-	lanes := make([]int, K)
-	for k := range lanes {
-		lanes[k] = k
-	}
-	curTol := append([]float64(nil), tol...)
-	done := make([]bool, K)
+	done := bc.padDone()
 	remaining := K
-
-	delta := make([]float64, K)
-	sums := make([]float64, K)
-	scale := make([]float64, K)
-	iter := 0
-	for ; iter < solve.MaxIterations && remaining > 0; iter++ {
+	delta := make([]float64, batchLanes)
+	sums := make([]float64, batchLanes)
+	scale := make([]float64, batchLanes)
+	for k := range scale {
+		scale[k] = 1
+	}
+	for iter := 0; iter < solve.MaxIterations && remaining > 0; iter++ {
 		if err := pollSolve(solve.Ctx, cancel, iter); err != nil {
 			return nil, nil, err
 		}
-		w := cur.k
-		for k := 0; k < w; k++ {
-			delta[k] = 0
-		}
-		cur.sweepGSWidth(x, delta[:w], done)
+		clear(delta)
+		bc.sweep(x, delta, done)
 		// Normalize to avoid drift. One full-width pass accumulates every
-		// live lane's canonical row-order sum, and one full-width pass
+		// lane's canonical row-order sum, and one full-width pass
 		// multiplies by the reciprocals — the solo sweep's exact per-lane
-		// operations, without a strided walk of the slab per lane. Dead
-		// lanes are scaled by exactly 1, which leaves their frozen columns
+		// operations, without a strided walk of the slab per lane. Frozen
+		// lanes are scaled by exactly 1, which leaves their columns
 		// bit-identical.
-		cur.laneSums(x, sums[:w])
-		for k := 0; k < w; k++ {
+		bc.laneSums(x, sums)
+		for k := 0; k < K; k++ {
 			scale[k] = 1
 			if done[k] {
 				continue
 			}
 			if sums[k] <= 0 {
-				errs[lanes[k]] = &ConvergenceError{Iterations: iter + 1, Residual: delta[k], Tolerance: curTol[k], Sweep: SweepGaussSeidel, Point: -1}
+				errs[k] = &ConvergenceError{Iterations: iter + 1, Residual: delta[k], Tolerance: tol[k], Sweep: SweepGaussSeidel, Point: -1}
 				done[k] = true
 				remaining--
 				continue
 			}
 			scale[k] = 1 / sums[k]
 		}
-		cur.scaleLanes(x, scale[:w])
-		for k := 0; k < w; k++ {
-			if done[k] || !(delta[k] < curTol[k]) {
+		bc.scaleLanes(x, scale)
+		for k := 0; k < K; k++ {
+			if done[k] || !(delta[k] < tol[k]) {
 				continue
 			}
-			col := make([]float64, cur.n)
-			for j := 0; j < cur.n; j++ {
-				col[j] = x[j*w+k]
-			}
-			out[lanes[k]] = col
+			out[k] = bc.column(x, k)
 			done[k] = true
 			remaining--
 		}
-		if remaining > 0 && remaining < w && remaining <= 4 {
-			cur, x, lanes, curTol, done = compactBatch(cur, x, lanes, curTol, done, remaining)
-		}
 	}
-	for k := 0; k < cur.k; k++ {
+	for k := 0; k < K; k++ {
 		if !done[k] {
-			errs[lanes[k]] = &ConvergenceError{Iterations: solve.MaxIterations, Residual: delta[k], Tolerance: curTol[k], Sweep: SweepGaussSeidel, Point: -1}
+			errs[k] = &ConvergenceError{Iterations: solve.MaxIterations, Residual: delta[k], Tolerance: tol[k], Sweep: SweepGaussSeidel, Point: -1}
 		}
 	}
 	return out, errs, nil
 }
 
-// compactBatch narrows a batch to its live lanes: the rate arrays are
-// re-gathered at the new width by subBatch, the live columns of the
-// iterate slab are copied over unchanged, and the lane map and tolerances
-// are remapped. Compaction is pure data movement — every surviving lane
-// keeps its exact column values — so the lanes' remaining sweeps compute
-// the same floats they would have computed at the old width.
-func compactBatch(cur *batchComponent, x []float64, lanes []int, tol []float64, done []bool, remaining int) (*batchComponent, []float64, []int, []float64, []bool) {
-	w := cur.k
-	live := make([]int, 0, remaining)
-	for k := 0; k < w; k++ {
-		if !done[k] {
-			live = append(live, k)
-		}
-	}
-	sub := cur.subBatch(live)
-	nx := make([]float64, cur.n*len(live))
-	nl := make([]int, len(live))
-	nt := make([]float64, len(live))
-	for j := 0; j < cur.n; j++ {
-		for i, k := range live {
-			nx[j*len(live)+i] = x[j*w+k]
-		}
-	}
-	for i, k := range live {
-		nl[i] = lanes[k]
-		nt[i] = tol[k]
-	}
-	return sub, nx, nl, nt, make([]bool, len(live))
-}
-
-// sweepGSWidth dispatches one Gauss-Seidel sweep to the kernel specialized
-// for the batch's current width. At width 8, sweepGS8Fast may run the
-// sweep in the vectorized amd64 kernel; its multiplies and adds are the
-// same IEEE-754 double operations the scalar kernel performs, in the same
+// sweep runs one eight-lane Gauss-Seidel sweep. sweepGS8Fast may run it in
+// the vectorized amd64 kernel; its multiplies and adds are the same
+// IEEE-754 double operations the scalar kernel performs, in the same
 // per-lane order, so its results are bit-identical (pinned by a test that
 // runs both kernels).
-func (bc *batchComponent) sweepGSWidth(x, delta []float64, done []bool) {
-	switch bc.k {
-	case 8:
-		if !bc.sweepGS8Fast(x, delta, done) {
-			bc.sweepGS8(x, delta, done)
-		}
-	case 4:
-		bc.sweepGS4(x, delta, done)
-	case 2:
-		bc.sweepGS2(x, delta, done)
-	case 1:
-		bc.sweepGS1(x, delta, done)
-	default:
-		bc.sweepGS(x, delta, done)
+func (bc *batchComponent) sweep(x, delta []float64, done []bool) {
+	if !bc.sweepGS8Fast(x, delta, done) {
+		bc.sweepGS8(x, delta, done)
 	}
 }
 
@@ -506,60 +493,22 @@ func (bc *batchComponent) sweepGSWidth(x, delta []float64, done []bool) {
 // one full-width pass: each lane gets its own sequential accumulator chain
 // over rows 0..n-1, the canonical order the solo sweep's normalization
 // sums in, so the per-lane sums are bit-identical to n strided per-lane
-// walks — at one slab traversal instead of k.
+// walks — at one slab traversal instead of eight.
 func (bc *batchComponent) laneSums(x, sums []float64) {
-	n := bc.n
-	switch bc.k {
-	case 8:
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for j := 0; j < n; j++ {
-			xs := x[j*8 : j*8+8 : j*8+8]
-			s0 += xs[0]
-			s1 += xs[1]
-			s2 += xs[2]
-			s3 += xs[3]
-			s4 += xs[4]
-			s5 += xs[5]
-			s6 += xs[6]
-			s7 += xs[7]
-		}
-		sums[0], sums[1], sums[2], sums[3] = s0, s1, s2, s3
-		sums[4], sums[5], sums[6], sums[7] = s4, s5, s6, s7
-	case 4:
-		var s0, s1, s2, s3 float64
-		for j := 0; j < n; j++ {
-			xs := x[j*4 : j*4+4 : j*4+4]
-			s0 += xs[0]
-			s1 += xs[1]
-			s2 += xs[2]
-			s3 += xs[3]
-		}
-		sums[0], sums[1], sums[2], sums[3] = s0, s1, s2, s3
-	case 2:
-		var s0, s1 float64
-		for j := 0; j < n; j++ {
-			s0 += x[j*2]
-			s1 += x[j*2+1]
-		}
-		sums[0], sums[1] = s0, s1
-	case 1:
-		s := 0.0
-		for _, v := range x[:n] {
-			s += v
-		}
-		sums[0] = s
-	default:
-		K := bc.k
-		for k := range sums {
-			sums[k] = 0
-		}
-		for j := 0; j < n; j++ {
-			base := j * K
-			for k := 0; k < K; k++ {
-				sums[k] += x[base+k]
-			}
-		}
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	for j := 0; j < bc.n; j++ {
+		xs := x[j*8 : j*8+8 : j*8+8]
+		s0 += xs[0]
+		s1 += xs[1]
+		s2 += xs[2]
+		s3 += xs[3]
+		s4 += xs[4]
+		s5 += xs[5]
+		s6 += xs[6]
+		s7 += xs[7]
 	}
+	sums[0], sums[1], sums[2], sums[3] = s0, s1, s2, s3
+	sums[4], sums[5], sums[6], sums[7] = s4, s5, s6, s7
 }
 
 // scaleLanes multiplies every lane's column by its scale factor in one
@@ -567,93 +516,33 @@ func (bc *batchComponent) laneSums(x, sums []float64) {
 // that must not move (x*1 is bit-identical for every finite x), so the
 // pass needs no per-element branching.
 func (bc *batchComponent) scaleLanes(x, scale []float64) {
-	n := bc.n
-	switch bc.k {
-	case 8:
-		s0, s1, s2, s3 := scale[0], scale[1], scale[2], scale[3]
-		s4, s5, s6, s7 := scale[4], scale[5], scale[6], scale[7]
-		for j := 0; j < n; j++ {
-			xs := x[j*8 : j*8+8 : j*8+8]
-			xs[0] *= s0
-			xs[1] *= s1
-			xs[2] *= s2
-			xs[3] *= s3
-			xs[4] *= s4
-			xs[5] *= s5
-			xs[6] *= s6
-			xs[7] *= s7
-		}
-	case 4:
-		s0, s1, s2, s3 := scale[0], scale[1], scale[2], scale[3]
-		for j := 0; j < n; j++ {
-			xs := x[j*4 : j*4+4 : j*4+4]
-			xs[0] *= s0
-			xs[1] *= s1
-			xs[2] *= s2
-			xs[3] *= s3
-		}
-	case 2:
-		s0, s1 := scale[0], scale[1]
-		for j := 0; j < n; j++ {
-			x[j*2] *= s0
-			x[j*2+1] *= s1
-		}
-	case 1:
-		s := scale[0]
-		for j := 0; j < n; j++ {
-			x[j] *= s
-		}
-	default:
-		K := bc.k
-		for j := 0; j < n; j++ {
-			base := j * K
-			for k := 0; k < K; k++ {
-				x[base+k] *= scale[k]
-			}
-		}
+	s0, s1, s2, s3 := scale[0], scale[1], scale[2], scale[3]
+	s4, s5, s6, s7 := scale[4], scale[5], scale[6], scale[7]
+	for j := 0; j < bc.n; j++ {
+		xs := x[j*8 : j*8+8 : j*8+8]
+		xs[0] *= s0
+		xs[1] *= s1
+		xs[2] *= s2
+		xs[3] *= s3
+		xs[4] *= s4
+		xs[5] *= s5
+		xs[6] *= s6
+		xs[7] *= s7
 	}
 }
 
-// sweepGS is one full-width Gauss-Seidel sweep. Finished lanes (done[k])
-// are skipped entirely: their columns stay frozen at the values of their
-// convergence sweep, and skipping their divides and writes cannot affect
-// any live lane because lanes never mix.
-func (bc *batchComponent) sweepGS(x, delta []float64, done []bool) {
-	n, K := bc.n, bc.k
-	for j := 0; j < n; j++ {
-		base := j * K
-		lo, hi := int(bc.inStart[j]), int(bc.inStart[j+1])
-		for k := 0; k < K; k++ {
-			if done[k] || bc.exit[base+k] <= 0 {
-				continue
-			}
-			inflow := 0.0
-			for e := lo; e < hi; e++ {
-				inflow += x[int(bc.inFrom[e])*K+k] * bc.rate[e*K+k]
-			}
-			next := inflow * bc.invExit[base+k]
-			d := math.Abs(next - x[base+k])
-			if m := math.Max(next, 1e-300); d > delta[k]*m*residualGuard {
-				if rel := d / m; rel > delta[k] {
-					delta[k] = rel
-				}
-			}
-			x[base+k] = next
-		}
-	}
-}
-
-// sweepGS8 is the specialized full-width kernel for eight lanes: the
-// row's in-edges are traversed once with eight scalar accumulators, so
-// the CSR index loads, the bounds checks, and the loop control are paid
-// once for all lanes (the lane stride of 8 float64s is exactly one
-// 64-byte cache line), and the eight independent accumulator chains keep
-// the FP units busy where the solo sweep stalls on one add chain. The
-// accumulation runs for finished lanes too — it rides in the shared
-// traversal for free — but the per-lane epilogue (the divides, the
-// residual, the write) is skipped for them, so the expensive serial tail
-// is paid exactly once per live lane-row, as in a solo sweep. The
-// arithmetic per live lane is identical to sweepGS.
+// sweepGS8 is the scalar eight-lane Gauss-Seidel kernel, the reference
+// the vectorized kernel is pinned to and the fallback where it is
+// unavailable: the row's in-edges are traversed once with eight scalar
+// accumulators, so the CSR index loads, the bounds checks, and the loop
+// control are paid once for all lanes (the lane stride of 8 float64s is
+// exactly one 64-byte cache line), and the eight independent accumulator
+// chains keep the FP units busy where the solo sweep stalls on one add
+// chain. The accumulation runs for frozen lanes too — it rides in the
+// shared traversal for free — but the per-lane epilogue (the divide, the
+// residual, the write) is skipped for them, so their columns stay frozen
+// at the values of their convergence sweep and no live lane is affected.
+// The arithmetic per live lane is the solo gaussSeidel inner loop's.
 func (bc *batchComponent) sweepGS8(x, delta []float64, done []bool) {
 	n := bc.n
 	var dead [8]bool
@@ -690,108 +579,4 @@ func (bc *batchComponent) sweepGS8(x, delta []float64, done []bool) {
 			x[base+k] = next
 		}
 	}
-}
-
-// sweepGS4 is the four-lane Gauss-Seidel kernel, used after compaction:
-// the structure of sweepGS8 at half the lane stride. Arithmetic per live
-// lane is identical to sweepGS.
-func (bc *batchComponent) sweepGS4(x, delta []float64, done []bool) {
-	n := bc.n
-	var dead [4]bool
-	copy(dead[:], done)
-	for j := 0; j < n; j++ {
-		base := j * 4
-		lo, hi := int(bc.inStart[j]), int(bc.inStart[j+1])
-		var a0, a1, a2, a3 float64
-		for e := lo; e < hi; e++ {
-			fb := int(bc.inFrom[e]) * 4
-			xs := x[fb : fb+4 : fb+4]
-			rs := bc.rate[e*4 : e*4+4 : e*4+4]
-			a0 += xs[0] * rs[0]
-			a1 += xs[1] * rs[1]
-			a2 += xs[2] * rs[2]
-			a3 += xs[3] * rs[3]
-		}
-		acc := [4]float64{a0, a1, a2, a3}
-		for k := 0; k < 4; k++ {
-			if dead[k] || bc.exit[base+k] <= 0 {
-				continue
-			}
-			next := acc[k] * bc.invExit[base+k]
-			d := math.Abs(next - x[base+k])
-			if m := math.Max(next, 1e-300); d > delta[k]*m*residualGuard {
-				if rel := d / m; rel > delta[k] {
-					delta[k] = rel
-				}
-			}
-			x[base+k] = next
-		}
-	}
-}
-
-// sweepGS2 is the two-lane Gauss-Seidel kernel, used after compaction.
-// Arithmetic per live lane is identical to sweepGS.
-func (bc *batchComponent) sweepGS2(x, delta []float64, done []bool) {
-	n := bc.n
-	dead0, dead1 := done[0], done[1]
-	for j := 0; j < n; j++ {
-		base := j * 2
-		lo, hi := int(bc.inStart[j]), int(bc.inStart[j+1])
-		var a0, a1 float64
-		for e := lo; e < hi; e++ {
-			fb := int(bc.inFrom[e]) * 2
-			a0 += x[fb] * bc.rate[e*2]
-			a1 += x[fb+1] * bc.rate[e*2+1]
-		}
-		if !dead0 && bc.exit[base] > 0 {
-			next := a0 * bc.invExit[base]
-			d := math.Abs(next - x[base])
-			if m := math.Max(next, 1e-300); d > delta[0]*m*residualGuard {
-				if rel := d / m; rel > delta[0] {
-					delta[0] = rel
-				}
-			}
-			x[base] = next
-		}
-		if !dead1 && bc.exit[base+1] > 0 {
-			next := a1 * bc.invExit[base+1]
-			d := math.Abs(next - x[base+1])
-			if m := math.Max(next, 1e-300); d > delta[1]*m*residualGuard {
-				if rel := d / m; rel > delta[1] {
-					delta[1] = rel
-				}
-			}
-			x[base+1] = next
-		}
-	}
-}
-
-// sweepGS1 is the single-lane Gauss-Seidel kernel a fully compacted batch
-// degenerates to — the solo gaussSeidel inner loop verbatim, so the last
-// surviving lane of a batch pays exactly the solo sweep's cost.
-func (bc *batchComponent) sweepGS1(x, delta []float64, done []bool) {
-	if done[0] {
-		return
-	}
-	n := bc.n
-	d := delta[0]
-	for j := 0; j < n; j++ {
-		if bc.exit[j] <= 0 {
-			continue
-		}
-		lo, hi := int(bc.inStart[j]), int(bc.inStart[j+1])
-		inflow := 0.0
-		for e := lo; e < hi; e++ {
-			inflow += x[int(bc.inFrom[e])] * bc.rate[e]
-		}
-		next := inflow * bc.invExit[j]
-		dd := math.Abs(next - x[j])
-		if m := math.Max(next, 1e-300); dd > d*m*residualGuard {
-			if rel := dd / m; rel > d {
-				d = rel
-			}
-		}
-		x[j] = next
-	}
-	delta[0] = d
 }

@@ -5,6 +5,7 @@ package ctmc_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -118,17 +119,44 @@ func requireBitIdentical(t *testing.T, name string, want, got [][]float64) {
 	}
 }
 
+// rateGrid turns a grid of times (a timeout or a period) into one-slot
+// points at slot value 1/time.
+func rateGrid(times ...float64) [][]float64 {
+	out := make([][]float64, len(times))
+	for i, T := range times {
+		out[i] = []float64{1 / T}
+	}
+	return out
+}
+
+// avxModes lists the sweep-kernel settings the machine can run: the
+// scalar kernel always, the vectorized one where it is available.
+func avxModes() []bool {
+	if ctmc.HaveAVXForTest() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// batchWidths covers every group shape of the eight-lane batch: one to
+// seven live lanes padded to eight, a full group, and nine and seventeen
+// lanes split into several groups (the last one padded).
+var batchWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17}
+
 // TestSolveBatchBitIdentity pins the tentpole contract on both paper
 // chains: the batched solve equals the sequential Rebind+SteadyState chain
-// bit for bit, at lane widths 1, 3, and 8, under both forced schemes,
-// cold and warm-started.
+// bit for bit, at every lane width from 1 to 9 and at 17, in the scalar
+// and the vectorized kernel, under both forced schemes, cold and
+// warm-started.
 func TestSolveBatchBitIdentity(t *testing.T) {
 	chains := map[string]struct {
 		c      *ctmc.CTMC
 		points [][]float64
 	}{
-		"rpc":       {rpcParamChain(t), rpcPoints()},
-		"streaming": {streamingParamChain(t), streamingPoints()},
+		"rpc": {rpcParamChain(t), rateGrid(0.5, 0.75, 1, 1.5, 2, 3, 5, 7.5, 10,
+			12.5, 15, 20, 25, 30, 40, 50, 60)},
+		"streaming": {streamingParamChain(t), rateGrid(5, 10, 25, 50, 75, 100, 150, 200, 300,
+			400, 500, 600, 700, 800, 900, 1000, 1200)},
 	}
 	for name, tc := range chains {
 		for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepMultilevel} {
@@ -139,12 +167,78 @@ func TestSolveBatchBitIdentity(t *testing.T) {
 			warm := opts
 			warm.WarmStart = want[0]
 			wantWarm := solveSequential(t, tc.c, tc.points, warm)
-			for _, width := range []int{1, 3, 8} {
-				got := batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: opts})
-				requireBitIdentical(t, name+"/"+sweep.String()+"/cold", want, got)
-				got = batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: warm})
-				requireBitIdentical(t, name+"/"+sweep.String()+"/warm", wantWarm, got)
+			for _, avx := range avxModes() {
+				prev := ctmc.SetAVXForTest(avx)
+				for _, width := range batchWidths {
+					tag := fmt.Sprintf("%s/%v/avx=%v/width=%d", name, sweep, avx, width)
+					got := batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: opts})
+					requireBitIdentical(t, tag+"/cold", want, got)
+					got = batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: warm})
+					requireBitIdentical(t, tag+"/warm", wantWarm, got)
+				}
+				ctmc.SetAVXForTest(prev)
 			}
+		}
+	}
+}
+
+// TestSolveBatchPadLanesNeverSurface pins that the pad lanes filling a
+// short group to eight stay internal: SolveBatchLanes reports exactly one
+// result and one error slot per point, a lane that exhausts its budget is
+// attributed to its own index (never to a pad lane), and per-lane
+// tolerances are taken per point, not per padded lane.
+func TestSolveBatchPadLanesNeverSurface(t *testing.T) {
+	c := rpcParamChain(t)
+	points := rateGrid(0.5, 0.75, 1, 1.5, 2, 3, 5, 7.5, 10, 12.5, 15, 20, 25, 30, 40, 50, 60)
+	for _, K := range batchWidths {
+		out, laneErrs, err := c.SolveBatchLanes(points[:K], ctmc.BatchOptions{})
+		if err != nil {
+			t.Fatalf("K=%d: %v", K, err)
+		}
+		if len(out) != K || len(laneErrs) != K {
+			t.Fatalf("K=%d: %d results and %d lane errors, want %d each", K, len(out), len(laneErrs), K)
+		}
+		for k := range out {
+			if out[k] == nil || laneErrs[k] != nil {
+				t.Fatalf("K=%d lane %d: result %v, error %v", K, k, out[k] != nil, laneErrs[k])
+			}
+		}
+	}
+	for _, K := range []int{3, 11} {
+		// Only the last lane is held to an unreachable tolerance, so it
+		// alone exhausts the budget; the others converge.
+		tols := make([]float64, K)
+		for k := range tols {
+			tols[k] = 1e-9
+		}
+		tols[K-1] = 1e-300
+		opts := ctmc.BatchOptions{
+			Solve:          ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, MaxIterations: 500},
+			LaneTolerances: tols,
+		}
+		out, laneErrs, err := c.SolveBatchLanes(points[:K], opts)
+		if err != nil {
+			t.Fatalf("K=%d: %d lane tolerances rejected: %v", K, K, err)
+		}
+		if len(out) != K || len(laneErrs) != K {
+			t.Fatalf("K=%d: %d results and %d lane errors, want %d each", K, len(out), len(laneErrs), K)
+		}
+		for k := 0; k < K-1; k++ {
+			if laneErrs[k] != nil {
+				t.Fatalf("K=%d lane %d: %v", K, k, laneErrs[k])
+			}
+			want := solveSequential(t, c, points[k:k+1],
+				ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, MaxIterations: 500, Tolerance: tols[k]})
+			requireBitIdentical(t, fmt.Sprintf("K=%d", K), want, out[k:k+1])
+		}
+		var ce *ctmc.ConvergenceError
+		if !errors.As(laneErrs[K-1], &ce) || ce.Point != K-1 || ce.Params[0] != points[K-1][0] {
+			t.Fatalf("K=%d: last lane error %v, want ConvergenceError{Point: %d}", K, laneErrs[K-1], K-1)
+		}
+		_, err = c.SolveBatch(points[:K], opts)
+		var bpe *ctmc.BatchPointError
+		if !errors.As(err, &bpe) || bpe.Point != K-1 || !errors.As(err, &ce) || ce.Point != K-1 {
+			t.Fatalf("K=%d: want BatchPointError{Point: %d} wrapping its ConvergenceError, got %v", K, K-1, err)
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 // first. The smoother is the sequential Gauss-Seidel kernel and the
 // coarse solve is the sequential GTH elimination, so the whole scheme is
 // a pure function of its input by construction; the batched variant
-// replicates the solo schedule per lane through the pinned batch kernels.
+// replicates the solo schedule per lane through the pinned batch kernel.
 
 const (
 	// multilevelPreSweeps/PostSweeps are the smoothing sweeps per outer
@@ -388,26 +388,28 @@ func (p *component) multilevel(opts SolveOptions, start []float64, cp *coarsePla
 }
 
 // stalledLanes is the batched stall probe: the same 24-sweep Gauss-Seidel
-// trajectory as stalledGS, run per lane through the pinned batch kernels,
+// trajectory as stalledGS, run per lane through the pinned batch kernel,
 // so lane k's verdict is bit-identical to a solo probe of that lane's
 // chain at tolerance tol[k]. A lane that converges or collapses during
 // the probe is frozen (its remaining probe sweeps are skipped, which
-// cannot affect other lanes) and reported not-stalled.
+// cannot affect other lanes) and reported not-stalled. It returns one
+// verdict per live lane.
 func (bc *batchComponent) stalledLanes(tol []float64, start []float64) []bool {
-	K := bc.k
+	K := bc.live
 	x := bc.spread(start)
-	done := make([]bool, K)
-	delta := make([]float64, K)
-	sums := make([]float64, K)
-	scale := make([]float64, K)
+	done := bc.padDone()
+	delta := make([]float64, batchLanes)
+	sums := make([]float64, batchLanes)
+	scale := make([]float64, batchLanes)
+	for k := range scale {
+		scale[k] = 1
+	}
 	dCheck := make([]float64, K)
 	dEnd := make([]float64, K)
 	stalled := make([]bool, K)
 	for iter := 0; iter < multilevelProbeSweeps; iter++ {
-		for k := 0; k < K; k++ {
-			delta[k] = 0
-		}
-		bc.sweepGSWidth(x, delta, done)
+		clear(delta)
+		bc.sweep(x, delta, done)
 		bc.laneSums(x, sums)
 		for k := 0; k < K; k++ {
 			scale[k] = 1
@@ -446,7 +448,7 @@ func (bc *batchComponent) stalledLanes(tol []float64, start []float64) []bool {
 // corrected column is bit-identical to the solo step at that lane's
 // rates.
 func (bc *batchComponent) coarseCorrectLane(cp *coarsePlan, k int, x, w, sums, a, y []float64) {
-	K := bc.k
+	const K = batchLanes
 	nb := cp.nb
 	for b := 0; b < nb; b++ {
 		sums[b] = 0
@@ -477,28 +479,31 @@ func (bc *batchComponent) coarseCorrectLane(cp *coarsePlan, k int, x, w, sums, a
 }
 
 // multilevelBatch runs the IAD outer loop on every lane of the batch at
-// once: the smoothing sweeps go through the pinned batch Gauss-Seidel
-// kernels (one CSR traversal feeds all lanes), the per-lane coarse solves
+// once: the smoothing sweeps go through the pinned eight-lane Gauss-Seidel
+// kernel (one CSR traversal feeds all lanes), the per-lane coarse solves
 // share the cached coarse structure and run in ascending lane order, and
 // every live lane follows the solo multilevel schedule exactly — the same
 // sweeps, the same correction points, the same post-smoothing residual
 // tests — so each lane's result is bit-identical to a solo multilevel
 // solve at that lane's rates. The equalized outer cycles are what shrink
 // the batched kernel's lane skew: lanes converge within a handful of
-// shared cycles instead of straggling for thousands of extra sweeps. The
-// batch is never compacted (cycles are few; the wide kernels with frozen
-// lanes skipped are already within a constant of optimal).
+// shared cycles instead of straggling for thousands of extra sweeps.
+// Converged lanes stay frozen in the eight-lane kernel, as in
+// gaussSeidelBatch. It returns one column or one error per live lane.
 func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, start []float64, cp *coarsePlan) ([][]float64, []*ConvergenceError, error) {
-	K := bc.k
+	K := bc.live
 	out := make([][]float64, K)
 	errs := make([]*ConvergenceError, K)
 	cancel := cancelChan(solve.Ctx)
 	x := bc.spread(start)
-	done := make([]bool, K)
+	done := bc.padDone()
 	remaining := K
-	delta := make([]float64, K)
-	sums := make([]float64, K)
-	scale := make([]float64, K)
+	delta := make([]float64, batchLanes)
+	sums := make([]float64, batchLanes)
+	scale := make([]float64, batchLanes)
+	for k := range scale {
+		scale[k] = 1
+	}
 	lastDelta := make([]float64, K)
 	for k := range lastDelta {
 		lastDelta[k] = math.Inf(1)
@@ -518,10 +523,8 @@ func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, sta
 		if err := pollSolve(solve.Ctx, cancel, iter); err != nil {
 			return false, err
 		}
-		for k := 0; k < K; k++ {
-			delta[k] = 0
-		}
-		bc.sweepGSWidth(x, delta, done)
+		clear(delta)
+		bc.sweep(x, delta, done)
 		bc.laneSums(x, sums)
 		for k := 0; k < K; k++ {
 			scale[k] = 1
@@ -545,11 +548,7 @@ func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, sta
 				if done[k] || !(delta[k] < tol[k]) {
 					continue
 				}
-				col := make([]float64, bc.n)
-				for j := 0; j < bc.n; j++ {
-					col[j] = x[j*K+k]
-				}
-				out[k] = col
+				out[k] = bc.column(x, k)
 				done[k] = true
 				remaining--
 			}

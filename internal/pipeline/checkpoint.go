@@ -207,12 +207,38 @@ func (r *ckReader) u64() uint64 {
 
 func (r *ckReader) str() string { return string(r.take(int(r.u16()))) }
 
+// Minimum encoded sizes of the counted records, which bound a count by the
+// bytes still unread: a point (index, value count, attempt count), a
+// measure value (empty name, value), and a solve attempt (rung, empty
+// action, sweep, budget, omega, flags, iterations, residual).
+const (
+	ckPointMin   = 4 + 4 + 4
+	ckValueMin   = 2 + 8
+	ckAttemptMin = 4 + 2 + 4 + 8 + 8 + 1 + 8 + 8
+)
+
+// count reads an element count and latches failed when the unread bytes
+// cannot hold that many records of at least size bytes each, so a corrupt
+// count never sizes an allocation or a loop.
+func (r *ckReader) count(size int) int {
+	n := int(r.u32())
+	if n > (len(r.b)-r.off)/size {
+		r.failed = true
+		return 0
+	}
+	return n
+}
+
 func (r *ckReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // decodeCheckpoint parses and checksums an encoded checkpoint. report
 // rebuilds a Phase2Report shell around a decoded value map and trace
 // (the caller closes it over the current run's state-space sizes, which
-// the structural hash guarantees match).
+// the structural hash guarantees match). The checksum only catches
+// accidental damage, so every count is bounded by the bytes still unread
+// before it sizes anything, and the decoder accepts only what
+// encodeCheckpoint writes: completed indices strictly ascending and below
+// numPoints, value names strictly ascending, and flag bits 0 and 1.
 func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase2Report) (*checkpoint, error) {
 	if len(data) < len(ckMagic)+16 || string(data[:len(ckMagic)]) != ckMagic {
 		return nil, ErrCheckpointCorrupt
@@ -231,25 +257,31 @@ func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase
 		completed: make(map[int]*Phase2Report),
 	}
 	c.numPoints = int(r.u32())
-	if n := int(r.u32()); n > 0 {
-		if n > len(body) { // cheap sanity bound before allocating
-			return nil, ErrCheckpointCorrupt
-		}
+	if n := r.count(8); n > 0 {
 		c.anchorPi = make([]float64, n)
 		for i := range c.anchorPi {
 			c.anchorPi[i] = r.f64()
 		}
 	}
-	nDone := int(r.u32())
-	for d := 0; d < nDone && !r.failed; d++ {
+	prevIdx := -1
+	for d, nDone := 0, r.count(ckPointMin); d < nDone && !r.failed; d++ {
 		idx := int(r.u32())
+		if idx <= prevIdx || idx >= c.numPoints {
+			return nil, ErrCheckpointCorrupt
+		}
+		prevIdx = idx
 		values := make(map[string]float64)
-		for v, nv := 0, int(r.u32()); v < nv && !r.failed; v++ {
+		prevName := ""
+		for v, nv := 0, r.count(ckValueMin); v < nv && !r.failed; v++ {
 			name := r.str()
+			if v > 0 && name <= prevName {
+				return nil, ErrCheckpointCorrupt
+			}
+			prevName = name
 			values[name] = r.f64()
 		}
 		rep := report(values)
-		if na := int(r.u32()); na > 0 {
+		if na := r.count(ckAttemptMin); na > 0 {
 			trace := &ctmc.SolveTrace{Attempts: make([]ctmc.SolveAttempt, 0, na)}
 			for a := 0; a < na && !r.failed; a++ {
 				att := ctmc.SolveAttempt{
@@ -262,6 +294,9 @@ func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase
 				var flags byte
 				if s := r.take(1); s != nil {
 					flags = s[0]
+				}
+				if flags&^3 != 0 {
+					return nil, ErrCheckpointCorrupt
 				}
 				att.WarmStart = flags&1 != 0
 				att.Converged = flags&2 != 0

@@ -1,17 +1,23 @@
 package pipeline
 
 import (
+	"bytes"
 	"errors"
+	"hash/fnv"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/ctmc"
+	"repro/internal/elab"
+	"repro/internal/models"
 )
 
-// TestCheckpointEncodeDecodeRoundTrip pins the binary format: every field
-// — values, anchor bits, traces, flags — survives a round trip exactly.
-func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
-	orig := &checkpoint{
+// tracedCheckpoint is a hand-built checkpoint exercising every field:
+// an anchor, a plain completed point, and one with an escalation trace.
+func tracedCheckpoint() *checkpoint {
+	return &checkpoint{
 		hash:      0xdeadbeefcafe,
 		numPoints: 5,
 		anchorPi:  []float64{0.125, 0.875, 1e-300},
@@ -28,7 +34,16 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	report := func(values map[string]float64) *Phase2Report { return &Phase2Report{Values: values} }
+}
+
+// shellReport rebuilds a bare report around decoded values.
+func shellReport(values map[string]float64) *Phase2Report { return &Phase2Report{Values: values} }
+
+// TestCheckpointEncodeDecodeRoundTrip pins the binary format: every field
+// — values, anchor bits, traces, flags — survives a round trip exactly.
+func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
+	orig := tracedCheckpoint()
+	report := shellReport
 	got, err := decodeCheckpoint(encodeCheckpoint(orig), report)
 	if err != nil {
 		t.Fatal(err)
@@ -56,4 +71,105 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	if _, err := decodeCheckpoint([]byte("not a checkpoint"), report); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("garbage decoded: %v", err)
 	}
+}
+
+// withChecksum returns body followed by its FNV-64a tail, the framing
+// decodeCheckpoint verifies before parsing.
+func withChecksum(body []byte) []byte {
+	sum := fnv.New64a()
+	sum.Write(body)
+	return ckU64(append([]byte(nil), body...), sum.Sum64())
+}
+
+// oneAttemptCountCheckpoint is a 48-byte checkpoint with a valid checksum
+// holding one completed point (index idx of numPoints) whose trace claims
+// the given number of attempts.
+func oneAttemptCountCheckpoint(numPoints, idx, attempts uint32) []byte {
+	b := append([]byte(nil), ckMagic...)
+	b = ckU64(b, 0)         // structural hash
+	b = ckU32(b, numPoints) // points in the sweep
+	b = ckU32(b, 0)         // anchor length
+	b = ckU32(b, 1)         // completed points
+	b = ckU32(b, idx)       // completed index
+	b = ckU32(b, 0)         // measure values
+	b = ckU32(b, attempts)  // trace attempts
+	return withChecksum(b)
+}
+
+// TestDecodeCheckpointBoundsCounts is the regression for a corrupt count
+// sizing an allocation: a 48-byte file whose checksum is valid but whose
+// attempt count is 0xFFFFFFF0 used to make a slice of that capacity and
+// kill the process. It must be rejected as corrupt, as must a completed
+// index outside the sweep.
+func TestDecodeCheckpointBoundsCounts(t *testing.T) {
+	data := oneAttemptCountCheckpoint(1, 0, 0xFFFFFFF0)
+	if len(data) != 48 {
+		t.Fatalf("fixture is %d bytes, want 48", len(data))
+	}
+	if _, err := decodeCheckpoint(data, shellReport); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Errorf("huge attempt count: want ErrCheckpointCorrupt, got %v", err)
+	}
+	if _, err := decodeCheckpoint(oneAttemptCountCheckpoint(1, 0, 0), shellReport); err != nil {
+		t.Errorf("well-formed one-point checkpoint rejected: %v", err)
+	}
+	if _, err := decodeCheckpoint(oneAttemptCountCheckpoint(1, 1, 0), shellReport); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Errorf("completed index 1 of 1 point: want ErrCheckpointCorrupt, got %v", err)
+	}
+}
+
+// rpcSweepCheckpoint runs a 3-point Fig. 3 rpc timeout sweep with
+// checkpointing and returns the file it wrote.
+func rpcSweepCheckpoint(f *testing.F) []byte {
+	f.Helper()
+	p := models.DefaultRPCParams()
+	p.ParametricTimeout = true
+	a, err := models.BuildRPCRevised(p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, err := elab.Elaborate(a)
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(f.TempDir(), "sweep.ckpt")
+	s := NewSession(Spec{Model: m, Measures: models.RPCMeasures(p)}, Config{})
+	points := [][]float64{{1 / 0.5}, {1 / 5.0}, {1 / 25.0}}
+	if _, err := s.SweepCheckpointed(points, &CheckpointOptions{Path: path, Every: 1}); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// FuzzDecodeCheckpoint feeds the decoder arbitrary bodies behind a valid
+// checksum, so the fuzzer reaches the parser instead of stalling on the
+// FNV tail. A decode must never panic; one that succeeds holds only
+// completed indices below numPoints and re-encodes to the same bytes.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	f.Add(rpcSweepCheckpoint(f))
+	f.Add(oneAttemptCountCheckpoint(1, 0, 0xFFFFFFF0))
+	f.Add(encodeCheckpoint(tracedCheckpoint()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 8 {
+			data = withChecksum(data[:len(data)-8])
+		}
+		c, err := decodeCheckpoint(data, shellReport)
+		if err != nil {
+			if !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("decode failed with %v, want ErrCheckpointCorrupt", err)
+			}
+			return
+		}
+		for i := range c.completed {
+			if i < 0 || i >= c.numPoints {
+				t.Fatalf("completed index %d outside %d points", i, c.numPoints)
+			}
+		}
+		if re := encodeCheckpoint(c); !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", re, data)
+		}
+	})
 }

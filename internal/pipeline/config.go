@@ -48,10 +48,10 @@ type Config struct {
 	// State-space generation and the steady-state solver are sequential
 	// and never read it. Results are bit-identical at any value.
 	Workers int
-	// LaneWidth is the batched steady-state width of Session sweeps: 0
-	// auto-selects DefaultLaneWidth, 1 forces the per-point path, any
-	// other value is used as given. Results are bit-identical at any
-	// value.
+	// LaneWidth is the chunk size of batched steady-state solves in
+	// Session sweeps: 0 auto-selects DefaultLaneWidth, 1 forces the
+	// per-point path, and any other K solves each chunk of K points as
+	// ⌈K/8⌉ eight-lane groups. Results are bit-identical at any value.
 	LaneWidth int
 	// Ctx cancels the session's work: generation polls it at BFS level
 	// boundaries, solvers per iteration, sweeps at point boundaries, and

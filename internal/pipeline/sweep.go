@@ -15,9 +15,9 @@ import (
 	"repro/internal/measure"
 )
 
-// DefaultLaneWidth is the sweep-batching width Sweep auto-selects: eight
-// lanes interleave one float64 per lane into exactly one 64-byte cache
-// line, the width the specialized batched kernels are unrolled for.
+// DefaultLaneWidth is the sweep-batching width Sweep auto-selects: one
+// full group of the eight-lane batched kernel, whose lanes interleave one
+// float64 each into exactly one 64-byte cache line.
 const DefaultLaneWidth = 8
 
 // sweepHash fingerprints everything a checkpoint must match to be safely
@@ -311,9 +311,7 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 			}
 			if prior != nil {
 				for i, rep := range prior.completed {
-					if i >= 0 && i < len(points) {
-						reports[i] = rep
-					}
+					reports[i] = rep
 				}
 			}
 		}

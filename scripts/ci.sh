@@ -23,6 +23,12 @@ go vet ./internal/fault/ ./internal/faultinject/
 echo "== go build =="
 go build ./...
 
+# The scalar eight-lane kernel (sweepGS8 behind sweep_noasm.go) is the
+# only sweep path off amd64; vetting and building for arm64 keeps that
+# path and its test shims compiling on a machine that never runs them.
+echo "== cross-arch build (arm64) =="
+GOARCH=arm64 go vet ./internal/ctmc/ && GOARCH=arm64 go build ./...
+
 # Every test invocation carries an explicit -timeout: a deadlocked worker
 # pool (the exact failure class the fault-tolerance layer guards against)
 # must fail CI within the bound instead of hanging the job.
@@ -125,8 +131,9 @@ scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|Sweep
 # Fuzz smoke: ten seconds of coverage-guided fuzzing per target on top of
 # the seed corpora that plain `go test` replays — the Æmilia parser and
 # lexer (the byte-parsing input surface), the weak-bisimulation check
-# against its unreduced saturation oracle, and the compiled successor
-# enumeration of state-space generation against Model.Successors. A
+# against its unreduced saturation oracle, the compiled successor
+# enumeration of state-space generation against Model.Successors, and
+# the sweep checkpoint decoder (the file a resumed sweep trusts). A
 # crasher lands under the package's testdata/fuzz and then replays in
 # every later `go test`.
 echo "== fuzz smoke =="
@@ -134,5 +141,6 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/aemil
 go test -timeout 5m -run '^$' -fuzz '^FuzzLexer$' -fuzztime 10s ./internal/aemilia/parser/
 go test -timeout 5m -run '^$' -fuzz '^FuzzWeakEquivalent$' -fuzztime 10s ./internal/bisim/
 go test -timeout 5m -run '^$' -fuzz '^FuzzCompiledSuccessors$' -fuzztime 10s ./internal/elab/
+go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s ./internal/pipeline/
 
 echo "CI OK"
