@@ -571,9 +571,9 @@ func runSolve(args []string) error {
 			"multilevel cycles), final residual, and every escalation attempt")
 	lanes := fs.Int("lanes", 0,
 		"sweep points solved per batched steady-state call on checkpointed solves,\n"+
-			"run as ⌈K/8⌉ eight-lane groups: 0 auto-selects, 1 forces the per-point\n"+
-			"solver (results are identical at any value; matches the study tools'\n"+
-			"-lanes flag)")
+			"run as ⌈K/8⌉ eight-lane groups: 0 auto-selects, 1 solves one point\n"+
+			"per call (results are identical at any value; matches the study\n"+
+			"tools' -lanes flag)")
 	ckptPath := fs.String("checkpoint", "",
 		"checkpoint file: the solve periodically saves its progress there\n"+
 			"(requires a model with rate parameters; empty = disabled)")

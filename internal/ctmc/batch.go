@@ -1,7 +1,6 @@
 package ctmc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -44,28 +43,28 @@ func (e *BatchPointError) Unwrap() error { return e.Err }
 // rate-slot assignments in one pass: the structural skeleton (bottom
 // component, incoming CSR indices) is shared across all points, the K
 // per-point rate vectors are gathered lane-interleaved from the chain's
-// recorded contribution terms, and one sweep kernel iterates all lanes
-// simultaneously — each pass over the CSR indices feeds every lane, so the
-// index traffic and loop overhead of K solo solves are paid once.
+// recorded contribution terms, and the eight-lane kernel iterates all
+// lanes simultaneously — each pass over the CSR indices feeds every lane,
+// so the index traffic and loop overhead are paid once per group of eight.
 //
 // out[k] is bit-identical to the sequential chain
 //
 //	clone := c.Clone(); clone.Rebind(points[k]); clone.SteadyState(opts.Solve)
 //
-// at any lane count: every lane replicates the solo
-// sweep's floating-point operations — the same contribution-term sums in
-// the same order, the same update, residual, and normalization arithmetic
-// — and lanes never mix, so a point's result does not depend on which
-// points share its batch. Per-lane residuals are tracked independently and
-// a lane deactivates (its column is frozen and copied out) after exactly
-// the sweep where a solo run would return. The chain's own rate state is
-// not touched: lanes are computed from the contribution terms, so c still
-// carries whatever rates the last Build/Rebind wrote.
+// at any lane count: the gathered rates are the contribution-term sums
+// Rebind computes, in the same order, SteadyState runs the same kernel on
+// a one-lane batch, and lanes never mix, so a point's result does not
+// depend on which points share its batch. Per-lane residuals are tracked
+// independently and a lane deactivates (its column is frozen and copied
+// out) after exactly the sweep where a one-lane solve would return. The
+// chain's own rate state is not touched: lanes are computed from the
+// contribution terms, so c still carries whatever rates the last
+// Build/Rebind wrote.
 //
 // The sweep scheme is resolved per SolveOptions exactly as SteadyState
-// resolves it (see SweepAuto), lane by lane. On failure the lowest failed lane is reported as a
-// *BatchPointError wrapping that lane's error, with ConvergenceError
-// carrying the lane index and rate vector.
+// resolves it (see SweepAuto), lane by lane. On failure the lowest failed
+// lane is reported as a *BatchPointError wrapping that lane's error, with
+// ConvergenceError carrying the lane index and rate vector.
 func (c *CTMC) SolveBatch(points [][]float64, opts BatchOptions) ([][]float64, error) {
 	out, laneErrs, err := c.SolveBatchLanes(points, opts)
 	if err != nil {
@@ -89,9 +88,8 @@ func (c *CTMC) SolveBatch(points [][]float64, opts BatchOptions) ([][]float64, e
 // cancellation, and worker panics; when it is non-nil, out and laneErrs
 // are nil.
 //
-// Omega and Escalation must be unset in opts.Solve: lanes always run the
-// scheme-default damping so a lane stays bit-identical to a default solo
-// solve, and escalation re-solves lanes solo where those options apply.
+// Escalation must be unset in opts.Solve: the ladder re-solves failed
+// lanes one at a time through EscalateFrom.
 func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]float64, laneErrs []error, err error) {
 	K := len(points)
 	if K == 0 {
@@ -100,11 +98,8 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 	if c.numSlots == 0 {
 		return nil, nil, fmt.Errorf("ctmc: solve batch: chain has no rate slots; use SteadyState per point")
 	}
-	if opts.Solve.Omega != 0 {
-		return nil, nil, fmt.Errorf("ctmc: solve batch: Omega is a solo-solver option; batch lanes always use the scheme default")
-	}
 	if opts.Solve.Escalation != EscalateNever {
-		return nil, nil, fmt.Errorf("ctmc: solve batch: Escalation is a solo-solver option; escalate failed lanes with EscalateFrom")
+		return nil, nil, fmt.Errorf("ctmc: solve batch: Escalation is not a batch option; escalate failed lanes with EscalateFrom")
 	}
 	for k, pt := range points {
 		if len(pt) != c.numSlots {
@@ -148,32 +143,27 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 		return out, laneErrs, nil
 	}
 
-	start := uniformStart(len(plan.target))
-	if len(solve.WarmStart) == c.N {
-		if ws := projectStart(solve.WarmStart, plan.target); ws != nil {
-			start = ws
-		}
-	}
+	start := c.startVector(plan, solve.WarmStart)
 
 	// Larger batches run as consecutive eight-lane groups in index order;
 	// lanes never mix, so the grouping changes no bits.
 	for off := 0; off < K; off += batchLanes {
 		hi := min(off+batchLanes, K)
-		cols, errs, err := c.solveGroup(plan, points[off:hi], tol[off:hi], solve, start)
+		res, err := c.solveGroup(plan, c.fillBatch(plan, points[off:hi]), tol[off:hi], solve, start)
 		if err != nil {
 			return nil, nil, err
 		}
-		for i, col := range cols {
+		for i, r := range res {
 			k := off + i
-			if ce := errs[i]; ce != nil {
-				ce.Point = k
-				ce.Params = append([]float64(nil), points[k]...)
-				laneErrs[k] = ce
+			if r.err != nil {
+				r.err.Point = k
+				r.err.Params = append([]float64(nil), points[k]...)
+				laneErrs[k] = r.err
 				continue
 			}
 			pi := make([]float64, c.N)
 			for j, s := range plan.target {
-				pi[s] = col[j]
+				pi[s] = r.x[j]
 			}
 			out[k] = pi
 		}
@@ -181,22 +171,30 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 	return out, laneErrs, nil
 }
 
-// solveGroup solves at most batchLanes points in one eight-lane batch,
-// returning one column or one error per point (never both).
-func (c *CTMC) solveGroup(plan *solvePlan, points [][]float64, tol []float64, solve SolveOptions, start []float64) ([][]float64, []*ConvergenceError, error) {
-	bc := c.fillBatch(plan, points)
+// laneResult is one live lane's outcome: its converged column and solve
+// statistics, or its convergence failure (never both).
+type laneResult struct {
+	x   []float64
+	st  solveStats
+	err *ConvergenceError
+}
+
+// solveGroup runs the solve of every live lane of bc under solve.Sweep —
+// the SweepAuto rule included — and returns one result per live lane.
+// SteadyState calls it with a one-lane batch, SolveBatchLanes once per
+// group of at most batchLanes points.
+func (c *CTMC) solveGroup(plan *solvePlan, bc *batchComponent, tol []float64, solve SolveOptions, start []float64) ([]laneResult, error) {
 	switch {
 	case solve.Sweep == SweepMultilevel:
 		return bc.multilevelBatch(solve, tol, start, c.ensureCoarse(plan))
 	case solve.Sweep == SweepAuto && bc.n >= multilevelAutoMin:
-		// The batched mirror of the solo auto rule: probe every lane with
-		// the same fixed Gauss-Seidel trajectory (bit-identical per lane
-		// to the solo probe), route stalled lanes through the multilevel
-		// cycle and the rest through Gauss-Seidel, and retry Gauss-Seidel
-		// lanes that still exhausted their budget with the multilevel
-		// cycle from the original start — the same attempt chain a solo
-		// auto solve runs per point. When no lane needs the multilevel
-		// path this is exactly the Gauss-Seidel path.
+		// Probe every lane with the same fixed Gauss-Seidel trajectory,
+		// route stalled lanes through the multilevel cycle and the rest
+		// through Gauss-Seidel, and retry Gauss-Seidel lanes that still
+		// exhausted their budget with the multilevel cycle from the
+		// original start. Every lane runs the same attempt chain whatever
+		// lanes share its batch; when no lane needs the multilevel path
+		// this is exactly the Gauss-Seidel path.
 		var ml, rest []int
 		for k, s := range bc.stalledLanes(tol, start) {
 			if s {
@@ -205,8 +203,7 @@ func (c *CTMC) solveGroup(plan *solvePlan, points [][]float64, tol []float64, so
 				rest = append(rest, k)
 			}
 		}
-		cols := make([][]float64, len(points))
-		errs := make([]*ConvergenceError, len(points))
+		res := make([]laneResult, bc.live)
 		// solveLanes runs one scheme on a subset of the lanes and scatters
 		// the results back to their lane indices.
 		solveLanes := func(lanes []int, multilevel bool) error {
@@ -216,45 +213,44 @@ func (c *CTMC) solveGroup(plan *solvePlan, points [][]float64, tol []float64, so
 				subTol[i] = tol[k]
 			}
 			var (
-				subCols [][]float64
-				subErrs []*ConvergenceError
-				err     error
+				subRes []laneResult
+				err    error
 			)
 			if multilevel {
-				subCols, subErrs, err = sub.multilevelBatch(solve, subTol, start, c.ensureCoarse(plan))
+				subRes, err = sub.multilevelBatch(solve, subTol, start, c.ensureCoarse(plan))
 			} else {
-				subCols, subErrs, err = sub.gaussSeidelBatch(solve, subTol, start)
+				subRes, err = sub.gaussSeidelBatch(solve, subTol, start)
 			}
 			if err != nil {
 				return err
 			}
 			for i, k := range lanes {
-				cols[k], errs[k] = subCols[i], subErrs[i]
+				res[k] = subRes[i]
 			}
 			return nil
 		}
 		if len(ml) > 0 {
 			if err := solveLanes(ml, true); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if len(rest) > 0 {
 			if err := solveLanes(rest, false); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			var retry []int
 			for _, k := range rest {
-				if errs[k] != nil && errors.Is(errs[k], ErrNoConvergence) {
+				if res[k].err != nil {
 					retry = append(retry, k)
 				}
 			}
 			if len(retry) > 0 {
 				if err := solveLanes(retry, true); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 		}
-		return cols, errs, nil
+		return res, nil
 	default:
 		return bc.gaussSeidelBatch(solve, tol, start)
 	}
@@ -265,22 +261,76 @@ func (c *CTMC) solveGroup(plan *solvePlan, points [][]float64, tol []float64, so
 // amd64 kernel processes them as two 4-double vectors.
 const batchLanes = 8
 
-// batchComponent is the eight-lane analogue of component: the incoming CSR
-// index structure is shared across lanes while rates, exit rates, and
-// iterates are stored lane-interleaved, structure-of-arrays style — the
-// value of lane k at row j (or in-edge e) lives at [j*8+k] ([e*8+k]) — so
-// one pass over the indices streams all lanes through contiguous memory.
-// Lanes 0..live-1 carry points; the rest are pad lanes, which copy lane
-// 0's rates (so allPos and the vectorized path are unaffected), start
-// frozen, and are never reported.
+// batchComponent is the recurrent component in local coordinates, in
+// eight lanes: the balance equations pi_j * exit_j = sum_{i -> j} pi_i *
+// q_ij restricted to the component, with the incoming adjacency flattened
+// CSR-style — the incoming edges of local state j are inFrom[inStart[j]:
+// inStart[j+1]]. The index structure is shared across lanes while rates,
+// exit rates, and iterates are stored lane-interleaved, structure-of-arrays
+// style — the value of lane k at row j (or in-edge e) lives at [j*8+k]
+// ([e*8+k]) — so one pass over the indices streams all lanes through
+// contiguous memory. Lanes 0..live-1 carry points; the rest are pad lanes,
+// which copy lane 0's rates (so allPos and the vectorized path are
+// unaffected), start frozen, and are never reported.
 type batchComponent struct {
 	n, live int
 	inStart []int32
 	inFrom  []int32
 	rate    []float64 // lane-interleaved in-edge rates
 	exit    []float64 // lane-interleaved exit rates
-	invExit []float64 // lane-interleaved 1/exit (0 where exit is 0)
-	allPos  bool      // every row of every lane has exit > 0
+	// invExit is the lane-interleaved 1/exit (0 where exit is 0), computed
+	// once per fill: the sweeps' per-row division is a multiplication by
+	// the reciprocal.
+	invExit []float64
+	allPos  bool // every row of every lane has exit > 0
+}
+
+// newBatch allocates an empty eight-lane batch over the plan's component
+// skeleton with the given number of live lanes.
+func newBatch(plan *solvePlan, live int) *batchComponent {
+	return &batchComponent{
+		n:       len(plan.target),
+		live:    live,
+		inStart: plan.inStart,
+		inFrom:  plan.inFrom,
+		rate:    make([]float64, len(plan.inFrom)*batchLanes),
+		exit:    make([]float64, len(plan.target)*batchLanes),
+		invExit: make([]float64, len(plan.target)*batchLanes),
+		allPos:  true,
+	}
+}
+
+// fillCurrent gathers the chain's current rates — the Rows and Exit that
+// Build or the last Rebind wrote — into a one-lane batch whose pad lanes
+// copy lane 0: the batch a SteadyState solve runs. The traversal replays
+// the plan's fill order (target rows in order, entries in column-ascending
+// order), and exits are the chain's own, so a chain assembled by hand with
+// no contribution terms solves too.
+func (c *CTMC) fillCurrent(plan *solvePlan) *batchComponent {
+	bc := newBatch(plan, 1)
+	t := 0
+	for li, s := range plan.target {
+		for _, e := range c.Rows[s] {
+			if pos := plan.fillPos[t]; pos >= 0 {
+				rs := bc.rate[int(pos)*batchLanes : int(pos+1)*batchLanes]
+				for k := range rs {
+					rs[k] = e.Rate
+				}
+			}
+			t++
+		}
+		exit, inv := c.Exit[s], 0.0
+		if exit > 0 {
+			inv = 1 / exit
+		} else {
+			bc.allPos = false
+		}
+		for k := 0; k < batchLanes; k++ {
+			bc.exit[li*batchLanes+k] = exit
+			bc.invExit[li*batchLanes+k] = inv
+		}
+	}
+	return bc
 }
 
 // fillBatch gathers up to batchLanes per-point rate vectors into the
@@ -296,16 +346,7 @@ func (c *CTMC) fillBatch(plan *solvePlan, points [][]float64) *batchComponent {
 		lanes[k] = points[0]
 	}
 	copy(lanes[:], points)
-	bc := &batchComponent{
-		n:       len(plan.target),
-		live:    len(points),
-		inStart: plan.inStart,
-		inFrom:  plan.inFrom,
-		rate:    make([]float64, len(plan.inFrom)*batchLanes),
-		exit:    make([]float64, len(plan.target)*batchLanes),
-		invExit: make([]float64, len(plan.target)*batchLanes),
-		allPos:  true,
-	}
+	bc := newBatch(plan, len(points))
 	t := 0
 	for li, s := range plan.target {
 		gi := plan.rowEntryBase[li]
@@ -408,22 +449,21 @@ func (bc *batchComponent) column(x []float64, k int) []float64 {
 }
 
 // gaussSeidelBatch runs the sequential Gauss-Seidel sweep on every lane of
-// the batch at once: rows are visited in order and each row update feeds
-// forward within the sweep, per lane, exactly as the solo sweep does —
-// the same inflow summation order, the same division by the exit rate, the
-// same residual and per-element normalization arithmetic — so every lane's
-// converged column is bit-identical to a solo gaussSeidel at that lane's
-// rates. A lane's column is copied out after exactly the sweep where a
-// solo run would return; from then on the lane stays frozen in the
-// eight-lane kernel with its bookkeeping (normalization, residual check)
-// skipped, like the pad lanes. The batch is never narrowed: the shared
-// index traversal makes the wide vectorized sweep with frozen lanes
-// cheaper than any narrower kernel. It returns one column or one error per
-// live lane (never both).
-func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, start []float64) ([][]float64, []*ConvergenceError, error) {
+// the batch at once: rows are visited in order and each row update reads
+// the in-place column, so updates feed forward within the sweep, per lane.
+// Lanes never mix — the same inflow summation order, the same division by
+// the exit rate, the same residual and normalization arithmetic in every
+// lane — so a lane's converged column is bit-identical whichever lanes
+// share its batch, a one-lane SteadyState batch included. A lane's column
+// is copied out after the sweep where its residual first drops below its
+// tolerance; from then on the lane stays frozen in the eight-lane kernel
+// with its bookkeeping (normalization, residual check) skipped, like the
+// pad lanes. The batch is never narrowed: the shared index traversal makes
+// the wide vectorized sweep with frozen lanes cheaper than any narrower
+// kernel. It returns one result per live lane.
+func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, start []float64) ([]laneResult, error) {
 	K := bc.live
-	out := make([][]float64, K)
-	errs := make([]*ConvergenceError, K)
+	res := make([]laneResult, K)
 	cancel := cancelChan(solve.Ctx)
 	x := bc.spread(start)
 	done := bc.padDone()
@@ -436,16 +476,16 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 	}
 	for iter := 0; iter < solve.MaxIterations && remaining > 0; iter++ {
 		if err := pollSolve(solve.Ctx, cancel, iter); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		clear(delta)
 		bc.sweep(x, delta, done)
 		// Normalize to avoid drift. One full-width pass accumulates every
 		// lane's canonical row-order sum, and one full-width pass
-		// multiplies by the reciprocals — the solo sweep's exact per-lane
-		// operations, without a strided walk of the slab per lane. Frozen
-		// lanes are scaled by exactly 1, which leaves their columns
-		// bit-identical.
+		// multiplies by the reciprocals — per lane, one sequential sum, one
+		// reciprocal, one multiply pass, without a strided walk of the slab
+		// per lane. Frozen lanes are scaled by exactly 1, which leaves
+		// their columns bit-identical.
 		bc.laneSums(x, sums)
 		for k := 0; k < K; k++ {
 			scale[k] = 1
@@ -453,7 +493,7 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 				continue
 			}
 			if sums[k] <= 0 {
-				errs[k] = &ConvergenceError{Iterations: iter + 1, Residual: delta[k], Tolerance: tol[k], Sweep: SweepGaussSeidel, Point: -1}
+				res[k].err = &ConvergenceError{Iterations: iter + 1, Residual: delta[k], Tolerance: tol[k], Sweep: SweepGaussSeidel, Point: -1}
 				done[k] = true
 				remaining--
 				continue
@@ -465,17 +505,18 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 			if done[k] || !(delta[k] < tol[k]) {
 				continue
 			}
-			out[k] = bc.column(x, k)
+			res[k].x = bc.column(x, k)
+			res[k].st = solveStats{Sweep: SweepGaussSeidel, Iterations: iter + 1, Residual: delta[k]}
 			done[k] = true
 			remaining--
 		}
 	}
 	for k := 0; k < K; k++ {
 		if !done[k] {
-			errs[k] = &ConvergenceError{Iterations: solve.MaxIterations, Residual: delta[k], Tolerance: tol[k], Sweep: SweepGaussSeidel, Point: -1}
+			res[k].err = &ConvergenceError{Iterations: solve.MaxIterations, Residual: delta[k], Tolerance: tol[k], Sweep: SweepGaussSeidel, Point: -1}
 		}
 	}
-	return out, errs, nil
+	return res, nil
 }
 
 // sweep runs one eight-lane Gauss-Seidel sweep. sweepGS8Fast may run it in
@@ -491,9 +532,9 @@ func (bc *batchComponent) sweep(x, delta []float64, done []bool) {
 
 // laneSums accumulates every lane's row-order sum of the iterate slab in
 // one full-width pass: each lane gets its own sequential accumulator chain
-// over rows 0..n-1, the canonical order the solo sweep's normalization
-// sums in, so the per-lane sums are bit-identical to n strided per-lane
-// walks — at one slab traversal instead of eight.
+// over rows 0..n-1, the canonical normalization order, so the per-lane
+// sums are bit-identical to eight strided per-lane walks — at one slab
+// traversal instead of eight.
 func (bc *batchComponent) laneSums(x, sums []float64) {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float64
 	for j := 0; j < bc.n; j++ {
@@ -537,12 +578,11 @@ func (bc *batchComponent) scaleLanes(x, scale []float64) {
 // accumulators, so the CSR index loads, the bounds checks, and the loop
 // control are paid once for all lanes (the lane stride of 8 float64s is
 // exactly one 64-byte cache line), and the eight independent accumulator
-// chains keep the FP units busy where the solo sweep stalls on one add
-// chain. The accumulation runs for frozen lanes too — it rides in the
+// chains keep the FP units busy where a one-lane kernel would stall on
+// one add chain. The accumulation runs for frozen lanes too — it rides in the
 // shared traversal for free — but the per-lane epilogue (the divide, the
 // residual, the write) is skipped for them, so their columns stay frozen
 // at the values of their convergence sweep and no live lane is affected.
-// The arithmetic per live lane is the solo gaussSeidel inner loop's.
 func (bc *batchComponent) sweepGS8(x, delta []float64, done []bool) {
 	n := bc.n
 	var dead [8]bool

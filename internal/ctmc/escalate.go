@@ -12,10 +12,9 @@ const (
 	// ladder of configuration changes:
 	//
 	//	rung 1: raise MaxIterations ×4
-	//	rung 2: halve the damping factor Omega
-	//	rung 3: drop the warm start (cold restart; skipped when the
+	//	rung 2: drop the warm start (cold restart; skipped when the
 	//	        attempt was already cold)
-	//	rung 4: switch to the multilevel scheme (skipped when the
+	//	rung 3: switch to the multilevel scheme (skipped when the
 	//	        failing configuration already was multilevel), the
 	//	        structurally different last resort for slow-mixing
 	//	        chains Gauss-Seidel cannot crack
@@ -36,19 +35,17 @@ const escalateIterFactor = 4
 
 // SolveAttempt records one attempt of an escalated solve.
 type SolveAttempt struct {
-	// Rung is the ladder position: 0 for the base attempt, 1..4 for the
+	// Rung is the ladder position: 0 for the base attempt, 1..3 for the
 	// escalation rungs.
 	Rung int
 	// Action names what changed at this rung: "base" (or
 	// "forced-nonconvergence" when fault injection failed the base
-	// attempt), "raise-max-iterations", "increase-damping",
-	// "cold-restart", "multilevel".
+	// attempt), "raise-max-iterations", "cold-restart", "multilevel".
 	Action string
-	// Sweep, MaxIterations, and Omega are the attempt's resolved solver
+	// Sweep and MaxIterations are the attempt's resolved solver
 	// configuration (Sweep is never SweepAuto).
 	Sweep         Sweep
 	MaxIterations int
-	Omega         float64
 	// WarmStart reports whether the attempt was seeded from a warm start.
 	WarmStart bool
 	// Converged reports whether the attempt succeeded.
@@ -76,14 +73,13 @@ type SolveTrace struct {
 func (t *SolveTrace) Escalated() bool { return t != nil && len(t.Attempts) > 1 }
 
 // ResolveSolve reports the configuration a SteadyState call with these
-// options starts from: defaults filled, SweepAuto resolved to
-// Gauss-Seidel, and the damping factor resolved to 1 when unset. It fails
-// when the chain has no single reachable recurrent component to solve.
-// The escalation ladder starts from this resolved configuration. The
-// auto rule's stall probe and multilevel retry are not run here — an auto
-// solve that upgrades to multilevel reports the upgrade through the
-// trace's attempt record, which always carries the scheme that actually
-// ran.
+// options starts from: defaults filled and SweepAuto resolved to
+// Gauss-Seidel. It fails when the chain has no single reachable recurrent
+// component to solve. The escalation ladder starts from this resolved
+// configuration. The auto rule's stall probe and multilevel retry are not
+// run here — an auto solve that upgrades to multilevel reports the upgrade
+// through the trace's attempt record, which always carries the scheme that
+// actually ran.
 func (c *CTMC) ResolveSolve(opts SolveOptions) (SolveOptions, error) {
 	opts = solveDefaults(opts)
 	if _, err := c.ensurePlan(); err != nil {
@@ -91,9 +87,6 @@ func (c *CTMC) ResolveSolve(opts SolveOptions) (SolveOptions, error) {
 	}
 	if opts.Sweep == SweepAuto {
 		opts.Sweep = SweepGaussSeidel
-	}
-	if opts.Omega == 0 {
-		opts.Omega = 1
 	}
 	return opts, nil
 }
@@ -109,7 +102,6 @@ func attemptRecord(rung int, action string, cfg SolveOptions, st solveStats, err
 		Action:        action,
 		Sweep:         cfg.Sweep,
 		MaxIterations: cfg.MaxIterations,
-		Omega:         cfg.Omega,
 		WarmStart:     len(cfg.WarmStart) > 0,
 		Converged:     err == nil,
 	}
@@ -142,32 +134,31 @@ func (c *CTMC) SteadyStateTraced(opts SolveOptions) ([]float64, *SolveTrace, err
 		return nil, nil, err
 	}
 	pi, st, err := c.steadyStateStats(opts)
+	if err != nil && opts.Escalation == EscalateLadder && errors.Is(err, ErrNoConvergence) {
+		return c.EscalateFrom(opts, "base", err)
+	}
 	trace := &SolveTrace{Attempts: []SolveAttempt{attemptRecord(0, "base", resolved, st, err)}}
-	if err == nil {
-		return pi, trace, nil
-	}
-	if opts.Escalation != EscalateLadder || !errors.Is(err, ErrNoConvergence) {
-		return nil, trace, err
-	}
-	return c.EscalateFrom(opts, trace)
-}
-
-// EscalateFrom runs the escalation ladder for options whose base attempt
-// already failed with a ConvergenceError, appending every rung to trace
-// (which may be nil). It exists separately from SteadyStateTraced so the
-// sweep's batched path can escalate exactly the lanes that failed: a
-// batched lane's failure is bit-identical to the solo base attempt's, so
-// starting the ladder from rung 1 reproduces the per-point escalation
-// without re-running the base solve.
-func (c *CTMC) EscalateFrom(opts SolveOptions, trace *SolveTrace) ([]float64, *SolveTrace, error) {
-	if trace == nil {
-		trace = &SolveTrace{}
-	}
-	cur, err := c.ResolveSolve(opts)
 	if err != nil {
 		return nil, trace, err
 	}
-	explicitOmega := opts.Omega != 0
+	return pi, trace, nil
+}
+
+// EscalateFrom runs the escalation ladder for options whose base attempt
+// already failed with baseErr, a ConvergenceError. The returned trace
+// records that base attempt as rung 0 under the given action — "base", or
+// "forced-nonconvergence" when fault injection failed it — followed by
+// every rung tried. It exists separately from SteadyStateTraced so the
+// sweep's batched path can escalate exactly the lanes that failed: a
+// batched lane's failure is bit-identical to the one-lane base attempt,
+// so starting the ladder from rung 1 reproduces SteadyStateTraced without
+// re-running the base solve.
+func (c *CTMC) EscalateFrom(opts SolveOptions, action string, baseErr error) ([]float64, *SolveTrace, error) {
+	cur, err := c.ResolveSolve(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	trace := &SolveTrace{Attempts: []SolveAttempt{attemptRecord(0, action, cur, solveStats{}, baseErr)}}
 	rungs := []struct {
 		action string
 		apply  func(o *SolveOptions) bool
@@ -176,31 +167,22 @@ func (c *CTMC) EscalateFrom(opts SolveOptions, trace *SolveTrace) ([]float64, *S
 			o.MaxIterations *= escalateIterFactor
 			return true
 		}},
-		{"increase-damping", func(o *SolveOptions) bool {
-			o.Omega /= 2
-			return true
-		}},
 		{"cold-restart", func(o *SolveOptions) bool {
 			if len(o.WarmStart) == 0 {
-				return false // already cold; the rung would repeat rung 2
+				return false // already cold; the rung would repeat rung 1
 			}
 			o.WarmStart = nil
 			return true
 		}},
 		{"multilevel", func(o *SolveOptions) bool {
-			if opts.Sweep == SweepMultilevel {
+			if o.Sweep == SweepMultilevel {
 				return false // the base scheme already was multilevel
 			}
 			o.Sweep = SweepMultilevel
-			if !explicitOmega {
-				// Undo the increase-damping rung: the multilevel cycle
-				// smooths with the plain Gauss-Seidel update.
-				o.Omega = 1
-			}
 			return true
 		}},
 	}
-	var lastErr error = &ConvergenceError{Sweep: cur.Sweep, Tolerance: cur.Tolerance, Point: -1}
+	lastErr := baseErr
 	for r, rung := range rungs {
 		if !rung.apply(&cur) {
 			continue

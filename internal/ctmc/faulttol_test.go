@@ -103,9 +103,9 @@ func TestEscalationLadderExhausts(t *testing.T) {
 	if !errors.Is(err, ctmc.ErrNoConvergence) {
 		t.Fatalf("exhausted ladder should report non-convergence, got %v", err)
 	}
-	// Cold solve: the cold-restart rung is skipped, leaving base + 3 rungs.
-	wantActions := []string{"base", "raise-max-iterations", "increase-damping", "multilevel"}
-	wantRungs := []int{0, 1, 2, 4}
+	// Cold solve: the cold-restart rung is skipped, leaving base + 2 rungs.
+	wantActions := []string{"base", "raise-max-iterations", "multilevel"}
+	wantRungs := []int{0, 1, 3}
 	if len(trace.Attempts) != len(wantActions) {
 		t.Fatalf("attempts = %d, want %d: %+v", len(trace.Attempts), len(wantActions), trace.Attempts)
 	}
@@ -114,33 +114,25 @@ func TestEscalationLadderExhausts(t *testing.T) {
 			t.Errorf("attempt %d: got %+v, want rung %d action %q, not converged", i, a, wantRungs[i], wantActions[i])
 		}
 	}
-	for i, a := range trace.Attempts[:3] {
+	for i, a := range trace.Attempts[:2] {
 		if a.Sweep != ctmc.SweepGaussSeidel {
 			t.Errorf("attempt %d should run Gauss-Seidel, ran %v", i, a.Sweep)
 		}
 	}
-	if got := trace.Attempts[2].Omega; got != 0.5 {
-		t.Errorf("increase-damping rung omega = %v, want 0.5", got)
-	}
-	if a := trace.Attempts[3]; a.Sweep != ctmc.SweepMultilevel || a.Omega != 1 {
-		t.Errorf("multilevel rung should run undamped multilevel, got %+v", a)
+	if a := trace.Attempts[2]; a.Sweep != ctmc.SweepMultilevel {
+		t.Errorf("multilevel rung should run multilevel, got %+v", a)
 	}
 }
 
-// TestEscalationRejectsInBatch pins the option split: Omega and Escalation
-// are solo-solver options and SolveBatch rejects them loudly instead of
-// silently ignoring them.
+// TestEscalationRejectsInBatch pins the option split: Escalation is not a
+// batch option, and SolveBatch rejects it loudly instead of silently
+// ignoring it.
 func TestEscalationRejectsInBatch(t *testing.T) {
 	c := rpcParamChain(t)
 	if _, err := c.SolveBatch(rpcPoints()[:2], ctmc.BatchOptions{
 		Solve: ctmc.SolveOptions{Escalation: ctmc.EscalateLadder},
 	}); err == nil {
 		t.Error("SolveBatch accepted Escalation")
-	}
-	if _, err := c.SolveBatch(rpcPoints()[:2], ctmc.BatchOptions{
-		Solve: ctmc.SolveOptions{Omega: 0.25},
-	}); err == nil {
-		t.Error("SolveBatch accepted Omega")
 	}
 }
 

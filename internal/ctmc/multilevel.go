@@ -23,15 +23,13 @@ import (
 // clone sharing the plan, and independent of which goroutine builds it
 // first. The smoother is the sequential Gauss-Seidel kernel and the
 // coarse solve is the sequential GTH elimination, so the whole scheme is
-// a pure function of its input by construction; the batched variant
-// replicates the solo schedule per lane through the pinned batch kernel.
+// a pure function of its input by construction, lane by lane.
 
 const (
 	// multilevelPreSweeps/PostSweeps are the smoothing sweeps per outer
 	// cycle. Convergence is tested only after post-smoothing sweeps: the
 	// iterate right after disaggregation took a non-smoothing step, so its
-	// residual would be meaningless — and testing at the same schedule in
-	// the solo and batched paths is what keeps them bit-identical.
+	// residual would be meaningless.
 	multilevelPreSweeps  = 4
 	multilevelPostSweeps = 4
 	// multilevelSizeFloor is the minimum state count of a coarse block:
@@ -248,152 +246,17 @@ func gth(nb int, a, y []float64) bool {
 	return true
 }
 
-// coarseCorrect performs one aggregation/disaggregation step in place:
-// block masses and within-block conditional weights are computed from the
-// pre-smoothed iterate, the aggregated chain (rates weighted by the
-// conditionals) is solved exactly, and the iterate is redistributed as
-// x'_j = y[block(j)]·w_j — the coarse solution spread by the within-block
-// conditionals. A block whose mass underflowed to zero falls back to
-// uniform conditionals; a degenerate aggregate (gth returns false) skips
-// the correction, leaving the smoothed iterate untouched for this cycle.
-func (p *component) coarseCorrect(cp *coarsePlan, x, w, sums, a, y []float64) {
-	nb := cp.nb
-	for b := 0; b < nb; b++ {
-		sums[b] = 0
-	}
-	for j := 0; j < p.n; j++ {
-		sums[cp.blockOf[j]] += x[j]
-	}
-	for j := 0; j < p.n; j++ {
-		b := cp.blockOf[j]
-		if s := sums[b]; s > 0 {
-			w[j] = x[j] / s
-		} else {
-			w[j] = 1 / float64(cp.blockStart[b+1]-cp.blockStart[b])
-		}
-	}
-	for i := range a {
-		a[i] = 0
-	}
-	for e := 0; e < len(p.inFrom); e++ {
-		a[cp.cell[e]] += w[p.inFrom[e]] * p.inRate[e]
-	}
-	if !gth(nb, a, y) {
-		return
-	}
-	for j := 0; j < p.n; j++ {
-		x[j] = y[cp.blockOf[j]] * w[j]
-	}
-}
-
-// stalledGS is the SweepAuto stall probe: a fixed number of sequential
-// Gauss-Seidel sweeps on a copy of the start vector, comparing the
-// residual at the check sweep with the final one. It is a pure function
-// of the component, the options, and the start — it never consults the
-// context or the fault-injection sites — so solo and batched auto solves
-// at any schedule agree on it. A probe that converges (or collapses)
-// reports not-stalled and lets the Gauss-Seidel path finish the job; the
-// probe iterate is discarded either way.
-func (p *component) stalledGS(opts SolveOptions, start []float64) bool {
-	x := append([]float64(nil), start...)
-	omega := opts.Omega
-	if omega == 0 {
-		omega = 1
-	}
-	var dCheck, dEnd float64
-	for iter := 0; iter < multilevelProbeSweeps; iter++ {
-		d := p.gsSweepOnce(x, omega)
-		if !sumNormalize(x) {
-			return false
-		}
-		if d < opts.Tolerance {
-			return false
-		}
-		if iter == multilevelProbeCheck-1 {
-			dCheck = d
-		}
-		dEnd = d
-	}
-	return dEnd > dCheck*multilevelStallRatio
-}
-
-// multilevel runs the solo IAD outer loop. Iterations are counted in
-// fine-level smoothing sweeps against opts.MaxIterations — the budget
-// means the same work under every scheme — and convergence is tested
-// after each post-smoothing sweep, against the same guarded residual the
-// plain sweeps use. The coarse step runs behind the shared panic guard
-// with a fault-injection site keyed by cycle.
-func (p *component) multilevel(opts SolveOptions, start []float64, cp *coarsePlan) ([]float64, solveStats, error) {
-	var st solveStats
-	x := append([]float64(nil), start...)
-	omega := opts.Omega
-	if omega == 0 {
-		omega = 1
-	}
-	done := cancelChan(opts.Ctx)
-	nb := cp.nb
-	a := make([]float64, nb*nb)
-	y := make([]float64, nb)
-	sums := make([]float64, nb)
-	w := make([]float64, p.n)
-	iter := 0
-	lastDelta := math.Inf(1)
-	fail := func(cycle int) (*ConvergenceError, solveStats) {
-		return &ConvergenceError{Iterations: iter, Cycles: cycle, Residual: lastDelta,
-			Tolerance: opts.Tolerance, Sweep: SweepMultilevel, Point: -1}, st
-	}
-	for cycle := 0; ; cycle++ {
-		for s := 0; s < multilevelPreSweeps; s++ {
-			if iter >= opts.MaxIterations {
-				ce, st := fail(cycle)
-				return nil, st, ce
-			}
-			if err := pollSolve(opts.Ctx, done, iter); err != nil {
-				return nil, st, err
-			}
-			lastDelta = p.gsSweepOnce(x, omega)
-			if !sumNormalize(x) {
-				return nil, st, &ConvergenceError{Iterations: iter + 1, Cycles: cycle, Residual: lastDelta,
-					Tolerance: opts.Tolerance, Sweep: SweepMultilevel, Point: -1}
-			}
-			iter++
-		}
-		err := fault.Guard("ctmc.multilevel", 0, fmt.Sprintf("coarse cycle %d", cycle), func() error {
-			faultinject.MaybePanic(faultinject.SiteCoarseSolve, cycle)
-			p.coarseCorrect(cp, x, w, sums, a, y)
-			return nil
-		})
-		if err != nil {
-			return nil, st, err
-		}
-		for s := 0; s < multilevelPostSweeps; s++ {
-			if iter >= opts.MaxIterations {
-				ce, st := fail(cycle)
-				return nil, st, ce
-			}
-			if err := pollSolve(opts.Ctx, done, iter); err != nil {
-				return nil, st, err
-			}
-			lastDelta = p.gsSweepOnce(x, omega)
-			if !sumNormalize(x) {
-				return nil, st, &ConvergenceError{Iterations: iter + 1, Cycles: cycle, Residual: lastDelta,
-					Tolerance: opts.Tolerance, Sweep: SweepMultilevel, Point: -1}
-			}
-			iter++
-			if lastDelta < opts.Tolerance {
-				return x, solveStats{Sweep: SweepMultilevel, Iterations: iter, Cycles: cycle + 1, Residual: lastDelta}, nil
-			}
-		}
-	}
-}
-
-// stalledLanes is the batched stall probe: the same 24-sweep Gauss-Seidel
-// trajectory as stalledGS, run per lane through the pinned batch kernel,
-// so lane k's verdict is bit-identical to a solo probe of that lane's
-// chain at tolerance tol[k]. A lane that converges or collapses during
-// the probe is frozen (its remaining probe sweeps are skipped, which
-// cannot affect other lanes) and reported not-stalled. It returns one
-// verdict per live lane.
+// stalledLanes is the SweepAuto stall probe: a fixed number of sequential
+// Gauss-Seidel sweeps on a copy of the start vector, per lane through the
+// eight-lane kernel, comparing each lane's residual at the check sweep
+// with the final one. It is a pure function of the lane's rates, its
+// tolerance, and the start — it never consults the context or the
+// fault-injection sites — so a lane's verdict does not depend on
+// scheduling or on which lanes share its batch. A lane that converges or
+// collapses during the probe is frozen (its remaining probe sweeps are
+// skipped, which cannot affect other lanes) and reported not-stalled,
+// leaving the Gauss-Seidel path to finish the job; the probe iterate is
+// discarded either way. It returns one verdict per live lane.
 func (bc *batchComponent) stalledLanes(tol []float64, start []float64) []bool {
 	K := bc.live
 	x := bc.spread(start)
@@ -443,10 +306,15 @@ func (bc *batchComponent) stalledLanes(tol []float64, start []float64) []bool {
 	return stalled
 }
 
-// coarseCorrectLane is coarseCorrect for one lane of a batch: identical
-// arithmetic in identical order over the lane's strided column, so the
-// corrected column is bit-identical to the solo step at that lane's
-// rates.
+// coarseCorrectLane performs one aggregation/disaggregation step in place
+// on lane k's strided column: block masses and within-block conditional
+// weights are computed from the pre-smoothed iterate, the aggregated chain
+// (rates weighted by the conditionals) is solved exactly, and the column
+// is redistributed as x'_j = y[block(j)]·w_j — the coarse solution spread
+// by the within-block conditionals. A block whose mass underflowed to zero
+// falls back to uniform conditionals; a degenerate aggregate (gth returns
+// false) skips the correction, leaving the smoothed column untouched for
+// this cycle.
 func (bc *batchComponent) coarseCorrectLane(cp *coarsePlan, k int, x, w, sums, a, y []float64) {
 	const K = batchLanes
 	nb := cp.nb
@@ -479,21 +347,22 @@ func (bc *batchComponent) coarseCorrectLane(cp *coarsePlan, k int, x, w, sums, a
 }
 
 // multilevelBatch runs the IAD outer loop on every lane of the batch at
-// once: the smoothing sweeps go through the pinned eight-lane Gauss-Seidel
-// kernel (one CSR traversal feeds all lanes), the per-lane coarse solves
-// share the cached coarse structure and run in ascending lane order, and
-// every live lane follows the solo multilevel schedule exactly — the same
-// sweeps, the same correction points, the same post-smoothing residual
-// tests — so each lane's result is bit-identical to a solo multilevel
-// solve at that lane's rates. The equalized outer cycles are what shrink
-// the batched kernel's lane skew: lanes converge within a handful of
-// shared cycles instead of straggling for thousands of extra sweeps.
-// Converged lanes stay frozen in the eight-lane kernel, as in
-// gaussSeidelBatch. It returns one column or one error per live lane.
-func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, start []float64, cp *coarsePlan) ([][]float64, []*ConvergenceError, error) {
+// once. Iterations are counted in fine-level smoothing sweeps against
+// solve.MaxIterations — the budget means the same work under every scheme
+// — and convergence is tested after each post-smoothing sweep, against the
+// same guarded residual Gauss-Seidel uses. The smoothing sweeps go through
+// the eight-lane kernel (one CSR traversal feeds all lanes); the per-lane
+// coarse solves share the cached coarse structure, run in ascending lane
+// order behind the shared panic guard with a fault-injection site keyed by
+// cycle, and never mix lanes, so each lane's result is bit-identical
+// whichever lanes share its batch. The equalized outer cycles are what
+// shrink the lane skew: lanes converge within a handful of shared cycles
+// instead of straggling for thousands of extra sweeps. Converged lanes
+// stay frozen in the eight-lane kernel, as in gaussSeidelBatch. It returns
+// one result per live lane.
+func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, start []float64, cp *coarsePlan) ([]laneResult, error) {
 	K := bc.live
-	out := make([][]float64, K)
-	errs := make([]*ConvergenceError, K)
+	res := make([]laneResult, K)
 	cancel := cancelChan(solve.Ctx)
 	x := bc.spread(start)
 	done := bc.padDone()
@@ -517,11 +386,10 @@ func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, sta
 	iter := 0
 	cycles := 0
 	// smooth runs one batched smoothing sweep (sweep + per-lane
-	// normalization), mirroring the solo pre/post loop body; check selects
-	// the post-smoothing residual test.
-	smooth := func(cycle int, check bool) (bool, error) {
+	// normalization); check selects the post-smoothing residual test.
+	smooth := func(cycle int, check bool) error {
 		if err := pollSolve(solve.Ctx, cancel, iter); err != nil {
-			return false, err
+			return err
 		}
 		clear(delta)
 		bc.sweep(x, delta, done)
@@ -532,7 +400,7 @@ func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, sta
 				continue
 			}
 			if sums[k] <= 0 {
-				errs[k] = &ConvergenceError{Iterations: iter + 1, Cycles: cycle, Residual: delta[k],
+				res[k].err = &ConvergenceError{Iterations: iter + 1, Cycles: cycle, Residual: delta[k],
 					Tolerance: tol[k], Sweep: SweepMultilevel, Point: -1}
 				done[k] = true
 				remaining--
@@ -548,12 +416,13 @@ func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, sta
 				if done[k] || !(delta[k] < tol[k]) {
 					continue
 				}
-				out[k] = bc.column(x, k)
+				res[k].x = bc.column(x, k)
+				res[k].st = solveStats{Sweep: SweepMultilevel, Iterations: iter, Cycles: cycle + 1, Residual: delta[k]}
 				done[k] = true
 				remaining--
 			}
 		}
-		return true, nil
+		return nil
 	}
 outer:
 	for cycle := 0; remaining > 0; cycle++ {
@@ -562,11 +431,10 @@ outer:
 			if iter >= solve.MaxIterations {
 				break outer
 			}
-			ok, err := smooth(cycle, false)
-			if err != nil {
-				return nil, nil, err
+			if err := smooth(cycle, false); err != nil {
+				return nil, err
 			}
-			if !ok || remaining == 0 {
+			if remaining == 0 {
 				continue outer
 			}
 		}
@@ -574,22 +442,21 @@ outer:
 			if done[k] {
 				continue
 			}
-			k := k
 			err := fault.Guard("ctmc.multilevel", k, fmt.Sprintf("coarse cycle %d lane %d", cycle, k), func() error {
 				faultinject.MaybePanic(faultinject.SiteCoarseSolve, cycle)
 				bc.coarseCorrectLane(cp, k, x, w, bsums, a, y)
 				return nil
 			})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		for s := 0; s < multilevelPostSweeps; s++ {
 			if iter >= solve.MaxIterations {
 				break outer
 			}
-			if _, err := smooth(cycle, true); err != nil {
-				return nil, nil, err
+			if err := smooth(cycle, true); err != nil {
+				return nil, err
 			}
 			if remaining == 0 {
 				break outer
@@ -599,9 +466,9 @@ outer:
 	}
 	for k := 0; k < K; k++ {
 		if !done[k] {
-			errs[k] = &ConvergenceError{Iterations: iter, Cycles: cycles, Residual: lastDelta[k],
+			res[k].err = &ConvergenceError{Iterations: iter, Cycles: cycles, Residual: lastDelta[k],
 				Tolerance: tol[k], Sweep: SweepMultilevel, Point: -1}
 		}
 	}
-	return out, errs, nil
+	return res, nil
 }

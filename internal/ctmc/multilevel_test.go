@@ -131,13 +131,10 @@ func TestMultilevelConvergesWhereSweepsStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := 4000
-	// Plain and damped (the ladder's increase-damping rung) Gauss-Seidel
-	// both crawl.
-	for _, omega := range []float64{0, 0.5} {
-		_, err := c.SteadyState(ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, Omega: omega, MaxIterations: budget})
-		if !errors.Is(err, ctmc.ErrNoConvergence) {
-			t.Fatalf("gauss-seidel (omega %v) on the ε chain: want non-convergence within %d iterations, got %v", omega, budget, err)
-		}
+	// Plain Gauss-Seidel crawls.
+	_, err := c.SteadyState(ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, MaxIterations: budget})
+	if !errors.Is(err, ctmc.ErrNoConvergence) {
+		t.Fatalf("gauss-seidel on the ε chain: want non-convergence within %d iterations, got %v", budget, err)
 	}
 	pi, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{Sweep: ctmc.SweepMultilevel, MaxIterations: budget})
 	if err != nil {
@@ -326,7 +323,7 @@ func TestMultilevelCancelAtIteration(t *testing.T) {
 // TestAutoResolvesGaussSeidelOnHugeComponent pins the single-worker side
 // of the static SweepAuto rule on a component past the stall-probe size:
 // at every coupling of the 80-state ε chain, ResolveSolve (the rule solo
-// and batch share) reports undamped Gauss-Seidel. Whether the probe then
+// and batch share) reports Gauss-Seidel. Whether the probe then
 // upgrades the solve to multilevel is a runtime verdict, covered by
 // TestMultilevelAutoSelection.
 func TestAutoResolvesGaussSeidelOnHugeComponent(t *testing.T) {
@@ -339,8 +336,8 @@ func TestAutoResolvesGaussSeidelOnHugeComponent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Sweep != ctmc.SweepGaussSeidel || r.Omega != 1 {
-			t.Errorf("ε=%g: resolved %v with omega %v, want gauss-seidel with omega 1", p[0], r.Sweep, r.Omega)
+		if r.Sweep != ctmc.SweepGaussSeidel {
+			t.Errorf("ε=%g: resolved %v, want gauss-seidel", p[0], r.Sweep)
 		}
 	}
 }

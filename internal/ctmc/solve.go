@@ -19,7 +19,8 @@ type Sweep int
 
 const (
 	// SweepAuto picks the scheme by an explicit, scheduling-independent
-	// rule, identical in the solo and batched paths:
+	// rule, applied lane by lane, so a SteadyState solve and a SolveBatch
+	// lane at the same rates resolve alike:
 	//
 	//  1. Gauss-Seidel;
 	//  2. on components of at least 64 states, a fixed sequential
@@ -95,12 +96,6 @@ type SolveOptions struct {
 	// the interrupted iteration. Polling never changes the floats of a
 	// solve that runs to completion. nil disables polling.
 	Ctx context.Context
-	// Omega overrides the Gauss-Seidel damping factor: the row update
-	// becomes x' = (1-ω)·x + ω·inflow/exit. 0 selects the default ω = 1 —
-	// the plain update, taken on a branch that performs no extra
-	// arithmetic. The escalation ladder halves it on its increase-damping
-	// rung; callers normally leave it 0.
-	Omega float64
 	// Escalation selects what SteadyStateTraced does when the configured
 	// solve fails with a ConvergenceError: EscalateNever (the default)
 	// surfaces the error; EscalateLadder deterministically retries
@@ -163,7 +158,8 @@ func (e *ConvergenceError) Unwrap() error { return ErrNoConvergence }
 
 // solveDefaults fills the zero-value solver options with the documented
 // defaults; SteadyState and SolveBatch resolve them identically so a
-// batched lane runs under exactly the configuration a solo solve would.
+// batched lane runs under exactly the configuration a one-lane
+// SteadyState solve would.
 func solveDefaults(opts SolveOptions) SolveOptions {
 	if opts.Tolerance <= 0 {
 		opts.Tolerance = 1e-12
@@ -196,84 +192,36 @@ type solveStats struct {
 }
 
 // steadyStateStats is SteadyState plus the solve statistics of the
-// successful attempt (SteadyStateTraced records them in the trace).
+// successful attempt (SteadyStateTraced records them in the trace). The
+// solve is a one-lane batch: the chain's current rates fill lane 0 of the
+// eight-lane kernel, which then runs the SweepAuto rule exactly as for a
+// batched lane.
 func (c *CTMC) steadyStateStats(opts SolveOptions) ([]float64, solveStats, error) {
-	var st solveStats
 	opts = solveDefaults(opts)
 	plan, err := c.ensurePlan()
 	if err != nil {
-		return nil, st, err
+		return nil, solveStats{}, err
 	}
 
 	// An absorbing single state gets all the probability.
 	pi := make([]float64, c.N)
 	if len(plan.target) == 1 {
 		pi[plan.target[0]] = 1
-		st.Sweep = SweepGaussSeidel
-		return pi, st, nil
+		return pi, solveStats{Sweep: SweepGaussSeidel}, nil
 	}
 
-	comp := c.fillComponent(plan)
-	start := uniformStart(comp.n)
-	if len(opts.WarmStart) == c.N {
-		if ws := projectStart(opts.WarmStart, plan.target); ws != nil {
-			start = ws
-		}
-	}
-	auto := opts.Sweep == SweepAuto
-	sweep := opts.Sweep
-	if auto {
-		sweep = SweepGaussSeidel
-		if comp.n >= multilevelAutoMin && comp.stalledGS(opts, start) {
-			// Rule 2 of the SweepAuto docs: stalled residual decay means
-			// Gauss-Seidel would crawl toward the budget; the multilevel
-			// outer loop attacks exactly that regime. The probe ran on a
-			// copy, so the non-stalled path below computes the floats of a
-			// forced Gauss-Seidel solve.
-			sweep = SweepMultilevel
-		}
-	}
-	var x []float64
-	if sweep == SweepMultilevel {
-		x, st, err = comp.multilevel(opts, start, c.ensureCoarse(plan))
-	} else {
-		x, st, err = comp.gaussSeidel(opts, start)
-		if err != nil && auto && comp.n >= multilevelAutoMin && errors.Is(err, ErrNoConvergence) {
-			// Rule 3: the stall probe is a 24-sweep heuristic, and a chain
-			// whose slow mode only emerges after the probe window exhausts
-			// the budget anyway, so auto mode retries it with the
-			// multilevel cycle from the original start — auto is never
-			// worse than Gauss-Seidel for the price of one extra attempt
-			// on failures.
-			x, st, err = comp.multilevel(opts, start, c.ensureCoarse(plan))
-		}
-	}
+	res, err := c.solveGroup(plan, c.fillCurrent(plan), []float64{opts.Tolerance}, opts, c.startVector(plan, opts.WarmStart))
 	if err != nil {
-		return nil, st, err
+		return nil, solveStats{}, err
+	}
+	r := res[0]
+	if r.err != nil {
+		return nil, solveStats{}, r.err
 	}
 	for j, s := range plan.target {
-		pi[s] = x[j]
+		pi[s] = r.x[j]
 	}
-	return pi, st, nil
-}
-
-// component is the recurrent component in local coordinates: the balance
-// equations pi_j * exit_j = sum_{i -> j} pi_i * q_ij restricted to the
-// component, with the incoming adjacency flattened CSR-style — the
-// incoming edges of local state j are inFrom/inRate[inStart[j]:
-// inStart[j+1]]. Two flat arrays instead of a slice-of-slices keep the
-// per-sweep inner loop on contiguous memory and cost a handful of
-// allocations per solve, however often a sweep rebuilds the chain.
-type component struct {
-	n       int
-	inStart []int32
-	inFrom  []int32
-	inRate  []float64
-	exit    []float64
-	// invExit is 1/exit (0 where exit is 0), computed once per fill: the
-	// sweeps' per-row division is a multiplication by the reciprocal, paid
-	// once per solve instead of once per row per iteration.
-	invExit []float64
+	return pi, r.st, nil
 }
 
 // residualGuard is the conservative skip margin of the running-residual
@@ -307,7 +255,7 @@ type solvePlan struct {
 	// inStart/inFrom are the component's incoming CSR index arrays: the
 	// incoming edges of local state j are inFrom[inStart[j]:inStart[j+1]].
 	// They are shared read-only by every solve; the per-solve rate values
-	// are gathered by fillComponent (or fillBatch) into fresh arrays.
+	// are gathered by fillCurrent (or fillBatch) into fresh arrays.
 	inStart []int32
 	inFrom  []int32
 	// fillPos maps the canonical traversal — target rows in order, row
@@ -477,68 +425,33 @@ func (c *CTMC) StructuralHash() (uint64, error) {
 	return p.hash, nil
 }
 
-// fillComponent gathers the chain's current rate values into the plan's
-// component skeleton. The traversal replays the uncached builder's fill
-// loop — target rows in order, entries in column-ascending order — so the
-// inRate array is element-for-element identical to the one a from-scratch
-// component build produces.
-func (c *CTMC) fillComponent(p *solvePlan) *component {
-	comp := &component{
-		n:       len(p.target),
-		inStart: p.inStart,
-		inFrom:  p.inFrom,
-		inRate:  make([]float64, len(p.inFrom)),
-		exit:    make([]float64, len(p.target)),
-		invExit: make([]float64, len(p.target)),
-	}
-	t := 0
-	for _, s := range p.target {
-		for _, e := range c.Rows[s] {
-			if pos := p.fillPos[t]; pos >= 0 {
-				comp.inRate[pos] = e.Rate
+// startVector returns a solve's starting vector over the plan's
+// component: the warm start ws restricted to the component's local
+// coordinates and renormalized, or the uniform distribution when ws is not
+// a distribution over all N tangible states, its projection carries no
+// positive mass, or it holds a negative or non-finite value.
+func (c *CTMC) startVector(p *solvePlan, ws []float64) []float64 {
+	x := make([]float64, len(p.target))
+	if len(ws) == c.N {
+		sum := 0.0
+		for j, s := range p.target {
+			v := ws[s]
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				sum = math.NaN()
+				break
 			}
-			t++
+			x[j] = v
+			sum += v
 		}
-	}
-	for li, s := range p.target {
-		comp.exit[li] = c.Exit[s]
-		if comp.exit[li] > 0 {
-			comp.invExit[li] = 1 / comp.exit[li]
+		if sum > 0 {
+			for j := range x {
+				x[j] /= sum
+			}
+			return x
 		}
-	}
-	return comp
-}
-
-// uniformStart returns the default uniform starting vector over n states.
-func uniformStart(n int) []float64 {
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1 / float64(n)
-	}
-	return x
-}
-
-// projectStart restricts a warm-start distribution over all tangible
-// states to the recurrent component's local coordinates and renormalizes
-// it. It returns nil when the projection carries no positive mass (or any
-// non-finite value), in which case the caller falls back to the uniform
-// start.
-func projectStart(ws []float64, target []int) []float64 {
-	x := make([]float64, len(target))
-	sum := 0.0
-	for j, s := range target {
-		v := ws[s]
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return nil
-		}
-		x[j] = v
-		sum += v
-	}
-	if !(sum > 0) {
-		return nil
 	}
 	for j := range x {
-		x[j] /= sum
+		x[j] = 1 / float64(len(x))
 	}
 	return x
 }
@@ -569,86 +482,6 @@ func cancelChan(ctx context.Context) <-chan struct{} {
 		return nil
 	}
 	return ctx.Done()
-}
-
-// gsSweepOnce performs one in-place Gauss-Seidel sweep over the component
-// and returns the sweep's guarded max relative change — the solo
-// gaussSeidel inner loop verbatim, factored out so the multilevel
-// smoother and the stall probe run the identical floating-point sequence.
-func (p *component) gsSweepOnce(x []float64, omega float64) float64 {
-	maxDelta := 0.0
-	for j := 0; j < p.n; j++ {
-		if p.exit[j] <= 0 {
-			continue
-		}
-		inflow := 0.0
-		for k := p.inStart[j]; k < p.inStart[j+1]; k++ {
-			inflow += x[p.inFrom[k]] * p.inRate[k]
-		}
-		next := inflow * p.invExit[j]
-		if omega != 1 {
-			next = (1-omega)*x[j] + omega*next
-		}
-		d := math.Abs(next - x[j])
-		if m := math.Max(next, 1e-300); d > maxDelta*m*residualGuard {
-			if rel := d / m; rel > maxDelta {
-				maxDelta = rel
-			}
-		}
-		x[j] = next
-	}
-	return maxDelta
-}
-
-// sumNormalize rescales x to sum 1 with the canonical sequence — one
-// sequential sum, one reciprocal, one multiply pass — and reports whether
-// the mass was positive (false leaves x untouched and means the iteration
-// collapsed).
-func sumNormalize(x []float64) bool {
-	sum := 0.0
-	for _, v := range x {
-		sum += v
-	}
-	if sum <= 0 {
-		return false
-	}
-	inv := 1 / sum
-	for j := range x {
-		x[j] *= inv
-	}
-	return true
-}
-
-// gaussSeidel runs the sequential Gauss-Seidel sweep from the given
-// starting vector: each row update reads the in-place vector, so updates
-// within a sweep feed forward. A non-default opts.Omega damps the update;
-// at the default ω = 1 the plain update is taken on a branch that
-// performs no extra floating-point operation, so results are bit-for-bit
-// those of the undamped sweep.
-func (p *component) gaussSeidel(opts SolveOptions, start []float64) ([]float64, solveStats, error) {
-	var st solveStats
-	x := append([]float64(nil), start...)
-	omega := opts.Omega
-	if omega == 0 {
-		omega = 1
-	}
-	done := cancelChan(opts.Ctx)
-	maxDelta := math.Inf(1)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		if err := pollSolve(opts.Ctx, done, iter); err != nil {
-			return nil, st, err
-		}
-		maxDelta = p.gsSweepOnce(x, omega)
-		// Normalize to avoid drift: one canonical sequential sum, one
-		// reciprocal, one multiply pass.
-		if !sumNormalize(x) {
-			return nil, st, &ConvergenceError{Iterations: iter + 1, Residual: maxDelta, Tolerance: opts.Tolerance, Sweep: SweepGaussSeidel, Point: -1}
-		}
-		if maxDelta < opts.Tolerance {
-			return x, solveStats{Sweep: SweepGaussSeidel, Iterations: iter + 1, Residual: maxDelta}, nil
-		}
-	}
-	return nil, st, &ConvergenceError{Iterations: opts.MaxIterations, Residual: maxDelta, Tolerance: opts.Tolerance, Sweep: SweepGaussSeidel, Point: -1}
 }
 
 // reachableFromInitial returns the set of tangible states reachable from

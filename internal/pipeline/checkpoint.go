@@ -67,10 +67,11 @@ var (
 )
 
 // ckMagic identifies the checkpoint format, version included: a format
-// change bumps the trailing version byte, and older readers reject the
-// file as a mismatch instead of misparsing it. The magic predates this
-// package — checkpoints written by earlier releases resume unchanged.
-const ckMagic = "DPMCKPT1"
+// change bumps the trailing version byte, and a reader rejects a file of
+// any other version as corrupt instead of misparsing it. Version 2 stores
+// each solve attempt's multilevel cycle count in the eight bytes version 1
+// gave a damping factor, so a version-1 file is never resumed.
+const ckMagic = "DPMCKPT2"
 
 // checkpoint is the decoded content of a checkpoint file.
 type checkpoint struct {
@@ -141,7 +142,7 @@ func encodeCheckpoint(c *checkpoint) []byte {
 				b = ckStr(b, a.Action)
 				b = ckU32(b, uint32(a.Sweep))
 				b = ckU64(b, uint64(a.MaxIterations))
-				b = ckU64(b, math.Float64bits(a.Omega))
+				b = ckU64(b, uint64(a.Cycles))
 				var flags byte
 				if a.WarmStart {
 					flags |= 1
@@ -210,7 +211,7 @@ func (r *ckReader) str() string { return string(r.take(int(r.u16()))) }
 // Minimum encoded sizes of the counted records, which bound a count by the
 // bytes still unread: a point (index, value count, attempt count), a
 // measure value (empty name, value), and a solve attempt (rung, empty
-// action, sweep, budget, omega, flags, iterations, residual).
+// action, sweep, budget, cycles, flags, iterations, residual).
 const (
 	ckPointMin   = 4 + 4 + 4
 	ckValueMin   = 2 + 8
@@ -289,7 +290,7 @@ func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase
 					Action:        r.str(),
 					Sweep:         ctmc.Sweep(r.u32()),
 					MaxIterations: int(r.u64()),
-					Omega:         r.f64(),
+					Cycles:        int(r.u64()),
 				}
 				var flags byte
 				if s := r.take(1); s != nil {

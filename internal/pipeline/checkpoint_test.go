@@ -27,9 +27,11 @@ func tracedCheckpoint() *checkpoint {
 				Values: map[string]float64{"util": 0.375},
 				Trace: &ctmc.SolveTrace{Attempts: []ctmc.SolveAttempt{
 					{Rung: 0, Action: "forced-nonconvergence", Sweep: ctmc.SweepGaussSeidel,
-						MaxIterations: 100, Omega: 1, WarmStart: true, Iterations: 100, Residual: 0.5},
+						MaxIterations: 100, WarmStart: true, Iterations: 100, Residual: 0.5},
 					{Rung: 1, Action: "raise-max-iterations", Sweep: ctmc.SweepGaussSeidel,
-						MaxIterations: 400, Omega: 1, WarmStart: true, Converged: true},
+						MaxIterations: 400, WarmStart: true, Iterations: 400, Residual: 0.25},
+					{Rung: 3, Action: "multilevel", Sweep: ctmc.SweepMultilevel,
+						MaxIterations: 400, WarmStart: true, Converged: true, Iterations: 68, Residual: 1e-13, Cycles: 8},
 				}},
 			},
 		},
@@ -70,6 +72,12 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeCheckpoint([]byte("not a checkpoint"), report); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("garbage decoded: %v", err)
+	}
+	// A version-1 file stored a damping factor where version 2 stores the
+	// cycle count; even with a valid checksum it must not be resumed.
+	v1 := append([]byte("DPMCKPT1"), enc[len(ckMagic):len(enc)-8]...)
+	if _, err := decodeCheckpoint(withChecksum(v1), report); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Errorf("version-1 checkpoint decoded: %v", err)
 	}
 }
 

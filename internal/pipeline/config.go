@@ -49,9 +49,9 @@ type Config struct {
 	// and never read it. Results are bit-identical at any value.
 	Workers int
 	// LaneWidth is the chunk size of batched steady-state solves in
-	// Session sweeps: 0 auto-selects DefaultLaneWidth, 1 forces the
-	// per-point path, and any other K solves each chunk of K points as
-	// ⌈K/8⌉ eight-lane groups. Results are bit-identical at any value.
+	// Session sweeps: 0 auto-selects DefaultLaneWidth, and any other K
+	// solves each chunk of K points as ⌈K/8⌉ eight-lane groups — at 1, one
+	// point per chunk. Results are bit-identical at any value.
 	LaneWidth int
 	// Ctx cancels the session's work: generation polls it at BFS level
 	// boundaries, solvers per iteration, sweeps at point boundaries, and

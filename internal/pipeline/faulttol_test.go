@@ -36,7 +36,9 @@ func rpcSweepFixture(t *testing.T) (*elab.Model, []measure.Measure, [][]float64)
 	return elaborateRPC(t, p), models.RPCMeasures(p), points
 }
 
-func requireSameReports(t *testing.T, tag string, want, got []*pipeline.Phase2Report) {
+// requireSameValues checks that got holds a report for every point of
+// want with bit-identical measure values and the same state-space sizes.
+func requireSameValues(t *testing.T, tag string, want, got []*pipeline.Phase2Report) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d reports vs %d", tag, len(want), len(got))
@@ -52,6 +54,17 @@ func requireSameReports(t *testing.T, tag string, want, got []*pipeline.Phase2Re
 		}
 		if want[i].States != got[i].States || want[i].Tangible != got[i].Tangible {
 			t.Errorf("%s: point %d sizes differ", tag, i)
+		}
+	}
+}
+
+// requireSameReports is requireSameValues plus equal solve traces.
+func requireSameReports(t *testing.T, tag string, want, got []*pipeline.Phase2Report) {
+	t.Helper()
+	requireSameValues(t, tag, want, got)
+	for i := range want {
+		if !reflect.DeepEqual(want[i].Trace, got[i].Trace) {
+			t.Errorf("%s: point %d trace differs:\n got %+v\nwant %+v", tag, i, got[i].Trace, want[i].Trace)
 		}
 	}
 }
@@ -181,7 +194,7 @@ func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: ladder did not recover the forced failure: %v", tag, err)
 			}
-			requireSameReports(t, tag, baseline, reps)
+			requireSameValues(t, tag, baseline, reps)
 			trace := reps[2].Trace
 			if trace == nil || !trace.Escalated() {
 				t.Fatalf("%s: recovered point 2 has no escalation trace", tag)
@@ -219,6 +232,50 @@ func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 	var conv *ctmc.ConvergenceError
 	if !errors.As(err, &conv) || conv.Point != 2 {
 		t.Errorf("forced failure not attributed to point 2: %v", err)
+	}
+}
+
+// TestPhase2SweepEscalationTraceMatchesTraced pins the sweep's attempt
+// records to ctmc.SteadyStateTraced's: with a budget too small for any
+// point, every escalated report carries exactly the trace SteadyStateTraced
+// returns for the same chain, point, and warm start — base attempt
+// included, its multilevel cycle count too — at lane widths 1 and 8.
+func TestPhase2SweepEscalationTraceMatchesTraced(t *testing.T) {
+	m, measures, points := rpcSweepFixture(t)
+	solve := ctmc.SolveOptions{Sweep: ctmc.SweepMultilevel, MaxIterations: 20, Escalation: ctmc.EscalateLadder}
+	chain := privateChain(t, m)
+	want := make([]*ctmc.SolveTrace, len(points))
+	var anchor []float64
+	for i, p := range points {
+		if err := chain.Rebind(p); err != nil {
+			t.Fatal(err)
+		}
+		opts := solve
+		opts.WarmStart = anchor
+		pi, trace, err := chain.SteadyStateTraced(opts)
+		if err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		if i == 0 {
+			anchor = pi
+		}
+		if trace.Escalated() {
+			want[i] = trace
+		}
+	}
+	if want[0] == nil || want[0].Attempts[0].Cycles == 0 {
+		t.Fatalf("fixture does not escalate the anchor from a multilevel base attempt: %+v", want[0])
+	}
+	for _, lanes := range []int{1, 8} {
+		reps, err := sweep(m, measures, solve, pipeline.Config{LaneWidth: lanes}, points, nil)
+		if err != nil {
+			t.Fatalf("lanes=%d: %v", lanes, err)
+		}
+		for i, rep := range reps {
+			if !reflect.DeepEqual(rep.Trace, want[i]) {
+				t.Errorf("lanes=%d point %d: sweep trace\n %+v\nwant\n %+v", lanes, i, rep.Trace, want[i])
+			}
+		}
 	}
 }
 

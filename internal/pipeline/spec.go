@@ -59,7 +59,7 @@ type Spec struct {
 	Minimize bool
 	// Solve tunes the steady-state solver. Ctx only cancels and falls
 	// back to the session Config; every other field (Tolerance,
-	// MaxIterations, Sweep, Omega, Escalation, WarmStart) affects the
+	// MaxIterations, Sweep, Escalation, WarmStart) affects the
 	// result and is hashed. The solver has no worker count, so a spec's
 	// results are the same at every Config.Workers.
 	Solve ctmc.SolveOptions
@@ -111,7 +111,6 @@ func (s Spec) Hash() SpecHash {
 	hF64(h, s.Solve.Tolerance)
 	hU64(h, uint64(s.Solve.MaxIterations))
 	hU64(h, uint64(s.Solve.Sweep))
-	hF64(h, s.Solve.Omega)
 	hU64(h, uint64(s.Solve.Escalation))
 	hU64(h, uint64(len(s.Solve.WarmStart)))
 	for _, v := range s.Solve.WarmStart {

@@ -72,9 +72,9 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 // start. The seed is a pure function of the input — never of scheduling —
 // so the reports are bit-identical at any worker count and lane width:
 // the non-anchor points are packed in index order into SolveBatch calls
-// of Config.LaneWidth lanes (or solved one by one when LaneWidth is 1),
-// and every lane replicates the per-point solver's floating-point
-// operations exactly. Each point's result equals a fresh
+// of Config.LaneWidth lanes (one point per call when LaneWidth is 1), and
+// every lane runs exactly the floating-point operations of a one-lane
+// SteadyState solve at its point. Each point's result equals a fresh
 // generate+build+solve of the same model at that point's rates, up to the
 // solver tolerance (the rebound generator matrix itself is bit-identical
 // to a freshly built one). Anchors are staged per session state, so a
@@ -84,16 +84,16 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 // Failure handling is deterministic at any worker count:
 //
 //   - A solver failure is attributed to its sweep point: the returned
-//     error names the lowest failed point index (what a sequential
-//     per-point loop would hit first), and an unwrapped
+//     error names the lowest failed point index (the one a sequential
+//     pass over the points would hit first), and an unwrapped
 //     *ctmc.ConvergenceError carries the point index and its rate vector.
 //   - With the spec's Solve.Escalation set to ctmc.EscalateLadder, a
 //     point that fails to converge is retried through the deterministic
 //     escalation ladder (see ctmc.EscalateLadder); a recovered point's
-//     report carries the attempt trace in Phase2Report.Trace. Batched
-//     lanes escalate exactly like solo points: a lane's base failure is
-//     bit-identical to the solo base attempt, and the ladder re-solves
-//     the lane solo from rung 1.
+//     report carries the attempt trace in Phase2Report.Trace. A failed
+//     lane escalates alone: its base failure is bit-identical to a
+//     one-lane base attempt, and the ladder re-solves the point from
+//     rung 1.
 //   - A panic in a sweep worker is recovered into a
 //     *fault.WorkerPanicError instead of crashing the process.
 //   - A cancellation via Config.Ctx surfaces as a *fault.CanceledError
@@ -180,7 +180,7 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 
 	// mkSolve builds one point's solver options: the session's context,
 	// the given warm start, and escalation stripped — the sweep runs the
-	// ladder itself so that batched lanes and solo points share one
+	// ladder itself so that the anchor and every batched lane share one
 	// escalation path.
 	mkSolve := func(warm []float64) ctmc.SolveOptions {
 		solve := spec.Solve
@@ -190,78 +190,38 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 		return solve
 	}
 
-	// forcedCE synthesizes the convergence error an injected
-	// SiteSweepNonconverge trigger reports for a point whose base solve
-	// actually converged — the hook the escalation property tests use.
-	forcedCE := func(chain *ctmc.CTMC, warm []float64) (*ctmc.ConvergenceError, error) {
-		resolved, err := chain.ResolveSolve(mkSolve(warm))
-		if err != nil {
-			return nil, err
-		}
-		return &ctmc.ConvergenceError{Residual: 1, Tolerance: resolved.Tolerance, Sweep: resolved.Sweep, Point: -1}, nil
-	}
-
-	// escalateLane runs the escalation ladder for point i whose base solve
-	// (solo or batched lane — the two are bit-identical) failed with ce.
-	// The trace's attempt 0 records the base failure exactly as
+	// resolvePoint completes point i from its base solve — the anchor's
+	// one-lane solve or a batched lane, the two are bit-identical — on
+	// chain: it rebinds chain to the point's rates, lets an injected
+	// SiteSweepNonconverge trigger fail a converged base solve (the hook
+	// the escalation property tests use), runs the escalation ladder on a
+	// convergence failure when the spec asks for it, and evaluates the
+	// measures. The ladder's attempt 0 records the base failure exactly as
 	// ctmc.SteadyStateTraced would, so the ladder position is a pure
-	// function of the point's input, never of how lanes were packed.
-	escalateLane := func(chain *ctmc.CTMC, i int, warm []float64, ce *ctmc.ConvergenceError, forced bool) ([]float64, *ctmc.SolveTrace, error) {
-		if err := chain.Rebind(points[i]); err != nil {
-			return nil, nil, err
-		}
-		solve := mkSolve(warm)
-		resolved, err := chain.ResolveSolve(solve)
-		if err != nil {
-			return nil, nil, err
+	// function of the point's input, never of how lanes were packed. It
+	// returns the report and the solution vector.
+	resolvePoint := func(chain *ctmc.CTMC, i int, warm, pi []float64, err error) (*Phase2Report, []float64, error) {
+		if rerr := chain.Rebind(points[i]); rerr != nil {
+			return nil, nil, rerr
 		}
 		action := "base"
-		if forced {
+		if err == nil && faultinject.Fire(faultinject.SiteSweepNonconverge, i) {
+			resolved, rerr := chain.ResolveSolve(mkSolve(warm))
+			if rerr != nil {
+				return nil, nil, rerr
+			}
+			err = &ctmc.ConvergenceError{Residual: 1, Tolerance: resolved.Tolerance, Sweep: resolved.Sweep, Point: -1}
 			action = "forced-nonconvergence"
 		}
-		trace := &ctmc.SolveTrace{Attempts: []ctmc.SolveAttempt{{
-			Rung:          0,
-			Action:        action,
-			Sweep:         ce.Sweep,
-			MaxIterations: resolved.MaxIterations,
-			Omega:         resolved.Omega,
-			WarmStart:     len(resolved.WarmStart) > 0,
-			Iterations:    ce.Iterations,
-			Residual:      ce.Residual,
-		}}}
-		return chain.EscalateFrom(solve, trace)
-	}
-
-	// solveAt solves one point on the given chain: rebind, base solve,
-	// injected-nonconvergence check, escalation, measure evaluation. It
-	// returns the report and the solution vector (the anchor needs the
-	// latter to seed the warm starts).
-	solveAt := func(chain *ctmc.CTMC, i int, warm []float64) (*Phase2Report, []float64, error) {
-		if err := fault.Check(ctx, "core.sweep", i, -1); err != nil {
-			return nil, nil, err
-		}
-		if err := chain.Rebind(points[i]); err != nil {
-			return nil, nil, err
-		}
-		pi, err := chain.SteadyState(mkSolve(warm))
 		var trace *ctmc.SolveTrace
-		forced := false
-		if err == nil && faultinject.Fire(faultinject.SiteSweepNonconverge, i) {
-			ce, ferr := forcedCE(chain, warm)
-			if ferr != nil {
-				return nil, nil, ferr
-			}
-			err = ce
-			forced = true
-		}
 		if err != nil {
 			var ce *ctmc.ConvergenceError
-			if spec.Solve.Escalation == ctmc.EscalateLadder && errors.As(err, &ce) {
-				pi, trace, err = escalateLane(chain, i, warm, ce, forced)
+			if spec.Solve.Escalation != ctmc.EscalateLadder || !errors.As(err, &ce) {
+				return nil, nil, err
 			}
-		}
-		if err != nil {
-			return nil, nil, err
+			if pi, trace, err = chain.EscalateFrom(mkSolve(warm), action, ce); err != nil {
+				return nil, nil, err
+			}
 		}
 		values, err := measure.EvalAll(measures, chain, pi)
 		if err != nil {
@@ -269,24 +229,6 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 		}
 		rep := report(values)
 		rep.Trace = trace
-		return rep, pi, nil
-	}
-
-	// solvePoint is solveAt under the sweep worker's panic guard: a crash
-	// (or an injected fault keyed by the point index) surfaces as a
-	// *fault.WorkerPanicError attributed to this worker and point. The
-	// pool name predates the move to this package and is kept stable —
-	// it is part of the attribution contract callers match on.
-	solvePoint := func(w int, chain *ctmc.CTMC, i int, warm []float64) (rep *Phase2Report, pi []float64, err error) {
-		gerr := fault.Guard("core.sweep", w, fmt.Sprintf("point %d", i), func() error {
-			faultinject.MaybePanic(faultinject.SiteSweepPoint, i)
-			var serr error
-			rep, pi, serr = solveAt(chain, i, warm)
-			return serr
-		})
-		if gerr != nil {
-			return nil, nil, gerr
-		}
 		return rep, pi, nil
 	}
 
@@ -327,11 +269,28 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 		anchorPi = prior.anchorPi
 	} else {
 		ar, aerr := s.st.anchor(anchorKey).get(ctx, "pipeline.sweep", func() (anchorResult, error) {
-			rep, pi, err := solvePoint(0, base, 0, nil)
+			// The anchor solves under the sweep worker's panic guard, so a
+			// crash (or an injected fault keyed by its index) surfaces as
+			// a *fault.WorkerPanicError. The pool name predates the move to
+			// this package and is kept stable — it is part of the
+			// attribution contract callers match on.
+			var ar anchorResult
+			err := fault.Guard("core.sweep", 0, "point 0", func() error {
+				faultinject.MaybePanic(faultinject.SiteSweepPoint, 0)
+				if err := fault.Check(ctx, "core.sweep", 0, -1); err != nil {
+					return err
+				}
+				if err := base.Rebind(points[0]); err != nil {
+					return err
+				}
+				pi, err := base.SteadyState(mkSolve(nil))
+				ar.rep, ar.pi, err = resolvePoint(base, 0, nil, pi, err)
+				return err
+			})
 			if err != nil {
 				return anchorResult{}, err
 			}
-			return anchorResult{rep: rep, pi: pi}, nil
+			return ar, nil
 		})
 		if aerr != nil {
 			return nil, fmt.Errorf("pipeline: sweep: point 0: %w", attribute(aerr, 0))
@@ -400,120 +359,27 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 	if laneWidth > rest {
 		laneWidth = rest
 	}
-	if spec.Solve.Omega != 0 {
-		// The batched kernels always run the scheme-default damping; a
-		// custom Omega needs the per-point path, where SteadyState
-		// honors it.
-		laneWidth = 1
-	}
-	if laneWidth > 1 {
-		return s.sweepBatched(base, measures, points, reports, anchorPi, laneWidth,
-			report, attribute, mkSolve, forcedCE, escalateLane, finish)
-	}
-
-	workers := s.cfg.Workers
-	if workers <= 1 || rest == 1 {
-		// Sequential per-point path: reuse the work chain for every point.
-		for i := 1; i < len(points); i++ {
-			if reports[i] != nil {
-				continue // restored from the checkpoint or the store
-			}
-			rep, _, err := solvePoint(0, base, i, anchorPi)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: sweep: point %d: %w", i, attribute(err, i))
-			}
-			if err := finish(i, rep); err != nil {
-				return nil, fmt.Errorf("pipeline: sweep: point %d: %w", i, err)
-			}
-		}
-		return reports, nil
-	}
-
-	// Parallel per-point path: each worker owns a private clone of the
-	// built chain and rebinds it per point. Points are claimed in ascending
-	// order; any failure wins by lowest point index so the reported error
-	// matches the sequential run's.
-	if workers > rest {
-		workers = rest
-	}
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		next    = 1
-		failIdx = len(points)
-		failErr error
-	)
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		for failErr == nil && next < len(points) {
-			i := next
-			next++
-			if reports[i] != nil {
-				continue // restored from the checkpoint or the store
-			}
-			return i
-		}
-		return -1
-	}
-	fail := func(i int, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if failErr == nil || i < failIdx {
-			failIdx, failErr = i, err
-		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			chain := base.Clone()
-			for {
-				i := claim()
-				if i < 0 {
-					return
-				}
-				rep, _, err := solvePoint(w, chain, i, anchorPi)
-				if err != nil {
-					fail(i, attribute(err, i))
-					return
-				}
-				if err := finish(i, rep); err != nil {
-					fail(i, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if failErr != nil {
-		return nil, fmt.Errorf("pipeline: sweep: point %d: %w", failIdx, failErr)
-	}
-	return reports, nil
+	return s.sweepBatched(base, points, reports, anchorPi, laneWidth, mkSolve(anchorPi), attribute, resolvePoint, finish)
 }
 
 // sweepBatched solves the non-anchor points of a sweep through the batched
 // kernel: points[1:] are packed in index order into chunks of laneWidth
-// lanes, each chunk is one ctmc.SolveBatchLanes call seeded from the
-// anchor solution, and the chunk's reports are then evaluated in lane
-// order (the measure evaluation rebinds the chain to each point's rates,
-// as the per-point path does). Chunks are independent — every lane seeds
-// from the anchor, never from a chunk-mate — so chunk-level workers change
-// nothing but wall-clock time, and a failure is attributed to the lowest
-// failed global point index, matching the per-point paths. Lanes that fail
-// to converge escalate solo (a lane's base failure is bit-identical to the
-// solo base attempt), and chunks whose every lane was restored from a
-// checkpoint are skipped outright.
-func (s *Session) sweepBatched(base *ctmc.CTMC, measures []measure.Measure, points [][]float64,
-	reports []*Phase2Report, anchorPi []float64, laneWidth int,
-	report func(map[string]float64) *Phase2Report, attribute func(error, int) error,
-	mkSolve func([]float64) ctmc.SolveOptions,
-	forcedCE func(*ctmc.CTMC, []float64) (*ctmc.ConvergenceError, error),
-	escalateLane func(*ctmc.CTMC, int, []float64, *ctmc.ConvergenceError, bool) ([]float64, *ctmc.SolveTrace, error),
+// lanes — one point per chunk at laneWidth 1 — each chunk is one
+// ctmc.SolveBatchLanes call seeded from the anchor solution, and the
+// chunk's lanes are then completed by resolvePoint in lane order. Chunks
+// are independent — every lane seeds from the anchor, never from a
+// chunk-mate — so chunk-level workers change nothing but wall-clock time,
+// and a failure is attributed to the lowest failed global point index.
+// Lanes that fail to converge escalate one at a time (a lane's base
+// failure is bit-identical to the one-lane base attempt), and chunks whose
+// every lane was restored from a checkpoint or the result store are
+// skipped outright.
+func (s *Session) sweepBatched(base *ctmc.CTMC, points [][]float64, reports []*Phase2Report,
+	anchorPi []float64, laneWidth int, solve ctmc.SolveOptions, attribute func(error, int) error,
+	resolvePoint func(*ctmc.CTMC, int, []float64, []float64, error) (*Phase2Report, []float64, error),
 	finish func(int, *Phase2Report) error) ([]*Phase2Report, error) {
 
 	ctx := s.cfg.Ctx
-	escalation := s.st.spec.Solve.Escalation
 
 	// translate maps a SolveBatch failure of the chunk at offset off to
 	// its global point index and the unwrapped per-lane error.
@@ -533,42 +399,16 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, measures []measure.Measure, poin
 		if err := fault.Check(ctx, "core.sweep", off, -1); err != nil {
 			return off, err
 		}
-		pis, laneErrs, err := chain.SolveBatchLanes(points[off:off+width], ctmc.BatchOptions{Solve: mkSolve(anchorPi)})
+		pis, laneErrs, err := chain.SolveBatchLanes(points[off:off+width], ctmc.BatchOptions{Solve: solve})
 		if err != nil {
 			return translate(err, off)
 		}
 		for lane := 0; lane < width; lane++ {
 			i := off + lane
-			pi := pis[lane]
-			var trace *ctmc.SolveTrace
-			lerr := laneErrs[lane]
-			forced := false
-			if lerr == nil && faultinject.Fire(faultinject.SiteSweepNonconverge, i) {
-				ce, ferr := forcedCE(chain, anchorPi)
-				if ferr != nil {
-					return i, ferr
-				}
-				lerr = ce
-				forced = true
-			}
-			if lerr != nil {
-				var ce *ctmc.ConvergenceError
-				if escalation == ctmc.EscalateLadder && errors.As(lerr, &ce) {
-					pi, trace, lerr = escalateLane(chain, i, anchorPi, ce, forced)
-				}
-			}
-			if lerr != nil {
-				return i, attribute(lerr, i)
-			}
-			if err := chain.Rebind(points[i]); err != nil {
-				return i, err
-			}
-			values, err := measure.EvalAll(measures, chain, pi)
+			rep, _, err := resolvePoint(chain, i, anchorPi, pis[lane], laneErrs[lane])
 			if err != nil {
-				return i, err
+				return i, attribute(err, i)
 			}
-			rep := report(values)
-			rep.Trace = trace
 			if err := finish(i, rep); err != nil {
 				return i, err
 			}
@@ -615,26 +455,11 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, measures []measure.Measure, poin
 		return false
 	}
 
-	workers := s.cfg.Workers
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 {
-		for ch := 0; ch < nChunks; ch++ {
-			off, width := chunkAt(ch)
-			if !chunkNeeded(off, width) {
-				continue // every lane restored from the checkpoint
-			}
-			if idx, err := runChunk(0, base, off, width); err != nil {
-				return nil, fmt.Errorf("pipeline: sweep: point %d: %w", idx, err)
-			}
-		}
-		return reports, nil
-	}
-
-	// Chunk-parallel path: each worker owns a private clone; chunks are
+	// Each worker solves on its own chain — worker 0 on base, which the
+	// anchor no longer needs, the others on private clones. Chunks are
 	// claimed in ascending order and the lowest failed point index wins,
-	// matching the sequential chunk loop.
+	// so the outcome is the same at every worker count.
+	workers := max(1, min(s.cfg.Workers, nChunks))
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
@@ -650,7 +475,7 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, measures []measure.Measure, poin
 			next++
 			off, width := chunkAt(ch)
 			if !chunkNeeded(off, width) {
-				continue // every lane restored from the checkpoint
+				continue // every lane restored from the checkpoint or the store
 			}
 			return ch
 		}
@@ -663,11 +488,15 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, measures []measure.Measure, poin
 			failIdx, failErr = idx, err
 		}
 	}
-	for w := 0; w < workers; w++ {
+	// Clone before any worker starts: worker 0 rebinds base.
+	chains := []*ctmc.CTMC{base}
+	for len(chains) < workers {
+		chains = append(chains, base.Clone())
+	}
+	for w, chain := range chains {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			chain := base.Clone()
 			for {
 				ch := claim()
 				if ch < 0 {
@@ -679,7 +508,7 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, measures []measure.Measure, poin
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if failErr != nil {

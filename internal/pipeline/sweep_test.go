@@ -256,7 +256,7 @@ func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
 }
 
 // TestPhase2SweepLaneWidths checks the batched sweep engine: reports are
-// bit-identical at every lane width (per-point path included) crossed with
+// bit-identical at every lane width (one-point chunks included) crossed with
 // every worker count, on both paper models.
 func TestPhase2SweepLaneWidths(t *testing.T) {
 	type variant struct {
@@ -307,7 +307,7 @@ func TestPhase2SweepLaneWidths(t *testing.T) {
 // TestPhase2SweepConvergenceErrorPoint pins the failure attribution of the
 // sweep: a failed solve surfaces a ConvergenceError carrying the global
 // sweep-point index and rate vector, and the wrapping message names the
-// same point, on both the per-point and the batched path.
+// same point, at lane widths 1 and 8.
 func TestPhase2SweepConvergenceErrorPoint(t *testing.T) {
 	pp := models.DefaultRPCParams()
 	pp.ParametricTimeout = true

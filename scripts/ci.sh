@@ -133,7 +133,8 @@ scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|Sweep
 # lexer (the byte-parsing input surface), the weak-bisimulation check
 # against its unreduced saturation oracle, the compiled successor
 # enumeration of state-space generation against Model.Successors, and
-# the sweep checkpoint decoder (the file a resumed sweep trusts). A
+# the sweep checkpoint decoder (the file a resumed sweep trusts), and the
+# measure-file parser (the other text input a user hands the CLIs). A
 # crasher lands under the package's testdata/fuzz and then replays in
 # every later `go test`.
 echo "== fuzz smoke =="
@@ -142,5 +143,6 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzLexer$' -fuzztime 10s ./internal/aemil
 go test -timeout 5m -run '^$' -fuzz '^FuzzWeakEquivalent$' -fuzztime 10s ./internal/bisim/
 go test -timeout 5m -run '^$' -fuzz '^FuzzCompiledSuccessors$' -fuzztime 10s ./internal/elab/
 go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s ./internal/pipeline/
+go test -timeout 5m -run '^$' -fuzz '^FuzzParseMeasures$' -fuzztime 10s ./internal/measure/
 
 echo "CI OK"
