@@ -114,7 +114,8 @@ func TestParsePaperRPC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Elaborate: %v", err)
 	}
-	ts, err := m.Successors(m.Initial())
+	c := m.Compile(nil)
+	ts, _, err := c.Successors(c.Initial(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +123,10 @@ func TestParsePaperRPC(t *testing.T) {
 		t.Fatal("no initial transitions")
 	}
 	var sawSend, sawShutdown bool
+	var labels []string
 	for _, tr := range ts {
-		switch tr.Label {
+		labels = append(labels, c.Label(tr.Label))
+		switch c.Label(tr.Label) {
 		case "C.send_rpc_packet#RCS.get_packet":
 			sawSend = true
 		case "DPM.send_shutdown#S.receive_shutdown":
@@ -131,7 +134,7 @@ func TestParsePaperRPC(t *testing.T) {
 		}
 	}
 	if !sawSend || !sawShutdown {
-		t.Errorf("initial transitions missing expected syncs: %v", ts)
+		t.Errorf("initial transitions missing expected syncs: %v", labels)
 	}
 }
 
@@ -290,7 +293,8 @@ func TestParseNegativeLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Successors(m.Initial()); err != nil {
+	c := m.Compile(nil)
+	if _, _, err := c.Successors(c.Initial(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -354,7 +358,8 @@ func TestParseMultiplicities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Successors(m.Initial()); err != nil {
+	c := m.Compile(nil)
+	if _, _, err := c.Successors(c.Initial(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Round trip.

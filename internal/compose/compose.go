@@ -41,9 +41,9 @@ import (
 type Options struct {
 	// Preds are the locally-enabled predicates the analysis observes
 	// (measure.StatePreds of the measure set). The initial partition
-	// separates configurations that disagree on any of them, so
-	// LocallyEnabled answers on the quotient model are exact for these
-	// predicates. Predicates not listed here may disagree within a block.
+	// separates configurations that disagree on any of them, so compiled
+	// predicate answers (elab.Compiled.Enabled) on the quotient model are
+	// exact for these predicates. Predicates not listed here may disagree within a block.
 	Preds []lts.StatePred
 	// MaxLocalConfigs bounds one instance's local configuration graph
 	// (0 = default 1_000_000) — a safety net, not a tuning knob: local

@@ -1,6 +1,7 @@
 package elab
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/aemilia"
@@ -10,7 +11,8 @@ import (
 
 // Pred names a locally-enabled predicate: true in a global state iff the
 // instance's local configuration offers the action, whether or not the
-// topology lets it fire (see LocallyEnabled).
+// topology lets it fire (see Compiled.Enabled). Unattached interactions
+// stay locally enabled, which is how reward monitors are expressed.
 type Pred struct {
 	// Instance is the instance name.
 	Instance string
@@ -22,11 +24,12 @@ type Pred struct {
 func (p Pred) Name() string { return p.Instance + "." + p.Action }
 
 // Compiled is the composition of a model compiled to integer tables, the
-// form the explicit state-space generator explores. Each instance keeps an
-// interner of its local configurations: a configuration gets a dense
-// uint32 local id when a move first targets it, and a move table — action
-// id, rate, target local id, plus one bit per requested predicate — the
-// first time a global state containing it is expanded. A global state is
+// form the explicit state-space generator explores and the simulator
+// executes. Each instance keeps an interner of its local configurations:
+// a configuration gets a dense uint32 local id when a move first targets
+// it, and a move table — action id, rate, target local id, plus one bit
+// per requested predicate — the first time a global state containing it
+// is expanded. A global state is
 // then a tuple of local ids, one per instance in declaration order, and
 // Successors combines move tables without touching a process term.
 //
@@ -34,6 +37,10 @@ func (p Pred) Name() string { return p.Instance + "." + p.Action }
 // unbounded (a data parameter the composition bounds) compiles exactly the
 // configurations the global exploration reaches. Quotient models compile
 // through the same LocalMovesOf as full ones.
+//
+// Action ids and label ids are fixed when Compile returns — every action
+// the instance's behaviours name, every label the topology can produce —
+// and are numbered alike by every Compiled of one model.
 //
 // A Compiled value is mutable (it grows as states are expanded) and must
 // not be used from several goroutines at once; the underlying Model stays
@@ -103,11 +110,18 @@ type compMove struct {
 	next   uint32
 }
 
-// Succ is one compiled global transition: its label id (see Label) and its
-// combined rate. Its target tuple is returned alongside (see Successors).
+// Succ is one compiled global transition: its label id (see Label), its
+// combined rate and its active participant. Its target tuple is returned
+// alongside (see Successors).
 type Succ struct {
 	Label int32
 	Rate  rates.Rate
+	// ActiveInst and ActiveAction (an action id of that instance, see
+	// ActionName) identify the participant owning the transition's timing:
+	// the partner whose rate is active — the last such partner of an AND
+	// broadcast — and otherwise the moving or output instance.
+	ActiveInst   int32
+	ActiveAction int32
 }
 
 // Compile prepares the compiled composition of m for the given predicates.
@@ -198,8 +212,33 @@ func (c *Compiled) action(i int, name string) int32 {
 // NumInstances returns the tuple width: one local id per instance.
 func (c *Compiled) NumInstances() int { return len(c.insts) }
 
+// NumActions returns the number of action ids of instance i.
+func (c *Compiled) NumActions(i int) int { return len(c.insts[i].actions) }
+
+// ActionID returns the id of instance i's named action, and whether the
+// instance performs or declares it at all.
+func (c *Compiled) ActionID(i int, name string) (int32, bool) {
+	a, ok := c.insts[i].actIDs[name]
+	return a, ok
+}
+
+// ActionName returns the name of instance i's action id a.
+func (c *Compiled) ActionName(i int, a int32) string { return c.insts[i].actions[a] }
+
+// NumLabels returns the number of compiled label ids.
+func (c *Compiled) NumLabels() int { return len(c.labels) }
+
 // Label returns the label string of a compiled label id.
 func (c *Compiled) Label(id int32) string { return c.labels[id] }
+
+// AppendTupleKey appends the interning key of a state tuple — its local
+// ids as little-endian uint32s — to dst and returns the extended slice.
+func AppendTupleKey(dst []byte, t []uint32) []byte {
+	for _, id := range t {
+		dst = binary.LittleEndian.AppendUint32(dst, id)
+	}
+	return dst
+}
 
 // intern returns the local id of instance i's configuration lc.
 func (c *Compiled) intern(i int, lc LocalConfig) uint32 {
@@ -281,10 +320,10 @@ func (c *Compiled) Enabled(p int, t []uint32) (bool, error) {
 
 // Successors appends the transitions enabled in tuple src to succ, and
 // their target tuples (NumInstances local ids each, in the same order) to
-// next, and returns both extended slices. Transitions come in exactly
-// Model.Successors' order — instances ascending, then local-move order,
-// then partner order, then the AND-broadcast combination counter — with
-// the same labels, rates and errors.
+// next, and returns both extended slices. Transitions are ordered by
+// instance ascending, then local-move order, then partner order, then the
+// AND-broadcast combination counter. The order is part of the contract:
+// the generator's state numbering and the simulator's draws follow it.
 func (c *Compiled) Successors(src []uint32, succ []Succ, next []uint32) ([]Succ, []uint32, error) {
 	n := len(c.insts)
 	for i := range c.insts {
@@ -298,7 +337,7 @@ func (c *Compiled) Successors(src []uint32, succ []Succ, next []uint32) ([]Succ,
 			r := &ci.roles[mv.action]
 			switch r.kind {
 			case roleInternal:
-				succ = append(succ, Succ{Label: r.label, Rate: mv.rate})
+				succ = append(succ, Succ{Label: r.label, Rate: mv.rate, ActiveInst: int32(i), ActiveAction: mv.action})
 				next = append(next, src...)
 				next[len(next)-n+i] = mv.next
 			case roleAttachedOut:
@@ -334,7 +373,11 @@ func (c *Compiled) syncEach(src []uint32, i int, mv compMove, r *compRole, succ 
 					c.insts[i].name, c.insts[i].actions[mv.action],
 					c.insts[p.inst].name, c.insts[p.inst].actions[mv2.action], err)
 			}
-			succ = append(succ, Succ{Label: p.label, Rate: combined})
+			s := Succ{Label: p.label, Rate: combined, ActiveInst: int32(i), ActiveAction: mv.action}
+			if mv2.rate.IsActive() {
+				s.ActiveInst, s.ActiveAction = int32(p.inst), mv2.action
+			}
+			succ = append(succ, s)
 			next = append(next, src...)
 			next[len(next)-n+i] = mv.next
 			next[len(next)-n+p.inst] = mv2.next
@@ -366,7 +409,7 @@ func (c *Compiled) broadcast(src []uint32, i int, mv compMove, r *compRole, succ
 		c.idx = append(c.idx, 0)
 	}
 	for {
-		combined := mv.rate
+		s := Succ{Label: r.label, Rate: mv.rate, ActiveInst: int32(i), ActiveAction: mv.action}
 		next = append(next, src...)
 		t := next[len(next)-n:]
 		t[i] = mv.next
@@ -374,16 +417,19 @@ func (c *Compiled) broadcast(src []uint32, i int, mv compMove, r *compRole, succ
 		for pi, p := range r.partners {
 			mv2 := c.insts[p.inst].tables[src[p.inst]].moves[c.cand[start+c.idx[pi]]]
 			var err error
-			combined, err = rates.Combine(combined, mv2.rate)
+			s.Rate, err = rates.Combine(s.Rate, mv2.rate)
 			if err != nil {
 				return succ, next, fmt.Errorf("elab: broadcast %s.%s # %s.%s: %w",
 					c.insts[i].name, c.insts[i].actions[mv.action],
 					c.insts[p.inst].name, c.insts[p.inst].actions[mv2.action], err)
 			}
+			if mv2.rate.IsActive() {
+				s.ActiveInst, s.ActiveAction = int32(p.inst), mv2.action
+			}
 			t[p.inst] = mv2.next
 			start = c.candEnd[pi]
 		}
-		succ = append(succ, Succ{Label: r.label, Rate: combined})
+		succ = append(succ, s)
 		// Advance the combination counter.
 		k := len(c.idx) - 1
 		for k >= 0 {

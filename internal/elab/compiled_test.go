@@ -47,9 +47,10 @@ func sameErr(a, b error) bool {
 
 // CompareCompiled explores m breadth-first over compiled tuples, for at
 // most maxStates states, and checks every state's compiled successor list
-// against Model.Successors — same order, labels, rates, and target states
-// — and every predicate against LocallyEnabled, errors included. It
-// returns the number of states checked.
+// against the reference Model.Successors — same order, labels, rates,
+// active participants and target states — and every predicate against
+// LocallyEnabled, errors included. It returns the number of states
+// checked.
 func CompareCompiled(m *Model, maxStates int) (int, error) {
 	preds := allPreds(m)
 	c := m.Compile(preds)
@@ -87,6 +88,11 @@ func CompareCompiled(m *Model, maxStates int) (int, error) {
 			}
 			if succ[k].Rate != want[k].Rate {
 				return qi, fmt.Errorf("state %s successor %d: rate %v, want %v", m.Describe(s), k, succ[k].Rate, want[k].Rate)
+			}
+			ai := int(succ[k].ActiveInst)
+			if aa := c.ActionName(ai, succ[k].ActiveAction); ai != want[k].ActiveInst || aa != want[k].ActiveAction {
+				return qi, fmt.Errorf("state %s successor %d: active participant %s.%s, want %s.%s", m.Describe(s), k,
+					m.InstanceName(ai), aa, m.InstanceName(want[k].ActiveInst), want[k].ActiveAction)
 			}
 			if !Equal(c.State(t), want[k].Next) {
 				return qi, fmt.Errorf("state %s successor %d: target %s, want %s",
@@ -145,6 +151,42 @@ func branchingBroadcastModel(t *testing.T) *Model {
 	return m
 }
 
+// activeSubscriberBroadcastModel is an AND broadcast with a passive
+// publisher in which the middle subscriber alone is active, so the
+// broadcast's timing — its active participant — belongs to a partner.
+func activeSubscriberBroadcastModel(t *testing.T) *Model {
+	t.Helper()
+	pub := aemilia.NewElemTypePorts("Pub_Type",
+		nil, []aemilia.Port{aemilia.AndPort("publish")},
+		aemilia.NewBehavior("P", nil,
+			aemilia.Pre("publish", rates.PassiveRate(), aemilia.Invoke("P"))))
+	sub := func(name string, r rates.Rate) *aemilia.ElemType {
+		return aemilia.NewElemTypePorts(name,
+			[]aemilia.Port{aemilia.UniPort("hear")}, nil,
+			aemilia.NewBehavior("S", nil,
+				aemilia.Pre("hear", r,
+					aemilia.Pre("digest", rates.ExpRate(2), aemilia.Invoke("S")))))
+	}
+	a := aemilia.NewArchiType("ActiveSubscriber",
+		[]*aemilia.ElemType{pub, sub("Passive_Type", rates.PassiveRate()), sub("Active_Type", rates.ExpRate(3))},
+		[]*aemilia.Instance{
+			aemilia.NewInstance("P", "Pub_Type"),
+			aemilia.NewInstance("A", "Passive_Type"),
+			aemilia.NewInstance("B", "Active_Type"),
+			aemilia.NewInstance("C", "Passive_Type"),
+		},
+		[]aemilia.Attachment{
+			aemilia.Attach("P", "publish", "A", "hear"),
+			aemilia.Attach("P", "publish", "B", "hear"),
+			aemilia.Attach("P", "publish", "C", "hear"),
+		})
+	m, err := Elaborate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestCompiledMatchesSuccessors(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -156,6 +198,7 @@ func TestCompiledMatchesSuccessors(t *testing.T) {
 		{"broadcast-4", broadcastModel(t, 4)},
 		{"or", orModel(t)},
 		{"broadcast-branching", branchingBroadcastModel(t)},
+		{"broadcast-active-subscriber", activeSubscriberBroadcastModel(t)},
 	} {
 		states, err := CompareCompiled(c.m, 10_000)
 		if err != nil {

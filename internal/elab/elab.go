@@ -1,9 +1,9 @@
 // Package elab elaborates a validated architectural description into an
 // executable composition: it instantiates element types, resolves
-// attachments, and exposes a one-step successor function over global
-// states. The explicit state-space generator (internal/lts) explores the
-// composition compiled to integer tables (Compile); the discrete-event
-// simulator (internal/sim) compiles its records from Successors.
+// attachments, and compiles the composition to integer tables (Compile)
+// whose Successors is the one-step relation over global states. Both the
+// explicit state-space generator (internal/lts) and the discrete-event
+// simulator (internal/sim) run on that compiled form.
 //
 // A global state is a vector of per-instance local configurations; a local
 // configuration is a position in the instance's behaviour (a process node)
@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/aemilia"
 	"repro/internal/expr"
-	"repro/internal/rates"
 )
 
 // LocalConfig is the configuration of a single instance: a process node
@@ -45,24 +44,6 @@ type LocalMove struct {
 	Act aemilia.Action
 	// Next is the instance's configuration after the action.
 	Next LocalConfig
-}
-
-// Transition is a global move of the composition.
-type Transition struct {
-	// Label is the observable label ("A.a" or "A.o#B.i").
-	Label string
-	// Rate is the combined timing annotation.
-	Rate rates.Rate
-	// Next is the global state after the transition.
-	Next State
-	// ActiveInst is the index of the instance that owns the timing of the
-	// transition (the active participant; the moving instance for internal
-	// actions; the output side when neither participant is active).
-	ActiveInst int
-	// ActiveAction is the action name of the active participant, used
-	// together with ActiveInst as the activity identity for simulation
-	// clocks.
-	ActiveAction string
 }
 
 // roleKind classifies how an action of an instance relates to the topology.
@@ -89,7 +70,7 @@ type role struct {
 	partners []partnerRef
 	// partnerLabels holds the precomputed "A.o#B.i" label per partner, and
 	// bcastLabel the full AND-broadcast label; both are fixed by the
-	// topology, so Successors never rebuilds a label string.
+	// topology and compiled into label ids once.
 	partnerLabels []string
 	bcastLabel    string
 }
@@ -119,11 +100,12 @@ type nodeInfo struct {
 // Model is an elaborated architectural description. It is immutable once
 // Elaborate returns — labels, roles, and node tables are precomputed and
 // never written again — so a single Model may be shared by any number of
-// goroutines: Successors, LocalMoves, LocallyEnabled, Describe, and
-// Compile are safe to call concurrently, and AppendKey is safe as long as
-// each goroutine appends into its own buffer. Concurrent state-space
-// generations (internal/lts, each on its own Compiled) and the
-// simulator's replication pool (internal/sim) both rely on this contract.
+// goroutines: Compile, LocalMovesOf, Describe and DescribeLocal are safe
+// to call concurrently, and AppendLocalKey is safe as long as each
+// goroutine appends into its own buffer. The mutable state lives in the
+// Compiled values: concurrent state-space generations (internal/lts) and
+// the simulator's replication workers (internal/sim) each compile their
+// own from one shared Model.
 type Model struct {
 	arch  *aemilia.ArchiType
 	insts []instance
@@ -133,8 +115,8 @@ type Model struct {
 	numRateSlots int
 	// quot, when non-nil, marks the model as a compositional quotient: each
 	// instance's behaviour is a reduced block automaton (see Quotient), a
-	// local configuration is LocalConfig{Node: block}, and LocalMoves,
-	// Initial and Describe answer from the precomputed block tables.
+	// local configuration is LocalConfig{Node: block}, and LocalMovesOf,
+	// InitialLocal and Describe answer from the precomputed block tables.
 	quot []InstanceQuotient
 }
 
@@ -212,9 +194,8 @@ func Elaborate(a *aemilia.ArchiType) (*Model, error) {
 	}
 
 	// Precompute every transition label the composition can produce: the
-	// topology is fixed after elaboration, so building them once here keeps
-	// Successors — the hot path of both the state-space generator and the
-	// simulator — free of string concatenation.
+	// topology is fixed after elaboration, so Compile interns them without
+	// any string concatenation.
 	for i := range m.insts {
 		inst := &m.insts[i]
 		inst.actLabels = make(map[string]string)
@@ -332,21 +313,6 @@ func (m *Model) InstanceIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// Initial returns the initial global state.
-func (m *Model) Initial() State {
-	s := make(State, len(m.insts))
-	if m.quot != nil {
-		for i := range m.quot {
-			s[i] = LocalConfig{Node: m.quot[i].Init}
-		}
-		return s
-	}
-	for i := range m.insts {
-		s[i] = m.insts[i].init
-	}
-	return s
-}
-
 // env builds the evaluation environment of a local configuration.
 func (m *Model) env(c LocalConfig) (expr.MapEnv, error) {
 	b := m.nodes[c.Node].behavior
@@ -382,13 +348,14 @@ func (m *Model) contConfig(cont aemilia.Process, env expr.MapEnv, args []expr.Va
 	return LocalConfig{Node: cont.ID(), Args: args}, nil
 }
 
-// LocalMoves returns the actions instance i can perform from its
-// configuration in s, before applying the topology.
-func (m *Model) LocalMoves(s State, i int) ([]LocalMove, error) {
-	c := s[i]
+// LocalMovesOf returns the actions instance i can perform from local
+// configuration c, before applying the topology. It is the one local-move
+// entry: Compile builds its move tables from it, and compositional
+// minimization explores each instance's configuration graph with it. On a
+// quotient model the block automaton's precomputed move list is returned,
+// which callers must not mutate.
+func (m *Model) LocalMovesOf(i int, c LocalConfig) ([]LocalMove, error) {
 	if m.quot != nil {
-		// Quotient model: the block automaton's move table is precomputed;
-		// the shared slice must not be mutated by callers.
 		q := &m.quot[i]
 		if c.Node < 0 || c.Node >= len(q.Moves) {
 			return nil, fmt.Errorf("elab: block %d out of range for quotient instance %s", c.Node, m.insts[i].name)
@@ -436,169 +403,4 @@ func (m *Model) LocalMoves(s State, i int) ([]LocalMove, error) {
 		return nil, err
 	}
 	return moves, nil
-}
-
-// LocallyEnabled reports whether the named action of the named instance is
-// enabled in its local configuration in s, regardless of whether the
-// topology lets it fire. This is the predicate behind reward monitors.
-func (m *Model) LocallyEnabled(s State, instName, action string) (bool, error) {
-	i, ok := m.InstanceIndex(instName)
-	if !ok {
-		return false, fmt.Errorf("elab: unknown instance %q", instName)
-	}
-	moves, err := m.LocalMoves(s, i)
-	if err != nil {
-		return false, err
-	}
-	for _, mv := range moves {
-		if mv.Act.Name == action {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// Successors returns the global transitions enabled in s.
-func (m *Model) Successors(s State) ([]Transition, error) {
-	if len(s) != len(m.insts) {
-		return nil, fmt.Errorf("elab: state has %d configurations for %d instances", len(s), len(m.insts))
-	}
-	local := make([][]LocalMove, len(m.insts))
-	for i := range m.insts {
-		mv, err := m.LocalMoves(s, i)
-		if err != nil {
-			return nil, err
-		}
-		local[i] = mv
-	}
-
-	var out []Transition
-	for i := range m.insts {
-		for _, mv := range local[i] {
-			r, ok := m.insts[i].roles[mv.Act.Name]
-			if !ok {
-				// Internal action: interleave.
-				next := cloneState(s)
-				next[i] = mv.Next
-				out = append(out, Transition{
-					Label:        m.insts[i].internalLabel(mv.Act.Name),
-					Rate:         mv.Act.Rate,
-					Next:         next,
-					ActiveInst:   i,
-					ActiveAction: mv.Act.Name,
-				})
-				continue
-			}
-			switch r.kind {
-			case roleBlocked, roleAttachedIn:
-				// Blocked, or handled from the output side.
-				continue
-			case roleAttachedOut:
-				if r.mult == aemilia.And && len(r.partners) > 1 {
-					ts, err := m.broadcast(s, i, mv, r, local)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, ts...)
-					continue
-				}
-				// UNI and OR: synchronize with one partner at a time.
-				for pi, pr := range r.partners {
-					for _, mv2 := range local[pr.inst] {
-						if mv2.Act.Name != pr.action {
-							continue
-						}
-						combined, err := rates.Combine(mv.Act.Rate, mv2.Act.Rate)
-						if err != nil {
-							return nil, fmt.Errorf("elab: %s.%s # %s.%s: %w",
-								m.insts[i].name, mv.Act.Name, m.insts[pr.inst].name, mv2.Act.Name, err)
-						}
-						next := cloneState(s)
-						next[i] = mv.Next
-						next[pr.inst] = mv2.Next
-						active, activeAction := i, mv.Act.Name
-						if mv2.Act.Rate.IsActive() {
-							active, activeAction = pr.inst, mv2.Act.Name
-						}
-						out = append(out, Transition{
-							Label:        r.partnerLabels[pi],
-							Rate:         combined,
-							Next:         next,
-							ActiveInst:   active,
-							ActiveAction: activeAction,
-						})
-					}
-				}
-			case roleInternal:
-				// Unreachable: internal actions have no role entry.
-			}
-		}
-	}
-	return out, nil
-}
-
-// broadcast builds the AND-synchronization transitions of an output move:
-// every attached partner must offer the action; one transition is
-// generated per combination of partner moves (usually one each).
-func (m *Model) broadcast(s State, i int, mv LocalMove, r role, local [][]LocalMove) ([]Transition, error) {
-	partners := r.partners
-	// Collect each partner's candidate moves; all must be non-empty.
-	cands := make([][]LocalMove, len(partners))
-	for pi, pr := range partners {
-		for _, mv2 := range local[pr.inst] {
-			if mv2.Act.Name == pr.action {
-				cands[pi] = append(cands[pi], mv2)
-			}
-		}
-		if len(cands[pi]) == 0 {
-			return nil, nil // some partner refuses: broadcast disabled
-		}
-	}
-	var out []Transition
-	idx := make([]int, len(partners))
-	for {
-		combined := mv.Act.Rate
-		active, activeAction := i, mv.Act.Name
-		next := cloneState(s)
-		next[i] = mv.Next
-		var err error
-		for pi, pr := range partners {
-			mv2 := cands[pi][idx[pi]]
-			combined, err = rates.Combine(combined, mv2.Act.Rate)
-			if err != nil {
-				return nil, fmt.Errorf("elab: broadcast %s.%s # %s.%s: %w",
-					m.insts[i].name, mv.Act.Name, m.insts[pr.inst].name, mv2.Act.Name, err)
-			}
-			if mv2.Act.Rate.IsActive() {
-				active, activeAction = pr.inst, mv2.Act.Name
-			}
-			next[pr.inst] = mv2.Next
-		}
-		out = append(out, Transition{
-			Label:        r.bcastLabel,
-			Rate:         combined,
-			Next:         next,
-			ActiveInst:   active,
-			ActiveAction: activeAction,
-		})
-		// Advance the combination counter.
-		k := len(idx) - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] < len(cands[k]) {
-				break
-			}
-			idx[k] = 0
-			k--
-		}
-		if k < 0 {
-			return out, nil
-		}
-	}
-}
-
-func cloneState(s State) State {
-	next := make(State, len(s))
-	copy(next, s)
-	return next
 }

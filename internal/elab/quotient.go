@@ -1,17 +1,13 @@
 package elab
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // InstanceQuotient is the reduced local automaton of one instance, produced
 // by compositional minimization (internal/compose): the instance's reachable
 // local configuration graph lumped into blocks. In a quotient model the
 // local configuration of the instance is LocalConfig{Node: block, Args: nil}
 // — the block identifier takes the place of the process node, and the
-// canonical state encoding (AppendKey) is unchanged.
+// canonical configuration encoding (AppendLocalKey) is unchanged.
 type InstanceQuotient struct {
 	// Init is the initial block.
 	Init int
@@ -34,9 +30,9 @@ type InstanceQuotient struct {
 // like the original iff each lumping is a Markovian bisimulation that also
 // respects synchronization multiplicities and the locally-enabled
 // predicates the analysis observes — which is what internal/compose
-// constructs. LocallyEnabled on a quotient model answers from the block
-// representative's moves, so only predicates the lumping was refined
-// against are meaningful.
+// constructs. A compiled predicate (Compiled.Enabled) on a quotient model
+// answers from the block representative's moves, so only predicates the
+// lumping was refined against are meaningful.
 func (m *Model) Quotient(qs []InstanceQuotient) (*Model, error) {
 	if len(qs) != len(m.insts) {
 		return nil, fmt.Errorf("elab: quotient has %d automata for %d instances", len(qs), len(m.insts))
@@ -72,45 +68,4 @@ func (m *Model) InitialLocal(i int) LocalConfig {
 		return LocalConfig{Node: m.quot[i].Init}
 	}
 	return m.insts[i].init
-}
-
-// AppendLocalKey appends the canonical encoding of one instance's local
-// configuration to dst — the single-instance analogue of AppendKey, used by
-// compositional minimization to intern local configuration graphs.
-func (m *Model) AppendLocalKey(dst []byte, c LocalConfig) []byte {
-	return m.AppendKey(dst, State{c})
-}
-
-// LocalMovesOf returns the local moves of instance i in configuration c,
-// without requiring a full global state. It is the per-component successor
-// function compositional minimization explores.
-func (m *Model) LocalMovesOf(i int, c LocalConfig) ([]LocalMove, error) {
-	s := make(State, len(m.insts))
-	s[i] = c
-	return m.LocalMoves(s, i)
-}
-
-// DescribeLocal renders one instance's local configuration (the
-// single-instance analogue of Describe).
-func (m *Model) DescribeLocal(i int, c LocalConfig) string {
-	if m.quot != nil {
-		return m.insts[i].name + "=" + m.quot[i].Descs[c.Node]
-	}
-	info := m.nodes[c.Node]
-	var sb strings.Builder
-	sb.WriteString(m.insts[i].name)
-	sb.WriteByte('=')
-	sb.WriteString(info.behavior.Name)
-	sb.WriteByte('(')
-	for j, v := range c.Args {
-		if j > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(v.String())
-	}
-	sb.WriteByte(')')
-	if off := c.Node - info.behavior.Body.ID(); off != 0 {
-		sb.WriteString("+" + strconv.Itoa(off))
-	}
-	return sb.String()
 }

@@ -8,89 +8,63 @@ import (
 	"repro/internal/expr"
 )
 
-// AppendKey appends the canonical byte-string encoding of a global state
-// to dst and returns the extended slice. The encoding is the interning key
-// of a state table: equal states produce equal encodings. Appending to a
-// caller-owned scratch buffer keeps the hot exploration path
+// AppendLocalKey appends the canonical byte-string encoding of one
+// instance's local configuration to dst and returns the extended slice:
+// equal configurations produce equal encodings. It is the interning key of
+// the local configuration tables of Compile and of compositional
+// minimization; appending to a caller-owned buffer keeps interning
 // allocation-free.
-func (m *Model) AppendKey(dst []byte, s State) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	for _, c := range s {
-		n := binary.PutUvarint(tmp[:], uint64(c.Node))
-		dst = append(dst, tmp[:n]...)
-		dst = append(dst, byte(len(c.Args)))
-		for _, v := range c.Args {
-			switch v.Kind {
-			case expr.TypeInt:
-				dst = append(dst, 'i')
-				n := binary.PutVarint(tmp[:], v.Int)
-				dst = append(dst, tmp[:n]...)
-			case expr.TypeBool:
-				if v.Bool {
-					dst = append(dst, 'T')
-				} else {
-					dst = append(dst, 'F')
-				}
+func (m *Model) AppendLocalKey(dst []byte, c LocalConfig) []byte {
+	dst = binary.AppendUvarint(dst, uint64(c.Node))
+	dst = append(dst, byte(len(c.Args)))
+	for _, v := range c.Args {
+		switch v.Kind {
+		case expr.TypeInt:
+			dst = append(dst, 'i')
+			dst = binary.AppendVarint(dst, v.Int)
+		case expr.TypeBool:
+			if v.Bool {
+				dst = append(dst, 'T')
+			} else {
+				dst = append(dst, 'F')
 			}
 		}
 	}
 	return dst
 }
 
-// Key returns a canonical byte-string encoding of a global state, suitable
-// as a map key during state-space exploration.
-func (m *Model) Key(s State) string {
-	return string(m.AppendKey(nil, s))
-}
-
 // Describe renders a global state readably, for diagnostics: each instance
 // as name=Behaviour(args)[+k] where +k marks a position k nodes into the
 // behaviour body (0 = at the body, i.e. at the start of the behaviour).
 func (m *Model) Describe(s State) string {
-	var sb strings.Builder
+	parts := make([]string, len(s))
 	for i, c := range s {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		if m.quot != nil {
-			sb.WriteString(m.insts[i].name)
-			sb.WriteByte('=')
-			sb.WriteString(m.quot[i].Descs[c.Node])
-			continue
-		}
-		info := m.nodes[c.Node]
-		sb.WriteString(m.insts[i].name)
-		sb.WriteByte('=')
-		sb.WriteString(info.behavior.Name)
-		sb.WriteByte('(')
-		for j, v := range c.Args {
-			if j > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(v.String())
-		}
-		sb.WriteByte(')')
-		if off := c.Node - info.behavior.Body.ID(); off != 0 {
-			sb.WriteString("+" + strconv.Itoa(off))
-		}
+		parts[i] = m.DescribeLocal(i, c)
 	}
-	return sb.String()
+	return strings.Join(parts, ", ")
 }
 
-// Equal reports whether two global states are identical.
-func Equal(a, b State) bool {
-	if len(a) != len(b) {
-		return false
+// DescribeLocal renders one instance's local configuration (the
+// single-instance analogue of Describe).
+func (m *Model) DescribeLocal(i int, c LocalConfig) string {
+	if m.quot != nil {
+		return m.insts[i].name + "=" + m.quot[i].Descs[c.Node]
 	}
-	for i := range a {
-		if a[i].Node != b[i].Node || len(a[i].Args) != len(b[i].Args) {
-			return false
+	info := m.nodes[c.Node]
+	var sb strings.Builder
+	sb.WriteString(m.insts[i].name)
+	sb.WriteByte('=')
+	sb.WriteString(info.behavior.Name)
+	sb.WriteByte('(')
+	for j, v := range c.Args {
+		if j > 0 {
+			sb.WriteString(", ")
 		}
-		for j := range a[i].Args {
-			if !a[i].Args[j].Equal(b[i].Args[j]) {
-				return false
-			}
-		}
+		sb.WriteString(v.String())
 	}
-	return true
+	sb.WriteByte(')')
+	if off := c.Node - info.behavior.Body.ID(); off != 0 {
+		sb.WriteString("+" + strconv.Itoa(off))
+	}
+	return sb.String()
 }

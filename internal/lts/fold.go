@@ -143,7 +143,7 @@ func (fc *foldCtx) isObserved(id int32) bool {
 
 // lookup encodes tuple v into keyBuf and returns its memoized entry.
 func (fc *foldCtx) lookup(v []uint32) (*foldEntry, bool) {
-	fc.keyBuf = appendTupleKey(fc.keyBuf[:0], v)
+	fc.keyBuf = elab.AppendTupleKey(fc.keyBuf[:0], v)
 	e, ok := fc.memo[string(fc.keyBuf)]
 	return e, ok
 }
@@ -248,7 +248,7 @@ func (fc *foldCtx) expandTarget(v []uint32, depth int) (*foldEntry, error) {
 			return nil, err
 		}
 		if sub.terms == nil {
-			ti := addTerm(string(appendTupleKey(fc.keyBuf[:0], t)), t, p)
+			ti := addTerm(string(elab.AppendTupleKey(fc.keyBuf[:0], t)), t, p)
 			if obsLab {
 				addFlow(ti, lab, p)
 			}

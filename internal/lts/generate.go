@@ -112,7 +112,7 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 	keyBuf := make([]byte, 0, 4*n)
 
 	intern := func(t []uint32) (uint32, error) {
-		keyBuf = appendTupleKey(keyBuf[:0], t)
+		keyBuf = elab.AppendTupleKey(keyBuf[:0], t)
 		id, fresh := in.Intern(keyBuf)
 		if fresh {
 			if numStates >= maxStates {
@@ -296,13 +296,4 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		}
 	}
 	return l, nil
-}
-
-// appendTupleKey appends the interning key of a state tuple: its local
-// ids as little-endian uint32s.
-func appendTupleKey(dst []byte, t []uint32) []byte {
-	for _, id := range t {
-		dst = binary.LittleEndian.AppendUint32(dst, id)
-	}
-	return dst
 }

@@ -297,7 +297,8 @@ func TestNoDPMOmitsInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Successors(m.Initial()); err != nil {
+	c := m.Compile(nil)
+	if _, _, err := c.Successors(c.Initial(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

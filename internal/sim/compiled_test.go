@@ -15,9 +15,9 @@ import (
 
 // TestExactTieBreaksByName races two deterministic activities with equal
 // durations, so every race is an exact tie (rem == minRem). The choice
-// lists zeta before alpha, so zeta is discovered first and gets the lower
-// activity id; the tie must still go to alpha, first in (Instance, Action)
-// name order, at every worker count.
+// lists zeta before alpha, so zeta comes first in the state's activities
+// and gets the lower activity slot; the tie must still go to alpha, first
+// in (Instance, Action) name order, at every worker count.
 func TestExactTieBreaksByName(t *testing.T) {
 	et := aemilia.NewElemType("T_Type", nil, nil,
 		aemilia.NewBehavior("S", nil,
@@ -52,17 +52,19 @@ func TestExactTieBreaksByName(t *testing.T) {
 		Seed:         19,
 	}
 
-	// The premise: discovery order is the reverse of name order.
+	// The premise: both activity order and slot order are the reverse of
+	// name order.
 	p, err := newPlan(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := p.newRunner()
-	if _, err := r.visit(m.Initial()); err != nil {
+	if err := r.compile(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.acts) != 2 || r.acts[0].Action != "zeta" || r.acts[1].Action != "alpha" {
-		t.Fatalf("discovery order %v, want zeta then alpha", r.acts)
+	acts := r.recs[0].acts
+	if len(acts) != 2 || r.acts[acts[0]].Action != "zeta" || r.acts[acts[1]].Action != "alpha" || acts[0] > acts[1] {
+		t.Fatalf("initial activities %v, want zeta then alpha in slot order", acts)
 	}
 
 	var base *Result
@@ -172,8 +174,8 @@ func TestReplicateZeroAllocsPerEvent(t *testing.T) {
 	if _, _, err := r.replicate(0, rnd, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.recs) != 2 {
-		t.Fatalf("memo holds %d states after warm-up, want 2", len(r.recs))
+	if len(r.recs) != 2 || !r.recs[0].ready || !r.recs[1].ready {
+		t.Fatalf("memo holds %d states after warm-up, want 2 compiled ones", len(r.recs))
 	}
 	allocs := func(runLength float64) (float64, int64) {
 		p.cfg.RunLength = runLength
@@ -195,5 +197,39 @@ func TestReplicateZeroAllocsPerEvent(t *testing.T) {
 	if short != long {
 		t.Errorf("allocs per replication: %v at L, %v at 4L (%d vs %d events); the event loop allocates",
 			short, long, shortEvents, longEvents)
+	}
+}
+
+// TestUnknownOverrideRejected checks that a duration override naming an
+// instance the model lacks, or an action its instance does not have, is
+// an error naming every bad key — not silently ignored, which would leave
+// the activity on its exponential rate.
+func TestUnknownOverrideRejected(t *testing.T) {
+	m := workRestModel(t, 2, 1)
+	for _, c := range []struct {
+		name  string
+		dists map[Activity]dist.Distribution
+		want  string
+	}{
+		{"unknown instance", map[Activity]dist.Distribution{
+			{Instance: "W", Action: "finish"}: dist.NewDet(1),
+			{Instance: "V", Action: "finish"}: dist.NewDet(1),
+		}, "override for V.finish:"},
+		{"unknown action", map[Activity]dist.Distribution{
+			{Instance: "W", Action: "finsh"}: dist.NewDet(1),
+		}, "override for W.finsh:"},
+		{"every bad key, sorted", map[Activity]dist.Distribution{
+			{Instance: "W", Action: "rest"}:     dist.NewDet(1),
+			{Instance: "A", Action: "x"}:        dist.NewDet(1),
+			{Instance: "W", Action: "mon_work"}: dist.NewDet(1),
+		}, "override for A.x, W.rest:"},
+	} {
+		_, err := Run(Config{
+			Model: m, Distributions: c.dists, Measures: workRestMeasures,
+			RunLength: 10, Replications: 1,
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -58,6 +59,8 @@ type Config struct {
 	Model *elab.Model
 	// Distributions overrides the duration distribution of activities;
 	// activities without an override use the exponential of their rate.
+	// An override naming an instance the model lacks, or an action that
+	// instance neither performs nor declares, is an error.
 	Distributions map[Activity]dist.Distribution
 	// Measures are estimated during the run.
 	Measures []measure.Measure
@@ -121,30 +124,43 @@ var (
 	ErrNoDistribution = errors.New("sim: activity has no duration distribution")
 )
 
-// plan is the read-only part of a runner: the configuration and the
-// flattened measure clauses, shared by the runners of one Run.
+// plan is the read-only part of a runner, shared by the runners of one
+// Run: the configuration, the flattened measure clauses, and the tables
+// over the compiled action and label ids, which every Compiled of the
+// model numbers alike.
 type plan struct {
-	cfg   Config
-	model *elab.Model
+	cfg Config
 
-	// Flattened clauses: the state-reward clauses (checked per state at
-	// compile time), and the "Instance.Action" predicate (matched per
-	// transition at compile time) and value of each transition-reward
-	// clause.
-	stateClauses []measure.Clause
-	transPreds   []string
-	transVals    []float64
-	// stateOf[m] and transOf[m] list the flattened clauses of measure m.
-	stateOf [][]int
-	transOf [][]int
+	// Flattened clauses: the predicate and value of each state-reward
+	// clause (evaluated per state by the runner's Compiled) and the value
+	// of each transition-reward clause. stateOf[m] and transOf[m] list the
+	// flattened clauses of measure m.
+	statePreds []elab.Pred
+	stateVals  []float64
+	transVals  []float64
+	stateOf    [][]int
+	transOf    [][]int
+
+	// Activities are (instance, action id) slots: instance i's action a
+	// is slot slotBase[i]+a. acts names every slot, for the exact-tie
+	// tie-break and error messages, and overrides holds its duration
+	// override (nil: none).
+	slotBase  []int32
+	acts      []Activity
+	overrides []dist.Distribution
+	// labelClauses lists, per compiled label id, the transition-reward
+	// clauses a firing with that label counts toward.
+	labelClauses [][]int32
 }
 
 // stateRec is the compiled form of a visited state, built once when the
 // state is first entered. Every later event in the state touches only
 // integers and float slices: no label, activity name or state key is
 // hashed on the hot path. Transitions are numbered by the runner's
-// per-transition arrays.
+// per-transition arrays; a record whose state has been interned (as a
+// transition target) but not yet entered is not ready.
 type stateRec struct {
+	ready bool
 	// preds is the local enabledness per state-reward clause.
 	preds []bool
 	// imm lists the immediate transitions of the top priority level, in
@@ -153,22 +169,20 @@ type stateRec struct {
 	imm      []int32
 	immW     []float64
 	immTotal float64
-	// In a timed state (immTotal == 0), acts are the activity ids of the
+	// In a timed state (immTotal == 0), acts are the activity slots of the
 	// state's transitions in first-occurrence order (empty: deadlock);
 	// vanishing states leave the activity fields empty. dists[i] is the
 	// duration distribution of acts[i] — resolved here, but nil when it
-	// has none, which is an error only once its clock must be sampled;
-	// labels[i] is its first-occurrence label, for that error's message;
+	// has none, which is an error only once its clock must be sampled —
 	// and cands[candOff[i]:candOff[i+1]] are its transitions in successor
 	// order.
 	acts    []int32
 	dists   []dist.Distribution
-	labels  []string
 	candOff []int32
 	cands   []int32
 }
 
-// clock is the timing slot of one activity id.
+// clock is the timing slot of one activity.
 type clock struct {
 	rem  float64 // residual duration, valid while on
 	on   bool    // the activity holds a clock (enabling memory)
@@ -177,35 +191,35 @@ type clock struct {
 
 // runner executes replications of one configuration. Everything beyond
 // the shared plan is mutable and private to one worker goroutine: the
-// state interner, the compiled state records, the activity table, the
+// compiled model, the state interner, the state records, the
 // per-transition arrays and the clocks.
 type runner struct {
 	*plan
 
-	// Visited states are interned into an arena; the compiled records are
-	// indexed by the resulting dense id.
-	intern *statespace.Interner
+	// c is the runner's own compiled model: it grows as states are
+	// compiled, so it is never shared across workers. succ and succNext
+	// are its Successors scratch.
+	c        *elab.Compiled
+	succ     []elab.Succ
+	succNext []uint32
+
+	// States are interned by their tuple bytes; state s is
+	// tuples[s*n:(s+1)*n] and recs[s] its record. State 0 is the initial
+	// state.
+	keys   *statespace.Interner
 	keyBuf []byte
+	n      int
+	tuples []uint32
 	recs   []stateRec
 
-	// Activity table: dense ids in discovery order. actID is consulted
-	// only when a state is compiled; acts names an id for the exact-tie
-	// tie-break.
-	actID map[Activity]int32
-	acts  []Activity
+	// Per-transition arrays, indexed by transition number: the state id
+	// of its target (interned when its source state compiles) and its
+	// compiled label id. Pre-empted transitions of vanishing states are
+	// never numbered.
+	target []int32
+	label  []int32
 
-	// Per-transition arrays, indexed by transition number. next is the
-	// memo id of the target, -1 until the transition first fires; until
-	// then pending holds the target state, released once resolved (nil
-	// from the start for a transition that can never fire). The
-	// transition-reward clauses the transition counts toward are
-	// clauseIdx[clauseOff[t]:clauseOff[t+1]].
-	next      []int32
-	pending   []elab.State
-	clauseOff []int32
-	clauseIdx []int32
-
-	// clocks is indexed by activity id; epoch numbers the timed steps.
+	// clocks is indexed by activity slot; epoch numbers the timed steps.
 	clocks []clock
 	epoch  uint64
 }
@@ -288,9 +302,12 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// newPlan flattens the measure clauses of a configuration.
+// newPlan flattens the measure clauses of a configuration and resolves
+// the duration overrides and transition-reward labels against the
+// model's compiled action and label ids.
 func newPlan(cfg Config) (*plan, error) {
-	p := &plan{cfg: cfg, model: cfg.Model}
+	p := &plan{cfg: cfg}
+	var transPreds []string
 	for mi, m := range cfg.Measures {
 		p.stateOf = append(p.stateOf, nil)
 		p.transOf = append(p.transOf, nil)
@@ -300,30 +317,72 @@ func newPlan(cfg Config) (*plan, error) {
 		for _, cl := range m.Clauses {
 			switch cl.Kind {
 			case measure.StateReward:
-				p.stateOf[mi] = append(p.stateOf[mi], len(p.stateClauses))
-				p.stateClauses = append(p.stateClauses, cl)
+				p.stateOf[mi] = append(p.stateOf[mi], len(p.statePreds))
+				p.statePreds = append(p.statePreds, elab.Pred{Instance: cl.Instance, Action: cl.Action})
+				p.stateVals = append(p.stateVals, cl.Value)
 			case measure.TransReward:
-				p.transOf[mi] = append(p.transOf[mi], len(p.transPreds))
-				p.transPreds = append(p.transPreds, cl.Pred())
+				p.transOf[mi] = append(p.transOf[mi], len(transPreds))
+				transPreds = append(transPreds, cl.Pred())
 				p.transVals = append(p.transVals, cl.Value)
 			default:
 				return nil, fmt.Errorf("sim: measure %s: invalid clause kind", m.Name)
 			}
 		}
 	}
+
+	c := cfg.Model.Compile(nil)
+	p.slotBase = make([]int32, c.NumInstances())
+	for i := range p.slotBase {
+		p.slotBase[i] = int32(len(p.acts))
+		for a := range c.NumActions(i) {
+			p.acts = append(p.acts, Activity{Instance: cfg.Model.InstanceName(i), Action: c.ActionName(i, int32(a))})
+		}
+	}
+	p.overrides = make([]dist.Distribution, len(p.acts))
+	var unknown []string
+	for act, d := range cfg.Distributions {
+		i, ok := cfg.Model.InstanceIndex(act.Instance)
+		var a int32
+		if ok {
+			a, ok = c.ActionID(i, act.Action)
+		}
+		if !ok {
+			unknown = append(unknown, act.Instance+"."+act.Action)
+			continue
+		}
+		p.overrides[p.slotBase[i]+a] = d
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		return nil, fmt.Errorf("sim: distribution override for %s: no such activity in the model",
+			strings.Join(unknown, ", "))
+	}
+	p.labelClauses = make([][]int32, c.NumLabels())
+	for l := range p.labelClauses {
+		for j, pred := range transPreds {
+			if lts.LabelInvolves(c.Label(int32(l)), pred) {
+				p.labelClauses[l] = append(p.labelClauses[l], int32(j))
+			}
+		}
+	}
 	return p, nil
 }
 
-// newRunner returns a runner over the plan with an empty memo, for use by
-// one goroutine (the interner and the records are single-writer, never
-// shared across workers).
+// newRunner returns a runner over the plan with its own compiled model
+// and an empty memo holding only the initial state, for use by one
+// goroutine (the compiled model, the interner and the records are
+// single-writer, never shared across workers).
 func (p *plan) newRunner() *runner {
-	return &runner{
-		plan:      p,
-		intern:    statespace.NewInterner(),
-		actID:     make(map[Activity]int32),
-		clauseOff: []int32{0},
+	c := p.cfg.Model.Compile(p.statePreds)
+	r := &runner{
+		plan:   p,
+		c:      c,
+		keys:   statespace.NewInterner(),
+		n:      c.NumInstances(),
+		clocks: make([]clock, len(p.acts)),
 	}
+	r.visit(c.Initial())
+	return r
 }
 
 // runReplications executes cfg.Replications independent runs — on a
@@ -398,138 +457,111 @@ func (r *runner) runReplications(master *rng.Rand) ([][]float64, int64, error) {
 	return out, events.Load(), nil
 }
 
-// visit returns the memo id of a state, compiling its record on the first
-// visit. A runner whose compile failed is discarded with its run.
-func (r *runner) visit(s elab.State) (int32, error) {
-	r.keyBuf = r.model.AppendKey(r.keyBuf[:0], s)
-	id, _ := r.intern.Intern(r.keyBuf)
-	if int(id) < len(r.recs) {
-		return int32(id), nil
+// visit returns the memo id of a state tuple, interning it (with a record
+// that is not ready) on first sight.
+func (r *runner) visit(t []uint32) int32 {
+	r.keyBuf = elab.AppendTupleKey(r.keyBuf[:0], t)
+	id, fresh := r.keys.Intern(r.keyBuf)
+	if fresh {
+		r.tuples = append(r.tuples, t...)
+		r.recs = append(r.recs, stateRec{})
 	}
-	rec, err := r.compile(s)
-	if err != nil {
-		return -1, err
-	}
-	r.recs = append(r.recs, rec)
-	return int32(id), nil
+	return int32(id)
 }
 
-// successor returns the memo id of transition t's target. The first firing
-// resolves it and releases the target state; later firings read one int.
-func (r *runner) successor(t int32) (int32, error) {
-	if id := r.next[t]; id >= 0 {
-		return id, nil
-	}
-	id, err := r.visit(r.pending[t])
-	if err != nil {
-		return -1, err
-	}
-	r.next[t], r.pending[t] = id, nil
-	return id, nil
+// transition numbers successor k of the state being compiled and interns
+// its target.
+func (r *runner) transition(k int) int32 {
+	t := int32(len(r.target))
+	r.target = append(r.target, r.visit(r.succNext[k*r.n:(k+1)*r.n]))
+	r.label = append(r.label, r.succ[k].Label)
+	return t
 }
 
-// compile builds the record of a state from its successors: the state-
-// reward predicates, the top-priority immediate choice, for every
-// transition its transition-reward clauses and its (unresolved) target,
-// and — in a timed state — the activities with their distributions and
-// candidate transitions.
-func (r *runner) compile(s elab.State) (stateRec, error) {
-	succ, err := r.model.Successors(s)
+// compile builds the record of state s from its compiled successors: the
+// state-reward predicates, the top-priority immediate choice, and — in a
+// timed state — the activities with their distributions and candidate
+// transitions. Every transition that can fire is numbered, with its
+// target interned. A runner whose compile failed is discarded with its
+// run.
+func (r *runner) compile(s int32) error {
+	src := r.tuples[int(s)*r.n : int(s+1)*r.n]
+	var err error
+	r.succ, r.succNext, err = r.c.Successors(src, r.succ[:0], r.succNext[:0])
 	if err != nil {
-		return stateRec{}, err
+		return err
 	}
-	var rec stateRec
-	if len(r.stateClauses) > 0 {
-		rec.preds = make([]bool, len(r.stateClauses))
-		for i, cl := range r.stateClauses {
-			ok, err := r.model.LocallyEnabled(s, cl.Instance, cl.Action)
-			if err != nil {
-				return stateRec{}, err
+	rec := stateRec{ready: true}
+	if len(r.statePreds) > 0 {
+		rec.preds = make([]bool, len(r.statePreds))
+		for p := range rec.preds {
+			if rec.preds[p], err = r.c.Enabled(p, src); err != nil {
+				return err
 			}
-			rec.preds[i] = ok
 		}
 	}
 
-	base := int32(len(r.next))
+	// rec.imm holds successor indices until the state is known vanishing.
 	maxPrio := math.MinInt32
-	for i := range succ {
-		tr := &succ[i]
-		t := base + int32(i)
-		r.next = append(r.next, -1)
-		r.pending = append(r.pending, tr.Next)
-		for j, pred := range r.transPreds {
-			if lts.LabelInvolves(tr.Label, pred) {
-				r.clauseIdx = append(r.clauseIdx, int32(j))
-			}
+	for k := range r.succ {
+		rt := r.succ[k].Rate
+		if rt.Kind != rates.Immediate {
+			continue
 		}
-		r.clauseOff = append(r.clauseOff, int32(len(r.clauseIdx)))
-
-		if tr.Rate.Kind == rates.Immediate {
-			if tr.Rate.Priority > maxPrio {
-				maxPrio, rec.immTotal = tr.Rate.Priority, 0
-				rec.imm, rec.immW = rec.imm[:0], rec.immW[:0]
-			}
-			if tr.Rate.Priority == maxPrio {
-				rec.immTotal += tr.Rate.Weight
-				rec.imm = append(rec.imm, t)
-				rec.immW = append(rec.immW, tr.Rate.Weight)
-			}
+		if rt.Priority > maxPrio {
+			maxPrio, rec.immTotal = rt.Priority, 0
+			rec.imm, rec.immW = rec.imm[:0], rec.immW[:0]
+		}
+		if rt.Priority == maxPrio {
+			rec.immTotal += rt.Weight
+			rec.imm = append(rec.imm, int32(k))
+			rec.immW = append(rec.immW, rt.Weight)
 		}
 	}
 	if rec.immTotal != 0 {
 		// Vanishing: the top-priority immediate transitions pre-empt every
-		// other one, which therefore never fires; release its target now.
-		for i := range succ {
-			if t := base + int32(i); !slices.Contains(rec.imm, t) {
-				r.pending[t] = nil
-			}
+		// other one, which therefore never fires and is not numbered.
+		for i, k := range rec.imm {
+			rec.imm[i] = r.transition(int(k))
 		}
-		return rec, nil
+		r.recs[s] = rec
+		return nil
 	}
+	rec.imm, rec.immW = nil, nil
 
-	actOf := make([]int32, len(succ)) // index into rec.acts per transition
-	for i := range succ {
-		tr := &succ[i]
-		act := Activity{Instance: r.model.InstanceName(tr.ActiveInst), Action: tr.ActiveAction}
-		id := r.activity(act)
-		k := slices.Index(rec.acts, id)
-		if k < 0 {
-			k = len(rec.acts)
-			rec.acts = append(rec.acts, id)
-			rec.dists = append(rec.dists, r.distributionFor(act, tr.Rate))
-			rec.labels = append(rec.labels, tr.Label)
+	actOf := make([]int32, len(r.succ)) // index into rec.acts per successor
+	for k := range r.succ {
+		sc := &r.succ[k]
+		slot := r.slotBase[sc.ActiveInst] + sc.ActiveAction
+		i := slices.Index(rec.acts, slot)
+		if i < 0 {
+			i = len(rec.acts)
+			rec.acts = append(rec.acts, slot)
+			d := r.overrides[slot]
+			if d == nil && sc.Rate.Kind == rates.Exp {
+				d = dist.NewExp(sc.Rate.Lambda)
+			}
+			rec.dists = append(rec.dists, d)
 		}
-		actOf[i] = int32(k)
+		actOf[k] = int32(i)
 	}
 
 	// Group the transitions by activity, keeping successor order.
 	rec.candOff = make([]int32, len(rec.acts)+1)
-	for _, k := range actOf {
-		rec.candOff[k+1]++
+	for _, i := range actOf {
+		rec.candOff[i+1]++
 	}
-	for k := range rec.acts {
-		rec.candOff[k+1] += rec.candOff[k]
+	for i := range rec.acts {
+		rec.candOff[i+1] += rec.candOff[i]
 	}
-	rec.cands = make([]int32, len(succ))
+	rec.cands = make([]int32, len(r.succ))
 	fill := slices.Clone(rec.candOff[:len(rec.acts)])
-	for i, k := range actOf {
-		rec.cands[fill[k]] = base + int32(i)
-		fill[k]++
+	for k, i := range actOf {
+		rec.cands[fill[i]] = r.transition(k)
+		fill[i]++
 	}
-	return rec, nil
-}
-
-// activity returns the dense id of an activity, assigning the next one on
-// its first occurrence.
-func (r *runner) activity(act Activity) int32 {
-	if id, ok := r.actID[act]; ok {
-		return id
-	}
-	id := int32(len(r.acts))
-	r.actID[act] = id
-	r.acts = append(r.acts, act)
-	r.clocks = append(r.clocks, clock{})
-	return id
+	r.recs[s] = rec
+	return nil
 }
 
 // replicateGuarded runs one replication under a panic guard: a crash in
@@ -565,7 +597,7 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 		events     int64
 		endTime    = r.cfg.Warmup + float64(segments)*r.cfg.RunLength
 		zeroStreak = 0
-		cur        = int32(-1) // memo id of the current state; -1 before the initial one
+		cur        = int32(0)  // memo id of the current state; 0 is the initial one
 		via        = int32(-1) // transition whose target becomes current at the loop top
 		active     []int32     // the last timed state's activities: all that may hold a clock
 	)
@@ -575,7 +607,7 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 	stateAcc := make([][]float64, segments)
 	transAcc := make([][]float64, segments)
 	for k := range stateAcc {
-		stateAcc[k] = make([]float64, len(r.stateClauses))
+		stateAcc[k] = make([]float64, len(r.stateVals))
 		transAcc[k] = make([]float64, len(r.transVals))
 	}
 	segOf := func(t float64) int {
@@ -590,7 +622,7 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 	}
 
 	accrue := func(rec *stateRec, dt float64) {
-		if dt <= 0 || len(r.stateClauses) == 0 {
+		if dt <= 0 || len(r.stateVals) == 0 {
 			return
 		}
 		// Clip the accrual window to [Warmup, endTime] and split it over
@@ -604,21 +636,21 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 			if w <= 0 {
 				break
 			}
-			for i := range r.stateClauses {
+			for i, v := range r.stateVals {
 				if rec.preds[i] {
-					stateAcc[k][i] += r.stateClauses[i].Value * w
+					stateAcc[k][i] += v * w
 				}
 			}
 			lo += w
 		}
 	}
 	countFiring := func(t int32) {
-		lo, hi := r.clauseOff[t], r.clauseOff[t+1]
-		if now < r.cfg.Warmup || lo == hi {
+		clauses := r.labelClauses[r.label[t]]
+		if now < r.cfg.Warmup || len(clauses) == 0 {
 			return
 		}
 		acc := transAcc[segOf(now)]
-		for _, j := range r.clauseIdx[lo:hi] {
+		for _, j := range clauses {
 			acc[j] += r.transVals[j]
 		}
 	}
@@ -632,14 +664,13 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 				return nil, events, err
 			}
 		}
-		var err error
 		if via >= 0 {
-			cur, err = r.successor(via)
-		} else if cur < 0 {
-			cur, err = r.visit(r.model.Initial())
+			cur = r.target[via]
 		}
-		if err != nil {
-			return nil, events, err
+		if !r.recs[cur].ready {
+			if err := r.compile(cur); err != nil {
+				return nil, events, err
+			}
 		}
 		rec := &r.recs[cur]
 
@@ -680,17 +711,17 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 			}
 			d := rec.dists[i]
 			if d == nil {
-				act := r.acts[a]
+				act, first := r.acts[a], rec.cands[rec.candOff[i]]
 				return nil, events, fmt.Errorf("%w: %s.%s (label %s)",
-					ErrNoDistribution, act.Instance, act.Action, rec.labels[i])
+					ErrNoDistribution, act.Instance, act.Action, r.c.Label(r.label[first]))
 			}
 			c.rem, c.on = d.Sample(rnd), true
 		}
 		active = rec.acts
 
 		// Fire the minimum clock; an exact tie goes to the activity first
-		// in (Instance, Action) name order — never to the lower id, since
-		// ids follow discovery order.
+		// in (Instance, Action) name order — never to the lower slot, since
+		// slots follow declaration order.
 		win := 0
 		minRem := r.clocks[rec.acts[0]].rem
 		for i := 1; i < len(rec.acts); i++ {
@@ -749,18 +780,6 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 		out[k] = vals
 	}
 	return out, events, nil
-}
-
-// distributionFor resolves the duration distribution of an activity: its
-// override, else the exponential of its rate, else nil.
-func (r *runner) distributionFor(act Activity, rate rates.Rate) dist.Distribution {
-	if d, ok := r.cfg.Distributions[act]; ok {
-		return d
-	}
-	if rate.Kind == rates.Exp {
-		return dist.NewExp(rate.Lambda)
-	}
-	return nil
 }
 
 // pickImmediate selects one of the state's top-priority immediate

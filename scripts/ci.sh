@@ -91,15 +91,17 @@ go test -timeout 10m -race -cpu 1,2 -run 'Minimize|Fold' \
     ./internal/compose/ ./internal/lts/ ./internal/experiments/
 
 # Simulator race smoke at -cpu 1,2: the worker-count bit-identity and
-# reproducibility properties, batch means, and the exact-tie tie-break
-# (TestParallelReplicationsBitIdentical, TestReproducible*,
-# TestBatchMeans*, TestExactTieBreaksByName in internal/sim). Each
-# replication worker owns a runner whose activity table, compiled state
-# records, per-transition arrays and clocks are all mutable, so a fork
-# that shared any of them would race here.
+# reproducibility properties, batch means, the exact-tie tie-break, the
+# paper-model fingerprints at one and two workers and the override
+# resolution (TestParallelReplicationsBitIdentical, TestReproducible*,
+# TestBatchMeans*, TestExactTieBreaksByName, TestSimFingerprints,
+# TestUnknownOverrideRejected, TestModelOverridesResolve in
+# internal/sim). Each replication worker owns a runner whose
+# elab.Compiled, state records, per-transition arrays and clocks are all
+# mutable, so a fork that shared any of them would race here.
 echo "== simulator race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
-    -run 'ParallelReplicationsBitIdentical|Reproducible|BatchMeans|Tie' ./internal/sim/
+    -run 'ParallelReplicationsBitIdentical|Reproducible|BatchMeans|Tie|SimFingerprints|Override' ./internal/sim/
 
 # Benchmark smoke run: one iteration of every benchmark, so a benchmark
 # that no longer compiles or panics fails CI without costing bench time.
@@ -132,8 +134,9 @@ scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|Sweep
 # the seed corpora that plain `go test` replays — the Æmilia parser and
 # lexer (the byte-parsing input surface), the weak-bisimulation check
 # against its unreduced saturation oracle, the compiled successor
-# enumeration of state-space generation against Model.Successors, and
-# the sweep checkpoint decoder (the file a resumed sweep trusts), and the
+# enumeration — the one successor function of both state-space
+# generation and simulation — against the term-interpreting
+# Model.Successors, a test-only oracle, and the sweep checkpoint decoder (the file a resumed sweep trusts), and the
 # measure-file parser (the other text input a user hands the CLIs). A
 # crasher lands under the package's testdata/fuzz and then replays in
 # every later `go test`.
