@@ -417,7 +417,7 @@ func BenchmarkSteadyStateGaussSeidel(b *testing.B) {
 // The Fig. 3 timeout sweep, measured both ways over the same six points:
 // Fresh runs the full generate+build+solve pipeline per point (the
 // pre-sweep-engine behaviour), Rebind generates and builds once, rewrites
-// the rates per point and warm-starts the solver from the anchor solution
+// the rates per point and solves every point cold in eight-lane batches
 // (pipeline.Session.Sweep). Both iterate the same number of points, so the
 // ns/op ratio is the per-point speedup recorded in
 // results/BENCH_sweepreuse.json. Elaboration is outside the timer in both
@@ -452,8 +452,8 @@ func BenchmarkSweepReuseFresh(b *testing.B) {
 // --- Batched multi-lane solve: per-point vs cached-plan vs batched ---
 //
 // A 16-point rate-parametric sweep solved three ways over the same
-// prebuilt chain, all warm-started from the same anchor solution (solved
-// outside the timer): PerPoint invalidates the structural plan before
+// prebuilt chain, every point from the cold uniform start, as
+// pipeline.Session.Sweep solves it: PerPoint invalidates the structural plan before
 // every solve, re-paying the per-point SCC/reachability analysis exactly
 // as the pre-batching engine did; CachedPoint keeps the shared plan but
 // still solves one point at a time; Batched hands the points to
@@ -528,23 +528,7 @@ func streamingSteadyChainParametric(b *testing.B) *ctmc.CTMC {
 	return chain
 }
 
-// batchSolveAnchor solves the first sweep point cold, exactly as
-// pipeline.Session.Sweep does before warm-starting the rest.
-func batchSolveAnchor(b *testing.B, chain *ctmc.CTMC, points [][]float64) []float64 {
-	b.Helper()
-	if err := chain.Rebind(points[0]); err != nil {
-		b.Fatal(err)
-	}
-	anchor, err := chain.SteadyState(ctmc.SolveOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return anchor
-}
-
 func benchBatchSolvePerPoint(b *testing.B, chain *ctmc.CTMC, points [][]float64, invalidate bool) {
-	anchor := batchSolveAnchor(b, chain, points)
-	opts := ctmc.SolveOptions{WarmStart: anchor}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pt := range points {
@@ -554,7 +538,7 @@ func benchBatchSolvePerPoint(b *testing.B, chain *ctmc.CTMC, points [][]float64,
 			if err := chain.Rebind(pt); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := chain.SteadyState(opts); err != nil {
+			if _, err := chain.SteadyState(ctmc.SolveOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -562,13 +546,11 @@ func benchBatchSolvePerPoint(b *testing.B, chain *ctmc.CTMC, points [][]float64,
 }
 
 func benchBatchSolveBatched(b *testing.B, chain *ctmc.CTMC, points [][]float64) {
-	anchor := batchSolveAnchor(b, chain, points)
-	opts := ctmc.BatchOptions{Solve: ctmc.SolveOptions{WarmStart: anchor}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for off := 0; off < len(points); off += batchSolveLanes {
 			end := min(off+batchSolveLanes, len(points))
-			if _, err := chain.SolveBatch(points[off:end], opts); err != nil {
+			if _, err := chain.SolveBatch(points[off:end], ctmc.BatchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,10 +8,9 @@ import (
 // BatchOptions tunes SolveBatch.
 type BatchOptions struct {
 	// Solve is the shared solver configuration: tolerance, iteration
-	// bound, sweep selection, and warm start are resolved exactly as
-	// SteadyState resolves them, and the one WarmStart vector
-	// seeds every lane (the sweep-anchor rule: a seed that is a pure
-	// function of the input keeps results independent of lane packing).
+	// bound and sweep selection are resolved exactly as SteadyState
+	// resolves them, and every lane starts from the uniform distribution,
+	// as a SteadyState solve does.
 	Solve SolveOptions
 	// LaneTolerances optionally overrides Solve.Tolerance per lane (one
 	// positive value per point, or nil). Lanes then converge — and
@@ -143,7 +142,7 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 		return out, laneErrs, nil
 	}
 
-	start := c.startVector(plan, solve.WarmStart)
+	start := uniformStart(len(plan.target))
 
 	// Larger batches run as consecutive eight-lane groups in index order;
 	// lanes never mix, so the grouping changes no bits.

@@ -12,9 +12,7 @@ const (
 	// ladder of configuration changes:
 	//
 	//	rung 1: raise MaxIterations ×4
-	//	rung 2: drop the warm start (cold restart; skipped when the
-	//	        attempt was already cold)
-	//	rung 3: switch to the multilevel scheme (skipped when the
+	//	rung 2: switch to the multilevel scheme (skipped when the
 	//	        failing configuration already was multilevel), the
 	//	        structurally different last resort for slow-mixing
 	//	        chains Gauss-Seidel cannot crack
@@ -35,19 +33,17 @@ const escalateIterFactor = 4
 
 // SolveAttempt records one attempt of an escalated solve.
 type SolveAttempt struct {
-	// Rung is the ladder position: 0 for the base attempt, 1..3 for the
+	// Rung is the ladder position: 0 for the base attempt, 1..2 for the
 	// escalation rungs.
 	Rung int
 	// Action names what changed at this rung: "base" (or
 	// "forced-nonconvergence" when fault injection failed the base
-	// attempt), "raise-max-iterations", "cold-restart", "multilevel".
+	// attempt), "raise-max-iterations", "multilevel".
 	Action string
 	// Sweep and MaxIterations are the attempt's resolved solver
 	// configuration (Sweep is never SweepAuto).
 	Sweep         Sweep
 	MaxIterations int
-	// WarmStart reports whether the attempt was seeded from a warm start.
-	WarmStart bool
 	// Converged reports whether the attempt succeeded.
 	Converged bool
 	// Iterations and Residual are the attempt's final iteration count and
@@ -102,7 +98,6 @@ func attemptRecord(rung int, action string, cfg SolveOptions, st solveStats, err
 		Action:        action,
 		Sweep:         cfg.Sweep,
 		MaxIterations: cfg.MaxIterations,
-		WarmStart:     len(cfg.WarmStart) > 0,
 		Converged:     err == nil,
 	}
 	if err == nil {
@@ -165,13 +160,6 @@ func (c *CTMC) EscalateFrom(opts SolveOptions, action string, baseErr error) ([]
 	}{
 		{"raise-max-iterations", func(o *SolveOptions) bool {
 			o.MaxIterations *= escalateIterFactor
-			return true
-		}},
-		{"cold-restart", func(o *SolveOptions) bool {
-			if len(o.WarmStart) == 0 {
-				return false // already cold; the rung would repeat rung 1
-			}
-			o.WarmStart = nil
 			return true
 		}},
 		{"multilevel", func(o *SolveOptions) bool {

@@ -103,9 +103,8 @@ func TestEscalationLadderExhausts(t *testing.T) {
 	if !errors.Is(err, ctmc.ErrNoConvergence) {
 		t.Fatalf("exhausted ladder should report non-convergence, got %v", err)
 	}
-	// Cold solve: the cold-restart rung is skipped, leaving base + 2 rungs.
 	wantActions := []string{"base", "raise-max-iterations", "multilevel"}
-	wantRungs := []int{0, 1, 3}
+	wantRungs := []int{0, 1, 2}
 	if len(trace.Attempts) != len(wantActions) {
 		t.Fatalf("attempts = %d, want %d: %+v", len(trace.Attempts), len(wantActions), trace.Attempts)
 	}

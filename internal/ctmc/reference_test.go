@@ -14,30 +14,24 @@ import (
 // independently of the eight-lane kernel: the bottom component's rows in
 // the solve plan's order (every such row has a positive exit rate), in-edges
 // gathered from Rows in that order, the guarded max relative change, and
-// one sum/reciprocal/multiply normalization per sweep. start is over all N
-// states (nil: uniform). It returns the distribution and the sweep count
-// at convergence, or nil and 0 when the budget runs out.
-func referenceGS(c *CTMC, start []float64, tol float64, maxIter int) ([]float64, int) {
+// one sum/reciprocal/multiply normalization per sweep, from the uniform
+// start. It returns the distribution and the sweep count at convergence,
+// or nil and 0 when the budget runs out.
+func referenceGS(c *CTMC, tol float64, maxIter int) ([]float64, int) {
 	p, _ := c.ensurePlan()
 	local := make(map[int]int, len(p.target))
 	for j, s := range p.target {
 		local[s] = j
 	}
 	inFrom, inRate := make([][]int, len(p.target)), make([][]float64, len(p.target))
-	x, sum := make([]float64, len(p.target)), 0.0
+	x := make([]float64, len(p.target))
 	for i, s := range p.target {
 		for _, e := range c.Rows[s] {
 			if j, ok := local[e.Col]; ok {
 				inFrom[j], inRate[j] = append(inFrom[j], i), append(inRate[j], e.Rate)
 			}
 		}
-		if x[i] = 1; start != nil {
-			x[i] = start[s]
-		}
-		sum += x[i]
-	}
-	for j := range x {
-		x[j] /= sum
+		x[i] = 1 / float64(len(p.target))
 	}
 	for iter := 1; iter <= maxIter; iter++ {
 		maxDelta, total := 0.0, 0.0
@@ -96,7 +90,7 @@ func randomChain(t *testing.T, r *rand.Rand, n int) *CTMC {
 // TestSteadyStateMatchesScalarReference pins the one-lane batch that
 // every SteadyState runs to referenceGS bit for bit — vector and sweep
 // count — on random small chains, on a hand-assembled chain with no rate
-// slots or contribution terms, and from cold and warm starts.
+// slots or contribution terms.
 func TestSteadyStateMatchesScalarReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	type named struct {
@@ -119,24 +113,17 @@ func TestSteadyStateMatchesScalarReference(t *testing.T) {
 	}
 	for _, nc := range chains {
 		name, c := nc.name, nc.c
-		warm := make([]float64, c.N)
-		for s := range warm {
-			warm[s] = 0.5 + r.Float64()
+		pi, trace, err := c.SteadyStateTraced(SolveOptions{Sweep: SweepGaussSeidel})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		for _, start := range [][]float64{nil, warm} {
-			opts := SolveOptions{Sweep: SweepGaussSeidel, WarmStart: start}
-			pi, trace, err := c.SteadyStateTraced(opts)
-			if err != nil {
-				t.Fatalf("%s warm=%v: %v", name, start != nil, err)
-			}
-			want, iters := referenceGS(c, start, 1e-12, 200000)
-			if got := trace.Attempts[0].Iterations; got != iters {
-				t.Errorf("%s warm=%v: %d sweeps, reference %d", name, start != nil, got, iters)
-			}
-			for s := range want {
-				if math.Float64bits(pi[s]) != math.Float64bits(want[s]) {
-					t.Fatalf("%s warm=%v: state %d: %v, reference %v", name, start != nil, s, pi[s], want[s])
-				}
+		want, iters := referenceGS(c, 1e-12, 200000)
+		if got := trace.Attempts[0].Iterations; got != iters {
+			t.Errorf("%s: %d sweeps, reference %d", name, got, iters)
+		}
+		for s := range want {
+			if math.Float64bits(pi[s]) != math.Float64bits(want[s]) {
+				t.Fatalf("%s: state %d: %v, reference %v", name, s, pi[s], want[s])
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/fault"
@@ -79,18 +78,6 @@ type SolveOptions struct {
 	// Sweep selects the iteration scheme (default SweepAuto: Gauss-Seidel,
 	// upgraded to SweepMultilevel on stalled or exhausted solves).
 	Sweep Sweep
-	// WarmStart optionally seeds the iteration with a previous solution: a
-	// distribution over all tangible states (length N), typically the
-	// steady state of the same chain at nearby rate values. The solver
-	// projects it onto the recurrent component and renormalizes; when the
-	// length is wrong or the projection carries no mass it falls back to
-	// the uniform start. Warm-starting changes the iteration trajectory —
-	// and with it the last bits of the converged vector — so deterministic
-	// sweeps must derive the seed deterministically: solve one designated
-	// anchor point cold and seed every other point from the anchor's
-	// solution, independent of worker count and scheduling (see
-	// pipeline.Session.Sweep).
-	WarmStart []float64
 	// Ctx optionally makes the solve cancelable: the sweeps poll it at
 	// every iteration boundary and return a *fault.CanceledError carrying
 	// the interrupted iteration. Polling never changes the floats of a
@@ -210,7 +197,7 @@ func (c *CTMC) steadyStateStats(opts SolveOptions) ([]float64, solveStats, error
 		return pi, solveStats{Sweep: SweepGaussSeidel}, nil
 	}
 
-	res, err := c.solveGroup(plan, c.fillCurrent(plan), []float64{opts.Tolerance}, opts, c.startVector(plan, opts.WarmStart))
+	res, err := c.solveGroup(plan, c.fillCurrent(plan), []float64{opts.Tolerance}, opts, uniformStart(len(plan.target)))
 	if err != nil {
 		return nil, solveStats{}, err
 	}
@@ -425,33 +412,12 @@ func (c *CTMC) StructuralHash() (uint64, error) {
 	return p.hash, nil
 }
 
-// startVector returns a solve's starting vector over the plan's
-// component: the warm start ws restricted to the component's local
-// coordinates and renormalized, or the uniform distribution when ws is not
-// a distribution over all N tangible states, its projection carries no
-// positive mass, or it holds a negative or non-finite value.
-func (c *CTMC) startVector(p *solvePlan, ws []float64) []float64 {
-	x := make([]float64, len(p.target))
-	if len(ws) == c.N {
-		sum := 0.0
-		for j, s := range p.target {
-			v := ws[s]
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				sum = math.NaN()
-				break
-			}
-			x[j] = v
-			sum += v
-		}
-		if sum > 0 {
-			for j := range x {
-				x[j] /= sum
-			}
-			return x
-		}
-	}
+// uniformStart returns the uniform distribution over n component states,
+// the start vector of every solve.
+func uniformStart(n int) []float64 {
+	x := make([]float64, n)
 	for j := range x {
-		x[j] = 1 / float64(len(x))
+		x[j] = 1 / float64(n)
 	}
 	return x
 }

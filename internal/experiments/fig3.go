@@ -43,7 +43,7 @@ func DefaultRPCTimeouts() []float64 {
 // timeouts as one rate-parametric sweep: the state space is generated
 // once, the CTMC is built once, and each timeout only rebinds the
 // shutdown rate (slot models.RPCTimeoutSlot gets 1/T — the same value a
-// fresh build at that timeout would use) before a warm-started solve.
+// fresh build at that timeout would use) before a cold solve.
 // Reports come back in timeout order.
 func (r *Runner) rpcTimeoutSweep(timeouts []float64) ([]*pipeline.Phase2Report, error) {
 	p := models.DefaultRPCParams()

@@ -64,7 +64,7 @@ func streamingParams(scale Scale) models.StreamingParams {
 // streamingPeriodSweep solves the with-DPM streaming model across
 // positive awake periods as one rate-parametric sweep: generated and
 // built once, each period rebinds the PSP wakeup rate (slot
-// models.StreamingPeriodSlot gets 1/P) before a warm-started solve.
+// models.StreamingPeriodSlot gets 1/P) before a cold solve.
 func (r *Runner) streamingPeriodSweep(periods []float64, scale Scale) ([]*pipeline.Phase2Report, error) {
 	p := streamingParams(scale)
 	p.ParametricPeriod = true

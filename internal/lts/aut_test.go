@@ -1,6 +1,7 @@
 package lts
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -84,33 +85,90 @@ func TestReadAUTVariants(t *testing.T) {
 	}
 }
 
+// autErrorCases are inputs ReadAUT must reject; they also seed
+// FuzzReadAUT.
+var autErrorCases = []struct {
+	name string
+	src  string
+}{
+	{"empty input", ""},
+	{"bad header", "not a header\n"},
+	{"initial out of range", "des (5, 0, 2)\n"},
+	{"negative initial", "des (-1, 0, 2)\n"},
+	{"negative transition count", "des (0, -1, 2)\n"},
+	{"zero states", "des (0, 0, 0)\n"},
+	{"negative states", "des (0, 0, -3)\n"},
+	{"destination out of range", "des (0, 1, 2)\n(0, \"a\", 9)\n"},
+	{"negative source", "des (0, 1, 2)\n(-1, \"a\", 1)\n"},
+	{"negative destination", "des (0, 1, 2)\n(0, \"a\", -2)\n"},
+	{"transition count mismatch", "des (0, 2, 2)\n(0, \"a\", 1)\n"},
+	{"malformed line", "des (0, 1, 2)\nnot-a-transition\n"},
+	{"bad source", "des (0, 1, 2)\n(x, \"a\", 1)\n"},
+	{"bad destination", "des (0, 1, 2)\n(0, \"a\", y)\n"},
+	{"unterminated quote", "des (0, 1, 2)\n(0, \"unterm, 1)\n"},
+	{"unterminated quote with escape", "des (0, 1, 2)\n(0, \"trail\\\", 1)\n"},
+	{"no comma after quoted label", "des (0, 1, 2)\n(0, \"a\" 1)\n"},
+	{"missing commas", "des (0, 1, 2)\n(0 \"nocommas\" 1)\n"},
+}
+
 func TestReadAUTErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"empty input", ""},
-		{"bad header", "not a header\n"},
-		{"initial out of range", "des (5, 0, 2)\n"},
-		{"negative initial", "des (-1, 0, 2)\n"},
-		{"negative transition count", "des (0, -1, 2)\n"},
-		{"zero states", "des (0, 0, 0)\n"},
-		{"negative states", "des (0, 0, -3)\n"},
-		{"destination out of range", "des (0, 1, 2)\n(0, \"a\", 9)\n"},
-		{"negative source", "des (0, 1, 2)\n(-1, \"a\", 1)\n"},
-		{"negative destination", "des (0, 1, 2)\n(0, \"a\", -2)\n"},
-		{"transition count mismatch", "des (0, 2, 2)\n(0, \"a\", 1)\n"},
-		{"malformed line", "des (0, 1, 2)\nnot-a-transition\n"},
-		{"bad source", "des (0, 1, 2)\n(x, \"a\", 1)\n"},
-		{"bad destination", "des (0, 1, 2)\n(0, \"a\", y)\n"},
-		{"unterminated quote", "des (0, 1, 2)\n(0, \"unterm, 1)\n"},
-		{"unterminated quote with escape", "des (0, 1, 2)\n(0, \"trail\\\", 1)\n"},
-		{"no comma after quoted label", "des (0, 1, 2)\n(0, \"a\" 1)\n"},
-		{"missing commas", "des (0, 1, 2)\n(0 \"nocommas\" 1)\n"},
-	}
-	for _, tt := range cases {
+	for _, tt := range autErrorCases {
 		if _, err := ReadAUT(strings.NewReader(tt.src)); err == nil {
 			t.Errorf("%s: should fail: %q", tt.name, tt.src)
 		}
 	}
+}
+
+// fuzzAUTMaxStates bounds the declared state count FuzzReadAUT re-encodes:
+// a header may declare billions of edgeless states, which ReadAUT accepts
+// without allocating but WriteAUT would lay out as a CSR row index.
+const fuzzAUTMaxStates = 1 << 16
+
+// FuzzReadAUT checks the .aut parser on arbitrary bytes: ReadAUT never
+// panics, and every input it accepts round-trips through WriteAUT — the
+// re-encoding parses back to a system that encodes to the same text, with
+// the same state, initial-state and transition counts.
+func FuzzReadAUT(f *testing.F) {
+	f.Add([]byte("des (0, 2, 2)\n(0, i, 1)\n(1, hello, 0)\n"))
+	f.Add([]byte("des (0, 1, 2)\n(0, \"a, \\\"quoted\\\" label\", 1)\n\n"))
+	for _, tt := range autErrorCases {
+		f.Add([]byte(tt.src))
+	}
+	rated := New(4)
+	rated.Initial = 1
+	rated.AddTransition(1, 0, rated.LabelIndex("x"), rates.ExpRate(2))
+	rated.AddTransition(0, 2, TauIndex, rates.UntimedRate())
+	rated.AddTransition(2, 3, rated.LabelIndex("y y"), rates.UntimedRate())
+	rated.AddTransition(3, 1, rated.LabelIndex("x"), rates.UntimedRate())
+	var seed bytes.Buffer
+	if err := WriteAUT(&seed, rated); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := ReadAUT(bytes.NewReader(data))
+		if err != nil || l.NumStates > fuzzAUTMaxStates {
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteAUT(&first, l); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadAUT(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded input rejected: %v\n%s", err, first.Bytes())
+		}
+		if back.NumStates != l.NumStates || back.Initial != l.Initial || back.NumTransitions() != l.NumTransitions() {
+			t.Fatalf("round trip changed shape: %d/%d/%d vs %d/%d/%d",
+				back.NumStates, back.Initial, back.NumTransitions(), l.NumStates, l.Initial, l.NumTransitions())
+		}
+		var second bytes.Buffer
+		if err := WriteAUT(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the encoding:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

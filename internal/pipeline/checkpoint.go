@@ -14,11 +14,11 @@ import (
 )
 
 // CheckpointOptions makes a sweep resumable: SweepCheckpointed
-// periodically writes the completed point results and the anchor solution
-// to Path, and a later run with Resume set replays only the missing
-// points. Because every point's result is a pure function of the sweep's
-// input and the anchor solution — never of scheduling — a resumed sweep's
-// reports are bit-identical to an uninterrupted run's.
+// periodically writes the completed point results to Path, and a later
+// run with Resume set replays only the missing points. Because every
+// point's result is a pure function of the chain and the point's rates —
+// never of scheduling — a resumed sweep's reports are bit-identical to an
+// uninterrupted run's.
 type CheckpointOptions struct {
 	// Path is the checkpoint file. The file is written atomically
 	// (temp file + rename), so a crash mid-write never corrupts an
@@ -44,7 +44,7 @@ type CheckpointError struct {
 	// Path is the checkpoint file.
 	Path string
 	// Err is the cause (e.g. ErrCheckpointMismatch, ErrCheckpointCorrupt,
-	// or an *os.PathError).
+	// ErrCheckpointVersion, or an *os.PathError).
 	Err error
 }
 
@@ -64,30 +64,37 @@ var (
 	// ErrCheckpointCorrupt reports a truncated or checksum-failing
 	// checkpoint file.
 	ErrCheckpointCorrupt = errors.New("checkpoint file is corrupt")
+	// ErrCheckpointVersion reports a checkpoint written in another
+	// version of the format.
+	ErrCheckpointVersion = errors.New("checkpoint format version is not supported")
 )
 
-// ckMagic identifies the checkpoint format, version included: a format
-// change bumps the trailing version byte, and a reader rejects a file of
-// any other version as corrupt instead of misparsing it. Version 2 stores
-// each solve attempt's multilevel cycle count in the eight bytes version 1
-// gave a damping factor, so a version-1 file is never resumed.
-const ckMagic = "DPMCKPT2"
+// ckMagic identifies the checkpoint format: ckFamily plus a version byte.
+// A format change bumps the version, and a reader rejects a file of any
+// other version with ErrCheckpointVersion instead of misparsing it.
+// Version 2 stored each solve attempt's multilevel cycle count in the
+// eight bytes version 1 gave a damping factor; version 3 drops the
+// warm-start anchor vector and the warm-start attempt flag, since every
+// sweep point now solves cold.
+const (
+	ckFamily  = "DPMCKPT"
+	ckVersion = '3'
+	ckMagic   = ckFamily + string(ckVersion)
+)
 
 // checkpoint is the decoded content of a checkpoint file.
 type checkpoint struct {
 	hash      uint64
 	numPoints int
-	anchorPi  []float64
 	completed map[int]*Phase2Report
 }
 
 // --- binary encoding -----------------------------------------------------
 //
 // All integers are big-endian; floats are stored as their IEEE-754 bit
-// patterns (math.Float64bits), so a round trip is exact — the resumed
-// sweep's warm starts see the same bits the original run computed. Map
-// keys are sorted before encoding, so the same content always produces
-// the same bytes. The file ends with an FNV-64a checksum of everything
+// patterns (math.Float64bits), so a round trip is exact. Map keys are
+// sorted before encoding, so the same content always produces the same
+// bytes. The file ends with an FNV-64a checksum of everything
 // before it.
 
 func ckU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
@@ -110,10 +117,6 @@ func encodeCheckpoint(c *checkpoint) []byte {
 	b := append([]byte(nil), ckMagic...)
 	b = ckU64(b, c.hash)
 	b = ckU32(b, uint32(c.numPoints))
-	b = ckU32(b, uint32(len(c.anchorPi)))
-	for _, v := range c.anchorPi {
-		b = ckU64(b, math.Float64bits(v))
-	}
 	idxs := make([]int, 0, len(c.completed))
 	for i := range c.completed {
 		idxs = append(idxs, i)
@@ -143,14 +146,11 @@ func encodeCheckpoint(c *checkpoint) []byte {
 				b = ckU32(b, uint32(a.Sweep))
 				b = ckU64(b, uint64(a.MaxIterations))
 				b = ckU64(b, uint64(a.Cycles))
-				var flags byte
-				if a.WarmStart {
-					flags |= 1
-				}
+				var converged byte
 				if a.Converged {
-					flags |= 2
+					converged = 1
 				}
-				b = append(b, flags)
+				b = append(b, converged)
 				b = ckU64(b, uint64(a.Iterations))
 				b = ckU64(b, math.Float64bits(a.Residual))
 			}
@@ -211,7 +211,7 @@ func (r *ckReader) str() string { return string(r.take(int(r.u16()))) }
 // Minimum encoded sizes of the counted records, which bound a count by the
 // bytes still unread: a point (index, value count, attempt count), a
 // measure value (empty name, value), and a solve attempt (rung, empty
-// action, sweep, budget, cycles, flags, iterations, residual).
+// action, sweep, budget, cycles, converged flag, iterations, residual).
 const (
 	ckPointMin   = 4 + 4 + 4
 	ckValueMin   = 2 + 8
@@ -239,10 +239,16 @@ func (r *ckReader) f64() float64 { return math.Float64frombits(r.u64()) }
 // accidental damage, so every count is bounded by the bytes still unread
 // before it sizes anything, and the decoder accepts only what
 // encodeCheckpoint writes: completed indices strictly ascending and below
-// numPoints, value names strictly ascending, and flag bits 0 and 1.
+// numPoints, value names strictly ascending, and a converged flag of 0
+// or 1. A file of another format version is rejected with
+// ErrCheckpointVersion before anything else is read.
 func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase2Report) (*checkpoint, error) {
-	if len(data) < len(ckMagic)+16 || string(data[:len(ckMagic)]) != ckMagic {
+	if len(data) < len(ckMagic)+16 || string(data[:len(ckFamily)]) != ckFamily {
 		return nil, ErrCheckpointCorrupt
+	}
+	if v := data[len(ckFamily)]; v != ckVersion {
+		return nil, fmt.Errorf("%w: file has version %q, this build reads version %q",
+			ErrCheckpointVersion, v, ckVersion)
 	}
 	body, tail := data[:len(data)-8], data[len(data)-8:]
 	sum := fnv.New64a()
@@ -258,12 +264,6 @@ func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase
 		completed: make(map[int]*Phase2Report),
 	}
 	c.numPoints = int(r.u32())
-	if n := r.count(8); n > 0 {
-		c.anchorPi = make([]float64, n)
-		for i := range c.anchorPi {
-			c.anchorPi[i] = r.f64()
-		}
-	}
 	prevIdx := -1
 	for d, nDone := 0, r.count(ckPointMin); d < nDone && !r.failed; d++ {
 		idx := int(r.u32())
@@ -292,15 +292,14 @@ func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase
 					MaxIterations: int(r.u64()),
 					Cycles:        int(r.u64()),
 				}
-				var flags byte
+				var converged byte
 				if s := r.take(1); s != nil {
-					flags = s[0]
+					converged = s[0]
 				}
-				if flags&^3 != 0 {
+				if converged > 1 {
 					return nil, ErrCheckpointCorrupt
 				}
-				att.WarmStart = flags&1 != 0
-				att.Converged = flags&2 != 0
+				att.Converged = converged == 1
 				att.Iterations = int(r.u64())
 				att.Residual = r.f64()
 				trace.Attempts = append(trace.Attempts, att)
@@ -342,28 +341,26 @@ func loadCheckpoint(path string, hash uint64, numPoints int,
 // report completions from several goroutines, and the writer is the only
 // place their reports are read before the sweep returns.
 type ckWriter struct {
-	mu       sync.Mutex
-	opts     CheckpointOptions
-	hash     uint64
-	numPts   int
-	anchorPi []float64
-	done     map[int]*Phase2Report
-	since    int
-	ordinal  int // write ordinal, the fault-injection key
+	mu      sync.Mutex
+	opts    CheckpointOptions
+	hash    uint64
+	numPts  int
+	done    map[int]*Phase2Report
+	since   int
+	ordinal int // write ordinal, the fault-injection key
 }
 
 // newCkWriter starts a writer, seeded with the points a resumed
 // checkpoint already holds so later writes keep them.
-func newCkWriter(opts CheckpointOptions, hash uint64, numPoints int, anchorPi []float64, prior *checkpoint) *ckWriter {
+func newCkWriter(opts CheckpointOptions, hash uint64, numPoints int, prior *checkpoint) *ckWriter {
 	if opts.Every <= 0 {
 		opts.Every = 8
 	}
 	w := &ckWriter{
-		opts:     opts,
-		hash:     hash,
-		numPts:   numPoints,
-		anchorPi: anchorPi,
-		done:     make(map[int]*Phase2Report),
+		opts:   opts,
+		hash:   hash,
+		numPts: numPoints,
+		done:   make(map[int]*Phase2Report),
 	}
 	if prior != nil {
 		for i, rep := range prior.completed {
@@ -403,7 +400,6 @@ func (w *ckWriter) writeLocked() error {
 	data := encodeCheckpoint(&checkpoint{
 		hash:      w.hash,
 		numPoints: w.numPts,
-		anchorPi:  w.anchorPi,
 		completed: w.done,
 	})
 	tmp := w.opts.Path + ".tmp"

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -15,23 +16,22 @@ import (
 )
 
 // tracedCheckpoint is a hand-built checkpoint exercising every field:
-// an anchor, a plain completed point, and one with an escalation trace.
+// a plain completed point and one with an escalation trace.
 func tracedCheckpoint() *checkpoint {
 	return &checkpoint{
 		hash:      0xdeadbeefcafe,
 		numPoints: 5,
-		anchorPi:  []float64{0.125, 0.875, 1e-300},
 		completed: map[int]*Phase2Report{
 			0: {Values: map[string]float64{"util": 0.5, "power": 1.25}},
 			3: {
 				Values: map[string]float64{"util": 0.375},
 				Trace: &ctmc.SolveTrace{Attempts: []ctmc.SolveAttempt{
 					{Rung: 0, Action: "forced-nonconvergence", Sweep: ctmc.SweepGaussSeidel,
-						MaxIterations: 100, WarmStart: true, Iterations: 100, Residual: 0.5},
+						MaxIterations: 100, Iterations: 100, Residual: 0.5},
 					{Rung: 1, Action: "raise-max-iterations", Sweep: ctmc.SweepGaussSeidel,
-						MaxIterations: 400, WarmStart: true, Iterations: 400, Residual: 0.25},
-					{Rung: 3, Action: "multilevel", Sweep: ctmc.SweepMultilevel,
-						MaxIterations: 400, WarmStart: true, Converged: true, Iterations: 68, Residual: 1e-13, Cycles: 8},
+						MaxIterations: 400, Iterations: 400, Residual: 0.25},
+					{Rung: 2, Action: "multilevel", Sweep: ctmc.SweepMultilevel,
+						MaxIterations: 400, Converged: true, Iterations: 68, Residual: 1e-13, Cycles: 8},
 				}},
 			},
 		},
@@ -42,7 +42,7 @@ func tracedCheckpoint() *checkpoint {
 func shellReport(values map[string]float64) *Phase2Report { return &Phase2Report{Values: values} }
 
 // TestCheckpointEncodeDecodeRoundTrip pins the binary format: every field
-// — values, anchor bits, traces, flags — survives a round trip exactly.
+// — values, traces, flags — survives a round trip exactly.
 func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	orig := tracedCheckpoint()
 	report := shellReport
@@ -52,9 +52,6 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.hash != orig.hash || got.numPoints != orig.numPoints {
 		t.Errorf("header changed: %x/%d vs %x/%d", got.hash, got.numPoints, orig.hash, orig.numPoints)
-	}
-	if !reflect.DeepEqual(got.anchorPi, orig.anchorPi) {
-		t.Errorf("anchor changed: %v vs %v", got.anchorPi, orig.anchorPi)
 	}
 	if !reflect.DeepEqual(got.completed, orig.completed) {
 		t.Errorf("completed set changed:\n got %+v\n want %+v", got.completed, orig.completed)
@@ -73,11 +70,68 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	if _, err := decodeCheckpoint([]byte("not a checkpoint"), report); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("garbage decoded: %v", err)
 	}
-	// A version-1 file stored a damping factor where version 2 stores the
-	// cycle count; even with a valid checksum it must not be resumed.
-	v1 := append([]byte("DPMCKPT1"), enc[len(ckMagic):len(enc)-8]...)
-	if _, err := decodeCheckpoint(withChecksum(v1), report); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Errorf("version-1 checkpoint decoded: %v", err)
+}
+
+// TestDecodeCheckpointRejectsOldVersions pins the version guard: files of
+// earlier formats — version 1 stored a damping factor where later
+// versions store the cycle count, version 2 a warm-start anchor vector
+// and flag this format dropped — are refused with ErrCheckpointVersion
+// and a message naming both versions, even behind a valid checksum, and
+// never as a generic corruption.
+func TestDecodeCheckpointRejectsOldVersions(t *testing.T) {
+	enc := encodeCheckpoint(tracedCheckpoint())
+	for _, magic := range []string{"DPMCKPT1", "DPMCKPT2"} {
+		old := withChecksum(append([]byte(magic), enc[len(ckMagic):len(enc)-8]...))
+		_, err := decodeCheckpoint(old, shellReport)
+		if !errors.Is(err, ErrCheckpointVersion) {
+			t.Fatalf("%s: want ErrCheckpointVersion, got %v", magic, err)
+		}
+		if errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: a version mismatch must not report corruption: %v", magic, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "'"+magic[len(magic)-1:]+"'") || !strings.Contains(msg, "'3'") {
+			t.Errorf("%s: message %q should name the file's and the reader's versions", magic, msg)
+		}
+	}
+}
+
+// TestSweepResumeRejectsOldVersion checks the version guard end to end: a
+// resumed sweep handed a version-2 checkpoint with its own structural hash
+// fails with a decode *CheckpointError that unwraps to
+// ErrCheckpointVersion, instead of resuming or silently starting over.
+func TestSweepResumeRejectsOldVersion(t *testing.T) {
+	p := models.DefaultRPCParams()
+	p.ParametricTimeout = true
+	a, err := models.BuildRPCRevised(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := elab.Elaborate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	points := [][]float64{{1 / 0.5}, {1 / 5.0}}
+	run := func(resume bool) error {
+		s := NewSession(Spec{Model: m, Measures: models.RPCMeasures(p)}, Config{})
+		_, err := s.SweepCheckpointed(points, &CheckpointOptions{Path: path, Every: 1, Resume: resume})
+		return err
+	}
+	if err := run(false); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := withChecksum(append([]byte("DPMCKPT2"), data[len(ckMagic):len(data)-8]...))
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(true)
+	var cke *CheckpointError
+	if !errors.As(err, &cke) || cke.Op != "decode" || !errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("version-2 checkpoint: want a decode *CheckpointError wrapping ErrCheckpointVersion, got %v", err)
 	}
 }
 
@@ -89,14 +143,13 @@ func withChecksum(body []byte) []byte {
 	return ckU64(append([]byte(nil), body...), sum.Sum64())
 }
 
-// oneAttemptCountCheckpoint is a 48-byte checkpoint with a valid checksum
+// oneAttemptCountCheckpoint is a 44-byte checkpoint with a valid checksum
 // holding one completed point (index idx of numPoints) whose trace claims
 // the given number of attempts.
 func oneAttemptCountCheckpoint(numPoints, idx, attempts uint32) []byte {
 	b := append([]byte(nil), ckMagic...)
 	b = ckU64(b, 0)         // structural hash
 	b = ckU32(b, numPoints) // points in the sweep
-	b = ckU32(b, 0)         // anchor length
 	b = ckU32(b, 1)         // completed points
 	b = ckU32(b, idx)       // completed index
 	b = ckU32(b, 0)         // measure values
@@ -105,14 +158,14 @@ func oneAttemptCountCheckpoint(numPoints, idx, attempts uint32) []byte {
 }
 
 // TestDecodeCheckpointBoundsCounts is the regression for a corrupt count
-// sizing an allocation: a 48-byte file whose checksum is valid but whose
+// sizing an allocation: a 44-byte file whose checksum is valid but whose
 // attempt count is 0xFFFFFFF0 used to make a slice of that capacity and
 // kill the process. It must be rejected as corrupt, as must a completed
 // index outside the sweep.
 func TestDecodeCheckpointBoundsCounts(t *testing.T) {
 	data := oneAttemptCountCheckpoint(1, 0, 0xFFFFFFF0)
-	if len(data) != 48 {
-		t.Fatalf("fixture is %d bytes, want 48", len(data))
+	if len(data) != 44 {
+		t.Fatalf("fixture is %d bytes, want 44", len(data))
 	}
 	if _, err := decodeCheckpoint(data, shellReport); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("huge attempt count: want ErrCheckpointCorrupt, got %v", err)
@@ -160,14 +213,16 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(rpcSweepCheckpoint(f))
 	f.Add(oneAttemptCountCheckpoint(1, 0, 0xFFFFFFF0))
 	f.Add(encodeCheckpoint(tracedCheckpoint()))
+	enc := encodeCheckpoint(tracedCheckpoint())
+	f.Add(withChecksum(append([]byte("DPMCKPT2"), enc[len(ckMagic):len(enc)-8]...)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 8 {
 			data = withChecksum(data[:len(data)-8])
 		}
 		c, err := decodeCheckpoint(data, shellReport)
 		if err != nil {
-			if !errors.Is(err, ErrCheckpointCorrupt) {
-				t.Fatalf("decode failed with %v, want ErrCheckpointCorrupt", err)
+			if !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrCheckpointVersion) {
+				t.Fatalf("decode failed with %v, want ErrCheckpointCorrupt or ErrCheckpointVersion", err)
 			}
 			return
 		}

@@ -4,7 +4,7 @@
 //
 // A Session is a handle on the staged artifacts of one Spec — the
 // elaborated model, the generated LTS, the built CTMC (with its cached
-// structural solve plan), and the solved sweep anchors. Each stage is
+// structural solve plan), and the Phase2 report. Each stage is
 // built lazily exactly once per session state (single-flight, context
 // aware) and shared by every handle opened on the same SpecHash through a
 // Manager, so overlapping requests collapse onto shared work instead of
@@ -79,7 +79,7 @@ type Config struct {
 	CheckpointDir    string
 	CheckpointResume bool
 	// Store, when non-nil, memoizes Phase2 reports content-addressed by
-	// SpecHash + anchor + point, so repeated or overlapping grids return
+	// SpecHash + point, so repeated or overlapping grids return
 	// cached results. Determinism makes the cache transparent: a hit
 	// deep-equals the fresh solve it replaces.
 	Store Store

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ctmc"
 	"repro/internal/elab"
@@ -87,15 +88,21 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
 			path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
-			// Cancel on the second solve to pass iteration 2: the anchor
-			// completes (and is checkpointed), a later point is interrupted.
+			// The first solve to pass iteration 2 runs to completion and
+			// is checkpointed (Every: 1). Every later solve that reaches
+			// iteration 2 — a concurrent chunk, or the next chunk a worker
+			// claims — waits for that checkpoint and then cancels the
+			// sweep, so at every worker count and lane width some points
+			// are checkpointed and at least one is interrupted.
 			ctx, cancel := context.WithCancel(context.Background())
-			var fires atomic.Int64
+			var first atomic.Bool
 			plan := faultinject.NewPlan().Arm(faultinject.SiteSolveIteration, 2).
 				OnFire(faultinject.SiteSolveIteration, func(int) {
-					if fires.Add(1) == 2 {
-						cancel()
+					if first.CompareAndSwap(false, true) {
+						return
 					}
+					waitForFile(t, path)
+					cancel()
 				})
 			faultinject.Activate(plan)
 			_, err := sweep(m, measures, none, pipeline.Config{Workers: workers, LaneWidth: lanes, Ctx: ctx},
@@ -123,6 +130,21 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 			}
 			requireSameReports(t, tag, baseline, resumed)
 		}
+	}
+}
+
+// waitForFile blocks until path exists, failing the test after 30 s.
+func waitForFile(t *testing.T, path string) {
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, err := os.Stat(path); err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("%s never appeared", path)
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -237,34 +259,28 @@ func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 
 // TestPhase2SweepEscalationTraceMatchesTraced pins the sweep's attempt
 // records to ctmc.SteadyStateTraced's: with a budget too small for any
-// point, every escalated report carries exactly the trace SteadyStateTraced
-// returns for the same chain, point, and warm start — base attempt
+// point, every escalated report carries exactly the trace a cold
+// SteadyStateTraced returns for the same chain and point — base attempt
 // included, its multilevel cycle count too — at lane widths 1 and 8.
 func TestPhase2SweepEscalationTraceMatchesTraced(t *testing.T) {
 	m, measures, points := rpcSweepFixture(t)
 	solve := ctmc.SolveOptions{Sweep: ctmc.SweepMultilevel, MaxIterations: 20, Escalation: ctmc.EscalateLadder}
 	chain := privateChain(t, m)
 	want := make([]*ctmc.SolveTrace, len(points))
-	var anchor []float64
 	for i, p := range points {
 		if err := chain.Rebind(p); err != nil {
 			t.Fatal(err)
 		}
-		opts := solve
-		opts.WarmStart = anchor
-		pi, trace, err := chain.SteadyStateTraced(opts)
+		_, trace, err := chain.SteadyStateTraced(solve)
 		if err != nil {
 			t.Fatalf("point %d: %v", i, err)
-		}
-		if i == 0 {
-			anchor = pi
 		}
 		if trace.Escalated() {
 			want[i] = trace
 		}
 	}
 	if want[0] == nil || want[0].Attempts[0].Cycles == 0 {
-		t.Fatalf("fixture does not escalate the anchor from a multilevel base attempt: %+v", want[0])
+		t.Fatalf("fixture does not escalate point 0 from a multilevel base attempt: %+v", want[0])
 	}
 	for _, lanes := range []int{1, 8} {
 		reps, err := sweep(m, measures, solve, pipeline.Config{LaneWidth: lanes}, points, nil)
@@ -354,7 +370,8 @@ func TestCheckpointResumeRejects(t *testing.T) {
 }
 
 // TestPhase2SweepEdgePoints covers the degenerate sweeps: no points, a
-// single (anchor-only) point, and duplicate rate vectors.
+// single point, a slot-free model's one empty point, and duplicate rate
+// vectors.
 func TestPhase2SweepEdgePoints(t *testing.T) {
 	m, measures, _ := rpcSweepFixture(t)
 	none := ctmc.SolveOptions{}
@@ -366,7 +383,7 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 	}
 
 	// Single point at the model's own rates: the sweep is exactly one
-	// cold anchor solve, bit-identical to the non-sweep phase-2 path.
+	// cold one-lane solve, bit-identical to the non-sweep phase-2 path.
 	l, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures}, pipeline.Config{}).LTS()
 	if err != nil {
 		t.Fatal(err)
@@ -408,15 +425,15 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 		t.Error("multi-point sweep of a slot-free model accepted")
 	}
 
-	// Duplicate rate vectors: non-anchor duplicates run the same solve
-	// from the same anchor seed, so their reports are bit-identical.
-	dup := [][]float64{{1. / 5}, {1. / 2}, {1. / 10}, {1. / 2}, {1. / 10}}
+	// Duplicate rate vectors — the first point's included — run the same
+	// cold solve, so their reports are bit-identical.
+	dup := [][]float64{{1. / 5}, {1. / 2}, {1. / 10}, {1. / 2}, {1. / 10}, {1. / 5}}
 	for _, lanes := range []int{1, 8} {
 		reps, err := sweep(m, measures, none, pipeline.Config{LaneWidth: lanes}, dup, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pair := range [][2]int{{1, 3}, {2, 4}} {
+		for _, pair := range [][2]int{{0, 5}, {1, 3}, {2, 4}} {
 			a, b := reps[pair[0]].Values, reps[pair[1]].Values
 			for name, va := range a {
 				if vb := b[name]; va != vb {

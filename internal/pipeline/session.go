@@ -90,19 +90,12 @@ type minimized struct {
 	st *compose.Stats
 }
 
-// anchorResult is a solved sweep anchor: its report and its steady-state
-// solution, the warm-start seed of every other point of the sweep.
-type anchorResult struct {
-	rep *Phase2Report
-	pi  []float64
-}
-
 // sessionState owns the staged artifacts of one SpecHash. Every Session
 // opened on the same hash (through one Manager) shares a single state, so
 // the model is elaborated once, the LTS generated once, the chain built
 // once (its structural solve plan computed once, via the chain's own
-// lazy plan), and each distinct anchor solved once — no matter how many
-// handles, goroutines, or experiment drivers are running.
+// lazy plan) — no matter how many handles, goroutines, or experiment
+// drivers are running.
 type sessionState struct {
 	spec Spec
 	hash SpecHash
@@ -112,26 +105,6 @@ type sessionState struct {
 	ltsS   stage[*lts.LTS]
 	chain  stage[*ctmc.CTMC]
 	phase2 stage[*Phase2Report]
-
-	anchorMu sync.Mutex
-	anchors  map[string]*stage[anchorResult] // keyed by encodePoint(anchor point)
-}
-
-func newSessionState(spec Spec, hash SpecHash) *sessionState {
-	return &sessionState{spec: spec, hash: hash, anchors: make(map[string]*stage[anchorResult])}
-}
-
-// anchor returns the single-flight slot for the anchor at the given
-// bit-encoded point.
-func (st *sessionState) anchor(key string) *stage[anchorResult] {
-	st.anchorMu.Lock()
-	defer st.anchorMu.Unlock()
-	a, ok := st.anchors[key]
-	if !ok {
-		a = &stage[anchorResult]{}
-		st.anchors[key] = a
-	}
-	return a
 }
 
 // Manager interns session states by SpecHash: Open with an equal-hash
@@ -162,7 +135,7 @@ func (mg *Manager) Open(spec Spec, cfg Config) (*Session, error) {
 	mg.mu.Lock()
 	st, ok := mg.sessions[h]
 	if !ok {
-		st = newSessionState(spec, h)
+		st = &sessionState{spec: spec, hash: h}
 		mg.sessions[h] = st
 	}
 	mg.mu.Unlock()
@@ -181,7 +154,7 @@ func (mg *Manager) Len() int {
 // it), never interned — the shape for one-shot callers (a CLI command, an
 // example) that hold a model or a description nobody else will share.
 func NewSession(spec Spec, cfg Config) *Session {
-	return &Session{st: newSessionState(spec, spec.Hash()), cfg: cfg}
+	return &Session{st: &sessionState{spec: spec, hash: spec.Hash()}, cfg: cfg}
 }
 
 // Session is a handle on one spec's staged pipeline. Handles are cheap;

@@ -18,8 +18,8 @@ import (
 // to build, which measures to evaluate, and how to generate and solve.
 // Everything in it that can change a result's bits participates in the
 // content-addressed SpecHash, so two Specs with equal hashes denote the
-// same staged artifacts — elaborated model, LTS, chain, anchor solutions
-// — and a Manager collapses them onto one Session state.
+// same staged artifacts — elaborated model, LTS, chain, Phase2 report —
+// and a Manager collapses them onto one Session state.
 type Spec struct {
 	// Key names the model source canonically: a builder identifier plus
 	// its full parameter vector (e.g. "rpc:models.RPCParams{...}"), or a
@@ -59,8 +59,8 @@ type Spec struct {
 	Minimize bool
 	// Solve tunes the steady-state solver. Ctx only cancels and falls
 	// back to the session Config; every other field (Tolerance,
-	// MaxIterations, Sweep, Escalation, WarmStart) affects the
-	// result and is hashed. The solver has no worker count, so a spec's
+	// MaxIterations, Sweep, Escalation) affects the result and is
+	// hashed. The solver has no worker count, so a spec's
 	// results are the same at every Config.Workers.
 	Solve ctmc.SolveOptions
 }
@@ -112,10 +112,6 @@ func (s Spec) Hash() SpecHash {
 	hU64(h, uint64(s.Solve.MaxIterations))
 	hU64(h, uint64(s.Solve.Sweep))
 	hU64(h, uint64(s.Solve.Escalation))
-	hU64(h, uint64(len(s.Solve.WarmStart)))
-	for _, v := range s.Solve.WarmStart {
-		hF64(h, v)
-	}
 	return SpecHash(hex.EncodeToString(h.Sum(nil)))
 }
 
@@ -141,7 +137,7 @@ func hBool(h hash.Hash, b bool) {
 }
 
 // encodePoint renders a rate vector as its exact bit pattern — the store
-// and anchor-cache key component for one sweep point. Two points encode
+// key component for one sweep point. Two points encode
 // equal iff they are bit-identical, the same equality the solver sees.
 func encodePoint(point []float64) string {
 	buf := make([]byte, 8*len(point))

@@ -9,11 +9,6 @@ import "sync"
 type ResultKey struct {
 	// Spec is the owning spec's content hash.
 	Spec SpecHash
-	// Anchor is the warm-start provenance: the bit-encoded anchor point
-	// whose solution seeded this solve (sweep points), or "" for a cold
-	// solve. It is part of the key because a warm-started solution's bits
-	// depend on its seed.
-	Anchor string
 	// Point is the bit-encoded rate vector the chain was rebound to, or
 	// the literal "default" for a solve at the model's built-in rates
 	// (which cannot collide with encodePoint output — that is always a

@@ -67,19 +67,19 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 // concurrent sweeps and Phase2 solves on one session cannot disturb each
 // other.
 //
-// The first point is the sweep's anchor: it is solved cold (uniform
-// start) and its solution seeds every other point's solver as a warm
-// start. The seed is a pure function of the input — never of scheduling —
-// so the reports are bit-identical at any worker count and lane width:
-// the non-anchor points are packed in index order into SolveBatch calls
-// of Config.LaneWidth lanes (one point per call when LaneWidth is 1), and
-// every lane runs exactly the floating-point operations of a one-lane
-// SteadyState solve at its point. Each point's result equals a fresh
-// generate+build+solve of the same model at that point's rates, up to the
-// solver tolerance (the rebound generator matrix itself is bit-identical
-// to a freshly built one). Anchors are staged per session state, so a
-// second sweep from the same anchor reuses its solution, and a Config
-// Store memoizes the non-anchor reports under SpecHash + anchor + point.
+// Every point is solved cold, from the uniform start. The points are
+// packed in index order into ctmc.SolveBatchLanes chunks of
+// Config.LaneWidth lanes (one point per chunk when LaneWidth is 1), and
+// the chunks are claimed by Config.Workers workers. Every lane runs
+// exactly the floating-point operations of a one-lane SteadyState solve
+// at its point, so each report is bit-identical to
+// Clone → Rebind(point) → SteadyState → measure.EvalAll on the session's
+// chain, at any worker count and lane width. The rebound generator matrix
+// is itself bit-identical to a freshly built one, so a point's result
+// equals a fresh generate+build+solve at that point's rates up to the
+// solver tolerance. A Config Store memoizes the reports under
+// SpecHash + point, so overlapping grids share their common points
+// whatever point they start from.
 //
 // Failure handling is deterministic at any worker count:
 //
@@ -102,18 +102,18 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 // The model must carry rate slots (elab.Model.NumRateSlots > 0) to sweep
 // more than one point; sweeping a parameter that changes the model's
 // structure needs one generation per point instead. A slot-free model is
-// accepted with exactly one (empty) point — a single solve run through
-// the sweep driver for its checkpoint/resume and escalation machinery.
+// accepted with exactly one (empty) point — a single SteadyState solve
+// run through the sweep driver for its checkpoint/resume and escalation
+// machinery.
 func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
 	return s.SweepCheckpointed(points, nil)
 }
 
 // SweepCheckpointed is Sweep with a resumable checkpoint (see
-// CheckpointOptions): completed point results and the anchor solution are
-// periodically written to ckOpts.Path, and a run with ckOpts.Resume set
-// solves only the missing points — with reports bit-identical to an
-// uninterrupted run, because every point's result is a pure function of
-// the input and the anchor solution.
+// CheckpointOptions): completed point results are periodically written to
+// ckOpts.Path, and a run with ckOpts.Resume set solves only the missing
+// points — with reports bit-identical to an uninterrupted run, because
+// every point's result is a pure function of the chain and its rates.
 func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOptions) ([]*Phase2Report, error) {
 	if len(points) == 0 {
 		return nil, nil
@@ -131,10 +131,6 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 			return nil, fmt.Errorf("pipeline: sweep: point %d has %d values, model has %d rate slots", i, len(p), numSlots)
 		}
 	}
-	spec := &s.st.spec
-	if len(spec.Solve.WarmStart) != 0 {
-		return nil, fmt.Errorf("pipeline: sweep: SolveOptions.WarmStart is managed by the sweep")
-	}
 	if ckOpts != nil && ckOpts.Path == "" {
 		return nil, fmt.Errorf("pipeline: sweep: checkpoint enabled with an empty path")
 	}
@@ -147,108 +143,36 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: sweep: %w", err)
 	}
-	// The work chain is a private clone: Rebind rewrites the rate values
-	// in place, and the session's shared chain must stay at its built
-	// rates for concurrent Phase2/transient callers. The clone shares the
-	// structural solve plan, and a rebound clone's generator is
-	// bit-identical to a rebound original, so nothing about the results
-	// changes.
-	base := pristine.Clone()
+	spec := &s.st.spec
 	measures := spec.Measures
 	ctx := s.cfg.Ctx
-
-	// attribute stamps a solver failure with its global sweep-point index
-	// and rate vector (when the failure is a convergence error that does
-	// not already carry them).
-	attribute := func(err error, i int) error {
-		var ce *ctmc.ConvergenceError
-		if errors.As(err, &ce) {
-			ce.Point = i
-			ce.Params = append([]float64(nil), points[i]...)
-		}
-		return err
-	}
+	// The sweep runs the escalation ladder itself, lane by lane, so the
+	// base solves run with escalation stripped.
+	solve := spec.Solve
+	solve.Ctx = ctx
+	solve.Escalation = ctmc.EscalateNever
 
 	report := func(values map[string]float64) *Phase2Report {
 		return &Phase2Report{
 			Values:    values,
 			States:    l.NumStates,
-			Tangible:  base.N,
-			Vanishing: base.NumVanishing(),
+			Tangible:  pristine.N,
+			Vanishing: pristine.NumVanishing(),
 		}
 	}
-
-	// mkSolve builds one point's solver options: the session's context,
-	// the given warm start, and escalation stripped — the sweep runs the
-	// ladder itself so that the anchor and every batched lane share one
-	// escalation path.
-	mkSolve := func(warm []float64) ctmc.SolveOptions {
-		solve := spec.Solve
-		solve.Ctx = ctx
-		solve.WarmStart = warm
-		solve.Escalation = ctmc.EscalateNever
-		return solve
-	}
-
-	// resolvePoint completes point i from its base solve — the anchor's
-	// one-lane solve or a batched lane, the two are bit-identical — on
-	// chain: it rebinds chain to the point's rates, lets an injected
-	// SiteSweepNonconverge trigger fail a converged base solve (the hook
-	// the escalation property tests use), runs the escalation ladder on a
-	// convergence failure when the spec asks for it, and evaluates the
-	// measures. The ladder's attempt 0 records the base failure exactly as
-	// ctmc.SteadyStateTraced would, so the ladder position is a pure
-	// function of the point's input, never of how lanes were packed. It
-	// returns the report and the solution vector.
-	resolvePoint := func(chain *ctmc.CTMC, i int, warm, pi []float64, err error) (*Phase2Report, []float64, error) {
-		if rerr := chain.Rebind(points[i]); rerr != nil {
-			return nil, nil, rerr
-		}
-		action := "base"
-		if err == nil && faultinject.Fire(faultinject.SiteSweepNonconverge, i) {
-			resolved, rerr := chain.ResolveSolve(mkSolve(warm))
-			if rerr != nil {
-				return nil, nil, rerr
-			}
-			err = &ctmc.ConvergenceError{Residual: 1, Tolerance: resolved.Tolerance, Sweep: resolved.Sweep, Point: -1}
-			action = "forced-nonconvergence"
-		}
-		var trace *ctmc.SolveTrace
-		if err != nil {
-			var ce *ctmc.ConvergenceError
-			if spec.Solve.Escalation != ctmc.EscalateLadder || !errors.As(err, &ce) {
-				return nil, nil, err
-			}
-			if pi, trace, err = chain.EscalateFrom(mkSolve(warm), action, ce); err != nil {
-				return nil, nil, err
-			}
-		}
-		values, err := measure.EvalAll(measures, chain, pi)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep := report(values)
-		rep.Trace = trace
-		return rep, pi, nil
-	}
-
 	reports := make([]*Phase2Report, len(points))
 
 	// Checkpoint bookkeeping: fingerprint the sweep, load a prior
 	// checkpoint when resuming, and prefill the reports it holds.
-	var (
-		hash  uint64
-		prior *checkpoint
-		ck    *ckWriter
-	)
+	var ck *ckWriter
 	if ckOpts != nil {
-		hash, err = sweepHash(base, l, points, measures)
+		hash, err := sweepHash(pristine, l, points, measures)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: sweep: %w", err)
 		}
+		var prior *checkpoint
 		if ckOpts.Resume {
-			prior, err = loadCheckpoint(ckOpts.Path, hash, len(points), report)
-			if err != nil {
+			if prior, err = loadCheckpoint(ckOpts.Path, hash, len(points), report); err != nil {
 				return nil, fmt.Errorf("pipeline: sweep: %w", err)
 			}
 			if prior != nil {
@@ -257,65 +181,20 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 				}
 			}
 		}
+		ck = newCkWriter(*ckOpts, hash, len(points), prior)
 	}
 
-	// Anchor: the first point, solved cold (or restored from the
-	// checkpoint, which stores the solution's exact bits; or reused from
-	// the session's anchor stage, where a previous sweep left the same
-	// bits). Its solution seeds the warm start of every remaining point.
-	anchorKey := encodePoint(points[0])
-	var anchorPi []float64
-	if prior != nil && reports[0] != nil && len(prior.anchorPi) == base.N {
-		anchorPi = prior.anchorPi
-	} else {
-		ar, aerr := s.st.anchor(anchorKey).get(ctx, "pipeline.sweep", func() (anchorResult, error) {
-			// The anchor solves under the sweep worker's panic guard, so a
-			// crash (or an injected fault keyed by its index) surfaces as
-			// a *fault.WorkerPanicError. The pool name predates the move to
-			// this package and is kept stable — it is part of the
-			// attribution contract callers match on.
-			var ar anchorResult
-			err := fault.Guard("core.sweep", 0, "point 0", func() error {
-				faultinject.MaybePanic(faultinject.SiteSweepPoint, 0)
-				if err := fault.Check(ctx, "core.sweep", 0, -1); err != nil {
-					return err
-				}
-				if err := base.Rebind(points[0]); err != nil {
-					return err
-				}
-				pi, err := base.SteadyState(mkSolve(nil))
-				ar.rep, ar.pi, err = resolvePoint(base, 0, nil, pi, err)
-				return err
-			})
-			if err != nil {
-				return anchorResult{}, err
-			}
-			return ar, nil
-		})
-		if aerr != nil {
-			return nil, fmt.Errorf("pipeline: sweep: point 0: %w", attribute(aerr, 0))
-		}
-		reports[0] = ar.rep.clone()
-		anchorPi = ar.pi
-	}
-	if ckOpts != nil {
-		ck = newCkWriter(*ckOpts, hash, len(points), anchorPi, prior)
-		if err := ck.completed(0, reports[0]); err != nil {
-			return nil, fmt.Errorf("pipeline: sweep: point 0: %w", err)
-		}
-	}
-
-	// storeKey content-addresses one non-anchor point's report: the spec,
-	// the anchor that seeded its warm start, and the point's exact bits.
+	// storeKey content-addresses one point's report: the spec and the
+	// point's exact bits.
 	storeKey := func(i int) ResultKey {
-		return ResultKey{Spec: s.st.hash, Anchor: anchorKey, Point: encodePoint(points[i])}
+		return ResultKey{Spec: s.st.hash, Point: encodePoint(points[i])}
 	}
 
 	// Result-store prefill: points the store already holds are restored
 	// like checkpointed ones (and recorded to the checkpoint, so a resume
 	// file stays complete).
 	if s.cfg.Store != nil {
-		for i := 1; i < len(points); i++ {
+		for i := range points {
 			if reports[i] != nil {
 				continue
 			}
@@ -332,85 +211,106 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 		}
 	}
 
-	// finish publishes one completed point: the report slot, the result
-	// store, then the checkpoint writer (whose write failures are strict —
-	// an unwritable checkpoint fails the point rather than silently losing
-	// resumability).
-	finish := func(i int, rep *Phase2Report) error {
-		reports[i] = rep
-		if s.cfg.Store != nil {
-			s.cfg.Store.Put(storeKey(i), rep)
+	// attribute stamps a solver failure with its global sweep-point index
+	// and rate vector (when the failure is a convergence error).
+	attribute := func(err error, i int) error {
+		var ce *ctmc.ConvergenceError
+		if errors.As(err, &ce) {
+			ce.Point = i
+			ce.Params = append([]float64(nil), points[i]...)
 		}
-		if ck != nil {
-			return ck.completed(i, rep)
+		return err
+	}
+
+	// solveLanes runs the base solve of pts on chain: one batched call
+	// when the model has rate slots, else the one-lane SteadyState solve
+	// of the single empty point at the chain's built rates. A lane's
+	// convergence failure is reported in its laneErrs slot; the error
+	// return is reserved for failures of the whole call.
+	solveLanes := func(chain *ctmc.CTMC, pts [][]float64) (pis [][]float64, laneErrs []error, err error) {
+		if numSlots > 0 {
+			return chain.SolveBatchLanes(pts, ctmc.BatchOptions{Solve: solve})
 		}
-		return nil
-	}
-
-	rest := len(points) - 1
-	if rest == 0 {
-		return reports, nil
-	}
-
-	laneWidth := s.cfg.LaneWidth
-	if laneWidth <= 0 {
-		laneWidth = DefaultLaneWidth
-	}
-	if laneWidth > rest {
-		laneWidth = rest
-	}
-	return s.sweepBatched(base, points, reports, anchorPi, laneWidth, mkSolve(anchorPi), attribute, resolvePoint, finish)
-}
-
-// sweepBatched solves the non-anchor points of a sweep through the batched
-// kernel: points[1:] are packed in index order into chunks of laneWidth
-// lanes — one point per chunk at laneWidth 1 — each chunk is one
-// ctmc.SolveBatchLanes call seeded from the anchor solution, and the
-// chunk's lanes are then completed by resolvePoint in lane order. Chunks
-// are independent — every lane seeds from the anchor, never from a
-// chunk-mate — so chunk-level workers change nothing but wall-clock time,
-// and a failure is attributed to the lowest failed global point index.
-// Lanes that fail to converge escalate one at a time (a lane's base
-// failure is bit-identical to the one-lane base attempt), and chunks whose
-// every lane was restored from a checkpoint or the result store are
-// skipped outright.
-func (s *Session) sweepBatched(base *ctmc.CTMC, points [][]float64, reports []*Phase2Report,
-	anchorPi []float64, laneWidth int, solve ctmc.SolveOptions, attribute func(error, int) error,
-	resolvePoint func(*ctmc.CTMC, int, []float64, []float64, error) (*Phase2Report, []float64, error),
-	finish func(int, *Phase2Report) error) ([]*Phase2Report, error) {
-
-	ctx := s.cfg.Ctx
-
-	// translate maps a SolveBatch failure of the chunk at offset off to
-	// its global point index and the unwrapped per-lane error.
-	translate := func(err error, off int) (int, error) {
-		idx := off
-		var bpe *ctmc.BatchPointError
-		if errors.As(err, &bpe) {
-			idx = off + bpe.Point
-			err = bpe.Err
+		pi, err := chain.SteadyState(solve)
+		var ce *ctmc.ConvergenceError
+		if err != nil && !errors.As(err, &ce) {
+			return nil, nil, err
 		}
-		return idx, attribute(err, idx)
+		return [][]float64{pi}, []error{err}, nil
 	}
 
-	// solveChunk solves points[off:off+width] on the given chain and fills
-	// their reports. It returns the failed global point index and error.
+	// resolvePoint completes point i from its base solve on chain: it
+	// rebinds chain to the point's rates, lets an injected
+	// SiteSweepNonconverge trigger fail a converged base solve (the hook
+	// the escalation property tests use), runs the escalation ladder on a
+	// convergence failure when the spec asks for it, and evaluates the
+	// measures. The ladder's attempt 0 records the base failure exactly as
+	// ctmc.SteadyStateTraced would, so the ladder position is a pure
+	// function of the point's input, never of how lanes were packed.
+	resolvePoint := func(chain *ctmc.CTMC, i int, pi []float64, err error) (*Phase2Report, error) {
+		if rerr := chain.Rebind(points[i]); rerr != nil {
+			return nil, rerr
+		}
+		action := "base"
+		if err == nil && faultinject.Fire(faultinject.SiteSweepNonconverge, i) {
+			resolved, rerr := chain.ResolveSolve(solve)
+			if rerr != nil {
+				return nil, rerr
+			}
+			err = &ctmc.ConvergenceError{Residual: 1, Tolerance: resolved.Tolerance, Sweep: resolved.Sweep, Point: -1}
+			action = "forced-nonconvergence"
+		}
+		var trace *ctmc.SolveTrace
+		if err != nil {
+			var ce *ctmc.ConvergenceError
+			if spec.Solve.Escalation != ctmc.EscalateLadder || !errors.As(err, &ce) {
+				return nil, err
+			}
+			if pi, trace, err = chain.EscalateFrom(solve, action, ce); err != nil {
+				return nil, err
+			}
+		}
+		values, err := measure.EvalAll(measures, chain, pi)
+		if err != nil {
+			return nil, err
+		}
+		rep := report(values)
+		rep.Trace = trace
+		return rep, nil
+	}
+
+	// solveChunk solves points[off:off+width] on chain and publishes their
+	// reports: the report slot, the result store, then the checkpoint
+	// writer (whose write failures are strict — an unwritable checkpoint
+	// fails the point rather than silently losing resumability). It
+	// returns the failed global point index and error.
 	solveChunk := func(chain *ctmc.CTMC, off, width int) (int, error) {
 		if err := fault.Check(ctx, "core.sweep", off, -1); err != nil {
 			return off, err
 		}
-		pis, laneErrs, err := chain.SolveBatchLanes(points[off:off+width], ctmc.BatchOptions{Solve: solve})
+		pis, laneErrs, err := solveLanes(chain, points[off:off+width])
 		if err != nil {
-			return translate(err, off)
+			idx := off
+			var bpe *ctmc.BatchPointError
+			if errors.As(err, &bpe) {
+				idx, err = off+bpe.Point, bpe.Err
+			}
+			return idx, attribute(err, idx)
 		}
 		for lane := 0; lane < width; lane++ {
 			i := off + lane
-			rep, _, err := resolvePoint(chain, i, anchorPi, pis[lane], laneErrs[lane])
+			rep, err := resolvePoint(chain, i, pis[lane], laneErrs[lane])
 			if err != nil {
 				return i, attribute(err, i)
 			}
-			if err := finish(i, rep); err != nil {
-				return i, err
+			reports[i] = rep
+			if s.cfg.Store != nil {
+				s.cfg.Store.Put(storeKey(i), rep)
+			}
+			if ck != nil {
+				if err := ck.completed(i, rep); err != nil {
+					return i, err
+				}
 			}
 		}
 		return 0, nil
@@ -418,7 +318,9 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, points [][]float64, reports []*P
 
 	// runChunk is solveChunk under the chunk worker's panic guard; the
 	// injection sites of the chunk's points are consulted up front so an
-	// armed SiteSweepPoint trigger fires in batched mode too.
+	// armed SiteSweepPoint trigger fires at any lane width. The pool name
+	// predates the move to this package and is kept stable — it is part
+	// of the attribution contract callers match on.
 	runChunk := func(w int, chain *ctmc.CTMC, off, width int) (idx int, err error) {
 		gerr := fault.Guard("core.sweep", w, fmt.Sprintf("points %d-%d", off, off+width-1), func() error {
 			for k := 0; k < width; k++ {
@@ -437,28 +339,20 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, points [][]float64, reports []*P
 		return idx, err
 	}
 
-	nChunks := (len(points) - 2 + laneWidth) / laneWidth // points[1:] in chunks of laneWidth
-	chunkAt := func(ch int) (int, int) {
-		off := 1 + ch*laneWidth
-		width := laneWidth
-		if off+width > len(points) {
-			width = len(points) - off
-		}
-		return off, width
+	laneWidth := s.cfg.LaneWidth
+	if laneWidth <= 0 {
+		laneWidth = DefaultLaneWidth
 	}
-	chunkNeeded := func(off, width int) bool {
-		for k := 0; k < width; k++ {
-			if reports[off+k] == nil {
-				return true
-			}
-		}
-		return false
+	nChunks := (len(points) + laneWidth - 1) / laneWidth
+	chunkAt := func(ch int) (int, int) {
+		off := ch * laneWidth
+		return off, min(laneWidth, len(points)-off)
 	}
 
-	// Each worker solves on its own chain — worker 0 on base, which the
-	// anchor no longer needs, the others on private clones. Chunks are
-	// claimed in ascending order and the lowest failed point index wins,
-	// so the outcome is the same at every worker count.
+	// Chunks are claimed in ascending order, skipping those whose every
+	// point was restored from the checkpoint or the store, and the lowest
+	// failed point index wins, so the outcome is the same at every worker
+	// count.
 	workers := max(1, min(s.cfg.Workers, nChunks))
 	var (
 		wg      sync.WaitGroup
@@ -474,10 +368,11 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, points [][]float64, reports []*P
 			ch := next
 			next++
 			off, width := chunkAt(ch)
-			if !chunkNeeded(off, width) {
-				continue // every lane restored from the checkpoint or the store
+			for _, rep := range reports[off : off+width] {
+				if rep == nil {
+					return ch
+				}
 			}
-			return ch
 		}
 		return -1
 	}
@@ -488,12 +383,9 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, points [][]float64, reports []*P
 			failIdx, failErr = idx, err
 		}
 	}
-	// Clone before any worker starts: worker 0 rebinds base.
-	chains := []*ctmc.CTMC{base}
-	for len(chains) < workers {
-		chains = append(chains, base.Clone())
-	}
-	for w, chain := range chains {
+	// Each worker rebinds its own private clone of the session's chain.
+	for w := 0; w < workers; w++ {
+		chain := pristine.Clone()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

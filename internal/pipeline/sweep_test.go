@@ -210,9 +210,9 @@ func TestRebindStructuralErrors(t *testing.T) {
 
 // TestPhase2SweepDeterministicAndFresh checks the sweep engine on the rpc
 // model: reports are bit-identical at 1 and 8 workers, and every point
-// matches an independent per-point Phase2 within solver tolerance (the
-// sweep warm-starts from the anchor, so the iteration trajectory — not
-// the fixed point — differs).
+// is bit-identical to an independent Phase2 of a fresh build at that
+// timeout — the rebound chain equals the fresh build bit for bit
+// (TestRebindMatchesFreshBuild), and both are solved cold.
 func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
 	pp := models.DefaultRPCParams()
 	pp.ParametricTimeout = true
@@ -247,9 +247,8 @@ func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
 		fresh := phase2(t, elaborateRPC(t, p), models.RPCMeasures(p))
 		for name, want := range fresh.Values {
 			got := byWorkers[0][i].Values[name]
-			rel := math.Abs(got-want) / math.Max(math.Abs(want), 1e-12)
-			if rel > 1e-6 {
-				t.Errorf("timeout %v measure %s: sweep %v vs fresh %v (rel %g)", T, name, got, want, rel)
+			if got != want {
+				t.Errorf("timeout %v measure %s: sweep %v vs fresh %v", T, name, got, want)
 			}
 		}
 	}
@@ -324,7 +323,7 @@ func TestPhase2SweepConvergenceErrorPoint(t *testing.T) {
 			t.Fatalf("lanes=%d: want *ConvergenceError, got %v", laneWidth, err)
 		}
 		if ce.Point != 0 {
-			t.Errorf("lanes=%d: Point = %d, want 0 (the anchor fails first)", laneWidth, ce.Point)
+			t.Errorf("lanes=%d: Point = %d, want 0 (the lowest failed point)", laneWidth, ce.Point)
 		}
 		if len(ce.Params) != 1 || ce.Params[0] != points[0][0] {
 			t.Errorf("lanes=%d: Params = %v, want %v", laneWidth, ce.Params, points[0])
@@ -349,9 +348,6 @@ func TestPhase2SweepRejectsBadInput(t *testing.T) {
 	if _, err := sweep(m, nil, none, pipeline.Config{}, [][]float64{{1, 2}}, nil); err == nil {
 		t.Error("a point with the wrong arity should fail")
 	}
-	if _, err := sweep(m, nil, ctmc.SolveOptions{WarmStart: []float64{1}}, pipeline.Config{}, [][]float64{{1}}, nil); err == nil {
-		t.Error("a caller-supplied WarmStart should be rejected")
-	}
 	reps, err := sweep(m, nil, none, pipeline.Config{}, nil, nil)
 	if err != nil || reps != nil {
 		t.Errorf("empty sweep: got (%v, %v), want (nil, nil)", reps, err)
@@ -359,4 +355,136 @@ func TestPhase2SweepRejectsBadInput(t *testing.T) {
 	if _, err := sweep(m, []measure.Measure{}, none, pipeline.Config{}, [][]float64{{0}}, nil); err == nil {
 		t.Error("a structure-changing point should fail")
 	}
+}
+
+// coldSolve is the per-point oracle of the sweep contract: a private
+// clone of the session's chain, rebound to the point, solved cold by the
+// one-lane SteadyState path, and evaluated.
+func coldSolve(t *testing.T, s *pipeline.Session, measures []measure.Measure, point []float64) map[string]float64 {
+	t.Helper()
+	shared, err := s.Chain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := shared.Clone()
+	if err := c.Rebind(point); err != nil {
+		t.Fatal(err)
+	}
+	pi, err := c.SteadyState(ctmc.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	values, err := measure.EvalAll(measures, c, pi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return values
+}
+
+// TestSweepMatchesColdSolve pins the sweep's contract: every report of a
+// Fig. 3 (rpc timeouts) and a Fig. 4 (streaming awake periods) sweep is
+// bit-identical to a cold one-lane solve at that point's rates, whichever
+// point comes first and however the points are packed into lanes and
+// spread over workers.
+func TestSweepMatchesColdSolve(t *testing.T) {
+	rp := models.DefaultRPCParams()
+	rp.ParametricTimeout = true
+	sp := quickStreamingParams()
+	sp.ParametricPeriod = true
+	variants := []struct {
+		name     string
+		model    *elab.Model
+		measures []measure.Measure
+		knobs    []float64
+	}{
+		{"fig3", elaborateRPC(t, rp), models.RPCMeasures(rp), []float64{0.5, 1, 2, 3, 5, 7.5, 10, 12.5, 15, 20, 25}},
+		{"fig4", elaborateStreaming(t, sp), models.StreamingMeasures(sp), []float64{5, 10, 25, 50, 100, 200, 300, 400, 600, 800}},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			points := make([][]float64, len(v.knobs))
+			for i, k := range v.knobs {
+				points[i] = []float64{1 / k}
+			}
+			spec := pipeline.Spec{Model: v.model, Measures: v.measures}
+			oracle := pipeline.NewSession(spec, pipeline.Config{})
+			want := make([]map[string]float64, len(points))
+			for i, p := range points {
+				want[i] = coldSolve(t, oracle, v.measures, p)
+			}
+			for _, workers := range []int{1, 2} {
+				for _, lanes := range []int{1, 8} {
+					reps, err := pipeline.NewSession(spec, pipeline.Config{Workers: workers, LaneWidth: lanes}).Sweep(points)
+					if err != nil {
+						t.Fatalf("workers=%d lanes=%d: %v", workers, lanes, err)
+					}
+					for i, rep := range reps {
+						if len(rep.Values) != len(want[i]) {
+							t.Fatalf("workers=%d lanes=%d point %d: %d values, want %d",
+								workers, lanes, i, len(rep.Values), len(want[i]))
+						}
+						for name, w := range want[i] {
+							if g, ok := rep.Values[name]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+								t.Errorf("workers=%d lanes=%d point %d measure %s: sweep %v, cold solve %v (must be bit-identical)",
+									workers, lanes, i, name, g, w)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// countingStore is a MemoryStore that counts its hits.
+type countingStore struct {
+	*pipeline.MemoryStore
+	hits int
+}
+
+func (s *countingStore) Get(key pipeline.ResultKey) (*pipeline.Phase2Report, bool) {
+	rep, ok := s.MemoryStore.Get(key)
+	if ok {
+		s.hits++
+	}
+	return rep, ok
+}
+
+// TestSweepStoreSharesPointsAcrossGrids checks that a point's stored
+// report is found by any grid holding that point: two timeout grids that
+// share one point but start from different first points hit the store
+// exactly once, on the shared point, and the hit equals the fresh solve
+// bit for bit.
+func TestSweepStoreSharesPointsAcrossGrids(t *testing.T) {
+	pp := models.DefaultRPCParams()
+	pp.ParametricTimeout = true
+	m := elaborateRPC(t, pp)
+	measures := models.RPCMeasures(pp)
+	store := &countingStore{MemoryStore: pipeline.NewMemoryStore()}
+	first := [][]float64{{1. / 2}, {1. / 5}, {1. / 10}}
+	second := [][]float64{{1. / 25}, {1. / 5}, {1. / 15}}
+
+	a, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Store: store}, first, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.hits != 0 || store.Len() != len(first) {
+		t.Fatalf("first grid: %d hits and %d entries, want 0 and %d", store.hits, store.Len(), len(first))
+	}
+	b, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Store: store}, second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.hits != 1 {
+		t.Fatalf("second grid: %d store hits, want 1 (the shared point)", store.hits)
+	}
+	if store.Len() != len(first)+len(second)-1 {
+		t.Errorf("store holds %d reports, want %d", store.Len(), len(first)+len(second)-1)
+	}
+	requireSameReports(t, "shared point", a[1:2], b[1:2])
+	fresh, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{}, second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameReports(t, "second grid vs store-free", fresh, b)
 }

@@ -136,8 +136,9 @@ scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|Sweep
 # against its unreduced saturation oracle, the compiled successor
 # enumeration — the one successor function of both state-space
 # generation and simulation — against the term-interpreting
-# Model.Successors, a test-only oracle, and the sweep checkpoint decoder (the file a resumed sweep trusts), and the
-# measure-file parser (the other text input a user hands the CLIs). A
+# Model.Successors, a test-only oracle, the sweep checkpoint decoder (the file a resumed sweep trusts), the
+# measure-file parser (the other text input a user hands the CLIs), and the
+# Aldebaran .aut reader with its WriteAUT round trip. A
 # crasher lands under the package's testdata/fuzz and then replays in
 # every later `go test`.
 echo "== fuzz smoke =="
@@ -147,5 +148,6 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzWeakEquivalent$' -fuzztime 10s ./inter
 go test -timeout 5m -run '^$' -fuzz '^FuzzCompiledSuccessors$' -fuzztime 10s ./internal/elab/
 go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s ./internal/pipeline/
 go test -timeout 5m -run '^$' -fuzz '^FuzzParseMeasures$' -fuzztime 10s ./internal/measure/
+go test -timeout 5m -run '^$' -fuzz '^FuzzReadAUT$' -fuzztime 10s ./internal/lts/
 
 echo "CI OK"
