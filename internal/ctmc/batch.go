@@ -257,7 +257,8 @@ func (c *CTMC) solveGroup(plan *solvePlan, bc *batchComponent, tol []float64, so
 
 // batchLanes is the one width of the batched solver: eight float64 lanes
 // interleave into exactly one 64-byte cache line, and the vectorized
-// amd64 kernel processes them as two 4-double vectors.
+// amd64 kernel sweeps each half of it that holds a live lane as one
+// 4-double vector.
 const batchLanes = 8
 
 // batchComponent is the recurrent component in local coordinates, in
@@ -455,11 +456,11 @@ func (bc *batchComponent) column(x []float64, k int) []float64 {
 // lane — so a lane's converged column is bit-identical whichever lanes
 // share its batch, a one-lane SteadyState batch included. A lane's column
 // is copied out after the sweep where its residual first drops below its
-// tolerance; from then on the lane stays frozen in the eight-lane kernel
+// tolerance; from then on the lane stays frozen in the eight-lane slab
 // with its bookkeeping (normalization, residual check) skipped, like the
-// pad lanes. The batch is never narrowed: the shared index traversal makes
-// the wide vectorized sweep with frozen lanes cheaper than any narrower
-// kernel. It returns one result per live lane.
+// pad lanes. The batch is never narrowed or compacted: the vectorized
+// kernel instead skips each half of the slab whose four lanes have all
+// frozen (see step). It returns one result per live lane.
 func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, start []float64) ([]laneResult, error) {
 	K := bc.live
 	res := make([]laneResult, K)
@@ -469,25 +470,12 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 	remaining := K
 	delta := make([]float64, batchLanes)
 	sums := make([]float64, batchLanes)
-	scale := make([]float64, batchLanes)
-	for k := range scale {
-		scale[k] = 1
-	}
 	for iter := 0; iter < solve.MaxIterations && remaining > 0; iter++ {
 		if err := pollSolve(solve.Ctx, cancel, iter); err != nil {
 			return nil, err
 		}
-		clear(delta)
-		bc.sweep(x, delta, done)
-		// Normalize to avoid drift. One full-width pass accumulates every
-		// lane's canonical row-order sum, and one full-width pass
-		// multiplies by the reciprocals — per lane, one sequential sum, one
-		// reciprocal, one multiply pass, without a strided walk of the slab
-		// per lane. Frozen lanes are scaled by exactly 1, which leaves
-		// their columns bit-identical.
-		bc.laneSums(x, sums)
+		bc.step(x, delta, sums, done)
 		for k := 0; k < K; k++ {
-			scale[k] = 1
 			if done[k] {
 				continue
 			}
@@ -497,17 +485,12 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 				remaining--
 				continue
 			}
-			scale[k] = 1 / sums[k]
-		}
-		bc.scaleLanes(x, scale)
-		for k := 0; k < K; k++ {
-			if done[k] || !(delta[k] < tol[k]) {
-				continue
+			if delta[k] < tol[k] {
+				res[k].x = bc.column(x, k)
+				res[k].st = solveStats{Sweep: SweepGaussSeidel, Iterations: iter + 1, Residual: delta[k]}
+				done[k] = true
+				remaining--
 			}
-			res[k].x = bc.column(x, k)
-			res[k].st = solveStats{Sweep: SweepGaussSeidel, Iterations: iter + 1, Residual: delta[k]}
-			done[k] = true
-			remaining--
 		}
 	}
 	for k := 0; k < K; k++ {
@@ -518,22 +501,46 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 	return res, nil
 }
 
-// sweep runs one eight-lane Gauss-Seidel sweep. sweepGS8Fast may run it in
-// the vectorized amd64 kernel; its multiplies and adds are the same
-// IEEE-754 double operations the scalar kernel performs, in the same
-// per-lane order, so its results are bit-identical (pinned by a test that
-// runs both kernels).
-func (bc *batchComponent) sweep(x, delta []float64, done []bool) {
-	if !bc.sweepGS8Fast(x, delta, done) {
+// step runs one Gauss-Seidel iteration of every live lane: one sweep,
+// then each lane's column normalized by its row-order sum — the one
+// iteration body of gaussSeidelBatch, the SweepAuto stall probe and the
+// multilevel smoothing sweeps. On return delta[k] is live lane k's
+// residual and sums[k] its column sum before normalization; a lane whose
+// sum is not positive is left unscaled for the caller to fail. Frozen
+// lanes keep their columns bit for bit, and their delta and sums entries
+// are not meaningful.
+//
+// sweepGS8Fast may run the sweep in the vectorized amd64 kernel, which
+// sweeps only the halves of the slab that hold a live lane and fuses the
+// sums into the sweep; scaleGS8Fast rescales those halves only. Their
+// multiplies and adds are the same IEEE-754 double operations the scalar
+// sweepGS8, laneSums and scaleLanes perform, in the same per-lane order,
+// so the results are bit-identical (pinned by a test that runs both).
+func (bc *batchComponent) step(x, delta, sums []float64, done []bool) {
+	clear(delta)
+	if !bc.sweepGS8Fast(x, delta, sums, done) {
 		bc.sweepGS8(x, delta, done)
+		bc.laneSums(x, sums)
+	}
+	var scale [batchLanes]float64
+	for k := range scale {
+		scale[k] = 1
+		if !done[k] && !(sums[k] <= 0) {
+			scale[k] = 1 / sums[k]
+		}
+	}
+	if !bc.scaleGS8Fast(x, &scale, done) {
+		bc.scaleLanes(x, scale[:])
 	}
 }
 
 // laneSums accumulates every lane's row-order sum of the iterate slab in
-// one full-width pass: each lane gets its own sequential accumulator chain
-// over rows 0..n-1, the canonical normalization order, so the per-lane
-// sums are bit-identical to eight strided per-lane walks — at one slab
-// traversal instead of eight.
+// one pass over all eight lanes: each lane gets its own sequential
+// accumulator chain over rows 0..n-1 from +0, the canonical normalization
+// order, so the per-lane sums are bit-identical to eight strided per-lane
+// walks — at one slab traversal instead of eight. It is the scalar path's
+// normalization and the reference the vectorized kernel's fused sums are
+// pinned to.
 func (bc *batchComponent) laneSums(x, sums []float64) {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float64
 	for j := 0; j < bc.n; j++ {
@@ -552,9 +559,11 @@ func (bc *batchComponent) laneSums(x, sums []float64) {
 }
 
 // scaleLanes multiplies every lane's column by its scale factor in one
-// full-width pass over the iterate slab. Callers pass exactly 1 for lanes
-// that must not move (x*1 is bit-identical for every finite x), so the
-// pass needs no per-element branching.
+// pass over all eight lanes of the iterate slab: the scalar path's
+// rescale and the reference for scaleGS8Fast, which visits only the live
+// halves. Callers pass exactly 1 for lanes that must not move (x*1 is
+// bit-identical for every finite x), so the pass needs no per-element
+// branching.
 func (bc *batchComponent) scaleLanes(x, scale []float64) {
 	s0, s1, s2, s3 := scale[0], scale[1], scale[2], scale[3]
 	s4, s5, s6, s7 := scale[4], scale[5], scale[6], scale[7]

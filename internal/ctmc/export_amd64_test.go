@@ -2,9 +2,11 @@
 
 package ctmc
 
-// SetAVXForTest toggles the vectorized eight-lane sweep kernel and
-// returns the previous setting, so the external tests can run the asm
-// and scalar kernels against each other on the same machine.
+import "errors"
+
+// SetAVXForTest toggles the vectorized sweep kernel and returns the
+// previous setting, so the external tests can run the asm and scalar
+// kernels against each other on the same machine.
 func SetAVXForTest(on bool) bool {
 	prev := haveAVX
 	haveAVX = on
@@ -13,3 +15,31 @@ func SetAVXForTest(on bool) bool {
 
 // HaveAVXForTest reports whether the vectorized kernel is usable here.
 func HaveAVXForTest() bool { return haveAVX }
+
+// FusedSumsForTest batches points on c, runs warm iterations of the
+// batch from the uniform start, then one more sweep in the vectorized
+// kernel, and returns the per-lane sums the kernel fused into that
+// sweep alongside laneSums over the slab it left. Only the lanes of
+// halves that hold a live lane are swept, so only those entries compare.
+func FusedSumsForTest(c *CTMC, points [][]float64, warm int) (fused, ref []float64, err error) {
+	plan, err := c.ensurePlan()
+	if err != nil {
+		return nil, nil, err
+	}
+	bc := c.fillBatch(plan, points)
+	x := bc.spread(uniformStart(bc.n))
+	done := bc.padDone()
+	delta := make([]float64, batchLanes)
+	sums := make([]float64, batchLanes)
+	for i := 0; i < warm; i++ {
+		bc.step(x, delta, sums, done)
+	}
+	fused = make([]float64, batchLanes)
+	clear(delta)
+	if !bc.sweepGS8Fast(x, delta, fused, done) {
+		return nil, nil, errors.New("ctmc: vectorized kernel declined the batch")
+	}
+	ref = make([]float64, batchLanes)
+	bc.laneSums(x, ref)
+	return fused, ref, nil
+}

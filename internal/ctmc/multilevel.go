@@ -248,8 +248,8 @@ func gth(nb int, a, y []float64) bool {
 
 // stalledLanes is the SweepAuto stall probe: a fixed number of sequential
 // Gauss-Seidel sweeps on a copy of the start vector, per lane through the
-// eight-lane kernel, comparing each lane's residual at the check sweep
-// with the final one. It is a pure function of the lane's rates, its
+// batch's iteration body (step), comparing each lane's residual at the
+// check sweep with the final one. It is a pure function of the lane's rates, its
 // tolerance, and the start — it never consults the context or the
 // fault-injection sites — so a lane's verdict does not depend on
 // scheduling or on which lanes share its batch. A lane that converges or
@@ -263,34 +263,16 @@ func (bc *batchComponent) stalledLanes(tol []float64, start []float64) []bool {
 	done := bc.padDone()
 	delta := make([]float64, batchLanes)
 	sums := make([]float64, batchLanes)
-	scale := make([]float64, batchLanes)
-	for k := range scale {
-		scale[k] = 1
-	}
 	dCheck := make([]float64, K)
 	dEnd := make([]float64, K)
 	stalled := make([]bool, K)
 	for iter := 0; iter < multilevelProbeSweeps; iter++ {
-		clear(delta)
-		bc.sweep(x, delta, done)
-		bc.laneSums(x, sums)
-		for k := 0; k < K; k++ {
-			scale[k] = 1
-			if done[k] {
-				continue
-			}
-			if sums[k] <= 0 {
-				done[k] = true
-				continue
-			}
-			scale[k] = 1 / sums[k]
-		}
-		bc.scaleLanes(x, scale)
+		bc.step(x, delta, sums, done)
 		for k := 0; k < K; k++ {
 			if done[k] {
 				continue
 			}
-			if delta[k] < tol[k] {
+			if sums[k] <= 0 || delta[k] < tol[k] {
 				done[k] = true
 				continue
 			}
@@ -351,15 +333,15 @@ func (bc *batchComponent) coarseCorrectLane(cp *coarsePlan, k int, x, w, sums, a
 // solve.MaxIterations — the budget means the same work under every scheme
 // — and convergence is tested after each post-smoothing sweep, against the
 // same guarded residual Gauss-Seidel uses. The smoothing sweeps go through
-// the eight-lane kernel (one CSR traversal feeds all lanes); the per-lane
-// coarse solves share the cached coarse structure, run in ascending lane
-// order behind the shared panic guard with a fault-injection site keyed by
-// cycle, and never mix lanes, so each lane's result is bit-identical
-// whichever lanes share its batch. The equalized outer cycles are what
-// shrink the lane skew: lanes converge within a handful of shared cycles
-// instead of straggling for thousands of extra sweeps. Converged lanes
-// stay frozen in the eight-lane kernel, as in gaussSeidelBatch. It returns
-// one result per live lane.
+// the batch's one iteration body, step (one CSR traversal feeds all the
+// lanes of a live half); the per-lane coarse solves share the cached
+// coarse structure, run in ascending lane order behind the shared panic
+// guard with a fault-injection site keyed by cycle, and never mix lanes,
+// so each lane's result is bit-identical whichever lanes share its batch.
+// The equalized outer cycles are what shrink the lane skew: lanes converge
+// within a handful of shared cycles instead of straggling for thousands
+// of extra sweeps. Converged lanes stay frozen in the eight-lane slab, as
+// in gaussSeidelBatch. It returns one result per live lane.
 func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, start []float64, cp *coarsePlan) ([]laneResult, error) {
 	K := bc.live
 	res := make([]laneResult, K)
@@ -369,10 +351,6 @@ func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, sta
 	remaining := K
 	delta := make([]float64, batchLanes)
 	sums := make([]float64, batchLanes)
-	scale := make([]float64, batchLanes)
-	for k := range scale {
-		scale[k] = 1
-	}
 	lastDelta := make([]float64, K)
 	for k := range lastDelta {
 		lastDelta[k] = math.Inf(1)
@@ -391,11 +369,8 @@ func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, sta
 		if err := pollSolve(solve.Ctx, cancel, iter); err != nil {
 			return err
 		}
-		clear(delta)
-		bc.sweep(x, delta, done)
-		bc.laneSums(x, sums)
+		bc.step(x, delta, sums, done)
 		for k := 0; k < K; k++ {
-			scale[k] = 1
 			if done[k] {
 				continue
 			}
@@ -406,10 +381,8 @@ func (bc *batchComponent) multilevelBatch(solve SolveOptions, tol []float64, sta
 				remaining--
 				continue
 			}
-			scale[k] = 1 / sums[k]
 			lastDelta[k] = delta[k]
 		}
-		bc.scaleLanes(x, scale)
 		iter++
 		if check {
 			for k := 0; k < K; k++ {

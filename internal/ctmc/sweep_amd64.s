@@ -1,26 +1,30 @@
-// Eight-lane Gauss-Seidel sweep, AVX. See sweepGS8AVX in sweep_amd64.go
-// for the contract: per-lane arithmetic is the scalar kernel's exact
-// IEEE-754 double operations in the same order — VMULPD/VADDPD/VSUBPD
-// round identically to their scalar counterparts and no FMA contraction
-// or reassociation is performed — so the results are bit-identical to
-// sweepGS8.
+// Four-lane Gauss-Seidel sweep over one half of the eight-lane slab, AVX.
+// See sweepGS4AVX in sweep_amd64.go for the contract: per-lane arithmetic
+// is the scalar kernel's exact IEEE-754 double operations in the same
+// order — VMULPD/VADDPD/VSUBPD round identically to their scalar
+// counterparts and no FMA contraction or reassociation is performed — so
+// the results are bit-identical to sweepGS8, and the fused column sums
+// to laneSums.
 //
 // Register plan:
 //	SI  inStart cursor          R13 rows remaining
-//	R8  inFrom cursor           R14 live-lane bits
+//	R8  inFrom cursor           R14 live-lane bits of the half
 //	R9  rate cursor             R15 row byte offset (j*64)
 //	R10 invExit cursor          AX/BX/CX/DX scratch
 //	R11 x base                  R12 delta out pointer
-//	Y0,Y1   inflow accumulators, then max(next, 1e-300)
-//	Y2,Y3   next iterate        Y10 abs mask
-//	Y4,Y5   old iterate         Y11 1e-300 broadcast
-//	Y6,Y7   |next-old|          Y12 residual guard broadcast
-//	Y8,Y9   dead-lane blend masks
-//	Y13,Y14 per-lane residual maxima
-//	Y15     threshold / compare scratch
+//	DI  sums out pointer
+//	Y0  inflow accumulator, then max(next, 1e-300)
+//	Y2  next iterate            Y10 abs mask
+//	Y4  old iterate             Y11 1e-300 broadcast
+//	Y6  |next-old|              Y12 residual guard broadcast
+//	Y8  dead-lane blend mask    Y13 per-lane residual maxima
+//	Y14 per-lane column sums    Y15 threshold / compare scratch
+//
+// R9..R12, DI and the dead-mask load are all offset by the half's byte
+// offset, so lane k of the loop is lane half/8+k of the slab.
 //
 // The frame is scratch for the rare residual slow path: d at 0(SP),
-// m at 64(SP), delta at 128(SP).
+// m at 32(SP), delta at 64(SP).
 
 #include "textflag.h"
 
@@ -35,20 +39,30 @@ GLOBL minpos<>(SB), RODATA, $8
 DATA guard<>+0(SB)/8, $0x3FEFFFFFFFFFFC7B
 GLOBL guard<>(SB), RODATA, $8
 
-// func sweepGS8AVX(a *sweepGS8Args)
-TEXT ·sweepGS8AVX(SB), NOSPLIT, $192-8
+// func sweepGS4AVX(a *sweepGS4Args)
+TEXT ·sweepGS4AVX(SB), NOSPLIT, $96-8
+	// Each load names its sweepGS4Args field; TestSweepGS4ArgsLayout
+	// checks every offset against unsafe.Offsetof.
 	MOVQ a+0(FP), DI
-	MOVQ 0(DI), R13
-	MOVQ 8(DI), SI
-	MOVQ 16(DI), R8
-	MOVQ 24(DI), R9
-	MOVQ 32(DI), R10
-	MOVQ 40(DI), R11
-	MOVQ 48(DI), R12
-	MOVQ 56(DI), AX
-	MOVQ 64(DI), R14
-	VMOVUPD (AX), Y8
-	VMOVUPD 32(AX), Y9
+	MOVQ 0(DI), R13  // n
+	MOVQ 8(DI), SI   // inStart
+	MOVQ 16(DI), R8  // inFrom
+	MOVQ 24(DI), R9  // rate
+	MOVQ 32(DI), R10 // invExit
+	MOVQ 40(DI), R11 // x
+	MOVQ 48(DI), R12 // delta
+	MOVQ 64(DI), BX  // dead
+	MOVQ 72(DI), AX  // half
+	MOVQ 56(DI), DI  // sums
+	ADDQ AX, R9
+	ADDQ AX, R10
+	ADDQ AX, R11
+	ADDQ AX, R12
+	ADDQ AX, BX
+	ADDQ AX, DI
+	VMOVUPD (BX), Y8
+	VMOVMSKPD Y8, R14
+	XORQ $15, R14
 	VBROADCASTSD absmask<>(SB), Y10
 	VBROADCASTSD minpos<>(SB), Y11
 	VBROADCASTSD guard<>(SB), Y12
@@ -63,20 +77,16 @@ rowloop:
 	SUBL 0(SI), CX
 	ADDQ $4, SI
 	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
 	TESTL CX, CX
 	JZ   epilogue
 
 entry:
-	// acc[k] += x[from*8+k] * rate[e*8+k], all eight lanes per edge
+	// acc[k] += x[from*8+k] * rate[e*8+k], the half's four lanes per edge
 	MOVL (R8), DX
 	SHLQ $6, DX
 	VMOVUPD (R11)(DX*1), Y2
-	VMOVUPD 32(R11)(DX*1), Y3
 	VMULPD (R9), Y2, Y2
-	VMULPD 32(R9), Y3, Y3
 	VADDPD Y2, Y0, Y0
-	VADDPD Y3, Y1, Y1
 	ADDQ $4, R8
 	ADDQ $64, R9
 	DECQ CX
@@ -85,16 +95,11 @@ entry:
 epilogue:
 	// next = acc * invExit; d = |next - x|; m = max(next, 1e-300)
 	VMULPD (R10), Y0, Y2
-	VMULPD 32(R10), Y1, Y3
 	ADDQ $64, R10
 	VMOVUPD (R11)(R15*1), Y4
-	VMOVUPD 32(R11)(R15*1), Y5
 	VSUBPD Y4, Y2, Y6
 	VANDPD Y10, Y6, Y6
-	VSUBPD Y5, Y3, Y7
-	VANDPD Y10, Y7, Y7
 	VMAXPD Y11, Y2, Y0
-	VMAXPD Y11, Y3, Y1
 
 	// Residual guard: lanes with d > delta*m*guard might raise their
 	// running maximum (the scalar kernel's exact skip condition); the
@@ -103,51 +108,60 @@ epilogue:
 	VMULPD Y12, Y15, Y15
 	VCMPPD $0x1e, Y15, Y6, Y15
 	VMOVMSKPD Y15, AX
-	VMULPD Y1, Y14, Y15
-	VMULPD Y12, Y15, Y15
-	VCMPPD $0x1e, Y15, Y7, Y15
-	VMOVMSKPD Y15, BX
-	SHLQ $4, BX
-	ORQ  BX, AX
 	ANDQ R14, AX
 	JZ   blendstore
 
 	// Rare path: scalar rel = d/m per flagged live lane, exactly the
 	// scalar kernel's divide and max update.
 	VMOVUPD Y6, 0(SP)
-	VMOVUPD Y7, 32(SP)
-	VMOVUPD Y0, 64(SP)
-	VMOVUPD Y1, 96(SP)
-	VMOVUPD Y13, 128(SP)
-	VMOVUPD Y14, 160(SP)
+	VMOVUPD Y0, 32(SP)
+	VMOVUPD Y13, 64(SP)
 
 slowbit:
 	BSFQ AX, DX
 	VMOVSD 0(SP)(DX*8), X15
-	VDIVSD 64(SP)(DX*8), X15, X15
-	VUCOMISD 128(SP)(DX*8), X15
+	VDIVSD 32(SP)(DX*8), X15, X15
+	VUCOMISD 64(SP)(DX*8), X15
 	JBE  skipupd
-	VMOVSD X15, 128(SP)(DX*8)
+	VMOVSD X15, 64(SP)(DX*8)
 
 skipupd:
 	LEAQ -1(AX), CX
 	ANDQ CX, AX
 	JNZ  slowbit
-	VMOVUPD 128(SP), Y13
-	VMOVUPD 160(SP), Y14
+	VMOVUPD 64(SP), Y13
 
 blendstore:
 	// Frozen lanes keep their old column bits; live lanes take next.
+	// The stored row joins each lane's column sum: rows in order from
+	// +0, laneSums' exact accumulation.
 	VBLENDVPD Y8, Y4, Y2, Y2
-	VBLENDVPD Y9, Y5, Y3, Y3
 	VMOVUPD Y2, (R11)(R15*1)
-	VMOVUPD Y3, 32(R11)(R15*1)
+	VADDPD Y2, Y14, Y14
 	ADDQ $64, R15
 	DECQ R13
 	JNZ  rowloop
 
 	VMOVUPD Y13, (R12)
-	VMOVUPD Y14, 32(R12)
+	VMOVUPD Y14, (DI)
+	VZEROUPPER
+	RET
+
+// func scaleGS4AVX(x, scale *float64, n int64)
+// Multiplies four lanes of n 64-byte rows starting at x by scale[0:4], in
+// place: x[j*8+k] *= scale[k], the scalar scaleLanes multiply.
+TEXT ·scaleGS4AVX(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), DI
+	MOVQ scale+8(FP), SI
+	MOVQ n+16(FP), CX
+	VMOVUPD (SI), Y1
+
+scaleloop:
+	VMULPD (DI), Y1, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  scaleloop
 	VZEROUPPER
 	RET
 

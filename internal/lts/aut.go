@@ -42,7 +42,9 @@ func WriteAUT(w io.Writer, l *LTS) error {
 
 // ReadAUT parses an Aldebaran .aut description into an LTS. Labels named
 // "tau" or "i" map to the invisible action; rate decorations appended by
-// WriteAUT are kept as part of the label text (functional reading).
+// WriteAUT are kept as part of the label text (functional reading). A
+// header declaring more than DefaultMaxStates states is rejected before
+// anything is allocated for them.
 func ReadAUT(r io.Reader) (*LTS, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
@@ -59,6 +61,9 @@ func ReadAUT(r io.Reader) (*LTS, error) {
 	}
 	if numStates <= 0 || numTrans < 0 || initial < 0 || initial >= numStates {
 		return nil, fmt.Errorf("lts: inconsistent aut header %q", header)
+	}
+	if numStates > DefaultMaxStates {
+		return nil, fmt.Errorf("lts: aut header declares %d states, above the limit of %d", numStates, DefaultMaxStates)
 	}
 	l := New(numStates)
 	l.Initial = initial

@@ -2,6 +2,8 @@ package lts
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -98,6 +100,7 @@ var autErrorCases = []struct {
 	{"negative transition count", "des (0, -1, 2)\n"},
 	{"zero states", "des (0, 0, 0)\n"},
 	{"negative states", "des (0, 0, -3)\n"},
+	{"too many states", "des (0, 0, 4000000000)\n"},
 	{"destination out of range", "des (0, 1, 2)\n(0, \"a\", 9)\n"},
 	{"negative source", "des (0, 1, 2)\n(-1, \"a\", 1)\n"},
 	{"negative destination", "des (0, 1, 2)\n(0, \"a\", -2)\n"},
@@ -120,8 +123,9 @@ func TestReadAUTErrors(t *testing.T) {
 }
 
 // fuzzAUTMaxStates bounds the declared state count FuzzReadAUT re-encodes:
-// a header may declare billions of edgeless states, which ReadAUT accepts
-// without allocating but WriteAUT would lay out as a CSR row index.
+// a header may declare up to DefaultMaxStates edgeless states, which
+// ReadAUT accepts without allocating but WriteAUT would lay out as a CSR
+// row index on every fuzz iteration.
 const fuzzAUTMaxStates = 1 << 16
 
 // FuzzReadAUT checks the .aut parser on arbitrary bytes: ReadAUT never
@@ -171,4 +175,22 @@ func FuzzReadAUT(f *testing.F) {
 			t.Fatalf("round trip changed the encoding:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// TestReadAUTRejectsOversizedHeader pins the state-count bound: a header
+// declaring more than DefaultMaxStates states fails before any per-state
+// allocation, and the error names both the declared count and the limit.
+func TestReadAUTRejectsOversizedHeader(t *testing.T) {
+	_, err := ReadAUT(strings.NewReader("des (0, 0, 4000000000)\n"))
+	if err == nil {
+		t.Fatal("header declaring 4e9 states accepted")
+	}
+	for _, want := range []string{"4000000000", strconv.Itoa(DefaultMaxStates)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if _, err := ReadAUT(strings.NewReader(fmt.Sprintf("des (0, 0, %d)\n", DefaultMaxStates))); err != nil {
+		t.Errorf("header at the limit rejected: %v", err)
+	}
 }

@@ -20,7 +20,7 @@ type StatePred = elab.Pred
 
 // GenerateOptions tunes state-space generation.
 type GenerateOptions struct {
-	// MaxStates aborts generation when exceeded (0 = default 2_000_000).
+	// MaxStates aborts generation when exceeded (0 = DefaultMaxStates).
 	// The bound is enforced at intern time: generation fails the moment a
 	// fresh state beyond the limit is discovered, so the state table never
 	// overshoots it.
@@ -60,6 +60,12 @@ type FoldOptions struct {
 	MaxDepth int
 }
 
+// DefaultMaxStates is the state-count bound of generation when
+// GenerateOptions.MaxStates is unset, and the largest state count a .aut
+// header may declare to ReadAUT: every consumer of an LTS lays out an
+// O(states) CSR row index, so the bound caps that allocation too.
+const DefaultMaxStates = 2_000_000
+
 // TooManyStatesError reports that generation exceeded MaxStates.
 type TooManyStatesError struct {
 	// Limit is the configured bound.
@@ -96,7 +102,7 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 	generateCalls.Add(1)
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
-		maxStates = 2_000_000
+		maxStates = DefaultMaxStates
 	}
 	c := m.Compile(opts.Predicates)
 	n := c.NumInstances()
