@@ -19,7 +19,6 @@ import (
 	"repro/internal/lts"
 	"repro/internal/models"
 	"repro/internal/pipeline"
-	"repro/internal/rates"
 	"repro/internal/sim"
 )
 
@@ -409,7 +408,7 @@ func benchSteadyState(b *testing.B, opts ctmc.SolveOptions) {
 }
 
 func BenchmarkSteadyStateGaussSeidel(b *testing.B) {
-	benchSteadyState(b, ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel})
+	benchSteadyState(b, ctmc.SolveOptions{})
 }
 
 // --- Rate-parametric sweep: per-point fresh pipeline vs generate-once rebind ---
@@ -694,149 +693,6 @@ func BenchmarkPipelineStreamingCold(b *testing.B) { benchPipelineCold(b, pipelin
 func BenchmarkPipelineStreamingWarm(b *testing.B) { benchPipelineWarm(b, pipelineStreamingSpec()) }
 func BenchmarkPipelineStreamingCacheHit(b *testing.B) {
 	benchPipelineCacheHit(b, pipelineStreamingSpec())
-}
-
-// --- Multilevel (IAD) solver: iteration counts where the point sweeps crawl ---
-//
-// The ε-coupled two-cluster chain is the canonical near-completely-
-// decomposable workload: two birth-death clusters bridged by a single
-// ε-rate edge pair, so the point sweeps need ~1/ε iterations to move
-// mass between the clusters while the IAD outer loop solves that mode
-// exactly once per cycle. Every solver benchmark reports iters/op (the
-// fine-level sweep count to convergence) next to ns/op: on the 1-CPU
-// bench box iteration count is the lever, and it is noise-free.
-
-// benchEpsChain builds the ε chain of the multilevel tests: 2×40 states,
-// distinct cluster rates, bridge rate = slot 1.
-func benchEpsChain(b *testing.B, eps float64) *ctmc.CTMC {
-	b.Helper()
-	const cluster = 40
-	n := 2 * cluster
-	l := lts.New(n)
-	l.Initial = 0
-	fwd := l.LabelIndex("fwd")
-	back := l.LabelIndex("back")
-	for j := 0; j+1 < n; j++ {
-		if j+1 == cluster {
-			l.AddTransition(j, j+1, fwd, rates.ExpSlot(1, eps))
-			l.AddTransition(j+1, j, back, rates.ExpSlot(1, eps))
-			continue
-		}
-		f, bk := 3.0, 2.0
-		if j+1 > cluster {
-			f, bk = 2.6, 1.7
-		}
-		l.AddTransition(j, j+1, fwd, rates.ExpRate(f))
-		l.AddTransition(j+1, j, back, rates.ExpRate(bk))
-	}
-	chain, err := ctmc.Build(l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := chain.Rebind([]float64{eps}); err != nil {
-		b.Fatal(err)
-	}
-	return chain
-}
-
-// benchSolveIters measures a solo solve and reports the fine-level
-// iteration count of the converged attempt.
-func benchSolveIters(b *testing.B, chain *ctmc.CTMC, opts ctmc.SolveOptions) {
-	b.Helper()
-	var iters, cycles int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, trace, err := chain.SteadyStateTraced(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := trace.Attempts[len(trace.Attempts)-1]
-		iters, cycles = last.Iterations, last.Cycles
-	}
-	b.ReportMetric(float64(iters), "iters/op")
-	if cycles > 0 {
-		b.ReportMetric(float64(cycles), "cycles/op")
-	}
-}
-
-// The ε benchmarks run at ε = 1e-3 and tolerance 1e-10: hard enough
-// that the point sweeps grind for tens of thousands of iterations, easy
-// enough that they still converge within the default budget (so every
-// scheme measures work-to-converge, not work-to-give-up; the sweeps'
-// relative residual cannot reach 1e-12 on this chain's stiff geometric
-// profile at all).
-const (
-	benchEps    = 1e-3
-	benchEpsTol = 1e-10
-)
-
-func BenchmarkMultilevelEpsGaussSeidel(b *testing.B) {
-	benchSolveIters(b, benchEpsChain(b, benchEps),
-		ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, Tolerance: benchEpsTol})
-}
-
-func BenchmarkMultilevelEpsMultilevel(b *testing.B) {
-	benchSolveIters(b, benchEpsChain(b, benchEps),
-		ctmc.SolveOptions{Sweep: ctmc.SweepMultilevel, Tolerance: benchEpsTol})
-}
-
-func BenchmarkMultilevelRPCGaussSeidel(b *testing.B) {
-	chain, points := batchSolveRPCChain(b)
-	if err := chain.Rebind(points[0]); err != nil {
-		b.Fatal(err)
-	}
-	benchSolveIters(b, chain, ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel})
-}
-
-func BenchmarkMultilevelRPCMultilevel(b *testing.B) {
-	chain, points := batchSolveRPCChain(b)
-	if err := chain.Rebind(points[0]); err != nil {
-		b.Fatal(err)
-	}
-	benchSolveIters(b, chain, ctmc.SolveOptions{Sweep: ctmc.SweepMultilevel})
-}
-
-func BenchmarkMultilevelStreamingGaussSeidel(b *testing.B) {
-	benchSolveIters(b, streamingSteadyChain(b), ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel})
-}
-
-func BenchmarkMultilevelStreamingMultilevel(b *testing.B) {
-	benchSolveIters(b, streamingSteadyChain(b), ctmc.SolveOptions{Sweep: ctmc.SweepMultilevel})
-}
-
-// The batched ε benchmarks sweep 8 couplings spanning one decade in one
-// SolveBatch call: the slowest lane needs ~10× the iterations of the
-// fastest, so the batched point sweep grinds with mostly-dead lanes —
-// the equalized multilevel cycles attack exactly that skew.
-func benchEpsPoints() [][]float64 {
-	pts := make([][]float64, 0, 8)
-	for _, eps := range []float64{1e-3, 7e-4, 5e-4, 3e-4, 2e-4, 1.5e-4, 1.2e-4, 1e-4} {
-		pts = append(pts, []float64{eps})
-	}
-	return pts
-}
-
-func benchEpsBatched(b *testing.B, sweep ctmc.Sweep) {
-	chain := benchEpsChain(b, 1e-3)
-	points := benchEpsPoints()
-	// The slowest lane (ε = 1e-4) needs ~1.8M point sweeps; the raised
-	// ceiling keeps the batched Gauss-Seidel reference converging.
-	opts := ctmc.BatchOptions{Solve: ctmc.SolveOptions{Sweep: sweep, Tolerance: benchEpsTol,
-		MaxIterations: 4000000}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := chain.SolveBatch(points, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMultilevelEpsBatchedGaussSeidel(b *testing.B) {
-	benchEpsBatched(b, ctmc.SweepGaussSeidel)
-}
-
-func BenchmarkMultilevelEpsBatchedMultilevel(b *testing.B) {
-	benchEpsBatched(b, ctmc.SweepMultilevel)
 }
 
 // --- Ablation: compositional minimization (compose quotient + fold) ---

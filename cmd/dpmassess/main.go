@@ -5,9 +5,9 @@
 //
 //	dpmassess lts      [-dot out.dot] [-max N] [-compose full|minimize] [-stats] model.aem
 //	dpmassess check    -high INST -low INST [-high-labels l1,l2] model.aem
-//	dpmassess solve    -measures spec.msr [-sweep auto|gauss-seidel|multilevel]
-//	                   [-compose full|minimize] [-stats] [-lanes K]
-//	                   [-checkpoint file.ckpt] [-resume] [-workers N] model.aem
+//	dpmassess solve    -measures spec.msr [-compose full|minimize] [-stats]
+//	                   [-lanes K] [-checkpoint file.ckpt] [-resume]
+//	                   [-workers N] model.aem
 //	dpmassess sim      -measures spec.msr [-runlength T] [-warmup T]
 //	                   [-reps N] [-seed S] [-workers N] model.aem
 //	dpmassess equiv    [-relation strong|weak|markovian] a.aem b.aem
@@ -558,17 +558,12 @@ func readMeasures(path string) ([]measure.Measure, error) {
 func runSolve(args []string) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
 	measuresPath := fs.String("measures", "", "measure definition file (companion language)")
-	sweepName := fs.String("sweep", "auto",
-		"steady-state sweep mode: auto (Gauss-Seidel, switching to multilevel\n"+
-			"when the residual stalls or the iteration budget runs out),\n"+
-			"gauss-seidel, or multilevel (two-level aggregation/disaggregation\n"+
-			"for slow-mixing chains)")
 	composeMode := composeFlag(fs)
 	stats := fs.Bool("stats", false,
 		"print statistics after the measures: resident memory of the state\n"+
 			"space, the per-component reduction (with -compose minimize), and the\n"+
-			"solver trace — the scheme that actually ran, iterations (and\n"+
-			"multilevel cycles), final residual, and every escalation attempt")
+			"Gauss-Seidel solver trace — iterations, final residual, and every\n"+
+			"escalation attempt")
 	lanes := fs.Int("lanes", 0,
 		"sweep points solved per batched steady-state call on checkpointed solves,\n"+
 			"run as ⌈K/8⌉ eight-lane groups: 0 auto-selects, 1 solves one point\n"+
@@ -604,17 +599,6 @@ func runSolve(args []string) error {
 	if *resume && *ckptPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
-	var sweep ctmc.Sweep
-	switch *sweepName {
-	case "auto":
-		sweep = ctmc.SweepAuto
-	case "gauss-seidel":
-		sweep = ctmc.SweepGaussSeidel
-	case "multilevel":
-		sweep = ctmc.SweepMultilevel
-	default:
-		return fmt.Errorf("unknown sweep mode %q", *sweepName)
-	}
 	minimize, err := parseCompose(*composeMode)
 	if err != nil {
 		return err
@@ -635,7 +619,7 @@ func runSolve(args []string) error {
 		Measures: ms,
 		Gen:      lts.GenerateOptions{Ctx: ctx},
 		Minimize: minimize,
-		Solve:    ctmc.SolveOptions{Sweep: sweep, Ctx: ctx},
+		Solve:    ctmc.SolveOptions{Ctx: ctx},
 	}, pipeline.Config{Workers: *workers, LaneWidth: *lanes, Ctx: ctx})
 	var rep *pipeline.Phase2Report
 	if *ckptPath != "" {
@@ -681,9 +665,8 @@ func runSolve(args []string) error {
 }
 
 // printSolveTrace renders a report's solver trace, one line per attempt:
-// the scheme that actually ran (auto upgrades included), its iteration
-// budget and outcome, and — for multilevel attempts — the outer cycle
-// count. Checkpointed solves record traces only for escalated points, so
+// its iterations, residual, iteration budget and outcome. Checkpointed
+// solves record traces only for escalated points, so
 // a missing trace is reported rather than silently skipped.
 func printSolveTrace(tr *ctmc.SolveTrace) {
 	if tr == nil || len(tr.Attempts) == 0 {
@@ -692,14 +675,8 @@ func printSolveTrace(tr *ctmc.SolveTrace) {
 	}
 	fmt.Printf("solver: %d attempt(s), escalated=%t\n", len(tr.Attempts), tr.Escalated())
 	for _, a := range tr.Attempts {
-		line := fmt.Sprintf("solver:   rung %d %-21s sweep=%-12s iterations=%d",
-			a.Rung, a.Action, a.Sweep, a.Iterations)
-		if a.Cycles > 0 {
-			line += fmt.Sprintf(" cycles=%d", a.Cycles)
-		}
-		line += fmt.Sprintf(" residual=%.3g max-iterations=%d converged=%t",
-			a.Residual, a.MaxIterations, a.Converged)
-		fmt.Println(line)
+		fmt.Printf("solver:   rung %d %-21s iterations=%d residual=%.3g max-iterations=%d converged=%t\n",
+			a.Rung, a.Action, a.Iterations, a.Residual, a.MaxIterations, a.Converged)
 	}
 }
 

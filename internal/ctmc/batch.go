@@ -7,10 +7,10 @@ import (
 
 // BatchOptions tunes SolveBatch.
 type BatchOptions struct {
-	// Solve is the shared solver configuration: tolerance, iteration
-	// bound and sweep selection are resolved exactly as SteadyState
-	// resolves them, and every lane starts from the uniform distribution,
-	// as a SteadyState solve does.
+	// Solve is the shared solver configuration: tolerance and iteration
+	// bound are resolved exactly as SteadyState resolves them, and every
+	// lane starts from the uniform distribution, as a SteadyState solve
+	// does.
 	Solve SolveOptions
 	// LaneTolerances optionally overrides Solve.Tolerance per lane (one
 	// positive value per point, or nil). Lanes then converge — and
@@ -60,10 +60,9 @@ func (e *BatchPointError) Unwrap() error { return e.Err }
 // contribution terms, so c still carries whatever rates the last
 // Build/Rebind wrote.
 //
-// The sweep scheme is resolved per SolveOptions exactly as SteadyState
-// resolves it (see SweepAuto), lane by lane. On failure the lowest failed
-// lane is reported as a *BatchPointError wrapping that lane's error, with
-// ConvergenceError carrying the lane index and rate vector.
+// On failure the lowest failed lane is reported as a *BatchPointError
+// wrapping that lane's error, with ConvergenceError carrying the lane
+// index and rate vector.
 func (c *CTMC) SolveBatch(points [][]float64, opts BatchOptions) ([][]float64, error) {
 	out, laneErrs, err := c.SolveBatchLanes(points, opts)
 	if err != nil {
@@ -148,7 +147,7 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 	// lanes never mix, so the grouping changes no bits.
 	for off := 0; off < K; off += batchLanes {
 		hi := min(off+batchLanes, K)
-		res, err := c.solveGroup(plan, c.fillBatch(plan, points[off:hi]), tol[off:hi], solve, start)
+		res, err := c.fillBatch(plan, points[off:hi]).gaussSeidelBatch(solve, tol[off:hi], start)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -176,83 +175,6 @@ type laneResult struct {
 	x   []float64
 	st  solveStats
 	err *ConvergenceError
-}
-
-// solveGroup runs the solve of every live lane of bc under solve.Sweep —
-// the SweepAuto rule included — and returns one result per live lane.
-// SteadyState calls it with a one-lane batch, SolveBatchLanes once per
-// group of at most batchLanes points.
-func (c *CTMC) solveGroup(plan *solvePlan, bc *batchComponent, tol []float64, solve SolveOptions, start []float64) ([]laneResult, error) {
-	switch {
-	case solve.Sweep == SweepMultilevel:
-		return bc.multilevelBatch(solve, tol, start, c.ensureCoarse(plan))
-	case solve.Sweep == SweepAuto && bc.n >= multilevelAutoMin:
-		// Probe every lane with the same fixed Gauss-Seidel trajectory,
-		// route stalled lanes through the multilevel cycle and the rest
-		// through Gauss-Seidel, and retry Gauss-Seidel lanes that still
-		// exhausted their budget with the multilevel cycle from the
-		// original start. Every lane runs the same attempt chain whatever
-		// lanes share its batch; when no lane needs the multilevel path
-		// this is exactly the Gauss-Seidel path.
-		var ml, rest []int
-		for k, s := range bc.stalledLanes(tol, start) {
-			if s {
-				ml = append(ml, k)
-			} else {
-				rest = append(rest, k)
-			}
-		}
-		res := make([]laneResult, bc.live)
-		// solveLanes runs one scheme on a subset of the lanes and scatters
-		// the results back to their lane indices.
-		solveLanes := func(lanes []int, multilevel bool) error {
-			sub := bc.subBatch(lanes)
-			subTol := make([]float64, len(lanes))
-			for i, k := range lanes {
-				subTol[i] = tol[k]
-			}
-			var (
-				subRes []laneResult
-				err    error
-			)
-			if multilevel {
-				subRes, err = sub.multilevelBatch(solve, subTol, start, c.ensureCoarse(plan))
-			} else {
-				subRes, err = sub.gaussSeidelBatch(solve, subTol, start)
-			}
-			if err != nil {
-				return err
-			}
-			for i, k := range lanes {
-				res[k] = subRes[i]
-			}
-			return nil
-		}
-		if len(ml) > 0 {
-			if err := solveLanes(ml, true); err != nil {
-				return nil, err
-			}
-		}
-		if len(rest) > 0 {
-			if err := solveLanes(rest, false); err != nil {
-				return nil, err
-			}
-			var retry []int
-			for _, k := range rest {
-				if res[k].err != nil {
-					retry = append(retry, k)
-				}
-			}
-			if len(retry) > 0 {
-				if err := solveLanes(retry, true); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return res, nil
-	default:
-		return bc.gaussSeidelBatch(solve, tol, start)
-	}
 }
 
 // batchLanes is the one width of the batched solver: eight float64 lanes
@@ -382,42 +304,6 @@ func (c *CTMC) fillBatch(plan *solvePlan, points [][]float64) *batchComponent {
 	return bc
 }
 
-// subBatch extracts the given live lanes (ascending) into a batch sharing
-// the index structure, for the auto-mode lane routing; its pad lanes copy
-// lanes[0]. Selecting every live lane returns bc itself.
-func (bc *batchComponent) subBatch(lanes []int) *batchComponent {
-	if len(lanes) == bc.live {
-		return bc
-	}
-	var src [batchLanes]int
-	for i := range src {
-		src[i] = lanes[0]
-	}
-	copy(src[:], lanes)
-	sub := &batchComponent{
-		n:       bc.n,
-		live:    len(lanes),
-		inStart: bc.inStart,
-		inFrom:  bc.inFrom,
-		rate:    make([]float64, len(bc.rate)),
-		exit:    make([]float64, len(bc.exit)),
-		invExit: make([]float64, len(bc.invExit)),
-		allPos:  bc.allPos,
-	}
-	for e := 0; e < len(bc.inFrom); e++ {
-		for i, k := range src {
-			sub.rate[e*batchLanes+i] = bc.rate[e*batchLanes+k]
-		}
-	}
-	for j := 0; j < bc.n; j++ {
-		for i, k := range src {
-			sub.exit[j*batchLanes+i] = bc.exit[j*batchLanes+k]
-			sub.invExit[j*batchLanes+i] = bc.invExit[j*batchLanes+k]
-		}
-	}
-	return sub
-}
-
 // spread replicates the shared start vector into every lane's column.
 func (bc *batchComponent) spread(start []float64) []float64 {
 	x := make([]float64, bc.n*batchLanes)
@@ -460,7 +346,9 @@ func (bc *batchComponent) column(x []float64, k int) []float64 {
 // with its bookkeeping (normalization, residual check) skipped, like the
 // pad lanes. The batch is never narrowed or compacted: the vectorized
 // kernel instead skips each half of the slab whose four lanes have all
-// frozen (see step). It returns one result per live lane.
+// frozen (see step). It returns one result per live lane. SteadyState
+// calls it on a one-lane batch, SolveBatchLanes once per group of at most
+// batchLanes points.
 func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, start []float64) ([]laneResult, error) {
 	K := bc.live
 	res := make([]laneResult, K)
@@ -480,14 +368,14 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 				continue
 			}
 			if sums[k] <= 0 {
-				res[k].err = &ConvergenceError{Iterations: iter + 1, Residual: delta[k], Tolerance: tol[k], Sweep: SweepGaussSeidel, Point: -1}
+				res[k].err = &ConvergenceError{Iterations: iter + 1, Residual: delta[k], Tolerance: tol[k], Point: -1}
 				done[k] = true
 				remaining--
 				continue
 			}
 			if delta[k] < tol[k] {
 				res[k].x = bc.column(x, k)
-				res[k].st = solveStats{Sweep: SweepGaussSeidel, Iterations: iter + 1, Residual: delta[k]}
+				res[k].st = solveStats{Iterations: iter + 1, Residual: delta[k]}
 				done[k] = true
 				remaining--
 			}
@@ -495,16 +383,15 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 	}
 	for k := 0; k < K; k++ {
 		if !done[k] {
-			res[k].err = &ConvergenceError{Iterations: solve.MaxIterations, Residual: delta[k], Tolerance: tol[k], Sweep: SweepGaussSeidel, Point: -1}
+			res[k].err = &ConvergenceError{Iterations: solve.MaxIterations, Residual: delta[k], Tolerance: tol[k], Point: -1}
 		}
 	}
 	return res, nil
 }
 
 // step runs one Gauss-Seidel iteration of every live lane: one sweep,
-// then each lane's column normalized by its row-order sum — the one
-// iteration body of gaussSeidelBatch, the SweepAuto stall probe and the
-// multilevel smoothing sweeps. On return delta[k] is live lane k's
+// then each lane's column normalized by its row-order sum — the
+// iteration body of gaussSeidelBatch. On return delta[k] is live lane k's
 // residual and sums[k] its column sum before normalization; a lane whose
 // sum is not positive is left unscaled for the caller to fail. Frozen
 // lanes keep their columns bit for bit, and their delta and sums entries

@@ -1,5 +1,5 @@
 // Batched-solver property tests live in the external test package with
-// the sweep-mode tests: they build the paper's rate-parametric chains
+// the other paper-chain tests: they build the paper's rate-parametric chains
 // through internal/models.
 package ctmc_test
 
@@ -146,7 +146,7 @@ var batchWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17}
 // TestSolveBatchBitIdentity pins the tentpole contract on both paper
 // chains: the batched solve equals the sequential Rebind+SteadyState chain
 // bit for bit, at every lane width from 1 to 9 and at 17, in the scalar
-// and the vectorized kernel, under both forced schemes.
+// and the vectorized kernel.
 func TestSolveBatchBitIdentity(t *testing.T) {
 	chains := map[string]struct {
 		c      *ctmc.CTMC
@@ -158,18 +158,15 @@ func TestSolveBatchBitIdentity(t *testing.T) {
 			400, 500, 600, 700, 800, 900, 1000, 1200)},
 	}
 	for name, tc := range chains {
-		for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepMultilevel} {
-			opts := ctmc.SolveOptions{Sweep: sweep}
-			want := solveSequential(t, tc.c, tc.points, opts)
-			for _, avx := range avxModes() {
-				prev := ctmc.SetAVXForTest(avx)
-				for _, width := range batchWidths {
-					tag := fmt.Sprintf("%s/%v/avx=%v/width=%d", name, sweep, avx, width)
-					got := batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: opts})
-					requireBitIdentical(t, tag, want, got)
-				}
-				ctmc.SetAVXForTest(prev)
+		want := solveSequential(t, tc.c, tc.points, ctmc.SolveOptions{})
+		for _, avx := range avxModes() {
+			prev := ctmc.SetAVXForTest(avx)
+			for _, width := range batchWidths {
+				tag := fmt.Sprintf("%s/avx=%v/width=%d", name, avx, width)
+				got := batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{})
+				requireBitIdentical(t, tag, want, got)
 			}
+			ctmc.SetAVXForTest(prev)
 		}
 	}
 }
@@ -205,7 +202,7 @@ func TestSolveBatchPadLanesNeverSurface(t *testing.T) {
 		}
 		tols[K-1] = 1e-300
 		opts := ctmc.BatchOptions{
-			Solve:          ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, MaxIterations: 500},
+			Solve:          ctmc.SolveOptions{MaxIterations: 500},
 			LaneTolerances: tols,
 		}
 		out, laneErrs, err := c.SolveBatchLanes(points[:K], opts)
@@ -220,7 +217,7 @@ func TestSolveBatchPadLanesNeverSurface(t *testing.T) {
 				t.Fatalf("K=%d lane %d: %v", K, k, laneErrs[k])
 			}
 			want := solveSequential(t, c, points[k:k+1],
-				ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, MaxIterations: 500, Tolerance: tols[k]})
+				ctmc.SolveOptions{MaxIterations: 500, Tolerance: tols[k]})
 			requireBitIdentical(t, fmt.Sprintf("K=%d", K), want, out[k:k+1])
 		}
 		var ce *ctmc.ConvergenceError
@@ -235,13 +232,11 @@ func TestSolveBatchPadLanesNeverSurface(t *testing.T) {
 	}
 }
 
-// TestSolveBatchMatchesAutoOutcome pins the auto-mode parity, including
-// budget-exhausted lanes: whatever a solo auto solve produces at a given
+// TestSolveBatchMatchesSoloOutcome pins the solo parity including
+// budget-exhausted lanes: whatever a solo solve produces at a given
 // iteration bound — a converged vector or a typed failure — the batch
-// must reproduce, lane for lane. The rpc component (48 states) runs plain
-// Gauss-Seidel; the streaming component (168 states) also runs the stall
-// probe and the multilevel retry of exhausted lanes.
-func TestSolveBatchMatchesAutoOutcome(t *testing.T) {
+// must reproduce, lane for lane.
+func TestSolveBatchMatchesSoloOutcome(t *testing.T) {
 	chains := map[string]struct {
 		c      *ctmc.CTMC
 		points [][]float64
@@ -275,7 +270,7 @@ func TestSolveBatchMatchesAutoOutcome(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s maxIter=%d: batch failed where solo succeeded: %v", name, maxIter, err)
 				}
-				requireBitIdentical(t, name+"/auto", want, got)
+				requireBitIdentical(t, name, want, got)
 				continue
 			}
 			var bpe *ctmc.BatchPointError
@@ -289,7 +284,7 @@ func TestSolveBatchMatchesAutoOutcome(t *testing.T) {
 			if !errors.As(err, &ce) || !errors.As(wantErr[firstFail], &soloCE) {
 				t.Fatalf("%s maxIter=%d: want ConvergenceError on both sides (%v vs %v)", name, maxIter, err, wantErr[firstFail])
 			}
-			if ce.Sweep != soloCE.Sweep || ce.Iterations != soloCE.Iterations || ce.Residual != soloCE.Residual {
+			if ce.Iterations != soloCE.Iterations || ce.Residual != soloCE.Residual {
 				t.Fatalf("%s maxIter=%d: batch failure %+v differs from solo %+v", name, maxIter, ce, soloCE)
 			}
 		}
@@ -303,19 +298,13 @@ func TestSolveBatchLaneTolerances(t *testing.T) {
 	c := streamingParamChain(t)
 	points := streamingPoints()
 	tols := []float64{1e-6, 1e-13, 1e-8, 1e-10, 1e-7, 1e-12, 1e-9, 1e-11}
-	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepMultilevel} {
-		got, err := c.SolveBatch(points, ctmc.BatchOptions{
-			Solve:          ctmc.SolveOptions{Sweep: sweep},
-			LaneTolerances: tols,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", sweep, err)
-		}
-		for i, pt := range points {
-			want := solveSequential(t, c, [][]float64{pt},
-				ctmc.SolveOptions{Sweep: sweep, Tolerance: tols[i]})
-			requireBitIdentical(t, sweep.String(), want, got[i:i+1])
-		}
+	got, err := c.SolveBatch(points, ctmc.BatchOptions{LaneTolerances: tols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range points {
+		want := solveSequential(t, c, [][]float64{pt}, ctmc.SolveOptions{Tolerance: tols[i]})
+		requireBitIdentical(t, fmt.Sprintf("point %d", i), want, got[i:i+1])
 	}
 }
 
@@ -327,7 +316,7 @@ func TestSolveBatchDeactivationDeterminism(t *testing.T) {
 	c := rpcParamChain(t)
 	points := rpcPoints()
 	tols := []float64{1e-6, 1e-12, 1e-9, 1e-13, 1e-7, 1e-11, 1e-8, 1e-10}
-	opts := ctmc.BatchOptions{Solve: ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel}, LaneTolerances: tols}
+	opts := ctmc.BatchOptions{LaneTolerances: tols}
 	first, err := c.SolveBatch(points, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +383,7 @@ func TestSolveBatchConvergenceErrorPoint(t *testing.T) {
 	c := rpcParamChain(t)
 	points := rpcPoints()[:3]
 	_, err := c.SolveBatch(points, ctmc.BatchOptions{
-		Solve: ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, MaxIterations: 2},
+		Solve: ctmc.SolveOptions{MaxIterations: 2},
 	})
 	if !errors.Is(err, ctmc.ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence, got %v", err)

@@ -34,13 +34,8 @@ func TestConvergenceErrorDetails(t *testing.T) {
 	if !strings.Contains(ce.Error(), "iterations") || !strings.Contains(ce.Error(), "residual") {
 		t.Errorf("error text missing diagnostics: %q", ce.Error())
 	}
-	// Auto mode on this small chain runs Gauss-Seidel; the failure names
-	// the sweep that actually ran.
-	if ce.Sweep != SweepGaussSeidel {
-		t.Errorf("Sweep = %v, want gauss-seidel", ce.Sweep)
-	}
 	if !strings.Contains(ce.Error(), "gauss-seidel") {
-		t.Errorf("error text missing sweep mode: %q", ce.Error())
+		t.Errorf("error text missing the sweep: %q", ce.Error())
 	}
 }
 

@@ -19,7 +19,6 @@ func convergenceFixture() *ctmc.ConvergenceError {
 		Iterations: 1234,
 		Residual:   0.5,
 		Tolerance:  1e-12,
-		Sweep:      ctmc.SweepGaussSeidel,
 		Point:      7,
 		Params:     []float64{0.25},
 	}
@@ -41,7 +40,7 @@ func TestConvergenceErrorChain(t *testing.T) {
 		}
 	}
 	// Outside a sweep (Point < 0) the point suffix must disappear.
-	solo := &ctmc.ConvergenceError{Point: -1, Sweep: ctmc.SweepMultilevel}
+	solo := &ctmc.ConvergenceError{Point: -1}
 	if strings.Contains(solo.Error(), "sweep point") {
 		t.Errorf("solo message %q should not mention a sweep point", solo.Error())
 	}

@@ -8,41 +8,32 @@ type Escalation int
 const (
 	// EscalateNever surfaces a ConvergenceError as-is (the default).
 	EscalateNever Escalation = iota
-	// EscalateLadder retries a failed solve through a fixed, cumulative
-	// ladder of configuration changes:
-	//
-	//	rung 1: raise MaxIterations ×4
-	//	rung 2: switch to the multilevel scheme (skipped when the
-	//	        failing configuration already was multilevel), the
-	//	        structurally different last resort for slow-mixing
-	//	        chains Gauss-Seidel cannot crack
-	//
-	// Every rung keeps the changes of the rungs below it, each attempt is
-	// recorded in the SolveTrace, and the ladder position is a pure
-	// function of the solve's input — options and chain — never of
-	// scheduling, so an escalated result is reproducible at any worker
-	// count and flagged by its trace, never silent. Only a
-	// ConvergenceError advances the ladder; cancellation, invariant
-	// violations, and structural errors abort it immediately.
+	// EscalateLadder retries a solve that failed with a ConvergenceError
+	// once, with MaxIterations raised ×4 (rung 1, "raise-max-iterations").
+	// Both attempts are recorded in the SolveTrace, and whether the retry
+	// runs is a pure function of the solve's input — options and chain —
+	// never of scheduling, so an escalated result is reproducible at any
+	// worker count and flagged by its trace, never silent. Only a
+	// ConvergenceError triggers the retry; cancellation, invariant
+	// violations, and structural errors surface as-is.
 	EscalateLadder
 )
 
-// escalateIterFactor is the MaxIterations multiplier of the ladder's
-// first rung.
+// escalateIterFactor is the MaxIterations multiplier of the retry.
 const escalateIterFactor = 4
 
 // SolveAttempt records one attempt of an escalated solve.
 type SolveAttempt struct {
-	// Rung is the ladder position: 0 for the base attempt, 1..2 for the
-	// escalation rungs.
+	// Rung is 0 for the base attempt and 1 for the retry.
 	Rung int
-	// Action names what changed at this rung: "base" (or
-	// "forced-nonconvergence" when fault injection failed the base
-	// attempt), "raise-max-iterations", "multilevel".
+	// Action names the attempt: "base" (or "forced-nonconvergence" when
+	// fault injection failed the base attempt), or "raise-max-iterations".
 	Action string
-	// Sweep and MaxIterations are the attempt's resolved solver
-	// configuration (Sweep is never SweepAuto).
-	Sweep         Sweep
+	// Sweep is always SweepGaussSeidel. It stays only because the
+	// perfbench harness counts solves by Sweep.String(); it goes with
+	// Cycles when the harness stops reading them.
+	Sweep Sweep
+	// MaxIterations is the attempt's resolved iteration budget.
 	MaxIterations int
 	// Converged reports whether the attempt succeeded.
 	Converged bool
@@ -51,8 +42,8 @@ type SolveAttempt struct {
 	// point of a successful one.
 	Iterations int
 	Residual   float64
-	// Cycles is the attempt's outer multilevel cycle count (zero for
-	// Gauss-Seidel, which has no outer loop).
+	// Cycles is always 0: Gauss-Seidel has no outer loop. Like Sweep it
+	// stays only because the perfbench harness reads it.
 	Cycles int
 }
 
@@ -64,65 +55,49 @@ type SolveTrace struct {
 	Attempts []SolveAttempt
 }
 
-// Escalated reports whether the solve needed the ladder (any attempt
+// Escalated reports whether the solve needed the retry (any attempt
 // beyond the base one).
 func (t *SolveTrace) Escalated() bool { return t != nil && len(t.Attempts) > 1 }
 
 // ResolveSolve reports the configuration a SteadyState call with these
-// options starts from: defaults filled and SweepAuto resolved to
-// Gauss-Seidel. It fails when the chain has no single reachable recurrent
-// component to solve. The escalation ladder starts from this resolved
-// configuration. The auto rule's stall probe and multilevel retry are not
-// run here — an auto solve that upgrades to multilevel reports the upgrade
-// through the trace's attempt record, which always carries the scheme that
-// actually ran.
+// options runs: defaults filled. It fails when the chain has no single
+// reachable recurrent component to solve. The escalation retry starts
+// from this resolved configuration.
 func (c *CTMC) ResolveSolve(opts SolveOptions) (SolveOptions, error) {
 	opts = solveDefaults(opts)
 	if _, err := c.ensurePlan(); err != nil {
 		return opts, err
-	}
-	if opts.Sweep == SweepAuto {
-		opts.Sweep = SweepGaussSeidel
 	}
 	return opts, nil
 }
 
 // attemptRecord summarizes one solve outcome for the trace. On success
 // the statistics come from the solver's own report; on failure from the
-// convergence error. Either way the recorded scheme is the one that
-// actually ran — in auto mode that may be the multilevel upgrade, not the
-// statically resolved Gauss-Seidel.
+// convergence error.
 func attemptRecord(rung int, action string, cfg SolveOptions, st solveStats, err error) SolveAttempt {
 	a := SolveAttempt{
 		Rung:          rung,
 		Action:        action,
-		Sweep:         cfg.Sweep,
+		Sweep:         SweepGaussSeidel,
 		MaxIterations: cfg.MaxIterations,
 		Converged:     err == nil,
-	}
-	if err == nil {
-		a.Sweep = st.Sweep
-		a.Iterations = st.Iterations
-		a.Residual = st.Residual
-		a.Cycles = st.Cycles
-		return a
+		Iterations:    st.Iterations,
+		Residual:      st.Residual,
 	}
 	var ce *ConvergenceError
 	if errors.As(err, &ce) {
-		a.Sweep = ce.Sweep
 		a.Iterations = ce.Iterations
 		a.Residual = ce.Residual
-		a.Cycles = ce.Cycles
 	}
 	return a
 }
 
 // SteadyStateTraced is SteadyState with an attempt trace and, when
-// opts.Escalation is EscalateLadder, the deterministic convergence
-// escalation described there. On success the trace's last attempt is the
-// converged one; Escalated() reports whether the base configuration
-// sufficed. On failure the trace records every exhausted rung and the
-// returned error is the last rung's.
+// opts.Escalation is EscalateLadder, the deterministic retry described
+// there. On success the trace's last attempt is the converged one;
+// Escalated() reports whether the base configuration sufficed. On failure
+// the trace records every failed attempt and the returned error is the
+// last one's.
 func (c *CTMC) SteadyStateTraced(opts SolveOptions) ([]float64, *SolveTrace, error) {
 	resolved, err := c.ResolveSolve(opts)
 	if err != nil {
@@ -139,53 +114,26 @@ func (c *CTMC) SteadyStateTraced(opts SolveOptions) ([]float64, *SolveTrace, err
 	return pi, trace, nil
 }
 
-// EscalateFrom runs the escalation ladder for options whose base attempt
+// EscalateFrom runs the escalation retry for options whose base attempt
 // already failed with baseErr, a ConvergenceError. The returned trace
 // records that base attempt as rung 0 under the given action — "base", or
 // "forced-nonconvergence" when fault injection failed it — followed by
-// every rung tried. It exists separately from SteadyStateTraced so the
-// sweep's batched path can escalate exactly the lanes that failed: a
-// batched lane's failure is bit-identical to the one-lane base attempt,
-// so starting the ladder from rung 1 reproduces SteadyStateTraced without
-// re-running the base solve.
+// the retry. It exists separately from SteadyStateTraced so the sweep's
+// batched path can escalate exactly the lanes that failed: a batched
+// lane's failure is bit-identical to the one-lane base attempt, so
+// starting from the retry reproduces SteadyStateTraced without re-running
+// the base solve.
 func (c *CTMC) EscalateFrom(opts SolveOptions, action string, baseErr error) ([]float64, *SolveTrace, error) {
-	cur, err := c.ResolveSolve(opts)
+	cfg, err := c.ResolveSolve(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	trace := &SolveTrace{Attempts: []SolveAttempt{attemptRecord(0, action, cur, solveStats{}, baseErr)}}
-	rungs := []struct {
-		action string
-		apply  func(o *SolveOptions) bool
-	}{
-		{"raise-max-iterations", func(o *SolveOptions) bool {
-			o.MaxIterations *= escalateIterFactor
-			return true
-		}},
-		{"multilevel", func(o *SolveOptions) bool {
-			if o.Sweep == SweepMultilevel {
-				return false // the base scheme already was multilevel
-			}
-			o.Sweep = SweepMultilevel
-			return true
-		}},
+	trace := &SolveTrace{Attempts: []SolveAttempt{attemptRecord(0, action, cfg, solveStats{}, baseErr)}}
+	cfg.MaxIterations *= escalateIterFactor
+	pi, st, err := c.steadyStateStats(cfg)
+	trace.Attempts = append(trace.Attempts, attemptRecord(1, "raise-max-iterations", cfg, st, err))
+	if err != nil {
+		return nil, trace, err
 	}
-	lastErr := baseErr
-	for r, rung := range rungs {
-		if !rung.apply(&cur) {
-			continue
-		}
-		pi, st, err := c.steadyStateStats(cur)
-		trace.Attempts = append(trace.Attempts, attemptRecord(r+1, rung.action, cur, st, err))
-		if err == nil {
-			return pi, trace, nil
-		}
-		if !errors.Is(err, ErrNoConvergence) {
-			// Cancellation, invariant violations, and structural failures
-			// are not convergence problems; the ladder must not mask them.
-			return nil, trace, err
-		}
-		lastErr = err
-	}
-	return nil, trace, lastErr
+	return pi, trace, nil
 }

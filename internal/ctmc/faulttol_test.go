@@ -20,7 +20,7 @@ import (
 func findIterationBudget(t *testing.T, c *ctmc.CTMC) (int, int) {
 	t.Helper()
 	for m := 8; m <= 1<<20; m *= 2 {
-		_, err := c.SteadyState(ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, MaxIterations: m})
+		_, err := c.SteadyState(ctmc.SolveOptions{MaxIterations: m})
 		if err == nil {
 			// Convergence needs k iterations with m/2 < k <= m, so m/4
 			// fails and 4*(m/4) = m suffices.
@@ -45,7 +45,7 @@ func TestEscalationLadderRecovers(t *testing.T) {
 	c := rpcParamChain(t)
 	insufficient, sufficient := findIterationBudget(t, c)
 
-	ref, err := c.SteadyState(ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, MaxIterations: sufficient})
+	ref, err := c.SteadyState(ctmc.SolveOptions{MaxIterations: sufficient})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,6 @@ func TestEscalationLadderRecovers(t *testing.T) {
 	var traces []*ctmc.SolveTrace
 	for run := 1; run <= 2; run++ {
 		pi, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{
-			Sweep:         ctmc.SweepGaussSeidel,
 			MaxIterations: insufficient,
 			Escalation:    ctmc.EscalateLadder,
 		})
@@ -88,12 +87,12 @@ func TestEscalationLadderRecovers(t *testing.T) {
 }
 
 // TestEscalationLadderExhausts pins the ladder's failure shape: with a
-// hopeless budget every applicable rung is tried in order, the trace
-// records each one, and the final error is still a ConvergenceError.
+// hopeless budget the base attempt and the one retry are both recorded,
+// both as Gauss-Seidel solves without cycles, and the final error is
+// still a ConvergenceError.
 func TestEscalationLadderExhausts(t *testing.T) {
 	c := rpcParamChain(t)
 	_, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{
-		Sweep:         ctmc.SweepGaussSeidel,
 		MaxIterations: 1,
 		Escalation:    ctmc.EscalateLadder,
 	})
@@ -103,8 +102,9 @@ func TestEscalationLadderExhausts(t *testing.T) {
 	if !errors.Is(err, ctmc.ErrNoConvergence) {
 		t.Fatalf("exhausted ladder should report non-convergence, got %v", err)
 	}
-	wantActions := []string{"base", "raise-max-iterations", "multilevel"}
-	wantRungs := []int{0, 1, 2}
+	wantActions := []string{"base", "raise-max-iterations"}
+	wantRungs := []int{0, 1}
+	wantBudgets := []int{1, 4}
 	if len(trace.Attempts) != len(wantActions) {
 		t.Fatalf("attempts = %d, want %d: %+v", len(trace.Attempts), len(wantActions), trace.Attempts)
 	}
@@ -112,14 +112,12 @@ func TestEscalationLadderExhausts(t *testing.T) {
 		if a.Action != wantActions[i] || a.Rung != wantRungs[i] || a.Converged {
 			t.Errorf("attempt %d: got %+v, want rung %d action %q, not converged", i, a, wantRungs[i], wantActions[i])
 		}
-	}
-	for i, a := range trace.Attempts[:2] {
-		if a.Sweep != ctmc.SweepGaussSeidel {
-			t.Errorf("attempt %d should run Gauss-Seidel, ran %v", i, a.Sweep)
+		if a.MaxIterations != wantBudgets[i] || a.Iterations != wantBudgets[i] {
+			t.Errorf("attempt %d: budget %d, iterations %d, want both %d", i, a.MaxIterations, a.Iterations, wantBudgets[i])
 		}
-	}
-	if a := trace.Attempts[2]; a.Sweep != ctmc.SweepMultilevel {
-		t.Errorf("multilevel rung should run multilevel, got %+v", a)
+		if a.Sweep != ctmc.SweepGaussSeidel || a.Cycles != 0 {
+			t.Errorf("attempt %d: sweep %v, %d cycles, want gauss-seidel and 0", i, a.Sweep, a.Cycles)
+		}
 	}
 }
 
@@ -137,61 +135,28 @@ func TestEscalationRejectsInBatch(t *testing.T) {
 
 // TestSolveCancelAtIteration cancels a solve at an exact iteration via an
 // injected trigger and checks the typed error: phase, iteration, and the
-// context cause are all reported, for both sweep schemes.
+// context cause are all reported.
 func TestSolveCancelAtIteration(t *testing.T) {
-	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepMultilevel} {
-		ctx, cancel := context.WithCancel(context.Background())
-		plan := faultinject.NewPlan().Arm(faultinject.SiteSolveIteration, 3).
-			OnFire(faultinject.SiteSolveIteration, func(int) { cancel() })
-		faultinject.Activate(plan)
+	ctx, cancel := context.WithCancel(context.Background())
+	plan := faultinject.NewPlan().Arm(faultinject.SiteSolveIteration, 3).
+		OnFire(faultinject.SiteSolveIteration, func(int) { cancel() })
+	faultinject.Activate(plan)
 
-		c := rpcParamChain(t)
-		_, err := c.SteadyState(ctmc.SolveOptions{Sweep: sweep, Ctx: ctx})
-		faultinject.Deactivate()
-		cancel()
-		if err == nil {
-			t.Fatalf("sweep %v: cancellation ignored", sweep)
-		}
-		var ce *fault.CanceledError
-		if !errors.As(err, &ce) {
-			t.Fatalf("sweep %v: want *fault.CanceledError, got %T: %v", sweep, err, err)
-		}
-		if ce.Phase != "ctmc.steady-state" || ce.Iteration != 3 {
-			t.Errorf("sweep %v: canceled at %q iteration %d, want ctmc.steady-state iteration 3",
-				sweep, ce.Phase, ce.Iteration)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("sweep %v: cause chain lost context.Canceled: %v", sweep, err)
-		}
-	}
-}
-
-// requireWorkerPanic asserts the full error contract of a recovered
-// worker panic: the typed wrapper with pool attribution, the sentinel for
-// errors.Is, and the injected fault reachable by errors.As.
-func requireWorkerPanic(t *testing.T, err error, pool, site string, key int) {
-	t.Helper()
+	c := rpcParamChain(t)
+	_, err := c.SteadyState(ctmc.SolveOptions{Ctx: ctx})
+	faultinject.Deactivate()
+	cancel()
 	if err == nil {
-		t.Fatalf("pool %s: injected panic vanished", pool)
+		t.Fatal("cancellation ignored")
 	}
-	var wpe *fault.WorkerPanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("pool %s: want *fault.WorkerPanicError, got %T: %v", pool, err, err)
+	var ce *fault.CanceledError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want *fault.CanceledError, got %T: %v", err, err)
 	}
-	if wpe.Pool != pool {
-		t.Errorf("panic attributed to pool %q, want %q", wpe.Pool, pool)
+	if ce.Phase != "ctmc.steady-state" || ce.Iteration != 3 {
+		t.Errorf("canceled at %q iteration %d, want ctmc.steady-state iteration 3", ce.Phase, ce.Iteration)
 	}
-	if len(wpe.Stack) == 0 {
-		t.Errorf("pool %s: recovered panic lost its stack", pool)
-	}
-	if !errors.Is(err, fault.ErrWorkerPanic) {
-		t.Errorf("pool %s: errors.Is(err, fault.ErrWorkerPanic) is false", pool)
-	}
-	var ie *faultinject.InjectedError
-	if !errors.As(err, &ie) {
-		t.Fatalf("pool %s: injected fault not reachable via errors.As: %v", pool, err)
-	}
-	if ie.Site != site || ie.Key != key {
-		t.Errorf("pool %s: fault = (%s, %d), want (%s, %d)", pool, ie.Site, ie.Key, site, key)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cause chain lost context.Canceled: %v", err)
 	}
 }

@@ -62,6 +62,90 @@ func referenceGS(c *CTMC, tol float64, maxIter int) ([]float64, int) {
 	return nil, 0
 }
 
+// gth solves the stationary distribution of an irreducible chain exactly
+// by the Grassmann–Taksar–Heyman elimination: a is the dense n×n
+// row-major rate matrix (a[i·n+j] = rate i→j; the diagonal is never
+// read) and is overwritten, y receives the distribution. GTH is
+// subtraction-free — every update adds products of nonnegative numbers —
+// so it is stable on stiff chains, and it is one fixed sequential
+// elimination order. It reports false when an elimination step finds no
+// outflow (the chain is reducible), in which case y is meaningless.
+func gth(n int, a, y []float64) bool {
+	for k := n - 1; k >= 1; k-- {
+		s := 0.0
+		for j := 0; j < k; j++ {
+			s += a[k*n+j]
+		}
+		if !(s > 0) {
+			return false
+		}
+		inv := 1 / s
+		for i := 0; i < k; i++ {
+			aik := a[i*n+k] * inv
+			a[i*n+k] = aik
+			if aik != 0 {
+				for j := 0; j < k; j++ {
+					if j != i {
+						a[i*n+j] += aik * a[k*n+j]
+					}
+				}
+			}
+		}
+	}
+	y[0] = 1
+	total := 1.0
+	for k := 1; k < n; k++ {
+		v := 0.0
+		for i := 0; i < k; i++ {
+			v += y[i] * a[i*n+k]
+		}
+		y[k] = v
+		total += v
+	}
+	inv := 1 / total
+	for k := 0; k < n; k++ {
+		y[k] *= inv
+	}
+	return true
+}
+
+// GTHSteadyStateForTest is the direct-solve oracle of the steady state:
+// the dense generator of the chain's reachable bottom component, solved
+// by gth and scattered back to tangible-state order. It shares no code
+// with the iterative kernel.
+func GTHSteadyStateForTest(t *testing.T, c *CTMC) []float64 {
+	t.Helper()
+	p, err := c.ensurePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(p.target)
+	local := make(map[int]int, n)
+	for i, s := range p.target {
+		local[s] = i
+	}
+	a := make([]float64, n*n)
+	for i, s := range p.target {
+		for _, e := range c.Rows[s] {
+			if j, ok := local[e.Col]; ok {
+				a[i*n+j] += e.Rate
+			}
+		}
+	}
+	y := make([]float64, n)
+	if !gth(n, a, y) {
+		t.Fatal("gth: bottom component is reducible")
+	}
+	pi := make([]float64, c.N)
+	for i, s := range p.target {
+		pi[s] = y[i]
+	}
+	return pi
+}
+
+// RandomChainForTest hands randomChain to the external tests.
+func RandomChainForTest(t *testing.T, r *rand.Rand, n int) *CTMC { return randomChain(t, r, n) }
+
 // randomChain builds a strongly connected chain on n states — a ring
 // plus random chords, all at random rates — entered from one transient
 // start state, so the bottom component is a proper subset of the chain.
@@ -113,7 +197,7 @@ func TestSteadyStateMatchesScalarReference(t *testing.T) {
 	}
 	for _, nc := range chains {
 		name, c := nc.name, nc.c
-		pi, trace, err := c.SteadyStateTraced(SolveOptions{Sweep: SweepGaussSeidel})
+		pi, trace, err := c.SteadyStateTraced(SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -10,60 +10,21 @@ import (
 	"repro/internal/faultinject"
 )
 
-// Sweep selects the iteration scheme SteadyState uses on the recurrent
-// component. The numeric values are persisted — hashed into
-// pipeline.SpecHash and stored in sweep-checkpoint attempt records — so
-// they never change.
+// Sweep names a steady-state iteration scheme. Gauss-Seidel is the only
+// one. The type stays only because the perfbench harness reads
+// SolveAttempt.Sweep.String() to count solves per scheme; it goes when
+// the harness stops reading it.
 type Sweep int
 
-const (
-	// SweepAuto picks the scheme by an explicit, scheduling-independent
-	// rule, applied lane by lane, so a SteadyState solve and a SolveBatch
-	// lane at the same rates resolve alike:
-	//
-	//  1. Gauss-Seidel;
-	//  2. on components of at least 64 states, a fixed sequential
-	//     Gauss-Seidel probe (24 sweeps on a copy of the start vector)
-	//     first tests for stalled residual decay; a stalled component is
-	//     solved with SweepMultilevel instead. The probe is a pure
-	//     function of the chain and the start vector — never of
-	//     scheduling or lane packing — and discards its iterate, so a
-	//     non-stalled solve is bit-identical to a forced Gauss-Seidel
-	//     solve;
-	//  3. on components of at least 64 states, a Gauss-Seidel solve that
-	//     exhausts its iteration budget is retried with SweepMultilevel
-	//     from the original start.
-	SweepAuto Sweep = 0
-	// SweepGaussSeidel forces the sequential Gauss-Seidel sweep.
-	SweepGaussSeidel Sweep = 1
-	// Value 2 was the damped Jacobi sweep. It stays reserved so hashes and
-	// checkpoints written with it never decode as a different scheme.
+// SweepGaussSeidel is the sequential Gauss-Seidel sweep.
+const SweepGaussSeidel Sweep = 1
 
-	// SweepMultilevel forces the two-level iterative aggregation/
-	// disaggregation (IAD) outer loop: Gauss-Seidel pre-smoothing, an
-	// exact (GTH) solve of the chain aggregated by a deterministic
-	// coarsening partition, disaggregation by within-block conditional
-	// redistribution, and Gauss-Seidel post-smoothing, with convergence
-	// tested on the fine-level residual at post-smoothing sweeps only.
-	// Near-completely-decomposable chains (long dwell times, rare
-	// cross-cluster transitions — the DPM sleep/wake structure) converge
-	// in a bounded number of cycles where plain sweeps need O(1/ε)
-	// iterations.
-	SweepMultilevel Sweep = 3
-)
-
-// String returns the sweep mode's canonical name.
+// String returns the scheme's canonical name.
 func (s Sweep) String() string {
-	switch s {
-	case SweepAuto:
-		return "auto"
-	case SweepGaussSeidel:
+	if s == SweepGaussSeidel {
 		return "gauss-seidel"
-	case SweepMultilevel:
-		return "multilevel"
-	default:
-		return fmt.Sprintf("Sweep(%d)", int(s))
 	}
+	return fmt.Sprintf("Sweep(%d)", int(s))
 }
 
 // SolveOptions tunes the steady-state solver. The solver is sequential,
@@ -75,9 +36,6 @@ type SolveOptions struct {
 	Tolerance float64
 	// MaxIterations bounds the sweeps (default 200000).
 	MaxIterations int
-	// Sweep selects the iteration scheme (default SweepAuto: Gauss-Seidel,
-	// upgraded to SweepMultilevel on stalled or exhausted solves).
-	Sweep Sweep
 	// Ctx optionally makes the solve cancelable: the sweeps poll it at
 	// every iteration boundary and return a *fault.CanceledError carrying
 	// the interrupted iteration. Polling never changes the floats of a
@@ -85,9 +43,9 @@ type SolveOptions struct {
 	Ctx context.Context
 	// Escalation selects what SteadyStateTraced does when the configured
 	// solve fails with a ConvergenceError: EscalateNever (the default)
-	// surfaces the error; EscalateLadder deterministically retries
-	// through the fixed ladder described in Escalation's docs, recording
-	// every rung in the returned SolveTrace. Plain SteadyState ignores
+	// surfaces the error; EscalateLadder deterministically retries once
+	// with a larger budget, as described in Escalation's docs, recording
+	// both attempts in the returned SolveTrace. Plain SteadyState ignores
 	// the field (it is the ladder's base attempt).
 	Escalation Escalation
 }
@@ -98,8 +56,8 @@ var ErrNoConvergence = errors.New("ctmc: steady-state solver did not converge")
 
 // ConvergenceError is the concrete failure SteadyState returns when the
 // iteration gives up: it wraps ErrNoConvergence (so errors.Is keeps
-// working) and carries the sweep mode, the iteration count, and the last
-// residual, making sweep failures diagnosable at the call site.
+// working) and carries the iteration count and the last residual, making
+// sweep failures diagnosable at the call site.
 type ConvergenceError struct {
 	// Iterations is the number of sweeps performed.
 	Iterations int
@@ -107,12 +65,6 @@ type ConvergenceError struct {
 	Residual float64
 	// Tolerance is the convergence threshold that was not reached.
 	Tolerance float64
-	// Sweep is the iteration scheme that failed (SweepGaussSeidel or
-	// SweepMultilevel, never SweepAuto).
-	Sweep Sweep
-	// Cycles is the number of multilevel outer cycles performed (0 for
-	// the plain sweeps).
-	Cycles int
 	// Point is the sweep-point index the failed solve belongs to, or -1
 	// when the solve was not part of a sweep. SolveBatch sets it to the
 	// batch-local lane; pipeline.Session.Sweep rewrites it to the global
@@ -126,11 +78,8 @@ type ConvergenceError struct {
 
 // Error implements the error interface.
 func (e *ConvergenceError) Error() string {
-	msg := fmt.Sprintf("%v after %d iterations (%s sweep, residual %.3g, tolerance %.3g)",
-		ErrNoConvergence, e.Iterations, e.Sweep, e.Residual, e.Tolerance)
-	if e.Sweep == SweepMultilevel {
-		msg += fmt.Sprintf(" in %d cycles", e.Cycles)
-	}
+	msg := fmt.Sprintf("%v after %d iterations (gauss-seidel sweep, residual %.3g, tolerance %.3g)",
+		ErrNoConvergence, e.Iterations, e.Residual, e.Tolerance)
 	if e.Point >= 0 {
 		msg += fmt.Sprintf(" at sweep point %d", e.Point)
 		if e.Params != nil {
@@ -167,22 +116,17 @@ func (c *CTMC) SteadyState(opts SolveOptions) ([]float64, error) {
 	return pi, err
 }
 
-// solveStats summarizes a converged solve for the trace: the scheme that
-// actually ran (after auto resolution and the multilevel upgrade), the
-// fine-level sweep count, the multilevel cycle count (0 for plain
-// sweeps), and the final residual.
+// solveStats summarizes a converged solve for the trace: the sweep count
+// and the final residual.
 type solveStats struct {
-	Sweep      Sweep
 	Iterations int
-	Cycles     int
 	Residual   float64
 }
 
 // steadyStateStats is SteadyState plus the solve statistics of the
 // successful attempt (SteadyStateTraced records them in the trace). The
 // solve is a one-lane batch: the chain's current rates fill lane 0 of the
-// eight-lane kernel, which then runs the SweepAuto rule exactly as for a
-// batched lane.
+// eight-lane kernel, which then sweeps exactly as for a batched lane.
 func (c *CTMC) steadyStateStats(opts SolveOptions) ([]float64, solveStats, error) {
 	opts = solveDefaults(opts)
 	plan, err := c.ensurePlan()
@@ -194,10 +138,10 @@ func (c *CTMC) steadyStateStats(opts SolveOptions) ([]float64, solveStats, error
 	pi := make([]float64, c.N)
 	if len(plan.target) == 1 {
 		pi[plan.target[0]] = 1
-		return pi, solveStats{Sweep: SweepGaussSeidel}, nil
+		return pi, solveStats{}, nil
 	}
 
-	res, err := c.solveGroup(plan, c.fillCurrent(plan), []float64{opts.Tolerance}, opts, uniformStart(len(plan.target)))
+	res, err := c.fillCurrent(plan).gaussSeidelBatch(opts, []float64{opts.Tolerance}, uniformStart(len(plan.target)))
 	if err != nil {
 		return nil, solveStats{}, err
 	}
@@ -259,15 +203,6 @@ type solvePlan struct {
 	// inStart, inFrom) for the debug assertion that a rate-only rebind
 	// left the structure untouched.
 	hash uint64
-
-	// coarse is the multilevel solver's cached coarse operator (see
-	// multilevel.go), built lazily on first multilevel solve: the
-	// coarsening partition is a pure function of the built structure and
-	// the canonical-point rates, so — like the rest of the plan — it is
-	// shared by every clone and survives rate-only Rebinds, which
-	// re-aggregate rates through coarsePlan.cell in O(edges).
-	coarseOnce sync.Once
-	coarse     *coarsePlan
 }
 
 // ensurePlan returns the chain's cached solve plan, computing it on first

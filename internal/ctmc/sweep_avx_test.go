@@ -52,7 +52,6 @@ func TestSweepGS8AVXMatchesScalar(t *testing.T) {
 					c := tc.chain(t)
 					points := tc.points()[:len(sc.tols)]
 					opts := ctmc.BatchOptions{
-						Solve:          ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel},
 						LaneTolerances: sc.tols,
 					}
 					vec, err := c.SolveBatch(points, opts)

@@ -1,12 +1,15 @@
-// Sweep-mode comparison tests live in an external test package: they
-// build the paper's rpc and streaming chains through internal/models,
-// which ctmc itself cannot import (models → measure → ctmc).
+// Solver tests on the paper's chains live in an external test package:
+// they build the rpc and streaming chains through internal/models, which
+// ctmc itself cannot import (models → measure → ctmc).
 package ctmc_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/aemilia"
@@ -64,58 +67,27 @@ func chainOf(t *testing.T, a *aemilia.ArchiType) *ctmc.CTMC {
 	return c
 }
 
-func steadyOrFatal(t *testing.T, c *ctmc.CTMC, opts ctmc.SolveOptions) []float64 {
-	t.Helper()
-	pi, err := c.SteadyState(opts)
-	if err != nil {
-		t.Fatalf("SteadyState(%+v): %v", opts, err)
-	}
-	return pi
-}
-
-// TestMultilevelMatchesGaussSeidel checks the two schemes agree on the
-// paper's chains to within solver tolerance: they iterate differently but
-// share the fixed point.
-func TestMultilevelMatchesGaussSeidel(t *testing.T) {
-	chains := map[string]*ctmc.CTMC{
-		"rpc":       rpcChain(t),
-		"streaming": streamingChain(t),
-	}
-	for name, c := range chains {
-		gs := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel})
-		ml := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepMultilevel})
-		for s := range gs {
-			diff := math.Abs(gs[s] - ml[s])
-			if rel := diff / math.Max(math.Abs(gs[s]), 1e-12); rel > 1e-8 && diff > 1e-12 {
-				t.Fatalf("%s: state %d: gauss-seidel %g vs multilevel %g (rel %g)", name, s, gs[s], ml[s], rel)
-			}
-		}
-	}
-}
-
-// TestAutoResolvesGaussSeidel pins the static half of the SweepAuto rule:
-// whatever the component size (48 to 1155 states here) and however many
-// cores the runtime has, ResolveSolve reports Gauss-Seidel, and
-// an auto solve's bits do not depend on GOMAXPROCS.
-func TestAutoResolvesGaussSeidel(t *testing.T) {
+// TestSteadyStateIgnoresGOMAXPROCS pins that a solve is sequential: on
+// components of 48 to 1155 states, a default solve records one
+// Gauss-Seidel attempt and its bits do not depend on how many cores the
+// runtime has.
+func TestSteadyStateIgnoresGOMAXPROCS(t *testing.T) {
 	chains := map[string]*ctmc.CTMC{
 		"rpc":            rpcChain(t),
 		"streaming":      streamingChain(t),
-		"eps":            epsChain(t),
 		"streaming-full": fullStreamingChain(t),
 	}
 	for name, c := range chains {
 		var ref []float64
 		for _, procs := range []int{1, 4} {
 			old := runtime.GOMAXPROCS(procs)
-			r, err := c.ResolveSolve(ctmc.SolveOptions{})
-			pi, serr := c.SteadyState(ctmc.SolveOptions{})
+			pi, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{})
 			runtime.GOMAXPROCS(old)
-			if err != nil || serr != nil {
-				t.Fatalf("%s: GOMAXPROCS=%d: %v / %v", name, procs, err, serr)
+			if err != nil {
+				t.Fatalf("%s: GOMAXPROCS=%d: %v", name, procs, err)
 			}
-			if r.Sweep != ctmc.SweepGaussSeidel {
-				t.Errorf("%s: GOMAXPROCS=%d: resolved %v, want gauss-seidel", name, procs, r.Sweep)
+			if len(trace.Attempts) != 1 || trace.Attempts[0].Sweep != ctmc.SweepGaussSeidel {
+				t.Errorf("%s: GOMAXPROCS=%d: attempts %+v, want one gauss-seidel attempt", name, procs, trace.Attempts)
 			}
 			if ref == nil {
 				ref = pi
@@ -130,29 +102,54 @@ func TestAutoResolvesGaussSeidel(t *testing.T) {
 	}
 }
 
-// TestGaussSeidelConvergenceErrorSweep checks a failing solve reports the
-// scheme that actually ran: a forced Gauss-Seidel solve fails as
-// Gauss-Seidel (no silent multilevel retry outside auto), while auto mode
-// on the same 168-state component retries with multilevel and reports that.
+// TestSteadyStateMatchesGTH checks the iterative solve against the exact
+// GTH elimination of the bottom component, to 1e-9 relative per state: on
+// random chains of 2 to 200 states, and on the Fig. 3 rpc chain at the
+// swept shutdown timeouts and out to 1e-4 ms and 1e5 ms.
+func TestSteadyStateMatchesGTH(t *testing.T) {
+	check := func(name string, c *ctmc.CTMC) {
+		t.Helper()
+		pi, err := c.SteadyState(ctmc.SolveOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := ctmc.GTHSteadyStateForTest(t, c)
+		for s := range want {
+			if math.Abs(pi[s]-want[s]) > 1e-9*want[s] {
+				t.Fatalf("%s: state %d: %v, GTH %v (rel %.3g)", name, s, pi[s], want[s], math.Abs(pi[s]-want[s])/want[s])
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(11))
+	for n := 2; n <= 200; n++ {
+		check(fmt.Sprintf("random-%d", n), ctmc.RandomChainForTest(t, r, n))
+	}
+	c := rpcParamChain(t)
+	for _, T := range []float64{1e-4, 0.5, 1, 2, 3, 5, 7.5, 10, 12.5, 15, 20, 25, 1e5} {
+		if err := c.Rebind([]float64{1 / T}); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("rpc-timeout-%g", T), c)
+	}
+}
+
+// TestGaussSeidelConvergenceErrorSweep checks a failing solve on the
+// 168-state streaming component reports the exhausted budget and names
+// Gauss-Seidel in its message: there is no retry under another scheme.
 func TestGaussSeidelConvergenceErrorSweep(t *testing.T) {
 	c := streamingChain(t)
-	for _, tc := range []struct{ mode, ran ctmc.Sweep }{
-		{ctmc.SweepGaussSeidel, ctmc.SweepGaussSeidel},
-		{ctmc.SweepAuto, ctmc.SweepMultilevel},
-	} {
-		_, err := c.SteadyState(ctmc.SolveOptions{Sweep: tc.mode, MaxIterations: 2})
-		if !errors.Is(err, ctmc.ErrNoConvergence) {
-			t.Fatalf("%v: want ErrNoConvergence, got %v", tc.mode, err)
-		}
-		var ce *ctmc.ConvergenceError
-		if !errors.As(err, &ce) {
-			t.Fatalf("%v: want *ConvergenceError, got %T", tc.mode, err)
-		}
-		if ce.Sweep != tc.ran {
-			t.Errorf("%v: Sweep = %v, want %v", tc.mode, ce.Sweep, tc.ran)
-		}
-		if ce.Iterations != 2 {
-			t.Errorf("%v: Iterations = %d, want 2", tc.mode, ce.Iterations)
-		}
+	_, err := c.SteadyState(ctmc.SolveOptions{MaxIterations: 2})
+	if !errors.Is(err, ctmc.ErrNoConvergence) {
+		t.Fatalf("want ErrNoConvergence, got %v", err)
+	}
+	var ce *ctmc.ConvergenceError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want *ConvergenceError, got %T", err)
+	}
+	if ce.Iterations != 2 {
+		t.Errorf("Iterations = %d, want 2", ce.Iterations)
+	}
+	if msg := ce.Error(); !strings.Contains(msg, "gauss-seidel sweep") {
+		t.Errorf("message %q should name the gauss-seidel sweep", msg)
 	}
 }

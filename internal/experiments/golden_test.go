@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/ctmc"
 	"repro/internal/pipeline"
 )
 
@@ -117,32 +116,6 @@ func TestGoldenExperimentOutputs(t *testing.T) {
 	}
 }
 
-// collectMarkovian runs the purely Markovian experiments (no simulation)
-// with the given worker count and forced solver sweep mode.
-func collectMarkovian(t *testing.T, workers int, sweep ctmc.Sweep) map[string]json.RawMessage {
-	t.Helper()
-	r := NewRunner(pipeline.Config{Workers: workers, Solve: ctmc.SolveOptions{Sweep: sweep}})
-	out := make(map[string]json.RawMessage)
-	record := func(name string, v any, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s (%s): %v", name, sweep, err)
-		}
-		raw, err := json.Marshal(v)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", name, err)
-		}
-		out[name] = raw
-	}
-	v1, err := r.Fig3Markov([]float64{0.5, 5, 25})
-	record("fig3_markov", v1, err)
-	v2, err := r.Fig4Markov([]float64{50, 400}, Quick)
-	record("fig4_markov", v2, err)
-	v3, err := r.PolicyComparison(5)
-	record("policy_comparison", v3, err)
-	return out
-}
-
 // approxEqualJSON compares two JSON documents structurally, requiring
 // numbers to agree within relative tolerance and everything else to be
 // equal.
@@ -190,38 +163,4 @@ func approxEqualJSON(t *testing.T, name string, a, b json.RawMessage, tol float6
 		}
 	}
 	walk("", va, vb)
-}
-
-// TestGoldenSolverSweepModes pins the solver-side determinism contract on
-// the Markovian slice of the golden suite: each sweep mode produces
-// bit-identical JSON at workers 1 and 8, the forced Gauss-Seidel run
-// matches the auto-selected quick-suite results byte for byte (the stall
-// probe never fires on the quick components), and multilevel agrees with
-// Gauss-Seidel within solver tolerance.
-func TestGoldenSolverSweepModes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden suite is not short")
-	}
-	gs1 := collectMarkovian(t, 1, ctmc.SweepGaussSeidel)
-	gs8 := collectMarkovian(t, 8, ctmc.SweepGaussSeidel)
-	ml1 := collectMarkovian(t, 1, ctmc.SweepMultilevel)
-	ml8 := collectMarkovian(t, 8, ctmc.SweepMultilevel)
-	auto1 := collectMarkovian(t, 1, ctmc.SweepAuto)
-
-	for name, want := range gs1 {
-		if !bytes.Equal(gs8[name], want) {
-			t.Errorf("%s: gauss-seidel differs between workers 1 and 8", name)
-		}
-		if !bytes.Equal(auto1[name], want) {
-			t.Errorf("%s: auto mode differs from gauss-seidel on the quick suite", name)
-		}
-	}
-	for name, want := range ml1 {
-		if !bytes.Equal(ml8[name], want) {
-			t.Errorf("%s: multilevel differs between workers 1 and 8", name)
-		}
-	}
-	for name := range gs1 {
-		approxEqualJSON(t, name, gs1[name], ml1[name], 1e-6)
-	}
 }

@@ -84,8 +84,8 @@ func Check(ctx context.Context, phase string, point, iteration int) error {
 // pool survives, records the error under its usual lowest-task-index
 // attribution, and surfaces it like any other task failure.
 type WorkerPanicError struct {
-	// Pool names the pool ("lts.generate", "ctmc.multilevel",
-	// "core.sweep", "sim", "experiments").
+	// Pool names the pool ("lts.generate", "core.sweep", "sim",
+	// "experiments").
 	Pool string
 	// Worker is the index of the worker goroutine that recovered the
 	// panic (0 on a sequential path).

@@ -49,9 +49,6 @@ const (
 	// SiteSimReplication fires in a replication task of sim.Run; the key
 	// is the replication index.
 	SiteSimReplication = "sim.replication"
-	// SiteCoarseSolve fires in the coarse-solve step of a multilevel
-	// cycle; the key is the cycle index.
-	SiteCoarseSolve = "ctmc.multilevel.coarse"
 )
 
 // InjectedError is the panic value MaybePanic raises and the error a

@@ -73,12 +73,13 @@ var (
 // A format change bumps the version, and a reader rejects a file of any
 // other version with ErrCheckpointVersion instead of misparsing it.
 // Version 2 stored each solve attempt's multilevel cycle count in the
-// eight bytes version 1 gave a damping factor; version 3 drops the
+// eight bytes version 1 gave a damping factor; version 3 dropped the
 // warm-start anchor vector and the warm-start attempt flag, since every
-// sweep point now solves cold.
+// sweep point solves cold; version 4 drops each attempt's scheme and
+// cycle count, since every attempt is a Gauss-Seidel solve.
 const (
 	ckFamily  = "DPMCKPT"
-	ckVersion = '3'
+	ckVersion = '4'
 	ckMagic   = ckFamily + string(ckVersion)
 )
 
@@ -143,9 +144,7 @@ func encodeCheckpoint(c *checkpoint) []byte {
 			for _, a := range rep.Trace.Attempts {
 				b = ckU32(b, uint32(a.Rung))
 				b = ckStr(b, a.Action)
-				b = ckU32(b, uint32(a.Sweep))
 				b = ckU64(b, uint64(a.MaxIterations))
-				b = ckU64(b, uint64(a.Cycles))
 				var converged byte
 				if a.Converged {
 					converged = 1
@@ -211,11 +210,11 @@ func (r *ckReader) str() string { return string(r.take(int(r.u16()))) }
 // Minimum encoded sizes of the counted records, which bound a count by the
 // bytes still unread: a point (index, value count, attempt count), a
 // measure value (empty name, value), and a solve attempt (rung, empty
-// action, sweep, budget, cycles, converged flag, iterations, residual).
+// action, budget, converged flag, iterations, residual).
 const (
 	ckPointMin   = 4 + 4 + 4
 	ckValueMin   = 2 + 8
-	ckAttemptMin = 4 + 2 + 4 + 8 + 8 + 1 + 8 + 8
+	ckAttemptMin = 4 + 2 + 8 + 1 + 8 + 8
 )
 
 // count reads an element count and latches failed when the unread bytes
@@ -232,6 +231,31 @@ func (r *ckReader) count(size int) int {
 
 func (r *ckReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+// count64 reads an iteration count and latches failed when it does not
+// fit a non-negative int.
+func (r *ckReader) count64() int {
+	v := r.u64()
+	if v > math.MaxInt64 {
+		r.failed = true
+		return 0
+	}
+	return int(v)
+}
+
+// attemptActionValid reports whether an attempt's action is one the
+// solver records at that rung: the base attempt (rung 0) is "base" or,
+// under fault injection, "forced-nonconvergence"; the one retry (rung 1)
+// is "raise-max-iterations".
+func attemptActionValid(rung uint32, action string) bool {
+	switch rung {
+	case 0:
+		return action == "base" || action == "forced-nonconvergence"
+	case 1:
+		return action == "raise-max-iterations"
+	}
+	return false
+}
+
 // decodeCheckpoint parses and checksums an encoded checkpoint. report
 // rebuilds a Phase2Report shell around a decoded value map and trace
 // (the caller closes it over the current run's state-space sizes, which
@@ -239,9 +263,10 @@ func (r *ckReader) f64() float64 { return math.Float64frombits(r.u64()) }
 // accidental damage, so every count is bounded by the bytes still unread
 // before it sizes anything, and the decoder accepts only what
 // encodeCheckpoint writes: completed indices strictly ascending and below
-// numPoints, value names strictly ascending, and a converged flag of 0
-// or 1. A file of another format version is rejected with
-// ErrCheckpointVersion before anything else is read.
+// numPoints, value names strictly ascending, attempts whose rung is 0 or 1
+// and whose action matches their rung, iteration counts below 2^63, and a
+// converged flag of 0 or 1. A file of another format version is rejected
+// with ErrCheckpointVersion before anything else is read.
 func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase2Report) (*checkpoint, error) {
 	if len(data) < len(ckMagic)+16 || string(data[:len(ckFamily)]) != ckFamily {
 		return nil, ErrCheckpointCorrupt
@@ -285,12 +310,15 @@ func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase
 		if na := r.count(ckAttemptMin); na > 0 {
 			trace := &ctmc.SolveTrace{Attempts: make([]ctmc.SolveAttempt, 0, na)}
 			for a := 0; a < na && !r.failed; a++ {
+				rung, action := r.u32(), r.str()
+				if !r.failed && !attemptActionValid(rung, action) {
+					return nil, ErrCheckpointCorrupt
+				}
 				att := ctmc.SolveAttempt{
-					Rung:          int(r.u32()),
-					Action:        r.str(),
-					Sweep:         ctmc.Sweep(r.u32()),
-					MaxIterations: int(r.u64()),
-					Cycles:        int(r.u64()),
+					Rung:          int(rung),
+					Action:        action,
+					Sweep:         ctmc.SweepGaussSeidel,
+					MaxIterations: r.count64(),
 				}
 				var converged byte
 				if s := r.take(1); s != nil {
@@ -300,7 +328,7 @@ func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase
 					return nil, ErrCheckpointCorrupt
 				}
 				att.Converged = converged == 1
-				att.Iterations = int(r.u64())
+				att.Iterations = r.count64()
 				att.Residual = r.f64()
 				trace.Attempts = append(trace.Attempts, att)
 			}

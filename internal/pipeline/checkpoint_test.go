@@ -29,9 +29,7 @@ func tracedCheckpoint() *checkpoint {
 					{Rung: 0, Action: "forced-nonconvergence", Sweep: ctmc.SweepGaussSeidel,
 						MaxIterations: 100, Iterations: 100, Residual: 0.5},
 					{Rung: 1, Action: "raise-max-iterations", Sweep: ctmc.SweepGaussSeidel,
-						MaxIterations: 400, Iterations: 400, Residual: 0.25},
-					{Rung: 2, Action: "multilevel", Sweep: ctmc.SweepMultilevel,
-						MaxIterations: 400, Converged: true, Iterations: 68, Residual: 1e-13, Cycles: 8},
+						MaxIterations: 400, Converged: true, Iterations: 268, Residual: 1e-13},
 				}},
 			},
 		},
@@ -73,14 +71,15 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // TestDecodeCheckpointRejectsOldVersions pins the version guard: files of
-// earlier formats — version 1 stored a damping factor where later
-// versions store the cycle count, version 2 a warm-start anchor vector
-// and flag this format dropped — are refused with ErrCheckpointVersion
-// and a message naming both versions, even behind a valid checksum, and
-// never as a generic corruption.
+// earlier formats — version 1 stored a damping factor where versions 2
+// and 3 store the cycle count, version 2 a warm-start anchor vector and
+// flag, version 3 each attempt's scheme and cycle count, which this format
+// dropped — are refused with ErrCheckpointVersion and a message naming
+// both versions, even behind a valid checksum, and never as a generic
+// corruption.
 func TestDecodeCheckpointRejectsOldVersions(t *testing.T) {
 	enc := encodeCheckpoint(tracedCheckpoint())
-	for _, magic := range []string{"DPMCKPT1", "DPMCKPT2"} {
+	for _, magic := range []string{"DPMCKPT1", "DPMCKPT2", "DPMCKPT3"} {
 		old := withChecksum(append([]byte(magic), enc[len(ckMagic):len(enc)-8]...))
 		_, err := decodeCheckpoint(old, shellReport)
 		if !errors.Is(err, ErrCheckpointVersion) {
@@ -89,7 +88,7 @@ func TestDecodeCheckpointRejectsOldVersions(t *testing.T) {
 		if errors.Is(err, ErrCheckpointCorrupt) {
 			t.Errorf("%s: a version mismatch must not report corruption: %v", magic, err)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "'"+magic[len(magic)-1:]+"'") || !strings.Contains(msg, "'3'") {
+		if msg := err.Error(); !strings.Contains(msg, "'"+magic[len(magic)-1:]+"'") || !strings.Contains(msg, "'4'") {
 			t.Errorf("%s: message %q should name the file's and the reader's versions", magic, msg)
 		}
 	}
@@ -157,11 +156,46 @@ func oneAttemptCountCheckpoint(numPoints, idx, attempts uint32) []byte {
 	return withChecksum(b)
 }
 
+// oneAttemptCheckpoint is a checkpoint with a valid checksum holding one
+// completed point of one whose trace is the single given attempt record.
+func oneAttemptCheckpoint(rung uint32, action string, maxIter, iter uint64) []byte {
+	b := oneAttemptCountCheckpoint(1, 0, 1)
+	b = b[:len(b)-8] // the checksum, recomputed below
+	b = ckU32(b, rung)
+	b = ckStr(b, action)
+	b = ckU64(b, maxIter)
+	b = append(b, 0) // not converged
+	b = ckU64(b, iter)
+	b = ckU64(b, 0) // residual
+	return withChecksum(b)
+}
+
+// badAttempts are attempt records encodeCheckpoint never writes: a rung
+// beyond the one retry, actions that do not match their rung, and
+// iteration counts that do not fit a non-negative int.
+var badAttempts = []struct {
+	name          string
+	rung          uint32
+	action        string
+	maxIter, iter uint64
+}{
+	{"rung 2", 2, "multilevel", 400, 400},
+	{"rung 0xFFFFFFFF", 0xFFFFFFFF, "base", 100, 100},
+	{"rung 0 retry action", 0, "raise-max-iterations", 100, 100},
+	{"rung 1 base action", 1, "base", 400, 400},
+	{"unknown action", 0, "bogus", 100, 100},
+	{"max iterations 2^63", 0, "base", 1 << 63, 100},
+	{"iterations 2^63", 1, "raise-max-iterations", 400, 1 << 63},
+	{"iterations 2^64-1", 0, "base", 100, 1<<64 - 1},
+}
+
 // TestDecodeCheckpointBoundsCounts is the regression for a corrupt count
 // sizing an allocation: a 44-byte file whose checksum is valid but whose
 // attempt count is 0xFFFFFFF0 used to make a slice of that capacity and
 // kill the process. It must be rejected as corrupt, as must a completed
-// index outside the sweep.
+// index outside the sweep and every attempt record in badAttempts, which
+// used to decode into an out-of-range rung, a foreign action or a
+// negative count.
 func TestDecodeCheckpointBoundsCounts(t *testing.T) {
 	data := oneAttemptCountCheckpoint(1, 0, 0xFFFFFFF0)
 	if len(data) != 44 {
@@ -175,6 +209,20 @@ func TestDecodeCheckpointBoundsCounts(t *testing.T) {
 	}
 	if _, err := decodeCheckpoint(oneAttemptCountCheckpoint(1, 1, 0), shellReport); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("completed index 1 of 1 point: want ErrCheckpointCorrupt, got %v", err)
+	}
+	for _, ok := range []struct {
+		rung   uint32
+		action string
+	}{{0, "base"}, {0, "forced-nonconvergence"}, {1, "raise-max-iterations"}} {
+		if _, err := decodeCheckpoint(oneAttemptCheckpoint(ok.rung, ok.action, 1<<63-1, 1<<63-1), shellReport); err != nil {
+			t.Errorf("rung %d %q: well-formed attempt rejected: %v", ok.rung, ok.action, err)
+		}
+	}
+	for _, bad := range badAttempts {
+		data := oneAttemptCheckpoint(bad.rung, bad.action, bad.maxIter, bad.iter)
+		if _, err := decodeCheckpoint(data, shellReport); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: want ErrCheckpointCorrupt, got %v", bad.name, err)
+		}
 	}
 }
 
@@ -215,6 +263,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(encodeCheckpoint(tracedCheckpoint()))
 	enc := encodeCheckpoint(tracedCheckpoint())
 	f.Add(withChecksum(append([]byte("DPMCKPT2"), enc[len(ckMagic):len(enc)-8]...)))
+	f.Add(withChecksum(append([]byte("DPMCKPT3"), enc[len(ckMagic):len(enc)-8]...)))
+	for _, bad := range badAttempts {
+		f.Add(oneAttemptCheckpoint(bad.rung, bad.action, bad.maxIter, bad.iter))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 8 {
 			data = withChecksum(data[:len(data)-8])

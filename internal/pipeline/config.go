@@ -61,8 +61,8 @@ type Config struct {
 	// cancellation.
 	Ctx context.Context
 	// Solve is the base steady-state solver configuration the experiment
-	// drivers copy into their specs (the golden tests force a sweep mode
-	// through it). The session itself reads solver options from the Spec.
+	// drivers copy into their specs. The session itself reads solver
+	// options from the Spec.
 	Solve ctmc.SolveOptions
 	// Minimize is the compositional-minimization policy the experiment
 	// drivers copy into their specs (Spec.Minimize): lump each component

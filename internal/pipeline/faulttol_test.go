@@ -191,9 +191,7 @@ func TestPhase2SweepPanicAttribution(t *testing.T) {
 // function of the input — identical at every worker count and lane width.
 func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 	m, measures, points := rpcSweepFixture(t)
-	// Auto mode resolves the scheme per worker count; trace-identity needs
-	// a pinned sweep.
-	solve := ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, Escalation: ctmc.EscalateLadder}
+	solve := ctmc.SolveOptions{Escalation: ctmc.EscalateLadder}
 
 	baseline, err := sweep(m, measures, solve, pipeline.Config{}, points, nil)
 	if err != nil {
@@ -246,7 +244,7 @@ func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 	// error attributed to point 2 — never silently succeed.
 	plan := faultinject.NewPlan().Arm(faultinject.SiteSweepNonconverge, 2)
 	faultinject.Activate(plan)
-	_, err = sweep(m, measures, ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel}, pipeline.Config{}, points, nil)
+	_, err = sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{}, points, nil)
 	faultinject.Deactivate()
 	if err == nil {
 		t.Fatal("forced non-convergence vanished without the ladder")
@@ -258,13 +256,13 @@ func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 }
 
 // TestPhase2SweepEscalationTraceMatchesTraced pins the sweep's attempt
-// records to ctmc.SteadyStateTraced's: with a budget too small for any
-// point, every escalated report carries exactly the trace a cold
-// SteadyStateTraced returns for the same chain and point — base attempt
-// included, its multilevel cycle count too — at lane widths 1 and 8.
+// records to ctmc.SteadyStateTraced's: with a base budget too small for
+// any point and a raised one large enough for all, every escalated report
+// carries exactly the trace a cold SteadyStateTraced returns for the same
+// chain and point — base attempt included — at lane widths 1 and 8.
 func TestPhase2SweepEscalationTraceMatchesTraced(t *testing.T) {
 	m, measures, points := rpcSweepFixture(t)
-	solve := ctmc.SolveOptions{Sweep: ctmc.SweepMultilevel, MaxIterations: 20, Escalation: ctmc.EscalateLadder}
+	solve := ctmc.SolveOptions{MaxIterations: 50, Escalation: ctmc.EscalateLadder}
 	chain := privateChain(t, m)
 	want := make([]*ctmc.SolveTrace, len(points))
 	for i, p := range points {
@@ -279,8 +277,10 @@ func TestPhase2SweepEscalationTraceMatchesTraced(t *testing.T) {
 			want[i] = trace
 		}
 	}
-	if want[0] == nil || want[0].Attempts[0].Cycles == 0 {
-		t.Fatalf("fixture does not escalate point 0 from a multilevel base attempt: %+v", want[0])
+	for i, w := range want {
+		if w == nil || w.Attempts[0].Iterations != 50 || !w.Attempts[1].Converged {
+			t.Fatalf("fixture does not escalate point %d from an exhausted base attempt: %+v", i, w)
+		}
 	}
 	for _, lanes := range []int{1, 8} {
 		reps, err := sweep(m, measures, solve, pipeline.Config{LaneWidth: lanes}, points, nil)

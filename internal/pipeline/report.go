@@ -24,13 +24,12 @@ type Phase2Report struct {
 	// States, Tangible and Vanishing size the state space and the chain.
 	States, Tangible, Vanishing int
 	// Trace records the solver's attempt history for this point: the base
-	// attempt's resolved scheme, iterations/cycles, and residual, plus
-	// every escalation rung when the sweep ran with ctmc.EscalateLadder
-	// and the base configuration did not converge. Sweep-point reports
-	// carry a trace only for escalated points (nil when the base attempt
-	// sufficed); Phase2 reports always carry the base attempt, so the
-	// scheme an auto solve actually ran — including a stall-probe upgrade
-	// to multilevel — is observable (dpmassess solve -stats prints it).
+	// attempt's iterations and residual, plus the escalation retry when
+	// the sweep ran with ctmc.EscalateLadder and the base configuration
+	// did not converge. Sweep-point reports carry a trace only for
+	// escalated points (nil when the base attempt sufficed); Phase2
+	// reports always carry the base attempt, so a solve's iteration count
+	// is observable (dpmassess solve -stats prints it).
 	Trace *ctmc.SolveTrace
 }
 

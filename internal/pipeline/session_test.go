@@ -239,10 +239,16 @@ func TestSpecHashIgnoresScheduling(t *testing.T) {
 		t.Fatalf("generation predicates did not change the spec hash")
 	}
 
-	ml := base
-	ml.Solve.Sweep = ctmc.SweepMultilevel
-	if base.Hash() == ml.Hash() {
-		t.Fatalf("multilevel sweep mode did not change the spec hash")
+	budget := base
+	budget.Solve.MaxIterations = 1000
+	if base.Hash() == budget.Hash() {
+		t.Fatalf("solver iteration budget did not change the spec hash")
+	}
+
+	ladder := base
+	ladder.Solve.Escalation = ctmc.EscalateLadder
+	if base.Hash() == ladder.Hash() {
+		t.Fatalf("escalation policy did not change the spec hash")
 	}
 }
 

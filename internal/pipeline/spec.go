@@ -59,8 +59,7 @@ type Spec struct {
 	Minimize bool
 	// Solve tunes the steady-state solver. Ctx only cancels and falls
 	// back to the session Config; every other field (Tolerance,
-	// MaxIterations, Sweep, Escalation) affects the result and is
-	// hashed. The solver has no worker count, so a spec's
+	// MaxIterations, Escalation) affects the result and is hashed. The solver has no worker count, so a spec's
 	// results are the same at every Config.Workers.
 	Solve ctmc.SolveOptions
 }
@@ -110,7 +109,6 @@ func (s Spec) Hash() SpecHash {
 	// Solver: the result-affecting fields only.
 	hF64(h, s.Solve.Tolerance)
 	hU64(h, uint64(s.Solve.MaxIterations))
-	hU64(h, uint64(s.Solve.Sweep))
 	hU64(h, uint64(s.Solve.Escalation))
 	return SpecHash(hex.EncodeToString(h.Sum(nil)))
 }

@@ -257,7 +257,7 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 			if rerr != nil {
 				return nil, rerr
 			}
-			err = &ctmc.ConvergenceError{Residual: 1, Tolerance: resolved.Tolerance, Sweep: resolved.Sweep, Point: -1}
+			err = &ctmc.ConvergenceError{Residual: 1, Tolerance: resolved.Tolerance, Point: -1}
 			action = "forced-nonconvergence"
 		}
 		var trace *ctmc.SolveTrace

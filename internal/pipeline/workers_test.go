@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/aemilia"
-	"repro/internal/ctmc"
 	"repro/internal/models"
 	"repro/internal/pipeline"
 )
 
 // TestSolverBitsIndependentOfWorkers pins the promise behind SpecHash
 // excluding Config.Workers: on the compose-minimized 12×12 streaming
-// model (3198 tangible states under SweepAuto) the spec hash, the Phase2
+// model (3198 tangible states) the spec hash, the Phase2
 // values and a batched three-point sweep are bit-identical at one and two
 // workers. A Manager or Store shared across worker counts serves whichever
 // bits it computed first, so any scheduling dependence in the solver
@@ -26,7 +25,6 @@ func TestSolverBitsIndependentOfWorkers(t *testing.T) {
 		Build:    func() (*aemilia.ArchiType, error) { return models.BuildStreaming(p) },
 		Measures: models.StreamingMeasures(p),
 		Minimize: true,
-		Solve:    ctmc.SolveOptions{Sweep: ctmc.SweepAuto},
 	}
 	points := [][]float64{{1.0 / 25}, {1.0 / 200}, {1.0 / 800}}
 

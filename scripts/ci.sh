@@ -38,9 +38,10 @@ go test -timeout 10m ./...
 echo "== go test -race =="
 go test -timeout 10m -race ./...
 
-# Fault-injection smoke under the race detector at -cpu 1,2: one injected
-# worker panic and one injected non-convergence per sweep mode (the
-# TestFaultInjection* properties in internal/ctmc and the session sweep's
+# Fault-injection smoke under the race detector at -cpu 1,2: injected
+# worker panics, injected non-convergence with its escalation retry, and
+# cancellation at an exact iteration (the TestEscalation* and
+# TestSolveCancelAtIteration properties in internal/ctmc and the session sweep's
 # TestPhase2Sweep*Panic*/Escalat*/Cancel*/Checkpoint* and
 # TestCheckpointResumeRejects properties in internal/pipeline), on both
 # the degenerate and a two-core schedule. The recovery paths — panic capture, lowest-index attribution,
@@ -62,18 +63,6 @@ go test -timeout 10m -race -cpu 1,2 \
 echo "== session race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
     -run 'SessionSingleFlight|ManagerReuses|StoreHit' ./internal/pipeline/
-
-# Multilevel solver smoke under the race detector at -cpu 1,2: the
-# aggregation/disaggregation cycle, its stalled-decay auto-selection, the
-# worker/lane bit-identity properties, the coarse-solve fault-injection
-# site, and cancellation mid-cycle (the TestMultilevel* properties in
-# internal/ctmc), on both the degenerate and a two-core schedule. The
-# fault-injection smoke above already hits the Panic/Cancel subset; this
-# run adds the convergence and identity properties under -race, where a
-# data race between the shared coarse-plan cache (solvePlan.coarseOnce)
-# and concurrent lane solves would surface.
-echo "== multilevel race smoke (-cpu 1,2) =="
-go test -timeout 10m -race -cpu 1,2 -run 'Multilevel' ./internal/ctmc/
 
 # Compositional-minimization smoke under the race detector at -cpu 1,2:
 # the quotient-vs-full properties — component lumping is deterministic
@@ -119,16 +108,13 @@ go test -timeout 10m -short -run '^$' -bench . -benchtime 1x ./...
 # Only the Batched variants of the BatchSolve benches run here: the
 # per-point variants exercise the solo solver, which the SteadyState
 # patterns already race-test, so rerunning them would only add race-
-# instrumented minutes without new coverage. Of the Multilevel benches,
-# only the multilevel-scheme ε pair runs: the Gauss-Seidel reference
-# sides grind for tens of thousands of race-instrumented sweeps to
-# measure work the timing modes already report. Of the Compose
+# instrumented minutes without new coverage. Of the Compose
 # benches, the default-size rpc/streaming pairs run and the 10×-buffer
 # pair stays out — race-instrumenting a multi-minute full-product
 # generation would dominate the job for a path the default sizes already
 # cover.
 echo "== bench race smoke (-cpu 1,2) =="
-scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|SweepReuse|BatchSolve(RPC|Streaming)Batched|MultilevelEps(Multilevel|BatchedMultilevel)|Compose(RPC|Streaming)(Full|Minimized)$'
+scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|SweepReuse|BatchSolve(RPC|Streaming)Batched|Compose(RPC|Streaming)(Full|Minimized)$'
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing per target on top of
 # the seed corpora that plain `go test` replays — the Æmilia parser and
