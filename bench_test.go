@@ -163,7 +163,8 @@ func BenchmarkLTSGeneration(b *testing.B) {
 // BenchmarkGenerate measures allocation behaviour of explicit state-space
 // generation on the full-size Markovian streaming model: the interned
 // state-space representation is judged by B/op and allocs/op here
-// (results/BENCH_statespace.json records the before/after numbers).
+// (results/BENCH_statespace.json is a frozen record of the original CSR
+// refactor, not of the current code).
 func BenchmarkGenerate(b *testing.B) {
 	p := models.DefaultStreamingParams()
 	a, err := models.BuildStreaming(p)

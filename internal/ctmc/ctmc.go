@@ -13,10 +13,11 @@
 package ctmc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/lts"
@@ -152,34 +153,40 @@ func (e *RebindError) Unwrap() error {
 }
 
 // Build extracts the CTMC from a rated LTS.
+//
+// Every per-state accumulation — absorption distributions, generator
+// rows and their Rebind term lists — runs on dense stamped accumulators
+// over state indices, and every per-state list is carved from one slab,
+// so a build allocates O(1) slices however many states the chain has.
 func Build(l *lts.LTS) (*CTMC, error) {
 	n := l.NumStates
 	c := &CTMC{l: l, plan: &solvePlan{}}
 
 	// Classify states.
 	isVanishing := make([]bool, n)
+	numVanishing := 0
 	for s := 0; s < n; s++ {
 		sp := l.Out(s)
 		for k := 0; k < sp.Len(); k++ {
 			if sp.Rate[k].Kind == rates.Immediate {
 				isVanishing[s] = true
+				numVanishing++
 				break
 			}
 		}
 	}
 
-	// Immediate branch structure per vanishing state.
+	// Immediate branch structure per vanishing state: state s's branches
+	// are brSlab[brOff[s]:brOff[s+1]].
 	c.vanPos = make([]int, n)
-	for i := range c.vanPos {
-		c.vanPos[i] = -1
-	}
-	branchesOf := make([][]branch, n)
-	numVanishing := 0
+	brOff := make([]int32, n+1)
+	var brSlab []branch
 	for s := 0; s < n; s++ {
+		c.vanPos[s] = -1
+		brOff[s] = int32(len(brSlab))
 		if !isVanishing[s] {
 			continue
 		}
-		numVanishing++
 		sp := l.Out(s)
 		maxPrio := math.MinInt32
 		for k := 0; k < sp.Len(); k++ {
@@ -187,46 +194,46 @@ func Build(l *lts.LTS) (*CTMC, error) {
 				maxPrio = r.Priority
 			}
 		}
-		var brs []branch
 		total := 0.0
 		base := l.EdgeBase(s)
 		for k := 0; k < sp.Len(); k++ {
 			if r := sp.Rate[k]; r.Kind == rates.Immediate && r.Priority == maxPrio {
-				brs = append(brs, branch{dst: int(sp.Dst[k]), prob: r.Weight, ltsTrans: base + k})
+				brSlab = append(brSlab, branch{dst: int(sp.Dst[k]), prob: r.Weight, ltsTrans: base + k})
 				total += r.Weight
 			}
 		}
-		for i := range brs {
-			brs[i].prob /= total
+		for i := brOff[s]; i < int32(len(brSlab)); i++ {
+			brSlab[i].prob /= total
 		}
-		branchesOf[s] = brs
 	}
+	brOff[n] = int32(len(brSlab))
+	branchesOf := func(s int) []branch { return brSlab[brOff[s]:brOff[s+1]:brOff[s+1]] }
 
 	// Topological order of the vanishing subgraph (Kahn); a leftover node
 	// means a timeless trap. All scans run in ascending state order so the
 	// elimination order — and with it every floating-point accumulation
 	// downstream — is the same on every run.
-	indeg := make([]int, n)
-	for s := 0; s < n; s++ {
-		for _, b := range branchesOf[s] {
-			if isVanishing[b.dst] {
-				indeg[b.dst]++
-			}
+	indeg := make([]int32, n)
+	for _, b := range brSlab {
+		if isVanishing[b.dst] {
+			indeg[b.dst]++
 		}
 	}
-	var queue []int
+	queue := make([]int, 0, numVanishing)
 	for s := 0; s < n; s++ {
 		if isVanishing[s] && indeg[s] == 0 {
 			queue = append(queue, s)
 		}
 	}
+	c.vanishing = make([]int, 0, numVanishing)
+	c.branches = make([][]branch, 0, numVanishing)
 	for len(queue) > 0 {
 		s := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		c.vanPos[s] = len(c.vanishing)
 		c.vanishing = append(c.vanishing, s)
-		c.branches = append(c.branches, branchesOf[s])
-		for _, b := range branchesOf[s] {
+		c.branches = append(c.branches, branchesOf(s))
+		for _, b := range branchesOf(s) {
 			if isVanishing[b.dst] {
 				indeg[b.dst]--
 				if indeg[b.dst] == 0 {
@@ -240,27 +247,35 @@ func Build(l *lts.LTS) (*CTMC, error) {
 	}
 
 	// Absorption distributions of vanishing states over tangible states,
-	// in reverse topological order. Each distribution is kept as a slice
-	// sorted by target state, so later accumulations visit targets in a
-	// canonical order (map iteration would reorder the float sums from run
-	// to run and perturb the last bits of the steady-state solution).
-	absorb := make([][]absorbEntry, len(c.vanishing))
+	// in reverse topological order. Each distribution is sorted by target
+	// state, so later accumulations visit targets in a canonical order;
+	// each target's probability is summed in branch order.
+	absOff := make([]int32, 2*len(c.vanishing)) // position i: absSlab[absOff[2i]:absOff[2i+1]]
+	var absSlab []absorbEntry
+	absorb := func(i int) []absorbEntry { return absSlab[absOff[2*i]:absOff[2*i+1]] }
+	acc := newDenseAcc(n)
 	for i := len(c.vanishing) - 1; i >= 0; i-- {
-		dist := make(map[int]float64, 4)
+		acc.reset()
 		for _, b := range c.branches[i] {
 			if isVanishing[b.dst] {
-				for _, ae := range absorb[c.vanPos[b.dst]] {
-					dist[ae.tgt] += b.prob * ae.prob
+				for _, ae := range absorb(c.vanPos[b.dst]) {
+					acc.add(ae.tgt, b.prob*ae.prob)
 				}
 			} else {
-				dist[b.dst] += b.prob
+				acc.add(b.dst, b.prob)
 			}
 		}
-		absorb[i] = sortedAbsorb(dist)
+		slices.Sort(acc.touched)
+		absOff[2*i] = int32(len(absSlab))
+		for _, t := range acc.touched {
+			absSlab = append(absSlab, absorbEntry{tgt: int(t), prob: acc.sum[t]})
+		}
+		absOff[2*i+1] = int32(len(absSlab))
 	}
 
 	// Index tangible states.
 	c.ctmcIndex = make([]int, n)
+	c.TangibleOf = make([]int, 0, n-numVanishing)
 	for s := 0; s < n; s++ {
 		if isVanishing[s] {
 			c.ctmcIndex[s] = -1
@@ -274,23 +289,24 @@ func Build(l *lts.LTS) (*CTMC, error) {
 		return nil, ErrTimelessTrap
 	}
 
-	// Generator rows. When the LTS carries rate slots, the per-entry
-	// contribution terms are recorded alongside the accumulated values, in
-	// the exact accumulation order, so Rebind can replay the identical
-	// sequence of float additions with new slot values.
+	// Generator rows, accumulated per column in edge order. When the LTS
+	// carries rate slots, each contribution is also recorded as a term
+	// with its column, in the exact accumulation order, so Rebind can
+	// replay the identical sequence of float additions with new slot
+	// values.
 	c.numSlots = l.NumRateSlots()
 	parametric := c.numSlots > 0
-	var termsOf map[int][]rateTerm // per destination column, current state
+	var contrib []colTerm // the current row's terms, in accumulation order
 	if parametric {
 		c.termStart = append(c.termStart, 0)
 	}
-	c.Rows = make([][]Entry, c.N)
+	entries := make([]Entry, 0, l.NumTransitions())
+	rowOff := make([]int32, c.N+1)
 	c.Exit = make([]float64, c.N)
+	acc = newDenseAcc(c.N)
 	for ci, s := range c.TangibleOf {
-		acc := make(map[int]float64, 4)
-		if parametric {
-			termsOf = make(map[int][]rateTerm, 4)
-		}
+		acc.reset()
+		contrib = contrib[:0]
 		sp := l.Out(s)
 		base := l.EdgeBase(s)
 		for k := 0; k < sp.Len(); k++ {
@@ -305,18 +321,18 @@ func Build(l *lts.LTS) (*CTMC, error) {
 					c.expSlots = append(c.expSlots, int32(r.Slot))
 				}
 				if isVanishing[dst] {
-					for _, ae := range absorb[c.vanPos[dst]] {
+					for _, ae := range absorb(c.vanPos[dst]) {
 						col := c.ctmcIndex[ae.tgt]
-						acc[col] += r.Lambda * ae.prob
+						acc.add(col, r.Lambda*ae.prob)
 						if parametric {
-							termsOf[col] = append(termsOf[col], makeTerm(r, ae.prob))
+							contrib = append(contrib, colTerm{col: int32(col), term: makeTerm(r, ae.prob)})
 						}
 					}
 				} else {
 					col := c.ctmcIndex[dst]
-					acc[col] += r.Lambda
+					acc.add(col, r.Lambda)
 					if parametric {
-						termsOf[col] = append(termsOf[col], makeTerm(r, 1))
+						contrib = append(contrib, colTerm{col: int32(col), term: makeTerm(r, 1)})
 					}
 				}
 			case rates.Immediate:
@@ -326,37 +342,50 @@ func Build(l *lts.LTS) (*CTMC, error) {
 					ErrNotRated, s, l.LabelName(int(sp.Label[k])), r)
 			}
 		}
-		row := make([]Entry, 0, len(acc))
-		for col, rate := range acc {
-			if col == ci {
-				continue // self-loops do not affect the steady state
-			}
-			row = append(row, Entry{Col: col, Rate: rate})
-		}
 		// Canonical column order: the solver and the transient iteration sum
 		// row entries in sequence, so a stable order keeps results
 		// reproducible bit for bit (and the ascending access pattern is
-		// friendlier to the flattened Gauss-Seidel sweeps).
-		sort.Slice(row, func(a, b int) bool { return row[a].Col < row[b].Col })
-		for _, e := range row {
-			c.Exit[ci] += e.Rate
-		}
-		c.Rows[ci] = row
-		if parametric {
-			// Flatten the kept entries' term lists in the row's final
-			// (column-ascending) order. Self-loop terms are dropped with
-			// their entries.
-			for _, e := range row {
-				c.terms = append(c.terms, termsOf[e.Col]...)
-				c.termStart = append(c.termStart, int32(len(c.terms)))
+		// friendlier to the flattened Gauss-Seidel sweeps). Self-loops do
+		// not affect the steady state and are dropped.
+		slices.Sort(acc.touched)
+		rowOff[ci] = int32(len(entries))
+		for _, col := range acc.touched {
+			if int(col) != ci {
+				entries = append(entries, Entry{Col: int(col), Rate: acc.sum[col]})
 			}
 		}
+		for _, e := range entries[rowOff[ci]:] {
+			c.Exit[ci] += e.Rate
+		}
+		if parametric {
+			// Flatten the kept entries' term lists in the row's final
+			// (column-ascending) order; a stable sort keeps each column's
+			// terms in accumulation order. Self-loop terms are dropped with
+			// their entries.
+			slices.SortStableFunc(contrib, func(a, b colTerm) int { return cmp.Compare(a.col, b.col) })
+			for j := 0; j < len(contrib); {
+				col := contrib[j].col
+				for ; j < len(contrib) && contrib[j].col == col; j++ {
+					if int(col) != ci {
+						c.terms = append(c.terms, contrib[j].term)
+					}
+				}
+				if int(col) != ci {
+					c.termStart = append(c.termStart, int32(len(c.terms)))
+				}
+			}
+		}
+	}
+	rowOff[c.N] = int32(len(entries))
+	c.Rows = make([][]Entry, c.N)
+	for ci := range c.Rows {
+		c.Rows[ci] = entries[rowOff[ci]:rowOff[ci+1]:rowOff[ci+1]]
 	}
 
 	// Initial distribution.
 	c.Initial = make([]float64, c.N)
 	if isVanishing[l.Initial] {
-		for _, ae := range absorb[c.vanPos[l.Initial]] {
+		for _, ae := range absorb(c.vanPos[l.Initial]) {
 			c.Initial[c.ctmcIndex[ae.tgt]] += ae.prob
 		}
 	} else {
@@ -371,14 +400,39 @@ type absorbEntry struct {
 	prob float64
 }
 
-// sortedAbsorb converts an absorption map to a slice sorted by target.
-func sortedAbsorb(dist map[int]float64) []absorbEntry {
-	out := make([]absorbEntry, 0, len(dist))
-	for t, p := range dist {
-		out = append(out, absorbEntry{tgt: t, prob: p})
+// colTerm is one generator-row contribution term and its column.
+type colTerm struct {
+	col  int32
+	term rateTerm
+}
+
+// denseAcc sums float contributions by index. Each reset opens a new
+// stamp, so clearing costs nothing; touched lists the indices summed
+// since, in first-touch order, and each sum starts from zero and adds its
+// contributions in call order.
+type denseAcc struct {
+	sum     []float64
+	mark    []int32
+	stamp   int32
+	touched []int32
+}
+
+func newDenseAcc(n int) *denseAcc {
+	return &denseAcc{sum: make([]float64, n), mark: make([]int32, n)}
+}
+
+func (a *denseAcc) reset() {
+	a.stamp++
+	a.touched = a.touched[:0]
+}
+
+func (a *denseAcc) add(i int, v float64) {
+	if a.mark[i] != a.stamp {
+		a.mark[i] = a.stamp
+		a.sum[i] = 0
+		a.touched = append(a.touched, int32(i))
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].tgt < out[b].tgt })
-	return out
+	a.sum[i] += v
 }
 
 // makeTerm records one generator-entry contribution: an exponential rate
@@ -521,8 +575,15 @@ func (c *CTMC) Clone() *CTMC {
 		expSlots:   c.expSlots,
 		plan:       c.plan,
 	}
+	total := 0
+	for _, row := range c.Rows {
+		total += len(row)
+	}
+	entries := make([]Entry, 0, total)
 	for i, row := range c.Rows {
-		out.Rows[i] = append([]Entry(nil), row...)
+		lo := len(entries)
+		entries = append(entries, row...)
+		out.Rows[i] = entries[lo:len(entries):len(entries)]
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/lts"
@@ -211,4 +212,334 @@ func TestSteadyStateMatchesScalarReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceBuild is the map-based chain extraction Build replaced, kept
+// as its oracle: per-state maps accumulate absorption distributions, row
+// entries and Rebind term lists, and sort.Slice orders them. Build must
+// reproduce its every field bit for bit.
+func referenceBuild(l *lts.LTS) (*CTMC, error) {
+	n := l.NumStates
+	c := &CTMC{l: l, plan: &solvePlan{}}
+
+	// Classify states.
+	isVanishing := make([]bool, n)
+	for s := 0; s < n; s++ {
+		sp := l.Out(s)
+		for k := 0; k < sp.Len(); k++ {
+			if sp.Rate[k].Kind == rates.Immediate {
+				isVanishing[s] = true
+				break
+			}
+		}
+	}
+
+	// Immediate branch structure per vanishing state.
+	c.vanPos = make([]int, n)
+	for i := range c.vanPos {
+		c.vanPos[i] = -1
+	}
+	branchesOf := make([][]branch, n)
+	numVanishing := 0
+	for s := 0; s < n; s++ {
+		if !isVanishing[s] {
+			continue
+		}
+		numVanishing++
+		sp := l.Out(s)
+		maxPrio := math.MinInt32
+		for k := 0; k < sp.Len(); k++ {
+			if r := sp.Rate[k]; r.Kind == rates.Immediate && r.Priority > maxPrio {
+				maxPrio = r.Priority
+			}
+		}
+		var brs []branch
+		total := 0.0
+		base := l.EdgeBase(s)
+		for k := 0; k < sp.Len(); k++ {
+			if r := sp.Rate[k]; r.Kind == rates.Immediate && r.Priority == maxPrio {
+				brs = append(brs, branch{dst: int(sp.Dst[k]), prob: r.Weight, ltsTrans: base + k})
+				total += r.Weight
+			}
+		}
+		for i := range brs {
+			brs[i].prob /= total
+		}
+		branchesOf[s] = brs
+	}
+
+	// Topological order of the vanishing subgraph (Kahn); a leftover node
+	// means a timeless trap. All scans run in ascending state order so the
+	// elimination order — and with it every floating-point accumulation
+	// downstream — is the same on every run.
+	indeg := make([]int, n)
+	for s := 0; s < n; s++ {
+		for _, b := range branchesOf[s] {
+			if isVanishing[b.dst] {
+				indeg[b.dst]++
+			}
+		}
+	}
+	var queue []int
+	for s := 0; s < n; s++ {
+		if isVanishing[s] && indeg[s] == 0 {
+			queue = append(queue, s)
+		}
+	}
+	for len(queue) > 0 {
+		s := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		c.vanPos[s] = len(c.vanishing)
+		c.vanishing = append(c.vanishing, s)
+		c.branches = append(c.branches, branchesOf[s])
+		for _, b := range branchesOf[s] {
+			if isVanishing[b.dst] {
+				indeg[b.dst]--
+				if indeg[b.dst] == 0 {
+					queue = append(queue, b.dst)
+				}
+			}
+		}
+	}
+	if len(c.vanishing) != numVanishing {
+		return nil, ErrTimelessTrap
+	}
+
+	// Absorption distributions of vanishing states over tangible states,
+	// in reverse topological order. Each distribution is kept as a slice
+	// sorted by target state, so later accumulations visit targets in a
+	// canonical order (map iteration would reorder the float sums from run
+	// to run and perturb the last bits of the steady-state solution).
+	absorb := make([][]absorbEntry, len(c.vanishing))
+	for i := len(c.vanishing) - 1; i >= 0; i-- {
+		dist := make(map[int]float64, 4)
+		for _, b := range c.branches[i] {
+			if isVanishing[b.dst] {
+				for _, ae := range absorb[c.vanPos[b.dst]] {
+					dist[ae.tgt] += b.prob * ae.prob
+				}
+			} else {
+				dist[b.dst] += b.prob
+			}
+		}
+		absorb[i] = referenceSortedAbsorb(dist)
+	}
+
+	// Index tangible states.
+	c.ctmcIndex = make([]int, n)
+	for s := 0; s < n; s++ {
+		if isVanishing[s] {
+			c.ctmcIndex[s] = -1
+			continue
+		}
+		c.ctmcIndex[s] = len(c.TangibleOf)
+		c.TangibleOf = append(c.TangibleOf, s)
+	}
+	c.N = len(c.TangibleOf)
+	if c.N == 0 {
+		return nil, ErrTimelessTrap
+	}
+
+	// Generator rows. When the LTS carries rate slots, the per-entry
+	// contribution terms are recorded alongside the accumulated values, in
+	// the exact accumulation order, so Rebind can replay the identical
+	// sequence of float additions with new slot values.
+	c.numSlots = l.NumRateSlots()
+	parametric := c.numSlots > 0
+	var termsOf map[int][]rateTerm // per destination column, current state
+	if parametric {
+		c.termStart = append(c.termStart, 0)
+	}
+	c.Rows = make([][]Entry, c.N)
+	c.Exit = make([]float64, c.N)
+	for ci, s := range c.TangibleOf {
+		acc := make(map[int]float64, 4)
+		if parametric {
+			termsOf = make(map[int][]rateTerm, 4)
+		}
+		sp := l.Out(s)
+		base := l.EdgeBase(s)
+		for k := 0; k < sp.Len(); k++ {
+			r := sp.Rate[k]
+			dst := int(sp.Dst[k])
+			switch r.Kind {
+			case rates.Exp:
+				c.expEdges = append(c.expEdges, expEdge{
+					src: s, dst: dst, rate: r.Lambda, ltsTrans: base + k,
+				})
+				if parametric {
+					c.expSlots = append(c.expSlots, int32(r.Slot))
+				}
+				if isVanishing[dst] {
+					for _, ae := range absorb[c.vanPos[dst]] {
+						col := c.ctmcIndex[ae.tgt]
+						acc[col] += r.Lambda * ae.prob
+						if parametric {
+							termsOf[col] = append(termsOf[col], makeTerm(r, ae.prob))
+						}
+					}
+				} else {
+					col := c.ctmcIndex[dst]
+					acc[col] += r.Lambda
+					if parametric {
+						termsOf[col] = append(termsOf[col], makeTerm(r, 1))
+					}
+				}
+			case rates.Immediate:
+				// Impossible: s is tangible.
+			default:
+				return nil, fmt.Errorf("%w (state %d, label %q, rate %v)",
+					ErrNotRated, s, l.LabelName(int(sp.Label[k])), r)
+			}
+		}
+		row := make([]Entry, 0, len(acc))
+		for col, rate := range acc {
+			if col == ci {
+				continue // self-loops do not affect the steady state
+			}
+			row = append(row, Entry{Col: col, Rate: rate})
+		}
+		// Canonical column order: the solver and the transient iteration sum
+		// row entries in sequence, so a stable order keeps results
+		// reproducible bit for bit (and the ascending access pattern is
+		// friendlier to the flattened Gauss-Seidel sweeps).
+		sort.Slice(row, func(a, b int) bool { return row[a].Col < row[b].Col })
+		for _, e := range row {
+			c.Exit[ci] += e.Rate
+		}
+		c.Rows[ci] = row
+		if parametric {
+			// Flatten the kept entries' term lists in the row's final
+			// (column-ascending) order. Self-loop terms are dropped with
+			// their entries.
+			for _, e := range row {
+				c.terms = append(c.terms, termsOf[e.Col]...)
+				c.termStart = append(c.termStart, int32(len(c.terms)))
+			}
+		}
+	}
+
+	// Initial distribution.
+	c.Initial = make([]float64, c.N)
+	if isVanishing[l.Initial] {
+		for _, ae := range absorb[c.vanPos[l.Initial]] {
+			c.Initial[c.ctmcIndex[ae.tgt]] += ae.prob
+		}
+	} else {
+		c.Initial[c.ctmcIndex[l.Initial]] = 1
+	}
+	return c, nil
+}
+
+// referenceSortedAbsorb converts an absorption map to a slice sorted by
+// target.
+func referenceSortedAbsorb(dist map[int]float64) []absorbEntry {
+	out := make([]absorbEntry, 0, len(dist))
+	for t, p := range dist {
+		out = append(out, absorbEntry{tgt: t, prob: p})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].tgt < out[b].tgt })
+	return out
+}
+
+// BuildMatchesReferenceForTest builds l with Build and with
+// referenceBuild and reports the first field that differs: the rows,
+// exit rates, initial distribution, tangible indexing, exponential edges,
+// vanishing order, branches and Rebind terms, floats compared by bits.
+// Both builds failing with the same error is a match. A parametric chain
+// is compared again after both are rebound to the same slot values.
+func BuildMatchesReferenceForTest(l *lts.LTS) error {
+	got, gErr := Build(l)
+	want, wErr := referenceBuild(l)
+	if gErr != nil || wErr != nil {
+		if fmt.Sprint(gErr) != fmt.Sprint(wErr) {
+			return fmt.Errorf("error %v, reference %v", gErr, wErr)
+		}
+		return nil
+	}
+	if err := diffChains(got, want); err != nil {
+		return err
+	}
+	if want.numSlots == 0 {
+		return nil
+	}
+	values := make([]float64, want.numSlots)
+	for k := range values {
+		values[k] = 0.5 + 0.75*float64(k)
+	}
+	if err := got.Rebind(values); err != nil {
+		return err
+	}
+	if err := want.Rebind(values); err != nil {
+		return err
+	}
+	if err := diffChains(got, want); err != nil {
+		return fmt.Errorf("after Rebind: %w", err)
+	}
+	return nil
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// diffChains compares every structural and rate field of two chains.
+func diffChains(got, want *CTMC) error {
+	if got.N != want.N || len(got.Rows) != len(want.Rows) {
+		return fmt.Errorf("N %d (%d rows), reference %d (%d rows)", got.N, len(got.Rows), want.N, len(want.Rows))
+	}
+	for ci := range want.Rows {
+		g, w := got.Rows[ci], want.Rows[ci]
+		if len(g) != len(w) {
+			return fmt.Errorf("row %d: %d entries, reference %d", ci, len(g), len(w))
+		}
+		for j := range w {
+			if g[j].Col != w[j].Col || !sameBits(g[j].Rate, w[j].Rate) {
+				return fmt.Errorf("row %d entry %d: %+v, reference %+v", ci, j, g[j], w[j])
+			}
+		}
+		if !sameBits(got.Exit[ci], want.Exit[ci]) {
+			return fmt.Errorf("exit %d: %v, reference %v", ci, got.Exit[ci], want.Exit[ci])
+		}
+		if !sameBits(got.Initial[ci], want.Initial[ci]) {
+			return fmt.Errorf("initial %d: %v, reference %v", ci, got.Initial[ci], want.Initial[ci])
+		}
+	}
+	if fmt.Sprint(got.TangibleOf, got.ctmcIndex, got.vanishing, got.vanPos) !=
+		fmt.Sprint(want.TangibleOf, want.ctmcIndex, want.vanishing, want.vanPos) {
+		return fmt.Errorf("tangible or vanishing indexing differs")
+	}
+	if len(got.expEdges) != len(want.expEdges) {
+		return fmt.Errorf("%d exponential edges, reference %d", len(got.expEdges), len(want.expEdges))
+	}
+	for i, w := range want.expEdges {
+		g := got.expEdges[i]
+		if g.src != w.src || g.dst != w.dst || g.ltsTrans != w.ltsTrans || !sameBits(g.rate, w.rate) {
+			return fmt.Errorf("exponential edge %d: %+v, reference %+v", i, g, w)
+		}
+	}
+	if len(got.branches) != len(want.branches) {
+		return fmt.Errorf("%d branch lists, reference %d", len(got.branches), len(want.branches))
+	}
+	for i, wb := range want.branches {
+		gb := got.branches[i]
+		if len(gb) != len(wb) {
+			return fmt.Errorf("vanishing %d: %d branches, reference %d", i, len(gb), len(wb))
+		}
+		for k := range wb {
+			if gb[k].dst != wb[k].dst || gb[k].ltsTrans != wb[k].ltsTrans || !sameBits(gb[k].prob, wb[k].prob) {
+				return fmt.Errorf("vanishing %d branch %d: %+v, reference %+v", i, k, gb[k], wb[k])
+			}
+		}
+	}
+	if got.numSlots != want.numSlots || fmt.Sprint(got.termStart, got.expSlots) != fmt.Sprint(want.termStart, want.expSlots) {
+		return fmt.Errorf("slots %d, reference %d, or term offsets differ", got.numSlots, want.numSlots)
+	}
+	if len(got.terms) != len(want.terms) {
+		return fmt.Errorf("%d rate terms, reference %d", len(got.terms), len(want.terms))
+	}
+	for i, w := range want.terms {
+		if g := got.terms[i]; g.slot != w.slot || !sameBits(g.coeff, w.coeff) {
+			return fmt.Errorf("rate term %d: %+v, reference %+v", i, g, w)
+		}
+	}
+	return nil
 }

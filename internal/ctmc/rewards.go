@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/fault"
+	"repro/internal/lts"
 )
 
 // StateReward computes the steady-state expectation of a state reward
@@ -29,11 +30,13 @@ func (c *CTMC) StateReward(pi []float64, reward func(ltsState int) float64) floa
 // are accounted for through the reward attributions it left on the
 // redirected edges: a folded label fires at the edge's frequency times its
 // recorded expected traversal count, so the result matches the unfolded
-// system.
+// system. match and weight are asked once per label, not once per edge.
 func (c *CTMC) Throughput(pi []float64, match func(label string) bool, weight func(label string) float64) float64 {
 	if weight == nil {
 		weight = func(string) float64 { return 1 }
 	}
+	lw := labelWeights{l: c.l, match: match, weight: weight,
+		sel: make([]int8, c.l.NumLabels()), w: make([]float64, c.l.NumLabels())}
 	total := 0.0
 
 	// foldedAt adds the attributed frequencies of labels folded into the
@@ -45,9 +48,8 @@ func (c *CTMC) Throughput(pi []float64, match func(label string) bool, weight fu
 		}
 		labels, counts := c.l.AuxTerms(a)
 		for i, li := range labels {
-			label := c.l.LabelName(int(li))
-			if match(label) {
-				total += fire * counts[i] * weight(label)
+			if w, ok := lw.of(int(li)); ok {
+				total += fire * counts[i] * w
 			}
 		}
 	}
@@ -60,9 +62,8 @@ func (c *CTMC) Throughput(pi []float64, match func(label string) bool, weight fu
 		if p == 0 {
 			continue
 		}
-		label := c.l.LabelName(c.l.EdgeLabel(e.ltsTrans))
-		if match(label) {
-			total += p * e.rate * weight(label)
+		if w, ok := lw.of(c.l.EdgeLabel(e.ltsTrans)); ok {
+			total += p * e.rate * w
 		}
 		foldedAt(e.ltsTrans, p*e.rate)
 		if vp := c.vanPos[e.dst]; vp >= 0 {
@@ -77,9 +78,8 @@ func (c *CTMC) Throughput(pi []float64, match func(label string) bool, weight fu
 		}
 		for _, b := range c.branches[i] {
 			fire := entry[i] * b.prob
-			label := c.l.LabelName(c.l.EdgeLabel(b.ltsTrans))
-			if match(label) {
-				total += fire * weight(label)
+			if w, ok := lw.of(c.l.EdgeLabel(b.ltsTrans)); ok {
+				total += fire * w
 			}
 			foldedAt(b.ltsTrans, fire)
 			if vp := c.vanPos[b.dst]; vp >= 0 {
@@ -88,6 +88,27 @@ func (c *CTMC) Throughput(pi []float64, match func(label string) bool, weight fu
 		}
 	}
 	return total
+}
+
+// labelWeights resolves a match/weight pair lazily, once per label index.
+type labelWeights struct {
+	l      *lts.LTS
+	match  func(string) bool
+	weight func(string) float64
+	sel    []int8 // 0 unresolved, 1 selected, -1 not
+	w      []float64
+}
+
+// of returns the weight of label index li and whether match selects it.
+func (lw *labelWeights) of(li int) (float64, bool) {
+	if lw.sel[li] == 0 {
+		lw.sel[li] = -1
+		if name := lw.l.LabelName(li); lw.match(name) {
+			lw.sel[li] = 1
+			lw.w[li] = lw.weight(name)
+		}
+	}
+	return lw.w[li], lw.sel[li] > 0
 }
 
 // ProbLocallyEnabled computes the steady-state probability of the LTS

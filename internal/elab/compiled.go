@@ -1,7 +1,6 @@
 package elab
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/aemilia"
@@ -230,15 +229,6 @@ func (c *Compiled) NumLabels() int { return len(c.labels) }
 
 // Label returns the label string of a compiled label id.
 func (c *Compiled) Label(id int32) string { return c.labels[id] }
-
-// AppendTupleKey appends the interning key of a state tuple — its local
-// ids as little-endian uint32s — to dst and returns the extended slice.
-func AppendTupleKey(dst []byte, t []uint32) []byte {
-	for _, id := range t {
-		dst = binary.LittleEndian.AppendUint32(dst, id)
-	}
-	return dst
-}
 
 // intern returns the local id of instance i's configuration lc.
 func (c *Compiled) intern(i int, lc LocalConfig) uint32 {

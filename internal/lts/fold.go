@@ -1,11 +1,13 @@
 package lts
 
 import (
+	"cmp"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/elab"
 	"repro/internal/rates"
+	"repro/internal/statespace"
 )
 
 // This file implements vanishing-state folding: the generation-time
@@ -47,14 +49,20 @@ import (
 //     too).
 //
 // Expansion is a pure function of the model and the successor state, and
-// works on the same compiled tuples as the unfolded generator: the memo
-// keys on tuple bytes, so a vanishing state is expanded once per
-// generation however many transitions reach it.
+// works on the same compiled tuples as the unfolded generator. Every
+// tuple an expansion reaches gets a dense id in the memo's TupleTable, and
+// all expansion state lives in flat pools indexed by those ids: a verdict
+// per id, absorption terms and their attributions carved from shared
+// slabs, successor lists and pending branches on explicit stacks. A
+// vanishing state is expanded once per generation however many
+// transitions reach it, and since the pools only grow by doubling,
+// folding makes no allocation per state.
 
-// auxTerm is one observed-label attribution accumulated during expansion,
-// keyed by label name until the generator interns it.
+// auxTerm is one observed-label attribution of a folded transition,
+// keyed by the label's name-unique compiled id (foldCtx.canon) until the
+// generator maps it to an LTS symbol.
 type auxTerm struct {
-	label string
+	label int32
 	count float64
 }
 
@@ -64,32 +72,77 @@ type genTransition struct {
 	label int32 // compiled label id
 	rate  rates.Rate
 	next  []uint32
-	aux   []auxTerm // sorted by label; nil when no attribution
+	aux   []auxTerm // sorted by label name; nil when no attribution
 }
 
-// foldTerm is one absorption target of an expanded vanishing state.
-type foldTerm struct {
-	key     string // tuple bytes
-	state   []uint32
-	prob    float64
-	auxLab  []string  // sorted observed labels traversed on the way
-	auxFlow []float64 // parallel: Σ path-probability · traversals
-}
+// Verdict states of a memo id.
+const (
+	// foldOpen: not expanded, or reached past MaxDepth (kept, and left
+	// open because a shallower visit may still fold it).
+	foldOpen uint8 = iota
+	// foldOnPath: being expanded; a visit now closes an immediate cycle
+	// and keeps the state.
+	foldOnPath
+	// foldKeep: tangible or unfoldable; the state itself is kept.
+	foldKeep
+	// foldTerms: vanishing; terms[lo:hi] is its absorption distribution.
+	foldTerms
+)
 
-// foldEntry is the memoized expansion verdict for one state.
-type foldEntry struct {
-	// terms is the absorption distribution over kept states; nil means the
-	// state itself is kept (tangible or unfoldable).
-	terms []foldTerm
+// foldVerdict is the memoized expansion result of one memo id.
+type foldVerdict struct {
+	lo, hi int32
+	state  uint8
 	// linear reports that the expansion never branched: every probability
 	// is exactly 1, so slotted rates fold losslessly.
 	linear bool
 }
 
-var keepEntry = &foldEntry{}
+// foldTerm is one absorption target of an expanded vanishing state.
+type foldTerm struct {
+	state uint32 // memo id of the kept target
+	prob  float64
+	// aux[auxLo:auxHi] are the observed labels traversed on the way,
+	// sorted by name.
+	auxLo, auxHi int32
+}
 
-// foldMemoLimit bounds the expansion memo; past it the memo is reset (a
-// pure speed/memory trade-off — verdicts are recomputed, never changed).
+// auxFlow is one label's attributed flow: Σ path-probability ·
+// traversals of the label on the way to a term.
+type auxFlow struct {
+	label int32
+	flow  float64
+}
+
+// auxAcc accumulates the flow of one (term, label) pair during an
+// expansion.
+type auxAcc struct {
+	term  int32
+	label int32
+	flow  float64
+}
+
+// foldBranch is one maximal-priority immediate branch of the state being
+// expanded.
+type foldBranch struct {
+	label int32   // compiled label id
+	p     float64 // branch probability
+	off   int32   // target tuple at next[off : off+n]
+	child uint32  // memo id of the target
+	// folded reports the target's own expansion folded (foldTerms).
+	folded bool
+}
+
+// termMark is addTerm's stamp: at is the term index of a memo id in the
+// expansion stamped stamp.
+type termMark struct {
+	stamp uint32
+	at    int32
+}
+
+// foldMemoLimit bounds the expansion memo; past it the memo is reset
+// before the next source state (a pure speed/memory trade-off — verdicts
+// are recomputed, never changed).
 const foldMemoLimit = 1 << 21
 
 // foldCtx is one generation's folding state.
@@ -99,12 +152,28 @@ type foldCtx struct {
 	observed []int8 // by compiled label id: 0 unknown, 1 observed, -1 not
 	match    func(string) bool
 	maxDepth int
-	memo     map[string]*foldEntry
-	onPath   map[string]bool
-	keyBuf   []byte
-	succ     []elab.Succ
-	next     []uint32
-	out      []genTransition
+	// canon maps a compiled label id to the least id of the same name
+	// (Compiled.label does not dedup names); rank orders canonical ids by
+	// name.
+	canon, rank []int32
+
+	memo      *statespace.TupleTable
+	memoLimit int
+	verdicts  []foldVerdict // by memo id
+	terms     []foldTerm
+	aux       []auxFlow
+	marks     []termMark // by memo id
+	stamp     uint32
+
+	// Stacks shared by nested expansions: each expansion pushes above its
+	// caller's region and truncates back before returning.
+	succ []elab.Succ
+	next []uint32
+	br   []foldBranch
+
+	acc    []auxAcc
+	out    []genTransition
+	auxOut []auxTerm
 }
 
 func newFoldCtx(c *elab.Compiled, opts *FoldOptions) *foldCtx {
@@ -116,14 +185,34 @@ func newFoldCtx(c *elab.Compiled, opts *FoldOptions) *foldCtx {
 	if match == nil {
 		match = func(string) bool { return false }
 	}
-	return &foldCtx{
-		c:        c,
-		n:        c.NumInstances(),
-		match:    match,
-		maxDepth: depth,
-		memo:     make(map[string]*foldEntry, 1024),
-		onPath:   make(map[string]bool, 16),
+	limit := opts.memoLimit
+	if limit <= 0 {
+		limit = foldMemoLimit
 	}
+	fc := &foldCtx{
+		c:         c,
+		n:         c.NumInstances(),
+		match:     match,
+		maxDepth:  depth,
+		memo:      statespace.NewTupleTable(c.NumInstances()),
+		memoLimit: limit,
+	}
+	order := make([]int32, c.NumLabels())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(c.Label(a), c.Label(b)) })
+	fc.canon = make([]int32, len(order))
+	fc.rank = make([]int32, len(order))
+	for k, id := range order {
+		if k > 0 && c.Label(id) == c.Label(order[k-1]) {
+			fc.canon[id] = fc.canon[order[k-1]]
+		} else {
+			fc.canon[id] = id
+		}
+		fc.rank[id] = int32(k)
+	}
+	return fc
 }
 
 // isObserved reports whether a compiled label is observed, asking the
@@ -141,40 +230,42 @@ func (fc *foldCtx) isObserved(id int32) bool {
 	return fc.observed[id] > 0
 }
 
-// lookup encodes tuple v into keyBuf and returns its memoized entry.
-func (fc *foldCtx) lookup(v []uint32) (*foldEntry, bool) {
-	fc.keyBuf = elab.AppendTupleKey(fc.keyBuf[:0], v)
-	e, ok := fc.memo[string(fc.keyBuf)]
-	return e, ok
-}
-
-func (fc *foldCtx) remember(key string, e *foldEntry) {
-	if len(fc.memo) >= foldMemoLimit {
-		fc.memo = make(map[string]*foldEntry, 1024)
-	}
-	fc.memo[key] = e
+// reset empties the memo and its pools. It runs only between top-level
+// expansions: ids are held on the stacks while an expansion recurses.
+func (fc *foldCtx) reset() {
+	fc.memo.Reset()
+	fc.verdicts = fc.verdicts[:0]
+	fc.terms = fc.terms[:0]
+	fc.aux = fc.aux[:0]
+	// Stale marks keep stamps below every future one.
 }
 
 // expandTarget computes the absorption distribution of tuple v, memoized
-// by its key. A nil-terms entry means "keep v".
-func (fc *foldCtx) expandTarget(v []uint32, depth int) (*foldEntry, error) {
-	if e, ok := fc.lookup(v); ok {
-		return e, nil
+// by its memo id, which it returns. Unless the id's verdict is foldTerms,
+// v is kept.
+func (fc *foldCtx) expandTarget(v []uint32, depth int) (uint32, error) {
+	id, fresh := fc.memo.Intern(v)
+	if fresh {
+		fc.verdicts = append(fc.verdicts, foldVerdict{})
 	}
-	key := string(fc.keyBuf)
-	if depth > fc.maxDepth {
-		return keepEntry, nil // do not memoize: verdict depends on depth
+	switch st := fc.verdicts[id].state; {
+	case st == foldKeep || st == foldTerms:
+		return id, nil
+	case depth > fc.maxDepth:
+		return id, nil // do not memoize: verdict depends on depth
+	case st == foldOnPath:
+		return id, nil // immediate cycle: keep (timeless trap upstream)
 	}
-	if fc.onPath[key] {
-		return keepEntry, nil // immediate cycle: keep (timeless trap upstream)
-	}
-	// Most targets are tangible, so successors go into reused slabs and
-	// are copied out only when v turns out to be vanishing.
-	succ, next, err := fc.c.Successors(v, fc.succ[:0], fc.next[:0])
+	// Successors are pushed on the shared stacks; the region is popped
+	// before returning, so most targets (tangible ones) cost no copy.
+	succBase, nextBase := len(fc.succ), len(fc.next)
+	succ, next, err := fc.c.Successors(fc.memo.Tuple(id), fc.succ, fc.next)
+	fc.succ, fc.next = succ[:succBase], next
 	if err != nil {
-		return nil, err
+		fc.next = next[:nextBase]
+		return 0, err
 	}
-	fc.succ, fc.next = succ, next
+	succ = succ[succBase:]
 	// Maximal-progress selection, mirroring ctmc.Build: the highest
 	// priority level among immediate moves wins; weights normalize the
 	// remaining choice.
@@ -187,120 +278,138 @@ func (fc *foldCtx) expandTarget(v []uint32, depth int) (*foldEntry, error) {
 			hasImm = true
 		}
 	}
-	if !hasImm {
-		fc.remember(key, keepEntry) // tangible
-		return keepEntry, nil
-	}
 	total := 0.0
 	for i := range succ {
 		if r := succ[i].Rate; r.Kind == rates.Immediate && r.Priority == maxPrio {
 			total += r.Weight
 		}
 	}
-	if !(total > 0) {
-		fc.memo[key] = keepEntry
-		return keepEntry, nil
+	if !hasImm || !(total > 0) {
+		fc.next = fc.next[:nextBase]
+		fc.verdicts[id].state = foldKeep
+		return id, nil
 	}
 
-	fc.onPath[key] = true
-	defer delete(fc.onPath, key)
-	// Nested expansions reuse the slabs; the terms keep target tuples.
-	succ, next = slices.Clone(succ), slices.Clone(next)
-
-	out := make([]foldTerm, 0, 2)
-	pos := make(map[string]int, 2)
-	// auxAcc accumulates label flows per output term index.
-	var auxAcc []map[string]float64
-	addFlow := func(ti int, label string, flow float64) {
-		for len(auxAcc) <= ti {
-			auxAcc = append(auxAcc, nil)
-		}
-		if auxAcc[ti] == nil {
-			auxAcc[ti] = make(map[string]float64, 2)
-		}
-		auxAcc[ti][label] += flow
-	}
-	addTerm := func(key string, st []uint32, p float64) int {
-		if ti, ok := pos[key]; ok {
-			out[ti].prob += p
-			return ti
-		}
-		ti := len(out)
-		pos[key] = ti
-		out = append(out, foldTerm{key: key, state: st, prob: p})
-		return ti
-	}
-
-	fired := 0
-	linear := true
+	fc.verdicts[id].state = foldOnPath
+	brBase := len(fc.br)
 	for i := range succ {
-		r := succ[i].Rate
-		if r.Kind != rates.Immediate || r.Priority != maxPrio {
-			continue
+		if r := succ[i].Rate; r.Kind == rates.Immediate && r.Priority == maxPrio {
+			fc.br = append(fc.br, foldBranch{
+				label: succ[i].Label,
+				p:     r.Weight / total,
+				off:   int32(nextBase + i*fc.n),
+			})
 		}
-		fired++
-		p := r.Weight / total
-		lab := fc.c.Label(succ[i].Label)
-		obsLab := fc.isObserved(succ[i].Label)
-		t := next[i*fc.n : (i+1)*fc.n : (i+1)*fc.n]
-		sub, err := fc.expandTarget(t, depth+1)
+	}
+	brEnd := len(fc.br)
+	// Expand every branch target first, so the accumulation below runs
+	// with no expansion in flight and can stamp terms by memo id.
+	for b := brBase; b < brEnd; b++ {
+		off := int(fc.br[b].off)
+		child, err := fc.expandTarget(fc.next[off:off+fc.n], depth+1)
 		if err != nil {
-			return nil, err
+			fc.next, fc.br = fc.next[:nextBase], fc.br[:brBase]
+			return 0, err
 		}
-		if sub.terms == nil {
-			ti := addTerm(string(elab.AppendTupleKey(fc.keyBuf[:0], t)), t, p)
-			if obsLab {
-				addFlow(ti, lab, p)
+		fc.br[b].child = child
+		fc.br[b].folded = fc.verdicts[child].state == foldTerms
+	}
+	fc.next = fc.next[:nextBase]
+
+	if n := fc.memo.Len(); len(fc.marks) < n {
+		fc.marks = slices.Grow(fc.marks, n-len(fc.marks))[:n]
+	}
+	if fc.stamp++; fc.stamp == 0 {
+		clear(fc.marks)
+		fc.stamp = 1
+	}
+	lo := int32(len(fc.terms))
+	fc.acc = fc.acc[:0]
+	linear := brEnd-brBase == 1
+	for b := brBase; b < brEnd; b++ {
+		br := fc.br[b]
+		obs := fc.isObserved(br.label)
+		lab := fc.canon[br.label]
+		if !br.folded {
+			ti := fc.addTerm(br.child, br.p)
+			if obs {
+				fc.addFlow(ti, lab, br.p)
 			}
 			continue
 		}
-		if !sub.linear {
+		cv := fc.verdicts[br.child]
+		if !cv.linear {
 			linear = false
 		}
-		for si := range sub.terms {
-			st := &sub.terms[si]
-			ti := addTerm(st.key, st.state, p*st.prob)
-			if obsLab {
-				addFlow(ti, lab, p*st.prob)
+		for k := cv.lo; k < cv.hi; k++ {
+			st := fc.terms[k]
+			ti := fc.addTerm(st.state, br.p*st.prob)
+			if obs {
+				fc.addFlow(ti, lab, br.p*st.prob)
 			}
-			for ai, al := range st.auxLab {
-				addFlow(ti, al, p*st.auxFlow[ai])
+			for a := st.auxLo; a < st.auxHi; a++ {
+				fc.addFlow(ti, fc.aux[a].label, br.p*fc.aux[a].flow)
 			}
 		}
 	}
-	if fired > 1 {
-		linear = false
+	fc.br = fc.br[:brBase]
+	// Canonicalize the per-term attributions: grouped by term, sorted by
+	// label name within a term.
+	slices.SortFunc(fc.acc, func(a, b auxAcc) int {
+		if a.term != b.term {
+			return cmp.Compare(a.term, b.term)
+		}
+		return cmp.Compare(fc.rank[a.label], fc.rank[b.label])
+	})
+	for i := 0; i < len(fc.acc); {
+		ti := fc.acc[i].term
+		t := &fc.terms[ti]
+		t.auxLo = int32(len(fc.aux))
+		for ; i < len(fc.acc) && fc.acc[i].term == ti; i++ {
+			fc.aux = append(fc.aux, auxFlow{label: fc.acc[i].label, flow: fc.acc[i].flow})
+		}
+		t.auxHi = int32(len(fc.aux))
 	}
-	// Canonicalize the per-term attributions (sorted by label).
-	for ti := range out {
-		acc := (map[string]float64)(nil)
-		if ti < len(auxAcc) {
-			acc = auxAcc[ti]
-		}
-		if len(acc) == 0 {
-			continue
-		}
-		labs := make([]string, 0, len(acc))
-		for l := range acc {
-			labs = append(labs, l)
-		}
-		sort.Strings(labs)
-		flows := make([]float64, len(labs))
-		for i, l := range labs {
-			flows[i] = acc[l]
-		}
-		out[ti].auxLab, out[ti].auxFlow = labs, flows
+	hi := int32(len(fc.terms))
+	fc.verdicts[id] = foldVerdict{lo: lo, hi: hi, state: foldTerms, linear: linear && hi-lo == 1}
+	return id, nil
+}
+
+// addTerm adds probability p of reaching kept memo id state to the
+// expansion being accumulated and returns the term's index.
+func (fc *foldCtx) addTerm(state uint32, p float64) int32 {
+	if m := &fc.marks[state]; m.stamp == fc.stamp {
+		fc.terms[m.at].prob += p
+		return m.at
 	}
-	e := &foldEntry{terms: out, linear: linear && len(out) == 1}
-	fc.remember(key, e)
-	return e, nil
+	ti := int32(len(fc.terms))
+	fc.marks[state] = termMark{stamp: fc.stamp, at: ti}
+	fc.terms = append(fc.terms, foldTerm{state: state, prob: p})
+	return ti
+}
+
+// addFlow adds flow to the attribution of a canonical label on term ti.
+// An expansion touches few (term, label) pairs, so a scan beats a table.
+func (fc *foldCtx) addFlow(ti, label int32, flow float64) {
+	for i := range fc.acc {
+		if a := &fc.acc[i]; a.term == ti && a.label == label {
+			a.flow += flow
+			return
+		}
+	}
+	fc.acc = append(fc.acc, auxAcc{term: ti, label: label, flow: flow})
 }
 
 // foldTransitions rewrites one source state's successor list (compiled
 // successors and their target tuples), folding every foldable vanishing
-// target. The returned slice is reused by the next call.
+// target. The returned transitions, their target tuples and attributions
+// are valid until the next call.
 func (fc *foldCtx) foldTransitions(succ []elab.Succ, next []uint32) ([]genTransition, error) {
+	if fc.memo.Len() >= fc.memoLimit {
+		fc.reset()
+	}
 	out := fc.out[:0]
+	fc.auxOut = fc.auxOut[:0]
 	for i := range succ {
 		r := succ[i].Rate
 		t := next[i*fc.n : (i+1)*fc.n : (i+1)*fc.n]
@@ -309,16 +418,17 @@ func (fc *foldCtx) foldTransitions(succ []elab.Succ, next []uint32) ([]genTransi
 			out = append(out, original)
 			continue
 		}
-		entry, err := fc.expandTarget(t, 0)
+		id, err := fc.expandTarget(t, 0)
 		if err != nil {
 			return nil, err
 		}
-		if entry.terms == nil || (r.Slot > 0 && !entry.linear) {
+		vd := fc.verdicts[id]
+		if vd.state != foldTerms || (r.Slot > 0 && !vd.linear) {
 			out = append(out, original)
 			continue
 		}
-		for ti := range entry.terms {
-			term := &entry.terms[ti]
+		for k := vd.lo; k < vd.hi; k++ {
+			term := fc.terms[k]
 			nr := r
 			switch r.Kind {
 			case rates.Exp:
@@ -327,13 +437,14 @@ func (fc *foldCtx) foldTransitions(succ []elab.Succ, next []uint32) ([]genTransi
 				nr.Weight *= term.prob
 			}
 			var aux []auxTerm
-			if len(term.auxLab) > 0 {
-				aux = make([]auxTerm, len(term.auxLab))
-				for ai, al := range term.auxLab {
-					aux[ai] = auxTerm{label: al, count: term.auxFlow[ai] / term.prob}
+			if term.auxHi > term.auxLo {
+				a0 := len(fc.auxOut)
+				for a := term.auxLo; a < term.auxHi; a++ {
+					fc.auxOut = append(fc.auxOut, auxTerm{label: fc.aux[a].label, count: fc.aux[a].flow / term.prob})
 				}
+				aux = fc.auxOut[a0:len(fc.auxOut):len(fc.auxOut)]
 			}
-			out = append(out, genTransition{label: succ[i].Label, rate: nr, next: term.state, aux: aux})
+			out = append(out, genTransition{label: succ[i].Label, rate: nr, next: fc.memo.Tuple(term.state), aux: aux})
 		}
 	}
 	fc.out = out

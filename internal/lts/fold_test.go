@@ -1,6 +1,7 @@
 package lts_test
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/ctmc"
 	"repro/internal/elab"
 	"repro/internal/lts"
+	"repro/internal/models"
 	"repro/internal/rates"
 )
 
@@ -297,5 +299,84 @@ func TestFoldParallelBitIdentity(t *testing.T) {
 				t.Fatalf("generation %d: edge %d aux handle %d, want %d", g, e, l.EdgeAux(e), ref.EdgeAux(e))
 			}
 		}
+	}
+}
+
+// foldedStreaming returns the minimized default-size streaming model and
+// its folding generation options, and the folded state count.
+func foldedStreaming(t *testing.T) (*elab.Model, lts.GenerateOptions, int) {
+	t.Helper()
+	p := models.DefaultStreamingParams()
+	ms := models.StreamingMeasures(p)
+	m := minimizedModel(streamingModel(p), ms)(t)
+	opts := foldedOpts(ms)(t)
+	l, err := lts.Generate(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, opts, l.NumStates
+}
+
+// TestFoldMaxStatesExactCount pins the intern-time MaxStates bound on a
+// folded generation: it aborts with exactly Limit kept states interned.
+func TestFoldMaxStatesExactCount(t *testing.T) {
+	m, opts, n := foldedStreaming(t)
+	opts.MaxStates = n / 2
+	_, err := lts.Generate(m, opts)
+	var tms *lts.TooManyStatesError
+	if !errors.As(err, &tms) {
+		t.Fatalf("want TooManyStatesError, got %v", err)
+	}
+	if tms.Limit != n/2 || tms.States != n/2 {
+		t.Fatalf("Limit=%d States=%d, want %d/%d", tms.Limit, tms.States, n/2, n/2)
+	}
+}
+
+// TestFoldMaxStatesExactFit checks a folded system of exactly MaxStates
+// kept states generates, although the unfolded system exceeds the bound:
+// states folded away are never interned, so they never count.
+func TestFoldMaxStatesExactFit(t *testing.T) {
+	m, opts, n := foldedStreaming(t)
+	opts.MaxStates = n
+	l, err := lts.Generate(m, opts)
+	if err != nil {
+		t.Fatalf("MaxStates == folded state count must succeed, got %v", err)
+	}
+	if l.NumStates != n {
+		t.Fatalf("NumStates = %d, want %d", l.NumStates, n)
+	}
+	opts.Fold = nil
+	var tms *lts.TooManyStatesError
+	if _, err := lts.Generate(m, opts); !errors.As(err, &tms) {
+		t.Fatalf("unfolded generation under MaxStates %d: want TooManyStatesError, got %v", n, err)
+	}
+}
+
+// TestFoldGenerateAllocsScale gates folded generation's allocations: the
+// state table, the fold memo and its pools grow by doubling slabs, never
+// by a per-state or per-expansion allocation, so generating the minimized
+// 12×12 streaming system allocates at most 1.5× what the 6×6 one does.
+func TestFoldGenerateAllocsScale(t *testing.T) {
+	var counts [2]float64
+	var states [2]int
+	for i, capacity := range []int64{6, 12} {
+		p := models.DefaultStreamingParams()
+		p.APCapacity, p.ClientCapacity = capacity, capacity
+		p.ParametricPeriod = true
+		ms := models.StreamingMeasures(p)
+		m := minimizedModel(streamingModel(p), ms)(t)
+		opts := foldedOpts(ms)(t)
+		counts[i] = testing.AllocsPerRun(3, func() {
+			l, err := lts.Generate(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states[i] = l.NumStates
+		})
+	}
+	t.Logf("%d states %.0f allocs, %d states %.0f allocs", states[0], counts[0], states[1], counts[1])
+	if counts[1] > 1.5*counts[0] {
+		t.Fatalf("folded Generate allocates %.0f times at 12×12 (%d states), over 1.5× the %.0f at 6×6 (%d states)",
+			counts[1], states[1], counts[0], states[0])
 	}
 }

@@ -58,6 +58,9 @@ type FoldOptions struct {
 	// cycles, which ctmc.Build rejects as timeless traps anyway) keep the
 	// intermediate state instead of folding it. 0 uses a default of 1024.
 	MaxDepth int
+
+	// memoLimit overrides foldMemoLimit (tests only; 0 = default).
+	memoLimit int
 }
 
 // DefaultMaxStates is the state-count bound of generation when
@@ -93,11 +96,12 @@ func GenerateCalls() int64 { return generateCalls.Load() }
 // Generate explores the reachable state space of an elaborated model and
 // returns it as an explicit LTS. The model is compiled first
 // (elab.Model.Compile): every instance's local configurations become
-// dense local ids with precomputed move tables, a global state is a
-// fixed-width tuple of local ids held in one flat slice, and the intern
-// table keys on the tuple bytes. Exploration is breadth-first and inline,
-// so state identifiers, the CSR edge order, label ids, predicate columns
-// and the attribution pool are pure functions of the model.
+// dense local ids with precomputed move tables, and a global state is a
+// fixed-width tuple of local ids interned in place by a
+// statespace.TupleTable, whose dense ids are the state identifiers.
+// Exploration is breadth-first and inline, so state identifiers, the CSR
+// edge order, label ids, predicate columns and the attribution pool are
+// pure functions of the model.
 func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 	generateCalls.Add(1)
 	maxStates := opts.MaxStates
@@ -112,24 +116,15 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		fc = newFoldCtx(c, opts.Fold)
 	}
 
-	in := statespace.NewInterner()
-	var tuples []uint32 // state s is tuples[s*n : (s+1)*n]
-	numStates := 0
-	keyBuf := make([]byte, 0, 4*n)
-
+	states := statespace.NewTupleTable(n)
 	intern := func(t []uint32) (uint32, error) {
-		keyBuf = elab.AppendTupleKey(keyBuf[:0], t)
-		id, fresh := in.Intern(keyBuf)
-		if fresh {
-			if numStates >= maxStates {
-				return 0, &TooManyStatesError{Limit: maxStates, States: numStates}
-			}
-			tuples = append(tuples, t...)
-			numStates++
+		id, fresh := states.Intern(t)
+		if fresh && states.Len() > maxStates {
+			return 0, &TooManyStatesError{Limit: maxStates, States: maxStates}
 		}
 		return id, nil
 	}
-	tuple := func(s int) []uint32 { return tuples[s*n : (s+1)*n : (s+1)*n] }
+	tuple := func(s int) []uint32 { return states.Tuple(uint32(s)) }
 
 	s0 := c.Initial()
 	succ, next, err := c.Successors(s0, nil, nil)
@@ -179,7 +174,7 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		auxSig = auxSig[:0]
 		auxLabs = auxLabs[:0]
 		for i := range terms {
-			li := int32(l.syms.Intern(terms[i].label))
+			li := symOf(terms[i].label)
 			auxLabs = append(auxLabs, li)
 			auxSig = binary.LittleEndian.AppendUint32(auxSig, uint32(li))
 			auxSig = binary.LittleEndian.AppendUint64(auxSig, math.Float64bits(terms[i].count))
@@ -242,7 +237,7 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		return nil
 	}
 
-	for level, levelStart := 0, 0; levelStart < numStates; level++ {
+	for level, levelStart := 0, 0; levelStart < states.Len(); level++ {
 		if err := fault.Check(opts.Ctx, "lts.generate", -1, level); err != nil {
 			return nil, err
 		}
@@ -250,7 +245,7 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		// model's term interpretation (or an injected fault keyed by the
 		// state's dense identifier) surfaces as an error naming the state
 		// being expanded instead of taking down the process.
-		levelEnd, qi := numStates, levelStart
+		levelEnd, qi := states.Len(), levelStart
 		err := fault.Guard("lts.generate", 0, "", func() error {
 			for ; qi < levelEnd; qi++ {
 				if err := expand(qi); err != nil {
@@ -268,14 +263,15 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		}
 		levelStart = levelEnd
 	}
+	numStates := states.Len()
 	l.NumStates = numStates
 	l.setCSR(rows.CSR())
 	if len(auxStart) > 1 {
 		l.setAuxPool(auxStart, auxLabel, auxCount)
 	}
 	// The tuples are the state table the finished system retains (for
-	// descriptions); the intern index is dropped with this frame.
-	l.SetMemBytes(4 * len(tuples))
+	// descriptions).
+	l.SetMemBytes(4 * numStates * n)
 
 	// Descriptions are lazy: a state's tuple is expanded into local
 	// configurations and rendered only when actually requested

@@ -203,14 +203,11 @@ type runner struct {
 	succ     []elab.Succ
 	succNext []uint32
 
-	// States are interned by their tuple bytes; state s is
-	// tuples[s*n:(s+1)*n] and recs[s] its record. State 0 is the initial
-	// state.
-	keys   *statespace.Interner
-	keyBuf []byte
-	n      int
-	tuples []uint32
-	recs   []stateRec
+	// States are interned by their tuples; state s is keys.Tuple(s) and
+	// recs[s] its record. State 0 is the initial state.
+	keys *statespace.TupleTable
+	n    int
+	recs []stateRec
 
 	// Per-transition arrays, indexed by transition number: the state id
 	// of its target (interned when its source state compiles) and its
@@ -377,7 +374,7 @@ func (p *plan) newRunner() *runner {
 	r := &runner{
 		plan:   p,
 		c:      c,
-		keys:   statespace.NewInterner(),
+		keys:   statespace.NewTupleTable(c.NumInstances()),
 		n:      c.NumInstances(),
 		clocks: make([]clock, len(p.acts)),
 	}
@@ -460,10 +457,8 @@ func (r *runner) runReplications(master *rng.Rand) ([][]float64, int64, error) {
 // visit returns the memo id of a state tuple, interning it (with a record
 // that is not ready) on first sight.
 func (r *runner) visit(t []uint32) int32 {
-	r.keyBuf = elab.AppendTupleKey(r.keyBuf[:0], t)
-	id, fresh := r.keys.Intern(r.keyBuf)
+	id, fresh := r.keys.Intern(t)
 	if fresh {
-		r.tuples = append(r.tuples, t...)
 		r.recs = append(r.recs, stateRec{})
 	}
 	return int32(id)
@@ -485,7 +480,7 @@ func (r *runner) transition(k int) int32 {
 // target interned. A runner whose compile failed is discarded with its
 // run.
 func (r *runner) compile(s int32) error {
-	src := r.tuples[int(s)*r.n : int(s+1)*r.n]
+	src := r.keys.Tuple(uint32(s))
 	var err error
 	r.succ, r.succNext, err = r.c.Successors(src, r.succ[:0], r.succNext[:0])
 	if err != nil {

@@ -68,9 +68,10 @@ go test -timeout 10m -race -cpu 1,2 \
 # the quotient-vs-full properties — component lumping is deterministic
 # and generation from the quotient is bit-identical across runs
 # (TestMinimize* in internal/compose), vanishing-state folding preserves
-# throughputs, attributions, and parametric slots and is bit-identical
-# when generations from one shared model run concurrently (TestFold* in
-# internal/lts), and the minimized experiment suite agrees with the full
+# throughputs, attributions, and parametric slots, is bit-identical
+# when generations from one shared model run concurrently, keeps the
+# MaxStates bound exact, is unchanged by fold-memo resets and allocates
+# independently of the state count (TestFold* in internal/lts), and the minimized experiment suite agrees with the full
 # path within 1e-6 and is bit-identical across worker/lane counts
 # (TestGoldenMinimizeAgreement in internal/experiments). Generation
 # itself is sequential; what races here is concurrent sessions and sweep
@@ -123,8 +124,9 @@ scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|Sweep
 # enumeration — the one successor function of both state-space
 # generation and simulation — against the term-interpreting
 # Model.Successors, a test-only oracle, the sweep checkpoint decoder (the file a resumed sweep trusts), the
-# measure-file parser (the other text input a user hands the CLIs), and the
-# Aldebaran .aut reader with its WriteAUT round trip. A
+# measure-file parser (the other text input a user hands the CLIs), the
+# Aldebaran .aut reader with its WriteAUT round trip, and the tuple table
+# behind every state table and memo against a map reference. A
 # crasher lands under the package's testdata/fuzz and then replays in
 # every later `go test`.
 echo "== fuzz smoke =="
@@ -135,5 +137,6 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzCompiledSuccessors$' -fuzztime 10s ./i
 go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s ./internal/pipeline/
 go test -timeout 5m -run '^$' -fuzz '^FuzzParseMeasures$' -fuzztime 10s ./internal/measure/
 go test -timeout 5m -run '^$' -fuzz '^FuzzReadAUT$' -fuzztime 10s ./internal/lts/
+go test -timeout 5m -run '^$' -fuzz '^FuzzTupleTable$' -fuzztime 10s ./internal/statespace/
 
 echo "CI OK"
