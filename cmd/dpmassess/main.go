@@ -562,8 +562,7 @@ func runSolve(args []string) error {
 	stats := fs.Bool("stats", false,
 		"print statistics after the measures: resident memory of the state\n"+
 			"space, the per-component reduction (with -compose minimize), and the\n"+
-			"Gauss-Seidel solver trace — iterations, final residual, and every\n"+
-			"escalation attempt")
+			"Gauss-Seidel solve — iterations, final residual, and iteration budget")
 	lanes := fs.Int("lanes", 0,
 		"sweep points solved per batched steady-state call on checkpointed solves,\n"+
 			"run as ⌈K/8⌉ eight-lane groups: 0 auto-selects, 1 solves one point\n"+
@@ -664,20 +663,16 @@ func runSolve(args []string) error {
 	return nil
 }
 
-// printSolveTrace renders a report's solver trace, one line per attempt:
-// its iterations, residual, iteration budget and outcome. Checkpointed
-// solves record traces only for escalated points, so
-// a missing trace is reported rather than silently skipped.
+// printSolveTrace renders a report's solve on one line: its iterations,
+// final residual and iteration budget. Checkpointed solves record no
+// trace, so a missing trace is reported rather than silently skipped.
 func printSolveTrace(tr *ctmc.SolveTrace) {
-	if tr == nil || len(tr.Attempts) == 0 {
-		fmt.Println("solver: no trace recorded (checkpointed solves trace only escalated points)")
+	if tr == nil {
+		fmt.Println("solver: no trace recorded (checkpointed solves record no solver trace)")
 		return
 	}
-	fmt.Printf("solver: %d attempt(s), escalated=%t\n", len(tr.Attempts), tr.Escalated())
-	for _, a := range tr.Attempts {
-		fmt.Printf("solver:   rung %d %-21s iterations=%d residual=%.3g max-iterations=%d converged=%t\n",
-			a.Rung, a.Action, a.Iterations, a.Residual, a.MaxIterations, a.Converged)
-	}
+	a := tr.Attempts[0]
+	fmt.Printf("solver: iterations=%d residual=%.3g max-iterations=%d\n", a.Iterations, a.Residual, a.MaxIterations)
 }
 
 func runSim(args []string) error {
@@ -687,7 +682,7 @@ func runSim(args []string) error {
 	warmup := fs.Float64("warmup", 0, "discarded warm-up time")
 	reps := fs.Int("reps", 30, "independent replications")
 	seed := fs.Uint64("seed", 1, "master random seed")
-	level := fs.Float64("confidence", 0.90, "confidence level")
+	level := fs.Float64("confidence", 0.90, "confidence level: 0.8, 0.9, 0.95 or 0.99")
 	composeMode := composeFlag(fs)
 	workers := fs.Int("workers", runtime.NumCPU(),
 		"concurrent replications (estimates are identical at any value)")

@@ -115,6 +115,26 @@ func TestRunCheckSolveSim(t *testing.T) {
 	}
 }
 
+// TestRunSimRejectsUnsupportedConfidence checks that sim refuses a
+// confidence level it has no t-table for, instead of printing a 95%
+// half-width labelled with the requested level.
+func TestRunSimRejectsUnsupportedConfidence(t *testing.T) {
+	model := specPath(t, "rpc_revised_markov.aem")
+	measures := specPath(t, "rpc.msr")
+	for _, level := range []string{"0.85", "1.5", "NaN"} {
+		err := run([]string{"sim", "-measures", measures, "-runlength", "200", "-reps", "2",
+			"-confidence", level, model})
+		if err == nil || !strings.Contains(err.Error(), "ConfidenceLevel must be one of [0.8 0.9 0.95 0.99]") {
+			t.Errorf("-confidence %s: got %v, want an unsupported-level error", level, err)
+		}
+	}
+	out := runOutput(t, "sim", "-measures", measures, "-runlength", "200", "-reps", "2",
+		"-confidence", "0.99", model)
+	if !strings.Contains(out, "(99%)") {
+		t.Errorf("-confidence 0.99 output does not label its intervals 99%%:\n%s", out)
+	}
+}
+
 func TestRunEquivAndMinimize(t *testing.T) {
 	a := specPath(t, "rpc_simplified.aem")
 	b := specPath(t, "rpc_revised_functional.aem")

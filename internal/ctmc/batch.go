@@ -80,14 +80,10 @@ func (c *CTMC) SolveBatch(points [][]float64, opts BatchOptions) ([][]float64, e
 // has one entry per point (nil on success, the lane's *ConvergenceError —
 // already stamped with the lane index and rate vector — on failure), and
 // the converged lanes' results are returned even when other lanes failed,
-// so a caller can escalate exactly the failed lanes (see EscalateFrom)
-// instead of discarding the whole batch. The batch-level error is
-// reserved for failures of the batch as a whole: invalid input,
-// cancellation, and worker panics; when it is non-nil, out and laneErrs
-// are nil.
-//
-// Escalation must be unset in opts.Solve: the ladder re-solves failed
-// lanes one at a time through EscalateFrom.
+// so a sweep can publish the converged lanes below a failed one instead
+// of discarding the whole batch. The batch-level error is reserved for
+// failures of the batch as a whole: invalid input, cancellation, and
+// worker panics; when it is non-nil, out and laneErrs are nil.
 func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]float64, laneErrs []error, err error) {
 	K := len(points)
 	if K == 0 {
@@ -95,9 +91,6 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 	}
 	if c.numSlots == 0 {
 		return nil, nil, fmt.Errorf("ctmc: solve batch: chain has no rate slots; use SteadyState per point")
-	}
-	if opts.Solve.Escalation != EscalateNever {
-		return nil, nil, fmt.Errorf("ctmc: solve batch: Escalation is not a batch option; escalate failed lanes with EscalateFrom")
 	}
 	for k, pt := range points {
 		if len(pt) != c.numSlots {

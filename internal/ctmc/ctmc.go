@@ -535,9 +535,8 @@ var EnableDebugChecks = false
 
 // InvariantError reports a violated internal consistency invariant — a
 // bug in this package, not a property of the input. The fault-tolerance
-// layer treats it accordingly: the escalation ladder never retries it,
-// sweeps abort on it, and it is reported as-is rather than wrapped in a
-// retryable error.
+// layer treats it accordingly: sweeps abort on it, and it is reported
+// as-is.
 type InvariantError struct {
 	// Err describes the violated invariant.
 	Err error

@@ -127,8 +127,8 @@ func TestWorkerPanicNesting(t *testing.T) {
 }
 
 // TestCanceledErrorNesting checks the cancellation chain: the typed
-// wrapper keeps the context cause reachable and can itself wrap a solver
-// error context (e.g. a cancellation observed while escalating).
+// wrapper keeps the context cause reachable and survives being wrapped
+// again by a worker's panic guard.
 func TestCanceledErrorNesting(t *testing.T) {
 	ce := &fault.CanceledError{Phase: "core.sweep", Point: 4, Iteration: -1, Err: context.DeadlineExceeded}
 	if !errors.Is(ce, context.DeadlineExceeded) {

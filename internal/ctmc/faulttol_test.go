@@ -1,11 +1,10 @@
 // Fault-tolerance properties of the solver layer: cancellation at exact
-// iterations and the deterministic convergence-escalation ladder.
+// iterations and the one-attempt failure shape of a traced solve.
 package ctmc_test
 
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -13,123 +12,35 @@ import (
 	"repro/internal/faultinject"
 )
 
-// findIterationBudget returns (insufficient, sufficient) Gauss-Seidel
-// iteration budgets for the chain: the solve fails at `insufficient` and
-// converges when the budget is multiplied by the ladder's factor (4), so
-// the ladder's first rung is guaranteed to recover it.
-func findIterationBudget(t *testing.T, c *ctmc.CTMC) (int, int) {
-	t.Helper()
-	for m := 8; m <= 1<<20; m *= 2 {
-		_, err := c.SteadyState(ctmc.SolveOptions{MaxIterations: m})
-		if err == nil {
-			// Convergence needs k iterations with m/2 < k <= m, so m/4
-			// fails and 4*(m/4) = m suffices.
-			if m < 8 {
-				t.Fatalf("chain converges within %d iterations; too easy to force failure", m)
-			}
-			return m / 4, m
-		}
-		if !errors.Is(err, ctmc.ErrNoConvergence) {
-			t.Fatal(err)
-		}
-	}
-	t.Fatal("no iteration budget up to 2^20 converges")
-	return 0, 0
-}
-
-// TestEscalationLadderRecovers forces a real convergence failure (an
-// insufficient iteration budget) and checks that the ladder's first rung
-// recovers it with a full trace that repeats run to run and a solution
-// bit-identical to an unconstrained solve.
-func TestEscalationLadderRecovers(t *testing.T) {
+// TestSteadyStateTracedFailsInOneAttempt pins the shape of a traced
+// solve: a hopeless budget fails in one attempt with a bare
+// *ConvergenceError and no trace, and a converged solve records exactly
+// one Gauss-Seidel attempt at its resolved budget, never escalated.
+func TestSteadyStateTracedFailsInOneAttempt(t *testing.T) {
 	c := rpcParamChain(t)
-	insufficient, sufficient := findIterationBudget(t, c)
+	pi, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{MaxIterations: 1})
+	var ce *ctmc.ConvergenceError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want a *ConvergenceError, got %v", err)
+	}
+	if pi != nil || trace != nil {
+		t.Errorf("failed solve returned a solution or a trace: %v, %+v", pi, trace)
+	}
+	if ce.Iterations != 1 || ce.Tolerance != ctmc.DefaultTolerance || ce.Point != -1 {
+		t.Errorf("convergence error %+v, want 1 iteration at the default tolerance outside a sweep", ce)
+	}
 
-	ref, err := c.SteadyState(ctmc.SolveOptions{MaxIterations: sufficient})
+	_, trace, err = c.SteadyStateTraced(ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var traces []*ctmc.SolveTrace
-	for run := 1; run <= 2; run++ {
-		pi, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{
-			MaxIterations: insufficient,
-			Escalation:    ctmc.EscalateLadder,
-		})
-		if err != nil {
-			t.Fatalf("run %d: ladder did not recover: %v", run, err)
-		}
-		if !trace.Escalated() {
-			t.Fatalf("run %d: expected an escalated trace, got %+v", run, trace)
-		}
-		base := trace.Attempts[0]
-		if base.Rung != 0 || base.Action != "base" || base.Converged || base.Iterations != insufficient {
-			t.Errorf("run %d: base attempt wrong: %+v", run, base)
-		}
-		last := trace.Attempts[len(trace.Attempts)-1]
-		if last.Rung != 1 || last.Action != "raise-max-iterations" || !last.Converged {
-			t.Errorf("run %d: recovery attempt wrong: %+v", run, last)
-		}
-		if last.MaxIterations != 4*insufficient {
-			t.Errorf("run %d: rung 1 budget = %d, want %d", run, last.MaxIterations, 4*insufficient)
-		}
-		for i := range pi {
-			if pi[i] != ref[i] {
-				t.Fatalf("run %d: escalated solution differs from reference at state %d: %v != %v",
-					run, i, pi[i], ref[i])
-			}
-		}
-		traces = append(traces, trace)
+	if len(trace.Attempts) != 1 || trace.Escalated() {
+		t.Fatalf("trace %+v, want one unescalated attempt", trace)
 	}
-	if !reflect.DeepEqual(traces[0], traces[1]) {
-		t.Errorf("trace differs run to run:\n run 1: %+v\n run 2: %+v", traces[0], traces[1])
-	}
-}
-
-// TestEscalationLadderExhausts pins the ladder's failure shape: with a
-// hopeless budget the base attempt and the one retry are both recorded,
-// both as Gauss-Seidel solves without cycles, and the final error is
-// still a ConvergenceError.
-func TestEscalationLadderExhausts(t *testing.T) {
-	c := rpcParamChain(t)
-	_, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{
-		MaxIterations: 1,
-		Escalation:    ctmc.EscalateLadder,
-	})
-	if err == nil {
-		t.Fatal("expected the ladder to exhaust")
-	}
-	if !errors.Is(err, ctmc.ErrNoConvergence) {
-		t.Fatalf("exhausted ladder should report non-convergence, got %v", err)
-	}
-	wantActions := []string{"base", "raise-max-iterations"}
-	wantRungs := []int{0, 1}
-	wantBudgets := []int{1, 4}
-	if len(trace.Attempts) != len(wantActions) {
-		t.Fatalf("attempts = %d, want %d: %+v", len(trace.Attempts), len(wantActions), trace.Attempts)
-	}
-	for i, a := range trace.Attempts {
-		if a.Action != wantActions[i] || a.Rung != wantRungs[i] || a.Converged {
-			t.Errorf("attempt %d: got %+v, want rung %d action %q, not converged", i, a, wantRungs[i], wantActions[i])
-		}
-		if a.MaxIterations != wantBudgets[i] || a.Iterations != wantBudgets[i] {
-			t.Errorf("attempt %d: budget %d, iterations %d, want both %d", i, a.MaxIterations, a.Iterations, wantBudgets[i])
-		}
-		if a.Sweep != ctmc.SweepGaussSeidel || a.Cycles != 0 {
-			t.Errorf("attempt %d: sweep %v, %d cycles, want gauss-seidel and 0", i, a.Sweep, a.Cycles)
-		}
-	}
-}
-
-// TestEscalationRejectsInBatch pins the option split: Escalation is not a
-// batch option, and SolveBatch rejects it loudly instead of silently
-// ignoring it.
-func TestEscalationRejectsInBatch(t *testing.T) {
-	c := rpcParamChain(t)
-	if _, err := c.SolveBatch(rpcPoints()[:2], ctmc.BatchOptions{
-		Solve: ctmc.SolveOptions{Escalation: ctmc.EscalateLadder},
-	}); err == nil {
-		t.Error("SolveBatch accepted Escalation")
+	a := trace.Attempts[0]
+	if a.Sweep != ctmc.SweepGaussSeidel || a.Cycles != 0 || a.MaxIterations != 200000 ||
+		a.Iterations < 1 || !(a.Residual < ctmc.DefaultTolerance) {
+		t.Errorf("attempt %+v, want a converged gauss-seidel solve at the default budget", a)
 	}
 }
 

@@ -32,7 +32,7 @@ func (s Sweep) String() string {
 // chain and these options alone, Ctx only stopping it early.
 type SolveOptions struct {
 	// Tolerance is the convergence threshold on the max relative change
-	// per sweep (default 1e-12).
+	// per sweep (default DefaultTolerance).
 	Tolerance float64
 	// MaxIterations bounds the sweeps (default 200000).
 	MaxIterations int
@@ -41,14 +41,11 @@ type SolveOptions struct {
 	// the interrupted iteration. Polling never changes the floats of a
 	// solve that runs to completion. nil disables polling.
 	Ctx context.Context
-	// Escalation selects what SteadyStateTraced does when the configured
-	// solve fails with a ConvergenceError: EscalateNever (the default)
-	// surfaces the error; EscalateLadder deterministically retries once
-	// with a larger budget, as described in Escalation's docs, recording
-	// both attempts in the returned SolveTrace. Plain SteadyState ignores
-	// the field (it is the ladder's base attempt).
-	Escalation Escalation
 }
+
+// DefaultTolerance is the convergence threshold a zero
+// SolveOptions.Tolerance selects.
+const DefaultTolerance = 1e-12
 
 // ErrNoConvergence reports that the iterative solver hit its iteration
 // bound.
@@ -98,7 +95,7 @@ func (e *ConvergenceError) Unwrap() error { return ErrNoConvergence }
 // SteadyState solve would.
 func solveDefaults(opts SolveOptions) SolveOptions {
 	if opts.Tolerance <= 0 {
-		opts.Tolerance = 1e-12
+		opts.Tolerance = DefaultTolerance
 	}
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = 200000
@@ -116,6 +113,53 @@ func (c *CTMC) SteadyState(opts SolveOptions) ([]float64, error) {
 	return pi, err
 }
 
+// SolveAttempt records one converged steady-state solve.
+type SolveAttempt struct {
+	// Sweep is always SweepGaussSeidel. It stays only because the
+	// perfbench harness counts solves by Sweep.String(); it goes with
+	// Cycles when the harness stops reading them.
+	Sweep Sweep
+	// MaxIterations is the solve's resolved iteration budget.
+	MaxIterations int
+	// Iterations and Residual are the sweep count and final residual at
+	// convergence.
+	Iterations int
+	Residual   float64
+	// Cycles is always 0: Gauss-Seidel has no outer loop. Like Sweep it
+	// stays only because the perfbench harness reads it.
+	Cycles int
+}
+
+// SolveTrace wraps the one attempt of a solve. A solve is a single
+// attempt, so the slice and Escalated stay only because the perfbench
+// harness counts Attempts and reads Escalated, like Sweep and Cycles.
+type SolveTrace struct {
+	// Attempts holds the solve's one attempt.
+	Attempts []SolveAttempt
+}
+
+// Escalated is always false: no solve is retried. It stays only because
+// the perfbench harness reads it (on nil traces too).
+func (t *SolveTrace) Escalated() bool { return false }
+
+// SteadyStateTraced is SteadyState plus a one-attempt trace of the
+// converged solve: its iterations, final residual and iteration budget.
+// A failed solve returns its *ConvergenceError and no trace; the remedy
+// for a budget too small is a larger MaxIterations.
+func (c *CTMC) SteadyStateTraced(opts SolveOptions) ([]float64, *SolveTrace, error) {
+	opts = solveDefaults(opts)
+	pi, st, err := c.steadyStateStats(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pi, &SolveTrace{Attempts: []SolveAttempt{{
+		Sweep:         SweepGaussSeidel,
+		MaxIterations: opts.MaxIterations,
+		Iterations:    st.Iterations,
+		Residual:      st.Residual,
+	}}}, nil
+}
+
 // solveStats summarizes a converged solve for the trace: the sweep count
 // and the final residual.
 type solveStats struct {
@@ -123,10 +167,10 @@ type solveStats struct {
 	Residual   float64
 }
 
-// steadyStateStats is SteadyState plus the solve statistics of the
-// successful attempt (SteadyStateTraced records them in the trace). The
-// solve is a one-lane batch: the chain's current rates fill lane 0 of the
-// eight-lane kernel, which then sweeps exactly as for a batched lane.
+// steadyStateStats is SteadyState plus the statistics of the converged
+// solve (SteadyStateTraced records them in the trace). The solve is a
+// one-lane batch: the chain's current rates fill lane 0 of the eight-lane
+// kernel, which then sweeps exactly as for a batched lane.
 func (c *CTMC) steadyStateStats(opts SolveOptions) ([]float64, solveStats, error) {
 	opts = solveDefaults(opts)
 	plan, err := c.ensurePlan()

@@ -1,9 +1,8 @@
 // Package faultinject injects deterministic faults into the pipeline for
 // testing its fault-tolerance layer. A Plan arms (site, key) triggers —
-// panic in a generation worker at state 17, force non-convergence at
-// sweep point 3, fail the second checkpoint write — and the
-// instrumentation sites consult the active plan with the identity of the
-// task they are about to run.
+// panic in a generation worker at state 17 or at sweep point 3, fail the
+// second checkpoint write — and the instrumentation sites consult the
+// active plan with the identity of the task they are about to run.
 //
 // Determinism rule: whether a trigger fires is a pure function of the
 // armed plan and the task identity (the key), never of scheduling. Keys
@@ -39,10 +38,6 @@ const (
 	// SiteSweepPoint fires in a sweep-point task of pipeline.Session.Sweep; the
 	// key is the global point index.
 	SiteSweepPoint = "core.sweep.point"
-	// SiteSweepNonconverge marks a sweep point whose base solve is
-	// reported as non-converged even if it converged, to drive the
-	// escalation ladder; the key is the global point index.
-	SiteSweepNonconverge = "core.sweep.nonconverge"
 	// SiteCheckpointWrite fires before a checkpoint write; the key is the
 	// write ordinal (0 for the first write of the sweep).
 	SiteCheckpointWrite = "core.checkpoint.write"

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/ctmc"
 	"repro/internal/faultinject"
 )
 
@@ -31,9 +30,9 @@ type CheckpointOptions struct {
 	// Resume loads Path before solving and skips the points it already
 	// holds. A missing file is not an error — the sweep simply starts
 	// fresh — but a corrupt file, or one whose structural hash does not
-	// match this sweep's model, points, and measures, aborts with a
-	// *CheckpointError rather than silently recomputing or, worse,
-	// resuming someone else's sweep.
+	// match this sweep's model, points, measures and solver tolerance,
+	// aborts with a *CheckpointError rather than silently recomputing or,
+	// worse, resuming someone else's sweep.
 	Resume bool
 }
 
@@ -59,7 +58,8 @@ func (e *CheckpointError) Unwrap() error { return e.Err }
 // Checkpoint failure causes.
 var (
 	// ErrCheckpointMismatch reports a checkpoint whose structural hash
-	// does not match the resuming sweep's model, point set, and measures.
+	// does not match the resuming sweep's model, point set, measures and
+	// solver tolerance.
 	ErrCheckpointMismatch = errors.New("checkpoint does not match this sweep")
 	// ErrCheckpointCorrupt reports a truncated or checksum-failing
 	// checkpoint file.
@@ -75,11 +75,13 @@ var (
 // Version 2 stored each solve attempt's multilevel cycle count in the
 // eight bytes version 1 gave a damping factor; version 3 dropped the
 // warm-start anchor vector and the warm-start attempt flag, since every
-// sweep point solves cold; version 4 drops each attempt's scheme and
-// cycle count, since every attempt is a Gauss-Seidel solve.
+// sweep point solves cold; version 4 dropped each attempt's scheme and
+// cycle count, since every attempt is a Gauss-Seidel solve; version 5
+// drops the attempt records, since a solve is one attempt and a sweep
+// report carries no trace.
 const (
 	ckFamily  = "DPMCKPT"
-	ckVersion = '4'
+	ckVersion = '5'
 	ckMagic   = ckFamily + string(ckVersion)
 )
 
@@ -137,23 +139,6 @@ func encodeCheckpoint(c *checkpoint) []byte {
 			b = ckStr(b, name)
 			b = ckU64(b, math.Float64bits(rep.Values[name]))
 		}
-		if rep.Trace == nil {
-			b = ckU32(b, 0)
-		} else {
-			b = ckU32(b, uint32(len(rep.Trace.Attempts)))
-			for _, a := range rep.Trace.Attempts {
-				b = ckU32(b, uint32(a.Rung))
-				b = ckStr(b, a.Action)
-				b = ckU64(b, uint64(a.MaxIterations))
-				var converged byte
-				if a.Converged {
-					converged = 1
-				}
-				b = append(b, converged)
-				b = ckU64(b, uint64(a.Iterations))
-				b = ckU64(b, math.Float64bits(a.Residual))
-			}
-		}
 	}
 	sum := fnv.New64a()
 	sum.Write(b)
@@ -208,13 +193,11 @@ func (r *ckReader) u64() uint64 {
 func (r *ckReader) str() string { return string(r.take(int(r.u16()))) }
 
 // Minimum encoded sizes of the counted records, which bound a count by the
-// bytes still unread: a point (index, value count, attempt count), a
-// measure value (empty name, value), and a solve attempt (rung, empty
-// action, budget, converged flag, iterations, residual).
+// bytes still unread: a point (index, value count) and a measure value
+// (empty name, value).
 const (
-	ckPointMin   = 4 + 4 + 4
-	ckValueMin   = 2 + 8
-	ckAttemptMin = 4 + 2 + 8 + 1 + 8 + 8
+	ckPointMin = 4 + 4
+	ckValueMin = 2 + 8
 )
 
 // count reads an element count and latches failed when the unread bytes
@@ -231,42 +214,15 @@ func (r *ckReader) count(size int) int {
 
 func (r *ckReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// count64 reads an iteration count and latches failed when it does not
-// fit a non-negative int.
-func (r *ckReader) count64() int {
-	v := r.u64()
-	if v > math.MaxInt64 {
-		r.failed = true
-		return 0
-	}
-	return int(v)
-}
-
-// attemptActionValid reports whether an attempt's action is one the
-// solver records at that rung: the base attempt (rung 0) is "base" or,
-// under fault injection, "forced-nonconvergence"; the one retry (rung 1)
-// is "raise-max-iterations".
-func attemptActionValid(rung uint32, action string) bool {
-	switch rung {
-	case 0:
-		return action == "base" || action == "forced-nonconvergence"
-	case 1:
-		return action == "raise-max-iterations"
-	}
-	return false
-}
-
 // decodeCheckpoint parses and checksums an encoded checkpoint. report
-// rebuilds a Phase2Report shell around a decoded value map and trace
-// (the caller closes it over the current run's state-space sizes, which
-// the structural hash guarantees match). The checksum only catches
-// accidental damage, so every count is bounded by the bytes still unread
-// before it sizes anything, and the decoder accepts only what
-// encodeCheckpoint writes: completed indices strictly ascending and below
-// numPoints, value names strictly ascending, attempts whose rung is 0 or 1
-// and whose action matches their rung, iteration counts below 2^63, and a
-// converged flag of 0 or 1. A file of another format version is rejected
-// with ErrCheckpointVersion before anything else is read.
+// rebuilds a Phase2Report shell around a decoded value map (the caller
+// closes it over the current run's state-space sizes, which the
+// structural hash guarantees match). The checksum only catches accidental
+// damage, so every count is bounded by the bytes still unread before it
+// sizes anything, and the decoder accepts only what encodeCheckpoint
+// writes: completed indices strictly ascending and below numPoints, and
+// value names strictly ascending. A file of another format version is
+// rejected with ErrCheckpointVersion before anything else is read.
 func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase2Report) (*checkpoint, error) {
 	if len(data) < len(ckMagic)+16 || string(data[:len(ckFamily)]) != ckFamily {
 		return nil, ErrCheckpointCorrupt
@@ -306,35 +262,7 @@ func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase
 			prevName = name
 			values[name] = r.f64()
 		}
-		rep := report(values)
-		if na := r.count(ckAttemptMin); na > 0 {
-			trace := &ctmc.SolveTrace{Attempts: make([]ctmc.SolveAttempt, 0, na)}
-			for a := 0; a < na && !r.failed; a++ {
-				rung, action := r.u32(), r.str()
-				if !r.failed && !attemptActionValid(rung, action) {
-					return nil, ErrCheckpointCorrupt
-				}
-				att := ctmc.SolveAttempt{
-					Rung:          int(rung),
-					Action:        action,
-					Sweep:         ctmc.SweepGaussSeidel,
-					MaxIterations: r.count64(),
-				}
-				var converged byte
-				if s := r.take(1); s != nil {
-					converged = s[0]
-				}
-				if converged > 1 {
-					return nil, ErrCheckpointCorrupt
-				}
-				att.Converged = converged == 1
-				att.Iterations = r.count64()
-				att.Residual = r.f64()
-				trace.Attempts = append(trace.Attempts, att)
-			}
-			rep.Trace = trace
-		}
-		c.completed[idx] = rep
+		c.completed[idx] = report(values)
 	}
 	if r.failed || r.off != len(body) {
 		return nil, ErrCheckpointCorrupt

@@ -10,28 +10,19 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ctmc"
 	"repro/internal/elab"
 	"repro/internal/models"
 )
 
-// tracedCheckpoint is a hand-built checkpoint exercising every field:
-// a plain completed point and one with an escalation trace.
-func tracedCheckpoint() *checkpoint {
+// sampleCheckpoint is a hand-built checkpoint of two completed points of
+// five, with values in unsorted map order.
+func sampleCheckpoint() *checkpoint {
 	return &checkpoint{
 		hash:      0xdeadbeefcafe,
 		numPoints: 5,
 		completed: map[int]*Phase2Report{
 			0: {Values: map[string]float64{"util": 0.5, "power": 1.25}},
-			3: {
-				Values: map[string]float64{"util": 0.375},
-				Trace: &ctmc.SolveTrace{Attempts: []ctmc.SolveAttempt{
-					{Rung: 0, Action: "forced-nonconvergence", Sweep: ctmc.SweepGaussSeidel,
-						MaxIterations: 100, Iterations: 100, Residual: 0.5},
-					{Rung: 1, Action: "raise-max-iterations", Sweep: ctmc.SweepGaussSeidel,
-						MaxIterations: 400, Converged: true, Iterations: 268, Residual: 1e-13},
-				}},
-			},
+			3: {Values: map[string]float64{"util": 0.375}},
 		},
 	}
 }
@@ -39,10 +30,10 @@ func tracedCheckpoint() *checkpoint {
 // shellReport rebuilds a bare report around decoded values.
 func shellReport(values map[string]float64) *Phase2Report { return &Phase2Report{Values: values} }
 
-// TestCheckpointEncodeDecodeRoundTrip pins the binary format: every field
-// — values, traces, flags — survives a round trip exactly.
+// TestCheckpointEncodeDecodeRoundTrip pins the binary format: the header
+// and every completed point's values survive a round trip exactly.
 func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
-	orig := tracedCheckpoint()
+	orig := sampleCheckpoint()
 	report := shellReport
 	got, err := decodeCheckpoint(encodeCheckpoint(orig), report)
 	if err != nil {
@@ -73,13 +64,13 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 // TestDecodeCheckpointRejectsOldVersions pins the version guard: files of
 // earlier formats — version 1 stored a damping factor where versions 2
 // and 3 store the cycle count, version 2 a warm-start anchor vector and
-// flag, version 3 each attempt's scheme and cycle count, which this format
-// dropped — are refused with ErrCheckpointVersion and a message naming
-// both versions, even behind a valid checksum, and never as a generic
-// corruption.
+// flag, version 3 each attempt's scheme and cycle count, version 4 the
+// attempt records this format dropped — are refused with
+// ErrCheckpointVersion and a message naming both versions, even behind a
+// valid checksum, and never as a generic corruption.
 func TestDecodeCheckpointRejectsOldVersions(t *testing.T) {
-	enc := encodeCheckpoint(tracedCheckpoint())
-	for _, magic := range []string{"DPMCKPT1", "DPMCKPT2", "DPMCKPT3"} {
+	enc := encodeCheckpoint(sampleCheckpoint())
+	for _, magic := range []string{"DPMCKPT1", "DPMCKPT2", "DPMCKPT3", "DPMCKPT4"} {
 		old := withChecksum(append([]byte(magic), enc[len(ckMagic):len(enc)-8]...))
 		_, err := decodeCheckpoint(old, shellReport)
 		if !errors.Is(err, ErrCheckpointVersion) {
@@ -88,14 +79,14 @@ func TestDecodeCheckpointRejectsOldVersions(t *testing.T) {
 		if errors.Is(err, ErrCheckpointCorrupt) {
 			t.Errorf("%s: a version mismatch must not report corruption: %v", magic, err)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "'"+magic[len(magic)-1:]+"'") || !strings.Contains(msg, "'4'") {
+		if msg := err.Error(); !strings.Contains(msg, "'"+magic[len(magic)-1:]+"'") || !strings.Contains(msg, "'5'") {
 			t.Errorf("%s: message %q should name the file's and the reader's versions", magic, msg)
 		}
 	}
 }
 
 // TestSweepResumeRejectsOldVersion checks the version guard end to end: a
-// resumed sweep handed a version-2 checkpoint with its own structural hash
+// resumed sweep handed a version-4 checkpoint with its own structural hash
 // fails with a decode *CheckpointError that unwraps to
 // ErrCheckpointVersion, instead of resuming or silently starting over.
 func TestSweepResumeRejectsOldVersion(t *testing.T) {
@@ -123,14 +114,14 @@ func TestSweepResumeRejectsOldVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := withChecksum(append([]byte("DPMCKPT2"), data[len(ckMagic):len(data)-8]...))
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
+	v4 := withChecksum(append([]byte("DPMCKPT4"), data[len(ckMagic):len(data)-8]...))
+	if err := os.WriteFile(path, v4, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err = run(true)
 	var cke *CheckpointError
 	if !errors.As(err, &cke) || cke.Op != "decode" || !errors.Is(err, ErrCheckpointVersion) {
-		t.Fatalf("version-2 checkpoint: want a decode *CheckpointError wrapping ErrCheckpointVersion, got %v", err)
+		t.Fatalf("version-4 checkpoint: want a decode *CheckpointError wrapping ErrCheckpointVersion, got %v", err)
 	}
 }
 
@@ -142,85 +133,65 @@ func withChecksum(body []byte) []byte {
 	return ckU64(append([]byte(nil), body...), sum.Sum64())
 }
 
-// oneAttemptCountCheckpoint is a 44-byte checkpoint with a valid checksum
-// holding one completed point (index idx of numPoints) whose trace claims
-// the given number of attempts.
-func oneAttemptCountCheckpoint(numPoints, idx, attempts uint32) []byte {
+// ckBody starts a checkpoint body: the magic, a zero structural hash, the
+// sweep's point count and the count of completed points that follow.
+func ckBody(numPoints, completed uint32) []byte {
 	b := append([]byte(nil), ckMagic...)
-	b = ckU64(b, 0)         // structural hash
-	b = ckU32(b, numPoints) // points in the sweep
-	b = ckU32(b, 1)         // completed points
-	b = ckU32(b, idx)       // completed index
-	b = ckU32(b, 0)         // measure values
-	b = ckU32(b, attempts)  // trace attempts
-	return withChecksum(b)
+	b = ckU64(b, 0)
+	b = ckU32(b, numPoints)
+	return ckU32(b, completed)
 }
 
-// oneAttemptCheckpoint is a checkpoint with a valid checksum holding one
-// completed point of one whose trace is the single given attempt record.
-func oneAttemptCheckpoint(rung uint32, action string, maxIter, iter uint64) []byte {
-	b := oneAttemptCountCheckpoint(1, 0, 1)
-	b = b[:len(b)-8] // the checksum, recomputed below
-	b = ckU32(b, rung)
-	b = ckStr(b, action)
-	b = ckU64(b, maxIter)
-	b = append(b, 0) // not converged
-	b = ckU64(b, iter)
-	b = ckU64(b, 0) // residual
-	return withChecksum(b)
+// ckPoint appends a completed point record: its index and the given
+// measure values, in the order given.
+func ckPoint(b []byte, idx uint32, names ...string) []byte {
+	b = ckU32(b, idx)
+	b = ckU32(b, uint32(len(names)))
+	for _, name := range names {
+		b = ckStr(b, name)
+		b = ckU64(b, 0)
+	}
+	return b
 }
 
-// badAttempts are attempt records encodeCheckpoint never writes: a rung
-// beyond the one retry, actions that do not match their rung, and
-// iteration counts that do not fit a non-negative int.
-var badAttempts = []struct {
-	name          string
-	rung          uint32
-	action        string
-	maxIter, iter uint64
+// hugeValueCount is a 40-byte checkpoint with a valid checksum holding
+// one completed point that claims 0xFFFFFFF0 measure values.
+func hugeValueCount() []byte {
+	return withChecksum(ckU32(ckU32(ckBody(1, 1), 0), 0xFFFFFFF0))
+}
+
+// badCheckpoints are bodies behind a valid checksum that encodeCheckpoint
+// never writes: counts larger than the bytes that follow, a completed
+// index outside the sweep or out of order, value names out of order, a
+// truncated value and trailing bytes.
+var badCheckpoints = []struct {
+	name string
+	data []byte
 }{
-	{"rung 2", 2, "multilevel", 400, 400},
-	{"rung 0xFFFFFFFF", 0xFFFFFFFF, "base", 100, 100},
-	{"rung 0 retry action", 0, "raise-max-iterations", 100, 100},
-	{"rung 1 base action", 1, "base", 400, 400},
-	{"unknown action", 0, "bogus", 100, 100},
-	{"max iterations 2^63", 0, "base", 1 << 63, 100},
-	{"iterations 2^63", 1, "raise-max-iterations", 400, 1 << 63},
-	{"iterations 2^64-1", 0, "base", 100, 1<<64 - 1},
+	{"huge value count", hugeValueCount()},
+	{"huge point count", withChecksum(ckBody(1, 0xFFFFFFF0))},
+	{"index beyond the sweep", withChecksum(ckPoint(ckBody(1, 1), 1))},
+	{"repeated index", withChecksum(ckPoint(ckPoint(ckBody(2, 2), 0), 0))},
+	{"descending names", withChecksum(ckPoint(ckBody(1, 1), 0, "util", "power"))},
+	{"repeated name", withChecksum(ckPoint(ckBody(1, 1), 0, "util", "util"))},
+	{"truncated value", withChecksum(ckStr(ckU32(ckU32(ckBody(1, 1), 0), 1), "util"))},
+	{"trailing byte", withChecksum(append(ckPoint(ckBody(1, 1), 0), 0))},
 }
 
 // TestDecodeCheckpointBoundsCounts is the regression for a corrupt count
-// sizing an allocation: a 44-byte file whose checksum is valid but whose
-// attempt count is 0xFFFFFFF0 used to make a slice of that capacity and
-// kill the process. It must be rejected as corrupt, as must a completed
-// index outside the sweep and every attempt record in badAttempts, which
-// used to decode into an out-of-range rung, a foreign action or a
-// negative count.
+// sizing an allocation: a 40-byte file whose checksum is valid but whose
+// value count is 0xFFFFFFF0 must be rejected as corrupt before it sizes
+// anything, as must every other body in badCheckpoints, while the
+// well-formed one-point file they are cut from decodes.
 func TestDecodeCheckpointBoundsCounts(t *testing.T) {
-	data := oneAttemptCountCheckpoint(1, 0, 0xFFFFFFF0)
-	if len(data) != 44 {
-		t.Fatalf("fixture is %d bytes, want 44", len(data))
+	if n := len(hugeValueCount()); n != 40 {
+		t.Fatalf("fixture is %d bytes, want 40", n)
 	}
-	if _, err := decodeCheckpoint(data, shellReport); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Errorf("huge attempt count: want ErrCheckpointCorrupt, got %v", err)
-	}
-	if _, err := decodeCheckpoint(oneAttemptCountCheckpoint(1, 0, 0), shellReport); err != nil {
+	if _, err := decodeCheckpoint(withChecksum(ckPoint(ckBody(1, 1), 0, "power", "util")), shellReport); err != nil {
 		t.Errorf("well-formed one-point checkpoint rejected: %v", err)
 	}
-	if _, err := decodeCheckpoint(oneAttemptCountCheckpoint(1, 1, 0), shellReport); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Errorf("completed index 1 of 1 point: want ErrCheckpointCorrupt, got %v", err)
-	}
-	for _, ok := range []struct {
-		rung   uint32
-		action string
-	}{{0, "base"}, {0, "forced-nonconvergence"}, {1, "raise-max-iterations"}} {
-		if _, err := decodeCheckpoint(oneAttemptCheckpoint(ok.rung, ok.action, 1<<63-1, 1<<63-1), shellReport); err != nil {
-			t.Errorf("rung %d %q: well-formed attempt rejected: %v", ok.rung, ok.action, err)
-		}
-	}
-	for _, bad := range badAttempts {
-		data := oneAttemptCheckpoint(bad.rung, bad.action, bad.maxIter, bad.iter)
-		if _, err := decodeCheckpoint(data, shellReport); !errors.Is(err, ErrCheckpointCorrupt) {
+	for _, bad := range badCheckpoints {
+		if _, err := decodeCheckpoint(bad.data, shellReport); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Errorf("%s: want ErrCheckpointCorrupt, got %v", bad.name, err)
 		}
 	}
@@ -259,13 +230,13 @@ func rpcSweepCheckpoint(f *testing.F) []byte {
 // completed indices below numPoints and re-encodes to the same bytes.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(rpcSweepCheckpoint(f))
-	f.Add(oneAttemptCountCheckpoint(1, 0, 0xFFFFFFF0))
-	f.Add(encodeCheckpoint(tracedCheckpoint()))
-	enc := encodeCheckpoint(tracedCheckpoint())
-	f.Add(withChecksum(append([]byte("DPMCKPT2"), enc[len(ckMagic):len(enc)-8]...)))
-	f.Add(withChecksum(append([]byte("DPMCKPT3"), enc[len(ckMagic):len(enc)-8]...)))
-	for _, bad := range badAttempts {
-		f.Add(oneAttemptCheckpoint(bad.rung, bad.action, bad.maxIter, bad.iter))
+	enc := encodeCheckpoint(sampleCheckpoint())
+	f.Add(enc)
+	for _, magic := range []string{"DPMCKPT2", "DPMCKPT3", "DPMCKPT4"} {
+		f.Add(withChecksum(append([]byte(magic), enc[len(ckMagic):len(enc)-8]...)))
+	}
+	for _, bad := range badCheckpoints {
+		f.Add(bad.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 8 {

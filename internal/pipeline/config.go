@@ -95,7 +95,8 @@ type SimSettings struct {
 	Replications int
 	// Seed seeds the master random stream.
 	Seed uint64
-	// ConfidenceLevel of the reported intervals (default 0.90).
+	// ConfidenceLevel of the reported intervals: 0.80, 0.90, 0.95 or
+	// 0.99 (default 0.90).
 	ConfidenceLevel float64
 	// Workers bounds the concurrency of the experiment: the number of
 	// simulation replications in flight (sim.Config.Workers) and, for the

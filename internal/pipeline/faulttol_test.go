@@ -1,6 +1,7 @@
 // Fault-tolerance properties of the session sweep: cancellation with
-// checkpoint/resume bit-identity, panic attribution, deterministic
-// escalation traces, and the checkpoint format's failure modes.
+// checkpoint/resume bit-identity, resuming a non-converged sweep with a
+// larger budget, panic attribution, and the checkpoint format's failure
+// modes.
 package pipeline_test
 
 import (
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -185,112 +187,79 @@ func TestPhase2SweepPanicAttribution(t *testing.T) {
 	}
 }
 
-// TestPhase2SweepEscalationTraceDeterministic forces a non-convergence at
-// sweep point 2 and checks the ladder recovers it with values
-// bit-identical to an uninjected run and an attempt trace that is a pure
-// function of the input — identical at every worker count and lane width.
-func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
+// TestPhase2SweepCheckpointResumeLargerBudget pins how a sweep that fails
+// to converge is completed: a checkpointed sweep (Every: 1) whose
+// iteration budget suffices for some points fails with the
+// *ctmc.ConvergenceError of the lowest failed point, having checkpointed
+// the converged points below it, and resuming it at the default budget
+// gives reports bit-identical to an uninterrupted default-budget sweep —
+// at every combination of worker count and lane width. The checkpoint
+// does not fingerprint the budget, and the resume solves only the points
+// the failed run left: at lane width 1, where every restored point is a
+// chunk of its own, a panic armed at each restored point never fires.
+func TestPhase2SweepCheckpointResumeLargerBudget(t *testing.T) {
 	m, measures, points := rpcSweepFixture(t)
-	solve := ctmc.SolveOptions{Escalation: ctmc.EscalateLadder}
 
-	baseline, err := sweep(m, measures, solve, pipeline.Config{}, points, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rep := range baseline {
-		if rep.Trace != nil {
-			t.Fatalf("uninjected point %d carries a trace: %+v", i, rep.Trace)
-		}
-	}
-
-	var traces []*ctmc.SolveTrace
-	for _, workers := range []int{1, 8} {
-		for _, lanes := range []int{1, 8} {
-			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
-			plan := faultinject.NewPlan().Arm(faultinject.SiteSweepNonconverge, 2)
-			faultinject.Activate(plan)
-			reps, err := sweep(m, measures, solve, pipeline.Config{Workers: workers, LaneWidth: lanes}, points, nil)
-			faultinject.Deactivate()
-			if err != nil {
-				t.Fatalf("%s: ladder did not recover the forced failure: %v", tag, err)
-			}
-			requireSameValues(t, tag, baseline, reps)
-			trace := reps[2].Trace
-			if trace == nil || !trace.Escalated() {
-				t.Fatalf("%s: recovered point 2 has no escalation trace", tag)
-			}
-			if got := trace.Attempts[0].Action; got != "forced-nonconvergence" {
-				t.Errorf("%s: base attempt action %q, want forced-nonconvergence", tag, got)
-			}
-			last := trace.Attempts[len(trace.Attempts)-1]
-			if !last.Converged || last.Action != "raise-max-iterations" {
-				t.Errorf("%s: recovery attempt wrong: %+v", tag, last)
-			}
-			for i, rep := range reps {
-				if i != 2 && rep.Trace != nil {
-					t.Errorf("%s: unescalated point %d carries a trace", tag, i)
-				}
-			}
-			traces = append(traces, trace)
-		}
-	}
-	for i := 1; i < len(traces); i++ {
-		if !reflect.DeepEqual(traces[0], traces[i]) {
-			t.Errorf("trace depends on scheduling:\n first: %+v\n other: %+v", traces[0], traces[i])
-		}
-	}
-
-	// Without the ladder the forced failure must surface as a convergence
-	// error attributed to point 2 — never silently succeed.
-	plan := faultinject.NewPlan().Arm(faultinject.SiteSweepNonconverge, 2)
-	faultinject.Activate(plan)
-	_, err = sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{}, points, nil)
-	faultinject.Deactivate()
-	if err == nil {
-		t.Fatal("forced non-convergence vanished without the ladder")
-	}
-	var conv *ctmc.ConvergenceError
-	if !errors.As(err, &conv) || conv.Point != 2 {
-		t.Errorf("forced failure not attributed to point 2: %v", err)
-	}
-}
-
-// TestPhase2SweepEscalationTraceMatchesTraced pins the sweep's attempt
-// records to ctmc.SteadyStateTraced's: with a base budget too small for
-// any point and a raised one large enough for all, every escalated report
-// carries exactly the trace a cold SteadyStateTraced returns for the same
-// chain and point — base attempt included — at lane widths 1 and 8.
-func TestPhase2SweepEscalationTraceMatchesTraced(t *testing.T) {
-	m, measures, points := rpcSweepFixture(t)
-	solve := ctmc.SolveOptions{MaxIterations: 50, Escalation: ctmc.EscalateLadder}
+	// Order the points by the iterations a default solve needs, and pick
+	// a budget that converges the first half: every point up to mid
+	// converges and point mid+1 is the lowest to fail.
 	chain := privateChain(t, m)
-	want := make([]*ctmc.SolveTrace, len(points))
-	for i, p := range points {
+	iters := make(map[float64]int, len(points))
+	for _, p := range points {
 		if err := chain.Rebind(p); err != nil {
 			t.Fatal(err)
 		}
-		_, trace, err := chain.SteadyStateTraced(solve)
+		_, trace, err := chain.SteadyStateTraced(ctmc.SolveOptions{})
 		if err != nil {
-			t.Fatalf("point %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if trace.Escalated() {
-			want[i] = trace
-		}
+		iters[p[0]] = trace.Attempts[0].Iterations
 	}
-	for i, w := range want {
-		if w == nil || w.Attempts[0].Iterations != 50 || !w.Attempts[1].Converged {
-			t.Fatalf("fixture does not escalate point %d from an exhausted base attempt: %+v", i, w)
-		}
+	sort.Slice(points, func(a, b int) bool { return iters[points[a][0]] < iters[points[b][0]] })
+	mid := len(points) / 2
+	budget := iters[points[mid][0]]
+	if iters[points[mid+1][0]] <= budget {
+		t.Fatalf("fixture: point %d needs %d iterations, not more than the budget %d", mid+1, iters[points[mid+1][0]], budget)
 	}
-	for _, lanes := range []int{1, 8} {
-		reps, err := sweep(m, measures, solve, pipeline.Config{LaneWidth: lanes}, points, nil)
-		if err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		for i, rep := range reps {
-			if !reflect.DeepEqual(rep.Trace, want[i]) {
-				t.Errorf("lanes=%d point %d: sweep trace\n %+v\nwant\n %+v", lanes, i, rep.Trace, want[i])
+
+	baseline, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{}, points, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		for _, lanes := range []int{1, 8} {
+			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
+			path := filepath.Join(t.TempDir(), "sweep.ckpt")
+			cfg := pipeline.Config{Workers: workers, LaneWidth: lanes}
+
+			_, err := sweep(m, measures, ctmc.SolveOptions{MaxIterations: budget}, cfg,
+				points, &pipeline.CheckpointOptions{Path: path, Every: 1})
+			var ce *ctmc.ConvergenceError
+			if !errors.As(err, &ce) {
+				t.Fatalf("%s: want a *ctmc.ConvergenceError, got %v", tag, err)
 			}
+			if ce.Point != mid+1 || ce.Iterations != budget || !reflect.DeepEqual(ce.Params, points[mid+1]) {
+				t.Errorf("%s: failure at point %d %v after %d iterations, want point %d %v after %d",
+					tag, ce.Point, ce.Params, ce.Iterations, mid+1, points[mid+1], budget)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("%s: failed sweep left no checkpoint: %v", tag, err)
+			}
+
+			plan := faultinject.NewPlan()
+			if lanes == 1 {
+				for i := 0; i <= mid; i++ {
+					plan.Arm(faultinject.SiteSweepPoint, i)
+				}
+			}
+			faultinject.Activate(plan)
+			resumed, err := sweep(m, measures, ctmc.SolveOptions{}, cfg,
+				points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
+			faultinject.Deactivate()
+			if err != nil {
+				t.Fatalf("%s: resume at the default budget failed: %v", tag, err)
+			}
+			requireSameReports(t, tag, baseline, resumed)
 		}
 	}
 }
@@ -348,6 +317,25 @@ func TestCheckpointResumeRejects(t *testing.T) {
 	if !errors.Is(err, pipeline.ErrCheckpointMismatch) {
 		t.Errorf("mismatched sweep resumed: %v", err)
 	}
+
+	// So must a different solver tolerance: values solved to 1e-3 used to
+	// resume into a default-tolerance sweep, up to 2.9e-4 relative off.
+	// The default tolerance spelled out is the same sweep.
+	loose := filepath.Join(t.TempDir(), "loose.ckpt")
+	if _, err := sweep(m, measures, ctmc.SolveOptions{Tolerance: 1e-3}, pipeline.Config{}, points,
+		&pipeline.CheckpointOptions{Path: loose, Every: 1}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = run(points, &pipeline.CheckpointOptions{Path: loose, Resume: true})
+	if !errors.Is(err, pipeline.ErrCheckpointMismatch) {
+		t.Errorf("checkpoint solved to tolerance 1e-3 resumed at the default tolerance: %v", err)
+	}
+	explicit, err := sweep(m, measures, ctmc.SolveOptions{Tolerance: ctmc.DefaultTolerance}, pipeline.Config{}, points,
+		&pipeline.CheckpointOptions{Path: path, Resume: true})
+	if err != nil {
+		t.Fatalf("default-tolerance checkpoint rejected at an explicit default tolerance: %v", err)
+	}
+	requireSameReports(t, "explicit-tolerance resume", reps, explicit)
 
 	// A flipped byte must be detected by the checksum.
 	data, err := os.ReadFile(path)

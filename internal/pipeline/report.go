@@ -23,13 +23,9 @@ type Phase2Report struct {
 	Values map[string]float64
 	// States, Tangible and Vanishing size the state space and the chain.
 	States, Tangible, Vanishing int
-	// Trace records the solver's attempt history for this point: the base
-	// attempt's iterations and residual, plus the escalation retry when
-	// the sweep ran with ctmc.EscalateLadder and the base configuration
-	// did not converge. Sweep-point reports carry a trace only for
-	// escalated points (nil when the base attempt sufficed); Phase2
-	// reports always carry the base attempt, so a solve's iteration count
-	// is observable (dpmassess solve -stats prints it).
+	// Trace records the solve of a Phase2 report — its iterations,
+	// residual and budget — so a solve's iteration count is observable
+	// (dpmassess solve -stats prints it). Sweep reports never carry one.
 	Trace *ctmc.SolveTrace
 }
 
@@ -51,8 +47,7 @@ func (r *Phase2Report) clone() *Phase2Report {
 		}
 	}
 	if r.Trace != nil {
-		t := &ctmc.SolveTrace{Attempts: append([]ctmc.SolveAttempt(nil), r.Trace.Attempts...)}
-		c.Trace = t
+		c.Trace = &ctmc.SolveTrace{Attempts: append([]ctmc.SolveAttempt(nil), r.Trace.Attempts...)}
 	}
 	return c
 }

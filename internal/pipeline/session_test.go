@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/aemilia"
-	"repro/internal/ctmc"
 	"repro/internal/fault"
 	"repro/internal/lts"
 	"repro/internal/models"
@@ -243,12 +242,6 @@ func TestSpecHashIgnoresScheduling(t *testing.T) {
 	budget.Solve.MaxIterations = 1000
 	if base.Hash() == budget.Hash() {
 		t.Fatalf("solver iteration budget did not change the spec hash")
-	}
-
-	ladder := base
-	ladder.Solve.Escalation = ctmc.EscalateLadder
-	if base.Hash() == ladder.Hash() {
-		t.Fatalf("escalation policy did not change the spec hash")
 	}
 }
 

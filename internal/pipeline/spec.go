@@ -58,9 +58,10 @@ type Spec struct {
 	// path, whose measures it preserves exactly. Semantic: hashed.
 	Minimize bool
 	// Solve tunes the steady-state solver. Ctx only cancels and falls
-	// back to the session Config; every other field (Tolerance,
-	// MaxIterations, Escalation) affects the result and is hashed. The solver has no worker count, so a spec's
-	// results are the same at every Config.Workers.
+	// back to the session Config; the other fields (Tolerance,
+	// MaxIterations) affect the result and are hashed. The solver has no
+	// worker count, so a spec's results are the same at every
+	// Config.Workers.
 	Solve ctmc.SolveOptions
 }
 
@@ -109,7 +110,6 @@ func (s Spec) Hash() SpecHash {
 	// Solver: the result-affecting fields only.
 	hF64(h, s.Solve.Tolerance)
 	hU64(h, uint64(s.Solve.MaxIterations))
-	hU64(h, uint64(s.Solve.Escalation))
 	return SpecHash(hex.EncodeToString(h.Sum(nil)))
 }
 

@@ -22,11 +22,14 @@ const DefaultLaneWidth = 8
 
 // sweepHash fingerprints everything a checkpoint must match to be safely
 // resumed: the chain's structural solve analysis, the state-space and
-// chain sizes, the exact bit patterns of every sweep point, and the
-// measure names. Two sweeps with the same hash solve the same points of
-// the same chain and evaluate the same measures, so exchanging their
-// completed results is sound.
-func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []measure.Measure) (uint64, error) {
+// chain sizes, the exact bit patterns of every sweep point, the measure
+// names, and the resolved solver tolerance. Two sweeps with the same hash
+// solve the same points of the same chain to the same tolerance and
+// evaluate the same measures, so exchanging their completed results is
+// sound. The iteration budget is left out: it only caps a solve, so it
+// never changes a converged value, and resuming with a larger budget is
+// how a sweep that failed to converge is completed.
+func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []measure.Measure, tolerance float64) (uint64, error) {
 	structural, err := chain.StructuralHash()
 	if err != nil {
 		return 0, err
@@ -53,6 +56,10 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 		h.Write([]byte(m.Name))
 		h.Write([]byte{0})
 	}
+	if tolerance <= 0 {
+		tolerance = ctmc.DefaultTolerance
+	}
+	put(math.Float64bits(tolerance))
 	return h.Sum64(), nil
 }
 
@@ -87,13 +94,10 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 //     error names the lowest failed point index (the one a sequential
 //     pass over the points would hit first), and an unwrapped
 //     *ctmc.ConvergenceError carries the point index and its rate vector.
-//   - With the spec's Solve.Escalation set to ctmc.EscalateLadder, a
-//     point that fails to converge is retried through the deterministic
-//     escalation ladder (see ctmc.EscalateLadder); a recovered point's
-//     report carries the attempt trace in Phase2Report.Trace. A failed
-//     lane escalates alone: its base failure is bit-identical to a
-//     one-lane base attempt, and the ladder re-solves the point from
-//     rung 1.
+//   - The converged points below a failed one are still published to
+//     the store and the checkpoint, so a checkpointed sweep that fails to
+//     converge is completed by resuming it with a larger
+//     Solve.MaxIterations, which the checkpoint does not fingerprint.
 //   - A panic in a sweep worker is recovered into a
 //     *fault.WorkerPanicError instead of crashing the process.
 //   - A cancellation via Config.Ctx surfaces as a *fault.CanceledError
@@ -103,8 +107,7 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 // more than one point; sweeping a parameter that changes the model's
 // structure needs one generation per point instead. A slot-free model is
 // accepted with exactly one (empty) point — a single SteadyState solve
-// run through the sweep driver for its checkpoint/resume and escalation
-// machinery.
+// run through the sweep driver for its checkpoint/resume machinery.
 func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
 	return s.SweepCheckpointed(points, nil)
 }
@@ -146,11 +149,8 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 	spec := &s.st.spec
 	measures := spec.Measures
 	ctx := s.cfg.Ctx
-	// The sweep runs the escalation ladder itself, lane by lane, so the
-	// base solves run with escalation stripped.
 	solve := spec.Solve
 	solve.Ctx = ctx
-	solve.Escalation = ctmc.EscalateNever
 
 	report := func(values map[string]float64) *Phase2Report {
 		return &Phase2Report{
@@ -166,7 +166,7 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 	// checkpoint when resuming, and prefill the reports it holds.
 	var ck *ckWriter
 	if ckOpts != nil {
-		hash, err := sweepHash(pristine, l, points, measures)
+		hash, err := sweepHash(pristine, l, points, measures, solve.Tolerance)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: sweep: %w", err)
 		}
@@ -222,7 +222,7 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 		return err
 	}
 
-	// solveLanes runs the base solve of pts on chain: one batched call
+	// solveLanes solves pts on chain: one batched call
 	// when the model has rate slots, else the one-lane SteadyState solve
 	// of the single empty point at the chain's built rates. A lane's
 	// convergence failure is reported in its laneErrs slot; the error
@@ -239,44 +239,21 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 		return [][]float64{pi}, []error{err}, nil
 	}
 
-	// resolvePoint completes point i from its base solve on chain: it
-	// rebinds chain to the point's rates, lets an injected
-	// SiteSweepNonconverge trigger fail a converged base solve (the hook
-	// the escalation property tests use), runs the escalation ladder on a
-	// convergence failure when the spec asks for it, and evaluates the
-	// measures. The ladder's attempt 0 records the base failure exactly as
-	// ctmc.SteadyStateTraced would, so the ladder position is a pure
-	// function of the point's input, never of how lanes were packed.
+	// resolvePoint completes point i from its solve on chain: a lane's
+	// failure is the point's, and a converged lane is evaluated on chain
+	// rebound to the point's rates.
 	resolvePoint := func(chain *ctmc.CTMC, i int, pi []float64, err error) (*Phase2Report, error) {
-		if rerr := chain.Rebind(points[i]); rerr != nil {
-			return nil, rerr
-		}
-		action := "base"
-		if err == nil && faultinject.Fire(faultinject.SiteSweepNonconverge, i) {
-			resolved, rerr := chain.ResolveSolve(solve)
-			if rerr != nil {
-				return nil, rerr
-			}
-			err = &ctmc.ConvergenceError{Residual: 1, Tolerance: resolved.Tolerance, Point: -1}
-			action = "forced-nonconvergence"
-		}
-		var trace *ctmc.SolveTrace
 		if err != nil {
-			var ce *ctmc.ConvergenceError
-			if spec.Solve.Escalation != ctmc.EscalateLadder || !errors.As(err, &ce) {
-				return nil, err
-			}
-			if pi, trace, err = chain.EscalateFrom(solve, action, ce); err != nil {
-				return nil, err
-			}
+			return nil, err
+		}
+		if err := chain.Rebind(points[i]); err != nil {
+			return nil, err
 		}
 		values, err := measure.EvalAll(measures, chain, pi)
 		if err != nil {
 			return nil, err
 		}
-		rep := report(values)
-		rep.Trace = trace
-		return rep, nil
+		return report(values), nil
 	}
 
 	// solveChunk solves points[off:off+width] on chain and publishes their

@@ -79,7 +79,8 @@ type Config struct {
 	Batches int
 	// Seed seeds the master random stream (default 1).
 	Seed uint64
-	// ConfidenceLevel for the reported intervals (default 0.90).
+	// ConfidenceLevel for the reported intervals: 0.80, 0.90, 0.95 or
+	// 0.99 (default 0.90). Run rejects any other level.
 	ConfidenceLevel float64
 	// MaxEvents bounds the events per replication (default 50 million).
 	MaxEvents int
@@ -242,6 +243,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.ConfidenceLevel == 0 {
 		cfg.ConfidenceLevel = 0.90
+	}
+	// TQuantile falls back to 0.95 for an untabulated level, which would
+	// label a 95% half-width with the requested level.
+	if levels := stats.Levels(); !slices.Contains(levels, cfg.ConfidenceLevel) {
+		return nil, fmt.Errorf("sim: ConfidenceLevel must be one of %v (0 selects 0.9), got %v", levels, cfg.ConfidenceLevel)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1

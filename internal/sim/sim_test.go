@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/aemilia"
@@ -457,6 +458,38 @@ func TestErrorCases(t *testing.T) {
 		},
 	}); err != nil {
 		t.Errorf("override should fix it: %v", err)
+	}
+}
+
+// TestConfidenceLevelValidated pins the level check: TQuantile falls back
+// to 0.95 for an untabulated level, so Run used to report a 95%
+// half-width labelled with any requested level (0.85, 1.5, NaN). Only
+// the tabulated levels and 0 (the 0.90 default) are accepted, and an
+// accepted level is the one the interval reports.
+func TestConfidenceLevelValidated(t *testing.T) {
+	m := workRestModel(t, 1, 1)
+	run := func(level float64) (*Result, error) {
+		return Run(Config{Model: m, Measures: workRestMeasures, RunLength: 50,
+			Replications: 3, ConfidenceLevel: level})
+	}
+	for _, bad := range []float64{0.85, 1.5, -0.9, math.NaN(), math.Inf(1)} {
+		_, err := run(bad)
+		if err == nil {
+			t.Errorf("level %v accepted", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), "[0.8 0.9 0.95 0.99]") {
+			t.Errorf("level %v: error %q does not name the supported levels", bad, err)
+		}
+	}
+	for level, want := range map[float64]float64{0: 0.90, 0.80: 0.80, 0.90: 0.90, 0.95: 0.95, 0.99: 0.99} {
+		res, err := run(level)
+		if err != nil {
+			t.Fatalf("level %v: %v", level, err)
+		}
+		if got := res.Estimates["p_work"].Level; got != want {
+			t.Errorf("level %v: interval reports level %v, want %v", level, got, want)
+		}
 	}
 }
 

@@ -122,6 +122,16 @@ var tTable = map[float64][]struct {
 	},
 }
 
+// Levels returns the confidence levels TQuantile tabulates, ascending.
+func Levels() []float64 {
+	levels := make([]float64, 0, len(tTable))
+	for level := range tTable {
+		levels = append(levels, level)
+	}
+	sort.Float64s(levels)
+	return levels
+}
+
 // TQuantile returns the two-sided Student-t critical value for the given
 // confidence level and degrees of freedom. Unsupported levels fall back to
 // 0.95; degrees of freedom between table rows use the next smaller row

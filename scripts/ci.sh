@@ -39,17 +39,17 @@ echo "== go test -race =="
 go test -timeout 10m -race ./...
 
 # Fault-injection smoke under the race detector at -cpu 1,2: injected
-# worker panics, injected non-convergence with its escalation retry, and
-# cancellation at an exact iteration (the TestEscalation* and
-# TestSolveCancelAtIteration properties in internal/ctmc and the session sweep's
-# TestPhase2Sweep*Panic*/Escalat*/Cancel*/Checkpoint* and
+# worker panics, cancellation at an exact iteration, and a sweep that
+# fails to converge and is resumed from its checkpoint with a larger
+# budget (TestSolveCancelAtIteration in internal/ctmc and the session
+# sweep's TestPhase2Sweep*Panic*/Cancel*/Checkpoint* and
 # TestCheckpointResumeRejects properties in internal/pipeline), on both
-# the degenerate and a two-core schedule. The recovery paths — panic capture, lowest-index attribution,
-# escalation, checkpoint replay — are themselves concurrent code and get
-# their race coverage here.
+# the degenerate and a two-core schedule. The recovery paths — panic
+# capture, lowest-index attribution, checkpoint replay — are themselves
+# concurrent code and get their race coverage here.
 echo "== fault-injection smoke (-race -cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
-    -run 'FaultInject|Panic|Escalat|Cancel|Checkpoint' \
+    -run 'FaultInject|Panic|Cancel|Checkpoint' \
     ./internal/pipeline/ ./internal/ctmc/ ./internal/lts/ ./internal/sim/ ./internal/faultinject/ ./internal/fault/
 
 # Session-sharing smoke under the race detector at -cpu 1,2: concurrent
