@@ -28,7 +28,6 @@
 package bisim
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 
@@ -163,11 +162,12 @@ func tauSCCs(l *lts.LTS) (comp []int32, numComp int) {
 	var stack []int32
 	counter := int32(0)
 	type frame struct{ v, ei int32 }
+	var frames []frame // the DFS stack, reused across roots
 	for start := 0; start < n; start++ {
 		if index[start] >= 0 {
 			continue
 		}
-		frames := []frame{{v: int32(start)}}
+		frames = append(frames[:0], frame{v: int32(start)})
 		index[start] = counter
 		low[start] = counter
 		counter++
@@ -175,15 +175,15 @@ func tauSCCs(l *lts.LTS) (comp []int32, numComp int) {
 		onStack[start] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			out := l.Out(int(f.v))
+			dst, label := l.Row(int(f.v))
 			advanced := false
-			for int(f.ei) < out.Len() {
+			for int(f.ei) < len(dst) {
 				k := f.ei
 				f.ei++
-				if out.Label[k] != lts.TauIndex {
+				if label[k] != lts.TauIndex {
 					continue
 				}
-				w := out.Dst[k]
+				w := dst[k]
 				if index[w] < 0 {
 					index[w] = counter
 					low[w] = counter
@@ -245,39 +245,77 @@ type condensation struct {
 
 func condense(l *lts.LTS) *condensation {
 	comp, nc := tauSCCs(l)
-	var edges []cedge
+	eb := newEdgeBuckets(nc)
 	for st := 0; st < l.NumStates; st++ {
-		sp := l.Out(st)
+		dst, label := l.Row(st)
 		cs := comp[st]
-		for k := 0; k < sp.Len(); k++ {
-			cd := comp[sp.Dst[k]]
-			if sp.Label[k] == lts.TauIndex && cs == cd {
-				continue
+		for k := range dst {
+			if label[k] != lts.TauIndex || comp[dst[k]] != cs {
+				eb.count(cs)
 			}
-			edges = append(edges, cedge{src: cs, label: sp.Label[k], dst: cd})
 		}
 	}
-	slices.SortFunc(edges, cmpCedge)
-	edges = dedupEdges(edges)
-	rowOff := make([]int32, nc+1)
-	for _, e := range edges {
-		rowOff[e.src+1]++
+	eb.start()
+	for st := 0; st < l.NumStates; st++ {
+		dst, label := l.Row(st)
+		cs := comp[st]
+		for k := range dst {
+			if cd := comp[dst[k]]; label[k] != lts.TauIndex || cd != cs {
+				eb.put(cs, label[k], cd)
+			}
+		}
 	}
-	for c := 1; c <= nc; c++ {
-		rowOff[c] += rowOff[c-1]
-	}
+	edges, rowOff := eb.finish()
 	return &condensation{comp: comp, n: nc, edges: edges, rowOff: rowOff}
 }
 
-// cmpCedge orders condensed edges by (src, label, dst).
-func cmpCedge(a, b cedge) int {
-	if c := cmp.Compare(a.src, b.src); c != 0 {
-		return c
+// edgeBuckets sorts and deduplicates an edge set by (src, label, dst)
+// without a global sort. Edges arrive in two passes over the same set:
+// count sizes each source's row, put packs each edge into its row as a
+// label<<32|dst key, and finish sorts and compacts every row on its own.
+type edgeBuckets struct {
+	off  []int32  // per-source counts, then row starts (len n+1)
+	fill []int32  // per-source write cursor during put
+	keys []uint64 // label<<32 | dst, grouped by source
+}
+
+func newEdgeBuckets(n int) *edgeBuckets { return &edgeBuckets{off: make([]int32, n+1)} }
+
+// count records one edge out of src.
+func (b *edgeBuckets) count(src int32) { b.off[src+1]++ }
+
+// start turns the counts into row offsets; put may follow.
+func (b *edgeBuckets) start() {
+	n := len(b.off) - 1
+	for c := 1; c <= n; c++ {
+		b.off[c] += b.off[c-1]
 	}
-	if c := cmp.Compare(a.label, b.label); c != 0 {
-		return c
+	b.keys = make([]uint64, b.off[n])
+	b.fill = append([]int32(nil), b.off[:n]...)
+}
+
+// put stores one edge; every counted edge must be put exactly once.
+func (b *edgeBuckets) put(src, label, dst int32) {
+	b.keys[b.fill[src]] = uint64(label)<<32 | uint64(uint32(dst))
+	b.fill[src]++
+}
+
+// finish returns the edges sorted by (src, label, dst) and deduplicated,
+// with source c owning edges[rowOff[c]:rowOff[c+1]].
+func (b *edgeBuckets) finish() (edges []cedge, rowOff []int32) {
+	n := len(b.off) - 1
+	edges = make([]cedge, 0, len(b.keys))
+	rowOff = b.off
+	for c := 0; c < n; c++ {
+		row := b.keys[rowOff[c]:rowOff[c+1]]
+		slices.Sort(row)
+		rowOff[c] = int32(len(edges))
+		for _, k := range slices.Compact(row) {
+			edges = append(edges, cedge{src: int32(c), label: int32(k >> 32), dst: int32(uint32(k))})
+		}
 	}
-	return cmp.Compare(a.dst, b.dst)
+	rowOff[n] = int32(len(edges))
+	return edges, rowOff
 }
 
 // row returns the condensed edges of node c.
@@ -407,19 +445,6 @@ func emitGroups(b *satBuilder, buf []pair) {
 		b.s.dstOff = append(b.s.dstOff, int32(len(b.s.dsts)))
 		i = j
 	}
-}
-
-// dedupEdges removes duplicates from a sorted condensed edge list.
-func dedupEdges[E comparable](edges []E) []E {
-	out := edges[:0]
-	var last E
-	for i, e := range edges {
-		if i == 0 || e != last {
-			out = append(out, e)
-			last = e
-		}
-	}
-	return out
 }
 
 // refineResult carries the partition and its refinement history.

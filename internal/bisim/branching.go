@@ -69,18 +69,26 @@ func branchingQuotient(l *lts.LTS) (*lts.LTS, []int32) {
 	}
 
 	// Lift the condensed edges, dropping inert tau steps.
-	qedges := make([]cedge, 0, len(cd.edges))
-	for _, e := range cd.edges {
-		src, dst := id[cur[e.src]], id[cur[e.dst]]
-		if e.label == lts.TauIndex && src == dst {
-			continue
-		}
-		qedges = append(qedges, cedge{src: src, label: e.label, dst: dst})
+	eb := newEdgeBuckets(m)
+	lift := func(e cedge) (src, dst int32, ok bool) {
+		src, dst = id[cur[e.src]], id[cur[e.dst]]
+		return src, dst, e.label != lts.TauIndex || src != dst
 	}
-	slices.SortFunc(qedges, cmpCedge)
+	for _, e := range cd.edges {
+		if src, _, ok := lift(e); ok {
+			eb.count(src)
+		}
+	}
+	eb.start()
+	for _, e := range cd.edges {
+		if src, dst, ok := lift(e); ok {
+			eb.put(src, e.label, dst)
+		}
+	}
+	qedges, _ := eb.finish()
 	q := lts.NewShared(m, l.Symbols())
 	q.Initial = int(block[l.Initial])
-	for _, e := range dedupEdges(qedges) {
+	for _, e := range qedges {
 		q.AddTransition(int(e.src), int(e.dst), int(e.label), rates.UntimedRate())
 	}
 	return q, block

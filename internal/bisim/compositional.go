@@ -72,7 +72,7 @@ func MarkovianPartitionFrom(l *lts.LTS, initial []int) []int {
 			sp := l.Out(s)
 			for k := 0; k < sp.Len(); k++ {
 				key := compKey{label: sp.Label[k], block: cur[sp.Dst[k]]}
-				r := sp.Rate[k]
+				r := sp.Rate(k)
 				var a compAcc
 				switch r.Kind {
 				case rates.Exp:

@@ -47,7 +47,7 @@ func MarkovianPartition(l *lts.LTS) []int {
 			sp := l.Out(s)
 			for k := 0; k < sp.Len(); k++ {
 				key := markovKey{label: sp.Label[k], block: cur[sp.Dst[k]]}
-				r := sp.Rate[k]
+				r := sp.Rate(k)
 				switch r.Kind {
 				case rates.Exp:
 					key.prio = -1
@@ -169,7 +169,7 @@ func Lump(l *lts.LTS) *lts.LTS {
 		sp := l.Out(s)
 		for k := 0; k < sp.Len(); k++ {
 			e := edge{label: int(sp.Label[k]), dst: blocks[sp.Dst[k]]}
-			r := sp.Rate[k]
+			r := sp.Rate(k)
 			switch r.Kind {
 			case rates.Exp:
 				expAcc[e] += r.Lambda

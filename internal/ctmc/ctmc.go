@@ -168,7 +168,7 @@ func Build(l *lts.LTS) (*CTMC, error) {
 	for s := 0; s < n; s++ {
 		sp := l.Out(s)
 		for k := 0; k < sp.Len(); k++ {
-			if sp.Rate[k].Kind == rates.Immediate {
+			if sp.Rate(k).Kind == rates.Immediate {
 				isVanishing[s] = true
 				numVanishing++
 				break
@@ -190,14 +190,14 @@ func Build(l *lts.LTS) (*CTMC, error) {
 		sp := l.Out(s)
 		maxPrio := math.MinInt32
 		for k := 0; k < sp.Len(); k++ {
-			if r := sp.Rate[k]; r.Kind == rates.Immediate && r.Priority > maxPrio {
+			if r := sp.Rate(k); r.Kind == rates.Immediate && r.Priority > maxPrio {
 				maxPrio = r.Priority
 			}
 		}
 		total := 0.0
 		base := l.EdgeBase(s)
 		for k := 0; k < sp.Len(); k++ {
-			if r := sp.Rate[k]; r.Kind == rates.Immediate && r.Priority == maxPrio {
+			if r := sp.Rate(k); r.Kind == rates.Immediate && r.Priority == maxPrio {
 				brSlab = append(brSlab, branch{dst: int(sp.Dst[k]), prob: r.Weight, ltsTrans: base + k})
 				total += r.Weight
 			}
@@ -310,7 +310,7 @@ func Build(l *lts.LTS) (*CTMC, error) {
 		sp := l.Out(s)
 		base := l.EdgeBase(s)
 		for k := 0; k < sp.Len(); k++ {
-			r := sp.Rate[k]
+			r := sp.Rate(k)
 			dst := int(sp.Dst[k])
 			switch r.Kind {
 			case rates.Exp:

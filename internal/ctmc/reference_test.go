@@ -227,7 +227,7 @@ func referenceBuild(l *lts.LTS) (*CTMC, error) {
 	for s := 0; s < n; s++ {
 		sp := l.Out(s)
 		for k := 0; k < sp.Len(); k++ {
-			if sp.Rate[k].Kind == rates.Immediate {
+			if sp.Rate(k).Kind == rates.Immediate {
 				isVanishing[s] = true
 				break
 			}
@@ -249,7 +249,7 @@ func referenceBuild(l *lts.LTS) (*CTMC, error) {
 		sp := l.Out(s)
 		maxPrio := math.MinInt32
 		for k := 0; k < sp.Len(); k++ {
-			if r := sp.Rate[k]; r.Kind == rates.Immediate && r.Priority > maxPrio {
+			if r := sp.Rate(k); r.Kind == rates.Immediate && r.Priority > maxPrio {
 				maxPrio = r.Priority
 			}
 		}
@@ -257,7 +257,7 @@ func referenceBuild(l *lts.LTS) (*CTMC, error) {
 		total := 0.0
 		base := l.EdgeBase(s)
 		for k := 0; k < sp.Len(); k++ {
-			if r := sp.Rate[k]; r.Kind == rates.Immediate && r.Priority == maxPrio {
+			if r := sp.Rate(k); r.Kind == rates.Immediate && r.Priority == maxPrio {
 				brs = append(brs, branch{dst: int(sp.Dst[k]), prob: r.Weight, ltsTrans: base + k})
 				total += r.Weight
 			}
@@ -360,7 +360,7 @@ func referenceBuild(l *lts.LTS) (*CTMC, error) {
 		sp := l.Out(s)
 		base := l.EdgeBase(s)
 		for k := 0; k < sp.Len(); k++ {
-			r := sp.Rate[k]
+			r := sp.Rate(k)
 			dst := int(sp.Dst[k])
 			switch r.Kind {
 			case rates.Exp:

@@ -29,7 +29,7 @@ func WriteAUT(w io.Writer, l *LTS) error {
 		sp := l.Out(s)
 		for k := 0; k < sp.Len(); k++ {
 			label := l.LabelName(int(sp.Label[k]))
-			if r := sp.Rate[k]; r.Kind != 0 && r.String() != "_" {
+			if r := sp.Rate(k); r.Kind != 0 && r.String() != "_" {
 				label += " {" + r.String() + "}"
 			}
 			if _, err := fmt.Fprintf(w, "(%d, %q, %d)\n", s, label, sp.Dst[k]); err != nil {

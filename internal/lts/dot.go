@@ -29,7 +29,7 @@ func WriteDOT(w io.Writer, l *LTS, name string) error {
 		sp := l.Out(s)
 		for k := 0; k < sp.Len(); k++ {
 			lbl := l.LabelName(int(sp.Label[k]))
-			if r := sp.Rate[k]; r.Kind != 0 && r.String() != "_" {
+			if r := sp.Rate(k); r.Kind != 0 && r.String() != "_" {
 				lbl += ", " + r.String()
 			}
 			if _, err := fmt.Fprintf(w, "  n%d -> n%d [label=%q];\n", s, sp.Dst[k], lbl); err != nil {

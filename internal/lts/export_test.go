@@ -6,3 +6,12 @@ func WithFoldMemoLimitForTest(o FoldOptions, limit int) *FoldOptions {
 	o.memoLimit = limit
 	return &o
 }
+
+// ReferenceRestrictForTest exposes referenceRestrict to the external
+// tests that need the paper models.
+func ReferenceRestrictForTest(l *LTS, match func(string) bool) *LTS {
+	return referenceRestrict(l, match)
+}
+
+// DiffSystemsForTest exposes diffSystems to the external tests.
+func DiffSystemsForTest(got, want *LTS) string { return diffSystems(got, want) }

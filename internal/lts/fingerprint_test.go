@@ -61,7 +61,7 @@ func ltsDigest(l *lts.LTS) string {
 			u64(uint64(sp.Dst[k]))
 			u64(uint64(sp.Label[k]))
 			str(l.LabelName(int(sp.Label[k])))
-			rate(sp.Rate[k])
+			rate(sp.Rate(k))
 			u64(uint64(l.EdgeAux(base + k)))
 		}
 		flush()

@@ -13,6 +13,7 @@ package lts
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/rates"
 	"repro/internal/statespace"
@@ -36,19 +37,24 @@ type Transition struct {
 }
 
 // Span is a read-only view of one state's outgoing transitions inside the
-// CSR arrays: Dst, Label and Rate are parallel slices. Mutating a span
-// would corrupt shared storage; treat it as immutable.
+// CSR arrays: Dst and Label are parallel slices, and Rate resolves each
+// transition's timing annotation through the system's rate table.
+// Mutating a span would corrupt shared storage; treat it as immutable.
 type Span struct {
 	// Dst holds the destination state of each transition.
 	Dst []int32
 	// Label holds the symbol-table index of each transition label.
 	Label []int32
-	// Rate holds the timing annotation of each transition.
-	Rate []rates.Rate
+
+	rateID []int32
+	rates  []rates.Rate
 }
 
 // Len returns the number of transitions in the span.
 func (sp Span) Len() int { return len(sp.Dst) }
+
+// Rate returns the timing annotation of transition k.
+func (sp Span) Rate(k int) rates.Rate { return sp.rates[sp.rateID[k]] }
 
 // LTS is an explicit labelled transition system.
 type LTS struct {
@@ -135,7 +141,7 @@ func (l *LTS) unseal() {
 		lo, hi := l.csr.Row(s)
 		for i := lo; i < hi; i++ {
 			e := statespace.Edge{
-				Src: int32(s), Dst: l.csr.Dst[i], Label: l.csr.Label[i], Rate: l.csr.Rate[i],
+				Src: int32(s), Dst: l.csr.Dst[i], Label: l.csr.Label[i], Rate: l.csr.Rate(i),
 			}
 			if l.csr.Aux != nil {
 				e.Aux = l.csr.Aux[i]
@@ -169,7 +175,15 @@ func (l *LTS) setCSR(c statespace.CSR) {
 func (l *LTS) Out(s int) Span {
 	l.seal()
 	lo, hi := l.csr.Row(s)
-	return Span{Dst: l.csr.Dst[lo:hi], Label: l.csr.Label[lo:hi], Rate: l.csr.Rate[lo:hi]}
+	return Span{Dst: l.csr.Dst[lo:hi], Label: l.csr.Label[lo:hi], rateID: l.csr.RateID[lo:hi], rates: l.csr.Rates}
+}
+
+// Row returns the destinations and labels of the transitions leaving
+// state s: the narrow view for passes that never read rates.
+func (l *LTS) Row(s int) (dst, label []int32) {
+	l.seal()
+	lo, hi := l.csr.Row(s)
+	return l.csr.Dst[lo:hi], l.csr.Label[lo:hi]
 }
 
 // EdgeBase returns the global CSR index of the first transition of state
@@ -194,7 +208,7 @@ func (l *LTS) EdgeLabel(i int) int {
 // parametrically elaborated system.
 func (l *LTS) EdgeSlot(i int) int {
 	l.seal()
-	return l.csr.Rate[i].Slot
+	return l.csr.Rate(int32(i)).Slot
 }
 
 // EdgeAux returns the reward-attribution handle of the transition at
@@ -256,8 +270,8 @@ func (l *LTS) MemStats() (stateTable, csrBytes, auxBytes int) {
 func (l *LTS) NumRateSlots() int {
 	l.seal()
 	max := 0
-	for i := range l.csr.Rate {
-		if s := l.csr.Rate[i].Slot; s > max {
+	for _, id := range l.csr.RateID {
+		if s := l.csr.Rates[id].Slot; s > max {
 			max = s
 		}
 	}
@@ -277,9 +291,9 @@ func (l *LTS) SlotDefaults() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range l.csr.Rate {
-		if s := l.csr.Rate[i].Slot; s > 0 {
-			out[s-1] = l.csr.Rate[i].Lambda
+	for _, id := range l.csr.RateID {
+		if r := &l.csr.Rates[id]; r.Slot > 0 {
+			out[r.Slot-1] = r.Lambda
 		}
 	}
 	return out
@@ -291,7 +305,7 @@ func (l *LTS) Edges(fn func(src, dst, label int, r rates.Rate)) {
 	for s := 0; s < l.NumStates; s++ {
 		lo, hi := l.csr.Row(s)
 		for i := lo; i < hi; i++ {
-			fn(s, int(l.csr.Dst[i]), int(l.csr.Label[i]), l.csr.Rate[i])
+			fn(s, int(l.csr.Dst[i]), int(l.csr.Label[i]), l.csr.Rate(i))
 		}
 	}
 }
@@ -342,9 +356,10 @@ func (l *LTS) Pred(name string, s int) (bool, error) {
 
 // Hide returns the LTS in which every transition whose label satisfies
 // match is relabelled to tau. This is an allocation-light pass over the
-// CSR form: the structural arrays (row starts, destinations, rates) are
-// shared with the input, only the label column is rewritten, and match is
-// consulted once per distinct label rather than once per transition.
+// CSR form: the structural arrays (row starts, destinations, rate ids and
+// the rate table) are shared with the input, only the label column is
+// rewritten, and match is consulted once per distinct label rather than
+// once per transition.
 // Rates, predicates and state descriptions are preserved.
 func Hide(l *LTS, match func(label string) bool) *LTS {
 	l.seal()
@@ -373,7 +388,8 @@ func Hide(l *LTS, match func(label string) bool) *LTS {
 		RowStart: l.csr.RowStart,
 		Dst:      l.csr.Dst,
 		Label:    labels,
-		Rate:     l.csr.Rate,
+		RateID:   l.csr.RateID,
+		Rates:    l.csr.Rates,
 		Aux:      l.csr.Aux,
 	})
 	out.shareAux(l)
@@ -382,8 +398,10 @@ func Hide(l *LTS, match func(label string) bool) *LTS {
 
 // Restrict returns the sub-LTS obtained by removing every transition whose
 // label satisfies match and then restricting to the states reachable from
-// the initial state. State indices are compacted; the symbol table is
-// shared with the input, and descriptions and predicates are carried over.
+// the initial state. State indices are compacted (in breadth-first order);
+// the symbol table and the rate table are shared with the input, and
+// descriptions and predicates are carried over. The result is assembled
+// row by row, reusing the input's rate ids.
 func Restrict(l *LTS, match func(label string) bool) *LTS {
 	l.seal()
 	keepLab := make([]bool, l.syms.Len())
@@ -397,7 +415,6 @@ func Restrict(l *LTS, match func(label string) bool) *LTS {
 	}
 	order := []int32{int32(l.Initial)}
 	remap[l.Initial] = 0
-	keptEdges := 0
 	for qi := 0; qi < len(order); qi++ {
 		s := order[qi]
 		lo, hi := l.csr.Row(int(s))
@@ -405,7 +422,6 @@ func Restrict(l *LTS, match func(label string) bool) *LTS {
 			if !keepLab[l.csr.Label[i]] {
 				continue
 			}
-			keptEdges++
 			d := l.csr.Dst[i]
 			if remap[d] < 0 {
 				remap[d] = int32(len(order))
@@ -430,62 +446,60 @@ func Restrict(l *LTS, match func(label string) bool) *LTS {
 			out.Preds[p] = col
 		}
 	}
-	edges := make([]statespace.Edge, 0, keptEdges)
+	// Every target of a kept edge out of a reached state was itself
+	// reached, so the rows need no reachability filter.
+	rows := statespace.NewRowBuilderOver(l.csr.Rates)
 	for _, oldIdx := range order {
 		lo, hi := l.csr.Row(int(oldIdx))
 		for i := lo; i < hi; i++ {
-			if !keepLab[l.csr.Label[i]] || remap[l.csr.Dst[i]] < 0 {
+			if !keepLab[l.csr.Label[i]] {
 				continue
 			}
-			e := statespace.Edge{
-				Src:   remap[oldIdx],
-				Dst:   remap[l.csr.Dst[i]],
-				Label: l.csr.Label[i],
-				Rate:  l.csr.Rate[i],
-			}
+			aux := int32(0)
 			if l.csr.Aux != nil {
-				e.Aux = l.csr.Aux[i]
+				aux = l.csr.Aux[i]
 			}
-			edges = append(edges, e)
+			rows.AddID(remap[l.csr.Dst[i]], l.csr.Label[i], aux, l.csr.RateID[i])
 		}
+		rows.EndRow()
 	}
-	out.setCSR(statespace.Build(len(order), edges))
+	out.setCSR(rows.CSR())
 	out.shareAux(l)
 	return out
 }
 
 // LabelMatcherByInstance returns a matcher for all transition labels that
-// involve the given instance name: "I.a" or any "…#I.a" / "I.a#…".
-// It is the standard way to designate a component's actions as high.
+// involve the given instance name: "I.a", or any '#'-separated part of a
+// synchronization label ("I.a#J.b", "J.b#I.a", and every participant of
+// an AND broadcast "J.b#K.c#I.a"). It is the standard way to designate a
+// component's actions as high.
 func LabelMatcherByInstance(inst string) func(string) bool {
 	prefix := inst + "."
 	return func(label string) bool {
-		if len(label) >= len(prefix) && label[:len(prefix)] == prefix {
-			return true
-		}
-		for i := 0; i+1 < len(label); i++ {
-			if label[i] == '#' {
-				rest := label[i+1:]
-				return len(rest) >= len(prefix) && rest[:len(prefix)] == prefix
-			}
-		}
-		return false
+		return anyPart(label, func(part string) bool { return strings.HasPrefix(part, prefix) })
 	}
 }
 
 // LabelInvolves reports whether a transition label involves the given
-// "Instance.action" pair, either standalone ("I.a") or as one side of a
-// synchronization ("I.a#J.b" / "J.b#I.a").
+// "Instance.action" pair, either standalone ("I.a") or as any
+// '#'-separated participant of a synchronization ("I.a#J.b", "J.b#I.a",
+// or one subscriber of an AND broadcast "J.b#K.c#I.a").
 func LabelInvolves(label, instAction string) bool {
-	if label == instAction {
-		return true
-	}
-	for i := 0; i < len(label); i++ {
-		if label[i] == '#' {
-			return label[:i] == instAction || label[i+1:] == instAction
+	return anyPart(label, func(part string) bool { return part == instAction })
+}
+
+// anyPart reports whether pred holds for some '#'-separated part of label.
+func anyPart(label string, pred func(part string) bool) bool {
+	for {
+		i := strings.IndexByte(label, '#')
+		if i < 0 {
+			return pred(label)
 		}
+		if pred(label[:i]) {
+			return true
+		}
+		label = label[i+1:]
 	}
-	return false
 }
 
 // LabelMatcherByNames returns a matcher for an explicit set of labels.

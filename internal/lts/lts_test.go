@@ -232,10 +232,36 @@ func TestLabelMatcherByInstance(t *testing.T) {
 		{"S.send#C.receive", false},
 		{"C.process", false},
 		{"XDPM.x", false},
+		// AND broadcasts: every '#'-separated participant counts.
+		{"A.o#DPM.i#C.j", true},
+		{"A.o#B.i#DPM.j", true},
+		{"A.o#B.i#XDPM.j", false},
 	}
 	for _, tt := range tests {
 		if got := m(tt.label); got != tt.want {
 			t.Errorf("match(%q) = %t, want %t", tt.label, got, tt.want)
+		}
+	}
+}
+
+func TestLabelInvolves(t *testing.T) {
+	tests := []struct {
+		label, instAction string
+		want              bool
+	}{
+		{"A.o", "A.o", true},
+		{"A.o#B.i", "A.o", true},
+		{"A.o#B.i", "B.i", true},
+		{"A.o#B.i#C.j", "A.o", true},
+		{"A.o#B.i#C.j", "B.i", true},
+		{"A.o#B.i#C.j", "C.j", true},
+		{"A.o#B.i#C.j", "C.i", false},
+		{"A.o#B.i#C.j", "B.i#C.j", false},
+		{"A.o#B.ii", "B.i", false},
+	}
+	for _, tt := range tests {
+		if got := LabelInvolves(tt.label, tt.instAction); got != tt.want {
+			t.Errorf("LabelInvolves(%q, %q) = %t, want %t", tt.label, tt.instAction, got, tt.want)
 		}
 	}
 }

@@ -1,0 +1,282 @@
+package lts
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"strconv"
+	"testing"
+
+	"repro/internal/rates"
+	"repro/internal/statespace"
+)
+
+// referenceRestrict is the restriction Restrict replaced: the same
+// breadth-first compaction, but the kept edges are collected into one
+// statespace.Edge list (resolved rates included) and handed to
+// statespace.Build, whose global stable sort orders them and whose rate
+// table is interned afresh. Restrict assembles the rows directly and
+// shares the input's rate table; the two must agree edge for edge.
+func referenceRestrict(l *LTS, match func(label string) bool) *LTS {
+	l.seal()
+	keepLab := make([]bool, l.syms.Len())
+	for i := range keepLab {
+		keepLab[i] = i == TauIndex || !match(l.syms.Name(i))
+	}
+	remap := make([]int32, l.NumStates)
+	for i := range remap {
+		remap[i] = -1
+	}
+	order := []int32{int32(l.Initial)}
+	remap[l.Initial] = 0
+	for qi := 0; qi < len(order); qi++ {
+		lo, hi := l.csr.Row(int(order[qi]))
+		for i := lo; i < hi; i++ {
+			if d := l.csr.Dst[i]; keepLab[l.csr.Label[i]] && remap[d] < 0 {
+				remap[d] = int32(len(order))
+				order = append(order, d)
+			}
+		}
+	}
+	out := NewShared(len(order), l.syms)
+	if l.descFn != nil {
+		parent := l.descFn
+		out.descFn = func(s int) string { return parent(int(order[s])) }
+	}
+	if l.Preds != nil {
+		out.PredNames = l.PredNames
+		out.Preds = make([][]bool, len(l.Preds))
+		for p := range l.Preds {
+			col := make([]bool, len(order))
+			for newIdx, oldIdx := range order {
+				col[newIdx] = l.Preds[p][oldIdx]
+			}
+			out.Preds[p] = col
+		}
+	}
+	var edges []statespace.Edge
+	for _, oldIdx := range order {
+		lo, hi := l.csr.Row(int(oldIdx))
+		for i := lo; i < hi; i++ {
+			if !keepLab[l.csr.Label[i]] || remap[l.csr.Dst[i]] < 0 {
+				continue
+			}
+			e := statespace.Edge{
+				Src: remap[oldIdx], Dst: remap[l.csr.Dst[i]], Label: l.csr.Label[i], Rate: l.csr.Rate(i),
+			}
+			if l.csr.Aux != nil {
+				e.Aux = l.csr.Aux[i]
+			}
+			edges = append(edges, e)
+		}
+	}
+	out.setCSR(statespace.Build(len(order), edges))
+	out.shareAux(l)
+	return out
+}
+
+// sameRateBits reports whether two rates are bit-identical.
+func sameRateBits(a, b rates.Rate) bool {
+	return a.Kind == b.Kind && a.Slot == b.Slot && a.Priority == b.Priority &&
+		math.Float64bits(a.Lambda) == math.Float64bits(b.Lambda) &&
+		math.Float64bits(a.Weight) == math.Float64bits(b.Weight)
+}
+
+// diffSystems compares everything two systems expose — shape, edge
+// columns, resolved rates (bit for bit), Aux handles, predicates and the
+// attribution pool — and describes the first difference, or returns "".
+// Rate tables may differ; only what each edge resolves to counts.
+func diffSystems(got, want *LTS) string {
+	got.seal()
+	want.seal()
+	g, w := &got.csr, &want.csr
+	switch {
+	case got.NumStates != want.NumStates || got.Initial != want.Initial:
+		return fmt.Sprintf("shape (%d states, initial %d) vs (%d, %d)", got.NumStates, got.Initial, want.NumStates, want.Initial)
+	case !slices.Equal(g.RowStart, w.RowStart):
+		return "row starts"
+	case !slices.Equal(g.Dst, w.Dst) || !slices.Equal(g.Label, w.Label):
+		return "destination or label column"
+	case (g.Aux == nil) != (w.Aux == nil) || !slices.Equal(g.Aux, w.Aux):
+		return "aux column"
+	case got.NumRateSlots() != want.NumRateSlots() || !slices.Equal(got.SlotDefaults(), want.SlotDefaults()):
+		return "rate slots"
+	case !slices.Equal(got.PredNames, want.PredNames) || !slices.EqualFunc(got.Preds, want.Preds, slices.Equal[[]bool]):
+		return "predicates"
+	case got.NumAux() != want.NumAux():
+		return "attribution pool"
+	}
+	for i := range g.RateID {
+		if !sameRateBits(g.Rate(int32(i)), w.Rate(int32(i))) {
+			return fmt.Sprintf("rate of edge %d: %+v vs %+v", i, g.Rate(int32(i)), w.Rate(int32(i)))
+		}
+	}
+	return ""
+}
+
+// randomAuxLTS builds a random rated system with a reward-attribution
+// pool and Aux handles on some edges. Rates come from a small alphabet
+// that includes slotted, immediate and passive annotations, ±0 and NaN,
+// so equal-rate runs and bit-level distinctions both occur.
+func randomAuxLTS(r *rand.Rand, n int) *LTS {
+	alphabet := []rates.Rate{
+		rates.UntimedRate(), rates.ExpRate(1), rates.ExpRate(2), rates.ExpSlot(1, 0.5),
+		rates.ExpSlot(2, 3), rates.Inf(1, 1), rates.Inf(2, 0.25), rates.PassiveRate(),
+		rates.ExpRate(0), rates.ExpRate(math.Copysign(0, -1)), rates.ExpRate(math.NaN()),
+	}
+	l := New(n)
+	l.Initial = r.Intn(n)
+	labels := []int{TauIndex, l.LabelIndex("a"), l.LabelIndex("b"), l.LabelIndex("c")}
+	const numAux = 3
+	l.setAuxPool([]int32{0, 1, 3, 4}, []int32{1, 1, 2, 3}, []float64{0.5, 1, 2, 0.25})
+	for s := 0; s < n; s++ {
+		for k := r.Intn(4); k > 0; k-- {
+			e := statespace.Edge{
+				Src: int32(s), Dst: int32(r.Intn(n)), Label: int32(labels[r.Intn(len(labels))]),
+				Rate: alphabet[r.Intn(len(alphabet))],
+			}
+			if r.Intn(3) == 0 {
+				e.Aux = int32(1 + r.Intn(numAux))
+			}
+			l.pending = append(l.pending, e)
+		}
+	}
+	if r.Intn(2) == 0 {
+		l.PredNames = []string{"p"}
+		col := make([]bool, n)
+		for s := range col {
+			col[s] = r.Intn(2) == 0
+		}
+		l.Preds = [][]bool{col}
+	}
+	return l
+}
+
+// TestRestrictMatchesReference pins Restrict, and Hide over its result,
+// to the Build-based reference on random rated systems with Aux columns.
+func TestRestrictMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 200; trial++ {
+		l := randomAuxLTS(r, 1+r.Intn(30))
+		high := LabelMatcherByNames([]string{"a", "b", "c"}[r.Intn(3)])
+		notLow := LabelMatcherByNames("c")
+		got, want := Restrict(l, high), referenceRestrict(l, high)
+		if d := diffSystems(got, want); d != "" {
+			t.Fatalf("trial %d: Restrict differs from the reference: %s", trial, d)
+		}
+		if d := diffSystems(Hide(got, notLow), Hide(want, notLow)); d != "" {
+			t.Fatalf("trial %d: hidden restriction differs from the reference: %s", trial, d)
+		}
+	}
+}
+
+// FuzzRestrictHide decodes bytes into a small rated system with Aux
+// handles and checks Restrict against referenceRestrict, then Hide over
+// both, and that every edge of the restricted system resolves to the
+// bit-identical rate of the parent edge it was copied from. Byte 0 picks
+// the state count, byte 1 the high and low label masks and the initial
+// state, and every further 4 bytes one edge (source, destination,
+// label and Aux handle, rate).
+func FuzzRestrictHide(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0, 1, 2, 5, 1, 2, 0, 3, 9})
+	f.Add([]byte{4, 1, 2, 0, 1, 8, 0, 1, 2, 9, 1, 2, 3, 10, 2, 3, 0, 7, 3, 3, 1, 4})
+	f.Add([]byte{2, 6, 0, 0, 0, 8, 0, 1, 0, 9, 1, 0, 1, 10, 1, 1, 2, 8})
+	alphabet := []rates.Rate{
+		rates.UntimedRate(), rates.ExpRate(1), rates.ExpRate(2), rates.ExpSlot(1, 0.5),
+		rates.Inf(1, 1), rates.Inf(2, 0.25), rates.PassiveRate(), rates.PassiveWeight(2),
+		rates.ExpRate(0), rates.ExpRate(math.Copysign(0, -1)), rates.ExpRate(math.NaN()),
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%8
+		high, low := data[1]&7, data[1]>>3&7 // label masks over a, b, c
+		l := New(n)
+		l.Initial = int(data[1]>>6) % n
+		l.SetStateDescFunc(strconv.Itoa)
+		labels := []int{TauIndex, l.LabelIndex("a"), l.LabelIndex("b"), l.LabelIndex("c")}
+		l.setAuxPool([]int32{0, 1, 3}, []int32{1, 1, 2}, []float64{0.5, 1, 2})
+		edges := data[2:]
+		if len(edges) > 4*64 {
+			edges = edges[:4*64]
+		}
+		for ; len(edges) >= 4; edges = edges[4:] {
+			l.pending = append(l.pending, statespace.Edge{
+				Src: int32(int(edges[0]) % n), Dst: int32(int(edges[1]) % n),
+				Label: int32(labels[edges[2]%4]), Aux: int32(edges[2] / 4 % 3),
+				Rate: alphabet[int(edges[3])%len(alphabet)],
+			})
+		}
+		inMask := func(mask byte) func(string) bool {
+			return func(label string) bool {
+				for i, name := range []string{"a", "b", "c"} {
+					if mask&(1<<i) != 0 && label == name {
+						return true
+					}
+				}
+				return false
+			}
+		}
+		notLow := func(label string) bool { return !inMask(low)(label) }
+		got, want := Restrict(l, inMask(high)), referenceRestrict(l, inMask(high))
+		if d := diffSystems(got, want); d != "" {
+			t.Fatalf("Restrict differs from the reference: %s", d)
+		}
+		if d := diffSystems(Hide(got, notLow), Hide(want, notLow)); d != "" {
+			t.Fatalf("hidden restriction differs from the reference: %s", d)
+		}
+		for s := 0; s < got.NumStates; s++ {
+			if d := rowCorrespondence(l, got, s, inMask(high)); d != "" {
+				t.Fatal(d)
+			}
+		}
+	})
+}
+
+// rowCorrespondence checks restricted state s of r, a restriction of l
+// whose descriptions are l's state indices, against l directly: the row
+// of s must hold exactly the parent row's kept edges — same label, parent
+// destination, Aux handle and rate bits — in any order. It describes the
+// first mismatch, or returns "".
+func rowCorrespondence(l, r *LTS, s int, high func(string) bool) string {
+	type edge struct {
+		label, dst, aux int
+		rate            [5]uint64
+	}
+	key := func(label, dst, aux int, rt rates.Rate) edge {
+		return edge{label, dst, aux, [5]uint64{uint64(rt.Kind), uint64(rt.Slot), uint64(rt.Priority),
+			math.Float64bits(rt.Lambda), math.Float64bits(rt.Weight)}}
+	}
+	parentOf := func(st int) int {
+		p, err := strconv.Atoi(r.StateDesc(st))
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
+	var got, want []edge
+	sp := r.Out(s)
+	for k := 0; k < sp.Len(); k++ {
+		got = append(got, key(int(sp.Label[k]), parentOf(int(sp.Dst[k])), r.EdgeAux(r.EdgeBase(s)+k), sp.Rate(k)))
+	}
+	p := parentOf(s)
+	sp = l.Out(p)
+	for k := 0; k < sp.Len(); k++ {
+		if li := int(sp.Label[k]); li == TauIndex || !high(l.LabelName(li)) {
+			want = append(want, key(li, int(sp.Dst[k]), l.EdgeAux(l.EdgeBase(p)+k), sp.Rate(k)))
+		}
+	}
+	cmpEdge := func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(a.dst, b.dst), cmp.Compare(a.aux, b.aux),
+			slices.Compare(a.rate[:], b.rate[:]))
+	}
+	slices.SortFunc(got, cmpEdge)
+	slices.SortFunc(want, cmpEdge)
+	if !slices.Equal(got, want) {
+		return fmt.Sprintf("restricted state %d (parent %d): edges %v, parent's kept edges %v", s, p, got, want)
+	}
+	return ""
+}

@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"math"
 	"sort"
 	"unsafe"
 
@@ -24,19 +25,26 @@ type Edge struct {
 }
 
 // CSR is compressed-sparse-row transition storage: the canonical form of
-// an explicit transition system. Dst, Label and Rate are parallel arrays;
-// the edges of state s occupy positions RowStart[s]..RowStart[s+1].
+// an explicit transition system. Dst, Label and RateID are parallel arrays;
+// the edges of state s occupy positions RowStart[s]..RowStart[s+1]. Edge
+// i's timing annotation is Rates[RateID[i]]: a system carries few distinct
+// rates (a functional model only Untimed), so each edge stores a 4-byte id
+// into a per-system table instead of a 40-byte rates.Rate.
 // Rows produced by Build are sorted by (Label, Dst); derived systems
 // (hiding relabels in place) preserve the parent's within-row order, which
 // is still deterministic. A CSR is immutable once built — derived systems
-// share the arrays that they do not change.
+// share the arrays that they do not change, the rate table included.
 type CSR struct {
 	RowStart []int32
 	Dst      []int32
 	Label    []int32
-	Rate     []rates.Rate
+	RateID   []int32
+	// Rates is the rate table RateID indexes: the distinct annotations in
+	// first-occurrence order of the producer's edges (see rateTable). A
+	// derived system may share a parent's table and use only part of it.
+	Rates []rates.Rate
 	// Aux is the per-edge annotation column (nil when no edge carries
-	// one); parallel to Dst like Label and Rate.
+	// one); parallel to Dst like Label and RateID.
 	Aux []int32
 }
 
@@ -46,25 +54,113 @@ func (c *CSR) NumEdges() int { return len(c.Dst) }
 // Row returns the index range of state s's transitions.
 func (c *CSR) Row(s int) (lo, hi int32) { return c.RowStart[s], c.RowStart[s+1] }
 
+// Rate returns the timing annotation of the edge at index i.
+func (c *CSR) Rate(i int32) rates.Rate { return c.Rates[c.RateID[i]] }
+
 // SizeBytes returns the resident size of the CSR arrays in bytes — the
 // memory the canonical transition storage pins, used by the capacity
-// accounting of `dpmassess lts -stats` / `solve -stats`.
+// accounting of `dpmassess lts -stats` / `solve -stats`. It counts the
+// rate table too, even when a derived system shares it.
 func (c *CSR) SizeBytes() int {
 	const rateSize = int(unsafe.Sizeof(rates.Rate{}))
-	return 4*(len(c.RowStart)+len(c.Dst)+len(c.Label)+len(c.Aux)) + rateSize*len(c.Rate)
+	return 4*(len(c.RowStart)+len(c.Dst)+len(c.Label)+len(c.RateID)+len(c.Aux)) + rateSize*len(c.Rates)
+}
+
+// rateTable interns rates into dense ids in first-occurrence order. Two
+// rates share an id only when they are bit-identical — Kind, Slot,
+// Priority and the IEEE bits of Lambda and Weight — so +0 and -0 stay
+// apart and a NaN rate gets one entry, not one per edge. A one-entry
+// last-hit cache answers runs of equal rates (every edge of a functional
+// model) without a hash; the open-addressing index behind it is only
+// built once a second distinct rate appears.
+type rateTable struct {
+	table []rates.Rate // id i is table[i]
+	index []int32      // hash slots holding id+1, 0 = empty; len a power of two
+	last  int32        // id returned by the previous intern
+}
+
+// sameBits reports whether two rates are bit-identical.
+func sameBits(a, b *rates.Rate) bool {
+	return a.Kind == b.Kind && a.Slot == b.Slot && a.Priority == b.Priority &&
+		math.Float64bits(a.Lambda) == math.Float64bits(b.Lambda) &&
+		math.Float64bits(a.Weight) == math.Float64bits(b.Weight)
+}
+
+// hashBits mixes the fields sameBits compares.
+func hashBits(r *rates.Rate) uint64 {
+	h := math.Float64bits(r.Lambda)*0x9e3779b97f4a7c15 ^ math.Float64bits(r.Weight)
+	h = (h ^ uint64(r.Kind)<<56 ^ uint64(r.Slot)<<32 ^ uint64(r.Priority)) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
+}
+
+// intern returns the id of r, adding it to the table if new.
+func (t *rateTable) intern(r *rates.Rate) int32 {
+	if len(t.table) > 0 && sameBits(r, &t.table[t.last]) {
+		return t.last
+	}
+	t.last = t.find(r)
+	return t.last
+}
+
+// find is intern past the last-hit cache.
+func (t *rateTable) find(r *rates.Rate) int32 {
+	if len(t.table) <= 1 {
+		// The cache held the only entry, so r is new.
+		t.table = append(t.table, *r)
+		if len(t.table) == 2 {
+			t.rehash(8)
+		}
+		return int32(len(t.table) - 1)
+	}
+	mask := uint64(len(t.index) - 1)
+	for i := hashBits(r) & mask; ; i = (i + 1) & mask {
+		slot := t.index[i]
+		if slot == 0 {
+			id := int32(len(t.table))
+			t.table = append(t.table, *r)
+			t.index[i] = id + 1
+			if 2*len(t.table) > len(t.index) {
+				t.rehash(2 * len(t.index))
+			}
+			return id
+		}
+		if sameBits(r, &t.table[slot-1]) {
+			return slot - 1
+		}
+	}
+}
+
+// rehash rebuilds the index with n slots over every table entry.
+func (t *rateTable) rehash(n int) {
+	t.index = make([]int32, n)
+	mask := uint64(n - 1)
+	for id := range t.table {
+		i := hashBits(&t.table[id]) & mask
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = int32(id) + 1
+	}
 }
 
 // Build constructs canonical CSR storage over n states from an edge list:
 // edges grouped by source, each row sorted by (label, destination) with
 // insertion order breaking exact ties (the sort is stable), so the result
-// is a pure function of the edge list.
+// is a pure function of the edge list. Rates are interned in edge-list
+// order, as a RowBuilder fed the same edges would intern them.
 func Build(n int, edges []Edge) CSR {
 	c := CSR{
 		RowStart: make([]int32, n+1),
 		Dst:      make([]int32, len(edges)),
 		Label:    make([]int32, len(edges)),
-		Rate:     make([]rates.Rate, len(edges)),
+		RateID:   make([]int32, len(edges)),
 	}
+	var rt rateTable
+	ids := make([]int32, len(edges))
+	for i := range edges {
+		ids[i] = rt.intern(&edges[i].Rate)
+	}
+	c.Rates = rt.table
 	perm := make([]int32, len(edges))
 	for i := range perm {
 		perm[i] = int32(i)
@@ -99,7 +195,7 @@ func Build(n int, edges []Edge) CSR {
 		e := &edges[p]
 		c.Dst[i] = e.Dst
 		c.Label[i] = e.Label
-		c.Rate[i] = e.Rate
+		c.RateID[i] = ids[p]
 		if hasAux {
 			c.Aux[i] = e.Aux
 		}
@@ -115,25 +211,41 @@ func Build(n int, edges []Edge) CSR {
 // intermediate edge list and global sort.
 type RowBuilder struct {
 	c   CSR
+	rt  rateTable
 	row rowView
 }
 
-// NewRowBuilder returns a builder positioned at row 0.
+// NewRowBuilder returns a builder positioned at row 0 that interns the
+// rates passed to Add into a fresh table.
 func NewRowBuilder() *RowBuilder {
 	b := &RowBuilder{c: CSR{RowStart: []int32{0}}}
 	b.row.c = &b.c
 	return b
 }
 
-// Add appends an edge to the current row. The Aux column materializes on
-// the first non-zero annotation, as in Build.
+// NewRowBuilderOver returns a builder positioned at row 0 whose edges
+// index an existing rate table — a derived system reusing its parent's
+// rate ids. Edges are added with AddID; Add must not be used.
+func NewRowBuilderOver(table []rates.Rate) *RowBuilder {
+	b := NewRowBuilder()
+	b.rt.table = table
+	return b
+}
+
+// Add appends an edge to the current row, interning its rate.
 func (b *RowBuilder) Add(dst, label, aux int32, r rates.Rate) {
+	b.AddID(dst, label, aux, b.rt.intern(&r))
+}
+
+// AddID appends an edge whose rate is the table entry rateID. The Aux
+// column materializes on the first non-zero annotation, as in Build.
+func (b *RowBuilder) AddID(dst, label, aux, rateID int32) {
 	if len(b.c.Dst) == cap(b.c.Dst) {
 		b.grow()
 	}
 	b.c.Dst = append(b.c.Dst, dst)
 	b.c.Label = append(b.c.Label, label)
-	b.c.Rate = append(b.c.Rate, r)
+	b.c.RateID = append(b.c.RateID, rateID)
 	if aux != 0 && b.c.Aux == nil {
 		b.c.Aux = make([]int32, len(b.c.Dst)-1, cap(b.c.Dst))
 	}
@@ -143,13 +255,13 @@ func (b *RowBuilder) Add(dst, label, aux int32, r rates.Rate) {
 }
 
 // grow doubles the capacity of every edge column at once: append alone
-// grows large slices by 1.25×, which would copy the 40-byte Rate column
-// several times over on a large system.
+// grows large slices by 1.25× and would reallocate each column on its
+// own schedule.
 func (b *RowBuilder) grow() {
 	n := max(1024, 2*cap(b.c.Dst))
 	b.c.Dst = append(make([]int32, 0, n), b.c.Dst...)
 	b.c.Label = append(make([]int32, 0, n), b.c.Label...)
-	b.c.Rate = append(make([]rates.Rate, 0, n), b.c.Rate...)
+	b.c.RateID = append(make([]int32, 0, n), b.c.RateID...)
 	if b.c.Aux != nil {
 		b.c.Aux = append(make([]int32, 0, n), b.c.Aux...)
 	}
@@ -165,7 +277,11 @@ func (b *RowBuilder) EndRow() {
 
 // CSR returns the assembled storage; its row count is the number of
 // EndRow calls.
-func (b *RowBuilder) CSR() CSR { return b.c }
+func (b *RowBuilder) CSR() CSR {
+	c := b.c
+	c.Rates = b.rt.table
+	return c
+}
 
 // rowView is one CSR row as a sort.Interface over all edge columns.
 type rowView struct {
@@ -188,7 +304,7 @@ func (v *rowView) Swap(i, j int) {
 	c := v.c
 	c.Dst[i], c.Dst[j] = c.Dst[j], c.Dst[i]
 	c.Label[i], c.Label[j] = c.Label[j], c.Label[i]
-	c.Rate[i], c.Rate[j] = c.Rate[j], c.Rate[i]
+	c.RateID[i], c.RateID[j] = c.RateID[j], c.RateID[i]
 	if c.Aux != nil {
 		c.Aux[i], c.Aux[j] = c.Aux[j], c.Aux[i]
 	}

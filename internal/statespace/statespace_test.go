@@ -2,8 +2,10 @@ package statespace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/rates"
@@ -173,9 +175,9 @@ func TestCSRBuildStableOnTies(t *testing.T) {
 	}
 	c := Build(2, edges)
 	for i, want := range []float64{1, 2, 3} {
-		if c.Rate[i].Lambda != want {
+		if c.Rate(int32(i)).Lambda != want {
 			t.Fatalf("tie order not stable: Rate[%d].Lambda = %v, want %v",
-				i, c.Rate[i].Lambda, want)
+				i, c.Rate(int32(i)).Lambda, want)
 		}
 	}
 }
@@ -208,5 +210,70 @@ func TestRowBuilderMatchesBuild(t *testing.T) {
 	}
 	if got := b.CSR(); !reflect.DeepEqual(got, want) {
 		t.Fatal("RowBuilder CSR differs from Build")
+	}
+}
+
+// TestRateInterningBitExact pins the rate table: ids in first-occurrence
+// order, one entry per bit pattern (so +0 and -0 stay apart, a repeated
+// NaN gets a single entry, and Slot or Priority alone separate rates),
+// and the same table and ids from Build and from a RowBuilder.
+func TestRateInterningBitExact(t *testing.T) {
+	nan := rates.ExpRate(math.NaN())
+	in := []rates.Rate{
+		rates.ExpRate(2), rates.UntimedRate(), rates.ExpRate(2), rates.ExpRate(0),
+		rates.ExpRate(math.Copysign(0, -1)), nan, nan, rates.UntimedRate(), nan,
+		rates.Inf(1, 1), rates.Inf(2, 1), rates.PassiveWeight(1), rates.PassiveRate(),
+		rates.ExpSlot(1, 2), rates.ExpRate(0),
+	}
+	wantTable := []rates.Rate{
+		rates.ExpRate(2), rates.UntimedRate(), rates.ExpRate(0), rates.ExpRate(math.Copysign(0, -1)),
+		nan, rates.Inf(1, 1), rates.Inf(2, 1), rates.PassiveRate(), rates.ExpSlot(1, 2),
+	}
+	wantIDs := []int32{0, 1, 0, 2, 3, 4, 4, 1, 4, 5, 6, 7, 7, 8, 2}
+	bits := func(r rates.Rate) [5]uint64 {
+		return [5]uint64{uint64(r.Kind), uint64(r.Slot), uint64(r.Priority),
+			math.Float64bits(r.Lambda), math.Float64bits(r.Weight)}
+	}
+	// One edge per state keeps the edge order equal to the input order.
+	edges := make([]Edge, len(in))
+	b := NewRowBuilder()
+	for i, r := range in {
+		edges[i] = Edge{Src: int32(i), Dst: int32(i), Rate: r}
+		b.Add(int32(i), 0, 0, r)
+		b.EndRow()
+	}
+	for name, c := range map[string]CSR{"Build": Build(len(in), edges), "RowBuilder": b.CSR()} {
+		if !slices.Equal(c.RateID, wantIDs) {
+			t.Errorf("%s: rate ids %v, want %v", name, c.RateID, wantIDs)
+		}
+		if !slices.EqualFunc(c.Rates, wantTable, func(x, y rates.Rate) bool { return bits(x) == bits(y) }) {
+			t.Errorf("%s: rate table %v, want %v", name, c.Rates, wantTable)
+		}
+		for i := range in {
+			if bits(c.Rate(int32(i))) != bits(in[i]) {
+				t.Errorf("%s: edge %d resolves to %+v, want %+v", name, i, c.Rate(int32(i)), in[i])
+			}
+		}
+	}
+}
+
+// TestRateInterningUntimedSkipsIndex: a system whose edges all carry one
+// rate (a functional model) is answered by the last-hit cache alone and
+// never builds the hash index.
+func TestRateInterningUntimedSkipsIndex(t *testing.T) {
+	b := NewRowBuilder()
+	for s := 0; s < 1000; s++ {
+		for k := 0; k < 3; k++ {
+			b.Add(int32(k), int32(k), 0, rates.UntimedRate())
+		}
+		b.EndRow()
+	}
+	if b.rt.index != nil || len(b.CSR().Rates) != 1 {
+		t.Fatalf("untimed-only builder: index %v, table %v", b.rt.index, b.CSR().Rates)
+	}
+	b.Add(0, 0, 0, rates.ExpRate(1))
+	b.Add(0, 0, 0, rates.UntimedRate())
+	if got := b.CSR().RateID[3000:]; !slices.Equal(got, []int32{1, 0}) {
+		t.Fatalf("ids after a second rate: %v, want [1 0]", got)
 	}
 }

@@ -125,8 +125,11 @@ scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|Sweep
 # generation and simulation — against the term-interpreting
 # Model.Successors, a test-only oracle, the sweep checkpoint decoder (the file a resumed sweep trusts), the
 # measure-file parser (the other text input a user hands the CLIs), the
-# Aldebaran .aut reader with its WriteAUT round trip, and the tuple table
-# behind every state table and memo against a map reference. A
+# Aldebaran .aut reader with its WriteAUT round trip, restriction and
+# hiding of rated systems with Aux handles against the Build-based
+# reference restriction and the parent's rates edge by edge
+# (FuzzRestrictHide), and the tuple table behind every state table and
+# memo against a map reference. A
 # crasher lands under the package's testdata/fuzz and then replays in
 # every later `go test`.
 echo "== fuzz smoke =="
@@ -137,6 +140,7 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzCompiledSuccessors$' -fuzztime 10s ./i
 go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s ./internal/pipeline/
 go test -timeout 5m -run '^$' -fuzz '^FuzzParseMeasures$' -fuzztime 10s ./internal/measure/
 go test -timeout 5m -run '^$' -fuzz '^FuzzReadAUT$' -fuzztime 10s ./internal/lts/
+go test -timeout 5m -run '^$' -fuzz '^FuzzRestrictHide$' -fuzztime 10s ./internal/lts/
 go test -timeout 5m -run '^$' -fuzz '^FuzzTupleTable$' -fuzztime 10s ./internal/statespace/
 
 echo "CI OK"
