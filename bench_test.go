@@ -417,7 +417,7 @@ func BenchmarkSteadyStateGaussSeidel(b *testing.B) {
 // The Fig. 3 timeout sweep, measured both ways over the same six points:
 // Fresh runs the full generate+build+solve pipeline per point (the
 // pre-sweep-engine behaviour), Rebind generates and builds once, rewrites
-// the rates per point and solves every point cold in eight-lane batches
+// the rates per point and solves every point cold in four-lane batches
 // (pipeline.Session.Sweep). Both iterate the same number of points, so the
 // ns/op ratio is the per-point speedup recorded in
 // results/BENCH_sweepreuse.json. Elaboration is outside the timer in both
@@ -457,9 +457,10 @@ func BenchmarkSweepReuseFresh(b *testing.B) {
 // every solve, re-paying the per-point SCC/reachability analysis exactly
 // as the pre-batching engine did; CachedPoint keeps the shared plan but
 // still solves one point at a time; Batched hands the points to
-// SolveBatch in 8-lane chunks, one CSR pass feeding all lanes. All three
-// produce bit-identical solutions (pinned by the ctmc and pipeline
-// property tests), so the ns/op ratios are pure solve-path speedups;
+// SolveBatch in 8-point chunks, each two four-lane groups, one CSR pass
+// feeding all lanes of a group. All three produce bit-identical solutions
+// (pinned by the ctmc and pipeline property tests), so the ns/op ratios
+// are pure solve-path speedups;
 // results/BENCH_batchsolve.json records PerPoint/Batched per model.
 
 const batchSolveLanes = 8

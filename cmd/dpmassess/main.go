@@ -565,7 +565,7 @@ func runSolve(args []string) error {
 			"Gauss-Seidel solve — iterations, final residual, and iteration budget")
 	lanes := fs.Int("lanes", 0,
 		"sweep points solved per batched steady-state call on checkpointed solves,\n"+
-			"run as ⌈K/8⌉ eight-lane groups: 0 auto-selects, 1 solves one point\n"+
+			"run as ⌈K/4⌉ four-lane groups: 0 auto-selects, 1 solves one point\n"+
 			"per call (results are identical at any value; matches the study\n"+
 			"tools' -lanes flag)")
 	ckptPath := fs.String("checkpoint", "",

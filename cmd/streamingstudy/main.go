@@ -42,8 +42,8 @@ func run(args []string) error {
 		"concurrent sweep points, simulation replications, and state-space\n"+
 			"generation workers (results are identical at any value)")
 	lanes := fs.Int("lanes", 0,
-		"sweep points solved per batched steady-state call, run as ⌈K/8⌉\n"+
-			"eight-lane groups: 0 auto-selects, 1 solves one point per call\n"+
+		"sweep points solved per batched steady-state call, run as ⌈K/4⌉\n"+
+			"four-lane groups: 0 auto-selects, 1 solves one point per call\n"+
 			"(results are identical at any value)")
 	timeout := fs.Duration("timeout", 0,
 		"overall deadline: generation, solves, sweeps and simulations are\n"+

@@ -42,9 +42,9 @@ func (e *BatchPointError) Unwrap() error { return e.Err }
 // rate-slot assignments in one pass: the structural skeleton (bottom
 // component, incoming CSR indices) is shared across all points, the K
 // per-point rate vectors are gathered lane-interleaved from the chain's
-// recorded contribution terms, and the eight-lane kernel iterates all
+// recorded contribution terms, and the four-lane kernel iterates all
 // lanes simultaneously — each pass over the CSR indices feeds every lane,
-// so the index traffic and loop overhead are paid once per group of eight.
+// so the index traffic and loop overhead are paid once per group of four.
 //
 // out[k] is bit-identical to the sequential chain
 //
@@ -136,7 +136,7 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 
 	start := uniformStart(len(plan.target))
 
-	// Larger batches run as consecutive eight-lane groups in index order;
+	// Larger batches run as consecutive four-lane groups in index order;
 	// lanes never mix, so the grouping changes no bits.
 	for off := 0; off < K; off += batchLanes {
 		hi := min(off+batchLanes, K)
@@ -170,20 +170,21 @@ type laneResult struct {
 	err *ConvergenceError
 }
 
-// batchLanes is the one width of the batched solver: eight float64 lanes
-// interleave into exactly one 64-byte cache line, and the vectorized
-// amd64 kernel sweeps each half of it that holds a live lane as one
-// 4-double vector.
-const batchLanes = 8
+// batchLanes is the one width of the batched solver: four float64 lanes
+// interleave into one 32-byte row, exactly one AVX register, so the
+// vectorized amd64 kernel sweeps a whole group in one pass. A sweep
+// wider than four points runs as several groups, which the pipeline's
+// worker pool can spread over cores.
+const batchLanes = 4
 
 // batchComponent is the recurrent component in local coordinates, in
-// eight lanes: the balance equations pi_j * exit_j = sum_{i -> j} pi_i *
+// four lanes: the balance equations pi_j * exit_j = sum_{i -> j} pi_i *
 // q_ij restricted to the component, with the incoming adjacency flattened
 // CSR-style — the incoming edges of local state j are inFrom[inStart[j]:
 // inStart[j+1]]. The index structure is shared across lanes while rates,
 // exit rates, and iterates are stored lane-interleaved, structure-of-arrays
-// style — the value of lane k at row j (or in-edge e) lives at [j*8+k]
-// ([e*8+k]) — so one pass over the indices streams all lanes through
+// style — the value of lane k at row j (or in-edge e) lives at [j*4+k]
+// ([e*4+k]) — so one pass over the indices streams all lanes through
 // contiguous memory. Lanes 0..live-1 carry points; the rest are pad lanes,
 // which copy lane 0's rates (so allPos and the vectorized path are
 // unaffected), start frozen, and are never reported.
@@ -200,7 +201,7 @@ type batchComponent struct {
 	allPos  bool // every row of every lane has exit > 0
 }
 
-// newBatch allocates an empty eight-lane batch over the plan's component
+// newBatch allocates an empty four-lane batch over the plan's component
 // skeleton with the given number of live lanes.
 func newBatch(plan *solvePlan, live int) *batchComponent {
 	return &batchComponent{
@@ -335,13 +336,12 @@ func (bc *batchComponent) column(x []float64, k int) []float64 {
 // lane — so a lane's converged column is bit-identical whichever lanes
 // share its batch, a one-lane SteadyState batch included. A lane's column
 // is copied out after the sweep where its residual first drops below its
-// tolerance; from then on the lane stays frozen in the eight-lane slab
+// tolerance; from then on the lane stays frozen in the four-lane slab
 // with its bookkeeping (normalization, residual check) skipped, like the
-// pad lanes. The batch is never narrowed or compacted: the vectorized
-// kernel instead skips each half of the slab whose four lanes have all
-// frozen (see step). It returns one result per live lane. SteadyState
-// calls it on a one-lane batch, SolveBatchLanes once per group of at most
-// batchLanes points.
+// pad lanes. The batch is never narrowed or compacted: a frozen lane
+// rides along in the one vector register of every row. It returns one
+// result per live lane. SteadyState calls it on a one-lane batch,
+// SolveBatchLanes once per group of at most batchLanes points.
 func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, start []float64) ([]laneResult, error) {
 	K := bc.live
 	res := make([]laneResult, K)
@@ -390,16 +390,15 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 // lanes keep their columns bit for bit, and their delta and sums entries
 // are not meaningful.
 //
-// sweepGS8Fast may run the sweep in the vectorized amd64 kernel, which
-// sweeps only the halves of the slab that hold a live lane and fuses the
-// sums into the sweep; scaleGS8Fast rescales those halves only. Their
+// sweepGS4Fast may run the sweep in the vectorized amd64 kernel, which
+// fuses the sums into the sweep, and scaleGS4Fast the rescale. Their
 // multiplies and adds are the same IEEE-754 double operations the scalar
-// sweepGS8, laneSums and scaleLanes perform, in the same per-lane order,
+// sweepGS4, laneSums and scaleLanes perform, in the same per-lane order,
 // so the results are bit-identical (pinned by a test that runs both).
 func (bc *batchComponent) step(x, delta, sums []float64, done []bool) {
 	clear(delta)
-	if !bc.sweepGS8Fast(x, delta, sums, done) {
-		bc.sweepGS8(x, delta, done)
+	if !bc.sweepGS4Fast(x, delta, sums, done) {
+		bc.sweepGS4(x, delta, done)
 		bc.laneSums(x, sums)
 	}
 	var scale [batchLanes]float64
@@ -409,91 +408,76 @@ func (bc *batchComponent) step(x, delta, sums []float64, done []bool) {
 			scale[k] = 1 / sums[k]
 		}
 	}
-	if !bc.scaleGS8Fast(x, &scale, done) {
+	if !bc.scaleGS4Fast(x, &scale) {
 		bc.scaleLanes(x, scale[:])
 	}
 }
 
 // laneSums accumulates every lane's row-order sum of the iterate slab in
-// one pass over all eight lanes: each lane gets its own sequential
+// one pass over all four lanes: each lane gets its own sequential
 // accumulator chain over rows 0..n-1 from +0, the canonical normalization
-// order, so the per-lane sums are bit-identical to eight strided per-lane
-// walks — at one slab traversal instead of eight. It is the scalar path's
+// order, so the per-lane sums are bit-identical to four strided per-lane
+// walks — at one slab traversal instead of four. It is the scalar path's
 // normalization and the reference the vectorized kernel's fused sums are
 // pinned to.
 func (bc *batchComponent) laneSums(x, sums []float64) {
-	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	var s0, s1, s2, s3 float64
 	for j := 0; j < bc.n; j++ {
-		xs := x[j*8 : j*8+8 : j*8+8]
+		xs := x[j*4 : j*4+4 : j*4+4]
 		s0 += xs[0]
 		s1 += xs[1]
 		s2 += xs[2]
 		s3 += xs[3]
-		s4 += xs[4]
-		s5 += xs[5]
-		s6 += xs[6]
-		s7 += xs[7]
 	}
 	sums[0], sums[1], sums[2], sums[3] = s0, s1, s2, s3
-	sums[4], sums[5], sums[6], sums[7] = s4, s5, s6, s7
 }
 
 // scaleLanes multiplies every lane's column by its scale factor in one
-// pass over all eight lanes of the iterate slab: the scalar path's
-// rescale and the reference for scaleGS8Fast, which visits only the live
-// halves. Callers pass exactly 1 for lanes that must not move (x*1 is
-// bit-identical for every finite x), so the pass needs no per-element
-// branching.
+// pass over all four lanes of the iterate slab: the scalar path's rescale
+// and the reference for scaleGS4Fast. Callers pass exactly 1 for lanes
+// that must not move (x*1 is bit-identical for every finite x), so the
+// pass needs no per-element branching.
 func (bc *batchComponent) scaleLanes(x, scale []float64) {
 	s0, s1, s2, s3 := scale[0], scale[1], scale[2], scale[3]
-	s4, s5, s6, s7 := scale[4], scale[5], scale[6], scale[7]
 	for j := 0; j < bc.n; j++ {
-		xs := x[j*8 : j*8+8 : j*8+8]
+		xs := x[j*4 : j*4+4 : j*4+4]
 		xs[0] *= s0
 		xs[1] *= s1
 		xs[2] *= s2
 		xs[3] *= s3
-		xs[4] *= s4
-		xs[5] *= s5
-		xs[6] *= s6
-		xs[7] *= s7
 	}
 }
 
-// sweepGS8 is the scalar eight-lane Gauss-Seidel kernel, the reference
+// sweepGS4 is the scalar four-lane Gauss-Seidel kernel, the reference
 // the vectorized kernel is pinned to and the fallback where it is
-// unavailable: the row's in-edges are traversed once with eight scalar
+// unavailable: the row's in-edges are traversed once with four scalar
 // accumulators, so the CSR index loads, the bounds checks, and the loop
-// control are paid once for all lanes (the lane stride of 8 float64s is
-// exactly one 64-byte cache line), and the eight independent accumulator
-// chains keep the FP units busy where a one-lane kernel would stall on
-// one add chain. The accumulation runs for frozen lanes too — it rides in the
+// control are paid once for all lanes (the lane stride of 4 float64s is
+// one 32-byte AVX register), and the four independent accumulator chains
+// keep the FP units busy where a one-lane kernel would stall on one add
+// chain. The accumulation runs for frozen lanes too — it rides in the
 // shared traversal for free — but the per-lane epilogue (the divide, the
 // residual, the write) is skipped for them, so their columns stay frozen
 // at the values of their convergence sweep and no live lane is affected.
-func (bc *batchComponent) sweepGS8(x, delta []float64, done []bool) {
+func (bc *batchComponent) sweepGS4(x, delta []float64, done []bool) {
 	n := bc.n
-	var dead [8]bool
+	var dead [4]bool
 	copy(dead[:], done)
 	for j := 0; j < n; j++ {
-		base := j * 8
+		base := j * 4
 		lo, hi := int(bc.inStart[j]), int(bc.inStart[j+1])
-		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		var a0, a1, a2, a3 float64
 		for e := lo; e < hi; e++ {
-			fb := int(bc.inFrom[e]) * 8
-			xs := x[fb : fb+8 : fb+8]
-			rs := bc.rate[e*8 : e*8+8 : e*8+8]
+			fb := int(bc.inFrom[e]) * 4
+			xs := x[fb : fb+4 : fb+4]
+			rs := bc.rate[e*4 : e*4+4 : e*4+4]
 			a0 += xs[0] * rs[0]
 			a1 += xs[1] * rs[1]
 			a2 += xs[2] * rs[2]
 			a3 += xs[3] * rs[3]
-			a4 += xs[4] * rs[4]
-			a5 += xs[5] * rs[5]
-			a6 += xs[6] * rs[6]
-			a7 += xs[7] * rs[7]
 		}
-		acc := [8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
-		for k := 0; k < 8; k++ {
+		acc := [4]float64{a0, a1, a2, a3}
+		for k := 0; k < 4; k++ {
 			if dead[k] || bc.exit[base+k] <= 0 {
 				continue
 			}

@@ -138,9 +138,10 @@ func avxModes() []bool {
 	return []bool{false}
 }
 
-// batchWidths covers every group shape of the eight-lane batch: one to
-// seven live lanes padded to eight, a full group, and nine and seventeen
-// lanes split into several groups (the last one padded).
+// batchWidths covers every group shape of the four-lane batch: one to
+// three live lanes padded to four, a full group, and five to nine and
+// seventeen lanes split into several groups (the last one padded unless
+// it is full).
 var batchWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17}
 
 // TestSolveBatchBitIdentity pins the tentpole contract on both paper
@@ -172,7 +173,7 @@ func TestSolveBatchBitIdentity(t *testing.T) {
 }
 
 // TestSolveBatchPadLanesNeverSurface pins that the pad lanes filling a
-// short group to eight stay internal: SolveBatchLanes reports exactly one
+// short group to four stay internal: SolveBatchLanes reports exactly one
 // result and one error slot per point, a lane that exhausts its budget is
 // attributed to its own index (never to a pad lane), and per-lane
 // tolerances are taken per point, not per padded lane.

@@ -39,10 +39,10 @@ type branch struct {
 	ltsTrans int // index into the LTS transition slice
 }
 
-// expEdge is an exponential transition of a tangible state.
+// expEdge is an exponential transition of a tangible state. Its rate
+// lives in CTMC.expRate, which Rebind rewrites, so clones share the edges.
 type expEdge struct {
 	src, dst int // LTS state indices
-	rate     float64
 	ltsTrans int
 }
 
@@ -69,6 +69,7 @@ type CTMC struct {
 	branches  [][]branch // per vanishing state (indexed by order position)
 	vanPos    []int      // LTS state -> position in vanishing, or -1
 	expEdges  []expEdge
+	expRate   []float64 // per expEdge: its current rate
 
 	// Rate-parametric bookkeeping, populated only when the source LTS
 	// carries rate slots (lts.NumRateSlots > 0). Every generator entry's
@@ -314,9 +315,8 @@ func Build(l *lts.LTS) (*CTMC, error) {
 			dst := int(sp.Dst[k])
 			switch r.Kind {
 			case rates.Exp:
-				c.expEdges = append(c.expEdges, expEdge{
-					src: s, dst: dst, rate: r.Lambda, ltsTrans: base + k,
-				})
+				c.expEdges = append(c.expEdges, expEdge{src: s, dst: dst, ltsTrans: base + k})
+				c.expRate = append(c.expRate, r.Lambda)
 				if parametric {
 					c.expSlots = append(c.expSlots, int32(r.Slot))
 				}
@@ -504,9 +504,9 @@ func (c *CTMC) Rebind(values []float64) error {
 		}
 		c.Exit[ci] = exit
 	}
-	for i := range c.expEdges {
-		if s := c.expSlots[i]; s > 0 {
-			c.expEdges[i].rate = values[s-1]
+	for i, s := range c.expSlots {
+		if s > 0 {
+			c.expRate[i] = values[s-1]
 		}
 	}
 	// The uniformization weight cache keys on q·t, which is derived from
@@ -551,10 +551,11 @@ func (e *InvariantError) Error() string {
 func (e *InvariantError) Unwrap() error { return e.Err }
 
 // Clone returns a chain that shares all immutable structure with c (the
-// LTS, vanishing bookkeeping, tangible indexing, contribution terms) but
-// owns its mutable rate state — generator rows, exit rates, exponential
-// edges, and the uniformization cache — so concurrent sweep workers can
-// Rebind and solve private clones of one built chain.
+// LTS, vanishing bookkeeping, tangible indexing, exponential edges,
+// contribution terms) but owns exactly the state Rebind rewrites —
+// generator rows, exit rates, exponential-edge rates — and its own
+// uniformization cache, so concurrent sweep workers can Rebind and solve
+// private clones of one built chain.
 func (c *CTMC) Clone() *CTMC {
 	out := &CTMC{
 		N:          c.N,
@@ -567,7 +568,8 @@ func (c *CTMC) Clone() *CTMC {
 		vanishing:  c.vanishing,
 		branches:   c.branches,
 		vanPos:     c.vanPos,
-		expEdges:   append([]expEdge(nil), c.expEdges...),
+		expEdges:   c.expEdges,
+		expRate:    append([]float64(nil), c.expRate...),
 		numSlots:   c.numSlots,
 		termStart:  c.termStart,
 		terms:      c.terms,

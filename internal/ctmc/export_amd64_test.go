@@ -16,30 +16,33 @@ func SetAVXForTest(on bool) bool {
 // HaveAVXForTest reports whether the vectorized kernel is usable here.
 func HaveAVXForTest() bool { return haveAVX }
 
-// FusedSumsForTest batches points on c, runs warm iterations of the
-// batch from the uniform start, then one more sweep in the vectorized
-// kernel, and returns the per-lane sums the kernel fused into that
-// sweep alongside laneSums over the slab it left. Only the lanes of
-// halves that hold a live lane are swept, so only those entries compare.
+// FusedSumsForTest batches points on c in four-lane groups, runs warm
+// iterations of each group from the uniform start, then one more sweep
+// in the vectorized kernel, and returns the per-lane sums the kernel
+// fused into that sweep alongside laneSums over the slab it left, four
+// entries per group. Frozen lanes are summed too, so every entry
+// compares.
 func FusedSumsForTest(c *CTMC, points [][]float64, warm int) (fused, ref []float64, err error) {
 	plan, err := c.ensurePlan()
 	if err != nil {
 		return nil, nil, err
 	}
-	bc := c.fillBatch(plan, points)
-	x := bc.spread(uniformStart(bc.n))
-	done := bc.padDone()
-	delta := make([]float64, batchLanes)
-	sums := make([]float64, batchLanes)
-	for i := 0; i < warm; i++ {
-		bc.step(x, delta, sums, done)
+	for off := 0; off < len(points); off += batchLanes {
+		bc := c.fillBatch(plan, points[off:min(off+batchLanes, len(points))])
+		x := bc.spread(uniformStart(bc.n))
+		done := bc.padDone()
+		delta := make([]float64, batchLanes)
+		sums := make([]float64, batchLanes)
+		for i := 0; i < warm; i++ {
+			bc.step(x, delta, sums, done)
+		}
+		clear(delta)
+		if !bc.sweepGS4Fast(x, delta, sums, done) {
+			return nil, nil, errors.New("ctmc: vectorized kernel declined the batch")
+		}
+		fused = append(fused, sums...)
+		bc.laneSums(x, sums)
+		ref = append(ref, sums...)
 	}
-	fused = make([]float64, batchLanes)
-	clear(delta)
-	if !bc.sweepGS8Fast(x, delta, fused, done) {
-		return nil, nil, errors.New("ctmc: vectorized kernel declined the batch")
-	}
-	ref = make([]float64, batchLanes)
-	bc.laneSums(x, ref)
 	return fused, ref, nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // referenceGS is a plain scalar Gauss-Seidel steady-state solve written
-// independently of the eight-lane kernel: the bottom component's rows in
+// independently of the four-lane kernel: the bottom component's rows in
 // the solve plan's order (every such row has a positive exit rate), in-edges
 // gathered from Rows in that order, the guarded max relative change, and
 // one sum/reciprocal/multiply normalization per sweep, from the uniform
@@ -364,9 +364,8 @@ func referenceBuild(l *lts.LTS) (*CTMC, error) {
 			dst := int(sp.Dst[k])
 			switch r.Kind {
 			case rates.Exp:
-				c.expEdges = append(c.expEdges, expEdge{
-					src: s, dst: dst, rate: r.Lambda, ltsTrans: base + k,
-				})
+				c.expEdges = append(c.expEdges, expEdge{src: s, dst: dst, ltsTrans: base + k})
+				c.expRate = append(c.expRate, r.Lambda)
 				if parametric {
 					c.expSlots = append(c.expSlots, int32(r.Slot))
 				}
@@ -442,6 +441,23 @@ func referenceSortedAbsorb(dist map[int]float64) []absorbEntry {
 	return out
 }
 
+// CloneSharingForTest reports which slabs a and b (a chain and its
+// Clone) share a backing array for: the exponential edges, which Clone
+// shares by design, and the exponential-edge rates, exit rates and
+// generator entries, which each clone must own because Rebind rewrites
+// them.
+func CloneSharingForTest(a, b *CTMC) (edges, rates, exit, rows bool) {
+	same := func(x, y []float64) bool { return len(x) > 0 && len(y) > 0 && &x[0] == &y[0] }
+	edges = len(a.expEdges) > 0 && len(b.expEdges) > 0 && &a.expEdges[0] == &b.expEdges[0]
+	for i := range a.Rows {
+		if len(a.Rows[i]) > 0 && len(b.Rows[i]) > 0 {
+			rows = &a.Rows[i][0] == &b.Rows[i][0]
+			break
+		}
+	}
+	return edges, same(a.expRate, b.expRate), same(a.Exit, b.Exit), rows
+}
+
 // BuildMatchesReferenceForTest builds l with Build and with
 // referenceBuild and reports the first field that differs: the rows,
 // exit rates, initial distribution, tangible indexing, exponential edges,
@@ -507,13 +523,14 @@ func diffChains(got, want *CTMC) error {
 		fmt.Sprint(want.TangibleOf, want.ctmcIndex, want.vanishing, want.vanPos) {
 		return fmt.Errorf("tangible or vanishing indexing differs")
 	}
-	if len(got.expEdges) != len(want.expEdges) {
-		return fmt.Errorf("%d exponential edges, reference %d", len(got.expEdges), len(want.expEdges))
+	if len(got.expEdges) != len(want.expEdges) || len(got.expRate) != len(want.expRate) {
+		return fmt.Errorf("%d exponential edges (%d rates), reference %d (%d rates)",
+			len(got.expEdges), len(got.expRate), len(want.expEdges), len(want.expRate))
 	}
 	for i, w := range want.expEdges {
 		g := got.expEdges[i]
-		if g.src != w.src || g.dst != w.dst || g.ltsTrans != w.ltsTrans || !sameBits(g.rate, w.rate) {
-			return fmt.Errorf("exponential edge %d: %+v, reference %+v", i, g, w)
+		if g != w || !sameBits(got.expRate[i], want.expRate[i]) {
+			return fmt.Errorf("exponential edge %d: %+v at rate %v, reference %+v at %v", i, g, got.expRate[i], w, want.expRate[i])
 		}
 	}
 	if len(got.branches) != len(want.branches) {

@@ -57,17 +57,18 @@ func (c *CTMC) Throughput(pi []float64, match func(label string) bool, weight fu
 	// Exponential transitions fire at pi(src)·lambda.
 	// Also accumulate the entry rates of vanishing states.
 	entry := make([]float64, len(c.vanishing))
-	for _, e := range c.expEdges {
+	for i, e := range c.expEdges {
 		p := pi[c.ctmcIndex[e.src]]
 		if p == 0 {
 			continue
 		}
+		rate := c.expRate[i]
 		if w, ok := lw.of(c.l.EdgeLabel(e.ltsTrans)); ok {
-			total += p * e.rate * w
+			total += p * rate * w
 		}
-		foldedAt(e.ltsTrans, p*e.rate)
+		foldedAt(e.ltsTrans, p*rate)
 		if vp := c.vanPos[e.dst]; vp >= 0 {
-			entry[vp] += p * e.rate
+			entry[vp] += p * rate
 		}
 	}
 	// Propagate entry rates through the vanishing DAG in topological

@@ -169,7 +169,7 @@ type solveStats struct {
 
 // steadyStateStats is SteadyState plus the statistics of the converged
 // solve (SteadyStateTraced records them in the trace). The solve is a
-// one-lane batch: the chain's current rates fill lane 0 of the eight-lane
+// one-lane batch: the chain's current rates fill lane 0 of the four-lane
 // kernel, which then sweeps exactly as for a batched lane.
 func (c *CTMC) steadyStateStats(opts SolveOptions) ([]float64, solveStats, error) {
 	opts = solveDefaults(opts)

@@ -1,15 +1,15 @@
-// Four-lane Gauss-Seidel sweep over one half of the eight-lane slab, AVX.
-// See sweepGS4AVX in sweep_amd64.go for the contract: per-lane arithmetic
-// is the scalar kernel's exact IEEE-754 double operations in the same
-// order — VMULPD/VADDPD/VSUBPD round identically to their scalar
+// Four-lane Gauss-Seidel sweep, AVX: each 32-byte row of the slab is one
+// register. See sweepGS4AVX in sweep_amd64.go for the contract: per-lane
+// arithmetic is the scalar kernel's exact IEEE-754 double operations in
+// the same order — VMULPD/VADDPD/VSUBPD round identically to their scalar
 // counterparts and no FMA contraction or reassociation is performed — so
-// the results are bit-identical to sweepGS8, and the fused column sums
+// the results are bit-identical to sweepGS4, and the fused column sums
 // to laneSums.
 //
 // Register plan:
 //	SI  inStart cursor          R13 rows remaining
-//	R8  inFrom cursor           R14 live-lane bits of the half
-//	R9  rate cursor             R15 row byte offset (j*64)
+//	R8  inFrom cursor           R14 live-lane bits
+//	R9  rate cursor             R15 row byte offset (j*32)
 //	R10 invExit cursor          AX/BX/CX/DX scratch
 //	R11 x base                  R12 delta out pointer
 //	DI  sums out pointer
@@ -19,9 +19,6 @@
 //	Y6  |next-old|              Y12 residual guard broadcast
 //	Y8  dead-lane blend mask    Y13 per-lane residual maxima
 //	Y14 per-lane column sums    Y15 threshold / compare scratch
-//
-// R9..R12, DI and the dead-mask load are all offset by the half's byte
-// offset, so lane k of the loop is lane half/8+k of the slab.
 //
 // The frame is scratch for the rare residual slow path: d at 0(SP),
 // m at 32(SP), delta at 64(SP).
@@ -52,14 +49,7 @@ TEXT ·sweepGS4AVX(SB), NOSPLIT, $96-8
 	MOVQ 40(DI), R11 // x
 	MOVQ 48(DI), R12 // delta
 	MOVQ 64(DI), BX  // dead
-	MOVQ 72(DI), AX  // half
 	MOVQ 56(DI), DI  // sums
-	ADDQ AX, R9
-	ADDQ AX, R10
-	ADDQ AX, R11
-	ADDQ AX, R12
-	ADDQ AX, BX
-	ADDQ AX, DI
 	VMOVUPD (BX), Y8
 	VMOVMSKPD Y8, R14
 	XORQ $15, R14
@@ -81,21 +71,21 @@ rowloop:
 	JZ   epilogue
 
 entry:
-	// acc[k] += x[from*8+k] * rate[e*8+k], the half's four lanes per edge
+	// acc[k] += x[from*4+k] * rate[e*4+k], all four lanes per edge
 	MOVL (R8), DX
-	SHLQ $6, DX
+	SHLQ $5, DX
 	VMOVUPD (R11)(DX*1), Y2
 	VMULPD (R9), Y2, Y2
 	VADDPD Y2, Y0, Y0
 	ADDQ $4, R8
-	ADDQ $64, R9
+	ADDQ $32, R9
 	DECQ CX
 	JNZ  entry
 
 epilogue:
 	// next = acc * invExit; d = |next - x|; m = max(next, 1e-300)
 	VMULPD (R10), Y0, Y2
-	ADDQ $64, R10
+	ADDQ $32, R10
 	VMOVUPD (R11)(R15*1), Y4
 	VSUBPD Y4, Y2, Y6
 	VANDPD Y10, Y6, Y6
@@ -138,7 +128,7 @@ blendstore:
 	VBLENDVPD Y8, Y4, Y2, Y2
 	VMOVUPD Y2, (R11)(R15*1)
 	VADDPD Y2, Y14, Y14
-	ADDQ $64, R15
+	ADDQ $32, R15
 	DECQ R13
 	JNZ  rowloop
 
@@ -148,8 +138,8 @@ blendstore:
 	RET
 
 // func scaleGS4AVX(x, scale *float64, n int64)
-// Multiplies four lanes of n 64-byte rows starting at x by scale[0:4], in
-// place: x[j*8+k] *= scale[k], the scalar scaleLanes multiply.
+// Multiplies the four lanes of n 32-byte rows starting at x by scale[0:4],
+// in place: x[j*4+k] *= scale[k], the scalar scaleLanes multiply.
 TEXT ·scaleGS4AVX(SB), NOSPLIT, $0-24
 	MOVQ x+0(FP), DI
 	MOVQ scale+8(FP), SI
@@ -159,7 +149,7 @@ TEXT ·scaleGS4AVX(SB), NOSPLIT, $0-24
 scaleloop:
 	VMULPD (DI), Y1, Y0
 	VMOVUPD Y0, (DI)
-	ADDQ $64, DI
+	ADDQ $32, DI
 	DECQ CX
 	JNZ  scaleloop
 	VZEROUPPER

@@ -11,17 +11,18 @@ import (
 )
 
 // TestSweepGS8AVXMatchesScalar pins the vectorized Gauss-Seidel kernel to
-// the scalar one bit for bit, on both paper chains, in every shape the
-// half dispatch takes: one point (the low half alone, as a SteadyState
-// solve runs), three points (five pad lanes frozen from the start, the
-// high half never swept), five points (both halves, pads in the high
-// half), and eight points with mixed per-lane tolerances so lanes
-// deactivate at different sweeps and the frozen-lane blend path is
-// exercised. The low-half-loose case gives lanes 0–3 loose tolerances,
-// so late in the solve only the high half is still swept. The
-// solver-level property tests already compare the batch against solo
-// solves; this one isolates the asm/scalar seam so a kernel regression
-// is attributed directly.
+// the scalar one bit for bit, on both paper chains, from one point to
+// eight (two four-lane groups). Within one group: one point (three pad
+// lanes frozen from the start, as a SteadyState solve runs), three points
+// with mixed tolerances (lane 1 freezes early between two live lanes,
+// beside a pad lane), four points (a full register), and four points with
+// staggered per-lane tolerances, so lanes deactivate at different sweeps
+// and frozen lanes sit next to live ones in the one register the kernel
+// blends. Across groups: five points (the second group padded), eight
+// points with mixed tolerances, and eight points whose low half — the
+// first group — converges early. The solver-level property tests already compare the
+// batch against solo solves; this one isolates the asm/scalar seam so a
+// kernel regression is attributed directly.
 func TestSweepGS8AVXMatchesScalar(t *testing.T) {
 	if !ctmc.HaveAVXForTest() {
 		t.Skip("no AVX support on this machine")
@@ -30,13 +31,16 @@ func TestSweepGS8AVXMatchesScalar(t *testing.T) {
 	lowLoose := []float64{1e-3, 1e-4, 1e-5, 1e-4, 1e-12, 1e-11, 1e-12, 1e-10}
 	cases := []struct {
 		name string
+		k    int
 		tols []float64
 	}{
-		{"8-points", mixed},
-		{"3-points", mixed[:3]},
-		{"1-points", mixed[:1]},
-		{"5-points", mixed[:5]},
-		{"8-points-low-half-loose", lowLoose},
+		{"1-points", 1, mixed[:1]},
+		{"3-points", 3, mixed[:3]},
+		{"4-points", 4, nil},
+		{"4-points-staggered", 4, []float64{1e-4, 1e-12, 1e-6, 1e-10}},
+		{"5-points", 5, mixed[:5]},
+		{"8-points", 8, mixed},
+		{"8-points-low-half-loose", 8, lowLoose},
 	}
 	for _, tc := range []struct {
 		name   string
@@ -50,7 +54,7 @@ func TestSweepGS8AVXMatchesScalar(t *testing.T) {
 			for _, sc := range cases {
 				t.Run(sc.name, func(t *testing.T) {
 					c := tc.chain(t)
-					points := tc.points()[:len(sc.tols)]
+					points := tc.points()[:sc.k]
 					opts := ctmc.BatchOptions{
 						LaneTolerances: sc.tols,
 					}
@@ -73,7 +77,8 @@ func TestSweepGS8AVXMatchesScalar(t *testing.T) {
 
 // TestSweepGS8AVXFusedSums pins the normalization sums the vectorized
 // kernel accumulates during its sweep to laneSums over the same swept
-// slab, bit for bit, for every lane of each half the kernel sweeps.
+// slab, bit for bit, for every lane of every four-lane group of batches
+// of one to eight points.
 func TestSweepGS8AVXFusedSums(t *testing.T) {
 	if !ctmc.HaveAVXForTest() {
 		t.Skip("no AVX support on this machine")
@@ -86,17 +91,13 @@ func TestSweepGS8AVXFusedSums(t *testing.T) {
 		{"rpc", rpcParamChain, rpcPoints},
 		{"streaming", streamingParamChain, streamingPoints},
 	} {
-		for _, K := range []int{1, 3, 5, 8} {
+		for _, K := range []int{1, 3, 4, 5, 8} {
 			t.Run(fmt.Sprintf("%s/%d-points", tc.name, K), func(t *testing.T) {
 				fused, ref, err := ctmc.FusedSumsForTest(tc.chain(t), tc.points()[:K], 3)
 				if err != nil {
 					t.Fatal(err)
 				}
-				swept := 4
-				if K > 4 {
-					swept = 8
-				}
-				for k := 0; k < swept; k++ {
+				for k := range fused {
 					if math.Float64bits(fused[k]) != math.Float64bits(ref[k]) {
 						t.Errorf("lane %d: fused sum %v != laneSums %v (must be bit-identical)", k, fused[k], ref[k])
 					}

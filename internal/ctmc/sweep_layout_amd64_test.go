@@ -27,7 +27,6 @@ func TestSweepGS4ArgsLayout(t *testing.T) {
 		"delta":   unsafe.Offsetof(a.delta),
 		"sums":    unsafe.Offsetof(a.sums),
 		"dead":    unsafe.Offsetof(a.dead),
-		"half":    unsafe.Offsetof(a.half),
 	}
 	if n := reflect.TypeOf(a).NumField(); n != len(offsets) {
 		t.Fatalf("sweepGS4Args has %d fields, the layout table %d", n, len(offsets))

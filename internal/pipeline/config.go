@@ -50,7 +50,7 @@ type Config struct {
 	Workers int
 	// LaneWidth is the chunk size of batched steady-state solves in
 	// Session sweeps: 0 auto-selects DefaultLaneWidth, and any other K
-	// solves each chunk of K points as ⌈K/8⌉ eight-lane groups — at 1, one
+	// solves each chunk of K points as ⌈K/4⌉ four-lane groups — at 1, one
 	// point per chunk. Results are bit-identical at any value.
 	LaneWidth int
 	// Ctx cancels the session's work: generation polls it at BFS level

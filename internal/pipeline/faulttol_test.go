@@ -85,8 +85,12 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Lane widths stop at one four-lane group per chunk: the plan below
+	// needs every later solve to start a new chunk, and a second group
+	// inside a wider chunk would wait for a checkpoint that is only
+	// written once its own chunk finishes.
 	for _, workers := range []int{1, 8} {
-		for _, lanes := range []int{1, 8} {
+		for _, lanes := range []int{1, 4} {
 			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
 			path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
@@ -157,7 +161,7 @@ func TestPhase2SweepPanicAttribution(t *testing.T) {
 	m, measures, points := rpcSweepFixture(t)
 
 	for _, workers := range []int{1, 8} {
-		for _, lanes := range []int{1, 8} {
+		for _, lanes := range []int{1, 4, 8} {
 			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
 			plan := faultinject.NewPlan().Arm(faultinject.SiteSweepPoint, 3)
 			faultinject.Activate(plan)
@@ -184,6 +188,30 @@ func TestPhase2SweepPanicAttribution(t *testing.T) {
 				t.Errorf("%s: error %q does not name a point", tag, err)
 			}
 		}
+	}
+}
+
+// TestPhase2SweepPanicDefaultChunks pins how the default lane width
+// splits a short grid: an 8-point streaming period sweep on two workers
+// runs as two four-point chunks, so a panic at point 5 is attributed to
+// the chunk "points 4-7", not to one chunk holding the whole grid.
+func TestPhase2SweepPanicDefaultChunks(t *testing.T) {
+	p := quickStreamingParams()
+	p.ParametricPeriod = true
+	var points [][]float64
+	for _, P := range []float64{5, 25, 50, 100, 200, 400, 600, 800} {
+		points = append(points, []float64{1 / P})
+	}
+	faultinject.Activate(faultinject.NewPlan().Arm(faultinject.SiteSweepPoint, 5))
+	_, err := sweep(elaborateStreaming(t, p), models.StreamingMeasures(p), ctmc.SolveOptions{},
+		pipeline.Config{Workers: 2}, points, nil)
+	faultinject.Deactivate()
+	var wpe *fault.WorkerPanicError
+	if !errors.As(err, &wpe) {
+		t.Fatalf("want *fault.WorkerPanicError, got %T: %v", err, err)
+	}
+	if wpe.Task != "points 4-7" {
+		t.Errorf("panic attributed to %q, want %q", wpe.Task, "points 4-7")
 	}
 }
 
@@ -227,7 +255,7 @@ func TestPhase2SweepCheckpointResumeLargerBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 8} {
-		for _, lanes := range []int{1, 8} {
+		for _, lanes := range []int{1, 4, 8} {
 			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
 			path := filepath.Join(t.TempDir(), "sweep.ckpt")
 			cfg := pipeline.Config{Workers: workers, LaneWidth: lanes}
@@ -416,7 +444,7 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 	// Duplicate rate vectors — the first point's included — run the same
 	// cold solve, so their reports are bit-identical.
 	dup := [][]float64{{1. / 5}, {1. / 2}, {1. / 10}, {1. / 2}, {1. / 10}, {1. / 5}}
-	for _, lanes := range []int{1, 8} {
+	for _, lanes := range []int{1, 4, 8} {
 		reps, err := sweep(m, measures, none, pipeline.Config{LaneWidth: lanes}, dup, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -16,9 +16,10 @@ import (
 )
 
 // DefaultLaneWidth is the sweep-batching width Sweep auto-selects: one
-// full group of the eight-lane batched kernel, whose lanes interleave one
-// float64 each into exactly one 64-byte cache line.
-const DefaultLaneWidth = 8
+// full group of the four-lane batched kernel, whose lanes interleave one
+// float64 each into exactly one AVX register. Chunks no wider than one
+// group let the worker pool spread even a short grid over every core.
+const DefaultLaneWidth = 4
 
 // sweepHash fingerprints everything a checkpoint must match to be safely
 // resumed: the chain's structural solve analysis, the state-space and

@@ -312,7 +312,7 @@ func TestPhase2SweepConvergenceErrorPoint(t *testing.T) {
 	pp.ParametricTimeout = true
 	m := elaborateRPC(t, pp)
 	points := [][]float64{{1. / 5}, {1. / 2}, {1. / 25}}
-	for _, laneWidth := range []int{1, 8} {
+	for _, laneWidth := range []int{1, 4, 8} {
 		_, err := sweep(m, models.RPCMeasures(pp), ctmc.SolveOptions{MaxIterations: 2},
 			pipeline.Config{LaneWidth: laneWidth}, points, nil)
 		if !errors.Is(err, ctmc.ErrNoConvergence) {
@@ -413,7 +413,7 @@ func TestSweepMatchesColdSolve(t *testing.T) {
 				want[i] = coldSolve(t, oracle, v.measures, p)
 			}
 			for _, workers := range []int{1, 2} {
-				for _, lanes := range []int{1, 8} {
+				for _, lanes := range []int{1, 4, 8} {
 					reps, err := pipeline.NewSession(spec, pipeline.Config{Workers: workers, LaneWidth: lanes}).Sweep(points)
 					if err != nil {
 						t.Fatalf("workers=%d lanes=%d: %v", workers, lanes, err)

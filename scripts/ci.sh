@@ -23,7 +23,7 @@ go vet ./internal/fault/ ./internal/faultinject/
 echo "== go build =="
 go build ./...
 
-# The scalar eight-lane kernel (sweepGS8 behind sweep_noasm.go) is the
+# The scalar four-lane kernel (sweepGS4 behind sweep_noasm.go) is the
 # only sweep path off amd64; vetting and building for arm64 keeps that
 # path and its test shims compiling on a machine that never runs them.
 echo "== cross-arch build (arm64) =="
