@@ -246,7 +246,7 @@ func BenchmarkCTMCSolve(b *testing.B) {
 }
 
 // BenchmarkSimulatorEvents measures raw GSMP event throughput on the
-// general rpc model.
+// general rpc model; ns/event is the cost of one event of the loop.
 func BenchmarkSimulatorEvents(b *testing.B) {
 	p := models.DefaultRPCParams()
 	p.ShutdownTimeout = 5
@@ -277,6 +277,7 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 		events += res.Events
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // BenchmarkPolicyComparison runs the DPM-policy ablation (trivial vs

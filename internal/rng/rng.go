@@ -5,52 +5,55 @@
 // bit-for-bit without relying on global state.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a xoshiro256** generator. The zero value is not valid; use New.
 type Rand struct {
-	s [4]uint64
+	// The four state words are separate fields rather than an array: the
+	// compiler prices field accesses below indexed ones, which keeps
+	// Uint64 — and Float64 and Intn around it — under the inlining budget.
+	s0, s1, s2, s3 uint64
 }
 
 // New returns a generator seeded from seed via SplitMix64.
 func New(seed uint64) *Rand {
-	var r Rand
+	var s [4]uint64
 	sm := seed
-	for i := range r.s {
+	for i := range s {
 		sm += 0x9e3779b97f4a7c15
 		z := sm
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		s[i] = z ^ (z >> 31)
 	}
 	// Avoid the all-zero state (cannot happen with SplitMix64, but cheap
 	// to guarantee).
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 1
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		s[0] = 1
 	}
-	return &r
+	return &Rand{s[0], s[1], s[2], s[3]}
 }
 
 // Split derives an independent stream for replication i: it reseeds from a
 // hash of the generator's state and the index, so streams do not overlap
 // in practice.
 func (r *Rand) Split(i uint64) *Rand {
-	return New(r.s[0]*0x9e3779b97f4a7c15 ^ r.s[1] ^ (i+1)*0xda942042e4dd58b5)
+	return New(r.s0*0x9e3779b97f4a7c15 ^ r.s1 ^ (i+1)*0xda942042e4dd58b5)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 pseudo-random bits.
+// Uint64 returns the next 64 pseudo-random bits. It is the reference
+// xoshiro256** step with the state loaded into locals and stored back in
+// one assignment, which keeps it cheap enough for the compiler to inline
+// into every draw. scripts/ci.sh checks that it stays inlinable.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	s2 ^= s0
+	s3 ^= s1
+	r.s0, r.s1, r.s2, r.s3 = s0^s3, s1^s2, s2^s1<<17, bits.RotateLeft64(s3, 45)
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -62,9 +65,9 @@ func (r *Rand) Float64() float64 {
 // safe as the argument of a logarithm.
 func (r *Rand) Float64Open() float64 {
 	for {
-		v := r.Float64()
-		if v > 0 {
-			return v
+		// Float64 of the same draw, tested before the conversion.
+		if x := r.Uint64() >> 11; x != 0 {
+			return float64(x) / (1 << 53)
 		}
 	}
 }

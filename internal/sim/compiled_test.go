@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -90,6 +91,91 @@ func TestExactTieBreaksByName(t *testing.T) {
 		for name, want := range base.Estimates {
 			if got := res.Estimates[name]; got != want {
 				t.Errorf("workers=%d: %s = %+v, sequential %+v", workers, name, got, want)
+			}
+		}
+	}
+}
+
+// TestClockStepKeepsRunningClocks drives a deterministic model through
+// the timed step's three jobs at once. X alternates between S0 =
+// zslow.S0 + fast.S1 and S1 = zslow.S0 + anew.S0 with det(2) zslow and
+// det(1) fast and anew. Entering S1, zslow keeps its running clock (1
+// left) beside a newly sampled anew (1): an exact tie that anew must win
+// by name although it is second in the state's activities and in slot
+// order. The run then cycles fast (t odd), anew and a zero-delay zslow (t
+// even), so over [0, 100) fast fires 50 times and anew and zslow 49 times
+// each. Resampling zslow in S1 would let fast tie-win in S0 instead, and
+// breaking the tie by slot would starve anew.
+func TestClockStepKeepsRunningClocks(t *testing.T) {
+	et := aemilia.NewElemType("X_Type", nil, nil,
+		aemilia.NewBehavior("S0", nil,
+			aemilia.Ch(
+				aemilia.Pre("zslow", rates.ExpRate(1), aemilia.Invoke("S0")),
+				aemilia.Pre("fast", rates.ExpRate(1), aemilia.Invoke("S1")),
+			)),
+		aemilia.NewBehavior("S1", nil,
+			aemilia.Ch(
+				aemilia.Pre("zslow", rates.ExpRate(1), aemilia.Invoke("S0")),
+				aemilia.Pre("anew", rates.ExpRate(1), aemilia.Invoke("S0")),
+			)))
+	a := aemilia.NewArchiType("Clock", []*aemilia.ElemType{et},
+		[]*aemilia.Instance{aemilia.NewInstance("X", "X_Type")}, nil)
+	m, err := elab.Elaborate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms []measure.Measure
+	for _, act := range []string{"zslow", "fast", "anew"} {
+		ms = append(ms, measure.Measure{Name: act, Clauses: []measure.Clause{
+			{Instance: "X", Action: act, Kind: measure.TransReward, Value: 1},
+		}})
+	}
+	cfg := Config{
+		Model: m,
+		Distributions: map[Activity]dist.Distribution{
+			{Instance: "X", Action: "zslow"}: dist.NewDet(2),
+			{Instance: "X", Action: "fast"}:  dist.NewDet(1),
+			{Instance: "X", Action: "anew"}:  dist.NewDet(1),
+		},
+		Measures:     ms,
+		RunLength:    100,
+		Replications: 2,
+		MaxEvents:    1000,
+	}
+
+	// The premise: in S1, zslow comes first in the activities and in slot
+	// order, anew second.
+	p, err := newPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := p.newRunner()
+	if _, _, err := r.replicate(0, rng.New(1), 1); err != nil {
+		t.Fatal(err)
+	}
+	var s1 []int32
+	for _, rec := range r.recs {
+		if len(rec.acts) == 2 && r.acts[rec.acts[1]].Action == "anew" {
+			s1 = rec.acts
+		}
+	}
+	if s1 == nil || r.acts[s1[0]].Action != "zslow" || s1[0] > s1[1] {
+		t.Fatalf("no state with activities zslow then anew in slot order")
+	}
+
+	want := map[string]float64{"fast": 0.5, "anew": 0.49, "zslow": 0.49}
+	for _, workers := range []int{1, 2} {
+		cfg.Workers = workers
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if res.Events != 2*148 {
+			t.Errorf("workers=%d: %d events, want %d", workers, res.Events, 2*148)
+		}
+		for name, w := range want {
+			if got := res.Estimates[name].Mean; math.Abs(got-w) > 1e-12 {
+				t.Errorf("workers=%d: %s fired at rate %v, want %v", workers, name, got, w)
 			}
 		}
 	}

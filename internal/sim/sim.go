@@ -149,9 +149,10 @@ type plan struct {
 	slotBase  []int32
 	acts      []Activity
 	overrides []dist.Distribution
-	// labelClauses lists, per compiled label id, the transition-reward
-	// clauses a firing with that label counts toward.
-	labelClauses [][]int32
+	// clIdx[clOff[l]:clOff[l+1]] lists the transition-reward clauses a
+	// firing with compiled label l counts toward.
+	clOff []int32
+	clIdx []int32
 }
 
 // stateRec is the compiled form of a visited state, built once when the
@@ -161,14 +162,12 @@ type plan struct {
 // per-transition arrays; a record whose state has been interned (as a
 // transition target) but not yet entered is not ready.
 type stateRec struct {
+	// The fields every event reads come first, so that a timed step finds
+	// ready, immTotal, acts and candOff in the record's first 64 bytes.
 	ready bool
-	// preds is the local enabledness per state-reward clause.
-	preds []bool
-	// imm lists the immediate transitions of the top priority level, in
-	// successor order, and immW their weights; a nonzero immTotal (their
-	// sum) makes the state vanishing.
-	imm      []int32
-	immW     []float64
+	// A nonzero immTotal makes the state vanishing: it is the total weight
+	// of imm, the immediate transitions of the top priority level in
+	// successor order, whose weights immW lists.
 	immTotal float64
 	// In a timed state (immTotal == 0), acts are the activity slots of the
 	// state's transitions in first-occurrence order (empty: deadlock);
@@ -178,16 +177,22 @@ type stateRec struct {
 	// and cands[candOff[i]:candOff[i+1]] are its transitions in successor
 	// order.
 	acts    []int32
-	dists   []dist.Distribution
 	candOff []int32
 	cands   []int32
+	// on lists the state-reward clauses enabled in the state, ascending.
+	on    []int32
+	dists []dist.Distribution
+	imm   []int32
+	immW  []float64
 }
 
-// clock is the timing slot of one activity.
+// clock is the timing slot of one activity. Under enabling memory a clock
+// survives exactly while its activity stays enabled from one timed step to
+// the next without firing, so rem is live only when seen is the previous
+// timed step; any other value means the clock must be sampled afresh.
 type clock struct {
-	rem  float64 // residual duration, valid while on
-	on   bool    // the activity holds a clock (enabling memory)
-	seen uint64  // the last timed step whose state enabled the activity
+	rem  float64 // residual duration
+	seen uint64  // the last timed step whose state enabled the activity; 0 once it fires
 }
 
 // runner executes replications of one configuration. Everything beyond
@@ -217,7 +222,8 @@ type runner struct {
 	target []int32
 	label  []int32
 
-	// clocks is indexed by activity slot; epoch numbers the timed steps.
+	// clocks is indexed by activity slot; epoch numbers the timed steps
+	// from 1 and never restarts, so a replication begins by skipping one.
 	clocks []clock
 	epoch  uint64
 }
@@ -360,13 +366,14 @@ func newPlan(cfg Config) (*plan, error) {
 		return nil, fmt.Errorf("sim: distribution override for %s: no such activity in the model",
 			strings.Join(unknown, ", "))
 	}
-	p.labelClauses = make([][]int32, c.NumLabels())
-	for l := range p.labelClauses {
+	p.clOff = make([]int32, c.NumLabels()+1)
+	for l := range c.NumLabels() {
 		for j, pred := range transPreds {
 			if lts.LabelInvolves(c.Label(int32(l)), pred) {
-				p.labelClauses[l] = append(p.labelClauses[l], int32(j))
+				p.clIdx = append(p.clIdx, int32(j))
 			}
 		}
+		p.clOff[l+1] = int32(len(p.clIdx))
 	}
 	return p, nil
 }
@@ -493,12 +500,13 @@ func (r *runner) compile(s int32) error {
 		return err
 	}
 	rec := stateRec{ready: true}
-	if len(r.statePreds) > 0 {
-		rec.preds = make([]bool, len(r.statePreds))
-		for p := range rec.preds {
-			if rec.preds[p], err = r.c.Enabled(p, src); err != nil {
-				return err
-			}
+	for p := range r.statePreds {
+		on, err := r.c.Enabled(p, src)
+		if err != nil {
+			return err
+		}
+		if on {
+			rec.on = append(rec.on, int32(p))
 		}
 	}
 
@@ -590,74 +598,71 @@ const pollEvents = 1024
 // replicate runs one run whose measurement window is split into the given
 // number of consecutive segments (1 for independent replications, n for
 // batch means) and returns the per-segment measure values (already
-// normalized by the segment length). rep is the replication index, used
-// only to attribute a cancellation.
+// normalized by the segment length). Segment k is the model-time interval
+// [Warmup+k·RunLength, Warmup+(k+1)·RunLength). rep is the replication
+// index, used only to attribute a cancellation.
 func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, int64, error) {
 	var (
+		warmup, runLength = r.cfg.Warmup, r.cfg.RunLength
+
 		now        float64
 		events     int64
-		endTime    = r.cfg.Warmup + float64(segments)*r.cfg.RunLength
+		endTime    = warmup + float64(segments)*runLength
 		zeroStreak = 0
 		cur        = int32(0)  // memo id of the current state; 0 is the initial one
 		via        = int32(-1) // transition whose target becomes current at the loop top
-		active     []int32     // the last timed state's activities: all that may hold a clock
+		// seg is the segment holding max(now, Warmup) and segEnd its end:
+		// the loop advances them as time passes, so no event divides.
+		seg    = 0
+		segEnd = warmup + runLength
 	)
-	for i := range r.clocks {
-		r.clocks[i].on = false
-	}
+	maxEvents := int64(r.cfg.MaxEvents)
+	// No clock was stamped at the step before this replication's first,
+	// so none carries over from an earlier replication.
+	r.epoch++
 	stateAcc := make([][]float64, segments)
 	transAcc := make([][]float64, segments)
 	for k := range stateAcc {
 		stateAcc[k] = make([]float64, len(r.stateVals))
 		transAcc[k] = make([]float64, len(r.transVals))
 	}
-	segOf := func(t float64) int {
-		k := int((t - r.cfg.Warmup) / r.cfg.RunLength)
-		if k < 0 {
-			k = 0
-		}
-		if k >= segments {
-			k = segments - 1
-		}
-		return k
-	}
 
+	// accrue credits the state's enabled state-reward clauses with the
+	// part of [now, now+dt] inside [Warmup, endTime], split at segment
+	// ends: each split moves to the next segment.
 	accrue := func(rec *stateRec, dt float64) {
-		if dt <= 0 || len(r.stateVals) == 0 {
+		if dt <= 0 || len(rec.on) == 0 {
 			return
 		}
-		// Clip the accrual window to [Warmup, endTime] and split it over
-		// the segments it spans.
-		lo := math.Max(now, r.cfg.Warmup)
-		hi := math.Min(now+dt, endTime)
+		lo, hi := max(now, warmup), min(now+dt, endTime)
+		k, end := seg, segEnd
 		for lo < hi {
-			k := segOf(lo)
-			segEnd := r.cfg.Warmup + float64(k+1)*r.cfg.RunLength
-			w := math.Min(hi, segEnd) - lo
-			if w <= 0 {
-				break
-			}
-			for i, v := range r.stateVals {
-				if rec.preds[i] {
-					stateAcc[k][i] += v * w
-				}
+			w := min(hi, end) - lo
+			acc := stateAcc[k]
+			for _, i := range rec.on {
+				acc[i] += r.stateVals[i] * w
 			}
 			lo += w
+			if end < hi {
+				k++
+				end = warmup + float64(k+1)*runLength
+			}
 		}
 	}
 	countFiring := func(t int32) {
-		clauses := r.labelClauses[r.label[t]]
-		if now < r.cfg.Warmup || len(clauses) == 0 {
+		l := r.label[t]
+		lo, hi := r.clOff[l], r.clOff[l+1]
+		if lo == hi || now < warmup {
 			return
 		}
-		acc := transAcc[segOf(now)]
-		for _, j := range clauses {
+		acc := transAcc[seg]
+		for _, j := range r.clIdx[lo:hi] {
 			acc[j] += r.transVals[j]
 		}
 	}
 
 	for now < endTime {
-		if events >= int64(r.cfg.MaxEvents) {
+		if events >= maxEvents {
 			return nil, events, fmt.Errorf("sim: exceeded %d events", r.cfg.MaxEvents)
 		}
 		if events%pollEvents == 0 {
@@ -693,45 +698,33 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 			break
 		}
 
-		// Timed step. Enabling memory: activities the state does not enable
-		// lose their clock; newly enabled ones sample theirs in first-
-		// occurrence order.
+		// Timed step, in one pass over the state's activities: an activity
+		// enabled at the previous timed step keeps its clock (enabling
+		// memory), a newly enabled one samples it — first-occurrence order
+		// fixes the draw order — and the minimum clock wins. An exact tie
+		// goes to the activity first in (Instance, Action) name order —
+		// never to the lower slot, since slots follow declaration order.
+		// Clocks of activities the state does not enable are left stale.
+		prev := r.epoch
 		r.epoch++
-		for _, a := range rec.acts {
-			r.clocks[a].seen = r.epoch
-		}
-		for _, a := range active {
-			if r.clocks[a].seen != r.epoch {
-				r.clocks[a].on = false
-			}
-		}
+		win, minRem := 0, 0.0
 		for i, a := range rec.acts {
 			c := &r.clocks[a]
-			if c.on {
-				continue
+			if c.seen != prev {
+				d := rec.dists[i]
+				if d == nil {
+					act, first := r.acts[a], rec.cands[rec.candOff[i]]
+					return nil, events, fmt.Errorf("%w: %s.%s (label %s)",
+						ErrNoDistribution, act.Instance, act.Action, r.c.Label(r.label[first]))
+				}
+				c.rem = d.Sample(rnd)
 			}
-			d := rec.dists[i]
-			if d == nil {
-				act, first := r.acts[a], rec.cands[rec.candOff[i]]
-				return nil, events, fmt.Errorf("%w: %s.%s (label %s)",
-					ErrNoDistribution, act.Instance, act.Action, r.c.Label(r.label[first]))
+			c.seen = r.epoch
+			if i == 0 || c.rem < minRem || (c.rem == minRem && less(r.acts[a], r.acts[rec.acts[win]])) {
+				win, minRem = i, c.rem
 			}
-			c.rem, c.on = d.Sample(rnd), true
 		}
-		active = rec.acts
 
-		// Fire the minimum clock; an exact tie goes to the activity first
-		// in (Instance, Action) name order — never to the lower slot, since
-		// slots follow declaration order.
-		win := 0
-		minRem := r.clocks[rec.acts[0]].rem
-		for i := 1; i < len(rec.acts); i++ {
-			a := rec.acts[i]
-			rem := r.clocks[a].rem
-			if rem < minRem || (rem == minRem && less(r.acts[a], r.acts[rec.acts[win]])) {
-				win, minRem = i, rem
-			}
-		}
 		dt := minRem
 		if dt > 0 {
 			zeroStreak = 0
@@ -750,8 +743,12 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 		for _, a := range rec.acts {
 			r.clocks[a].rem -= dt
 		}
-		r.clocks[rec.acts[win]].on = false
+		r.clocks[rec.acts[win]].seen = 0 // the winner's clock is spent
 		now += dt
+		for now >= segEnd {
+			seg++
+			segEnd = warmup + float64(seg+1)*runLength
+		}
 
 		// Choose uniformly among the winner's transitions (usually one).
 		cands := rec.cands[rec.candOff[win]:rec.candOff[win+1]]
@@ -764,17 +761,16 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 	}
 
 	// Normalize by the segment length.
-	T := r.cfg.RunLength
 	out := make([][]float64, segments)
 	for k := 0; k < segments; k++ {
 		vals := make([]float64, len(r.cfg.Measures))
 		for mi := range r.cfg.Measures {
 			v := 0.0
 			for _, i := range r.stateOf[mi] {
-				v += stateAcc[k][i] / T
+				v += stateAcc[k][i] / runLength
 			}
 			for _, i := range r.transOf[mi] {
-				v += transAcc[k][i] / T
+				v += transAcc[k][i] / runLength
 			}
 			vals[mi] = v
 		}

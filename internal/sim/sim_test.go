@@ -14,6 +14,7 @@ import (
 	"repro/internal/lts"
 	"repro/internal/measure"
 	"repro/internal/rates"
+	"repro/internal/rng"
 )
 
 // workRestModel: one instance alternating Work -finish-> Rest -resume->
@@ -578,5 +579,41 @@ func TestDerivedMeasureInSimulation(t *testing.T) {
 	}
 	if ci.HalfWidth <= 0 {
 		t.Error("derived interval should have positive half-width")
+	}
+}
+
+// TestBatchMeansAccruesEveryBatchFully pins the segment rule of batch
+// means: segment k is [Warmup+k·RunLength, Warmup+(k+1)·RunLength), and a
+// sojourn that spans segment ends is credited to each segment in turn. A
+// measure whose two state-reward clauses cover every state must then read
+// exactly 1 in every batch, also where a boundary such as 100.3 or 0.6 is
+// not exactly representable and (t−Warmup)/RunLength rounds below the
+// segment's index.
+func TestBatchMeansAccruesEveryBatchFully(t *testing.T) {
+	always := []measure.Measure{{Name: "always", Clauses: []measure.Clause{
+		{Instance: "W", Action: "mon_work", Kind: measure.StateReward, Value: 1},
+		{Instance: "W", Action: "mon_rest", Kind: measure.StateReward, Value: 1},
+	}}}
+	const batches = 200
+	for _, c := range []struct{ warmup, runLength float64 }{
+		{100, 0.3}, {0.5, 0.1}, {100, 400},
+	} {
+		p, err := newPlan(Config{
+			Model: workRestModel(t, 2, 1), Measures: always,
+			Warmup: c.warmup, RunLength: c.runLength, MaxEvents: 50_000_000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, _, err := p.newRunner().replicate(0, rng.New(1).Split(0), batches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, vals := range segs {
+			if math.Abs(vals[0]-1) > 1e-12 {
+				t.Errorf("warmup %v, run length %v: batch %d reads %v, want 1",
+					c.warmup, c.runLength, k, vals[0])
+			}
+		}
 	}
 }

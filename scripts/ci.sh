@@ -29,6 +29,34 @@ go build ./...
 echo "== cross-arch build (arm64) =="
 GOARCH=arm64 go vet ./internal/ctmc/ && GOARCH=arm64 go build ./...
 
+# The simulator's per-event cost rests on the compiler inlining three
+# functions: rng's Uint64 with Float64 around it (into every uniform,
+# normal and exponential draw) and the accrue and countFiring closures of
+# sim's event loop. An edit that pushes one over the inlining budget still
+# builds and passes every test, only slower, so this step reads the
+# compiler's own report. A closure can be reported inlinable and still
+# not be inlined where it is called, so for the closures — found by their
+# line in sim.go — every call site must be reported inlined.
+echo "== hot-path inlining (internal/rng, internal/sim) =="
+inl=$(go build -gcflags=-m ./internal/rng 2>&1)
+for fn in Uint64 Float64; do
+    if ! echo "$inl" | grep -q "can inline (\*Rand)\.$fn\$"; then
+        echo "internal/rng: (*Rand).$fn is no longer inlinable" >&2
+        exit 1
+    fi
+done
+inl=$(go build -gcflags=-m ./internal/sim 2>&1)
+for fn in accrue countFiring; do
+    line=$(grep -n "^	$fn := func" internal/sim/sim.go | cut -d: -f1)
+    name=$(echo "$inl" | sed -n "s/^.*sim\.go:$line:[0-9]*: can inline \(.*\)\$/\1/p")
+    calls=$(grep -c "[^.]\<$fn(" internal/sim/sim.go || true)
+    inlined=$(echo "$inl" | grep -cF "inlining call to $name" || true)
+    if [ -z "$line" ] || [ -z "$name" ] || [ "$inlined" -ne "$calls" ]; then
+        echo "internal/sim: the $fn closure of replicate is inlined at ${inlined:-0} of its ${calls:-0} call sites" >&2
+        exit 1
+    fi
+done
+
 # Every test invocation carries an explicit -timeout: a deadlocked worker
 # pool (the exact failure class the fault-tolerance layer guards against)
 # must fail CI within the bound instead of hanging the job.
