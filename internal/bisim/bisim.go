@@ -31,6 +31,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/fault"
 	"repro/internal/hml"
 	"repro/internal/lts"
 	"repro/internal/rates"
@@ -544,11 +545,14 @@ func renumber(blocks []int) []int {
 // For Weak, both systems are first reduced to their branching quotients.
 // Each quotient is weakly bisimilar to its original, so the verdict is
 // unchanged and a weak formula separating the quotients separates the
-// originals.
+// originals. The two quotients are computed on two goroutines.
 func Equivalent(l1, l2 *lts.LTS, rel Relation) (bool, hml.Formula) {
 	if rel == Weak {
-		l1, _ = branchingQuotient(l1)
-		l2, _ = branchingQuotient(l2)
+		// Sealing first makes both quotients pure reads of their inputs,
+		// which may be one system.
+		l1.Seal()
+		l2.Seal()
+		fault.Both(func() { l2, _ = branchingQuotient(l2) }, func() { l1, _ = branchingQuotient(l1) })
 	}
 	u, init1, init2 := union(l1, l2)
 	s := saturate(u, rel)

@@ -191,6 +191,20 @@ func TestPropertyMinimizeSound(t *testing.T) {
 	}
 }
 
+// TestWeakEquivalentSelfUnsealed passes one freshly built, unsealed
+// system as both inputs of a weak check, whose two branching quotients
+// are computed concurrently: under the race detector this shows that
+// Equivalent seals its inputs before it forks.
+func TestWeakEquivalentSelfUnsealed(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 10; trial++ {
+		l := randomLTS(r, 2+r.Intn(8))
+		if ok, f := Equivalent(l, l, Weak); !ok {
+			t.Fatalf("trial %d: LTS not weakly equivalent to itself: %s", trial, hml.Format(f))
+		}
+	}
+}
+
 // Property: whenever two random systems are inequivalent, the generated
 // formula is a valid witness (holds in the first, fails in the second).
 func TestPropertyDistinguishingFormulaValid(t *testing.T) {

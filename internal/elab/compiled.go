@@ -2,6 +2,7 @@ package elab
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/aemilia"
 	"repro/internal/rates"
@@ -26,11 +27,17 @@ func (p Pred) Name() string { return p.Instance + "." + p.Action }
 // form the explicit state-space generator explores and the simulator
 // executes. Each instance keeps an interner of its local configurations:
 // a configuration gets a dense uint32 local id when a move first targets
-// it, and a move table — action id, rate, target local id, plus one bit
+// it, and its moves — action id, rate id, target local id, plus one bit
 // per requested predicate — the first time a global state containing it
-// is expanded. A global state is
-// then a tuple of local ids, one per instance in declaration order, and
-// Successors combines move tables without touching a process term.
+// is expanded. An instance keeps the moves of all its configurations in
+// one flat array, each configuration's a contiguous span. A global state
+// is then a tuple of local ids, one per instance in declaration order,
+// and Successors combines move spans without touching a process term.
+//
+// Rates are ids too: every local and combined rate is interned by its
+// bits (Kind, Slot, Priority and the IEEE bits of Lambda and Weight) and
+// read back with Rate. The combination of two rate ids is memoized, so a
+// synchronization costs a table lookup rather than a rates.Combine.
 //
 // Compilation is lazy, so an instance whose local configuration graph is
 // unbounded (a data parameter the composition bounds) compiles exactly the
@@ -50,13 +57,28 @@ type Compiled struct {
 	labels []string // compiled label id → label
 	preds  []compPred
 	keyBuf []byte
-	// cand and idx are Successors' AND-broadcast scratch: cand holds the
-	// matching partner move indices back to back, candEnd[pi] ends
+	// cur holds, by instance, the move span of the state Successors is
+	// expanding. cand and idx are its AND-broadcast scratch: cand holds
+	// the matching partner move indices back to back, candEnd[pi] ends
 	// partner pi's run, idx is the combination counter.
+	cur     []moveSpan
 	cand    []int32
 	candEnd []int
 	idx     []int
+
+	// rateTab interns every local and combined rate; active[id] caches
+	// IsActive. combined memoizes combineID over ids below memoW:
+	// combined[a*memoW+b] is the id of the pair's combination plus one, or
+	// 0 when not computed yet (or incompatible, which is never stored).
+	rateTab  statespace.RateTable
+	active   []bool
+	combined []int32
+	memoW    int
 }
+
+// maxMemoW bounds the combination memo to maxMemoW² entries; pairs of
+// rarer rate ids are combined afresh each time.
+const maxMemoW = 256
 
 type compInst struct {
 	name    string
@@ -65,10 +87,20 @@ type compInst struct {
 	roles   []compRole // by action id
 	keys    *statespace.Interner
 	configs []LocalConfig // by local id
-	tables  []*moveTable  // by local id; nil until compiled
+	// moves holds the compiled moves of every local configuration;
+	// spans[id] frames local id's, and its lo is -1 until they are
+	// compiled. predBits holds ⌈len(Compiled.preds)/64⌉ words per local
+	// id, with bit p set when requested predicate p holds there (nil when
+	// no predicate names this instance).
+	moves    []compMove
+	spans    []moveSpan
+	predBits []uint64
 	// preds lists the requested predicates on this instance.
 	preds []int
 }
+
+// moveSpan frames one local configuration's moves in compInst.moves.
+type moveSpan struct{ lo, hi int32 }
 
 // compRole is how one action of an instance takes part in the topology.
 type compRole struct {
@@ -95,26 +127,19 @@ type compPred struct {
 	name   string
 }
 
-// moveTable is the compiled form of one local configuration.
-type moveTable struct {
-	moves []compMove
-	// preds has bit p set when requested predicate p holds here.
-	preds []uint64
-}
-
 // compMove is one compiled local move.
 type compMove struct {
 	action int32
-	rate   rates.Rate
+	rate   int32 // rate id
 	next   uint32
 }
 
-// Succ is one compiled global transition: its label id (see Label), its
-// combined rate and its active participant. Its target tuple is returned
-// alongside (see Successors).
+// Succ is one compiled global transition: its label id (see Label), the
+// id of its combined rate (see Rate) and its active participant. Its
+// target tuple is returned alongside (see Successors).
 type Succ struct {
 	Label int32
-	Rate  rates.Rate
+	Rate  int32
 	// ActiveInst and ActiveAction (an action id of that instance, see
 	// ActionName) identify the participant owning the transition's timing:
 	// the partner whose rate is active — the last such partner of an AND
@@ -230,6 +255,50 @@ func (c *Compiled) NumLabels() int { return len(c.labels) }
 // Label returns the label string of a compiled label id.
 func (c *Compiled) Label(id int32) string { return c.labels[id] }
 
+// Rate returns the rate of a rate id (Succ.Rate).
+func (c *Compiled) Rate(id int32) rates.Rate { return c.rateTab.Rates()[id] }
+
+// rateID returns the id of r, interning it on first sight.
+func (c *Compiled) rateID(r rates.Rate) int32 {
+	id := c.rateTab.Intern(&r)
+	if int(id) == len(c.active) {
+		c.active = append(c.active, r.IsActive())
+	}
+	return id
+}
+
+// combineID returns the id of rates.Combine of rate ids a and b. The
+// memo holds compatible pairs only, so an incompatible one calls
+// rates.Combine again and returns the same error every time.
+func (c *Compiled) combineID(a, b int32) (int32, error) {
+	w := c.memoW
+	if int(a) < w && int(b) < w {
+		if v := c.combined[int(a)*w+int(b)]; v != 0 {
+			return v - 1, nil
+		}
+	}
+	tab := c.rateTab.Rates()
+	r, err := rates.Combine(tab[a], tab[b])
+	if err != nil {
+		return 0, err
+	}
+	id := c.rateID(r)
+	if n := len(c.active); n > w && w < maxMemoW {
+		// Widen the memo to the next power of two past every id, keeping
+		// what it holds.
+		nw := min(maxMemoW, max(8, 1<<bits.Len(uint(n-1))))
+		memo := make([]int32, nw*nw)
+		for x := 0; x < w; x++ {
+			copy(memo[x*nw:x*nw+w], c.combined[x*w:(x+1)*w])
+		}
+		c.combined, c.memoW, w = memo, nw, nw
+	}
+	if int(a) < w && int(b) < w {
+		c.combined[int(a)*w+int(b)] = id + 1
+	}
+	return id, nil
+}
+
 // intern returns the local id of instance i's configuration lc.
 func (c *Compiled) intern(i int, lc LocalConfig) uint32 {
 	ci := &c.insts[i]
@@ -237,7 +306,7 @@ func (c *Compiled) intern(i int, lc LocalConfig) uint32 {
 	id, fresh := ci.keys.Intern(c.keyBuf)
 	if fresh {
 		ci.configs = append(ci.configs, lc)
-		ci.tables = append(ci.tables, nil)
+		ci.spans = append(ci.spans, moveSpan{lo: -1})
 	}
 	return id
 }
@@ -261,38 +330,45 @@ func (c *Compiled) State(t []uint32) State {
 	return s
 }
 
-// table returns the move table of instance i's local id, compiling it on
-// first use.
-func (c *Compiled) table(i int, id uint32) (*moveTable, error) {
+// compile compiles the moves of instance i's local id, whose span is
+// still unset.
+func (c *Compiled) compile(i int, id uint32) error {
 	ci := &c.insts[i]
-	if t := ci.tables[id]; t != nil {
-		return t, nil
-	}
 	mv, err := c.m.LocalMovesOf(i, ci.configs[id])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t := &moveTable{moves: make([]compMove, len(mv))}
+	lo := int32(len(ci.moves))
 	for k := range mv {
-		t.moves[k] = compMove{
+		ci.moves = append(ci.moves, compMove{
 			action: c.action(i, mv[k].Act.Name),
-			rate:   mv[k].Act.Rate,
+			rate:   c.rateID(mv[k].Act.Rate),
 			next:   c.intern(i, mv[k].Next),
-		}
+		})
 	}
-	for _, p := range ci.preds {
-		for k := range t.moves {
-			if t.moves[k].action == c.preds[p].action {
-				if t.preds == nil {
-					t.preds = make([]uint64, (len(c.preds)+63)/64)
+	ci.spans[id] = moveSpan{lo: lo, hi: int32(len(ci.moves))}
+	if len(ci.preds) > 0 {
+		words := (len(c.preds) + 63) / 64
+		if need := len(ci.spans) * words; len(ci.predBits) < need {
+			ci.predBits = append(ci.predBits, make([]uint64, need-len(ci.predBits))...)
+		}
+		for _, p := range ci.preds {
+			for _, m := range ci.moves[lo:] {
+				if m.action == c.preds[p].action {
+					ci.predBits[int(id)*words+p/64] |= 1 << (p % 64)
+					break
 				}
-				t.preds[p/64] |= 1 << (p % 64)
-				break
 			}
 		}
 	}
-	ci.tables[id] = t
-	return t, nil
+	return nil
+}
+
+// movesOf returns instance i's moves in the state Successors is
+// expanding.
+func (c *Compiled) movesOf(i int) []compMove {
+	sp := c.cur[i]
+	return c.insts[i].moves[sp.lo:sp.hi]
 }
 
 // Enabled reports whether requested predicate p holds in tuple t.
@@ -301,11 +377,13 @@ func (c *Compiled) Enabled(p int, t []uint32) (bool, error) {
 	if cp.inst < 0 {
 		return false, fmt.Errorf("elab: unknown instance %q", cp.name)
 	}
-	tab, err := c.table(cp.inst, t[cp.inst])
-	if err != nil {
-		return false, err
+	if c.insts[cp.inst].spans[t[cp.inst]].lo < 0 {
+		if err := c.compile(cp.inst, t[cp.inst]); err != nil {
+			return false, err
+		}
 	}
-	return tab.preds != nil && tab.preds[p/64]&(1<<(p%64)) != 0, nil
+	words := (len(c.preds) + 63) / 64
+	return c.insts[cp.inst].predBits[int(t[cp.inst])*words+p/64]&(1<<(p%64)) != 0, nil
 }
 
 // Successors appends the transitions enabled in tuple src to succ, and
@@ -316,14 +394,20 @@ func (c *Compiled) Enabled(p int, t []uint32) (bool, error) {
 // the generator's state numbering and the simulator's draws follow it.
 func (c *Compiled) Successors(src []uint32, succ []Succ, next []uint32) ([]Succ, []uint32, error) {
 	n := len(c.insts)
+	c.cur = c.cur[:0]
 	for i := range c.insts {
-		if _, err := c.table(i, src[i]); err != nil {
-			return succ, next, err
+		spans := c.insts[i].spans
+		if spans[src[i]].lo < 0 {
+			if err := c.compile(i, src[i]); err != nil {
+				return succ, next, err
+			}
+			spans = c.insts[i].spans
 		}
+		c.cur = append(c.cur, spans[src[i]])
 	}
 	for i := range c.insts {
 		ci := &c.insts[i]
-		for _, mv := range ci.tables[src[i]].moves {
+		for _, mv := range c.movesOf(i) {
 			r := &ci.roles[mv.action]
 			switch r.kind {
 			case roleInternal:
@@ -353,18 +437,18 @@ func (c *Compiled) Successors(src []uint32, succ []Succ, next []uint32) ([]Succ,
 func (c *Compiled) syncEach(src []uint32, i int, mv compMove, r *compRole, succ []Succ, next []uint32) ([]Succ, []uint32, error) {
 	n := len(c.insts)
 	for _, p := range r.partners {
-		for _, mv2 := range c.insts[p.inst].tables[src[p.inst]].moves {
+		for _, mv2 := range c.movesOf(p.inst) {
 			if mv2.action != p.action {
 				continue
 			}
-			combined, err := rates.Combine(mv.rate, mv2.rate)
+			combined, err := c.combineID(mv.rate, mv2.rate)
 			if err != nil {
 				return succ, next, fmt.Errorf("elab: %s.%s # %s.%s: %w",
 					c.insts[i].name, c.insts[i].actions[mv.action],
 					c.insts[p.inst].name, c.insts[p.inst].actions[mv2.action], err)
 			}
 			s := Succ{Label: p.label, Rate: combined, ActiveInst: int32(i), ActiveAction: mv.action}
-			if mv2.rate.IsActive() {
+			if c.active[mv2.rate] {
 				s.ActiveInst, s.ActiveAction = int32(p.inst), mv2.action
 			}
 			succ = append(succ, s)
@@ -384,7 +468,7 @@ func (c *Compiled) broadcast(src []uint32, i int, mv compMove, r *compRole, succ
 	c.cand, c.candEnd = c.cand[:0], c.candEnd[:0]
 	for _, p := range r.partners {
 		start := len(c.cand)
-		for k, mv2 := range c.insts[p.inst].tables[src[p.inst]].moves {
+		for k, mv2 := range c.movesOf(p.inst) {
 			if mv2.action == p.action {
 				c.cand = append(c.cand, int32(k))
 			}
@@ -405,15 +489,15 @@ func (c *Compiled) broadcast(src []uint32, i int, mv compMove, r *compRole, succ
 		t[i] = mv.next
 		start := 0
 		for pi, p := range r.partners {
-			mv2 := c.insts[p.inst].tables[src[p.inst]].moves[c.cand[start+c.idx[pi]]]
+			mv2 := c.movesOf(p.inst)[c.cand[start+c.idx[pi]]]
 			var err error
-			s.Rate, err = rates.Combine(s.Rate, mv2.rate)
+			s.Rate, err = c.combineID(s.Rate, mv2.rate)
 			if err != nil {
 				return succ, next, fmt.Errorf("elab: broadcast %s.%s # %s.%s: %w",
 					c.insts[i].name, c.insts[i].actions[mv.action],
 					c.insts[p.inst].name, c.insts[p.inst].actions[mv2.action], err)
 			}
-			if mv2.rate.IsActive() {
+			if c.active[mv2.rate] {
 				s.ActiveInst, s.ActiveAction = int32(p.inst), mv2.action
 			}
 			t[p.inst] = mv2.next

@@ -1,6 +1,7 @@
 package elab
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -86,8 +87,8 @@ func CompareCompiled(m *Model, maxStates int) (int, error) {
 			if got := c.Label(succ[k].Label); got != want[k].Label {
 				return qi, fmt.Errorf("state %s successor %d: label %q, want %q", m.Describe(s), k, got, want[k].Label)
 			}
-			if succ[k].Rate != want[k].Rate {
-				return qi, fmt.Errorf("state %s successor %d: rate %v, want %v", m.Describe(s), k, succ[k].Rate, want[k].Rate)
+			if got := c.Rate(succ[k].Rate); got != want[k].Rate {
+				return qi, fmt.Errorf("state %s successor %d: rate %v, want %v", m.Describe(s), k, got, want[k].Rate)
 			}
 			ai := int(succ[k].ActiveInst)
 			if aa := c.ActionName(ai, succ[k].ActiveAction); ai != want[k].ActiveInst || aa != want[k].ActiveAction {
@@ -276,4 +277,66 @@ func FuzzCompiledSuccessors(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestCombineIDMatchesCombine checks the rate-id layer against
+// rates.Combine. Every pair of a few hundred interned rates — more than
+// the memo holds, so both the memoized and the uncached path run —
+// combines to rates.Combine's result, first and when asked again, and an
+// incompatible pair returns rates.Combine's error both times.
+func TestCombineIDMatchesCombine(t *testing.T) {
+	c := pingPong(t).Compile(nil)
+	var ids []int32
+	for k := 1; k <= 150; k++ {
+		ids = append(ids, c.rateID(rates.PassiveWeight(float64(k))), c.rateID(rates.ExpRate(float64(k))))
+	}
+	ids = append(ids, c.rateID(rates.UntimedRate()), c.rateID(rates.Inf(1, 0.5)), c.rateID(rates.ExpSlot(1, 3)))
+	for pass := range 2 {
+		for _, a := range ids {
+			for _, b := range ids {
+				want, werr := rates.Combine(c.Rate(a), c.Rate(b))
+				got, gerr := c.combineID(a, b)
+				if !sameErr(gerr, werr) {
+					t.Fatalf("pass %d: %v × %v: error %v, want %v", pass, c.Rate(a), c.Rate(b), gerr, werr)
+				}
+				if werr == nil && c.Rate(got) != want {
+					t.Fatalf("pass %d: %v × %v = %v, want %v", pass, c.Rate(a), c.Rate(b), c.Rate(got), want)
+				}
+			}
+		}
+	}
+	if c.memoW != maxMemoW {
+		t.Errorf("memo width %d, want it widened to %d", c.memoW, maxMemoW)
+	}
+}
+
+// TestActiveSyncErrorRepeats expands a state whose only transition is an
+// active–active synchronization twice: both calls fail with the reference
+// Successors' error, an *rates.IncompatibleError holding the two rates.
+func TestActiveSyncErrorRepeats(t *testing.T) {
+	p := aemilia.NewElemType("P", nil, []string{"a"},
+		aemilia.NewBehavior("PB", nil, aemilia.Pre("a", rates.ExpRate(1), aemilia.Invoke("PB"))))
+	q := aemilia.NewElemType("Q", []string{"a"}, nil,
+		aemilia.NewBehavior("QB", nil, aemilia.Pre("a", rates.ExpRate(2), aemilia.Invoke("QB"))))
+	a := aemilia.NewArchiType("A",
+		[]*aemilia.ElemType{p, q},
+		[]*aemilia.Instance{aemilia.NewInstance("P1", "P"), aemilia.NewInstance("Q1", "Q")},
+		[]aemilia.Attachment{aemilia.Attach("P1", "a", "Q1", "a")})
+	m, err := Elaborate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, werr := m.Successors(m.Initial())
+	c := m.Compile(nil)
+	t0 := c.Initial()
+	for call := range 2 {
+		_, _, err := c.Successors(t0, nil, nil)
+		if err == nil || !sameErr(err, werr) {
+			t.Fatalf("call %d: error %v, want %v", call, err, werr)
+		}
+		var ie *rates.IncompatibleError
+		if !errors.As(err, &ie) || ie.A != rates.ExpRate(1) || ie.B != rates.ExpRate(2) {
+			t.Fatalf("call %d: %v is not the incompatibility of exp(1) and exp(2)", call, err)
+		}
+	}
 }

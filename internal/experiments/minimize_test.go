@@ -10,9 +10,10 @@ import (
 )
 
 // collectMinimize runs the Markovian slice of the experiment suite — the
-// Fig. 3/4 sweeps, the policy comparison, and the startup transient —
-// through a Runner with the given scheduling knobs and composition
-// policy, and returns the results keyed by experiment name.
+// Fig. 3/4 sweeps, the policy comparison, the battery lifetimes and the
+// startup transient — through a Runner with the given scheduling knobs
+// and composition policy, and returns the results keyed by experiment
+// name.
 func collectMinimize(t *testing.T, workers, lanes int, minimize bool) map[string]json.RawMessage {
 	t.Helper()
 	r := NewRunner(pipeline.Config{Workers: workers, LaneWidth: lanes, Minimize: minimize})
@@ -35,8 +36,10 @@ func collectMinimize(t *testing.T, workers, lanes int, minimize bool) map[string
 	record("fig4_markov", v2, err)
 	v3, err := r.PolicyComparison(5)
 	record("policy_comparison", v3, err)
-	v4, err := r.StreamingStartupTransient([]float64{100, 500}, 100, Quick)
-	record("startup_transient", v4, err)
+	v4, err := r.BatteryLifetime(1000, 5, 100)
+	record("battery_lifetime", v4, err)
+	v5, err := r.StreamingStartupTransient([]float64{100, 500}, 100, Quick)
+	record("startup_transient", v5, err)
 	return out
 }
 

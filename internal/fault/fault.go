@@ -1,6 +1,7 @@
 // Package fault defines the typed failures of the pipeline's
-// fault-tolerance layer and the panic-recovery helper every worker pool
-// uses.
+// fault-tolerance layer, the panic-recovery helper every worker pool
+// uses, and the fork-join helper that carries a panic back to the
+// goroutine that forked.
 //
 // Two failure families live here because every layer (lts, ctmc, sim,
 // core) produces them and no layer may import another for its error
@@ -132,4 +133,25 @@ func Guard(pool string, worker int, task string, fn func() error) (err error) {
 		}
 	}()
 	return fn()
+}
+
+// Both runs f on a new goroutine and g on the caller's, and returns once
+// both have. A panic in f is raised again on the caller's goroutine, where
+// a Guard up the stack recovers it, instead of ending the process. If g
+// panics, Both waits for f and lets g's panic unwind with its own stack;
+// when both panic, g's panic is the one raised and f's is dropped.
+func Both(f, g func()) {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		f()
+	}()
+	gReturned := false
+	defer func() {
+		if v := <-done; v != nil && gReturned {
+			panic(v)
+		}
+	}()
+	g()
+	gReturned = true
 }

@@ -98,3 +98,42 @@ func TestWorkerPanicUnwrapsErrorValues(t *testing.T) {
 		t.Fatal("non-error panic value should unwrap to nil")
 	}
 }
+
+// TestBothRaisesForkedPanic runs a panicking f beside g under Guard: g
+// still completes, and the panic surfaces on the caller's goroutine as a
+// WorkerPanicError rather than ending the process. A panic in g is held
+// until f has finished, and wins when both sides panic.
+func TestBothRaisesForkedPanic(t *testing.T) {
+	ranG := false
+	err := Guard("pair", 0, "", func() error {
+		Both(func() { panic("boom") }, func() { ranG = true })
+		return nil
+	})
+	var wpe *WorkerPanicError
+	if !errors.As(err, &wpe) || wpe.Value != "boom" || !ranG {
+		t.Fatalf("Both with a panicking f: err %v, g ran %t", err, ranG)
+	}
+
+	ranF := false
+	err = Guard("pair", 0, "", func() error {
+		Both(func() { ranF = true }, func() { panic("bang") })
+		return nil
+	})
+	if !errors.As(err, &wpe) || wpe.Value != "bang" || !ranF {
+		t.Fatalf("Both with a panicking g: err %v, f ran %t", err, ranF)
+	}
+
+	err = Guard("pair", 0, "", func() error {
+		Both(func() { panic("boom") }, func() { panic("bang") })
+		return nil
+	})
+	if !errors.As(err, &wpe) || wpe.Value != "bang" {
+		t.Fatalf("Both with both sides panicking: err %v, want g's panic", err)
+	}
+
+	a, b := 0, 0
+	Both(func() { a = 1 }, func() { b = 2 })
+	if a != 1 || b != 2 {
+		t.Fatalf("Both returned before both ran: a=%d b=%d", a, b)
+	}
+}

@@ -271,7 +271,7 @@ func (fc *foldCtx) expandTarget(v []uint32, depth int) (uint32, error) {
 	// remaining choice.
 	maxPrio, hasImm := 0, false
 	for i := range succ {
-		if r := succ[i].Rate; r.Kind == rates.Immediate {
+		if r := fc.c.Rate(succ[i].Rate); r.Kind == rates.Immediate {
 			if !hasImm || r.Priority > maxPrio {
 				maxPrio = r.Priority
 			}
@@ -280,7 +280,7 @@ func (fc *foldCtx) expandTarget(v []uint32, depth int) (uint32, error) {
 	}
 	total := 0.0
 	for i := range succ {
-		if r := succ[i].Rate; r.Kind == rates.Immediate && r.Priority == maxPrio {
+		if r := fc.c.Rate(succ[i].Rate); r.Kind == rates.Immediate && r.Priority == maxPrio {
 			total += r.Weight
 		}
 	}
@@ -293,7 +293,7 @@ func (fc *foldCtx) expandTarget(v []uint32, depth int) (uint32, error) {
 	fc.verdicts[id].state = foldOnPath
 	brBase := len(fc.br)
 	for i := range succ {
-		if r := succ[i].Rate; r.Kind == rates.Immediate && r.Priority == maxPrio {
+		if r := fc.c.Rate(succ[i].Rate); r.Kind == rates.Immediate && r.Priority == maxPrio {
 			fc.br = append(fc.br, foldBranch{
 				label: succ[i].Label,
 				p:     r.Weight / total,
@@ -411,7 +411,7 @@ func (fc *foldCtx) foldTransitions(succ []elab.Succ, next []uint32) ([]genTransi
 	out := fc.out[:0]
 	fc.auxOut = fc.auxOut[:0]
 	for i := range succ {
-		r := succ[i].Rate
+		r := fc.c.Rate(succ[i].Rate)
 		t := next[i*fc.n : (i+1)*fc.n : (i+1)*fc.n]
 		original := genTransition{label: succ[i].Label, rate: r, next: t}
 		if r.Kind != rates.Exp && r.Kind != rates.Immediate {

@@ -155,6 +155,20 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		return labelSym[id]
 	}
 
+	// Compiled rate ids map to CSR rate ids the same way, so the CSR rate
+	// table is in first-use edge order, as RowBuilder.Add would build it.
+	var rateCSR []int32
+	csrRate := func(id int32) int32 {
+		for int(id) >= len(rateCSR) {
+			rateCSR = append(rateCSR, -1)
+		}
+		if rateCSR[id] < 0 {
+			r := c.Rate(id)
+			rateCSR[id] = rows.InternRate(&r)
+		}
+		return rateCSR[id]
+	}
+
 	// Attribution pool: folded reward attributions are deduplicated by
 	// their canonical byte signature (label index + count bits per term)
 	// and handed out as 1-based handles in edge order — a pure function of
@@ -230,7 +244,7 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 				if err != nil {
 					return err
 				}
-				rows.Add(int32(dst), symOf(succ[k].Label), 0, succ[k].Rate)
+				rows.AddID(int32(dst), symOf(succ[k].Label), 0, csrRate(succ[k].Rate))
 			}
 		}
 		rows.EndRow()

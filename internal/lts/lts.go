@@ -154,8 +154,10 @@ func (l *LTS) unseal() {
 	l.sealed = false
 }
 
-// seal builds the canonical CSR form from the pending edges.
-func (l *LTS) seal() {
+// Seal builds the canonical CSR form from the pending edges; every read
+// seals first. Reads of a sealed system write nothing, so goroutines may
+// share one once it is sealed (AddTransition unseals it again).
+func (l *LTS) Seal() {
 	if l.sealed {
 		return
 	}
@@ -173,7 +175,7 @@ func (l *LTS) setCSR(c statespace.CSR) {
 
 // Out returns the span of transitions leaving state s.
 func (l *LTS) Out(s int) Span {
-	l.seal()
+	l.Seal()
 	lo, hi := l.csr.Row(s)
 	return Span{Dst: l.csr.Dst[lo:hi], Label: l.csr.Label[lo:hi], rateID: l.csr.RateID[lo:hi], rates: l.csr.Rates}
 }
@@ -181,7 +183,7 @@ func (l *LTS) Out(s int) Span {
 // Row returns the destinations and labels of the transitions leaving
 // state s: the narrow view for passes that never read rates.
 func (l *LTS) Row(s int) (dst, label []int32) {
-	l.seal()
+	l.Seal()
 	lo, hi := l.csr.Row(s)
 	return l.csr.Dst[lo:hi], l.csr.Label[lo:hi]
 }
@@ -190,14 +192,14 @@ func (l *LTS) Row(s int) (dst, label []int32) {
 // s; together with Out it gives every transition of s a stable global
 // index (used by the CTMC extraction to key reward bookkeeping).
 func (l *LTS) EdgeBase(s int) int {
-	l.seal()
+	l.Seal()
 	return int(l.csr.RowStart[s])
 }
 
 // EdgeLabel returns the label index of the transition at global CSR index
 // i.
 func (l *LTS) EdgeLabel(i int) int {
-	l.seal()
+	l.Seal()
 	return int(l.csr.Label[i])
 }
 
@@ -207,14 +209,14 @@ func (l *LTS) EdgeLabel(i int) int {
 // Together with EdgeBase this exposes the per-edge slot column of a
 // parametrically elaborated system.
 func (l *LTS) EdgeSlot(i int) int {
-	l.seal()
+	l.Seal()
 	return l.csr.Rate(int32(i)).Slot
 }
 
 // EdgeAux returns the reward-attribution handle of the transition at
 // global CSR index i (0 = none); see AuxTerms.
 func (l *LTS) EdgeAux(i int) int {
-	l.seal()
+	l.Seal()
 	if l.csr.Aux == nil {
 		return 0
 	}
@@ -258,7 +260,7 @@ func (l *LTS) SetMemBytes(n int) { l.memBytes = n }
 // the state-table bytes recorded by the producer (0 when the LTS was not
 // generated), the CSR transition arrays, and the attribution pool.
 func (l *LTS) MemStats() (stateTable, csrBytes, auxBytes int) {
-	l.seal()
+	l.Seal()
 	return l.memBytes, l.csr.SizeBytes(), 4*len(l.auxStart) + 4*len(l.auxLabel) + 8*len(l.auxCount)
 }
 
@@ -268,7 +270,7 @@ func (l *LTS) MemStats() (stateTable, csrBytes, auxBytes int) {
 // machinery; derived systems (Hide, Restrict) preserve rates and with them
 // the slot column.
 func (l *LTS) NumRateSlots() int {
-	l.seal()
+	l.Seal()
 	max := 0
 	for _, id := range l.csr.RateID {
 		if s := l.csr.Rates[id].Slot; s > max {
@@ -285,7 +287,7 @@ func (l *LTS) NumRateSlots() int {
 // solve — use it as the anchor. It returns nil when the system carries no
 // rate slots.
 func (l *LTS) SlotDefaults() []float64 {
-	l.seal()
+	l.Seal()
 	n := l.NumRateSlots()
 	if n == 0 {
 		return nil
@@ -301,7 +303,7 @@ func (l *LTS) SlotDefaults() []float64 {
 
 // Edges calls fn for every transition in canonical order.
 func (l *LTS) Edges(fn func(src, dst, label int, r rates.Rate)) {
-	l.seal()
+	l.Seal()
 	for s := 0; s < l.NumStates; s++ {
 		lo, hi := l.csr.Row(s)
 		for i := lo; i < hi; i++ {
@@ -362,7 +364,7 @@ func (l *LTS) Pred(name string, s int) (bool, error) {
 // once per transition.
 // Rates, predicates and state descriptions are preserved.
 func Hide(l *LTS, match func(label string) bool) *LTS {
-	l.seal()
+	l.Seal()
 	out := &LTS{
 		Initial:   l.Initial,
 		NumStates: l.NumStates,
@@ -403,7 +405,7 @@ func Hide(l *LTS, match func(label string) bool) *LTS {
 // descriptions and predicates are carried over. The result is assembled
 // row by row, reusing the input's rate ids.
 func Restrict(l *LTS, match func(label string) bool) *LTS {
-	l.seal()
+	l.Seal()
 	keepLab := make([]bool, l.syms.Len())
 	for i := range keepLab {
 		keepLab[i] = i == TauIndex || !match(l.syms.Name(i))

@@ -20,7 +20,7 @@ import (
 // table is interned afresh. Restrict assembles the rows directly and
 // shares the input's rate table; the two must agree edge for edge.
 func referenceRestrict(l *LTS, match func(label string) bool) *LTS {
-	l.seal()
+	l.Seal()
 	keepLab := make([]bool, l.syms.Len())
 	for i := range keepLab {
 		keepLab[i] = i == TauIndex || !match(l.syms.Name(i))
@@ -89,8 +89,8 @@ func sameRateBits(a, b rates.Rate) bool {
 // attribution pool — and describes the first difference, or returns "".
 // Rate tables may differ; only what each edge resolves to counts.
 func diffSystems(got, want *LTS) string {
-	got.seal()
-	want.seal()
+	got.Seal()
+	want.Seal()
 	g, w := &got.csr, &want.csr
 	switch {
 	case got.NumStates != want.NumStates || got.Initial != want.Initial:

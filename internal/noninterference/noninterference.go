@@ -25,6 +25,11 @@
 // the diagnostic the designer uses to repair the model (paper Sect. 3.1).
 // The equivalence checker derives the formula on reduced systems, so Check
 // model-checks it on both full variants before reporting it.
+//
+// Check always runs on two goroutines, whatever worker count the caller
+// configures: the restricted variant is built while the hidden one is,
+// and bisim.Equivalent reduces the two concurrently. The verdict, the
+// formula and the state counts do not depend on the schedule.
 package noninterference
 
 import (
@@ -32,11 +37,14 @@ import (
 
 	"repro/internal/bisim"
 	"repro/internal/elab"
+	"repro/internal/fault"
 	"repro/internal/hml"
 	"repro/internal/lts"
 )
 
 // Spec identifies the high (forbidden) and low (observable) actions.
+// Check calls both matchers from two goroutines at once, so they must be
+// safe for concurrent use; the lts.LabelMatcherBy* matchers are.
 type Spec struct {
 	// High selects the labels of the high commands (e.g. the DPM's
 	// shutdown and wakeup synchronizations).
@@ -73,8 +81,13 @@ func Check(l *lts.LTS, spec Spec) (*Result, error) {
 	}
 	notLow := func(label string) bool { return !low(label) }
 
-	hidden := lts.Hide(l, notLow)
-	restricted := lts.Hide(lts.Restrict(l, spec.High), notLow)
+	l.Seal()
+	var hidden, restricted *lts.LTS
+	fault.Both(func() {
+		restricted = lts.Hide(lts.Restrict(l, spec.High), notLow)
+	}, func() {
+		hidden = lts.Hide(l, notLow)
+	})
 	ok, f := bisim.Equivalent(hidden, restricted, bisim.Weak)
 	res := &Result{
 		Transparent:      ok,

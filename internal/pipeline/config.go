@@ -46,7 +46,9 @@ type Config struct {
 	// sweep points in flight and simulation replications (when
 	// SimSettings leaves Workers unset). 0 keeps each layer's own default.
 	// State-space generation and the steady-state solver are sequential
-	// and never read it. Results are bit-identical at any value.
+	// and never read it, and the Phase 1 check always runs on two
+	// goroutines (see package noninterference). Results are bit-identical
+	// at any value.
 	Workers int
 	// LaneWidth is the chunk size of batched steady-state solves in
 	// Session sweeps: 0 auto-selects DefaultLaneWidth, and any other K

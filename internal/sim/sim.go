@@ -513,7 +513,7 @@ func (r *runner) compile(s int32) error {
 	// rec.imm holds successor indices until the state is known vanishing.
 	maxPrio := math.MinInt32
 	for k := range r.succ {
-		rt := r.succ[k].Rate
+		rt := r.c.Rate(r.succ[k].Rate)
 		if rt.Kind != rates.Immediate {
 			continue
 		}
@@ -547,8 +547,8 @@ func (r *runner) compile(s int32) error {
 			i = len(rec.acts)
 			rec.acts = append(rec.acts, slot)
 			d := r.overrides[slot]
-			if d == nil && sc.Rate.Kind == rates.Exp {
-				d = dist.NewExp(sc.Rate.Lambda)
+			if rt := r.c.Rate(sc.Rate); d == nil && rt.Kind == rates.Exp {
+				d = dist.NewExp(rt.Lambda)
 			}
 			rec.dists = append(rec.dists, d)
 		}

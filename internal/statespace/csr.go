@@ -2,6 +2,7 @@ package statespace
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -40,7 +41,7 @@ type CSR struct {
 	Label    []int32
 	RateID   []int32
 	// Rates is the rate table RateID indexes: the distinct annotations in
-	// first-occurrence order of the producer's edges (see rateTable). A
+	// first-occurrence order of the producer's edges (see RateTable). A
 	// derived system may share a parent's table and use only part of it.
 	Rates []rates.Rate
 	// Aux is the per-edge annotation column (nil when no edge carries
@@ -66,18 +67,23 @@ func (c *CSR) SizeBytes() int {
 	return 4*(len(c.RowStart)+len(c.Dst)+len(c.Label)+len(c.RateID)+len(c.Aux)) + rateSize*len(c.Rates)
 }
 
-// rateTable interns rates into dense ids in first-occurrence order. Two
+// RateTable interns rates into dense ids in first-occurrence order. Two
 // rates share an id only when they are bit-identical — Kind, Slot,
 // Priority and the IEEE bits of Lambda and Weight — so +0 and -0 stay
 // apart and a NaN rate gets one entry, not one per edge. A one-entry
 // last-hit cache answers runs of equal rates (every edge of a functional
 // model) without a hash; the open-addressing index behind it is only
-// built once a second distinct rate appears.
-type rateTable struct {
+// built once a second distinct rate appears. The zero value is an empty
+// table.
+type RateTable struct {
 	table []rates.Rate // id i is table[i]
 	index []int32      // hash slots holding id+1, 0 = empty; len a power of two
 	last  int32        // id returned by the previous intern
 }
+
+// Rates returns the table: id i is element i. The slice aliases the
+// table and must not be modified.
+func (t *RateTable) Rates() []rates.Rate { return t.table }
 
 // sameBits reports whether two rates are bit-identical.
 func sameBits(a, b *rates.Rate) bool {
@@ -93,8 +99,8 @@ func hashBits(r *rates.Rate) uint64 {
 	return h ^ h>>31
 }
 
-// intern returns the id of r, adding it to the table if new.
-func (t *rateTable) intern(r *rates.Rate) int32 {
+// Intern returns the id of r, adding it to the table if new.
+func (t *RateTable) Intern(r *rates.Rate) int32 {
 	if len(t.table) > 0 && sameBits(r, &t.table[t.last]) {
 		return t.last
 	}
@@ -102,8 +108,8 @@ func (t *rateTable) intern(r *rates.Rate) int32 {
 	return t.last
 }
 
-// find is intern past the last-hit cache.
-func (t *rateTable) find(r *rates.Rate) int32 {
+// find is Intern past the last-hit cache.
+func (t *RateTable) find(r *rates.Rate) int32 {
 	if len(t.table) <= 1 {
 		// The cache held the only entry, so r is new.
 		t.table = append(t.table, *r)
@@ -131,7 +137,7 @@ func (t *rateTable) find(r *rates.Rate) int32 {
 }
 
 // rehash rebuilds the index with n slots over every table entry.
-func (t *rateTable) rehash(n int) {
+func (t *RateTable) rehash(n int) {
 	t.index = make([]int32, n)
 	mask := uint64(n - 1)
 	for id := range t.table {
@@ -155,10 +161,10 @@ func Build(n int, edges []Edge) CSR {
 		Label:    make([]int32, len(edges)),
 		RateID:   make([]int32, len(edges)),
 	}
-	var rt rateTable
+	var rt RateTable
 	ids := make([]int32, len(edges))
 	for i := range edges {
-		ids[i] = rt.intern(&edges[i].Rate)
+		ids[i] = rt.Intern(&edges[i].Rate)
 	}
 	c.Rates = rt.table
 	perm := make([]int32, len(edges))
@@ -211,7 +217,7 @@ func Build(n int, edges []Edge) CSR {
 // intermediate edge list and global sort.
 type RowBuilder struct {
 	c   CSR
-	rt  rateTable
+	rt  RateTable
 	row rowView
 }
 
@@ -234,8 +240,14 @@ func NewRowBuilderOver(table []rates.Rate) *RowBuilder {
 
 // Add appends an edge to the current row, interning its rate.
 func (b *RowBuilder) Add(dst, label, aux int32, r rates.Rate) {
-	b.AddID(dst, label, aux, b.rt.intern(&r))
+	b.AddID(dst, label, aux, b.rt.Intern(&r))
 }
+
+// InternRate returns the id of r in the builder's rate table, adding it
+// if new, for a producer that maps its own rate ids to the table's on
+// first use and then adds edges with AddID. The table stays in
+// first-use order when each rate is interned just before its first edge.
+func (b *RowBuilder) InternRate(r *rates.Rate) int32 { return b.rt.Intern(r) }
 
 // AddID appends an edge whose rate is the table entry rateID. The Aux
 // column materializes on the first non-zero annotation, as in Build.
@@ -258,21 +270,57 @@ func (b *RowBuilder) AddID(dst, label, aux, rateID int32) {
 // grows large slices by 1.25× and would reallocate each column on its
 // own schedule.
 func (b *RowBuilder) grow() {
-	n := max(1024, 2*cap(b.c.Dst))
-	b.c.Dst = append(make([]int32, 0, n), b.c.Dst...)
-	b.c.Label = append(make([]int32, 0, n), b.c.Label...)
-	b.c.RateID = append(make([]int32, 0, n), b.c.RateID...)
+	n := max(1024, cap(b.c.Dst))
+	b.c.Dst = slices.Grow(b.c.Dst, n)
+	b.c.Label = slices.Grow(b.c.Label, n)
+	b.c.RateID = slices.Grow(b.c.RateID, n)
 	if b.c.Aux != nil {
-		b.c.Aux = append(make([]int32, 0, n), b.c.Aux...)
+		b.c.Aux = slices.Grow(b.c.Aux, n)
 	}
 }
 
+// shortRow is the longest row EndRow sorts by insertion; longer rows go
+// through sort.Stable.
+const shortRow = 16
+
 // EndRow closes the current row, sorting it canonically.
 func (b *RowBuilder) EndRow() {
-	b.row.lo = int(b.c.RowStart[len(b.c.RowStart)-1])
-	b.row.n = len(b.c.Dst) - b.row.lo
-	sort.Stable(&b.row)
-	b.c.RowStart = append(b.c.RowStart, int32(len(b.c.Dst)))
+	lo, hi := int(b.c.RowStart[len(b.c.RowStart)-1]), len(b.c.Dst)
+	if hi-lo <= shortRow {
+		b.insertionSort(lo, hi)
+	} else {
+		b.row.lo, b.row.n = lo, hi-lo
+		sort.Stable(&b.row)
+	}
+	b.c.RowStart = append(b.c.RowStart, int32(hi))
+}
+
+// insertionSort sorts edges lo..hi by (label, destination), stably,
+// moving every column with them.
+func (b *RowBuilder) insertionSort(lo, hi int) {
+	dst, label, rid := b.c.Dst[lo:hi], b.c.Label[lo:hi], b.c.RateID[lo:hi]
+	var aux []int32
+	if b.c.Aux != nil {
+		aux = b.c.Aux[lo:hi]
+	}
+	for i := 1; i < len(dst); i++ {
+		d, l, r := dst[i], label[i], rid[i]
+		var a int32
+		if aux != nil {
+			a = aux[i]
+		}
+		j := i
+		for ; j > 0 && (label[j-1] > l || label[j-1] == l && dst[j-1] > d); j-- {
+			dst[j], label[j], rid[j] = dst[j-1], label[j-1], rid[j-1]
+			if aux != nil {
+				aux[j] = aux[j-1]
+			}
+		}
+		dst[j], label[j], rid[j] = d, l, r
+		if aux != nil {
+			aux[j] = a
+		}
+	}
 }
 
 // CSR returns the assembled storage; its row count is the number of

@@ -1,0 +1,18 @@
+package statespace
+
+// ProbeStats returns the mean and the longest probe sequence that finds a
+// stored tuple, over every tuple in the table, and the table's load.
+func (t *TupleTable) ProbeStats() (mean float64, longest int, load float64) {
+	total := 0
+	for id := range t.n {
+		i := hashTuple(t.Tuple(uint32(id))) & t.mask
+		probes := 1
+		for t.table[i] != uint32(id)+1 {
+			i = (i + 1) & t.mask
+			probes++
+		}
+		total += probes
+		longest = max(longest, probes)
+	}
+	return float64(total) / float64(t.n), longest, float64(t.n) / float64(len(t.table))
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/rates"
@@ -210,6 +211,43 @@ func TestRowBuilderMatchesBuild(t *testing.T) {
 	}
 	if got := b.CSR(); !reflect.DeepEqual(got, want) {
 		t.Fatal("RowBuilder CSR differs from Build")
+	}
+}
+
+// TestRowSortMatchesSortStable compares EndRow's insertion sort with
+// sort.Stable over the same rows: random rows of up to a few edges past
+// shortRow, drawn from three labels and three destinations so that
+// (label, dst) ties are common, with the rate id recording each edge's
+// input position, and with and without an Aux column.
+func TestRowSortMatchesSortStable(t *testing.T) {
+	for _, withAux := range []bool{false, true} {
+		r := rand.New(rand.NewSource(11))
+		b := NewRowBuilder()
+		var want CSR
+		for row := 0; row < 3000; row++ {
+			lo, n := len(want.Dst), r.Intn(shortRow+4)
+			for k := range n {
+				dst, label, aux := int32(r.Intn(3)), int32(r.Intn(3)), int32(0)
+				if withAux {
+					aux = int32(r.Intn(3))
+				}
+				b.AddID(dst, label, aux, int32(k))
+				want.Dst = append(want.Dst, dst)
+				want.Label = append(want.Label, label)
+				want.RateID = append(want.RateID, int32(k))
+				want.Aux = append(want.Aux, aux)
+			}
+			b.EndRow()
+			sort.Stable(&rowView{c: &want, lo: lo, n: n})
+		}
+		if !withAux {
+			want.Aux = nil
+		}
+		got := b.CSR()
+		if !slices.Equal(got.Dst, want.Dst) || !slices.Equal(got.Label, want.Label) ||
+			!slices.Equal(got.RateID, want.RateID) || !slices.Equal(got.Aux, want.Aux) {
+			t.Fatalf("aux=%t: insertion-sorted rows differ from sort.Stable", withAux)
+		}
 	}
 }
 

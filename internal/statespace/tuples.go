@@ -46,14 +46,17 @@ func (t *TupleTable) Tuple(id uint32) []uint32 {
 }
 
 // hashTuple mixes the words of v into a 32-bit hash whose low bits (the
-// ones the table masks) depend on every bit of every word.
+// ones the table masks) depend on every bit of every word. Each
+// (position, word) pair is mixed on its own and the mixes are summed, so
+// the multiplies of one tuple overlap instead of forming a dependent
+// chain; one more multiply-xorshift spreads the sum.
 func hashTuple(v []uint32) uint32 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, w := range v {
-		h ^= uint64(w)
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 31
+	var h uint64
+	for i, w := range v {
+		x := (uint64(i)<<32 | uint64(w)) * 0x9E3779B97F4A7C15
+		h += x ^ x>>32
 	}
+	h *= 0xBF58476D1CE4E5B9
 	return uint32(h ^ h>>32)
 }
 

@@ -121,6 +121,15 @@ echo "== simulator race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
     -run 'ParallelReplicationsBitIdentical|Reproducible|BatchMeans|Tie|SimFingerprints|Override' ./internal/sim/
 
+# Sect. 3 check race smoke at -cpu 1,2: noninterference.Check builds the
+# restricted variant on a second goroutine while the hidden one is built,
+# and bisim.Equivalent reduces its two inputs to branching quotients
+# concurrently (both through fault.Both, over sealed inputs that may be
+# one system). Every test of both packages runs, on the degenerate and a
+# two-core schedule.
+echo "== noninterference race smoke (-cpu 1,2) =="
+go test -timeout 10m -race -cpu 1,2 ./internal/noninterference/ ./internal/bisim/
+
 # Benchmark smoke run: one iteration of every benchmark, so a benchmark
 # that no longer compiles or panics fails CI without costing bench time.
 # -short skips only the 10×-buffer composition pair, whose full product
