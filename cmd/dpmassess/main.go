@@ -6,8 +6,7 @@
 //	dpmassess lts      [-dot out.dot] [-max N] [-compose full|minimize] [-stats] model.aem
 //	dpmassess check    -high INST -low INST [-high-labels l1,l2] model.aem
 //	dpmassess solve    -measures spec.msr [-compose full|minimize] [-stats]
-//	                   [-lanes K] [-checkpoint file.ckpt] [-resume]
-//	                   [-workers N] model.aem
+//	                   [-checkpoint file.ckpt] [-resume] [-workers N] model.aem
 //	dpmassess sim      -measures spec.msr [-runlength T] [-warmup T]
 //	                   [-reps N] [-seed S] [-workers N] model.aem
 //	dpmassess equiv    [-relation strong|weak|markovian] a.aem b.aem
@@ -563,11 +562,6 @@ func runSolve(args []string) error {
 		"print statistics after the measures: resident memory of the state\n"+
 			"space, the per-component reduction (with -compose minimize), and the\n"+
 			"Gauss-Seidel solve — iterations, final residual, and iteration budget")
-	lanes := fs.Int("lanes", 0,
-		"sweep points solved per batched steady-state call on checkpointed solves,\n"+
-			"run as ⌈K/4⌉ four-lane groups: 0 auto-selects, 1 solves one point\n"+
-			"per call (results are identical at any value; matches the study\n"+
-			"tools' -lanes flag)")
 	ckptPath := fs.String("checkpoint", "",
 		"checkpoint file: the solve periodically saves its progress there\n"+
 			"(requires a model with rate parameters; empty = disabled)")
@@ -619,7 +613,7 @@ func runSolve(args []string) error {
 		Gen:      lts.GenerateOptions{Ctx: ctx},
 		Minimize: minimize,
 		Solve:    ctmc.SolveOptions{Ctx: ctx},
-	}, pipeline.Config{Workers: *workers, LaneWidth: *lanes, Ctx: ctx})
+	}, pipeline.Config{Workers: *workers, Ctx: ctx})
 	var rep *pipeline.Phase2Report
 	if *ckptPath != "" {
 		// Checkpointed solves go through the sweep driver: a one-point

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	streamingstudy [-experiment all|sect3|fig4|fig6|fig8] [-csv] [-quick]
-//	               [-compose full|minimize] [-workers N] [-lanes K]
+//	               [-compose full|minimize] [-workers N]
 //	               [-timeout D] [-checkpoint DIR] [-resume]
 package main
 
@@ -39,12 +39,8 @@ func run(args []string) error {
 			"composition and folds vanishing states during generation (measure\n"+
 			"values are identical either way)")
 	workers := fs.Int("workers", runtime.NumCPU(),
-		"concurrent sweep points, simulation replications, and state-space\n"+
-			"generation workers (results are identical at any value)")
-	lanes := fs.Int("lanes", 0,
-		"sweep points solved per batched steady-state call, run as ⌈K/4⌉\n"+
-			"four-lane groups: 0 auto-selects, 1 solves one point per call\n"+
-			"(results are identical at any value)")
+		"concurrent sweep chunks, simulation replications, and experiment\n"+
+			"points (results are identical at any value)")
 	timeout := fs.Duration("timeout", 0,
 		"overall deadline: generation, solves, sweeps and simulations are\n"+
 			"canceled promptly once it expires (0 = no deadline)")
@@ -60,9 +56,8 @@ func run(args []string) error {
 	}
 
 	cfg := pipeline.Config{
-		Workers:   *workers,
-		LaneWidth: *lanes,
-		Store:     pipeline.NewMemoryStore(),
+		Workers: *workers,
+		Store:   pipeline.NewMemoryStore(),
 	}
 	switch *composeMode {
 	case "full":

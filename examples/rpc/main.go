@@ -66,7 +66,7 @@ func run() error {
 
 	// --- Phase 2: Markovian comparison (Fig. 3 left) -------------------
 	// One runner drives every sweep below: its Config is the injected
-	// environment (workers, lane width, stores), here the defaults.
+	// environment (workers, context, stores), here the defaults.
 	study := experiments.NewRunner(pipeline.Config{})
 	fmt.Println("Phase 2 — Markovian comparison (Fig. 3, left)")
 	pts, err := study.Fig3Markov([]float64{0, 1, 5, 10, 25})

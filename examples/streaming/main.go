@@ -23,7 +23,7 @@ func main() {
 
 func run() error {
 	// One runner drives the whole walkthrough: its Config is the injected
-	// environment (workers, lane width, stores), here the defaults.
+	// environment (workers, context, stores), here the defaults.
 	study := experiments.NewRunner(pipeline.Config{})
 	fmt.Println("Phase 1 — noninterference analysis (Sect. 3.2)")
 	res, err := study.StreamingNoninterference(experiments.Quick)

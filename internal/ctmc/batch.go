@@ -138,8 +138,8 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 
 	// Larger batches run as consecutive four-lane groups in index order;
 	// lanes never mix, so the grouping changes no bits.
-	for off := 0; off < K; off += batchLanes {
-		hi := min(off+batchLanes, K)
+	for off := 0; off < K; off += BatchLanes {
+		hi := min(off+BatchLanes, K)
 		res, err := c.fillBatch(plan, points[off:hi]).gaussSeidelBatch(solve, tol[off:hi], start)
 		if err != nil {
 			return nil, nil, err
@@ -170,12 +170,13 @@ type laneResult struct {
 	err *ConvergenceError
 }
 
-// batchLanes is the one width of the batched solver: four float64 lanes
+// BatchLanes is the one width of the batched solver: four float64 lanes
 // interleave into one 32-byte row, exactly one AVX register, so the
-// vectorized amd64 kernel sweeps a whole group in one pass. A sweep
-// wider than four points runs as several groups, which the pipeline's
-// worker pool can spread over cores.
-const batchLanes = 4
+// vectorized amd64 kernel sweeps a whole group in one pass. A call with
+// more than four points runs as several groups in turn; the pipeline's
+// sweep caps its chunks at one group, so that its worker pool spreads
+// the groups over cores.
+const BatchLanes = 4
 
 // batchComponent is the recurrent component in local coordinates, in
 // four lanes: the balance equations pi_j * exit_j = sum_{i -> j} pi_i *
@@ -209,9 +210,9 @@ func newBatch(plan *solvePlan, live int) *batchComponent {
 		live:    live,
 		inStart: plan.inStart,
 		inFrom:  plan.inFrom,
-		rate:    make([]float64, len(plan.inFrom)*batchLanes),
-		exit:    make([]float64, len(plan.target)*batchLanes),
-		invExit: make([]float64, len(plan.target)*batchLanes),
+		rate:    make([]float64, len(plan.inFrom)*BatchLanes),
+		exit:    make([]float64, len(plan.target)*BatchLanes),
+		invExit: make([]float64, len(plan.target)*BatchLanes),
 		allPos:  true,
 	}
 }
@@ -228,7 +229,7 @@ func (c *CTMC) fillCurrent(plan *solvePlan) *batchComponent {
 	for li, s := range plan.target {
 		for _, e := range c.Rows[s] {
 			if pos := plan.fillPos[t]; pos >= 0 {
-				rs := bc.rate[int(pos)*batchLanes : int(pos+1)*batchLanes]
+				rs := bc.rate[int(pos)*BatchLanes : int(pos+1)*BatchLanes]
 				for k := range rs {
 					rs[k] = e.Rate
 				}
@@ -241,15 +242,15 @@ func (c *CTMC) fillCurrent(plan *solvePlan) *batchComponent {
 		} else {
 			bc.allPos = false
 		}
-		for k := 0; k < batchLanes; k++ {
-			bc.exit[li*batchLanes+k] = exit
-			bc.invExit[li*batchLanes+k] = inv
+		for k := 0; k < BatchLanes; k++ {
+			bc.exit[li*BatchLanes+k] = exit
+			bc.invExit[li*BatchLanes+k] = inv
 		}
 	}
 	return bc
 }
 
-// fillBatch gathers up to batchLanes per-point rate vectors into the
+// fillBatch gathers up to BatchLanes per-point rate vectors into the
 // plan's skeleton by re-summing each component entry's contribution terms
 // per lane — the identical sequence of float additions Rebind replays —
 // and accumulating each lane's exit rates over the row's entries in the
@@ -257,7 +258,7 @@ func (c *CTMC) fillCurrent(plan *solvePlan) *batchComponent {
 // are bit-identical to a Rebind of the whole chain at that lane's values.
 // Pad lanes are filled from points[0].
 func (c *CTMC) fillBatch(plan *solvePlan, points [][]float64) *batchComponent {
-	var lanes [batchLanes][]float64
+	var lanes [BatchLanes][]float64
 	for k := range lanes {
 		lanes[k] = points[0]
 	}
@@ -280,16 +281,16 @@ func (c *CTMC) fillBatch(plan *solvePlan, points [][]float64) *batchComponent {
 					}
 				}
 				if pos >= 0 {
-					bc.rate[int(pos)*batchLanes+lane] = sum
+					bc.rate[int(pos)*BatchLanes+lane] = sum
 				}
-				bc.exit[li*batchLanes+lane] += sum
+				bc.exit[li*BatchLanes+lane] += sum
 			}
 			gi++
 			t++
 		}
-		for lane := 0; lane < batchLanes; lane++ {
-			if e := bc.exit[li*batchLanes+lane]; e > 0 {
-				bc.invExit[li*batchLanes+lane] = 1 / e
+		for lane := 0; lane < BatchLanes; lane++ {
+			if e := bc.exit[li*BatchLanes+lane]; e > 0 {
+				bc.invExit[li*BatchLanes+lane] = 1 / e
 			} else {
 				bc.allPos = false
 			}
@@ -300,10 +301,10 @@ func (c *CTMC) fillBatch(plan *solvePlan, points [][]float64) *batchComponent {
 
 // spread replicates the shared start vector into every lane's column.
 func (bc *batchComponent) spread(start []float64) []float64 {
-	x := make([]float64, bc.n*batchLanes)
+	x := make([]float64, bc.n*BatchLanes)
 	for j := 0; j < bc.n; j++ {
-		for k := 0; k < batchLanes; k++ {
-			x[j*batchLanes+k] = start[j]
+		for k := 0; k < BatchLanes; k++ {
+			x[j*BatchLanes+k] = start[j]
 		}
 	}
 	return x
@@ -312,8 +313,8 @@ func (bc *batchComponent) spread(start []float64) []float64 {
 // padDone is the initial deactivation mask: live lanes run, pad lanes are
 // frozen from the first sweep.
 func (bc *batchComponent) padDone() []bool {
-	done := make([]bool, batchLanes)
-	for k := bc.live; k < batchLanes; k++ {
+	done := make([]bool, BatchLanes)
+	for k := bc.live; k < BatchLanes; k++ {
 		done[k] = true
 	}
 	return done
@@ -323,7 +324,7 @@ func (bc *batchComponent) padDone() []bool {
 func (bc *batchComponent) column(x []float64, k int) []float64 {
 	col := make([]float64, bc.n)
 	for j := range col {
-		col[j] = x[j*batchLanes+k]
+		col[j] = x[j*BatchLanes+k]
 	}
 	return col
 }
@@ -341,7 +342,7 @@ func (bc *batchComponent) column(x []float64, k int) []float64 {
 // pad lanes. The batch is never narrowed or compacted: a frozen lane
 // rides along in the one vector register of every row. It returns one
 // result per live lane. SteadyState calls it on a one-lane batch,
-// SolveBatchLanes once per group of at most batchLanes points.
+// SolveBatchLanes once per group of at most BatchLanes points.
 func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, start []float64) ([]laneResult, error) {
 	K := bc.live
 	res := make([]laneResult, K)
@@ -349,8 +350,8 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 	x := bc.spread(start)
 	done := bc.padDone()
 	remaining := K
-	delta := make([]float64, batchLanes)
-	sums := make([]float64, batchLanes)
+	delta := make([]float64, BatchLanes)
+	sums := make([]float64, BatchLanes)
 	for iter := 0; iter < solve.MaxIterations && remaining > 0; iter++ {
 		if err := pollSolve(solve.Ctx, cancel, iter); err != nil {
 			return nil, err
@@ -401,7 +402,7 @@ func (bc *batchComponent) step(x, delta, sums []float64, done []bool) {
 		bc.sweepGS4(x, delta, done)
 		bc.laneSums(x, sums)
 	}
-	var scale [batchLanes]float64
+	var scale [BatchLanes]float64
 	for k := range scale {
 		scale[k] = 1
 		if !done[k] && !(sums[k] <= 0) {

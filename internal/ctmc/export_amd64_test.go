@@ -27,12 +27,12 @@ func FusedSumsForTest(c *CTMC, points [][]float64, warm int) (fused, ref []float
 	if err != nil {
 		return nil, nil, err
 	}
-	for off := 0; off < len(points); off += batchLanes {
-		bc := c.fillBatch(plan, points[off:min(off+batchLanes, len(points))])
+	for off := 0; off < len(points); off += BatchLanes {
+		bc := c.fillBatch(plan, points[off:min(off+BatchLanes, len(points))])
 		x := bc.spread(uniformStart(bc.n))
 		done := bc.padDone()
-		delta := make([]float64, batchLanes)
-		sums := make([]float64, batchLanes)
+		delta := make([]float64, BatchLanes)
+		sums := make([]float64, BatchLanes)
 		for i := 0; i < warm; i++ {
 			bc.step(x, delta, sums, done)
 		}

@@ -81,8 +81,8 @@ func (bc *batchComponent) sweepGS4Fast(x, delta, sums []float64, done []bool) bo
 	if !haveAVX || !bc.allPos || bc.n == 0 || len(bc.inFrom) == 0 {
 		return false
 	}
-	var dead [batchLanes]uint64
-	for k, d := range done[:batchLanes] {
+	var dead [BatchLanes]uint64
+	for k, d := range done[:BatchLanes] {
 		if d {
 			dead[k] = 1 << 63
 		}
@@ -103,7 +103,7 @@ func (bc *batchComponent) sweepGS4Fast(x, delta, sums []float64, done []bool) bo
 
 // scaleGS4Fast multiplies every lane by its scale in the vectorized
 // kernel, reporting whether it did.
-func (bc *batchComponent) scaleGS4Fast(x []float64, scale *[batchLanes]float64) bool {
+func (bc *batchComponent) scaleGS4Fast(x []float64, scale *[BatchLanes]float64) bool {
 	if !haveAVX || bc.n == 0 {
 		return false
 	}

@@ -11,6 +11,6 @@ func (bc *batchComponent) sweepGS4Fast(x, delta, sums []float64, done []bool) bo
 
 // scaleGS4Fast has no vectorized kernel on this architecture; the caller
 // falls back to the scalar scaleLanes, which computes the identical bits.
-func (bc *batchComponent) scaleGS4Fast(x []float64, scale *[batchLanes]float64) bool {
+func (bc *batchComponent) scaleGS4Fast(x []float64, scale *[BatchLanes]float64) bool {
 	return false
 }

@@ -5,44 +5,30 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/pipeline"
 )
 
-func TestRunPointsPreservesOrder(t *testing.T) {
-	points := []int{10, 20, 30, 40, 50, 60, 70}
-	for _, workers := range []int{1, 3, 16} {
-		out, err := RunPoints(points, workers, func(p int) (int, error) {
-			return p * 2, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		want := []int{20, 40, 60, 80, 100, 120, 140}
-		if !reflect.DeepEqual(out, want) {
-			t.Errorf("workers=%d: out = %v, want %v", workers, out, want)
-		}
-	}
-}
-
-func TestRunPointsFailFast(t *testing.T) {
+// TestRunPointsPanic checks RunPoints's side of the fault.Pool contract:
+// a panicking point surfaces as a *fault.WorkerPanicError of pool
+// "experiments" naming the point, at any worker count, and the lowest
+// failed point wins over a later one.
+func TestRunPointsPanic(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		_, err := RunPoints([]int{0, 1, 2, 3, 4, 5}, workers, func(p int) (int, error) {
-			if p >= 2 {
+			switch p {
+			case 2:
+				panic("point two")
+			case 4:
 				return 0, boom
 			}
 			return p, nil
 		})
-		if !errors.Is(err, boom) {
-			t.Errorf("workers=%d: err = %v, want boom", workers, err)
+		var wpe *fault.WorkerPanicError
+		if !errors.As(err, &wpe) || wpe.Pool != "experiments" || wpe.Task != "point 2" {
+			t.Errorf("workers=%d: err = %v, want the panic of point 2", workers, err)
 		}
-	}
-}
-
-func TestRunPointsEmpty(t *testing.T) {
-	out, err := RunPoints(nil, 8, func(p int) (int, error) { return p, nil })
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty sweep: out=%v err=%v", out, err)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // Runner executes the paper's experiments against one injected
-// pipeline.Config. All scheduling state — worker counts, lane width,
-// cancellation context, checkpoint policy, result store — lives in the
+// pipeline.Config. All scheduling state — worker count, cancellation
+// context, checkpoint policy, result store — lives in the
 // config; nothing on the experiment hot path reads mutable package
 // globals. Every model a Runner touches is staged through a private
 // pipeline.Manager, so the rpc and streaming models of one study are

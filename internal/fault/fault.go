@@ -1,7 +1,8 @@
 // Package fault defines the typed failures of the pipeline's
-// fault-tolerance layer, the panic-recovery helper every worker pool
-// uses, and the fork-join helper that carries a panic back to the
-// goroutine that forked.
+// fault-tolerance layer, the one worker pool (Pool) that runs sweep
+// chunks, simulation replications and experiment points, the
+// panic-recovery helper for work outside it (Guard), and the fork-join
+// helper that carries a panic back to the goroutine that forked (Both).
 //
 // Two failure families live here because every layer (lts, ctmc, sim,
 // core) produces them and no layer may import another for its error
@@ -11,11 +12,10 @@
 //     Workers poll at level/iteration/point boundaries, so
 //     cancellation is prompt but never changes the floats of work that
 //     already completed.
-//   - WorkerPanicError: a panic recovered inside a worker pool (or the
-//     equivalent sequential loop), carrying the worker index, the task
-//     identity, and the stack — the process survives, and the lowest
-//     task index wins the attribution, matching the pools' existing
-//     lowest-index error rule.
+//   - WorkerPanicError: a panic recovered inside Pool or Guard, carrying
+//     the worker index, the task identity, and the stack — the process
+//     survives, and the lowest task index wins the attribution, matching
+//     Pool's lowest-index error rule.
 package fault
 
 import (
@@ -88,8 +88,8 @@ type WorkerPanicError struct {
 	// Pool names the pool ("lts.generate", "core.sweep", "sim",
 	// "experiments").
 	Pool string
-	// Worker is the index of the worker goroutine that recovered the
-	// panic (0 on a sequential path).
+	// Worker is the index of the worker that recovered the panic (0 on
+	// the caller's goroutine, which is Pool's worker 0).
 	Worker int
 	// Task identifies the panicked task ("point 3", "state 7", …).
 	Task string
@@ -117,9 +117,8 @@ func (e *WorkerPanicError) Unwrap() error {
 func (e *WorkerPanicError) Is(target error) bool { return target == ErrWorkerPanic }
 
 // Guard runs fn and converts a panic into a *WorkerPanicError for the
-// given pool, worker, and task. It is the one recovery path both the
-// worker pools and their sequential (workers == 1) twins use, so a panic
-// surfaces identically at any worker count.
+// given pool, worker, and task: the recovery of Pool's tasks, for work
+// that runs outside a pool.
 func Guard(pool string, worker int, task string, fn func() error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {

@@ -8,9 +8,9 @@
 // armed plan and the task identity (the key), never of scheduling. Keys
 // are stable task identities — a frontier state index, a sweep-point
 // index, an iteration number — so an armed fault fires at the same
-// logical place at any worker count or lane width. Randomness enters only
-// at arming time (ArmSeeded draws keys from a seeded generator), never at
-// fire time.
+// logical place at any worker count.
+// Randomness enters only at arming time (ArmSeeded draws keys from a
+// seeded generator), never at fire time.
 //
 // With no plan active, every site is a single atomic load and a nil
 // check; the package costs nothing in production.

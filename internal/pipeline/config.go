@@ -33,8 +33,8 @@ import (
 )
 
 // Config carries the per-caller environment a Session runs under: the
-// scheduling knobs (workers, lane width), the cancellation context, and
-// the result store. None of it participates in the SpecHash — results
+// worker count, the cancellation context, and the result store. None of
+// it participates in the SpecHash — results
 // are bit-identical at any Config — so sessions opened with different
 // Configs still share one set of staged artifacts. The extra fields
 // (Solve, CheckpointDir, CheckpointResume) are conventions for the layers
@@ -50,11 +50,6 @@ type Config struct {
 	// goroutines (see package noninterference). Results are bit-identical
 	// at any value.
 	Workers int
-	// LaneWidth is the chunk size of batched steady-state solves in
-	// Session sweeps: 0 auto-selects DefaultLaneWidth, and any other K
-	// solves each chunk of K points as ⌈K/4⌉ four-lane groups — at 1, one
-	// point per chunk. Results are bit-identical at any value.
-	LaneWidth int
 	// Ctx cancels the session's work: generation polls it at BFS level
 	// boundaries, solvers per iteration, sweeps at point boundaries, and
 	// stage waiters while another caller builds. A cancellation surfaces

@@ -75,7 +75,7 @@ func requireSameReports(t *testing.T, tag string, want, got []*pipeline.Phase2Re
 // TestPhase2SweepCancelCheckpointResume is the flagship resilience
 // property: a sweep canceled mid-run with checkpointing enabled, then
 // resumed, produces reports bit-identical to an uninterrupted run — at
-// every combination of worker count and lane width.
+// one worker, at two, and at more workers than chunks.
 func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 	m, measures, points := rpcSweepFixture(t)
 	none := ctmc.SolveOptions{}
@@ -85,57 +85,55 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Lane widths stop at one four-lane group per chunk: the plan below
-	// needs every later solve to start a new chunk, and a second group
-	// inside a wider chunk would wait for a checkpoint that is only
-	// written once its own chunk finishes.
-	for _, workers := range []int{1, 8} {
-		for _, lanes := range []int{1, 4} {
-			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
-			path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	// A chunk is one four-lane group, so every later solve starts a new
+	// chunk, as the plan below needs: a second group inside a wider chunk
+	// would wait for a checkpoint that is only written once its own chunk
+	// finishes.
+	for _, workers := range []int{1, 2, 8} {
+		tag := fmt.Sprintf("workers=%d", workers)
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
-			// The first solve to pass iteration 2 runs to completion and
-			// is checkpointed (Every: 1). Every later solve that reaches
-			// iteration 2 — a concurrent chunk, or the next chunk a worker
-			// claims — waits for that checkpoint and then cancels the
-			// sweep, so at every worker count and lane width some points
-			// are checkpointed and at least one is interrupted.
-			ctx, cancel := context.WithCancel(context.Background())
-			var first atomic.Bool
-			plan := faultinject.NewPlan().Arm(faultinject.SiteSolveIteration, 2).
-				OnFire(faultinject.SiteSolveIteration, func(int) {
-					if first.CompareAndSwap(false, true) {
-						return
-					}
-					waitForFile(t, path)
-					cancel()
-				})
-			faultinject.Activate(plan)
-			_, err := sweep(m, measures, none, pipeline.Config{Workers: workers, LaneWidth: lanes, Ctx: ctx},
-				points, &pipeline.CheckpointOptions{Path: path, Every: 1})
-			faultinject.Deactivate()
-			cancel()
-			if err == nil {
-				t.Fatalf("%s: cancellation ignored", tag)
-			}
-			var ce *fault.CanceledError
-			if !errors.As(err, &ce) {
-				t.Fatalf("%s: want *fault.CanceledError, got %T: %v", tag, err, err)
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%s: cause chain lost context.Canceled: %v", tag, err)
-			}
-			if _, err := os.Stat(path); err != nil {
-				t.Fatalf("%s: canceled sweep left no checkpoint: %v", tag, err)
-			}
-
-			resumed, err := sweep(m, measures, none, pipeline.Config{Workers: workers, LaneWidth: lanes},
-				points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
-			if err != nil {
-				t.Fatalf("%s: resume failed: %v", tag, err)
-			}
-			requireSameReports(t, tag, baseline, resumed)
+		// The first solve to pass iteration 2 runs to completion and
+		// is checkpointed (Every: 1). Every later solve that reaches
+		// iteration 2 — a concurrent chunk, or the next chunk a worker
+		// claims — waits for that checkpoint and then cancels the
+		// sweep, so at every worker count some points are
+		// checkpointed and at least one is interrupted.
+		ctx, cancel := context.WithCancel(context.Background())
+		var first atomic.Bool
+		plan := faultinject.NewPlan().Arm(faultinject.SiteSolveIteration, 2).
+			OnFire(faultinject.SiteSolveIteration, func(int) {
+				if first.CompareAndSwap(false, true) {
+					return
+				}
+				waitForFile(t, path)
+				cancel()
+			})
+		faultinject.Activate(plan)
+		_, err := sweep(m, measures, none, pipeline.Config{Workers: workers, Ctx: ctx},
+			points, &pipeline.CheckpointOptions{Path: path, Every: 1})
+		faultinject.Deactivate()
+		cancel()
+		if err == nil {
+			t.Fatalf("%s: cancellation ignored", tag)
 		}
+		var ce *fault.CanceledError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: want *fault.CanceledError, got %T: %v", tag, err, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cause chain lost context.Canceled: %v", tag, err)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("%s: canceled sweep left no checkpoint: %v", tag, err)
+		}
+
+		resumed, err := sweep(m, measures, none, pipeline.Config{Workers: workers},
+			points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
+		if err != nil {
+			t.Fatalf("%s: resume failed: %v", tag, err)
+		}
+		requireSameReports(t, tag, baseline, resumed)
 	}
 }
 
@@ -156,45 +154,44 @@ func waitForFile(t *testing.T, path string) {
 
 // TestPhase2SweepPanicAttribution injects a panic at sweep point 3 and
 // checks it surfaces as a typed worker-panic error — injected fault
-// intact — instead of crashing, under every solve path of the sweep.
+// intact — instead of crashing, at one, two and eight workers.
 func TestPhase2SweepPanicAttribution(t *testing.T) {
 	m, measures, points := rpcSweepFixture(t)
 
-	for _, workers := range []int{1, 8} {
-		for _, lanes := range []int{1, 4, 8} {
-			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
-			plan := faultinject.NewPlan().Arm(faultinject.SiteSweepPoint, 3)
-			faultinject.Activate(plan)
-			_, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Workers: workers, LaneWidth: lanes}, points, nil)
-			faultinject.Deactivate()
-			if err == nil {
-				t.Fatalf("%s: injected panic vanished", tag)
-			}
-			var wpe *fault.WorkerPanicError
-			if !errors.As(err, &wpe) {
-				t.Fatalf("%s: want *fault.WorkerPanicError, got %T: %v", tag, err, err)
-			}
-			if wpe.Pool != "core.sweep" {
-				t.Errorf("%s: panic attributed to pool %q, want core.sweep", tag, wpe.Pool)
-			}
-			if !errors.Is(err, fault.ErrWorkerPanic) {
-				t.Errorf("%s: errors.Is(err, fault.ErrWorkerPanic) is false", tag)
-			}
-			var ie *faultinject.InjectedError
-			if !errors.As(err, &ie) || ie.Site != faultinject.SiteSweepPoint || ie.Key != 3 {
-				t.Errorf("%s: injected fault not recovered intact: %v", tag, err)
-			}
-			if !strings.Contains(err.Error(), "point") {
-				t.Errorf("%s: error %q does not name a point", tag, err)
-			}
+	for _, workers := range []int{1, 2, 8} {
+		tag := fmt.Sprintf("workers=%d", workers)
+		plan := faultinject.NewPlan().Arm(faultinject.SiteSweepPoint, 3)
+		faultinject.Activate(plan)
+		_, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Workers: workers}, points, nil)
+		faultinject.Deactivate()
+		if err == nil {
+			t.Fatalf("%s: injected panic vanished", tag)
+		}
+		var wpe *fault.WorkerPanicError
+		if !errors.As(err, &wpe) {
+			t.Fatalf("%s: want *fault.WorkerPanicError, got %T: %v", tag, err, err)
+		}
+		if wpe.Pool != "core.sweep" {
+			t.Errorf("%s: panic attributed to pool %q, want core.sweep", tag, wpe.Pool)
+		}
+		if !errors.Is(err, fault.ErrWorkerPanic) {
+			t.Errorf("%s: errors.Is(err, fault.ErrWorkerPanic) is false", tag)
+		}
+		var ie *faultinject.InjectedError
+		if !errors.As(err, &ie) || ie.Site != faultinject.SiteSweepPoint || ie.Key != 3 {
+			t.Errorf("%s: injected fault not recovered intact: %v", tag, err)
+		}
+		if !strings.Contains(err.Error(), "point") {
+			t.Errorf("%s: error %q does not name a point", tag, err)
 		}
 	}
 }
 
-// TestPhase2SweepPanicDefaultChunks pins how the default lane width
-// splits a short grid: an 8-point streaming period sweep on two workers
-// runs as two four-point chunks, so a panic at point 5 is attributed to
-// the chunk "points 4-7", not to one chunk holding the whole grid.
+// TestPhase2SweepPanicDefaultChunks pins how a short grid is chunked: an
+// 8-point streaming period sweep runs as two four-point chunks, so a
+// panic at point 5 is attributed to the chunk "points 4-7", not to one
+// chunk holding the whole grid, on two workers and on eight alike — the
+// chunk width does not follow the worker count.
 func TestPhase2SweepPanicDefaultChunks(t *testing.T) {
 	p := quickStreamingParams()
 	p.ParametricPeriod = true
@@ -202,16 +199,21 @@ func TestPhase2SweepPanicDefaultChunks(t *testing.T) {
 	for _, P := range []float64{5, 25, 50, 100, 200, 400, 600, 800} {
 		points = append(points, []float64{1 / P})
 	}
-	faultinject.Activate(faultinject.NewPlan().Arm(faultinject.SiteSweepPoint, 5))
-	_, err := sweep(elaborateStreaming(t, p), models.StreamingMeasures(p), ctmc.SolveOptions{},
-		pipeline.Config{Workers: 2}, points, nil)
-	faultinject.Deactivate()
-	var wpe *fault.WorkerPanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("want *fault.WorkerPanicError, got %T: %v", err, err)
-	}
-	if wpe.Task != "points 4-7" {
-		t.Errorf("panic attributed to %q, want %q", wpe.Task, "points 4-7")
+	for _, c := range []struct {
+		workers int
+		task    string
+	}{{2, "points 4-7"}, {8, "points 4-7"}} {
+		faultinject.Activate(faultinject.NewPlan().Arm(faultinject.SiteSweepPoint, 5))
+		_, err := sweep(elaborateStreaming(t, p), models.StreamingMeasures(p), ctmc.SolveOptions{},
+			pipeline.Config{Workers: c.workers}, points, nil)
+		faultinject.Deactivate()
+		var wpe *fault.WorkerPanicError
+		if !errors.As(err, &wpe) {
+			t.Fatalf("workers=%d: want *fault.WorkerPanicError, got %T: %v", c.workers, err, err)
+		}
+		if wpe.Task != c.task {
+			t.Errorf("workers=%d: panic attributed to %q, want %q", c.workers, wpe.Task, c.task)
+		}
 	}
 }
 
@@ -221,10 +223,9 @@ func TestPhase2SweepPanicDefaultChunks(t *testing.T) {
 // *ctmc.ConvergenceError of the lowest failed point, having checkpointed
 // the converged points below it, and resuming it at the default budget
 // gives reports bit-identical to an uninterrupted default-budget sweep —
-// at every combination of worker count and lane width. The checkpoint
-// does not fingerprint the budget, and the resume solves only the points
-// the failed run left: at lane width 1, where every restored point is a
-// chunk of its own, a panic armed at each restored point never fires.
+// at one, two and eight workers. The checkpoint does not fingerprint the
+// budget, and the resume solves only the points the failed run left: a
+// panic armed at each point of the chunks it restored whole never fires.
 func TestPhase2SweepCheckpointResumeLargerBudget(t *testing.T) {
 	m, measures, points := rpcSweepFixture(t)
 
@@ -254,41 +255,39 @@ func TestPhase2SweepCheckpointResumeLargerBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 8} {
-		for _, lanes := range []int{1, 4, 8} {
-			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
-			path := filepath.Join(t.TempDir(), "sweep.ckpt")
-			cfg := pipeline.Config{Workers: workers, LaneWidth: lanes}
+	for _, workers := range []int{1, 2, 8} {
+		tag := fmt.Sprintf("workers=%d", workers)
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		cfg := pipeline.Config{Workers: workers}
 
-			_, err := sweep(m, measures, ctmc.SolveOptions{MaxIterations: budget}, cfg,
-				points, &pipeline.CheckpointOptions{Path: path, Every: 1})
-			var ce *ctmc.ConvergenceError
-			if !errors.As(err, &ce) {
-				t.Fatalf("%s: want a *ctmc.ConvergenceError, got %v", tag, err)
-			}
-			if ce.Point != mid+1 || ce.Iterations != budget || !reflect.DeepEqual(ce.Params, points[mid+1]) {
-				t.Errorf("%s: failure at point %d %v after %d iterations, want point %d %v after %d",
-					tag, ce.Point, ce.Params, ce.Iterations, mid+1, points[mid+1], budget)
-			}
-			if _, err := os.Stat(path); err != nil {
-				t.Fatalf("%s: failed sweep left no checkpoint: %v", tag, err)
-			}
-
-			plan := faultinject.NewPlan()
-			if lanes == 1 {
-				for i := 0; i <= mid; i++ {
-					plan.Arm(faultinject.SiteSweepPoint, i)
-				}
-			}
-			faultinject.Activate(plan)
-			resumed, err := sweep(m, measures, ctmc.SolveOptions{}, cfg,
-				points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
-			faultinject.Deactivate()
-			if err != nil {
-				t.Fatalf("%s: resume at the default budget failed: %v", tag, err)
-			}
-			requireSameReports(t, tag, baseline, resumed)
+		_, err := sweep(m, measures, ctmc.SolveOptions{MaxIterations: budget}, cfg,
+			points, &pipeline.CheckpointOptions{Path: path, Every: 1})
+		var ce *ctmc.ConvergenceError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: want a *ctmc.ConvergenceError, got %v", tag, err)
 		}
+		if ce.Point != mid+1 || ce.Iterations != budget || !reflect.DeepEqual(ce.Params, points[mid+1]) {
+			t.Errorf("%s: failure at point %d %v after %d iterations, want point %d %v after %d",
+				tag, ce.Point, ce.Params, ce.Iterations, mid+1, points[mid+1], budget)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("%s: failed sweep left no checkpoint: %v", tag, err)
+		}
+
+		// Points 0..mid are checkpointed; a chunk holding any later point
+		// is solved again, so only the whole chunks below are armed.
+		plan := faultinject.NewPlan()
+		for i := 0; i < (mid+1)/ctmc.BatchLanes*ctmc.BatchLanes; i++ {
+			plan.Arm(faultinject.SiteSweepPoint, i)
+		}
+		faultinject.Activate(plan)
+		resumed, err := sweep(m, measures, ctmc.SolveOptions{}, cfg,
+			points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
+		faultinject.Deactivate()
+		if err != nil {
+			t.Fatalf("%s: resume at the default budget failed: %v", tag, err)
+		}
+		requireSameReports(t, tag, baseline, resumed)
 	}
 }
 
@@ -442,10 +441,11 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 	}
 
 	// Duplicate rate vectors — the first point's included — run the same
-	// cold solve, so their reports are bit-identical.
+	// cold solve, so their reports are bit-identical, whether they share
+	// a chunk or not, at one and two workers.
 	dup := [][]float64{{1. / 5}, {1. / 2}, {1. / 10}, {1. / 2}, {1. / 10}, {1. / 5}}
-	for _, lanes := range []int{1, 4, 8} {
-		reps, err := sweep(m, measures, none, pipeline.Config{LaneWidth: lanes}, dup, nil)
+	for _, workers := range []int{1, 2} {
+		reps, err := sweep(m, measures, none, pipeline.Config{Workers: workers}, dup, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,8 +453,8 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 			a, b := reps[pair[0]].Values, reps[pair[1]].Values
 			for name, va := range a {
 				if vb := b[name]; va != vb {
-					t.Errorf("lanes=%d: duplicate points %v: measure %s differs: %v != %v",
-						lanes, pair, name, va, vb)
+					t.Errorf("workers=%d: duplicate points %v: measure %s differs: %v != %v",
+						workers, pair, name, va, vb)
 				}
 			}
 		}

@@ -46,9 +46,9 @@ func TestManagerReusesStagedArtifacts(t *testing.T) {
 	}
 	calls := lts.GenerateCalls()
 
-	// Different workers/lanes: scheduling only, must intern onto the same
+	// Different workers: scheduling only, must intern onto the same
 	// session state.
-	s2, err := mgr.Open(rpcSpec(p), pipeline.Config{Workers: 8, LaneWidth: 8})
+	s2, err := mgr.Open(rpcSpec(p), pipeline.Config{Workers: 8})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

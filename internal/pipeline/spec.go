@@ -74,9 +74,9 @@ type SpecHash string
 // Hash computes the spec's content address. The encoding is canonical:
 // fields are written in a fixed order with length prefixes (no separator
 // ambiguity), floats as their IEEE-754 bit patterns, and scheduling-only
-// knobs (workers, contexts, lane widths) excluded — results are
-// bit-identical at any of their values, so hashing them would only split
-// identical work across sessions.
+// knobs (workers, contexts) excluded — results are bit-identical at any
+// of their values, so hashing them would only split identical work
+// across sessions.
 func (s Spec) Hash() SpecHash {
 	h := sha256.New()
 	hStr(h, s.Key)

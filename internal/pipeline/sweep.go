@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
+	"slices"
 
 	"repro/internal/ctmc"
 	"repro/internal/fault"
@@ -14,12 +14,6 @@ import (
 	"repro/internal/lts"
 	"repro/internal/measure"
 )
-
-// DefaultLaneWidth is the sweep-batching width Sweep auto-selects: one
-// full group of the four-lane batched kernel, whose lanes interleave one
-// float64 each into exactly one AVX register. Chunks no wider than one
-// group let the worker pool spread even a short grid over every core.
-const DefaultLaneWidth = 4
 
 // sweepHash fingerprints everything a checkpoint must match to be safely
 // resumed: the chain's structural solve analysis, the state-space and
@@ -77,17 +71,17 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 //
 // Every point is solved cold, from the uniform start. The points are
 // packed in index order into ctmc.SolveBatchLanes chunks of
-// Config.LaneWidth lanes (one point per chunk when LaneWidth is 1), and
-// the chunks are claimed by Config.Workers workers. Every lane runs
-// exactly the floating-point operations of a one-lane SteadyState solve
-// at its point, so each report is bit-identical to
-// Clone → Rebind(point) → SteadyState → measure.EvalAll on the session's
-// chain, at any worker count and lane width. The rebound generator matrix
-// is itself bit-identical to a freshly built one, so a point's result
-// equals a fresh generate+build+solve at that point's rates up to the
-// solver tolerance. A Config Store memoizes the reports under
-// SpecHash + point, so overlapping grids share their common points
-// whatever point they start from.
+// ctmc.BatchLanes points — one four-lane group; the last chunk may be
+// shorter — and the chunks run on fault.Pool with Config.Workers
+// workers. Every lane runs exactly the floating-point operations of a
+// one-lane SteadyState solve at its point, so each report is
+// bit-identical to Clone → Rebind(point) → SteadyState → measure.EvalAll
+// on the session's chain, at any worker count. The rebound
+// generator matrix is itself bit-identical to a freshly built one, so a
+// point's result equals a fresh generate+build+solve at that point's
+// rates up to the solver tolerance. A Config Store memoizes the reports
+// under SpecHash + point, so overlapping grids share their common
+// points whatever point they start from.
 //
 // Failure handling is deterministic at any worker count:
 //
@@ -294,95 +288,44 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 		return 0, nil
 	}
 
-	// runChunk is solveChunk under the chunk worker's panic guard; the
-	// injection sites of the chunk's points are consulted up front so an
-	// armed SiteSweepPoint trigger fires at any lane width. The pool name
-	// predates the move to this package and is kept stable — it is part
-	// of the attribution contract callers match on.
-	runChunk := func(w int, chain *ctmc.CTMC, off, width int) (idx int, err error) {
-		gerr := fault.Guard("core.sweep", w, fmt.Sprintf("points %d-%d", off, off+width-1), func() error {
-			for k := 0; k < width; k++ {
-				faultinject.MaybePanic(faultinject.SiteSweepPoint, off+k)
+	// A chunk is one four-lane group of the batched kernel. Chunks whose
+	// every point was restored from the checkpoint or the store are not
+	// queued; each queued chunk keeps its failed point index beside it,
+	// the chunk's first point until solveChunk names another.
+	type chunk struct{ off, width, failed int }
+	var pending []chunk
+	for off := 0; off < len(points); off += ctmc.BatchLanes {
+		w := min(ctmc.BatchLanes, len(points)-off)
+		if slices.Contains(reports[off:off+w], nil) {
+			pending = append(pending, chunk{off: off, width: w, failed: off})
+		}
+	}
+
+	// Each worker rebinds its own private clone of the session's chain,
+	// cloned in the worker's first chunk on the worker's own goroutine.
+	// The injection sites of a chunk's points are consulted before its
+	// batched solve, so an armed SiteSweepPoint trigger fires at whichever
+	// lane its point occupies. The pool name predates the move to this
+	// package and is kept stable — it is part of the attribution contract
+	// callers match on.
+	chains := make([]*ctmc.CTMC, min(max(1, s.cfg.Workers), len(pending)))
+	failed, err := fault.Pool("core.sweep", len(pending), len(chains),
+		func(c int) string {
+			return fmt.Sprintf("points %d-%d", pending[c].off, pending[c].off+pending[c].width-1)
+		},
+		func(w, c int) (err error) {
+			if chains[w] == nil {
+				chains[w] = pristine.Clone()
 			}
-			var serr error
-			idx, serr = solveChunk(chain, off, width)
-			return serr
+			ch := &pending[c]
+			for k := 0; k < ch.width; k++ {
+				faultinject.MaybePanic(faultinject.SiteSweepPoint, ch.off+k)
+			}
+			ch.failed, err = solveChunk(chains[w], ch.off, ch.width)
+			return err
 		})
-		if gerr != nil {
-			if err == nil && idx == 0 {
-				idx = off // a recovered panic is attributed to the chunk
-			}
-			return idx, gerr
-		}
-		return idx, err
-	}
-
-	laneWidth := s.cfg.LaneWidth
-	if laneWidth <= 0 {
-		laneWidth = DefaultLaneWidth
-	}
-	nChunks := (len(points) + laneWidth - 1) / laneWidth
-	chunkAt := func(ch int) (int, int) {
-		off := ch * laneWidth
-		return off, min(laneWidth, len(points)-off)
-	}
-
-	// Chunks are claimed in ascending order, skipping those whose every
-	// point was restored from the checkpoint or the store, and the lowest
-	// failed point index wins, so the outcome is the same at every worker
-	// count.
-	workers := max(1, min(s.cfg.Workers, nChunks))
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		next    int
-		failIdx = len(points)
-		failErr error
-	)
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		for failErr == nil && next < nChunks {
-			ch := next
-			next++
-			off, width := chunkAt(ch)
-			for _, rep := range reports[off : off+width] {
-				if rep == nil {
-					return ch
-				}
-			}
-		}
-		return -1
-	}
-	fail := func(idx int, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if failErr == nil || idx < failIdx {
-			failIdx, failErr = idx, err
-		}
-	}
-	// Each worker rebinds its own private clone of the session's chain.
-	for w := 0; w < workers; w++ {
-		chain := pristine.Clone()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ch := claim()
-				if ch < 0 {
-					return
-				}
-				off, width := chunkAt(ch)
-				if idx, err := runChunk(w, chain, off, width); err != nil {
-					fail(idx, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failErr != nil {
-		return nil, fmt.Errorf("pipeline: sweep: point %d: %w", failIdx, failErr)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: sweep: point %d: %w", pending[failed].failed, err)
 	}
 	return reports, nil
 }

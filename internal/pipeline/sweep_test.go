@@ -254,9 +254,10 @@ func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
 	}
 }
 
-// TestPhase2SweepLaneWidths checks the batched sweep engine: reports are
-// bit-identical at every lane width (one-point chunks included) crossed with
-// every worker count, on both paper models.
+// TestPhase2SweepLaneWidths checks the batched sweep engine: on both
+// paper models, the reports of grids whose chunks hold two, three and
+// four live lanes (the last chunk of the full grid one) are bit-identical
+// at one, two and eight workers to those of each point swept alone.
 func TestPhase2SweepLaneWidths(t *testing.T) {
 	type variant struct {
 		name     string
@@ -278,22 +279,25 @@ func TestPhase2SweepLaneWidths(t *testing.T) {
 			for i, k := range v.knobs {
 				points[i] = []float64{1 / k}
 			}
-			base, err := sweep(v.model, v.measures, ctmc.SolveOptions{}, pipeline.Config{LaneWidth: 1, Workers: 1}, points, nil)
-			if err != nil {
-				t.Fatal(err)
+			base := make([]*pipeline.Phase2Report, len(points))
+			for i, p := range points {
+				reps, err := sweep(v.model, v.measures, ctmc.SolveOptions{}, pipeline.Config{}, [][]float64{p}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base[i] = reps[0]
 			}
-			for _, laneWidth := range []int{0, 3, 8} {
-				for _, workers := range []int{1, 8} {
-					cfg := pipeline.Config{LaneWidth: laneWidth, Workers: workers}
-					reps, err := sweep(v.model, v.measures, ctmc.SolveOptions{}, cfg, points, nil)
+			for _, grid := range [][][]float64{points[:2], points[:3], points} {
+				for _, workers := range []int{1, 2, 8} {
+					reps, err := sweep(v.model, v.measures, ctmc.SolveOptions{}, pipeline.Config{Workers: workers}, grid, nil)
 					if err != nil {
-						t.Fatalf("lanes=%d workers=%d: %v", laneWidth, workers, err)
+						t.Fatalf("%d points, workers=%d: %v", len(grid), workers, err)
 					}
-					for i := range points {
+					for i := range grid {
 						for name, want := range base[i].Values {
 							if got := reps[i].Values[name]; got != want {
-								t.Errorf("lanes=%d workers=%d point %d measure %s: %v != %v (must be bit-identical)",
-									laneWidth, workers, i, name, got, want)
+								t.Errorf("%d points, workers=%d, point %d measure %s: %v != %v (must be bit-identical)",
+									len(grid), workers, i, name, got, want)
 							}
 						}
 					}
@@ -306,30 +310,31 @@ func TestPhase2SweepLaneWidths(t *testing.T) {
 // TestPhase2SweepConvergenceErrorPoint pins the failure attribution of the
 // sweep: a failed solve surfaces a ConvergenceError carrying the global
 // sweep-point index and rate vector, and the wrapping message names the
-// same point, at lane widths 1 and 8.
+// same point, at one worker and at two, where the second chunk's failure
+// may land first.
 func TestPhase2SweepConvergenceErrorPoint(t *testing.T) {
 	pp := models.DefaultRPCParams()
 	pp.ParametricTimeout = true
 	m := elaborateRPC(t, pp)
-	points := [][]float64{{1. / 5}, {1. / 2}, {1. / 25}}
-	for _, laneWidth := range []int{1, 4, 8} {
+	points := [][]float64{{1. / 5}, {1. / 2}, {1. / 25}, {1. / 10}, {1. / 7}}
+	for _, workers := range []int{1, 2} {
 		_, err := sweep(m, models.RPCMeasures(pp), ctmc.SolveOptions{MaxIterations: 2},
-			pipeline.Config{LaneWidth: laneWidth}, points, nil)
+			pipeline.Config{Workers: workers}, points, nil)
 		if !errors.Is(err, ctmc.ErrNoConvergence) {
-			t.Fatalf("lanes=%d: want ErrNoConvergence, got %v", laneWidth, err)
+			t.Fatalf("workers=%d: want ErrNoConvergence, got %v", workers, err)
 		}
 		var ce *ctmc.ConvergenceError
 		if !errors.As(err, &ce) {
-			t.Fatalf("lanes=%d: want *ConvergenceError, got %v", laneWidth, err)
+			t.Fatalf("workers=%d: want *ConvergenceError, got %v", workers, err)
 		}
 		if ce.Point != 0 {
-			t.Errorf("lanes=%d: Point = %d, want 0 (the lowest failed point)", laneWidth, ce.Point)
+			t.Errorf("workers=%d: Point = %d, want 0 (the lowest failed point)", workers, ce.Point)
 		}
 		if len(ce.Params) != 1 || ce.Params[0] != points[0][0] {
-			t.Errorf("lanes=%d: Params = %v, want %v", laneWidth, ce.Params, points[0])
+			t.Errorf("workers=%d: Params = %v, want %v", workers, ce.Params, points[0])
 		}
 		if !strings.Contains(err.Error(), "point 0") {
-			t.Errorf("lanes=%d: error text %q should name point 0", laneWidth, err)
+			t.Errorf("workers=%d: error text %q should name point 0", workers, err)
 		}
 	}
 }
@@ -384,8 +389,8 @@ func coldSolve(t *testing.T, s *pipeline.Session, measures []measure.Measure, po
 // TestSweepMatchesColdSolve pins the sweep's contract: every report of a
 // Fig. 3 (rpc timeouts) and a Fig. 4 (streaming awake periods) sweep is
 // bit-identical to a cold one-lane solve at that point's rates, whichever
-// point comes first and however the points are packed into lanes and
-// spread over workers.
+// point comes first and however many workers the points are spread
+// over.
 func TestSweepMatchesColdSolve(t *testing.T) {
 	rp := models.DefaultRPCParams()
 	rp.ParametricTimeout = true
@@ -412,22 +417,20 @@ func TestSweepMatchesColdSolve(t *testing.T) {
 			for i, p := range points {
 				want[i] = coldSolve(t, oracle, v.measures, p)
 			}
-			for _, workers := range []int{1, 2} {
-				for _, lanes := range []int{1, 4, 8} {
-					reps, err := pipeline.NewSession(spec, pipeline.Config{Workers: workers, LaneWidth: lanes}).Sweep(points)
-					if err != nil {
-						t.Fatalf("workers=%d lanes=%d: %v", workers, lanes, err)
+			for _, workers := range []int{1, 2, 8} {
+				reps, err := pipeline.NewSession(spec, pipeline.Config{Workers: workers}).Sweep(points)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				for i, rep := range reps {
+					if len(rep.Values) != len(want[i]) {
+						t.Fatalf("workers=%d point %d: %d values, want %d",
+							workers, i, len(rep.Values), len(want[i]))
 					}
-					for i, rep := range reps {
-						if len(rep.Values) != len(want[i]) {
-							t.Fatalf("workers=%d lanes=%d point %d: %d values, want %d",
-								workers, lanes, i, len(rep.Values), len(want[i]))
-						}
-						for name, w := range want[i] {
-							if g, ok := rep.Values[name]; !ok || math.Float64bits(g) != math.Float64bits(w) {
-								t.Errorf("workers=%d lanes=%d point %d measure %s: sweep %v, cold solve %v (must be bit-identical)",
-									workers, lanes, i, name, g, w)
-							}
+					for name, w := range want[i] {
+						if g, ok := rep.Values[name]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+							t.Errorf("workers=%d point %d measure %s: sweep %v, cold solve %v (must be bit-identical)",
+								workers, i, name, g, w)
 						}
 					}
 				}

@@ -30,8 +30,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dist"
 	"repro/internal/elab"
@@ -266,38 +264,21 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := p.newRunner()
-
-	master := rng.New(cfg.Seed)
+	obs, events, err := p.runAll()
+	if err != nil {
+		return nil, err
+	}
+	// Merge in run and segment order: the accumulator then sees the same
+	// observation sequence regardless of the worker count.
 	accs := make([]stats.Accumulator, len(cfg.Measures))
-	res := &Result{Estimates: make(map[string]stats.Interval, len(cfg.Measures))}
-	if cfg.Batches > 0 {
-		// Batch means: one long run, one observation per batch.
-		segs, events, err := r.replicateGuarded(0, 0, master.Split(0), cfg.Batches)
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch-means run: %w", err)
-		}
-		res.Events = events
+	res := &Result{Estimates: make(map[string]stats.Interval, len(cfg.Measures)), Events: events}
+	for _, segs := range obs {
 		for _, vals := range segs {
 			for i, v := range vals {
 				accs[i].Add(v)
 			}
+			res.Replications++
 		}
-		res.Replications = cfg.Batches
-	} else {
-		vals, events, err := r.runReplications(master)
-		if err != nil {
-			return nil, err
-		}
-		res.Events = events
-		// Merge in replication-index order: the accumulator then sees the
-		// same observation sequence regardless of the worker count.
-		for _, obs := range vals {
-			for i, v := range obs {
-				accs[i].Add(v)
-			}
-		}
-		res.Replications = cfg.Replications
 	}
 	for i, m := range cfg.Measures {
 		if m.Derived {
@@ -395,76 +376,47 @@ func (p *plan) newRunner() *runner {
 	return r
 }
 
-// runReplications executes cfg.Replications independent runs — on a
-// bounded worker pool when cfg.Workers > 1 — and returns the per-
-// replication measure values in replication order. Replication i always
-// draws from the split stream master.Split(i), so the values are
-// bit-identical at any worker count; the pool stops handing out work
-// after the first failure and the lowest-index error is reported, which
-// is the error a sequential run would hit.
-func (r *runner) runReplications(master *rng.Rand) ([][]float64, int64, error) {
-	reps := r.cfg.Replications
-	workers := r.cfg.Workers
-	if workers > reps {
-		workers = reps
+// runAll executes the configured runs on fault.Pool and returns each
+// run's per-segment measure values in run order: cfg.Replications
+// independent one-segment runs, or in batch-means mode one run of
+// cfg.Batches segments. Run i always draws from the split stream
+// Split(i) of the master stream, so the values are bit-identical at any
+// worker count, and a failure is the lowest-index one, the error a
+// sequential loop would hit. Each worker builds its runner in its own
+// first task, and each task splits its own stream, on the worker's
+// goroutine: state the caller allocated side by side would put two
+// workers' hot fields, the runners' and the generators', on one cache
+// line.
+func (p *plan) runAll() ([][][]float64, int64, error) {
+	runs, segments := p.cfg.Replications, 1
+	if p.cfg.Batches > 0 {
+		runs, segments = 1, p.cfg.Batches
 	}
-	out := make([][]float64, reps)
-	if workers <= 1 {
-		var events int64
-		for rep := 0; rep < reps; rep++ {
-			segs, ev, err := r.replicateGuarded(0, rep, master.Split(uint64(rep)), 1)
-			if err != nil {
-				return nil, events, fmt.Errorf("sim: replication %d: %w", rep, err)
+	master := rng.New(p.cfg.Seed)
+	runners := make([]*runner, max(1, min(p.cfg.Workers, runs)))
+	obs := make([][][]float64, runs)
+	events := make([]int64, runs)
+	failed, err := fault.Pool("sim", runs, len(runners),
+		func(i int) string { return fmt.Sprintf("replication %d", i) },
+		func(w, i int) (err error) {
+			if runners[w] == nil {
+				runners[w] = p.newRunner()
 			}
-			events += ev
-			out[rep] = segs[0]
+			faultinject.MaybePanic(faultinject.SiteSimReplication, i)
+			obs[i], events[i], err = runners[w].replicate(i, master.Split(uint64(i)), segments)
+			return err
+		})
+	if err != nil {
+		if p.cfg.Batches > 0 {
+			return nil, 0, fmt.Errorf("sim: batch-means run: %w", err)
 		}
-		return out, events, nil
+		return nil, 0, fmt.Errorf("sim: replication %d: %w", failed, err)
 	}
-
-	// Split the streams up front, in index order: Split only reads the
-	// master state, and replication i gets the same stream as sequentially.
-	streams := make([]*rng.Rand, reps)
-	for rep := range streams {
-		streams[rep] = master.Split(uint64(rep))
+	var total int64
+	for _, ev := range events {
+		total += ev
 	}
-	var (
-		wg     sync.WaitGroup
-		next   atomic.Int64
-		events atomic.Int64
-		stop   atomic.Bool
-		errs   = make([]error, reps)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wr := r.newRunner() // private memo per worker
-			for {
-				rep := int(next.Add(1)) - 1
-				if rep >= reps || stop.Load() {
-					return
-				}
-				segs, ev, err := wr.replicateGuarded(w, rep, streams[rep], 1)
-				events.Add(ev)
-				if err != nil {
-					errs[rep] = err
-					stop.Store(true)
-					return
-				}
-				out[rep] = segs[0]
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Replications are claimed in index order, so every index below a
-	// failed one has run: the first recorded error is the sequential one.
-	for rep, err := range errs {
-		if err != nil {
-			return nil, events.Load(), fmt.Errorf("sim: replication %d: %w", rep, err)
-		}
-	}
-	return out, events.Load(), nil
+	return obs, total, nil
 }
 
 // visit returns the memo id of a state tuple, interning it (with a record
@@ -571,23 +523,6 @@ func (r *runner) compile(s int32) error {
 	}
 	r.recs[s] = rec
 	return nil
-}
-
-// replicateGuarded runs one replication under a panic guard: a crash in
-// the event loop (or an injected fault keyed by the replication index)
-// surfaces as a *fault.WorkerPanicError attributed to this worker and
-// replication instead of taking down the pool.
-func (r *runner) replicateGuarded(w, rep int, rnd *rng.Rand, segments int) (segs [][]float64, ev int64, err error) {
-	err = fault.Guard("sim", w, fmt.Sprintf("replication %d", rep), func() error {
-		faultinject.MaybePanic(faultinject.SiteSimReplication, rep)
-		var rerr error
-		segs, ev, rerr = r.replicate(rep, rnd, segments)
-		return rerr
-	})
-	if err != nil {
-		return nil, ev, err
-	}
-	return segs, ev, nil
 }
 
 // pollEvents is the event-count stride between context polls of a

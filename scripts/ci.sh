@@ -71,14 +71,19 @@ go test -timeout 10m -race ./...
 # fails to converge and is resumed from its checkpoint with a larger
 # budget (TestSolveCancelAtIteration in internal/ctmc and the session
 # sweep's TestPhase2Sweep*Panic*/Cancel*/Checkpoint* and
-# TestCheckpointResumeRejects properties in internal/pipeline), on both
-# the degenerate and a two-core schedule. The recovery paths — panic
-# capture, lowest-index attribution, checkpoint replay — are themselves
-# concurrent code and get their race coverage here.
+# TestCheckpointResumeRejects properties in internal/pipeline), plus the
+# shared worker pool's own panic test (TestPoolRecoversPanic in
+# internal/fault), on both the degenerate and a two-core schedule. The
+# recovery paths — panic capture, lowest-index attribution, checkpoint
+# replay — are themselves concurrent code and get their race coverage
+# here. The pool's third caller, experiments.RunPoints, gets the same two
+# schedules through its panic and worker-determinism tests.
 echo "== fault-injection smoke (-race -cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
     -run 'FaultInject|Panic|Cancel|Checkpoint' \
     ./internal/pipeline/ ./internal/ctmc/ ./internal/lts/ ./internal/sim/ ./internal/faultinject/ ./internal/fault/
+go test -timeout 10m -race -cpu 1,2 \
+    -run 'RunPoints|WorkerDeterminism|Panic' ./internal/experiments/
 
 # Session-sharing smoke under the race detector at -cpu 1,2: concurrent
 # goroutines open handles on one shared spec key and solve through the
@@ -100,7 +105,7 @@ go test -timeout 10m -race -cpu 1,2 \
 # when generations from one shared model run concurrently, keeps the
 # MaxStates bound exact, is unchanged by fold-memo resets and allocates
 # independently of the state count (TestFold* in internal/lts), and the minimized experiment suite agrees with the full
-# path within 1e-6 and is bit-identical across worker/lane counts
+# path within 1e-6 and is bit-identical across worker counts
 # (TestGoldenMinimizeAgreement in internal/experiments). Generation
 # itself is sequential; what races here is concurrent sessions and sweep
 # points sharing one immutable quotient model.
