@@ -175,9 +175,9 @@ func TestLumpCarriesPredicates(t *testing.T) {
 	if lumped.Preds == nil || len(lumped.Preds[0]) != lumped.NumStates {
 		t.Fatal("predicates not carried over")
 	}
-	v, err := lumped.Pred("p", lumped.Initial)
-	if err != nil || !v {
-		t.Errorf("initial-state predicate lost: %v %v", v, err)
+	col, err := lumped.PredColumn("p")
+	if err != nil || !col[lumped.Initial] {
+		t.Errorf("initial-state predicate lost: %v %v", col, err)
 	}
 }
 

@@ -52,6 +52,8 @@ type CTMC struct {
 	N int
 	// Rows holds the off-diagonal generator entries per tangible state.
 	Rows [][]Entry
+	// entries is the slab Rows are carved from, row after row.
+	entries []Entry
 	// Exit is the total outflow rate per tangible state.
 	Exit []float64
 	// Initial is the initial probability distribution over tangible
@@ -159,21 +161,35 @@ func (e *RebindError) Unwrap() error {
 // rows and their Rebind term lists — runs on dense stamped accumulators
 // over state indices, and every per-state list is carved from one slab,
 // so a build allocates O(1) slices however many states the chain has.
+// The slabs whose sizes a cheap pass can know — the immediate branches,
+// the exponential edges with their rates and slots, the generator
+// entries and the Rebind terms — are counted first and allocated once at
+// their exact size, so no append ever regrows them.
 func Build(l *lts.LTS) (*CTMC, error) {
 	n := l.NumStates
 	c := &CTMC{l: l, plan: &solvePlan{}}
 
-	// Classify states.
+	// Classify states, counting the maximal-priority immediate branches
+	// so the branch slab is carved at its exact size.
 	isVanishing := make([]bool, n)
-	numVanishing := 0
+	numVanishing, numBranches := 0, 0
 	for s := 0; s < n; s++ {
 		sp := l.Out(s)
+		maxPrio, top := math.MinInt32, 0
 		for k := 0; k < sp.Len(); k++ {
-			if sp.Rate(k).Kind == rates.Immediate {
-				isVanishing[s] = true
-				numVanishing++
-				break
+			if r := sp.Rate(k); r.Kind == rates.Immediate {
+				if r.Priority > maxPrio {
+					maxPrio, top = r.Priority, 0
+				}
+				if r.Priority == maxPrio {
+					top++
+				}
 			}
+		}
+		if top > 0 {
+			isVanishing[s] = true
+			numVanishing++
+			numBranches += top
 		}
 	}
 
@@ -181,7 +197,7 @@ func Build(l *lts.LTS) (*CTMC, error) {
 	// are brSlab[brOff[s]:brOff[s+1]].
 	c.vanPos = make([]int, n)
 	brOff := make([]int32, n+1)
-	var brSlab []branch
+	brSlab := make([]branch, 0, numBranches)
 	for s := 0; s < n; s++ {
 		c.vanPos[s] = -1
 		brOff[s] = int32(len(brSlab))
@@ -290,6 +306,46 @@ func Build(l *lts.LTS) (*CTMC, error) {
 		return nil, ErrTimelessTrap
 	}
 
+	// Size the exponential edges, the generator entries and the Rebind
+	// terms exactly before filling them: a counting pass stamps each row's
+	// off-diagonal columns, counting the distinct ones (entries) and every
+	// contribution to them (terms), and rejects unrated transitions in the
+	// order the fill would meet them.
+	numExp, numEntries, numTerms := 0, 0, 0
+	acc = newDenseAcc(c.N)
+	for ci, s := range c.TangibleOf {
+		acc.reset()
+		count := func(col int) {
+			if col == ci {
+				return
+			}
+			numTerms++
+			if acc.mark[col] != acc.stamp {
+				acc.mark[col] = acc.stamp
+				numEntries++
+			}
+		}
+		sp := l.Out(s)
+		for k := 0; k < sp.Len(); k++ {
+			switch r := sp.Rate(k); r.Kind {
+			case rates.Exp:
+			case rates.Immediate:
+				continue // impossible: s is tangible
+			default:
+				return nil, fmt.Errorf("%w (state %d, label %q, rate %v)",
+					ErrNotRated, s, l.LabelName(int(sp.Label[k])), r)
+			}
+			numExp++
+			if dst := int(sp.Dst[k]); isVanishing[dst] {
+				for _, ae := range absorb(c.vanPos[dst]) {
+					count(c.ctmcIndex[ae.tgt])
+				}
+			} else {
+				count(c.ctmcIndex[dst])
+			}
+		}
+	}
+
 	// Generator rows, accumulated per column in edge order. When the LTS
 	// carries rate slots, each contribution is also recorded as a term
 	// with its column, in the exact accumulation order, so Rebind can
@@ -298,13 +354,16 @@ func Build(l *lts.LTS) (*CTMC, error) {
 	c.numSlots = l.NumRateSlots()
 	parametric := c.numSlots > 0
 	var contrib []colTerm // the current row's terms, in accumulation order
+	c.expEdges = make([]expEdge, 0, numExp)
+	c.expRate = make([]float64, 0, numExp)
 	if parametric {
-		c.termStart = append(c.termStart, 0)
+		c.expSlots = make([]int32, 0, numExp)
+		c.terms = make([]rateTerm, 0, numTerms)
+		c.termStart = make([]int32, 1, numEntries+1)
 	}
-	entries := make([]Entry, 0, l.NumTransitions())
+	entries := make([]Entry, 0, numEntries)
 	rowOff := make([]int32, c.N+1)
 	c.Exit = make([]float64, c.N)
-	acc = newDenseAcc(c.N)
 	for ci, s := range c.TangibleOf {
 		acc.reset()
 		contrib = contrib[:0]
@@ -312,34 +371,29 @@ func Build(l *lts.LTS) (*CTMC, error) {
 		base := l.EdgeBase(s)
 		for k := 0; k < sp.Len(); k++ {
 			r := sp.Rate(k)
+			if r.Kind != rates.Exp {
+				continue
+			}
 			dst := int(sp.Dst[k])
-			switch r.Kind {
-			case rates.Exp:
-				c.expEdges = append(c.expEdges, expEdge{src: s, dst: dst, ltsTrans: base + k})
-				c.expRate = append(c.expRate, r.Lambda)
-				if parametric {
-					c.expSlots = append(c.expSlots, int32(r.Slot))
-				}
-				if isVanishing[dst] {
-					for _, ae := range absorb(c.vanPos[dst]) {
-						col := c.ctmcIndex[ae.tgt]
-						acc.add(col, r.Lambda*ae.prob)
-						if parametric {
-							contrib = append(contrib, colTerm{col: int32(col), term: makeTerm(r, ae.prob)})
-						}
-					}
-				} else {
-					col := c.ctmcIndex[dst]
-					acc.add(col, r.Lambda)
+			c.expEdges = append(c.expEdges, expEdge{src: s, dst: dst, ltsTrans: base + k})
+			c.expRate = append(c.expRate, r.Lambda)
+			if parametric {
+				c.expSlots = append(c.expSlots, int32(r.Slot))
+			}
+			if isVanishing[dst] {
+				for _, ae := range absorb(c.vanPos[dst]) {
+					col := c.ctmcIndex[ae.tgt]
+					acc.add(col, r.Lambda*ae.prob)
 					if parametric {
-						contrib = append(contrib, colTerm{col: int32(col), term: makeTerm(r, 1)})
+						contrib = append(contrib, colTerm{col: int32(col), term: makeTerm(r, ae.prob)})
 					}
 				}
-			case rates.Immediate:
-				// Impossible: s is tangible.
-			default:
-				return nil, fmt.Errorf("%w (state %d, label %q, rate %v)",
-					ErrNotRated, s, l.LabelName(int(sp.Label[k])), r)
+			} else {
+				col := c.ctmcIndex[dst]
+				acc.add(col, r.Lambda)
+				if parametric {
+					contrib = append(contrib, colTerm{col: int32(col), term: makeTerm(r, 1)})
+				}
 			}
 		}
 		// Canonical column order: the solver and the transient iteration sum
@@ -377,6 +431,7 @@ func Build(l *lts.LTS) (*CTMC, error) {
 		}
 	}
 	rowOff[c.N] = int32(len(entries))
+	c.entries = entries
 	c.Rows = make([][]Entry, c.N)
 	for ci := range c.Rows {
 		c.Rows[ci] = entries[rowOff[ci]:rowOff[ci+1]:rowOff[ci+1]]
@@ -576,21 +631,15 @@ func (c *CTMC) Clone() *CTMC {
 		expSlots:   c.expSlots,
 		plan:       c.plan,
 	}
-	total := 0
-	for _, row := range c.Rows {
-		total += len(row)
-	}
-	entries := make([]Entry, 0, total)
+	out.entries = slices.Clone(c.entries)
+	lo := 0
 	for i, row := range c.Rows {
-		lo := len(entries)
-		entries = append(entries, row...)
-		out.Rows[i] = entries[lo:len(entries):len(entries)]
+		hi := lo + len(row)
+		out.Rows[i] = out.entries[lo:hi:hi]
+		lo = hi
 	}
 	return out
 }
-
-// LTSStateOf returns the LTS state index of tangible state ci.
-func (c *CTMC) LTSStateOf(ci int) int { return c.TangibleOf[ci] }
 
 // CTMCIndexOf returns the tangible index of an LTS state, or -1 when the
 // state is vanishing.

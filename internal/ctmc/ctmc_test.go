@@ -314,14 +314,14 @@ func TestTransientExponentialDecay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tt := range []float64{0.1, 0.5, 1, 2, 5} {
-		p := c.Transient(tt, 1e-12)
+		p := c.TransientFrom(c.Initial, tt, 1e-12)
 		want := math.Exp(-tt)
 		if math.Abs(p[c.CTMCIndexOf(0)]-want) > 1e-6 {
 			t.Errorf("P0(%v) = %v, want %v", tt, p[c.CTMCIndexOf(0)], want)
 		}
 	}
 	// t=0 returns the initial distribution.
-	p := c.Transient(0, 1e-12)
+	p := c.TransientFrom(c.Initial, 0, 1e-12)
 	if p[c.CTMCIndexOf(0)] != 1 {
 		t.Errorf("P0(0) = %v, want 1", p[c.CTMCIndexOf(0)])
 	}
@@ -336,7 +336,7 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := c.Transient(200, 1e-12)
+	pt := c.TransientFrom(c.Initial, 200, 1e-12)
 	for i := range pi {
 		if math.Abs(pt[i]-pi[i]) > 1e-6 {
 			t.Errorf("transient(200)[%d] = %v, steady = %v", i, pt[i], pi[i])
@@ -353,9 +353,14 @@ func TestMeanExitRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two states, each with exit rate 1.
-	if got := c.MeanExitRate(pi); math.Abs(got-1) > 1e-9 {
-		t.Errorf("MeanExitRate = %v, want 1", got)
+	// Two states, each with exit rate 1: the steady-state mean exit rate
+	// Σ pi(s)·Exit(s) is 1.
+	got := 0.0
+	for ci, p := range pi {
+		got += p * c.Exit[ci]
+	}
+	if math.Abs(got-1) > 1e-9 {
+		t.Errorf("mean exit rate = %v, want 1", got)
 	}
 	if c.NumExpEdges() != 2 {
 		t.Errorf("NumExpEdges = %d, want 2", c.NumExpEdges())

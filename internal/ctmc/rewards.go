@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/fault"
-	"repro/internal/lts"
 )
 
 // StateReward computes the steady-state expectation of a state reward
@@ -31,111 +30,246 @@ func (c *CTMC) StateReward(pi []float64, reward func(ltsState int) float64) floa
 // redirected edges: a folded label fires at the edge's frequency times its
 // recorded expected traversal count, so the result matches the unfolded
 // system. match and weight are asked once per label, not once per edge.
+//
+// It compiles the selection and evaluates it once; callers that evaluate
+// one selection on many solutions compile it once with SelectAll.
 func (c *CTMC) Throughput(pi []float64, match func(label string) bool, weight func(label string) float64) float64 {
+	f := c.Flow(pi)
+	return f.Throughput(c.SelectAll(weight, match)[0])
+}
+
+// ProbLocallyEnabled computes the steady-state probability of the LTS
+// predicate with the given name (recorded at generation time). It compiles
+// the predicate and evaluates it once; see SelectStates.
+func (c *CTMC) ProbLocallyEnabled(pi []float64, predName string) (float64, error) {
+	set, err := c.SelectStates(predName)
+	if err != nil {
+		return 0, err
+	}
+	return set.Prob(pi), nil
+}
+
+// Selection is a weighted transition selection compiled against a chain's
+// structure: every firing Throughput weighs, as an ordered contribution.
+// Exponential edges come first, in edge order, each with its own label
+// and then the labels folded into it; immediate branches follow in
+// elimination order, likewise. That is the order the additions of a
+// throughput run in, so evaluating a Selection replays them exactly. A
+// Selection holds no rates and no probabilities of a solution, so it
+// serves the chain it was compiled on and every Clone of it, at any
+// rebound rates, from any number of goroutines.
+type Selection struct {
+	exp []expFiring
+	van []vanFiring
+}
+
+// expFiring is one weighted firing of an exponential edge: it adds
+// pi(src)·rate·count·w, where rate is the edge's current rate and count
+// is 1 for the edge's own label or the folded label's expected traversal
+// count.
+type expFiring struct {
+	src, edge int32 // tangible index of the source; index into expEdges
+	count, w  float64
+}
+
+// vanFiring is one weighted firing of an immediate branch: it adds
+// entry·prob·count·w, where entry is the entry rate of the branch's
+// vanishing source.
+type vanFiring struct {
+	pos            int32 // position of the source in the elimination order
+	prob, count, w float64
+}
+
+// SelectAll compiles the transition selections of Throughput against the
+// chain's structure, one per matcher, all weighted by weight (nil makes
+// it 1), in two walks over the chain's exponential edges and
+// immediate branches whatever the number of matchers: one counts each
+// selection's firings, so the second fills slices of exactly that size.
+// Each matcher is asked once per label of the chain's symbol table, and
+// weight once per label and matcher that selects it.
+func (c *CTMC) SelectAll(weight func(label string) float64, matches ...func(label string) bool) []*Selection {
 	if weight == nil {
 		weight = func(string) float64 { return 1 }
 	}
-	lw := labelWeights{l: c.l, match: match, weight: weight,
-		sel: make([]int8, c.l.NumLabels()), w: make([]float64, c.l.NumLabels())}
-	total := 0.0
-
-	// foldedAt adds the attributed frequencies of labels folded into the
-	// edge at global LTS index ltsTrans, which fires at the given rate.
-	foldedAt := func(ltsTrans int, fire float64) {
-		a := c.l.EdgeAux(ltsTrans)
-		if a == 0 {
-			return
-		}
-		labels, counts := c.l.AuxTerms(a)
-		for i, li := range labels {
-			if w, ok := lw.of(int(li)); ok {
-				total += fire * counts[i] * w
+	// hits[li] lists the selections that select label li, with its weight.
+	hits := make([][]labelHit, c.l.NumLabels())
+	for li := range hits {
+		name := c.l.LabelName(li)
+		for k, match := range matches {
+			if match(name) {
+				hits[li] = append(hits[li], labelHit{sel: k, w: weight(name)})
 			}
 		}
 	}
+	numExp, numVan := make([]int, len(matches)), make([]int, len(matches))
+	c.firings(
+		func(_ int, li int32, _ float64) {
+			for _, h := range hits[li] {
+				numExp[h.sel]++
+			}
+		},
+		func(_ int, _ branch, li int32, _ float64) {
+			for _, h := range hits[li] {
+				numVan[h.sel]++
+			}
+		})
+	sels := make([]*Selection, len(matches))
+	for k := range sels {
+		sels[k] = &Selection{exp: make([]expFiring, 0, numExp[k]), van: make([]vanFiring, 0, numVan[k])}
+	}
+	c.firings(
+		func(edge int, li int32, count float64) {
+			for _, h := range hits[li] {
+				src := int32(c.ctmcIndex[c.expEdges[edge].src])
+				sel := sels[h.sel]
+				sel.exp = append(sel.exp, expFiring{src: src, edge: int32(edge), count: count, w: h.w})
+			}
+		},
+		func(pos int, b branch, li int32, count float64) {
+			for _, h := range hits[li] {
+				sel := sels[h.sel]
+				sel.van = append(sel.van, vanFiring{pos: int32(pos), prob: b.prob, count: count, w: h.w})
+			}
+		})
+	return sels
+}
 
-	// Exponential transitions fire at pi(src)·lambda.
-	// Also accumulate the entry rates of vanishing states.
-	entry := make([]float64, len(c.vanishing))
+// labelHit is one selection that selects a label, and the label's weight.
+type labelHit struct {
+	sel int
+	w   float64
+}
+
+// firings calls exp for every firing of an exponential edge (its index)
+// and van for every firing of an immediate branch (its source's position
+// in the elimination order), with the fired label and its traversal
+// count — 1 for the transition's own label, the expected count for a
+// label folded into it — in the order a throughput sums them.
+func (c *CTMC) firings(exp func(edge int, label int32, count float64), van func(pos int, b branch, label int32, count float64)) {
 	for i, e := range c.expEdges {
-		p := pi[c.ctmcIndex[e.src]]
-		if p == 0 {
-			continue
-		}
-		rate := c.expRate[i]
-		if w, ok := lw.of(c.l.EdgeLabel(e.ltsTrans)); ok {
-			total += p * rate * w
-		}
-		foldedAt(e.ltsTrans, p*rate)
-		if vp := c.vanPos[e.dst]; vp >= 0 {
-			entry[vp] += p * rate
+		exp(i, int32(c.l.EdgeLabel(e.ltsTrans)), 1)
+		labels, counts := c.l.AuxTerms(c.l.EdgeAux(e.ltsTrans))
+		for k, li := range labels {
+			exp(i, li, counts[k])
 		}
 	}
-	// Propagate entry rates through the vanishing DAG in topological
-	// order; each immediate branch fires at entry(src)·prob.
-	for i := range c.vanishing {
-		if entry[i] == 0 {
-			continue
+	for pos, brs := range c.branches {
+		for _, b := range brs {
+			van(pos, b, int32(c.l.EdgeLabel(b.ltsTrans)), 1)
+			labels, counts := c.l.AuxTerms(c.l.EdgeAux(b.ltsTrans))
+			for k, li := range labels {
+				van(pos, b, li, counts[k])
+			}
 		}
-		for _, b := range c.branches[i] {
-			fire := entry[i] * b.prob
-			if w, ok := lw.of(c.l.EdgeLabel(b.ltsTrans)); ok {
-				total += fire * w
-			}
-			foldedAt(b.ltsTrans, fire)
-			if vp := c.vanPos[b.dst]; vp >= 0 {
-				entry[vp] += fire
-			}
+	}
+}
+
+// StateSet is a state predicate compiled against a chain: the ascending
+// tangible indices at which it holds. Like a Selection it depends on the
+// chain's structure only.
+type StateSet []int32
+
+// SelectStates compiles the LTS predicate with the given name (recorded at
+// generation time) against the chain.
+func (c *CTMC) SelectStates(predName string) (StateSet, error) {
+	col, err := c.l.PredColumn(predName)
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, s := range c.TangibleOf {
+		if col[s] {
+			n++
+		}
+	}
+	set := make(StateSet, 0, n)
+	for ci, s := range c.TangibleOf {
+		if col[s] {
+			set = append(set, int32(ci))
+		}
+	}
+	return set, nil
+}
+
+// Prob returns the probability that the distribution pi over tangible
+// states assigns to the set.
+func (set StateSet) Prob(pi []float64) float64 {
+	total := 0.0
+	for _, ci := range set {
+		if p := pi[ci]; p != 0 {
+			total += p
 		}
 	}
 	return total
 }
 
-// labelWeights resolves a match/weight pair lazily, once per label index.
-type labelWeights struct {
-	l      *lts.LTS
-	match  func(string) bool
-	weight func(string) float64
-	sel    []int8 // 0 unresolved, 1 selected, -1 not
-	w      []float64
+// Flow evaluates compiled selections on one distribution over a chain's
+// tangible states, at the chain's current rates. The entry rates of the
+// vanishing states, which every immediate firing reads, are propagated
+// once per Flow, by the first selection that needs them. A Flow is for
+// one goroutine; the selections it reads may be shared.
+type Flow struct {
+	c     *CTMC
+	pi    []float64
+	entry []float64
 }
 
-// of returns the weight of label index li and whether match selects it.
-func (lw *labelWeights) of(li int) (float64, bool) {
-	if lw.sel[li] == 0 {
-		lw.sel[li] = -1
-		if name := lw.l.LabelName(li); lw.match(name) {
-			lw.sel[li] = 1
-			lw.w[li] = lw.weight(name)
+// Flow returns the evaluator of compiled selections on pi.
+func (c *CTMC) Flow(pi []float64) Flow { return Flow{c: c, pi: pi} }
+
+// Throughput evaluates a selection compiled on f's chain, or on the chain
+// it was cloned from: exponential firings at pi(src)·rate, immediate ones
+// at their source's entry rate times the branch probability.
+func (f *Flow) Throughput(sel *Selection) float64 {
+	pi, rate := f.pi, f.c.expRate
+	total := 0.0
+	for _, x := range sel.exp {
+		if p := pi[x.src]; p != 0 {
+			total += p * rate[x.edge] * x.count * x.w
 		}
 	}
-	return lw.w[li], lw.sel[li] > 0
+	if len(sel.van) == 0 {
+		return total
+	}
+	entry := f.entries()
+	for _, x := range sel.van {
+		if e := entry[x.pos]; e != 0 {
+			total += e * x.prob * x.count * x.w
+		}
+	}
+	return total
 }
 
-// ProbLocallyEnabled computes the steady-state probability of the LTS
-// predicate with the given name (recorded at generation time).
-func (c *CTMC) ProbLocallyEnabled(pi []float64, predName string) (float64, error) {
-	total := 0.0
-	for ci, p := range pi {
-		if p == 0 {
+// entries returns the entry rate of every vanishing state: the flow of
+// the exponential edges into it, then, in elimination order, the flow of
+// the immediate branches into it.
+func (f *Flow) entries() []float64 {
+	if f.entry != nil {
+		return f.entry
+	}
+	c := f.c
+	entry := make([]float64, len(c.vanishing))
+	for i, e := range c.expEdges {
+		vp := c.vanPos[e.dst]
+		if vp < 0 {
 			continue
 		}
-		v, err := c.l.Pred(predName, c.TangibleOf[ci])
-		if err != nil {
-			return 0, err
-		}
-		if v {
-			total += p
+		if p := f.pi[c.ctmcIndex[e.src]]; p != 0 {
+			entry[vp] += p * c.expRate[i]
 		}
 	}
-	return total, nil
-}
-
-// Transient computes the state distribution at time t from the initial
-// distribution, by uniformization. epsilon bounds the truncation error of
-// the Poisson series (default 1e-10).
-func (c *CTMC) Transient(t, epsilon float64) []float64 {
-	return c.TransientFrom(c.Initial, t, epsilon)
+	for i, brs := range c.branches {
+		if entry[i] == 0 {
+			continue
+		}
+		for _, b := range brs {
+			if vp := c.vanPos[b.dst]; vp >= 0 {
+				entry[vp] += entry[i] * b.prob
+			}
+		}
+	}
+	f.entry = entry
+	return entry
 }
 
 // TransientFrom evolves an arbitrary distribution over tangible states by
@@ -265,16 +399,6 @@ func computePoissonWeights(qt, epsilon float64) []float64 {
 		logW += math.Log(qt) - math.Log(float64(k+1))
 	}
 	return ws
-}
-
-// MeanExitRate returns the steady-state average exit rate (a sanity
-// metric: the total event rate of the chain).
-func (c *CTMC) MeanExitRate(pi []float64) float64 {
-	total := 0.0
-	for ci, p := range pi {
-		total += p * c.Exit[ci]
-	}
-	return total
 }
 
 // NumExpEdges returns the number of exponential transitions retained from

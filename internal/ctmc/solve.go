@@ -543,7 +543,3 @@ func (c *CTMC) bottomSCCs() [][]int {
 	}
 	return out
 }
-
-// BottomSCCs returns the bottom strongly connected components of the
-// tangible chain — useful for diagnosing reducible models.
-func (c *CTMC) BottomSCCs() [][]int { return c.bottomSCCs() }

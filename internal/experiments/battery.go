@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/lts"
+	"repro/internal/measure"
 	"repro/internal/models"
 )
 
@@ -52,40 +53,38 @@ func (r *Runner) BatteryLifetime(budget, timeout, dt float64) ([]BatteryPoint, e
 		if err != nil {
 			return BatteryPoint{}, err
 		}
-		measures := models.RPCMeasures(p)
 		chain, err := s.Chain()
 		if err != nil {
 			return BatteryPoint{}, err
 		}
 
-		energyAt := func(pi []float64) (float64, error) {
-			total := 0.0
-			for _, ms := range measures {
-				if ms.Name != "energy" {
-					continue
-				}
-				v, err := ms.EvalCTMC(chain, pi)
-				if err != nil {
-					return 0, err
-				}
-				total += v
+		// The energy measure and the served-request selection are compiled
+		// once and evaluated at every integration step.
+		var energy []measure.Measure
+		for _, ms := range models.RPCMeasures(p) {
+			if ms.Name == "energy" {
+				energy = append(energy, ms)
 			}
-			return total, nil
+		}
+		energyRate, err := measure.Compile(energy, chain)
+		if err != nil {
+			return BatteryPoint{}, err
+		}
+		requests := chain.SelectAll(nil, func(label string) bool {
+			return lts.LabelInvolves(label, "C.process_result_packet")
+		})[0]
+		energyAt := func(pi []float64) float64 {
+			return energyRate.Eval(chain, pi)["energy"]
 		}
 		throughputAt := func(pi []float64) float64 {
-			return chain.Throughput(pi, func(label string) bool {
-				return lts.LabelInvolves(label, "C.process_result_packet")
-			}, nil)
+			f := chain.Flow(pi)
+			return f.Throughput(requests)
 		}
 
 		// Trapezoidal integration of the transient energy rate until the
 		// budget is spent.
 		pi := append([]float64(nil), chain.Initial...)
-		eRate, err := energyAt(pi)
-		if err != nil {
-			return BatteryPoint{}, err
-		}
-		tRate := throughputAt(pi)
+		eRate, tRate := energyAt(pi), throughputAt(pi)
 		var (
 			elapsed  float64
 			consumed float64
@@ -100,11 +99,7 @@ func (r *Runner) BatteryLifetime(budget, timeout, dt float64) ([]BatteryPoint, e
 			if err != nil {
 				return BatteryPoint{}, err
 			}
-			eNext, err := energyAt(next)
-			if err != nil {
-				return BatteryPoint{}, err
-			}
-			tNext := throughputAt(next)
+			eNext, tNext := energyAt(next), throughputAt(next)
 			dE := (eRate + eNext) / 2 * dt
 			dS := (tRate + tNext) / 2 * dt
 			if consumed+dE >= budget {

@@ -55,8 +55,15 @@ func (r *Runner) StreamingStartupTransient(times []float64, awakePeriod float64,
 		return nil, err
 	}
 
-	pEmpty := func(c *ctmc.CTMC, pi []float64) (float64, error) {
-		return c.ProbLocallyEnabled(pi, "B.miss_frame")
+	// The buffer-empty predicate is compiled once per chain and read at
+	// every sample.
+	emptyD, err := withDPM.SelectStates("B.miss_frame")
+	if err != nil {
+		return nil, err
+	}
+	emptyN, err := noDPM.SelectStates("B.miss_frame")
+	if err != nil {
+		return nil, err
 	}
 
 	out := make([]TransientPoint, 0, len(times))
@@ -79,15 +86,7 @@ func (r *Runner) StreamingStartupTransient(times []float64, awakePeriod float64,
 			return nil, err
 		}
 		prev = t
-		pd, err := pEmpty(withDPM, piD)
-		if err != nil {
-			return nil, err
-		}
-		pn, err := pEmpty(noDPM, piN)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TransientPoint{Time: t, PEmptyDPM: pd, PEmptyNoDPM: pn})
+		out = append(out, TransientPoint{Time: t, PEmptyDPM: emptyD.Prob(piD), PEmptyNoDPM: emptyN.Prob(piN)})
 	}
 	return out, nil
 }

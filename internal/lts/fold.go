@@ -55,8 +55,8 @@ import (
 // per id, absorption terms and their attributions carved from shared
 // slabs, successor lists and pending branches on explicit stacks. A
 // vanishing state is expanded once per generation however many
-// transitions reach it, and since the pools only grow by doubling,
-// folding makes no allocation per state.
+// transitions reach it, and since the verdict, term, attribution and mark
+// pools only grow by doubling, folding makes no allocation per state.
 
 // auxTerm is one observed-label attribution of a folded transition,
 // keyed by the label's name-unique compiled id (foldCtx.canon) until the
@@ -246,7 +246,7 @@ func (fc *foldCtx) reset() {
 func (fc *foldCtx) expandTarget(v []uint32, depth int) (uint32, error) {
 	id, fresh := fc.memo.Intern(v)
 	if fresh {
-		fc.verdicts = append(fc.verdicts, foldVerdict{})
+		fc.verdicts = append(doubling(fc.verdicts, 1), foldVerdict{})
 	}
 	switch st := fc.verdicts[id].state; {
 	case st == foldKeep || st == foldTerms:
@@ -317,7 +317,7 @@ func (fc *foldCtx) expandTarget(v []uint32, depth int) (uint32, error) {
 	fc.next = fc.next[:nextBase]
 
 	if n := fc.memo.Len(); len(fc.marks) < n {
-		fc.marks = slices.Grow(fc.marks, n-len(fc.marks))[:n]
+		fc.marks = doubling(fc.marks, n-len(fc.marks))[:n]
 	}
 	if fc.stamp++; fc.stamp == 0 {
 		clear(fc.marks)
@@ -366,7 +366,7 @@ func (fc *foldCtx) expandTarget(v []uint32, depth int) (uint32, error) {
 		t := &fc.terms[ti]
 		t.auxLo = int32(len(fc.aux))
 		for ; i < len(fc.acc) && fc.acc[i].term == ti; i++ {
-			fc.aux = append(fc.aux, auxFlow{label: fc.acc[i].label, flow: fc.acc[i].flow})
+			fc.aux = append(doubling(fc.aux, 1), auxFlow{label: fc.acc[i].label, flow: fc.acc[i].flow})
 		}
 		t.auxHi = int32(len(fc.aux))
 	}
@@ -384,8 +384,19 @@ func (fc *foldCtx) addTerm(state uint32, p float64) int32 {
 	}
 	ti := int32(len(fc.terms))
 	fc.marks[state] = termMark{stamp: fc.stamp, at: ti}
-	fc.terms = append(fc.terms, foldTerm{state: state, prob: p})
+	fc.terms = append(doubling(fc.terms, 1), foldTerm{state: state, prob: p})
 	return ti
+}
+
+// doubling returns s with room for extra more elements, doubling its
+// capacity when it has to grow, as TupleTable and RowBuilder do: append
+// alone grows a large slice by 1.25×, copying the pool several times
+// more on its way to a given size.
+func doubling[T any](s []T, extra int) []T {
+	if len(s)+extra > cap(s) {
+		s = slices.Grow(s, max(extra, cap(s)))
+	}
+	return s
 }
 
 // addFlow adds flow to the attribution of a canonical label on term ti.

@@ -346,14 +346,17 @@ func (l *LTS) Deadlocks() []int {
 	return out
 }
 
-// Pred returns the truth of the named predicate in state s.
-func (l *LTS) Pred(name string, s int) (bool, error) {
+// PredColumn returns the truth of the named predicate in every state,
+// indexed by state. The column aliases the system's storage and must not
+// be modified. Callers look a predicate up once and then index it, rather
+// than matching its name once per state.
+func (l *LTS) PredColumn(name string) ([]bool, error) {
 	for i, n := range l.PredNames {
 		if n == name {
-			return l.Preds[i][s], nil
+			return l.Preds[i], nil
 		}
 	}
-	return false, fmt.Errorf("lts: unknown predicate %q", name)
+	return nil, fmt.Errorf("lts: unknown predicate %q", name)
 }
 
 // Hide returns the LTS in which every transition whose label satisfies

@@ -143,13 +143,13 @@ func TestPredicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// State 0 is the empty buffer: get disabled, put enabled.
-	if v, err := l.Pred("B.get", 0); err != nil || v {
-		t.Errorf("B.get at 0 = (%t, %v), want false", v, err)
+	if col, err := l.PredColumn("B.get"); err != nil || col[0] {
+		t.Errorf("B.get at 0: column %v (%v), want false", col, err)
 	}
-	if v, err := l.Pred("B.put", 0); err != nil || !v {
-		t.Errorf("B.put at 0 = (%t, %v), want true", v, err)
+	if col, err := l.PredColumn("B.put"); err != nil || !col[0] {
+		t.Errorf("B.put at 0: column %v (%v), want true", col, err)
 	}
-	if _, err := l.Pred("B.nothing", 0); err == nil {
+	if _, err := l.PredColumn("B.nothing"); err == nil {
 		t.Error("unknown predicate should error")
 	}
 }
@@ -215,8 +215,8 @@ func TestRestrictKeepsPredicates(t *testing.T) {
 	}
 	// The last reachable state is the full buffer, where put is disabled.
 	full := r.NumStates - 1
-	if v, err := r.Pred("B.put", full); err != nil || v {
-		t.Errorf("B.put at full = (%t, %v), want false", v, err)
+	if col, err := r.PredColumn("B.put"); err != nil || len(col) != r.NumStates || col[full] {
+		t.Errorf("B.put column %v (%v), want %d states and false at full", col, err, r.NumStates)
 	}
 }
 

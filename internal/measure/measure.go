@@ -138,36 +138,15 @@ func ObservedMatcher(ms []Measure) func(label string) bool {
 }
 
 // EvalAll evaluates a set of measures on a solved chain, resolving
-// derived ratio measures against the base values.
+// derived ratio measures against the base values. It compiles the set
+// and evaluates it once; callers that evaluate one set on many solutions
+// of a chain compile it once with Compile.
 func EvalAll(ms []Measure, c *ctmc.CTMC, pi []float64) (map[string]float64, error) {
-	out := make(map[string]float64, len(ms))
-	for _, m := range ms {
-		if m.Derived {
-			continue
-		}
-		v, err := m.EvalCTMC(c, pi)
-		if err != nil {
-			return nil, err
-		}
-		out[m.Name] = v
+	cm, err := Compile(ms, c)
+	if err != nil {
+		return nil, err
 	}
-	for _, m := range ms {
-		if !m.Derived {
-			continue
-		}
-		num, okN := out[m.Num]
-		den, okD := out[m.Den]
-		if !okN || !okD {
-			return nil, fmt.Errorf("measure %s: ratio operands %q/%q not both defined before it",
-				m.Name, m.Num, m.Den)
-		}
-		if den == 0 {
-			out[m.Name] = 0
-		} else {
-			out[m.Name] = num / den
-		}
-	}
-	return out, nil
+	return cm.Eval(c, pi), nil
 }
 
 // EvalCTMC computes the exact steady-state value of the measure on a
@@ -177,25 +156,128 @@ func (m Measure) EvalCTMC(c *ctmc.CTMC, pi []float64) (float64, error) {
 	if m.Derived {
 		return 0, fmt.Errorf("measure %s: derived measures require EvalAll", m.Name)
 	}
-	total := 0.0
-	for _, cl := range m.Clauses {
-		switch cl.Kind {
-		case StateReward:
-			p, err := c.ProbLocallyEnabled(pi, cl.Pred())
-			if err != nil {
-				return 0, fmt.Errorf("measure %s: %w", m.Name, err)
-			}
-			total += cl.Value * p
-		case TransReward:
+	cm, err := Compile([]Measure{m}, c)
+	if err != nil {
+		return 0, err
+	}
+	return cm.Eval(c, pi)[m.Name], nil
+}
+
+// Compiled is a measure set compiled against one chain structure: each
+// STATE_REWARD clause as the tangible states where its predicate holds
+// (ctmc.StateSet), each TRANS_REWARD clause as the ordered firings of the
+// transitions involving its action (ctmc.Selection), and each ratio's
+// operands checked. Evaluation replays the float additions of a per-call
+// walk in the same order, so its values are bit-identical to one. A
+// Compiled holds no rates, so it serves the chain it was compiled on and
+// every Clone of it, at any rebound rates and from any number of
+// goroutines at once.
+type Compiled struct {
+	ms      []Measure
+	clauses [][]clause // per measure of ms; nil for a derived one
+	trans   []*ctmc.Selection
+}
+
+// clause is one compiled reward clause: a STATE_REWARD clause's states,
+// or, when trans >= 0, a TRANS_REWARD clause's selection in
+// Compiled.trans.
+type clause struct {
+	value  float64
+	states ctmc.StateSet
+	trans  int
+}
+
+// Compile compiles a set of measures against a chain. It fails where
+// EvalAll would: on a predicate the LTS was not generated with, and on a
+// ratio whose operands are not both defined before it. Clauses that name
+// one predicate share its compiled form, and every TRANS_REWARD
+// selection is compiled in one walk over the chain (ctmc.SelectAll).
+func Compile(ms []Measure, c *ctmc.CTMC) (*Compiled, error) {
+	cm := &Compiled{ms: ms, clauses: make([][]clause, len(ms))}
+	states := make(map[string]ctmc.StateSet)
+	transAt := make(map[string]int)
+	var matches []func(string) bool
+	defined := make(map[string]bool, len(ms))
+	for i, m := range ms {
+		if m.Derived {
+			continue
+		}
+		clauses := make([]clause, len(m.Clauses))
+		for k, cl := range m.Clauses {
 			pred := cl.Pred()
-			total += cl.Value * c.Throughput(pi, func(label string) bool {
-				return lts.LabelInvolves(label, pred)
-			}, nil)
-		default:
-			return 0, fmt.Errorf("measure %s: invalid reward kind", m.Name)
+			clauses[k] = clause{value: cl.Value, trans: -1}
+			switch cl.Kind {
+			case StateReward:
+				set, ok := states[pred]
+				if !ok {
+					var err error
+					if set, err = c.SelectStates(pred); err != nil {
+						return nil, fmt.Errorf("measure %s: %w", m.Name, err)
+					}
+					states[pred] = set
+				}
+				clauses[k].states = set
+			case TransReward:
+				at, ok := transAt[pred]
+				if !ok {
+					at = len(matches)
+					transAt[pred] = at
+					matches = append(matches, func(label string) bool { return lts.LabelInvolves(label, pred) })
+				}
+				clauses[k].trans = at
+			default:
+				return nil, fmt.Errorf("measure %s: invalid reward kind", m.Name)
+			}
+		}
+		cm.clauses[i] = clauses
+		defined[m.Name] = true
+	}
+	for _, m := range ms {
+		if !m.Derived {
+			continue
+		}
+		if !defined[m.Num] || !defined[m.Den] {
+			return nil, fmt.Errorf("measure %s: ratio operands %q/%q not both defined before it",
+				m.Name, m.Num, m.Den)
+		}
+		defined[m.Name] = true
+	}
+	if len(matches) > 0 {
+		cm.trans = c.SelectAll(nil, matches...)
+	}
+	return cm, nil
+}
+
+// Eval evaluates the compiled set on pi, a solution of c — the chain the
+// set was compiled on or a Clone of it, at its current rates.
+func (cm *Compiled) Eval(c *ctmc.CTMC, pi []float64) map[string]float64 {
+	out := make(map[string]float64, len(cm.ms))
+	f := c.Flow(pi)
+	for i, m := range cm.ms {
+		if m.Derived {
+			continue
+		}
+		total := 0.0
+		for _, cl := range cm.clauses[i] {
+			if cl.trans >= 0 {
+				total += cl.value * f.Throughput(cm.trans[cl.trans])
+			} else {
+				total += cl.value * cl.states.Prob(pi)
+			}
+		}
+		out[m.Name] = total
+	}
+	for _, m := range cm.ms {
+		if !m.Derived {
+			continue
+		}
+		if den := out[m.Den]; den == 0 {
+			out[m.Name] = 0
+		} else {
+			out[m.Name] = out[m.Num] / den
 		}
 	}
-	return total, nil
+	return out
 }
 
 // DeriveIntervals resolves the derived (ratio) measures of ms against a

@@ -94,17 +94,18 @@ type minimized struct {
 // opened on the same hash (through one Manager) shares a single state, so
 // the model is elaborated once, the LTS generated once, the chain built
 // once (its structural solve plan computed once, via the chain's own
-// lazy plan) — no matter how many handles, goroutines, or experiment
-// drivers are running.
+// lazy plan) and the measures compiled against it once — no matter how
+// many handles, goroutines, or experiment drivers are running.
 type sessionState struct {
 	spec Spec
 	hash SpecHash
 
-	model  stage[*elab.Model]
-	minim  stage[minimized]
-	ltsS   stage[*lts.LTS]
-	chain  stage[*ctmc.CTMC]
-	phase2 stage[*Phase2Report]
+	model    stage[*elab.Model]
+	minim    stage[minimized]
+	ltsS     stage[*lts.LTS]
+	chain    stage[*ctmc.CTMC]
+	measures stage[*measure.Compiled]
+	phase2   stage[*Phase2Report]
 }
 
 // Manager interns session states by SpecHash: Open with an equal-hash
@@ -293,6 +294,19 @@ func (s *Session) Chain() (*ctmc.CTMC, error) {
 	})
 }
 
+// measures returns the spec's measures compiled against the session's
+// chain on first use. The compiled set holds no rates, so Phase 2 and
+// every sweep worker's rebound clone evaluate through this one set.
+func (s *Session) measures() (*measure.Compiled, error) {
+	return s.st.measures.get(s.ctx(), "pipeline.measures", func() (*measure.Compiled, error) {
+		chain, err := s.Chain()
+		if err != nil {
+			return nil, err
+		}
+		return measure.Compile(s.st.spec.Measures, chain)
+	})
+}
+
 // Phase1 checks noninterference of the session's (untimed) state space:
 // the functional phase of the methodology. The verdict is not memoized —
 // spec holds functions and is not hashable — but the expensive artifact,
@@ -338,12 +352,12 @@ func (s *Session) Phase2() (*Phase2Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		values, err := measure.EvalAll(s.st.spec.Measures, chain, pi)
+		measures, err := s.measures()
 		if err != nil {
 			return nil, err
 		}
 		rep := &Phase2Report{
-			Values:    values,
+			Values:    measures.Eval(chain, pi),
 			States:    l.NumStates,
 			Tangible:  chain.N,
 			Vanishing: chain.NumVanishing(),

@@ -74,7 +74,8 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 // ctmc.BatchLanes points — one four-lane group; the last chunk may be
 // shorter — and the chunks run on fault.Pool with Config.Workers
 // workers. Every lane runs exactly the floating-point operations of a
-// one-lane SteadyState solve at its point, so each report is
+// one-lane SteadyState solve at its point, and every worker evaluates
+// the session's one compiled measure set on its clone, so each report is
 // bit-identical to Clone → Rebind(point) → SteadyState → measure.EvalAll
 // on the session's chain, at any worker count. The rebound
 // generator matrix is itself bit-identical to a freshly built one, so a
@@ -138,6 +139,10 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 		return nil, fmt.Errorf("pipeline: sweep: %w", err)
 	}
 	pristine, err := s.Chain()
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: sweep: %w", err)
+	}
+	compiled, err := s.measures()
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: sweep: %w", err)
 	}
@@ -236,7 +241,8 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 
 	// resolvePoint completes point i from its solve on chain: a lane's
 	// failure is the point's, and a converged lane is evaluated on chain
-	// rebound to the point's rates.
+	// rebound to the point's rates, through the session's compiled
+	// measures.
 	resolvePoint := func(chain *ctmc.CTMC, i int, pi []float64, err error) (*Phase2Report, error) {
 		if err != nil {
 			return nil, err
@@ -244,11 +250,7 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 		if err := chain.Rebind(points[i]); err != nil {
 			return nil, err
 		}
-		values, err := measure.EvalAll(measures, chain, pi)
-		if err != nil {
-			return nil, err
-		}
-		return report(values), nil
+		return report(compiled.Eval(chain, pi)), nil
 	}
 
 	// solveChunk solves points[off:off+width] on chain and publishes their

@@ -45,6 +45,13 @@ func (t *TupleTable) Tuple(id uint32) []uint32 {
 	return t.slab[lo : lo+t.width : lo+t.width]
 }
 
+// Tuples returns every stored tuple, back to back in identifier order:
+// tuple id is the slice's words [id·width, (id+1)·width). The slice
+// aliases the slab, with its spare capacity, and must not be modified.
+// Holding it keeps the tuples without the hash index, which is what a
+// finished state space needs for its descriptions.
+func (t *TupleTable) Tuples() []uint32 { return t.slab }
+
 // hashTuple mixes the words of v into a 32-bit hash whose low bits (the
 // ones the table masks) depend on every bit of every word. Each
 // (position, word) pair is mixed on its own and the mixes are summed, so

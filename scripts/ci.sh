@@ -89,13 +89,16 @@ go test -timeout 10m -race -cpu 1,2 \
 # goroutines open handles on one shared spec key and solve through the
 # single-flight stages (TestSessionSingleFlight), two handles with
 # different scheduling configs share one set of staged artifacts
-# (TestManagerReusesStagedArtifacts), and concurrent store reads hand out
-# private clones (TestStoreHitMatchesFreshSolve). The session layer is
+# (TestManagerReusesStagedArtifacts), concurrent store reads hand out
+# private clones (TestStoreHitMatchesFreshSolve), and sweep workers at 1,
+# 2 and 8 evaluate the session's one compiled measure set on their
+# rebound clones concurrently, bit-identical to the per-call oracle walk
+# (TestCompiledMeasuresMatchOracle in internal/ctmc). The session layer is
 # the one place every driver's goroutines now meet, so its race coverage
 # is load-bearing.
 echo "== session race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
-    -run 'SessionSingleFlight|ManagerReuses|StoreHit' ./internal/pipeline/
+    -run 'SessionSingleFlight|ManagerReuses|StoreHit|CompiledMeasures' ./internal/pipeline/ ./internal/ctmc/
 
 # Compositional-minimization smoke under the race detector at -cpu 1,2:
 # the quotient-vs-full properties — component lumping is deterministic
