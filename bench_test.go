@@ -458,7 +458,7 @@ func BenchmarkSweepReuseFresh(b *testing.B) {
 // every solve, re-paying the per-point SCC/reachability analysis exactly
 // as the pre-batching engine did; CachedPoint keeps the shared plan but
 // still solves one point at a time; Batched hands the points to
-// SolveBatch in 8-point chunks, each two four-lane groups, one CSR pass
+// SolveBatchLanes in 8-point chunks, each two four-lane groups, one CSR pass
 // feeding all lanes of a group. All three produce bit-identical solutions
 // (pinned by the ctmc and pipeline property tests), so the ns/op ratios
 // are pure solve-path speedups;
@@ -552,8 +552,14 @@ func benchBatchSolveBatched(b *testing.B, chain *ctmc.CTMC, points [][]float64) 
 	for i := 0; i < b.N; i++ {
 		for off := 0; off < len(points); off += batchSolveLanes {
 			end := min(off+batchSolveLanes, len(points))
-			if _, err := chain.SolveBatch(points[off:end], ctmc.BatchOptions{}); err != nil {
+			_, laneErrs, err := chain.SolveBatchLanes(points[off:end], ctmc.BatchOptions{})
+			if err != nil {
 				b.Fatal(err)
+			}
+			for _, err := range laneErrs {
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

@@ -94,13 +94,15 @@ func TestValidateResolvesLookups(t *testing.T) {
 		t.Fatalf("Instance lookup failed")
 	}
 	b, ok := et.Behavior("Send")
-	if !ok || b.Owner() != et {
+	if !ok || b.Name != "Send" {
 		t.Fatalf("Behavior lookup failed")
 	}
 	if et.Initial() != b {
 		t.Errorf("Initial() should be the first behaviour")
 	}
-	if !et.IsOutput("ping") || et.IsInput("ping") || !et.IsInteraction("ping") {
+	_, isOut := et.OutputPort("ping")
+	_, isIn := et.InputPort("ping")
+	if !isOut || isIn {
 		t.Errorf("interaction classification wrong for ping")
 	}
 }

@@ -162,8 +162,6 @@ type Behavior struct {
 	// Body is the process term; it must be action-guarded (Stop, an
 	// action prefix, or a choice — not a bare invocation).
 	Body Process
-
-	owner *ElemType
 }
 
 // Action is an occurrence of an action with its timing annotation.
@@ -264,27 +262,6 @@ func (a *ArchiType) Validated() bool { return a.validated }
 // (valid only after validation).
 func (a *ArchiType) NodeCount() int { return a.nodeCount }
 
-// ElemType returns the element type with the given name
-// (valid only after validation).
-func (a *ArchiType) ElemType(name string) (*ElemType, bool) {
-	et, ok := a.elemByName[name]
-	return et, ok
-}
-
-// Instance returns the instance with the given name
-// (valid only after validation).
-func (a *ArchiType) Instance(name string) (*Instance, bool) {
-	in, ok := a.instByName[name]
-	return in, ok
-}
-
-// Behavior returns the behaviour equation with the given name
-// (valid only after validation).
-func (t *ElemType) Behavior(name string) (*Behavior, bool) {
-	b, ok := t.behaviorByName[name]
-	return b, ok
-}
-
 // Initial returns the initial behaviour of the element type.
 func (t *ElemType) Initial() *Behavior {
 	if len(t.Behaviors) == 0 {
@@ -292,24 +269,3 @@ func (t *ElemType) Initial() *Behavior {
 	}
 	return t.Behaviors[0]
 }
-
-// IsInput reports whether the action name is a declared input interaction.
-func (t *ElemType) IsInput(action string) bool {
-	_, ok := t.InputPort(action)
-	return ok
-}
-
-// IsOutput reports whether the action name is a declared output interaction.
-func (t *ElemType) IsOutput(action string) bool {
-	_, ok := t.OutputPort(action)
-	return ok
-}
-
-// IsInteraction reports whether the action name is a declared interaction.
-func (t *ElemType) IsInteraction(action string) bool {
-	return t.IsInput(action) || t.IsOutput(action)
-}
-
-// Owner returns the element type containing the behaviour
-// (valid only after validation).
-func (b *Behavior) Owner() *ElemType { return b.owner }

@@ -99,14 +99,16 @@ func TestParsePaperRPC(t *testing.T) {
 	if len(a.Attachments) != 5 {
 		t.Fatalf("Attachments = %d, want 5", len(a.Attachments))
 	}
-	server, ok := a.ElemType("Server_Type")
+	server, ok := elemType(a, "Server_Type")
 	if !ok {
 		t.Fatal("Server_Type missing")
 	}
 	if len(server.Behaviors) != 5 {
 		t.Errorf("Server behaviours = %d, want 5", len(server.Behaviors))
 	}
-	if !server.IsInput("receive_shutdown") || !server.IsOutput("send_result_packet") {
+	_, in := server.InputPort("receive_shutdown")
+	_, out := server.OutputPort("send_result_packet")
+	if !in || !out {
 		t.Error("server interactions wrong")
 	}
 	// The parsed model must elaborate and run.
@@ -177,7 +179,7 @@ func TestParseParamsGuardsRates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	buf, _ := a.ElemType("Buffer_Type")
+	buf, _ := elemType(a, "Buffer_Type")
 	b := buf.Behaviors[0]
 	if len(b.Params) != 1 || b.Params[0].Name != "n" || b.Params[0].Type != expr.TypeInt {
 		t.Fatalf("params = %+v", b.Params)
@@ -194,12 +196,12 @@ func TestParseParamsGuardsRates(t *testing.T) {
 	if !ok || pre.Act.Rate.Kind != rates.Passive || pre.Act.Rate.Weight != 2 {
 		t.Fatalf("get rate = %v", pre.Act.Rate)
 	}
-	prod, _ := a.ElemType("Prod_Type")
+	prod, _ := elemType(a, "Prod_Type")
 	pp := prod.Behaviors[0].Body.(*aemilia.Prefix)
 	if pp.Act.Rate.Kind != rates.Exp || pp.Act.Rate.Lambda != 1.5 {
 		t.Fatalf("put rate = %v", pp.Act.Rate)
 	}
-	cons, _ := a.ElemType("Cons_Type")
+	cons, _ := elemType(a, "Cons_Type")
 	cp := cons.Behaviors[0].Body.(*aemilia.Prefix)
 	if cp.Act.Rate.Kind != rates.Immediate || cp.Act.Rate.Priority != 1 || cp.Act.Rate.Weight != 2 {
 		t.Fatalf("get rate = %v", cp.Act.Rate)
@@ -274,7 +276,7 @@ func TestParseExpressionPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	buf, _ := a.ElemType("Buffer_Type")
+	buf, _ := elemType(a, "Buffer_Type")
 	g := buf.Behaviors[0].Body.(*aemilia.Choice).Branches[0].(*aemilia.Guarded)
 	got := g.Cond.String()
 	want := "((((n + (1 * 2)) < 3) and not((n = 2))) or false)"
@@ -343,12 +345,12 @@ func TestParseMultiplicities(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	pub, _ := a.ElemType("Pub_Type")
+	pub, _ := elemType(a, "Pub_Type")
 	port, ok := pub.OutputPort("publish")
 	if !ok || port.Mult != aemilia.And {
 		t.Errorf("publish port = %+v, want AND", port)
 	}
-	srv, _ := a.ElemType("Srv_Type")
+	srv, _ := elemType(a, "Srv_Type")
 	port, ok = srv.OutputPort("serve")
 	if !ok || port.Mult != aemilia.Or {
 		t.Errorf("serve port = %+v, want OR", port)
@@ -387,8 +389,18 @@ func TestParseMixedMultiplicityGroups(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	sub, _ := a.ElemType("Sub_Type")
+	sub, _ := elemType(a, "Sub_Type")
 	if p, ok := sub.InputPort("extra"); !ok || p.Mult != aemilia.Or {
 		t.Errorf("extra port = %+v, want OR", p)
 	}
+}
+
+// elemType returns the element type of a with the given name.
+func elemType(a *aemilia.ArchiType, name string) (*aemilia.ElemType, bool) {
+	for _, et := range a.ElemTypes {
+		if et.Name == name {
+			return et, true
+		}
+	}
+	return nil, false
 }

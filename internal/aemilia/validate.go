@@ -169,7 +169,6 @@ func (a *ArchiType) validateElemType(et *ElemType, nextID *int) error {
 			}
 			seen[p.Name] = true
 		}
-		b.owner = et
 		et.behaviorByName[b.Name] = b
 	}
 	// Interactions must not be declared both input and output, and port

@@ -182,11 +182,11 @@ func TestMinimizePreservesPredicateProbabilities(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := chain.ProbLocallyEnabled(pi, "T.tock")
+		set, err := chain.SelectStates("T.tock")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
+		return set.Prob(pi)
 	}
 	pFull, pQuot := prob(m), prob(qm)
 	if math.Abs(pFull-pQuot) > 1e-12 {

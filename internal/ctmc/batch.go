@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// BatchOptions tunes SolveBatch.
+// BatchOptions tunes SolveBatchLanes.
 type BatchOptions struct {
 	// Solve is the shared solver configuration: tolerance and iteration
 	// bound are resolved exactly as SteadyState resolves them, and every
@@ -19,11 +19,12 @@ type BatchOptions struct {
 	LaneTolerances []float64
 }
 
-// BatchPointError attributes a SolveBatch failure to one point of the
-// batch. Point indexes the points slice passed to SolveBatch;
-// pipeline.Session.Sweep translates it to the global sweep-point index. When
-// several lanes fail, the lowest lane wins, matching the error a
-// sequential per-point loop over the same points would hit first.
+// BatchPointError attributes a batched-solve failure to one point of the
+// batch: SolveBatchLanes reports an invalid point with it. Point indexes
+// the points slice passed to the solve; pipeline.Session.Sweep translates
+// it to the global sweep-point index. When several points fail, the
+// lowest wins, matching the error a sequential per-point loop over the
+// same points would hit first.
 type BatchPointError struct {
 	Point int
 	Err   error
@@ -38,8 +39,8 @@ func (e *BatchPointError) Error() string {
 // *RebindError) to errors.Is/As.
 func (e *BatchPointError) Unwrap() error { return e.Err }
 
-// SolveBatch computes the steady-state distribution of the chain at K
-// rate-slot assignments in one pass: the structural skeleton (bottom
+// SolveBatchLanes computes the steady-state distribution of the chain at
+// K rate-slot assignments in one pass: the structural skeleton (bottom
 // component, incoming CSR indices) is shared across all points, the K
 // per-point rate vectors are gathered lane-interleaved from the chain's
 // recorded contribution terms, and the four-lane kernel iterates all
@@ -60,30 +61,14 @@ func (e *BatchPointError) Unwrap() error { return e.Err }
 // contribution terms, so c still carries whatever rates the last
 // Build/Rebind wrote.
 //
-// On failure the lowest failed lane is reported as a *BatchPointError
-// wrapping that lane's error, with ConvergenceError carrying the lane
-// index and rate vector.
-func (c *CTMC) SolveBatch(points [][]float64, opts BatchOptions) ([][]float64, error) {
-	out, laneErrs, err := c.SolveBatchLanes(points, opts)
-	if err != nil {
-		return nil, err
-	}
-	for k, e := range laneErrs {
-		if e != nil {
-			return nil, &BatchPointError{Point: k, Err: e}
-		}
-	}
-	return out, nil
-}
-
-// SolveBatchLanes is SolveBatch with per-lane failure reporting: laneErrs
-// has one entry per point (nil on success, the lane's *ConvergenceError —
-// already stamped with the lane index and rate vector — on failure), and
-// the converged lanes' results are returned even when other lanes failed,
-// so a sweep can publish the converged lanes below a failed one instead
-// of discarding the whole batch. The batch-level error is reserved for
-// failures of the batch as a whole: invalid input, cancellation, and
-// worker panics; when it is non-nil, out and laneErrs are nil.
+// Failures are reported per lane: laneErrs has one entry per point (nil
+// on success, the lane's *ConvergenceError — already stamped with the
+// lane index and rate vector — on failure), and the converged lanes'
+// results are returned even when other lanes failed, so a sweep can
+// publish the converged lanes below a failed one instead of discarding
+// the whole batch. The batch-level error is reserved for failures of the
+// batch as a whole: invalid input, cancellation, and worker panics; when
+// it is non-nil, out and laneErrs are nil.
 func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]float64, laneErrs []error, err error) {
 	K := len(points)
 	if K == 0 {

@@ -15,8 +15,9 @@ import (
 	"repro/internal/pipeline"
 )
 
-// oracleMeasures evaluates measures as EvalAll did before measures were
-// compiled: every clause walks the chain through the per-call oracles.
+// oracleMeasures evaluates measures the way they were evaluated before
+// they were compiled: every clause walks the chain through the per-call
+// oracles.
 func oracleMeasures(t *testing.T, ms []measure.Measure, c *ctmc.CTMC, pi []float64) map[string]float64 {
 	t.Helper()
 	out := make(map[string]float64, len(ms))
@@ -76,9 +77,9 @@ func withRatio(ms []measure.Measure) []measure.Measure {
 }
 
 // checkChainAgainstOracle solves c and compares, bit for bit, every
-// measure through EvalAll, EvalCTMC and one Compile evaluated twice,
-// every label's throughput under a non-unit weight, and every
-// predicate's probability, with the per-call oracles. It returns the
+// measure through one Compile evaluated twice and through a Compile of
+// the measure alone, every label's throughput under a non-unit weight,
+// and every predicate's probability, with the per-call oracles. It returns the
 // number of immediate firings the label selections hold.
 func checkChainAgainstOracle(t *testing.T, c *ctmc.CTMC, l *lts.LTS, ms []measure.Measure) (vanFirings int) {
 	t.Helper()
@@ -87,13 +88,6 @@ func checkChainAgainstOracle(t *testing.T, c *ctmc.CTMC, l *lts.LTS, ms []measur
 		t.Fatal(err)
 	}
 	want := oracleMeasures(t, ms, c, pi)
-	all, err := measure.EvalAll(ms, c, pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameValues(all, want); err != nil {
-		t.Errorf("EvalAll: %v", err)
-	}
 	compiled, err := measure.Compile(ms, c)
 	if err != nil {
 		t.Fatal(err)
@@ -107,12 +101,12 @@ func checkChainAgainstOracle(t *testing.T, c *ctmc.CTMC, l *lts.LTS, ms []measur
 		if m.Derived {
 			continue
 		}
-		v, err := m.EvalCTMC(c, pi)
+		alone, err := measure.Compile([]measure.Measure{m}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(v) != math.Float64bits(want[m.Name]) {
-			t.Errorf("EvalCTMC %s = %v, oracle %v", m.Name, v, want[m.Name])
+		if v := alone.Eval(c, pi)[m.Name]; math.Float64bits(v) != math.Float64bits(want[m.Name]) {
+			t.Errorf("%s compiled alone = %v, oracle %v", m.Name, v, want[m.Name])
 		}
 	}
 	weight := func(label string) float64 { return 0.5 + float64(len(label))/7 }

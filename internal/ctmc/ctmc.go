@@ -87,7 +87,7 @@ type CTMC struct {
 	expSlots  []int32    // per expEdge: slot of its rate (0 = constant)
 
 	// Cached Poisson weight vectors for uniformization, keyed by (q·t,
-	// epsilon); see TransientFrom. Guarded by poissonMu.
+	// epsilon); see TransientFromCtx. Guarded by poissonMu.
 	poissonMu sync.Mutex
 	poisson   map[poissonKey][]float64
 
@@ -504,11 +504,6 @@ func makeTerm(r rates.Rate, prob float64) rateTerm {
 	return rateTerm{coeff: r.Lambda * prob}
 }
 
-// NumRateSlots returns the number of symbolic rate slots the chain was
-// built with (0 for a chain extracted from a slot-free LTS, which cannot
-// be rebound).
-func (c *CTMC) NumRateSlots() int { return c.numSlots }
-
 // Rebind rewrites every generator entry, exit rate, and exponential-edge
 // rate for the given slot values (values[k-1] is the new rate of slot k)
 // in O(edges), without touching the chain's structure: states, entry
@@ -640,7 +635,3 @@ func (c *CTMC) Clone() *CTMC {
 	}
 	return out
 }
-
-// CTMCIndexOf returns the tangible index of an LTS state, or -1 when the
-// state is vanishing.
-func (c *CTMC) CTMCIndexOf(ltsState int) int { return c.ctmcIndex[ltsState] }

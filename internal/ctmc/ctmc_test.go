@@ -314,14 +314,20 @@ func TestTransientExponentialDecay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tt := range []float64{0.1, 0.5, 1, 2, 5} {
-		p := c.TransientFrom(c.Initial, tt, 1e-12)
+		p, err := c.TransientFromCtx(nil, c.Initial, tt, 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := math.Exp(-tt)
 		if math.Abs(p[c.CTMCIndexOf(0)]-want) > 1e-6 {
 			t.Errorf("P0(%v) = %v, want %v", tt, p[c.CTMCIndexOf(0)], want)
 		}
 	}
 	// t=0 returns the initial distribution.
-	p := c.TransientFrom(c.Initial, 0, 1e-12)
+	p, err := c.TransientFromCtx(nil, c.Initial, 0, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p[c.CTMCIndexOf(0)] != 1 {
 		t.Errorf("P0(0) = %v, want 1", p[c.CTMCIndexOf(0)])
 	}
@@ -336,7 +342,10 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := c.TransientFrom(c.Initial, 200, 1e-12)
+	pt, err := c.TransientFromCtx(nil, c.Initial, 200, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range pi {
 		if math.Abs(pt[i]-pi[i]) > 1e-6 {
 			t.Errorf("transient(200)[%d] = %v, steady = %v", i, pt[i], pi[i])

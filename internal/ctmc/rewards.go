@@ -7,50 +7,9 @@ import (
 	"repro/internal/fault"
 )
 
-// StateReward computes the steady-state expectation of a state reward
-// defined on LTS states: sum over tangible states of pi(s)·reward(ltsState).
-// Vanishing states carry no probability mass (they are left in zero time).
-func (c *CTMC) StateReward(pi []float64, reward func(ltsState int) float64) float64 {
-	total := 0.0
-	for ci, p := range pi {
-		if p > 0 {
-			total += p * reward(c.TangibleOf[ci])
-		}
-	}
-	return total
-}
-
-// Throughput computes the steady-state frequency (firings per unit time)
-// of the LTS transitions selected by match, weighted by weight. Both
-// exponential and immediate transitions are supported: the frequency of an
-// immediate transition is derived from the entry rate of its vanishing
-// source state, propagated through the immediate branching probabilities.
-// Transitions that the generator folded away (compositional minimization)
-// are accounted for through the reward attributions it left on the
-// redirected edges: a folded label fires at the edge's frequency times its
-// recorded expected traversal count, so the result matches the unfolded
-// system. match and weight are asked once per label, not once per edge.
-//
-// It compiles the selection and evaluates it once; callers that evaluate
-// one selection on many solutions compile it once with SelectAll.
-func (c *CTMC) Throughput(pi []float64, match func(label string) bool, weight func(label string) float64) float64 {
-	f := c.Flow(pi)
-	return f.Throughput(c.SelectAll(weight, match)[0])
-}
-
-// ProbLocallyEnabled computes the steady-state probability of the LTS
-// predicate with the given name (recorded at generation time). It compiles
-// the predicate and evaluates it once; see SelectStates.
-func (c *CTMC) ProbLocallyEnabled(pi []float64, predName string) (float64, error) {
-	set, err := c.SelectStates(predName)
-	if err != nil {
-		return 0, err
-	}
-	return set.Prob(pi), nil
-}
-
 // Selection is a weighted transition selection compiled against a chain's
-// structure: every firing Throughput weighs, as an ordered contribution.
+// structure: every firing Flow.Throughput weighs, as an ordered
+// contribution.
 // Exponential edges come first, in edge order, each with its own label
 // and then the labels folded into it; immediate branches follow in
 // elimination order, likewise. That is the order the additions of a
@@ -80,8 +39,8 @@ type vanFiring struct {
 	prob, count, w float64
 }
 
-// SelectAll compiles the transition selections of Throughput against the
-// chain's structure, one per matcher, all weighted by weight (nil makes
+// SelectAll compiles the transition selections of Flow.Throughput against
+// the chain's structure, one per matcher, all weighted by weight (nil makes
 // it 1), in two walks over the chain's exponential edges and
 // immediate branches whatever the number of matchers: one counts each
 // selection's firings, so the second fills slices of exactly that size.
@@ -218,8 +177,13 @@ type Flow struct {
 func (c *CTMC) Flow(pi []float64) Flow { return Flow{c: c, pi: pi} }
 
 // Throughput evaluates a selection compiled on f's chain, or on the chain
-// it was cloned from: exponential firings at pi(src)·rate, immediate ones
-// at their source's entry rate times the branch probability.
+// it was cloned from: the steady-state frequency (firings per unit time)
+// of the selected transitions, weighted. Exponential firings count at
+// pi(src)·rate, immediate ones at their vanishing source's entry rate
+// times the branch probability. A label the generator folded away
+// (compositional minimization) fires at its edge's frequency times the
+// expected traversal count recorded on the edge, so the result matches
+// the unfolded system.
 func (f *Flow) Throughput(sel *Selection) float64 {
 	pi, rate := f.pi, f.c.expRate
 	total := 0.0
@@ -272,8 +236,8 @@ func (f *Flow) entries() []float64 {
 	return entry
 }
 
-// TransientFrom evolves an arbitrary distribution over tangible states by
-// time t (uniformization). The input is not modified.
+// TransientFromCtx evolves an arbitrary distribution over tangible states
+// by time t (uniformization). The input is not modified.
 //
 // The Poisson weight vector of the series depends only on q·t and epsilon
 // — not on the distribution being evolved — so it is computed once per
@@ -282,16 +246,11 @@ func (f *Flow) entries() []float64 {
 // thousands of times and reuse one vector. The cached path replays the
 // identical weight recurrence and truncation rule, so results are bit for
 // bit the same as recomputing the series inline.
-func (c *CTMC) TransientFrom(init []float64, t, epsilon float64) []float64 {
-	out, _ := c.TransientFromCtx(nil, init, t, epsilon)
-	return out
-}
-
-// TransientFromCtx is TransientFrom with cancellation: the context is
-// polled once per Poisson term, and a cancellation surfaces as a
-// *fault.CanceledError whose Iteration is the term index. A nil context
-// disables polling; the arithmetic of completed terms is unaffected by
-// when — or whether — a cancellation is observed.
+//
+// The context is polled once per Poisson term, and a cancellation
+// surfaces as a *fault.CanceledError whose Iteration is the term index. A
+// nil context disables polling; the arithmetic of completed terms is
+// unaffected by when — or whether — a cancellation is observed.
 func (c *CTMC) TransientFromCtx(ctx context.Context, init []float64, t, epsilon float64) ([]float64, error) {
 	if epsilon <= 0 {
 		epsilon = 1e-10
@@ -400,10 +359,6 @@ func computePoissonWeights(qt, epsilon float64) []float64 {
 	}
 	return ws
 }
-
-// NumExpEdges returns the number of exponential transitions retained from
-// the LTS (diagnostics).
-func (c *CTMC) NumExpEdges() int { return len(c.expEdges) }
 
 // NumVanishing returns the number of eliminated vanishing states.
 func (c *CTMC) NumVanishing() int { return len(c.vanishing) }

@@ -63,8 +63,8 @@ type ConvergenceError struct {
 	// Tolerance is the convergence threshold that was not reached.
 	Tolerance float64
 	// Point is the sweep-point index the failed solve belongs to, or -1
-	// when the solve was not part of a sweep. SolveBatch sets it to the
-	// batch-local lane; pipeline.Session.Sweep rewrites it to the global
+	// when the solve was not part of a sweep. SolveBatchLanes sets it to
+	// the batch-local lane; pipeline.Session.Sweep rewrites it to the global
 	// sweep-point index, so a failed point in a 100-point grid is
 	// identifiable from the error alone.
 	Point int
@@ -90,7 +90,7 @@ func (e *ConvergenceError) Error() string {
 func (e *ConvergenceError) Unwrap() error { return ErrNoConvergence }
 
 // solveDefaults fills the zero-value solver options with the documented
-// defaults; SteadyState and SolveBatch resolve them identically so a
+// defaults; SteadyState and SolveBatchLanes resolve them identically so a
 // batched lane runs under exactly the configuration a one-lane
 // SteadyState solve would.
 func solveDefaults(opts SolveOptions) SolveOptions {

@@ -1,14 +1,11 @@
 // Package dist provides the probability distributions the general models
 // draw activity durations from: exponential (the Markovian baseline),
-// deterministic, uniform, normal truncated at zero (the paper's Gaussian
-// radio-channel model), Erlang, and Weibull. Every distribution reports
-// its mean so that general models can be parameterized consistently with
-// the Markovian ones during cross-validation (paper Sect. 5.1).
+// deterministic, normal truncated at zero (the paper's Gaussian
+// radio-channel model), and Erlang.
 package dist
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/rng"
 )
@@ -17,8 +14,6 @@ import (
 type Distribution interface {
 	// Sample draws one duration.
 	Sample(r *rng.Rand) float64
-	// Mean returns the expected value.
-	Mean() float64
 	// String renders the distribution and its parameters.
 	String() string
 }
@@ -40,9 +35,6 @@ func ExpWithMean(mean float64) Exp { return Exp{Lambda: 1 / mean} }
 // Sample implements Distribution.
 func (d Exp) Sample(r *rng.Rand) float64 { return r.ExpFloat64(d.Lambda) }
 
-// Mean implements Distribution.
-func (d Exp) Mean() float64 { return 1 / d.Lambda }
-
 // String implements Distribution.
 func (d Exp) String() string { return fmt.Sprintf("exp(rate=%g)", d.Lambda) }
 
@@ -60,33 +52,8 @@ func NewDet(v float64) Det { return Det{Value: v} }
 // Sample implements Distribution.
 func (d Det) Sample(*rng.Rand) float64 { return d.Value }
 
-// Mean implements Distribution.
-func (d Det) Mean() float64 { return d.Value }
-
 // String implements Distribution.
 func (d Det) String() string { return fmt.Sprintf("det(%g)", d.Value) }
-
-// Uniform is a continuous uniform distribution on [Low, High].
-type Uniform struct {
-	// Low and High bound the support; Low <= High.
-	Low, High float64
-}
-
-var _ Distribution = Uniform{}
-
-// NewUniform builds a uniform distribution.
-func NewUniform(low, high float64) Uniform { return Uniform{Low: low, High: high} }
-
-// Sample implements Distribution.
-func (d Uniform) Sample(r *rng.Rand) float64 {
-	return d.Low + (d.High-d.Low)*r.Float64()
-}
-
-// Mean implements Distribution.
-func (d Uniform) Mean() float64 { return (d.Low + d.High) / 2 }
-
-// String implements Distribution.
-func (d Uniform) String() string { return fmt.Sprintf("uniform(%g, %g)", d.Low, d.High) }
 
 // Normal is a normal distribution truncated at zero (negative samples are
 // redrawn), matching the Gaussian channel model of the paper with small
@@ -111,10 +78,6 @@ func (d Normal) Sample(r *rng.Rand) float64 {
 	}
 	return 0 // pathological sigma >> mu; clamp
 }
-
-// Mean implements Distribution. For sigma << mu the truncation bias is
-// negligible, as in the paper's channel model.
-func (d Normal) Mean() float64 { return d.Mu }
 
 // String implements Distribution.
 func (d Normal) String() string { return fmt.Sprintf("normal(%g, %g)", d.Mu, d.Sigma) }
@@ -141,30 +104,5 @@ func (d Erlang) Sample(r *rng.Rand) float64 {
 	return sum
 }
 
-// Mean implements Distribution.
-func (d Erlang) Mean() float64 { return float64(d.K) / d.Lambda }
-
 // String implements Distribution.
 func (d Erlang) String() string { return fmt.Sprintf("erlang(%d, rate=%g)", d.K, d.Lambda) }
-
-// Weibull is a Weibull distribution with shape K and scale Lambda.
-type Weibull struct {
-	// K is the shape parameter; Lambda the scale.
-	K, Lambda float64
-}
-
-var _ Distribution = Weibull{}
-
-// NewWeibull builds a Weibull distribution.
-func NewWeibull(k, lambda float64) Weibull { return Weibull{K: k, Lambda: lambda} }
-
-// Sample implements Distribution.
-func (d Weibull) Sample(r *rng.Rand) float64 {
-	return d.Lambda * math.Pow(-math.Log(r.Float64Open()), 1/d.K)
-}
-
-// Mean implements Distribution.
-func (d Weibull) Mean() float64 { return d.Lambda * math.Gamma(1+1/d.K) }
-
-// String implements Distribution.
-func (d Weibull) String() string { return fmt.Sprintf("weibull(%g, %g)", d.K, d.Lambda) }

@@ -107,7 +107,6 @@ type nodeInfo struct {
 // the simulator's replication workers (internal/sim) each compile their
 // own from one shared Model.
 type Model struct {
-	arch  *aemilia.ArchiType
 	insts []instance
 	nodes []nodeInfo // indexed by process-node ID
 	// numRateSlots is the highest rate-slot index appearing in any action
@@ -127,7 +126,7 @@ func Elaborate(a *aemilia.ArchiType) (*Model, error) {
 			return nil, err
 		}
 	}
-	m := &Model{arch: a, nodes: make([]nodeInfo, a.NodeCount())}
+	m := &Model{nodes: make([]nodeInfo, a.NodeCount())}
 
 	for _, et := range a.ElemTypes {
 		for _, b := range et.Behaviors {
@@ -293,9 +292,6 @@ func (m *Model) indexNodes(p aemilia.Process, b *aemilia.Behavior) error {
 	}
 	return nil
 }
-
-// Arch returns the underlying architectural description.
-func (m *Model) Arch() *aemilia.ArchiType { return m.arch }
 
 // NumInstances returns the number of element instances.
 func (m *Model) NumInstances() int { return len(m.insts) }

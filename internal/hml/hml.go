@@ -106,30 +106,6 @@ func format(sb *strings.Builder, f Formula, indent string) {
 	}
 }
 
-// Depth returns the modal depth of the formula.
-func Depth(f Formula) int {
-	switch x := f.(type) {
-	case True:
-		return 0
-	case Not:
-		return Depth(x.F)
-	case And:
-		d := 0
-		for _, g := range x.Fs {
-			if dg := Depth(g); dg > d {
-				d = dg
-			}
-		}
-		return d
-	case Diamond:
-		return 1 + Depth(x.F)
-	case DiamondWeak:
-		return 1 + Depth(x.F)
-	default:
-		return 0
-	}
-}
-
 // Checker evaluates formulas on an LTS, caching tau-closures.
 type Checker struct {
 	l       *lts.LTS

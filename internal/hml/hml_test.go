@@ -128,14 +128,14 @@ func TestFormatVariants(t *testing.T) {
 
 func TestDepth(t *testing.T) {
 	f := DiamondWeak{Label: "a", F: Not{F: DiamondWeak{Label: "b", F: True{}}}}
-	if d := Depth(f); d != 2 {
+	if d := depth(f); d != 2 {
 		t.Errorf("Depth = %d, want 2", d)
 	}
-	if d := Depth(True{}); d != 0 {
-		t.Errorf("Depth(TRUE) = %d, want 0", d)
+	if d := depth(True{}); d != 0 {
+		t.Errorf("depth(TRUE) = %d, want 0", d)
 	}
-	if d := Depth(And{Fs: []Formula{Diamond{Label: "a", F: True{}}, True{}}}); d != 1 {
-		t.Errorf("Depth(AND) = %d, want 1", d)
+	if d := depth(And{Fs: []Formula{Diamond{Label: "a", F: True{}}, True{}}}); d != 1 {
+		t.Errorf("depth(AND) = %d, want 1", d)
 	}
 }
 
@@ -223,5 +223,29 @@ func TestParseFormatPropertyOnGenerated(t *testing.T) {
 		if Format(got) != text {
 			t.Errorf("not a fixed point: %s", text)
 		}
+	}
+}
+
+// depth returns the modal depth of the formula.
+func depth(f Formula) int {
+	switch x := f.(type) {
+	case True:
+		return 0
+	case Not:
+		return depth(x.F)
+	case And:
+		d := 0
+		for _, g := range x.Fs {
+			if dg := depth(g); dg > d {
+				d = dg
+			}
+		}
+		return d
+	case Diamond:
+		return 1 + depth(x.F)
+	case DiamondWeak:
+		return 1 + depth(x.F)
+	default:
+		return 0
 	}
 }

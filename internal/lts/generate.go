@@ -64,9 +64,9 @@ type FoldOptions struct {
 }
 
 // DefaultMaxStates is the state-count bound of generation when
-// GenerateOptions.MaxStates is unset, and the largest state count a .aut
-// header may declare to ReadAUT: every consumer of an LTS lays out an
-// O(states) CSR row index, so the bound caps that allocation too.
+// GenerateOptions.MaxStates is unset: every consumer of an LTS lays out an
+// O(states) CSR row index, so the bound caps that allocation too. The
+// tests' .aut reader holds a header's declared state count to it.
 const DefaultMaxStates = 2_000_000
 
 // TooManyStatesError reports that generation exceeded MaxStates.

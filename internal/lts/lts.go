@@ -25,17 +25,6 @@ const TauIndex = statespace.TauIndex
 // TauName is the display name of the invisible action.
 const TauName = statespace.TauName
 
-// Transition is one labelled transition between explicit states, in the
-// form returned by Out's span accessors.
-type Transition struct {
-	// Src and Dst are state indices.
-	Src, Dst int
-	// Label indexes the LTS label table.
-	Label int
-	// Rate is the timing annotation of the transition.
-	Rate rates.Rate
-}
-
 // Span is a read-only view of one state's outgoing transitions inside the
 // CSR arrays: Dst and Label are parallel slices, and Rate resolves each
 // transition's timing annotation through the system's rate table.
@@ -201,16 +190,6 @@ func (l *LTS) EdgeBase(s int) int {
 func (l *LTS) EdgeLabel(i int) int {
 	l.Seal()
 	return int(l.csr.Label[i])
-}
-
-// EdgeSlot returns the rate-slot index of the transition at global CSR
-// index i: k > 0 when the transition's exponential rate is bound to
-// symbolic rate parameter k (rates.Rate.Slot), 0 for a constant rate.
-// Together with EdgeBase this exposes the per-edge slot column of a
-// parametrically elaborated system.
-func (l *LTS) EdgeSlot(i int) int {
-	l.Seal()
-	return l.csr.Rate(int32(i)).Slot
 }
 
 // EdgeAux returns the reward-attribution handle of the transition at

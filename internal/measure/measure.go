@@ -71,9 +71,6 @@ type Measure struct {
 	Num, Den string
 }
 
-// IsBase reports whether the measure is evaluated from rewards directly.
-func (m Measure) IsBase() bool { return !m.Derived }
-
 // StatePreds returns the generation-time predicates the measure's
 // STATE_REWARD clauses require.
 func (m Measure) StatePreds() []lts.StatePred {
@@ -137,32 +134,6 @@ func ObservedMatcher(ms []Measure) func(label string) bool {
 	}
 }
 
-// EvalAll evaluates a set of measures on a solved chain, resolving
-// derived ratio measures against the base values. It compiles the set
-// and evaluates it once; callers that evaluate one set on many solutions
-// of a chain compile it once with Compile.
-func EvalAll(ms []Measure, c *ctmc.CTMC, pi []float64) (map[string]float64, error) {
-	cm, err := Compile(ms, c)
-	if err != nil {
-		return nil, err
-	}
-	return cm.Eval(c, pi), nil
-}
-
-// EvalCTMC computes the exact steady-state value of the measure on a
-// solved chain. The LTS must have been generated with the predicates from
-// StatePreds. Derived measures must be evaluated with EvalAll.
-func (m Measure) EvalCTMC(c *ctmc.CTMC, pi []float64) (float64, error) {
-	if m.Derived {
-		return 0, fmt.Errorf("measure %s: derived measures require EvalAll", m.Name)
-	}
-	cm, err := Compile([]Measure{m}, c)
-	if err != nil {
-		return 0, err
-	}
-	return cm.Eval(c, pi)[m.Name], nil
-}
-
 // Compiled is a measure set compiled against one chain structure: each
 // STATE_REWARD clause as the tangible states where its predicate holds
 // (ctmc.StateSet), each TRANS_REWARD clause as the ordered firings of the
@@ -187,9 +158,9 @@ type clause struct {
 	trans  int
 }
 
-// Compile compiles a set of measures against a chain. It fails where
-// EvalAll would: on a predicate the LTS was not generated with, and on a
-// ratio whose operands are not both defined before it. Clauses that name
+// Compile compiles a set of measures against a chain. It fails on a
+// predicate the LTS was not generated with, and on a ratio whose operands
+// are not both defined before it. Clauses that name
 // one predicate share its compiled form, and every TRANS_REWARD
 // selection is compiled in one walk over the chain (ctmc.SelectAll).
 func Compile(ms []Measure, c *ctmc.CTMC) (*Compiled, error) {

@@ -36,7 +36,6 @@ import (
 	"fmt"
 
 	"repro/internal/bisim"
-	"repro/internal/elab"
 	"repro/internal/fault"
 	"repro/internal/hml"
 	"repro/internal/lts"
@@ -114,23 +113,4 @@ func certify(hidden, restricted *lts.LTS, f hml.Formula) error {
 		return fmt.Errorf("noninterference: distinguishing formula holds in the restricted variant: %s", hml.Format(f))
 	}
 	return nil
-}
-
-// CheckModel generates the state space of an elaborated model and runs the
-// transparency check with the named instance's synchronizations as high
-// and the low instance's as observable.
-func CheckModel(m *elab.Model, highInstance, lowInstance string, opts lts.GenerateOptions) (*Result, error) {
-	for _, inst := range []string{highInstance, lowInstance} {
-		if _, ok := m.InstanceIndex(inst); !ok {
-			return nil, fmt.Errorf("noninterference: unknown instance %q", inst)
-		}
-	}
-	l, err := lts.Generate(m, opts)
-	if err != nil {
-		return nil, fmt.Errorf("noninterference: %w", err)
-	}
-	return Check(l, Spec{
-		High: lts.LabelMatcherByInstance(highInstance),
-		Low:  lts.LabelMatcherByInstance(lowInstance),
-	})
 }

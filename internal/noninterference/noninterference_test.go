@@ -1,6 +1,7 @@
 package noninterference
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -96,7 +97,7 @@ func transparentSystem(t *testing.T) *elab.Model {
 }
 
 func TestInterferenceDetected(t *testing.T) {
-	res, err := CheckModel(interferingSystem(t), "H", "C", lts.GenerateOptions{})
+	res, err := checkModel(interferingSystem(t), "H", "C", lts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestRPCSimplifiedFormulaCertified(t *testing.T) {
 }
 
 func TestTransparentSystemPasses(t *testing.T) {
-	res, err := CheckModel(transparentSystem(t), "H", "C", lts.GenerateOptions{})
+	res, err := checkModel(transparentSystem(t), "H", "C", lts.GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +229,30 @@ func TestCheckRequiresHigh(t *testing.T) {
 }
 
 func TestCheckModelUnknownInstance(t *testing.T) {
-	if _, err := CheckModel(transparentSystem(t), "NOPE", "C", lts.GenerateOptions{}); err == nil {
+	if _, err := checkModel(transparentSystem(t), "NOPE", "C", lts.GenerateOptions{}); err == nil {
 		t.Fatal("unknown high instance should error")
 	}
-	if _, err := CheckModel(transparentSystem(t), "H", "NOPE", lts.GenerateOptions{}); err == nil {
+	if _, err := checkModel(transparentSystem(t), "H", "NOPE", lts.GenerateOptions{}); err == nil {
 		t.Fatal("unknown low instance should error")
 	}
+}
+
+// checkModel generates the state space of an elaborated model and runs the
+// transparency check with the named instance's synchronizations as high
+// and the low instance's as observable, after checking that both
+// instances exist.
+func checkModel(m *elab.Model, highInstance, lowInstance string, opts lts.GenerateOptions) (*Result, error) {
+	for _, inst := range []string{highInstance, lowInstance} {
+		if _, ok := m.InstanceIndex(inst); !ok {
+			return nil, fmt.Errorf("noninterference: unknown instance %q", inst)
+		}
+	}
+	l, err := lts.Generate(m, opts)
+	if err != nil {
+		return nil, fmt.Errorf("noninterference: %w", err)
+	}
+	return Check(l, Spec{
+		High: lts.LabelMatcherByInstance(highInstance),
+		Low:  lts.LabelMatcherByInstance(lowInstance),
+	})
 }

@@ -143,13 +143,6 @@ func (mg *Manager) Open(spec Spec, cfg Config) (*Session, error) {
 	return &Session{st: st, cfg: cfg}, nil
 }
 
-// Len reports the number of interned session states.
-func (mg *Manager) Len() int {
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	return len(mg.sessions)
-}
-
 // NewSession returns an ephemeral Session: same staging and single-flight
 // semantics, but the state is private to the handle (and to copies of
 // it), never interned — the shape for one-shot callers (a CLI command, an
@@ -165,9 +158,6 @@ type Session struct {
 	st  *sessionState
 	cfg Config
 }
-
-// SpecHash returns the content address of the session's spec.
-func (s *Session) SpecHash() SpecHash { return s.st.hash }
 
 // ctx is the session's cancellation context (possibly nil).
 func (s *Session) ctx() context.Context { return s.cfg.Ctx }
@@ -408,14 +398,4 @@ func (s *Session) Phase3(dists map[sim.Activity]dist.Distribution, settings SimS
 		Events:       res.Events,
 		Replications: res.Replications,
 	}, nil
-}
-
-// ValidateAgainst cross-validates the session's exact Markovian solution
-// against a simulation of the same model (see Validate).
-func (s *Session) ValidateAgainst(simulated *Phase3Report, relTolerance float64) (*ValidationReport, error) {
-	exact, err := s.Phase2()
-	if err != nil {
-		return nil, err
-	}
-	return Validate(exact, simulated, relTolerance), nil
 }

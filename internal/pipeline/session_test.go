@@ -349,10 +349,11 @@ func TestPhase3AndValidation(t *testing.T) {
 	if simRep.Events == 0 || simRep.Replications != 10 {
 		t.Errorf("phase 3 bookkeeping wrong: %+v", simRep)
 	}
-	val, err := s.ValidateAgainst(simRep, 0.05)
+	exact, err := s.Phase2()
 	if err != nil {
 		t.Fatal(err)
 	}
+	val := pipeline.Validate(exact, simRep, 0.05)
 	if len(val.PerMeasure) != 3 {
 		t.Fatalf("validated %d measures, want 3", len(val.PerMeasure))
 	}

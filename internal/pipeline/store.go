@@ -61,10 +61,3 @@ func (s *MemoryStore) Put(key ResultKey, rep *Phase2Report) {
 	defer s.mu.Unlock()
 	s.m[key] = rep.clone()
 }
-
-// Len reports the number of cached results.
-func (s *MemoryStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}

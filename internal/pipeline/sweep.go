@@ -76,8 +76,8 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 // workers. Every lane runs exactly the floating-point operations of a
 // one-lane SteadyState solve at its point, and every worker evaluates
 // the session's one compiled measure set on its clone, so each report is
-// bit-identical to Clone → Rebind(point) → SteadyState → measure.EvalAll
-// on the session's chain, at any worker count. The rebound
+// bit-identical to Clone → Rebind(point) → SteadyState → measure.Compile
+// → Eval on the session's chain, at any worker count. The rebound
 // generator matrix is itself bit-identical to a freshly built one, so a
 // point's result equals a fresh generate+build+solve at that point's
 // rates up to the solver tolerance. A Config Store memoizes the reports

@@ -121,8 +121,8 @@ func TestRebindMatchesFreshBuild(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			chain := v.parametric(t)
-			if chain.NumRateSlots() != 1 {
-				t.Fatalf("parametric chain has %d rate slots, want 1", chain.NumRateSlots())
+			if rateSlots(chain) != 1 {
+				t.Fatalf("parametric chain has %d rate slots, want 1", rateSlots(chain))
 			}
 			for _, knob := range v.knobs {
 				if err := chain.Rebind([]float64{1 / knob}); err != nil {
@@ -197,8 +197,8 @@ func TestRebindStructuralErrors(t *testing.T) {
 	}
 
 	plain := privateChain(t, elaborateRPC(t, models.DefaultRPCParams()))
-	if plain.NumRateSlots() != 0 {
-		t.Fatalf("non-parametric chain reports %d slots", plain.NumRateSlots())
+	if rateSlots(plain) != 0 {
+		t.Fatalf("non-parametric chain reports %d slots", rateSlots(plain))
 	}
 	if err := plain.Rebind([]float64{1}); err == nil {
 		t.Fatal("rebinding a slot-free chain should fail")
@@ -379,11 +379,11 @@ func coldSolve(t *testing.T, s *pipeline.Session, measures []measure.Measure, po
 	if err != nil {
 		t.Fatal(err)
 	}
-	values, err := measure.EvalAll(measures, c, pi)
+	cm, err := measure.Compile(measures, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return values
+	return cm.Eval(c, pi)
 }
 
 // TestSweepMatchesColdSolve pins the sweep's contract: every report of a
@@ -490,4 +490,15 @@ func TestSweepStoreSharesPointsAcrossGrids(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameReports(t, "second grid vs store-free", fresh, b)
+}
+
+// rateSlots returns the number of rate slots chain accepts: the count an
+// empty Rebind, which fails its length check and leaves the chain
+// untouched, reports as wanted.
+func rateSlots(chain *ctmc.CTMC) int {
+	var rb *ctmc.RebindError
+	if errors.As(chain.Rebind(nil), &rb) {
+		return rb.Want
+	}
+	return 0
 }

@@ -150,7 +150,7 @@ func TestClockStepKeepsRunningClocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := p.newRunner()
-	if _, _, err := r.replicate(0, rng.New(1), 1); err != nil {
+	if _, _, err := r.replicate(0, rng.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	var s1 []int32
@@ -257,7 +257,7 @@ func TestReplicateZeroAllocsPerEvent(t *testing.T) {
 	}
 	r := p.newRunner()
 	rnd := rng.New(1)
-	if _, _, err := r.replicate(0, rnd, 1); err != nil {
+	if _, _, err := r.replicate(0, rnd); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.recs) != 2 || !r.recs[0].ready || !r.recs[1].ready {
@@ -267,7 +267,7 @@ func TestReplicateZeroAllocsPerEvent(t *testing.T) {
 		p.cfg.RunLength = runLength
 		var events int64
 		n := testing.AllocsPerRun(10, func() {
-			_, ev, err := r.replicate(0, rnd, 1)
+			_, ev, err := r.replicate(0, rnd)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -77,8 +77,8 @@ func streamingSimModel(t *testing.T, p models.StreamingParams) *elab.Model {
 }
 
 // simCases covers the general (and exponential-override) rpc model under
-// the timeout, trivial and predictive policies, the general streaming
-// model with and without DPM, and one batch-means run.
+// the timeout, trivial and predictive policies, and the general streaming
+// model with and without DPM.
 func simCases(t *testing.T) []simCase {
 	rpcRun := sim.Config{RunLength: 3000, Warmup: 200, Replications: 3, Seed: 20040628}
 	stRun := sim.Config{RunLength: 6000, Warmup: 500, Replications: 2, Seed: 7}
@@ -103,10 +103,6 @@ func simCases(t *testing.T) []simCase {
 		cases = append(cases, simCase{name, streamingSimModel(t, p),
 			models.StreamingGeneralDistributions(p), models.StreamingMeasures(p), stRun})
 	}
-	p := models.DefaultRPCParams()
-	cases = append(cases, simCase{"rpc/timeout/general/batch-means", rpcSimModel(t, p),
-		models.RPCGeneralDistributions(p), models.RPCMeasures(p),
-		sim.Config{RunLength: 400, Warmup: 100, Batches: 5, Seed: 11}})
 	return cases
 }
 

@@ -62,19 +62,13 @@ type Config struct {
 	Distributions map[Activity]dist.Distribution
 	// Measures are estimated during the run.
 	Measures []measure.Measure
-	// RunLength is the measured model-time horizon per replication (or
-	// per batch, in batch-means mode).
+	// RunLength is the measured model-time horizon per replication.
 	RunLength float64
 	// Warmup is discarded model time before measurement starts.
 	Warmup float64
 	// Replications is the number of independent runs (default 30, the
-	// paper's choice). Ignored in batch-means mode.
+	// paper's choice).
 	Replications int
-	// Batches, when positive, switches to the batch-means method: one
-	// long run of Warmup + Batches×RunLength model time, each batch
-	// contributing one observation. Cheaper than replications (a single
-	// warm-up) at the cost of residual correlation between batches.
-	Batches int
 	// Seed seeds the master random stream (default 1).
 	Seed uint64
 	// ConfidenceLevel for the reported intervals: 0.80, 0.90, 0.95 or
@@ -86,7 +80,7 @@ type Config struct {
 	// (default 1, i.e. sequential). Every replication draws from its own
 	// split random stream and the per-replication observations are merged
 	// in replication-index order, so the estimates are bit-identical at
-	// any worker count. Ignored in batch-means mode (a single run).
+	// any worker count.
 	Workers int
 	// Ctx cancels the experiment: every replication polls it periodically
 	// in its event loop, and a cancellation surfaces as a
@@ -105,12 +99,6 @@ type Result struct {
 	Events int64
 	// Replications is the number of completed runs.
 	Replications int
-}
-
-// Estimate returns the interval of a named measure.
-func (r *Result) Estimate(name string) (stats.Interval, bool) {
-	ci, ok := r.Estimates[name]
-	return ci, ok
 }
 
 // Simulation failure modes.
@@ -239,9 +227,6 @@ func Run(cfg Config) (*Result, error) {
 	if !(cfg.Warmup >= 0) || math.IsInf(cfg.Warmup, 1) {
 		return nil, fmt.Errorf("sim: Warmup must be non-negative and finite, got %v", cfg.Warmup)
 	}
-	if cfg.Batches < 0 {
-		return nil, fmt.Errorf("sim: Batches must not be negative, got %d", cfg.Batches)
-	}
 	if cfg.Replications <= 0 {
 		cfg.Replications = 30
 	}
@@ -268,17 +253,15 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Merge in run and segment order: the accumulator then sees the same
-	// observation sequence regardless of the worker count.
+	// Merge in run order: the accumulator then sees the same observation
+	// sequence regardless of the worker count.
 	accs := make([]stats.Accumulator, len(cfg.Measures))
 	res := &Result{Estimates: make(map[string]stats.Interval, len(cfg.Measures)), Events: events}
-	for _, segs := range obs {
-		for _, vals := range segs {
-			for i, v := range vals {
-				accs[i].Add(v)
-			}
-			res.Replications++
+	for _, vals := range obs {
+		for i, v := range vals {
+			accs[i].Add(v)
 		}
+		res.Replications++
 	}
 	for i, m := range cfg.Measures {
 		if m.Derived {
@@ -376,25 +359,20 @@ func (p *plan) newRunner() *runner {
 	return r
 }
 
-// runAll executes the configured runs on fault.Pool and returns each
-// run's per-segment measure values in run order: cfg.Replications
-// independent one-segment runs, or in batch-means mode one run of
-// cfg.Batches segments. Run i always draws from the split stream
-// Split(i) of the master stream, so the values are bit-identical at any
-// worker count, and a failure is the lowest-index one, the error a
-// sequential loop would hit. Each worker builds its runner in its own
+// runAll executes the cfg.Replications independent runs on fault.Pool
+// and returns each run's measure values in run order. Run i always draws
+// from the split stream Split(i) of the master stream, so the values are
+// bit-identical at any worker count, and a failure is the lowest-index
+// one, the error a sequential loop would hit. Each worker builds its runner in its own
 // first task, and each task splits its own stream, on the worker's
 // goroutine: state the caller allocated side by side would put two
 // workers' hot fields, the runners' and the generators', on one cache
 // line.
-func (p *plan) runAll() ([][][]float64, int64, error) {
-	runs, segments := p.cfg.Replications, 1
-	if p.cfg.Batches > 0 {
-		runs, segments = 1, p.cfg.Batches
-	}
+func (p *plan) runAll() ([][]float64, int64, error) {
+	runs := p.cfg.Replications
 	master := rng.New(p.cfg.Seed)
 	runners := make([]*runner, max(1, min(p.cfg.Workers, runs)))
-	obs := make([][][]float64, runs)
+	obs := make([][]float64, runs)
 	events := make([]int64, runs)
 	failed, err := fault.Pool("sim", runs, len(runners),
 		func(i int) string { return fmt.Sprintf("replication %d", i) },
@@ -403,13 +381,10 @@ func (p *plan) runAll() ([][][]float64, int64, error) {
 				runners[w] = p.newRunner()
 			}
 			faultinject.MaybePanic(faultinject.SiteSimReplication, i)
-			obs[i], events[i], err = runners[w].replicate(i, master.Split(uint64(i)), segments)
+			obs[i], events[i], err = runners[w].replicate(i, master.Split(uint64(i)))
 			return err
 		})
 	if err != nil {
-		if p.cfg.Batches > 0 {
-			return nil, 0, fmt.Errorf("sim: batch-means run: %w", err)
-		}
 		return nil, 0, fmt.Errorf("sim: replication %d: %w", failed, err)
 	}
 	var total int64
@@ -530,57 +505,34 @@ func (r *runner) compile(s int32) error {
 // promptly, sparse enough that the poll never shows up in a profile.
 const pollEvents = 1024
 
-// replicate runs one run whose measurement window is split into the given
-// number of consecutive segments (1 for independent replications, n for
-// batch means) and returns the per-segment measure values (already
-// normalized by the segment length). Segment k is the model-time interval
-// [Warmup+k·RunLength, Warmup+(k+1)·RunLength). rep is the replication
-// index, used only to attribute a cancellation.
-func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, int64, error) {
+// replicate runs one replication and returns its measure values,
+// normalized by the length of its measurement window
+// [Warmup, Warmup+RunLength). rep is the replication index, used only to
+// attribute a cancellation.
+func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 	var (
 		warmup, runLength = r.cfg.Warmup, r.cfg.RunLength
 
 		now        float64
 		events     int64
-		endTime    = warmup + float64(segments)*runLength
+		endTime    = warmup + runLength
 		zeroStreak = 0
 		cur        = int32(0)  // memo id of the current state; 0 is the initial one
 		via        = int32(-1) // transition whose target becomes current at the loop top
-		// seg is the segment holding max(now, Warmup) and segEnd its end:
-		// the loop advances them as time passes, so no event divides.
-		seg    = 0
-		segEnd = warmup + runLength
 	)
 	maxEvents := int64(r.cfg.MaxEvents)
 	// No clock was stamped at the step before this replication's first,
 	// so none carries over from an earlier replication.
 	r.epoch++
-	stateAcc := make([][]float64, segments)
-	transAcc := make([][]float64, segments)
-	for k := range stateAcc {
-		stateAcc[k] = make([]float64, len(r.stateVals))
-		transAcc[k] = make([]float64, len(r.transVals))
-	}
+	stateAcc := make([]float64, len(r.stateVals))
+	transAcc := make([]float64, len(r.transVals))
 
 	// accrue credits the state's enabled state-reward clauses with the
-	// part of [now, now+dt] inside [Warmup, endTime], split at segment
-	// ends: each split moves to the next segment.
+	// part of [now, now+dt] inside the measurement window.
 	accrue := func(rec *stateRec, dt float64) {
-		if dt <= 0 || len(rec.on) == 0 {
-			return
-		}
-		lo, hi := max(now, warmup), min(now+dt, endTime)
-		k, end := seg, segEnd
-		for lo < hi {
-			w := min(hi, end) - lo
-			acc := stateAcc[k]
+		if w := min(now+dt, endTime) - max(now, warmup); w > 0 {
 			for _, i := range rec.on {
-				acc[i] += r.stateVals[i] * w
-			}
-			lo += w
-			if end < hi {
-				k++
-				end = warmup + float64(k+1)*runLength
+				stateAcc[i] += r.stateVals[i] * w
 			}
 		}
 	}
@@ -590,9 +542,8 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 		if lo == hi || now < warmup {
 			return
 		}
-		acc := transAcc[seg]
 		for _, j := range r.clIdx[lo:hi] {
-			acc[j] += r.transVals[j]
+			transAcc[j] += r.transVals[j]
 		}
 	}
 
@@ -680,10 +631,6 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 		}
 		r.clocks[rec.acts[win]].seen = 0 // the winner's clock is spent
 		now += dt
-		for now >= segEnd {
-			seg++
-			segEnd = warmup + float64(seg+1)*runLength
-		}
 
 		// Choose uniformly among the winner's transitions (usually one).
 		cands := rec.cands[rec.candOff[win]:rec.candOff[win+1]]
@@ -695,23 +642,19 @@ func (r *runner) replicate(rep int, rnd *rng.Rand, segments int) ([][]float64, i
 		events++
 	}
 
-	// Normalize by the segment length.
-	out := make([][]float64, segments)
-	for k := 0; k < segments; k++ {
-		vals := make([]float64, len(r.cfg.Measures))
-		for mi := range r.cfg.Measures {
-			v := 0.0
-			for _, i := range r.stateOf[mi] {
-				v += stateAcc[k][i] / runLength
-			}
-			for _, i := range r.transOf[mi] {
-				v += transAcc[k][i] / runLength
-			}
-			vals[mi] = v
+	// Normalize by the window length.
+	vals := make([]float64, len(r.cfg.Measures))
+	for mi := range r.cfg.Measures {
+		v := 0.0
+		for _, i := range r.stateOf[mi] {
+			v += stateAcc[i] / runLength
 		}
-		out[k] = vals
+		for _, i := range r.transOf[mi] {
+			v += transAcc[i] / runLength
+		}
+		vals[mi] = v
 	}
-	return out, events, nil
+	return vals, events, nil
 }
 
 // pickImmediate selects one of the state's top-priority immediate

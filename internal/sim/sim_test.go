@@ -329,14 +329,11 @@ func TestCrossValidationAgainstCTMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var exact [2]float64
-	for i, ms := range measures {
-		v, err := ms.EvalCTMC(chain, pi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact[i] = v
+	cm, err := measure.Compile(measures, chain)
+	if err != nil {
+		t.Fatal(err)
 	}
+	exact := cm.Eval(chain, pi)
 
 	res, err := Run(Config{
 		Model:        m,
@@ -349,12 +346,12 @@ func TestCrossValidationAgainstCTMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, ms := range measures {
+	for _, ms := range measures {
 		ci := res.Estimates[ms.Name]
 		// Allow a slightly widened interval for finite-run bias.
 		slack := 3 * ci.HalfWidth
-		if math.Abs(ci.Mean-exact[i]) > math.Max(slack, 0.01) {
-			t.Errorf("%s: simulated %v vs exact %v", ms.Name, ci, exact[i])
+		if math.Abs(ci.Mean-exact[ms.Name]) > math.Max(slack, 0.01) {
+			t.Errorf("%s: simulated %v vs exact %v", ms.Name, ci, exact[ms.Name])
 		}
 	}
 }
@@ -425,12 +422,10 @@ func TestErrorCases(t *testing.T) {
 		{RunLength: 1000, Warmup: math.Inf(1)},
 		{RunLength: math.NaN()},
 		{RunLength: math.Inf(1)},
-		{RunLength: 1000, Batches: -1},
 	} {
 		bad.Model, bad.Measures = m, workRestMeasures
 		if _, err := Run(bad); err == nil {
-			t.Errorf("RunLength %v, Warmup %v, Batches %d should error",
-				bad.RunLength, bad.Warmup, bad.Batches)
+			t.Errorf("RunLength %v, Warmup %v should error", bad.RunLength, bad.Warmup)
 		}
 	}
 
@@ -510,54 +505,6 @@ func TestImmediateLivelockDetected(t *testing.T) {
 	}
 }
 
-func TestBatchMeansMatchesReplications(t *testing.T) {
-	m := workRestModel(t, 2, 1)
-	batch, err := Run(Config{
-		Model:     m,
-		Measures:  workRestMeasures,
-		RunLength: 500,
-		Warmup:    50,
-		Batches:   20,
-		Seed:      31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Replications != 20 {
-		t.Errorf("batch observations = %d, want 20", batch.Replications)
-	}
-	pw := batch.Estimates["p_work"]
-	if math.Abs(pw.Mean-1.0/3) > math.Max(3*pw.HalfWidth, 0.02) {
-		t.Errorf("batch-means p_work = %v too far from 1/3", pw)
-	}
-	fr := batch.Estimates["finish_rate"]
-	if math.Abs(fr.Mean-2.0/3) > math.Max(3*fr.HalfWidth, 0.02) {
-		t.Errorf("batch-means finish_rate = %v too far from 2/3", fr)
-	}
-	// A single warm-up is paid: events should be well below 20 separate
-	// replications of warmup+run.
-	if batch.Events == 0 {
-		t.Error("no events simulated")
-	}
-}
-
-func TestBatchMeansDeterministic(t *testing.T) {
-	m := workRestModel(t, 2, 1)
-	run := func() float64 {
-		res, err := Run(Config{
-			Model: m, Measures: workRestMeasures,
-			RunLength: 100, Batches: 5, Seed: 77,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Estimates["p_work"].Mean
-	}
-	if run() != run() {
-		t.Error("batch-means not reproducible")
-	}
-}
-
 func TestDerivedMeasureInSimulation(t *testing.T) {
 	m := workRestModel(t, 2, 1)
 	ms := append(append([]measure.Measure(nil), workRestMeasures...),
@@ -582,19 +529,18 @@ func TestDerivedMeasureInSimulation(t *testing.T) {
 	}
 }
 
-// TestBatchMeansAccruesEveryBatchFully pins the segment rule of batch
-// means: segment k is [Warmup+k·RunLength, Warmup+(k+1)·RunLength), and a
-// sojourn that spans segment ends is credited to each segment in turn. A
-// measure whose two state-reward clauses cover every state must then read
-// exactly 1 in every batch, also where a boundary such as 100.3 or 0.6 is
-// not exactly representable and (t−Warmup)/RunLength rounds below the
-// segment's index.
-func TestBatchMeansAccruesEveryBatchFully(t *testing.T) {
+// TestWindowAccruesFully pins the measurement window
+// [Warmup, Warmup+RunLength): a sojourn that straddles either end is
+// credited with exactly its part inside the window. A measure whose two
+// state-reward clauses cover every state must then read 1 in every
+// replication, also where a window end such as 100.3 or 0.6 is not
+// exactly representable.
+func TestWindowAccruesFully(t *testing.T) {
 	always := []measure.Measure{{Name: "always", Clauses: []measure.Clause{
 		{Instance: "W", Action: "mon_work", Kind: measure.StateReward, Value: 1},
 		{Instance: "W", Action: "mon_rest", Kind: measure.StateReward, Value: 1},
 	}}}
-	const batches = 200
+	const replications = 200
 	for _, c := range []struct{ warmup, runLength float64 }{
 		{100, 0.3}, {0.5, 0.1}, {100, 400},
 	} {
@@ -605,13 +551,14 @@ func TestBatchMeansAccruesEveryBatchFully(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		segs, _, err := p.newRunner().replicate(0, rng.New(1).Split(0), batches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, vals := range segs {
+		r, master := p.newRunner(), rng.New(1)
+		for k := range replications {
+			vals, _, err := r.replicate(k, master.Split(uint64(k)))
+			if err != nil {
+				t.Fatal(err)
+			}
 			if math.Abs(vals[0]-1) > 1e-12 {
-				t.Errorf("warmup %v, run length %v: batch %d reads %v, want 1",
+				t.Errorf("warmup %v, run length %v: replication %d reads %v, want 1",
 					c.warmup, c.runLength, k, vals[0])
 			}
 		}

@@ -16,3 +16,21 @@ func (t *TupleTable) ProbeStats() (mean float64, longest int, load float64) {
 	}
 	return float64(total) / float64(t.n), longest, float64(t.n) / float64(len(t.table))
 }
+
+// Lookup returns the identifier of v without interning it.
+func (t *TupleTable) Lookup(v []uint32) (uint32, bool) {
+	if len(v) != t.width {
+		return 0, false
+	}
+	i := hashTuple(v) & t.mask
+	for {
+		e := t.table[i]
+		if e == 0 {
+			return 0, false
+		}
+		if t.equal(e-1, v) {
+			return e - 1, true
+		}
+		i = (i + 1) & t.mask
+	}
+}

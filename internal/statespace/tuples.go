@@ -111,24 +111,6 @@ func (t *TupleTable) Intern(v []uint32) (id uint32, fresh bool) {
 	}
 }
 
-// Lookup returns the identifier of v without interning it.
-func (t *TupleTable) Lookup(v []uint32) (uint32, bool) {
-	if len(v) != t.width {
-		return 0, false
-	}
-	i := hashTuple(v) & t.mask
-	for {
-		e := t.table[i]
-		if e == 0 {
-			return 0, false
-		}
-		if t.equal(e-1, v) {
-			return e - 1, true
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
 // Reset empties the table, keeping its storage for reuse. Identifiers and
 // tuples handed out before the reset are invalid afterwards.
 func (t *TupleTable) Reset() {

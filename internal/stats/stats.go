@@ -1,8 +1,7 @@
 // Package stats provides the statistical machinery behind the simulation
 // experiments: streaming mean/variance accumulators (Welford), Student-t
 // confidence intervals across independent replications (the paper uses 30
-// runs with 90% intervals), histograms, and small table/series helpers for
-// the experiment drivers.
+// runs with 90% intervals).
 package stats
 
 import (
@@ -26,12 +25,6 @@ func (a *Accumulator) Add(x float64) {
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
 }
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the sample mean (0 with no observations).
-func (a *Accumulator) Mean() float64 { return a.mean }
 
 // Variance returns the unbiased sample variance.
 func (a *Accumulator) Variance() float64 {
@@ -153,72 +146,4 @@ func TQuantile(level float64, df int) float64 {
 		}
 	}
 	return best
-}
-
-// Histogram counts observations in equal-width bins over [Low, High];
-// out-of-range observations go to saturating edge bins.
-type Histogram struct {
-	low, high float64
-	bins      []int
-	n         int
-}
-
-// NewHistogram builds a histogram with the given bounds and bin count.
-func NewHistogram(low, high float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	return &Histogram{low: low, high: high, bins: make([]int, bins)}
-}
-
-// Add incorporates an observation.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.bins)) * (x - h.low) / (h.high - h.low))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-	h.n++
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int { return h.n }
-
-// Bin returns the count of bin i.
-func (h *Histogram) Bin(i int) int { return h.bins[i] }
-
-// NumBins returns the number of bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.bins[i]) / float64(h.n)
-}
-
-// Quantile returns the q-quantile (0..1) of a sample (sorted copy taken).
-func Quantile(sample []float64, q float64) float64 {
-	if len(sample) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), sample...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 < len(s) {
-		return s[i]*(1-frac) + s[i+1]*frac
-	}
-	return s[i]
 }

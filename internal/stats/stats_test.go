@@ -133,64 +133,3 @@ func TestCISingleObservation(t *testing.T) {
 		t.Errorf("single-observation CI half-width = %v, want 0", ci.HalfWidth)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0.5, 1.5, 2.5, 2.6, 9.9, -1, 11} {
-		h.Add(x)
-	}
-	if h.N() != 7 {
-		t.Errorf("N = %d", h.N())
-	}
-	if h.NumBins() != 5 {
-		t.Errorf("NumBins = %d", h.NumBins())
-	}
-	// Bin 0 holds 0.5, 1.5 and the clamped -1.
-	if h.Bin(0) != 3 {
-		t.Errorf("Bin(0) = %d, want 3", h.Bin(0))
-	}
-	// Bin 1 holds 2.5, 2.6.
-	if h.Bin(1) != 2 {
-		t.Errorf("Bin(1) = %d, want 2", h.Bin(1))
-	}
-	// Bin 4 holds 9.9 and the clamped 11.
-	if h.Bin(4) != 2 {
-		t.Errorf("Bin(4) = %d, want 2", h.Bin(4))
-	}
-	if math.Abs(h.Fraction(0)-3.0/7) > 1e-12 {
-		t.Errorf("Fraction(0) = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(0, 1, 0) // bins clamp to 1
-	if h.NumBins() != 1 {
-		t.Errorf("NumBins = %d, want 1", h.NumBins())
-	}
-	if h.Fraction(0) != 0 {
-		t.Error("empty histogram fraction should be 0")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	s := []float64{3, 1, 2, 4, 5}
-	if q := Quantile(s, 0); q != 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := Quantile(s, 1); q != 5 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := Quantile(s, 0.5); q != 3 {
-		t.Errorf("median = %v", q)
-	}
-	if q := Quantile(s, 0.25); q != 2 {
-		t.Errorf("q25 = %v", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
-	// Input must not be mutated.
-	if s[0] != 3 {
-		t.Error("Quantile mutated its input")
-	}
-}

@@ -117,17 +117,17 @@ go test -timeout 10m -race -cpu 1,2 -run 'Minimize|Fold' \
     ./internal/compose/ ./internal/lts/ ./internal/experiments/
 
 # Simulator race smoke at -cpu 1,2: the worker-count bit-identity and
-# reproducibility properties, batch means, the exact-tie tie-break, the
-# paper-model fingerprints at one and two workers and the override
-# resolution (TestParallelReplicationsBitIdentical, TestReproducible*,
-# TestBatchMeans*, TestExactTieBreaksByName, TestSimFingerprints,
-# TestUnknownOverrideRejected, TestModelOverridesResolve in
-# internal/sim). Each replication worker owns a runner whose
+# reproducibility properties, the measurement window, the exact-tie
+# tie-break, the paper-model fingerprints at one and two workers and the
+# override resolution (TestParallelReplicationsBitIdentical,
+# TestReproducible*, TestWindowAccruesFully, TestExactTieBreaksByName,
+# TestSimFingerprints, TestUnknownOverrideRejected,
+# TestModelOverridesResolve in internal/sim). Each replication worker owns a runner whose
 # elab.Compiled, state records, per-transition arrays and clocks are all
 # mutable, so a fork that shared any of them would race here.
 echo "== simulator race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
-    -run 'ParallelReplicationsBitIdentical|Reproducible|BatchMeans|Tie|SimFingerprints|Override' ./internal/sim/
+    -run 'ParallelReplicationsBitIdentical|Reproducible|WindowAccrues|Tie|SimFingerprints|Override' ./internal/sim/
 
 # Sect. 3 check race smoke at -cpu 1,2: noninterference.Check builds the
 # restricted variant on a second goroutine while the hidden one is built,
