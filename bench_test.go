@@ -321,9 +321,10 @@ func BenchmarkStartupTransient(b *testing.B) {
 // core count.
 
 func benchFig3General(b *testing.B, workers int) {
-	settings := pipeline.SimSettings{RunLength: 2000, Replications: 8, Workers: workers}
+	cfg := pipeline.Config{Workers: workers}
+	settings := pipeline.SimSettings{RunLength: 2000, Replications: 8}
 	for i := 0; i < b.N; i++ {
-		if _, err := benchRunner().Fig3General([]float64{2, 5, 10, 15, 20, 25}, settings); err != nil {
+		if _, err := experiments.NewRunner(cfg).Fig3General([]float64{2, 5, 10, 15, 20, 25}, settings); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -519,6 +519,18 @@ func runCheck(args []string) error {
 	if err != nil {
 		return err
 	}
+	// A name the model lacks would match no label and check an empty
+	// high or low set, so reject it here.
+	for _, f := range [][2]string{{"high", *high}, {"low", *low}} {
+		if _, ok := m.InstanceIndex(f[1]); f[1] != "" && !ok {
+			names := make([]string, m.NumInstances())
+			for i := range names {
+				names[i] = m.InstanceName(i)
+			}
+			return fmt.Errorf("-%s %q is not an instance of the model (instances: %s)",
+				f[0], f[1], strings.Join(names, ", "))
+		}
+	}
 	spec := noninterference.Spec{Low: lts.LabelMatcherByInstance(*low)}
 	if *highLabels != "" {
 		spec.High = lts.LabelMatcherByNames(strings.Split(*highLabels, ",")...)
@@ -721,14 +733,12 @@ func runSim(args []string) error {
 	rep, err := pipeline.NewSession(pipeline.Spec{
 		Build:    func() (*aemilia.ArchiType, error) { return arch, nil },
 		Measures: ms,
-	}, pipeline.Config{}).Phase3(nil, pipeline.SimSettings{
+	}, pipeline.Config{Workers: *workers, Ctx: ctx}).Phase3(nil, pipeline.SimSettings{
 		RunLength:       *runLength,
 		Warmup:          *warmup,
 		Replications:    *reps,
 		Seed:            *seed,
 		ConfidenceLevel: *level,
-		Workers:         *workers,
-		Ctx:             ctx,
 	})
 	if err != nil {
 		return err

@@ -115,6 +115,35 @@ func TestRunCheckSolveSim(t *testing.T) {
 	}
 }
 
+// TestRunCheckRejectsUnknownInstance checks that check refuses a -high or
+// -low name that is not an instance of the model, naming the bad value
+// and the instances, instead of checking an empty high or low set.
+func TestRunCheckRejectsUnknownInstance(t *testing.T) {
+	model := specPath(t, "rpc_simplified.aem")
+	for _, c := range []struct {
+		args []string
+		bad  string
+	}{
+		{[]string{"-high", "NOPE", "-low", "ALSO_NOPE"}, `-high "NOPE"`},
+		{[]string{"-high", "DPM", "-low", "ALSO_NOPE"}, `-low "ALSO_NOPE"`},
+		{[]string{"-high-labels", "DPM.send_shutdown#S.receive_shutdown", "-low", "c"}, `-low "c"`},
+	} {
+		err := run(append(append([]string{"check"}, c.args...), model))
+		if err == nil {
+			t.Errorf("check %v: accepted", c.args)
+			continue
+		}
+		for _, want := range []string{c.bad, "instances: S, RCS, RSC, C, DPM"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("check %v: error %q does not mention %s", c.args, err, want)
+			}
+		}
+	}
+	if out := runOutput(t, "check", "-high", "DPM", "-low", "C", model); !strings.Contains(out, "verdict:") {
+		t.Errorf("check with valid instances printed no verdict:\n%s", out)
+	}
+}
+
 // TestRunSimRejectsUnsupportedConfidence checks that sim refuses a
 // confidence level it has no t-table for, instead of printing a 95%
 // half-width labelled with the requested level.

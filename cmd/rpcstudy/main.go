@@ -78,9 +78,9 @@ func run(args []string) error {
 	cfg.CheckpointDir = *ckptDir
 	cfg.CheckpointResume = *resume
 	study := experiments.NewRunner(cfg)
-	settings := pipeline.SimSettings{Workers: *workers}
+	var settings pipeline.SimSettings
 	if *quick {
-		settings = pipeline.SimSettings{RunLength: 4000, Replications: 8, Workers: *workers}
+		settings = pipeline.SimSettings{RunLength: 4000, Replications: 8}
 	}
 	render := experiments.FormatTable
 	if *csv {

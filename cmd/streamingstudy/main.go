@@ -78,10 +78,10 @@ func run(args []string) error {
 	cfg.CheckpointResume = *resume
 	study := experiments.NewRunner(cfg)
 	scale := experiments.Full
-	settings := pipeline.SimSettings{Workers: *workers}
+	var settings pipeline.SimSettings
 	if *quick {
 		scale = experiments.Quick
-		settings = pipeline.SimSettings{RunLength: 60000, Warmup: 20000, Replications: 5, Workers: *workers}
+		settings = pipeline.SimSettings{RunLength: 60000, Warmup: 20000, Replications: 5}
 	}
 	render := experiments.FormatTable
 	if *csv {

@@ -29,9 +29,6 @@ var _ Distribution = Exp{}
 // NewExp builds an exponential distribution from its rate.
 func NewExp(lambda float64) Exp { return Exp{Lambda: lambda} }
 
-// ExpWithMean builds an exponential distribution from its mean.
-func ExpWithMean(mean float64) Exp { return Exp{Lambda: 1 / mean} }
-
 // Sample implements Distribution.
 func (d Exp) Sample(r *rng.Rand) float64 { return r.ExpFloat64(d.Lambda) }
 

@@ -33,9 +33,6 @@ func TestExp(t *testing.T) {
 		t.Errorf("Mean = %v", d.Mean())
 	}
 	checkMean(t, d, 0.02)
-	if ExpWithMean(0.2).Lambda != 5 {
-		t.Errorf("ExpWithMean wrong")
-	}
 }
 
 func TestDet(t *testing.T) {

@@ -44,7 +44,7 @@ func (r *Runner) BatteryLifetime(budget, timeout, dt float64) ([]BatteryPoint, e
 		models.PolicyTimeout,
 		models.PolicyPredictive,
 	}
-	return RunPoints(policies, r.workersOr(0), func(pol models.Policy) (BatteryPoint, error) {
+	return RunPoints(policies, r.cfg.Workers, func(pol models.Policy) (BatteryPoint, error) {
 		p := models.DefaultRPCParams()
 		p.Policy = pol
 		p.WithDPM = pol != models.PolicyNone

@@ -106,7 +106,7 @@ func (r *Runner) Fig3Markov(timeouts []float64) ([]RPCPoint, error) {
 		}
 	}
 	if len(fallback) > 0 {
-		metrics, err := RunPoints(fallback, r.workersOr(0), func(i int) (RPCMetrics, error) {
+		metrics, err := RunPoints(fallback, r.cfg.Workers, func(i int) (RPCMetrics, error) {
 			p := models.DefaultRPCParams()
 			p.ShutdownTimeout = timeouts[i]
 			s, err := r.rpcSession(p)
@@ -132,8 +132,8 @@ func (r *Runner) Fig3Markov(timeouts []float64) ([]RPCPoint, error) {
 // Fig3General reproduces the right-hand side of paper Fig. 3: the general
 // rpc model (deterministic timings, Gaussian channel) simulated across
 // deterministic shutdown timeouts. Sweep points and the replications
-// within each run concurrently (settings.Workers, or Config.Workers);
-// results are bit-identical at any worker count.
+// within each run concurrently (Config.Workers); results are
+// bit-identical at any worker count.
 func (r *Runner) Fig3General(timeouts []float64, settings pipeline.SimSettings) ([]RPCPoint, error) {
 	if timeouts == nil {
 		timeouts = DefaultRPCTimeouts()
@@ -152,7 +152,7 @@ func (r *Runner) Fig3General(timeouts []float64, settings pipeline.SimSettings) 
 	}
 	base := rpcMetricsFromEstimates(rep0)
 
-	return RunPoints(timeouts, settings.Workers, func(T float64) (RPCPoint, error) {
+	return RunPoints(timeouts, r.cfg.Workers, func(T float64) (RPCPoint, error) {
 		p := models.DefaultRPCParams()
 		p.ShutdownTimeout = T
 		s, err := r.rpcSession(p)
@@ -194,12 +194,6 @@ func (r *Runner) applyRPCSimDefaults(s *pipeline.SimSettings) {
 	}
 	if s.Seed == 0 {
 		s.Seed = 20040628 // DSN 2004
-	}
-	if s.Workers == 0 {
-		s.Workers = r.workersOr(0)
-	}
-	if s.Ctx == nil {
-		s.Ctx = r.cfg.Ctx
 	}
 }
 

@@ -124,7 +124,7 @@ func (r *Runner) Fig4Markov(periods []float64, scale Scale) ([]StreamingPoint, e
 		}
 	}
 	if len(fallback) > 0 {
-		metrics, err := RunPoints(fallback, r.workersOr(0), func(i int) (StreamingMetrics, error) {
+		metrics, err := RunPoints(fallback, r.cfg.Workers, func(i int) (StreamingMetrics, error) {
 			p := streamingParams(scale)
 			p.AwakePeriod = periods[i]
 			s, err := r.streamingSession(p)

@@ -8,8 +8,7 @@ import (
 
 // ValidationPoint is one x-axis point of paper Fig. 5: the DPM shutdown
 // timeout with the analytic (Markovian) server energy consumption and the
-// simulated estimate of the general model run with exponential
-// distributions, plus the no-DPM pair.
+// simulated estimate of the same model, plus the no-DPM pair.
 type ValidationPoint struct {
 	Timeout float64
 	// ExactDPM and SimDPM compare the with-DPM system.
@@ -26,13 +25,13 @@ type ValidationPoint struct {
 }
 
 // Fig5Validation reproduces paper Fig. 5: the cross-validation of the
-// general rpc model against the Markovian one. The general model is
-// simulated with exponential distributions matching the Markovian rates
-// (30 runs, 90% confidence intervals in the paper's setting) and the
-// server energy consumption is compared with the analytic solution.
-// Each sweep point stages its model in one session and shares it between
-// the analytic solution and the simulation; points run concurrently
-// (settings.Workers, or Config.Workers) in timeout order.
+// general rpc model against the Markovian one. The simulator runs the
+// Markovian model with no duration overrides, so every activity draws
+// from the exponential its rate declares (30 runs, 90% confidence
+// intervals in the paper's setting), and the server energy consumption is
+// compared with the analytic solution. Each sweep point stages its model
+// in one session and shares it between the analytic solution and the
+// simulation; points run concurrently (Config.Workers) in timeout order.
 func (r *Runner) Fig5Validation(timeouts []float64, settings pipeline.SimSettings) ([]ValidationPoint, error) {
 	if timeouts == nil {
 		timeouts = []float64{1, 5, 10, 15, 20, 25}
@@ -48,7 +47,7 @@ func (r *Runner) Fig5Validation(timeouts []float64, settings pipeline.SimSetting
 		if err != nil {
 			return 0, stats.Interval{}, err
 		}
-		simRep, err := s.Phase3(models.RPCExponentialDistributions(p), settings)
+		simRep, err := s.Phase3(nil, settings)
 		if err != nil {
 			return 0, stats.Interval{}, err
 		}
@@ -91,7 +90,7 @@ func (r *Runner) Fig5Validation(timeouts []float64, settings pipeline.SimSetting
 	for i := range idx {
 		idx[i] = i
 	}
-	return RunPoints(idx, settings.Workers, func(i int) (ValidationPoint, error) {
+	return RunPoints(idx, r.cfg.Workers, func(i int) (ValidationPoint, error) {
 		T := timeouts[i]
 		p := models.DefaultRPCParams()
 		p.ShutdownTimeout = T
@@ -107,7 +106,7 @@ func (r *Runner) Fig5Validation(timeouts []float64, settings pipeline.SimSetting
 			}
 			exact1 = rep.Values["energy"]
 		}
-		simRep, err := s.Phase3(models.RPCExponentialDistributions(p), settings)
+		simRep, err := s.Phase3(nil, settings)
 		if err != nil {
 			return ValidationPoint{}, err
 		}

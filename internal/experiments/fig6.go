@@ -20,18 +20,12 @@ func (r *Runner) applyStreamingSimDefaults(s *pipeline.SimSettings) {
 	if s.Seed == 0 {
 		s.Seed = 20040628
 	}
-	if s.Workers == 0 {
-		s.Workers = r.workersOr(0)
-	}
-	if s.Ctx == nil {
-		s.Ctx = r.cfg.Ctx
-	}
 }
 
 // Fig6General reproduces paper Fig. 6: the general streaming model
 // (constant bit-rate video, deterministic PSP periods, Gaussian channel)
 // simulated across awake periods. Sweep points and the replications
-// within each run concurrently (settings.Workers, or Config.Workers).
+// within each run concurrently (Config.Workers).
 func (r *Runner) Fig6General(periods []float64, scale Scale, settings pipeline.SimSettings) ([]StreamingPoint, error) {
 	if periods == nil {
 		periods = DefaultAwakePeriods()
@@ -75,7 +69,7 @@ func (r *Runner) Fig6General(periods []float64, scale Scale, settings pipeline.S
 		return nil, err
 	}
 
-	return RunPoints(periods, settings.Workers, func(P float64) (StreamingPoint, error) {
+	return RunPoints(periods, r.cfg.Workers, func(P float64) (StreamingPoint, error) {
 		p := withDeadlines(streamingParams(scale))
 		p.AwakePeriod = P
 		m, err := run(p)

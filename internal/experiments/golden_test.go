@@ -24,8 +24,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 func collectGolden(t *testing.T, workers int) map[string]json.RawMessage {
 	t.Helper()
 	r := NewRunner(pipeline.Config{Workers: workers})
-	rpcSim := pipeline.SimSettings{RunLength: 500, Replications: 3, Workers: workers}
-	strSim := pipeline.SimSettings{RunLength: 2000, Warmup: 500, Replications: 2, Workers: workers}
+	rpcSim := pipeline.SimSettings{RunLength: 500, Replications: 3}
+	strSim := pipeline.SimSettings{RunLength: 2000, Warmup: 500, Replications: 2}
 
 	out := make(map[string]json.RawMessage)
 	record := func(name string, v any, err error) {

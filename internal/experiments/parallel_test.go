@@ -38,9 +38,8 @@ func TestRunPointsPanic(t *testing.T) {
 // each point.
 func TestFig3GeneralWorkerDeterminism(t *testing.T) {
 	run := func(workers int) []RPCPoint {
-		pts, err := newStudy().Fig3General([]float64{2, 10, 20}, pipeline.SimSettings{
-			RunLength: 600, Replications: 4, Workers: workers,
-		})
+		pts, err := NewRunner(pipeline.Config{Workers: workers}).Fig3General([]float64{2, 10, 20},
+			pipeline.SimSettings{RunLength: 600, Replications: 4})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -57,9 +56,8 @@ func TestFig3GeneralWorkerDeterminism(t *testing.T) {
 // at any worker count.
 func TestFig5ValidationWorkerDeterminism(t *testing.T) {
 	run := func(workers int) []ValidationPoint {
-		pts, err := newStudy().Fig5Validation([]float64{5, 20}, pipeline.SimSettings{
-			RunLength: 1000, Replications: 3, Workers: workers,
-		})
+		pts, err := NewRunner(pipeline.Config{Workers: workers}).Fig5Validation([]float64{5, 20},
+			pipeline.SimSettings{RunLength: 1000, Replications: 3})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -25,7 +25,7 @@ func (r *Runner) PolicyComparison(timeout float64) ([]PolicyPoint, error) {
 		models.PolicyTimeout,
 		models.PolicyPredictive,
 	}
-	return RunPoints(policies, r.workersOr(0), func(pol models.Policy) (PolicyPoint, error) {
+	return RunPoints(policies, r.cfg.Workers, func(pol models.Policy) (PolicyPoint, error) {
 		p := models.DefaultRPCParams()
 		p.Policy = pol
 		p.WithDPM = pol != models.PolicyNone

@@ -37,14 +37,6 @@ func NewRunner(cfg pipeline.Config) *Runner {
 	return &Runner{cfg: cfg, mgr: pipeline.NewManager()}
 }
 
-// workersOr resolves an explicit worker count against the config.
-func (r *Runner) workersOr(n int) int {
-	if n > 0 {
-		return n
-	}
-	return r.cfg.Workers
-}
-
 // genOpts is the generation configuration the Runner's sessions carry:
 // the config context applied to BFS-level cancellation polls.
 func (r *Runner) genOpts() lts.GenerateOptions {
@@ -52,14 +44,9 @@ func (r *Runner) genOpts() lts.GenerateOptions {
 }
 
 // solveOpts is the steady-state solver configuration the Runner's
-// sessions carry: the config's solver options with the cancellation
-// default applied.
+// sessions carry: the default solver under the config context.
 func (r *Runner) solveOpts() ctmc.SolveOptions {
-	s := r.cfg.Solve
-	if s.Ctx == nil {
-		s.Ctx = r.cfg.Ctx
-	}
-	return s
+	return ctmc.SolveOptions{Ctx: r.cfg.Ctx}
 }
 
 // checkpointOpts resolves the checkpoint options for the named sweep:

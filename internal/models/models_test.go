@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/measure"
 	"repro/internal/noninterference"
 	"repro/internal/pipeline"
+	"repro/internal/rates"
+	"repro/internal/sim"
 )
 
 // paperFormula is the diagnostic formula of paper Sect. 3.1, verbatim.
@@ -243,56 +246,104 @@ func TestStreamingMarkovianOrderings(t *testing.T) {
 	}
 }
 
+// TestDistributionsCoverActivities pins the premise of the general
+// model: each general table overrides exactly the exponential activities
+// of the Markovian model it is simulated on, with the same means, so the
+// Markovian model is the general one with every override dropped (the
+// Sect. 5.1 validation simulates it with nil overrides).
 func TestDistributionsCoverActivities(t *testing.T) {
-	p := DefaultRPCParams()
-	gen := RPCGeneralDistributions(p)
-	for _, act := range []string{"prepare_result_packet", "awake"} {
-		found := false
-		for a := range gen {
-			if a.Action == act {
-				found = true
+	check := func(name string, a *aemilia.ArchiType, gen map[sim.Activity]dist.Distribution, exempt ...sim.Activity) {
+		t.Helper()
+		exp := expActivities(t, a)
+		for _, act := range exempt {
+			delete(exp, act)
+		}
+		for act, d := range gen {
+			lambda, ok := exp[act]
+			if !ok {
+				t.Errorf("%s: %v is overridden but is not an exponential activity", name, act)
+				continue
+			}
+			if m := meanOf(d); math.Abs(m*lambda-1) > 1e-12 {
+				t.Errorf("%s: %v general mean %v, Markovian rate %v (mean %v)", name, act, m, lambda, 1/lambda)
 			}
 		}
-		if !found {
-			t.Errorf("rpc general distributions missing %s", act)
+		for act := range exp {
+			if _, ok := gen[act]; !ok {
+				t.Errorf("%s: exponential activity %v has no general override", name, act)
+			}
 		}
 	}
-	exp := RPCExponentialDistributions(p)
-	if len(exp) != len(gen) {
-		t.Errorf("exp (%d) and general (%d) overrides should cover the same activities",
-			len(exp), len(gen))
-	}
-	// Means must agree between the two (the validation premise).
-	for a, d := range gen {
-		e, ok := exp[a]
-		if !ok {
-			t.Errorf("activity %v missing from exponential overrides", a)
-			continue
+	for _, pol := range []Policy{PolicyTimeout, PolicyTrivial, PolicyPredictive, PolicyNone} {
+		for _, T := range []float64{5, 0} {
+			p := DefaultRPCParams()
+			p.Policy, p.WithDPM, p.ShutdownTimeout = pol, pol != PolicyNone, T
+			a, err := BuildRPCRevised(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// At T = 0 the trivial policy's free-running tick stays
+			// exponential at rate 1e6, "immediately" with time passing,
+			// in both flavours; it has no general duration.
+			var exempt []sim.Activity
+			if pol == PolicyTrivial && T == 0 {
+				exempt = append(exempt, sim.Activity{Instance: "DPM", Action: "tick"})
+			}
+			check(fmt.Sprintf("rpc/%v/T=%v", pol, T), a, RPCGeneralDistributions(p), exempt...)
 		}
-		if meanOf(d) != meanOf(e) {
-			t.Errorf("activity %v: general mean %v != exponential mean %v", a, meanOf(d), meanOf(e))
-		}
 	}
-
-	sp := DefaultStreamingParams()
-	sg, se := StreamingGeneralDistributions(sp), StreamingExponentialDistributions(sp)
-	if len(sg) != len(se) {
-		t.Errorf("streaming overrides mismatch: %d vs %d", len(sg), len(se))
-	}
-	for a, d := range sg {
-		if e, ok := se[a]; !ok || meanOf(d) != meanOf(e) {
-			t.Errorf("streaming activity %v means disagree", a)
+	for _, withDPM := range []bool{true, false} {
+		for _, P := range []float64{100, 0} {
+			p := DefaultStreamingParams()
+			p.WithDPM, p.AwakePeriod = withDPM, P
+			a, err := BuildStreaming(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("streaming/dpm=%v/P=%v", withDPM, P), a, StreamingGeneralDistributions(p))
 		}
 	}
 }
 
+// expActivities returns the rate of every exponentially timed activity
+// of a validated description, by instance and action; an activity timed
+// by two different rates is an error.
+func expActivities(t *testing.T, a *aemilia.ArchiType) map[sim.Activity]float64 {
+	t.Helper()
+	out := map[sim.Activity]float64{}
+	var walk func(inst string, p aemilia.Process)
+	walk = func(inst string, p aemilia.Process) {
+		switch x := p.(type) {
+		case *aemilia.Prefix:
+			if r := x.Act.Rate; r.Kind == rates.Exp {
+				act := sim.Activity{Instance: inst, Action: x.Act.Name}
+				if l, seen := out[act]; seen && l != r.Lambda {
+					t.Errorf("%v is timed by rates %v and %v", act, l, r.Lambda)
+				}
+				out[act] = r.Lambda
+			}
+			walk(inst, x.Cont)
+		case *aemilia.Choice:
+			for _, br := range x.Branches {
+				walk(inst, br)
+			}
+		case *aemilia.Guarded:
+			walk(inst, x.Body)
+		}
+	}
+	for _, in := range a.Instances {
+		for _, b := range in.Type().Behaviors {
+			walk(in.Name, b.Body)
+		}
+	}
+	return out
+}
+
 // meanOf returns the expected value of the duration distributions the
-// models use; the truncation of a normal at zero is negligible for their
-// sigma << mu.
+// general tables use; the truncation of a normal at zero is negligible
+// for their sigma << mu.
 func meanOf(d dist.Distribution) float64 {
 	switch d := d.(type) {
-	case dist.Exp:
-		return 1 / d.Lambda
 	case dist.Det:
 		return d.Value
 	case dist.Normal:

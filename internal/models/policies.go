@@ -59,17 +59,7 @@ func buildDPMType(p RPCParams) *aemilia.ElemType {
 			policy = PolicyNone
 		}
 	}
-	var shutdownRate rates.Rate
-	switch {
-	case p.Mode == Functional:
-		shutdownRate = rates.UntimedRate()
-	case p.ShutdownTimeout <= 0:
-		shutdownRate = rates.Inf(1, 1)
-	case p.ParametricTimeout:
-		shutdownRate = rates.ExpSlot(RPCTimeoutSlot, 1/p.ShutdownTimeout)
-	default:
-		shutdownRate = rates.ExpRate(1 / p.ShutdownTimeout)
-	}
+	shutdownRate := expSlot(RPCTimeoutSlot, p.ParametricTimeout, p.ShutdownTimeout)
 
 	switch policy {
 	case PolicyNone:
@@ -77,16 +67,16 @@ func buildDPMType(p RPCParams) *aemilia.ElemType {
 			[]string{"receive_busy_notice", "receive_idle_notice"},
 			[]string{"send_shutdown"},
 			aemilia.NewBehavior("Enabled_DPM", nil,
-				aemilia.Pre("receive_busy_notice", p.passive(), aemilia.Invoke("Disabled_DPM"))),
+				aemilia.Pre("receive_busy_notice", rates.PassiveRate(), aemilia.Invoke("Disabled_DPM"))),
 			aemilia.NewBehavior("Disabled_DPM", nil,
-				aemilia.Pre("receive_idle_notice", p.passive(), aemilia.Invoke("Enabled_DPM"))),
+				aemilia.Pre("receive_idle_notice", rates.PassiveRate(), aemilia.Invoke("Enabled_DPM"))),
 		)
 
 	case PolicyTrivial:
 		// A free-running tick arms a shutdown command that fires at the
 		// next idle moment (the server only listens while idle).
 		tickRate := shutdownRate
-		if p.Mode != Functional && p.ShutdownTimeout <= 0 {
+		if p.ShutdownTimeout <= 0 {
 			tickRate = rates.ExpRate(1e6) // "immediately", but time must pass
 		}
 		return aemilia.NewElemType("DPM_Type",
@@ -94,13 +84,13 @@ func buildDPMType(p RPCParams) *aemilia.ElemType {
 			[]string{"send_shutdown"},
 			aemilia.NewBehavior("Trivial_DPM", nil, aemilia.Ch(
 				aemilia.Pre("tick", tickRate, aemilia.Invoke("Armed_DPM")),
-				aemilia.Pre("receive_busy_notice", p.passive(), aemilia.Invoke("Trivial_DPM")),
-				aemilia.Pre("receive_idle_notice", p.passive(), aemilia.Invoke("Trivial_DPM")),
+				aemilia.Pre("receive_busy_notice", rates.PassiveRate(), aemilia.Invoke("Trivial_DPM")),
+				aemilia.Pre("receive_idle_notice", rates.PassiveRate(), aemilia.Invoke("Trivial_DPM")),
 			)),
 			aemilia.NewBehavior("Armed_DPM", nil, aemilia.Ch(
-				aemilia.Pre("send_shutdown", p.imm(1), aemilia.Invoke("Trivial_DPM")),
-				aemilia.Pre("receive_busy_notice", p.passive(), aemilia.Invoke("Armed_DPM")),
-				aemilia.Pre("receive_idle_notice", p.passive(), aemilia.Invoke("Armed_DPM")),
+				aemilia.Pre("send_shutdown", imm(1), aemilia.Invoke("Trivial_DPM")),
+				aemilia.Pre("receive_busy_notice", rates.PassiveRate(), aemilia.Invoke("Armed_DPM")),
+				aemilia.Pre("receive_idle_notice", rates.PassiveRate(), aemilia.Invoke("Armed_DPM")),
 			)),
 		)
 
@@ -116,11 +106,11 @@ func buildDPMType(p RPCParams) *aemilia.ElemType {
 					aemilia.When(expr.Un(expr.OpNot, skip),
 						aemilia.Pre("send_shutdown", shutdownRate,
 							aemilia.Invoke("Disabled_DPM", expr.Bool(false)))),
-					aemilia.Pre("receive_busy_notice", p.passive(),
+					aemilia.Pre("receive_busy_notice", rates.PassiveRate(),
 						aemilia.Invoke("Disabled_DPM", expr.Un(expr.OpNot, skip))),
 				)),
 			aemilia.NewBehavior("Disabled_DPM", []aemilia.Param{aemilia.BoolParam("skip")},
-				aemilia.Pre("receive_idle_notice", p.passive(),
+				aemilia.Pre("receive_idle_notice", rates.PassiveRate(),
 					aemilia.Invoke("Enabled_DPM", skip))),
 		)
 
@@ -130,10 +120,10 @@ func buildDPMType(p RPCParams) *aemilia.ElemType {
 			[]string{"send_shutdown"},
 			aemilia.NewBehavior("Enabled_DPM", nil, aemilia.Ch(
 				aemilia.Pre("send_shutdown", shutdownRate, aemilia.Invoke("Disabled_DPM")),
-				aemilia.Pre("receive_busy_notice", p.passive(), aemilia.Invoke("Disabled_DPM")),
+				aemilia.Pre("receive_busy_notice", rates.PassiveRate(), aemilia.Invoke("Disabled_DPM")),
 			)),
 			aemilia.NewBehavior("Disabled_DPM", nil,
-				aemilia.Pre("receive_idle_notice", p.passive(), aemilia.Invoke("Enabled_DPM"))),
+				aemilia.Pre("receive_idle_notice", rates.PassiveRate(), aemilia.Invoke("Enabled_DPM"))),
 		)
 	}
 }

@@ -8,11 +8,14 @@
 //     an access point and a power-manageable 802.11b network interface
 //     card running the PSP (doze mode) policy (Sect. 2.2).
 //
-// Each case study comes in the three flavours of the incremental
-// methodology: a functional (untimed) model for the noninterference
-// analysis, a Markovian model for the CTMC analysis, and the general model
-// — the Markovian model plus non-exponential duration overrides for the
-// simulator.
+// Each case study is written once, as its Markovian model, and the other
+// two flavours of the incremental methodology derive from it: the
+// functional model of the noninterference analysis is the Markovian one
+// with its timing erased (aemilia.Untimed), and the general model is the
+// Markovian one simulated with the non-exponential duration overrides of
+// RPCGeneralDistributions or StreamingGeneralDistributions. Simulated
+// without overrides, the Markovian model draws each activity from the
+// exponential its rate declares (the validation of paper Sect. 5.1).
 package models
 
 import (
@@ -23,12 +26,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Mode selects the timing flavour of a model.
+// Mode selects the timing flavour of a model. The builders always
+// assemble the Markovian description and read Mode once, at the end:
+// Functional passes that description through aemilia.Untimed, so the two
+// flavours cannot drift apart.
 type Mode int
 
 // Model flavours.
 const (
-	// Functional builds the untimed model of the first phase.
+	// Functional builds the untimed model of the first phase: the
+	// Markovian model with every rate erased, except the passive
+	// observation outputs.
 	Functional Mode = iota + 1
 	// Markovian builds the exponentially timed model of the second phase.
 	Markovian
@@ -108,28 +116,28 @@ func DefaultRPCParams() RPCParams {
 	}
 }
 
-// rate helpers returning untimed annotations in functional mode.
-
-func (p RPCParams) expMean(mean float64) rates.Rate {
-	if p.Mode == Functional {
-		return rates.UntimedRate()
+// expMean is the annotation of an activity with the given mean duration:
+// exponential with rate 1/mean, or immediate when the mean is not
+// positive (a zero timeout or period fires at once).
+func expMean(mean float64) rates.Rate {
+	if mean <= 0 {
+		return rates.Inf(1, 1)
 	}
 	return rates.ExpRate(1 / mean)
 }
 
-func (p RPCParams) imm(weight float64) rates.Rate {
-	if p.Mode == Functional {
-		return rates.UntimedRate()
+// expSlot is expMean bound to rate slot k when on is set and the mean is
+// positive, so a sweep can rebind the rate per point (see
+// RPCParams.ParametricTimeout and StreamingParams.ParametricPeriod).
+func expSlot(k int, on bool, mean float64) rates.Rate {
+	if on && mean > 0 {
+		return rates.ExpSlot(k, 1/mean)
 	}
-	return rates.Inf(1, weight)
+	return expMean(mean)
 }
 
-func (p RPCParams) passive() rates.Rate {
-	if p.Mode == Functional {
-		return rates.UntimedRate()
-	}
-	return rates.PassiveRate()
-}
+// imm is an immediate annotation of priority 1 with the given weight.
+func imm(weight float64) rates.Rate { return rates.Inf(1, weight) }
 
 // BuildRPCSimplified returns the simplified untimed rpc model of paper
 // Sect. 2.3: ideal radio channels, a blocking client without timeout, a
@@ -204,17 +212,17 @@ func BuildRPCSimplified() (*aemilia.ArchiType, error) {
 // that only shuts the server down while it is idle.
 func BuildRPCRevised(p RPCParams) (*aemilia.ArchiType, error) {
 	busyBranches := []aemilia.Process{
-		aemilia.Pre("prepare_result_packet", p.expMean(p.MeanServiceTime),
+		aemilia.Pre("prepare_result_packet", expMean(p.MeanServiceTime),
 			aemilia.Invoke("Responding_Server")),
-		aemilia.Pre("receive_rpc_packet", p.passive(),
-			aemilia.Pre("ignore_rpc_packet", p.imm(1), aemilia.Invoke("Busy_Server"))),
+		aemilia.Pre("receive_rpc_packet", rates.PassiveRate(),
+			aemilia.Pre("ignore_rpc_packet", imm(1), aemilia.Invoke("Busy_Server"))),
 		aemilia.Pre("monitor_busy_server", rates.PassiveRate(), aemilia.Invoke("Busy_Server")),
 	}
 	respondingBranches := []aemilia.Process{
-		aemilia.Pre("send_result_packet", p.imm(1),
-			aemilia.Pre("notify_idle", p.imm(1), aemilia.Invoke("Idle_Server"))),
-		aemilia.Pre("receive_rpc_packet", p.passive(),
-			aemilia.Pre("ignore_rpc_packet", p.imm(1), aemilia.Invoke("Responding_Server"))),
+		aemilia.Pre("send_result_packet", imm(1),
+			aemilia.Pre("notify_idle", imm(1), aemilia.Invoke("Idle_Server"))),
+		aemilia.Pre("receive_rpc_packet", rates.PassiveRate(),
+			aemilia.Pre("ignore_rpc_packet", imm(1), aemilia.Invoke("Responding_Server"))),
 		aemilia.Pre("monitor_busy_server", rates.PassiveRate(), aemilia.Invoke("Responding_Server")),
 	}
 	if p.ShutdownInterruptsService {
@@ -222,31 +230,31 @@ func BuildRPCRevised(p RPCParams) (*aemilia.ArchiType, error) {
 		// server is no longer busy so that the next idle notice is not
 		// spurious — the sleeping server re-notifies on wake-up instead,
 		// so here the abort is silent and the request is simply lost.
-		interrupt := aemilia.Pre("receive_shutdown", p.passive(),
-			aemilia.Pre("abort_service", p.imm(1), aemilia.Invoke("Sleeping_Server")))
+		interrupt := aemilia.Pre("receive_shutdown", rates.PassiveRate(),
+			aemilia.Pre("abort_service", imm(1), aemilia.Invoke("Sleeping_Server")))
 		busyBranches = append(busyBranches, interrupt)
 		respondingBranches = append(respondingBranches,
-			aemilia.Pre("receive_shutdown", p.passive(),
-				aemilia.Pre("abort_service", p.imm(1), aemilia.Invoke("Sleeping_Server"))))
+			aemilia.Pre("receive_shutdown", rates.PassiveRate(),
+				aemilia.Pre("abort_service", imm(1), aemilia.Invoke("Sleeping_Server"))))
 	}
 	server := aemilia.NewElemType("Server_Type",
 		[]string{"receive_rpc_packet", "receive_shutdown"},
 		[]string{"send_result_packet", "notify_busy", "notify_idle",
 			"monitor_idle_server", "monitor_busy_server", "monitor_awaking_server"},
 		aemilia.NewBehavior("Idle_Server", nil, aemilia.Ch(
-			aemilia.Pre("receive_rpc_packet", p.passive(),
-				aemilia.Pre("notify_busy", p.imm(1), aemilia.Invoke("Busy_Server"))),
-			aemilia.Pre("receive_shutdown", p.passive(), aemilia.Invoke("Sleeping_Server")),
+			aemilia.Pre("receive_rpc_packet", rates.PassiveRate(),
+				aemilia.Pre("notify_busy", imm(1), aemilia.Invoke("Busy_Server"))),
+			aemilia.Pre("receive_shutdown", rates.PassiveRate(), aemilia.Invoke("Sleeping_Server")),
 			aemilia.Pre("monitor_idle_server", rates.PassiveRate(), aemilia.Invoke("Idle_Server")),
 		)),
 		aemilia.NewBehavior("Busy_Server", nil, aemilia.Ch(busyBranches...)),
 		aemilia.NewBehavior("Responding_Server", nil, aemilia.Ch(respondingBranches...)),
 		aemilia.NewBehavior("Sleeping_Server", nil,
-			aemilia.Pre("receive_rpc_packet", p.passive(), aemilia.Invoke("Awaking_Server"))),
+			aemilia.Pre("receive_rpc_packet", rates.PassiveRate(), aemilia.Invoke("Awaking_Server"))),
 		aemilia.NewBehavior("Awaking_Server", nil, aemilia.Ch(
-			aemilia.Pre("awake", p.expMean(p.MeanAwakeTime), aemilia.Invoke("Busy_Server")),
-			aemilia.Pre("receive_rpc_packet", p.passive(),
-				aemilia.Pre("ignore_rpc_packet", p.imm(1), aemilia.Invoke("Awaking_Server"))),
+			aemilia.Pre("awake", expMean(p.MeanAwakeTime), aemilia.Invoke("Busy_Server")),
+			aemilia.Pre("receive_rpc_packet", rates.PassiveRate(),
+				aemilia.Pre("ignore_rpc_packet", imm(1), aemilia.Invoke("Awaking_Server"))),
 			aemilia.Pre("monitor_awaking_server", rates.PassiveRate(), aemilia.Invoke("Awaking_Server")),
 		)),
 	)
@@ -256,12 +264,12 @@ func BuildRPCRevised(p RPCParams) (*aemilia.ArchiType, error) {
 	channel := aemilia.NewElemType("Radio_Channel_Type",
 		[]string{"get_packet"}, []string{"deliver_packet"},
 		aemilia.NewBehavior("Radio_Channel", nil,
-			aemilia.Pre("get_packet", p.passive(),
-				aemilia.Pre("propagate_packet", p.expMean(p.MeanPropagationTime),
+			aemilia.Pre("get_packet", rates.PassiveRate(),
+				aemilia.Pre("propagate_packet", expMean(p.MeanPropagationTime),
 					aemilia.Ch(
-						aemilia.Pre("keep_packet", p.imm(keepW),
-							aemilia.Pre("deliver_packet", p.imm(1), aemilia.Invoke("Radio_Channel"))),
-						aemilia.Pre("lose_packet", p.imm(loseW), aemilia.Invoke("Radio_Channel")),
+						aemilia.Pre("keep_packet", imm(keepW),
+							aemilia.Pre("deliver_packet", imm(1), aemilia.Invoke("Radio_Channel"))),
+						aemilia.Pre("lose_packet", imm(loseW), aemilia.Invoke("Radio_Channel")),
 					)))),
 	)
 
@@ -269,24 +277,24 @@ func BuildRPCRevised(p RPCParams) (*aemilia.ArchiType, error) {
 		[]string{"receive_result_packet"},
 		[]string{"send_rpc_packet", "monitor_waiting_client"},
 		aemilia.NewBehavior("Requesting_Client", nil, aemilia.Ch(
-			aemilia.Pre("send_rpc_packet", p.imm(1), aemilia.Invoke("Waiting_Client")),
-			aemilia.Pre("receive_result_packet", p.passive(),
-				aemilia.Pre("ignore_result_packet", p.imm(1), aemilia.Invoke("Requesting_Client"))),
+			aemilia.Pre("send_rpc_packet", imm(1), aemilia.Invoke("Waiting_Client")),
+			aemilia.Pre("receive_result_packet", rates.PassiveRate(),
+				aemilia.Pre("ignore_result_packet", imm(1), aemilia.Invoke("Requesting_Client"))),
 		)),
 		aemilia.NewBehavior("Waiting_Client", nil, aemilia.Ch(
-			aemilia.Pre("receive_result_packet", p.passive(), aemilia.Invoke("Processing_Client")),
-			aemilia.Pre("expire_timeout", p.expMean(p.MeanClientTimeout), aemilia.Invoke("Resending_Client")),
+			aemilia.Pre("receive_result_packet", rates.PassiveRate(), aemilia.Invoke("Processing_Client")),
+			aemilia.Pre("expire_timeout", expMean(p.MeanClientTimeout), aemilia.Invoke("Resending_Client")),
 			aemilia.Pre("monitor_waiting_client", rates.PassiveRate(), aemilia.Invoke("Waiting_Client")),
 		)),
 		aemilia.NewBehavior("Processing_Client", nil, aemilia.Ch(
-			aemilia.Pre("process_result_packet", p.expMean(p.MeanProcessingTime),
+			aemilia.Pre("process_result_packet", expMean(p.MeanProcessingTime),
 				aemilia.Invoke("Requesting_Client")),
-			aemilia.Pre("receive_result_packet", p.passive(),
-				aemilia.Pre("ignore_result_packet", p.imm(1), aemilia.Invoke("Processing_Client"))),
+			aemilia.Pre("receive_result_packet", rates.PassiveRate(),
+				aemilia.Pre("ignore_result_packet", imm(1), aemilia.Invoke("Processing_Client"))),
 		)),
 		aemilia.NewBehavior("Resending_Client", nil, aemilia.Ch(
-			aemilia.Pre("send_rpc_packet", p.imm(1), aemilia.Invoke("Waiting_Client")),
-			aemilia.Pre("receive_result_packet", p.passive(), aemilia.Invoke("Processing_Client")),
+			aemilia.Pre("send_rpc_packet", imm(1), aemilia.Invoke("Waiting_Client")),
+			aemilia.Pre("receive_result_packet", rates.PassiveRate(), aemilia.Invoke("Processing_Client")),
 		)),
 	)
 
@@ -313,6 +321,9 @@ func BuildRPCRevised(p RPCParams) (*aemilia.ArchiType, error) {
 			aemilia.Attach("S", "notify_idle", "DPM", "receive_idle_notice"),
 		},
 	)
+	if p.Mode == Functional {
+		aemilia.Untimed(a)
+	}
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
@@ -362,28 +373,6 @@ func RPCGeneralDistributions(p RPCParams) map[sim.Activity]dist.Distribution {
 			m[sim.Activity{Instance: "DPM", Action: "tick"}] = dist.NewDet(p.ShutdownTimeout)
 		} else {
 			m[sim.Activity{Instance: "DPM", Action: "send_shutdown"}] = dist.NewDet(p.ShutdownTimeout)
-		}
-	}
-	return m
-}
-
-// RPCExponentialDistributions returns exponential overrides with the same
-// means as the general model — the cross-validation configuration of
-// paper Sect. 5.1 (simulating the Markovian model).
-func RPCExponentialDistributions(p RPCParams) map[sim.Activity]dist.Distribution {
-	m := map[sim.Activity]dist.Distribution{
-		{Instance: "S", Action: "prepare_result_packet"}: dist.ExpWithMean(p.MeanServiceTime),
-		{Instance: "S", Action: "awake"}:                 dist.ExpWithMean(p.MeanAwakeTime),
-		{Instance: "C", Action: "process_result_packet"}: dist.ExpWithMean(p.MeanProcessingTime),
-		{Instance: "C", Action: "expire_timeout"}:        dist.ExpWithMean(p.MeanClientTimeout),
-		{Instance: "RCS", Action: "propagate_packet"}:    dist.ExpWithMean(p.MeanPropagationTime),
-		{Instance: "RSC", Action: "propagate_packet"}:    dist.ExpWithMean(p.MeanPropagationTime),
-	}
-	if p.WithDPM && p.ShutdownTimeout > 0 {
-		if p.Policy == PolicyTrivial {
-			m[sim.Activity{Instance: "DPM", Action: "tick"}] = dist.ExpWithMean(p.ShutdownTimeout)
-		} else {
-			m[sim.Activity{Instance: "DPM", Action: "send_shutdown"}] = dist.ExpWithMean(p.ShutdownTimeout)
 		}
 	}
 	return m

@@ -100,39 +100,6 @@ func DefaultStreamingParams() StreamingParams {
 	}
 }
 
-func (p StreamingParams) expMean(mean float64) rates.Rate {
-	if p.Mode == Functional {
-		return rates.UntimedRate()
-	}
-	if mean <= 0 {
-		return rates.Inf(1, 1)
-	}
-	return rates.ExpRate(1 / mean)
-}
-
-// wakeupRate is the PSP wakeup annotation: the awake-period rate, bound
-// to StreamingPeriodSlot when the sweep asked for a parametric period.
-func (p StreamingParams) wakeupRate() rates.Rate {
-	if p.ParametricPeriod && p.Mode != Functional && p.AwakePeriod > 0 {
-		return rates.ExpSlot(StreamingPeriodSlot, 1/p.AwakePeriod)
-	}
-	return p.expMean(p.AwakePeriod)
-}
-
-func (p StreamingParams) imm(weight float64) rates.Rate {
-	if p.Mode == Functional {
-		return rates.UntimedRate()
-	}
-	return rates.Inf(1, weight)
-}
-
-func (p StreamingParams) passive() rates.Rate {
-	if p.Mode == Functional {
-		return rates.UntimedRate()
-	}
-	return rates.PassiveRate()
-}
-
 // BuildStreaming returns the streaming model of paper Sect. 2.2: server →
 // access-point buffer → radio channel → power-manageable NIC → client
 // buffer → renderer, plus (optionally) the PSP power manager that watches
@@ -140,8 +107,8 @@ func (p StreamingParams) passive() rates.Rate {
 func BuildStreaming(p StreamingParams) (*aemilia.ArchiType, error) {
 	server := aemilia.NewElemType("Server_Type", nil, []string{"send_frame"},
 		aemilia.NewBehavior("Stream_Server", nil,
-			aemilia.Pre("produce_frame", p.expMean(p.MeanFrameInterval),
-				aemilia.Pre("send_frame", p.imm(1), aemilia.Invoke("Stream_Server")))),
+			aemilia.Pre("produce_frame", expMean(p.MeanFrameInterval),
+				aemilia.Pre("send_frame", imm(1), aemilia.Invoke("Stream_Server")))),
 	)
 
 	// Access point with a bounded buffer. The status_* outputs are
@@ -155,13 +122,13 @@ func BuildStreaming(p StreamingParams) (*aemilia.ArchiType, error) {
 		aemilia.NewBehavior("AP_Buffer", []aemilia.Param{aemilia.IntParam("n")},
 			aemilia.Ch(
 				aemilia.When(expr.Bin(expr.OpLt, n, apCap),
-					aemilia.Pre("receive_frame", p.passive(),
+					aemilia.Pre("receive_frame", rates.PassiveRate(),
 						aemilia.Invoke("AP_Buffer", expr.Bin(expr.OpAdd, n, expr.Int(1))))),
 				aemilia.When(expr.Bin(expr.OpEq, n, apCap),
-					aemilia.Pre("receive_frame", p.passive(),
-						aemilia.Pre("lose_frame_ap", p.imm(1), aemilia.Invoke("AP_Buffer", n)))),
+					aemilia.Pre("receive_frame", rates.PassiveRate(),
+						aemilia.Pre("lose_frame_ap", imm(1), aemilia.Invoke("AP_Buffer", n)))),
 				aemilia.When(expr.Bin(expr.OpGt, n, expr.Int(0)),
-					aemilia.Pre("send_frame_ap", p.imm(1),
+					aemilia.Pre("send_frame_ap", imm(1),
 						aemilia.Invoke("AP_Buffer", expr.Bin(expr.OpSub, n, expr.Int(1))))),
 				aemilia.When(expr.Bin(expr.OpEq, n, expr.Int(0)),
 					aemilia.Pre("status_empty", rates.PassiveRate(), aemilia.Invoke("AP_Buffer", n))),
@@ -174,12 +141,12 @@ func BuildStreaming(p StreamingParams) (*aemilia.ArchiType, error) {
 	channel := aemilia.NewElemType("Frame_Channel_Type",
 		[]string{"get_frame"}, []string{"deliver_frame"},
 		aemilia.NewBehavior("Frame_Channel", nil,
-			aemilia.Pre("get_frame", p.passive(),
-				aemilia.Pre("propagate_frame", p.expMean(p.MeanPropagationTime),
+			aemilia.Pre("get_frame", rates.PassiveRate(),
+				aemilia.Pre("propagate_frame", expMean(p.MeanPropagationTime),
 					aemilia.Ch(
-						aemilia.Pre("keep_frame", p.imm(keepW),
-							aemilia.Pre("deliver_frame", p.imm(1), aemilia.Invoke("Frame_Channel"))),
-						aemilia.Pre("lose_frame", p.imm(p.LossProb), aemilia.Invoke("Frame_Channel")),
+						aemilia.Pre("keep_frame", imm(keepW),
+							aemilia.Pre("deliver_frame", imm(1), aemilia.Invoke("Frame_Channel"))),
+						aemilia.Pre("lose_frame", imm(p.LossProb), aemilia.Invoke("Frame_Channel")),
 					)))),
 	)
 
@@ -187,23 +154,23 @@ func BuildStreaming(p StreamingParams) (*aemilia.ArchiType, error) {
 		[]string{"receive_frame_nic", "receive_shutdown", "receive_wakeup"},
 		[]string{"forward_frame", "monitor_nic_awake", "monitor_nic_waking", "monitor_nic_doze"},
 		aemilia.NewBehavior("NIC_Awake", nil, aemilia.Ch(
-			aemilia.Pre("receive_frame_nic", p.passive(),
-				aemilia.Pre("forward_frame", p.imm(1), aemilia.Invoke("NIC_Awake"))),
-			aemilia.Pre("receive_shutdown", p.passive(), aemilia.Invoke("NIC_Doze")),
+			aemilia.Pre("receive_frame_nic", rates.PassiveRate(),
+				aemilia.Pre("forward_frame", imm(1), aemilia.Invoke("NIC_Awake"))),
+			aemilia.Pre("receive_shutdown", rates.PassiveRate(), aemilia.Invoke("NIC_Doze")),
 			aemilia.Pre("monitor_nic_awake", rates.PassiveRate(), aemilia.Invoke("NIC_Awake")),
 		)),
 		aemilia.NewBehavior("NIC_Doze", nil, aemilia.Ch(
-			aemilia.Pre("receive_wakeup", p.passive(), aemilia.Invoke("NIC_Waking")),
+			aemilia.Pre("receive_wakeup", rates.PassiveRate(), aemilia.Invoke("NIC_Waking")),
 			aemilia.Pre("monitor_nic_doze", rates.PassiveRate(), aemilia.Invoke("NIC_Doze")),
 		)),
 		aemilia.NewBehavior("NIC_Waking", nil, aemilia.Ch(
-			aemilia.Pre("awake_nic", p.expMean(p.MeanWakeTime), aemilia.Invoke("NIC_Checking")),
+			aemilia.Pre("awake_nic", expMean(p.MeanWakeTime), aemilia.Invoke("NIC_Checking")),
 			aemilia.Pre("monitor_nic_waking", rates.PassiveRate(), aemilia.Invoke("NIC_Waking")),
 		)),
 		aemilia.NewBehavior("NIC_Checking", nil, aemilia.Ch(
-			aemilia.Pre("check_done", p.expMean(p.MeanCheckTime), aemilia.Invoke("NIC_Awake")),
-			aemilia.Pre("receive_frame_nic", p.passive(),
-				aemilia.Pre("forward_frame", p.imm(1), aemilia.Invoke("NIC_Checking"))),
+			aemilia.Pre("check_done", expMean(p.MeanCheckTime), aemilia.Invoke("NIC_Awake")),
+			aemilia.Pre("receive_frame_nic", rates.PassiveRate(),
+				aemilia.Pre("forward_frame", imm(1), aemilia.Invoke("NIC_Checking"))),
 			aemilia.Pre("monitor_nic_awake", rates.PassiveRate(), aemilia.Invoke("NIC_Checking")),
 		)),
 	)
@@ -227,20 +194,20 @@ func BuildStreaming(p StreamingParams) (*aemilia.ArchiType, error) {
 				aemilia.When(expr.Bin(expr.OpAnd,
 					expr.Bin(expr.OpEq, d, expr.Int(0)),
 					expr.Bin(expr.OpLt, m, bCap)),
-					aemilia.Pre("receive_frame_b", p.passive(),
+					aemilia.Pre("receive_frame_b", rates.PassiveRate(),
 						aemilia.Invoke("Client_Buffer",
 							expr.Bin(expr.OpAdd, m, expr.Int(1)), d))),
 				// On-time frame, buffer full: overflow loss.
 				aemilia.When(expr.Bin(expr.OpAnd,
 					expr.Bin(expr.OpEq, d, expr.Int(0)),
 					expr.Bin(expr.OpEq, m, bCap)),
-					aemilia.Pre("receive_frame_b", p.passive(),
-						aemilia.Pre("lose_frame_b", p.imm(1),
+					aemilia.Pre("receive_frame_b", rates.PassiveRate(),
+						aemilia.Pre("lose_frame_b", imm(1),
 							aemilia.Invoke("Client_Buffer", m, d)))),
 				// Frame too far past its deadline: stale, discard.
 				aemilia.When(expr.Bin(expr.OpGt, d, slack),
-					aemilia.Pre("receive_frame_b", p.passive(),
-						aemilia.Pre("discard_stale_frame", p.imm(1),
+					aemilia.Pre("receive_frame_b", rates.PassiveRate(),
+						aemilia.Pre("discard_stale_frame", imm(1),
 							aemilia.Invoke("Client_Buffer", m,
 								expr.Bin(expr.OpSub, d, expr.Int(1)))))),
 				// Late frame within the slack: still rendered, the
@@ -250,7 +217,7 @@ func BuildStreaming(p StreamingParams) (*aemilia.ArchiType, error) {
 						expr.Bin(expr.OpGt, d, expr.Int(0)),
 						expr.Bin(expr.OpLe, d, slack)),
 					expr.Bin(expr.OpLt, m, bCap)),
-					aemilia.Pre("receive_frame_b", p.passive(),
+					aemilia.Pre("receive_frame_b", rates.PassiveRate(),
 						aemilia.Invoke("Client_Buffer",
 							expr.Bin(expr.OpAdd, m, expr.Int(1)),
 							expr.Bin(expr.OpSub, d, expr.Int(1))))),
@@ -259,25 +226,25 @@ func BuildStreaming(p StreamingParams) (*aemilia.ArchiType, error) {
 						expr.Bin(expr.OpGt, d, expr.Int(0)),
 						expr.Bin(expr.OpLe, d, slack)),
 					expr.Bin(expr.OpEq, m, bCap)),
-					aemilia.Pre("receive_frame_b", p.passive(),
-						aemilia.Pre("lose_frame_b", p.imm(1),
+					aemilia.Pre("receive_frame_b", rates.PassiveRate(),
+						aemilia.Pre("lose_frame_b", imm(1),
 							aemilia.Invoke("Client_Buffer", m, d)))),
 				// Client takes a frame.
 				aemilia.When(expr.Bin(expr.OpGt, m, expr.Int(0)),
-					aemilia.Pre("get_frame", p.passive(),
+					aemilia.Pre("get_frame", rates.PassiveRate(),
 						aemilia.Invoke("Client_Buffer",
 							expr.Bin(expr.OpSub, m, expr.Int(1)), d))),
 				// Missed deadline: debt grows, saturating at the cap.
 				aemilia.When(expr.Bin(expr.OpAnd,
 					expr.Bin(expr.OpEq, m, expr.Int(0)),
 					expr.Bin(expr.OpLt, d, debtCap)),
-					aemilia.Pre("miss_frame", p.passive(),
+					aemilia.Pre("miss_frame", rates.PassiveRate(),
 						aemilia.Invoke("Client_Buffer", m,
 							expr.Bin(expr.OpAdd, d, expr.Int(1))))),
 				aemilia.When(expr.Bin(expr.OpAnd,
 					expr.Bin(expr.OpEq, m, expr.Int(0)),
 					expr.Bin(expr.OpGe, d, debtCap)),
-					aemilia.Pre("miss_frame", p.passive(),
+					aemilia.Pre("miss_frame", rates.PassiveRate(),
 						aemilia.Invoke("Client_Buffer", m, d))),
 			)),
 	)
@@ -285,12 +252,12 @@ func BuildStreaming(p StreamingParams) (*aemilia.ArchiType, error) {
 	client := aemilia.NewElemType("Video_Client_Type", nil,
 		[]string{"get_frame", "miss_frame"},
 		aemilia.NewBehavior("Init_Client", nil,
-			aemilia.Pre("start_delay", p.expMean(p.MeanInitialDelay), aemilia.Invoke("Waiting_Period"))),
+			aemilia.Pre("start_delay", expMean(p.MeanInitialDelay), aemilia.Invoke("Waiting_Period"))),
 		aemilia.NewBehavior("Waiting_Period", nil,
-			aemilia.Pre("render_frame", p.expMean(p.MeanRenderInterval), aemilia.Invoke("Fetching_Client"))),
+			aemilia.Pre("render_frame", expMean(p.MeanRenderInterval), aemilia.Invoke("Fetching_Client"))),
 		aemilia.NewBehavior("Fetching_Client", nil, aemilia.Ch(
-			aemilia.Pre("get_frame", p.imm(1), aemilia.Invoke("Waiting_Period")),
-			aemilia.Pre("miss_frame", p.imm(1), aemilia.Invoke("Waiting_Period")),
+			aemilia.Pre("get_frame", imm(1), aemilia.Invoke("Waiting_Period")),
+			aemilia.Pre("miss_frame", imm(1), aemilia.Invoke("Waiting_Period")),
 		)),
 	)
 
@@ -320,11 +287,11 @@ func BuildStreaming(p StreamingParams) (*aemilia.ArchiType, error) {
 			[]string{"observe_empty"},
 			[]string{"send_shutdown", "send_wakeup"},
 			aemilia.NewBehavior("Watch_DPM", nil,
-				aemilia.Pre("observe_empty", p.expMean(p.MeanShutdownDelay), aemilia.Invoke("Shut_DPM"))),
+				aemilia.Pre("observe_empty", expMean(p.MeanShutdownDelay), aemilia.Invoke("Shut_DPM"))),
 			aemilia.NewBehavior("Shut_DPM", nil,
-				aemilia.Pre("send_shutdown", p.imm(1), aemilia.Invoke("Sleep_DPM"))),
+				aemilia.Pre("send_shutdown", imm(1), aemilia.Invoke("Sleep_DPM"))),
 			aemilia.NewBehavior("Sleep_DPM", nil,
-				aemilia.Pre("send_wakeup", p.wakeupRate(), aemilia.Invoke("Watch_DPM"))),
+				aemilia.Pre("send_wakeup", expSlot(StreamingPeriodSlot, p.ParametricPeriod, p.AwakePeriod), aemilia.Invoke("Watch_DPM"))),
 		)
 		elems = append(elems, dpm)
 		insts = append(insts, aemilia.NewInstance("DPM", "DPM_Type"))
@@ -336,6 +303,9 @@ func BuildStreaming(p StreamingParams) (*aemilia.ArchiType, error) {
 	}
 
 	a := aemilia.NewArchiType("Streaming_DPM", elems, insts, atts)
+	if p.Mode == Functional {
+		aemilia.Untimed(a)
+	}
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
@@ -397,27 +367,6 @@ func StreamingGeneralDistributions(p StreamingParams) map[sim.Activity]dist.Dist
 		m[sim.Activity{Instance: "DPM", Action: "observe_empty"}] = dist.NewDet(p.MeanShutdownDelay)
 		if p.AwakePeriod > 0 {
 			m[sim.Activity{Instance: "DPM", Action: "send_wakeup"}] = dist.NewDet(p.AwakePeriod)
-		}
-	}
-	return m
-}
-
-// StreamingExponentialDistributions returns exponential overrides with the
-// same means, for cross-validating the simulator against the CTMC
-// solution (paper Sect. 5.1).
-func StreamingExponentialDistributions(p StreamingParams) map[sim.Activity]dist.Distribution {
-	m := map[sim.Activity]dist.Distribution{
-		{Instance: "S", Action: "produce_frame"}:     dist.ExpWithMean(p.MeanFrameInterval),
-		{Instance: "C", Action: "start_delay"}:       dist.ExpWithMean(p.MeanInitialDelay),
-		{Instance: "C", Action: "render_frame"}:      dist.ExpWithMean(p.MeanRenderInterval),
-		{Instance: "NIC", Action: "awake_nic"}:       dist.ExpWithMean(p.MeanWakeTime),
-		{Instance: "NIC", Action: "check_done"}:      dist.ExpWithMean(p.MeanCheckTime),
-		{Instance: "RSC", Action: "propagate_frame"}: dist.ExpWithMean(p.MeanPropagationTime),
-	}
-	if p.WithDPM {
-		m[sim.Activity{Instance: "DPM", Action: "observe_empty"}] = dist.ExpWithMean(p.MeanShutdownDelay)
-		if p.AwakePeriod > 0 {
-			m[sim.Activity{Instance: "DPM", Action: "send_wakeup"}] = dist.ExpWithMean(p.AwakePeriod)
 		}
 	}
 	return m

@@ -26,41 +26,34 @@
 //     simulated with the realistic durations.
 package pipeline
 
-import (
-	"context"
-
-	"repro/internal/ctmc"
-)
+import "context"
 
 // Config carries the per-caller environment a Session runs under: the
 // worker count, the cancellation context, and the result store. None of
 // it participates in the SpecHash — results
 // are bit-identical at any Config — so sessions opened with different
 // Configs still share one set of staged artifacts. The extra fields
-// (Solve, CheckpointDir, CheckpointResume) are conventions for the layers
+// (Minimize, CheckpointDir, CheckpointResume) are conventions for the layers
 // above: internal/experiments builds its specs and checkpoint paths from
 // them, so one Config constructed from CLI flags configures the whole
 // run.
 type Config struct {
 	// Workers bounds the concurrency of everything the session schedules:
-	// sweep points in flight and simulation replications (when
-	// SimSettings leaves Workers unset). 0 keeps each layer's own default.
+	// sweep points in flight and simulation replications. 0 keeps each
+	// layer's own default.
 	// State-space generation and the steady-state solver are sequential
 	// and never read it, and the Phase 1 check always runs on two
 	// goroutines (see package noninterference). Results are bit-identical
 	// at any value.
 	Workers int
 	// Ctx cancels the session's work: generation polls it at BFS level
-	// boundaries, solvers per iteration, sweeps at point boundaries, and
-	// stage waiters while another caller builds. A cancellation surfaces
+	// boundaries, solvers per iteration, sweeps at point boundaries,
+	// simulations between events, and stage waiters while another caller
+	// builds. A cancellation surfaces
 	// as a *fault.CanceledError and never poisons the session: the
 	// interrupted stage is retried by the next caller. Nil disables
 	// cancellation.
 	Ctx context.Context
-	// Solve is the base steady-state solver configuration the experiment
-	// drivers copy into their specs. The session itself reads solver
-	// options from the Spec.
-	Solve ctmc.SolveOptions
 	// Minimize is the compositional-minimization policy the experiment
 	// drivers copy into their specs (Spec.Minimize): lump each component
 	// before composition and fold vanishing states during generation, so
@@ -95,13 +88,4 @@ type SimSettings struct {
 	// ConfidenceLevel of the reported intervals: 0.80, 0.90, 0.95 or
 	// 0.99 (default 0.90).
 	ConfidenceLevel float64
-	// Workers bounds the concurrency of the experiment: the number of
-	// simulation replications in flight (sim.Config.Workers) and, for the
-	// sweep drivers in internal/experiments, the number of concurrent
-	// sweep points. 0 falls back to the session Config's Workers. Results
-	// are bit-identical at any worker count.
-	Workers int
-	// Ctx cancels the simulation (see sim.Config.Ctx); nil falls back to
-	// the session Config's Ctx.
-	Ctx context.Context
 }

@@ -365,18 +365,15 @@ func (s *Session) Phase2() (*Phase2Report, error) {
 }
 
 // Phase3 simulates the session's model with the given duration overrides
-// and estimates the spec's measures: the general phase. Workers and Ctx
-// fall back to the session Config when the settings leave them unset.
+// and estimates the spec's measures: the general phase. With nil
+// overrides every activity draws from the exponential its rate declares,
+// which simulates the Markovian model itself (the validation of paper
+// Sect. 5.1). Replications run on the session Config's Workers and stop
+// on its Ctx.
 func (s *Session) Phase3(dists map[sim.Activity]dist.Distribution, settings SimSettings) (*Phase3Report, error) {
 	m, err := s.Model()
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: phase 3: %w", err)
-	}
-	if settings.Workers <= 0 {
-		settings.Workers = s.cfg.Workers
-	}
-	if settings.Ctx == nil {
-		settings.Ctx = s.cfg.Ctx
 	}
 	res, err := sim.Run(sim.Config{
 		Model:           m,
@@ -387,8 +384,8 @@ func (s *Session) Phase3(dists map[sim.Activity]dist.Distribution, settings SimS
 		Replications:    settings.Replications,
 		Seed:            settings.Seed,
 		ConfidenceLevel: settings.ConfidenceLevel,
-		Workers:         settings.Workers,
-		Ctx:             settings.Ctx,
+		Workers:         s.cfg.Workers,
+		Ctx:             s.cfg.Ctx,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: phase 3: %w", err)

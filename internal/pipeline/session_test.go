@@ -335,13 +335,13 @@ func TestPhase2RejectsFunctionalModel(t *testing.T) {
 }
 
 // TestPhase3AndValidation runs the paper's Sect. 5.1 cross-validation on
-// one session: the model simulated with exponential distributions must
-// agree with the exact CTMC solution.
+// one session: the Markovian model simulated without duration overrides
+// must agree with the exact CTMC solution.
 func TestPhase3AndValidation(t *testing.T) {
 	p := models.DefaultRPCParams()
 	p.ShutdownTimeout = 5
 	s := pipeline.NewSession(rpcSpec(p), pipeline.Config{})
-	simRep, err := s.Phase3(models.RPCExponentialDistributions(p),
+	simRep, err := s.Phase3(nil,
 		pipeline.SimSettings{RunLength: 8000, Warmup: 200, Replications: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)

@@ -76,9 +76,10 @@ func streamingSimModel(t *testing.T, p models.StreamingParams) *elab.Model {
 	})
 }
 
-// simCases covers the general (and exponential-override) rpc model under
-// the timeout, trivial and predictive policies, and the general streaming
-// model with and without DPM.
+// simCases covers the rpc model under the timeout, trivial and
+// predictive policies, both general and exponential (the Markovian model
+// run with no overrides, as in the Sect. 5.1 validation), and the general
+// streaming model with and without DPM.
 func simCases(t *testing.T) []simCase {
 	rpcRun := sim.Config{RunLength: 3000, Warmup: 200, Replications: 3, Seed: 20040628}
 	stRun := sim.Config{RunLength: 6000, Warmup: 500, Replications: 2, Seed: 7}
@@ -90,7 +91,7 @@ func simCases(t *testing.T) []simCase {
 		ms := models.RPCMeasures(p)
 		cases = append(cases,
 			simCase{"rpc/" + pol.String() + "/general", m, models.RPCGeneralDistributions(p), ms, rpcRun},
-			simCase{"rpc/" + pol.String() + "/exponential", m, models.RPCExponentialDistributions(p), ms, rpcRun},
+			simCase{"rpc/" + pol.String() + "/exponential", m, nil, ms, rpcRun},
 		)
 	}
 	for _, withDPM := range []bool{true, false} {
@@ -177,7 +178,6 @@ func TestModelOverridesResolve(t *testing.T) {
 		p.WithDPM = pol != models.PolicyNone
 		m, ms := rpcSimModel(t, p), models.RPCMeasures(p)
 		run("rpc/"+pol.String()+"/general", m, models.RPCGeneralDistributions(p), ms)
-		run("rpc/"+pol.String()+"/exponential", m, models.RPCExponentialDistributions(p), ms)
 	}
 	for _, c := range []struct {
 		name    string
@@ -191,6 +191,5 @@ func TestModelOverridesResolve(t *testing.T) {
 		}
 		m, ms := streamingSimModel(t, p), models.StreamingMeasures(p)
 		run("streaming/"+c.name+"/general", m, models.StreamingGeneralDistributions(p), ms)
-		run("streaming/"+c.name+"/exponential", m, models.StreamingExponentialDistributions(p), ms)
 	}
 }

@@ -30,11 +30,10 @@ import (
 var reachAllow = map[string]string{
 	"faultinject.*": "production code calls the hooks so that tests can arm them",
 
-	"lts.GenerateCalls":                        "tests in other packages count successor calls with it",
-	"lts.(*LTS).NumAux":                        "tests in other packages check the Aux handles with it",
-	"ctmc.(*CTMC).InvalidatePlan":              "bench_test.go's PerPoint ablation drops the cached plan with it; ROADMAP item 1(b) decides its fate",
-	"dist.NewErlang":                           "kept for ROADMAP item 11, the Erlang-k bridge between the Markovian and general phases",
-	"models.StreamingExponentialDistributions": "the sim fingerprints and the models tests drive the exponential streaming variant",
+	"lts.GenerateCalls":           "tests in other packages count successor calls with it",
+	"lts.(*LTS).NumAux":           "tests in other packages check the Aux handles with it",
+	"ctmc.(*CTMC).InvalidatePlan": "bench_test.go's PerPoint ablation drops the cached plan with it; ROADMAP item 1(b) decides its fate",
+	"dist.NewErlang":              "kept for ROADMAP item 11, the Erlang-k bridge between the Markovian and general phases",
 }
 
 const reachModule = "repro"

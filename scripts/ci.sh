@@ -164,7 +164,9 @@ scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|Sweep
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing per target on top of
 # the seed corpora that plain `go test` replays — the Æmilia parser and
-# lexer (the byte-parsing input surface), the weak-bisimulation check
+# lexer (the byte-parsing input surface), the rate erasure that derives
+# each functional model from its Markovian one (FuzzUntimed, seeded with
+# every shipped spec), the weak-bisimulation check
 # against its unreduced saturation oracle, the compiled successor
 # enumeration — the one successor function of both state-space
 # generation and simulation — against the term-interpreting
@@ -176,10 +178,14 @@ scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|Sweep
 # (FuzzRestrictHide), and the tuple table behind every state table and
 # memo against a map reference. A
 # crasher lands under the package's testdata/fuzz and then replays in
-# every later `go test`.
+# every later `go test`. FuzzUntimed caps input minimization at 200
+# runs: its seeds are whole specs, and minimizing one new input under the
+# default 60 s limit would take the ten seconds (about ten executions
+# instead of about 300,000).
 echo "== fuzz smoke =="
 go test -timeout 5m -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/aemilia/parser/
 go test -timeout 5m -run '^$' -fuzz '^FuzzLexer$' -fuzztime 10s ./internal/aemilia/parser/
+go test -timeout 5m -run '^$' -fuzz '^FuzzUntimed$' -fuzztime 10s -fuzzminimizetime 200x ./internal/aemilia/parser/
 go test -timeout 5m -run '^$' -fuzz '^FuzzWeakEquivalent$' -fuzztime 10s ./internal/bisim/
 go test -timeout 5m -run '^$' -fuzz '^FuzzCompiledSuccessors$' -fuzztime 10s ./internal/elab/
 go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s ./internal/pipeline/
