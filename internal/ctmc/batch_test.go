@@ -29,8 +29,15 @@ func rpcParamChain(t *testing.T) *ctmc.CTMC {
 // awake period as a rate slot (one slot, value 1/P).
 func streamingParamChain(t *testing.T) *ctmc.CTMC {
 	t.Helper()
+	return streamingParamChainCap(t, 3)
+}
+
+// streamingParamChainCap is streamingParamChain with both buffers of the
+// given capacity.
+func streamingParamChainCap(t *testing.T, capacity int64) *ctmc.CTMC {
+	t.Helper()
 	p := models.DefaultStreamingParams()
-	p.APCapacity, p.ClientCapacity = 3, 3
+	p.APCapacity, p.ClientCapacity = capacity, capacity
 	p.ParametricPeriod = true
 	a, err := models.BuildStreaming(p)
 	if err != nil {
@@ -194,9 +201,13 @@ func TestSolveBatchPadLanesNeverSurface(t *testing.T) {
 			}
 		}
 	}
+	// Only the last lane is held to an unreachable tolerance, so it alone
+	// exhausts the budget; the others converge. A point whose sweeps reach
+	// an exact fixed point (residual 0, as T = 15 and 30 do) meets any
+	// tolerance, so this grid leaves them out and each K first proves, by
+	// a solo solve, that its last point cannot converge.
+	points = rateGrid(0.5, 0.75, 1, 1.5, 2, 3, 5, 7.5, 10, 12.5, 20)
 	for _, K := range []int{3, 11} {
-		// Only the last lane is held to an unreachable tolerance, so it
-		// alone exhausts the budget; the others converge.
 		tols := make([]float64, K)
 		for k := range tols {
 			tols[k] = 1e-9
@@ -205,6 +216,13 @@ func TestSolveBatchPadLanesNeverSurface(t *testing.T) {
 		opts := ctmc.BatchOptions{
 			Solve:          ctmc.SolveOptions{MaxIterations: 500},
 			LaneTolerances: tols,
+		}
+		solo := c.Clone()
+		if err := solo.Rebind(points[K-1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := solo.SteadyState(ctmc.SolveOptions{MaxIterations: 500, Tolerance: tols[K-1]}); !errors.Is(err, ctmc.ErrNoConvergence) {
+			t.Fatalf("K=%d: premise broken: solo solve of the last point returned %v, want ErrNoConvergence", K, err)
 		}
 		out, laneErrs, err := c.SolveBatchLanes(points[:K], opts)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/fault"
@@ -209,23 +210,25 @@ func (c *CTMC) steadyStateStats(opts SolveOptions) ([]float64, solveStats, error
 const residualGuard = 1 - 1e-13
 
 // solvePlan caches the structural half of a steady-state solve: the
-// reachable bottom component and the incoming-CSR index skeleton of its
-// balance equations, plus the traversal metadata that lets a solve — or a
-// batched solve — gather the chain's current rate values into that
-// skeleton without re-running Tarjan, reachability, or the fill-position
-// computation. The analysis depends only on the chain's structure (state
-// classification, row columns, initial support), which a rate-only Rebind
-// provably preserves: every slot value is validated positive and finite,
-// so no edge appears or disappears. One plan therefore serves every
-// rebind of a chain and all its Clones; it is computed lazily on first
-// solve and shared by pointer across clones.
+// reachable bottom component in sweep order and the incoming-CSR index
+// skeleton of its balance equations, plus the traversal metadata that
+// lets a solve — or a batched solve — gather the chain's current rate
+// values into that skeleton without re-running Tarjan, reachability, or
+// the fill-position computation. The analysis depends only on the
+// chain's structure (state classification, row columns, initial
+// support), which a rate-only Rebind provably preserves: every slot
+// value is validated positive and finite, so no edge appears or
+// disappears. One plan therefore serves every rebind of a chain and all
+// its Clones; it is computed lazily on first solve and shared by pointer
+// across clones.
 type solvePlan struct {
 	once sync.Once
 	err  error
 
-	// target is the reachable bottom SCC in its Tarjan emission order —
-	// the same order the uncached solver produced, so local indexing and
-	// every downstream floating-point accumulation are unchanged.
+	// target is the reachable bottom SCC in ascending tangible index, the
+	// order every Gauss-Seidel sweep visits its rows. It depends on the
+	// component's states alone, not on edge order; local indexing and
+	// every floating-point accumulation follow it.
 	target []int
 	// inStart/inFrom are the component's incoming CSR index arrays: the
 	// incoming edges of local state j are inFrom[inStart[j]:inStart[j+1]].
@@ -283,6 +286,10 @@ func (p *solvePlan) build(c *CTMC) {
 		p.err = fmt.Errorf("ctmc: no reachable bottom component (internal error)")
 		return
 	}
+	// Sweep in ascending tangible index, the generator's breadth-first
+	// order: a row then mostly reads predecessors this sweep has already
+	// updated, which Tarjan's pop order does not give.
+	slices.Sort(target)
 	p.target = target
 	if len(target) > 1 {
 		inComp := make([]bool, c.N)

@@ -104,8 +104,10 @@ func TestSteadyStateIgnoresGOMAXPROCS(t *testing.T) {
 
 // TestSteadyStateMatchesGTH checks the iterative solve against the exact
 // GTH elimination of the bottom component, to 1e-9 relative per state: on
-// random chains of 2 to 200 states, and on the Fig. 3 rpc chain at the
-// swept shutdown timeouts and out to 1e-4 ms and 1e5 ms.
+// random chains of 2 to 200 states, on the Fig. 3 rpc chain at the
+// swept shutdown timeouts and out to 1e-4 ms and 1e5 ms, and on the
+// Fig. 4 streaming chain at buffer capacities 3 and 6 (336 and 966
+// tangible states) at awake periods from 1 ms to 1e5 ms.
 func TestSteadyStateMatchesGTH(t *testing.T) {
 	check := func(name string, c *ctmc.CTMC) {
 		t.Helper()
@@ -130,6 +132,15 @@ func TestSteadyStateMatchesGTH(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("rpc-timeout-%g", T), c)
+	}
+	for _, capacity := range []int64{3, 6} {
+		c := streamingParamChainCap(t, capacity)
+		for _, P := range []float64{1, 5, 10, 25, 50, 100, 200, 400, 800, 1e4, 1e5} {
+			if err := c.Rebind([]float64{1 / P}); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("streaming-%dx%d-period-%g", capacity, capacity, P), c)
+		}
 	}
 }
 

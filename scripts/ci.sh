@@ -178,20 +178,21 @@ scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|Sweep
 # (FuzzRestrictHide), and the tuple table behind every state table and
 # memo against a map reference. A
 # crasher lands under the package's testdata/fuzz and then replays in
-# every later `go test`. FuzzUntimed caps input minimization at 200
-# runs: its seeds are whole specs, and minimizing one new input under the
-# default 60 s limit would take the ten seconds (about ten executions
-# instead of about 300,000).
+# every later `go test`. Every target caps input minimization at 200
+# runs: under Go's default 60 s limit, minimizing one new input can take
+# the whole ten seconds (FuzzCompiledSuccessors, seeded with every spec,
+# ran 8 executions in ten seconds without the cap and about 127,000 with
+# it).
 echo "== fuzz smoke =="
-go test -timeout 5m -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/aemilia/parser/
-go test -timeout 5m -run '^$' -fuzz '^FuzzLexer$' -fuzztime 10s ./internal/aemilia/parser/
+go test -timeout 5m -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 200x ./internal/aemilia/parser/
+go test -timeout 5m -run '^$' -fuzz '^FuzzLexer$' -fuzztime 10s -fuzzminimizetime 200x ./internal/aemilia/parser/
 go test -timeout 5m -run '^$' -fuzz '^FuzzUntimed$' -fuzztime 10s -fuzzminimizetime 200x ./internal/aemilia/parser/
-go test -timeout 5m -run '^$' -fuzz '^FuzzWeakEquivalent$' -fuzztime 10s ./internal/bisim/
-go test -timeout 5m -run '^$' -fuzz '^FuzzCompiledSuccessors$' -fuzztime 10s ./internal/elab/
-go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s ./internal/pipeline/
-go test -timeout 5m -run '^$' -fuzz '^FuzzParseMeasures$' -fuzztime 10s ./internal/measure/
-go test -timeout 5m -run '^$' -fuzz '^FuzzReadAUT$' -fuzztime 10s ./internal/lts/
-go test -timeout 5m -run '^$' -fuzz '^FuzzRestrictHide$' -fuzztime 10s ./internal/lts/
-go test -timeout 5m -run '^$' -fuzz '^FuzzTupleTable$' -fuzztime 10s ./internal/statespace/
+go test -timeout 5m -run '^$' -fuzz '^FuzzWeakEquivalent$' -fuzztime 10s -fuzzminimizetime 200x ./internal/bisim/
+go test -timeout 5m -run '^$' -fuzz '^FuzzCompiledSuccessors$' -fuzztime 10s -fuzzminimizetime 200x ./internal/elab/
+go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s -fuzzminimizetime 200x ./internal/pipeline/
+go test -timeout 5m -run '^$' -fuzz '^FuzzParseMeasures$' -fuzztime 10s -fuzzminimizetime 200x ./internal/measure/
+go test -timeout 5m -run '^$' -fuzz '^FuzzReadAUT$' -fuzztime 10s -fuzzminimizetime 200x ./internal/lts/
+go test -timeout 5m -run '^$' -fuzz '^FuzzRestrictHide$' -fuzztime 10s -fuzzminimizetime 200x ./internal/lts/
+go test -timeout 5m -run '^$' -fuzz '^FuzzTupleTable$' -fuzztime 10s -fuzzminimizetime 200x ./internal/statespace/
 
 echo "CI OK"
