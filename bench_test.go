@@ -120,21 +120,40 @@ func BenchmarkFig6General(b *testing.B) {
 
 // --- Fig. 7/8: trade-off curves ---
 
+// Each iteration runs both sweeps of the figure and builds its curves,
+// what an invocation that selects only the trade-off figure does.
+
 func BenchmarkFig7Tradeoff(b *testing.B) {
 	settings := pipeline.SimSettings{RunLength: 2000, Replications: 4}
+	timeouts := []float64{1, 10, 20}
 	for i := 0; i < b.N; i++ {
-		if _, err := benchRunner().Fig7Tradeoff([]float64{1, 10, 20}, settings); err != nil {
+		r := benchRunner()
+		markov, err := r.Fig3Markov(timeouts)
+		if err != nil {
 			b.Fatal(err)
 		}
+		general, err := r.Fig3General(timeouts, settings)
+		if err != nil {
+			b.Fatal(err)
+		}
+		experiments.RPCTradeoffCurves(markov, general)
 	}
 }
 
 func BenchmarkFig8Tradeoff(b *testing.B) {
 	settings := pipeline.SimSettings{RunLength: 20000, Warmup: 5000, Replications: 3}
+	periods := []float64{100, 400}
 	for i := 0; i < b.N; i++ {
-		if _, err := benchRunner().Fig8Tradeoff([]float64{100, 400}, experiments.Quick, settings); err != nil {
+		r := benchRunner()
+		markov, err := r.Fig4Markov(periods, experiments.Quick)
+		if err != nil {
 			b.Fatal(err)
 		}
+		general, err := r.Fig6General(periods, experiments.Quick, settings)
+		if err != nil {
+			b.Fatal(err)
+		}
+		experiments.StreamingTradeoffCurves(markov, general)
 	}
 }
 

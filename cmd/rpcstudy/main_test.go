@@ -1,28 +1,95 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/experiments"
+)
+
+// run drives the rpcstudy command line and returns what it prints.
+func run(args ...string) (string, error) {
+	var out bytes.Buffer
+	err := experiments.RunStudy(experiments.RPCStudy, args, &out)
+	return out.String(), err
+}
 
 func TestRunSect3(t *testing.T) {
-	if err := run([]string{"-experiment", "sect3"}); err != nil {
+	if _, err := run("-experiment", "sect3"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunPolicies(t *testing.T) {
-	if err := run([]string{"-experiment", "policies", "-csv"}); err != nil {
+	if _, err := run("-experiment", "policies", "-csv"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
+	if _, err := run("-definitely-not-a-flag"); err == nil {
 		t.Fatal("unknown flag should error")
 	}
 }
 
-func TestRunUnknownExperimentIsNoop(t *testing.T) {
-	// Unknown names simply select nothing.
-	if err := run([]string{"-experiment", "nothing"}); err != nil {
+func TestRunUnknownExperimentErrors(t *testing.T) {
+	out, err := run("-experiment", "fig4")
+	if err == nil {
+		t.Fatal("an experiment of the other study should error")
+	}
+	if want := "all, sect3, fig3markov, fig3general, fig5, policies, battery, fig7"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not list %q", err, want)
+	}
+	if out != "" {
+		t.Errorf("printed %q before failing", out)
+	}
+}
+
+// TestQuickOutputBytes pins the bytes that a -quick run of all prints, as
+// tables and as CSV, at one and at eight workers. The testdata files were
+// recorded before the experiments catalog drove this command.
+func TestQuickOutputBytes(t *testing.T) {
+	for file, args := range map[string][]string{"quick_all.txt": nil, "quick_all.csv": {"-csv"}} {
+		want := readFile(t, file)
+		for _, workers := range []string{"1", "8"} {
+			got, err := run(append([]string{"-quick", "-workers", workers}, args...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("-quick %v -workers %s differs from testdata/%s:\n%s", args, workers, file, got)
+			}
+		}
+	}
+}
+
+// TestCheckpointResume runs -quick all with -checkpoint and then resumes
+// it from the files it left: both runs print the uncheckpointed bytes.
+func TestCheckpointResume(t *testing.T) {
+	dir := t.TempDir()
+	want := readFile(t, "quick_all.txt")
+	for _, args := range [][]string{{"-checkpoint", dir}, {"-checkpoint", dir, "-resume"}} {
+		got, err := run(append([]string{"-quick"}, args...)...)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if got != want {
+			t.Errorf("%v differs from testdata/quick_all.txt:\n%s", args, got)
+		}
+		if ckpts, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(ckpts) == 0 {
+			t.Fatalf("%v left no checkpoint in %s", args, dir)
+		}
+	}
+}
+
+func readFile(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
 		t.Fatal(err)
 	}
+	return string(b)
 }

@@ -204,11 +204,16 @@ func TestFig6GeneralShapes(t *testing.T) {
 }
 
 func TestFig7TradeoffMonotone(t *testing.T) {
-	curves, err := newStudy().Fig7Tradeoff([]float64{1, 8, 20},
-		pipeline.SimSettings{RunLength: 3000, Replications: 4})
+	r, timeouts := newStudy(), []float64{1, 8, 20}
+	markov, err := r.Fig3Markov(timeouts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	general, err := r.Fig3General(timeouts, pipeline.SimSettings{RunLength: 3000, Replications: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves := RPCTradeoffCurves(markov, general)
 	if len(curves.Markov) != 3 || len(curves.General) != 3 {
 		t.Fatalf("curve sizes: %d, %d", len(curves.Markov), len(curves.General))
 	}
@@ -226,12 +231,17 @@ func TestFig7TradeoffMonotone(t *testing.T) {
 }
 
 func TestFig8TradeoffShapes(t *testing.T) {
-	curves, err := newStudy().Fig8Tradeoff([]float64{50, 400}, Quick,
+	r, periods := newStudy(), []float64{50, 400}
+	markov, err := r.Fig4Markov(periods, Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	general, err := r.Fig6General(periods, Quick,
 		pipeline.SimSettings{RunLength: 30000, Warmup: 5000, Replications: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := curves.Markov
+	m := StreamingTradeoffCurves(markov, general).Markov
 	// Longer awake period: lower energy, higher miss.
 	if !(m[1].Y < m[0].Y && m[1].X > m[0].X) {
 		t.Errorf("Markov streaming tradeoff not monotone: %+v", m)

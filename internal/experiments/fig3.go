@@ -39,32 +39,26 @@ func DefaultRPCTimeouts() []float64 {
 	return []float64{0, 0.5, 1, 2, 3, 5, 7.5, 10, 12.5, 15, 20, 25}
 }
 
-// rpcTimeoutSweep solves the with-DPM rpc model across positive shutdown
-// timeouts as one rate-parametric sweep: the state space is generated
-// once, the CTMC is built once, and each timeout only rebinds the
-// shutdown rate (slot models.RPCTimeoutSlot gets 1/T — the same value a
-// fresh build at that timeout would use) before a cold solve.
-// Reports come back in timeout order.
-func (r *Runner) rpcTimeoutSweep(timeouts []float64) ([]*pipeline.Phase2Report, error) {
+// rpcWithDPM solves the with-DPM rpc model at each shutdown timeout
+// (dpmValues; the parametric slot is models.RPCTimeoutSlot) and
+// checkpoints its sweep under name, the calling figure's own: Fig. 3 and
+// Fig. 5 sweep different grids of the one parametric model.
+func (r *Runner) rpcWithDPM(timeouts []float64, name string) ([]map[string]float64, error) {
 	p := models.DefaultRPCParams()
 	p.ParametricTimeout = true
-	s, err := r.rpcSession(p)
+	param, err := r.rpcSession(p)
 	if err != nil {
 		return nil, err
 	}
-	points := make([][]float64, len(timeouts))
-	for i, T := range timeouts {
-		points[i] = []float64{1 / T}
-	}
-	return s.SweepCheckpointed(points, r.checkpointOpts("fig3-rpc-timeout"))
+	return r.dpmValues(timeouts, param, name, func(T float64) (*pipeline.Session, error) {
+		p := models.DefaultRPCParams()
+		p.ShutdownTimeout = T
+		return r.rpcSession(p)
+	})
 }
 
 // Fig3Markov reproduces the left-hand side of paper Fig. 3: the Markovian
-// rpc comparison across DPM shutdown timeouts. Positive timeouts share a
-// single generated state space and built chain (rpcTimeoutSweep);
-// non-positive timeouts turn the shutdown into an immediate action — a
-// structurally different model — and fall back to a per-point build.
-// Points are solved concurrently (Config.Workers) and reported in
+// rpc comparison across DPM shutdown timeouts (rpcWithDPM), reported in
 // timeout order.
 func (r *Runner) Fig3Markov(timeouts []float64) ([]RPCPoint, error) {
 	if timeouts == nil {
@@ -82,49 +76,13 @@ func (r *Runner) Fig3Markov(timeouts []float64) ([]RPCPoint, error) {
 		return nil, err
 	}
 	base := rpcMetricsFromValues(rep0.Values)
-
+	vals, err := r.rpcWithDPM(timeouts, "fig3-rpc-timeout")
+	if err != nil {
+		return nil, err
+	}
 	points := make([]RPCPoint, len(timeouts))
-	var swept []float64
-	var sweptIdx, fallback []int
-	for i, T := range timeouts {
-		points[i].Timeout = T
-		points[i].NoDPM = base
-		if T > 0 {
-			swept = append(swept, T)
-			sweptIdx = append(sweptIdx, i)
-		} else {
-			fallback = append(fallback, i)
-		}
-	}
-	if len(swept) > 0 {
-		reps, err := r.rpcTimeoutSweep(swept)
-		if err != nil {
-			return nil, err
-		}
-		for k, rep := range reps {
-			points[sweptIdx[k]].WithDPM = rpcMetricsFromValues(rep.Values)
-		}
-	}
-	if len(fallback) > 0 {
-		metrics, err := RunPoints(fallback, r.cfg.Workers, func(i int) (RPCMetrics, error) {
-			p := models.DefaultRPCParams()
-			p.ShutdownTimeout = timeouts[i]
-			s, err := r.rpcSession(p)
-			if err != nil {
-				return RPCMetrics{}, err
-			}
-			rep, err := s.Phase2()
-			if err != nil {
-				return RPCMetrics{}, err
-			}
-			return rpcMetricsFromValues(rep.Values), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for k, i := range fallback {
-			points[i].WithDPM = metrics[k]
-		}
+	for i, v := range vals {
+		points[i] = RPCPoint{Timeout: timeouts[i], WithDPM: rpcMetricsFromValues(v), NoDPM: base}
 	}
 	return points, nil
 }

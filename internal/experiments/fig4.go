@@ -61,30 +61,10 @@ func streamingParams(scale Scale) models.StreamingParams {
 	return p
 }
 
-// streamingPeriodSweep solves the with-DPM streaming model across
-// positive awake periods as one rate-parametric sweep: generated and
-// built once, each period rebinds the PSP wakeup rate (slot
-// models.StreamingPeriodSlot gets 1/P) before a cold solve.
-func (r *Runner) streamingPeriodSweep(periods []float64, scale Scale) ([]*pipeline.Phase2Report, error) {
-	p := streamingParams(scale)
-	p.ParametricPeriod = true
-	s, err := r.streamingSession(p)
-	if err != nil {
-		return nil, err
-	}
-	points := make([][]float64, len(periods))
-	for i, P := range periods {
-		points[i] = []float64{1 / P}
-	}
-	return s.SweepCheckpointed(points, r.checkpointOpts(fmt.Sprintf("fig4-streaming-scale%d", scale)))
-}
-
 // Fig4Markov reproduces paper Fig. 4: the Markovian streaming comparison
-// across PSP awake periods. Positive periods share a single generated
-// state space and built chain (streamingPeriodSweep); a non-positive
-// period makes the wakeup immediate — a structurally different model —
-// and falls back to a per-point build. Points are solved concurrently
-// (Config.Workers) and reported in period order.
+// across PSP awake periods, reported in period order. The with-DPM
+// values come from dpmValues; the parametric slot is
+// models.StreamingPeriodSlot.
 func (r *Runner) Fig4Markov(periods []float64, scale Scale) ([]StreamingPoint, error) {
 	if periods == nil {
 		periods = DefaultAwakePeriods()
@@ -101,48 +81,23 @@ func (r *Runner) Fig4Markov(periods []float64, scale Scale) ([]StreamingPoint, e
 	}
 	base := streamingMetricsFromValues(rep0.Values)
 
+	p := streamingParams(scale)
+	p.ParametricPeriod = true
+	param, err := r.streamingSession(p)
+	if err != nil {
+		return nil, err
+	}
+	vals, err := r.dpmValues(periods, param, fmt.Sprintf("fig4-streaming-scale%d", scale), func(P float64) (*pipeline.Session, error) {
+		p := streamingParams(scale)
+		p.AwakePeriod = P
+		return r.streamingSession(p)
+	})
+	if err != nil {
+		return nil, err
+	}
 	points := make([]StreamingPoint, len(periods))
-	var swept []float64
-	var sweptIdx, fallback []int
-	for i, P := range periods {
-		points[i].Period = P
-		points[i].NoDPM = base
-		if P > 0 {
-			swept = append(swept, P)
-			sweptIdx = append(sweptIdx, i)
-		} else {
-			fallback = append(fallback, i)
-		}
-	}
-	if len(swept) > 0 {
-		reps, err := r.streamingPeriodSweep(swept, scale)
-		if err != nil {
-			return nil, err
-		}
-		for k, rep := range reps {
-			points[sweptIdx[k]].WithDPM = streamingMetricsFromValues(rep.Values)
-		}
-	}
-	if len(fallback) > 0 {
-		metrics, err := RunPoints(fallback, r.cfg.Workers, func(i int) (StreamingMetrics, error) {
-			p := streamingParams(scale)
-			p.AwakePeriod = periods[i]
-			s, err := r.streamingSession(p)
-			if err != nil {
-				return StreamingMetrics{}, err
-			}
-			rep, err := s.Phase2()
-			if err != nil {
-				return StreamingMetrics{}, err
-			}
-			return streamingMetricsFromValues(rep.Values), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for k, i := range fallback {
-			points[i].WithDPM = metrics[k]
-		}
+	for i, v := range vals {
+		points[i] = StreamingPoint{Period: periods[i], WithDPM: streamingMetricsFromValues(v), NoDPM: base}
 	}
 	return points, nil
 }

@@ -29,61 +29,32 @@ type ValidationPoint struct {
 // Markovian model with no duration overrides, so every activity draws
 // from the exponential its rate declares (30 runs, 90% confidence
 // intervals in the paper's setting), and the server energy consumption is
-// compared with the analytic solution. Each sweep point stages its model
-// in one session and shares it between the analytic solution and the
-// simulation; points run concurrently (Config.Workers) in timeout order.
+// compared with the analytic solution (rpcWithDPM). The simulated points
+// run concurrently (Config.Workers) and are reported in timeout order.
 func (r *Runner) Fig5Validation(timeouts []float64, settings pipeline.SimSettings) ([]ValidationPoint, error) {
 	if timeouts == nil {
 		timeouts = []float64{1, 5, 10, 15, 20, 25}
 	}
 	r.applyRPCSimDefaults(&settings)
 
-	solve := func(p models.RPCParams) (float64, stats.Interval, error) {
-		s, err := r.rpcSession(p)
-		if err != nil {
-			return 0, stats.Interval{}, err
-		}
-		exact, err := s.Phase2()
-		if err != nil {
-			return 0, stats.Interval{}, err
-		}
-		simRep, err := s.Phase3(nil, settings)
-		if err != nil {
-			return 0, stats.Interval{}, err
-		}
-		return exact.Values["energy"], simRep.Estimates["energy"], nil
-	}
-
 	p0 := models.DefaultRPCParams()
 	p0.WithDPM = false
-	exact0, sim0, err := solve(p0)
+	s0, err := r.rpcSession(p0)
 	if err != nil {
 		return nil, err
 	}
-
-	// Analytic with-DPM values: positive timeouts share one generated
-	// state space and built chain (rpcTimeoutSweep); a non-positive
-	// timeout is structurally different and is solved per point below,
-	// alongside its simulation.
-	exactOf := make([]float64, len(timeouts))
-	exactDone := make([]bool, len(timeouts))
-	var swept []float64
-	var sweptIdx []int
-	for i, T := range timeouts {
-		if T > 0 {
-			swept = append(swept, T)
-			sweptIdx = append(sweptIdx, i)
-		}
+	rep0, err := s0.Phase2()
+	if err != nil {
+		return nil, err
 	}
-	if len(swept) > 0 {
-		reps, err := r.rpcTimeoutSweep(swept)
-		if err != nil {
-			return nil, err
-		}
-		for k, rep := range reps {
-			exactOf[sweptIdx[k]] = rep.Values["energy"]
-			exactDone[sweptIdx[k]] = true
-		}
+	simRep0, err := s0.Phase3(nil, settings)
+	if err != nil {
+		return nil, err
+	}
+	exact0, sim0 := rep0.Values["energy"], simRep0.Estimates["energy"]
+	exact, err := r.rpcWithDPM(timeouts, "fig5-rpc-timeout")
+	if err != nil {
+		return nil, err
 	}
 
 	idx := make([]int, len(timeouts))
@@ -98,14 +69,7 @@ func (r *Runner) Fig5Validation(timeouts []float64, settings pipeline.SimSetting
 		if err != nil {
 			return ValidationPoint{}, err
 		}
-		exact1 := exactOf[i]
-		if !exactDone[i] {
-			rep, err := s.Phase2()
-			if err != nil {
-				return ValidationPoint{}, err
-			}
-			exact1 = rep.Values["energy"]
-		}
+		exact1 := exact[i]["energy"]
 		simRep, err := s.Phase3(nil, settings)
 		if err != nil {
 			return ValidationPoint{}, err

@@ -15,52 +15,95 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
-// collectGolden runs a quick-scale cut of every experiment behind the
-// paper's figures — the Fig. 3–8 points, the policy comparison, and the
-// battery study — at the given worker count and returns the results keyed
-// by experiment name. Floats are serialized by encoding/json, which emits
-// the shortest representation that round-trips, so equal JSON bytes mean
-// bit-identical float64 results.
-func collectGolden(t *testing.T, workers int) map[string]json.RawMessage {
+// studies lists the catalog: every entry of both study CLIs.
+var studies = []*Study{RPCStudy, StreamingStudy}
+
+// goldenCut is the quick cut one catalog entry runs at in the goldens, and
+// the key its result is recorded under.
+type goldenCut struct {
+	key string // "" records nothing: see the entry's comment
+	cut cut
+}
+
+var (
+	goldenRPCSim = pipeline.SimSettings{RunLength: 500, Replications: 3}
+	goldenStrSim = pipeline.SimSettings{RunLength: 2000, Warmup: 500, Replications: 2}
+)
+
+// goldenCuts holds the quick cut of every catalog entry, keyed by
+// "study/name".
+var goldenCuts = map[string]goldenCut{
+	// The Sect. 3 verdicts and state counts are pinned by TestSect3Results.
+	"rpc/sect3":       {},
+	"rpc/fig3markov":  {"fig3_markov", cut{grid: []float64{0.5, 5, 25}}},
+	"rpc/fig3general": {"fig3_general", cut{grid: []float64{2, 10}, sim: goldenRPCSim}},
+	"rpc/fig5":        {"fig5_validation", cut{grid: []float64{5}, sim: goldenRPCSim}},
+	"rpc/policies":    {"policy_comparison", cut{}},
+	"rpc/battery":     {"battery_lifetime", cut{budget: 1000, step: 100}},
+	"rpc/fig7":        {"fig7_tradeoff", cut{grid: []float64{1, 10}, sim: goldenRPCSim}},
+
+	"streaming/sect3":     {},
+	"streaming/fig4":      {"fig4_markov", cut{scale: Quick, grid: []float64{50, 400}}},
+	"streaming/fig6":      {"fig6_general", cut{scale: Quick, grid: []float64{100}, sim: goldenStrSim}},
+	"streaming/transient": {"startup_transient", cut{scale: Quick, grid: []float64{100, 500}}},
+	"streaming/fig8":      {"fig8_tradeoff", cut{scale: Quick, grid: []float64{100, 400}, sim: goldenStrSim}},
+}
+
+// collectCatalog runs every catalog entry that keep accepts at its golden
+// cut through one Runner over cfg, and returns the results keyed by their
+// golden keys. Each entry runs alone, with a fresh memo: a consumer runs
+// its inputs at its own cut. Floats are serialized by encoding/json, which
+// emits the shortest representation that round-trips, so equal JSON bytes
+// mean bit-identical float64 results.
+func collectCatalog(t *testing.T, cfg pipeline.Config, keep func(*entry) bool) map[string]json.RawMessage {
 	t.Helper()
-	r := NewRunner(pipeline.Config{Workers: workers})
-	rpcSim := pipeline.SimSettings{RunLength: 500, Replications: 3}
-	strSim := pipeline.SimSettings{RunLength: 2000, Warmup: 500, Replications: 2}
-
+	r := NewRunner(cfg)
 	out := make(map[string]json.RawMessage)
-	record := func(name string, v any, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, s := range studies {
+		for _, e := range s.entries {
+			g := goldenCuts[s.name+"/"+e.name]
+			if g.key == "" || !keep(e) {
+				continue
+			}
+			v, _, err := newMemo(r, s, g.cut).run(e, FormatTable)
+			if err != nil {
+				t.Fatalf("%s (minimize=%t workers=%d): %v", g.key, cfg.Minimize, cfg.Workers, err)
+			}
+			raw, err := json.Marshal(v)
+			if err != nil {
+				t.Fatalf("%s: marshal: %v", g.key, err)
+			}
+			out[g.key] = raw
 		}
-		raw, err := json.Marshal(v)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", name, err)
-		}
-		out[name] = raw
 	}
-
-	v1, err := r.Fig3Markov([]float64{0.5, 5, 25})
-	record("fig3_markov", v1, err)
-	v2, err := r.Fig3General([]float64{2, 10}, rpcSim)
-	record("fig3_general", v2, err)
-	v3, err := r.Fig4Markov([]float64{50, 400}, Quick)
-	record("fig4_markov", v3, err)
-	v4, err := r.Fig5Validation([]float64{5}, rpcSim)
-	record("fig5_validation", v4, err)
-	v5, err := r.Fig6General([]float64{100}, Quick, strSim)
-	record("fig6_general", v5, err)
-	v6, err := r.Fig7Tradeoff([]float64{1, 10}, rpcSim)
-	record("fig7_tradeoff", v6, err)
-	v7, err := r.Fig8Tradeoff([]float64{100, 400}, Quick, strSim)
-	record("fig8_tradeoff", v7, err)
-	v8, err := r.PolicyComparison(5)
-	record("policy_comparison", v8, err)
-	v9, err := r.BatteryLifetime(1000, 5, 100)
-	record("battery_lifetime", v9, err)
-	v10, err := r.StreamingStartupTransient([]float64{100, 500}, 100, Quick)
-	record("startup_transient", v10, err)
 	return out
+}
+
+// collectGolden runs a quick cut of every catalog entry at the given
+// worker count.
+func collectGolden(t *testing.T, workers int) map[string]json.RawMessage {
+	return collectCatalog(t, pipeline.Config{Workers: workers}, func(*entry) bool { return true })
+}
+
+// TestGoldenCutsMatchCatalog fails when a catalog entry has no golden cut
+// or a cut names no entry, so a new entry is covered by the goldens as
+// soon as it is added.
+func TestGoldenCutsMatchCatalog(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, s := range studies {
+		for _, e := range s.entries {
+			id := s.name + "/" + e.name
+			seen[id] = true
+			if _, ok := goldenCuts[id]; !ok {
+				t.Errorf("catalog entry %s has no golden cut", id)
+			}
+		}
+	}
+	for id := range goldenCuts {
+		if !seen[id] {
+			t.Errorf("golden cut %s names no catalog entry", id)
+		}
+	}
 }
 
 // TestGoldenExperimentOutputs pins the numerical output of the whole

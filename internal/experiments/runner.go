@@ -19,7 +19,8 @@ import (
 // pipeline.Manager, so the rpc and streaming models of one study are
 // elaborated once, their state spaces generated once, and their chains
 // built once per distinct parameter set, no matter how many figures
-// share them (e.g. Fig. 7 rerunning the Fig. 3 sweeps).
+// share them (e.g. Fig. 5's analytic sweep reusing the parametric rpc
+// chain of Fig. 3).
 //
 // A Runner is safe for concurrent use: sessions single-flight their
 // stages and the config is never mutated after construction.
@@ -63,6 +64,55 @@ func (r *Runner) checkpointOpts(name string) *pipeline.CheckpointOptions {
 		Path:   filepath.Join(r.cfg.CheckpointDir, name+".ckpt"),
 		Resume: r.cfg.CheckpointResume,
 	}
+}
+
+// dpmValues solves the with-DPM model at every knob value x of grid
+// (shutdown timeout or awake period) and returns the measure values in
+// grid order. The positive values share one generated state space and
+// built chain: they run as one rate-parametric sweep of param, whose slot
+// takes 1/x (the value a fresh build at x would use), checkpointed under
+// name. A non-positive value makes the DPM action immediate — a
+// structurally different model — and is solved on its own session, at(x);
+// such points run concurrently (Config.Workers).
+func (r *Runner) dpmValues(grid []float64, param *pipeline.Session, name string, at func(x float64) (*pipeline.Session, error)) ([]map[string]float64, error) {
+	vals := make([]map[string]float64, len(grid))
+	var swept [][]float64
+	var sweptIdx, fallback []int
+	for i, x := range grid {
+		if x > 0 {
+			swept = append(swept, []float64{1 / x})
+			sweptIdx = append(sweptIdx, i)
+		} else {
+			fallback = append(fallback, i)
+		}
+	}
+	if len(swept) > 0 {
+		reps, err := param.SweepCheckpointed(swept, r.checkpointOpts(name))
+		if err != nil {
+			return nil, err
+		}
+		for k, rep := range reps {
+			vals[sweptIdx[k]] = rep.Values
+		}
+	}
+	solved, err := RunPoints(fallback, r.cfg.Workers, func(i int) (map[string]float64, error) {
+		s, err := at(grid[i])
+		if err != nil {
+			return nil, err
+		}
+		rep, err := s.Phase2()
+		if err != nil {
+			return nil, err
+		}
+		return rep.Values, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k, i := range fallback {
+		vals[i] = solved[k]
+	}
+	return vals, nil
 }
 
 // open interns a session for spec under the Runner's manager and config.

@@ -1,7 +1,5 @@
 package experiments
 
-import "repro/internal/pipeline"
-
 // TradeoffPoint is one point of the energy/quality trade-off curves of
 // paper Figs. 7 and 8: the x-coordinate is the performance penalty
 // (waiting time for rpc, miss rate for streaming), the y-coordinate the
@@ -72,38 +70,6 @@ func StreamingTradeoffCurves(markov, general []StreamingPoint) *TradeoffCurves {
 		})
 	}
 	return curves
-}
-
-// Fig7Tradeoff reproduces paper Fig. 7: energy per request vs waiting
-// time for the rpc system, on both the Markovian and the general model,
-// across shutdown timeouts. The Markovian sweep runs the
-// rate-parametric engine (one generation for all positive timeouts) and
-// each model family is solved exactly once for the whole grid.
-func (r *Runner) Fig7Tradeoff(timeouts []float64, settings pipeline.SimSettings) (*TradeoffCurves, error) {
-	markov, err := r.Fig3Markov(timeouts)
-	if err != nil {
-		return nil, err
-	}
-	general, err := r.Fig3General(timeouts, settings)
-	if err != nil {
-		return nil, err
-	}
-	return RPCTradeoffCurves(markov, general), nil
-}
-
-// Fig8Tradeoff reproduces paper Fig. 8: energy per frame vs miss rate for
-// the streaming system, on both the Markovian and the general model,
-// across awake periods.
-func (r *Runner) Fig8Tradeoff(periods []float64, scale Scale, settings pipeline.SimSettings) (*TradeoffCurves, error) {
-	markov, err := r.Fig4Markov(periods, scale)
-	if err != nil {
-		return nil, err
-	}
-	general, err := r.Fig6General(periods, scale, settings)
-	if err != nil {
-		return nil, err
-	}
-	return StreamingTradeoffCurves(markov, general), nil
 }
 
 // TradeoffRows renders trade-off curves as table rows.

@@ -77,13 +77,21 @@ go test -timeout 10m -race ./...
 # recovery paths — panic capture, lowest-index attribution, checkpoint
 # replay — are themselves concurrent code and get their race coverage
 # here. The pool's third caller, experiments.RunPoints, gets the same two
-# schedules through its panic and worker-determinism tests.
+# schedules through its panic and worker-determinism tests. The two study
+# CLIs get them through their byte-pin and checkpoint-resume tests
+# (TestQuickOutputBytes, TestCheckpointResume in cmd/rpcstudy and
+# cmd/streamingstudy): a -quick run of every catalog entry at -workers 1
+# and 8, and a checkpointed run resumed from its files, each printing the
+# pinned bytes. They are the only tests that drive a whole study through
+# experiments.RunStudy's one loop, its reuse of finished results and the
+# worker pool.
 echo "== fault-injection smoke (-race -cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
     -run 'FaultInject|Panic|Cancel|Checkpoint' \
     ./internal/pipeline/ ./internal/ctmc/ ./internal/lts/ ./internal/sim/ ./internal/faultinject/ ./internal/fault/
 go test -timeout 10m -race -cpu 1,2 \
     -run 'RunPoints|WorkerDeterminism|Panic' ./internal/experiments/
+go test -timeout 10m -race -cpu 1,2 -run 'QuickOutputBytes|CheckpointResume' ./cmd/rpcstudy/ ./cmd/streamingstudy/
 
 # Session-sharing smoke under the race detector at -cpu 1,2: concurrent
 # goroutines open handles on one shared spec key and solve through the
