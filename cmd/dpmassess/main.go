@@ -6,7 +6,7 @@
 //	dpmassess lts      [-dot out.dot] [-max N] [-compose full|minimize] [-stats] model.aem
 //	dpmassess check    -high INST -low INST [-high-labels l1,l2] model.aem
 //	dpmassess solve    -measures spec.msr [-compose full|minimize] [-stats]
-//	                   [-checkpoint file.ckpt] [-resume] [-workers N] model.aem
+//	                   [-checkpoint file.ckpt] [-resume] model.aem
 //	dpmassess sim      -measures spec.msr [-runlength T] [-warmup T]
 //	                   [-reps N] [-seed S] [-workers N] model.aem
 //	dpmassess equiv    [-relation strong|weak|markovian] a.aem b.aem
@@ -14,8 +14,8 @@
 //	dpmassess mc       -formula 'EXISTS_WEAK_TRANS(...)' [-hide-except INST] model.aem
 //
 // State-space generation and the steady-state solver are sequential;
-// solve and sim take -workers to bound their concurrent sweep points and
-// replications, and outputs are bit-identical at any worker count. Every
+// sim takes -workers to bound its concurrent replications, and its
+// output is bit-identical at any worker count. Every
 // subcommand takes -timeout: an overall deadline after which generation, solves
 // and simulations are canceled promptly (reported as a cancellation error
 // naming the phase that observed it).
@@ -27,10 +27,11 @@
 // not, because minimization is the point. sim always runs on the full
 // model — minimization accelerates the Markovian path only.
 //
-// The solve subcommand is resumable on models with rate parameters:
-// -checkpoint periodically saves the solver's progress to a versioned,
-// checksummed file, and -resume replays it instead of re-solving, with
-// output bit-identical to an uninterrupted run.
+// The solve subcommand is resumable: -checkpoint appends the solution to
+// a versioned, checksummed result store, and -resume answers from it
+// instead of re-solving, with the measure values of an uninterrupted
+// run. A store answers only a solve of the same description, measures,
+// generation options and tolerance; any edit to them solves afresh.
 //
 // The check subcommand performs the phase-1 noninterference analysis
 // (hide-vs-restrict up to weak bisimulation) and prints the diagnostic
@@ -385,15 +386,19 @@ func loadLTS(ctx context.Context, path string) (*lts.LTS, error) {
 }
 
 func loadModel(path string) (*elab.Model, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	arch, err := parser.Parse(string(src))
+	arch, err := loadArch(path)
 	if err != nil {
 		return nil, err
 	}
 	return elab.Elaborate(arch)
+}
+
+func loadArch(path string) (*aemilia.ArchiType, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parser.Parse(string(src))
 }
 
 func positional(fs *flag.FlagSet) (string, error) {
@@ -566,7 +571,7 @@ func readMeasures(path string) ([]measure.Measure, error) {
 	return measure.Parse(string(src))
 }
 
-func runSolve(args []string) error {
+func runSolve(args []string) (err error) {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
 	measuresPath := fs.String("measures", "", "measure definition file (companion language)")
 	composeMode := composeFlag(fs)
@@ -575,13 +580,12 @@ func runSolve(args []string) error {
 			"space, the per-component reduction (with -compose minimize), and the\n"+
 			"Gauss-Seidel solve — iterations, final residual, and iteration budget")
 	ckptPath := fs.String("checkpoint", "",
-		"checkpoint file: the solve periodically saves its progress there\n"+
-			"(requires a model with rate parameters; empty = disabled)")
+		"result store file: the solution is appended there, so the solve\n"+
+			"becomes resumable (empty = disabled)")
 	resume := fs.Bool("resume", false,
-		"resume from an existing -checkpoint file, replaying the saved solution\n"+
-			"instead of re-solving (output is identical to an uninterrupted run)")
-	workers := fs.Int("workers", runtime.NumCPU(),
-		"concurrent sweep points on checkpointed solves (outputs are identical at any value)")
+		"answer from the -checkpoint file when it holds this solve, instead of\n"+
+			"re-solving (measure values are identical to an uninterrupted run);\n"+
+			"without it the file is started afresh")
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -612,46 +616,36 @@ func runSolve(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := loadModel(path)
+	arch, err := loadArch(path)
 	if err != nil {
 		return err
 	}
+	cfg := pipeline.Config{Ctx: ctx}
+	if *ckptPath != "" {
+		store, err := pipeline.OpenFileStore(*ckptPath, *resume)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := store.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		cfg.Store = store
+	}
 	// One session stages the whole solve: elaborated model, state space,
-	// chain, and solution are each built exactly once, shared by whichever
-	// path (plain or checkpointed) consumes them.
+	// chain, and solution are each built exactly once. The store keys the
+	// solve by the description Build returns.
 	s := pipeline.NewSession(pipeline.Spec{
-		Model:    m,
+		Build:    func() (*aemilia.ArchiType, error) { return arch, nil },
 		Measures: ms,
 		Gen:      lts.GenerateOptions{Ctx: ctx},
 		Minimize: minimize,
 		Solve:    ctmc.SolveOptions{Ctx: ctx},
-	}, pipeline.Config{Workers: *workers, Ctx: ctx})
-	var rep *pipeline.Phase2Report
-	if *ckptPath != "" {
-		// Checkpointed solves go through the sweep driver: a one-point
-		// sweep at the model's own rates, saved to (and resumed from) the
-		// checkpoint file. For a parametric model the rates are read from
-		// the session's staged state space — the same generation the sweep
-		// reuses; a slot-free model solves as one empty point.
-		point := []float64{}
-		if m.NumRateSlots() > 0 {
-			l, err := s.LTS()
-			if err != nil {
-				return err
-			}
-			point = l.SlotDefaults()
-		}
-		reports, err := s.SweepCheckpointed([][]float64{point},
-			&pipeline.CheckpointOptions{Path: *ckptPath, Every: 1, Resume: *resume})
-		if err != nil {
-			return err
-		}
-		rep = reports[0]
-	} else {
-		rep, err = s.Phase2()
-		if err != nil {
-			return err
-		}
+	}, cfg)
+	rep, err := s.Phase2()
+	if err != nil {
+		return err
 	}
 	fmt.Printf("states: %d (tangible %d, vanishing %d)\n", rep.States, rep.Tangible, rep.Vanishing)
 	for _, m := range ms {
@@ -670,11 +664,12 @@ func runSolve(args []string) error {
 }
 
 // printSolveTrace renders a report's solve on one line: its iterations,
-// final residual and iteration budget. Checkpointed solves record no
-// trace, so a missing trace is reported rather than silently skipped.
+// final residual and iteration budget. A report answered from the store
+// carries no trace, so a missing trace is reported rather than silently
+// skipped.
 func printSolveTrace(tr *ctmc.SolveTrace) {
 	if tr == nil {
-		fmt.Println("solver: no trace recorded (checkpointed solves record no solver trace)")
+		fmt.Println("solver: no trace recorded (the report came from the store)")
 		return
 	}
 	a := tr.Attempts[0]

@@ -237,3 +237,53 @@ func TestRunMC(t *testing.T) {
 		t.Error("malformed formula should fail")
 	}
 }
+
+// TestSolveResumeAfterEdit is the regression for stale resumes: solve
+// with -checkpoint, edit the model or the measures, and resume from the
+// same file. The edits are an exponential rate that is not a rate slot
+// and a measure's reward value; each resumed run must print what a fresh
+// solve of the edited input prints, not the stored values of the
+// original. Resuming the unedited input answers from the store.
+func TestSolveResumeAfterEdit(t *testing.T) {
+	model := specPath(t, "rpc_revised_markov.aem")
+	measures := specPath(t, "rpc.msr")
+	dir := t.TempDir()
+	edit := func(src, name, old, new string) string {
+		t.Helper()
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), old) {
+			t.Fatalf("%s holds no %q", src, old)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(strings.Replace(string(data), old, new, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	rateEdit := edit(model, "rate.aem", "<prepare_result_packet, exp(5)>", "<prepare_result_packet, exp(50)>")
+	rewardEdit := edit(measures, "reward.msr", "STATE_REWARD(3)", "STATE_REWARD(30)")
+
+	for _, c := range []struct{ name, model, measures string }{
+		{"rate edit", rateEdit, measures},
+		{"reward edit", model, rewardEdit},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ckpt := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "-")+".ckpt")
+			original := runOutput(t, "solve", "-measures", measures, "-checkpoint", ckpt, model)
+			fresh := runOutput(t, "solve", "-measures", c.measures, c.model)
+			if fresh == original {
+				t.Fatal("fixture: the edit does not change the solve")
+			}
+			if got := runOutput(t, "solve", "-measures", c.measures, "-checkpoint", ckpt, "-resume", c.model); got != fresh {
+				t.Errorf("resumed solve printed\n%s\nwant the fresh solve\n%s", got, fresh)
+			}
+			hit := runOutput(t, "solve", "-measures", measures, "-checkpoint", ckpt, "-resume", "-stats", model)
+			if !strings.HasPrefix(hit, original) || !strings.Contains(hit, "the report came from the store") {
+				t.Errorf("resuming the unedited solve printed\n%s\nwant the stored\n%s", hit, original)
+			}
+		})
+	}
+}

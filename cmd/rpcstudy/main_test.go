@@ -67,7 +67,8 @@ func TestQuickOutputBytes(t *testing.T) {
 }
 
 // TestCheckpointResume runs -quick all with -checkpoint and then resumes
-// it from the files it left: both runs print the uncheckpointed bytes.
+// it from the result store it left: both runs print the uncheckpointed
+// bytes.
 func TestCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	want := readFile(t, "quick_all.txt")
@@ -79,9 +80,42 @@ func TestCheckpointResume(t *testing.T) {
 		if got != want {
 			t.Errorf("%v differs from testdata/quick_all.txt:\n%s", args, got)
 		}
-		if ckpts, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(ckpts) == 0 {
-			t.Fatalf("%v left no checkpoint in %s", args, dir)
+		if stores, _ := filepath.Glob(filepath.Join(dir, "*.store")); len(stores) != 1 {
+			t.Fatalf("%v left %d result stores in %s, want 1", args, len(stores), dir)
 		}
+	}
+}
+
+// TestCheckpointCreatesDir pins how -checkpoint treats a directory that
+// does not exist: it is created before any experiment runs, and the run
+// prints the uncheckpointed bytes into a store there.
+func TestCheckpointCreatesDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "new", "checkpoints")
+	got, err := run("-quick", "-checkpoint", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != readFile(t, "quick_all.txt") {
+		t.Errorf("-checkpoint into a new directory differs from testdata/quick_all.txt:\n%s", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "rpc.store")); err != nil {
+		t.Errorf("no result store in the created directory: %v", err)
+	}
+}
+
+// TestCheckpointUnusableFailsFirst checks that a -checkpoint path that
+// cannot hold a store fails the run before anything is printed.
+func TestCheckpointUnusableFailsFirst(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "a-file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := run("-quick", "-checkpoint", file)
+	if err == nil {
+		t.Fatal("a file as -checkpoint DIR accepted")
+	}
+	if out != "" {
+		t.Errorf("printed %q before failing", out)
 	}
 }
 

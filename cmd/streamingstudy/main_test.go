@@ -67,7 +67,8 @@ func TestQuickOutputBytes(t *testing.T) {
 }
 
 // TestCheckpointResume runs -quick all with -checkpoint and then resumes
-// it from the files it left: both runs print the uncheckpointed bytes.
+// it from the result store it left: both runs print the uncheckpointed
+// bytes.
 func TestCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	want := readFile(t, "quick_all.txt")
@@ -79,8 +80,8 @@ func TestCheckpointResume(t *testing.T) {
 		if got != want {
 			t.Errorf("%v differs from testdata/quick_all.txt:\n%s", args, got)
 		}
-		if ckpts, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(ckpts) == 0 {
-			t.Fatalf("%v left no checkpoint in %s", args, dir)
+		if stores, _ := filepath.Glob(filepath.Join(dir, "*.store")); len(stores) != 1 {
+			t.Fatalf("%v left %d result stores in %s, want 1", args, len(stores), dir)
 		}
 	}
 }

@@ -385,19 +385,6 @@ func (c *CTMC) debugCheckPlan() error {
 // per-solve path, use it. Clones keep the plan they already share.
 func (c *CTMC) InvalidatePlan() { c.plan = &solvePlan{} }
 
-// StructuralHash returns the FNV-1a fingerprint of the chain's structural
-// solve analysis (recurrent component and incoming-CSR skeleton),
-// computing the analysis on first use. Rate-only rebinds cannot change
-// it, so it identifies "the same chain structure" across processes —
-// the identity the sweep checkpoints verify before resuming.
-func (c *CTMC) StructuralHash() (uint64, error) {
-	p, err := c.ensurePlan()
-	if err != nil {
-		return 0, err
-	}
-	return p.hash, nil
-}
-
 // uniformStart returns the uniform distribution over n component states,
 // the start vector of every solve.
 func uniformStart(n int) []float64 {

@@ -6,6 +6,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -225,7 +227,7 @@ func (m *memo) run(e *entry, rend render) (any, string, error) {
 // printing each banner and text block to w. Within one invocation an
 // entry that consumes another's result reuses it, so "all" runs every
 // experiment once.
-func RunStudy(s *Study, args []string, w io.Writer) error {
+func RunStudy(s *Study, args []string, w io.Writer) (err error) {
 	names := []string{"all"}
 	for _, e := range s.entries {
 		names = append(names, e.name)
@@ -246,12 +248,13 @@ func RunStudy(s *Study, args []string, w io.Writer) error {
 		"overall deadline: generation, solves, sweeps and simulations are\n"+
 			"canceled promptly once it expires (0 = no deadline)")
 	ckptDir := fs.String("checkpoint", "",
-		"directory for sweep checkpoints: Markovian sweeps periodically save\n"+
-			"completed points there and become resumable (empty = disabled)")
+		"directory for the study's result store, created if missing: every\n"+
+			"Markovian solve is appended there as it completes, so the run\n"+
+			"becomes resumable (empty = disabled)")
 	resume := fs.Bool("resume", false,
-		"resume Markovian sweeps from existing checkpoints in -checkpoint DIR,\n"+
-			"re-solving only the missing points (results are identical to an\n"+
-			"uninterrupted run)")
+		"resume from the result store in -checkpoint DIR, solving only what it\n"+
+			"lacks (results are identical to an uninterrupted run); without it\n"+
+			"the store is started afresh")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -264,12 +267,7 @@ func RunStudy(s *Study, args []string, w io.Writer) error {
 		}
 		selected = []*entry{e}
 	}
-	cfg := pipeline.Config{
-		Workers:          *workers,
-		Store:            pipeline.NewMemoryStore(),
-		CheckpointDir:    *ckptDir,
-		CheckpointResume: *resume,
-	}
+	cfg := pipeline.Config{Workers: *workers, Store: pipeline.NewMemoryStore()}
 	switch *composeMode {
 	case "full":
 	case "minimize":
@@ -284,6 +282,21 @@ func RunStudy(s *Study, args []string, w io.Writer) error {
 	}
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint DIR")
+	}
+	if *ckptDir != "" {
+		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
+			return err
+		}
+		store, err := pipeline.OpenFileStore(filepath.Join(*ckptDir, s.name+".store"), *resume)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := store.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		cfg.Store = store
 	}
 	c := s.full
 	if *quick {

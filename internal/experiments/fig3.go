@@ -40,17 +40,15 @@ func DefaultRPCTimeouts() []float64 {
 }
 
 // rpcWithDPM solves the with-DPM rpc model at each shutdown timeout
-// (dpmValues; the parametric slot is models.RPCTimeoutSlot) and
-// checkpoints its sweep under name, the calling figure's own: Fig. 3 and
-// Fig. 5 sweep different grids of the one parametric model.
-func (r *Runner) rpcWithDPM(timeouts []float64, name string) ([]map[string]float64, error) {
+// (dpmValues; the parametric slot is models.RPCTimeoutSlot).
+func (r *Runner) rpcWithDPM(timeouts []float64) ([]map[string]float64, error) {
 	p := models.DefaultRPCParams()
 	p.ParametricTimeout = true
 	param, err := r.rpcSession(p)
 	if err != nil {
 		return nil, err
 	}
-	return r.dpmValues(timeouts, param, name, func(T float64) (*pipeline.Session, error) {
+	return r.dpmValues(timeouts, param, func(T float64) (*pipeline.Session, error) {
 		p := models.DefaultRPCParams()
 		p.ShutdownTimeout = T
 		return r.rpcSession(p)
@@ -76,7 +74,7 @@ func (r *Runner) Fig3Markov(timeouts []float64) ([]RPCPoint, error) {
 		return nil, err
 	}
 	base := rpcMetricsFromValues(rep0.Values)
-	vals, err := r.rpcWithDPM(timeouts, "fig3-rpc-timeout")
+	vals, err := r.rpcWithDPM(timeouts)
 	if err != nil {
 		return nil, err
 	}

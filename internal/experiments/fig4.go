@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/models"
 	"repro/internal/pipeline"
 )
@@ -87,7 +85,7 @@ func (r *Runner) Fig4Markov(periods []float64, scale Scale) ([]StreamingPoint, e
 	if err != nil {
 		return nil, err
 	}
-	vals, err := r.dpmValues(periods, param, fmt.Sprintf("fig4-streaming-scale%d", scale), func(P float64) (*pipeline.Session, error) {
+	vals, err := r.dpmValues(periods, param, func(P float64) (*pipeline.Session, error) {
 		p := streamingParams(scale)
 		p.AwakePeriod = P
 		return r.streamingSession(p)

@@ -52,7 +52,7 @@ func (r *Runner) Fig5Validation(timeouts []float64, settings pipeline.SimSetting
 		return nil, err
 	}
 	exact0, sim0 := rep0.Values["energy"], simRep0.Estimates["energy"]
-	exact, err := r.rpcWithDPM(timeouts, "fig5-rpc-timeout")
+	exact, err := r.rpcWithDPM(timeouts)
 	if err != nil {
 		return nil, err
 	}

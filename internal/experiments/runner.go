@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"repro/internal/aemilia"
 	"repro/internal/ctmc"
@@ -13,9 +12,8 @@ import (
 
 // Runner executes the paper's experiments against one injected
 // pipeline.Config. All scheduling state — worker count, cancellation
-// context, checkpoint policy, result store — lives in the
-// config; nothing on the experiment hot path reads mutable package
-// globals. Every model a Runner touches is staged through a private
+// context, result store — lives in the config; nothing on the experiment
+// hot path reads mutable package globals. Every model a Runner touches is staged through a private
 // pipeline.Manager, so the rpc and streaming models of one study are
 // elaborated once, their state spaces generated once, and their chains
 // built once per distinct parameter set, no matter how many figures
@@ -50,31 +48,15 @@ func (r *Runner) solveOpts() ctmc.SolveOptions {
 	return ctmc.SolveOptions{Ctx: r.cfg.Ctx}
 }
 
-// checkpointOpts resolves the checkpoint options for the named sweep:
-// nil when the config carries no checkpoint directory, otherwise
-// <dir>/<name>.ckpt with the config's resume policy. name must be unique
-// per (figure, model structure) pair — a resumed checkpoint is rejected
-// unless its structural hash matches, so distinct sweeps must not share
-// a file.
-func (r *Runner) checkpointOpts(name string) *pipeline.CheckpointOptions {
-	if r.cfg.CheckpointDir == "" {
-		return nil
-	}
-	return &pipeline.CheckpointOptions{
-		Path:   filepath.Join(r.cfg.CheckpointDir, name+".ckpt"),
-		Resume: r.cfg.CheckpointResume,
-	}
-}
-
 // dpmValues solves the with-DPM model at every knob value x of grid
 // (shutdown timeout or awake period) and returns the measure values in
 // grid order. The positive values share one generated state space and
 // built chain: they run as one rate-parametric sweep of param, whose slot
-// takes 1/x (the value a fresh build at x would use), checkpointed under
-// name. A non-positive value makes the DPM action immediate — a
-// structurally different model — and is solved on its own session, at(x);
-// such points run concurrently (Config.Workers).
-func (r *Runner) dpmValues(grid []float64, param *pipeline.Session, name string, at func(x float64) (*pipeline.Session, error)) ([]map[string]float64, error) {
+// takes 1/x (the value a fresh build at x would use). A non-positive
+// value makes the DPM action immediate — a structurally different model
+// — and is solved on its own session, at(x); such points run
+// concurrently (Config.Workers).
+func (r *Runner) dpmValues(grid []float64, param *pipeline.Session, at func(x float64) (*pipeline.Session, error)) ([]map[string]float64, error) {
 	vals := make([]map[string]float64, len(grid))
 	var swept [][]float64
 	var sweptIdx, fallback []int
@@ -87,7 +69,7 @@ func (r *Runner) dpmValues(grid []float64, param *pipeline.Session, name string,
 		}
 	}
 	if len(swept) > 0 {
-		reps, err := param.SweepCheckpointed(swept, r.checkpointOpts(name))
+		reps, err := param.Sweep(swept)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,7 @@
 // Package faultinject injects deterministic faults into the pipeline for
 // testing its fault-tolerance layer. A Plan arms (site, key) triggers —
-// panic in a generation worker at state 17 or at sweep point 3, fail the
-// second checkpoint write — and the instrumentation sites consult the
+// panic in a generation worker at state 17 or at sweep point 3, cancel a
+// solve at iteration 2 — and the instrumentation sites consult the
 // active plan with the identity of the task they are about to run.
 //
 // Determinism rule: whether a trigger fires is a pure function of the
@@ -38,17 +38,14 @@ const (
 	// SiteSweepPoint fires in a sweep-point task of pipeline.Session.Sweep; the
 	// key is the global point index.
 	SiteSweepPoint = "core.sweep.point"
-	// SiteCheckpointWrite fires before a checkpoint write; the key is the
-	// write ordinal (0 for the first write of the sweep).
-	SiteCheckpointWrite = "core.checkpoint.write"
 	// SiteSimReplication fires in a replication task of sim.Run; the key
 	// is the replication index.
 	SiteSimReplication = "sim.replication"
 )
 
-// InjectedError is the panic value MaybePanic raises and the error a
-// forced checkpoint-write failure surfaces: tests recognize injected
-// faults by errors.As through whatever wrapping the recovery layer adds.
+// InjectedError is the panic value MaybePanic raises: tests recognize
+// injected faults by errors.As through whatever wrapping the recovery
+// layer adds.
 type InjectedError struct {
 	// Site is the instrumentation site that fired.
 	Site string

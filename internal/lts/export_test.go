@@ -15,3 +15,22 @@ func ReferenceRestrictForTest(l *LTS, match func(string) bool) *LTS {
 
 // DiffSystemsForTest exposes diffSystems to the external tests.
 func DiffSystemsForTest(got, want *LTS) string { return diffSystems(got, want) }
+
+// SlotDefaults returns the rate values the system's edges were elaborated
+// with, indexed by slot (element k-1 is slot k's Lambda): the rate vector
+// that makes a Rebind a no-op. It returns nil when the system carries no
+// rate slots.
+func (l *LTS) SlotDefaults() []float64 {
+	l.Seal()
+	n := l.NumRateSlots()
+	if n == 0 {
+		return nil
+	}
+	out := make([]float64, n)
+	for _, id := range l.csr.RateID {
+		if r := &l.csr.Rates[id]; r.Slot > 0 {
+			out[r.Slot-1] = r.Lambda
+		}
+	}
+	return out
+}

@@ -259,27 +259,6 @@ func (l *LTS) NumRateSlots() int {
 	return max
 }
 
-// SlotDefaults returns the rate values the system's edges were elaborated
-// with, indexed by slot (element k-1 is slot k's Lambda): the rate vector
-// that makes a Rebind a no-op. Callers that need a concrete sweep point
-// for a model solved "as elaborated" — e.g. a single-point checkpointed
-// solve — use it as the anchor. It returns nil when the system carries no
-// rate slots.
-func (l *LTS) SlotDefaults() []float64 {
-	l.Seal()
-	n := l.NumRateSlots()
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for _, id := range l.csr.RateID {
-		if r := &l.csr.Rates[id]; r.Slot > 0 {
-			out[r.Slot-1] = r.Lambda
-		}
-	}
-	return out
-}
-
 // Edges calls fn for every transition in canonical order.
 func (l *LTS) Edges(fn func(src, dst, label int, r rates.Rate)) {
 	l.Seal()

@@ -32,11 +32,10 @@ import "context"
 // worker count, the cancellation context, and the result store. None of
 // it participates in the SpecHash — results
 // are bit-identical at any Config — so sessions opened with different
-// Configs still share one set of staged artifacts. The extra fields
-// (Minimize, CheckpointDir, CheckpointResume) are conventions for the layers
-// above: internal/experiments builds its specs and checkpoint paths from
-// them, so one Config constructed from CLI flags configures the whole
-// run.
+// Configs still share one set of staged artifacts. The extra field,
+// Minimize, is a convention for the layers above: internal/experiments
+// builds its specs from it, so one Config constructed from CLI flags
+// configures the whole run.
 type Config struct {
 	// Workers bounds the concurrency of everything the session schedules:
 	// sweep points in flight and simulation replications. 0 keeps each
@@ -62,16 +61,15 @@ type Config struct {
 	// (never the measure values) and participates in the SpecHash there.
 	// The session itself reads it from the Spec.
 	Minimize bool
-	// CheckpointDir, when non-empty, makes every experiment sweep
-	// resumable: each sweep checkpoints to <dir>/<name>.ckpt and, when
-	// CheckpointResume is set, replays completed points from an existing
-	// file — bit-identical to an uninterrupted run.
-	CheckpointDir    string
-	CheckpointResume bool
-	// Store, when non-nil, memoizes Phase2 reports content-addressed by
-	// SpecHash + point, so repeated or overlapping grids return
+	// Store, when non-nil, memoizes Phase2 and sweep reports keyed by
+	// the built description, everything else that shapes a result, and
+	// the point (ResultKey), so repeated or overlapping grids return
 	// cached results. Determinism makes the cache transparent: a hit
-	// deep-equals the fresh solve it replaces.
+	// equals the fresh solve it replaces. A FileStore makes the whole
+	// run resumable: a later run opened on the same file solves only
+	// what this one did not finish. Stores key a spec by the description
+	// its Build returns, so a spec that supplies a pre-elaborated Model
+	// cannot use one.
 	Store Store
 }
 

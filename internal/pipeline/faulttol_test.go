@@ -1,7 +1,7 @@
 // Fault-tolerance properties of the session sweep: cancellation with
-// checkpoint/resume bit-identity, resuming a non-converged sweep with a
-// larger budget, panic attribution, and the checkpoint format's failure
-// modes.
+// bit-identical resume from a FileStore, resuming a non-converged sweep
+// with a larger budget, strict store writes, panic attribution, and the
+// store file's failure modes.
 package pipeline_test
 
 import (
@@ -21,6 +21,7 @@ import (
 	"repro/internal/elab"
 	"repro/internal/fault"
 	"repro/internal/faultinject"
+	"repro/internal/lts"
 	"repro/internal/measure"
 	"repro/internal/models"
 	"repro/internal/pipeline"
@@ -30,13 +31,24 @@ import (
 // 9-point timeout grid — the shared input of the sweep property tests.
 func rpcSweepFixture(t *testing.T) (*elab.Model, []measure.Measure, [][]float64) {
 	t.Helper()
+	p := parametricRPC()
+	return elaborateRPC(t, p), models.RPCMeasures(p), rpcTimeoutGrid()
+}
+
+// parametricRPC is the rpc model with its shutdown timeout a rate slot.
+func parametricRPC() models.RPCParams {
 	p := models.DefaultRPCParams()
 	p.ParametricTimeout = true
+	return p
+}
+
+// rpcTimeoutGrid is the 9-point timeout grid of the sweep property tests.
+func rpcTimeoutGrid() [][]float64 {
 	points := make([][]float64, 0, 9)
 	for _, T := range []float64{0.5, 1, 2, 4, 5, 7.5, 10, 15, 25} {
 		points = append(points, []float64{1 / T})
 	}
-	return elaborateRPC(t, p), models.RPCMeasures(p), points
+	return points
 }
 
 // requireSameValues checks that got holds a report for every point of
@@ -73,32 +85,32 @@ func requireSameReports(t *testing.T, tag string, want, got []*pipeline.Phase2Re
 }
 
 // TestPhase2SweepCancelCheckpointResume is the flagship resilience
-// property: a sweep canceled mid-run with checkpointing enabled, then
-// resumed, produces reports bit-identical to an uninterrupted run — at
-// one worker, at two, and at more workers than chunks.
+// property: a sweep canceled mid-run on a FileStore, then resumed from
+// the store file, produces reports bit-identical to an uninterrupted run
+// — at one worker, at two, and at more workers than chunks.
 func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
-	m, measures, points := rpcSweepFixture(t)
+	p, points := parametricRPC(), rpcTimeoutGrid()
 	none := ctmc.SolveOptions{}
 
-	baseline, err := sweep(m, measures, none, pipeline.Config{}, points, nil)
+	baseline, err := sweepRPC(p, none, pipeline.Config{}, points)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A chunk is one four-lane group, so every later solve starts a new
 	// chunk, as the plan below needs: a second group inside a wider chunk
-	// would wait for a checkpoint that is only written once its own chunk
+	// would wait for a store entry that is only put once its own chunk
 	// finishes.
 	for _, workers := range []int{1, 2, 8} {
 		tag := fmt.Sprintf("workers=%d", workers)
-		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		path := filepath.Join(t.TempDir(), "sweep.store")
+		store := openStore(t, path, false)
 
 		// The first solve to pass iteration 2 runs to completion and
-		// is checkpointed (Every: 1). Every later solve that reaches
-		// iteration 2 — a concurrent chunk, or the next chunk a worker
-		// claims — waits for that checkpoint and then cancels the
-		// sweep, so at every worker count some points are
-		// checkpointed and at least one is interrupted.
+		// is stored. Every later solve that reaches iteration 2 — a
+		// concurrent chunk, or the next chunk a worker claims — waits
+		// for that entry and then cancels the sweep, so at every worker
+		// count some points are stored and at least one is interrupted.
 		ctx, cancel := context.WithCancel(context.Background())
 		var first atomic.Bool
 		plan := faultinject.NewPlan().Arm(faultinject.SiteSolveIteration, 2).
@@ -106,12 +118,11 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 				if first.CompareAndSwap(false, true) {
 					return
 				}
-				waitForFile(t, path)
+				waitForEntry(t, store)
 				cancel()
 			})
 		faultinject.Activate(plan)
-		_, err := sweep(m, measures, none, pipeline.Config{Workers: workers, Ctx: ctx},
-			points, &pipeline.CheckpointOptions{Path: path, Every: 1})
+		_, err := sweepRPC(p, none, pipeline.Config{Workers: workers, Ctx: ctx, Store: store}, points)
 		faultinject.Deactivate()
 		cancel()
 		if err == nil {
@@ -124,12 +135,12 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cause chain lost context.Canceled: %v", tag, err)
 		}
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("%s: canceled sweep left no checkpoint: %v", tag, err)
+		if store.Len() == 0 {
+			t.Fatalf("%s: canceled sweep stored no point", tag)
 		}
+		store.Close()
 
-		resumed, err := sweep(m, measures, none, pipeline.Config{Workers: workers},
-			points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
+		resumed, err := sweepRPC(p, none, pipeline.Config{Workers: workers, Store: openStore(t, path, true)}, points)
 		if err != nil {
 			t.Fatalf("%s: resume failed: %v", tag, err)
 		}
@@ -137,19 +148,28 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 	}
 }
 
-// waitForFile blocks until path exists, failing the test after 30 s.
-func waitForFile(t *testing.T, path string) {
+// waitForEntry blocks until store holds a report, failing the test after
+// 30 s.
+func waitForEntry(t *testing.T, store *pipeline.FileStore) {
 	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, err := os.Stat(path); err == nil {
-			return
-		}
+	for store.Len() == 0 {
 		if time.Now().After(deadline) {
-			t.Errorf("%s never appeared", path)
+			t.Errorf("no report was ever stored")
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// openStore opens the FileStore at path, closing it when the test ends.
+func openStore(t *testing.T, path string, resume bool) *pipeline.FileStore {
+	t.Helper()
+	store, err := pipeline.OpenFileStore(path, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
 }
 
 // TestPhase2SweepPanicAttribution injects a panic at sweep point 3 and
@@ -162,7 +182,7 @@ func TestPhase2SweepPanicAttribution(t *testing.T) {
 		tag := fmt.Sprintf("workers=%d", workers)
 		plan := faultinject.NewPlan().Arm(faultinject.SiteSweepPoint, 3)
 		faultinject.Activate(plan)
-		_, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Workers: workers}, points, nil)
+		_, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Workers: workers}, points)
 		faultinject.Deactivate()
 		if err == nil {
 			t.Fatalf("%s: injected panic vanished", tag)
@@ -205,7 +225,7 @@ func TestPhase2SweepPanicDefaultChunks(t *testing.T) {
 	}{{2, "points 4-7"}, {8, "points 4-7"}} {
 		faultinject.Activate(faultinject.NewPlan().Arm(faultinject.SiteSweepPoint, 5))
 		_, err := sweep(elaborateStreaming(t, p), models.StreamingMeasures(p), ctmc.SolveOptions{},
-			pipeline.Config{Workers: c.workers}, points, nil)
+			pipeline.Config{Workers: c.workers}, points)
 		faultinject.Deactivate()
 		var wpe *fault.WorkerPanicError
 		if !errors.As(err, &wpe) {
@@ -218,16 +238,17 @@ func TestPhase2SweepPanicDefaultChunks(t *testing.T) {
 }
 
 // TestPhase2SweepCheckpointResumeLargerBudget pins how a sweep that fails
-// to converge is completed: a checkpointed sweep (Every: 1) whose
-// iteration budget suffices for some points fails with the
-// *ctmc.ConvergenceError of the lowest failed point, having checkpointed
-// the converged points below it, and resuming it at the default budget
-// gives reports bit-identical to an uninterrupted default-budget sweep —
-// at one, two and eight workers. The checkpoint does not fingerprint the
-// budget, and the resume solves only the points the failed run left: a
-// panic armed at each point of the chunks it restored whole never fires.
+// to converge is completed: a sweep on a FileStore whose iteration
+// budget suffices for some points fails with the *ctmc.ConvergenceError
+// of the lowest failed point, having stored the converged points below
+// it, and resuming it from the store file at the default budget gives
+// reports bit-identical to an uninterrupted default-budget sweep — at
+// one, two and eight workers. The store key leaves the budget out, and
+// the resume solves only the points the failed run left: a panic armed
+// at each point of the chunks it restored whole never fires.
 func TestPhase2SweepCheckpointResumeLargerBudget(t *testing.T) {
-	m, measures, points := rpcSweepFixture(t)
+	m, _, points := rpcSweepFixture(t)
+	p := parametricRPC()
 
 	// Order the points by the iterations a default solve needs, and pick
 	// a budget that converges the first half: every point up to mid
@@ -251,17 +272,16 @@ func TestPhase2SweepCheckpointResumeLargerBudget(t *testing.T) {
 		t.Fatalf("fixture: point %d needs %d iterations, not more than the budget %d", mid+1, iters[points[mid+1][0]], budget)
 	}
 
-	baseline, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{}, points, nil)
+	baseline, err := sweepRPC(p, ctmc.SolveOptions{}, pipeline.Config{}, points)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
 		tag := fmt.Sprintf("workers=%d", workers)
-		path := filepath.Join(t.TempDir(), "sweep.ckpt")
-		cfg := pipeline.Config{Workers: workers}
+		path := filepath.Join(t.TempDir(), "sweep.store")
+		store := openStore(t, path, false)
 
-		_, err := sweep(m, measures, ctmc.SolveOptions{MaxIterations: budget}, cfg,
-			points, &pipeline.CheckpointOptions{Path: path, Every: 1})
+		_, err := sweepRPC(p, ctmc.SolveOptions{MaxIterations: budget}, pipeline.Config{Workers: workers, Store: store}, points)
 		var ce *ctmc.ConvergenceError
 		if !errors.As(err, &ce) {
 			t.Fatalf("%s: want a *ctmc.ConvergenceError, got %v", tag, err)
@@ -270,19 +290,19 @@ func TestPhase2SweepCheckpointResumeLargerBudget(t *testing.T) {
 			t.Errorf("%s: failure at point %d %v after %d iterations, want point %d %v after %d",
 				tag, ce.Point, ce.Params, ce.Iterations, mid+1, points[mid+1], budget)
 		}
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("%s: failed sweep left no checkpoint: %v", tag, err)
+		if store.Len() == 0 {
+			t.Fatalf("%s: failed sweep stored no point", tag)
 		}
+		store.Close()
 
-		// Points 0..mid are checkpointed; a chunk holding any later point
-		// is solved again, so only the whole chunks below are armed.
+		// Points 0..mid are stored; a chunk holding any later point is
+		// solved again, so only the whole chunks below are armed.
 		plan := faultinject.NewPlan()
 		for i := 0; i < (mid+1)/ctmc.BatchLanes*ctmc.BatchLanes; i++ {
 			plan.Arm(faultinject.SiteSweepPoint, i)
 		}
 		faultinject.Activate(plan)
-		resumed, err := sweep(m, measures, ctmc.SolveOptions{}, cfg,
-			points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
+		resumed, err := sweepRPC(p, ctmc.SolveOptions{}, pipeline.Config{Workers: workers, Store: openStore(t, path, true)}, points)
 		faultinject.Deactivate()
 		if err != nil {
 			t.Fatalf("%s: resume at the default budget failed: %v", tag, err)
@@ -291,97 +311,155 @@ func TestPhase2SweepCheckpointResumeLargerBudget(t *testing.T) {
 	}
 }
 
-// TestPhase2SweepCheckpointWriteFailure checks that checkpoint writes are
-// strict: an injected failure of the first write aborts the sweep with
-// the typed checkpoint error instead of carrying on unresumable.
-func TestPhase2SweepCheckpointWriteFailure(t *testing.T) {
-	m, measures, points := rpcSweepFixture(t)
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+// failingStore is a MemoryStore whose every Put fails with err.
+type failingStore struct {
+	*pipeline.MemoryStore
+	err error
+}
 
-	plan := faultinject.NewPlan().Arm(faultinject.SiteCheckpointWrite, 0)
-	faultinject.Activate(plan)
-	_, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{}, points,
-		&pipeline.CheckpointOptions{Path: path, Every: 1})
-	faultinject.Deactivate()
+func (s failingStore) Put(pipeline.ResultKey, *pipeline.Phase2Report) error { return s.err }
+
+// TestPhase2SweepCheckpointWriteFailure checks that store writes are
+// strict: a Put that fails aborts the sweep at the first point it stores,
+// with the store's error intact, instead of carrying on unresumable; the
+// same holds for Phase2.
+func TestPhase2SweepCheckpointWriteFailure(t *testing.T) {
+	p, points := parametricRPC(), rpcTimeoutGrid()
+	errPut := errors.New("disk full")
+	store := failingStore{MemoryStore: pipeline.NewMemoryStore(), err: errPut}
+
+	_, err := sweepRPC(p, ctmc.SolveOptions{}, pipeline.Config{Store: store}, points)
 	if err == nil {
-		t.Fatal("failed checkpoint write ignored")
+		t.Fatal("failed store write ignored")
 	}
-	var cke *pipeline.CheckpointError
-	if !errors.As(err, &cke) || cke.Op != "write" {
-		t.Fatalf("want a write *CheckpointError, got %T: %v", err, err)
+	if !errors.Is(err, errPut) || !strings.Contains(err.Error(), "point 0") {
+		t.Fatalf("want the store's error at point 0, got %v", err)
 	}
-	var ie *faultinject.InjectedError
-	if !errors.As(err, &ie) || ie.Site != faultinject.SiteCheckpointWrite {
-		t.Errorf("injected write fault not recovered intact: %v", err)
+	if _, err := pipeline.NewSession(rpcSpec(p), pipeline.Config{Store: store}).Phase2(); !errors.Is(err, errPut) {
+		t.Errorf("Phase2: want the store's error, got %v", err)
 	}
 }
 
-// TestCheckpointResumeRejects checks the resume guards: corrupt files and
-// structurally mismatched checkpoints abort loudly; a missing file means
-// a fresh start.
+// TestCheckpointResumeRejects checks the resume guards of a FileStore. A
+// missing file is a fresh start. A store of other results — another grid,
+// another tolerance, another model — is no error but a miss: the sweep
+// solves what the store lacks and matches a fresh solve. A corrupt
+// record, a file of another format version, or a file that is not a
+// store is refused with an error naming the file; a torn last record is
+// dropped.
 func TestCheckpointResumeRejects(t *testing.T) {
-	m, measures, points := rpcSweepFixture(t)
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	run := func(points [][]float64, ck *pipeline.CheckpointOptions) ([]*pipeline.Phase2Report, error) {
-		return sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{}, points, ck)
+	p, points := parametricRPC(), rpcTimeoutGrid()
+	path := filepath.Join(t.TempDir(), "sweep.store")
+	run := func(solve ctmc.SolveOptions, points [][]float64, resume bool) []*pipeline.Phase2Report {
+		t.Helper()
+		reps, err := sweepRPC(p, solve, pipeline.Config{Store: openStore(t, path, resume)}, points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reps
+	}
+	resumeErr := func() error {
+		_, err := pipeline.OpenFileStore(path, true)
+		if err != nil && !strings.Contains(err.Error(), path) {
+			t.Errorf("error %q does not name %s", err, path)
+		}
+		return err
 	}
 
-	// Missing file: resume is a fresh start, and completes the checkpoint.
-	reps, err := run(points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
-	if err != nil {
-		t.Fatal(err)
+	// Missing file: resume is a fresh start, and fills the store.
+	reps := run(ctmc.SolveOptions{}, points, true)
+
+	// A full store resumes to identical reports without generating.
+	calls := lts.GenerateCalls()
+	requireSameReports(t, "complete-resume", reps, run(ctmc.SolveOptions{}, points, true))
+	if d := lts.GenerateCalls() - calls; d != 0 {
+		t.Errorf("a sweep the store holds whole generated %d times", d)
 	}
 
-	// A full checkpoint resumes to identical reports.
-	resumed, err := run(points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameReports(t, "complete-resume", reps, resumed)
+	// Another grid is no mismatch: its common points are hits.
+	requireSameReports(t, "sub-grid resume", reps[:5], run(ctmc.SolveOptions{}, points[:5], true))
 
-	// A different point set must be rejected as a mismatch.
-	_, err = run(points[:5], &pipeline.CheckpointOptions{Path: path, Resume: true})
-	if !errors.Is(err, pipeline.ErrCheckpointMismatch) {
-		t.Errorf("mismatched sweep resumed: %v", err)
+	// Values solved to 1e-3 used to resume into a default-tolerance
+	// sweep, up to 2.9e-4 relative off; they are now a miss, stored
+	// beside the default-tolerance values. The default tolerance spelled
+	// out is the same sweep.
+	loose := run(ctmc.SolveOptions{Tolerance: 1e-3}, points, true)
+	if reflect.DeepEqual(loose[0].Values, reps[0].Values) {
+		t.Fatal("fixture: tolerance 1e-3 solves to the default-tolerance values")
 	}
+	requireSameReports(t, "default-tolerance resume", reps, run(ctmc.SolveOptions{}, points, true))
+	requireSameReports(t, "explicit-tolerance resume", reps, run(ctmc.SolveOptions{Tolerance: ctmc.DefaultTolerance}, points, true))
 
-	// So must a different solver tolerance: values solved to 1e-3 used to
-	// resume into a default-tolerance sweep, up to 2.9e-4 relative off.
-	// The default tolerance spelled out is the same sweep.
-	loose := filepath.Join(t.TempDir(), "loose.ckpt")
-	if _, err := sweep(m, measures, ctmc.SolveOptions{Tolerance: 1e-3}, pipeline.Config{}, points,
-		&pipeline.CheckpointOptions{Path: loose, Every: 1}); err != nil {
-		t.Fatal(err)
+	// Another model's store is a miss too: the non-parametric rpc model's
+	// Phase2 is solved afresh on it (a fresh solve carries its trace, a
+	// stored report none), and then stored.
+	plain := models.DefaultRPCParams()
+	want := phase2(t, elaborateRPC(t, plain), models.RPCMeasures(plain))
+	plainPhase2 := func(tag string, hit bool) {
+		t.Helper()
+		got, err := pipeline.NewSession(rpcSpec(plain), pipeline.Config{Store: openStore(t, path, true)}).Phase2()
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if !reflect.DeepEqual(got.Values, want.Values) || (got.Trace == nil) != hit {
+			t.Errorf("%s: got %+v, want the fresh solve %+v (hit %t)", tag, got, want, hit)
+		}
 	}
-	_, err = run(points, &pipeline.CheckpointOptions{Path: loose, Resume: true})
-	if !errors.Is(err, pipeline.ErrCheckpointMismatch) {
-		t.Errorf("checkpoint solved to tolerance 1e-3 resumed at the default tolerance: %v", err)
-	}
-	explicit, err := sweep(m, measures, ctmc.SolveOptions{Tolerance: ctmc.DefaultTolerance}, pipeline.Config{}, points,
-		&pipeline.CheckpointOptions{Path: path, Resume: true})
-	if err != nil {
-		t.Fatalf("default-tolerance checkpoint rejected at an explicit default tolerance: %v", err)
-	}
-	requireSameReports(t, "explicit-tolerance resume", reps, explicit)
+	plainPhase2("another model", false)
+	plainPhase2("another model, stored", true)
 
-	// A flipped byte must be detected by the checksum.
+	// A torn last record — the plain Phase2 — is dropped and solved
+	// again; the file is cut at the last complete record, so the next
+	// append lands cleanly and loads.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = run(points, &pipeline.CheckpointOptions{Path: path, Resume: true})
-	if !errors.Is(err, pipeline.ErrCheckpointCorrupt) {
-		t.Errorf("corrupt checkpoint resumed: %v", err)
+	plainPhase2("torn tail", false)
+	plainPhase2("re-appended after a torn tail", true)
+	requireSameReports(t, "torn-tail resume", reps, run(ctmc.SolveOptions{}, points, true))
+
+	// A flipped byte inside a complete record fails its checksum.
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"corrupt record", flip(data, len(data)/2), pipeline.ErrStoreCorrupt},
+		{"other version", append([]byte("DPMCKPT5"), data[8:]...), pipeline.ErrStoreVersion},
+		{"not a store", []byte("states: 546 (tangible 48, vanishing 498)\n"), pipeline.ErrNotStore},
+	} {
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := resumeErr(); !errors.Is(err, c.want) {
+			t.Errorf("%s: want %v, got %v", c.name, c.want, err)
+		}
 	}
 
-	// Checkpointing with no path is a configuration error.
-	if _, err := run(points, &pipeline.CheckpointOptions{}); err == nil {
-		t.Error("empty checkpoint path accepted")
+	// Without resume, the file is started afresh whatever it held.
+	if reps := run(ctmc.SolveOptions{}, points[:1], false); reps[0] == nil {
+		t.Error("fresh store did not solve")
 	}
+
+	// A store with no path is a configuration error.
+	if _, err := pipeline.OpenFileStore("", false); err == nil {
+		t.Error("empty store path accepted")
+	}
+}
+
+// flip returns a copy of data with the byte at i inverted.
+func flip(data []byte, i int) []byte {
+	out := append([]byte(nil), data...)
+	out[i] ^= 0xff
+	return out
 }
 
 // TestPhase2SweepEdgePoints covers the degenerate sweeps: no points, a
@@ -392,18 +470,16 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 	none := ctmc.SolveOptions{}
 
 	// Zero points: nothing to do, no error.
-	reps, err := sweep(m, measures, none, pipeline.Config{}, nil, nil)
+	reps, err := sweep(m, measures, none, pipeline.Config{}, nil)
 	if err != nil || reps != nil {
 		t.Errorf("empty sweep: got (%v, %v), want (nil, nil)", reps, err)
 	}
 
-	// Single point at the model's own rates: the sweep is exactly one
-	// cold one-lane solve, bit-identical to the non-sweep phase-2 path.
-	l, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures}, pipeline.Config{}).LTS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := sweep(m, measures, none, pipeline.Config{}, [][]float64{l.SlotDefaults()}, nil)
+	// Single point at the model's own rates (the timeout slot holds
+	// 1/ShutdownTimeout): the sweep is exactly one cold one-lane solve,
+	// bit-identical to the non-sweep phase-2 path.
+	own := []float64{1 / parametricRPC().ShutdownTimeout}
+	single, err := sweep(m, measures, none, pipeline.Config{}, [][]float64{own})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,13 +490,14 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 		}
 	}
 
-	// A slot-free model is accepted as exactly one empty point — the
-	// checkpointable single solve the CLI uses — but never as a sweep.
-	plain := elaborateRPC(t, models.DefaultRPCParams())
-	plainMeasures := models.RPCMeasures(models.DefaultRPCParams())
-	path := filepath.Join(t.TempDir(), "single.ckpt")
-	solo, err := sweep(plain, plainMeasures, none, pipeline.Config{}, [][]float64{{}},
-		&pipeline.CheckpointOptions{Path: path, Every: 1})
+	// A slot-free model is accepted as exactly one empty point — the one
+	// SteadyState solve of Phase2 — also through a result store and when
+	// resumed from one, but never as a sweep.
+	plainParams := models.DefaultRPCParams()
+	plain := elaborateRPC(t, plainParams)
+	plainMeasures := models.RPCMeasures(plainParams)
+	path := filepath.Join(t.TempDir(), "single.store")
+	solo, err := sweepRPC(plainParams, none, pipeline.Config{Store: openStore(t, path, false)}, [][]float64{{}})
 	if err != nil {
 		t.Fatalf("slot-free single-point sweep failed: %v", err)
 	}
@@ -430,13 +507,12 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 			t.Errorf("slot-free solve measure %s: %v != %v", name, got, want)
 		}
 	}
-	resumedSolo, err := sweep(plain, plainMeasures, none, pipeline.Config{}, [][]float64{{}},
-		&pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
+	resumedSolo, err := sweepRPC(plainParams, none, pipeline.Config{Store: openStore(t, path, true)}, [][]float64{{}})
 	if err != nil {
 		t.Fatalf("slot-free resume failed: %v", err)
 	}
 	requireSameReports(t, "slot-free resume", solo, resumedSolo)
-	if _, err := sweep(plain, plainMeasures, none, pipeline.Config{}, [][]float64{{}, {}}, nil); err == nil {
+	if _, err := sweep(plain, plainMeasures, none, pipeline.Config{}, [][]float64{{}, {}}); err == nil {
 		t.Error("multi-point sweep of a slot-free model accepted")
 	}
 
@@ -445,7 +521,7 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 	// a chunk or not, at one and two workers.
 	dup := [][]float64{{1. / 5}, {1. / 2}, {1. / 10}, {1. / 2}, {1. / 10}, {1. / 5}}
 	for _, workers := range []int{1, 2} {
-		reps, err := sweep(m, measures, none, pipeline.Config{Workers: workers}, dup, nil)
+		reps, err := sweep(m, measures, none, pipeline.Config{Workers: workers}, dup)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/aemilia"
 	"repro/internal/compose"
 	"repro/internal/ctmc"
 	"repro/internal/dist"
@@ -92,14 +93,16 @@ type minimized struct {
 
 // sessionState owns the staged artifacts of one SpecHash. Every Session
 // opened on the same hash (through one Manager) shares a single state, so
-// the model is elaborated once, the LTS generated once, the chain built
-// once (its structural solve plan computed once, via the chain's own
-// lazy plan) and the measures compiled against it once — no matter how
-// many handles, goroutines, or experiment drivers are running.
+// the description is built once, the model elaborated once, the LTS
+// generated once, the chain built once (its structural solve plan
+// computed once, via the chain's own lazy plan) and the measures compiled
+// against it once — no matter how many handles, goroutines, or
+// experiment drivers are running.
 type sessionState struct {
 	spec Spec
 	hash SpecHash
 
+	arch     stage[*aemilia.ArchiType]
 	model    stage[*elab.Model]
 	minim    stage[minimized]
 	ltsS     stage[*lts.LTS]
@@ -191,23 +194,44 @@ func (s *Session) solveOptions() ctmc.SolveOptions {
 	return so
 }
 
+// arch returns the spec's architectural description, built on first use.
+func (s *Session) arch() (*aemilia.ArchiType, error) {
+	return s.st.arch.get(s.ctx(), "pipeline.elaborate", func() (*aemilia.ArchiType, error) {
+		if s.st.spec.Build == nil {
+			return nil, errors.New("pipeline: spec supplies neither Model nor Build")
+		}
+		return s.st.spec.Build()
+	})
+}
+
 // Model returns the session's elaborated model, elaborating the spec's
 // architectural description on first use.
 func (s *Session) Model() (*elab.Model, error) {
 	return s.st.model.get(s.ctx(), "pipeline.elaborate", func() (*elab.Model, error) {
-		spec := &s.st.spec
-		if spec.Model != nil {
-			return spec.Model, nil
+		if s.st.spec.Model != nil {
+			return s.st.spec.Model, nil
 		}
-		if spec.Build == nil {
-			return nil, errors.New("pipeline: spec supplies neither Model nor Build")
-		}
-		arch, err := spec.Build()
+		arch, err := s.arch()
 		if err != nil {
 			return nil, err
 		}
 		return elab.Elaborate(arch)
 	})
+}
+
+// resultModel returns the Model half of the session's store keys. It
+// needs the description the spec builds — a pre-elaborated Spec.Model
+// cannot be formatted into a key — but nothing later: a store hit skips
+// elaboration, generation and the solve.
+func (s *Session) resultModel() (string, error) {
+	if s.st.spec.Model != nil {
+		return "", errors.New("pipeline: a result store needs a spec that builds its description, not a pre-elaborated Model")
+	}
+	arch, err := s.arch()
+	if err != nil {
+		return "", err
+	}
+	return s.st.spec.storeHash(aemilia.Format(arch)), nil
 }
 
 // GenModel returns the model the generation path explores: the full
@@ -320,12 +344,16 @@ func (s *Session) Phase1(spec noninterference.Spec) (*Phase1Report, error) {
 // Phase2 solves the session's CTMC at the model's built-in rates and
 // evaluates the spec's measures exactly: the Markovian phase for one
 // model. The report is staged (solved once per state) and, when the
-// Config carries a Store, memoized under the spec's hash; callers always
+// Config carries a Store, memoized there (see resultModel); callers always
 // receive a private copy.
 func (s *Session) Phase2() (*Phase2Report, error) {
-	key := ResultKey{Spec: s.st.hash, Point: "default"}
 	rep, err := s.st.phase2.get(s.ctx(), "pipeline.phase2", func() (*Phase2Report, error) {
+		key := ResultKey{Point: "default"}
 		if s.cfg.Store != nil {
+			var err error
+			if key.Model, err = s.resultModel(); err != nil {
+				return nil, err
+			}
 			if rep, ok := s.cfg.Store.Get(key); ok {
 				return rep, nil
 			}
@@ -354,7 +382,9 @@ func (s *Session) Phase2() (*Phase2Report, error) {
 			Trace:     trace,
 		}
 		if s.cfg.Store != nil {
-			s.cfg.Store.Put(key, rep)
+			if err := s.cfg.Store.Put(key, rep); err != nil {
+				return nil, err
+			}
 		}
 		return rep, nil
 	})

@@ -80,6 +80,38 @@ type SpecHash string
 func (s Spec) Hash() SpecHash {
 	h := sha256.New()
 	hStr(h, s.Key)
+	s.hashSemantics(h)
+	// Solver: the result-affecting fields only.
+	hF64(h, s.Solve.Tolerance)
+	hU64(h, uint64(s.Solve.MaxIterations))
+	return SpecHash(hex.EncodeToString(h.Sum(nil)))
+}
+
+// storeHash is the Model half of the spec's ResultKeys, given its
+// formatted architectural description. It covers what Hash covers with
+// two changes. The description stands in for Key, because Key need not
+// change when a builder's output does. The iteration budget is left out,
+// because it only caps a solve and never changes a converged value: a
+// run that failed to converge is finished by resuming it with a larger
+// budget. The tolerance is resolved, so the default spelled out keys
+// like the default left implicit. The store format version is hashed
+// too, so a format change can never reuse another version's results.
+func (s Spec) storeHash(desc string) string {
+	h := sha256.New()
+	hStr(h, storeMagic)
+	hStr(h, desc)
+	s.hashSemantics(h)
+	tol := s.Solve.Tolerance
+	if tol <= 0 {
+		tol = ctmc.DefaultTolerance
+	}
+	hF64(h, tol)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashSemantics writes the generation semantics and the full measure
+// definitions: the part of the spec both hashes share.
+func (s Spec) hashSemantics(h hash.Hash) {
 	// Generation: everything that shapes the LTS.
 	hU64(h, uint64(s.Gen.MaxStates))
 	hBool(h, s.Minimize)
@@ -107,10 +139,6 @@ func (s Spec) Hash() SpecHash {
 			hF64(h, c.Value)
 		}
 	}
-	// Solver: the result-affecting fields only.
-	hF64(h, s.Solve.Tolerance)
-	hU64(h, uint64(s.Solve.MaxIterations))
-	return SpecHash(hex.EncodeToString(h.Sum(nil)))
 }
 
 func hU64(h hash.Hash, v uint64) {

@@ -1,62 +1,14 @@
 package pipeline
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"slices"
 
 	"repro/internal/ctmc"
 	"repro/internal/fault"
 	"repro/internal/faultinject"
-	"repro/internal/lts"
-	"repro/internal/measure"
 )
-
-// sweepHash fingerprints everything a checkpoint must match to be safely
-// resumed: the chain's structural solve analysis, the state-space and
-// chain sizes, the exact bit patterns of every sweep point, the measure
-// names, and the resolved solver tolerance. Two sweeps with the same hash
-// solve the same points of the same chain to the same tolerance and
-// evaluate the same measures, so exchanging their completed results is
-// sound. The iteration budget is left out: it only caps a solve, so it
-// never changes a converged value, and resuming with a larger budget is
-// how a sweep that failed to converge is completed.
-func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []measure.Measure, tolerance float64) (uint64, error) {
-	structural, err := chain.StructuralHash()
-	if err != nil {
-		return 0, err
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(structural)
-	put(uint64(l.NumStates))
-	put(uint64(chain.N))
-	put(uint64(chain.NumVanishing()))
-	put(uint64(len(points)))
-	for _, pt := range points {
-		put(uint64(len(pt)))
-		for _, v := range pt {
-			put(math.Float64bits(v))
-		}
-	}
-	put(uint64(len(measures)))
-	for _, m := range measures {
-		h.Write([]byte(m.Name))
-		h.Write([]byte{0})
-	}
-	if tolerance <= 0 {
-		tolerance = ctmc.DefaultTolerance
-	}
-	put(math.Float64bits(tolerance))
-	return h.Sum64(), nil
-}
 
 // Sweep runs the Markovian phase over a family of rate assignments of the
 // session's model: the state space is generated once, the CTMC is built
@@ -81,8 +33,12 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 // generator matrix is itself bit-identical to a freshly built one, so a
 // point's result equals a fresh generate+build+solve at that point's
 // rates up to the solver tolerance. A Config Store memoizes the reports
-// under SpecHash + point, so overlapping grids share their common
-// points whatever point they start from.
+// point by point (see resultModel), so overlapping grids share their
+// common points whatever point they start from, and a sweep whose every
+// point the store holds generates nothing. Through a FileStore the
+// points outlive the process: a sweep that was canceled or failed is
+// resumed by running it again on the loaded store, which solves only the
+// points it lacks, each cold, exactly as an uninterrupted run would.
 //
 // Failure handling is deterministic at any worker count:
 //
@@ -91,9 +47,11 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 //     pass over the points would hit first), and an unwrapped
 //     *ctmc.ConvergenceError carries the point index and its rate vector.
 //   - The converged points below a failed one are still published to
-//     the store and the checkpoint, so a checkpointed sweep that fails to
-//     converge is completed by resuming it with a larger
-//     Solve.MaxIterations, which the checkpoint does not fingerprint.
+//     the store, so a sweep that fails to converge is completed by
+//     resuming it with a larger Solve.MaxIterations, which the store key
+//     leaves out.
+//   - A failed Store.Put fails its point: a run never carries on
+//     believing it can be resumed when its results were not recorded.
 //   - A panic in a sweep worker is recovered into a
 //     *fault.WorkerPanicError instead of crashing the process.
 //   - A cancellation via Config.Ctx surfaces as a *fault.CanceledError
@@ -102,18 +60,8 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 // The model must carry rate slots (elab.Model.NumRateSlots > 0) to sweep
 // more than one point; sweeping a parameter that changes the model's
 // structure needs one generation per point instead. A slot-free model is
-// accepted with exactly one (empty) point — a single SteadyState solve
-// run through the sweep driver for its checkpoint/resume machinery.
+// accepted with exactly one (empty) point — a single SteadyState solve.
 func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
-	return s.SweepCheckpointed(points, nil)
-}
-
-// SweepCheckpointed is Sweep with a resumable checkpoint (see
-// CheckpointOptions): completed point results are periodically written to
-// ckOpts.Path, and a run with ckOpts.Resume set solves only the missing
-// points — with reports bit-identical to an uninterrupted run, because
-// every point's result is a pure function of the chain and its rates.
-func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOptions) ([]*Phase2Report, error) {
 	if len(points) == 0 {
 		return nil, nil
 	}
@@ -130,8 +78,37 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 			return nil, fmt.Errorf("pipeline: sweep: point %d has %d values, model has %d rate slots", i, len(p), numSlots)
 		}
 	}
-	if ckOpts != nil && ckOpts.Path == "" {
-		return nil, fmt.Errorf("pipeline: sweep: checkpoint enabled with an empty path")
+	reports := make([]*Phase2Report, len(points))
+
+	// Result-store prefill: the points the store already holds are not
+	// solved again.
+	var keys []ResultKey
+	if s.cfg.Store != nil {
+		model, err := s.resultModel()
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: sweep: %w", err)
+		}
+		keys = make([]ResultKey, len(points))
+		for i := range points {
+			keys[i] = ResultKey{Model: model, Point: encodePoint(points[i])}
+			reports[i], _ = s.cfg.Store.Get(keys[i])
+		}
+	}
+
+	// A chunk is one four-lane group of the batched kernel. Chunks whose
+	// every point was restored from the store are not queued; each queued
+	// chunk keeps its failed point index beside it, the chunk's first
+	// point until solveChunk names another.
+	type chunk struct{ off, width, failed int }
+	var pending []chunk
+	for off := 0; off < len(points); off += ctmc.BatchLanes {
+		w := min(ctmc.BatchLanes, len(points)-off)
+		if slices.Contains(reports[off:off+w], nil) {
+			pending = append(pending, chunk{off: off, width: w, failed: off})
+		}
+	}
+	if len(pending) == 0 {
+		return reports, nil
 	}
 
 	l, err := s.LTS()
@@ -146,70 +123,9 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: sweep: %w", err)
 	}
-	spec := &s.st.spec
-	measures := spec.Measures
 	ctx := s.cfg.Ctx
-	solve := spec.Solve
+	solve := s.st.spec.Solve
 	solve.Ctx = ctx
-
-	report := func(values map[string]float64) *Phase2Report {
-		return &Phase2Report{
-			Values:    values,
-			States:    l.NumStates,
-			Tangible:  pristine.N,
-			Vanishing: pristine.NumVanishing(),
-		}
-	}
-	reports := make([]*Phase2Report, len(points))
-
-	// Checkpoint bookkeeping: fingerprint the sweep, load a prior
-	// checkpoint when resuming, and prefill the reports it holds.
-	var ck *ckWriter
-	if ckOpts != nil {
-		hash, err := sweepHash(pristine, l, points, measures, solve.Tolerance)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: sweep: %w", err)
-		}
-		var prior *checkpoint
-		if ckOpts.Resume {
-			if prior, err = loadCheckpoint(ckOpts.Path, hash, len(points), report); err != nil {
-				return nil, fmt.Errorf("pipeline: sweep: %w", err)
-			}
-			if prior != nil {
-				for i, rep := range prior.completed {
-					reports[i] = rep
-				}
-			}
-		}
-		ck = newCkWriter(*ckOpts, hash, len(points), prior)
-	}
-
-	// storeKey content-addresses one point's report: the spec and the
-	// point's exact bits.
-	storeKey := func(i int) ResultKey {
-		return ResultKey{Spec: s.st.hash, Point: encodePoint(points[i])}
-	}
-
-	// Result-store prefill: points the store already holds are restored
-	// like checkpointed ones (and recorded to the checkpoint, so a resume
-	// file stays complete).
-	if s.cfg.Store != nil {
-		for i := range points {
-			if reports[i] != nil {
-				continue
-			}
-			rep, ok := s.cfg.Store.Get(storeKey(i))
-			if !ok {
-				continue
-			}
-			reports[i] = rep
-			if ck != nil {
-				if err := ck.completed(i, rep); err != nil {
-					return nil, fmt.Errorf("pipeline: sweep: point %d: %w", i, err)
-				}
-			}
-		}
-	}
 
 	// attribute stamps a solver failure with its global sweep-point index
 	// and rate vector (when the failure is a convergence error).
@@ -239,24 +155,10 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 		return [][]float64{pi}, []error{err}, nil
 	}
 
-	// resolvePoint completes point i from its solve on chain: a lane's
-	// failure is the point's, and a converged lane is evaluated on chain
-	// rebound to the point's rates, through the session's compiled
-	// measures.
-	resolvePoint := func(chain *ctmc.CTMC, i int, pi []float64, err error) (*Phase2Report, error) {
-		if err != nil {
-			return nil, err
-		}
-		if err := chain.Rebind(points[i]); err != nil {
-			return nil, err
-		}
-		return report(compiled.Eval(chain, pi)), nil
-	}
-
 	// solveChunk solves points[off:off+width] on chain and publishes their
-	// reports: the report slot, the result store, then the checkpoint
-	// writer (whose write failures are strict — an unwritable checkpoint
-	// fails the point rather than silently losing resumability). It
+	// reports to their slots and the result store: a lane's failure is
+	// its point's, and a converged lane is evaluated on chain rebound to
+	// the point's rates, through the session's compiled measures. It
 	// returns the failed global point index and error.
 	solveChunk := func(chain *ctmc.CTMC, off, width int) (int, error) {
 		if err := fault.Check(ctx, "core.sweep", off, -1); err != nil {
@@ -273,34 +175,27 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 		}
 		for lane := 0; lane < width; lane++ {
 			i := off + lane
-			rep, err := resolvePoint(chain, i, pis[lane], laneErrs[lane])
+			err := laneErrs[lane]
+			if err == nil {
+				err = chain.Rebind(points[i])
+			}
 			if err != nil {
 				return i, attribute(err, i)
 			}
+			rep := &Phase2Report{
+				Values:    compiled.Eval(chain, pis[lane]),
+				States:    l.NumStates,
+				Tangible:  pristine.N,
+				Vanishing: pristine.NumVanishing(),
+			}
 			reports[i] = rep
 			if s.cfg.Store != nil {
-				s.cfg.Store.Put(storeKey(i), rep)
-			}
-			if ck != nil {
-				if err := ck.completed(i, rep); err != nil {
+				if err := s.cfg.Store.Put(keys[i], rep); err != nil {
 					return i, err
 				}
 			}
 		}
 		return 0, nil
-	}
-
-	// A chunk is one four-lane group of the batched kernel. Chunks whose
-	// every point was restored from the checkpoint or the store are not
-	// queued; each queued chunk keeps its failed point index beside it,
-	// the chunk's first point until solveChunk names another.
-	type chunk struct{ off, width, failed int }
-	var pending []chunk
-	for off := 0; off < len(points); off += ctmc.BatchLanes {
-		w := min(ctmc.BatchLanes, len(points)-off)
-		if slices.Contains(reports[off:off+w], nil) {
-			pending = append(pending, chunk{off: off, width: w, failed: off})
-		}
 	}
 
 	// Each worker rebinds its own private clone of the session's chain,

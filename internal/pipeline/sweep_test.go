@@ -47,12 +47,20 @@ func quickStreamingParams() models.StreamingParams {
 	return p
 }
 
-// sweep runs a (possibly checkpointed) sweep of m on a fresh ephemeral
-// session with the given solver options and scheduling config.
+// sweep runs a sweep of m on a fresh ephemeral session with the given
+// solver options and scheduling config.
 func sweep(m *elab.Model, measures []measure.Measure, solve ctmc.SolveOptions, cfg pipeline.Config,
-	points [][]float64, ck *pipeline.CheckpointOptions) ([]*pipeline.Phase2Report, error) {
-	s := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures, Solve: solve}, cfg)
-	return s.SweepCheckpointed(points, ck)
+	points [][]float64) ([]*pipeline.Phase2Report, error) {
+	return pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures, Solve: solve}, cfg).Sweep(points)
+}
+
+// sweepRPC is sweep on a session that builds the revised rpc model at p
+// (rpcSpec), the shape a result store can key.
+func sweepRPC(p models.RPCParams, solve ctmc.SolveOptions, cfg pipeline.Config,
+	points [][]float64) ([]*pipeline.Phase2Report, error) {
+	spec := rpcSpec(p)
+	spec.Solve = solve
+	return pipeline.NewSession(spec, cfg).Sweep(points)
 }
 
 // phase2 solves m once at its built-in rates on a fresh ephemeral session.
@@ -226,7 +234,7 @@ func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
 
 	var byWorkers [][]*pipeline.Phase2Report
 	for _, workers := range []int{1, 8} {
-		reps, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Workers: workers}, points, nil)
+		reps, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Workers: workers}, points)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -281,7 +289,7 @@ func TestPhase2SweepLaneWidths(t *testing.T) {
 			}
 			base := make([]*pipeline.Phase2Report, len(points))
 			for i, p := range points {
-				reps, err := sweep(v.model, v.measures, ctmc.SolveOptions{}, pipeline.Config{}, [][]float64{p}, nil)
+				reps, err := sweep(v.model, v.measures, ctmc.SolveOptions{}, pipeline.Config{}, [][]float64{p})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -289,7 +297,7 @@ func TestPhase2SweepLaneWidths(t *testing.T) {
 			}
 			for _, grid := range [][][]float64{points[:2], points[:3], points} {
 				for _, workers := range []int{1, 2, 8} {
-					reps, err := sweep(v.model, v.measures, ctmc.SolveOptions{}, pipeline.Config{Workers: workers}, grid, nil)
+					reps, err := sweep(v.model, v.measures, ctmc.SolveOptions{}, pipeline.Config{Workers: workers}, grid)
 					if err != nil {
 						t.Fatalf("%d points, workers=%d: %v", len(grid), workers, err)
 					}
@@ -319,7 +327,7 @@ func TestPhase2SweepConvergenceErrorPoint(t *testing.T) {
 	points := [][]float64{{1. / 5}, {1. / 2}, {1. / 25}, {1. / 10}, {1. / 7}}
 	for _, workers := range []int{1, 2} {
 		_, err := sweep(m, models.RPCMeasures(pp), ctmc.SolveOptions{MaxIterations: 2},
-			pipeline.Config{Workers: workers}, points, nil)
+			pipeline.Config{Workers: workers}, points)
 		if !errors.Is(err, ctmc.ErrNoConvergence) {
 			t.Fatalf("workers=%d: want ErrNoConvergence, got %v", workers, err)
 		}
@@ -343,21 +351,21 @@ func TestPhase2SweepConvergenceErrorPoint(t *testing.T) {
 func TestPhase2SweepRejectsBadInput(t *testing.T) {
 	none := ctmc.SolveOptions{}
 	plain := elaborateRPC(t, models.DefaultRPCParams())
-	if _, err := sweep(plain, nil, none, pipeline.Config{}, [][]float64{{1}}, nil); err == nil {
+	if _, err := sweep(plain, nil, none, pipeline.Config{}, [][]float64{{1}}); err == nil {
 		t.Error("sweeping a slot-free model should fail")
 	}
 
 	pp := models.DefaultRPCParams()
 	pp.ParametricTimeout = true
 	m := elaborateRPC(t, pp)
-	if _, err := sweep(m, nil, none, pipeline.Config{}, [][]float64{{1, 2}}, nil); err == nil {
+	if _, err := sweep(m, nil, none, pipeline.Config{}, [][]float64{{1, 2}}); err == nil {
 		t.Error("a point with the wrong arity should fail")
 	}
-	reps, err := sweep(m, nil, none, pipeline.Config{}, nil, nil)
+	reps, err := sweep(m, nil, none, pipeline.Config{}, nil)
 	if err != nil || reps != nil {
 		t.Errorf("empty sweep: got (%v, %v), want (nil, nil)", reps, err)
 	}
-	if _, err := sweep(m, []measure.Measure{}, none, pipeline.Config{}, [][]float64{{0}}, nil); err == nil {
+	if _, err := sweep(m, []measure.Measure{}, none, pipeline.Config{}, [][]float64{{0}}); err == nil {
 		t.Error("a structure-changing point should fail")
 	}
 }
@@ -499,20 +507,18 @@ func (s *countingStore) Get(key pipeline.ResultKey) (*pipeline.Phase2Report, boo
 func TestSweepStoreSharesPointsAcrossGrids(t *testing.T) {
 	pp := models.DefaultRPCParams()
 	pp.ParametricTimeout = true
-	m := elaborateRPC(t, pp)
-	measures := models.RPCMeasures(pp)
 	store := &countingStore{MemoryStore: pipeline.NewMemoryStore()}
 	first := [][]float64{{1. / 2}, {1. / 5}, {1. / 10}}
 	second := [][]float64{{1. / 25}, {1. / 5}, {1. / 15}}
 
-	a, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Store: store}, first, nil)
+	a, err := sweepRPC(pp, ctmc.SolveOptions{}, pipeline.Config{Store: store}, first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store.hits != 0 || store.Len() != len(first) {
 		t.Fatalf("first grid: %d hits and %d entries, want 0 and %d", store.hits, store.Len(), len(first))
 	}
-	b, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{Store: store}, second, nil)
+	b, err := sweepRPC(pp, ctmc.SolveOptions{}, pipeline.Config{Store: store}, second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +529,7 @@ func TestSweepStoreSharesPointsAcrossGrids(t *testing.T) {
 		t.Errorf("store holds %d reports, want %d", store.Len(), len(first)+len(second)-1)
 	}
 	requireSameReports(t, "shared point", a[1:2], b[1:2])
-	fresh, err := sweep(m, measures, ctmc.SolveOptions{}, pipeline.Config{}, second, nil)
+	fresh, err := sweepRPC(pp, ctmc.SolveOptions{}, pipeline.Config{}, second)
 	if err != nil {
 		t.Fatal(err)
 	}

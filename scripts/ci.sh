@@ -67,21 +67,24 @@ echo "== go test -race =="
 go test -timeout 10m -race ./...
 
 # Fault-injection smoke under the race detector at -cpu 1,2: injected
-# worker panics, cancellation at an exact iteration, and a sweep that
-# fails to converge and is resumed from its checkpoint with a larger
-# budget (TestSolveCancelAtIteration in internal/ctmc and the session
+# worker panics, cancellation at an exact iteration, a sweep canceled
+# and a sweep that fails to converge, each resumed from the result store
+# file (pipeline.FileStore) it was appending to, and a store whose Put
+# fails (TestSolveCancelAtIteration in internal/ctmc and the session
 # sweep's TestPhase2Sweep*Panic*/Cancel*/Checkpoint* and
-# TestCheckpointResumeRejects properties in internal/pipeline), plus the
-# shared worker pool's own panic test (TestPoolRecoversPanic in
-# internal/fault), on both the degenerate and a two-core schedule. The
-# recovery paths — panic capture, lowest-index attribution, checkpoint
-# replay — are themselves concurrent code and get their race coverage
-# here. The pool's third caller, experiments.RunPoints, gets the same two
+# TestCheckpointResumeRejects properties in internal/pipeline — the
+# store tests keep the Checkpoint names of the sweep checkpoint they
+# replaced), plus the shared worker pool's own panic test
+# (TestPoolRecoversPanic in internal/fault), on both the degenerate and
+# a two-core schedule. The recovery paths — panic capture, lowest-index
+# attribution, concurrent appends and resume from the store — are
+# themselves concurrent code and get their race coverage here. The
+# pool's third caller, experiments.RunPoints, gets the same two
 # schedules through its panic and worker-determinism tests. The two study
 # CLIs get them through their byte-pin and checkpoint-resume tests
 # (TestQuickOutputBytes, TestCheckpointResume in cmd/rpcstudy and
 # cmd/streamingstudy): a -quick run of every catalog entry at -workers 1
-# and 8, and a checkpointed run resumed from its files, each printing the
+# and 8, and a run on a result store resumed from it, each printing the
 # pinned bytes. They are the only tests that drive a whole study through
 # experiments.RunStudy's one loop, its reuse of finished results and the
 # worker pool.
@@ -178,7 +181,8 @@ scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|Sweep
 # against its unreduced saturation oracle, the compiled successor
 # enumeration — the one successor function of both state-space
 # generation and simulation — against the term-interpreting
-# Model.Successors, a test-only oracle, the sweep checkpoint decoder (the file a resumed sweep trusts), the
+# Model.Successors, a test-only oracle, the result store's record decoder
+# (FuzzDecodeCheckpoint: the file a resumed run trusts), the
 # measure-file parser (the other text input a user hands the CLIs), the
 # Aldebaran .aut reader with its WriteAUT round trip, restriction and
 # hiding of rated systems with Aux handles against the Build-based
