@@ -24,6 +24,6 @@
 //   - examples/           — runnable walkthroughs
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-vs-measured record. The benchmarks in
-// bench_test.go regenerate each figure (go test -bench=.).
+// EXPERIMENTS.md for the paper-vs-measured record. The study commands
+// regenerate each figure, and perfbench/run.sh times the engine.
 package repro

@@ -100,11 +100,11 @@ func TestLumpPreservesSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	piO, err := orig.SteadyState(ctmc.SolveOptions{})
+	piO, _, err := orig.SteadyStateTraced(ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	piS, err := small.SteadyState(ctmc.SolveOptions{})
+	piS, _, err := small.SteadyStateTraced(ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestLumpHandlesImmediates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	piO, err := orig.SteadyState(ctmc.SolveOptions{})
+	piO, _, err := orig.SteadyStateTraced(ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	piS, err := small.SteadyState(ctmc.SolveOptions{})
+	piS, _, err := small.SteadyStateTraced(ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestPropertyLumpExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		piO, err := orig.SteadyState(ctmc.SolveOptions{})
+		piO, _, err := orig.SteadyStateTraced(ctmc.SolveOptions{})
 		if err != nil {
 			continue // multiple BSCCs: skip
 		}
@@ -216,7 +216,7 @@ func TestPropertyLumpExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: lumped chain broken: %v", trial, err)
 		}
-		piS, err := small.SteadyState(ctmc.SolveOptions{})
+		piS, _, err := small.SteadyStateTraced(ctmc.SolveOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: lumped chain unsolvable: %v", trial, err)
 		}

@@ -178,7 +178,7 @@ func TestMinimizePreservesPredicateProbabilities(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pi, err := chain.SteadyState(ctmc.SolveOptions{})
+		pi, _, err := chain.SteadyStateTraced(ctmc.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

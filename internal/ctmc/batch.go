@@ -5,20 +5,6 @@ import (
 	"math"
 )
 
-// BatchOptions tunes SolveBatchLanes.
-type BatchOptions struct {
-	// Solve is the shared solver configuration: tolerance and iteration
-	// bound are resolved exactly as SteadyState resolves them, and every
-	// lane starts from the uniform distribution, as a SteadyState solve
-	// does.
-	Solve SolveOptions
-	// LaneTolerances optionally overrides Solve.Tolerance per lane (one
-	// positive value per point, or nil). Lanes then converge — and
-	// deactivate — at different sweeps, which the property tests use to
-	// pin the deactivation determinism.
-	LaneTolerances []float64
-}
-
 // BatchPointError attributes a batched-solve failure to one point of the
 // batch: SolveBatchLanes reports an invalid point with it. Point indexes
 // the points slice passed to the solve; pipeline.Session.Sweep translates
@@ -46,17 +32,22 @@ func (e *BatchPointError) Unwrap() error { return e.Err }
 // recorded contribution terms, and the four-lane kernel iterates all
 // lanes simultaneously — each pass over the CSR indices feeds every lane,
 // so the index traffic and loop overhead are paid once per group of four.
+// Tolerance and iteration bound are resolved from solve exactly as
+// SteadyStateTraced resolves them, and every lane starts from the
+// uniform distribution, as a solo solve does.
 //
 // out[k] is bit-identical to the sequential chain
 //
-//	clone := c.Clone(); clone.Rebind(points[k]); clone.SteadyState(opts.Solve)
+//	clone := c.Clone(); clone.Rebind(points[k]); clone.SteadyStateTraced(solve)
 //
 // at any lane count: the gathered rates are the contribution-term sums
-// Rebind computes, in the same order, SteadyState runs the same kernel on
-// a one-lane batch, and lanes never mix, so a point's result does not
-// depend on which points share its batch. Per-lane residuals are tracked
-// independently and a lane deactivates (its column is frozen and copied
-// out) after exactly the sweep where a one-lane solve would return. The
+// Rebind computes, in the same order, SteadyStateTraced runs the same
+// kernel on a one-lane batch, and lanes never mix, so a point's result
+// does not depend on which points share its batch. Per-lane residuals are
+// tracked independently and a lane deactivates (its column is frozen and
+// copied out) after exactly the sweep where a one-lane solve would
+// return, so points that need different sweep counts leave the group at
+// different sweeps. The
 // chain's own rate state is not touched: lanes are computed from the
 // contribution terms, so c still carries whatever rates the last
 // Build/Rebind wrote.
@@ -67,15 +58,17 @@ func (e *BatchPointError) Unwrap() error { return e.Err }
 // results are returned even when other lanes failed, so a sweep can
 // publish the converged lanes below a failed one instead of discarding
 // the whole batch. The batch-level error is reserved for failures of the
-// batch as a whole: invalid input, cancellation, and worker panics; when
-// it is non-nil, out and laneErrs are nil.
-func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]float64, laneErrs []error, err error) {
+// batch as a whole: invalid input, a chain with no single reachable
+// bottom component, and cancellation; when it is non-nil, out and
+// laneErrs are nil. The call runs on the caller's goroutine; it starts
+// none.
+func (c *CTMC) SolveBatchLanes(points [][]float64, solve SolveOptions) (out [][]float64, laneErrs []error, err error) {
 	K := len(points)
 	if K == 0 {
 		return nil, nil, nil
 	}
 	if c.numSlots == 0 {
-		return nil, nil, fmt.Errorf("ctmc: solve batch: chain has no rate slots; use SteadyState per point")
+		return nil, nil, fmt.Errorf("ctmc: solve batch: chain has no rate slots; solve it once with SteadyStateTraced")
 	}
 	for k, pt := range points {
 		if len(pt) != c.numSlots {
@@ -87,20 +80,7 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 			}
 		}
 	}
-	if len(opts.LaneTolerances) != 0 && len(opts.LaneTolerances) != K {
-		return nil, nil, fmt.Errorf("ctmc: solve batch: %d lane tolerances for %d points", len(opts.LaneTolerances), K)
-	}
-	solve := solveDefaults(opts.Solve)
-	tol := make([]float64, K)
-	for k := range tol {
-		tol[k] = solve.Tolerance
-		if opts.LaneTolerances != nil {
-			if t := opts.LaneTolerances[k]; !(t > 0) || math.IsInf(t, 0) {
-				return nil, nil, fmt.Errorf("ctmc: solve batch: lane %d tolerance %v is not positive and finite", k, t)
-			}
-			tol[k] = opts.LaneTolerances[k]
-		}
-	}
+	solve = solveDefaults(solve)
 
 	plan, perr := c.ensurePlan()
 	if perr != nil {
@@ -125,7 +105,7 @@ func (c *CTMC) SolveBatchLanes(points [][]float64, opts BatchOptions) (out [][]f
 	// lanes never mix, so the grouping changes no bits.
 	for off := 0; off < K; off += BatchLanes {
 		hi := min(off+BatchLanes, K)
-		res, err := c.fillBatch(plan, points[off:hi]).gaussSeidelBatch(solve, tol[off:hi], start)
+		res, err := c.fillBatch(plan, points[off:hi]).gaussSeidelBatch(solve, start)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -204,7 +184,7 @@ func newBatch(plan *solvePlan, live int) *batchComponent {
 
 // fillCurrent gathers the chain's current rates — the Rows and Exit that
 // Build or the last Rebind wrote — into a one-lane batch whose pad lanes
-// copy lane 0: the batch a SteadyState solve runs. The traversal replays
+// copy lane 0: the batch a SteadyStateTraced solve runs. The traversal replays
 // the plan's fill order (target rows in order, entries in column-ascending
 // order), and exits are the chain's own, so a chain assembled by hand with
 // no contribution terms solves too.
@@ -320,15 +300,15 @@ func (bc *batchComponent) column(x []float64, k int) []float64 {
 // Lanes never mix — the same inflow summation order, the same division by
 // the exit rate, the same residual and normalization arithmetic in every
 // lane — so a lane's converged column is bit-identical whichever lanes
-// share its batch, a one-lane SteadyState batch included. A lane's column
-// is copied out after the sweep where its residual first drops below its
+// share its batch, a one-lane solo solve included. A lane's column is
+// copied out after the sweep where its residual first drops below the
 // tolerance; from then on the lane stays frozen in the four-lane slab
 // with its bookkeeping (normalization, residual check) skipped, like the
 // pad lanes. The batch is never narrowed or compacted: a frozen lane
 // rides along in the one vector register of every row. It returns one
-// result per live lane. SteadyState calls it on a one-lane batch,
+// result per live lane. SteadyStateTraced calls it on a one-lane batch,
 // SolveBatchLanes once per group of at most BatchLanes points.
-func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, start []float64) ([]laneResult, error) {
+func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, start []float64) ([]laneResult, error) {
 	K := bc.live
 	res := make([]laneResult, K)
 	cancel := cancelChan(solve.Ctx)
@@ -347,12 +327,12 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 				continue
 			}
 			if sums[k] <= 0 {
-				res[k].err = &ConvergenceError{Iterations: iter + 1, Residual: delta[k], Tolerance: tol[k], Point: -1}
+				res[k].err = &ConvergenceError{Iterations: iter + 1, Residual: delta[k], Tolerance: solve.Tolerance, Point: -1}
 				done[k] = true
 				remaining--
 				continue
 			}
-			if delta[k] < tol[k] {
+			if delta[k] < solve.Tolerance {
 				res[k].x = bc.column(x, k)
 				res[k].st = solveStats{Iterations: iter + 1, Residual: delta[k]}
 				done[k] = true
@@ -362,7 +342,7 @@ func (bc *batchComponent) gaussSeidelBatch(solve SolveOptions, tol []float64, st
 	}
 	for k := 0; k < K; k++ {
 		if !done[k] {
-			res[k].err = &ConvergenceError{Iterations: solve.MaxIterations, Residual: delta[k], Tolerance: tol[k], Point: -1}
+			res[k].err = &ConvergenceError{Iterations: solve.MaxIterations, Residual: delta[k], Tolerance: solve.Tolerance, Point: -1}
 		}
 	}
 	return res, nil

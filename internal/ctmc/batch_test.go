@@ -6,6 +6,7 @@ package ctmc_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -64,10 +65,54 @@ func streamingPoints() [][]float64 {
 	return out
 }
 
-// solveSequential runs the reference chain per point: Rebind + SteadyState
-// on a private clone, the exact path SolveBatch must reproduce bit for
-// bit. Debug checks are enabled so every rebind also asserts the cached
-// structural plan against a from-scratch analysis.
+// staggeredChain builds the minimized 12×12 streaming chain with the PSP
+// awake period as a rate slot. Its points need from about 230 sweeps (a
+// period near 400 ms) to about 1,500 (near 5 ms), so the lanes of one
+// batch over it deactivate far apart.
+func staggeredChain(t *testing.T) *ctmc.CTMC {
+	t.Helper()
+	c, err := ctmc.Build(minimizedStreamingLTS(t, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// staggeredPoints is an 8-point awake-period grid on staggeredChain whose
+// solo solves take 1485, 245, 1295, 534, 723, 231, 1016 and 349 sweeps:
+// a slow lane first, a fast one beside it, and in the second group of
+// four the fastest point of the grid.
+func staggeredPoints() [][]float64 {
+	return rateGrid(5.2, 605.5, 10.9, 100, 56.5, 400, 25, 200)
+}
+
+// requireDistinctSweeps checks the premise of a mixed-convergence test:
+// the solo solves of the points take pairwise different sweep counts, so
+// every lane of a batch over them converges at its own sweep.
+func requireDistinctSweeps(t *testing.T, c *ctmc.CTMC, points [][]float64) {
+	t.Helper()
+	seen := map[int]int{}
+	for i, pt := range points {
+		chain := c.Clone()
+		if err := chain.Rebind(pt); err != nil {
+			t.Fatal(err)
+		}
+		_, tr, err := chain.SteadyStateTraced(ctmc.SolveOptions{})
+		if err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		n := tr.Attempts[0].Iterations
+		if j, dup := seen[n]; dup {
+			t.Fatalf("premise broken: points %d and %d both converge after %d sweeps", j, i, n)
+		}
+		seen[n] = i
+	}
+}
+
+// solveSequential runs the reference chain per point: Rebind +
+// SteadyStateTraced on a private clone, the exact path SolveBatch must
+// reproduce bit for bit. Debug checks are enabled so every rebind also
+// asserts the cached structural plan against a from-scratch analysis.
 func solveSequential(t *testing.T, c *ctmc.CTMC, points [][]float64, opts ctmc.SolveOptions) [][]float64 {
 	t.Helper()
 	old := ctmc.EnableDebugChecks
@@ -79,7 +124,7 @@ func solveSequential(t *testing.T, c *ctmc.CTMC, points [][]float64, opts ctmc.S
 		if err := chain.Rebind(pt); err != nil {
 			t.Fatalf("rebind point %d: %v", i, err)
 		}
-		pi, err := chain.SteadyState(opts)
+		pi, _, err := chain.SteadyStateTraced(opts)
 		if err != nil {
 			t.Fatalf("steady state point %d: %v", i, err)
 		}
@@ -89,8 +134,8 @@ func solveSequential(t *testing.T, c *ctmc.CTMC, points [][]float64, opts ctmc.S
 }
 
 // batchInWidths solves the points through SolveBatch in chunks of the
-// given lane width, reusing the per-chunk options.
-func batchInWidths(t *testing.T, c *ctmc.CTMC, points [][]float64, width int, opts ctmc.BatchOptions) [][]float64 {
+// given lane width.
+func batchInWidths(t *testing.T, c *ctmc.CTMC, points [][]float64, width int, opts ctmc.SolveOptions) [][]float64 {
 	t.Helper()
 	out := make([][]float64, 0, len(points))
 	for off := 0; off < len(points); off += width {
@@ -98,11 +143,7 @@ func batchInWidths(t *testing.T, c *ctmc.CTMC, points [][]float64, width int, op
 		if hi > len(points) {
 			hi = len(points)
 		}
-		chunk := opts
-		if opts.LaneTolerances != nil {
-			chunk.LaneTolerances = opts.LaneTolerances[off:hi]
-		}
-		pis, err := c.SolveBatch(points[off:hi], chunk)
+		pis, err := c.SolveBatch(points[off:hi], opts)
 		if err != nil {
 			t.Fatalf("solve batch width %d offset %d: %v", width, off, err)
 		}
@@ -152,9 +193,9 @@ func avxModes() []bool {
 var batchWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17}
 
 // TestSolveBatchBitIdentity pins the tentpole contract on both paper
-// chains: the batched solve equals the sequential Rebind+SteadyState chain
-// bit for bit, at every lane width from 1 to 9 and at 17, in the scalar
-// and the vectorized kernel.
+// chains: the batched solve equals the sequential Rebind+SteadyStateTraced
+// chain bit for bit, at every lane width from 1 to 9 and at 17, in the
+// scalar and the vectorized kernel.
 func TestSolveBatchBitIdentity(t *testing.T) {
 	chains := map[string]struct {
 		c      *ctmc.CTMC
@@ -171,7 +212,7 @@ func TestSolveBatchBitIdentity(t *testing.T) {
 			prev := ctmc.SetAVXForTest(avx)
 			for _, width := range batchWidths {
 				tag := fmt.Sprintf("%s/avx=%v/width=%d", name, avx, width)
-				got := batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{})
+				got := batchInWidths(t, tc.c, tc.points, width, ctmc.SolveOptions{})
 				requireBitIdentical(t, tag, want, got)
 			}
 			ctmc.SetAVXForTest(prev)
@@ -181,14 +222,13 @@ func TestSolveBatchBitIdentity(t *testing.T) {
 
 // TestSolveBatchPadLanesNeverSurface pins that the pad lanes filling a
 // short group to four stay internal: SolveBatchLanes reports exactly one
-// result and one error slot per point, a lane that exhausts its budget is
-// attributed to its own index (never to a pad lane), and per-lane
-// tolerances are taken per point, not per padded lane.
+// result and one error slot per point, and a lane that exhausts its
+// budget is attributed to its own index (never to a pad lane).
 func TestSolveBatchPadLanesNeverSurface(t *testing.T) {
 	c := rpcParamChain(t)
 	points := rateGrid(0.5, 0.75, 1, 1.5, 2, 3, 5, 7.5, 10, 12.5, 15, 20, 25, 30, 40, 50, 60)
 	for _, K := range batchWidths {
-		out, laneErrs, err := c.SolveBatchLanes(points[:K], ctmc.BatchOptions{})
+		out, laneErrs, err := c.SolveBatchLanes(points[:K], ctmc.SolveOptions{})
 		if err != nil {
 			t.Fatalf("K=%d: %v", K, err)
 		}
@@ -201,32 +241,25 @@ func TestSolveBatchPadLanesNeverSurface(t *testing.T) {
 			}
 		}
 	}
-	// Only the last lane is held to an unreachable tolerance, so it alone
-	// exhausts the budget; the others converge. A point whose sweeps reach
-	// an exact fixed point (residual 0, as T = 15 and 30 do) meets any
-	// tolerance, so this grid leaves them out and each K first proves, by
-	// a solo solve, that its last point cannot converge.
-	points = rateGrid(0.5, 0.75, 1, 1.5, 2, 3, 5, 7.5, 10, 12.5, 20)
+	// Only the last lane exhausts the budget; the others converge. On the
+	// 12×12 chain the ten leading points need at most about 1,000 sweeps
+	// and the last one (5.2 ms) about 1,500. Each K first proves, by a
+	// solo solve, that its last point cannot converge within the budget.
+	c = staggeredChain(t)
+	converging := rateGrid(605.5, 25, 400, 100, 200, 56.5, 800, 50, 150, 300)
+	opts := ctmc.SolveOptions{MaxIterations: 1200}
 	for _, K := range []int{3, 11} {
-		tols := make([]float64, K)
-		for k := range tols {
-			tols[k] = 1e-9
-		}
-		tols[K-1] = 1e-300
-		opts := ctmc.BatchOptions{
-			Solve:          ctmc.SolveOptions{MaxIterations: 500},
-			LaneTolerances: tols,
-		}
+		points = append(slices.Clone(converging[:K-1]), []float64{1 / 5.2})
 		solo := c.Clone()
 		if err := solo.Rebind(points[K-1]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := solo.SteadyState(ctmc.SolveOptions{MaxIterations: 500, Tolerance: tols[K-1]}); !errors.Is(err, ctmc.ErrNoConvergence) {
+		if _, _, err := solo.SteadyStateTraced(opts); !errors.Is(err, ctmc.ErrNoConvergence) {
 			t.Fatalf("K=%d: premise broken: solo solve of the last point returned %v, want ErrNoConvergence", K, err)
 		}
-		out, laneErrs, err := c.SolveBatchLanes(points[:K], opts)
+		out, laneErrs, err := c.SolveBatchLanes(points, opts)
 		if err != nil {
-			t.Fatalf("K=%d: %d lane tolerances rejected: %v", K, K, err)
+			t.Fatalf("K=%d: %v", K, err)
 		}
 		if len(out) != K || len(laneErrs) != K {
 			t.Fatalf("K=%d: %d results and %d lane errors, want %d each", K, len(out), len(laneErrs), K)
@@ -235,15 +268,14 @@ func TestSolveBatchPadLanesNeverSurface(t *testing.T) {
 			if laneErrs[k] != nil {
 				t.Fatalf("K=%d lane %d: %v", K, k, laneErrs[k])
 			}
-			want := solveSequential(t, c, points[k:k+1],
-				ctmc.SolveOptions{MaxIterations: 500, Tolerance: tols[k]})
+			want := solveSequential(t, c, points[k:k+1], opts)
 			requireBitIdentical(t, fmt.Sprintf("K=%d", K), want, out[k:k+1])
 		}
 		var ce *ctmc.ConvergenceError
 		if !errors.As(laneErrs[K-1], &ce) || ce.Point != K-1 || ce.Params[0] != points[K-1][0] {
 			t.Fatalf("K=%d: last lane error %v, want ConvergenceError{Point: %d}", K, laneErrs[K-1], K-1)
 		}
-		_, err = c.SolveBatch(points[:K], opts)
+		_, err = c.SolveBatch(points, opts)
 		var bpe *ctmc.BatchPointError
 		if !errors.As(err, &bpe) || bpe.Point != K-1 || !errors.As(err, &ce) || ce.Point != K-1 {
 			t.Fatalf("K=%d: want BatchPointError{Point: %d} wrapping its ConvergenceError, got %v", K, K-1, err)
@@ -275,9 +307,9 @@ func TestSolveBatchMatchesSoloOutcome(t *testing.T) {
 				if err := chain.Rebind(pt); err != nil {
 					t.Fatal(err)
 				}
-				want[i], wantErr[i] = chain.SteadyState(opts)
+				want[i], _, wantErr[i] = chain.SteadyStateTraced(opts)
 			}
-			got, err := c.SolveBatch(points, ctmc.BatchOptions{Solve: opts})
+			got, err := c.SolveBatch(points, opts)
 			firstFail := -1
 			for i, e := range wantErr {
 				if e != nil {
@@ -310,37 +342,33 @@ func TestSolveBatchMatchesSoloOutcome(t *testing.T) {
 	}
 }
 
-// TestSolveBatchLaneTolerances pins mixed-convergence batches: lanes with
-// different tolerances deactivate at different sweeps, and each lane still
-// equals a solo solve at exactly its own tolerance.
-func TestSolveBatchLaneTolerances(t *testing.T) {
-	c := streamingParamChain(t)
-	points := streamingPoints()
-	tols := []float64{1e-6, 1e-13, 1e-8, 1e-10, 1e-7, 1e-12, 1e-9, 1e-11}
-	got, err := c.SolveBatch(points, ctmc.BatchOptions{LaneTolerances: tols})
+// TestSolveBatchMixedConvergence pins mixed-convergence batches: the
+// points of one batch need from about 230 to about 1,500 sweeps, so its
+// lanes deactivate at different sweeps, and each lane still equals a solo
+// solve at its point bit for bit.
+func TestSolveBatchMixedConvergence(t *testing.T) {
+	c, points := staggeredChain(t), staggeredPoints()
+	requireDistinctSweeps(t, c, points)
+	got, err := c.SolveBatch(points, ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pt := range points {
-		want := solveSequential(t, c, [][]float64{pt}, ctmc.SolveOptions{Tolerance: tols[i]})
-		requireBitIdentical(t, fmt.Sprintf("point %d", i), want, got[i:i+1])
-	}
+	requireBitIdentical(t, "mixed", solveSequential(t, c, points, ctmc.SolveOptions{}), got)
 }
 
 // TestSolveBatchDeactivationDeterminism pins that lane deactivation is a
 // pure function of each lane's own data: repeated batches are identical,
-// and permuting which points share a batch permutes the results without
+// and permuting which points share a batch — so that each lane
+// deactivates beside different neighbours — permutes the results without
 // changing a single bit.
 func TestSolveBatchDeactivationDeterminism(t *testing.T) {
-	c := rpcParamChain(t)
-	points := rpcPoints()
-	tols := []float64{1e-6, 1e-12, 1e-9, 1e-13, 1e-7, 1e-11, 1e-8, 1e-10}
-	opts := ctmc.BatchOptions{LaneTolerances: tols}
-	first, err := c.SolveBatch(points, opts)
+	c, points := staggeredChain(t), staggeredPoints()
+	requireDistinctSweeps(t, c, points)
+	first, err := c.SolveBatch(points, ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := c.SolveBatch(points, opts)
+	again, err := c.SolveBatch(points, ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,12 +376,10 @@ func TestSolveBatchDeactivationDeterminism(t *testing.T) {
 
 	perm := []int{5, 2, 7, 0, 3, 6, 1, 4}
 	permPoints := make([][]float64, len(perm))
-	permTols := make([]float64, len(perm))
 	for i, p := range perm {
 		permPoints[i] = points[p]
-		permTols[i] = tols[p]
 	}
-	permuted, err := c.SolveBatch(permPoints, ctmc.BatchOptions{Solve: opts.Solve, LaneTolerances: permTols})
+	permuted, err := c.SolveBatch(permPoints, ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,34 +389,26 @@ func TestSolveBatchDeactivationDeterminism(t *testing.T) {
 }
 
 // TestSolveBatchValidation pins the input contract: per-point arity and
-// positivity failures are typed RebindErrors attributed to their lane, and
-// malformed lane tolerances are rejected.
+// positivity failures are typed RebindErrors attributed to their lane, a
+// slot-free chain is refused, and an empty batch is no work.
 func TestSolveBatchValidation(t *testing.T) {
 	c := rpcParamChain(t)
 	var bpe *ctmc.BatchPointError
 	var re *ctmc.RebindError
 
-	_, err := c.SolveBatch([][]float64{{1}, {1, 2}}, ctmc.BatchOptions{})
+	_, err := c.SolveBatch([][]float64{{1}, {1, 2}}, ctmc.SolveOptions{})
 	if !errors.As(err, &bpe) || bpe.Point != 1 || !errors.As(err, &re) {
 		t.Fatalf("arity: want BatchPointError{Point: 1} wrapping RebindError, got %v", err)
 	}
-	_, err = c.SolveBatch([][]float64{{1}, {-2}}, ctmc.BatchOptions{})
+	_, err = c.SolveBatch([][]float64{{1}, {-2}}, ctmc.SolveOptions{})
 	if !errors.As(err, &bpe) || bpe.Point != 1 || !errors.Is(err, ctmc.ErrStructuralRebind) {
 		t.Fatalf("positivity: want BatchPointError{Point: 1} wrapping ErrStructuralRebind, got %v", err)
 	}
-	_, err = c.SolveBatch([][]float64{{1}, {2}}, ctmc.BatchOptions{LaneTolerances: []float64{1e-9}})
-	if err == nil {
-		t.Fatal("lane tolerance arity: want error")
-	}
-	_, err = c.SolveBatch([][]float64{{1}, {2}}, ctmc.BatchOptions{LaneTolerances: []float64{1e-9, -1}})
-	if err == nil {
-		t.Fatal("lane tolerance sign: want error")
-	}
 	plain := rpcChain(t) // no rate slots
-	if _, err := plain.SolveBatch([][]float64{{1}}, ctmc.BatchOptions{}); err == nil {
+	if _, err := plain.SolveBatch([][]float64{{1}}, ctmc.SolveOptions{}); err == nil {
 		t.Fatal("slot-free chain: want error")
 	}
-	if pis, err := c.SolveBatch(nil, ctmc.BatchOptions{}); err != nil || pis != nil {
+	if pis, err := c.SolveBatch(nil, ctmc.SolveOptions{}); err != nil || pis != nil {
 		t.Fatalf("empty batch: want (nil, nil), got (%v, %v)", pis, err)
 	}
 }
@@ -401,9 +419,7 @@ func TestSolveBatchValidation(t *testing.T) {
 func TestSolveBatchConvergenceErrorPoint(t *testing.T) {
 	c := rpcParamChain(t)
 	points := rpcPoints()[:3]
-	_, err := c.SolveBatch(points, ctmc.BatchOptions{
-		Solve: ctmc.SolveOptions{MaxIterations: 2},
-	})
+	_, err := c.SolveBatch(points, ctmc.SolveOptions{MaxIterations: 2})
 	if !errors.Is(err, ctmc.ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence, got %v", err)
 	}

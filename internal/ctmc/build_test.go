@@ -230,7 +230,7 @@ func TestCloneIsolation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pi, err := c.SteadyState(ctmc.SolveOptions{})
+			pi, _, err := c.SteadyStateTraced(ctmc.SolveOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

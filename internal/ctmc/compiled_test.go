@@ -83,7 +83,7 @@ func withRatio(ms []measure.Measure) []measure.Measure {
 // number of immediate firings the label selections hold.
 func checkChainAgainstOracle(t *testing.T, c *ctmc.CTMC, l *lts.LTS, ms []measure.Measure) (vanFirings int) {
 	t.Helper()
-	pi, err := c.SteadyState(ctmc.SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCompiledMeasuresMatchOracle(t *testing.T) {
 					if err := clone.Rebind(pt); err != nil {
 						t.Fatal(err)
 					}
-					pi, err := clone.SteadyState(ctmc.SolveOptions{})
+					pi, _, err := clone.SteadyStateTraced(ctmc.SolveOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -14,7 +14,7 @@ func TestConvergenceErrorDetails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.SteadyState(SolveOptions{MaxIterations: 2, Tolerance: 1e-15})
+	_, _, err = c.SteadyStateTraced(SolveOptions{MaxIterations: 2, Tolerance: 1e-15})
 	if err == nil {
 		t.Fatal("expected non-convergence with MaxIterations=2")
 	}

@@ -94,8 +94,9 @@ type CTMC struct {
 	// plan caches the structural solve analysis (reachable bottom
 	// component and its incoming-CSR skeleton). Rate-only rebinds cannot
 	// change it, so Clone shares the pointer and the analysis runs once
-	// per built structure however many clones a sweep solves. See
-	// solvePlan and InvalidatePlan.
+	// per built structure however many clones a sweep solves. Nothing
+	// resets it: a chain whose structure changes is a new Build. See
+	// solvePlan.
 	plan *solvePlan
 }
 

@@ -50,7 +50,7 @@ func TestSteadyStateMM1K(t *testing.T) {
 	if c.N != k+1 {
 		t.Fatalf("N = %d, want %d", c.N, k+1)
 	}
-	pi, err := c.SteadyState(SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestThroughputMM1K(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestStateReward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestVanishingElimination(t *testing.T) {
 	if c.NumVanishing() != 1 {
 		t.Fatalf("vanishing states = %d, want 1", c.NumVanishing())
 	}
-	pi, err := c.SteadyState(SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestImmediateThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestMultipleBSCCRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SteadyState(SolveOptions{}); !errors.Is(err, ErrMultipleBSCC) {
+	if _, _, err := c.SteadyStateTraced(SolveOptions{}); !errors.Is(err, ErrMultipleBSCC) {
 		t.Fatalf("want ErrMultipleBSCC, got %v", err)
 	}
 }
@@ -272,7 +272,7 @@ func TestAbsorbingSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestReducibleTransientPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestMeanExitRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ package ctmc
 
 // SolveBatch is SolveBatchLanes with the lowest failed lane, if any,
 // reported as a *BatchPointError wrapping that lane's error.
-func (c *CTMC) SolveBatch(points [][]float64, opts BatchOptions) ([][]float64, error) {
-	out, laneErrs, err := c.SolveBatchLanes(points, opts)
+func (c *CTMC) SolveBatch(points [][]float64, solve SolveOptions) ([][]float64, error) {
+	out, laneErrs, err := c.SolveBatchLanes(points, solve)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func TestSolveCancelAtIteration(t *testing.T) {
 	faultinject.Activate(plan)
 
 	c := rpcParamChain(t)
-	_, err := c.SteadyState(ctmc.SolveOptions{Ctx: ctx})
+	_, _, err := c.SteadyStateTraced(ctmc.SolveOptions{Ctx: ctx})
 	faultinject.Deactivate()
 	cancel()
 	if err == nil {

@@ -173,9 +173,9 @@ func randomChain(t *testing.T, r *rand.Rand, n int) *CTMC {
 }
 
 // TestSteadyStateMatchesScalarReference pins the one-lane batch that
-// every SteadyState runs to referenceGS bit for bit — vector and sweep
-// count — on random small chains, on a hand-assembled chain with no rate
-// slots or contribution terms.
+// every SteadyStateTraced solve runs to referenceGS bit for bit — vector
+// and sweep count — on random small chains, on a hand-assembled chain
+// with no rate slots or contribution terms.
 func TestSteadyStateMatchesScalarReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	type named struct {

@@ -52,7 +52,7 @@ const DefaultTolerance = 1e-12
 // bound.
 var ErrNoConvergence = errors.New("ctmc: steady-state solver did not converge")
 
-// ConvergenceError is the concrete failure SteadyState returns when the
+// ConvergenceError is the concrete failure a solve returns when the
 // iteration gives up: it wraps ErrNoConvergence (so errors.Is keeps
 // working) and carries the iteration count and the last residual, making
 // sweep failures diagnosable at the call site.
@@ -91,9 +91,9 @@ func (e *ConvergenceError) Error() string {
 func (e *ConvergenceError) Unwrap() error { return ErrNoConvergence }
 
 // solveDefaults fills the zero-value solver options with the documented
-// defaults; SteadyState and SolveBatchLanes resolve them identically so a
-// batched lane runs under exactly the configuration a one-lane
-// SteadyState solve would.
+// defaults; SteadyStateTraced and SolveBatchLanes resolve them
+// identically so a batched lane runs under exactly the configuration a
+// solo solve would.
 func solveDefaults(opts SolveOptions) SolveOptions {
 	if opts.Tolerance <= 0 {
 		opts.Tolerance = DefaultTolerance
@@ -102,16 +102,6 @@ func solveDefaults(opts SolveOptions) SolveOptions {
 		opts.MaxIterations = 200000
 	}
 	return opts
-}
-
-// SteadyState computes the long-run probability distribution over tangible
-// states. The chain may be reducible as long as a single bottom strongly
-// connected component is reachable from the initial distribution (the
-// usual case for models with a start-up transient); probability then
-// concentrates on that component.
-func (c *CTMC) SteadyState(opts SolveOptions) ([]float64, error) {
-	pi, _, err := c.steadyStateStats(opts)
-	return pi, err
 }
 
 // SolveAttempt records one converged steady-state solve.
@@ -143,15 +133,43 @@ type SolveTrace struct {
 // the perfbench harness reads it (on nil traces too).
 func (t *SolveTrace) Escalated() bool { return false }
 
-// SteadyStateTraced is SteadyState plus a one-attempt trace of the
-// converged solve: its iterations, final residual and iteration budget.
-// A failed solve returns its *ConvergenceError and no trace; the remedy
-// for a budget too small is a larger MaxIterations.
+// SteadyStateTraced computes the long-run probability distribution over
+// tangible states at the chain's current rates, with a one-attempt trace
+// of the converged solve: its iterations, final residual and iteration
+// budget. The chain may be reducible as long as a single bottom strongly
+// connected component is reachable from the initial distribution (the
+// usual case for models with a start-up transient); probability then
+// concentrates on that component. A failed solve returns its
+// *ConvergenceError and no trace; the remedy for a budget too small is a
+// larger MaxIterations.
+//
+// The solve is a one-lane batch: the chain's current rates fill lane 0
+// of the four-lane kernel, which then sweeps exactly as for a batched
+// lane.
 func (c *CTMC) SteadyStateTraced(opts SolveOptions) ([]float64, *SolveTrace, error) {
 	opts = solveDefaults(opts)
-	pi, st, err := c.steadyStateStats(opts)
+	plan, err := c.ensurePlan()
 	if err != nil {
 		return nil, nil, err
+	}
+
+	// An absorbing single state gets all the probability.
+	pi := make([]float64, c.N)
+	var st solveStats
+	if len(plan.target) == 1 {
+		pi[plan.target[0]] = 1
+	} else {
+		res, err := c.fillCurrent(plan).gaussSeidelBatch(opts, uniformStart(len(plan.target)))
+		if err != nil {
+			return nil, nil, err
+		}
+		if res[0].err != nil {
+			return nil, nil, res[0].err
+		}
+		for j, s := range plan.target {
+			pi[s] = res[0].x[j]
+		}
+		st = res[0].st
 	}
 	return pi, &SolveTrace{Attempts: []SolveAttempt{{
 		Sweep:         SweepGaussSeidel,
@@ -166,38 +184,6 @@ func (c *CTMC) SteadyStateTraced(opts SolveOptions) ([]float64, *SolveTrace, err
 type solveStats struct {
 	Iterations int
 	Residual   float64
-}
-
-// steadyStateStats is SteadyState plus the statistics of the converged
-// solve (SteadyStateTraced records them in the trace). The solve is a
-// one-lane batch: the chain's current rates fill lane 0 of the four-lane
-// kernel, which then sweeps exactly as for a batched lane.
-func (c *CTMC) steadyStateStats(opts SolveOptions) ([]float64, solveStats, error) {
-	opts = solveDefaults(opts)
-	plan, err := c.ensurePlan()
-	if err != nil {
-		return nil, solveStats{}, err
-	}
-
-	// An absorbing single state gets all the probability.
-	pi := make([]float64, c.N)
-	if len(plan.target) == 1 {
-		pi[plan.target[0]] = 1
-		return pi, solveStats{}, nil
-	}
-
-	res, err := c.fillCurrent(plan).gaussSeidelBatch(opts, []float64{opts.Tolerance}, uniformStart(len(plan.target)))
-	if err != nil {
-		return nil, solveStats{}, err
-	}
-	r := res[0]
-	if r.err != nil {
-		return nil, solveStats{}, r.err
-	}
-	for j, s := range plan.target {
-		pi[s] = r.x[j]
-	}
-	return pi, r.st, nil
 }
 
 // residualGuard is the conservative skip margin of the running-residual
@@ -377,13 +363,6 @@ func (c *CTMC) debugCheckPlan() error {
 	}
 	return nil
 }
-
-// InvalidatePlan drops this handle's cached structural solve analysis; the
-// next solve recomputes it. Rate-only rebinds never need this — the
-// analysis is structural and rebinds cannot change it — but callers that
-// mutate Rows directly (tests), and benchmarks that measure the uncached
-// per-solve path, use it. Clones keep the plan they already share.
-func (c *CTMC) InvalidatePlan() { c.plan = &solvePlan{} }
 
 // uniformStart returns the uniform distribution over n component states,
 // the start vector of every solve.

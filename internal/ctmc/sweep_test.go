@@ -111,7 +111,7 @@ func TestSteadyStateIgnoresGOMAXPROCS(t *testing.T) {
 func TestSteadyStateMatchesGTH(t *testing.T) {
 	check := func(name string, c *ctmc.CTMC) {
 		t.Helper()
-		pi, err := c.SteadyState(ctmc.SolveOptions{})
+		pi, _, err := c.SteadyStateTraced(ctmc.SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -149,7 +149,7 @@ func TestSteadyStateMatchesGTH(t *testing.T) {
 // Gauss-Seidel in its message: there is no retry under another scheme.
 func TestGaussSeidelConvergenceErrorSweep(t *testing.T) {
 	c := streamingChain(t)
-	_, err := c.SteadyState(ctmc.SolveOptions{MaxIterations: 2})
+	_, _, err := c.SteadyStateTraced(ctmc.SolveOptions{MaxIterations: 2})
 	if !errors.Is(err, ctmc.ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence, got %v", err)
 	}

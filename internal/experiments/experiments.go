@@ -4,10 +4,9 @@
 // cross-validation of Fig. 5, the general-model simulations of Fig. 3
 // (right) and Fig. 6, and the energy/quality trade-off curves of Fig. 7
 // and Fig. 8, plus the policy, battery and start-up transient extensions.
-// Each experiment returns structured results that the benchmarks in
-// bench_test.go execute; the catalog (catalog.go) lists them once, and
-// RunStudy, the command line of cmd/rpcstudy and cmd/streamingstudy, runs
-// and prints them from it.
+// Each experiment returns structured results; the catalog (catalog.go)
+// lists them once, and RunStudy, the command line of cmd/rpcstudy and
+// cmd/streamingstudy, runs and prints them from it.
 package experiments
 
 import (

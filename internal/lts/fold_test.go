@@ -108,7 +108,7 @@ func steady(t *testing.T, l *lts.LTS) (*ctmc.CTMC, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := chain.SteadyState(ctmc.SolveOptions{})
+	pi, _, err := chain.SteadyStateTraced(ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFoldSlottedLinear(t *testing.T) {
 		if err := chain.Rebind(point); err != nil {
 			t.Fatal(err)
 		}
-		pi, err := chain.SteadyState(ctmc.SolveOptions{})
+		pi, _, err := chain.SteadyStateTraced(ctmc.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,7 +117,7 @@ func workRest(t *testing.T) (*ctmc.CTMC, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(ctmc.SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

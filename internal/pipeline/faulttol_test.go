@@ -463,8 +463,7 @@ func flip(data []byte, i int) []byte {
 }
 
 // TestPhase2SweepEdgePoints covers the degenerate sweeps: no points, a
-// single point, a slot-free model's one empty point, and duplicate rate
-// vectors.
+// single point, a slot-free model (refused), and duplicate rate vectors.
 func TestPhase2SweepEdgePoints(t *testing.T) {
 	m, measures, _ := rpcSweepFixture(t)
 	none := ctmc.SolveOptions{}
@@ -490,30 +489,17 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 		}
 	}
 
-	// A slot-free model is accepted as exactly one empty point — the one
-	// SteadyState solve of Phase2 — also through a result store and when
-	// resumed from one, but never as a sweep.
+	// A slot-free model is refused, with one empty point or more, also
+	// through a result store: its one solve is Phase2.
 	plainParams := models.DefaultRPCParams()
 	plain := elaborateRPC(t, plainParams)
 	plainMeasures := models.RPCMeasures(plainParams)
-	path := filepath.Join(t.TempDir(), "single.store")
-	solo, err := sweepRPC(plainParams, none, pipeline.Config{Store: openStore(t, path, false)}, [][]float64{{}})
-	if err != nil {
-		t.Fatalf("slot-free single-point sweep failed: %v", err)
-	}
-	plainDirect := phase2(t, plain, plainMeasures)
-	for name, want := range plainDirect.Values {
-		if got := solo[0].Values[name]; got != want {
-			t.Errorf("slot-free solve measure %s: %v != %v", name, got, want)
+	store := openStore(t, filepath.Join(t.TempDir(), "single.store"), false)
+	for _, pts := range [][][]float64{{{}}, {{}, {}}} {
+		_, err := sweep(plain, plainMeasures, none, pipeline.Config{Store: store}, pts)
+		if err == nil || !strings.Contains(err.Error(), "use Phase2") {
+			t.Errorf("%d-point sweep of a slot-free model: err = %v, want a refusal naming Phase2", len(pts), err)
 		}
-	}
-	resumedSolo, err := sweepRPC(plainParams, none, pipeline.Config{Store: openStore(t, path, true)}, [][]float64{{}})
-	if err != nil {
-		t.Fatalf("slot-free resume failed: %v", err)
-	}
-	requireSameReports(t, "slot-free resume", solo, resumedSolo)
-	if _, err := sweep(plain, plainMeasures, none, pipeline.Config{}, [][]float64{{}, {}}); err == nil {
-		t.Error("multi-point sweep of a slot-free model accepted")
 	}
 
 	// Duplicate rate vectors — the first point's included — run the same

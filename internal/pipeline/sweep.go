@@ -26,13 +26,13 @@ import (
 // ctmc.BatchLanes points — one four-lane group; the last chunk may be
 // shorter — and the chunks run on fault.Pool with Config.Workers
 // workers. Every lane runs exactly the floating-point operations of a
-// one-lane SteadyState solve at its point, and every worker evaluates
-// the session's one compiled measure set on its clone, so each report is
-// bit-identical to Clone → Rebind(point) → SteadyState → measure.Compile
-// → Eval on the session's chain, at any worker count. The rebound
-// generator matrix is itself bit-identical to a freshly built one, so a
-// point's result equals a fresh generate+build+solve at that point's
-// rates up to the solver tolerance. A Config Store memoizes the reports
+// one-lane solo solve at its point, and every worker evaluates the
+// session's one compiled measure set on its clone, so each report is
+// bit-identical to Clone → Rebind(point) → SteadyStateTraced →
+// measure.Compile → Eval on the session's chain, at any worker count.
+// The rebound generator matrix is itself bit-identical to a freshly
+// built one, so a point's result equals a fresh generate+build+solve at
+// that point's rates up to the solver tolerance. A Config Store memoizes the reports
 // point by point (see resultModel), so overlapping grids share their
 // common points whatever point they start from, and a sweep whose every
 // point the store holds generates nothing. Through a FileStore the
@@ -57,10 +57,10 @@ import (
 //   - A cancellation via Config.Ctx surfaces as a *fault.CanceledError
 //     and never changes the floats of completed points.
 //
-// The model must carry rate slots (elab.Model.NumRateSlots > 0) to sweep
-// more than one point; sweeping a parameter that changes the model's
-// structure needs one generation per point instead. A slot-free model is
-// accepted with exactly one (empty) point — a single SteadyState solve.
+// The model must carry rate slots (elab.Model.NumRateSlots > 0); a
+// slot-free model is refused, and Phase2 solves it. Sweeping a parameter
+// that changes the model's structure needs one session per point
+// instead.
 func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
 	if len(points) == 0 {
 		return nil, nil
@@ -70,8 +70,8 @@ func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
 		return nil, fmt.Errorf("pipeline: sweep: %w", err)
 	}
 	numSlots := m.NumRateSlots()
-	if numSlots == 0 && len(points) > 1 {
-		return nil, fmt.Errorf("pipeline: sweep: model has no rate slots; solve per point instead")
+	if numSlots == 0 {
+		return nil, fmt.Errorf("pipeline: sweep: model has no rate slots; use Phase2 to solve it")
 	}
 	for i, p := range points {
 		if len(p) != numSlots {
@@ -138,33 +138,17 @@ func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
 		return err
 	}
 
-	// solveLanes solves pts on chain: one batched call
-	// when the model has rate slots, else the one-lane SteadyState solve
-	// of the single empty point at the chain's built rates. A lane's
-	// convergence failure is reported in its laneErrs slot; the error
-	// return is reserved for failures of the whole call.
-	solveLanes := func(chain *ctmc.CTMC, pts [][]float64) (pis [][]float64, laneErrs []error, err error) {
-		if numSlots > 0 {
-			return chain.SolveBatchLanes(pts, ctmc.BatchOptions{Solve: solve})
-		}
-		pi, err := chain.SteadyState(solve)
-		var ce *ctmc.ConvergenceError
-		if err != nil && !errors.As(err, &ce) {
-			return nil, nil, err
-		}
-		return [][]float64{pi}, []error{err}, nil
-	}
-
-	// solveChunk solves points[off:off+width] on chain and publishes their
-	// reports to their slots and the result store: a lane's failure is
-	// its point's, and a converged lane is evaluated on chain rebound to
-	// the point's rates, through the session's compiled measures. It
-	// returns the failed global point index and error.
+	// solveChunk solves points[off:off+width] on chain in one batched
+	// call and publishes their reports to their slots and the result
+	// store: a lane's convergence failure is its point's, and a converged
+	// lane is evaluated on chain rebound to the point's rates, through the
+	// session's compiled measures. It returns the failed global point
+	// index and error.
 	solveChunk := func(chain *ctmc.CTMC, off, width int) (int, error) {
 		if err := fault.Check(ctx, "core.sweep", off, -1); err != nil {
 			return off, err
 		}
-		pis, laneErrs, err := solveLanes(chain, points[off:off+width])
+		pis, laneErrs, err := chain.SolveBatchLanes(points[off:off+width], solve)
 		if err != nil {
 			idx := off
 			var bpe *ctmc.BatchPointError

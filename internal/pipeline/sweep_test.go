@@ -372,7 +372,7 @@ func TestPhase2SweepRejectsBadInput(t *testing.T) {
 
 // coldSolve is the per-point oracle of the sweep contract: a private
 // clone of the session's chain, rebound to the point, solved cold by the
-// one-lane SteadyState path, and evaluated.
+// one-lane SteadyStateTraced path, and evaluated.
 func coldSolve(t *testing.T, s *pipeline.Session, measures []measure.Measure, point []float64) map[string]float64 {
 	t.Helper()
 	shared, err := s.Chain()
@@ -383,7 +383,7 @@ func coldSolve(t *testing.T, s *pipeline.Session, measures []measure.Measure, po
 	if err := c.Rebind(point); err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(ctmc.SolveOptions{})
+	pi, _, err := c.SteadyStateTraced(ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -325,7 +325,7 @@ func TestCrossValidationAgainstCTMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := chain.SteadyState(ctmc.SolveOptions{})
+	pi, _, err := chain.SteadyStateTraced(ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

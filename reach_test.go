@@ -30,10 +30,9 @@ import (
 var reachAllow = map[string]string{
 	"faultinject.*": "production code calls the hooks so that tests can arm them",
 
-	"lts.GenerateCalls":           "tests in other packages count successor calls with it",
-	"lts.(*LTS).NumAux":           "tests in other packages check the Aux handles with it",
-	"ctmc.(*CTMC).InvalidatePlan": "bench_test.go's PerPoint ablation drops the cached plan with it; ROADMAP item 1(b) decides its fate",
-	"dist.NewErlang":              "kept for ROADMAP item 11, the Erlang-k bridge between the Markovian and general phases",
+	"lts.GenerateCalls": "tests in other packages count successor calls with it",
+	"lts.(*LTS).NumAux": "tests in other packages check the Aux handles with it",
+	"dist.NewErlang":    "kept for ROADMAP item 11, the Erlang-k bridge between the Markovian and general phases",
 }
 
 const reachModule = "repro"
@@ -419,7 +418,7 @@ func newUseGraph(fset *token.FileSet, pkgs map[string][]*ast.File, prefix string
 // declares a reached name or one that keep accepts, so a name used only
 // by another unreached name is unreached with it. Reaching an interface
 // method reaches every tracked method that implements it. Names are
-// printed relative to the prefix: "ctmc.InvalidatePlan",
+// printed relative to the prefix: "dist.NewErlang",
 // "ctmc.(*CTMC).SolveBatch", "stats.Interval.String".
 func (g *useGraph) unreached(keep func(name string) bool) []string {
 	reached := map[types.Object]bool{}

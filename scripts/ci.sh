@@ -149,30 +149,6 @@ go test -timeout 10m -race -cpu 1,2 \
 echo "== noninterference race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 ./internal/noninterference/ ./internal/bisim/
 
-# Benchmark smoke run: one iteration of every benchmark, so a benchmark
-# that no longer compiles or panics fails CI without costing bench time.
-# -short skips only the 10×-buffer composition pair, whose full product
-# is minutes of generation per iteration (run it without -short, e.g.
-# scripts/bench_compare.sh -c 1 -p 'Compose', to time it).
-echo "== bench smoke =="
-go test -timeout 10m -short -run '^$' -bench . -benchtime 1x ./...
-
-# Race smoke of the hot paths at -cpu 1,2: the solo steady-state solve,
-# the batched multi-lane kernel, and the sweep/simulation pools each run
-# one iteration under the race detector on both the degenerate and a
-# two-core schedule (plain -race tests cover GOMAXPROCS as-is only).
-# State-space generation is sequential and has no pool to race-test here.
-# Only the Batched variants of the BatchSolve benches run here: the
-# per-point variants exercise the solo solver, which the SteadyState
-# patterns already race-test, so rerunning them would only add race-
-# instrumented minutes without new coverage. Of the Compose
-# benches, the default-size rpc/streaming pairs run and the 10×-buffer
-# pair stays out — race-instrumenting a multi-minute full-product
-# generation would dominate the job for a path the default sizes already
-# cover.
-echo "== bench race smoke (-cpu 1,2) =="
-scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|SweepReuse|BatchSolve(RPC|Streaming)Batched|Compose(RPC|Streaming)(Full|Minimized)$'
-
 # Fuzz smoke: ten seconds of coverage-guided fuzzing per target on top of
 # the seed corpora that plain `go test` replays — the Æmilia parser and
 # lexer (the byte-parsing input surface), the rate erasure that derives
