@@ -12,6 +12,8 @@
 package aemilia
 
 import (
+	"slices"
+
 	"repro/internal/expr"
 	"repro/internal/rates"
 )
@@ -95,46 +97,22 @@ type ElemType struct {
 	behaviorByName map[string]*Behavior
 }
 
-// inputPorts returns the effective input declarations.
-func (t *ElemType) inputPorts() []Port {
-	if len(t.InPorts) > 0 {
-		return t.InPorts
-	}
-	out := make([]Port, len(t.Inputs))
-	for i, n := range t.Inputs {
-		out[i] = Port{Name: n, Mult: Uni}
-	}
-	return out
-}
-
-// outputPorts returns the effective output declarations.
-func (t *ElemType) outputPorts() []Port {
-	if len(t.OutPorts) > 0 {
-		return t.OutPorts
-	}
-	out := make([]Port, len(t.Outputs))
-	for i, n := range t.Outputs {
-		out[i] = Port{Name: n, Mult: Uni}
-	}
-	return out
-}
-
 // InputPort returns the declaration of the named input interaction.
-func (t *ElemType) InputPort(name string) (Port, bool) {
-	for _, p := range t.inputPorts() {
-		if p.Name == name {
-			if p.Mult == 0 {
-				p.Mult = Uni
-			}
-			return p, true
-		}
-	}
-	return Port{}, false
-}
+func (t *ElemType) InputPort(name string) (Port, bool) { return findPort(t.InPorts, t.Inputs, name) }
 
 // OutputPort returns the declaration of the named output interaction.
-func (t *ElemType) OutputPort(name string) (Port, bool) {
-	for _, p := range t.outputPorts() {
+func (t *ElemType) OutputPort(name string) (Port, bool) { return findPort(t.OutPorts, t.Outputs, name) }
+
+// findPort looks name up among one direction's effective declarations:
+// ports when given, else names as UNI ports.
+func findPort(ports []Port, names []string, name string) (Port, bool) {
+	if len(ports) == 0 {
+		if slices.Contains(names, name) {
+			return Port{Name: name, Mult: Uni}, true
+		}
+		return Port{}, false
+	}
+	for _, p := range ports {
 		if p.Name == name {
 			if p.Mult == 0 {
 				p.Mult = Uni

@@ -8,8 +8,7 @@ package parser
 
 import (
 	"fmt"
-	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexical tokens.
@@ -78,18 +77,17 @@ func (lx *lexer) advance() byte {
 	return ch
 }
 
-// multi-character punctuation, longest first.
-var multiPunct = []string{"->", "!=", "<=", ">=", "=="}
-
-// next returns the next token.
+// next returns the next token. Its text is a slice of the source, so
+// lexing allocates nothing; the token's kind is decided by its first byte.
 func (lx *lexer) next() (token, error) {
-	for {
-		// Skip whitespace.
-		for lx.pos < len(lx.src) && isSpace(lx.peekByte()) {
+	for lx.pos < len(lx.src) {
+		c := lx.peekByte()
+		if isSpace(c) {
 			lx.advance()
+			continue
 		}
 		// Skip // line comments.
-		if strings.HasPrefix(lx.src[lx.pos:], "//") {
+		if c == '/' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '/' {
 			for lx.pos < len(lx.src) && lx.peekByte() != '\n' {
 				lx.advance()
 			}
@@ -100,66 +98,72 @@ func (lx *lexer) next() (token, error) {
 	if lx.pos >= len(lx.src) {
 		return token{kind: tokEOF, line: lx.line, col: lx.col}, nil
 	}
-	line, col := lx.line, lx.col
+	line, col, start := lx.line, lx.col, lx.pos
 	ch := lx.peekByte()
-
-	if isIdentStart(ch) {
-		start := lx.pos
+	switch {
+	case isIdentStart(ch):
 		for lx.pos < len(lx.src) && isIdentPart(lx.peekByte()) {
 			lx.advance()
 		}
 		return token{kind: tokIdent, text: lx.src[start:lx.pos], line: line, col: col}, nil
-	}
-	if unicode.IsDigit(rune(ch)) {
-		start := lx.pos
-		seenDot := false
-		for lx.pos < len(lx.src) {
-			c := lx.peekByte()
-			if unicode.IsDigit(rune(c)) {
-				lx.advance()
-				continue
-			}
-			// A dot is part of the number only when followed by a digit,
-			// so "3 . P()" and "0.5" both lex correctly.
-			if c == '.' && !seenDot && lx.pos+1 < len(lx.src) && unicode.IsDigit(rune(lx.src[lx.pos+1])) {
-				seenDot = true
-				lx.advance()
-				continue
-			}
-			if c == 'e' || c == 'E' {
-				// Exponent part: e[+-]?digits.
-				j := lx.pos + 1
-				if j < len(lx.src) && (lx.src[j] == '+' || lx.src[j] == '-') {
-					j++
-				}
-				if j < len(lx.src) && unicode.IsDigit(rune(lx.src[j])) {
-					for lx.pos < j {
-						lx.advance()
-					}
-					for lx.pos < len(lx.src) && unicode.IsDigit(rune(lx.peekByte())) {
-						lx.advance()
-					}
-					continue
-				}
-			}
-			break
-		}
+	case isDigit(ch):
+		lx.number()
 		return token{kind: tokNumber, text: lx.src[start:lx.pos], line: line, col: col}, nil
 	}
-	for _, mp := range multiPunct {
-		if strings.HasPrefix(lx.src[lx.pos:], mp) {
-			for range mp {
+	switch ch {
+	case '-', '!', '<', '>', '=':
+		// Two-character punctuation: "->", "!=", "<=", ">=", "==".
+		if lx.pos+1 < len(lx.src) {
+			if c2 := lx.src[lx.pos+1]; ch == '-' && c2 == '>' || ch != '-' && c2 == '=' {
 				lx.advance()
 			}
-			return token{kind: tokPunct, text: mp, line: line, col: col}, nil
 		}
-	}
-	switch ch {
-	case '(', ')', '{', '}', '<', '>', ',', ';', ':', '.', '=', '#', '+', '-', '*', '/', '%', '!':
 		lx.advance()
-		return token{kind: tokPunct, text: string(ch), line: line, col: col}, nil
+		return token{kind: tokPunct, text: lx.src[start:lx.pos], line: line, col: col}, nil
+	case '(', ')', '{', '}', ',', ';', ':', '.', '#', '+', '*', '/', '%':
+		lx.advance()
+		return token{kind: tokPunct, text: lx.src[start:lx.pos], line: line, col: col}, nil
 	}
-	return token{}, lx.errf(line, col, "unexpected character %q", string(ch))
+	// Report the whole UTF-8 character, or an invalid byte as \xNN.
+	_, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
+	return token{}, lx.errf(line, col, "unexpected character %q", lx.src[lx.pos:lx.pos+size])
+}
+
+// number consumes a numeric literal: digits, then a fraction and an
+// exponent, each optional.
+func (lx *lexer) number() {
+	seenDot := false
+	for lx.pos < len(lx.src) {
+		c := lx.peekByte()
+		if isDigit(c) {
+			lx.advance()
+			continue
+		}
+		// A dot is part of the number only when followed by a digit,
+		// so "3 . P()" and "0.5" both lex correctly.
+		if c == '.' && !seenDot && lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1]) {
+			seenDot = true
+			lx.advance()
+			continue
+		}
+		if c == 'e' || c == 'E' {
+			// Exponent part: e[+-]?digits.
+			j := lx.pos + 1
+			if j < len(lx.src) && (lx.src[j] == '+' || lx.src[j] == '-') {
+				j++
+			}
+			if j < len(lx.src) && isDigit(lx.src[j]) {
+				for lx.pos < j {
+					lx.advance()
+				}
+				for lx.pos < len(lx.src) && isDigit(lx.peekByte()) {
+					lx.advance()
+				}
+				continue
+			}
+		}
+		return
+	}
 }
 
 func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\r' || b == '\n' }
@@ -168,6 +172,6 @@ func isIdentStart(b byte) bool {
 	return b == '_' || ('a' <= b && b <= 'z') || ('A' <= b && b <= 'Z')
 }
 
-func isIdentPart(b byte) bool {
-	return isIdentStart(b) || ('0' <= b && b <= '9')
-}
+func isIdentPart(b byte) bool { return isIdentStart(b) || isDigit(b) }
+
+func isDigit(b byte) bool { return '0' <= b && b <= '9' }

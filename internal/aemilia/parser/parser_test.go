@@ -243,6 +243,9 @@ func TestParseErrors(t *testing.T) {
 		{"no-void", "ARCHI_TYPE X(int)", `expected "void"`},
 		{"bad-rate", strings.Replace(paramSpec, "exp(1.5)", "gauss(1)", 1), "expected rate"},
 		{"bad-char", strings.Replace(paramSpec, "exp(1.5)", "exp(@)", 1), "unexpected character"},
+		{"non-ascii", strings.Replace(paramSpec, "exp(1.5)", "exp(é)", 1), `unexpected character "é"`},
+		{"non-ascii-ident", "ARCHI_TYPE café(void)", `aemilia: 1:15: unexpected character "é"`},
+		{"invalid-utf8", "ARCHI_TYPE caf\xe9(void)", `aemilia: 1:15: unexpected character "\xe9"`},
 		{"missing-dot", strings.Replace(paramSpec, "> . P()", "> P()", 1), `expected "."`},
 		{"float-arg", strings.Replace(paramSpec, "Buffer_Type(0)", "Buffer_Type(0.5)", 1), "expected integer literal"},
 		{"bad-param-type", strings.Replace(paramSpec, "integer n", "real n", 1), "expected parameter type"},

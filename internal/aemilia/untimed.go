@@ -1,10 +1,6 @@
 package aemilia
 
-import (
-	"slices"
-
-	"repro/internal/rates"
-)
+import "repro/internal/rates"
 
 // Untimed erases the timing of a in place, deriving the functional
 // flavour of a Markovian description (the first phase of the paper's
@@ -15,27 +11,25 @@ import (
 // action. Call it before Validate.
 func Untimed(a *ArchiType) {
 	for _, et := range a.ElemTypes {
-		outs := et.outputPorts()
 		for _, b := range et.Behaviors {
-			untime(b.Body, outs)
+			untime(b.Body, et)
 		}
 	}
 }
 
 // untime erases the annotations of one process term (see Untimed).
-func untime(p Process, outs []Port) {
+func untime(p Process, et *ElemType) {
 	switch x := p.(type) {
 	case *Prefix:
-		out := slices.ContainsFunc(outs, func(o Port) bool { return o.Name == x.Act.Name })
-		if x.Act.Rate.Kind != rates.Passive || !out {
+		if _, out := et.OutputPort(x.Act.Name); x.Act.Rate.Kind != rates.Passive || !out {
 			x.Act.Rate = rates.UntimedRate()
 		}
-		untime(x.Cont, outs)
+		untime(x.Cont, et)
 	case *Choice:
 		for _, br := range x.Branches {
-			untime(br, outs)
+			untime(br, et)
 		}
 	case *Guarded:
-		untime(x.Body, outs)
+		untime(x.Body, et)
 	}
 }

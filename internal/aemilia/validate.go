@@ -2,6 +2,7 @@ package aemilia
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 )
@@ -99,42 +100,40 @@ func (a *ArchiType) Validate() error {
 	type endpoint struct{ inst, port string }
 	used := make(map[endpoint]int, 2*len(a.Attachments))
 	for _, at := range a.Attachments {
-		where := fmt.Sprintf("attachment %s.%s -> %s.%s",
-			at.FromInstance, at.FromPort, at.ToInstance, at.ToPort)
 		from, ok := a.instByName[at.FromInstance]
 		if !ok {
-			return verrf(where, "unknown instance %q", at.FromInstance)
+			return verrf(at.where(), "unknown instance %q", at.FromInstance)
 		}
 		to, ok := a.instByName[at.ToInstance]
 		if !ok {
-			return verrf(where, "unknown instance %q", at.ToInstance)
+			return verrf(at.where(), "unknown instance %q", at.ToInstance)
 		}
 		if at.FromInstance == at.ToInstance {
-			return verrf(where, "an instance cannot be attached to itself")
+			return verrf(at.where(), "an instance cannot be attached to itself")
 		}
 		outPort, ok := from.elemType.OutputPort(at.FromPort)
 		if !ok {
-			return verrf(where, "%q is not an output interaction of %s",
+			return verrf(at.where(), "%q is not an output interaction of %s",
 				at.FromPort, from.elemType.Name)
 		}
 		inPort, ok := to.elemType.InputPort(at.ToPort)
 		if !ok {
-			return verrf(where, "%q is not an input interaction of %s",
+			return verrf(at.where(), "%q is not an input interaction of %s",
 				at.ToPort, to.elemType.Name)
 		}
 		if inPort.Mult == And {
-			return verrf(where, "AND multiplicity is only supported on output interactions")
+			return verrf(at.where(), "AND multiplicity is only supported on output interactions")
 		}
 		fe := endpoint{at.FromInstance, at.FromPort}
 		te := endpoint{at.ToInstance, at.ToPort}
 		used[fe]++
 		used[te]++
 		if outPort.Mult == Uni && used[fe] > 1 {
-			return verrf(where, "output %s.%s attached more than once (UNI)",
+			return verrf(at.where(), "output %s.%s attached more than once (UNI)",
 				at.FromInstance, at.FromPort)
 		}
 		if inPort.Mult == Uni && used[te] > 1 {
-			return verrf(where, "input %s.%s attached more than once (UNI)",
+			return verrf(at.where(), "input %s.%s attached more than once (UNI)",
 				at.ToInstance, at.ToPort)
 		}
 	}
@@ -143,70 +142,97 @@ func (a *ArchiType) Validate() error {
 	return nil
 }
 
+// where locates an error in the attachment. Validate builds it only when
+// it reports one.
+func (at Attachment) where() string {
+	return "attachment " + at.FromInstance + "." + at.FromPort + " -> " + at.ToInstance + "." + at.ToPort
+}
+
+// where locates an error in the element type.
+func (et *ElemType) where() string { return "element type " + et.Name }
+
+// behaviorWhere locates an error in behaviour b of the element type.
+func (et *ElemType) behaviorWhere(b *Behavior) string {
+	return et.where() + ", behaviour " + b.Name
+}
+
 func (a *ArchiType) validateElemType(et *ElemType, nextID *int) error {
-	where := "element type " + et.Name
 	if len(et.Behaviors) == 0 {
-		return verrf(where, "no behaviour equations")
+		return verrf(et.where(), "no behaviour equations")
 	}
 	et.behaviorByName = make(map[string]*Behavior, len(et.Behaviors))
 	for _, b := range et.Behaviors {
 		if b.Name == "" {
-			return verrf(where, "behaviour with empty name")
+			return verrf(et.where(), "behaviour with empty name")
 		}
 		if _, dup := et.behaviorByName[b.Name]; dup {
-			return verrf(where, "duplicate behaviour %q", b.Name)
+			return verrf(et.where(), "duplicate behaviour %q", b.Name)
 		}
-		seen := make(map[string]bool, len(b.Params))
-		for _, p := range b.Params {
+		for i, p := range b.Params {
 			if p.Name == "" {
-				return verrf(where+", behaviour "+b.Name, "parameter with empty name")
+				return verrf(et.behaviorWhere(b), "parameter with empty name")
 			}
-			if seen[p.Name] {
-				return verrf(where+", behaviour "+b.Name, "duplicate parameter %q", p.Name)
+			if slices.ContainsFunc(b.Params[:i], func(q Param) bool { return q.Name == p.Name }) {
+				return verrf(et.behaviorWhere(b), "duplicate parameter %q", p.Name)
 			}
 			if p.Type != expr.TypeInt && p.Type != expr.TypeBool {
-				return verrf(where+", behaviour "+b.Name, "parameter %q has invalid type", p.Name)
+				return verrf(et.behaviorWhere(b), "parameter %q has invalid type", p.Name)
 			}
-			seen[p.Name] = true
 		}
 		et.behaviorByName[b.Name] = b
 	}
 	// Interactions must not be declared both input and output, and port
 	// declarations must not repeat names.
-	seenPort := make(map[string]bool)
-	for _, p := range et.inputPorts() {
-		if p.Name == "" {
-			return verrf(where, "interaction with empty name")
-		}
-		if seenPort[p.Name] {
-			return verrf(where, "interaction %q declared twice", p.Name)
-		}
-		seenPort[p.Name] = true
+	seen := make(map[string]bool)
+	if err := et.checkPorts(et.InPorts, et.Inputs, seen, "interaction %q declared twice"); err != nil {
+		return err
 	}
-	for _, p := range et.outputPorts() {
-		if p.Name == "" {
-			return verrf(where, "interaction with empty name")
-		}
-		if seenPort[p.Name] {
-			return verrf(where, "interaction %q declared both input and output", p.Name)
-		}
-		seenPort[p.Name] = true
+	if err := et.checkPorts(et.OutPorts, et.Outputs, seen, "interaction %q declared both input and output"); err != nil {
+		return err
 	}
 	for _, b := range et.Behaviors {
-		env := make(expr.TypeEnv, len(b.Params))
-		for _, p := range b.Params {
-			env[p.Name] = p.Type
+		var env expr.TypeEnv
+		if len(b.Params) > 0 {
+			env = make(expr.TypeEnv, len(b.Params))
+			for _, p := range b.Params {
+				env[p.Name] = p.Type
+			}
 		}
-		bwhere := where + ", behaviour " + b.Name
 		if b.Body == nil {
-			return verrf(bwhere, "nil body")
+			return verrf(et.behaviorWhere(b), "nil body")
 		}
 		if _, isCall := b.Body.(*Call); isCall {
-			return verrf(bwhere, "body must be action-guarded, found bare invocation")
+			return verrf(et.behaviorWhere(b), "body must be action-guarded, found bare invocation")
 		}
-		if err := a.validateProcess(et, b.Body, env, bwhere, nextID, true); err != nil {
+		if err := a.validateProcess(et, b, b.Body, env, nextID, true); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkPorts checks one direction's declarations, ports when given, else
+// names as UNI ports, for empty names and for names already in seen,
+// reported with the format repeated; it adds each name to seen.
+func (et *ElemType) checkPorts(ports []Port, names []string, seen map[string]bool, repeated string) error {
+	n := len(ports)
+	if n == 0 {
+		n = len(names)
+	}
+	for i := range n {
+		var name string
+		if len(ports) > 0 {
+			name = ports[i].Name
+		} else {
+			name = names[i]
+		}
+		if name == "" {
+			return verrf(et.where(), "interaction with empty name")
+		}
+		if seen[name] {
+			return verrf(et.where(), repeated, name)
+		}
+		seen[name] = true
 	}
 	return nil
 }
@@ -214,9 +240,9 @@ func (a *ArchiType) validateElemType(et *ElemType, nextID *int) error {
 // validateProcess numbers p and its descendants and checks guardedness,
 // invocation resolution, and expression typing. top marks positions where
 // a process state can rest (behaviour bodies and prefix continuations).
-func (a *ArchiType) validateProcess(et *ElemType, p Process, env expr.TypeEnv, where string, nextID *int, top bool) error {
+func (a *ArchiType) validateProcess(et *ElemType, b *Behavior, p Process, env expr.TypeEnv, nextID *int, top bool) error {
 	if p == nil {
-		return verrf(where, "nil process node")
+		return verrf(et.behaviorWhere(b), "nil process node")
 	}
 	p.setID(*nextID)
 	*nextID++
@@ -225,72 +251,72 @@ func (a *ArchiType) validateProcess(et *ElemType, p Process, env expr.TypeEnv, w
 		return nil
 	case *Prefix:
 		if x.Act.Name == "" {
-			return verrf(where, "action with empty name")
+			return verrf(et.behaviorWhere(b), "action with empty name")
 		}
 		if err := x.Act.Rate.Validate(); err != nil {
-			return verrf(where, "action %q: %v", x.Act.Name, err)
+			return verrf(et.behaviorWhere(b), "action %q: %v", x.Act.Name, err)
 		}
 		if x.Cont == nil {
-			return verrf(where, "action %q has nil continuation", x.Act.Name)
+			return verrf(et.behaviorWhere(b), "action %q has nil continuation", x.Act.Name)
 		}
-		return a.validateProcess(et, x.Cont, env, where, nextID, true)
+		return a.validateProcess(et, b, x.Cont, env, nextID, true)
 	case *Choice:
 		if len(x.Branches) < 2 {
-			return verrf(where, "choice needs at least two branches")
+			return verrf(et.behaviorWhere(b), "choice needs at least two branches")
 		}
 		for _, br := range x.Branches {
 			switch br.(type) {
 			case *Prefix, *Guarded:
 			default:
-				return verrf(where, "choice branch must be an action prefix or a guarded prefix, found %T", br)
+				return verrf(et.behaviorWhere(b), "choice branch must be an action prefix or a guarded prefix, found %T", br)
 			}
-			if err := a.validateProcess(et, br, env, where, nextID, false); err != nil {
+			if err := a.validateProcess(et, b, br, env, nextID, false); err != nil {
 				return err
 			}
 		}
 		return nil
 	case *Guarded:
 		if x.Cond == nil {
-			return verrf(where, "guard with nil condition")
+			return verrf(et.behaviorWhere(b), "guard with nil condition")
 		}
 		ty, err := expr.Check(x.Cond, env)
 		if err != nil {
-			return verrf(where, "guard: %v", err)
+			return verrf(et.behaviorWhere(b), "guard: %v", err)
 		}
 		if ty != expr.TypeBool {
-			return verrf(where, "guard must be boolean, got %v", ty)
+			return verrf(et.behaviorWhere(b), "guard must be boolean, got %v", ty)
 		}
 		switch x.Body.(type) {
 		case *Prefix, *Guarded, *Choice:
 		default:
-			return verrf(where, "guarded body must be action-guarded, found %T", x.Body)
+			return verrf(et.behaviorWhere(b), "guarded body must be action-guarded, found %T", x.Body)
 		}
-		return a.validateProcess(et, x.Body, env, where, nextID, false)
+		return a.validateProcess(et, b, x.Body, env, nextID, false)
 	case *Call:
 		if !top {
-			return verrf(where, "behaviour invocation %q only allowed as a continuation", x.Name)
+			return verrf(et.behaviorWhere(b), "behaviour invocation %q only allowed as a continuation", x.Name)
 		}
 		target, ok := et.behaviorByName[x.Name]
 		if !ok {
-			return verrf(where, "invocation of unknown behaviour %q", x.Name)
+			return verrf(et.behaviorWhere(b), "invocation of unknown behaviour %q", x.Name)
 		}
 		if len(x.Args) != len(target.Params) {
-			return verrf(where, "invocation of %s: expects %d argument(s), got %d",
+			return verrf(et.behaviorWhere(b), "invocation of %s: expects %d argument(s), got %d",
 				x.Name, len(target.Params), len(x.Args))
 		}
 		for i, arg := range x.Args {
 			ty, err := expr.Check(arg, env)
 			if err != nil {
-				return verrf(where, "invocation of %s, argument %d: %v", x.Name, i+1, err)
+				return verrf(et.behaviorWhere(b), "invocation of %s, argument %d: %v", x.Name, i+1, err)
 			}
 			if ty != target.Params[i].Type {
-				return verrf(where, "invocation of %s, argument %d: got %v, want %v",
+				return verrf(et.behaviorWhere(b), "invocation of %s, argument %d: got %v, want %v",
 					x.Name, i+1, ty, target.Params[i].Type)
 			}
 		}
 		x.target = target
 		return nil
 	default:
-		return verrf(where, "unknown process node %T", p)
+		return verrf(et.behaviorWhere(b), "unknown process node %T", p)
 	}
 }

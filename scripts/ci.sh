@@ -36,8 +36,10 @@ GOARCH=arm64 go vet ./internal/ctmc/ && GOARCH=arm64 go build ./...
 # builds and passes every test, only slower, so this step reads the
 # compiler's own report. A closure can be reported inlinable and still
 # not be inlined where it is called, so for the closures — found by their
-# line in sim.go — every call site must be reported inlined.
-echo "== hot-path inlining (internal/rng, internal/sim) =="
+# line in sim.go — every call site must be reported inlined. The .aem
+# lexer's per-byte helpers get the same check as rng: each description
+# the front end builds runs them once per source byte.
+echo "== hot-path inlining (internal/rng, internal/sim, internal/aemilia/parser) =="
 inl=$(go build -gcflags=-m ./internal/rng 2>&1)
 for fn in Uint64 Float64; do
     if ! echo "$inl" | grep -q "can inline (\*Rand)\.$fn\$"; then
@@ -53,6 +55,13 @@ for fn in accrue countFiring; do
     inlined=$(echo "$inl" | grep -cF "inlining call to $name" || true)
     if [ -z "$line" ] || [ -z "$name" ] || [ "$inlined" -ne "$calls" ]; then
         echo "internal/sim: the $fn closure of replicate is inlined at ${inlined:-0} of its ${calls:-0} call sites" >&2
+        exit 1
+    fi
+done
+inl=$(go build -gcflags=-m ./internal/aemilia/parser 2>&1)
+for fn in '(\*lexer)\.peekByte' '(\*lexer)\.advance' isSpace isIdentStart isIdentPart; do
+    if ! echo "$inl" | grep -q "can inline $fn\$"; then
+        echo "internal/aemilia/parser: $fn is no longer inlinable" >&2
         exit 1
     fi
 done
