@@ -24,14 +24,15 @@
 // parallel product, "minimize" lumps each component before composition
 // and folds vanishing states during generation, so the full product never
 // materializes. Measure values are identical either way; state counts are
-// not, because minimization is the point. sim always runs on the full
-// model — minimization accelerates the Markovian path only.
+// not, because minimization is the point. sim has no -compose: it always
+// runs on the full model — minimization accelerates the Markovian path
+// only.
 //
 // The solve subcommand is resumable: -checkpoint appends the solution to
 // a versioned, checksummed result store, and -resume answers from it
 // instead of re-solving, with the measure values of an uninterrupted
 // run. A store answers only a solve of the same description, measures,
-// generation options and tolerance; any edit to them solves afresh.
+// -compose mode and tolerance; any edit to them solves afresh.
 //
 // The check subcommand performs the phase-1 noninterference analysis
 // (hide-vs-restrict up to weak bisimulation) and prints the diagnostic
@@ -635,14 +636,8 @@ func runSolve(args []string) (err error) {
 	}
 	// One session stages the whole solve: elaborated model, state space,
 	// chain, and solution are each built exactly once. The store keys the
-	// solve by the description Build returns.
-	s := pipeline.NewSession(pipeline.Spec{
-		Build:    func() (*aemilia.ArchiType, error) { return arch, nil },
-		Measures: ms,
-		Gen:      lts.GenerateOptions{Ctx: ctx},
-		Minimize: minimize,
-		Solve:    ctmc.SolveOptions{Ctx: ctx},
-	}, cfg)
+	// solve by the description.
+	s := pipeline.NewSession(pipeline.Spec{Arch: arch, Measures: ms, Minimize: minimize}, cfg)
 	rep, err := s.Phase2()
 	if err != nil {
 		return err
@@ -684,7 +679,6 @@ func runSim(args []string) error {
 	reps := fs.Int("reps", 30, "independent replications")
 	seed := fs.Uint64("seed", 1, "master random seed")
 	level := fs.Float64("confidence", 0.90, "confidence level: 0.8, 0.9, 0.95 or 0.99")
-	composeMode := composeFlag(fs)
 	workers := fs.Int("workers", runtime.NumCPU(),
 		"concurrent replications (estimates are identical at any value)")
 	timeout := timeoutFlag(fs)
@@ -706,29 +700,16 @@ func runSim(args []string) error {
 	if *measuresPath == "" {
 		return fmt.Errorf("-measures is required")
 	}
-	if minimize, err := parseCompose(*composeMode); err != nil {
-		return err
-	} else if minimize {
-		// Accepted for interface uniformity with lts/solve: simulation
-		// always walks the full model, so there is nothing to minimize.
-		fmt.Fprintln(os.Stderr, "dpmassess: sim always runs on the full model; -compose minimize has no effect")
-	}
 	ms, err := readMeasures(*measuresPath)
 	if err != nil {
 		return err
 	}
-	src, err := os.ReadFile(path)
+	arch, err := loadArch(path)
 	if err != nil {
 		return err
 	}
-	arch, err := parser.Parse(string(src))
-	if err != nil {
-		return err
-	}
-	rep, err := pipeline.NewSession(pipeline.Spec{
-		Build:    func() (*aemilia.ArchiType, error) { return arch, nil },
-		Measures: ms,
-	}, pipeline.Config{Workers: *workers, Ctx: ctx}).Phase3(nil, pipeline.SimSettings{
+	rep, err := pipeline.NewSession(pipeline.Spec{Arch: arch, Measures: ms},
+		pipeline.Config{Workers: *workers, Ctx: ctx}).Phase3(nil, pipeline.SimSettings{
 		RunLength:       *runLength,
 		Warmup:          *warmup,
 		Replications:    *reps,

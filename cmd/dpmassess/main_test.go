@@ -64,6 +64,18 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+// TestRunSimHasNoCompose checks that sim takes no -compose flag:
+// simulation always runs on the full model, so a composition strategy
+// would change nothing, and flag parsing rejects it.
+func TestRunSimHasNoCompose(t *testing.T) {
+	model := specPath(t, "rpc_revised_markov.aem")
+	measures := specPath(t, "rpc.msr")
+	err := run([]string{"sim", "-measures", measures, "-compose", "minimize", model})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -compose") {
+		t.Errorf("sim -compose minimize: got %v, want an undefined-flag error", err)
+	}
+}
+
 // TestRunSolveRejectsUnknownSweep checks that solve has no -sweep flag:
 // Gauss-Seidel is the only scheme, so every value — the names of the
 // schemes the solver no longer has included — is rejected by flag parsing.

@@ -77,7 +77,7 @@ func run() error {
 			}},
 		}
 		rep, err := pipeline.NewSession(pipeline.Spec{
-			Build:    func() (*aemilia.ArchiType, error) { return arch, nil },
+			Arch:     arch,
 			Measures: measures,
 		}, pipeline.Config{}).Phase2()
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/aemilia"
 	"repro/internal/lts"
 	"repro/internal/measure"
 	"repro/internal/pipeline"
@@ -26,7 +25,7 @@ func TestBroadcastSubscribersCounted(t *testing.T) {
 		}}
 	}
 	s := pipeline.NewSession(pipeline.Spec{
-		Build: func() (*aemilia.ArchiType, error) { return arch, nil },
+		Arch: arch,
 		Measures: []measure.Measure{
 			trans("broadcasts", "SRC", "publish"),
 			trans("heard1", "SUB1", "hear"),

@@ -127,7 +127,7 @@ func run() error {
 		return err
 	}
 	rep, err := pipeline.NewSession(pipeline.Spec{
-		Build: func() (*aemilia.ArchiType, error) { return leaky, nil },
+		Arch: leaky,
 	}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err
@@ -143,7 +143,7 @@ func run() error {
 		return err
 	}
 	rep, err = pipeline.NewSession(pipeline.Spec{
-		Build: func() (*aemilia.ArchiType, error) { return sealed, nil },
+		Arch: sealed,
 	}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err

@@ -74,7 +74,7 @@ func run() error {
 	// One session stages the model for every phase below: it is elaborated
 	// once and shared by the exact solution and the simulation.
 	s := pipeline.NewSession(pipeline.Spec{
-		Build:    func() (*aemilia.ArchiType, error) { return arch, nil },
+		Arch:     arch,
 		Measures: measures,
 	}, pipeline.Config{})
 

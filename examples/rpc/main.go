@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/aemilia"
 	"repro/internal/experiments"
 	"repro/internal/lts"
 	"repro/internal/models"
@@ -38,7 +37,7 @@ func run() error {
 		return err
 	}
 	rep1, err := pipeline.NewSession(pipeline.Spec{
-		Build: func() (*aemilia.ArchiType, error) { return simplified, nil },
+		Arch: simplified,
 	}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err
@@ -56,7 +55,7 @@ func run() error {
 		return err
 	}
 	rep1b, err := pipeline.NewSession(pipeline.Spec{
-		Build: func() (*aemilia.ArchiType, error) { return revised, nil },
+		Arch: revised,
 	}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err

@@ -204,7 +204,7 @@ func (a *ArchiType) validateElemType(et *ElemType, nextID *int) error {
 		if _, isCall := b.Body.(*Call); isCall {
 			return verrf(et.behaviorWhere(b), "body must be action-guarded, found bare invocation")
 		}
-		if err := a.validateProcess(et, b, b.Body, env, nextID, true); err != nil {
+		if err := a.validateProcess(et, b, b.Body, env, nextID); err != nil {
 			return err
 		}
 	}
@@ -238,12 +238,9 @@ func (et *ElemType) checkPorts(ports []Port, names []string, seen map[string]boo
 }
 
 // validateProcess numbers p and its descendants and checks guardedness,
-// invocation resolution, and expression typing. top marks positions where
-// a process state can rest (behaviour bodies and prefix continuations).
-func (a *ArchiType) validateProcess(et *ElemType, b *Behavior, p Process, env expr.TypeEnv, nextID *int, top bool) error {
-	if p == nil {
-		return verrf(et.behaviorWhere(b), "nil process node")
-	}
+// invocation resolution, and expression typing. Its callers reject a nil
+// p, and a *Call anywhere but a prefix continuation, before recursing.
+func (a *ArchiType) validateProcess(et *ElemType, b *Behavior, p Process, env expr.TypeEnv, nextID *int) error {
 	p.setID(*nextID)
 	*nextID++
 	switch x := p.(type) {
@@ -259,7 +256,7 @@ func (a *ArchiType) validateProcess(et *ElemType, b *Behavior, p Process, env ex
 		if x.Cont == nil {
 			return verrf(et.behaviorWhere(b), "action %q has nil continuation", x.Act.Name)
 		}
-		return a.validateProcess(et, b, x.Cont, env, nextID, true)
+		return a.validateProcess(et, b, x.Cont, env, nextID)
 	case *Choice:
 		if len(x.Branches) < 2 {
 			return verrf(et.behaviorWhere(b), "choice needs at least two branches")
@@ -270,7 +267,7 @@ func (a *ArchiType) validateProcess(et *ElemType, b *Behavior, p Process, env ex
 			default:
 				return verrf(et.behaviorWhere(b), "choice branch must be an action prefix or a guarded prefix, found %T", br)
 			}
-			if err := a.validateProcess(et, b, br, env, nextID, false); err != nil {
+			if err := a.validateProcess(et, b, br, env, nextID); err != nil {
 				return err
 			}
 		}
@@ -291,11 +288,8 @@ func (a *ArchiType) validateProcess(et *ElemType, b *Behavior, p Process, env ex
 		default:
 			return verrf(et.behaviorWhere(b), "guarded body must be action-guarded, found %T", x.Body)
 		}
-		return a.validateProcess(et, b, x.Body, env, nextID, false)
+		return a.validateProcess(et, b, x.Body, env, nextID)
 	case *Call:
-		if !top {
-			return verrf(et.behaviorWhere(b), "behaviour invocation %q only allowed as a continuation", x.Name)
-		}
 		target, ok := et.behaviorByName[x.Name]
 		if !ok {
 			return verrf(et.behaviorWhere(b), "invocation of unknown behaviour %q", x.Name)

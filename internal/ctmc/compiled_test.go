@@ -234,13 +234,17 @@ func TestCompiledMeasuresMatchOracle(t *testing.T) {
 		{"streaming-minimized", func() (*aemilia.ArchiType, error) { return models.BuildStreaming(stream) },
 			streamMeasures, true, []float64{1 / 5.0, 1 / 25.0, 1 / 50.0, 1 / 100.0, 1 / 200.0, 1 / 400.0, 1 / 800.0, 1 / 1600.0, 1 / 3200.0}},
 	} {
+		arch, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
 		points := make([][]float64, len(tc.points))
 		for i, v := range tc.points {
 			points[i] = []float64{v}
 		}
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("sweep-%s/workers-%d", tc.name, workers), func(t *testing.T) {
-				s := pipeline.NewSession(pipeline.Spec{Build: tc.build, Measures: tc.measures, Minimize: tc.minimize},
+				s := pipeline.NewSession(pipeline.Spec{Arch: arch, Measures: tc.measures, Minimize: tc.minimize},
 					pipeline.Config{Workers: workers})
 				reports, err := s.Sweep(points)
 				if err != nil {

@@ -53,14 +53,14 @@ type Sect3Result struct {
 	States, Transitions int
 }
 
-// phase1 opens the session for the named untimed model and runs the
-// functional phase against the noninterference spec.
-func (r *Runner) phase1(name string, spec pipeline.Spec, ni noninterference.Spec) (*Sect3Result, error) {
-	s, err := r.open(spec)
+// phase1 builds the named untimed model and runs the functional phase on
+// it against the noninterference spec.
+func (r *Runner) phase1(name string, build func() (*aemilia.ArchiType, error), ni noninterference.Spec) (*Sect3Result, error) {
+	a, err := build()
 	if err != nil {
 		return nil, err
 	}
-	rep, err := s.Phase1(ni)
+	rep, err := pipeline.NewSession(pipeline.Spec{Arch: a}, r.cfg).Phase1(ni)
 	if err != nil {
 		return nil, err
 	}
@@ -76,22 +76,14 @@ func (r *Runner) phase1(name string, spec pipeline.Spec, ni noninterference.Spec
 // RPCNoninterferenceSimplified reproduces the failing check of Sect. 3.1,
 // including the paper's distinguishing formula.
 func (r *Runner) RPCNoninterferenceSimplified() (*Sect3Result, error) {
-	return r.phase1("rpc simplified", pipeline.Spec{
-		Key:   "rpc-simplified:functional",
-		Build: models.BuildRPCSimplified,
-		Gen:   r.genOpts(),
-	}, rpcSpec())
+	return r.phase1("rpc simplified", models.BuildRPCSimplified, rpcSpec())
 }
 
 // RPCNoninterferenceRevised reproduces the passing check of Sect. 3.1.
 func (r *Runner) RPCNoninterferenceRevised() (*Sect3Result, error) {
 	p := models.DefaultRPCParams()
 	p.Mode = models.Functional
-	return r.phase1("rpc revised", pipeline.Spec{
-		Key:   fmt.Sprintf("rpc:%#v", p),
-		Build: func() (*aemilia.ArchiType, error) { return models.BuildRPCRevised(p) },
-		Gen:   r.genOpts(),
-	}, rpcSpec())
+	return r.phase1("rpc revised", func() (*aemilia.ArchiType, error) { return models.BuildRPCRevised(p) }, rpcSpec())
 }
 
 // StreamingNoninterference reproduces the passing check of Sect. 3.2.
@@ -103,11 +95,7 @@ func (r *Runner) StreamingNoninterference(scale Scale) (*Sect3Result, error) {
 	if scale == Quick {
 		p.APCapacity, p.ClientCapacity = 2, 2
 	}
-	return r.phase1("streaming", pipeline.Spec{
-		Key:   fmt.Sprintf("streaming:%#v", p),
-		Build: func() (*aemilia.ArchiType, error) { return models.BuildStreaming(p) },
-		Gen:   r.genOpts(),
-	}, noninterference.Spec{
+	return r.phase1("streaming", func() (*aemilia.ArchiType, error) { return models.BuildStreaming(p) }, noninterference.Spec{
 		High: lts.LabelMatcherByNames(models.StreamingHighLabels()...),
 		Low:  lts.LabelMatcherByInstance("C"),
 	})

@@ -1,11 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"repro/internal/aemilia"
-	"repro/internal/ctmc"
-	"repro/internal/lts"
 	"repro/internal/models"
 	"repro/internal/pipeline"
 )
@@ -13,18 +8,16 @@ import (
 // Runner executes the paper's experiments against one injected
 // pipeline.Config. All scheduling state — worker count, cancellation
 // context, result store — lives in the config; nothing on the experiment
-// hot path reads mutable package globals. Every model a Runner touches is staged through a private
-// pipeline.Manager, so the rpc and streaming models of one study are
-// elaborated once, their state spaces generated once, and their chains
-// built once per distinct parameter set, no matter how many figures
-// share them (e.g. Fig. 5's analytic sweep reusing the parametric rpc
-// chain of Fig. 3).
+// hot path reads mutable package globals. Every model a Runner touches
+// runs on a session of its own; within it the model is elaborated once,
+// its state space generated once and its chain built once, however many
+// points a figure sweeps on it. The config's Store, when set, shares
+// solved results across sessions and runs.
 //
 // A Runner is safe for concurrent use: sessions single-flight their
 // stages and the config is never mutated after construction.
 type Runner struct {
 	cfg pipeline.Config
-	mgr *pipeline.Manager
 }
 
 // NewRunner returns a Runner over cfg. A non-positive cfg.Workers is
@@ -33,19 +26,7 @@ func NewRunner(cfg pipeline.Config) *Runner {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	return &Runner{cfg: cfg, mgr: pipeline.NewManager()}
-}
-
-// genOpts is the generation configuration the Runner's sessions carry:
-// the config context applied to BFS-level cancellation polls.
-func (r *Runner) genOpts() lts.GenerateOptions {
-	return lts.GenerateOptions{Ctx: r.cfg.Ctx}
-}
-
-// solveOpts is the steady-state solver configuration the Runner's
-// sessions carry: the default solver under the config context.
-func (r *Runner) solveOpts() ctmc.SolveOptions {
-	return ctmc.SolveOptions{Ctx: r.cfg.Ctx}
+	return &Runner{cfg: cfg}
 }
 
 // dpmValues solves the with-DPM model at every knob value x of grid
@@ -97,36 +78,22 @@ func (r *Runner) dpmValues(grid []float64, param *pipeline.Session, at func(x fl
 	return vals, nil
 }
 
-// open interns a session for spec under the Runner's manager and config.
-func (r *Runner) open(spec pipeline.Spec) (*pipeline.Session, error) {
-	return r.mgr.Open(spec, r.cfg)
-}
-
-// rpcSession returns the staged session for the revised rpc model at p,
-// carrying the model's measures and the Runner's generation and solver
-// options. Sessions are content-addressed, so every figure that touches
-// the same parameter set shares one elaborated model, state space, and
-// chain.
+// rpcSession returns a session on the revised rpc model at p, carrying
+// the model's measures and the Runner's Minimize policy.
 func (r *Runner) rpcSession(p models.RPCParams) (*pipeline.Session, error) {
-	return r.open(pipeline.Spec{
-		Key:      fmt.Sprintf("rpc:%#v", p),
-		Build:    func() (*aemilia.ArchiType, error) { return models.BuildRPCRevised(p) },
-		Measures: models.RPCMeasures(p),
-		Gen:      r.genOpts(),
-		Solve:    r.solveOpts(),
-		Minimize: r.cfg.Minimize,
-	})
+	a, err := models.BuildRPCRevised(p)
+	if err != nil {
+		return nil, err
+	}
+	return pipeline.NewSession(pipeline.Spec{Arch: a, Measures: models.RPCMeasures(p), Minimize: r.cfg.Minimize}, r.cfg), nil
 }
 
-// streamingSession returns the staged session for the streaming model at
-// p (see rpcSession).
+// streamingSession returns a session on the streaming model at p (see
+// rpcSession).
 func (r *Runner) streamingSession(p models.StreamingParams) (*pipeline.Session, error) {
-	return r.open(pipeline.Spec{
-		Key:      fmt.Sprintf("streaming:%#v", p),
-		Build:    func() (*aemilia.ArchiType, error) { return models.BuildStreaming(p) },
-		Measures: models.StreamingMeasures(p),
-		Gen:      r.genOpts(),
-		Solve:    r.solveOpts(),
-		Minimize: r.cfg.Minimize,
-	})
+	a, err := models.BuildStreaming(p)
+	if err != nil {
+		return nil, err
+	}
+	return pipeline.NewSession(pipeline.Spec{Arch: a, Measures: models.StreamingMeasures(p), Minimize: r.cfg.Minimize}, r.cfg), nil
 }

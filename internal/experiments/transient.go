@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/aemilia"
 	"repro/internal/ctmc"
-	"repro/internal/lts"
+	"repro/internal/measure"
 	"repro/internal/models"
 	"repro/internal/pipeline"
 )
@@ -29,22 +28,22 @@ func (r *Runner) StreamingStartupTransient(times []float64, awakePeriod float64,
 	if len(times) == 0 {
 		times = []float64{50, 150, 300, 500, 700, 1000, 1500, 2500, 4000}
 	}
+	// The buffer-empty predicate is a STATE_REWARD measure of the spec,
+	// so the session labels the states where it holds as it generates.
+	empty := measure.Clause{Instance: "B", Action: "miss_frame", Kind: measure.StateReward, Value: 1}
 	solve := func(withDPM bool) (*ctmc.CTMC, error) {
 		p := streamingParams(scale)
 		p.WithDPM = withDPM
 		p.AwakePeriod = awakePeriod
-		gen := r.genOpts()
-		gen.Predicates = []lts.StatePred{{Instance: "B", Action: "miss_frame"}}
-		s, err := r.open(pipeline.Spec{
-			Key:      fmt.Sprintf("streaming:%#v", p),
-			Build:    func() (*aemilia.ArchiType, error) { return models.BuildStreaming(p) },
-			Gen:      gen,
-			Minimize: r.cfg.Minimize,
-		})
+		a, err := models.BuildStreaming(p)
 		if err != nil {
 			return nil, err
 		}
-		return s.Chain()
+		return pipeline.NewSession(pipeline.Spec{
+			Arch:     a,
+			Measures: []measure.Measure{{Name: "p_buffer_empty", Clauses: []measure.Clause{empty}}},
+			Minimize: r.cfg.Minimize,
+		}, r.cfg).Chain()
 	}
 	withDPM, err := solve(true)
 	if err != nil {
@@ -57,11 +56,11 @@ func (r *Runner) StreamingStartupTransient(times []float64, awakePeriod float64,
 
 	// The buffer-empty predicate is compiled once per chain and read at
 	// every sample.
-	emptyD, err := withDPM.SelectStates("B.miss_frame")
+	emptyD, err := withDPM.SelectStates(empty.Pred())
 	if err != nil {
 		return nil, err
 	}
-	emptyN, err := noDPM.SelectStates("B.miss_frame")
+	emptyN, err := noDPM.SelectStates(empty.Pred())
 	if err != nil {
 		return nil, err
 	}

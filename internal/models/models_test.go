@@ -27,7 +27,7 @@ const paperFormula = "EXISTS_WEAK_TRANS(LABEL(C.send_rpc_packet#RCS.get_packet);
 // architectural description.
 func session(a *aemilia.ArchiType, measures []measure.Measure) *pipeline.Session {
 	return pipeline.NewSession(pipeline.Spec{
-		Build:    func() (*aemilia.ArchiType, error) { return a, nil },
+		Arch:     a,
 		Measures: measures,
 	}, pipeline.Config{})
 }

@@ -1,16 +1,15 @@
-// Package pipeline is the session/handle layer of the analysis pipeline:
+// Package pipeline is the session layer of the analysis pipeline:
 // one content-addressed elaborate→generate→solve API that every
 // experiment driver, CLI, and future service front-end runs through.
 //
-// A Session is a handle on the staged artifacts of one Spec — the
-// elaborated model, the generated LTS, the built CTMC (with its cached
-// structural solve plan), and the Phase2 report. Each stage is
-// built lazily exactly once per session state (single-flight, context
-// aware) and shared by every handle opened on the same SpecHash through a
-// Manager, so overlapping requests collapse onto shared work instead of
-// regenerating it. One-shot callers open an ephemeral NewSession; the
-// experiment drivers intern theirs in a Manager. Both run the same staged
-// code, so their results are bit-identical by construction.
+// A Session is the staged pipeline of one Spec — the elaborated model,
+// the generated LTS, the built CTMC (with its cached structural solve
+// plan), and the Phase2 report. Each stage is built lazily at most once
+// per session, and concurrent callers wait for that one build instead of
+// repeating it. Sessions share no artifacts: what outlives a session is
+// the result Store, keyed by the spec's content (ResultKey), so a later
+// session — in this process, or in one that resumes from a FileStore —
+// answers from it what an earlier one solved.
 //
 // The Session methods are the three phases of the paper's incremental
 // methodology (Fig. 1), each consuming the model of the previous one:
@@ -30,12 +29,10 @@ import "context"
 
 // Config carries the per-caller environment a Session runs under: the
 // worker count, the cancellation context, and the result store. None of
-// it participates in the SpecHash — results
-// are bit-identical at any Config — so sessions opened with different
-// Configs still share one set of staged artifacts. The extra field,
-// Minimize, is a convention for the layers above: internal/experiments
-// builds its specs from it, so one Config constructed from CLI flags
-// configures the whole run.
+// it participates in the store key — results are bit-identical at any
+// Config. The extra field, Minimize, is a convention for the layers
+// above: internal/experiments builds its specs from it, so one Config
+// constructed from CLI flags configures the whole run.
 type Config struct {
 	// Workers bounds the concurrency of everything the session schedules:
 	// sweep points in flight and simulation replications. 0 keeps each
@@ -46,30 +43,29 @@ type Config struct {
 	// at any value.
 	Workers int
 	// Ctx cancels the session's work: generation polls it at BFS level
-	// boundaries, solvers per iteration, sweeps at point boundaries,
-	// simulations between events, and stage waiters while another caller
-	// builds. A cancellation surfaces
-	// as a *fault.CanceledError and never poisons the session: the
-	// interrupted stage is retried by the next caller. Nil disables
-	// cancellation.
+	// boundaries, solvers per iteration, sweeps at point boundaries, and
+	// simulations between events. A cancellation surfaces as a
+	// *fault.CanceledError and is final for its session: the stage it
+	// interrupted returns it to every later caller. Resume on a new
+	// session, which a Store answers for what the canceled one finished.
+	// Nil disables cancellation.
 	Ctx context.Context
 	// Minimize is the compositional-minimization policy the experiment
 	// drivers copy into their specs (Spec.Minimize): lump each component
 	// before composition and fold vanishing states during generation, so
 	// the full product never materializes. Unlike the scheduling knobs it
 	// is semantic once copied into a Spec — it changes the generated LTS
-	// (never the measure values) and participates in the SpecHash there.
+	// (never the measure values) and participates in the store key there.
 	// The session itself reads it from the Spec.
 	Minimize bool
 	// Store, when non-nil, memoizes Phase2 and sweep reports keyed by
-	// the built description, everything else that shapes a result, and
+	// the spec's description, everything else that shapes a result, and
 	// the point (ResultKey), so repeated or overlapping grids return
 	// cached results. Determinism makes the cache transparent: a hit
 	// equals the fresh solve it replaces. A FileStore makes the whole
 	// run resumable: a later run opened on the same file solves only
-	// what this one did not finish. Stores key a spec by the description
-	// its Build returns, so a spec that supplies a pre-elaborated Model
-	// cannot use one.
+	// what this one did not finish. Stores key a spec by its Arch, so a
+	// spec that supplies a pre-elaborated Model cannot use one.
 	Store Store
 }
 

@@ -7,12 +7,5 @@ func (s *MemoryStore) Len() int {
 	return len(s.m)
 }
 
-// Len reports the number of interned session states.
-func (mg *Manager) Len() int {
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	return len(mg.sessions)
-}
-
-// SpecHash returns the content address of the session's spec.
-func (s *Session) SpecHash() SpecHash { return s.st.hash }
+// ResultModel returns the Model half of the session's store keys.
+func (s *Session) ResultModel() (string, error) { return s.resultModel() }

@@ -3,15 +3,12 @@ package pipeline_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/aemilia"
-	"repro/internal/fault"
 	"repro/internal/lts"
 	"repro/internal/models"
 	"repro/internal/noninterference"
@@ -19,96 +16,21 @@ import (
 )
 
 // rpcSpec is the canonical spec of the revised rpc model at the given
-// parameters, the same shape internal/experiments builds.
+// parameters, the same shape internal/experiments builds. Every parameter
+// set the tests pass builds, so a builder error is a broken fixture.
 func rpcSpec(p models.RPCParams) pipeline.Spec {
-	return pipeline.Spec{
-		Key:      fmt.Sprintf("rpc:%#v", p),
-		Build:    func() (*aemilia.ArchiType, error) { return models.BuildRPCRevised(p) },
-		Measures: models.RPCMeasures(p),
-	}
-}
-
-// TestManagerReusesStagedArtifacts opens two handles on the same spec —
-// with different scheduling configs — and checks they share one set of
-// staged artifacts: the second Phase2 does no generation and the model,
-// LTS and chain are pointer-identical.
-func TestManagerReusesStagedArtifacts(t *testing.T) {
-	p := models.DefaultRPCParams()
-	mgr := pipeline.NewManager()
-
-	s1, err := mgr.Open(rpcSpec(p), pipeline.Config{Workers: 1})
+	a, err := models.BuildRPCRevised(p)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		panic(err)
 	}
-	rep1, err := s1.Phase2()
-	if err != nil {
-		t.Fatalf("Phase2: %v", err)
-	}
-	calls := lts.GenerateCalls()
-
-	// Different workers: scheduling only, must intern onto the same
-	// session state.
-	s2, err := mgr.Open(rpcSpec(p), pipeline.Config{Workers: 8})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if s1.SpecHash() != s2.SpecHash() {
-		t.Fatalf("spec hashes differ: %s vs %s", s1.SpecHash(), s2.SpecHash())
-	}
-	if mgr.Len() != 1 {
-		t.Fatalf("manager interned %d states, want 1", mgr.Len())
-	}
-
-	m1, err := s1.Model()
-	if err != nil {
-		t.Fatalf("Model: %v", err)
-	}
-	m2, err := s2.Model()
-	if err != nil {
-		t.Fatalf("Model: %v", err)
-	}
-	if m1 != m2 {
-		t.Fatalf("elaborated models not shared across handles")
-	}
-	l1, _ := s1.LTS()
-	l2, _ := s2.LTS()
-	if l1 != l2 {
-		t.Fatalf("LTS not shared across handles")
-	}
-	c1, _ := s1.Chain()
-	c2, _ := s2.Chain()
-	if c1 != c2 {
-		t.Fatalf("chain not shared across handles")
-	}
-
-	rep2, err := s2.Phase2()
-	if err != nil {
-		t.Fatalf("Phase2: %v", err)
-	}
-	if d := lts.GenerateCalls() - calls; d != 0 {
-		t.Fatalf("second handle regenerated the state space (%d extra Generate calls)", d)
-	}
-	if !reflect.DeepEqual(rep1, rep2) {
-		t.Fatalf("shared-state reports differ:\n%+v\n%+v", rep1, rep2)
-	}
-
-	// Reports are private copies: mutating one must not leak into the next.
-	for k := range rep2.Values {
-		rep2.Values[k] = -1
-	}
-	rep3, err := s1.Phase2()
-	if err != nil {
-		t.Fatalf("Phase2: %v", err)
-	}
-	if reflect.DeepEqual(rep2, rep3) {
-		t.Fatalf("Phase2 handed out a shared Values map")
-	}
+	return pipeline.Spec{Arch: a, Measures: models.RPCMeasures(p)}
 }
 
 // TestStoreHitMatchesFreshSolve runs Phase2 through a MemoryStore twice
 // — the second time from a cold session that can only answer from the
-// store — and checks the cached report deep-equals the fresh solve and
-// that the hit did no generation.
+// store — and checks the cached report deep-equals the fresh solve, that
+// the hit did no generation, and that neither a session's report nor a
+// store entry can be mutated through a report handed out.
 func TestStoreHitMatchesFreshSolve(t *testing.T) {
 	p := models.DefaultRPCParams()
 	store := pipeline.NewMemoryStore()
@@ -135,6 +57,23 @@ func TestStoreHitMatchesFreshSolve(t *testing.T) {
 		t.Fatalf("cached report differs from fresh solve:\n%+v\n%+v", rep1, rep2)
 	}
 
+	// Phase2 hands out a private copy: mutating one must not leak into
+	// the session's next report.
+	mut, err := fresh.Phase2()
+	if err != nil {
+		t.Fatalf("Phase2: %v", err)
+	}
+	for k := range mut.Values {
+		mut.Values[k] = -1
+	}
+	again, err := fresh.Phase2()
+	if err != nil {
+		t.Fatalf("Phase2: %v", err)
+	}
+	if !reflect.DeepEqual(rep1, again) {
+		t.Fatalf("Phase2 handed out a shared Values map")
+	}
+
 	// A hit hands out a private clone: corrupting it must not poison the
 	// store for the next caller.
 	for k := range rep2.Values {
@@ -149,12 +88,11 @@ func TestStoreHitMatchesFreshSolve(t *testing.T) {
 	}
 }
 
-// TestSessionSingleFlight has concurrent callers open the same spec key
-// on one manager and solve: the build must run exactly once (one
-// Generate call) and every caller must see the identical report.
+// TestSessionSingleFlight has concurrent callers solve on one session:
+// the build must run exactly once (one Generate call) and every caller
+// must see the identical report.
 func TestSessionSingleFlight(t *testing.T) {
-	p := models.DefaultRPCParams()
-	mgr := pipeline.NewManager()
+	s := pipeline.NewSession(rpcSpec(models.DefaultRPCParams()), pipeline.Config{Workers: 1})
 	start := lts.GenerateCalls()
 
 	const n = 8
@@ -165,11 +103,6 @@ func TestSessionSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s, err := mgr.Open(rpcSpec(p), pipeline.Config{Workers: 1})
-			if err != nil {
-				errs[i] = err
-				return
-			}
 			reports[i], errs[i] = s.Phase2()
 		}(i)
 	}
@@ -181,7 +114,7 @@ func TestSessionSingleFlight(t *testing.T) {
 		}
 	}
 	if d := lts.GenerateCalls() - start; d != 1 {
-		t.Fatalf("single-flight failed: %d Generate calls for one spec key, want 1", d)
+		t.Fatalf("single-flight failed: %d Generate calls for one session, want 1", d)
 	}
 	for i := 1; i < n; i++ {
 		if !reflect.DeepEqual(reports[0], reports[i]) {
@@ -190,87 +123,54 @@ func TestSessionSingleFlight(t *testing.T) {
 	}
 }
 
-// TestManagerRejectsEphemeralSpec: an empty Key cannot be interned.
-func TestManagerRejectsEphemeralSpec(t *testing.T) {
-	spec := rpcSpec(models.DefaultRPCParams())
-	spec.Key = ""
-	if _, err := pipeline.NewManager().Open(spec, pipeline.Config{}); err == nil {
-		t.Fatalf("Open accepted an ephemeral spec (empty Key)")
-	}
-}
-
-// TestSpecHashIgnoresScheduling checks the content address excludes
-// scheduling-only knobs (workers, contexts) and includes everything that
-// can change a result's bits.
-func TestSpecHashIgnoresScheduling(t *testing.T) {
+// TestStoreKeyIgnoresScheduling checks the store key of a session — the
+// Model half of its ResultKeys — excludes scheduling (workers, contexts)
+// and the iteration budget, and includes everything else that can change
+// a result's bits: the description, the measure set, Minimize and the
+// solver tolerance.
+func TestStoreKeyIgnoresScheduling(t *testing.T) {
 	p := models.DefaultRPCParams()
+	key := func(spec pipeline.Spec, cfg pipeline.Config) string {
+		t.Helper()
+		k, err := pipeline.NewSession(spec, cfg).ResultModel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
 	base := rpcSpec(p)
+	want := key(base, pipeline.Config{})
 
+	if key(base, pipeline.Config{Workers: 8}) != want {
+		t.Errorf("workers changed the store key")
+	}
 	sched := base
-	sched.Gen.Ctx = context.Background()
 	sched.Solve.Ctx = context.Background()
-	if base.Hash() != sched.Hash() {
-		t.Fatalf("contexts changed the spec hash")
+	if key(sched, pipeline.Config{Ctx: context.Background()}) != want {
+		t.Errorf("contexts changed the store key")
+	}
+	budget := base
+	budget.Solve.MaxIterations = 1000
+	if key(budget, pipeline.Config{}) != want {
+		t.Errorf("the solver iteration budget changed the store key")
 	}
 
 	tol := base
 	tol.Solve.Tolerance = 1e-6
-	if base.Hash() == tol.Hash() {
-		t.Fatalf("solver tolerance did not change the spec hash")
-	}
-
 	meas := base
 	meas.Measures = meas.Measures[:len(meas.Measures)-1]
-	if base.Hash() == meas.Hash() {
-		t.Fatalf("measure set did not change the spec hash")
-	}
-
-	key := base
-	key.Key = "rpc:other"
-	if base.Hash() == key.Hash() {
-		t.Fatalf("spec key did not change the spec hash")
-	}
-
-	pred := base
-	pred.Gen.Predicates = append([]lts.StatePred(nil), pred.Gen.Predicates...)
-	pred.Gen.Predicates = append(pred.Gen.Predicates, lts.StatePred{Instance: "X", Action: "y"})
-	if base.Hash() == pred.Hash() {
-		t.Fatalf("generation predicates did not change the spec hash")
-	}
-
-	budget := base
-	budget.Solve.MaxIterations = 1000
-	if base.Hash() == budget.Hash() {
-		t.Fatalf("solver iteration budget did not change the spec hash")
-	}
-}
-
-// TestSpecHashGenFields classifies every field of lts.GenerateOptions as
-// hashed (it shapes the LTS, so changing it must change the spec hash) or
-// scheduling-only (it must not). A field added to GenerateOptions fails
-// the test until it is classified, so a no-op knob cannot split the
-// content address of identical work.
-func TestSpecHashGenFields(t *testing.T) {
-	base := rpcSpec(models.DefaultRPCParams())
-	set := map[string]func(*lts.GenerateOptions){
-		"MaxStates":  func(g *lts.GenerateOptions) { g.MaxStates = 1000 },
-		"Predicates": func(g *lts.GenerateOptions) { g.Predicates = []lts.StatePred{{Instance: "X", Action: "y"}} },
-		"Ctx":        func(g *lts.GenerateOptions) { g.Ctx = context.Background() },
-		"Fold":       func(g *lts.GenerateOptions) { g.Fold = &lts.FoldOptions{} },
-	}
-	hashed := map[string]bool{"MaxStates": true, "Predicates": true, "Fold": true}
-	fields := reflect.TypeOf(lts.GenerateOptions{})
-	for i := 0; i < fields.NumField(); i++ {
-		name := fields.Field(i).Name
-		change, ok := set[name]
-		if !ok {
-			t.Errorf("GenerateOptions.%s is not classified as hashed or scheduling-only", name)
-			continue
-		}
-		spec := base
-		change(&spec.Gen)
-		if changed := spec.Hash() != base.Hash(); changed != hashed[name] {
-			t.Errorf("GenerateOptions.%s: hash changed = %t, want %t", name, changed, hashed[name])
+	minimize := base
+	minimize.Minimize = true
+	edited := p
+	edited.ShutdownTimeout *= 10
+	for name, spec := range map[string]pipeline.Spec{
+		"solver tolerance": tol,
+		"measure set":      meas,
+		"Minimize":         minimize,
+		"description":      {Arch: rpcSpec(edited).Arch, Measures: base.Measures},
+	} {
+		if key(spec, pipeline.Config{}) == want {
+			t.Errorf("the %s did not change the store key", name)
 		}
 	}
 }
@@ -278,11 +178,11 @@ func TestSpecHashGenFields(t *testing.T) {
 // TestPhase1EndToEnd runs the noninterference check on the simplified rpc
 // model: it must fail, and the report must carry the state space size.
 func TestPhase1EndToEnd(t *testing.T) {
-	spec := pipeline.Spec{
-		Key:   "rpc-simplified",
-		Build: models.BuildRPCSimplified,
+	a, err := models.BuildRPCSimplified()
+	if err != nil {
+		t.Fatal(err)
 	}
-	rep, err := pipeline.NewSession(spec, pipeline.Config{}).Phase1(noninterference.Spec{
+	rep, err := pipeline.NewSession(pipeline.Spec{Arch: a}, pipeline.Config{}).Phase1(noninterference.Spec{
 		High: lts.LabelMatcherByNames(models.RPCHighLabels()...),
 		Low:  lts.LabelMatcherByInstance("C"),
 	})
@@ -367,66 +267,19 @@ func TestPhase3AndValidation(t *testing.T) {
 }
 
 // TestFailedBuildIsLatched: a build error is a property of the spec, so
-// the stage latches it — the builder runs once, and a later handle on the
-// same interned spec gets the same error without rebuilding.
+// the stage latches it — a description that fails to elaborate is
+// elaborated once, and every later caller of the session, Phase2's
+// included, gets that same error without elaborating again.
 func TestFailedBuildIsLatched(t *testing.T) {
-	boom := errors.New("boom")
-	var builds atomic.Int32
-	spec := pipeline.Spec{
-		Key: "broken",
-		Build: func() (*aemilia.ArchiType, error) {
-			builds.Add(1)
-			return nil, boom
-		},
+	s := pipeline.NewSession(pipeline.Spec{Arch: &aemilia.ArchiType{Name: "Broken"}}, pipeline.Config{})
+	_, first := s.Model()
+	if first == nil {
+		t.Fatal("fixture: an empty description elaborates")
 	}
-	mgr := pipeline.NewManager()
-	for i := 0; i < 2; i++ {
-		s, err := mgr.Open(spec, pipeline.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Phase2(); !errors.Is(err, boom) {
-			t.Fatalf("handle %d: err = %v, want boom", i, err)
-		}
+	if _, err := s.Model(); !errors.Is(err, first) {
+		t.Errorf("second Model call: err = %v, want the latched %v", err, first)
 	}
-	if n := builds.Load(); n != 1 {
-		t.Errorf("failed build ran %d times, want 1", n)
-	}
-}
-
-// TestCanceledBuildIsNotLatched: a cancellation belongs to the caller,
-// not the spec. A handle whose context is already canceled gets a
-// *fault.CanceledError, and a second handle on the same interned spec
-// with a live context then builds and solves normally.
-func TestCanceledBuildIsNotLatched(t *testing.T) {
-	p := models.DefaultRPCParams()
-	mgr := pipeline.NewManager()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	dead, err := mgr.Open(rpcSpec(p), pipeline.Config{Ctx: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = dead.Phase2()
-	var ce *fault.CanceledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("canceled handle: want *fault.CanceledError, got %T: %v", err, err)
-	}
-
-	live, err := mgr.Open(rpcSpec(p), pipeline.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := live.Phase2()
-	if err != nil {
-		t.Fatalf("live handle after a canceled one: %v", err)
-	}
-	want, err := pipeline.NewSession(rpcSpec(p), pipeline.Config{}).Phase2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("report after a canceled build differs from a fresh solve:\n%+v\n%+v", got, want)
+	if _, err := s.Phase2(); !errors.Is(err, first) || !strings.HasPrefix(err.Error(), "pipeline: phase 2: ") {
+		t.Errorf("Phase2: err = %v, want the latched %v", err, first)
 	}
 }

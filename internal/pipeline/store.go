@@ -18,8 +18,8 @@ import (
 type ResultKey struct {
 	// Model is the hex SHA-256 of everything beyond the point that can
 	// change a result (Spec.storeHash): the store format version, the
-	// formatted architectural description, the generation semantics, the
-	// measure definitions and the resolved solver tolerance.
+	// formatted architectural description, Minimize, the measure
+	// definitions and the resolved solver tolerance.
 	Model string
 	// Point is the bit-encoded rate vector the chain was rebound to, or
 	// the literal "default" for a solve at the model's built-in rates
@@ -107,13 +107,15 @@ var (
 // storeMagic heads every store file: storeFamily plus the format version,
 // which is hashed into every key too. Versions 1 to 5 were the sweep
 // checkpoint this store replaced, a snapshot of one sweep's points under
-// a fingerprint of the chain's structure and the measure names. The key
+// a fingerprint of the chain's structure and the measure names. Version
+// 6 also hashed per-spec generation options into the key, so none of its
+// keys match a version 7 spec's. The key
 // covers a solve's inputs, not the solver's code: a change to the
 // solver's arithmetic (the order of its sweep, say) alters stored floats
 // under unchanged keys, so it must bump the version.
 const (
 	storeFamily  = "DPMCKPT"
-	storeVersion = '6'
+	storeVersion = '7'
 	storeMagic   = storeFamily + string(storeVersion)
 	// maxRecord bounds a record's declared length, so a corrupt length
 	// is refused instead of being mistaken for a torn tail.

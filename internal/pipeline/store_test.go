@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/aemilia"
 	"repro/internal/ctmc"
 	"repro/internal/elab"
 	"repro/internal/models"
@@ -136,11 +135,12 @@ func withVersion(v byte) []byte {
 
 // TestDecodeCheckpointRejectsOldVersions pins the version guard: files of
 // versions 1 to 5 — the sweep checkpoint format this store replaced —
-// are refused with ErrStoreVersion and a message naming both versions,
-// even when their records are well formed, and never as a corruption or
-// as a file that is not a store.
+// and of version 6, whose keys hashed per-spec generation options, are
+// refused with ErrStoreVersion and a message naming both versions, even
+// when their records are well formed, and never as a corruption or as a
+// file that is not a store.
 func TestDecodeCheckpointRejectsOldVersions(t *testing.T) {
-	for v := byte('1'); v <= '5'; v++ {
+	for v := byte('1'); v <= '6'; v++ {
 		_, err := loadStore(withVersion(v))
 		if !errors.Is(err, ErrStoreVersion) {
 			t.Fatalf("version %c: want ErrStoreVersion, got %v", v, err)
@@ -148,7 +148,7 @@ func TestDecodeCheckpointRejectsOldVersions(t *testing.T) {
 		if errors.Is(err, ErrStoreCorrupt) || errors.Is(err, ErrNotStore) {
 			t.Errorf("version %c: a version mismatch must not report corruption: %v", v, err)
 		}
-		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("'%c'", v)) || !strings.Contains(msg, "'6'") {
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("'%c'", v)) || !strings.Contains(msg, "'7'") {
 			t.Errorf("version %c: message %q should name the file's and the reader's versions", v, msg)
 		}
 	}
@@ -173,10 +173,11 @@ func loadStore(data []byte) (*FileStore, error) {
 func TestSweepResumeRejectsOldVersion(t *testing.T) {
 	p := models.DefaultRPCParams()
 	p.ParametricTimeout = true
-	spec := Spec{
-		Build:    func() (*aemilia.ArchiType, error) { return models.BuildRPCRevised(p) },
-		Measures: models.RPCMeasures(p),
+	a, err := models.BuildRPCRevised(p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	spec := Spec{Arch: a, Measures: models.RPCMeasures(p)}
 	path := filepath.Join(t.TempDir(), "sweep.store")
 	s, err := OpenFileStore(path, false)
 	if err != nil {
@@ -281,10 +282,11 @@ func rpcSweepRecord(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	spec := Spec{
-		Build:    func() (*aemilia.ArchiType, error) { return models.BuildRPCRevised(p) },
-		Measures: models.RPCMeasures(p),
+	a, err := models.BuildRPCRevised(p)
+	if err != nil {
+		f.Fatal(err)
 	}
+	spec := Spec{Arch: a, Measures: models.RPCMeasures(p)}
 	if _, err := NewSession(spec, Config{Store: s}).Sweep([][]float64{{1 / 5.0}}); err != nil {
 		f.Fatal(err)
 	}

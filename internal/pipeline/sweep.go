@@ -124,8 +124,7 @@ func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
 		return nil, fmt.Errorf("pipeline: sweep: %w", err)
 	}
 	ctx := s.cfg.Ctx
-	solve := s.st.spec.Solve
-	solve.Ctx = ctx
+	solve := s.solveOptions()
 
 	// attribute stamps a solver failure with its global sweep-point index
 	// and rate vector (when the failure is a convergence error).

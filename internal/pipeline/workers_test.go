@@ -1,34 +1,31 @@
 package pipeline_test
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/aemilia"
 	"repro/internal/models"
 	"repro/internal/pipeline"
 )
 
-// TestSolverBitsIndependentOfWorkers pins the promise behind SpecHash
-// excluding Config.Workers: on the compose-minimized 12×12 streaming
-// model (3198 tangible states) the spec hash, the Phase2
-// values and a batched three-point sweep are bit-identical at one and two
-// workers. A Manager or Store shared across worker counts serves whichever
-// bits it computed first, so any scheduling dependence in the solver
-// would leak into cached results.
+// TestSolverBitsIndependentOfWorkers pins the promise behind the store
+// key excluding Config.Workers: on the compose-minimized 12×12 streaming
+// model (3198 tangible states) the store key, the Phase2 values and a
+// batched three-point sweep are bit-identical at one and two workers. A
+// Store shared across worker counts serves whichever bits it computed
+// first, so any scheduling dependence in the solver would leak into
+// cached results.
 func TestSolverBitsIndependentOfWorkers(t *testing.T) {
 	p := models.DefaultStreamingParams()
 	p.APCapacity, p.ClientCapacity = 12, 12
 	p.ParametricPeriod = true
-	spec := pipeline.Spec{
-		Key:      fmt.Sprintf("streaming:%#v", p),
-		Build:    func() (*aemilia.ArchiType, error) { return models.BuildStreaming(p) },
-		Measures: models.StreamingMeasures(p),
-		Minimize: true,
+	a, err := models.BuildStreaming(p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	spec := pipeline.Spec{Arch: a, Measures: models.StreamingMeasures(p), Minimize: true}
 	points := [][]float64{{1.0 / 25}, {1.0 / 200}, {1.0 / 800}}
 
-	var hashes []pipeline.SpecHash
+	var keys []string
 	var reports [][]*pipeline.Phase2Report // Phase2, then the sweep points
 	for _, workers := range []int{1, 2} {
 		s := pipeline.NewSession(spec, pipeline.Config{Workers: workers})
@@ -43,11 +40,15 @@ func TestSolverBitsIndependentOfWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: Sweep: %v", workers, err)
 		}
-		hashes = append(hashes, s.SpecHash())
+		key, err := s.ResultModel()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		keys = append(keys, key)
 		reports = append(reports, append([]*pipeline.Phase2Report{rep}, reps...))
 	}
-	if hashes[0] != hashes[1] {
-		t.Fatalf("spec hash depends on workers: %s vs %s", hashes[0], hashes[1])
+	if keys[0] != keys[1] {
+		t.Fatalf("store key depends on workers: %s vs %s", keys[0], keys[1])
 	}
 	requireSameReports(t, "workers 1 vs 2 (report 0 is Phase2)", reports[0], reports[1])
 }

@@ -106,19 +106,18 @@ go test -timeout 10m -race -cpu 1,2 \
 go test -timeout 10m -race -cpu 1,2 -run 'QuickOutputBytes|CheckpointResume' ./cmd/rpcstudy/ ./cmd/streamingstudy/
 
 # Session-sharing smoke under the race detector at -cpu 1,2: concurrent
-# goroutines open handles on one shared spec key and solve through the
-# single-flight stages (TestSessionSingleFlight), two handles with
-# different scheduling configs share one set of staged artifacts
-# (TestManagerReusesStagedArtifacts), concurrent store reads hand out
-# private clones (TestStoreHitMatchesFreshSolve), and sweep workers at 1,
-# 2 and 8 evaluate the session's one compiled measure set on their
-# rebound clones concurrently, bit-identical to the per-call oracle walk
+# goroutines solve on one session through its single-flight stages
+# (TestSessionSingleFlight), sweep workers at 1, 2 and 8 clone one
+# session's chain and evaluate its one compiled measure set concurrently
+# (TestSweepMatchesColdSolve), concurrent store reads hand out private
+# clones (TestStoreHitMatchesFreshSolve), and the compiled measures on
+# rebound clones are bit-identical to the per-call oracle walk
 # (TestCompiledMeasuresMatchOracle in internal/ctmc). The session layer is
-# the one place every driver's goroutines now meet, so its race coverage
-# is load-bearing.
+# the one place every driver's goroutines meet, so its race coverage is
+# load-bearing.
 echo "== session race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
-    -run 'SessionSingleFlight|ManagerReuses|StoreHit|CompiledMeasures' ./internal/pipeline/ ./internal/ctmc/
+    -run 'SessionSingleFlight|SweepMatchesColdSolve|StoreHit|CompiledMeasures' ./internal/pipeline/ ./internal/ctmc/
 
 # Compositional-minimization smoke under the race detector at -cpu 1,2:
 # the quotient-vs-full properties — component lumping is deterministic
