@@ -146,63 +146,70 @@ func sortPairs(ps []pair) {
 	})
 }
 
-// tauSCCs computes the strongly connected components of the tau-only
-// graph (iterative Tarjan) and returns the component id of every state
-// plus the number of components. Component ids are assigned in reverse
-// topological order of the condensation (sources last).
-func tauSCCs(l *lts.LTS) (comp []int32, numComp int) {
+// tauComponents computes the strongly connected components of the
+// tau-only graph (iterative Tarjan). It returns the component id of every
+// state, the states in the order their components were popped — the
+// members of component 0, then of component 1, and so on — and the number
+// of components. Component ids are assigned in pop order, which is reverse
+// topological order of the condensation (sources last). A visited state is
+// on Tarjan's stack exactly while it has no component, so no on-stack
+// flags are kept.
+func tauComponents(l *lts.LTS) (comp, order []int32, numComp int) {
 	n := l.NumStates
 	index := make([]int32, n)
 	low := make([]int32, n)
-	onStack := make([]bool, n)
 	comp = make([]int32, n)
 	for i := range index {
 		index[i] = -1
 		comp[i] = -1
 	}
-	var stack []int32
+	// The pop order fills buf from the front and Tarjan's stack fills it
+	// from the back, top at buf[sp]. A visited state is in exactly one of
+	// the two, so they never overlap.
+	buf := make([]int32, n)
+	popped, sp := 0, n
 	counter := int32(0)
 	type frame struct{ v, ei int32 }
 	var frames []frame // the DFS stack, reused across roots
+	visit := func(v int32) {
+		index[v] = counter
+		low[v] = counter
+		counter++
+		sp--
+		buf[sp] = v
+		frames = append(frames, frame{v: v})
+	}
 	for start := 0; start < n; start++ {
 		if index[start] >= 0 {
 			continue
 		}
-		frames = append(frames[:0], frame{v: int32(start)})
-		index[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, int32(start))
-		onStack[start] = true
+		visit(int32(start))
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			dst, label := l.Row(int(f.v))
+			v := f.v
+			dst, label := l.Row(int(v))
 			advanced := false
-			for int(f.ei) < len(dst) {
-				k := f.ei
-				f.ei++
-				if label[k] != lts.TauIndex {
+			lv := low[v]
+			for ei := int(f.ei); ei < len(dst); ei++ {
+				if label[ei] != lts.TauIndex {
 					continue
 				}
-				w := dst[k]
+				w := dst[ei]
 				if index[w] < 0 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
+					f.ei = int32(ei + 1)
+					low[v] = lv
+					visit(w)
 					advanced = true
 					break
 				}
-				if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
+				if comp[w] < 0 && index[w] < lv {
+					lv = index[w]
 				}
 			}
 			if advanced {
 				continue
 			}
-			v := f.v
+			low[v] = lv
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
 				p := &frames[len(frames)-1]
@@ -211,20 +218,21 @@ func tauSCCs(l *lts.LTS) (comp []int32, numComp int) {
 				}
 			}
 			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = int32(numComp)
-					if w == v {
-						break
-					}
+				end := sp
+				for buf[end] != v {
+					end++
 				}
+				end++
+				for _, w := range buf[sp:end] {
+					comp[w] = int32(numComp)
+				}
+				popped += copy(buf[popped:], buf[sp:end])
+				sp = end
 				numComp++
 			}
 		}
 	}
-	return comp, numComp
+	return comp, buf, numComp
 }
 
 // cedge is one edge of the tau-SCC condensation.
@@ -233,8 +241,8 @@ type cedge struct{ src, label, dst int32 }
 // condensation is an LTS with every tau strongly connected component
 // collapsed to one node: mutually tau-reachable states are branching (and
 // so weakly) bisimilar, and the collapse makes the tau graph acyclic.
-// Node ids are tauSCCs' reverse topological order, so every tau edge
-// between distinct nodes points to a smaller id.
+// Node ids are tauComponents' pop order, so every tau edge between
+// distinct nodes points to a smaller id.
 type condensation struct {
 	comp []int32 // node of every original state
 	n    int
@@ -244,79 +252,38 @@ type condensation struct {
 	rowOff []int32
 }
 
+// condense builds the condensation in one pass over the edges. Components
+// come out of Tarjan in pop order, their members side by side, so each
+// node's row is gathered from its members' edges as packed label<<32|dst
+// keys, sorted and compacted, and appended whole: the edges are sorted by
+// (src, label, dst) and deduplicated without a global sort.
 func condense(l *lts.LTS) *condensation {
-	comp, nc := tauSCCs(l)
-	eb := newEdgeBuckets(nc)
-	for st := 0; st < l.NumStates; st++ {
-		dst, label := l.Row(st)
-		cs := comp[st]
-		for k := range dst {
-			if label[k] != lts.TauIndex || comp[dst[k]] != cs {
-				eb.count(cs)
+	comp, order, nc := tauComponents(l)
+	cd := &condensation{comp: comp, n: nc, rowOff: make([]int32, nc+1)}
+	var row []uint64
+	for i := 0; i < len(order); {
+		c := comp[order[i]]
+		row = row[:0]
+		for ; i < len(order) && comp[order[i]] == c; i++ {
+			dst, label := l.Row(int(order[i]))
+			for k, d := range dst {
+				if dc := comp[d]; label[k] != lts.TauIndex || dc != c {
+					row = append(row, uint64(label[k])<<32|uint64(uint32(dc)))
+				}
 			}
 		}
-	}
-	eb.start()
-	for st := 0; st < l.NumStates; st++ {
-		dst, label := l.Row(st)
-		cs := comp[st]
-		for k := range dst {
-			if cd := comp[dst[k]]; label[k] != lts.TauIndex || cd != cs {
-				eb.put(cs, label[k], cd)
-			}
-		}
-	}
-	edges, rowOff := eb.finish()
-	return &condensation{comp: comp, n: nc, edges: edges, rowOff: rowOff}
-}
-
-// edgeBuckets sorts and deduplicates an edge set by (src, label, dst)
-// without a global sort. Edges arrive in two passes over the same set:
-// count sizes each source's row, put packs each edge into its row as a
-// label<<32|dst key, and finish sorts and compacts every row on its own.
-type edgeBuckets struct {
-	off  []int32  // per-source counts, then row starts (len n+1)
-	fill []int32  // per-source write cursor during put
-	keys []uint64 // label<<32 | dst, grouped by source
-}
-
-func newEdgeBuckets(n int) *edgeBuckets { return &edgeBuckets{off: make([]int32, n+1)} }
-
-// count records one edge out of src.
-func (b *edgeBuckets) count(src int32) { b.off[src+1]++ }
-
-// start turns the counts into row offsets; put may follow.
-func (b *edgeBuckets) start() {
-	n := len(b.off) - 1
-	for c := 1; c <= n; c++ {
-		b.off[c] += b.off[c-1]
-	}
-	b.keys = make([]uint64, b.off[n])
-	b.fill = append([]int32(nil), b.off[:n]...)
-}
-
-// put stores one edge; every counted edge must be put exactly once.
-func (b *edgeBuckets) put(src, label, dst int32) {
-	b.keys[b.fill[src]] = uint64(label)<<32 | uint64(uint32(dst))
-	b.fill[src]++
-}
-
-// finish returns the edges sorted by (src, label, dst) and deduplicated,
-// with source c owning edges[rowOff[c]:rowOff[c+1]].
-func (b *edgeBuckets) finish() (edges []cedge, rowOff []int32) {
-	n := len(b.off) - 1
-	edges = make([]cedge, 0, len(b.keys))
-	rowOff = b.off
-	for c := 0; c < n; c++ {
-		row := b.keys[rowOff[c]:rowOff[c+1]]
 		slices.Sort(row)
-		rowOff[c] = int32(len(edges))
-		for _, k := range slices.Compact(row) {
-			edges = append(edges, cedge{src: int32(c), label: int32(k >> 32), dst: int32(uint32(k))})
+		row = slices.Compact(row)
+		if len(cd.edges)+len(row) > cap(cd.edges) {
+			// Double: append alone grows a long slice by 1.25×.
+			cd.edges = slices.Grow(cd.edges, max(len(row), cap(cd.edges), nc))
 		}
+		for _, k := range row {
+			cd.edges = append(cd.edges, cedge{src: c, label: int32(k >> 32), dst: int32(uint32(k))})
+		}
+		cd.rowOff[c+1] = int32(len(cd.edges))
 	}
-	rowOff[n] = int32(len(edges))
-	return edges, rowOff
+	return cd
 }
 
 // row returns the condensed edges of node c.

@@ -12,45 +12,9 @@ import (
 // & Orzan. It returns the quotient, whose state b is the block numbered
 // b in order of smallest original member, and the block of every state
 // of l.
-//
-// A node's signature under a partition is the set of (label, block) pairs
-// of its direct edges, except that an inert tau edge — one whose target
-// stays in the node's block — contributes the target's signature instead.
-// Condensation ids put every tau successor before its source, so one
-// ascending sweep per round sees each inert target's signature finished.
-// No tau closure is built: a signature holds at most one pair per label
-// and block.
 func branchingQuotient(l *lts.LTS) (*lts.LTS, []int32) {
 	cd := condense(l)
-	cur := make([]int32, cd.n) // all nodes in block 0
-	next := make([]int32, cd.n)
-	sigOff := make([]int32, cd.n+1)
-	var sigs, sig []uint64
-	var tab sigTable
-	numBlocks := 1
-	for {
-		tab.reset()
-		sigs = sigs[:0]
-		for c := int32(0); c < int32(cd.n); c++ {
-			sig = sig[:0]
-			for _, e := range cd.row(c) {
-				if e.label == lts.TauIndex && cur[e.dst] == cur[c] {
-					sig = append(sig, sigs[sigOff[e.dst]:sigOff[e.dst+1]]...)
-				} else {
-					sig = append(sig, sigPairOf(e.label, cur[e.dst]))
-				}
-			}
-			sig = sortDedup(sig)
-			sigs = append(sigs, sig...)
-			sigOff[c+1] = int32(len(sigs))
-			next[c] = tab.intern(cur[c], sig)
-		}
-		if tab.len() == numBlocks {
-			break
-		}
-		numBlocks = tab.len()
-		cur, next = next, cur
-	}
+	blk, numBlocks := refineBranching(cd, nil)
 
 	// Number blocks by smallest original member.
 	id := make([]int32, numBlocks)
@@ -58,40 +22,222 @@ func branchingQuotient(l *lts.LTS) (*lts.LTS, []int32) {
 		id[i] = -1
 	}
 	block := make([]int32, l.NumStates)
-	m := 0
+	m := int32(0)
 	for st, c := range cd.comp {
-		b := cur[c]
+		b := blk[c]
 		if id[b] < 0 {
-			id[b] = int32(m)
+			id[b] = m
 			m++
 		}
 		block[st] = id[b]
 	}
+	for c, b := range blk {
+		blk[c] = id[b]
+	}
 
-	// Lift the condensed edges, dropping inert tau steps.
-	eb := newEdgeBuckets(m)
-	lift := func(e cedge) (src, dst int32, ok bool) {
-		src, dst = id[cur[e.src]], id[cur[e.dst]]
-		return src, dst, e.label != lts.TauIndex || src != dst
+	// Lift the condensed edges block by block, dropping inert tau steps.
+	// A counting sort lines the nodes up by block; each block's row is
+	// gathered from its nodes' edges, sorted and compacted.
+	start := make([]int32, m+1)
+	for _, b := range blk {
+		start[b+1]++
 	}
-	for _, e := range cd.edges {
-		if src, _, ok := lift(e); ok {
-			eb.count(src)
-		}
+	for b := int32(1); b <= m; b++ {
+		start[b] += start[b-1]
 	}
-	eb.start()
-	for _, e := range cd.edges {
-		if src, dst, ok := lift(e); ok {
-			eb.put(src, e.label, dst)
-		}
+	nodes := make([]int32, cd.n)
+	for c, b := range blk {
+		nodes[start[b]] = int32(c)
+		start[b]++
 	}
-	qedges, _ := eb.finish()
-	q := lts.NewShared(m, l.Symbols())
+	q := lts.NewShared(int(m), l.Symbols())
 	q.Initial = int(block[l.Initial])
-	for _, e := range qedges {
-		q.AddTransition(int(e.src), int(e.dst), int(e.label), rates.UntimedRate())
+	var row []uint64
+	lo := int32(0)
+	for b := int32(0); b < m; b++ {
+		row = row[:0]
+		for _, c := range nodes[lo:start[b]] {
+			for _, e := range cd.row(c) {
+				if d := blk[e.dst]; e.label != lts.TauIndex || d != b {
+					row = append(row, sigPairOf(e.label, d))
+				}
+			}
+		}
+		lo = start[b]
+		slices.Sort(row)
+		for _, k := range slices.Compact(row) {
+			q.AddTransition(int(b), int(uint32(k)), int(k>>32), rates.UntimedRate())
+		}
 	}
 	return q, block
+}
+
+// refineBranching computes the branching-bisimulation partition of the
+// condensation's nodes. It returns every node's block and the number of
+// blocks; each, when not nil, is shown the partition after every round.
+//
+// A node's signature under a partition is the set of (label, block) pairs
+// of its direct edges, except that an inert tau edge — one whose target
+// stays in the node's block — contributes the target's signature instead.
+// Node ids put every tau successor before its source, so one ascending
+// pass per round sees each inert target's signature finished. No tau
+// closure is built: a signature holds at most one pair per label and
+// block.
+//
+// A round re-signs only what changed. Block ids persist across rounds,
+// and a node's signature depends only on its own block, its successors'
+// blocks and its inert tau successors' signatures. So a node is re-signed
+// when it or a successor moved to a new block in the last round, or when
+// an inert tau successor's signature changed earlier in the same pass;
+// every other node keeps its signature, which its whole block shares.
+// Only blocks holding a re-signed node are split. Re-signed members whose
+// signature did not change stay with the members that were not re-signed
+// and keep the block id; when every member changed, the largest group
+// keeps it. The other groups move to new ids, and the movers and their
+// predecessors are re-signed next round. Each round thus yields the
+// partition a full round yields, up to block names, and the refinement
+// stops at the first round that moves nothing.
+func refineBranching(cd *condensation, each func(blk []int32)) (blk []int32, numBlocks int32) {
+	n := int32(cd.n)
+	predOff, preds := cd.predecessors()
+	blk = make([]int32, n)   // every node starts in block 0
+	size := make([]int32, n) // members of each block
+	size[0] = n
+	stamp := make([]int32, n) // the round that re-signs a node next
+	for c := range stamp {
+		stamp[c] = 1
+	}
+	// A round's signatures go to one arena while the last round's are read
+	// from the other; the two swap at the end of the round. Signatures are
+	// short: one to two pairs a node on the paper's models.
+	off, prevOff := make([]int32, n+1), make([]int32, n+1)
+	sigs, prevSigs := make([]uint64, 0, 2*n), make([]uint64, 0, 2*n)
+	var tab sigTable
+	// The round's re-signed nodes and their groups.
+	resigned, group := make([]int32, 0, n), make([]int32, 0, n)
+	var gsize, target []int32 // per group: members and block
+	var gsame []bool          // per group: signature unchanged
+	best := make([]int32, n)  // per block: the group that may keep its id
+	count := make([]int32, n) // per block: re-signed members
+	for b := range best {
+		best[b] = -1
+	}
+	numBlocks = 1
+	for round := int32(1); ; round++ {
+		tab.reset()
+		sigs = sigs[:0]
+		resigned, group, gsize, gsame = resigned[:0], group[:0], gsize[:0], gsame[:0]
+		for c := int32(0); c < n; c++ {
+			old := prevSigs[prevOff[c]:prevOff[c+1]]
+			if stamp[c] != round {
+				sigs = append(sigs, old...)
+				off[c+1] = int32(len(sigs))
+				continue
+			}
+			b, lo := blk[c], len(sigs)
+			for _, e := range cd.row(c) {
+				if e.label == lts.TauIndex && blk[e.dst] == b {
+					sigs = append(sigs, sigs[off[e.dst]:off[e.dst+1]]...)
+				} else {
+					sigs = append(sigs, sigPairOf(e.label, blk[e.dst]))
+				}
+			}
+			sig := sortDedup(sigs[lo:])
+			sigs = sigs[:lo+len(sig)]
+			off[c+1] = int32(len(sigs))
+			same := slices.Equal(sig, old)
+			if !same {
+				// Inert tau predecessors have larger ids: this pass
+				// re-signs them.
+				for _, p := range preds[predOff[c]:predOff[c+1]] {
+					if p&1 != 0 && blk[p>>1] == b {
+						stamp[p>>1] = round
+					}
+				}
+			}
+			g := tab.intern(b, sig)
+			if int(g) == len(gsize) {
+				gsize = append(gsize, 0)
+				gsame = append(gsame, same)
+			}
+			gsize[g]++
+			resigned = append(resigned, c)
+			group = append(group, g)
+		}
+
+		// Choose the group that keeps each split block's id: the unchanged
+		// signature's, or the largest when every member changed.
+		for g, b := range tab.prev {
+			count[b] += gsize[g]
+			if k := best[b]; k < 0 || !gsame[k] && (gsame[g] || gsize[g] > gsize[k]) {
+				best[b] = int32(g)
+			}
+		}
+		target = target[:0]
+		for g, b := range tab.prev {
+			t := int32(-1)
+			if best[b] == int32(g) && (gsame[g] || count[b] == size[b]) {
+				t = b
+			}
+			target = append(target, t)
+		}
+		moved := false
+		for g, b := range tab.prev {
+			if target[g] < 0 {
+				target[g] = numBlocks
+				size[numBlocks] = gsize[g]
+				size[b] -= gsize[g]
+				numBlocks++
+				moved = true
+			}
+			best[b], count[b] = -1, 0
+		}
+		for i, c := range resigned {
+			t := target[group[i]]
+			if t == blk[c] {
+				continue
+			}
+			blk[c] = t
+			stamp[c] = round + 1
+			for _, p := range preds[predOff[c]:predOff[c+1]] {
+				stamp[p>>1] = round + 1
+			}
+		}
+		if each != nil {
+			each(blk)
+		}
+		if !moved {
+			return blk, numBlocks
+		}
+		off, prevOff = prevOff, off
+		sigs, prevSigs = prevSigs, sigs
+	}
+}
+
+// predecessors indexes the condensation's edges by target: node c's
+// predecessors are preds[off[c]:off[c+1]], each stored as src<<1 | 1 for a
+// tau edge and src<<1 for a visible one.
+func (cd *condensation) predecessors() (off, preds []int32) {
+	off = make([]int32, cd.n+1)
+	for _, e := range cd.edges {
+		off[e.dst+1]++
+	}
+	for c := 1; c <= cd.n; c++ {
+		off[c] += off[c-1]
+	}
+	preds = make([]int32, len(cd.edges))
+	for _, e := range cd.edges {
+		p := e.src << 1
+		if e.label == lts.TauIndex {
+			p |= 1
+		}
+		preds[off[e.dst]] = p
+		off[e.dst]++
+	}
+	// Each cursor now sits at the next row's start.
+	copy(off[1:], off[:cd.n])
+	off[0] = 0
+	return off, preds
 }
 
 // sigPairOf packs one (label, block) signature element; the packed values
@@ -100,6 +246,9 @@ func sigPairOf(label, block int32) uint64 { return uint64(label)<<32 | uint64(ui
 
 // sortDedup sorts a signature and removes duplicate pairs in place.
 func sortDedup(sig []uint64) []uint64 {
+	if len(sig) < 2 {
+		return sig
+	}
 	slices.Sort(sig)
 	return slices.Compact(sig)
 }

@@ -19,6 +19,7 @@ package elab
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/aemilia"
 	"repro/internal/expr"
@@ -209,15 +210,26 @@ func Elaborate(a *aemilia.ArchiType) (*Model, error) {
 			if len(r.partners) == 0 {
 				continue
 			}
+			// A partner label is "A.a#B.b"; the broadcast label carries
+			// every partner's "#B.b" segment after one "A.a", so with one
+			// partner it is that partner's label.
 			base := inst.name + "." + action
 			r.partnerLabels = make([]string, len(r.partners))
-			bcast := base
+			size := len(base)
 			for pi, pr := range r.partners {
-				seg := "#" + m.insts[pr.inst].name + "." + pr.action
-				r.partnerLabels[pi] = base + seg
-				bcast += seg
+				r.partnerLabels[pi] = base + "#" + m.insts[pr.inst].name + "." + pr.action
+				size += len(r.partnerLabels[pi]) - len(base)
 			}
-			r.bcastLabel = bcast
+			r.bcastLabel = r.partnerLabels[0]
+			if len(r.partners) > 1 {
+				var sb strings.Builder
+				sb.Grow(size)
+				sb.WriteString(base)
+				for _, pl := range r.partnerLabels {
+					sb.WriteString(pl[len(base):])
+				}
+				r.bcastLabel = sb.String()
+			}
 			inst.roles[action] = r
 		}
 	}

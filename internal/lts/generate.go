@@ -239,12 +239,30 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 				rows.Add(int32(dst), label, internAux(ts[i].aux), ts[i].rate)
 			}
 		} else {
+			// The edge loop of every unfolded generation: the intern,
+			// the MaxStates check and the label and rate lookups are
+			// inline, and symOf and csrRate run only on an id's first
+			// use.
 			for k := range succ {
-				dst, err := intern(next[k*n : (k+1)*n])
-				if err != nil {
-					return err
+				dst, fresh := states.Intern(next[k*n : (k+1)*n])
+				if fresh && states.Len() > maxStates {
+					return &TooManyStatesError{Limit: maxStates, States: maxStates}
 				}
-				rows.AddID(int32(dst), symOf(succ[k].Label), 0, csrRate(succ[k].Rate))
+				label, rate := succ[k].Label, succ[k].Rate
+				sym, rid := int32(-1), int32(-1)
+				if int(label) < len(labelSym) {
+					sym = labelSym[label]
+				}
+				if sym < 0 {
+					sym = symOf(label)
+				}
+				if int(rate) < len(rateCSR) {
+					rid = rateCSR[rate]
+				}
+				if rid < 0 {
+					rid = csrRate(rate)
+				}
+				rows.AddID(int32(dst), sym, 0, rid)
 			}
 		}
 		rows.EndRow()

@@ -399,6 +399,11 @@ func (p *plan) runAll() ([][]float64, int64, error) {
 func (r *runner) visit(t []uint32) int32 {
 	id, fresh := r.keys.Intern(t)
 	if fresh {
+		if len(r.recs) == cap(r.recs) {
+			// Double: append alone grows a long slice by 1.25×, copying
+			// the records several times over.
+			r.recs = slices.Grow(r.recs, max(64, cap(r.recs)))
+		}
 		r.recs = append(r.recs, stateRec{})
 	}
 	return int32(id)

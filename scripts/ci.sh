@@ -162,7 +162,9 @@ go test -timeout 10m -race -cpu 1,2 ./internal/noninterference/ ./internal/bisim
 # lexer (the byte-parsing input surface), the rate erasure that derives
 # each functional model from its Markovian one (FuzzUntimed, seeded with
 # every shipped spec), the weak-bisimulation check
-# against its unreduced saturation oracle, the compiled successor
+# against its unreduced saturation oracle, the branching refinement and
+# quotient against the full-round reference refinement, round by round
+# (FuzzBranchingQuotient), the compiled successor
 # enumeration — the one successor function of both state-space
 # generation and simulation — against the term-interpreting
 # Model.Successors, a test-only oracle, the result store's record decoder
@@ -184,6 +186,7 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetim
 go test -timeout 5m -run '^$' -fuzz '^FuzzLexer$' -fuzztime 10s -fuzzminimizetime 200x ./internal/aemilia/parser/
 go test -timeout 5m -run '^$' -fuzz '^FuzzUntimed$' -fuzztime 10s -fuzzminimizetime 200x ./internal/aemilia/parser/
 go test -timeout 5m -run '^$' -fuzz '^FuzzWeakEquivalent$' -fuzztime 10s -fuzzminimizetime 200x ./internal/bisim/
+go test -timeout 5m -run '^$' -fuzz '^FuzzBranchingQuotient$' -fuzztime 10s -fuzzminimizetime 200x ./internal/bisim/
 go test -timeout 5m -run '^$' -fuzz '^FuzzCompiledSuccessors$' -fuzztime 10s -fuzzminimizetime 200x ./internal/elab/
 go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s -fuzzminimizetime 200x ./internal/pipeline/
 go test -timeout 5m -run '^$' -fuzz '^FuzzParseMeasures$' -fuzztime 10s -fuzzminimizetime 200x ./internal/measure/
