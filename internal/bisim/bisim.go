@@ -155,6 +155,7 @@ func sortPairs(ps []pair) {
 // on Tarjan's stack exactly while it has no component, so no on-stack
 // flags are kept.
 func tauComponents(l *lts.LTS) (comp, order []int32, numComp int) {
+	l.Seal() // for Row, here and in condense
 	n := l.NumStates
 	index := make([]int32, n)
 	low := make([]int32, n)

@@ -144,12 +144,19 @@ func (l *LTS) unseal() {
 }
 
 // Seal builds the canonical CSR form from the pending edges; every read
-// seals first. Reads of a sealed system write nothing, so goroutines may
+// but Row seals first. Reads of a sealed system write nothing, so goroutines may
 // share one once it is sealed (AddTransition unseals it again).
 func (l *LTS) Seal() {
-	if l.sealed {
-		return
+	if !l.sealed {
+		l.seal()
 	}
+}
+
+// seal is Seal's slow path, kept out of line so that Seal stays within
+// the inlining budget.
+//
+//go:noinline
+func (l *LTS) seal() {
 	l.csr = statespace.Build(l.NumStates, l.pending)
 	l.pending = nil
 	l.sealed = true
@@ -170,9 +177,14 @@ func (l *LTS) Out(s int) Span {
 }
 
 // Row returns the destinations and labels of the transitions leaving
-// state s: the narrow view for passes that never read rates.
+// state s: the narrow view for passes that never read rates, which seal
+// the system once before their loops. Row itself does not seal — a call
+// to the out-of-line slow path alone would push it past the inlining
+// budget — so it panics on an unsealed system.
 func (l *LTS) Row(s int) (dst, label []int32) {
-	l.Seal()
+	if !l.sealed {
+		panic("lts: Row of an unsealed system")
+	}
 	lo, hi := l.csr.Row(s)
 	return l.csr.Dst[lo:hi], l.csr.Label[lo:hi]
 }

@@ -315,3 +315,26 @@ func TestLookupLabel(t *testing.T) {
 		t.Error("LabelIndex must be idempotent")
 	}
 }
+
+// TestRowNeedsSeal pins Row's contract: it reads the sealed rows and
+// panics on a system with pending edges instead of returning stale ones.
+func TestRowNeedsSeal(t *testing.T) {
+	l := New(2)
+	l.AddTransition(0, 1, TauIndex, rates.UntimedRate())
+	rowPanics := func() (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		l.Row(0)
+		return false
+	}
+	if !rowPanics() {
+		t.Fatal("Row of an unsealed system did not panic")
+	}
+	l.Seal()
+	if dst, label := l.Row(0); len(dst) != 1 || dst[0] != 1 || label[0] != TauIndex {
+		t.Fatalf("Row(0) = %v, %v after Seal, want [1], [tau]", dst, label)
+	}
+	l.AddTransition(1, 0, TauIndex, rates.UntimedRate())
+	if !rowPanics() {
+		t.Fatal("Row after AddTransition did not panic")
+	}
+}

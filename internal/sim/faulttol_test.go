@@ -3,11 +3,16 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/aemilia"
+	"repro/internal/elab"
 	"repro/internal/fault"
 	"repro/internal/faultinject"
+	"repro/internal/rates"
+	"repro/internal/rng"
 )
 
 // TestReplicationPanicIsolated injects a panic into one replication and
@@ -102,6 +107,95 @@ func TestSimDeterministicWithArmedPlan(t *testing.T) {
 	for name, want := range ref.Estimates {
 		if got := got.Estimates[name]; got != want {
 			t.Errorf("estimate %s changed under an unfired plan: %v != %v", name, got, want)
+		}
+	}
+}
+
+// pollCountCtx is a context whose Done channel closes after its k-th
+// poll, so a cancellation lands at a known point of the event loop.
+type pollCountCtx struct {
+	context.Context
+	polls, k int
+	done     chan struct{}
+}
+
+func (c *pollCountCtx) Done() <-chan struct{} {
+	c.polls++
+	if c.polls == c.k+1 {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *pollCountCtx) Err() error {
+	if c.polls > c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelSeenDuringLinkWalks drives a model whose every loop
+// iteration after the first few advances the event count by two — a timed
+// work step, then the one-way zero-time done step its link walk fires —
+// from an odd count, since a one-way zero-time start step comes first.
+// The count at the loop top is then never a multiple of pollEvents, so
+// a poll keyed to multiples would never come again; polls must come at
+// most pollEvents plus one step and its walk apart. A walk that reaches
+// MaxEvents stops exactly there, with the error a loop without links
+// reports.
+func TestCancelSeenDuringLinkWalks(t *testing.T) {
+	et := aemilia.NewElemType("C_Type", nil, nil,
+		aemilia.NewBehavior("Init", nil,
+			aemilia.Pre("start", rates.Inf(1, 1), aemilia.Invoke("A"))),
+		aemilia.NewBehavior("A", nil,
+			aemilia.Pre("work", rates.ExpRate(1), aemilia.Invoke("B"))),
+		aemilia.NewBehavior("B", nil,
+			aemilia.Pre("done", rates.Inf(1, 1), aemilia.Invoke("A"))))
+	a := aemilia.NewArchiType("C", []*aemilia.ElemType{et},
+		[]*aemilia.Instance{aemilia.NewInstance("X", "C_Type")}, nil)
+	m, err := elab.Elaborate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicate := func(ctx context.Context, maxEvents int) (*runner, int64, error) {
+		p, err := newPlan(Config{Model: m, RunLength: 1e9, MaxEvents: maxEvents, Ctx: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := p.newRunner()
+		_, events, err := r.replicate(0, rng.New(1))
+		return r, events, err
+	}
+
+	const k = 3
+	ctx := &pollCountCtx{Context: context.Background(), k: k, done: make(chan struct{})}
+	r, events, err := replicate(ctx, 1_000_000)
+	var ce *fault.CanceledError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want *fault.CanceledError after %d polls, got %v (%d events, %d polls)", k, err, events, ctx.polls)
+	}
+	// Poll j+1 comes at the first loop top at least pollEvents after poll
+	// j, and loop tops are two events apart.
+	if events < k*pollEvents || events > k*(pollEvents+1) {
+		t.Errorf("canceled at %d events, want within [%d, %d]", events, k*pollEvents, k*(pollEvents+1))
+	}
+	linked := 0
+	for _, tr := range r.trans {
+		if tr.next1 >= 0 {
+			linked++
+		}
+	}
+	if linked != 1 {
+		t.Errorf("%d linked transitions, want 1 (work into the one-way B)", linked)
+	}
+
+	for _, maxEvents := range []int{2000, 2001} {
+		_, events, err := replicate(nil, maxEvents)
+		if want := fmt.Sprintf("sim: exceeded %d events", maxEvents); err == nil || err.Error() != want {
+			t.Errorf("MaxEvents %d: error %v, want %q", maxEvents, err, want)
+		}
+		if events != int64(maxEvents) {
+			t.Errorf("MaxEvents %d: stopped at %d events", maxEvents, events)
 		}
 	}
 }

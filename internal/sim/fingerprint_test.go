@@ -78,8 +78,10 @@ func streamingSimModel(t *testing.T, p models.StreamingParams) *elab.Model {
 
 // simCases covers the rpc model under the timeout, trivial and
 // predictive policies, both general and exponential (the Markovian model
-// run with no overrides, as in the Sect. 5.1 validation), and the general
-// streaming model with and without DPM.
+// run with no overrides, as in the Sect. 5.1 validation), the general
+// streaming model with and without DPM, and one long Fig. 6 run (frame
+// deadlines, 100 ms awake period) whose hundreds of thousands of events
+// are mostly zero-time steps through one-way vanishing states.
 func simCases(t *testing.T) []simCase {
 	rpcRun := sim.Config{RunLength: 3000, Warmup: 200, Replications: 3, Seed: 20040628}
 	stRun := sim.Config{RunLength: 6000, Warmup: 500, Replications: 2, Seed: 7}
@@ -104,6 +106,11 @@ func simCases(t *testing.T) []simCase {
 		cases = append(cases, simCase{name, streamingSimModel(t, p),
 			models.StreamingGeneralDistributions(p), models.StreamingMeasures(p), stRun})
 	}
+	p := models.DefaultStreamingParams()
+	p.DeadlineDebtCap, p.DeadlineSlack = 12, 2
+	cases = append(cases, simCase{"streaming/fig6/long", streamingSimModel(t, p),
+		models.StreamingGeneralDistributions(p), models.StreamingMeasures(p),
+		sim.Config{RunLength: 400000, Warmup: 2000, Replications: 4, Seed: 20040628}})
 	return cases
 }
 

@@ -136,7 +136,8 @@ type plan struct {
 	acts      []Activity
 	overrides []dist.Distribution
 	// clIdx[clOff[l]:clOff[l+1]] lists the transition-reward clauses a
-	// firing with compiled label l counts toward.
+	// firing with compiled label l counts toward; a numbered transition
+	// keeps its label's bounds in its transRec.
 	clOff []int32
 	clIdx []int32
 }
@@ -145,7 +146,7 @@ type plan struct {
 // state is first entered. Every later event in the state touches only
 // integers and float slices: no label, activity name or state key is
 // hashed on the hot path. Transitions are numbered by the runner's
-// per-transition arrays; a record whose state has been interned (as a
+// transition records; a record whose state has been interned (as a
 // transition target) but not yet entered is not ready.
 type stateRec struct {
 	// The fields every event reads come first, so that a timed step finds
@@ -172,6 +173,23 @@ type stateRec struct {
 	immW  []float64
 }
 
+// transRec is the hot record of one numbered transition: everything a
+// firing reads about it.
+type transRec struct {
+	// target is the state id of the transition's target, interned when
+	// its source state compiles.
+	target int32
+	// next1 links a target that is a one-way vanishing state — a single
+	// top-priority immediate transition — to that transition, so the
+	// event loop fires it without entering the state; -1 until the first
+	// step through this transition finds the target one-way, and forever
+	// if it is not.
+	next1 int32
+	// clIdx[clLo:clHi] lists the transition-reward clauses a firing counts
+	// toward.
+	clLo, clHi int32
+}
+
 // clock is the timing slot of one activity. Under enabling memory a clock
 // survives exactly while its activity stays enabled from one timed step to
 // the next without firing, so rem is live only when seen is the previous
@@ -183,8 +201,8 @@ type clock struct {
 
 // runner executes replications of one configuration. Everything beyond
 // the shared plan is mutable and private to one worker goroutine: the
-// compiled model, the state interner, the state records, the
-// per-transition arrays and the clocks.
+// compiled model, the state interner, the state and transition records
+// and the clocks.
 type runner struct {
 	*plan
 
@@ -201,12 +219,12 @@ type runner struct {
 	n    int
 	recs []stateRec
 
-	// Per-transition arrays, indexed by transition number: the state id
-	// of its target (interned when its source state compiles) and its
-	// compiled label id. Pre-empted transitions of vanishing states are
-	// never numbered.
-	target []int32
-	label  []int32
+	// Indexed by transition number: trans holds each transition's hot
+	// record and label its compiled label id, read only to name an
+	// activity that has no duration distribution. Pre-empted transitions
+	// of vanishing states are never numbered.
+	trans []transRec
+	label []int32
 
 	// clocks is indexed by activity slot; epoch numbers the timed steps
 	// from 1 and never restarts, so a replication begins by skipping one.
@@ -412,9 +430,15 @@ func (r *runner) visit(t []uint32) int32 {
 // transition numbers successor k of the state being compiled and interns
 // its target.
 func (r *runner) transition(k int) int32 {
-	t := int32(len(r.target))
-	r.target = append(r.target, r.visit(r.succNext[k*r.n:(k+1)*r.n]))
-	r.label = append(r.label, r.succ[k].Label)
+	t := int32(len(r.trans))
+	l := r.succ[k].Label
+	r.trans = append(r.trans, transRec{
+		target: r.visit(r.succNext[k*r.n : (k+1)*r.n]),
+		next1:  -1,
+		clLo:   r.clOff[l],
+		clHi:   r.clOff[l+1],
+	})
+	r.label = append(r.label, l)
 	return t
 }
 
@@ -505,9 +529,11 @@ func (r *runner) compile(s int32) error {
 	return nil
 }
 
-// pollEvents is the event-count stride between context polls of a
+// pollEvents is the least event count between context polls of a
 // replication's event loop: frequent enough that cancellation lands
-// promptly, sparse enough that the poll never shows up in a profile.
+// promptly, sparse enough that the poll never shows up in a profile. A
+// poll waits for the loop top, so the gap can exceed it by one step and
+// its link walk.
 const pollEvents = 1024
 
 // replicate runs one replication and returns its measure values,
@@ -522,6 +548,8 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 		events     int64
 		endTime    = warmup + runLength
 		zeroStreak = 0
+		nextPoll   int64       // the event count at which the context is next polled
+		lastDt     float64     // the previous timed step's sojourn, not yet off the clocks it kept
 		cur        = int32(0)  // memo id of the current state; 0 is the initial one
 		via        = int32(-1) // transition whose target becomes current at the loop top
 	)
@@ -541,13 +569,11 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 			}
 		}
 	}
-	countFiring := func(t int32) {
-		l := r.label[t]
-		lo, hi := r.clOff[l], r.clOff[l+1]
-		if lo == hi || now < warmup {
+	countFiring := func(tr *transRec) {
+		if tr.clLo == tr.clHi || now < warmup {
 			return
 		}
-		for _, j := range r.clIdx[lo:hi] {
+		for _, j := range r.clIdx[tr.clLo:tr.clHi] {
 			transAcc[j] += r.transVals[j]
 		}
 	}
@@ -556,13 +582,14 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 		if events >= maxEvents {
 			return nil, events, fmt.Errorf("sim: exceeded %d events", r.cfg.MaxEvents)
 		}
-		if events%pollEvents == 0 {
+		if events >= nextPoll {
 			if err := fault.Check(r.cfg.Ctx, "sim", rep, -1); err != nil {
 				return nil, events, err
 			}
+			nextPoll = events + pollEvents
 		}
 		if via >= 0 {
-			cur = r.target[via]
+			cur = r.trans[via].target
 		}
 		if !r.recs[cur].ready {
 			if err := r.compile(cur); err != nil {
@@ -571,80 +598,106 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 		}
 		rec := &r.recs[cur]
 
-		// Immediate transitions pre-empt time.
 		if rec.immTotal != 0 {
+			// Immediate transitions pre-empt time. A one-way state is
+			// linked from the transition that entered it, so that the link
+			// walk below takes every later visit.
+			if via >= 0 && len(rec.imm) == 1 {
+				r.trans[via].next1 = rec.imm[0]
+			}
 			zeroStreak++
 			if zeroStreak > 1_000_000 {
 				return nil, events, ErrImmediateLivelock
 			}
 			via = rec.pickImmediate(rnd)
-			countFiring(via)
-			events++
-			continue
-		}
-		if len(rec.acts) == 0 {
-			// Deadlock: the state persists until the horizon.
-			accrue(rec, endTime-now)
-			now = endTime
-			break
-		}
-
-		// Timed step, in one pass over the state's activities: an activity
-		// enabled at the previous timed step keeps its clock (enabling
-		// memory), a newly enabled one samples it — first-occurrence order
-		// fixes the draw order — and the minimum clock wins. An exact tie
-		// goes to the activity first in (Instance, Action) name order —
-		// never to the lower slot, since slots follow declaration order.
-		// Clocks of activities the state does not enable are left stale.
-		prev := r.epoch
-		r.epoch++
-		win, minRem := 0, 0.0
-		for i, a := range rec.acts {
-			c := &r.clocks[a]
-			if c.seen != prev {
-				d := rec.dists[i]
-				if d == nil {
-					act, first := r.acts[a], rec.cands[rec.candOff[i]]
-					return nil, events, fmt.Errorf("%w: %s.%s (label %s)",
-						ErrNoDistribution, act.Instance, act.Action, r.c.Label(r.label[first]))
-				}
-				c.rem = d.Sample(rnd)
-			}
-			c.seen = r.epoch
-			if i == 0 || c.rem < minRem || (c.rem == minRem && less(r.acts[a], r.acts[rec.acts[win]])) {
-				win, minRem = i, c.rem
-			}
-		}
-
-		dt := minRem
-		if dt > 0 {
-			zeroStreak = 0
 		} else {
+			if len(rec.acts) == 0 {
+				// Deadlock: the state persists until the horizon.
+				accrue(rec, endTime-now)
+				now = endTime
+				break
+			}
+
+			// Timed step, in one pass over the state's activities: an
+			// activity enabled at the previous timed step keeps its clock
+			// (enabling memory), less that step's sojourn, a newly enabled
+			// one samples it — first-occurrence order fixes the draw order —
+			// and the minimum clock wins. An exact tie goes to the activity
+			// first in (Instance, Action) name order — never to the lower
+			// slot, since slots follow declaration order. Clocks of
+			// activities the state does not enable are left stale.
+			prev := r.epoch
+			r.epoch++
+			win, minRem := 0, 0.0
+			for i, a := range rec.acts {
+				c := &r.clocks[a]
+				if c.seen == prev {
+					c.rem -= lastDt
+				} else {
+					d := rec.dists[i]
+					if d == nil {
+						act, first := r.acts[a], rec.cands[rec.candOff[i]]
+						return nil, events, fmt.Errorf("%w: %s.%s (label %s)",
+							ErrNoDistribution, act.Instance, act.Action, r.c.Label(r.label[first]))
+					}
+					c.rem = d.Sample(rnd)
+				}
+				c.seen = r.epoch
+				if i == 0 || c.rem < minRem || (c.rem == minRem && less(r.acts[a], r.acts[rec.acts[win]])) {
+					win, minRem = i, c.rem
+				}
+			}
+
+			dt := minRem
+			if dt > 0 {
+				zeroStreak = 0
+			} else {
+				zeroStreak++
+				if zeroStreak > 1_000_000 {
+					return nil, events, ErrImmediateLivelock
+				}
+			}
+			if now+dt >= endTime {
+				accrue(rec, endTime-now)
+				now = endTime
+				break
+			}
+			accrue(rec, dt)
+			// Taking dt off the running clocks waits for the next timed
+			// step, which reads exactly those the next state keeps.
+			lastDt = dt
+			r.clocks[rec.acts[win]].seen = 0 // the winner's clock is spent
+			now += dt
+
+			// Choose uniformly among the winner's transitions (usually one).
+			cands := rec.cands[rec.candOff[win]:rec.candOff[win+1]]
+			via = cands[0]
+			if len(cands) > 1 {
+				via = cands[rnd.Intn(len(cands))]
+			}
+		}
+		tr := &r.trans[via]
+		countFiring(tr)
+		events++
+
+		// Link walk: while the step lands on a one-way vanishing state,
+		// fire its one immediate transition without entering it. Each link
+		// is the zero-time step the loop top would take there — the same
+		// livelock bound, the one uniform draw pickImmediate spends on a
+		// single candidate, the same firing count — so the run is
+		// bit-identical to one without links. A walk that reaches
+		// MaxEvents stops for the loop top to report it.
+		for tr.next1 >= 0 && events < maxEvents {
 			zeroStreak++
 			if zeroStreak > 1_000_000 {
 				return nil, events, ErrImmediateLivelock
 			}
+			rnd.Uint64()
+			via = tr.next1
+			tr = &r.trans[via]
+			countFiring(tr)
+			events++
 		}
-		if now+dt >= endTime {
-			accrue(rec, endTime-now)
-			now = endTime
-			break
-		}
-		accrue(rec, dt)
-		for _, a := range rec.acts {
-			r.clocks[a].rem -= dt
-		}
-		r.clocks[rec.acts[win]].seen = 0 // the winner's clock is spent
-		now += dt
-
-		// Choose uniformly among the winner's transitions (usually one).
-		cands := rec.cands[rec.candOff[win]:rec.candOff[win+1]]
-		via = cands[0]
-		if len(cands) > 1 {
-			via = cands[rnd.Intn(len(cands))]
-		}
-		countFiring(via)
-		events++
 	}
 
 	// Normalize by the window length.

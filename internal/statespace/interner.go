@@ -24,11 +24,12 @@ type Interner struct {
 	mask  uint32
 }
 
-// NewInterner returns an empty interner.
+// NewInterner returns an empty interner. It starts small: every
+// compiled instance owns one, and most intern only a handful of keys.
 func NewInterner() *Interner {
-	const initialSlots = 1024 // power of two
+	const initialSlots = 16 // power of two
 	return &Interner{
-		offs:  make([]uint32, 1, 1025),
+		offs:  make([]uint32, 1, initialSlots+1),
 		table: make([]uint32, initialSlots),
 		mask:  initialSlots - 1,
 	}

@@ -36,10 +36,16 @@ GOARCH=arm64 go vet ./internal/ctmc/ && GOARCH=arm64 go build ./...
 # builds and passes every test, only slower, so this step reads the
 # compiler's own report. A closure can be reported inlinable and still
 # not be inlined where it is called, so for the closures — found by their
-# line in sim.go — every call site must be reported inlined. The .aem
-# lexer's per-byte helpers get the same check as rng: each description
-# the front end builds runs them once per source byte.
-echo "== hot-path inlining (internal/rng, internal/sim, internal/aemilia/parser) =="
+# line in sim.go — every call site must be reported inlined, matched by
+# file:line:col of its opening parenthesis (the position the compiler
+# reports). Matching sites rather than counting report lines matters: a
+# call inside a closure that is itself inlined at two sites is reported
+# twice, and a count would take that for an extra call. The .aem lexer's
+# per-byte helpers get the same check as rng: each description the front
+# end builds runs them once per source byte. So does lts's Row, read once
+# per visited state by the branching-bisimulation passes of every Sect. 3
+# check.
+echo "== hot-path inlining (internal/rng, internal/sim, internal/aemilia/parser, internal/lts) =="
 inl=$(go build -gcflags=-m ./internal/rng 2>&1)
 for fn in Uint64 Float64; do
     if ! echo "$inl" | grep -q "can inline (\*Rand)\.$fn\$"; then
@@ -48,15 +54,50 @@ for fn in Uint64 Float64; do
     fi
 done
 inl=$(go build -gcflags=-m ./internal/sim 2>&1)
+# "fn line:col" for each position at which the compiler must report a
+# call of fn inlined: the "(" of every call, comments stripped. A call in
+# the body of a closure (any "\tname := func" of sim.go) is reported at
+# the call sites of that closure, where its body is inlined, so it stands
+# for those.
+sites=$(awk -v fns='accrue countFiring' '
+    function emit(fn, f,    l, line, off, i, g, in_g) {
+        for (l = 1; l <= NR; l++) {
+            line = src[l]; sub(/\/\/.*/, "", line); off = 0
+            while ((i = index(line, f "(")) > 0) {
+                if (i == 1 || substr(line, i - 1, 1) !~ /[A-Za-z0-9_.]/) {
+                    in_g = ""
+                    for (g in beg) if (beg[g] < l && l <= end[g]) in_g = g
+                    if (in_g == "") print fn, l ":" off + i + length(f)
+                    else emit(fn, in_g)
+                }
+                off += i + length(f); line = substr(line, i + length(f) + 1)
+            }
+        }
+    }
+    { src[NR] = $0 }
+    END {
+        for (l = 1; l <= NR; l++) if (match(src[l], /^\t[A-Za-z_][A-Za-z0-9_]* := func/)) {
+            g = substr(src[l], 2, index(src[l], " ") - 2)
+            for (e = l; e < NR && src[e] != "\t}"; e++) {}
+            beg[g] = l; end[g] = e
+        }
+        n = split(fns, fn, " ")
+        for (k = 1; k <= n; k++) emit(fn[k], fn[k])
+    }' internal/sim/sim.go)
 for fn in accrue countFiring; do
     line=$(grep -n "^	$fn := func" internal/sim/sim.go | cut -d: -f1)
     name=$(echo "$inl" | sed -n "s/^.*sim\.go:$line:[0-9]*: can inline \(.*\)\$/\1/p")
-    calls=$(grep -c "[^.]\<$fn(" internal/sim/sim.go || true)
-    inlined=$(echo "$inl" | grep -cF "inlining call to $name" || true)
-    if [ -z "$line" ] || [ -z "$name" ] || [ "$inlined" -ne "$calls" ]; then
-        echo "internal/sim: the $fn closure of replicate is inlined at ${inlined:-0} of its ${calls:-0} call sites" >&2
+    fnsites=$(echo "$sites" | sed -n "s/^$fn //p")
+    if [ -z "$line" ] || [ -z "$name" ] || [ -z "$fnsites" ]; then
+        echo "internal/sim: the $fn closure of replicate is not reported inlinable, or has no call site" >&2
         exit 1
     fi
+    for site in $fnsites; do
+        if ! echo "$inl" | grep -qF "sim.go:$site: inlining call to $name"; then
+            echo "internal/sim: the $fn closure of replicate is not inlined at sim.go:$site" >&2
+            exit 1
+        fi
+    done
 done
 inl=$(go build -gcflags=-m ./internal/aemilia/parser 2>&1)
 for fn in '(\*lexer)\.peekByte' '(\*lexer)\.advance' isSpace isIdentStart isIdentPart; do
@@ -65,6 +106,11 @@ for fn in '(\*lexer)\.peekByte' '(\*lexer)\.advance' isSpace isIdentStart isIden
         exit 1
     fi
 done
+inl=$(go build -gcflags=-m ./internal/lts 2>&1)
+if ! echo "$inl" | grep -q "can inline (\*LTS)\.Row\$"; then
+    echo "internal/lts: (*LTS).Row is no longer inlinable" >&2
+    exit 1
+fi
 
 # Every test invocation carries an explicit -timeout: a deadlocked worker
 # pool (the exact failure class the fault-tolerance layer guards against)
@@ -142,7 +188,7 @@ go test -timeout 10m -race -cpu 1,2 -run 'Minimize|Fold' \
 # TestReproducible*, TestWindowAccruesFully, TestExactTieBreaksByName,
 # TestSimFingerprints, TestUnknownOverrideRejected,
 # TestModelOverridesResolve in internal/sim). Each replication worker owns a runner whose
-# elab.Compiled, state records, per-transition arrays and clocks are all
+# elab.Compiled, state and transition records and clocks are all
 # mutable, so a fork that shared any of them would race here.
 echo "== simulator race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
