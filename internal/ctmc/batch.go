@@ -146,9 +146,10 @@ const BatchLanes = 4
 // batchComponent is the recurrent component in local coordinates, in
 // four lanes: the balance equations pi_j * exit_j = sum_{i -> j} pi_i *
 // q_ij restricted to the component, with the incoming adjacency flattened
-// CSR-style — the incoming edges of local state j are inFrom[inStart[j]:
-// inStart[j+1]]. The index structure is shared across lanes while rates,
-// exit rates, and iterates are stored lane-interleaved, structure-of-arrays
+// CSR-style — the incoming edges of local state j are inOff[inStart[j]:
+// inStart[j+1]], each its source row's element offset in the iterate
+// slab. The index structure is shared across lanes while rates, exit
+// rates, and iterates are stored lane-interleaved, structure-of-arrays
 // style — the value of lane k at row j (or in-edge e) lives at [j*4+k]
 // ([e*4+k]) — so one pass over the indices streams all lanes through
 // contiguous memory. Lanes 0..live-1 carry points; the rest are pad lanes,
@@ -157,7 +158,7 @@ const BatchLanes = 4
 type batchComponent struct {
 	n, live int
 	inStart []int32
-	inFrom  []int32
+	inOff   []int32
 	rate    []float64 // lane-interleaved in-edge rates
 	exit    []float64 // lane-interleaved exit rates
 	// invExit is the lane-interleaved 1/exit (0 where exit is 0), computed
@@ -174,8 +175,8 @@ func newBatch(plan *solvePlan, live int) *batchComponent {
 		n:       len(plan.target),
 		live:    live,
 		inStart: plan.inStart,
-		inFrom:  plan.inFrom,
-		rate:    make([]float64, len(plan.inFrom)*BatchLanes),
+		inOff:   plan.inOff,
+		rate:    make([]float64, len(plan.inOff)*BatchLanes),
 		exit:    make([]float64, len(plan.target)*BatchLanes),
 		invExit: make([]float64, len(plan.target)*BatchLanes),
 		allPos:  true,
@@ -434,8 +435,8 @@ func (bc *batchComponent) sweepGS4(x, delta []float64, done []bool) {
 		lo, hi := int(bc.inStart[j]), int(bc.inStart[j+1])
 		var a0, a1, a2, a3 float64
 		for e := lo; e < hi; e++ {
-			fb := int(bc.inFrom[e]) * 4
-			xs := x[fb : fb+4 : fb+4]
+			off := int(bc.inOff[e])
+			xs := x[off : off+4 : off+4]
 			rs := bc.rate[e*4 : e*4+4 : e*4+4]
 			a0 += xs[0] * rs[0]
 			a1 += xs[1] * rs[1]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -216,12 +217,15 @@ type solvePlan struct {
 	// component's states alone, not on edge order; local indexing and
 	// every floating-point accumulation follow it.
 	target []int
-	// inStart/inFrom are the component's incoming CSR index arrays: the
-	// incoming edges of local state j are inFrom[inStart[j]:inStart[j+1]].
-	// They are shared read-only by every solve; the per-solve rate values
-	// are gathered by fillCurrent (or fillBatch) into fresh arrays.
+	// inStart/inOff are the component's incoming CSR index arrays: the
+	// incoming edges of local state j are inOff[inStart[j]:inStart[j+1]],
+	// each stored as its source row's element offset in the iterate slab
+	// (local index times BatchLanes), so a sweep addresses the source row
+	// without scaling the index. They are shared read-only by every
+	// solve; the per-solve rate values are gathered by fillCurrent (or
+	// fillBatch) into fresh arrays.
 	inStart []int32
-	inFrom  []int32
+	inOff   []int32
 	// fillPos maps the canonical traversal — target rows in order, row
 	// entries in column-ascending order — to positions in the incoming
 	// rate array: traversal step t writes its entry's rate at fillPos[t]
@@ -233,7 +237,7 @@ type solvePlan struct {
 	// batched solves the termStart window of any component entry.
 	rowEntryBase []int32
 	// hash fingerprints the structural analysis (FNV-1a over target,
-	// inStart, inFrom) for the debug assertion that a rate-only rebind
+	// inStart, inOff) for the debug assertion that a rate-only rebind
 	// left the structure untouched.
 	hash uint64
 }
@@ -277,6 +281,11 @@ func (p *solvePlan) build(c *CTMC) {
 	// updated, which Tarjan's pop order does not give.
 	slices.Sort(target)
 	p.target = target
+	if len(target) > math.MaxInt32/BatchLanes {
+		// The int32 slab offsets of inOff could not address such a row.
+		p.err = fmt.Errorf("ctmc: bottom component of %d states is too large to solve", len(target))
+		return
+	}
 	if len(target) > 1 {
 		inComp := make([]bool, c.N)
 		local := make([]int32, c.N) // global -> local index
@@ -295,15 +304,15 @@ func (p *solvePlan) build(c *CTMC) {
 		for j := 0; j < len(target); j++ {
 			p.inStart[j+1] += p.inStart[j]
 		}
-		p.inFrom = make([]int32, p.inStart[len(target)])
-		p.fillPos = make([]int32, 0, len(p.inFrom))
+		p.inOff = make([]int32, p.inStart[len(target)])
+		p.fillPos = make([]int32, 0, len(p.inOff))
 		fill := make([]int32, len(target))
 		copy(fill, p.inStart[:len(target)])
 		for _, s := range target {
 			for _, e := range c.Rows[s] {
 				if inComp[e.Col] {
 					j := local[e.Col]
-					p.inFrom[fill[j]] = local[s]
+					p.inOff[fill[j]] = local[s] * BatchLanes
 					p.fillPos = append(p.fillPos, fill[j])
 					fill[j]++
 				} else {
@@ -338,7 +347,7 @@ func (p *solvePlan) build(c *CTMC) {
 	for _, v := range p.inStart {
 		mix(uint64(uint32(v)))
 	}
-	for _, v := range p.inFrom {
+	for _, v := range p.inOff {
 		mix(uint64(uint32(v)))
 	}
 	p.hash = h

@@ -12,7 +12,7 @@ import "unsafe"
 type sweepGS4Args struct {
 	n       int64          // rows in the component
 	inStart unsafe.Pointer // *int32, n+1 CSR row boundaries
-	inFrom  unsafe.Pointer // *int32, in-edge source rows
+	inOff   unsafe.Pointer // *int32, in-edge source slab offsets (row*4)
 	rate    unsafe.Pointer // *float64, lane-interleaved in-edge rates
 	invExit unsafe.Pointer // *float64, lane-interleaved 1/exit
 	x       unsafe.Pointer // *float64, lane-interleaved iterate slab
@@ -23,17 +23,18 @@ type sweepGS4Args struct {
 
 // sweepGS4AVX runs one full Gauss-Seidel sweep of the four lanes of every
 // 32-byte row with AVX: one 4-double accumulator per row, VMULPD/VADDPD
-// for the inflow terms, VMULPD by the inverse exit rate, and the residual
-// guard as a vector compare whose rare hits fall back to scalar divides.
-// Every operation is the same IEEE-754 double multiply/add/subtract the
-// scalar kernel performs, per lane in the same order (no FMA contraction,
-// no reassociation), so the updated slab and its residual maxima are
-// bit-identical to sweepGS4. Frozen lanes are excluded by blending their
-// old column values back on store and masking them out of the residual
-// compare. Each stored row is also added into a per-lane sum, rows in
-// order from +0, so the four column sums written to a.sums are
-// bit-identical to laneSums over the swept slab. Implemented in
-// sweep_amd64.s.
+// for the inflow terms (the in-degree mod 4 edges first, then four
+// independent products per iteration, added in edge order), VMULPD by the
+// inverse exit rate, and the residual guard as a vector compare whose
+// rare hits fall back to scalar divides. Every operation is the same
+// IEEE-754 double multiply/add/subtract the scalar kernel performs, per
+// lane in the same order (no FMA contraction, no reassociation), so the
+// updated slab and its residual maxima are bit-identical to sweepGS4.
+// Frozen lanes are excluded by blending their old column values back on
+// store and masking them out of the residual compare. Each stored row is
+// also added into a per-lane sum, rows in order from +0, so the four
+// column sums written to a.sums are bit-identical to laneSums over the
+// swept slab. Implemented in sweep_amd64.s.
 //
 //go:noescape
 func sweepGS4AVX(a *sweepGS4Args)
@@ -78,7 +79,7 @@ func detectAVX() bool {
 // vector kernel instead declines such batches up front (allPos), keeping
 // the guarded behaviour on one path.
 func (bc *batchComponent) sweepGS4Fast(x, delta, sums []float64, done []bool) bool {
-	if !haveAVX || !bc.allPos || bc.n == 0 || len(bc.inFrom) == 0 {
+	if !haveAVX || !bc.allPos || bc.n == 0 || len(bc.inOff) == 0 {
 		return false
 	}
 	var dead [BatchLanes]uint64
@@ -90,7 +91,7 @@ func (bc *batchComponent) sweepGS4Fast(x, delta, sums []float64, done []bool) bo
 	sweepGS4AVX(&sweepGS4Args{
 		n:       int64(bc.n),
 		inStart: unsafe.Pointer(&bc.inStart[0]),
-		inFrom:  unsafe.Pointer(&bc.inFrom[0]),
+		inOff:   unsafe.Pointer(&bc.inOff[0]),
 		rate:    unsafe.Pointer(&bc.rate[0]),
 		invExit: unsafe.Pointer(&bc.invExit[0]),
 		x:       unsafe.Pointer(&x[0]),

@@ -6,19 +6,28 @@
 // the results are bit-identical to sweepGS4, and the fused column sums
 // to laneSums.
 //
+// The inflow loop takes a row's in-degree mod 4 edges first (a pair,
+// then a single, as the in-degree's low bits say), then four per
+// iteration: the loads and multiplies of a pair or a quad are
+// independent, and their VADDPDs go into the one accumulator in edge
+// order, so every lane adds the scalar kernel's sequence of products.
+//
 // Register plan:
 //	SI  inStart cursor          R13 rows remaining
-//	R8  inFrom cursor           R14 live-lane bits
+//	R8  inOff cursor            R14 live-lane bits
 //	R9  rate cursor             R15 row byte offset (j*32)
-//	R10 invExit cursor          AX/BX/CX/DX scratch
+//	R10 invExit cursor          AX/BX/DX source slab offsets, then scratch
 //	R11 x base                  R12 delta out pointer
-//	DI  sums out pointer
+//	DI  sums out pointer        CX in-degree, quads remaining, scratch
 //	Y0  inflow accumulator, then max(next, 1e-300)
-//	Y2  next iterate            Y10 abs mask
-//	Y4  old iterate             Y11 1e-300 broadcast
+//	Y2  edge product, then next iterate
+//	Y3  2nd product of a pair or a quad
+//	Y4  old iterate             Y10 abs mask
+//	Y5  3rd product of a quad   Y11 1e-300 broadcast
 //	Y6  |next-old|              Y12 residual guard broadcast
-//	Y8  dead-lane blend mask    Y13 per-lane residual maxima
-//	Y14 per-lane column sums    Y15 threshold / compare scratch
+//	Y7  4th product of a quad   Y13 per-lane residual maxima
+//	Y8  dead-lane blend mask    Y14 per-lane column sums
+//	                            Y15 threshold / compare scratch
 //
 // The frame is scratch for the rare residual slow path: d at 0(SP),
 // m at 32(SP), delta at 64(SP).
@@ -43,7 +52,7 @@ TEXT ·sweepGS4AVX(SB), NOSPLIT, $96-8
 	MOVQ a+0(FP), DI
 	MOVQ 0(DI), R13  // n
 	MOVQ 8(DI), SI   // inStart
-	MOVQ 16(DI), R8  // inFrom
+	MOVQ 16(DI), R8  // inOff
 	MOVQ 24(DI), R9  // rate
 	MOVQ 32(DI), R10 // invExit
 	MOVQ 40(DI), R11 // x
@@ -62,25 +71,63 @@ TEXT ·sweepGS4AVX(SB), NOSPLIT, $96-8
 
 rowloop:
 	// CX = in-degree of row j; the CSR rows are contiguous, so the
-	// inFrom/rate cursors just keep advancing.
+	// inOff/rate cursors just keep advancing. The in-degree mod 4 edges
+	// come first: a pair if bit 1 is set, then a single if bit 0 is.
 	MOVL 4(SI), CX
 	SUBL 0(SI), CX
 	ADDQ $4, SI
 	VXORPD Y0, Y0, Y0
-	TESTL CX, CX
-	JZ   epilogue
+	TESTL $2, CX
+	JZ   nopair
 
-entry:
-	// acc[k] += x[from*4+k] * rate[e*4+k], all four lanes per edge
+	// acc[k] += x[off+k] * rate[e*4+k], all four lanes per edge
+	MOVL 0(R8), AX
+	MOVL 4(R8), BX
+	VMOVUPD (R11)(AX*8), Y2
+	VMULPD 0(R9), Y2, Y2
+	VMOVUPD (R11)(BX*8), Y3
+	VMULPD 32(R9), Y3, Y3
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y0, Y0
+	ADDQ $8, R8
+	ADDQ $64, R9
+
+nopair:
+	TESTL $1, CX
+	JZ   quads
 	MOVL (R8), DX
-	SHLQ $5, DX
-	VMOVUPD (R11)(DX*1), Y2
+	VMOVUPD (R11)(DX*8), Y2
 	VMULPD (R9), Y2, Y2
 	VADDPD Y2, Y0, Y0
 	ADDQ $4, R8
 	ADDQ $32, R9
-	DECQ CX
-	JNZ  entry
+
+quads:
+	SHRL $2, CX
+	JZ   epilogue
+
+quad:
+	// Edges e..e+3: independent products, added in edge order.
+	MOVL 0(R8), AX
+	MOVL 4(R8), BX
+	MOVL 8(R8), DX
+	VMOVUPD (R11)(AX*8), Y2
+	VMULPD 0(R9), Y2, Y2
+	VMOVUPD (R11)(BX*8), Y3
+	VMULPD 32(R9), Y3, Y3
+	VMOVUPD (R11)(DX*8), Y5
+	VMULPD 64(R9), Y5, Y5
+	MOVL 12(R8), AX
+	VMOVUPD (R11)(AX*8), Y7
+	VMULPD 96(R9), Y7, Y7
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y0, Y0
+	VADDPD Y5, Y0, Y0
+	VADDPD Y7, Y0, Y0
+	ADDQ $16, R8
+	ADDQ $128, R9
+	DECL CX
+	JNZ  quad
 
 epilogue:
 	// next = acc * invExit; d = |next - x|; m = max(next, 1e-300)

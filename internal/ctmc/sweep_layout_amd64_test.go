@@ -20,7 +20,7 @@ func TestSweepGS4ArgsLayout(t *testing.T) {
 	offsets := map[string]uintptr{
 		"n":       unsafe.Offsetof(a.n),
 		"inStart": unsafe.Offsetof(a.inStart),
-		"inFrom":  unsafe.Offsetof(a.inFrom),
+		"inOff":   unsafe.Offsetof(a.inOff),
 		"rate":    unsafe.Offsetof(a.rate),
 		"invExit": unsafe.Offsetof(a.invExit),
 		"x":       unsafe.Offsetof(a.x),

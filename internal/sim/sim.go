@@ -609,7 +609,7 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 			if zeroStreak > 1_000_000 {
 				return nil, events, ErrImmediateLivelock
 			}
-			via = rec.pickImmediate(rnd)
+			via = rec.pickImmediate(rnd.Float64() * rec.immTotal)
 		} else {
 			if len(rec.acts) == 0 {
 				// Deadlock: the state persists until the horizon.
@@ -683,10 +683,10 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 		// Link walk: while the step lands on a one-way vanishing state,
 		// fire its one immediate transition without entering it. Each link
 		// is the zero-time step the loop top would take there — the same
-		// livelock bound, the one uniform draw pickImmediate spends on a
-		// single candidate, the same firing count — so the run is
-		// bit-identical to one without links. A walk that reaches
-		// MaxEvents stops for the loop top to report it.
+		// livelock bound, the one uniform draw its pick spends on a single
+		// candidate, the same firing count — so the run is bit-identical
+		// to one without links. A walk that reaches MaxEvents stops for
+		// the loop top to report it.
 		for tr.next1 >= 0 && events < maxEvents {
 			zeroStreak++
 			if zeroStreak > 1_000_000 {
@@ -716,9 +716,9 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 }
 
 // pickImmediate selects one of the state's top-priority immediate
-// transitions by weight.
-func (rec *stateRec) pickImmediate(rnd *rng.Rand) int32 {
-	u := rnd.Float64() * rec.immTotal
+// transitions by weight, given u uniform on [0, immTotal). The caller
+// draws u so that this scan stays within the inlining budget.
+func (rec *stateRec) pickImmediate(u float64) int32 {
 	acc := 0.0
 	for i, w := range rec.immW {
 		acc += w

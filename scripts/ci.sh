@@ -29,18 +29,21 @@ go build ./...
 echo "== cross-arch build (arm64) =="
 GOARCH=arm64 go vet ./internal/ctmc/ && GOARCH=arm64 go build ./...
 
-# The simulator's per-event cost rests on the compiler inlining three
+# The simulator's per-event cost rests on the compiler inlining four
 # functions: rng's Uint64 with Float64 around it (into every uniform,
-# normal and exponential draw) and the accrue and countFiring closures of
-# sim's event loop. An edit that pushes one over the inlining budget still
-# builds and passes every test, only slower, so this step reads the
-# compiler's own report. A closure can be reported inlinable and still
-# not be inlined where it is called, so for the closures — found by their
-# line in sim.go — every call site must be reported inlined, matched by
-# file:line:col of its opening parenthesis (the position the compiler
-# reports). Matching sites rather than counting report lines matters: a
-# call inside a closure that is itself inlined at two sites is reported
-# twice, and a count would take that for an extra call. The .aem lexer's
+# normal and exponential draw), the accrue and countFiring closures of
+# sim's event loop, and the stateRec.pickImmediate method that picks the
+# transition of every zero-time step the link walk cannot take. An edit
+# that pushes one over the inlining budget still builds and passes every
+# test, only slower, so this step reads the compiler's own report. A
+# closure can be reported inlinable and still not be inlined where it is
+# called, so for the closures — found by their line in sim.go — every
+# call site must be reported inlined, matched by file:line:col of its
+# opening parenthesis (the position the compiler reports). Matching
+# sites rather than counting report lines matters: a call inside a
+# closure that is itself inlined at two sites is reported twice, and a
+# count would take that for an extra call. The method is checked the
+# same way at each of its ".pickImmediate(" calls. The .aem lexer's
 # per-byte helpers get the same check as rng: each description the front
 # end builds runs them once per source byte. So does lts's Row, read once
 # per visited state by the branching-bisimulation passes of every Sect. 3
@@ -98,6 +101,23 @@ for fn in accrue countFiring; do
             exit 1
         fi
     done
+done
+picks=$(awk '{
+    line = $0; sub(/\/\/.*/, "", line); off = 0
+    while ((i = index(line, ".pickImmediate(")) > 0) {
+        off += i + length(".pickImmediate"); print NR ":" off
+        line = substr(line, i + length(".pickImmediate") + 1)
+    }
+}' internal/sim/sim.go)
+if ! echo "$inl" | grep -q 'can inline (\*stateRec)\.pickImmediate$' || [ -z "$picks" ]; then
+    echo "internal/sim: (*stateRec).pickImmediate is not reported inlinable, or has no call site" >&2
+    exit 1
+fi
+for site in $picks; do
+    if ! echo "$inl" | grep -qF "sim.go:$site: inlining call to (*stateRec).pickImmediate"; then
+        echo "internal/sim: (*stateRec).pickImmediate is not inlined at sim.go:$site" >&2
+        exit 1
+    fi
 done
 inl=$(go build -gcflags=-m ./internal/aemilia/parser 2>&1)
 for fn in '(\*lexer)\.peekByte' '(\*lexer)\.advance' isSpace isIdentStart isIdentPart; do
@@ -219,8 +239,10 @@ go test -timeout 10m -race -cpu 1,2 ./internal/noninterference/ ./internal/bisim
 # Aldebaran .aut reader with its WriteAUT round trip, restriction and
 # hiding of rated systems with Aux handles against the Build-based
 # reference restriction and the parent's rates edge by edge
-# (FuzzRestrictHide), and the tuple table behind every state table and
-# memo against a map reference. A
+# (FuzzRestrictHide), the tuple table behind every state table and
+# memo against a map reference, and the vectorized Gauss-Seidel kernel
+# against the scalar one, bit for bit, on small chains with rate slots
+# at up to eight points (FuzzSweepKernel, amd64 only). A
 # crasher lands under the package's testdata/fuzz and then replays in
 # every later `go test`. Every target caps input minimization at 200
 # runs: under Go's default 60 s limit, minimizing one new input can take
@@ -239,5 +261,6 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzParseMeasures$' -fuzztime 10s -fuzzmin
 go test -timeout 5m -run '^$' -fuzz '^FuzzReadAUT$' -fuzztime 10s -fuzzminimizetime 200x ./internal/lts/
 go test -timeout 5m -run '^$' -fuzz '^FuzzRestrictHide$' -fuzztime 10s -fuzzminimizetime 200x ./internal/lts/
 go test -timeout 5m -run '^$' -fuzz '^FuzzTupleTable$' -fuzztime 10s -fuzzminimizetime 200x ./internal/statespace/
+go test -timeout 5m -run '^$' -fuzz '^FuzzSweepKernel$' -fuzztime 10s -fuzzminimizetime 200x ./internal/ctmc/
 
 echo "CI OK"
