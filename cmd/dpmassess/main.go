@@ -21,12 +21,11 @@
 // naming the phase that observed it).
 //
 // lts and solve take -compose: "full" (the default) generates the plain
-// parallel product, "minimize" lumps each component before composition
-// and folds vanishing states during generation, so the full product never
-// materializes. Measure values are identical either way; state counts are
-// not, because minimization is the point. sim has no -compose: it always
-// runs on the full model — minimization accelerates the Markovian path
-// only.
+// parallel product, "minimize" folds vanishing states during generation,
+// so they are never interned. Measure values are identical either way;
+// state counts are not, because folding is the point. sim has no
+// -compose: it always runs on the full model — folding accelerates the
+// Markovian path only.
 //
 // The solve subcommand is resumable: -checkpoint appends the solution to
 // a versioned, checksummed result store, and -resume answers from it
@@ -56,7 +55,6 @@ import (
 	"repro/internal/aemilia"
 	"repro/internal/aemilia/parser"
 	"repro/internal/bisim"
-	"repro/internal/compose"
 	"repro/internal/ctmc"
 	"repro/internal/elab"
 	"repro/internal/hml"
@@ -260,8 +258,8 @@ func runMinimize(args []string) error {
 func composeFlag(fs *flag.FlagSet) *string {
 	return fs.String("compose", "full",
 		"composition strategy: full generates the plain parallel product,\n"+
-			"minimize lumps each component before composition and folds vanishing\n"+
-			"states during generation (measure values are identical either way)")
+			"minimize folds vanishing states during generation (measure values\n"+
+			"are identical either way)")
 }
 
 // parseCompose maps the -compose value onto the minimize policy.
@@ -294,14 +292,6 @@ func fmtBytes(n int) string {
 		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
 	}
 	return fmt.Sprintf("%d B", n)
-}
-
-// printComposeStats renders the per-component reduction of a
-// compositional minimization, with the worst-case product bound it
-// implies.
-func printComposeStats(st *compose.Stats) {
-	full, minimized := st.ProductBound()
-	fmt.Printf("compose:     %s (product bound %.4g → %.4g)\n", st, full, minimized)
 }
 
 // timeoutFlag registers the shared -timeout flag: the subcommand's
@@ -417,8 +407,7 @@ func runLTS(args []string) error {
 	composeMode := composeFlag(fs)
 	stats := fs.Bool("stats", false,
 		"print resident-memory statistics (state table, transition arrays,\n"+
-			"attribution pool) and, with -compose minimize, the per-component\n"+
-			"reduction")
+			"attribution pool)")
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -444,13 +433,7 @@ func runLTS(args []string) error {
 		return err
 	}
 	genOpts := lts.GenerateOptions{MaxStates: *maxStates, Ctx: ctx}
-	var compStats *compose.Stats
 	if minimize {
-		qm, st, err := compose.Minimize(m, compose.Options{})
-		if err != nil {
-			return err
-		}
-		m, compStats = qm, st
 		genOpts.Fold = &lts.FoldOptions{}
 	}
 	l, err := lts.Generate(m, genOpts)
@@ -465,9 +448,6 @@ func runLTS(args []string) error {
 	}
 	if *stats {
 		printMemStats(l)
-		if compStats != nil {
-			printComposeStats(compStats)
-		}
 	}
 	if *dotPath != "" {
 		f, err := os.Create(*dotPath)
@@ -578,8 +558,8 @@ func runSolve(args []string) (err error) {
 	composeMode := composeFlag(fs)
 	stats := fs.Bool("stats", false,
 		"print statistics after the measures: resident memory of the state\n"+
-			"space, the per-component reduction (with -compose minimize), and the\n"+
-			"Gauss-Seidel solve — iterations, final residual, and iteration budget")
+			"space and the Gauss-Seidel solve — iterations, final residual, and\n"+
+			"iteration budget")
 	ckptPath := fs.String("checkpoint", "",
 		"result store file: the solution is appended there, so the solve\n"+
 			"becomes resumable (empty = disabled)")
@@ -649,9 +629,6 @@ func runSolve(args []string) (err error) {
 	if *stats {
 		if l, err := s.LTS(); err == nil {
 			printMemStats(l)
-		}
-		if st, err := s.MinimizeStats(); err == nil && st != nil {
-			printComposeStats(st)
 		}
 		printSolveTrace(rep.Trace)
 	}

@@ -115,9 +115,7 @@ func requireDistinctSweeps(t *testing.T, c *ctmc.CTMC, points [][]float64) {
 // asserts the cached structural plan against a from-scratch analysis.
 func solveSequential(t *testing.T, c *ctmc.CTMC, points [][]float64, opts ctmc.SolveOptions) [][]float64 {
 	t.Helper()
-	old := ctmc.EnableDebugChecks
-	ctmc.EnableDebugChecks = true
-	defer func() { ctmc.EnableDebugChecks = old }()
+	defer ctmc.SetDebugChecks(ctmc.SetDebugChecks(true))
 	chain := c.Clone()
 	out := make([][]float64, len(points))
 	for i, pt := range points {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/compose"
 	"repro/internal/ctmc"
 	"repro/internal/elab"
 	"repro/internal/lts"
@@ -16,9 +15,9 @@ import (
 	"repro/internal/rates"
 )
 
-// minimizedStreamingLTS generates the compose-minimized, folded streaming
-// system at the given buffer capacities with the awake period as a rate
-// slot, exactly as a minimizing session does.
+// minimizedStreamingLTS generates the folded streaming system at the
+// given buffer capacities with the awake period as a rate slot, exactly as
+// a minimizing session does.
 func minimizedStreamingLTS(t testing.TB, capacity int64) *lts.LTS {
 	t.Helper()
 	p := models.DefaultStreamingParams()
@@ -33,11 +32,7 @@ func minimizedStreamingLTS(t testing.TB, capacity int64) *lts.LTS {
 		t.Fatal(err)
 	}
 	ms := models.StreamingMeasures(p)
-	qm, _, err := compose.Minimize(m, compose.Options{Preds: measure.StatePreds(ms)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := lts.Generate(qm, lts.GenerateOptions{
+	l, err := lts.Generate(m, lts.GenerateOptions{
 		Predicates: measure.StatePreds(ms),
 		Fold:       &lts.FoldOptions{Observed: measure.ObservedMatcher(ms)},
 	})

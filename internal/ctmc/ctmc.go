@@ -567,7 +567,7 @@ func (c *CTMC) Rebind(values []float64) error {
 	c.poissonMu.Lock()
 	c.poisson = nil
 	c.poissonMu.Unlock()
-	if EnableDebugChecks {
+	if debugChecks {
 		if err := c.debugCheckPlan(); err != nil {
 			return &InvariantError{Err: err}
 		}
@@ -575,14 +575,14 @@ func (c *CTMC) Rebind(values []float64) error {
 	return nil
 }
 
-// EnableDebugChecks turns on expensive internal consistency assertions —
+// debugChecks turns on expensive internal consistency assertions —
 // currently the post-Rebind check that the cached structural solve plan
 // still matches a from-scratch analysis (a rate-only rebind must preserve
 // reachability and SCC structure; a violation surfaces as an
 // *InvariantError, since it means the rebind validation let a structural
-// change through). The property tests enable it; production callers leave
-// it off.
-var EnableDebugChecks = false
+// change through). The property tests enable it; the program leaves it
+// off.
+var debugChecks = false
 
 // InvariantError reports a violated internal consistency invariant — a
 // bug in this package, not a property of the input. The fault-tolerance

@@ -6,6 +6,13 @@ package ctmc
 // evaluates it on every solution; these helpers compile and evaluate in
 // one call.
 
+// SetDebugChecks sets the switch of the package's internal consistency
+// assertions (see debugChecks) and returns its previous value.
+func SetDebugChecks(on bool) (old bool) {
+	old, debugChecks = debugChecks, on
+	return old
+}
+
 // SolveBatch is SolveBatchLanes with the lowest failed lane, if any,
 // reported as a *BatchPointError wrapping that lane's error.
 func (c *CTMC) SolveBatch(points [][]float64, solve SolveOptions) ([][]float64, error) {

@@ -181,7 +181,7 @@ func (c *CTMC) Flow(pi []float64) Flow { return Flow{c: c, pi: pi} }
 // of the selected transitions, weighted. Exponential firings count at
 // pi(src)·rate, immediate ones at their vanishing source's entry rate
 // times the branch probability. A label the generator folded away
-// (compositional minimization) fires at its edge's frequency times the
+// (vanishing-state folding) fires at its edge's frequency times the
 // expected traversal count recorded on the edge, so the result matches
 // the unfolded system.
 func (f *Flow) Throughput(sel *Selection) float64 {

@@ -355,7 +355,7 @@ func (p *solvePlan) build(c *CTMC) {
 
 // debugCheckPlan recomputes the structural analysis from scratch and
 // compares its fingerprint with the cached plan's. Rebind calls it when
-// EnableDebugChecks is set: a rate-only rebind must leave reachability and
+// debugChecks is set: a rate-only rebind must leave reachability and
 // SCC structure — and therefore the cached plan — untouched.
 func (c *CTMC) debugCheckPlan() error {
 	p, err := c.ensurePlan()

@@ -41,8 +41,7 @@ func (p Pred) Name() string { return p.Instance + "." + p.Action }
 //
 // Compilation is lazy, so an instance whose local configuration graph is
 // unbounded (a data parameter the composition bounds) compiles exactly the
-// configurations the global exploration reaches. Quotient models compile
-// through the same LocalMovesOf as full ones.
+// configurations the global exploration reaches.
 //
 // Action ids and label ids are fixed when Compile returns — every action
 // the instance's behaviours name, every label the topology can produce —

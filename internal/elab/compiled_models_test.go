@@ -4,15 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/aemilia"
-	"repro/internal/compose"
 	"repro/internal/elab"
-	"repro/internal/measure"
 	"repro/internal/models"
 )
 
 // TestCompiledMatchesSuccessorsOnPaperModels runs the differential oracle
-// on the rpc and streaming models in both modes and on the compositional
-// quotients the minimizing Fig. 4 and 12×12 solve paths generate from.
+// on the rpc and streaming models in both modes and on the models the
+// Fig. 4 and 12×12 solve paths generate from.
 func TestCompiledMatchesSuccessorsOnPaperModels(t *testing.T) {
 	elaborate := func(a *aemilia.ArchiType, err error) *elab.Model {
 		t.Helper()
@@ -24,14 +22,6 @@ func TestCompiledMatchesSuccessorsOnPaperModels(t *testing.T) {
 			t.Fatal(err)
 		}
 		return m
-	}
-	minimize := func(m *elab.Model, ms []measure.Measure) *elab.Model {
-		t.Helper()
-		qm, _, err := compose.Minimize(m, compose.Options{Preds: measure.StatePreds(ms)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return qm
 	}
 	rpc := models.DefaultRPCParams()
 	rpcFunctional := rpc
@@ -53,9 +43,8 @@ func TestCompiledMatchesSuccessorsOnPaperModels(t *testing.T) {
 		{"rpc/functional", elaborate(models.BuildRPCRevised(rpcFunctional))},
 		{"streaming/markov", elaborate(models.BuildStreaming(st))},
 		{"streaming/functional", elaborate(models.BuildStreaming(stFunctional))},
-		{"minimized/fig4", minimize(elaborate(models.BuildStreaming(fig4)), models.StreamingMeasures(fig4))},
-		{"minimized/streaming-12x12", minimize(elaborate(models.BuildStreaming(stress)), models.StreamingMeasures(stress))},
-		{"minimized/rpc", minimize(elaborate(models.BuildRPCRevised(rpc)), models.RPCMeasures(rpc))},
+		{"fig4", elaborate(models.BuildStreaming(fig4))},
+		{"streaming-12x12", elaborate(models.BuildStreaming(stress))},
 	}
 	for _, c := range cases {
 		states, err := elab.CompareCompiled(c.m, 2000)

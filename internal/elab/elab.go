@@ -113,11 +113,6 @@ type Model struct {
 	// numRateSlots is the highest rate-slot index appearing in any action
 	// annotation of the description (0 when the model is not parametric).
 	numRateSlots int
-	// quot, when non-nil, marks the model as a compositional quotient: each
-	// instance's behaviour is a reduced block automaton (see Quotient), a
-	// local configuration is LocalConfig{Node: block}, and LocalMovesOf,
-	// InitialLocal and Describe answer from the precomputed block tables.
-	quot []InstanceQuotient
 }
 
 // Elaborate turns a validated description into an executable composition.
@@ -356,20 +351,13 @@ func (m *Model) contConfig(cont aemilia.Process, env expr.MapEnv, args []expr.Va
 	return LocalConfig{Node: cont.ID(), Args: args}, nil
 }
 
+// InitialLocal returns the initial local configuration of instance i.
+func (m *Model) InitialLocal(i int) LocalConfig { return m.insts[i].init }
+
 // LocalMovesOf returns the actions instance i can perform from local
 // configuration c, before applying the topology. It is the one local-move
-// entry: Compile builds its move tables from it, and compositional
-// minimization explores each instance's configuration graph with it. On a
-// quotient model the block automaton's precomputed move list is returned,
-// which callers must not mutate.
+// entry: Compile builds its move tables from it.
 func (m *Model) LocalMovesOf(i int, c LocalConfig) ([]LocalMove, error) {
-	if m.quot != nil {
-		q := &m.quot[i]
-		if c.Node < 0 || c.Node >= len(q.Moves) {
-			return nil, fmt.Errorf("elab: block %d out of range for quotient instance %s", c.Node, m.insts[i].name)
-		}
-		return q.Moves[c.Node], nil
-	}
 	env, err := m.env(c)
 	if err != nil {
 		return nil, err

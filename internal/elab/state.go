@@ -11,9 +11,8 @@ import (
 // AppendLocalKey appends the canonical byte-string encoding of one
 // instance's local configuration to dst and returns the extended slice:
 // equal configurations produce equal encodings. It is the interning key of
-// the local configuration tables of Compile and of compositional
-// minimization; appending to a caller-owned buffer keeps interning
-// allocation-free.
+// the local configuration tables of Compile; appending to a caller-owned
+// buffer keeps interning allocation-free.
 func (m *Model) AppendLocalKey(dst []byte, c LocalConfig) []byte {
 	dst = binary.AppendUvarint(dst, uint64(c.Node))
 	dst = append(dst, byte(len(c.Args)))
@@ -47,9 +46,6 @@ func (m *Model) Describe(s State) string {
 // DescribeLocal renders one instance's local configuration (the
 // single-instance analogue of Describe).
 func (m *Model) DescribeLocal(i int, c LocalConfig) string {
-	if m.quot != nil {
-		return m.insts[i].name + "=" + m.quot[i].Descs[c.Node]
-	}
 	info := m.nodes[c.Node]
 	var sb strings.Builder
 	sb.WriteString(m.insts[i].name)

@@ -238,9 +238,8 @@ func RunStudy(s *Study, args []string, w io.Writer) (err error) {
 	quick := fs.Bool("quick", false, s.quickHelp)
 	composeMode := fs.String("compose", "full",
 		"composition strategy for the Markovian analyses: full generates the\n"+
-			"plain parallel product, minimize lumps each component before\n"+
-			"composition and folds vanishing states during generation (measure\n"+
-			"values are identical either way)")
+			"plain parallel product, minimize folds vanishing states during\n"+
+			"generation (measure values are identical either way)")
 	workers := fs.Int("workers", runtime.NumCPU(),
 		"concurrent sweep chunks, simulation replications, and experiment\n"+
 			"points (results are identical at any value)")

@@ -18,12 +18,11 @@ func collectMinimize(t *testing.T, workers int, minimize bool) map[string]json.R
 		func(e *entry) bool { return e.phases&phaseGeneral == 0 })
 }
 
-// TestGoldenMinimizeAgreement pins the compositional-minimization
-// contract on the paper's Markovian experiments: the minimized path is
-// bit-identical at workers {1,2,8}, and its measures agree with the
-// full-composition path within 1e-6 (they differ only by solver
-// arithmetic on the reduced chain — the quotient-plus-fold construction
-// preserves every measure exactly).
+// TestGoldenMinimizeAgreement pins the -compose minimize contract on the
+// paper's Markovian experiments: the folded path is bit-identical at
+// workers {1,2,8}, and its measures agree with the full-composition path
+// within 1e-6 (they differ only by solver arithmetic on the reduced
+// chain — folding preserves every measure exactly).
 func TestGoldenMinimizeAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden suite is not short")

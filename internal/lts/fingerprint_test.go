@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/aemilia/parser"
-	"repro/internal/compose"
 	"repro/internal/elab"
 	"repro/internal/lts"
 	"repro/internal/measure"
@@ -134,19 +133,6 @@ func streamingModel(p models.StreamingParams) func(t *testing.T) *elab.Model {
 	}
 }
 
-// minimizedModel lumps a model against its measures' predicates, exactly
-// as a session with Minimize set does.
-func minimizedModel(full func(t *testing.T) *elab.Model, ms []measure.Measure) func(t *testing.T) *elab.Model {
-	return func(t *testing.T) *elab.Model {
-		t.Helper()
-		qm, _, err := compose.Minimize(full(t), compose.Options{Preds: measure.StatePreds(ms)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return qm
-	}
-}
-
 func plainOpts(*testing.T) lts.GenerateOptions { return lts.GenerateOptions{} }
 
 func measureOpts(ms []measure.Measure) func(*testing.T) lts.GenerateOptions {
@@ -214,14 +200,22 @@ func fingerprintCases(t *testing.T) []fingerprintCase {
 	}{{"fig4", fig4}, {"fig4-nodpm", fig4NoDPM}, {"streaming-12x12", stress}} {
 		ms := models.StreamingMeasures(c.p)
 		cases = append(cases, fingerprintCase{
-			"minimized/" + c.name, minimizedModel(streamingModel(c.p), ms), foldedOpts(ms),
+			"minimized/" + c.name, streamingModel(c.p), foldedOpts(ms),
 		})
 	}
 	rpcSwept := rpcMarkov
 	rpcSwept.ParametricTimeout = true
 	cases = append(cases, fingerprintCase{
-		"minimized/rpc", minimizedModel(rpcModel(rpcSwept), rpcMs), foldedOpts(rpcMs),
+		"minimized/rpc", rpcModel(rpcSwept), foldedOpts(rpcMs),
 	})
+	// The other DPM policies of the policy comparison, timeout slotted.
+	for _, pol := range []models.Policy{models.PolicyTrivial, models.PolicyPredictive} {
+		p := rpcSwept
+		p.Policy = pol
+		cases = append(cases, fingerprintCase{
+			"minimized/rpc-" + pol.String(), rpcModel(p), foldedOpts(rpcMs),
+		})
+	}
 	return cases
 }
 

@@ -44,7 +44,7 @@ import (
 //     linear chains fold even when slotted because every probability is
 //     exactly 1;
 //   - its maximal-priority immediate weights do not sum to a positive
-//     value, or the chain exceeds MaxDepth, or it closes an immediate
+//     value, or the chain exceeds foldMaxDepth, or it closes an immediate
 //     cycle (a timeless trap, which ctmc.Build rejects on the full system
 //     too).
 //
@@ -77,7 +77,7 @@ type genTransition struct {
 
 // Verdict states of a memo id.
 const (
-	// foldOpen: not expanded, or reached past MaxDepth (kept, and left
+	// foldOpen: not expanded, or reached past foldMaxDepth (kept, and left
 	// open because a shallower visit may still fold it).
 	foldOpen uint8 = iota
 	// foldOnPath: being expanded; a visit now closes an immediate cycle
@@ -145,13 +145,17 @@ type termMark struct {
 // are recomputed, never changed).
 const foldMemoLimit = 1 << 21
 
+// foldMaxDepth bounds the immediate-chain expansion: deeper chains (or
+// cycles, which ctmc.Build rejects as timeless traps anyway) keep the
+// intermediate state instead of folding it.
+const foldMaxDepth = 1024
+
 // foldCtx is one generation's folding state.
 type foldCtx struct {
 	c        *elab.Compiled
 	n        int
 	observed []int8 // by compiled label id: 0 unknown, 1 observed, -1 not
 	match    func(string) bool
-	maxDepth int
 	// canon maps a compiled label id to the least id of the same name
 	// (Compiled.label does not dedup names); rank orders canonical ids by
 	// name.
@@ -177,10 +181,6 @@ type foldCtx struct {
 }
 
 func newFoldCtx(c *elab.Compiled, opts *FoldOptions) *foldCtx {
-	depth := opts.MaxDepth
-	if depth <= 0 {
-		depth = 1024
-	}
 	match := opts.Observed
 	if match == nil {
 		match = func(string) bool { return false }
@@ -193,7 +193,6 @@ func newFoldCtx(c *elab.Compiled, opts *FoldOptions) *foldCtx {
 		c:         c,
 		n:         c.NumInstances(),
 		match:     match,
-		maxDepth:  depth,
 		memo:      statespace.NewTupleTable(c.NumInstances()),
 		memoLimit: limit,
 	}
@@ -251,7 +250,7 @@ func (fc *foldCtx) expandTarget(v []uint32, depth int) (uint32, error) {
 	switch st := fc.verdicts[id].state; {
 	case st == foldKeep || st == foldTerms:
 		return id, nil
-	case depth > fc.maxDepth:
+	case depth > foldMaxDepth:
 		return id, nil // do not memoize: verdict depends on depth
 	case st == foldOnPath:
 		return id, nil // immediate cycle: keep (timeless trap upstream)

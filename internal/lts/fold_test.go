@@ -302,13 +302,13 @@ func TestFoldParallelBitIdentity(t *testing.T) {
 	}
 }
 
-// foldedStreaming returns the minimized default-size streaming model and
+// foldedStreaming returns the default-size streaming model and
 // its folding generation options, and the folded state count.
 func foldedStreaming(t *testing.T) (*elab.Model, lts.GenerateOptions, int) {
 	t.Helper()
 	p := models.DefaultStreamingParams()
 	ms := models.StreamingMeasures(p)
-	m := minimizedModel(streamingModel(p), ms)(t)
+	m := streamingModel(p)(t)
 	opts := foldedOpts(ms)(t)
 	l, err := lts.Generate(m, opts)
 	if err != nil {
@@ -364,7 +364,7 @@ func TestFoldGenerateAllocsScale(t *testing.T) {
 		p.APCapacity, p.ClientCapacity = capacity, capacity
 		p.ParametricPeriod = true
 		ms := models.StreamingMeasures(p)
-		m := minimizedModel(streamingModel(p), ms)(t)
+		m := streamingModel(p)(t)
 		opts := foldedOpts(ms)(t)
 		counts[i] = testing.AllocsPerRun(3, func() {
 			l, err := lts.Generate(m, opts)

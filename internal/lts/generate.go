@@ -33,7 +33,7 @@ type GenerateOptions struct {
 	// nil context disables polling. Cancellation never perturbs the states
 	// already interned — it only stops the exploration early.
 	Ctx context.Context
-	// Fold enables vanishing-state folding (compositional minimization):
+	// Fold enables vanishing-state folding (the -compose minimize path):
 	// successor states whose maximal-progress immediate branches can be
 	// resolved eagerly are never interned — each incoming transition is
 	// redirected to the branch targets with its rate scaled by the branch
@@ -54,10 +54,6 @@ type FoldOptions struct {
 	// label are recorded as reward attributions on the redirected edges.
 	// Nil observes nothing.
 	Observed func(label string) bool
-	// MaxDepth bounds the immediate-chain expansion; deeper chains (or
-	// cycles, which ctmc.Build rejects as timeless traps anyway) keep the
-	// intermediate state instead of folding it. 0 uses a default of 1024.
-	MaxDepth int
 
 	// memoLimit overrides foldMemoLimit (tests only; 0 = default).
 	memoLimit int

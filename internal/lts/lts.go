@@ -62,7 +62,7 @@ type LTS struct {
 	sealed  bool
 	descFn  func(int) string
 
-	// Folded reward-attribution pool (compositional minimization): when the
+	// Folded reward-attribution pool (vanishing-state folding): when the
 	// generator folds measure-unobserved vanishing states into their
 	// incoming transitions, each redirected transition may carry the
 	// expected traversal counts of the observed labels on the folded path.

@@ -50,13 +50,12 @@ type Config struct {
 	// session, which a Store answers for what the canceled one finished.
 	// Nil disables cancellation.
 	Ctx context.Context
-	// Minimize is the compositional-minimization policy the experiment
-	// drivers copy into their specs (Spec.Minimize): lump each component
-	// before composition and fold vanishing states during generation, so
-	// the full product never materializes. Unlike the scheduling knobs it
-	// is semantic once copied into a Spec — it changes the generated LTS
-	// (never the measure values) and participates in the store key there.
-	// The session itself reads it from the Spec.
+	// Minimize is the folding policy the experiment drivers copy into
+	// their specs (Spec.Minimize): fold vanishing states during
+	// generation. Unlike the scheduling knobs it is semantic once copied
+	// into a Spec — it changes the generated LTS (never the measure
+	// values) and participates in the store key there. The session itself
+	// reads it from the Spec.
 	Minimize bool
 	// Store, when non-nil, memoizes Phase2 and sweep reports keyed by
 	// the spec's description, everything else that shapes a result, and

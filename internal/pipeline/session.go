@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/aemilia"
-	"repro/internal/compose"
 	"repro/internal/ctmc"
 	"repro/internal/dist"
 	"repro/internal/elab"
@@ -14,15 +13,8 @@ import (
 	"repro/internal/measure"
 	"repro/internal/noninterference"
 	"repro/internal/sim"
+	"repro/internal/statespace"
 )
-
-// minimized is the staged artifact of compositional minimization: the
-// quotient model the Markovian path generates from, plus the per-instance
-// reduction statistics for diagnostics.
-type minimized struct {
-	m  *elab.Model
-	st *compose.Stats
-}
 
 // errNoArch fails a spec that supplies neither a description nor a model.
 var errNoArch = errors.New("pipeline: spec supplies neither Model nor Arch")
@@ -40,12 +32,11 @@ type Session struct {
 	spec Spec
 	cfg  Config
 
-	model     func() (*elab.Model, error)
-	minimized func() (minimized, error)
-	lts       func() (*lts.LTS, error)
-	chain     func() (*ctmc.CTMC, error)
-	measures  func() (*measure.Compiled, error)
-	phase2    func() (*Phase2Report, error)
+	model    func() (*elab.Model, error)
+	lts      func() (*lts.LTS, error)
+	chain    func() (*ctmc.CTMC, error)
+	measures func() (*measure.Compiled, error)
+	phase2   func() (*Phase2Report, error)
 }
 
 // NewSession returns the session of spec under cfg. Nothing is built
@@ -53,7 +44,6 @@ type Session struct {
 func NewSession(spec Spec, cfg Config) *Session {
 	s := &Session{spec: spec, cfg: cfg}
 	s.model = sync.OnceValues(s.elaborate)
-	s.minimized = sync.OnceValues(s.minimize)
 	s.lts = sync.OnceValues(s.generate)
 	s.chain = sync.OnceValues(s.build)
 	s.measures = sync.OnceValues(s.compile)
@@ -108,48 +98,79 @@ func (s *Session) resultModel() (string, error) {
 	return s.spec.storeHash(aemilia.Format(s.spec.Arch)), nil
 }
 
-// GenModel returns the model the generation path explores: the full
-// elaborated model, or its compositional quotient when the spec sets
-// Minimize. The quotient is staged like every other artifact.
-func (s *Session) GenModel() (*elab.Model, error) {
-	if !s.spec.Minimize {
-		return s.Model()
+// GenModel returns the model the generation path explores: the
+// elaborated model, folded or not. It stays only because perfbench calls
+// it, and goes with ROADMAP item 1(c).
+func (s *Session) GenModel() (*elab.Model, error) { return s.Model() }
+
+// maxLocalConfigs bounds one instance's local configuration graph in
+// MinimizeStats: an instance whose data parameter only the composition
+// bounds has an unbounded local graph.
+const maxLocalConfigs = 1_000_000
+
+// LocalSizes holds the size of each instance's reachable local
+// configuration graph, in declaration order. It stays only because
+// perfbench reads its ProductBound, and goes with ROADMAP item 1(c).
+type LocalSizes []int
+
+// ProductBound returns the product of the per-instance sizes, the
+// worst-case composed space, twice: folding is the only reduction, and it
+// shrinks the composed space, never an instance's.
+func (ls LocalSizes) ProductBound() (full, minimized float64) {
+	full = 1
+	for _, n := range ls {
+		full *= float64(n)
 	}
-	mm, err := s.minimized()
-	return mm.m, err
+	return full, full
 }
 
-// MinimizeStats returns the per-instance reduction statistics of the
-// session's compositional minimization, or nil when the spec does not set
-// Minimize.
-func (s *Session) MinimizeStats() (*compose.Stats, error) {
+// MinimizeStats enumerates the local configuration graph of every
+// instance of the session's model, following every local move, and
+// returns the sizes; nil when the spec does not set Minimize. It stays
+// only because perfbench calls it, and goes with ROADMAP item 1(c).
+func (s *Session) MinimizeStats() (LocalSizes, error) {
 	if !s.spec.Minimize {
 		return nil, nil
 	}
-	mm, err := s.minimized()
-	return mm.st, err
-}
-
-func (s *Session) minimize() (minimized, error) {
 	m, err := s.Model()
 	if err != nil {
-		return minimized{}, err
+		return nil, err
 	}
-	qm, st, err := compose.Minimize(m, compose.Options{Preds: measure.StatePreds(s.spec.Measures)})
-	if err != nil {
-		return minimized{}, err
+	sizes := make(LocalSizes, m.NumInstances())
+	var key []byte
+	for i := range sizes {
+		in := statespace.NewInterner()
+		configs := []elab.LocalConfig{m.InitialLocal(i)}
+		key = m.AppendLocalKey(key[:0], configs[0])
+		in.Intern(key)
+		for q := 0; q < len(configs); q++ {
+			moves, err := m.LocalMovesOf(i, configs[q])
+			if err != nil {
+				return nil, err
+			}
+			for _, mv := range moves {
+				key = m.AppendLocalKey(key[:0], mv.Next)
+				if _, fresh := in.Intern(key); fresh {
+					if len(configs) == maxLocalConfigs {
+						return nil, fmt.Errorf("pipeline: instance %s: local configuration graph exceeds %d configurations",
+							m.InstanceName(i), maxLocalConfigs)
+					}
+					configs = append(configs, mv.Next)
+				}
+			}
+		}
+		sizes[i] = len(configs)
 	}
-	return minimized{m: qm, st: st}, nil
+	return sizes, nil
 }
 
 // LTS returns the session's generated state space, generating it on
-// first use (see genOptions). With Minimize set, generation runs on the
-// per-component quotient model with vanishing-state folding — the
-// compositional-minimization path.
+// first use (see genOptions). With Minimize set, generation folds
+// vanishing states.
 func (s *Session) LTS() (*lts.LTS, error) { return s.lts() }
 
 func (s *Session) generate() (*lts.LTS, error) {
-	m, err := s.GenModel()
+	m, err := s.Model()
 	if err != nil {
 		return nil, err
 	}

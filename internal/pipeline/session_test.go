@@ -283,3 +283,38 @@ func TestFailedBuildIsLatched(t *testing.T) {
 		t.Errorf("Phase2: err = %v, want the latched %v", err, first)
 	}
 }
+
+// TestMinimizeStatsProductBound pins the per-instance local-graph sizes
+// that perfbench's compose.full and compose.minimized counters read: the
+// rpc and 10×10 streaming products of the paper models, unreduced on both
+// sides, and no report for a spec without Minimize.
+func TestMinimizeStatsProductBound(t *testing.T) {
+	rpc := models.DefaultRPCParams()
+	st := models.DefaultStreamingParams()
+	for _, c := range []struct {
+		name  string
+		spec  pipeline.Spec
+		sizes pipeline.LocalSizes
+		bound float64
+	}{
+		{"rpc", pipeline.Spec{Model: elaborateRPC(t, rpc), Measures: models.RPCMeasures(rpc), Minimize: true},
+			pipeline.LocalSizes{10, 4, 4, 6, 2}, 1920},
+		{"streaming", pipeline.Spec{Model: elaborateStreaming(t, st), Measures: models.StreamingMeasures(st), Minimize: true},
+			pipeline.LocalSizes{2, 12, 4, 6, 12, 3, 3}, 62208},
+	} {
+		sizes, err := pipeline.NewSession(c.spec, pipeline.Config{}).MinimizeStats()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(sizes, c.sizes) {
+			t.Errorf("%s: sizes %v, want %v", c.name, sizes, c.sizes)
+		}
+		if full, minimized := sizes.ProductBound(); full != c.bound || minimized != c.bound {
+			t.Errorf("%s: product bound %g → %g, want %g → %g", c.name, full, minimized, c.bound, c.bound)
+		}
+	}
+	sizes, err := pipeline.NewSession(pipeline.Spec{Model: elaborateRPC(t, rpc)}, pipeline.Config{}).MinimizeStats()
+	if sizes != nil || err != nil {
+		t.Errorf("without Minimize: %v, %v; want nil, nil", sizes, err)
+	}
+}

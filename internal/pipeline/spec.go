@@ -31,13 +31,12 @@ type Spec struct {
 	// predicates are what generation labels states with, so a spec that
 	// reads a state predicate off the chain declares it as a measure.
 	Measures []measure.Measure
-	// Minimize enables compositional minimization: the session lumps each
-	// component before composition (compose.Minimize, refined against the
-	// Measures' state predicates) and generates with vanishing-state
-	// folding observed through the Measures' TRANS_REWARD labels, so the
-	// full product never materializes. The simulation phase always runs
-	// on the full model — minimization only accelerates the Markovian
-	// path, whose measures it preserves exactly.
+	// Minimize makes the session generate the elaborated model with
+	// vanishing-state folding, observed through the Measures' TRANS_REWARD
+	// labels, so the vanishing states of the full product are never
+	// interned. The simulation phase always runs on the full model —
+	// folding only accelerates the Markovian path, whose measures it
+	// preserves exactly.
 	Minimize bool
 	// Solve tunes the steady-state solver. Its Ctx is ignored: a session
 	// solves under Config.Ctx. The solver has no worker count, so a

@@ -448,7 +448,7 @@ func TestSweepMatchesColdSolve(t *testing.T) {
 }
 
 // TestSweepFullMatchesMinimized pins that the full and the
-// compose-minimized 10×10 streaming chains, which differ only in how their
+// folded 10×10 streaming chains, which differ only in how their
 // tangible states are numbered, are swept in one order: their recurrent
 // components are visited in ascending tangible index, so every measure of
 // the two sweeps agrees to 1e-12 relative, from a 5 ms to a 1e5 ms awake

@@ -8,7 +8,7 @@ import (
 )
 
 // TestSolverBitsIndependentOfWorkers pins the promise behind the store
-// key excluding Config.Workers: on the compose-minimized 12×12 streaming
+// key excluding Config.Workers: on the folded 12×12 streaming
 // model (3198 tangible states) the store key, the Phase2 values and a
 // batched three-point sweep are bit-identical at one and two workers. A
 // Store shared across worker counts serves whichever bits it computed

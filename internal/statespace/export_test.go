@@ -1,5 +1,7 @@
 package statespace
 
+import "bytes"
+
 // ProbeStats returns the mean and the longest probe sequence that finds a
 // stored tuple, over every tuple in the table, and the table's load.
 func (t *TupleTable) ProbeStats() (mean float64, longest int, load float64) {
@@ -32,5 +34,21 @@ func (t *TupleTable) Lookup(v []uint32) (uint32, bool) {
 			return e - 1, true
 		}
 		i = (i + 1) & t.mask
+	}
+}
+
+// Lookup returns the identifier of key without interning it.
+func (in *Interner) Lookup(key []byte) (uint32, bool) {
+	h := uint32(fnv1a(key))
+	i := h & in.mask
+	for {
+		e := in.table[i]
+		if e == 0 {
+			return 0, false
+		}
+		if bytes.Equal(in.Bytes(e-1), key) {
+			return e - 1, true
+		}
+		i = (i + 1) & in.mask
 	}
 }

@@ -88,22 +88,6 @@ func (in *Interner) Intern(key []byte) (id uint32, fresh bool) {
 	}
 }
 
-// Lookup returns the identifier of key without interning it.
-func (in *Interner) Lookup(key []byte) (uint32, bool) {
-	h := uint32(fnv1a(key))
-	i := h & in.mask
-	for {
-		e := in.table[i]
-		if e == 0 {
-			return 0, false
-		}
-		if bytes.Equal(in.Bytes(e-1), key) {
-			return e - 1, true
-		}
-		i = (i + 1) & in.mask
-	}
-}
-
 // grow doubles the hash table and rehashes every stored key.
 func (in *Interner) grow() {
 	next := make([]uint32, 2*len(in.table))

@@ -185,21 +185,19 @@ echo "== session race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
     -run 'SessionSingleFlight|SweepMatchesColdSolve|StoreHit|CompiledMeasures' ./internal/pipeline/ ./internal/ctmc/
 
-# Compositional-minimization smoke under the race detector at -cpu 1,2:
-# the quotient-vs-full properties — component lumping is deterministic
-# and generation from the quotient is bit-identical across runs
-# (TestMinimize* in internal/compose), vanishing-state folding preserves
-# throughputs, attributions, and parametric slots, is bit-identical
-# when generations from one shared model run concurrently, keeps the
+# Folding smoke under the race detector at -cpu 1,2 (-compose minimize
+# folds vanishing states during generation): folding preserves
+# throughputs, attributions, and parametric slots, is bit-identical when
+# generations from one shared model run concurrently, keeps the
 # MaxStates bound exact, is unchanged by fold-memo resets and allocates
-# independently of the state count (TestFold* in internal/lts), and the minimized experiment suite agrees with the full
-# path within 1e-6 and is bit-identical across worker counts
-# (TestGoldenMinimizeAgreement in internal/experiments). Generation
-# itself is sequential; what races here is concurrent sessions and sweep
-# points sharing one immutable quotient model.
-echo "== compositional-minimization race smoke (-cpu 1,2) =="
+# independently of the state count (TestFold* in internal/lts), and the
+# folded experiment suite agrees with the full path within 1e-6 and is
+# bit-identical across worker counts (TestGoldenMinimizeAgreement in
+# internal/experiments). Generation itself is sequential; what races here
+# is concurrent sessions and sweep points sharing one immutable model.
+echo "== folding race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 -run 'Minimize|Fold' \
-    ./internal/compose/ ./internal/lts/ ./internal/experiments/
+    ./internal/lts/ ./internal/experiments/
 
 # Simulator race smoke at -cpu 1,2: the worker-count bit-identity and
 # reproducibility properties, the measurement window, the exact-tie
