@@ -34,3 +34,10 @@ func (l *LTS) SlotDefaults() []float64 {
 	}
 	return out
 }
+
+// WithHashIndexForTest returns a copy of o whose unfolded generation
+// interns its states through the hash index instead of the direct one.
+func WithHashIndexForTest(o GenerateOptions) GenerateOptions {
+	o.hashIndex = true
+	return o
+}

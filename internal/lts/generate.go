@@ -44,6 +44,10 @@ type GenerateOptions struct {
 	// exact. Nil disables folding (the default, bit-identical to previous
 	// releases).
 	Fold *FoldOptions
+
+	// hashIndex makes an unfolded generation intern its states through
+	// the hash index (tests only: the oracle of the direct index).
+	hashIndex bool
 }
 
 // FoldOptions tunes vanishing-state folding during generation.
@@ -112,7 +116,14 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		fc = newFoldCtx(c, opts.Fold)
 	}
 
-	states := statespace.NewTupleTable(n)
+	// An unfolded reachable set fills most of the product of its local-id
+	// ranges, so its states are indexed directly by that product; a
+	// folded one skips the vanishing states and would leave it sparse.
+	newTable := statespace.NewDirectTupleTable
+	if fc != nil || opts.hashIndex {
+		newTable = statespace.NewTupleTable
+	}
+	states := newTable(n)
 	intern := func(t []uint32) (uint32, error) {
 		id, fresh := states.Intern(t)
 		if fresh && states.Len() > maxStates {
@@ -298,7 +309,7 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		l.setAuxPool(auxStart, auxLabel, auxCount)
 	}
 	// The tuple slab is the state table the finished system retains (for
-	// descriptions), and all of it: the table's hash index is left to the
+	// descriptions), and all of it: the table's index is left to the
 	// collector, so the bytes MemStats reports, slab capacity included,
 	// are the bytes the system keeps.
 	slab := states.Tuples()

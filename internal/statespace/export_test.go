@@ -3,8 +3,12 @@ package statespace
 import "bytes"
 
 // ProbeStats returns the mean and the longest probe sequence that finds a
-// stored tuple, over every tuple in the table, and the table's load.
+// stored tuple, over every tuple in the table, and the table's load. The
+// table must be hash-indexed.
 func (t *TupleTable) ProbeStats() (mean float64, longest int, load float64) {
+	if t.radix != nil {
+		panic("statespace: ProbeStats of a direct-indexed table")
+	}
 	total := 0
 	for id := range t.n {
 		i := hashTuple(t.Tuple(uint32(id))) & t.mask
@@ -23,6 +27,15 @@ func (t *TupleTable) ProbeStats() (mean float64, longest int, load float64) {
 func (t *TupleTable) Lookup(v []uint32) (uint32, bool) {
 	if len(v) != t.width {
 		return 0, false
+	}
+	if t.radix != nil {
+		for i, w := range v {
+			if w >= t.radix[i] {
+				return 0, false
+			}
+		}
+		e := t.table[t.slot(v)]
+		return e - 1, e != 0
 	}
 	i := hashTuple(v) & t.mask
 	for {
@@ -51,4 +64,11 @@ func (in *Interner) Lookup(key []byte) (uint32, bool) {
 		}
 		i = (i + 1) & in.mask
 	}
+}
+
+// IndexStats reports whether the table indexes directly, how many slots
+// its index holds (its buffer's capacity) and how many tuples the direct
+// index has re-indexed since Reset.
+func (t *TupleTable) IndexStats() (direct bool, slots, reindexed int) {
+	return t.radix != nil, cap(t.table), t.reindexed
 }

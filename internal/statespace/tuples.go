@@ -1,35 +1,104 @@
 package statespace
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // TupleTable assigns dense uint32 identifiers to fixed-width tuples of
 // uint32 words (global states as tuples of local ids). Tuples are stored
-// in place, back to back in one word slab, and located through an
-// open-addressing hash table over a word-wise hash, so a hit costs one
-// hash, a short probe chain and a word comparison — no byte encoding, no
-// allocation. Identifiers are assigned in first-intern order.
+// in place, back to back in one word slab, and located through one of two
+// indexes over that slab; identifiers are assigned in first-intern order
+// whichever index finds them, so the index never shows in an id.
+//
+//   - The hash index (NewTupleTable) is an open-addressing table over a
+//     word-wise hash: a hit costs one hash, a short probe chain and a word
+//     comparison — no byte encoding, no allocation.
+//   - The direct index (NewDirectTupleTable) reads a tuple as a
+//     mixed-radix number, whose digit at position i is below the radix of
+//     i (the largest word stored there, plus one), and keeps id+1 in the
+//     slot of that number: a hit is one multiply-add per position and one
+//     load. It suits a reachable set that fills most of the product of its
+//     per-position ranges. It holds at most maxSlotsPerState slots per
+//     stored tuple plus slotFloor, and re-indexes at most
+//     maxReindexPerState stored tuples per stored tuple plus reindexFloor;
+//     a tuple that would take it past either bound moves the table to the
+//     hash index for good.
 //
 // Like Interner, a TupleTable is single-writer: each generation, fold
 // memo and simulation runner owns its tables.
 type TupleTable struct {
 	width int
 	slab  []uint32 // tuple id is slab[id*width : (id+1)*width]
-	table []uint32 // open addressing; 0 = empty, otherwise id+1
+	// table is the index; in a slot, 0 = empty, otherwise id+1. Hashing,
+	// it is open addressing over a power-of-two length; direct, v's slot
+	// is table[Σ v[i]·stride[i]].
+	table []uint32
 	mask  uint32
-	n     int
+	// The direct index's digits, nil when the table hashes: position i's
+	// radix (the largest word stored there, plus one) and its stride (the
+	// product of the radices before it).
+	radix, stride []uint32
+	reindexed     int // tuples the direct index re-indexed since Reset
+	n             int
 }
 
-// NewTupleTable returns an empty table of tuples of the given width
-// (at least 1).
+const (
+	// initialSlots is both indexes' first table length (a power of two).
+	initialSlots = 1024
+	// The direct index's buffer is the smallest power of two, from
+	// initialSlots up, that holds the product of the radices, and it
+	// holds at most maxSlotsPerState slots per stored tuple plus
+	// slotFloor. A finished unfolded reachable set fills the product
+	// densely: 1.6 slots per state on the functional and full-Markovian
+	// streaming shapes, 3.5 on rpc. The fold memo, the folded state table
+	// and the simulator's keys took 9–48 when a prototype indexed them
+	// directly, which is why they hash. Early in a breadth-first search
+	// the buffer runs higher per state: on the streaming shapes 8,192
+	// slots at 309 states and 16,384 at 880, which the bound admits (9,040
+	// and 18,176).
+	maxSlotsPerState = 16
+	slotFloor        = 4096
+	// Raising a radix re-indexes every stored tuple, so a set whose local
+	// ids keep arriving one at a time (one instance alone, or a long
+	// buffer filling up) would cost quadratic work. The direct index
+	// re-indexes at most maxReindexPerState tuples per stored tuple plus
+	// reindexFloor. A breadth-first search over a product meets its local
+	// ids early: the unfolded generations of the specs, both paper models
+	// and the full-Markovian streaming shapes up to 16×16 (and, until the
+	// slot bound moves them to hashing, 20×20, 4×30 and 30×4) never come
+	// within 52,000 re-indexed tuples of this bound; at 4 per tuple the
+	// 16×16 shape would need a floor of 84,527.
+	maxReindexPerState = 8
+	reindexFloor       = 1 << 16
+)
+
+// NewTupleTable returns an empty hash-indexed table of tuples of the
+// given width (at least 1).
 func NewTupleTable(width int) *TupleTable {
 	if width < 1 {
 		panic("statespace: tuple width must be positive")
 	}
-	const initialSlots = 1024 // power of two
 	return &TupleTable{
 		width: width,
 		table: make([]uint32, initialSlots),
 		mask:  initialSlots - 1,
+	}
+}
+
+// NewDirectTupleTable returns an empty direct-indexed table of tuples of
+// the given width (at least 1), for tuple sets that are dense in the
+// product of their per-position ranges, such as a breadth-first search's
+// reachable states. It falls back to hashing when the set is sparse.
+func NewDirectTupleTable(width int) *TupleTable {
+	if width < 1 {
+		panic("statespace: tuple width must be positive")
+	}
+	digits := make([]uint32, 2*width)
+	return &TupleTable{
+		width:  width,
+		radix:  digits[:width:width],
+		stride: digits[width:],
 	}
 }
 
@@ -48,7 +117,7 @@ func (t *TupleTable) Tuple(id uint32) []uint32 {
 // Tuples returns every stored tuple, back to back in identifier order:
 // tuple id is the slice's words [id·width, (id+1)·width). The slice
 // aliases the slab, with its spare capacity, and must not be modified.
-// Holding it keeps the tuples without the hash index, which is what a
+// Holding it keeps the tuples without the index, which is what a
 // finished state space needs for its descriptions.
 func (t *TupleTable) Tuples() []uint32 { return t.slab }
 
@@ -86,21 +155,30 @@ func (t *TupleTable) Intern(v []uint32) (id uint32, fresh bool) {
 	if len(v) != t.width {
 		panic("statespace: tuple width mismatch")
 	}
+	if t.radix != nil {
+		radix, stride := t.radix[:len(v)], t.stride[:len(v)]
+		slot := 0
+		for i, w := range v {
+			if w >= radix[i] {
+				return t.widen(v), true
+			}
+			slot += int(w) * int(stride[i])
+		}
+		if e := t.table[slot]; e != 0 {
+			return e - 1, false
+		}
+		id = t.store(v)
+		t.table[slot] = id + 1
+		return id, true
+	}
 	i := hashTuple(v) & t.mask
 	for {
 		e := t.table[i]
 		if e == 0 {
-			id = uint32(t.n)
-			if len(t.slab)+t.width > cap(t.slab) {
-				// Double the slab (append alone grows large slices by
-				// 1.25×, copying the whole state table several times).
-				t.slab = slices.Grow(t.slab, max(t.width, cap(t.slab)))
-			}
-			t.slab = append(t.slab, v...)
-			t.n++
+			id = t.store(v)
 			t.table[i] = id + 1
 			if 2*uint64(t.n) >= uint64(len(t.table)) {
-				t.grow()
+				t.rehash(2 * len(t.table))
 			}
 			return id, true
 		}
@@ -111,25 +189,122 @@ func (t *TupleTable) Intern(v []uint32) (id uint32, fresh bool) {
 	}
 }
 
-// Reset empties the table, keeping its storage for reuse. Identifiers and
-// tuples handed out before the reset are invalid afterwards.
-func (t *TupleTable) Reset() {
-	t.slab = t.slab[:0]
-	clear(t.table)
-	t.n = 0
+// store appends v to the slab as the next identifier and returns it.
+func (t *TupleTable) store(v []uint32) uint32 {
+	if len(t.slab)+t.width > cap(t.slab) {
+		// Double the slab (append alone grows large slices by
+		// 1.25×, copying the whole state table several times).
+		t.slab = slices.Grow(t.slab, max(t.width, cap(t.slab)))
+	}
+	t.slab = append(t.slab, v...)
+	t.n++
+	return uint32(t.n - 1)
 }
 
-// grow doubles the hash table and rehashes every stored tuple.
-func (t *TupleTable) grow() {
-	next := make([]uint32, 2*len(t.table))
-	mask := uint32(len(next) - 1)
+// widen interns v, a fresh tuple with a word at or beyond its position's
+// radix. It raises those radices and re-indexes every stored tuple under
+// the new strides, in a buffer of power-of-two capacity that doubles as
+// the product of the radices outgrows it. When that buffer or the tuples
+// re-indexed since Reset would exceed their bound, the table moves to the
+// hash index instead. (A buffer kept across Reset may be larger than the
+// slot bound; it is reused, not counted against it.)
+func (t *TupleTable) widen(v []uint32) uint32 {
+	t.reindexed += t.n
+	if t.reindexed > maxReindexPerState*(t.n+1)+reindexFloor {
+		return t.fallBack(v)
+	}
+	// Strides are words, so the bound also keeps the product below 2^32.
+	limit := min(uint64(maxSlotsPerState)*uint64(t.n+1)+slotFloor, math.MaxUint32)
+	product := uint64(1)
+	for i, w := range v {
+		r := max(uint64(t.radix[i]), uint64(w)+1)
+		if product > limit/r {
+			return t.fallBack(v)
+		}
+		product *= r
+	}
+	size := uint64(initialSlots)
+	for size < product {
+		size *= 2
+	}
+	if size > limit {
+		return t.fallBack(v)
+	}
+	if size > uint64(cap(t.table)) {
+		t.table = make([]uint32, product, size)
+	} else {
+		t.table = t.table[:product]
+		clear(t.table)
+	}
+	stride := uint32(1)
+	for i, w := range v {
+		t.radix[i] = max(t.radix[i], w+1)
+		t.stride[i] = stride
+		stride *= t.radix[i]
+	}
+	for id := range t.n {
+		t.table[t.slot(t.Tuple(uint32(id)))] = uint32(id) + 1
+	}
+	id := t.store(v)
+	t.table[t.slot(v)] = id + 1
+	return id
+}
+
+// fallBack moves the table to the hash index, at the load below 1/2 that
+// Intern keeps, and interns v there.
+func (t *TupleTable) fallBack(v []uint32) uint32 {
+	t.radix, t.stride = nil, nil
+	slots := initialSlots
+	for 2*t.n >= slots {
+		slots *= 2
+	}
+	t.rehash(slots)
+	id, _ := t.Intern(v)
+	return id
+}
+
+// slot returns the index in the direct table of v's slot; every word of v
+// must be below its position's radix.
+func (t *TupleTable) slot(v []uint32) int {
+	s := 0
+	for i, w := range v {
+		s += int(w) * int(t.stride[i])
+	}
+	return s
+}
+
+// Reset empties the table, keeping its storage and its index kind for
+// reuse. Identifiers and tuples handed out before the reset are invalid
+// afterwards.
+func (t *TupleTable) Reset() {
+	t.slab = t.slab[:0]
+	t.n = 0
+	t.reindexed = 0
+	if t.radix != nil {
+		// Zero radices; widen sets the strides and clears the slots.
+		clear(t.radix)
+		t.table = t.table[:0]
+		return
+	}
+	clear(t.table)
+}
+
+// rehash rebuilds the hash index over the given number of slots (a power
+// of two) from the slab, in the current buffer when it is large enough.
+func (t *TupleTable) rehash(slots int) {
+	if cap(t.table) >= slots {
+		t.table = t.table[:slots]
+		clear(t.table)
+	} else {
+		t.table = make([]uint32, slots)
+	}
+	mask := uint32(slots - 1)
 	for id := 0; id < t.n; id++ {
 		i := hashTuple(t.Tuple(uint32(id))) & mask
-		for next[i] != 0 {
+		for t.table[i] != 0 {
 			i = (i + 1) & mask
 		}
-		next[i] = uint32(id) + 1
+		t.table[i] = uint32(id) + 1
 	}
-	t.table = next
 	t.mask = mask
 }

@@ -2,7 +2,10 @@ package statespace
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -134,50 +137,281 @@ func TestTupleTableReset(t *testing.T) {
 	}
 }
 
-// FuzzTupleTable drives a table with tuples decoded from the input and
-// checks it against a map keyed by the tuple bytes: the same ids in the
-// same first-intern order, fresh exactly on first sight, Lookup agreeing
-// before and after, and Tuple round-tripping every id.
-func FuzzTupleTable(f *testing.F) {
-	f.Add(uint8(1), []byte{1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0})
-	f.Add(uint8(3), []byte("abcdefghijklabcdefghijkl0123456789ab"))
-	f.Add(uint8(12), make([]byte, 200))
-	f.Fuzz(func(t *testing.T, width uint8, data []byte) {
-		w := 1 + int(width)%12
-		tt := NewTupleTable(w)
-		ref := map[string]uint32{}
-		var order []string
-		for len(data) >= 4*w {
-			key := string(data[:4*w])
-			data = data[4*w:]
-			v := make([]uint32, w)
-			for k := range v {
-				v[k] = binary.LittleEndian.Uint32([]byte(key[4*k:]))
+// decodeTuples reads width-w tuples from data, one word per byte: a byte
+// below 0xF0 is the word itself, so most words are small, like the local
+// ids of a reachable state set, and a byte from 0xF0 up escapes a word
+// of any size, the next four bytes little endian, so a stream can be as
+// sparse as the direct index's fallback needs and reach every uint32. A
+// trailing partial tuple is dropped.
+func decodeTuples(w int, data []byte) [][]uint32 {
+	var out [][]uint32
+	v := make([]uint32, 0, w)
+	for len(data) > 0 {
+		b := data[0]
+		data = data[1:]
+		word := uint32(b)
+		if b >= 0xF0 {
+			if len(data) < 4 {
+				break
 			}
-			wantID, known := ref[key]
+			word = binary.LittleEndian.Uint32(data)
+			data = data[4:]
+		}
+		v = append(v, word)
+		if len(v) == w {
+			out = append(out, v)
+			v = make([]uint32, 0, w)
+		}
+	}
+	return out
+}
+
+// encodeTuples is decodeTuples' inverse, for building seed streams.
+func encodeTuples(tuples [][]uint32) []byte {
+	var out []byte
+	for _, v := range tuples {
+		for _, w := range v {
+			if w < 0xF0 {
+				out = append(out, byte(w))
+			} else {
+				out = binary.LittleEndian.AppendUint32(append(out, 0xF0), w)
+			}
+		}
+	}
+	return out
+}
+
+// wordTuples reads width-w tuples from data four bytes a word, little
+// endian, dropping a trailing partial tuple: how FuzzTupleTable read its
+// input before it escaped large words, kept so its first seeds still
+// stand for the tuples they were written as.
+func wordTuples(w int, data []byte) [][]uint32 {
+	var out [][]uint32
+	for ; len(data) >= 4*w; data = data[4*w:] {
+		v := make([]uint32, w)
+		for k := range v {
+			v[k] = binary.LittleEndian.Uint32(data[4*k:])
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// indexRun reports what the direct-indexed table of checkIndexesAgree
+// went through.
+type indexRun struct {
+	fellBack bool // it moved to the hash index at some point
+	direct   bool // it indexes directly at the end
+}
+
+// checkIndexesAgree interns the stream into a direct-indexed table, a
+// hash-indexed table and a map reference keyed by the tuple, and resets
+// all three before tuple resetAt (never when it is 0). At every step both
+// tables must agree with the reference on Lookup, on Intern's id and on
+// its fresh flag, and a direct table must hold at most maxSlotsPerState
+// slots per tuple plus slotFloor, counting the most tuples it has held
+// (Reset keeps the buffer), and have re-indexed at most
+// maxReindexPerState tuples per tuple it holds plus reindexFloor. Before
+// every reset and at the end, Tuple(id) must read back every reference
+// tuple from both.
+func checkIndexesAgree(t *testing.T, w int, tuples [][]uint32, resetAt int) indexRun {
+	t.Helper()
+	direct, hash := NewDirectTupleTable(w), NewTupleTable(w)
+	tables := map[string]*TupleTable{"direct": direct, "hash": hash}
+	var run indexRun
+	most := 0 // the most tuples the direct table has held
+	ref := map[string]uint32{}
+	var order [][]uint32
+	readBack := func() {
+		t.Helper()
+		if direct.Len() != len(order) || hash.Len() != len(order) {
+			t.Fatalf("Len = %d direct, %d hash, reference %d", direct.Len(), hash.Len(), len(order))
+		}
+		for id, v := range order {
+			if !slices.Equal(direct.Tuple(uint32(id)), v) || !slices.Equal(hash.Tuple(uint32(id)), v) {
+				t.Fatalf("Tuple(%d) = %v direct, %v hash, reference %v", id, direct.Tuple(uint32(id)), hash.Tuple(uint32(id)), v)
+			}
+		}
+	}
+	for k, v := range tuples {
+		if resetAt > 0 && k == resetAt {
+			readBack()
+			direct.Reset()
+			hash.Reset()
+			clear(ref)
+			order = order[:0]
+		}
+		key := fmt.Sprint(v)
+		wantID, known := ref[key]
+		for name, tt := range tables {
 			if id, ok := tt.Lookup(v); ok != known || (ok && id != wantID) {
-				t.Fatalf("Lookup(%v) = (%d, %t), reference (%d, %t)", v, id, ok, wantID, known)
-			}
-			if !known {
-				wantID = uint32(len(order))
-				ref[key] = wantID
-				order = append(order, key)
-			}
-			id, fresh := tt.Intern(v)
-			if id != wantID || fresh == known {
-				t.Fatalf("Intern(%v) = (%d, %t), reference (%d, %t)", v, id, fresh, wantID, !known)
+				t.Fatalf("tuple #%d: Lookup(%v) = (%d, %t) on the %s table, reference (%d, %t)",
+					k, v, id, ok, name, wantID, known)
 			}
 		}
-		if tt.Len() != len(order) {
-			t.Fatalf("Len = %d, reference %d", tt.Len(), len(order))
+		if !known {
+			wantID = uint32(len(order))
+			ref[key] = wantID
+			order = append(order, v)
 		}
-		for id, key := range order {
-			got := tt.Tuple(uint32(id))
-			for k := range got {
-				if got[k] != binary.LittleEndian.Uint32([]byte(key[4*k:])) {
-					t.Fatalf("Tuple(%d) = %v, reference key %x", id, got, key)
-				}
+		for name, tt := range tables {
+			if id, fresh := tt.Intern(v); id != wantID || fresh == known {
+				t.Fatalf("tuple #%d: Intern(%v) = (%d, %t) on the %s table, reference (%d, %t)",
+					k, v, id, fresh, name, wantID, !known)
 			}
 		}
+		most = max(most, direct.Len())
+		isDirect, slots, reindexed := direct.IndexStats()
+		switch {
+		case !isDirect:
+			run.fellBack = true
+		case slots > maxSlotsPerState*most+slotFloor:
+			t.Fatalf("tuple #%d: the direct index holds %d slots for %d tuples", k, slots, direct.Len())
+		case reindexed > maxReindexPerState*direct.Len()+reindexFloor:
+			t.Fatalf("tuple #%d: the direct index re-indexed %d tuples for %d", k, reindexed, direct.Len())
+		}
+	}
+	readBack()
+	run.direct, _, _ = direct.IndexStats()
+	return run
+}
+
+// lateRadixStream returns every tuple of the w-dimensional grid [0, r)^w
+// twice over, in an order where the top two local ids of position pos
+// first appear once the (r−2)/r of the grid without them is stored: each
+// of them widens a radix and re-indexes most of the table.
+func lateRadixStream(w, r, pos int) [][]uint32 {
+	var early, late [][]uint32
+	size := 1
+	for range w {
+		size *= r
+	}
+	for i := range size {
+		v := make([]uint32, w)
+		for k, x := 0, i; k < w; k, x = k+1, x/r {
+			v[k] = uint32(x % r)
+		}
+		if int(v[pos]) >= r-2 {
+			late = append(late, v)
+		} else {
+			early = append(early, v)
+		}
+	}
+	rand.New(rand.NewSource(int64(pos))).Shuffle(len(early), func(i, j int) { early[i], early[j] = early[j], early[i] })
+	stream := append(early, late...)
+	return append(stream, stream...)
+}
+
+// fallbackStream returns a dense grid, then tuples with words up to 2^20
+// whose product soon exceeds the direct index's bound, then the grid
+// again: 2·grid + sparse tuples in all.
+func fallbackStream(w, r, sparse int) [][]uint32 {
+	twice := lateRadixStream(w, r, 0)
+	grid := twice[:len(twice)/2]
+	rnd := rand.New(rand.NewSource(9))
+	stream := slices.Clone(grid)
+	for range sparse {
+		v := make([]uint32, w)
+		for k := range v {
+			v[k] = uint32(rnd.Intn(1 << 20))
+		}
+		stream = append(stream, v)
+	}
+	return append(stream, grid...)
+}
+
+// TestDirectIndexMatchesHash drives the direct and the hash index with
+// the same streams: local ids that first appear late, at the first
+// position (whose stride is 1) and at the last (whose stride is the
+// largest), once straight through and once reset halfway, and a stream
+// whose sparse middle moves the direct table to the hash index, where a
+// reset leaves it.
+func TestDirectIndexMatchesHash(t *testing.T) {
+	for _, pos := range []int{0, 3} {
+		stream := lateRadixStream(4, 7, pos)
+		for _, resetAt := range []int{0, len(stream) / 2} {
+			if run := checkIndexesAgree(t, 4, stream, resetAt); run.fellBack || !run.direct {
+				t.Errorf("late ids at position %d, reset at %d: %+v, want a direct index throughout", pos, resetAt, run)
+			}
+		}
+	}
+	const w, r, sparse = 3, 9, 200
+	stream := fallbackStream(w, r, sparse)
+	for _, resetAt := range []int{0, len(stream) - r*r*r} {
+		if run := checkIndexesAgree(t, w, stream, resetAt); !run.fellBack || run.direct {
+			t.Errorf("sparse stream, reset at %d: %+v, want the hash index from the sparse tuples on", resetAt, run)
+		}
+	}
+}
+
+// TestDirectIndexHighWords drives both indexes with a word at 2^31 or at
+// MaxUint32 (whose radix does not fit a word) after a few small tuples,
+// at width 1 and width 3: the direct table must move to the hash index
+// rather than wrap a radix, a stride or a slot, and agree with it on
+// every id before and after.
+func TestDirectIndexHighWords(t *testing.T) {
+	for _, high := range []uint32{1 << 31, math.MaxUint32} {
+		for _, stream := range [][][]uint32{
+			{{0}, {1}, {high}, {1}, {high}, {2}, {high - 1}},
+			{{0, 0, 0}, {1, 2, 0}, {0, high, 0}, {1, 2, 0}, {high, 0, 1}, {0, high, 0}, {high, high, high}},
+		} {
+			if run := checkIndexesAgree(t, len(stream[0]), stream, 0); !run.fellBack || run.direct {
+				t.Errorf("word %d at width %d: %+v, want the hash index from it on", high, len(stream[0]), run)
+			}
+		}
+	}
+}
+
+// counterStream returns the width-1 tuples 0, 1, …, n−1: every one raises
+// the radix, so a direct table re-indexes all the tuples before it.
+func counterStream(n int) [][]uint32 {
+	stream := make([][]uint32, n)
+	for i := range stream {
+		stream[i] = []uint32{uint32(i)}
+	}
+	return stream
+}
+
+// TestDirectIndexReindexBudget drives both indexes with 100,000 tuples
+// whose local ids keep arriving in ascending order, so every fresh id
+// raises a radix: one position counting up (one instance alone), and a
+// position cycling through 100 ids beside one filling a 1,000-deep
+// buffer. Re-indexing on every raise would cost quadratic work; the
+// direct table must stay within its re-index bound (checkIndexesAgree
+// checks it at every tuple) and move to the hash index.
+func TestDirectIndexReindexBudget(t *testing.T) {
+	const n = 100_000
+	var buffer [][]uint32
+	for i := range n {
+		buffer = append(buffer, []uint32{uint32(i % 100), uint32(i / 100)})
+	}
+	for name, stream := range map[string][][]uint32{"counter": counterStream(n), "buffer": buffer} {
+		run := checkIndexesAgree(t, len(stream[0]), stream, 0)
+		if !run.fellBack || run.direct {
+			t.Errorf("%s: %+v, want the hash index once the re-index bound is reached", name, run)
+		}
+	}
+}
+
+// FuzzTupleTable drives a direct-indexed and a hash-indexed table with the
+// same tuple stream decoded from the input (decodeTuples), resetting both
+// at tuple resetAt, and checks them against each other and a map
+// reference (checkIndexesAgree): the same ids in the same first-intern
+// order, fresh exactly on first sight, Lookup agreeing before and after,
+// Tuple round-tripping every id, and the direct index within its slot
+// and re-index bounds until it falls back to hashing. The seeds include a
+// late-radix stream, a stream that crosses the slot bound and one that
+// crosses the re-index bound.
+func FuzzTupleTable(f *testing.F) {
+	f.Add(uint8(1), uint8(0), encodeTuples(wordTuples(2, []byte{1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0})))
+	f.Add(uint8(3), uint8(5), encodeTuples(wordTuples(4, []byte("abcdefghijklabcdefghijkl0123456789ab"))))
+	f.Add(uint8(12), uint8(0), encodeTuples(wordTuples(1, make([]byte, 200))))
+	f.Add(uint8(3), uint8(200), encodeTuples(lateRadixStream(3, 6, 2)))
+	fallback := fallbackStream(2, 6, 40)
+	f.Add(uint8(2), uint8(len(fallback)-36), encodeTuples(fallback))
+	f.Add(uint8(0), uint8(0), encodeTuples(counterStream(600)))
+	f.Fuzz(func(t *testing.T, width, resetAt uint8, data []byte) {
+		w := 1 + int(width)%12
+		checkIndexesAgree(t, w, decodeTuples(w, data), int(resetAt))
 	})
 }

@@ -238,9 +238,13 @@ go test -timeout 10m -race -cpu 1,2 ./internal/noninterference/ ./internal/bisim
 # hiding of rated systems with Aux handles against the Build-based
 # reference restriction and the parent's rates edge by edge
 # (FuzzRestrictHide), the tuple table behind every state table and
-# memo against a map reference, and the vectorized Gauss-Seidel kernel
-# against the scalar one, bit for bit, on small chains with rate slots
-# at up to eight points (FuzzSweepKernel, amd64 only). A
+# memo, its direct index (unfolded generation's mixed-radix state index)
+# against its hash index and both against a map reference, through radix
+# growth, both fallbacks to hashing and Reset (FuzzTupleTable, seeded with
+# a late-radix stream and one stream past each of the direct index's slot
+# and re-index bounds), and the vectorized Gauss-Seidel
+# kernel against the scalar one, bit for bit, on small chains with rate
+# slots at up to eight points (FuzzSweepKernel, amd64 only). A
 # crasher lands under the package's testdata/fuzz and then replays in
 # every later `go test`. Every target caps input minimization at 200
 # runs: under Go's default 60 s limit, minimizing one new input can take
