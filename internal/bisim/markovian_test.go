@@ -257,6 +257,6 @@ func TestPropertyLumpRefinesStrong(t *testing.T) {
 // transitions whose label match accepts: the selection is compiled once
 // (SelectAll) and evaluated through a Flow, as the measures are.
 func throughput(c *ctmc.CTMC, pi []float64, match func(label string) bool) float64 {
-	f := c.Flow(pi)
+	f := c.Flow(pi, nil)
 	return f.Throughput(c.SelectAll(nil, match)[0])
 }

@@ -36,21 +36,17 @@ func (e *BatchPointError) Unwrap() error { return e.Err }
 // SteadyStateTraced resolves them, and every lane starts from the
 // uniform distribution, as a solo solve does.
 //
-// out[k] is bit-identical to the sequential chain
-//
-//	clone := c.Clone(); clone.Rebind(points[k]); clone.SteadyStateTraced(solve)
-//
-// at any lane count: the gathered rates are the contribution-term sums
-// Rebind computes, in the same order, SteadyStateTraced runs the same
-// kernel on a one-lane batch, and lanes never mix, so a point's result
-// does not depend on which points share its batch. Per-lane residuals are
-// tracked independently and a lane deactivates (its column is frozen and
-// copied out) after exactly the sweep where a one-lane solve would
-// return, so points that need different sweep counts leave the group at
-// different sweeps. The
-// chain's own rate state is not touched: lanes are computed from the
-// contribution terms, so c still carries whatever rates the last
-// Build/Rebind wrote.
+// At any lane count, out[k] is bit-identical to SteadyStateTraced(solve)
+// on the chain Build makes of c's system with every rate slot bound to
+// the constant points[k]: the gathered rates are the
+// contribution-term sums Build accumulates, in the same order,
+// SteadyStateTraced runs the same kernel on a one-lane batch, and lanes
+// never mix, so a point's result does not depend on which points share
+// its batch. Per-lane residuals are tracked independently and a lane
+// deactivates (its column is frozen and copied out) after exactly the
+// sweep where a one-lane solve would return, so points that need
+// different sweep counts leave the group at different sweeps. The chain
+// itself is only read, so any number of goroutines may solve it at once.
 //
 // Failures are reported per lane: laneErrs has one entry per point (nil
 // on success, the lane's *ConvergenceError — already stamped with the
@@ -183,9 +179,9 @@ func newBatch(plan *solvePlan, live int) *batchComponent {
 	}
 }
 
-// fillCurrent gathers the chain's current rates — the Rows and Exit that
-// Build or the last Rebind wrote — into a one-lane batch whose pad lanes
-// copy lane 0: the batch a SteadyStateTraced solve runs. The traversal replays
+// fillCurrent gathers the chain's built-in rates — the Rows and Exit that
+// Build wrote — into a one-lane batch whose pad lanes copy lane 0: the
+// batch a SteadyStateTraced solve runs. The traversal replays
 // the plan's fill order (target rows in order, entries in column-ascending
 // order), and exits are the chain's own, so a chain assembled by hand with
 // no contribution terms solves too.
@@ -218,11 +214,11 @@ func (c *CTMC) fillCurrent(plan *solvePlan) *batchComponent {
 
 // fillBatch gathers up to BatchLanes per-point rate vectors into the
 // plan's skeleton by re-summing each component entry's contribution terms
-// per lane — the identical sequence of float additions Rebind replays —
+// per lane — the identical sequence of float additions Build performs —
 // and accumulating each lane's exit rates over the row's entries in the
-// same column-ascending order Rebind uses, so every lane's rates and exits
-// are bit-identical to a Rebind of the whole chain at that lane's values.
-// Pad lanes are filled from points[0].
+// same column-ascending order Build uses, so every lane's rates and exits
+// are bit-identical to a fresh build with the slots bound to that lane's
+// values. Pad lanes are filled from points[0].
 func (c *CTMC) fillBatch(plan *solvePlan, points [][]float64) *batchComponent {
 	var lanes [BatchLanes][]float64
 	for k := range lanes {

@@ -93,11 +93,7 @@ func requireDistinctSweeps(t *testing.T, c *ctmc.CTMC, points [][]float64) {
 	t.Helper()
 	seen := map[int]int{}
 	for i, pt := range points {
-		chain := c.Clone()
-		if err := chain.Rebind(pt); err != nil {
-			t.Fatal(err)
-		}
-		_, tr, err := chain.SteadyStateTraced(ctmc.SolveOptions{})
+		_, tr, err := boundChain(t, c, pt).SteadyStateTraced(ctmc.SolveOptions{})
 		if err != nil {
 			t.Fatalf("point %d: %v", i, err)
 		}
@@ -109,20 +105,25 @@ func requireDistinctSweeps(t *testing.T, c *ctmc.CTMC, points [][]float64) {
 	}
 }
 
-// solveSequential runs the reference chain per point: Rebind +
-// SteadyStateTraced on a private clone, the exact path SolveBatch must
-// reproduce bit for bit. Debug checks are enabled so every rebind also
-// asserts the cached structural plan against a from-scratch analysis.
+// boundChain is the chain of c's system with every rate slot bound to
+// the constant point[slot-1]: the reference chain of a batched lane.
+func boundChain(t *testing.T, c *ctmc.CTMC, point []float64) *ctmc.CTMC {
+	t.Helper()
+	b, err := c.BoundForTest(point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// solveSequential runs the reference chain per point: SteadyStateTraced
+// on the chain built with the slots bound to the point, the exact path
+// SolveBatch must reproduce bit for bit.
 func solveSequential(t *testing.T, c *ctmc.CTMC, points [][]float64, opts ctmc.SolveOptions) [][]float64 {
 	t.Helper()
-	defer ctmc.SetDebugChecks(ctmc.SetDebugChecks(true))
-	chain := c.Clone()
 	out := make([][]float64, len(points))
 	for i, pt := range points {
-		if err := chain.Rebind(pt); err != nil {
-			t.Fatalf("rebind point %d: %v", i, err)
-		}
-		pi, _, err := chain.SteadyStateTraced(opts)
+		pi, _, err := boundChain(t, c, pt).SteadyStateTraced(opts)
 		if err != nil {
 			t.Fatalf("steady state point %d: %v", i, err)
 		}
@@ -191,9 +192,9 @@ func avxModes() []bool {
 var batchWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17}
 
 // TestSolveBatchBitIdentity pins the tentpole contract on both paper
-// chains: the batched solve equals the sequential Rebind+SteadyStateTraced
-// chain bit for bit, at every lane width from 1 to 9 and at 17, in the
-// scalar and the vectorized kernel.
+// chains: the batched solve equals SteadyStateTraced on the chain with
+// the slots bound to each point, bit for bit, at every lane width from 1
+// to 9 and at 17, in the scalar and the vectorized kernel.
 func TestSolveBatchBitIdentity(t *testing.T) {
 	chains := map[string]struct {
 		c      *ctmc.CTMC
@@ -248,11 +249,7 @@ func TestSolveBatchPadLanesNeverSurface(t *testing.T) {
 	opts := ctmc.SolveOptions{MaxIterations: 1200}
 	for _, K := range []int{3, 11} {
 		points = append(slices.Clone(converging[:K-1]), []float64{1 / 5.2})
-		solo := c.Clone()
-		if err := solo.Rebind(points[K-1]); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := solo.SteadyStateTraced(opts); !errors.Is(err, ctmc.ErrNoConvergence) {
+		if _, _, err := boundChain(t, c, points[K-1]).SteadyStateTraced(opts); !errors.Is(err, ctmc.ErrNoConvergence) {
 			t.Fatalf("K=%d: premise broken: solo solve of the last point returned %v, want ErrNoConvergence", K, err)
 		}
 		out, laneErrs, err := c.SolveBatchLanes(points, opts)
@@ -298,14 +295,10 @@ func TestSolveBatchMatchesSoloOutcome(t *testing.T) {
 		for _, maxIter := range []int{3, 40, 400, 0} {
 			// Small bounds force failures on some or all lanes.
 			opts := ctmc.SolveOptions{MaxIterations: maxIter}
-			chain := c.Clone()
 			want := make([][]float64, len(points))
 			wantErr := make([]error, len(points))
 			for i, pt := range points {
-				if err := chain.Rebind(pt); err != nil {
-					t.Fatal(err)
-				}
-				want[i], _, wantErr[i] = chain.SteadyStateTraced(opts)
+				want[i], _, wantErr[i] = boundChain(t, c, pt).SteadyStateTraced(opts)
 			}
 			got, err := c.SolveBatch(points, opts)
 			firstFail := -1

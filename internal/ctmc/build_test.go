@@ -2,9 +2,7 @@ package ctmc_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -81,9 +79,10 @@ func randomRatedLTS(r *rand.Rand, n int) *lts.LTS {
 
 // TestBuildMatchesReference pins Build to the map-based reference
 // extraction bit for bit — rows, exit rates, initial distribution,
-// exponential edges, vanishing order, branches and Rebind terms, before
-// and after a Rebind — on the Fig. 3 rpc chain, the minimized 10×10
-// streaming chain and random rated LTSs with immediate chains and
+// exponential edges, vanishing order, branches and rate terms, also with
+// the slots bound to constants, where a batched lane's gathered rates
+// must equal the bound chain's — on the Fig. 3 rpc chain, the minimized
+// 10×10 streaming chain and random rated LTSs with immediate chains and
 // slotted rates.
 func TestBuildMatchesReference(t *testing.T) {
 	rpc := models.DefaultRPCParams()
@@ -181,128 +180,4 @@ func TestBuildAllocsScale(t *testing.T) {
 				family.name, counts[1], states[1], counts[0], states[0])
 		}
 	}
-}
-
-// TestCloneIsolation pins what a clone shares: the exponential edges are
-// one slice across clones and only their rates are private, so rebinding
-// a clone to another point must leave the original's throughputs and
-// measure values bit-identical — on the rpc chain, whose vanishing
-// states route rates through immediate branches, and on the minimized
-// 12×12 streaming chain.
-func TestCloneIsolation(t *testing.T) {
-	rpc := models.DefaultRPCParams()
-	rpc.ParametricTimeout = true
-	stream := models.DefaultStreamingParams()
-	stream.APCapacity, stream.ClientCapacity = 12, 12
-	stream.ParametricPeriod = true
-	rpcMeasures := models.RPCMeasures(rpc)
-	for _, tc := range []struct {
-		name     string
-		lts      func(t *testing.T) *lts.LTS
-		measures []measure.Measure
-		other    []float64
-	}{
-		{"rpc", func(t *testing.T) *lts.LTS {
-			a, err := models.BuildRPCRevised(rpc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := elab.Elaborate(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l, err := lts.Generate(m, lts.GenerateOptions{Predicates: measure.StatePreds(rpcMeasures)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l
-		}, rpcMeasures, []float64{1 / 7.5}},
-		{"streaming-12x12-minimized", func(t *testing.T) *lts.LTS { return minimizedStreamingLTS(t, 12) },
-			models.StreamingMeasures(stream), []float64{1 / 400.0}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := ctmc.Build(tc.lts(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pi, _, err := c.SteadyStateTraced(ctmc.SolveOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			all := func(string) bool { return true }
-			before := c.Throughput(pi, all, nil)
-			values, err := evalMeasures(tc.measures, c, pi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clone := c.Clone()
-			if err := clone.Rebind(tc.other); err != nil {
-				t.Fatal(err)
-			}
-			if got := clone.Throughput(pi, all, nil); got == before {
-				t.Fatalf("rebinding the clone left its throughput at %v: the fixture does not exercise the rates", got)
-			}
-			if after := c.Throughput(pi, all, nil); math.Float64bits(after) != math.Float64bits(before) {
-				t.Errorf("original throughput moved from %v to %v after a clone's Rebind", before, after)
-			}
-			again, err := evalMeasures(tc.measures, c, pi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, v := range values {
-				if math.Float64bits(again[name]) != math.Float64bits(v) {
-					t.Errorf("measure %s moved from %v to %v after a clone's Rebind", name, v, again[name])
-				}
-			}
-		})
-	}
-}
-
-// TestCloneAllocs checks what Clone copies on the minimized 12×12
-// streaming chain. Directly: the clone shares the exponential edges and
-// owns the exponential-edge rates, exit rates and generator entries that
-// Rebind rewrites. As a byte bound: 16 B per generator entry, 8 B per
-// exponential-edge rate, and per state its exit rate and its 24-byte row
-// header, plus a 64 KB slack for the chain header and size-class and page
-// rounding. Copying the exponential edges as well would add 24 B per edge,
-// about 320 KB on this chain, far past the slack.
-func TestCloneAllocs(t *testing.T) {
-	c, err := ctmc.Build(minimizedStreamingLTS(t, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges, rates, exit, rows := ctmc.CloneSharingForTest(c, c.Clone())
-	if !edges {
-		t.Error("Clone copied the exponential edges; clones must share them")
-	}
-	if rates || exit || rows {
-		t.Errorf("Clone shares state Rebind rewrites: expRate %v, Exit %v, Rows %v", rates, exit, rows)
-	}
-	entries := 0
-	for _, row := range c.Rows {
-		entries += len(row)
-	}
-	const runs, slack = 8, 64 << 10
-	var clones [runs]*ctmc.CTMC
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range clones {
-		clones[i] = c.Clone()
-	}
-	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / runs
-	bound := uint64(16*entries + 8*c.NumExpEdges() + (8+24)*c.N + slack)
-	t.Logf("%d states, %d entries, %d exp edges: Clone allocates %d B, bound %d B", c.N, entries, c.NumExpEdges(), per, bound)
-	if per > bound {
-		t.Errorf("Clone allocates %d B, over the %d B bound", per, bound)
-	}
-}
-
-// evalMeasures compiles ms against c and evaluates them on pi.
-func evalMeasures(ms []measure.Measure, c *ctmc.CTMC, pi []float64) (map[string]float64, error) {
-	cm, err := measure.Compile(ms, c)
-	if err != nil {
-		return nil, err
-	}
-	return cm.Eval(c, pi), nil
 }

@@ -93,7 +93,7 @@ func checkChainAgainstOracle(t *testing.T, c *ctmc.CTMC, l *lts.LTS, ms []measur
 		t.Fatal(err)
 	}
 	for range 2 {
-		if err := sameValues(compiled.Eval(c, pi), want); err != nil {
+		if err := sameValues(compiled.Eval(c, pi, nil), want); err != nil {
 			t.Errorf("Compile+Eval: %v", err)
 		}
 	}
@@ -105,7 +105,7 @@ func checkChainAgainstOracle(t *testing.T, c *ctmc.CTMC, l *lts.LTS, ms []measur
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := alone.Eval(c, pi)[m.Name]; math.Float64bits(v) != math.Float64bits(want[m.Name]) {
+		if v := alone.Eval(c, pi, nil)[m.Name]; math.Float64bits(v) != math.Float64bits(want[m.Name]) {
 			t.Errorf("%s compiled alone = %v, oracle %v", m.Name, v, want[m.Name])
 		}
 	}
@@ -140,8 +140,9 @@ func checkChainAgainstOracle(t *testing.T, c *ctmc.CTMC, l *lts.LTS, ms []measur
 // per-call walk it replaced, bit for bit: on the unfolded rpc chain,
 // whose immediate branches carry firings; on the folded streaming chain,
 // whose TRANS_REWARD labels survive only as attributions on redirected
-// edges; and on the rebound clones a session sweep evaluates at 1, 2 and
-// 8 workers, which share one compiled measure set.
+// edges; and on the points a session sweep evaluates at 1, 2 and 8
+// workers through one chain and one compiled measure set, against the
+// oracle on the chain built with the slots bound to each point.
 func TestCompiledMeasuresMatchOracle(t *testing.T) {
 	rpc := models.DefaultRPCParams()
 	rpc.ParametricTimeout = true
@@ -250,20 +251,17 @@ func TestCompiledMeasuresMatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pristine, err := s.Chain()
+				chain, err := s.Chain()
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i, pt := range points {
-					clone := pristine.Clone()
-					if err := clone.Rebind(pt); err != nil {
-						t.Fatal(err)
-					}
-					pi, _, err := clone.SteadyStateTraced(ctmc.SolveOptions{})
+					bound := boundChain(t, chain, pt)
+					pi, _, err := bound.SteadyStateTraced(ctmc.SolveOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := sameValues(reports[i].Values, oracleMeasures(t, tc.measures, clone, pi)); err != nil {
+					if err := sameValues(reports[i].Values, oracleMeasures(t, tc.measures, bound, pi)); err != nil {
 						t.Errorf("point %d: %v", i, err)
 					}
 				}

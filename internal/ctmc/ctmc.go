@@ -39,8 +39,8 @@ type branch struct {
 	ltsTrans int // index into the LTS transition slice
 }
 
-// expEdge is an exponential transition of a tangible state. Its rate
-// lives in CTMC.expRate, which Rebind rewrites, so clones share the edges.
+// expEdge is an exponential transition of a tangible state. Its built-in
+// rate lives in CTMC.expRate and its slot in CTMC.expSlots.
 type expEdge struct {
 	src, dst int // LTS state indices
 	ltsTrans int
@@ -52,8 +52,6 @@ type CTMC struct {
 	N int
 	// Rows holds the off-diagonal generator entries per tangible state.
 	Rows [][]Entry
-	// entries is the slab Rows are carved from, row after row.
-	entries []Entry
 	// Exit is the total outflow rate per tangible state.
 	Exit []float64
 	// Initial is the initial probability distribution over tangible
@@ -71,16 +69,16 @@ type CTMC struct {
 	branches  [][]branch // per vanishing state (indexed by order position)
 	vanPos    []int      // LTS state -> position in vanishing, or -1
 	expEdges  []expEdge
-	expRate   []float64 // per expEdge: its current rate
+	expRate   []float64 // per expEdge: its built-in rate
 
 	// Rate-parametric bookkeeping, populated only when the source LTS
 	// carries rate slots (lts.NumRateSlots > 0). Every generator entry's
 	// rate is the ordered sum of its contribution terms; the terms are
 	// flattened CSR-style across entries in row-major, column-ascending
-	// order (the same order Rows stores entries). Rebind re-sums the term
-	// lists with new slot values — the identical sequence of float
-	// additions Build performed — so a rebound chain is bit-identical to a
-	// fresh build at the same rates.
+	// order (the same order Rows stores entries). A batched solve re-sums
+	// the term lists at a point's slot values (fillBatch) — the identical
+	// sequence of float additions Build performed — so a point's rates are
+	// bit-identical to a fresh build with the slots bound to that point.
 	numSlots  int
 	termStart []int32    // len = total entries + 1
 	terms     []rateTerm // flattened contribution terms
@@ -92,12 +90,10 @@ type CTMC struct {
 	poisson   map[poissonKey][]float64
 
 	// plan caches the structural solve analysis (reachable bottom
-	// component and its incoming-CSR skeleton). Rate-only rebinds cannot
-	// change it, so Clone shares the pointer and the analysis runs once
-	// per built structure however many clones a sweep solves. Nothing
-	// resets it: a chain whose structure changes is a new Build. See
-	// solvePlan.
-	plan *solvePlan
+	// component and its incoming-CSR skeleton), computed on first solve.
+	// A built chain never changes, so one plan serves every solve of it
+	// at any point. See solvePlan.
+	plan solvePlan
 }
 
 // rateTerm is one contribution to a generator entry. A slot-0 term is a
@@ -120,16 +116,16 @@ var (
 	// ErrMultipleBSCC reports a reducible chain with several reachable
 	// bottom components.
 	ErrMultipleBSCC = errors.New("ctmc: multiple reachable bottom strongly connected components")
-	// ErrStructuralRebind reports a Rebind that would change the chain's
-	// structure rather than its rate values.
-	ErrStructuralRebind = errors.New("ctmc: rebind would change the chain structure")
+	// ErrStructuralRebind reports a rate point whose slot value would
+	// change the chain's structure rather than its rate values.
+	ErrStructuralRebind = errors.New("ctmc: slot value would change the chain structure")
 )
 
-// RebindError details why a Rebind was rejected. It wraps
-// ErrStructuralRebind when the requested values would alter the chain's
-// structure (a non-positive or non-finite rate removes an edge or changes
-// the tangible/vanishing classification, which a rate-only rewrite cannot
-// express).
+// RebindError details why a rate point — one value per rate slot — was
+// rejected: a slot count other than the chain's, or a slot value that is
+// not positive and finite. The latter wraps ErrStructuralRebind, since
+// such a rate would remove an edge or change the tangible/vanishing
+// classification, which a point of a built chain cannot express.
 type RebindError struct {
 	// Slot is the 1-based offending slot, or 0 for a length mismatch.
 	Slot int
@@ -142,9 +138,9 @@ type RebindError struct {
 // Error implements error.
 func (e *RebindError) Error() string {
 	if e.Slot == 0 {
-		return fmt.Sprintf("ctmc: rebind expects %d slot values, got %d", e.Want, e.Got)
+		return fmt.Sprintf("ctmc: rate point expects %d slot values, got %d", e.Want, e.Got)
 	}
-	return fmt.Sprintf("ctmc: rebind slot %d to %v: %v", e.Slot, e.Value, ErrStructuralRebind)
+	return fmt.Sprintf("ctmc: rate slot %d at %v: %v", e.Slot, e.Value, ErrStructuralRebind)
 }
 
 // Unwrap exposes ErrStructuralRebind for errors.Is when the failure is a
@@ -159,16 +155,16 @@ func (e *RebindError) Unwrap() error {
 // Build extracts the CTMC from a rated LTS.
 //
 // Every per-state accumulation — absorption distributions, generator
-// rows and their Rebind term lists — runs on dense stamped accumulators
+// rows and their rate-term lists — runs on dense stamped accumulators
 // over state indices, and every per-state list is carved from one slab,
 // so a build allocates O(1) slices however many states the chain has.
 // The slabs whose sizes a cheap pass can know — the immediate branches,
 // the exponential edges with their rates and slots, the generator
-// entries and the Rebind terms — are counted first and allocated once at
+// entries and the rate terms — are counted first and allocated once at
 // their exact size, so no append ever regrows them.
 func Build(l *lts.LTS) (*CTMC, error) {
 	n := l.NumStates
-	c := &CTMC{l: l, plan: &solvePlan{}}
+	c := &CTMC{l: l}
 
 	// Classify states, counting the maximal-priority immediate branches
 	// so the branch slab is carved at its exact size.
@@ -307,7 +303,7 @@ func Build(l *lts.LTS) (*CTMC, error) {
 		return nil, ErrTimelessTrap
 	}
 
-	// Size the exponential edges, the generator entries and the Rebind
+	// Size the exponential edges, the generator entries and the rate
 	// terms exactly before filling them: a counting pass stamps each row's
 	// off-diagonal columns, counting the distinct ones (entries) and every
 	// contribution to them (terms), and rejects unrated transitions in the
@@ -349,8 +345,8 @@ func Build(l *lts.LTS) (*CTMC, error) {
 
 	// Generator rows, accumulated per column in edge order. When the LTS
 	// carries rate slots, each contribution is also recorded as a term
-	// with its column, in the exact accumulation order, so Rebind can
-	// replay the identical sequence of float additions with new slot
+	// with its column, in the exact accumulation order, so fillBatch can
+	// replay the identical sequence of float additions at a point's slot
 	// values.
 	c.numSlots = l.NumRateSlots()
 	parametric := c.numSlots > 0
@@ -432,7 +428,6 @@ func Build(l *lts.LTS) (*CTMC, error) {
 		}
 	}
 	rowOff[c.N] = int32(len(entries))
-	c.entries = entries
 	c.Rows = make([][]Entry, c.N)
 	for ci := range c.Rows {
 		c.Rows[ci] = entries[rowOff[ci]:rowOff[ci+1]:rowOff[ci+1]]
@@ -495,7 +490,7 @@ func (a *denseAcc) add(i int, v float64) {
 // r reaching the entry's column with absorption probability prob (1 for a
 // direct tangible-to-tangible edge). Slot-0 terms precompute the full
 // constant contribution; slotted terms keep the probability as the
-// coefficient of the future slot value. Multiplying by a probability of
+// coefficient of a point's slot value. Multiplying by a probability of
 // exactly 1 is exact in IEEE arithmetic, so both forms replay Build's
 // accumulation bit for bit.
 func makeTerm(r rates.Rate, prob float64) rateTerm {
@@ -503,136 +498,4 @@ func makeTerm(r rates.Rate, prob float64) rateTerm {
 		return rateTerm{slot: int32(r.Slot), coeff: prob}
 	}
 	return rateTerm{coeff: r.Lambda * prob}
-}
-
-// Rebind rewrites every generator entry, exit rate, and exponential-edge
-// rate for the given slot values (values[k-1] is the new rate of slot k)
-// in O(edges), without touching the chain's structure: states, entry
-// columns, vanishing elimination, and branching probabilities are all
-// preserved. Each entry is recomputed by summing its recorded contribution
-// terms in the order Build accumulated them, so a rebound chain is
-// bit-identical to a fresh Build of the same model elaborated at the new
-// rates.
-//
-// Every value must be positive and finite — a zero, negative, or infinite
-// rate would remove an edge or change the tangible/vanishing
-// classification, which is a structural change Rebind cannot express; such
-// requests fail with a *RebindError wrapping ErrStructuralRebind, and a
-// length mismatch fails with a *RebindError, in both cases leaving the
-// chain untouched.
-func (c *CTMC) Rebind(values []float64) error {
-	if len(values) != c.numSlots {
-		return &RebindError{Want: c.numSlots, Got: len(values)}
-	}
-	for i, v := range values {
-		if !(v > 0) || math.IsInf(v, 0) {
-			return &RebindError{Slot: i + 1, Value: v}
-		}
-	}
-	if c.numSlots == 0 {
-		return nil // slot-free chain, empty rebind: nothing to rewrite
-	}
-	ei := 0
-	for ci := range c.Rows {
-		row := c.Rows[ci]
-		for j := range row {
-			lo, hi := c.termStart[ei], c.termStart[ei+1]
-			sum := 0.0
-			for k := lo; k < hi; k++ {
-				t := c.terms[k]
-				if t.slot > 0 {
-					sum += values[t.slot-1] * t.coeff
-				} else {
-					sum += t.coeff
-				}
-			}
-			row[j].Rate = sum
-			ei++
-		}
-		exit := 0.0
-		for _, e := range row {
-			exit += e.Rate
-		}
-		c.Exit[ci] = exit
-	}
-	for i, s := range c.expSlots {
-		if s > 0 {
-			c.expRate[i] = values[s-1]
-		}
-	}
-	// The uniformization weight cache keys on q·t, which is derived from
-	// the (now rewritten) exit rates; stale entries for other rate values
-	// would only waste memory, and a changed q invalidates them via the
-	// key, but drop them anyway so long sweeps do not accumulate vectors.
-	c.poissonMu.Lock()
-	c.poisson = nil
-	c.poissonMu.Unlock()
-	if debugChecks {
-		if err := c.debugCheckPlan(); err != nil {
-			return &InvariantError{Err: err}
-		}
-	}
-	return nil
-}
-
-// debugChecks turns on expensive internal consistency assertions —
-// currently the post-Rebind check that the cached structural solve plan
-// still matches a from-scratch analysis (a rate-only rebind must preserve
-// reachability and SCC structure; a violation surfaces as an
-// *InvariantError, since it means the rebind validation let a structural
-// change through). The property tests enable it; the program leaves it
-// off.
-var debugChecks = false
-
-// InvariantError reports a violated internal consistency invariant — a
-// bug in this package, not a property of the input. The fault-tolerance
-// layer treats it accordingly: sweeps abort on it, and it is reported
-// as-is.
-type InvariantError struct {
-	// Err describes the violated invariant.
-	Err error
-}
-
-// Error implements the error interface.
-func (e *InvariantError) Error() string {
-	return fmt.Sprintf("ctmc: internal invariant violated: %v", e.Err)
-}
-
-// Unwrap exposes the underlying description to errors.Is/As.
-func (e *InvariantError) Unwrap() error { return e.Err }
-
-// Clone returns a chain that shares all immutable structure with c (the
-// LTS, vanishing bookkeeping, tangible indexing, exponential edges,
-// contribution terms) but owns exactly the state Rebind rewrites —
-// generator rows, exit rates, exponential-edge rates — and its own
-// uniformization cache, so concurrent sweep workers can Rebind and solve
-// private clones of one built chain.
-func (c *CTMC) Clone() *CTMC {
-	out := &CTMC{
-		N:          c.N,
-		Rows:       make([][]Entry, len(c.Rows)),
-		Exit:       append([]float64(nil), c.Exit...),
-		Initial:    c.Initial,
-		TangibleOf: c.TangibleOf,
-		ctmcIndex:  c.ctmcIndex,
-		l:          c.l,
-		vanishing:  c.vanishing,
-		branches:   c.branches,
-		vanPos:     c.vanPos,
-		expEdges:   c.expEdges,
-		expRate:    append([]float64(nil), c.expRate...),
-		numSlots:   c.numSlots,
-		termStart:  c.termStart,
-		terms:      c.terms,
-		expSlots:   c.expSlots,
-		plan:       c.plan,
-	}
-	out.entries = slices.Clone(c.entries)
-	lo := 0
-	for i, row := range c.Rows {
-		hi := lo + len(row)
-		out.Rows[i] = out.entries[lo:hi:hi]
-		lo = hi
-	}
-	return out
 }

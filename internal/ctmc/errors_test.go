@@ -83,18 +83,6 @@ func TestRebindErrorChain(t *testing.T) {
 	}
 }
 
-func TestInvariantErrorChain(t *testing.T) {
-	cause := errors.New("row sums drifted")
-	ie := &ctmc.InvariantError{Err: cause}
-	if !errors.Is(ie, cause) {
-		t.Error("InvariantError does not unwrap to its cause")
-	}
-	if !strings.Contains(ie.Error(), "internal invariant violated") ||
-		!strings.Contains(ie.Error(), "row sums drifted") {
-		t.Errorf("message %q incomplete", ie.Error())
-	}
-}
-
 // TestWorkerPanicNesting checks the deepest chain the fault-tolerance
 // layer produces: a worker panicking with a typed solver error is
 // recovered into a WorkerPanicError, and every sentinel of the panic

@@ -1,17 +1,17 @@
 package ctmc
 
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/lts"
+)
+
 // The per-call forms of the batched solve and the measure evaluators,
 // which the tests of this package compare against one another. The
 // program compiles a selection once (SelectAll, SelectStates) and
 // evaluates it on every solution; these helpers compile and evaluate in
 // one call.
-
-// SetDebugChecks sets the switch of the package's internal consistency
-// assertions (see debugChecks) and returns its previous value.
-func SetDebugChecks(on bool) (old bool) {
-	old, debugChecks = debugChecks, on
-	return old
-}
 
 // SolveBatch is SolveBatchLanes with the lowest failed lane, if any,
 // reported as a *BatchPointError wrapping that lane's error.
@@ -31,8 +31,44 @@ func (c *CTMC) SolveBatch(points [][]float64, solve SolveOptions) ([][]float64, 
 // Throughput computes the steady-state frequency of the LTS transitions
 // selected by match, weighted by weight.
 func (c *CTMC) Throughput(pi []float64, match func(label string) bool, weight func(label string) float64) float64 {
-	f := c.Flow(pi)
+	f := c.Flow(pi, nil)
 	return f.Throughput(c.SelectAll(weight, match)[0])
+}
+
+// BoundForTest builds the chain of c's system with every rate slot bound
+// to the constant point[slot-1] (lts.BindSlotsForTest): the reference a
+// batched lane and a Flow at point are pinned to.
+func (c *CTMC) BoundForTest(point []float64) (*CTMC, error) {
+	return Build(lts.BindSlotsForTest(c.l, point))
+}
+
+// LaneRatesForTest gathers point into lane 0 of a batch as a batched
+// solve does (fillBatch) and returns that lane's rates in generator form:
+// the entries and the exit rate of every row of the bottom component, in
+// Rows order. Rows outside the component are nil, with exit rate 0.
+func (c *CTMC) LaneRatesForTest(point []float64) (rows [][]Entry, exit []float64, err error) {
+	plan, err := c.ensurePlan()
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(plan.target) < 2 {
+		return nil, nil, fmt.Errorf("ctmc: a single-state component gathers no rates")
+	}
+	bc := c.fillBatch(plan, [][]float64{point})
+	rows, exit = make([][]Entry, c.N), make([]float64, c.N)
+	t := 0
+	for li, s := range plan.target {
+		rows[s] = make([]Entry, len(c.Rows[s]))
+		for j, e := range c.Rows[s] {
+			rows[s][j] = Entry{Col: e.Col, Rate: math.NaN()}
+			if pos := plan.fillPos[t]; pos >= 0 {
+				rows[s][j].Rate = bc.rate[int(pos)*BatchLanes]
+			}
+			t++
+		}
+		exit[s] = bc.exit[li*BatchLanes]
+	}
+	return rows, exit, nil
 }
 
 // ProbLocallyEnabled computes the steady-state probability of the LTS

@@ -146,6 +146,5 @@ func SlabSizesForTest(c *CTMC) map[string][2]int {
 		"expSlots":  {len(c.expSlots), cap(c.expSlots)},
 		"terms":     {len(c.terms), cap(c.terms)},
 		"termStart": {len(c.termStart), cap(c.termStart)},
-		"entries":   {len(c.entries), cap(c.entries)},
 	}
 }

@@ -216,11 +216,11 @@ func TestSteadyStateMatchesScalarReference(t *testing.T) {
 
 // referenceBuild is the map-based chain extraction Build replaced, kept
 // as its oracle: per-state maps accumulate absorption distributions, row
-// entries and Rebind term lists, and sort.Slice orders them. Build must
+// entries and rate-term lists, and sort.Slice orders them. Build must
 // reproduce its every field bit for bit.
 func referenceBuild(l *lts.LTS) (*CTMC, error) {
 	n := l.NumStates
-	c := &CTMC{l: l, plan: &solvePlan{}}
+	c := &CTMC{l: l}
 
 	// Classify states.
 	isVanishing := make([]bool, n)
@@ -342,8 +342,8 @@ func referenceBuild(l *lts.LTS) (*CTMC, error) {
 
 	// Generator rows. When the LTS carries rate slots, the per-entry
 	// contribution terms are recorded alongside the accumulated values, in
-	// the exact accumulation order, so Rebind can replay the identical
-	// sequence of float additions with new slot values.
+	// the exact accumulation order, so a batched solve can replay the
+	// identical sequence of float additions at a point's slot values.
 	c.numSlots = l.NumRateSlots()
 	parametric := c.numSlots > 0
 	var termsOf map[int][]rateTerm // per destination column, current state
@@ -441,29 +441,14 @@ func referenceSortedAbsorb(dist map[int]float64) []absorbEntry {
 	return out
 }
 
-// CloneSharingForTest reports which slabs a and b (a chain and its
-// Clone) share a backing array for: the exponential edges, which Clone
-// shares by design, and the exponential-edge rates, exit rates and
-// generator entries, which each clone must own because Rebind rewrites
-// them.
-func CloneSharingForTest(a, b *CTMC) (edges, rates, exit, rows bool) {
-	same := func(x, y []float64) bool { return len(x) > 0 && len(y) > 0 && &x[0] == &y[0] }
-	edges = len(a.expEdges) > 0 && len(b.expEdges) > 0 && &a.expEdges[0] == &b.expEdges[0]
-	for i := range a.Rows {
-		if len(a.Rows[i]) > 0 && len(b.Rows[i]) > 0 {
-			rows = &a.Rows[i][0] == &b.Rows[i][0]
-			break
-		}
-	}
-	return edges, same(a.expRate, b.expRate), same(a.Exit, b.Exit), rows
-}
-
 // BuildMatchesReferenceForTest builds l with Build and with
 // referenceBuild and reports the first field that differs: the rows,
 // exit rates, initial distribution, tangible indexing, exponential edges,
-// vanishing order, branches and Rebind terms, floats compared by bits.
-// Both builds failing with the same error is a match. A parametric chain
-// is compared again after both are rebound to the same slot values.
+// vanishing order, branches and rate terms, floats compared by bits.
+// Both builds failing with the same error is a match. A parametric system
+// is compared again with its slots bound to constants
+// (lts.BindSlotsForTest), and the rates a batched solve gathers at those
+// values must equal the bound chain's rows and exit rates.
 func BuildMatchesReferenceForTest(l *lts.LTS) error {
 	got, gErr := Build(l)
 	want, wErr := referenceBuild(l)
@@ -483,14 +468,31 @@ func BuildMatchesReferenceForTest(l *lts.LTS) error {
 	for k := range values {
 		values[k] = 0.5 + 0.75*float64(k)
 	}
-	if err := got.Rebind(values); err != nil {
-		return err
+	bound := lts.BindSlotsForTest(l, values)
+	boundGot, gErr := Build(bound)
+	boundWant, wErr := referenceBuild(bound)
+	if gErr != nil || wErr != nil {
+		return fmt.Errorf("slots bound: error %v, reference %v", gErr, wErr)
 	}
-	if err := want.Rebind(values); err != nil {
-		return err
+	if err := diffChains(boundGot, boundWant); err != nil {
+		return fmt.Errorf("slots bound: %w", err)
 	}
-	if err := diffChains(got, want); err != nil {
-		return fmt.Errorf("after Rebind: %w", err)
+	rows, exit, err := got.LaneRatesForTest(values)
+	if err != nil {
+		return nil // no single component of two or more states to gather
+	}
+	for ci, row := range rows {
+		if row == nil {
+			continue
+		}
+		for j, e := range row {
+			if w := boundGot.Rows[ci][j]; e.Col != w.Col || !sameBits(e.Rate, w.Rate) {
+				return fmt.Errorf("lane row %d entry %d: %+v, slots bound %+v", ci, j, e, w)
+			}
+		}
+		if !sameBits(exit[ci], boundGot.Exit[ci]) {
+			return fmt.Errorf("lane exit %d: %v, slots bound %v", ci, exit[ci], boundGot.Exit[ci])
+		}
 	}
 	return nil
 }

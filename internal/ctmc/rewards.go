@@ -15,17 +15,17 @@ import (
 // elimination order, likewise. That is the order the additions of a
 // throughput run in, so evaluating a Selection replays them exactly. A
 // Selection holds no rates and no probabilities of a solution, so it
-// serves the chain it was compiled on and every Clone of it, at any
-// rebound rates, from any number of goroutines.
+// serves the chain it was compiled on at any rate point, from any number
+// of goroutines.
 type Selection struct {
 	exp []expFiring
 	van []vanFiring
 }
 
 // expFiring is one weighted firing of an exponential edge: it adds
-// pi(src)·rate·count·w, where rate is the edge's current rate and count
-// is 1 for the edge's own label or the folded label's expected traversal
-// count.
+// pi(src)·rate·count·w, where rate is the edge's rate at the Flow's
+// point and count is 1 for the edge's own label or the folded label's
+// expected traversal count.
 type expFiring struct {
 	src, edge int32 // tangible index of the source; index into expEdges
 	count, w  float64
@@ -163,21 +163,35 @@ func (set StateSet) Prob(pi []float64) float64 {
 }
 
 // Flow evaluates compiled selections on one distribution over a chain's
-// tangible states, at the chain's current rates. The entry rates of the
+// tangible states, at one rate point of the chain. The entry rates of the
 // vanishing states, which every immediate firing reads, are propagated
 // once per Flow, by the first selection that needs them. A Flow is for
-// one goroutine; the selections it reads may be shared.
+// one goroutine; the chain and the selections it reads may be shared.
 type Flow struct {
 	c     *CTMC
 	pi    []float64
+	point []float64
 	entry []float64
 }
 
-// Flow returns the evaluator of compiled selections on pi.
-func (c *CTMC) Flow(pi []float64) Flow { return Flow{c: c, pi: pi} }
+// Flow returns the evaluator of compiled selections on pi at the given
+// rate point: a slotted exponential edge fires at rate point[slot-1],
+// every other edge at its built-in rate. A nil point means the built-in
+// rates of every edge. pi is a solution at the same point.
+func (c *CTMC) Flow(pi, point []float64) Flow { return Flow{c: c, pi: pi, point: point} }
 
-// Throughput evaluates a selection compiled on f's chain, or on the chain
-// it was cloned from: the steady-state frequency (firings per unit time)
+// rate returns exponential edge i's rate at f's point.
+func (f *Flow) rate(i int) float64 {
+	if f.point != nil {
+		if s := f.c.expSlots[i]; s > 0 {
+			return f.point[s-1]
+		}
+	}
+	return f.c.expRate[i]
+}
+
+// Throughput evaluates a selection compiled on f's chain: the
+// steady-state frequency (firings per unit time)
 // of the selected transitions, weighted. Exponential firings count at
 // pi(src)·rate, immediate ones at their vanishing source's entry rate
 // times the branch probability. A label the generator folded away
@@ -185,11 +199,11 @@ func (c *CTMC) Flow(pi []float64) Flow { return Flow{c: c, pi: pi} }
 // expected traversal count recorded on the edge, so the result matches
 // the unfolded system.
 func (f *Flow) Throughput(sel *Selection) float64 {
-	pi, rate := f.pi, f.c.expRate
+	pi := f.pi
 	total := 0.0
 	for _, x := range sel.exp {
 		if p := pi[x.src]; p != 0 {
-			total += p * rate[x.edge] * x.count * x.w
+			total += p * f.rate(int(x.edge)) * x.count * x.w
 		}
 	}
 	if len(sel.van) == 0 {
@@ -219,7 +233,7 @@ func (f *Flow) entries() []float64 {
 			continue
 		}
 		if p := f.pi[c.ctmcIndex[e.src]]; p != 0 {
-			entry[vp] += p * c.expRate[i]
+			entry[vp] += p * f.rate(i)
 		}
 	}
 	for i, brs := range c.branches {
@@ -310,10 +324,8 @@ func (c *CTMC) TransientFromCtx(ctx context.Context, init []float64, t, epsilon 
 	return out, nil
 }
 
-// poissonKey identifies a cached uniformization weight vector. The key
-// includes q·t, so a Rebind — which can change the maximal exit rate and
-// with it q — never matches a stale vector even before the cache is
-// dropped.
+// poissonKey identifies a cached uniformization weight vector: q·t and
+// the truncation epsilon, all the vector depends on.
 type poissonKey struct{ qt, epsilon float64 }
 
 // poissonWeights returns the truncated, underflow-scaled Poisson(q·t)

@@ -135,7 +135,7 @@ type SolveTrace struct {
 func (t *SolveTrace) Escalated() bool { return false }
 
 // SteadyStateTraced computes the long-run probability distribution over
-// tangible states at the chain's current rates, with a one-attempt trace
+// tangible states at the chain's built-in rates, with a one-attempt trace
 // of the converged solve: its iterations, final residual and iteration
 // budget. The chain may be reducible as long as a single bottom strongly
 // connected component is reachable from the initial distribution (the
@@ -144,7 +144,7 @@ func (t *SolveTrace) Escalated() bool { return false }
 // *ConvergenceError and no trace; the remedy for a budget too small is a
 // larger MaxIterations.
 //
-// The solve is a one-lane batch: the chain's current rates fill lane 0
+// The solve is a one-lane batch: the chain's built-in rates fill lane 0
 // of the four-lane kernel, which then sweeps exactly as for a batched
 // lane.
 func (c *CTMC) SteadyStateTraced(opts SolveOptions) ([]float64, *SolveTrace, error) {
@@ -199,15 +199,15 @@ const residualGuard = 1 - 1e-13
 // solvePlan caches the structural half of a steady-state solve: the
 // reachable bottom component in sweep order and the incoming-CSR index
 // skeleton of its balance equations, plus the traversal metadata that
-// lets a solve — or a batched solve — gather the chain's current rate
+// lets a solve — or a batched solve — gather the built-in or a point's rate
 // values into that skeleton without re-running Tarjan, reachability, or
 // the fill-position computation. The analysis depends only on the
 // chain's structure (state classification, row columns, initial
-// support), which a rate-only Rebind provably preserves: every slot
-// value is validated positive and finite, so no edge appears or
-// disappears. One plan therefore serves every rebind of a chain and all
-// its Clones; it is computed lazily on first solve and shared by pointer
-// across clones.
+// support), which no rate point changes: every slot value is validated
+// positive and finite, so no edge appears or disappears. One plan
+// therefore serves every solve of a chain at every point; it is the
+// chain's own value, computed on first solve, so a chain literal with no
+// plan yet solves too.
 type solvePlan struct {
 	once sync.Once
 	err  error
@@ -236,22 +236,13 @@ type solvePlan struct {
 	// all tangible rows) of the first entry of target row li, which gives
 	// batched solves the termStart window of any component entry.
 	rowEntryBase []int32
-	// hash fingerprints the structural analysis (FNV-1a over target,
-	// inStart, inOff) for the debug assertion that a rate-only rebind
-	// left the structure untouched.
-	hash uint64
 }
 
-// ensurePlan returns the chain's cached solve plan, computing it on first
-// use. Clones share the plan pointer, so the analysis runs once per built
-// structure however many clones sweep it concurrently (sync.Once).
+// ensurePlan returns the chain's solve plan, computing it on first use:
+// the analysis runs once per chain however many goroutines solve it
+// concurrently (sync.Once).
 func (c *CTMC) ensurePlan() (*solvePlan, error) {
-	p := c.plan
-	if p == nil {
-		// Chains assembled without Build (tests) get a private holder.
-		p = &solvePlan{}
-		c.plan = p
-	}
+	p := &c.plan
 	p.once.Do(func() { p.build(c) })
 	return p, p.err
 }
@@ -333,44 +324,6 @@ func (p *solvePlan) build(c *CTMC) {
 			p.rowEntryBase[li] = baseOf[s]
 		}
 	}
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211 // FNV-1a prime
-			v >>= 8
-		}
-	}
-	for _, s := range p.target {
-		mix(uint64(s))
-	}
-	for _, v := range p.inStart {
-		mix(uint64(uint32(v)))
-	}
-	for _, v := range p.inOff {
-		mix(uint64(uint32(v)))
-	}
-	p.hash = h
-}
-
-// debugCheckPlan recomputes the structural analysis from scratch and
-// compares its fingerprint with the cached plan's. Rebind calls it when
-// debugChecks is set: a rate-only rebind must leave reachability and
-// SCC structure — and therefore the cached plan — untouched.
-func (c *CTMC) debugCheckPlan() error {
-	p, err := c.ensurePlan()
-	if err != nil {
-		return nil // the cached analysis failed; nothing to compare
-	}
-	fresh := &solvePlan{}
-	fresh.build(c)
-	if fresh.err != nil {
-		return fmt.Errorf("ctmc: structural solve analysis fails after a rate-only rebind: %w", fresh.err)
-	}
-	if fresh.hash != p.hash {
-		return fmt.Errorf("ctmc: structural solve plan changed across a rate-only rebind (hash %#x -> %#x)", p.hash, fresh.hash)
-	}
-	return nil
 }
 
 // uniformStart returns the uniform distribution over n component states,

@@ -128,18 +128,12 @@ func TestSteadyStateMatchesGTH(t *testing.T) {
 	}
 	c := rpcParamChain(t)
 	for _, T := range []float64{1e-4, 0.5, 1, 2, 3, 5, 7.5, 10, 12.5, 15, 20, 25, 1e5} {
-		if err := c.Rebind([]float64{1 / T}); err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("rpc-timeout-%g", T), c)
+		check(fmt.Sprintf("rpc-timeout-%g", T), boundChain(t, c, []float64{1 / T}))
 	}
 	for _, capacity := range []int64{3, 6} {
 		c := streamingParamChainCap(t, capacity)
 		for _, P := range []float64{1, 5, 10, 25, 50, 100, 200, 400, 800, 1e4, 1e5} {
-			if err := c.Rebind([]float64{1 / P}); err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("streaming-%dx%d-period-%g", capacity, capacity, P), c)
+			check(fmt.Sprintf("streaming-%dx%d-period-%g", capacity, capacity, P), boundChain(t, c, []float64{1 / P}))
 		}
 	}
 }

@@ -135,7 +135,7 @@ func Elaborate(a *aemilia.ArchiType) (*Model, error) {
 	// Record the rate-slot arity of the description: the highest slot
 	// index on any action annotation. Slots are declared densely (1..k),
 	// so the maximum is the number of symbolic rate parameters a
-	// downstream ctmc.Rebind must supply.
+	// downstream rate point must supply.
 	for _, ni := range m.nodes {
 		if pre, ok := ni.proc.(*aemilia.Prefix); ok {
 			if s := pre.Act.Rate.Slot; s > m.numRateSlots {
@@ -236,7 +236,7 @@ func Elaborate(a *aemilia.ArchiType) (*Model, error) {
 // annotation, or 0 for a fully constant-rated model. A transition system
 // generated from the model carries the same slots on its edges
 // (lts.LTS.NumRateSlots), and a chain extracted from it accepts
-// ctmc.Rebind with exactly this many values.
+// rate points (ctmc.SolveBatchLanes) of exactly this many values.
 func (m *Model) NumRateSlots() int { return m.numRateSlots }
 
 // collectActions visits the action name of every prefix in a process body.

@@ -74,10 +74,10 @@ func (r *Runner) BatteryLifetime(budget, timeout, dt float64) ([]BatteryPoint, e
 			return lts.LabelInvolves(label, "C.process_result_packet")
 		})[0]
 		energyAt := func(pi []float64) float64 {
-			return energyRate.Eval(chain, pi)["energy"]
+			return energyRate.Eval(chain, pi, nil)["energy"]
 		}
 		throughputAt := func(pi []float64) float64 {
-			f := chain.Flow(pi)
+			f := chain.Flow(pi, nil)
 			return f.Throughput(requests)
 		}
 

@@ -16,7 +16,7 @@ import (
 // It is the pool for every point that pipeline.Session.Sweep cannot take:
 // simulation points, per-policy studies, and the structure-changing
 // fallback points of the Markovian sweeps (a timeout or period <= 0),
-// each of which needs its own model rather than a rate rebind.
+// each of which needs its own model rather than a rate point.
 func RunPoints[P, R any](points []P, workers int, fn func(P) (R, error)) ([]R, error) {
 	out := make([]R, len(points))
 	_, err := fault.Pool("experiments", len(points), workers,

@@ -85,8 +85,8 @@ func TestTradeoffCurvesFromPoints(t *testing.T) {
 }
 
 // TestGoldenWithinPrechangeTolerance pins the accuracy side of the sweep
-// engine's introduction: the regenerated golden outputs (rebind +
-// warm-started solves) agree with the per-point cold-solve outputs
+// engine's introduction: the regenerated golden outputs (rate points of
+// one built chain, warm-started solves) agree with the per-point cold-solve outputs
 // recorded before the change (golden_quick_prechange.json) within solver
 // tolerance. Simulation results are untouched by the sweep engine and
 // must still match bit for bit — approxEqualJSON's equality fallback for

@@ -17,9 +17,9 @@ func ReferenceRestrictForTest(l *LTS, match func(string) bool) *LTS {
 func DiffSystemsForTest(got, want *LTS) string { return diffSystems(got, want) }
 
 // SlotDefaults returns the rate values the system's edges were elaborated
-// with, indexed by slot (element k-1 is slot k's Lambda): the rate vector
-// that makes a Rebind a no-op. It returns nil when the system carries no
-// rate slots.
+// with, indexed by slot (element k-1 is slot k's Lambda): the rate point
+// at which BindSlotsForTest leaves every rate as it was. It returns nil
+// when the system carries no rate slots.
 func (l *LTS) SlotDefaults() []float64 {
 	l.Seal()
 	n := l.NumRateSlots()

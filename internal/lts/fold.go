@@ -39,7 +39,7 @@ import (
 //     composed rate, and untimed (functional) models have no probabilistic
 //     branch semantics;
 //   - the incoming rate is slotted (symbolic) and the expansion branches:
-//     an LTS edge cannot carry λ(slot)·p with p < 1 in rebindable form
+//     an LTS edge cannot carry λ(slot)·p with p < 1 in slotted form
 //     (ctmc keeps such coefficients internally, the LTS schema does not);
 //     linear chains fold even when slotted because every probability is
 //     exactly 1;

@@ -75,7 +75,7 @@ func vanishingModel(t *testing.T) *elab.Model {
 // slottedModel routes a parametric (slotted) exponential through a
 // vanishing state. With a single immediate branch the expansion is linear
 // and the slot survives the fold; with two branches it is not, and the
-// fold must keep the vanishing state so Rebind stays exact.
+// fold must keep the vanishing state so every rate point stays exact.
 func slottedModel(t *testing.T, branches int) *elab.Model {
 	t.Helper()
 	var body aemilia.Process
@@ -185,8 +185,8 @@ func TestFoldAttributesObservedLabels(t *testing.T) {
 
 // TestFoldSlottedLinear pins the parametric-sweep guard on its permitted
 // side: a slotted rate whose vanishing continuation is linear folds, the
-// slot survives, and a Rebind at a new point matches the unfolded system
-// exactly.
+// slot survives, and with the slots bound to a new point
+// (BindSlotsForTest) the folded system matches the unfolded one.
 func TestFoldSlottedLinear(t *testing.T) {
 	m := slottedModel(t, 1)
 	full, err := lts.Generate(m, lts.GenerateOptions{})
@@ -205,28 +205,18 @@ func TestFoldSlottedLinear(t *testing.T) {
 	}
 	point := []float64{4}
 	tput := func(l *lts.LTS) float64 {
-		chain, err := ctmc.Build(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := chain.Rebind(point); err != nil {
-			t.Fatal(err)
-		}
-		pi, _, err := chain.SteadyStateTraced(ctmc.SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		chain, pi := steady(t, lts.BindSlotsForTest(l, point))
 		return throughput(chain, pi, func(s string) bool { return s == "T.tick" })
 	}
 	a, b := tput(full), tput(folded)
 	if a <= 0 || math.Abs(a-b) > 1e-12 {
-		t.Fatalf("rebound throughput(T.tick): full %.15g, folded %.15g", a, b)
+		t.Fatalf("throughput(T.tick) at slot value %v: full %.15g, folded %.15g", point[0], a, b)
 	}
 }
 
 // TestFoldSlottedBranchingKept pins the guard's refusing side: a slotted
-// rate into a branching vanishing state is left alone — folding the
-// branch probabilities into a slotted lambda would break Rebind — so the
+// rate into a branching vanishing state is left alone — an edge cannot
+// carry a slotted lambda times a branch probability below 1 — so the
 // vanishing state survives.
 func TestFoldSlottedBranchingKept(t *testing.T) {
 	m := slottedModel(t, 2)
@@ -385,6 +375,6 @@ func TestFoldGenerateAllocsScale(t *testing.T) {
 // transitions whose label match accepts: the selection is compiled once
 // (SelectAll) and evaluated through a Flow, as the measures are.
 func throughput(c *ctmc.CTMC, pi []float64, match func(label string) bool) float64 {
-	f := c.Flow(pi)
+	f := c.Flow(pi, nil)
 	return f.Throughput(c.SelectAll(nil, match)[0])
 }

@@ -13,6 +13,7 @@ package lts
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/rates"
@@ -257,9 +258,9 @@ func (l *LTS) MemStats() (stateTable, csrBytes, auxBytes int) {
 
 // NumRateSlots returns the number of symbolic rate parameters carried by
 // the system's edges: the highest slot index on any transition rate, or 0
-// when every rate is constant. ctmc.Build uses it to size the rebind
-// machinery; derived systems (Hide, Restrict) preserve rates and with them
-// the slot column.
+// when every rate is constant. ctmc.Build uses it to size the rate-term
+// bookkeeping of its rate points; derived systems (Hide, Restrict)
+// preserve rates and with them the slot column.
 func (l *LTS) NumRateSlots() int {
 	l.Seal()
 	max := 0
@@ -269,6 +270,24 @@ func (l *LTS) NumRateSlots() int {
 		}
 	}
 	return max
+}
+
+// BindSlotsForTest returns a copy of l in which every slotted rate is the
+// constant values[slot-1]: the system whose chain a rate point of l's
+// chain must reproduce bit for bit, which the tests of the chain, its
+// measures and the sweep build as their reference. The program never
+// calls it; it lives outside export_test.go because those tests are in
+// other packages. The copy shares every array with l but the rate table.
+func BindSlotsForTest(l *LTS, values []float64) *LTS {
+	l.Seal()
+	out := *l
+	out.csr.Rates = slices.Clone(l.csr.Rates)
+	for i := range out.csr.Rates {
+		if r := &out.csr.Rates[i]; r.Slot > 0 {
+			r.Lambda, r.Slot = values[r.Slot-1], 0
+		}
+	}
+	return &out
 }
 
 // Edges calls fn for every transition in canonical order.

@@ -140,9 +140,8 @@ func ObservedMatcher(ms []Measure) func(label string) bool {
 // transitions involving its action (ctmc.Selection), and each ratio's
 // operands checked. Evaluation replays the float additions of a per-call
 // walk in the same order, so its values are bit-identical to one. A
-// Compiled holds no rates, so it serves the chain it was compiled on and
-// every Clone of it, at any rebound rates and from any number of
-// goroutines at once.
+// Compiled holds no rates, so it serves the chain it was compiled on at
+// any rate point and from any number of goroutines at once.
 type Compiled struct {
 	ms      []Measure
 	clauses [][]clause // per measure of ms; nil for a derived one
@@ -220,10 +219,11 @@ func Compile(ms []Measure, c *ctmc.CTMC) (*Compiled, error) {
 }
 
 // Eval evaluates the compiled set on pi, a solution of c — the chain the
-// set was compiled on or a Clone of it, at its current rates.
-func (cm *Compiled) Eval(c *ctmc.CTMC, pi []float64) map[string]float64 {
+// set was compiled on — at the rate point point (nil for the built-in
+// rates; see ctmc.CTMC.Flow).
+func (cm *Compiled) Eval(c *ctmc.CTMC, pi, point []float64) map[string]float64 {
 	out := make(map[string]float64, len(cm.ms))
-	f := c.Flow(pi)
+	f := c.Flow(pi, point)
 	for i, m := range cm.ms {
 		if m.Derived {
 			continue

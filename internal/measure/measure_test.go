@@ -131,7 +131,7 @@ func evalOne(m Measure, c *ctmc.CTMC, pi []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cm.Eval(c, pi)[m.Name], nil
+	return cm.Eval(c, pi, nil)[m.Name], nil
 }
 
 func TestEvalCTMCStateReward(t *testing.T) {
@@ -234,7 +234,7 @@ func TestEvalAllWithRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := cm.Eval(c, pi)
+	vals := cm.Eval(c, pi, nil)
 	// P(work)=1/3, finish rate=2/3 → ratio 1/2.
 	if math.Abs(vals["work_per_finish"]-0.5) > 1e-9 {
 		t.Errorf("ratio = %v, want 0.5", vals["work_per_finish"])

@@ -84,11 +84,11 @@ type RPCParams struct {
 	PowerIdle, PowerBusy, PowerAwaking float64
 	// ParametricTimeout binds the shutdown-timeout rate to rate slot
 	// RPCTimeoutSlot instead of a plain constant, so a timeout sweep can
-	// generate the state space once and rebind the rate per point
+	// generate the state space once and pass the rate per point
 	// (pipeline.Session.Sweep). Only meaningful in Markovian mode with a
 	// positive ShutdownTimeout — the ShutdownTimeout <= 0 variant is a
 	// structurally different model (the shutdown becomes immediate) and
-	// cannot be reached by rebinding.
+	// no rate point can reach it.
 	ParametricTimeout bool
 }
 
@@ -127,7 +127,7 @@ func expMean(mean float64) rates.Rate {
 }
 
 // expSlot is expMean bound to rate slot k when on is set and the mean is
-// positive, so a sweep can rebind the rate per point (see
+// positive, so a sweep can pass the rate per point (see
 // RPCParams.ParametricTimeout and StreamingParams.ParametricPeriod).
 func expSlot(k int, on bool, mean float64) rates.Rate {
 	if on && mean > 0 {

@@ -62,11 +62,11 @@ type StreamingParams struct {
 	PowerAwake, PowerWaking, PowerDoze float64
 	// ParametricPeriod binds the PSP wakeup rate to rate slot
 	// StreamingPeriodSlot instead of a plain constant, so an awake-period
-	// sweep can generate the state space once and rebind the rate per
+	// sweep can generate the state space once and pass the rate per
 	// point (pipeline.Session.Sweep). Only meaningful in Markovian mode with
 	// WithDPM and a positive AwakePeriod — a non-positive period makes
-	// the wakeup immediate, a structurally different model that rebinding
-	// cannot reach.
+	// the wakeup immediate, a structurally different model that no rate
+	// point can reach.
 	ParametricPeriod bool
 }
 

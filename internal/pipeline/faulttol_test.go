@@ -253,13 +253,10 @@ func TestPhase2SweepCheckpointResumeLargerBudget(t *testing.T) {
 	// Order the points by the iterations a default solve needs, and pick
 	// a budget that converges the first half: every point up to mid
 	// converges and point mid+1 is the lowest to fail.
-	chain := privateChain(t, m)
+	s := pipeline.NewSession(pipeline.Spec{Model: m}, pipeline.Config{})
 	iters := make(map[float64]int, len(points))
 	for _, p := range points {
-		if err := chain.Rebind(p); err != nil {
-			t.Fatal(err)
-		}
-		_, trace, err := chain.SteadyStateTraced(ctmc.SolveOptions{})
+		_, trace, err := boundChain(t, s, p).SteadyStateTraced(ctmc.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -178,10 +178,10 @@ func (s *Session) generate() (*lts.LTS, error) {
 }
 
 // Chain returns the session's CTMC, built from the LTS on first use. The
-// chain is shared by every caller of the session, so callers must treat
-// it as read-only — solve and transient queries are safe (the solve plan
-// and Poisson caches are internally synchronized), but Rebind is not;
-// rate sweeps go through Sweep, which rebinds private clones.
+// chain is shared by every caller of the session and never changes once
+// built: solves, sweeps at any rate point and transient queries all only
+// read it (its solve plan and Poisson caches are internally
+// synchronized), so any number of goroutines may use it at once.
 func (s *Session) Chain() (*ctmc.CTMC, error) { return s.chain() }
 
 func (s *Session) build() (*ctmc.CTMC, error) {
@@ -193,8 +193,8 @@ func (s *Session) build() (*ctmc.CTMC, error) {
 }
 
 // compile compiles the spec's measures against the session's chain. The
-// compiled set holds no rates, so Phase 2 and every sweep worker's
-// rebound clone evaluate through this one set.
+// compiled set holds no rates, so Phase 2 and every sweep point evaluate
+// through this one set.
 func (s *Session) compile() (*measure.Compiled, error) {
 	chain, err := s.Chain()
 	if err != nil {
@@ -264,7 +264,7 @@ func (s *Session) solve() (*Phase2Report, error) {
 		return nil, err
 	}
 	rep := &Phase2Report{
-		Values:    measures.Eval(chain, pi),
+		Values:    measures.Eval(chain, pi, nil),
 		States:    l.NumStates,
 		Tangible:  chain.N,
 		Vanishing: chain.NumVanishing(),

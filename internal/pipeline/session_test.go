@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/aemilia"
+	"repro/internal/ctmc"
 	"repro/internal/lts"
+	"repro/internal/measure"
 	"repro/internal/models"
 	"repro/internal/noninterference"
 	"repro/internal/pipeline"
@@ -120,6 +123,117 @@ func TestSessionSingleFlight(t *testing.T) {
 		if !reflect.DeepEqual(reports[0], reports[i]) {
 			t.Fatalf("caller %d saw a different report:\n%+v\n%+v", i, reports[0], reports[i])
 		}
+	}
+}
+
+// chainSnapshot is what a reader of a built chain can observe: its
+// generator rows and exit rates, the throughput of every transition at
+// the built-in rates and the values of its compiled measures, both on
+// one fixed distribution.
+type chainSnapshot struct {
+	rows       [][]ctmc.Entry
+	exit       []float64
+	throughput float64
+	measures   map[string]float64
+}
+
+// snapshotChain records c's observable state, evaluating on the uniform
+// distribution: a throughput needs no stationary one, so taking the
+// snapshot leaves the solve plan unbuilt.
+func snapshotChain(t *testing.T, c *ctmc.CTMC, ms []measure.Measure) chainSnapshot {
+	t.Helper()
+	snap := chainSnapshot{rows: make([][]ctmc.Entry, c.N), exit: slices.Clone(c.Exit)}
+	for i, row := range c.Rows {
+		snap.rows[i] = slices.Clone(row)
+	}
+	pi := make([]float64, c.N)
+	for i := range pi {
+		pi[i] = 1 / float64(c.N)
+	}
+	f := c.Flow(pi, nil)
+	snap.throughput = f.Throughput(c.SelectAll(nil, func(string) bool { return true })[0])
+	cm, err := measure.Compile(ms, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.measures = cm.Eval(c, pi, nil)
+	return snap
+}
+
+// TestSharedChainUnchangedBySweeps pins that a built chain never changes:
+// on one rpc session and one minimized 12×12 streaming session, a Sweep
+// at 8 workers, Phase2 and a transient step run concurrently on the
+// session's one chain, and afterwards its rows, exit rates, throughput
+// at the built-in rates and compiled measures are bit-identical to a
+// snapshot taken before (reflect.DeepEqual compares floats with ==, and
+// none of them is NaN).
+func TestSharedChainUnchangedBySweeps(t *testing.T) {
+	rpc := models.DefaultRPCParams()
+	rpc.ParametricTimeout = true
+	stream := models.DefaultStreamingParams()
+	stream.APCapacity, stream.ClientCapacity = 12, 12
+	stream.ParametricPeriod = true
+	streamArch, err := models.BuildStreaming(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := func(times ...float64) [][]float64 {
+		out := make([][]float64, len(times))
+		for i, T := range times {
+			out[i] = []float64{1 / T}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		spec   pipeline.Spec
+		points [][]float64
+	}{
+		{"rpc", rpcSpec(rpc), grid(0.5, 1, 2, 5, 7.5, 10, 15, 25, 40)},
+		{"streaming-12x12-minimized", pipeline.Spec{Arch: streamArch, Measures: models.StreamingMeasures(stream), Minimize: true},
+			grid(5.2, 605.5, 10.9, 100, 56.5, 400, 25, 200)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := pipeline.NewSession(tc.spec, pipeline.Config{Workers: 8})
+			chain, err := s.Chain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := snapshotChain(t, chain, tc.spec.Measures)
+
+			var wg sync.WaitGroup
+			errs := make([]error, 3)
+			wg.Add(3)
+			go func() {
+				defer wg.Done()
+				_, errs[0] = s.Sweep(tc.points)
+			}()
+			go func() {
+				defer wg.Done()
+				_, errs[1] = s.Phase2()
+			}()
+			go func() {
+				defer wg.Done()
+				_, errs[2] = chain.TransientFromCtx(context.Background(), chain.Initial, 1, 0)
+			}()
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("%s: %v", []string{"Sweep", "Phase2", "TransientFromCtx"}[i], err)
+				}
+			}
+
+			after := snapshotChain(t, chain, tc.spec.Measures)
+			if !reflect.DeepEqual(before.rows, after.rows) || !reflect.DeepEqual(before.exit, after.exit) {
+				t.Error("the shared chain's generator rows or exit rates changed")
+			}
+			if before.throughput != after.throughput {
+				t.Errorf("throughput at the built-in rates moved from %v to %v", before.throughput, after.throughput)
+			}
+			if !reflect.DeepEqual(before.measures, after.measures) {
+				t.Errorf("compiled measures moved from %v to %v", before.measures, after.measures)
+			}
+		})
 	}
 }
 

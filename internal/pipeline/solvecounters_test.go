@@ -33,10 +33,10 @@ type solveCounter struct {
 // regimes of the paper's models: rpc with shutdown timeouts from 1e-4 ms
 // to 1e5 ms, and 10×10 and 12×12 streaming with awake periods from 1 ms
 // to 1e5 ms, where DPM dwell times dwarf the service rates. Every point
-// is a Clone, a Rebind to rate 1/knob and a default-options
-// SteadyStateTraced, so the file records what one sequential solve of
-// that point costs. Run with -update to rewrite the file; a change to any
-// entry must be explained.
+// is a default-options SteadyStateTraced of the session's state space
+// with its slot bound to rate 1/knob, so the file records what one
+// sequential solve of that point costs. Run with -update to rewrite the
+// file; a change to any entry must be explained.
 func TestSolveCounters(t *testing.T) {
 	timeouts := []float64{1e-4, 0.5, 25, 1e3, 1e4, 1e5}
 	periods := []float64{1, 5, 50, 800, 2000, 1e4, 1e5}
@@ -62,15 +62,9 @@ func TestSolveCounters(t *testing.T) {
 	}
 	var got []solveCounter
 	for _, tc := range cases {
-		chain, err := pipeline.NewSession(tc.spec, pipeline.Config{}).Chain()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		s := pipeline.NewSession(tc.spec, pipeline.Config{})
 		for _, knob := range tc.knobs {
-			c := chain.Clone()
-			if err := c.Rebind([]float64{1 / knob}); err != nil {
-				t.Fatalf("%s at %v ms: %v", tc.name, knob, err)
-			}
+			c := boundChain(t, s, []float64{1 / knob})
 			_, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{})
 			if err != nil {
 				t.Fatalf("%s at %v ms: %v", tc.name, knob, err)

@@ -13,13 +13,12 @@ import (
 // Sweep runs the Markovian phase over a family of rate assignments of the
 // session's model: the state space is generated once, the CTMC is built
 // once, its structural solve analysis (bottom component, reachability) is
-// computed once — rate-only rebinds cannot change it — and each point
-// rewrites only the rate values before solving. points[i] supplies one
-// value per rate slot of the model (points[i][k-1] is the value of slot
-// k), and the reports come back in the same order. The session's shared
-// chain is never rebound: every sweep call rebinds private clones, so
-// concurrent sweeps and Phase2 solves on one session cannot disturb each
-// other.
+// computed once — no rate point can change it — and each point is passed
+// as an argument to the solve and the measure evaluation. points[i]
+// supplies one value per rate slot of the model (points[i][k-1] is the
+// value of slot k), and the reports come back in the same order. The
+// session's chain is only read, so concurrent sweeps and Phase2 solves on
+// one session share it.
 //
 // Every point is solved cold, from the uniform start. The points are
 // packed in index order into ctmc.SolveBatchLanes chunks of
@@ -27,12 +26,10 @@ import (
 // shorter — and the chunks run on fault.Pool with Config.Workers
 // workers. Every lane runs exactly the floating-point operations of a
 // one-lane solo solve at its point, and every worker evaluates the
-// session's one compiled measure set on its clone, so each report is
-// bit-identical to Clone → Rebind(point) → SteadyStateTraced →
-// measure.Compile → Eval on the session's chain, at any worker count.
-// The rebound generator matrix is itself bit-identical to a freshly
-// built one, so a point's result equals a fresh generate+build+solve at
-// that point's rates up to the solver tolerance. A Config Store memoizes the reports
+// session's one compiled measure set at the point, so each report is
+// bit-identical, at any worker count, to binding the slots of the
+// session's LTS to the point's values, then Build, SteadyStateTraced and
+// measure.Compile → Eval. A Config Store memoizes the reports
 // point by point (see resultModel), so overlapping grids share their
 // common points whatever point they start from, and a sweep whose every
 // point the store holds generates nothing. Through a FileStore the
@@ -75,7 +72,7 @@ func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
 	}
 	for i, p := range points {
 		if len(p) != numSlots {
-			return nil, fmt.Errorf("pipeline: sweep: point %d has %d values, model has %d rate slots", i, len(p), numSlots)
+			return nil, fmt.Errorf("pipeline: sweep: point %d: %w", i, &ctmc.RebindError{Want: numSlots, Got: len(p)})
 		}
 	}
 	reports := make([]*Phase2Report, len(points))
@@ -115,7 +112,7 @@ func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: sweep: %w", err)
 	}
-	pristine, err := s.Chain()
+	chain, err := s.Chain()
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: sweep: %w", err)
 	}
@@ -126,24 +123,12 @@ func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
 	ctx := s.cfg.Ctx
 	solve := s.solveOptions()
 
-	// attribute stamps a solver failure with its global sweep-point index
-	// and rate vector (when the failure is a convergence error).
-	attribute := func(err error, i int) error {
-		var ce *ctmc.ConvergenceError
-		if errors.As(err, &ce) {
-			ce.Point = i
-			ce.Params = append([]float64(nil), points[i]...)
-		}
-		return err
-	}
-
-	// solveChunk solves points[off:off+width] on chain in one batched
-	// call and publishes their reports to their slots and the result
-	// store: a lane's convergence failure is its point's, and a converged
-	// lane is evaluated on chain rebound to the point's rates, through the
-	// session's compiled measures. It returns the failed global point
-	// index and error.
-	solveChunk := func(chain *ctmc.CTMC, off, width int) (int, error) {
+	// solveChunk solves points[off:off+width] in one batched call and
+	// publishes their reports to their slots and the result store: a
+	// lane's convergence failure is its point's, and a converged lane is
+	// evaluated at the point's rates through the session's compiled
+	// measures. It returns the failed global point index and error.
+	solveChunk := func(off, width int) (int, error) {
 		if err := fault.Check(ctx, "core.sweep", off, -1); err != nil {
 			return off, err
 		}
@@ -154,22 +139,24 @@ func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
 			if errors.As(err, &bpe) {
 				idx, err = off+bpe.Point, bpe.Err
 			}
-			return idx, attribute(err, idx)
+			return idx, err
 		}
 		for lane := 0; lane < width; lane++ {
 			i := off + lane
-			err := laneErrs[lane]
-			if err == nil {
-				err = chain.Rebind(points[i])
-			}
-			if err != nil {
-				return i, attribute(err, i)
+			if err := laneErrs[lane]; err != nil {
+				// SolveBatchLanes stamped the convergence error with its
+				// lane and rate vector; the point is the global index.
+				var ce *ctmc.ConvergenceError
+				if errors.As(err, &ce) {
+					ce.Point = i
+				}
+				return i, err
 			}
 			rep := &Phase2Report{
-				Values:    compiled.Eval(chain, pis[lane]),
+				Values:    compiled.Eval(chain, pis[lane], points[i]),
 				States:    l.NumStates,
-				Tangible:  pristine.N,
-				Vanishing: pristine.NumVanishing(),
+				Tangible:  chain.N,
+				Vanishing: chain.NumVanishing(),
 			}
 			reports[i] = rep
 			if s.cfg.Store != nil {
@@ -181,27 +168,22 @@ func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
 		return 0, nil
 	}
 
-	// Each worker rebinds its own private clone of the session's chain,
-	// cloned in the worker's first chunk on the worker's own goroutine.
-	// The injection sites of a chunk's points are consulted before its
-	// batched solve, so an armed SiteSweepPoint trigger fires at whichever
-	// lane its point occupies. The pool name predates the move to this
-	// package and is kept stable — it is part of the attribution contract
-	// callers match on.
-	chains := make([]*ctmc.CTMC, min(max(1, s.cfg.Workers), len(pending)))
-	failed, err := fault.Pool("core.sweep", len(pending), len(chains),
+	// Every worker solves the session's one chain. The injection sites
+	// of a chunk's points are consulted before its batched solve, so an
+	// armed SiteSweepPoint trigger fires at whichever lane its point
+	// occupies. The pool name predates the move to this package and is
+	// kept stable — it is part of the attribution contract callers match
+	// on.
+	failed, err := fault.Pool("core.sweep", len(pending), s.cfg.Workers,
 		func(c int) string {
 			return fmt.Sprintf("points %d-%d", pending[c].off, pending[c].off+pending[c].width-1)
 		},
-		func(w, c int) (err error) {
-			if chains[w] == nil {
-				chains[w] = pristine.Clone()
-			}
+		func(_, c int) (err error) {
 			ch := &pending[c]
 			for k := 0; k < ch.width; k++ {
 				faultinject.MaybePanic(faultinject.SiteSweepPoint, ch.off+k)
 			}
-			ch.failed, err = solveChunk(chains[w], ch.off, ch.width)
+			ch.failed, err = solveChunk(ch.off, ch.width)
 			return err
 		})
 	if err != nil {

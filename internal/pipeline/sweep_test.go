@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ctmc"
 	"repro/internal/elab"
+	"repro/internal/lts"
 	"repro/internal/measure"
 	"repro/internal/models"
 	"repro/internal/pipeline"
@@ -73,78 +74,99 @@ func phase2(t *testing.T, m *elab.Model, measures []measure.Measure) *pipeline.P
 	return rep
 }
 
-// privateChain returns a private copy of the chain a session builds for
-// m: the session's own chain is shared and must not be rebound.
-func privateChain(t *testing.T, m *elab.Model) *ctmc.CTMC {
+// sessionChain returns the chain a session builds for m.
+func sessionChain(t *testing.T, m *elab.Model) *ctmc.CTMC {
 	t.Helper()
 	c, err := pipeline.NewSession(pipeline.Spec{Model: m}, pipeline.Config{}).Chain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Clone()
+	return c
 }
 
-// TestRebindMatchesFreshBuild pins the heart of the rebind contract the
-// sweep relies on: a parametric chain rebound to rate 1/T is
-// bit-identical — generator entries, exit rates — to a fresh build of the
-// non-parametric model at shutdown timeout T. Checked for the rpc
+// boundChain builds the chain of the session's state space with every
+// rate slot bound to the constant point[slot-1] (lts.BindSlotsForTest):
+// the reference chain a sweep at that point is pinned to.
+func boundChain(t *testing.T, s *pipeline.Session, point []float64) *ctmc.CTMC {
+	t.Helper()
+	l, err := s.LTS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ctmc.Build(lts.BindSlotsForTest(l, point))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRebindMatchesFreshBuild pins the two links of the contract the
+// sweep relies on: the parametric system with its slot bound to 1/T
+// builds a chain bit-identical — generator entries, exit rates — to a
+// fresh build of the non-parametric model at T, and a batched lane of
+// the parametric chain at 1/T solves to that fresh chain's solution bit
+// for bit. (The rates a lane gathers are pinned to the bound chain's
+// rows in internal/ctmc, TestBuildMatchesReference.) Checked for the rpc
 // (timeout) and streaming (awake period) models.
 func TestRebindMatchesFreshBuild(t *testing.T) {
 	type variant struct {
 		name       string
-		parametric func(t *testing.T) *ctmc.CTMC
+		parametric func(t *testing.T) *elab.Model
 		fresh      func(t *testing.T, knob float64) *ctmc.CTMC
 		knobs      []float64
 	}
 	variants := []variant{
 		{
 			name: "rpc-timeout",
-			parametric: func(t *testing.T) *ctmc.CTMC {
+			parametric: func(t *testing.T) *elab.Model {
 				p := models.DefaultRPCParams()
 				p.ParametricTimeout = true
-				return privateChain(t, elaborateRPC(t, p))
+				return elaborateRPC(t, p)
 			},
 			fresh: func(t *testing.T, T float64) *ctmc.CTMC {
 				p := models.DefaultRPCParams()
 				p.ShutdownTimeout = T
-				return privateChain(t, elaborateRPC(t, p))
+				return sessionChain(t, elaborateRPC(t, p))
 			},
 			knobs: []float64{0.5, 5, 25},
 		},
 		{
 			name: "streaming-period",
-			parametric: func(t *testing.T) *ctmc.CTMC {
+			parametric: func(t *testing.T) *elab.Model {
 				p := quickStreamingParams()
 				p.ParametricPeriod = true
-				return privateChain(t, elaborateStreaming(t, p))
+				return elaborateStreaming(t, p)
 			},
 			fresh: func(t *testing.T, P float64) *ctmc.CTMC {
 				p := quickStreamingParams()
 				p.AwakePeriod = P
-				return privateChain(t, elaborateStreaming(t, p))
+				return sessionChain(t, elaborateStreaming(t, p))
 			},
 			knobs: []float64{50, 400},
 		},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			chain := v.parametric(t)
-			if rateSlots(chain) != 1 {
-				t.Fatalf("parametric chain has %d rate slots, want 1", rateSlots(chain))
+			m := v.parametric(t)
+			if m.NumRateSlots() != 1 {
+				t.Fatalf("parametric model has %d rate slots, want 1", m.NumRateSlots())
+			}
+			s := pipeline.NewSession(pipeline.Spec{Model: m}, pipeline.Config{})
+			chain, err := s.Chain()
+			if err != nil {
+				t.Fatal(err)
 			}
 			for _, knob := range v.knobs {
-				if err := chain.Rebind([]float64{1 / knob}); err != nil {
-					t.Fatalf("rebind to knob %v: %v", knob, err)
-				}
-				want := v.fresh(t, knob)
-				if chain.N != want.N {
-					t.Fatalf("knob %v: rebound chain has %d states, fresh build %d", knob, chain.N, want.N)
+				point := []float64{1 / knob}
+				bound, want := boundChain(t, s, point), v.fresh(t, knob)
+				if bound.N != want.N {
+					t.Fatalf("knob %v: bound chain has %d states, fresh build %d", knob, bound.N, want.N)
 				}
 				for ci := range want.Rows {
-					if chain.Exit[ci] != want.Exit[ci] {
-						t.Fatalf("knob %v state %d: exit %v != fresh %v", knob, ci, chain.Exit[ci], want.Exit[ci])
+					if bound.Exit[ci] != want.Exit[ci] {
+						t.Fatalf("knob %v state %d: exit %v != fresh %v", knob, ci, bound.Exit[ci], want.Exit[ci])
 					}
-					a, b := chain.Rows[ci], want.Rows[ci]
+					a, b := bound.Rows[ci], want.Rows[ci]
 					if len(a) != len(b) {
 						t.Fatalf("knob %v state %d: %d entries != fresh %d", knob, ci, len(a), len(b))
 					}
@@ -154,73 +176,75 @@ func TestRebindMatchesFreshBuild(t *testing.T) {
 						}
 					}
 				}
+				pis, laneErrs, err := chain.SolveBatchLanes([][]float64{point}, ctmc.SolveOptions{})
+				if err != nil || laneErrs[0] != nil {
+					t.Fatalf("knob %v: lane solve: %v, %v", knob, err, laneErrs[0])
+				}
+				wantPi, _, err := want.SteadyStateTraced(ctmc.SolveOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ci := range wantPi {
+					if pis[0][ci] != wantPi[ci] {
+						t.Fatalf("knob %v state %d: lane %v != fresh %v", knob, ci, pis[0][ci], wantPi[ci])
+					}
+				}
 			}
 		})
 	}
 }
 
-// TestRebindStructuralErrors pins the error contract: rebinding to a
-// value that would change the chain's structure (zero, negative, NaN or
-// infinite rate) is rejected with ErrStructuralRebind, a length mismatch
-// with a *RebindError, and the chain is untouched either way. A chain
-// built without slots rejects any non-empty rebind.
+// TestRebindStructuralErrors pins the rate-point error contract of both
+// entry points, SolveBatchLanes and Sweep: a slot value that would change
+// the chain's structure (zero, negative, NaN or infinite rate) is
+// rejected with a *RebindError wrapping ErrStructuralRebind, a wrong
+// number of values with a *RebindError that does not, and a chain or
+// model without rate slots is refused.
 func TestRebindStructuralErrors(t *testing.T) {
 	p := models.DefaultRPCParams()
 	p.ParametricTimeout = true
-	chain := privateChain(t, elaborateRPC(t, p))
-	if err := chain.Rebind([]float64{1.0 / 5}); err != nil {
-		t.Fatal(err)
-	}
-	before := make([]float64, chain.N)
-	copy(before, chain.Exit)
-
+	m := elaborateRPC(t, p)
+	chain := sessionChain(t, m)
 	for _, bad := range [][]float64{
-		{0}, {-1}, {math.NaN()}, {math.Inf(1)},
+		{0}, {-1}, {math.NaN()}, {math.Inf(1)}, {math.Inf(-1)},
 	} {
-		err := chain.Rebind(bad)
-		if err == nil {
-			t.Fatalf("rebind to %v should fail", bad)
-		}
-		if !errors.Is(err, ctmc.ErrStructuralRebind) {
-			t.Errorf("rebind to %v: error %v should wrap ErrStructuralRebind", bad, err)
+		_, _, batchErr := chain.SolveBatchLanes([][]float64{{1.0 / 5}, bad}, ctmc.SolveOptions{})
+		_, sweepErr := sweep(m, nil, ctmc.SolveOptions{}, pipeline.Config{}, [][]float64{{1.0 / 5}, bad})
+		for name, err := range map[string]error{"SolveBatchLanes": batchErr, "Sweep": sweepErr} {
+			var re *ctmc.RebindError
+			if !errors.As(err, &re) || !errors.Is(err, ctmc.ErrStructuralRebind) || re.Slot != 1 {
+				t.Errorf("%s at %v: error %v should be a *RebindError for slot 1 wrapping ErrStructuralRebind", name, bad, err)
+			}
 		}
 	}
 	for _, bad := range [][]float64{nil, {}, {1, 2}} {
-		err := chain.Rebind(bad)
-		if err == nil {
-			t.Fatalf("rebind with %d values should fail", len(bad))
-		}
-		var re *ctmc.RebindError
-		if !errors.As(err, &re) {
-			t.Errorf("rebind with %d values: got %T, want *RebindError", len(bad), err)
-		}
-		if errors.Is(err, ctmc.ErrStructuralRebind) {
-			t.Errorf("length mismatch should not claim a structural change: %v", err)
-		}
-	}
-	for ci, e := range chain.Exit {
-		if e != before[ci] {
-			t.Fatalf("failed rebinds must leave the chain untouched (state %d: %v != %v)", ci, e, before[ci])
+		_, _, batchErr := chain.SolveBatchLanes([][]float64{bad}, ctmc.SolveOptions{})
+		_, sweepErr := sweep(m, nil, ctmc.SolveOptions{}, pipeline.Config{}, [][]float64{bad})
+		for name, err := range map[string]error{"SolveBatchLanes": batchErr, "Sweep": sweepErr} {
+			var re *ctmc.RebindError
+			if !errors.As(err, &re) || re.Want != 1 || re.Got != len(bad) {
+				t.Errorf("%s with %d values: got %v, want a *RebindError of 1 and %d values", name, len(bad), err, len(bad))
+			}
+			if errors.Is(err, ctmc.ErrStructuralRebind) {
+				t.Errorf("%s: a length mismatch should not claim a structural change: %v", name, err)
+			}
 		}
 	}
 
-	plain := privateChain(t, elaborateRPC(t, models.DefaultRPCParams()))
-	if rateSlots(plain) != 0 {
-		t.Fatalf("non-parametric chain reports %d slots", rateSlots(plain))
+	plain := elaborateRPC(t, models.DefaultRPCParams())
+	if _, _, err := sessionChain(t, plain).SolveBatchLanes([][]float64{{1}}, ctmc.SolveOptions{}); err == nil {
+		t.Error("solving a slot-free chain at a point should fail")
 	}
-	if err := plain.Rebind([]float64{1}); err == nil {
-		t.Fatal("rebinding a slot-free chain should fail")
-	}
-	if err := plain.Rebind(nil); err != nil {
-		t.Fatalf("empty rebind of a slot-free chain is a no-op, got %v", err)
+	if _, err := sweep(plain, nil, ctmc.SolveOptions{}, pipeline.Config{}, [][]float64{{1}}); err == nil {
+		t.Error("sweeping a slot-free model should fail")
 	}
 }
 
 // TestPhase2SweepDeterministicAndFresh checks the sweep engine on the rpc
 // model: reports are bit-identical at 1 and 8 workers, and every point
 // is bit-identical to an independent Phase2 of a fresh build at that
-// timeout — the rebound chain equals the fresh build bit for bit
-// (TestRebindMatchesFreshBuild), and both are solved cold.
+// timeout — a lane at the point solves to the fresh build's solution bit
+// for bit (TestRebindMatchesFreshBuild).
 func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
 	pp := models.DefaultRPCParams()
 	pp.ParametricTimeout = true
@@ -370,19 +394,13 @@ func TestPhase2SweepRejectsBadInput(t *testing.T) {
 	}
 }
 
-// coldSolve is the per-point oracle of the sweep contract: a private
-// clone of the session's chain, rebound to the point, solved cold by the
-// one-lane SteadyStateTraced path, and evaluated.
+// coldSolve is the per-point oracle of the sweep contract: the chain of
+// the session's state space with its slots bound to the point, solved
+// cold by the one-lane SteadyStateTraced path, and evaluated at its
+// built-in rates.
 func coldSolve(t *testing.T, s *pipeline.Session, measures []measure.Measure, point []float64) map[string]float64 {
 	t.Helper()
-	shared, err := s.Chain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := shared.Clone()
-	if err := c.Rebind(point); err != nil {
-		t.Fatal(err)
-	}
+	c := boundChain(t, s, point)
 	pi, _, err := c.SteadyStateTraced(ctmc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +409,7 @@ func coldSolve(t *testing.T, s *pipeline.Session, measures []measure.Measure, po
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cm.Eval(c, pi)
+	return cm.Eval(c, pi, nil)
 }
 
 // TestSweepMatchesColdSolve pins the sweep's contract: every report of a
@@ -534,15 +552,4 @@ func TestSweepStoreSharesPointsAcrossGrids(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameReports(t, "second grid vs store-free", fresh, b)
-}
-
-// rateSlots returns the number of rate slots chain accepts: the count an
-// empty Rebind, which fails its length check and leaves the chain
-// untouched, reports as wanted.
-func rateSlots(chain *ctmc.CTMC) int {
-	var rb *ctmc.RebindError
-	if errors.As(chain.Rebind(nil), &rb) {
-		return rb.Want
-	}
-	return 0
 }

@@ -64,13 +64,14 @@ type Rate struct {
 	// (Kind == Immediate or Passive).
 	Weight float64
 	// Slot binds an exponential rate to a symbolic parameter: slot k > 0
-	// means Lambda is the current value of rate parameter k, and a
-	// downstream analysis may substitute a different positive value
-	// without re-elaborating the model (ctmc.Rebind). Slot 0 — the zero
-	// value — marks an ordinary constant rate. Slots are only meaningful
-	// on Kind == Exp: immediate and passive annotations shape the
-	// *structure* of the extracted chain (vanishing-state classification,
-	// branching probabilities), so they cannot be rebound.
+	// means Lambda is the built-in value of rate parameter k, and a
+	// downstream analysis may solve at a different positive value without
+	// re-elaborating the model (a rate point of ctmc.SolveBatchLanes).
+	// Slot 0 — the zero value — marks an ordinary constant rate. Slots are
+	// only meaningful on Kind == Exp: immediate and passive annotations
+	// shape the *structure* of the extracted chain (vanishing-state
+	// classification, branching probabilities), so no rate point can
+	// change them.
 	Slot int
 }
 
@@ -87,7 +88,7 @@ func ExpRate(lambda float64) Rate { return Rate{Kind: Exp, Lambda: lambda} }
 // model elaborates and analyses exactly like ExpRate(lambda) — but the
 // slot index travels with the annotation through synchronization and into
 // the generated transition system, where ctmc.Build records it per edge so
-// the extracted chain can be rebound to other slot values in O(edges).
+// the extracted chain can be solved at other slot values in O(edges).
 func ExpSlot(slot int, lambda float64) Rate {
 	return Rate{Kind: Exp, Lambda: lambda, Slot: slot}
 }

@@ -333,7 +333,7 @@ func TestCrossValidationAgainstCTMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := cm.Eval(chain, pi)
+	exact := cm.Eval(chain, pi, nil)
 
 	res, err := Run(Config{
 		Model:        m,

@@ -30,9 +30,10 @@ import (
 var reachAllow = map[string]string{
 	"faultinject.*": "production code calls the hooks so that tests can arm them",
 
-	"lts.GenerateCalls": "tests in other packages count successor calls with it",
-	"lts.(*LTS).NumAux": "tests in other packages check the Aux handles with it",
-	"dist.NewErlang":    "kept for ROADMAP item 11, the Erlang-k bridge between the Markovian and general phases",
+	"lts.GenerateCalls":    "tests in other packages count successor calls with it",
+	"lts.(*LTS).NumAux":    "tests in other packages check the Aux handles with it",
+	"lts.BindSlotsForTest": "tests in other packages build the reference chain of a rate point with it",
+	"dist.NewErlang":       "kept for ROADMAP item 11, the Erlang-k bridge between the Markovian and general phases",
 }
 
 const reachModule = "repro"

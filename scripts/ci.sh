@@ -173,17 +173,20 @@ go test -timeout 10m -race -cpu 1,2 -run 'QuickOutputBytes|CheckpointResume' ./c
 
 # Session-sharing smoke under the race detector at -cpu 1,2: concurrent
 # goroutines solve on one session through its single-flight stages
-# (TestSessionSingleFlight), sweep workers at 1, 2 and 8 clone one
-# session's chain and evaluate its one compiled measure set concurrently
-# (TestSweepMatchesColdSolve), concurrent store reads hand out private
-# clones (TestStoreHitMatchesFreshSolve), and the compiled measures on
-# rebound clones are bit-identical to the per-call oracle walk
-# (TestCompiledMeasuresMatchOracle in internal/ctmc). The session layer is
-# the one place every driver's goroutines meet, so its race coverage is
-# load-bearing.
+# (TestSessionSingleFlight), sweep workers at 1, 2 and 8 solve one
+# session's chain at their points and evaluate its one compiled measure
+# set concurrently (TestSweepMatchesColdSolve), a sweep at 8 workers, a
+# Phase2 and a transient step run concurrently on one session's chain and
+# leave it bit-identical (TestSharedChainUnchangedBySweeps), concurrent
+# store reads hand out private copies of reports
+# (TestStoreHitMatchesFreshSolve), and the compiled measures at every
+# sweep point are bit-identical to the per-call oracle walk on the chain
+# built with the slots bound to the point (TestCompiledMeasuresMatchOracle
+# in internal/ctmc). The session layer is the one place every driver's
+# goroutines meet, so its race coverage is load-bearing.
 echo "== session race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
-    -run 'SessionSingleFlight|SweepMatchesColdSolve|StoreHit|CompiledMeasures' ./internal/pipeline/ ./internal/ctmc/
+    -run 'SessionSingleFlight|SweepMatchesColdSolve|SharedChainUnchangedBySweeps|StoreHit|CompiledMeasures' ./internal/pipeline/ ./internal/ctmc/
 
 # Folding smoke under the race detector at -cpu 1,2 (-compose minimize
 # folds vanishing states during generation): folding preserves
