@@ -27,8 +27,10 @@ func (l *LTS) SlotDefaults() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	for _, id := range l.csr.RateID {
-		if r := &l.csr.Rates[id]; r.Slot > 0 {
+	// Loop over the edges, not the RateID column, which is nil when every
+	// edge has the table's first rate.
+	for i := range int32(l.csr.NumEdges()) {
+		if r := l.csr.Rate(i); r.Slot > 0 {
 			out[r.Slot-1] = r.Lambda
 		}
 	}

@@ -3,6 +3,8 @@ package lts_test
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/elab"
@@ -132,5 +134,29 @@ func TestDirectIndexAllocatesNoMore(t *testing.T) {
 			t.Errorf("%s: generation allocates %d bytes with the direct index, %d with the hash index (%d more allowed)",
 				c.name, direct, hash, digits+c.excess)
 		}
+	}
+}
+
+// TestGenerateAllocBound bounds the bytes one unfolded generation of the
+// functional 7×5 streaming shape (16,632 states) allocates. Its one rate
+// leaves the CSR without a rate-id column, and the row builder doubles
+// its row starts and edge columns; a third edge column or a return to
+// append's 1.25× regrowth costs more than the margin left below the
+// bound. A race build is skipped: instrumented code compiles the append of
+// a make inside slices.Grow with a separate temporary, so it allocates
+// about a third more.
+func TestGenerateAllocBound(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("allocation counts of a race build are not the program's")
+	}
+	const bound = 2_400_000
+	m := streamingModel(functionalShape(7, 5))(t)
+	if _, err := lts.Generate(m, lts.GenerateOptions{}); err != nil { // warm the model
+		t.Fatal(err)
+	}
+	got := generateAlloc(t, m, lts.GenerateOptions{})
+	t.Logf("functional/7x5: generation allocates %d bytes", got)
+	if got > bound {
+		t.Errorf("functional/7x5: generation allocates %d bytes, more than %d", got, bound)
 	}
 }

@@ -28,7 +28,9 @@ const TauName = statespace.TauName
 
 // Span is a read-only view of one state's outgoing transitions inside the
 // CSR arrays: Dst and Label are parallel slices, and Rate resolves each
-// transition's timing annotation through the system's rate table.
+// transition's timing annotation through the system's rate table — the
+// table's first entry when the system stores no rate-id column (every
+// edge of an untimed system carries the one rate).
 // Mutating a span would corrupt shared storage; treat it as immutable.
 type Span struct {
 	// Dst holds the destination state of each transition.
@@ -36,7 +38,7 @@ type Span struct {
 	// Label holds the symbol-table index of each transition label.
 	Label []int32
 
-	rateID []int32
+	rateID []int32 // nil: every transition has rate id 0
 	rates  []rates.Rate
 }
 
@@ -44,7 +46,12 @@ type Span struct {
 func (sp Span) Len() int { return len(sp.Dst) }
 
 // Rate returns the timing annotation of transition k.
-func (sp Span) Rate(k int) rates.Rate { return sp.rates[sp.rateID[k]] }
+func (sp Span) Rate(k int) rates.Rate {
+	if sp.rateID == nil {
+		return sp.rates[0]
+	}
+	return sp.rates[sp.rateID[k]]
+}
 
 // LTS is an explicit labelled transition system.
 type LTS struct {
@@ -174,7 +181,11 @@ func (l *LTS) setCSR(c statespace.CSR) {
 func (l *LTS) Out(s int) Span {
 	l.Seal()
 	lo, hi := l.csr.Row(s)
-	return Span{Dst: l.csr.Dst[lo:hi], Label: l.csr.Label[lo:hi], rateID: l.csr.RateID[lo:hi], rates: l.csr.Rates}
+	sp := Span{Dst: l.csr.Dst[lo:hi], Label: l.csr.Label[lo:hi], rates: l.csr.Rates}
+	if l.csr.RateID != nil {
+		sp.rateID = l.csr.RateID[lo:hi]
+	}
+	return sp
 }
 
 // Row returns the destinations and labels of the transitions leaving
@@ -263,8 +274,12 @@ func (l *LTS) MemStats() (stateTable, csrBytes, auxBytes int) {
 // preserve rates and with them the slot column.
 func (l *LTS) NumRateSlots() int {
 	l.Seal()
+	ids := l.csr.RateID
+	if ids == nil && l.csr.NumEdges() > 0 {
+		ids = []int32{0} // every edge has rate id 0
+	}
 	max := 0
-	for _, id := range l.csr.RateID {
+	for _, id := range ids {
 		if s := l.csr.Rates[id].Slot; s > max {
 			max = s
 		}
@@ -350,10 +365,10 @@ func (l *LTS) PredColumn(name string) ([]bool, error) {
 
 // Hide returns the LTS in which every transition whose label satisfies
 // match is relabelled to tau. This is an allocation-light pass over the
-// CSR form: the structural arrays (row starts, destinations, rate ids and
-// the rate table) are shared with the input, only the label column is
-// rewritten, and match is consulted once per distinct label rather than
-// once per transition.
+// CSR form: the structural arrays (row starts, destinations, rate ids —
+// none for an untimed system — and the rate table) are shared with the
+// input, only the label column is rewritten, and match is consulted once
+// per distinct label rather than once per transition.
 // Rates, predicates and state descriptions are preserved.
 func Hide(l *LTS, match func(label string) bool) *LTS {
 	l.Seal()
@@ -395,7 +410,8 @@ func Hide(l *LTS, match func(label string) bool) *LTS {
 // the initial state. State indices are compacted (in breadth-first order);
 // the symbol table and the rate table are shared with the input, and
 // descriptions and predicates are carried over. The result is assembled
-// row by row, reusing the input's rate ids.
+// row by row, reusing the input's rate ids, into columns sized once from
+// the edge count the breadth-first search takes.
 func Restrict(l *LTS, match func(label string) bool) *LTS {
 	l.Seal()
 	keepLab := make([]bool, l.syms.Len())
@@ -409,6 +425,7 @@ func Restrict(l *LTS, match func(label string) bool) *LTS {
 	}
 	order := []int32{int32(l.Initial)}
 	remap[l.Initial] = 0
+	kept := 0
 	for qi := 0; qi < len(order); qi++ {
 		s := order[qi]
 		lo, hi := l.csr.Row(int(s))
@@ -416,6 +433,7 @@ func Restrict(l *LTS, match func(label string) bool) *LTS {
 			if !keepLab[l.csr.Label[i]] {
 				continue
 			}
+			kept++
 			d := l.csr.Dst[i]
 			if remap[d] < 0 {
 				remap[d] = int32(len(order))
@@ -443,17 +461,21 @@ func Restrict(l *LTS, match func(label string) bool) *LTS {
 	// Every target of a kept edge out of a reached state was itself
 	// reached, so the rows need no reachability filter.
 	rows := statespace.NewRowBuilderOver(l.csr.Rates)
+	rows.Reserve(len(order), kept)
 	for _, oldIdx := range order {
 		lo, hi := l.csr.Row(int(oldIdx))
 		for i := lo; i < hi; i++ {
 			if !keepLab[l.csr.Label[i]] {
 				continue
 			}
-			aux := int32(0)
+			aux, rid := int32(0), int32(0)
 			if l.csr.Aux != nil {
 				aux = l.csr.Aux[i]
 			}
-			rows.AddID(remap[l.csr.Dst[i]], l.csr.Label[i], aux, l.csr.RateID[i])
+			if l.csr.RateID != nil {
+				rid = l.csr.RateID[i]
+			}
+			rows.AddID(remap[l.csr.Dst[i]], l.csr.Label[i], aux, rid)
 		}
 		rows.EndRow()
 	}

@@ -108,9 +108,9 @@ func diffSystems(got, want *LTS) string {
 	case got.NumAux() != want.NumAux():
 		return "attribution pool"
 	}
-	for i := range g.RateID {
-		if !sameRateBits(g.Rate(int32(i)), w.Rate(int32(i))) {
-			return fmt.Sprintf("rate of edge %d: %+v vs %+v", i, g.Rate(int32(i)), w.Rate(int32(i)))
+	for i := range int32(g.NumEdges()) {
+		if !sameRateBits(g.Rate(i), w.Rate(i)) {
+			return fmt.Sprintf("rate of edge %d: %+v vs %+v", i, g.Rate(i), w.Rate(i))
 		}
 	}
 	return ""
@@ -168,6 +168,88 @@ func TestRestrictMatchesReference(t *testing.T) {
 		}
 		if d := diffSystems(Hide(got, notLow), Hide(want, notLow)); d != "" {
 			t.Fatalf("trial %d: hidden restriction differs from the reference: %s", trial, d)
+		}
+	}
+}
+
+// TestUntimedSystemsStoreNoRateIDs: a system whose edges all carry one
+// rate stores no RateID column — generated, sealed from AddTransition,
+// hidden or restricted — and its edges still resolve to that rate, a
+// slotted one included. The first transition with a second rate brings
+// the column back.
+func TestUntimedSystemsStoreNoRateIDs(t *testing.T) {
+	gen, err := Generate(workerModel(t), GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := New(3)
+	a, b := added.LabelIndex("a"), added.LabelIndex("b")
+	added.AddTransition(0, 1, a, rates.UntimedRate())
+	added.AddTransition(1, 2, b, rates.UntimedRate())
+	added.AddTransition(1, 0, a, rates.UntimedRate())
+	slotted := New(2)
+	slotted.AddTransition(0, 1, slotted.LabelIndex("a"), rates.ExpSlot(2, 0.5))
+	slotted.AddTransition(1, 0, TauIndex, rates.ExpSlot(2, 0.5))
+	for _, c := range []struct {
+		name  string
+		l     *LTS
+		rate  rates.Rate
+		slots []float64
+	}{
+		{"generated", gen, rates.UntimedRate(), nil},
+		{"hidden", Hide(gen, LabelMatcherByNames("W.work")), rates.UntimedRate(), nil},
+		{"restricted", Restrict(gen, LabelMatcherByInstance("S")), rates.UntimedRate(), nil},
+		{"AddTransition", added, rates.UntimedRate(), nil},
+		{"restricted AddTransition", Restrict(added, LabelMatcherByNames("b")), rates.UntimedRate(), nil},
+		{"slotted", slotted, rates.ExpSlot(2, 0.5), []float64{0, 0.5}},
+		{"restricted slotted", Restrict(slotted, LabelMatcherByNames("x")), rates.ExpSlot(2, 0.5), []float64{0, 0.5}},
+	} {
+		c.l.Seal()
+		if c.l.csr.RateID != nil {
+			t.Errorf("%s: RateID column of %d entries, want none", c.name, len(c.l.csr.RateID))
+		}
+		if c.l.NumTransitions() == 0 {
+			t.Errorf("%s: no transitions", c.name)
+		}
+		c.l.Edges(func(src, _, _ int, r rates.Rate) {
+			if !sameRateBits(r, c.rate) {
+				t.Errorf("%s: an edge of state %d resolves to %+v, want %+v", c.name, src, r, c.rate)
+			}
+		})
+		if !slices.Equal(c.l.SlotDefaults(), c.slots) {
+			t.Errorf("%s: slot defaults %v, want %v", c.name, c.l.SlotDefaults(), c.slots)
+		}
+	}
+	added.AddTransition(2, 0, b, rates.ExpRate(1))
+	added.Seal()
+	if want := []int32{0, 0, 0, 1}; !slices.Equal(added.csr.RateID, want) {
+		t.Errorf("after a timed transition: RateID %v, want %v", added.csr.RateID, want)
+	}
+}
+
+// TestRestrictSizesExactly checks that every column Restrict builds ends
+// exactly full (len == cap), as TestBuildSizesExactly pins for
+// ctmc.Build: the breadth-first search counts the kept edges, so the row
+// builder is sized once. It covers random rated systems with Aux columns
+// and a generated Markovian system.
+func TestRestrictSizesExactly(t *testing.T) {
+	grid, err := Generate(gridModel(t, 6), GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := map[string]*LTS{"grid": Restrict(grid, LabelMatcherByInstance("C2"))}
+	r := rand.New(rand.NewSource(31))
+	for i := 0; i < 100; i++ {
+		l := randomAuxLTS(r, 1+r.Intn(60))
+		systems[fmt.Sprintf("random-%d", i)] = Restrict(l, LabelMatcherByNames([]string{"a", "b", "c"}[r.Intn(3)]))
+	}
+	for name, l := range systems {
+		for col, s := range map[string][]int32{
+			"RowStart": l.csr.RowStart, "Dst": l.csr.Dst, "Label": l.csr.Label, "RateID": l.csr.RateID, "Aux": l.csr.Aux,
+		} {
+			if len(s) != cap(s) {
+				t.Errorf("%s: %s has length %d, capacity %d", name, col, len(s), cap(s))
+			}
 		}
 	}
 }

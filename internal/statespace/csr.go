@@ -29,8 +29,11 @@ type Edge struct {
 // an explicit transition system. Dst, Label and RateID are parallel arrays;
 // the edges of state s occupy positions RowStart[s]..RowStart[s+1]. Edge
 // i's timing annotation is Rates[RateID[i]]: a system carries few distinct
-// rates (a functional model only Untimed), so each edge stores a 4-byte id
-// into a per-system table instead of a 40-byte rates.Rate.
+// rates, so each edge stores a 4-byte id into a per-system table instead
+// of a 40-byte rates.Rate. RateID is nil when every edge uses id 0 — a
+// functional model, whose only rate is Untimed — so such a system costs
+// 8 bytes an edge instead of 12. Read rates through Rate, which resolves
+// a nil column.
 // Rows produced by Build are sorted by (Label, Dst); derived systems
 // (hiding relabels in place) preserve the parent's within-row order, which
 // is still deterministic. A CSR is immutable once built — derived systems
@@ -45,7 +48,7 @@ type CSR struct {
 	// derived system may share a parent's table and use only part of it.
 	Rates []rates.Rate
 	// Aux is the per-edge annotation column (nil when no edge carries
-	// one); parallel to Dst like Label and RateID.
+	// one); parallel to Dst like Label and a non-nil RateID.
 	Aux []int32
 }
 
@@ -56,7 +59,12 @@ func (c *CSR) NumEdges() int { return len(c.Dst) }
 func (c *CSR) Row(s int) (lo, hi int32) { return c.RowStart[s], c.RowStart[s+1] }
 
 // Rate returns the timing annotation of the edge at index i.
-func (c *CSR) Rate(i int32) rates.Rate { return c.Rates[c.RateID[i]] }
+func (c *CSR) Rate(i int32) rates.Rate {
+	if c.RateID == nil {
+		return c.Rates[0]
+	}
+	return c.Rates[c.RateID[i]]
+}
 
 // SizeBytes returns the resident size of the CSR arrays in bytes — the
 // memory the canonical transition storage pins, used by the capacity
@@ -153,13 +161,13 @@ func (t *RateTable) rehash(n int) {
 // edges grouped by source, each row sorted by (label, destination) with
 // insertion order breaking exact ties (the sort is stable), so the result
 // is a pure function of the edge list. Rates are interned in edge-list
-// order, as a RowBuilder fed the same edges would intern them.
+// order, as a RowBuilder fed the same edges would intern them; the RateID
+// column stays nil when every edge has the first rate.
 func Build(n int, edges []Edge) CSR {
 	c := CSR{
 		RowStart: make([]int32, n+1),
 		Dst:      make([]int32, len(edges)),
 		Label:    make([]int32, len(edges)),
-		RateID:   make([]int32, len(edges)),
 	}
 	var rt RateTable
 	ids := make([]int32, len(edges))
@@ -167,6 +175,9 @@ func Build(n int, edges []Edge) CSR {
 		ids[i] = rt.Intern(&edges[i].Rate)
 	}
 	c.Rates = rt.table
+	if len(rt.table) > 1 {
+		c.RateID = make([]int32, len(edges))
+	}
 	perm := make([]int32, len(edges))
 	for i := range perm {
 		perm[i] = int32(i)
@@ -201,7 +212,9 @@ func Build(n int, edges []Edge) CSR {
 		e := &edges[p]
 		c.Dst[i] = e.Dst
 		c.Label[i] = e.Label
-		c.RateID[i] = ids[p]
+		if c.RateID != nil {
+			c.RateID[i] = ids[p]
+		}
 		if hasAux {
 			c.Aux[i] = e.Aux
 		}
@@ -249,15 +262,23 @@ func (b *RowBuilder) Add(dst, label, aux int32, r rates.Rate) {
 // first-use order when each rate is interned just before its first edge.
 func (b *RowBuilder) InternRate(r *rates.Rate) int32 { return b.rt.Intern(r) }
 
-// AddID appends an edge whose rate is the table entry rateID. The Aux
-// column materializes on the first non-zero annotation, as in Build.
+// AddID appends an edge whose rate is the table entry rateID. The RateID
+// column materializes on the first non-zero id, zero-filled for the edges
+// before it, and the Aux column on the first non-zero annotation, so a
+// builder whose edges all use rate 0 and no annotation stores two columns,
+// as Build does.
 func (b *RowBuilder) AddID(dst, label, aux, rateID int32) {
 	if len(b.c.Dst) == cap(b.c.Dst) {
 		b.grow()
 	}
 	b.c.Dst = append(b.c.Dst, dst)
 	b.c.Label = append(b.c.Label, label)
-	b.c.RateID = append(b.c.RateID, rateID)
+	if rateID != 0 && b.c.RateID == nil {
+		b.c.RateID = make([]int32, len(b.c.Dst)-1, cap(b.c.Dst))
+	}
+	if b.c.RateID != nil {
+		b.c.RateID = append(b.c.RateID, rateID)
+	}
 	if aux != 0 && b.c.Aux == nil {
 		b.c.Aux = make([]int32, len(b.c.Dst)-1, cap(b.c.Dst))
 	}
@@ -273,10 +294,41 @@ func (b *RowBuilder) grow() {
 	n := max(1024, cap(b.c.Dst))
 	b.c.Dst = slices.Grow(b.c.Dst, n)
 	b.c.Label = slices.Grow(b.c.Label, n)
-	b.c.RateID = slices.Grow(b.c.RateID, n)
+	if b.c.RateID != nil {
+		b.c.RateID = slices.Grow(b.c.RateID, n)
+	}
 	if b.c.Aux != nil {
 		b.c.Aux = slices.Grow(b.c.Aux, n)
 	}
+}
+
+// Reserve makes room for rows more rows and edges more edges, each column
+// allocated once at exactly that size, for a producer that knows its
+// final size: a builder filled to its reservation ends with every column
+// full (len == cap), and a column that materializes later takes the edge
+// columns' capacity.
+func (b *RowBuilder) Reserve(rows, edges int) {
+	b.c.RowStart = reserve(b.c.RowStart, rows)
+	b.c.Dst = reserve(b.c.Dst, edges)
+	b.c.Label = reserve(b.c.Label, edges)
+	if b.c.RateID != nil {
+		b.c.RateID = reserve(b.c.RateID, edges)
+	}
+	if b.c.Aux != nil {
+		b.c.Aux = reserve(b.c.Aux, edges)
+	}
+}
+
+// reserve returns s with room for n more elements; a reallocation has
+// exactly that capacity, where slices.Grow would round it up to a size
+// class.
+func reserve(s []int32, n int) []int32 {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	out := make([]int32, len(s), len(s)+n)
+	copy(out, s)
+	return out
 }
 
 // shortRow is the longest row EndRow sorts by insertion; longer rows go
@@ -292,31 +344,47 @@ func (b *RowBuilder) EndRow() {
 		b.row.lo, b.row.n = lo, hi-lo
 		sort.Stable(&b.row)
 	}
+	if len(b.c.RowStart) == cap(b.c.RowStart) {
+		// Double, as grow does for the edge columns.
+		b.c.RowStart = slices.Grow(b.c.RowStart, max(1024, cap(b.c.RowStart)))
+	}
 	b.c.RowStart = append(b.c.RowStart, int32(hi))
 }
 
 // insertionSort sorts edges lo..hi by (label, destination), stably,
 // moving every column with them.
 func (b *RowBuilder) insertionSort(lo, hi int) {
-	dst, label, rid := b.c.Dst[lo:hi], b.c.Label[lo:hi], b.c.RateID[lo:hi]
-	var aux []int32
+	dst, label := b.c.Dst[lo:hi], b.c.Label[lo:hi]
+	var rid, aux []int32
+	if b.c.RateID != nil {
+		rid = b.c.RateID[lo:hi]
+	}
 	if b.c.Aux != nil {
 		aux = b.c.Aux[lo:hi]
 	}
 	for i := 1; i < len(dst); i++ {
-		d, l, r := dst[i], label[i], rid[i]
-		var a int32
+		d, l := dst[i], label[i]
+		var r, a int32
+		if rid != nil {
+			r = rid[i]
+		}
 		if aux != nil {
 			a = aux[i]
 		}
 		j := i
 		for ; j > 0 && (label[j-1] > l || label[j-1] == l && dst[j-1] > d); j-- {
-			dst[j], label[j], rid[j] = dst[j-1], label[j-1], rid[j-1]
+			dst[j], label[j] = dst[j-1], label[j-1]
+			if rid != nil {
+				rid[j] = rid[j-1]
+			}
 			if aux != nil {
 				aux[j] = aux[j-1]
 			}
 		}
-		dst[j], label[j], rid[j] = d, l, r
+		dst[j], label[j] = d, l
+		if rid != nil {
+			rid[j] = r
+		}
 		if aux != nil {
 			aux[j] = a
 		}
@@ -352,7 +420,9 @@ func (v *rowView) Swap(i, j int) {
 	c := v.c
 	c.Dst[i], c.Dst[j] = c.Dst[j], c.Dst[i]
 	c.Label[i], c.Label[j] = c.Label[j], c.Label[i]
-	c.RateID[i], c.RateID[j] = c.RateID[j], c.RateID[i]
+	if c.RateID != nil {
+		c.RateID[i], c.RateID[j] = c.RateID[j], c.RateID[i]
+	}
 	if c.Aux != nil {
 		c.Aux[i], c.Aux[j] = c.Aux[j], c.Aux[i]
 	}

@@ -214,6 +214,83 @@ func TestRowBuilderMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestRateColumnMatchesBuild feeds random source-ordered edge lists to
+// Build and to RowBuilders filled through Add and through AddID: the CSR
+// columns must agree exactly, the RateID column included, which both
+// sides leave nil when every edge has rate id 0 and otherwise
+// materialize at the first non-zero id. That first id falls inside an
+// insertion-sorted short row, inside a long row that goes through
+// sort.Stable, on the first edge of a row, or nowhere.
+func TestRateColumnMatchesBuild(t *testing.T) {
+	alphabet := []rates.Rate{rates.UntimedRate(), rates.ExpRate(1), rates.ExpSlot(1, 2), rates.Inf(1, 1)}
+	for _, where := range []string{"short row", "long row", "row boundary", "all zero"} {
+		r := rand.New(rand.NewSource(19))
+		for trial := 0; trial < 50; trial++ {
+			const states = 40
+			lens := make([]int, states)
+			for s := range lens {
+				lens[s] = r.Intn(shortRow + 1)
+				if r.Intn(4) == 0 {
+					lens[s] = shortRow + 1 + r.Intn(2*shortRow)
+				}
+			}
+			// The row holding the first non-zero id, and its offset there.
+			row := r.Intn(states)
+			switch where {
+			case "short row":
+				lens[row] = 2 + r.Intn(shortRow-1)
+			case "long row":
+				lens[row] = shortRow + 1 + r.Intn(2*shortRow)
+			case "row boundary":
+				lens[row] = 1 + r.Intn(2*shortRow)
+			}
+			at := 0
+			if where == "short row" || where == "long row" {
+				at = 1 + r.Intn(lens[row]-1)
+			}
+			var edges []Edge
+			timed := false
+			for s, n := range lens {
+				for k := range n {
+					e := Edge{Src: int32(s), Dst: int32(r.Intn(5)), Label: int32(r.Intn(3)), Rate: alphabet[0]}
+					if s == row && k == at && where != "all zero" {
+						timed = true
+						e.Rate = alphabet[1+r.Intn(len(alphabet)-1)]
+					} else if timed {
+						e.Rate = alphabet[r.Intn(len(alphabet))]
+					}
+					if r.Intn(10) == 0 {
+						e.Aux = int32(1 + r.Intn(3))
+					}
+					edges = append(edges, e)
+				}
+			}
+			want := Build(states, edges)
+			var rt RateTable
+			byRate, byID := NewRowBuilder(), NewRowBuilderOver(want.Rates)
+			next := 0
+			for s := range states {
+				for ; next < len(edges) && edges[next].Src == int32(s); next++ {
+					e := edges[next]
+					byRate.Add(e.Dst, e.Label, e.Aux, e.Rate)
+					byID.AddID(e.Dst, e.Label, e.Aux, rt.Intern(&e.Rate))
+				}
+				byRate.EndRow()
+				byID.EndRow()
+			}
+			if (want.RateID == nil) != (where == "all zero") {
+				t.Fatalf("%s, trial %d: Build's RateID column is nil: %t", where, trial, want.RateID == nil)
+			}
+			for name, got := range map[string]CSR{"Add": byRate.CSR(), "AddID": byID.CSR()} {
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, trial %d: RowBuilder through %s differs from Build (RateID nil: %t vs %t)",
+						where, trial, name, got.RateID == nil, want.RateID == nil)
+				}
+			}
+		}
+	}
+}
+
 // TestRowSortMatchesSortStable compares EndRow's insertion sort with
 // sort.Stable over the same rows: random rows of up to a few edges past
 // shortRow, drawn from three labels and three destinations so that

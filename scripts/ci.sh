@@ -47,8 +47,11 @@ GOARCH=arm64 go vet ./internal/ctmc/ && GOARCH=arm64 go build ./...
 # per-byte helpers get the same check as rng: each description the front
 # end builds runs them once per source byte. So does lts's Row, read once
 # per visited state by the branching-bisimulation passes of every Sect. 3
-# check.
-echo "== hot-path inlining (internal/rng, internal/sim, internal/aemilia/parser, internal/lts) =="
+# check. lts's Span.Rate, which ctmc.Build calls once per edge, and the
+# statespace CSR's own Rate each resolve a missing rate-id column (an
+# untimed system stores none) with a branch, which must not cost them
+# their inlining.
+echo "== hot-path inlining (internal/rng, internal/sim, internal/aemilia/parser, internal/lts, internal/statespace) =="
 inl=$(go build -gcflags=-m ./internal/rng 2>&1)
 for fn in Uint64 Float64; do
     if ! echo "$inl" | grep -q "can inline (\*Rand)\.$fn\$"; then
@@ -127,8 +130,15 @@ for fn in '(\*lexer)\.peekByte' '(\*lexer)\.advance' isSpace isIdentStart isIden
     fi
 done
 inl=$(go build -gcflags=-m ./internal/lts 2>&1)
-if ! echo "$inl" | grep -q "can inline (\*LTS)\.Row\$"; then
-    echo "internal/lts: (*LTS).Row is no longer inlinable" >&2
+for fn in '(\*LTS)\.Row' 'Span\.Rate'; do
+    if ! echo "$inl" | grep -q "can inline $fn\$"; then
+        echo "internal/lts: $fn is no longer inlinable" >&2
+        exit 1
+    fi
+done
+inl=$(go build -gcflags=-m ./internal/statespace 2>&1)
+if ! echo "$inl" | grep -q "can inline (\*CSR)\.Rate\$"; then
+    echo "internal/statespace: (*CSR).Rate is no longer inlinable" >&2
     exit 1
 fi
 
