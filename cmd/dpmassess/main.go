@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	dpmassess lts      [-dot out.dot] [-max N] [-compose full|minimize] [-stats] model.aem
+//	dpmassess lts      [-dot out.dot] [-aut out.aut] [-max N] [-stats] model.aem
 //	dpmassess check    -high INST -low INST [-high-labels l1,l2] model.aem
-//	dpmassess solve    -measures spec.msr [-compose full|minimize] [-stats]
+//	dpmassess solve    -measures spec.msr [-stats]
 //	                   [-checkpoint file.ckpt] [-resume] model.aem
 //	dpmassess sim      -measures spec.msr [-runlength T] [-warmup T]
 //	                   [-reps N] [-seed S] [-workers N] model.aem
@@ -20,18 +20,17 @@
 // and simulations are canceled promptly (reported as a cancellation error
 // naming the phase that observed it).
 //
-// lts and solve take -compose: "full" (the default) generates the plain
-// parallel product, "minimize" folds vanishing states during generation,
-// so they are never interned. Measure values are identical either way;
-// state counts are not, because folding is the point. sim has no
-// -compose: it always runs on the full model — folding accelerates the
-// Markovian path only.
+// solve folds vanishing states during generation, so they are never
+// interned; folding preserves every measure, and its states: line counts
+// the folded space. lts prints the unfolded state space, the one the
+// functional phase checks and -dot/-aut export, and sim simulates the
+// unfolded model.
 //
 // The solve subcommand is resumable: -checkpoint appends the solution to
 // a versioned, checksummed result store, and -resume answers from it
 // instead of re-solving, with the measure values of an uninterrupted
-// run. A store answers only a solve of the same description, measures,
-// -compose mode and tolerance; any edit to them solves afresh.
+// run. A store answers only a solve of the same description, measures
+// and tolerance; any edit to them solves afresh.
 //
 // The check subcommand performs the phase-1 noninterference analysis
 // (hide-vs-restrict up to weak bisimulation) and prints the diagnostic
@@ -253,27 +252,6 @@ func runMinimize(args []string) error {
 	return nil
 }
 
-// composeFlag registers the shared -compose flag: the composition
-// strategy of the state-space-building subcommands.
-func composeFlag(fs *flag.FlagSet) *string {
-	return fs.String("compose", "full",
-		"composition strategy: full generates the plain parallel product,\n"+
-			"minimize folds vanishing states during generation (measure values\n"+
-			"are identical either way)")
-}
-
-// parseCompose maps the -compose value onto the minimize policy.
-func parseCompose(mode string) (minimize bool, err error) {
-	switch mode {
-	case "full":
-		return false, nil
-	case "minimize":
-		return true, nil
-	default:
-		return false, fmt.Errorf("unknown -compose mode %q (want full or minimize)", mode)
-	}
-}
-
 // printMemStats renders the resident-memory breakdown of a generated
 // state space: the state table, the CSR transition arrays, and
 // the fold-attribution pool.
@@ -404,7 +382,6 @@ func runLTS(args []string) error {
 	dotPath := fs.String("dot", "", "write the state space in Graphviz DOT format")
 	autPath := fs.String("aut", "", "write the state space in Aldebaran (CADP) format")
 	maxStates := fs.Int("max", 0, "abort beyond this many states (0 = default bound)")
-	composeMode := composeFlag(fs)
 	stats := fs.Bool("stats", false,
 		"print resident-memory statistics (state table, transition arrays,\n"+
 			"attribution pool)")
@@ -424,19 +401,11 @@ func runLTS(args []string) error {
 	if err != nil {
 		return err
 	}
-	minimize, err := parseCompose(*composeMode)
-	if err != nil {
-		return err
-	}
 	m, err := loadModel(path)
 	if err != nil {
 		return err
 	}
-	genOpts := lts.GenerateOptions{MaxStates: *maxStates, Ctx: ctx}
-	if minimize {
-		genOpts.Fold = &lts.FoldOptions{}
-	}
-	l, err := lts.Generate(m, genOpts)
+	l, err := lts.Generate(m, lts.GenerateOptions{MaxStates: *maxStates, Ctx: ctx})
 	if err != nil {
 		return err
 	}
@@ -555,7 +524,6 @@ func readMeasures(path string) ([]measure.Measure, error) {
 func runSolve(args []string) (err error) {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
 	measuresPath := fs.String("measures", "", "measure definition file (companion language)")
-	composeMode := composeFlag(fs)
 	stats := fs.Bool("stats", false,
 		"print statistics after the measures: resident memory of the state\n"+
 			"space and the Gauss-Seidel solve — iterations, final residual, and\n"+
@@ -589,10 +557,6 @@ func runSolve(args []string) (err error) {
 	if *resume && *ckptPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
-	minimize, err := parseCompose(*composeMode)
-	if err != nil {
-		return err
-	}
 	ms, err := readMeasures(*measuresPath)
 	if err != nil {
 		return err
@@ -614,10 +578,10 @@ func runSolve(args []string) (err error) {
 		}()
 		cfg.Store = store
 	}
-	// One session stages the whole solve: elaborated model, state space,
-	// chain, and solution are each built exactly once. The store keys the
-	// solve by the description.
-	s := pipeline.NewSession(pipeline.Spec{Arch: arch, Measures: ms, Minimize: minimize}, cfg)
+	// One session stages the whole solve: elaborated model, folded state
+	// space, chain, and solution are each built exactly once. The store
+	// keys the solve by the description.
+	s := pipeline.NewSession(pipeline.Spec{Arch: arch, Measures: ms, Minimize: true}, cfg)
 	rep, err := s.Phase2()
 	if err != nil {
 		return err
@@ -653,7 +617,7 @@ func runSim(args []string) error {
 	measuresPath := fs.String("measures", "", "measure definition file (companion language)")
 	runLength := fs.Float64("runlength", 10000, "measured model time per replication")
 	warmup := fs.Float64("warmup", 0, "discarded warm-up time")
-	reps := fs.Int("reps", 30, "independent replications")
+	reps := fs.Int("reps", 30, "independent replications (at least 2)")
 	seed := fs.Uint64("seed", 1, "master random seed")
 	level := fs.Float64("confidence", 0.90, "confidence level: 0.8, 0.9, 0.95 or 0.99")
 	workers := fs.Int("workers", runtime.NumCPU(),

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // specPath resolves a file in the repository's specs directory.
@@ -64,15 +66,55 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
-// TestRunSimHasNoCompose checks that sim takes no -compose flag:
-// simulation always runs on the full model, so a composition strategy
-// would change nothing, and flag parsing rejects it.
-func TestRunSimHasNoCompose(t *testing.T) {
+// TestNoCLIHasCompose checks that no command line takes a -compose flag:
+// every Markovian analysis folds, lts prints the unfolded state space and
+// sim simulates the unfolded model, so a composition strategy would
+// change nothing, and flag parsing rejects it.
+func TestNoCLIHasCompose(t *testing.T) {
 	model := specPath(t, "rpc_revised_markov.aem")
 	measures := specPath(t, "rpc.msr")
-	err := run([]string{"sim", "-measures", measures, "-compose", "minimize", model})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -compose") {
-		t.Errorf("sim -compose minimize: got %v, want an undefined-flag error", err)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"dpmassess lts", func() error { return run([]string{"lts", "-compose", "minimize", model}) }},
+		{"dpmassess solve", func() error { return run([]string{"solve", "-measures", measures, "-compose", "minimize", model}) }},
+		{"dpmassess sim", func() error { return run([]string{"sim", "-measures", measures, "-compose", "minimize", model}) }},
+		{"rpcstudy", func() error {
+			return experiments.RunStudy(experiments.RPCStudy, []string{"-compose", "minimize"}, io.Discard)
+		}},
+		{"streamingstudy", func() error {
+			return experiments.RunStudy(experiments.StreamingStudy, []string{"-compose", "full"}, io.Discard)
+		}},
+	} {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -compose") {
+			t.Errorf("%s -compose: got %v, want an undefined-flag error", c.name, err)
+		}
+	}
+}
+
+// TestSolveReportsFoldedSpace pins what solve prints: the states line of
+// the folded space, and the measure values the unfolded solve printed
+// before folding became the only Markovian path (they agreed byte for
+// byte at %.8g).
+func TestSolveReportsFoldedSpace(t *testing.T) {
+	for _, c := range []struct{ model, measures, want string }{
+		{"rpc_revised_markov.aem", "rpc.msr", `states: 49 (tangible 48, vanishing 1)
+throughput               0.073222587
+waiting_time             0.25344851
+energy                   1.0243349
+`},
+		{"streaming_markov.aem", "streaming.msr", `states: 2310 (tangible 2310, vanishing 0)
+nic_energy               0.29420078
+frames_delivered         0.013127035
+frames_missed            0.001798338
+frames_sent              0.014925373
+frames_lost              0.0015009794
+`},
+	} {
+		if got := runOutput(t, "solve", "-measures", specPath(t, c.measures), specPath(t, c.model)); got != c.want {
+			t.Errorf("solve %s printed\n%s\nwant\n%s", c.model, got, c.want)
+		}
 	}
 }
 

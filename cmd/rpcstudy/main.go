@@ -4,12 +4,14 @@
 // (right), the cross-validation of Fig. 5, the DPM policy and battery
 // lifetime extensions, and the energy/waiting-time trade-off of Fig. 7.
 // The experiments are the rpc entries of the experiments catalog
-// (experiments.RPCStudy), run by the shared study command line.
+// (experiments.RPCStudy), run by the shared study command line. Every
+// Markovian analysis folds vanishing states during generation, which
+// preserves every measure; the simulations run on the unfolded model.
 //
 // Usage:
 //
 //	rpcstudy [-experiment all|sect3|fig3markov|fig3general|fig5|policies|battery|fig7]
-//	         [-csv] [-quick] [-compose full|minimize] [-workers N]
+//	         [-csv] [-quick] [-workers N]
 //	         [-timeout D] [-checkpoint DIR] [-resume]
 package main
 

@@ -4,12 +4,14 @@
 // extension, and the energy/miss trade-off of Fig. 8. The experiments are
 // the streaming entries of the experiments catalog
 // (experiments.StreamingStudy), run by the shared study command line.
+// Every Markovian analysis folds vanishing states during generation,
+// which preserves every measure; the simulations run on the unfolded
+// model.
 //
 // Usage:
 //
 //	streamingstudy [-experiment all|sect3|fig4|fig6|transient|fig8] [-csv] [-quick]
-//	               [-compose full|minimize] [-workers N]
-//	               [-timeout D] [-checkpoint DIR] [-resume]
+//	               [-workers N] [-timeout D] [-checkpoint DIR] [-resume]
 package main
 
 import (

@@ -236,10 +236,6 @@ func RunStudy(s *Study, args []string, w io.Writer) (err error) {
 	experiment := fs.String("experiment", "all", "which experiment to run ("+strings.Join(names, ", ")+")")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	quick := fs.Bool("quick", false, s.quickHelp)
-	composeMode := fs.String("compose", "full",
-		"composition strategy for the Markovian analyses: full generates the\n"+
-			"plain parallel product, minimize folds vanishing states during\n"+
-			"generation (measure values are identical either way)")
 	workers := fs.Int("workers", runtime.NumCPU(),
 		"concurrent sweep chunks, simulation replications, and experiment\n"+
 			"points (results are identical at any value)")
@@ -267,13 +263,6 @@ func RunStudy(s *Study, args []string, w io.Writer) (err error) {
 		selected = []*entry{e}
 	}
 	cfg := pipeline.Config{Workers: *workers, Store: pipeline.NewMemoryStore()}
-	switch *composeMode {
-	case "full":
-	case "minimize":
-		cfg.Minimize = true
-	default:
-		return fmt.Errorf("unknown -compose mode %q (want full or minimize)", *composeMode)
-	}
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()

@@ -50,14 +50,12 @@ var goldenCuts = map[string]goldenCut{
 }
 
 // collectCatalog runs every catalog entry that keep accepts at its golden
-// cut through one Runner over cfg, and returns the results keyed by their
-// golden keys. Each entry runs alone, with a fresh memo: a consumer runs
+// cut through r, and returns the results keyed by their golden keys. Each entry runs alone, with a fresh memo: a consumer runs
 // its inputs at its own cut. Floats are serialized by encoding/json, which
 // emits the shortest representation that round-trips, so equal JSON bytes
 // mean bit-identical float64 results.
-func collectCatalog(t *testing.T, cfg pipeline.Config, keep func(*entry) bool) map[string]json.RawMessage {
+func collectCatalog(t *testing.T, r *Runner, keep func(*entry) bool) map[string]json.RawMessage {
 	t.Helper()
-	r := NewRunner(cfg)
 	out := make(map[string]json.RawMessage)
 	for _, s := range studies {
 		for _, e := range s.entries {
@@ -67,7 +65,7 @@ func collectCatalog(t *testing.T, cfg pipeline.Config, keep func(*entry) bool) m
 			}
 			v, _, err := newMemo(r, s, g.cut).run(e, FormatTable)
 			if err != nil {
-				t.Fatalf("%s (minimize=%t workers=%d): %v", g.key, cfg.Minimize, cfg.Workers, err)
+				t.Fatalf("%s (unfolded=%t workers=%d): %v", g.key, r.unfolded, r.cfg.Workers, err)
 			}
 			raw, err := json.Marshal(v)
 			if err != nil {
@@ -82,7 +80,7 @@ func collectCatalog(t *testing.T, cfg pipeline.Config, keep func(*entry) bool) m
 // collectGolden runs a quick cut of every catalog entry at the given
 // worker count.
 func collectGolden(t *testing.T, workers int) map[string]json.RawMessage {
-	return collectCatalog(t, pipeline.Config{Workers: workers}, func(*entry) bool { return true })
+	return collectCatalog(t, NewRunner(pipeline.Config{Workers: workers}), func(*entry) bool { return true })
 }
 
 // TestGoldenCutsMatchCatalog fails when a catalog entry has no golden cut

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"repro/internal/aemilia"
+	"repro/internal/measure"
 	"repro/internal/models"
 	"repro/internal/pipeline"
 )
@@ -14,10 +16,17 @@ import (
 // points a figure sweeps on it. The config's Store, when set, shares
 // solved results across sessions and runs.
 //
+// Every Markovian analysis generates folded (pipeline.Spec.Minimize):
+// vanishing states are eliminated during generation, which preserves
+// every measure. Phase 1 and the simulator never fold.
+//
 // A Runner is safe for concurrent use: sessions single-flight their
 // stages and the config is never mutated after construction.
 type Runner struct {
 	cfg pipeline.Config
+	// unfolded makes the Runner's sessions generate the full product
+	// (tests only: the oracle of folding).
+	unfolded bool
 }
 
 // NewRunner returns a Runner over cfg. A non-positive cfg.Workers is
@@ -78,14 +87,20 @@ func (r *Runner) dpmValues(grid []float64, param *pipeline.Session, at func(x fl
 	return vals, nil
 }
 
+// session returns a session on a with measures ms under the Runner's
+// config, generating folded.
+func (r *Runner) session(a *aemilia.ArchiType, ms []measure.Measure) *pipeline.Session {
+	return pipeline.NewSession(pipeline.Spec{Arch: a, Measures: ms, Minimize: !r.unfolded}, r.cfg)
+}
+
 // rpcSession returns a session on the revised rpc model at p, carrying
-// the model's measures and the Runner's Minimize policy.
+// the model's measures.
 func (r *Runner) rpcSession(p models.RPCParams) (*pipeline.Session, error) {
 	a, err := models.BuildRPCRevised(p)
 	if err != nil {
 		return nil, err
 	}
-	return pipeline.NewSession(pipeline.Spec{Arch: a, Measures: models.RPCMeasures(p), Minimize: r.cfg.Minimize}, r.cfg), nil
+	return r.session(a, models.RPCMeasures(p)), nil
 }
 
 // streamingSession returns a session on the streaming model at p (see
@@ -95,5 +110,5 @@ func (r *Runner) streamingSession(p models.StreamingParams) (*pipeline.Session, 
 	if err != nil {
 		return nil, err
 	}
-	return pipeline.NewSession(pipeline.Spec{Arch: a, Measures: models.StreamingMeasures(p), Minimize: r.cfg.Minimize}, r.cfg), nil
+	return r.session(a, models.StreamingMeasures(p)), nil
 }

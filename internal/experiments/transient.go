@@ -6,7 +6,6 @@ import (
 	"repro/internal/ctmc"
 	"repro/internal/measure"
 	"repro/internal/models"
-	"repro/internal/pipeline"
 )
 
 // TransientPoint is one time sample of the streaming start-up analysis:
@@ -39,11 +38,7 @@ func (r *Runner) StreamingStartupTransient(times []float64, awakePeriod float64,
 		if err != nil {
 			return nil, err
 		}
-		return pipeline.NewSession(pipeline.Spec{
-			Arch:     a,
-			Measures: []measure.Measure{{Name: "p_buffer_empty", Clauses: []measure.Clause{empty}}},
-			Minimize: r.cfg.Minimize,
-		}, r.cfg).Chain()
+		return r.session(a, []measure.Measure{{Name: "p_buffer_empty", Clauses: []measure.Clause{empty}}}).Chain()
 	}
 	withDPM, err := solve(true)
 	if err != nil {

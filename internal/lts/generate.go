@@ -33,7 +33,8 @@ type GenerateOptions struct {
 	// nil context disables polling. Cancellation never perturbs the states
 	// already interned — it only stops the exploration early.
 	Ctx context.Context
-	// Fold enables vanishing-state folding (the -compose minimize path):
+	// Fold enables vanishing-state folding (the one path of every
+	// Markovian analysis: pipeline.Spec.Minimize):
 	// successor states whose maximal-progress immediate branches can be
 	// resolved eagerly are never interned — each incoming transition is
 	// redirected to the branch targets with its rate scaled by the branch
@@ -41,8 +42,8 @@ type GenerateOptions struct {
 	// the tangible chain is unchanged. Transition labels folded away that
 	// the Observed matcher selects are preserved as per-edge reward
 	// attributions (EdgeAux/AuxTerms), keeping every TRANS_REWARD measure
-	// exact. Nil disables folding (the default, bit-identical to previous
-	// releases).
+	// exact. Nil disables folding: the state space of Phase 1, of
+	// dpmassess lts, and of the unfolded oracle in tests.
 	Fold *FoldOptions
 
 	// hashIndex makes an unfolded generation intern its states through

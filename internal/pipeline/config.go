@@ -30,9 +30,7 @@ import "context"
 // Config carries the per-caller environment a Session runs under: the
 // worker count, the cancellation context, and the result store. None of
 // it participates in the store key — results are bit-identical at any
-// Config. The extra field, Minimize, is a convention for the layers
-// above: internal/experiments builds its specs from it, so one Config
-// constructed from CLI flags configures the whole run.
+// Config.
 type Config struct {
 	// Workers bounds the concurrency of everything the session schedules:
 	// sweep points in flight and simulation replications. 0 keeps each
@@ -50,13 +48,6 @@ type Config struct {
 	// session, which a Store answers for what the canceled one finished.
 	// Nil disables cancellation.
 	Ctx context.Context
-	// Minimize is the folding policy the experiment drivers copy into
-	// their specs (Spec.Minimize): fold vanishing states during
-	// generation. Unlike the scheduling knobs it is semantic once copied
-	// into a Spec — it changes the generated LTS (never the measure
-	// values) and participates in the store key there. The session itself
-	// reads it from the Spec.
-	Minimize bool
 	// Store, when non-nil, memoizes Phase2 and sweep reports keyed by
 	// the spec's description, everything else that shapes a result, and
 	// the point (ResultKey), so repeated or overlapping grids return
@@ -74,7 +65,8 @@ type SimSettings struct {
 	RunLength float64
 	// Warmup is the discarded start-up time.
 	Warmup float64
-	// Replications is the number of runs (default 30, the paper's choice).
+	// Replications is the number of runs (default 30, the paper's choice;
+	// at least 2, see sim.Config).
 	Replications int
 	// Seed seeds the master random stream.
 	Seed uint64

@@ -36,7 +36,10 @@ type Spec struct {
 	// labels, so the vanishing states of the full product are never
 	// interned. The simulation phase always runs on the full model —
 	// folding only accelerates the Markovian path, whose measures it
-	// preserves exactly.
+	// preserves exactly. The experiment suite and dpmassess solve always
+	// set it, and a spec without it is the unfolded oracle of their
+	// tests. The field stays because perfbench sets it per query; it goes
+	// with ROADMAP item 1(c).
 	Minimize bool
 	// Solve tunes the steady-state solver. Its Ctx is ignored: a session
 	// solves under Config.Ctx. The solver has no worker count, so a

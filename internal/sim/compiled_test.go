@@ -312,7 +312,7 @@ func TestUnknownOverrideRejected(t *testing.T) {
 	} {
 		_, err := Run(Config{
 			Model: m, Distributions: c.dists, Measures: workRestMeasures,
-			RunLength: 10, Replications: 1,
+			RunLength: 10, Replications: 2,
 		})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)

@@ -175,7 +175,7 @@ func TestSimFingerprints(t *testing.T) {
 func TestModelOverridesResolve(t *testing.T) {
 	run := func(name string, m *elab.Model, dists map[sim.Activity]dist.Distribution, ms []measure.Measure) {
 		t.Helper()
-		if _, err := sim.Run(sim.Config{Model: m, Distributions: dists, Measures: ms, RunLength: 10, Replications: 1}); err != nil {
+		if _, err := sim.Run(sim.Config{Model: m, Distributions: dists, Measures: ms, RunLength: 10, Replications: 2}); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -67,7 +67,8 @@ type Config struct {
 	// Warmup is discarded model time before measurement starts.
 	Warmup float64
 	// Replications is the number of independent runs (default 30, the
-	// paper's choice).
+	// paper's choice). Run rejects 1 and negative counts: an interval
+	// needs at least two runs.
 	Replications int
 	// Seed seeds the master random stream (default 1).
 	Seed uint64
@@ -245,7 +246,12 @@ func Run(cfg Config) (*Result, error) {
 	if !(cfg.Warmup >= 0) || math.IsInf(cfg.Warmup, 1) {
 		return nil, fmt.Errorf("sim: Warmup must be non-negative and finite, got %v", cfg.Warmup)
 	}
-	if cfg.Replications <= 0 {
+	// One replication has no sample variance, so its interval would
+	// claim a zero half-width.
+	if cfg.Replications == 1 || cfg.Replications < 0 {
+		return nil, fmt.Errorf("sim: Replications must be at least 2 (0 selects 30), got %d", cfg.Replications)
+	}
+	if cfg.Replications == 0 {
 		cfg.Replications = 30
 	}
 	if cfg.ConfidenceLevel == 0 {

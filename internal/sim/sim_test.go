@@ -422,10 +422,14 @@ func TestErrorCases(t *testing.T) {
 		{RunLength: 1000, Warmup: math.Inf(1)},
 		{RunLength: math.NaN()},
 		{RunLength: math.Inf(1)},
+		// One replication used to report a zero-width interval, and a
+		// negative count silently ran the default 30.
+		{RunLength: 1000, Replications: 1},
+		{RunLength: 1000, Replications: -2},
 	} {
 		bad.Model, bad.Measures = m, workRestMeasures
 		if _, err := Run(bad); err == nil {
-			t.Errorf("RunLength %v, Warmup %v should error", bad.RunLength, bad.Warmup)
+			t.Errorf("RunLength %v, Warmup %v, Replications %d should error", bad.RunLength, bad.Warmup, bad.Replications)
 		}
 	}
 
@@ -442,13 +446,13 @@ func TestErrorCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(Config{Model: mm, RunLength: 10, Replications: 1})
+	_, err = Run(Config{Model: mm, RunLength: 10, Replications: 2})
 	if !errors.Is(err, ErrNoDistribution) {
 		t.Errorf("want ErrNoDistribution, got %v", err)
 	}
 	// With an override it runs.
 	if _, err := Run(Config{
-		Model: mm, RunLength: 10, Replications: 1,
+		Model: mm, RunLength: 10, Replications: 2,
 		Distributions: map[Activity]dist.Distribution{
 			{Instance: "P1", Action: "a"}: dist.NewDet(1),
 		},
@@ -499,7 +503,7 @@ func TestImmediateLivelockDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(Config{Model: m, RunLength: 1, Replications: 1})
+	_, err = Run(Config{Model: m, RunLength: 1, Replications: 2})
 	if !errors.Is(err, ErrImmediateLivelock) {
 		t.Errorf("want ErrImmediateLivelock, got %v", err)
 	}

@@ -198,19 +198,22 @@ echo "== session race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
     -run 'SessionSingleFlight|SweepMatchesColdSolve|SharedChainUnchangedBySweeps|StoreHit|CompiledMeasures' ./internal/pipeline/ ./internal/ctmc/
 
-# Folding smoke under the race detector at -cpu 1,2 (-compose minimize
-# folds vanishing states during generation): folding preserves
-# throughputs, attributions, and parametric slots, is bit-identical when
-# generations from one shared model run concurrently, keeps the
-# MaxStates bound exact, is unchanged by fold-memo resets and allocates
-# independently of the state count (TestFold* in internal/lts), and the
-# folded experiment suite agrees with the full path within 1e-6 and is
-# bit-identical across worker counts (TestGoldenMinimizeAgreement in
-# internal/experiments). Generation itself is sequential; what races here
-# is concurrent sessions and sweep points sharing one immutable model.
+# Folding smoke under the race detector at -cpu 1,2. Every Markovian
+# analysis folds vanishing states during generation, so these are the
+# oracles of its one path: folding preserves throughputs, attributions,
+# and parametric slots, is bit-identical when generations from one
+# shared model run concurrently, keeps the MaxStates bound exact, is
+# unchanged by fold-memo resets and allocates independently of the state
+# count (TestFold* in internal/lts); a folded sweep matches the unfolded
+# one on the 10×10 streaming chain (TestSweepFullMatchesMinimized in
+# internal/pipeline); and the folded experiment suite agrees with the
+# unfolded oracle within 1e-6 and is bit-identical across worker counts
+# (TestGoldenMinimizeAgreement in internal/experiments). Generation
+# itself is sequential; what races here is concurrent sessions and sweep
+# points sharing one immutable model.
 echo "== folding race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 -run 'Minimize|Fold' \
-    ./internal/lts/ ./internal/experiments/
+    ./internal/lts/ ./internal/pipeline/ ./internal/experiments/
 
 # Simulator race smoke at -cpu 1,2: the worker-count bit-identity and
 # reproducibility properties, the measurement window, the exact-tie
