@@ -70,9 +70,13 @@ func main() {
 	}
 }
 
+// subcommands lists what run dispatches, in the order of the package
+// comment's Usage block.
+const subcommands = "lts|check|solve|sim|equiv|minimize|mc"
+
 func run(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: dpmassess <lts|check|solve|sim> [flags] model.aem")
+		return fmt.Errorf("usage: dpmassess <%s> [flags] model.aem", subcommands)
 	}
 	switch args[0] {
 	case "lts":
@@ -90,7 +94,7 @@ func run(args []string) error {
 	case "mc":
 		return runMC(args[1:])
 	default:
-		return fmt.Errorf("unknown subcommand %q", args[0])
+		return fmt.Errorf("unknown subcommand %q (want one of %s)", args[0], subcommands)
 	}
 }
 

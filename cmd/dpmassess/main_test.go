@@ -66,6 +66,22 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+// TestRunNamesEverySubcommand pins the messages of a missing and of an
+// unknown subcommand: both list all seven subcommands run dispatches.
+func TestRunNamesEverySubcommand(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "usage: dpmassess <lts|check|solve|sim|equiv|minimize|mc> [flags] model.aem"},
+		{[]string{"frobnicate"}, `unknown subcommand "frobnicate" (want one of lts|check|solve|sim|equiv|minimize|mc)`},
+	} {
+		if err := run(c.args); err == nil || err.Error() != c.want {
+			t.Errorf("run(%q): got %v, want %q", c.args, err, c.want)
+		}
+	}
+}
+
 // TestNoCLIHasCompose checks that no command line takes a -compose flag:
 // every Markovian analysis folds, lts prints the unfolded state space and
 // sim simulates the unfolded model, so a composition strategy would

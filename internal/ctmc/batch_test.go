@@ -66,8 +66,8 @@ func streamingPoints() [][]float64 {
 }
 
 // staggeredChain builds the minimized 12×12 streaming chain with the PSP
-// awake period as a rate slot. Its points need from about 230 sweeps (a
-// period near 400 ms) to about 1,500 (near 5 ms), so the lanes of one
+// awake period as a rate slot. Its points need from about 140 sweeps (a
+// period near 150 ms) to about 500 (near 1,500 ms), so the lanes of one
 // batch over it deactivate far apart.
 func staggeredChain(t *testing.T) *ctmc.CTMC {
 	t.Helper()
@@ -79,11 +79,12 @@ func staggeredChain(t *testing.T) *ctmc.CTMC {
 }
 
 // staggeredPoints is an 8-point awake-period grid on staggeredChain whose
-// solo solves take 1485, 245, 1295, 534, 723, 231, 1016 and 349 sweeps:
+// solo solves take 499, 161, 363, 171, 291, 141, 305 and 211 sweeps:
 // a slow lane first, a fast one beside it, and in the second group of
-// four the fastest point of the grid.
+// four the fastest point of the grid. Most counts end in 1: a lane
+// usually converges on the sweep after an extrapolation step.
 func staggeredPoints() [][]float64 {
-	return rateGrid(5.2, 605.5, 10.9, 100, 56.5, 400, 25, 200)
+	return rateGrid(1500, 100, 1000, 75, 5.2, 150, 800, 25)
 }
 
 // requireDistinctSweeps checks the premise of a mixed-convergence test:
@@ -241,14 +242,14 @@ func TestSolveBatchPadLanesNeverSurface(t *testing.T) {
 		}
 	}
 	// Only the last lane exhausts the budget; the others converge. On the
-	// 12×12 chain the ten leading points need at most about 1,000 sweeps
-	// and the last one (5.2 ms) about 1,500. Each K first proves, by a
-	// solo solve, that its last point cannot converge within the budget.
+	// 12×12 chain the ten leading points need at most 291 sweeps (5.2 ms)
+	// and the last one (800 ms) 305. Each K first proves, by a solo
+	// solve, that its last point cannot converge within the budget.
 	c = staggeredChain(t)
-	converging := rateGrid(605.5, 25, 400, 100, 200, 56.5, 800, 50, 150, 300)
-	opts := ctmc.SolveOptions{MaxIterations: 1200}
+	converging := rateGrid(605.5, 25, 400, 100, 200, 56.5, 5.2, 50, 150, 300)
+	opts := ctmc.SolveOptions{MaxIterations: 300}
 	for _, K := range []int{3, 11} {
-		points = append(slices.Clone(converging[:K-1]), []float64{1 / 5.2})
+		points = append(slices.Clone(converging[:K-1]), []float64{1 / 800.0})
 		if _, _, err := boundChain(t, c, points[K-1]).SteadyStateTraced(opts); !errors.Is(err, ctmc.ErrNoConvergence) {
 			t.Fatalf("K=%d: premise broken: solo solve of the last point returned %v, want ErrNoConvergence", K, err)
 		}
@@ -334,7 +335,7 @@ func TestSolveBatchMatchesSoloOutcome(t *testing.T) {
 }
 
 // TestSolveBatchMixedConvergence pins mixed-convergence batches: the
-// points of one batch need from about 230 to about 1,500 sweeps, so its
+// points of one batch need from about 140 to about 500 sweeps, so its
 // lanes deactivate at different sweeps, and each lane still equals a solo
 // solve at its point bit for bit.
 func TestSolveBatchMixedConvergence(t *testing.T) {

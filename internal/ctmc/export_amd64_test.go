@@ -29,7 +29,7 @@ func FusedSumsForTest(c *CTMC, points [][]float64, warm int) (fused, ref []float
 	}
 	for off := 0; off < len(points); off += BatchLanes {
 		bc := c.fillBatch(plan, points[off:min(off+BatchLanes, len(points))])
-		x := bc.spread(uniformStart(bc.n))
+		x := bc.spread()
 		done := bc.padDone()
 		delta := make([]float64, BatchLanes)
 		sums := make([]float64, BatchLanes)

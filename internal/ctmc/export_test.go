@@ -3,6 +3,7 @@ package ctmc
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/lts"
 )
@@ -44,9 +45,10 @@ func (c *CTMC) BoundForTest(point []float64) (*CTMC, error) {
 
 // LaneRatesForTest gathers point into lane 0 of a batch as a batched
 // solve does (fillBatch) and returns that lane's rates in generator form:
-// the entries and the exit rate of every row of the bottom component, in
-// Rows order. Rows outside the component are nil, with exit rate 0.
-func (c *CTMC) LaneRatesForTest(point []float64) (rows [][]Entry, exit []float64, err error) {
+// the entries and the inverse exit rate (the one form of the exit rate a
+// batch keeps) of every row of the bottom component, in Rows order. Rows
+// outside the component are nil, with inverse exit rate 0.
+func (c *CTMC) LaneRatesForTest(point []float64) (rows [][]Entry, invExit []float64, err error) {
 	plan, err := c.ensurePlan()
 	if err != nil {
 		return nil, nil, err
@@ -55,7 +57,7 @@ func (c *CTMC) LaneRatesForTest(point []float64) (rows [][]Entry, exit []float64
 		return nil, nil, fmt.Errorf("ctmc: a single-state component gathers no rates")
 	}
 	bc := c.fillBatch(plan, [][]float64{point})
-	rows, exit = make([][]Entry, c.N), make([]float64, c.N)
+	rows, invExit = make([][]Entry, c.N), make([]float64, c.N)
 	t := 0
 	for li, s := range plan.target {
 		rows[s] = make([]Entry, len(c.Rows[s]))
@@ -66,9 +68,9 @@ func (c *CTMC) LaneRatesForTest(point []float64) (rows [][]Entry, exit []float64
 			}
 			t++
 		}
-		exit[s] = bc.exit[li*BatchLanes]
+		invExit[s] = bc.invExit[li*BatchLanes]
 	}
-	return rows, exit, nil
+	return rows, invExit, nil
 }
 
 // ProbLocallyEnabled computes the steady-state probability of the LTS
@@ -104,3 +106,18 @@ func (c *CTMC) NumExpEdges() int { return len(c.expEdges) }
 // NumRateSlots returns the number of symbolic rate slots the chain was
 // built with.
 func (c *CTMC) NumRateSlots() int { return c.numSlots }
+
+// PlanBytesForTest returns the bytes one solve-plan analysis of c
+// allocates: the work ensurePlan does on a chain's first solve, run on a
+// fresh plan so that the chain's own cached plan is not touched.
+func (c *CTMC) PlanBytesForTest() uint64 {
+	var p solvePlan
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.build(c)
+	runtime.ReadMemStats(&after)
+	if p.err != nil {
+		panic(p.err)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}

@@ -11,15 +11,25 @@ import (
 	"repro/internal/rates"
 )
 
-// referenceGS is a plain scalar Gauss-Seidel steady-state solve written
+// referenceGS is a scalar Gauss-Seidel steady-state solve written
 // independently of the four-lane kernel: the bottom component's rows in
 // the solve plan's order (every such row has a positive exit rate), in-edges
 // gathered from Rows in that order, the guarded max relative change, and
 // one sum/reciprocal/multiply normalization per sweep, from the uniform
-// start. It returns the distribution and the sweep count at convergence,
-// or nil and 0 when the budget runs out.
-func referenceGS(c *CTMC, tol float64, maxIter int) ([]float64, int) {
+// start. With extrapolate set, every tenth sweep that does not converge is
+// followed by the solver's safeguarded Aitken step (referenceAitken), so
+// the solve is a bit-for-bit oracle of the kernel; without it the solve is
+// plain Gauss-Seidel, the oracle of the sweep count extrapolation saves.
+// It returns the distribution and the sweep count at convergence, or nil
+// and 0 when the budget runs out. A one-state component is solved without
+// a sweep, as the solver solves it.
+func referenceGS(c *CTMC, tol float64, maxIter int, extrapolate bool) ([]float64, int) {
 	p, _ := c.ensurePlan()
+	if len(p.target) == 1 {
+		pi := make([]float64, c.N)
+		pi[p.target[0]] = 1
+		return pi, 0
+	}
 	local := make(map[int]int, len(p.target))
 	for j, s := range p.target {
 		local[s] = j
@@ -34,6 +44,7 @@ func referenceGS(c *CTMC, tol float64, maxIter int) ([]float64, int) {
 		}
 		x[i] = 1 / float64(len(p.target))
 	}
+	var x7, x8, x9 []float64 // the iterates after sweeps 7, 8 and 9 of a period of ten
 	for iter := 1; iter <= maxIter; iter++ {
 		maxDelta, total := 0.0, 0.0
 		for j, s := range p.target {
@@ -59,8 +70,55 @@ func referenceGS(c *CTMC, tol float64, maxIter int) ([]float64, int) {
 			}
 			return pi, iter
 		}
+		if !extrapolate {
+			continue
+		}
+		switch iter % 10 {
+		case 7:
+			x7 = append(x7[:0], x...)
+		case 8:
+			x8 = append(x8[:0], x...)
+		case 9:
+			x9 = append(x9[:0], x...)
+		case 0:
+			referenceAitken(x, x7, x8, x9)
+		}
 	}
 	return nil, 0
+}
+
+// referenceAitken is the extrapolation step of referenceGS after sweep
+// 10 of a period, whose iterate x follows x7, x8 and x9: with the sweep
+// differences d1 = x8−x7, d2 = x9−x8 and d3 = x−x9, the ratio estimates
+// r' = ⟨d2,d1⟩/⟨d1,d1⟩ and r = ⟨d3,d2⟩/⟨d2,d2⟩ must both lie in (0, 1)
+// and differ by at most 0.1·(1−r); then x + r/(1−r)·d3, if no entry is
+// negative, replaces x, normalized by its row-order sum. Every inner
+// product is summed in row order from +0.
+func referenceAitken(x, x7, x8, x9 []float64) {
+	dot := func(a, b, c, d []float64) float64 { // ⟨a−b, c−d⟩
+		s := 0.0
+		for j := range a {
+			s += (a[j] - b[j]) * (c[j] - d[j])
+		}
+		return s
+	}
+	r1 := dot(x9, x8, x8, x7) / dot(x8, x7, x8, x7)
+	r := dot(x, x9, x9, x8) / dot(x9, x8, x9, x8)
+	if !(r > 0 && r < 1 && r1 > 0 && r1 < 1 && math.Abs(r-r1) <= 0.1*(1-r)) {
+		return
+	}
+	y := make([]float64, len(x))
+	total := 0.0
+	for j := range x {
+		y[j] = x[j] + r/(1-r)*(x[j]-x9[j])
+		if !(y[j] >= 0) {
+			return
+		}
+		total += y[j]
+	}
+	for j := range x {
+		x[j] = y[j] * (1 / total)
+	}
 }
 
 // gth solves the stationary distribution of an irreducible chain exactly
@@ -150,7 +208,7 @@ func RandomChainForTest(t *testing.T, r *rand.Rand, n int) *CTMC { return random
 // randomChain builds a strongly connected chain on n states — a ring
 // plus random chords, all at random rates — entered from one transient
 // start state, so the bottom component is a proper subset of the chain.
-func randomChain(t *testing.T, r *rand.Rand, n int) *CTMC {
+func randomChain(t testing.TB, r *rand.Rand, n int) *CTMC {
 	t.Helper()
 	l := lts.New(n + 1)
 	l.Initial = n
@@ -172,18 +230,20 @@ func randomChain(t *testing.T, r *rand.Rand, n int) *CTMC {
 	return c
 }
 
-// TestSteadyStateMatchesScalarReference pins the one-lane batch that
-// every SteadyStateTraced solve runs to referenceGS bit for bit — vector
-// and sweep count — on random small chains, on a hand-assembled chain
-// with no rate slots or contribution terms.
-func TestSteadyStateMatchesScalarReference(t *testing.T) {
+// namedChain is a test chain with its name.
+type namedChain struct {
+	name string
+	c    *CTMC
+}
+
+// scalarReferenceChains are the chains TestSteadyStateMatchesScalarReference
+// solves, which also seed FuzzSteadyState: a hand-assembled chain with no
+// rate slots or contribution terms, and twenty random chains of 3 to 13
+// states.
+func scalarReferenceChains(tb testing.TB) []namedChain {
 	r := rand.New(rand.NewSource(7))
-	type named struct {
-		name string
-		c    *CTMC
-	}
 	// 0 ⇄ 1 ⇄ 2 with a 2 → 0 shortcut, assembled without Build.
-	chains := []named{{"hand-assembled", &CTMC{
+	chains := []namedChain{{"hand-assembled", &CTMC{
 		N: 3,
 		Rows: [][]Entry{
 			{{Col: 1, Rate: 2}},
@@ -194,15 +254,23 @@ func TestSteadyStateMatchesScalarReference(t *testing.T) {
 		Initial: []float64{1, 0, 0},
 	}}}
 	for i := 0; i < 20; i++ {
-		chains = append(chains, named{fmt.Sprintf("random-%d", i), randomChain(t, r, 2+r.Intn(11))})
+		chains = append(chains, namedChain{fmt.Sprintf("random-%d", i), randomChain(tb, r, 2+r.Intn(11))})
 	}
-	for _, nc := range chains {
+	return chains
+}
+
+// TestSteadyStateMatchesScalarReference pins the one-lane batch that
+// every SteadyStateTraced solve runs to referenceGS bit for bit — vector
+// and sweep count — on random small chains, on a hand-assembled chain
+// with no rate slots or contribution terms.
+func TestSteadyStateMatchesScalarReference(t *testing.T) {
+	for _, nc := range scalarReferenceChains(t) {
 		name, c := nc.name, nc.c
 		pi, trace, err := c.SteadyStateTraced(SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, iters := referenceGS(c, 1e-12, 200000)
+		want, iters := referenceGS(c, 1e-12, 200000, true)
 		if got := trace.Attempts[0].Iterations; got != iters {
 			t.Errorf("%s: %d sweeps, reference %d", name, got, iters)
 		}
@@ -448,7 +516,8 @@ func referenceSortedAbsorb(dist map[int]float64) []absorbEntry {
 // Both builds failing with the same error is a match. A parametric system
 // is compared again with its slots bound to constants
 // (lts.BindSlotsForTest), and the rates a batched solve gathers at those
-// values must equal the bound chain's rows and exit rates.
+// values must equal the bound chain's rows, and its inverse exit rates the
+// reciprocals of the bound chain's exit rates.
 func BuildMatchesReferenceForTest(l *lts.LTS) error {
 	got, gErr := Build(l)
 	want, wErr := referenceBuild(l)
@@ -477,7 +546,7 @@ func BuildMatchesReferenceForTest(l *lts.LTS) error {
 	if err := diffChains(boundGot, boundWant); err != nil {
 		return fmt.Errorf("slots bound: %w", err)
 	}
-	rows, exit, err := got.LaneRatesForTest(values)
+	rows, invExit, err := got.LaneRatesForTest(values)
 	if err != nil {
 		return nil // no single component of two or more states to gather
 	}
@@ -490,8 +559,8 @@ func BuildMatchesReferenceForTest(l *lts.LTS) error {
 				return fmt.Errorf("lane row %d entry %d: %+v, slots bound %+v", ci, j, e, w)
 			}
 		}
-		if !sameBits(exit[ci], boundGot.Exit[ci]) {
-			return fmt.Errorf("lane exit %d: %v, slots bound %v", ci, exit[ci], boundGot.Exit[ci])
+		if !sameBits(invExit[ci], 1/boundGot.Exit[ci]) {
+			return fmt.Errorf("lane inverse exit %d: %v, slots bound 1/%v", ci, invExit[ci], boundGot.Exit[ci])
 		}
 	}
 	return nil
@@ -561,4 +630,13 @@ func diffChains(got, want *CTMC) error {
 		}
 	}
 	return nil
+}
+
+// PlainSweepsForTest is the sweep count of a default-tolerance solve of c
+// by plain Gauss-Seidel, without extrapolation: the count the solver's
+// extrapolation is measured against. It is 0 when 200,000 sweeps do not
+// converge.
+func PlainSweepsForTest(c *CTMC) int {
+	_, iters := referenceGS(c, DefaultTolerance, 200000, false)
+	return iters
 }

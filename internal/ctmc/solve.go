@@ -160,7 +160,7 @@ func (c *CTMC) SteadyStateTraced(opts SolveOptions) ([]float64, *SolveTrace, err
 	if len(plan.target) == 1 {
 		pi[plan.target[0]] = 1
 	} else {
-		res, err := c.fillCurrent(plan).gaussSeidelBatch(opts, uniformStart(len(plan.target)))
+		res, err := c.fillCurrent(plan).gaussSeidelBatch(opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -251,21 +251,25 @@ func (c *CTMC) ensurePlan() (*solvePlan, error) {
 // selection, and the component's incoming-CSR skeleton. It reads only
 // structure (row columns, initial support) — never rate values.
 func (p *solvePlan) build(c *CTMC) {
-	bsccs := c.bottomSCCs()
+	members, start := c.bottomSCCs()
 	reached := c.reachableFromInitial()
-	var target []int
-	for _, comp := range bsccs {
-		if reached[comp[0]] {
-			if target != nil {
+	var comp []int32
+	for i := 1; i < len(start); i++ {
+		if m := members[start[i-1]:start[i]]; reached[m[0]] {
+			if comp != nil {
 				p.err = ErrMultipleBSCC
 				return
 			}
-			target = comp
+			comp = m
 		}
 	}
-	if target == nil {
+	if comp == nil {
 		p.err = fmt.Errorf("ctmc: no reachable bottom component (internal error)")
 		return
+	}
+	target := make([]int, len(comp))
+	for i, s := range comp {
+		target[i] = int(s)
 	}
 	// Sweep in ascending tangible index, the generator's breadth-first
 	// order: a row then mostly reads predecessors this sweep has already
@@ -326,16 +330,6 @@ func (p *solvePlan) build(c *CTMC) {
 	}
 }
 
-// uniformStart returns the uniform distribution over n component states,
-// the start vector of every solve.
-func uniformStart(n int) []float64 {
-	x := make([]float64, n)
-	for j := range x {
-		x[j] = 1 / float64(n)
-	}
-	return x
-}
-
 // pollSolve is the per-iteration cancellation point shared by the solver
 // sweeps: it consults the fault-injection iteration site (whose OnFire
 // callback is how tests cancel at an exact iteration) and then polls the
@@ -389,47 +383,41 @@ func (c *CTMC) reachableFromInitial() []bool {
 }
 
 // bottomSCCs returns the strongly connected components of the tangible
-// chain that have no outgoing edges (Tarjan, iterative).
-func (c *CTMC) bottomSCCs() [][]int {
+// chain that no edge leaves, found by an iterative Tarjan search:
+// component i's states are members[start[i]:start[i+1]]. The search
+// keeps int32 arrays and one frame stack for all roots, and a popped
+// component is tested on the spot, so only the bottom ones are copied
+// out. A state is on Tarjan's stack exactly while it is visited and not
+// yet in a component, so comp doubles as the on-stack mark.
+func (c *CTMC) bottomSCCs() (members, start []int32) {
 	n := c.N
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp := make([]int, n)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	var stack []int
-	var sccs [][]int
-	counter := 0
-
-	type frame struct {
-		v, ei int
-	}
-	for start := 0; start < n; start++ {
-		if index[start] >= 0 {
+	index := make([]int32, n) // discovery order from 1; 0 = unvisited
+	low := make([]int32, n)
+	comp := make([]int32, n) // component number from 1; 0 = not popped
+	stack := make([]int32, 0, n)
+	type frame struct{ v, ei int32 }
+	var frames []frame
+	start = []int32{0}
+	var counter, ncomp int32
+	for root := range int32(n) {
+		if index[root] != 0 {
 			continue
 		}
-		frames := []frame{{v: start}}
-		index[start] = counter
-		low[start] = counter
 		counter++
-		stack = append(stack, start)
-		onStack[start] = true
+		index[root], low[root] = counter, counter
+		stack = append(stack, root)
+		frames = append(frames[:0], frame{v: root})
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.ei < len(c.Rows[f.v]) {
-				w := c.Rows[f.v][f.ei].Col
+			if row := c.Rows[f.v]; int(f.ei) < len(row) {
+				w := row[f.ei].Col
 				f.ei++
-				if index[w] < 0 {
-					index[w] = counter
-					low[w] = counter
+				if index[w] == 0 {
 					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
+					index[w], low[w] = counter, counter
+					stack = append(stack, int32(w))
+					frames = append(frames, frame{v: int32(w)})
+				} else if comp[w] == 0 && index[w] < low[f.v] {
 					low[f.v] = index[w]
 				}
 				continue
@@ -437,44 +425,35 @@ func (c *CTMC) bottomSCCs() [][]int {
 			v := f.v
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
+				if p := frames[len(frames)-1].v; low[v] < low[p] {
+					low[p] = low[v]
 				}
 			}
-			if low[v] == index[v] {
-				var scc []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = len(sccs)
-					scc = append(scc, w)
-					if w == v {
-						break
-					}
+			if low[v] != index[v] {
+				continue
+			}
+			// v roots a component: the stack from v up.
+			i := len(stack) - 1
+			for stack[i] != v {
+				i--
+			}
+			scc := stack[i:]
+			ncomp++
+			for _, w := range scc {
+				comp[w] = ncomp
+			}
+			bottom := true
+			for _, w := range scc {
+				for _, e := range c.Rows[w] {
+					bottom = bottom && comp[e.Col] == ncomp
 				}
-				sccs = append(sccs, scc)
 			}
-		}
-	}
-	// Bottom components: no edge leaves the component.
-	isBottom := make([]bool, len(sccs))
-	for i := range isBottom {
-		isBottom[i] = true
-	}
-	for s := 0; s < n; s++ {
-		for _, e := range c.Rows[s] {
-			if comp[e.Col] != comp[s] {
-				isBottom[comp[s]] = false
+			if bottom {
+				members = append(members, scc...)
+				start = append(start, int32(len(members)))
 			}
+			stack = stack[:i]
 		}
 	}
-	var out [][]int
-	for i, scc := range sccs {
-		if isBottom[i] {
-			out = append(out, scc)
-		}
-	}
-	return out
+	return members, start
 }

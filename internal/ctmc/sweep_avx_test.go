@@ -14,7 +14,7 @@ import (
 // the scalar one bit for bit, on both paper chains, from one point to
 // eight (two four-lane groups). The points come from grids whose solo
 // solves all take different sweep counts (the rpc timeouts from 20 to 36
-// sweeps, the 12×12 streaming periods from about 230 to about 1,500), so
+// sweeps, the 12×12 streaming periods from about 140 to about 500), so
 // lanes deactivate at different sweeps and frozen lanes sit next to live
 // ones in the one register the kernel blends. Within one group: one point
 // (three pad lanes frozen from the start, as a solo solve runs), three

@@ -88,14 +88,13 @@ func kernelRun(tb testing.TB, c *CTMC, points [][]float64, avx bool) []laneResul
 	if err != nil {
 		tb.Fatal(err)
 	}
-	start := uniformStart(len(plan.target))
 	var out []laneResult
 	for off := 0; off < len(points); off += BatchLanes {
 		bc := c.fillBatch(plan, points[off:min(off+BatchLanes, len(points))])
 		if avx && (!bc.allPos || len(bc.inOff) == 0) {
 			tb.Fatal("the vectorized kernel would decline the batch")
 		}
-		res, err := bc.gaussSeidelBatch(solveDefaults(SolveOptions{}), start)
+		res, err := bc.gaussSeidelBatch(solveDefaults(SolveOptions{}))
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -158,3 +158,19 @@ func TestGaussSeidelConvergenceErrorSweep(t *testing.T) {
 		t.Errorf("message %q should name the gauss-seidel sweep", msg)
 	}
 }
+
+// TestSolvePlanAllocation bounds what a chain's first solve allocates for
+// its structural analysis (ensurePlan: bottom components, reachability,
+// the incoming CSR skeleton) on the minimized 12×12 streaming chain, 3,198
+// tangible states: 205,184 bytes when the bound was set. The Tarjan
+// search used to keep int arrays, a frame stack per root and a slice per
+// component, and the analysis allocated 372,736 bytes.
+func TestSolvePlanAllocation(t *testing.T) {
+	c, err := ctmc.Build(minimizedStreamingLTS(t, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.PlanBytesForTest(); got > 225_000 {
+		t.Errorf("solve plan of the %d-state chain allocates %d bytes, want at most 225,000", c.N, got)
+	}
+}

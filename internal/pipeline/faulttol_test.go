@@ -341,8 +341,9 @@ func TestPhase2SweepCheckpointWriteFailure(t *testing.T) {
 // missing file is a fresh start. A store of other results — another grid,
 // another tolerance, another model — is no error but a miss: the sweep
 // solves what the store lacks and matches a fresh solve. A corrupt
-// record, a file of another format version, or a file that is not a
-// store is refused with an error naming the file; a torn last record is
+// record, a file of another format version (version 7 included, whose
+// values the solver before extrapolation computed), or a file that is not
+// a store is refused with an error naming the file; a torn last record is
 // dropped.
 func TestCheckpointResumeRejects(t *testing.T) {
 	p, points := parametricRPC(), rpcTimeoutGrid()
@@ -431,6 +432,7 @@ func TestCheckpointResumeRejects(t *testing.T) {
 	}{
 		{"corrupt record", flip(data, len(data)/2), pipeline.ErrStoreCorrupt},
 		{"other version", append([]byte("DPMCKPT5"), data[8:]...), pipeline.ErrStoreVersion},
+		{"version 7, solved without extrapolation", append([]byte("DPMCKPT7"), data[8:]...), pipeline.ErrStoreVersion},
 		{"not a store", []byte("states: 546 (tangible 48, vanishing 498)\n"), pipeline.ErrNotStore},
 	} {
 		if err := os.WriteFile(path, c.data, 0o644); err != nil {

@@ -109,13 +109,15 @@ var (
 // checkpoint this store replaced, a snapshot of one sweep's points under
 // a fingerprint of the chain's structure and the measure names. Version
 // 6 also hashed per-spec generation options into the key, so none of its
-// keys match a version 7 spec's. The key
+// keys match a later spec's. The key
 // covers a solve's inputs, not the solver's code: a change to the
 // solver's arithmetic (the order of its sweep, say) alters stored floats
-// under unchanged keys, so it must bump the version.
+// under unchanged keys, so it must bump the version. Version 7 stored
+// plain Gauss-Seidel solutions; version 8 stores those of the
+// extrapolated solver, which differ in their last bits.
 const (
 	storeFamily  = "DPMCKPT"
-	storeVersion = '7'
+	storeVersion = '8'
 	storeMagic   = storeFamily + string(storeVersion)
 	// maxRecord bounds a record's declared length, so a corrupt length
 	// is refused instead of being mistaken for a torn tail.

@@ -135,12 +135,13 @@ func withVersion(v byte) []byte {
 
 // TestDecodeCheckpointRejectsOldVersions pins the version guard: files of
 // versions 1 to 5 — the sweep checkpoint format this store replaced —
-// and of version 6, whose keys hashed per-spec generation options, are
-// refused with ErrStoreVersion and a message naming both versions, even
-// when their records are well formed, and never as a corruption or as a
-// file that is not a store.
+// of version 6, whose keys hashed per-spec generation options, and of
+// version 7, whose values plain Gauss-Seidel solved, are refused with
+// ErrStoreVersion and a message naming both versions, even when their
+// records are well formed, and never as a corruption or as a file that
+// is not a store.
 func TestDecodeCheckpointRejectsOldVersions(t *testing.T) {
-	for v := byte('1'); v <= '6'; v++ {
+	for v := byte('1'); v <= '7'; v++ {
 		_, err := loadStore(withVersion(v))
 		if !errors.Is(err, ErrStoreVersion) {
 			t.Fatalf("version %c: want ErrStoreVersion, got %v", v, err)
@@ -148,7 +149,7 @@ func TestDecodeCheckpointRejectsOldVersions(t *testing.T) {
 		if errors.Is(err, ErrStoreCorrupt) || errors.Is(err, ErrNotStore) {
 			t.Errorf("version %c: a version mismatch must not report corruption: %v", v, err)
 		}
-		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("'%c'", v)) || !strings.Contains(msg, "'7'") {
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("'%c'", v)) || !strings.Contains(msg, "'8'") {
 			t.Errorf("version %c: message %q should name the file's and the reader's versions", v, msg)
 		}
 	}

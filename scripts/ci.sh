@@ -258,9 +258,15 @@ go test -timeout 10m -race -cpu 1,2 ./internal/noninterference/ ./internal/bisim
 # against its hash index and both against a map reference, through radix
 # growth, both fallbacks to hashing and Reset (FuzzTupleTable, seeded with
 # a late-radix stream and one stream past each of the direct index's slot
-# and re-index bounds), and the vectorized Gauss-Seidel
+# and re-index bounds), the vectorized Gauss-Seidel
 # kernel against the scalar one, bit for bit, on small chains with rate
-# slots at up to eight points (FuzzSweepKernel, amd64 only). A
+# slots at up to eight points (FuzzSweepKernel, amd64 only), and the
+# steady-state solve itself on chains of 2 to 64 states with a rate slot
+# at one to eight points: every batched lane bit-identical to the solo
+# solve and to the independent scalar Gauss-Seidel with the same
+# extrapolation step, and within 1e-9 relative of the exact GTH solve
+# (FuzzSteadyState, seeded with TestSteadyStateMatchesScalarReference's
+# chains). A
 # crasher lands under the package's testdata/fuzz and then replays in
 # every later `go test`. Every target caps input minimization at 200
 # runs: under Go's default 60 s limit, minimizing one new input can take
@@ -280,5 +286,6 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzReadAUT$' -fuzztime 10s -fuzzminimizet
 go test -timeout 5m -run '^$' -fuzz '^FuzzRestrictHide$' -fuzztime 10s -fuzzminimizetime 200x ./internal/lts/
 go test -timeout 5m -run '^$' -fuzz '^FuzzTupleTable$' -fuzztime 10s -fuzzminimizetime 200x ./internal/statespace/
 go test -timeout 5m -run '^$' -fuzz '^FuzzSweepKernel$' -fuzztime 10s -fuzzminimizetime 200x ./internal/ctmc/
+go test -timeout 5m -run '^$' -fuzz '^FuzzSteadyState$' -fuzztime 10s -fuzzminimizetime 200x ./internal/ctmc/
 
 echo "CI OK"
