@@ -9,8 +9,8 @@
 //	                   [-checkpoint file.ckpt] [-resume] model.aem
 //	dpmassess sim      -measures spec.msr [-runlength T] [-warmup T]
 //	                   [-reps N] [-seed S] [-workers N] model.aem
-//	dpmassess equiv    [-relation strong|weak|markovian] a.aem b.aem
-//	dpmassess minimize [-relation strong|weak|markovian] [-dot out.dot] model.aem
+//	dpmassess equiv    [-relation strong|weak] a.aem b.aem
+//	dpmassess minimize [-relation strong|weak] [-dot out.dot] model.aem
 //	dpmassess mc       -formula 'EXISTS_WEAK_TRANS(...)' [-hide-except INST] model.aem
 //
 // State-space generation and the steady-state solver are sequential;
@@ -151,7 +151,7 @@ func runMC(args []string) error {
 // distinguishing formula on failure.
 func runEquiv(args []string) error {
 	fs := flag.NewFlagSet("equiv", flag.ContinueOnError)
-	relName := fs.String("relation", "weak", "equivalence relation (strong, weak, markovian)")
+	rel := relationFlag(fs)
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -175,38 +175,22 @@ func runEquiv(args []string) error {
 	if err != nil {
 		return err
 	}
-	switch *relName {
-	case "markovian":
-		if bisim.MarkovianEquivalent(l1, l2) {
-			fmt.Println("verdict: MARKOVIAN BISIMILAR (lumping-equivalent)")
-		} else {
-			fmt.Println("verdict: NOT Markovian bisimilar")
-		}
+	ok, f := bisim.Equivalent(l1, l2, *rel)
+	if ok {
+		fmt.Printf("verdict: %s BISIMILAR\n", strings.ToUpper(rel.String()))
 		return nil
-	case "strong", "weak":
-		rel := bisim.Weak
-		if *relName == "strong" {
-			rel = bisim.Strong
-		}
-		ok, f := bisim.Equivalent(l1, l2, rel)
-		if ok {
-			fmt.Printf("verdict: %s BISIMILAR\n", strings.ToUpper(*relName))
-			return nil
-		}
-		fmt.Printf("verdict: NOT %s bisimilar\n", *relName)
-		fmt.Println("distinguishing formula (holds in the first model, fails in the second):")
-		fmt.Println("  " + hml.Format(f))
-		return nil
-	default:
-		return fmt.Errorf("unknown relation %q", *relName)
 	}
+	fmt.Printf("verdict: NOT %s bisimilar\n", rel)
+	fmt.Println("distinguishing formula (holds in the first model, fails in the second):")
+	fmt.Println("  " + hml.Format(f))
+	return nil
 }
 
 // runMinimize reduces a model's state space by the chosen equivalence and
 // reports the compression.
 func runMinimize(args []string) error {
 	fs := flag.NewFlagSet("minimize", flag.ContinueOnError)
-	relName := fs.String("relation", "weak", "equivalence relation (strong, weak, markovian)")
+	rel := relationFlag(fs)
 	dotPath := fs.String("dot", "", "write the quotient in Graphviz DOT format")
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
@@ -228,17 +212,7 @@ func runMinimize(args []string) error {
 	if err != nil {
 		return err
 	}
-	var m *lts.LTS
-	switch *relName {
-	case "markovian":
-		m = bisim.Lump(l)
-	case "strong":
-		m = bisim.Minimize(l, bisim.Strong)
-	case "weak":
-		m = bisim.Minimize(l, bisim.Weak)
-	default:
-		return fmt.Errorf("unknown relation %q", *relName)
-	}
+	m := bisim.Minimize(l, *rel)
 	fmt.Printf("original: %d states, %d transitions\n", l.NumStates, l.NumTransitions())
 	fmt.Printf("quotient: %d states, %d transitions (%.1f%% of original states)\n",
 		m.NumStates, m.NumTransitions(), 100*float64(m.NumStates)/float64(l.NumStates))
@@ -282,6 +256,25 @@ func timeoutFlag(fs *flag.FlagSet) *time.Duration {
 	return fs.Duration("timeout", 0,
 		"overall deadline: generation, solves and simulations are canceled\n"+
 			"promptly once it expires (0 = no deadline)")
+}
+
+// relationFlag registers -relation, the equivalence equiv and minimize
+// decide. The name is parsed with the other flags, so an unknown relation
+// fails before any model loads.
+func relationFlag(fs *flag.FlagSet) *bisim.Relation {
+	rel := bisim.Weak
+	fs.Func("relation", "`strong|weak` equivalence relation (default weak)", func(name string) error {
+		switch name {
+		case "strong":
+			rel = bisim.Strong
+		case "weak":
+			rel = bisim.Weak
+		default:
+			return fmt.Errorf("unknown relation %q", name)
+		}
+		return nil
+	})
+	return &rel
 }
 
 // timeoutCtx turns the -timeout value into a cancellation context: nil

@@ -89,6 +89,12 @@ func TestSatNegationAndConjunction(t *testing.T) {
 	}
 }
 
+// rpcFormula is the distinguishing formula of the simplified rpc model's
+// noninterference check (paper Sect. 3.1, rpcstudy -experiment sect3).
+const rpcFormula = "EXISTS_WEAK_TRANS(LABEL(C.send_rpc_packet#RCS.get_packet); " +
+	"REACHED_STATE_SAT(NOT(EXISTS_WEAK_TRANS(LABEL(RSC.deliver_packet#C.receive_result_packet); " +
+	"REACHED_STATE_SAT(TRUE)))))"
+
 func TestFormat(t *testing.T) {
 	f := DiamondWeak{
 		Label: "C.send_rpc_packet#RCS.get_packet",
@@ -97,12 +103,8 @@ func TestFormat(t *testing.T) {
 			F:     True{},
 		}},
 	}
-	got := Format(f)
-	want := "EXISTS_WEAK_TRANS(LABEL(C.send_rpc_packet#RCS.get_packet); " +
-		"REACHED_STATE_SAT(NOT(EXISTS_WEAK_TRANS(LABEL(RSC.deliver_packet#C.receive_result_packet); " +
-		"REACHED_STATE_SAT(TRUE)))))"
-	if got != want {
-		t.Errorf("Format:\n got %s\nwant %s", got, want)
+	if got := Format(f); got != rpcFormula {
+		t.Errorf("Format:\n got %s\nwant %s", got, rpcFormula)
 	}
 }
 
@@ -139,20 +141,22 @@ func TestDepth(t *testing.T) {
 	}
 }
 
+// roundTripFormulas are formulas whose Format text Parse reads back.
+var roundTripFormulas = []Formula{
+	True{},
+	Not{F: True{}},
+	And{Fs: []Formula{Diamond{Label: "a", F: True{}}, Not{F: True{}}}},
+	Diamond{Label: "A.a#B.b", F: True{}},
+	DiamondWeak{Label: "C.send_rpc_packet#RCS.get_packet",
+		F: Not{F: DiamondWeak{Label: "RSC.deliver_packet#C.receive_result_packet", F: True{}}}},
+	DiamondWeak{Label: "tau", F: And{Fs: []Formula{
+		Diamond{Label: "x", F: True{}},
+		DiamondWeak{Label: "y", F: Not{F: True{}}},
+	}}},
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	formulas := []Formula{
-		True{},
-		Not{F: True{}},
-		And{Fs: []Formula{Diamond{Label: "a", F: True{}}, Not{F: True{}}}},
-		Diamond{Label: "A.a#B.b", F: True{}},
-		DiamondWeak{Label: "C.send_rpc_packet#RCS.get_packet",
-			F: Not{F: DiamondWeak{Label: "RSC.deliver_packet#C.receive_result_packet", F: True{}}}},
-		DiamondWeak{Label: "tau", F: And{Fs: []Formula{
-			Diamond{Label: "x", F: True{}},
-			DiamondWeak{Label: "y", F: Not{F: True{}}},
-		}}},
-	}
-	for _, f := range formulas {
+	for _, f := range roundTripFormulas {
 		text := Format(f)
 		got, err := Parse(text)
 		if err != nil {
@@ -164,10 +168,12 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseWhitespaceTolerant(t *testing.T) {
-	src := ` EXISTS_WEAK_TRANS( LABEL( a#b ) ;
+// spacedFormula spreads a formula over blanks, tabs and a newline.
+const spacedFormula = ` EXISTS_WEAK_TRANS( LABEL( a#b ) ;
 		REACHED_STATE_SAT( NOT( TRUE ) ) ) `
-	f, err := Parse(src)
+
+func TestParseWhitespaceTolerant(t *testing.T) {
+	f, err := Parse(spacedFormula)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,20 +183,22 @@ func TestParseWhitespaceTolerant(t *testing.T) {
 	}
 }
 
+// malformedFormulas are inputs Parse must reject.
+var malformedFormulas = []string{
+	"",
+	"MAYBE",
+	"NOT(TRUE",
+	"AND()",
+	"AND(TRUE TRUE)",
+	"EXISTS_TRANS(TRUE)",
+	"EXISTS_TRANS(LABEL(); REACHED_STATE_SAT(TRUE))",
+	"EXISTS_TRANS(LABEL(a; REACHED_STATE_SAT(TRUE))",
+	"EXISTS_TRANS(LABEL(a); TRUE)",
+	"TRUE garbage",
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"MAYBE",
-		"NOT(TRUE",
-		"AND()",
-		"AND(TRUE TRUE)",
-		"EXISTS_TRANS(TRUE)",
-		"EXISTS_TRANS(LABEL(); REACHED_STATE_SAT(TRUE))",
-		"EXISTS_TRANS(LABEL(a; REACHED_STATE_SAT(TRUE))",
-		"EXISTS_TRANS(LABEL(a); TRUE)",
-		"TRUE garbage",
-	}
-	for _, src := range cases {
+	for _, src := range malformedFormulas {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}

@@ -319,13 +319,6 @@ func (l *LTS) Edges(fn func(src, dst, label int, r rates.Rate)) {
 // NumTransitions returns the number of transitions.
 func (l *LTS) NumTransitions() int { return l.csr.NumEdges() + len(l.pending) }
 
-// SetStateDescFunc installs a lazy state-description provider, typically a
-// closure over the generating model and its state table.
-func (l *LTS) SetStateDescFunc(fn func(int) string) { l.descFn = fn }
-
-// HasStateDescs reports whether state descriptions are available.
-func (l *LTS) HasStateDescs() bool { return l.descFn != nil }
-
 // StateDesc returns a readable description of state s, or "s<n>" when no
 // provider is installed. Descriptions are rendered on demand so bulk
 // analyses never pay for them.

@@ -205,7 +205,7 @@ func TestRestrictKeepsPredicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := Restrict(l, func(lbl string) bool { return strings.Contains(lbl, "get") })
-	if !r.HasStateDescs() {
+	if r.descFn == nil {
 		t.Fatal("descriptions lost")
 	}
 	for s := 0; s < r.NumStates; s++ {

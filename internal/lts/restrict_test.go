@@ -278,7 +278,7 @@ func FuzzRestrictHide(f *testing.F) {
 		high, low := data[1]&7, data[1]>>3&7 // label masks over a, b, c
 		l := New(n)
 		l.Initial = int(data[1]>>6) % n
-		l.SetStateDescFunc(strconv.Itoa)
+		l.descFn = strconv.Itoa
 		labels := []int{TauIndex, l.LabelIndex("a"), l.LabelIndex("b"), l.LabelIndex("c")}
 		l.setAuxPool([]int32{0, 1, 3}, []int32{1, 1, 2}, []float64{0.5, 1, 2})
 		edges := data[2:]

@@ -250,6 +250,8 @@ go test -timeout 10m -race -cpu 1,2 ./internal/noninterference/ ./internal/bisim
 # Model.Successors, a test-only oracle, the result store's record decoder
 # (FuzzDecodeCheckpoint: the file a resumed run trusts), the
 # measure-file parser (the other text input a user hands the CLIs), the
+# HML formula reader behind dpmassess mc -formula (FuzzHMLParse: the
+# Format text of any accepted input is a fixed point of Format∘Parse), the
 # Aldebaran .aut reader with its WriteAUT round trip, restriction and
 # hiding of rated systems with Aux handles against the Build-based
 # reference restriction and the parent's rates edge by edge
@@ -282,6 +284,7 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzBranchingQuotient$' -fuzztime 10s -fuz
 go test -timeout 5m -run '^$' -fuzz '^FuzzCompiledSuccessors$' -fuzztime 10s -fuzzminimizetime 200x ./internal/elab/
 go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s -fuzzminimizetime 200x ./internal/pipeline/
 go test -timeout 5m -run '^$' -fuzz '^FuzzParseMeasures$' -fuzztime 10s -fuzzminimizetime 200x ./internal/measure/
+go test -timeout 5m -run '^$' -fuzz '^FuzzHMLParse$' -fuzztime 10s -fuzzminimizetime 200x ./internal/hml/
 go test -timeout 5m -run '^$' -fuzz '^FuzzReadAUT$' -fuzztime 10s -fuzzminimizetime 200x ./internal/lts/
 go test -timeout 5m -run '^$' -fuzz '^FuzzRestrictHide$' -fuzztime 10s -fuzzminimizetime 200x ./internal/lts/
 go test -timeout 5m -run '^$' -fuzz '^FuzzTupleTable$' -fuzztime 10s -fuzzminimizetime 200x ./internal/statespace/
