@@ -87,9 +87,95 @@ func (r *Rand) ExpFloat64(lambda float64) float64 {
 	return -math.Log(r.Float64Open()) / lambda
 }
 
-// NormFloat64 returns a standard normal variate (Box–Muller transform).
+// NormFloat64 returns a standard normal variate by the Marsaglia–Tsang
+// ziggurat ("The Ziggurat Method for Generating Random Variables", JSS
+// 2000) with 128 layers. One Uint64 feeds the fast path: its low 32 bits
+// are the signed abscissa and bits 32–38 the layer, and a draw that lands
+// inside the layer's rectangle is the answer — about 99% of them.
+// normSlow handles the rest.
 func (r *Rand) NormFloat64() float64 {
-	u1 := r.Float64Open()
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	u := r.Uint64()
+	j, i := int32(u), u>>32&(zigLayers-1)
+	if absInt32(j) < kn[i] {
+		return float64(j) * wn[i]
+	}
+	return r.normSlow(j, i)
+}
+
+// normSlow finishes a draw whose abscissa j fell outside layer i's
+// rectangle: the base layer's overhang goes to the tail beyond zigR
+// (Marsaglia's exponential rejection), any other layer's to its wedge,
+// accepted under the density. A rejected draw starts over on a fresh
+// Uint64.
+func (r *Rand) normSlow(j int32, i uint64) float64 {
+	for {
+		if i == 0 {
+			for {
+				x := -math.Log(r.Float64Open()) / zigR
+				y := -math.Log(r.Float64Open())
+				if y+y >= x*x {
+					if j < 0 {
+						return -zigR - x
+					}
+					return zigR + x
+				}
+			}
+		}
+		x := float64(j) * wn[i]
+		if fn[i]+r.Float64()*(fn[i-1]-fn[i]) < math.Exp(-0.5*x*x) {
+			return x
+		}
+		u := r.Uint64()
+		j, i = int32(u), u>>32&(zigLayers-1)
+		if absInt32(j) < kn[i] {
+			return float64(j) * wn[i]
+		}
+	}
+}
+
+func absInt32(j int32) uint32 {
+	if j < 0 {
+		return uint32(-j)
+	}
+	return uint32(j)
+}
+
+// The ziggurat's constants: zigR is the right edge of the widest layer
+// above the base and zigV the common area of every layer, for the
+// unnormalized density exp(−x²/2).
+const (
+	zigLayers = 128
+	zigR      = 3.442619855899
+	zigV      = 9.91256303526217e-3
+)
+
+// The ziggurat's tables, built by init from zigR and zigV alone as in
+// Marsaglia and Tsang's zigset, so the stream depends on no Go release.
+// Layer i > 0 spans the densities [fn[i], fn[i-1]] over abscissas
+// [0, wn[i]·2³¹); kn[i] is the part of that width, in the same units,
+// that lies wholly under the density. Layer 0 is the base strip with its
+// tail, and fn[0] = 1 is the mode.
+var (
+	kn [zigLayers]uint32
+	wn [zigLayers]float64
+	fn [zigLayers]float64
+)
+
+func init() {
+	const m1 = 1 << 31
+	dn, tn := zigR, zigR
+	q := zigV / math.Exp(-0.5*dn*dn)
+	kn[0] = uint32(dn / q * m1)
+	kn[1] = 0
+	wn[0] = q / m1
+	wn[zigLayers-1] = dn / m1
+	fn[0] = 1
+	fn[zigLayers-1] = math.Exp(-0.5 * dn * dn)
+	for i := zigLayers - 2; i >= 1; i-- {
+		dn = math.Sqrt(-2 * math.Log(zigV/dn+math.Exp(-0.5*dn*dn)))
+		kn[i+1] = uint32(dn / tn * m1)
+		tn = dn
+		fn[i] = math.Exp(-0.5 * dn * dn)
+		wn[i] = dn / m1
+	}
 }

@@ -615,7 +615,10 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 			if zeroStreak > 1_000_000 {
 				return nil, events, ErrImmediateLivelock
 			}
-			via = rec.pickImmediate(rnd.Float64() * rec.immTotal)
+			// A forced pick spends no draw.
+			if via = rec.imm[0]; len(rec.imm) > 1 {
+				via = rec.pickImmediate(rnd.Float64() * rec.immTotal)
+			}
 		} else {
 			if len(rec.acts) == 0 {
 				// Deadlock: the state persists until the horizon.
@@ -689,16 +692,14 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 		// Link walk: while the step lands on a one-way vanishing state,
 		// fire its one immediate transition without entering it. Each link
 		// is the zero-time step the loop top would take there — the same
-		// livelock bound, the one uniform draw its pick spends on a single
-		// candidate, the same firing count — so the run is bit-identical
-		// to one without links. A walk that reaches MaxEvents stops for
-		// the loop top to report it.
+		// livelock bound, no draw for its forced pick, the same firing
+		// count — so the run is bit-identical to one without links. A walk
+		// that reaches MaxEvents stops for the loop top to report it.
 		for tr.next1 >= 0 && events < maxEvents {
 			zeroStreak++
 			if zeroStreak > 1_000_000 {
 				return nil, events, ErrImmediateLivelock
 			}
-			rnd.Uint64()
 			via = tr.next1
 			tr = &r.trans[via]
 			countFiring(tr)
