@@ -43,8 +43,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -64,10 +66,37 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "dpmassess:", err)
-		os.Exit(1)
+	os.Exit(exitCode(run(os.Args[1:]), os.Stderr))
+}
+
+// exitCode reports err on stderr and returns the process status. A flag
+// set prints its own parse error with the usage, and the usage alone for
+// -h, so neither is printed again: -h exits 0 and a flag error 2, as
+// under the flag package's ExitOnError.
+func exitCode(err error, stderr io.Writer) int {
+	var fe flagError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &fe):
+		return 2
 	}
+	fmt.Fprintln(stderr, "dpmassess:", err)
+	return 1
+}
+
+// flagError is a flag set's parse error, which the set has printed.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
+
+// parseFlags parses a subcommand's flags, marking a parse error as
+// printed.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return flagError{err}
+	}
+	return nil
 }
 
 // subcommands lists what run dispatches, in the order of the package
@@ -109,7 +138,7 @@ func runMC(args []string) error {
 	hideExcept := fs.String("hide-except", "", "hide every label not involving this instance (observation window)")
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	stopProf, err := prof.start()
@@ -154,7 +183,7 @@ func runEquiv(args []string) error {
 	rel := relationFlag(fs)
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	stopProf, err := prof.start()
@@ -194,7 +223,7 @@ func runMinimize(args []string) error {
 	dotPath := fs.String("dot", "", "write the quotient in Graphviz DOT format")
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	stopProf, err := prof.start()
@@ -384,7 +413,7 @@ func runLTS(args []string) error {
 			"attribution pool)")
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	stopProf, err := prof.start()
@@ -447,7 +476,7 @@ func runCheck(args []string) error {
 	highLabels := fs.String("high-labels", "", "comma-separated explicit high labels (overrides -high)")
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	stopProf, err := prof.start()
@@ -534,7 +563,7 @@ func runSolve(args []string) (err error) {
 			"without it the file is started afresh")
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	stopProf, err := prof.start()
@@ -621,7 +650,7 @@ func runSim(args []string) error {
 		"concurrent replications (estimates are identical at any value)")
 	timeout := timeoutFlag(fs)
 	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	stopProf, err := prof.start()

@@ -92,6 +92,49 @@ func TestRunNamesEverySubcommand(t *testing.T) {
 	}
 }
 
+// TestFlagErrorsPrintedOnce runs the CLI as main does, with standard
+// error captured: a flag error is printed once, by its flag set, with the
+// usage, and exits 2; -h prints the usage alone and exits 0; any other
+// error is printed by main and exits 1.
+func TestFlagErrorsPrintedOnce(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		code int
+		want string // printed exactly once
+	}{
+		{[]string{"sim", "-bogus"}, 2, "flag provided but not defined: -bogus"},
+		{[]string{"equiv", "-bogus"}, 2, "flag provided but not defined: -bogus"},
+		{[]string{"sim", "-h"}, 0, "Usage of sim:"},
+		{[]string{"frobnicate"}, 1, `dpmassess: unknown subcommand "frobnicate"`},
+	} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = w
+		out := make(chan []byte)
+		go func() {
+			b, _ := io.ReadAll(r) // the pipe only fails once closed
+			out <- b
+		}()
+		code := exitCode(run(c.args), os.Stderr)
+		os.Stderr = stderr
+		w.Close()
+		text := string(<-out)
+		r.Close()
+		if code != c.code {
+			t.Errorf("%q: exit status %d, want %d", c.args, code, c.code)
+		}
+		if n := strings.Count(text, c.want); n != 1 {
+			t.Errorf("%q: %q printed %d times, want once:\n%s", c.args, c.want, n, text)
+		}
+		if strings.Contains(text, "help requested") {
+			t.Errorf("%q: printed the help-requested error:\n%s", c.args, text)
+		}
+	}
+}
+
 // TestNoCLIHasCompose checks that no command line takes a -compose flag:
 // every Markovian analysis folds, lts prints the unfolded state space and
 // sim simulates the unfolded model, so a composition strategy would
