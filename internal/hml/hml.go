@@ -61,31 +61,31 @@ func (DiamondWeak) isFormula() {}
 // Format renders the formula in TwoTowers diagnostic syntax.
 func Format(f Formula) string {
 	var sb strings.Builder
-	format(&sb, f, "")
+	format(&sb, f)
 	return sb.String()
 }
 
-func format(sb *strings.Builder, f Formula, indent string) {
+func format(sb *strings.Builder, f Formula) {
 	switch x := f.(type) {
 	case True:
 		sb.WriteString("TRUE")
 	case Not:
 		sb.WriteString("NOT(")
-		format(sb, x.F, indent)
+		format(sb, x.F)
 		sb.WriteString(")")
 	case And:
 		switch len(x.Fs) {
 		case 0:
 			sb.WriteString("TRUE")
 		case 1:
-			format(sb, x.Fs[0], indent)
+			format(sb, x.Fs[0])
 		default:
 			sb.WriteString("AND(")
 			for i, g := range x.Fs {
 				if i > 0 {
 					sb.WriteString("; ")
 				}
-				format(sb, g, indent)
+				format(sb, g)
 			}
 			sb.WriteString(")")
 		}
@@ -93,13 +93,13 @@ func format(sb *strings.Builder, f Formula, indent string) {
 		sb.WriteString("EXISTS_TRANS(LABEL(")
 		sb.WriteString(x.Label)
 		sb.WriteString("); REACHED_STATE_SAT(")
-		format(sb, x.F, indent)
+		format(sb, x.F)
 		sb.WriteString("))")
 	case DiamondWeak:
 		sb.WriteString("EXISTS_WEAK_TRANS(LABEL(")
 		sb.WriteString(x.Label)
 		sb.WriteString("); REACHED_STATE_SAT(")
-		format(sb, x.F, indent)
+		format(sb, x.F)
 		sb.WriteString("))")
 	default:
 		sb.WriteString("<?>")
