@@ -217,16 +217,24 @@ go test -timeout 10m -race -cpu 1,2 -run 'Minimize|Fold' \
 
 # Simulator race smoke at -cpu 1,2: the worker-count bit-identity and
 # reproducibility properties, the measurement window, the exact-tie
-# tie-break, the paper-model fingerprints at one and two workers and the
-# override resolution (TestParallelReplicationsBitIdentical,
-# TestReproducible*, TestWindowAccruesFully, TestExactTieBreaksByName,
-# TestSimFingerprints, TestUnknownOverrideRejected,
-# TestModelOverridesResolve in internal/sim). Each replication worker owns a runner whose
+# tie-break, the paper-model fingerprints at one and two workers, the
+# override resolution and the closed-form race oracles
+# (TestParallelReplicationsBitIdentical, TestReproducible*,
+# TestWindowAccruesFully, TestExactTieBreaksByName, TestSimFingerprints,
+# TestUnknownOverrideRejected, TestModelOverridesResolve, TestRaceOracle*
+# and TestOracleMissBound in internal/sim), plus the samplers every
+# replication draws from: the ziggurat's KS test and table pin, the
+# truncated normal's moments and the known answers (TestNormFloat64KS,
+# TestZigguratTables, TestTruncatedNormalMoments,
+# TestTruncNormalMomentsUntruncatedLimit, TestKnownAnswers in
+# internal/rng). Each replication worker owns a runner whose
 # elab.Compiled, state and transition records and clocks are all
-# mutable, so a fork that shared any of them would race here.
+# mutable, so a fork that shared any of them would race here; the
+# samplers' tables are built once at init and only read after.
 echo "== simulator race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
-    -run 'ParallelReplicationsBitIdentical|Reproducible|WindowAccrues|Tie|SimFingerprints|Override' ./internal/sim/
+    -run 'ParallelReplicationsBitIdentical|Reproducible|WindowAccrues|Tie|SimFingerprints|Override|RaceOracle|OracleMissBound|NormFloat64KS|ZigguratTables|TruncatedNormalMoments|TruncNormalMoments|KnownAnswers' \
+    ./internal/sim/ ./internal/rng/
 
 # Sect. 3 check race smoke at -cpu 1,2: noninterference.Check builds the
 # restricted variant on a second goroutine while the hidden one is built,
