@@ -105,32 +105,25 @@ func (r *Rand) NormFloat64() float64 {
 // normSlow finishes a draw whose abscissa j fell outside layer i's
 // rectangle: the base layer's overhang goes to the tail beyond zigR
 // (Marsaglia's exponential rejection), any other layer's to its wedge,
-// accepted under the density. A rejected draw starts over on a fresh
-// Uint64.
+// accepted under the density. A rejected wedge draw starts over.
 func (r *Rand) normSlow(j int32, i uint64) float64 {
-	for {
-		if i == 0 {
-			for {
-				x := -math.Log(r.Float64Open()) / zigR
-				y := -math.Log(r.Float64Open())
-				if y+y >= x*x {
-					if j < 0 {
-						return -zigR - x
-					}
-					return zigR + x
+	if i == 0 {
+		for {
+			x := -math.Log(r.Float64Open()) / zigR
+			y := -math.Log(r.Float64Open())
+			if y+y >= x*x {
+				if j < 0 {
+					return -zigR - x
 				}
+				return zigR + x
 			}
 		}
-		x := float64(j) * wn[i]
-		if fn[i]+r.Float64()*(fn[i-1]-fn[i]) < math.Exp(-0.5*x*x) {
-			return x
-		}
-		u := r.Uint64()
-		j, i = int32(u), u>>32&(zigLayers-1)
-		if absInt32(j) < kn[i] {
-			return float64(j) * wn[i]
-		}
 	}
+	x := float64(j) * wn[i]
+	if fn[i]+r.Float64()*(fn[i-1]-fn[i]) < math.Exp(-0.5*x*x) {
+		return x
+	}
+	return r.NormFloat64()
 }
 
 func absInt32(j int32) uint32 {
