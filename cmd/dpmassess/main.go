@@ -46,7 +46,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -66,14 +65,14 @@ import (
 )
 
 func main() {
-	os.Exit(exitCode(run(os.Args[1:]), os.Stderr))
+	os.Exit(exitCode(run(os.Args[1:])))
 }
 
-// exitCode reports err on stderr and returns the process status. A flag
+// exitCode reports err on standard error and returns the process status. A flag
 // set prints its own parse error with the usage, and the usage alone for
 // -h, so neither is printed again: -h exits 0 and a flag error 2, as
 // under the flag package's ExitOnError.
-func exitCode(err error, stderr io.Writer) int {
+func exitCode(err error) int {
 	var fe flagError
 	switch {
 	case err == nil, errors.Is(err, flag.ErrHelp):
@@ -81,7 +80,7 @@ func exitCode(err error, stderr io.Writer) int {
 	case errors.As(err, &fe):
 		return 2
 	}
-	fmt.Fprintln(stderr, "dpmassess:", err)
+	fmt.Fprintln(os.Stderr, "dpmassess:", err)
 	return 1
 }
 

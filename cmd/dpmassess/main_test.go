@@ -118,7 +118,7 @@ func TestFlagErrorsPrintedOnce(t *testing.T) {
 			b, _ := io.ReadAll(r) // the pipe only fails once closed
 			out <- b
 		}()
-		code := exitCode(run(c.args), os.Stderr)
+		code := exitCode(run(c.args))
 		os.Stderr = stderr
 		w.Close()
 		text := string(<-out)
