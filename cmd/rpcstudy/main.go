@@ -16,15 +16,14 @@
 package main
 
 import (
-	"fmt"
 	"os"
 
 	"repro/internal/experiments"
 )
 
-func main() {
-	if err := experiments.RunStudy(experiments.RPCStudy, os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "rpcstudy:", err)
-		os.Exit(1)
-	}
+func main() { os.Exit(status(os.Args[1:])) }
+
+// status runs the command line on args and returns the process status.
+func status(args []string) int {
+	return experiments.RPCStudy.ExitCode(experiments.RunStudy(experiments.RPCStudy, args, os.Stdout))
 }

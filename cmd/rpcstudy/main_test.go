@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -126,4 +127,46 @@ func readFile(t *testing.T, name string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestFlagErrorsPrintedOnce runs the command line as main does, with
+// standard error captured: a flag error is printed once, by the flag set,
+// with the usage, and exits 2; -h prints the usage alone and exits 0; any
+// other error is printed once and exits 1.
+func TestFlagErrorsPrintedOnce(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		code int
+		want string // printed exactly once
+	}{
+		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
+		{[]string{"-h"}, 0, "Usage of rpcstudy:"},
+		{[]string{"-experiment", "nope"}, 1, `rpcstudy: unknown -experiment "nope"`},
+	} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = w
+		out := make(chan []byte)
+		go func() {
+			b, _ := io.ReadAll(r) // the pipe only fails once closed
+			out <- b
+		}()
+		code := status(c.args)
+		os.Stderr = stderr
+		w.Close()
+		text := string(<-out)
+		r.Close()
+		if code != c.code {
+			t.Errorf("%q: exit status %d, want %d", c.args, code, c.code)
+		}
+		if n := strings.Count(text, c.want); n != 1 {
+			t.Errorf("%q: %q printed %d times, want once:\n%s", c.args, c.want, n, text)
+		}
+		if strings.Contains(text, "help requested") {
+			t.Errorf("%q: printed the help-requested error:\n%s", c.args, text)
+		}
+	}
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/lts"
 	"repro/internal/rates"
@@ -83,11 +82,6 @@ type CTMC struct {
 	termStart []int32    // len = total entries + 1
 	terms     []rateTerm // flattened contribution terms
 	expSlots  []int32    // per expEdge: slot of its rate (0 = constant)
-
-	// Cached Poisson weight vectors for uniformization, keyed by (q·t,
-	// epsilon); see TransientFromCtx. Guarded by poissonMu.
-	poissonMu sync.Mutex
-	poisson   map[poissonKey][]float64
 
 	// plan caches the structural solve analysis (reachable bottom
 	// component and its incoming-CSR skeleton), computed on first solve.

@@ -1,10 +1,12 @@
 package ctmc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/lts"
 	"repro/internal/rates"
 )
@@ -305,6 +307,13 @@ func TestReducibleTransientPart(t *testing.T) {
 	}
 }
 
+// unit returns the per-state reward vector of tangible state i.
+func unit(c *CTMC, i int) []float64 {
+	w := make([]float64, c.N)
+	w[i] = 1
+	return w
+}
+
 func TestTransientExponentialDecay(t *testing.T) {
 	l := lts.New(2)
 	l.Initial = 0
@@ -313,23 +322,24 @@ func TestTransientExponentialDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := c.Series(nil, c.Initial, unit(c, c.CTMCIndexOf(0)))
 	for _, tt := range []float64{0.1, 0.5, 1, 2, 5} {
-		p, err := c.TransientFromCtx(nil, c.Initial, tt, 1e-12)
+		p, _, err := s.At(0, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := math.Exp(-tt)
-		if math.Abs(p[c.CTMCIndexOf(0)]-want) > 1e-6 {
-			t.Errorf("P0(%v) = %v, want %v", tt, p[c.CTMCIndexOf(0)], want)
+		if math.Abs(p-want) > 1e-6 {
+			t.Errorf("P0(%v) = %v, want %v", tt, p, want)
 		}
 	}
 	// t=0 returns the initial distribution.
-	p, err := c.TransientFromCtx(nil, c.Initial, 0, 1e-12)
+	p, _, err := s.At(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p[c.CTMCIndexOf(0)] != 1 {
-		t.Errorf("P0(0) = %v, want 1", p[c.CTMCIndexOf(0)])
+	if p != 1 {
+		t.Errorf("P0(0) = %v, want 1", p)
 	}
 }
 
@@ -342,14 +352,87 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := c.TransientFromCtx(nil, c.Initial, 200, 1e-12)
+	rewards := make([][]float64, c.N)
+	for i := range rewards {
+		rewards[i] = unit(c, i)
+	}
+	s := c.Series(nil, c.Initial, rewards...)
+	for i := range pi {
+		pt, _, err := s.At(i, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(pt-pi[i]) > 1e-6 {
+			t.Errorf("transient(200)[%d] = %v, steady = %v", i, pt, pi[i])
+		}
+	}
+}
+
+// TestTransientTwoStateClosedForm checks both sums of a series against
+// the closed forms of the two-state chain 0 → 1 at rate a, 1 → 0 at rate
+// b, started in 0: π₁(t) = a/(a+b)·(1 − e^(−(a+b)t)) and
+// ∫₀ᵗ π₁ = a/(a+b)·(t − (1 − e^(−(a+b)t))/(a+b)). The sample times are
+// out of order, and each is answered by the one series; at t = 200 the
+// Poisson window starts above term 0, so the prefix sum is in play.
+func TestTransientTwoStateClosedForm(t *testing.T) {
+	const a, b = 2.0, 3.0
+	c, err := Build(mm1k(1, a, b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range pi {
-		if math.Abs(pt[i]-pi[i]) > 1e-6 {
-			t.Errorf("transient(200)[%d] = %v, steady = %v", i, pt[i], pi[i])
+	s := c.Series(nil, c.Initial, unit(c, c.CTMCIndexOf(1)))
+	for _, tt := range []float64{3, 0.25, 200, 0, 1, 7.5} {
+		p, acc, err := s.At(0, tt)
+		if err != nil {
+			t.Fatal(err)
 		}
+		decay := 1 - math.Exp(-(a+b)*tt)
+		if want := a / (a + b) * decay; math.Abs(p-want) > 1e-12 {
+			t.Errorf("π₁(%v) = %v, want %v", tt, p, want)
+		}
+		if want := a / (a + b) * (tt - decay/(a+b)); math.Abs(acc-want) > 1e-12*max(1, want) {
+			t.Errorf("∫₀^%v π₁ = %v, want %v", tt, acc, want)
+		}
+	}
+}
+
+// cancelAt is a context canceled at its poll with the given index
+// (counting from 0).
+type cancelAt struct {
+	context.Context
+	cancel      func()
+	polls, stop int
+}
+
+func (c *cancelAt) Done() <-chan struct{} {
+	if c.polls == c.stop {
+		c.cancel()
+	}
+	c.polls++
+	return c.Context.Done()
+}
+
+// TestTransientCancelMidSeries cancels a series at its fifth term: the
+// evaluation returns a *fault.CanceledError with the transient phase and
+// the term index, and the cause.
+func TestTransientCancelMidSeries(t *testing.T) {
+	c, err := Build(mm1k(4, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := c.Series(&cancelAt{Context: ctx, cancel: cancel, stop: 5}, c.Initial, unit(c, 0))
+	_, _, err = s.At(0, 10)
+	var ce *fault.CanceledError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want *fault.CanceledError, got %T: %v", err, err)
+	}
+	if ce.Phase != "ctmc.transient" || ce.Iteration != 5 {
+		t.Errorf("canceled at %q iteration %d, want ctmc.transient iteration 5", ce.Phase, ce.Iteration)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cause chain lost context.Canceled: %v", err)
 	}
 }
 

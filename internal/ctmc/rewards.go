@@ -3,6 +3,7 @@ package ctmc
 import (
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/fault"
 )
@@ -250,126 +251,111 @@ func (f *Flow) entries() []float64 {
 	return entry
 }
 
-// TransientFromCtx evolves an arbitrary distribution over tangible states
-// by time t (uniformization). The input is not modified.
-//
-// The Poisson weight vector of the series depends only on q·t and epsilon
-// — not on the distribution being evolved — so it is computed once per
-// (q·t, epsilon) pair and cached on the chain: battery-lifetime and
-// startup-transient integrations step the same chain at a fixed dt
-// thousands of times and reuse one vector. The cached path replays the
-// identical weight recurrence and truncation rule, so results are bit for
-// bit the same as recomputing the series inline.
-//
-// The context is polled once per Poisson term, and a cancellation
-// surfaces as a *fault.CanceledError whose Iteration is the term index. A
-// nil context disables polling; the arithmetic of completed terms is
-// unaffected by when — or whether — a cancellation is observed.
-func (c *CTMC) TransientFromCtx(ctx context.Context, init []float64, t, epsilon float64) ([]float64, error) {
-	if epsilon <= 0 {
-		epsilon = 1e-10
-	}
-	// Uniformization rate.
-	lambda := 0.0
+// Series is the uniformization series of a chain from one initial
+// distribution π₀, reduced to linear rewards. With P = I + Q/q, where q is
+// 1.02 times the largest exit rate (the slack keeps P aperiodic), term k
+// of reward j is r_j[k] = w_j·π₀Pᵏ for the reward's per-state vector w_j.
+// Terms are computed as evaluations need them, each one vector-matrix
+// product on two vectors the series keeps, and the context is polled once
+// per term: a cancellation surfaces as a *fault.CanceledError whose
+// Iteration is the term index. A nil context disables polling. A Series
+// only reads its chain, so any number of them may share one; a Series
+// itself is for one goroutine.
+type Series struct {
+	c       *CTMC
+	ctx     context.Context
+	q       float64
+	rewards [][]float64
+	n       int         // terms computed; v holds π₀Pⁿ
+	v, next []float64   // next is the scratch of the step v ← vP
+	r, cum  [][]float64 // per reward: r_j[k], and cum_j[k] = Σ_{i<k} r_j[i]
+}
+
+// Series starts the uniformization series of the chain from init, a
+// distribution over tangible states, for the given per-state reward
+// vectors. init is not modified.
+func (c *CTMC) Series(ctx context.Context, init []float64, rewards ...[]float64) *Series {
+	q := 0.0
 	for _, e := range c.Exit {
-		if e > lambda {
-			lambda = e
-		}
+		q = max(q, 1.02*e)
 	}
-	out := make([]float64, c.N)
-	if lambda == 0 || t <= 0 {
-		copy(out, init)
-		return out, nil
+	if q == 0 { // Q = 0: any rate uniformizes it
+		q = 1
 	}
-	q := lambda * 1.02 // slack keeps the DTMC aperiodic
-	// P = I + Q/q applied iteratively: v_{k+1} = v_k P.
-	v := append([]float64(nil), init...)
-	next := make([]float64, c.N)
-
-	weights := c.poissonWeights(q*t, epsilon)
-	for k, w := range weights {
-		if err := fault.Check(ctx, "ctmc.transient", -1, k); err != nil {
-			return nil, err
-		}
-		for i := range v {
-			out[i] += w * v[i]
-		}
-		if k == len(weights)-1 {
-			break
-		}
-		// v <- v P
-		for i := range next {
-			next[i] = v[i] * (1 - c.Exit[i]/q)
-		}
-		for s := range c.Rows {
-			if v[s] == 0 {
-				continue
-			}
-			for _, e := range c.Rows[s] {
-				next[e.Col] += v[s] * e.Rate / q
-			}
-		}
-		v, next = next, v
+	s := &Series{c: c, ctx: ctx, q: q, rewards: rewards, v: slices.Clone(init), next: make([]float64, c.N),
+		r: make([][]float64, len(rewards)), cum: make([][]float64, len(rewards))}
+	for j := range s.cum {
+		s.cum[j] = []float64{0}
 	}
-	// Renormalize for the truncated tail.
-	total := 0.0
-	for _, p := range out {
-		total += p
-	}
-	if total > 0 {
-		for i := range out {
-			out[i] /= total
-		}
-	}
-	return out, nil
+	return s
 }
 
-// poissonKey identifies a cached uniformization weight vector: q·t and
-// the truncation epsilon, all the vector depends on.
-type poissonKey struct{ qt, epsilon float64 }
-
-// poissonWeights returns the truncated, underflow-scaled Poisson(q·t)
-// weight sequence, cached per (q·t, epsilon).
-func (c *CTMC) poissonWeights(qt, epsilon float64) []float64 {
-	key := poissonKey{qt: qt, epsilon: epsilon}
-	c.poissonMu.Lock()
-	w, ok := c.poisson[key]
-	c.poissonMu.Unlock()
-	if ok {
-		return w
+// At returns the expected value of reward j at time t ≥ 0 and its
+// expected accumulation over [0, t]:
+//
+//	instant     = Σₖ Pois(k; qt)·r_j[k] / Σₖ Pois(k; qt),
+//	accumulated = (1/q)·Σₖ P[N(qt) > k]·r_j[k].
+//
+// The sums run over the Poisson window qt ± (10√qt + 20), the truncation
+// of the whole series; the terms below it, where P[N(qt) > k] is 1 to
+// double precision, enter the accumulation as one prefix sum.
+func (s *Series) At(j int, t float64) (instant, accumulated float64, err error) {
+	qt := s.q * t
+	lo := max(0, int(qt-10*math.Sqrt(qt)-20))
+	hi := int(qt + 10*math.Sqrt(qt) + 20)
+	if err := s.grow(hi); err != nil {
+		return 0, 0, err
 	}
-	w = computePoissonWeights(qt, epsilon)
-	c.poissonMu.Lock()
-	if c.poisson == nil {
-		c.poisson = make(map[poissonKey][]float64)
+	// Poisson weights relative to the mode, built outward from it so that
+	// none underflows.
+	w := make([]float64, hi-lo+1)
+	mode := int(qt) - lo
+	w[mode] = 1
+	for k := mode + 1; k < len(w); k++ {
+		w[k] = w[k-1] * qt / float64(lo+k)
 	}
-	c.poisson[key] = w
-	c.poissonMu.Unlock()
-	return w
+	for k := mode - 1; k >= 0; k-- {
+		w[k] = w[k+1] * float64(lo+k+1) / qt
+	}
+	// From the top, so the small tail weights are summed first; tail is
+	// Σ_{i>k} w[i], the unnormalized P[N(qt) > k].
+	r := s.r[j][lo : hi+1]
+	tail, inst, acc := 0.0, 0.0, 0.0
+	for k := len(w) - 1; k >= 0; k-- {
+		inst += w[k] * r[k]
+		acc += tail * r[k]
+		tail += w[k]
+	}
+	return inst / tail, (s.cum[j][lo] + acc/tail) / s.q, nil
 }
 
-// computePoissonWeights evaluates the Poisson(q·t) series in log space.
-// Truncation: at least kMax = qt + 10·√qt + 20 terms, extended until the
-// accumulated mass is within epsilon of 1, hard-capped at 4·kMax terms —
-// the exact rule the inline loop applied before the vector was cacheable.
-func computePoissonWeights(qt, epsilon float64) []float64 {
-	kMax := int(qt + 10*math.Sqrt(qt) + 20)
-	logW := -qt
-	sumW := 0.0
-	ws := make([]float64, 0, kMax+1)
-	for k := 0; ; k++ {
-		w := math.Exp(logW)
-		sumW += w
-		ws = append(ws, w)
-		if k >= kMax && 1-sumW < epsilon {
-			break
+// grow computes the terms up to index k.
+func (s *Series) grow(k int) error {
+	for ; s.n <= k; s.n++ {
+		if err := fault.Check(s.ctx, "ctmc.transient", -1, s.n); err != nil {
+			return err
 		}
-		if k > kMax*4 {
-			break
+		for j, rew := range s.rewards {
+			x := 0.0
+			for i, wi := range rew {
+				x += wi * s.v[i]
+			}
+			s.r[j] = append(s.r[j], x)
+			s.cum[j] = append(s.cum[j], s.cum[j][s.n]+x)
 		}
-		logW += math.Log(qt) - math.Log(float64(k+1))
+		for i := range s.next {
+			s.next[i] = s.v[i] * (1 - s.c.Exit[i]/s.q)
+		}
+		for src, row := range s.c.Rows {
+			if p := s.v[src]; p != 0 {
+				for _, e := range row {
+					s.next[e.Col] += p * e.Rate / s.q
+				}
+			}
+		}
+		s.v, s.next = s.next, s.v
 	}
-	return ws
+	return nil
 }
 
 // NumVanishing returns the number of eliminated vanishing states.

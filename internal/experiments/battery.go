@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/lts"
 	"repro/internal/measure"
 	"repro/internal/models"
 )
@@ -26,17 +26,16 @@ type BatteryPoint struct {
 }
 
 // BatteryLifetime computes, for every DPM policy, how long a battery with
-// the given energy budget powers the rpc server, by integrating the
-// transient energy rate of the CTMC (uniformization steps of dt). The
-// four policies are analysed concurrently (Config.Workers) and reported
-// in taxonomy order. The sweep is over policies — a structural parameter
-// — so each point stages its own state space (sessions add the measures'
-// state predicates automatically); the repeated uniformization steps at
-// constant dt reuse one cached Poisson weight vector per chain
-// (ctmc.TransientFromCtx).
-func (r *Runner) BatteryLifetime(budget, timeout, dt float64) ([]BatteryPoint, error) {
-	if budget <= 0 || dt <= 0 {
-		return nil, fmt.Errorf("experiments: budget and dt must be positive")
+// the given energy budget powers the rpc server, starting from the
+// model's initial state: the root of E(t) = budget, where E is the
+// expected energy accumulated over [0, t] (one ctmc.Series per chain).
+// The four policies are analysed concurrently (Config.Workers) and
+// reported in taxonomy order. The sweep is over policies — a structural
+// parameter — so each point stages its own state space (sessions add the
+// measures' state predicates automatically).
+func (r *Runner) BatteryLifetime(budget, timeout float64) ([]BatteryPoint, error) {
+	if budget <= 0 {
+		return nil, fmt.Errorf("experiments: budget must be positive")
 	}
 	policies := []models.Policy{
 		models.PolicyNone,
@@ -58,72 +57,58 @@ func (r *Runner) BatteryLifetime(budget, timeout, dt float64) ([]BatteryPoint, e
 			return BatteryPoint{}, err
 		}
 
-		// The energy measure and the served-request selection are compiled
-		// once and evaluated at every integration step.
-		var energy []measure.Measure
-		for _, ms := range models.RPCMeasures(p) {
-			if ms.Name == "energy" {
-				energy = append(energy, ms)
-			}
-		}
-		energyRate, err := measure.Compile(energy, chain)
+		// The energy rate and the request throughput are linear in the
+		// distribution, so each is one per-state reward vector: its value
+		// on the distribution concentrated in that state.
+		cm, err := measure.Compile(models.RPCMeasures(p), chain)
 		if err != nil {
 			return BatteryPoint{}, err
 		}
-		requests := chain.SelectAll(nil, func(label string) bool {
-			return lts.LabelInvolves(label, "C.process_result_packet")
-		})[0]
-		energyAt := func(pi []float64) float64 {
-			return energyRate.Eval(chain, pi, nil)["energy"]
+		power, served := make([]float64, chain.N), make([]float64, chain.N)
+		unit := make([]float64, chain.N)
+		for i := range unit {
+			unit[i] = 1
+			v := cm.Eval(chain, unit, nil)
+			power[i], served[i] = v["energy"], v["throughput"]
+			unit[i] = 0
 		}
-		throughputAt := func(pi []float64) float64 {
-			f := chain.Flow(pi, nil)
-			return f.Throughput(requests)
-		}
+		series := chain.Series(r.cfg.Ctx, chain.Initial, power, served)
 
-		// Trapezoidal integration of the transient energy rate until the
-		// budget is spent.
-		pi := append([]float64(nil), chain.Initial...)
-		eRate, tRate := energyAt(pi), throughputAt(pi)
-		var (
-			elapsed  float64
-			consumed float64
-			served   float64
-		)
-		const maxSteps = 1_000_000
-		for step := 0; consumed < budget; step++ {
-			if step >= maxSteps {
-				return BatteryPoint{}, fmt.Errorf("experiments: battery integration exceeded %d steps", maxSteps)
-			}
-			next, err := chain.TransientFromCtx(r.cfg.Ctx, pi, dt, 1e-9)
+		// Newton's method on E(t) − budget, whose derivative is the energy
+		// rate, from t = 0, so that its first step is budget ÷ e(0). Once
+		// the steps have bracketed the root in [lo, hi], a step that leaves
+		// the bracket, or fails to halve the one before it, bisects
+		// instead. It stops once the step or the bracket is within 1e-12
+		// of t.
+		t, lo, hi, last := 0.0, 0.0, math.Inf(1), math.Inf(1)
+		for {
+			rate, used, err := series.At(0, t)
 			if err != nil {
 				return BatteryPoint{}, err
 			}
-			eNext, tNext := energyAt(next), throughputAt(next)
-			dE := (eRate + eNext) / 2 * dt
-			dS := (tRate + tNext) / 2 * dt
-			if consumed+dE >= budget {
-				// Interpolate the crossing inside the step.
-				frac := (budget - consumed) / dE
-				elapsed += frac * dt
-				served += frac * dS
-				consumed = budget
+			if used < budget {
+				lo = t
 			} else {
-				consumed += dE
-				served += dS
-				elapsed += dt
+				hi = t
 			}
-			pi, eRate, tRate = next, eNext, tNext
+			step := (used - budget) / rate
+			if math.Abs(step) <= 1e-12*t || hi-lo <= 1e-12*t {
+				break
+			}
+			if next := t - step; !math.IsInf(hi, 1) && (next <= lo || next >= hi || 2*math.Abs(step) > math.Abs(last)) {
+				step = t - (lo+hi)/2
+			}
+			t, last = t-step, step
 		}
-		mp := 0.0
-		if elapsed > 0 {
-			mp = budget / elapsed
+		_, requestsServed, err := series.At(1, t)
+		if err != nil {
+			return BatteryPoint{}, err
 		}
 		return BatteryPoint{
 			Policy:         pol,
-			Lifetime:       elapsed,
-			RequestsServed: served,
-			MeanPower:      mp,
+			Lifetime:       t,
+			RequestsServed: requestsServed,
+			MeanPower:      budget / t,
 		}, nil
 	})
 }

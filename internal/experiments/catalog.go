@@ -3,6 +3,7 @@ package experiments
 import (
 	"cmp"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -18,13 +19,13 @@ import (
 // cut is the workload one catalog run puts on its experiments: the model
 // scale, the sweep grid and the simulation settings. A nil grid selects
 // each experiment's default grid (the paper's), zero sim fields take the
-// model's simulation defaults, and a zero budget or step takes the
-// battery study's 5000 and 20.
+// model's simulation defaults, and a zero budget takes the battery
+// study's 5000.
 type cut struct {
-	scale        Scale
-	grid         []float64
-	sim          pipeline.SimSettings
-	budget, step float64
+	scale  Scale
+	grid   []float64
+	sim    pipeline.SimSettings
+	budget float64
 }
 
 // render formats a header and rows as one text table.
@@ -132,7 +133,7 @@ var RPCStudy = &Study{
 	}, {
 		name: "battery", figure: "Extension", title: "battery lifetime (transient analysis, budget 5000)", phases: phaseMarkovian,
 		run: tabled(func(r *Runner, c cut) ([]BatteryPoint, error) {
-			return r.BatteryLifetime(cmp.Or(c.budget, 5000), 5, cmp.Or(c.step, 20))
+			return r.BatteryLifetime(cmp.Or(c.budget, 5000), 5)
 		}, BatteryRows),
 	}, {
 		name: "fig7", figure: "Fig. 7", title: "energy/waiting-time trade-off", phases: phaseMarkovian | phaseGeneral,
@@ -222,6 +223,29 @@ func (m *memo) run(e *entry, rend render) (any, string, error) {
 	return v, block, nil
 }
 
+// flagError is a flag set's parse error, which the set has printed with
+// the usage.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
+
+// ExitCode reports err, returned by RunStudy on s, on standard error and
+// returns the process status. The flag set prints its own parse error
+// with the usage, and the usage alone for -h, so neither is printed
+// again: -h exits 0 and a flag error 2, as under the flag package's
+// ExitOnError. Any other error is printed and exits 1.
+func (s *Study) ExitCode(err error) int {
+	var fe flagError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &fe):
+		return 2
+	}
+	fmt.Fprintf(os.Stderr, "%sstudy: %v\n", s.name, err)
+	return 1
+}
+
 // RunStudy is the command line of the study s: it parses args, then runs
 // the selected experiment, or every entry in catalog order for "all",
 // printing each banner and text block to w. Within one invocation an
@@ -251,7 +275,7 @@ func RunStudy(s *Study, args []string, w io.Writer) (err error) {
 			"lacks (results are identical to an uninterrupted run); without it\n"+
 			"the store is started afresh")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 
 	selected := s.entries

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/models"
 	"repro/internal/pipeline"
 )
 
@@ -344,7 +346,7 @@ func TestPolicyComparisonOrderings(t *testing.T) {
 }
 
 func TestBatteryLifetime(t *testing.T) {
-	pts, err := newStudy().BatteryLifetime(2000, 5, 20)
+	pts, err := newStudy().BatteryLifetime(2000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +385,7 @@ func TestBatteryLifetime(t *testing.T) {
 	if len(h) != 4 || len(rows) != 4 {
 		t.Errorf("BatteryRows shape: %v %v", h, rows)
 	}
-	if _, err := newStudy().BatteryLifetime(0, 5, 20); err == nil {
+	if _, err := newStudy().BatteryLifetime(0, 5); err == nil {
 		t.Error("zero budget should error")
 	}
 }
@@ -417,7 +419,58 @@ func TestStreamingStartupTransient(t *testing.T) {
 	if len(h) != 3 || len(rows) != 3 {
 		t.Errorf("TransientRows shape: %v %v", h, rows)
 	}
-	if _, err := newStudy().StreamingStartupTransient([]float64{100, 50}, 100, Quick); err == nil {
-		t.Error("decreasing sample times should error")
+	// Each time is answered alone, so shuffled times give the same
+	// value at each time.
+	shuffled, err := newStudy().StreamingStartupTransient([]float64{3000, 50, 500}, 100, Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range []int{2, 0, 1} {
+		if shuffled[i] != pts[j] {
+			t.Errorf("at t=%v: shuffled times give %+v, want %+v", pts[j].Time, shuffled[i], pts[j])
+		}
+	}
+	if _, err := newStudy().StreamingStartupTransient([]float64{50, -1}, 100, Quick); err == nil {
+		t.Error("a negative sample time should error")
+	}
+}
+
+// TestBatteryLifetimeAsymptote checks the lifetimes against the steady
+// state: once the start-up transient has died out, energy accrues at the
+// Phase 2 energy rate g and requests are served at the Phase 2
+// throughput, so doubling the budget B adds B ÷ g to the lifetime and
+// throughput × that to the requests served, for every policy.
+func TestBatteryLifetimeAsymptote(t *testing.T) {
+	const budget = 5000
+	r := newStudy()
+	short, err := r.BatteryLifetime(budget, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := r.BatteryLifetime(2*budget, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range short {
+		p := models.DefaultRPCParams()
+		p.Policy = pt.Policy
+		p.WithDPM = pt.Policy != models.PolicyNone
+		p.ShutdownTimeout = 5
+		s, err := r.rpcSession(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Phase2()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dL := long[i].Lifetime - pt.Lifetime
+		if want := budget / rep.Values["energy"]; math.Abs(dL-want) > 1e-9*want {
+			t.Errorf("%s: L(2B) − L(B) = %v, want B ÷ g = %v", pt.Policy, dL, want)
+		}
+		dS := long[i].RequestsServed - pt.RequestsServed
+		if want := rep.Values["throughput"] * dL; math.Abs(dS-want) > 1e-9*want {
+			t.Errorf("%s: served(2B) − served(B) = %v, want throughput × ΔL = %v", pt.Policy, dS, want)
+		}
 	}
 }

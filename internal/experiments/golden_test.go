@@ -39,7 +39,7 @@ var goldenCuts = map[string]goldenCut{
 	"rpc/fig3general": {"fig3_general", cut{grid: []float64{2, 10}, sim: goldenRPCSim}},
 	"rpc/fig5":        {"fig5_validation", cut{grid: []float64{5}, sim: goldenRPCSim}},
 	"rpc/policies":    {"policy_comparison", cut{}},
-	"rpc/battery":     {"battery_lifetime", cut{budget: 1000, step: 100}},
+	"rpc/battery":     {"battery_lifetime", cut{budget: 1000}},
 	"rpc/fig7":        {"fig7_tradeoff", cut{grid: []float64{1, 10}, sim: goldenRPCSim}},
 
 	"streaming/sect3":     {},

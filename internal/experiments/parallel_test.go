@@ -84,3 +84,21 @@ func TestFig4MarkovWorkerDeterminism(t *testing.T) {
 		t.Errorf("Fig4Markov differs between workers=1 and workers=8:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
+
+// TestBatteryWorkerDeterminism pins the battery lifetimes, one series and
+// root find per policy point, to the same contract at workers 1, 2 and 8.
+func TestBatteryWorkerDeterminism(t *testing.T) {
+	run := func(workers int) []BatteryPoint {
+		pts, err := NewRunner(pipeline.Config{Workers: workers}).BatteryLifetime(2000, 5)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return pts
+	}
+	seq := run(1)
+	for _, workers := range []int{2, 8} {
+		if par := run(workers); !reflect.DeepEqual(seq, par) {
+			t.Errorf("BatteryLifetime differs between workers=1 and workers=%d:\nseq: %+v\npar: %+v", workers, seq, par)
+		}
+	}
+}

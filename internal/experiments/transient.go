@@ -29,8 +29,10 @@ func (r *Runner) StreamingStartupTransient(times []float64, awakePeriod float64,
 	}
 	// The buffer-empty predicate is a STATE_REWARD measure of the spec,
 	// so the session labels the states where it holds as it generates.
+	// One uniformization series per chain, with the predicate's indicator
+	// as its reward, answers every sample time.
 	empty := measure.Clause{Instance: "B", Action: "miss_frame", Kind: measure.StateReward, Value: 1}
-	solve := func(withDPM bool) (*ctmc.CTMC, error) {
+	series := func(withDPM bool) (*ctmc.Series, error) {
 		p := streamingParams(scale)
 		p.WithDPM = withDPM
 		p.AwakePeriod = awakePeriod
@@ -38,49 +40,43 @@ func (r *Runner) StreamingStartupTransient(times []float64, awakePeriod float64,
 		if err != nil {
 			return nil, err
 		}
-		return r.session(a, []measure.Measure{{Name: "p_buffer_empty", Clauses: []measure.Clause{empty}}}).Chain()
+		c, err := r.session(a, []measure.Measure{{Name: "p_buffer_empty", Clauses: []measure.Clause{empty}}}).Chain()
+		if err != nil {
+			return nil, err
+		}
+		set, err := c.SelectStates(empty.Pred())
+		if err != nil {
+			return nil, err
+		}
+		indicator := make([]float64, c.N)
+		for _, ci := range set {
+			indicator[ci] = 1
+		}
+		return c.Series(r.cfg.Ctx, c.Initial, indicator), nil
 	}
-	withDPM, err := solve(true)
+	withDPM, err := series(true)
 	if err != nil {
 		return nil, err
 	}
-	noDPM, err := solve(false)
-	if err != nil {
-		return nil, err
-	}
-
-	// The buffer-empty predicate is compiled once per chain and read at
-	// every sample.
-	emptyD, err := withDPM.SelectStates(empty.Pred())
-	if err != nil {
-		return nil, err
-	}
-	emptyN, err := noDPM.SelectStates(empty.Pred())
+	noDPM, err := series(false)
 	if err != nil {
 		return nil, err
 	}
 
 	out := make([]TransientPoint, 0, len(times))
-	// Evolve incrementally between sample instants.
-	piD := append([]float64(nil), withDPM.Initial...)
-	piN := append([]float64(nil), noDPM.Initial...)
-	prev := 0.0
 	for _, t := range times {
-		if t < prev {
-			return nil, fmt.Errorf("experiments: sample times must be non-decreasing")
+		if t < 0 {
+			return nil, fmt.Errorf("experiments: sample times must not be negative")
 		}
-		dt := t - prev
-		var err error
-		piD, err = withDPM.TransientFromCtx(r.cfg.Ctx, piD, dt, 1e-9)
+		pD, _, err := withDPM.At(0, t)
 		if err != nil {
 			return nil, err
 		}
-		piN, err = noDPM.TransientFromCtx(r.cfg.Ctx, piN, dt, 1e-9)
+		pN, _, err := noDPM.At(0, t)
 		if err != nil {
 			return nil, err
 		}
-		prev = t
-		out = append(out, TransientPoint{Time: t, PEmptyDPM: emptyD.Prob(piD), PEmptyNoDPM: emptyN.Prob(piN)})
+		out = append(out, TransientPoint{Time: t, PEmptyDPM: pD, PEmptyNoDPM: pN})
 	}
 	return out, nil
 }

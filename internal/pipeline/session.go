@@ -180,8 +180,8 @@ func (s *Session) generate() (*lts.LTS, error) {
 // Chain returns the session's CTMC, built from the LTS on first use. The
 // chain is shared by every caller of the session and never changes once
 // built: solves, sweeps at any rate point and transient queries all only
-// read it (its solve plan and Poisson caches are internally
-// synchronized), so any number of goroutines may use it at once.
+// read it (its solve plan is internally synchronized), so any number of
+// goroutines may use it at once.
 func (s *Session) Chain() (*ctmc.CTMC, error) { return s.chain() }
 
 func (s *Session) build() (*ctmc.CTMC, error) {

@@ -162,11 +162,11 @@ func snapshotChain(t *testing.T, c *ctmc.CTMC, ms []measure.Measure) chainSnapsh
 
 // TestSharedChainUnchangedBySweeps pins that a built chain never changes:
 // on one rpc session and one minimized 12×12 streaming session, a Sweep
-// at 8 workers, Phase2 and a transient step run concurrently on the
-// session's one chain, and afterwards its rows, exit rates, throughput
-// at the built-in rates and compiled measures are bit-identical to a
-// snapshot taken before (reflect.DeepEqual compares floats with ==, and
-// none of them is NaN).
+// at 8 workers, Phase2 and a transient evaluation (ctmc.Series) run
+// concurrently on the session's one chain, and afterwards its rows, exit
+// rates, throughput at the built-in rates and compiled measures are
+// bit-identical to a snapshot taken before (reflect.DeepEqual compares
+// floats with ==, and none of them is NaN).
 func TestSharedChainUnchangedBySweeps(t *testing.T) {
 	rpc := models.DefaultRPCParams()
 	rpc.ParametricTimeout = true
@@ -214,12 +214,16 @@ func TestSharedChainUnchangedBySweeps(t *testing.T) {
 			}()
 			go func() {
 				defer wg.Done()
-				_, errs[2] = chain.TransientFromCtx(context.Background(), chain.Initial, 1, 0)
+				mass := make([]float64, chain.N)
+				for i := range mass {
+					mass[i] = 1
+				}
+				_, _, errs[2] = chain.Series(context.Background(), chain.Initial, mass).At(0, 1)
 			}()
 			wg.Wait()
 			for i, err := range errs {
 				if err != nil {
-					t.Fatalf("%s: %v", []string{"Sweep", "Phase2", "TransientFromCtx"}[i], err)
+					t.Fatalf("%s: %v", []string{"Sweep", "Phase2", "Series"}[i], err)
 				}
 			}
 

@@ -154,9 +154,11 @@ go test -timeout 10m -race ./...
 # Fault-injection smoke under the race detector at -cpu 1,2: injected
 # worker panics, cancellation at an exact iteration, a sweep canceled
 # and a sweep that fails to converge, each resumed from the result store
-# file (pipeline.FileStore) it was appending to, and a store whose Put
-# fails (TestSolveCancelAtIteration in internal/ctmc and the session
-# sweep's TestPhase2Sweep*Panic*/Cancel*/Checkpoint* and
+# file (pipeline.FileStore) it was appending to, a store whose Put fails,
+# and a uniformization series (ctmc.Series) canceled at an exact term
+# (TestSolveCancelAtIteration and TestTransientCancelMidSeries in
+# internal/ctmc and the session sweep's
+# TestPhase2Sweep*Panic*/Cancel*/Checkpoint* and
 # TestCheckpointResumeRejects properties in internal/pipeline — the
 # store tests keep the Checkpoint names of the sweep checkpoint they
 # replaced), plus the shared worker pool's own panic test
@@ -186,9 +188,10 @@ go test -timeout 10m -race -cpu 1,2 -run 'QuickOutputBytes|CheckpointResume' ./c
 # (TestSessionSingleFlight), sweep workers at 1, 2 and 8 solve one
 # session's chain at their points and evaluate its one compiled measure
 # set concurrently (TestSweepMatchesColdSolve), a sweep at 8 workers, a
-# Phase2 and a transient step run concurrently on one session's chain and
-# leave it bit-identical (TestSharedChainUnchangedBySweeps), concurrent
-# store reads hand out private copies of reports
+# Phase2 and a transient evaluation through its own ctmc.Series run
+# concurrently on one session's chain and leave it bit-identical
+# (TestSharedChainUnchangedBySweeps), concurrent store reads hand out
+# private copies of reports
 # (TestStoreHitMatchesFreshSolve), and the compiled measures at every
 # sweep point are bit-identical to the per-call oracle walk on the chain
 # built with the slots bound to the point (TestCompiledMeasuresMatchOracle
