@@ -272,28 +272,3 @@ func goldenFingerprints(t *testing.T) map[string]string {
 	}
 	return want
 }
-
-// TestFoldMemoResetInvariance pins that resetting the fold memo changes
-// nothing but speed: with the memo limit lowered to 64 tuples it resets
-// every few source states, and the minimized 12×12 streaming system still
-// matches its pinned fingerprint.
-func TestFoldMemoResetInvariance(t *testing.T) {
-	const name = "minimized/streaming-12x12"
-	want := goldenFingerprints(t)[name]
-	for _, c := range fingerprintCases(t) {
-		if c.name != name {
-			continue
-		}
-		opts := c.opts(t)
-		opts.Fold = lts.WithFoldMemoLimitForTest(*opts.Fold, 64)
-		l, err := lts.Generate(c.model(t), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ltsDigest(l); got != want {
-			t.Fatalf("%s with a 64-tuple fold memo: digest %s, want %s", name, got, want)
-		}
-		return
-	}
-	t.Fatalf("no fingerprint case %s", name)
-}

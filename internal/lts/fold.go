@@ -53,10 +53,12 @@ import (
 // tuple an expansion reaches gets a dense id in the memo's TupleTable, and
 // all expansion state lives in flat pools indexed by those ids: a verdict
 // per id, absorption terms and their attributions carved from shared
-// slabs, successor lists and pending branches on explicit stacks. A
-// vanishing state is expanded once per generation however many
-// transitions reach it, and since the verdict, term, attribution and mark
-// pools only grow by doubling, folding makes no allocation per state.
+// slabs, successor lists and pending branches on explicit stacks. The
+// memo and its pools live for one BFS level: the generator resets them
+// before a level's first state is expanded. A vanishing state is expanded
+// once per level however many transitions reach it, and since the
+// verdict, term, attribution and mark pools only grow by doubling and are
+// reused across levels, folding makes no allocation per state.
 
 // auxTerm is one observed-label attribution of a folded transition,
 // keyed by the label's name-unique compiled id (foldCtx.canon) until the
@@ -140,11 +142,6 @@ type termMark struct {
 	at    int32
 }
 
-// foldMemoLimit bounds the expansion memo; past it the memo is reset
-// before the next source state (a pure speed/memory trade-off — verdicts
-// are recomputed, never changed).
-const foldMemoLimit = 1 << 21
-
 // foldMaxDepth bounds the immediate-chain expansion: deeper chains (or
 // cycles, which ctmc.Build rejects as timeless traps anyway) keep the
 // intermediate state instead of folding it.
@@ -161,13 +158,12 @@ type foldCtx struct {
 	// name.
 	canon, rank []int32
 
-	memo      *statespace.TupleTable
-	memoLimit int
-	verdicts  []foldVerdict // by memo id
-	terms     []foldTerm
-	aux       []auxFlow
-	marks     []termMark // by memo id
-	stamp     uint32
+	memo     *statespace.TupleTable
+	verdicts []foldVerdict // by memo id
+	terms    []foldTerm
+	aux      []auxFlow
+	marks    []termMark // by memo id
+	stamp    uint32
 
 	// Stacks shared by nested expansions: each expansion pushes above its
 	// caller's region and truncates back before returning.
@@ -185,16 +181,11 @@ func newFoldCtx(c *elab.Compiled, opts *FoldOptions) *foldCtx {
 	if match == nil {
 		match = func(string) bool { return false }
 	}
-	limit := opts.memoLimit
-	if limit <= 0 {
-		limit = foldMemoLimit
-	}
 	fc := &foldCtx{
-		c:         c,
-		n:         c.NumInstances(),
-		match:     match,
-		memo:      statespace.NewTupleTable(c.NumInstances()),
-		memoLimit: limit,
+		c:     c,
+		n:     c.NumInstances(),
+		match: match,
+		memo:  statespace.NewTupleTable(c.NumInstances()),
 	}
 	order := make([]int32, c.NumLabels())
 	for i := range order {
@@ -229,8 +220,11 @@ func (fc *foldCtx) isObserved(id int32) bool {
 	return fc.observed[id] > 0
 }
 
-// reset empties the memo and its pools. It runs only between top-level
-// expansions: ids are held on the stacks while an expansion recurses.
+// reset empties the memo and its pools, keeping their capacity. The
+// generator calls it at every BFS level boundary, so a memo lives for one
+// level; verdicts are recomputed after it, never changed. It must run
+// between source states: ids are held on the stacks while an expansion
+// recurses, and foldTransitions' output points into the memo.
 func (fc *foldCtx) reset() {
 	fc.memo.Reset()
 	fc.verdicts = fc.verdicts[:0]
@@ -415,9 +409,6 @@ func (fc *foldCtx) addFlow(ti, label int32, flow float64) {
 // target. The returned transitions, their target tuples and attributions
 // are valid until the next call.
 func (fc *foldCtx) foldTransitions(succ []elab.Succ, next []uint32) ([]genTransition, error) {
-	if fc.memo.Len() >= fc.memoLimit {
-		fc.reset()
-	}
 	out := fc.out[:0]
 	fc.auxOut = fc.auxOut[:0]
 	for i := range succ {

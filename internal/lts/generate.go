@@ -59,9 +59,6 @@ type FoldOptions struct {
 	// label are recorded as reward attributions on the redirected edges.
 	// Nil observes nothing.
 	Observed func(label string) bool
-
-	// memoLimit overrides foldMemoLimit (tests only; 0 = default).
-	memoLimit int
 }
 
 // DefaultMaxStates is the state-count bound of generation when
@@ -286,6 +283,9 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		// state's dense identifier) surfaces as an error naming the state
 		// being expanded instead of taking down the process.
 		levelEnd, qi := states.Len(), levelStart
+		if fc != nil {
+			fc.reset() // the fold memo lives for one level
+		}
 		err := fault.Guard("lts.generate", 0, "", func() error {
 			for ; qi < levelEnd; qi++ {
 				if err := expand(qi); err != nil {
