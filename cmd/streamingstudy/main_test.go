@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 
 	"repro/internal/experiments"
 )
+
+var update = flag.Bool("update", false, "rewrite ../../results/streamingstudy_full.txt")
 
 // run drives the streamingstudy command line and returns what it prints.
 func run(args ...string) (string, error) {
@@ -64,6 +67,33 @@ func TestQuickOutputBytes(t *testing.T) {
 				t.Errorf("-quick %v -workers %s differs from testdata/%s:\n%s", args, workers, file, got)
 			}
 		}
+	}
+}
+
+// TestFullOutputBytes pins the bytes that a run of all at the default
+// settings prints to ../../results/streamingstudy_full.txt, the paper-scale
+// record; -update re-records the file.
+func TestFullOutputBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale study; skipped under -short")
+	}
+	got, err := run("-experiment", "all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("..", "..", "results", "streamingstudy_full.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("-experiment all differs from %s:\n%s", path, got)
 	}
 }
 

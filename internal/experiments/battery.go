@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/measure"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 )
 
 // BatteryPoint reports the battery-lifetime analysis of one rpc
@@ -29,29 +30,14 @@ type BatteryPoint struct {
 // the given energy budget powers the rpc server, starting from the
 // model's initial state: the root of E(t) = budget, where E is the
 // expected energy accumulated over [0, t] (one ctmc.Series per chain).
-// The four policies are analysed concurrently (Config.Workers) and
-// reported in taxonomy order. The sweep is over policies — a structural
-// parameter — so each point stages its own state space (sessions add the
-// measures' state predicates automatically).
+// The policies are analysed concurrently, each on its own state space
+// (runPolicies), and reported in taxonomy order; sessions add the
+// measures' state predicates automatically.
 func (r *Runner) BatteryLifetime(budget, timeout float64) ([]BatteryPoint, error) {
 	if budget <= 0 {
 		return nil, fmt.Errorf("experiments: budget must be positive")
 	}
-	policies := []models.Policy{
-		models.PolicyNone,
-		models.PolicyTrivial,
-		models.PolicyTimeout,
-		models.PolicyPredictive,
-	}
-	return RunPoints(policies, r.cfg.Workers, func(pol models.Policy) (BatteryPoint, error) {
-		p := models.DefaultRPCParams()
-		p.Policy = pol
-		p.WithDPM = pol != models.PolicyNone
-		p.ShutdownTimeout = timeout
-		s, err := r.rpcSession(p)
-		if err != nil {
-			return BatteryPoint{}, err
-		}
+	return runPolicies(r, timeout, func(pol models.Policy, p models.RPCParams, s *pipeline.Session) (BatteryPoint, error) {
 		chain, err := s.Chain()
 		if err != nil {
 			return BatteryPoint{}, err

@@ -120,10 +120,14 @@ var RPCStudy = &Study{
 		},
 	}, {
 		name: "fig3markov", figure: "Fig. 3 (left)", title: "Markovian rpc comparison", phases: phaseMarkovian,
-		run: tabled(func(r *Runner, c cut) ([]RPCPoint, error) { return r.Fig3Markov(c.grid) }, Fig3Rows),
+		run: tabled(func(r *Runner, c cut) ([]Comparison, error) {
+			return r.compareMarkov(rpcCase, c.scale, c.grid)
+		}, rpcCase.rows),
 	}, {
 		name: "fig3general", figure: "Fig. 3 (right)", title: "general rpc comparison (deterministic timings)", phases: phaseGeneral,
-		run: tabled(func(r *Runner, c cut) ([]RPCPoint, error) { return r.Fig3General(c.grid, c.sim) }, Fig3Rows),
+		run: tabled(func(r *Runner, c cut) ([]Comparison, error) {
+			return r.compareGeneral(rpcCase, c.scale, c.grid, c.sim)
+		}, rpcCase.rows),
 	}, {
 		name: "fig5", figure: "Fig. 5", title: "validation of the general model (exponential durations)", phases: phaseMarkovian | phaseGeneral,
 		run: tabled(func(r *Runner, c cut) ([]ValidationPoint, error) { return r.Fig5Validation(c.grid, c.sim) }, Fig5Rows),
@@ -139,7 +143,7 @@ var RPCStudy = &Study{
 		name: "fig7", figure: "Fig. 7", title: "energy/waiting-time trade-off", phases: phaseMarkovian | phaseGeneral,
 		inputs: []string{"fig3markov", "fig3general"},
 		run: func(_ *Runner, _ cut, in []any, rend render) (any, string, error) {
-			curves := RPCTradeoffCurves(in[0].([]RPCPoint), in[1].([]RPCPoint))
+			curves := tradeoff(in[0].([]Comparison), in[1].([]Comparison), "wait", "energy_per_req")
 			block := rend(TradeoffRows(curves, "waiting_time", "energy_per_request")) + "\n"
 			if dom := ParetoDominated(curves.General); len(dom) > 0 {
 				block += fmt.Sprintf("Pareto-dominated points on the general curve (timeouts near the idle period): %d\n", len(dom))
@@ -167,12 +171,14 @@ var StreamingStudy = &Study{
 		},
 	}, {
 		name: "fig4", figure: "Fig. 4", title: "Markovian streaming comparison", phases: phaseMarkovian,
-		run: tabled(func(r *Runner, c cut) ([]StreamingPoint, error) { return r.Fig4Markov(c.grid, c.scale) }, Fig4Rows),
+		run: tabled(func(r *Runner, c cut) ([]Comparison, error) {
+			return r.compareMarkov(streamingCase, c.scale, c.grid)
+		}, streamingCase.rows),
 	}, {
 		name: "fig6", figure: "Fig. 6", title: "general streaming comparison (CBR video, deadlines)", phases: phaseGeneral,
-		run: tabled(func(r *Runner, c cut) ([]StreamingPoint, error) {
-			return r.Fig6General(c.grid, c.scale, c.sim)
-		}, Fig4Rows),
+		run: tabled(func(r *Runner, c cut) ([]Comparison, error) {
+			return r.compareGeneral(streamingCase, c.scale, c.grid, c.sim)
+		}, streamingCase.rows),
 	}, {
 		name: "transient", figure: "Extension", title: "start-up transient (P[buffer empty](t), awake period 100 ms)", phases: phaseMarkovian,
 		run: tabled(func(r *Runner, c cut) ([]TransientPoint, error) {
@@ -182,7 +188,7 @@ var StreamingStudy = &Study{
 		name: "fig8", figure: "Fig. 8", title: "energy/miss trade-off", phases: phaseMarkovian | phaseGeneral,
 		inputs: []string{"fig4", "fig6"},
 		run: func(_ *Runner, _ cut, in []any, rend render) (any, string, error) {
-			curves := StreamingTradeoffCurves(in[0].([]StreamingPoint), in[1].([]StreamingPoint))
+			curves := tradeoff(in[0].([]Comparison), in[1].([]Comparison), "miss", "energy_per_frame")
 			return curves, rend(TradeoffRows(curves, "miss_rate", "energy_per_frame")) + "\n", nil
 		},
 	}},

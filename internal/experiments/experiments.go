@@ -1,12 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation: the Sect. 3 noninterference verdicts and diagnostic formula,
-// the Markovian comparisons of Fig. 3 (left) and Fig. 4, the
-// cross-validation of Fig. 5, the general-model simulations of Fig. 3
-// (right) and Fig. 6, and the energy/quality trade-off curves of Fig. 7
-// and Fig. 8, plus the policy, battery and start-up transient extensions.
-// Each experiment returns structured results; the catalog (catalog.go)
-// lists them once, and RunStudy, the command line of cmd/rpcstudy and
-// cmd/streamingstudy, runs and prints them from it.
+// the with/without-DPM comparisons of Figs. 3, 4 and 6, the
+// cross-validation of Fig. 5, and the energy/quality trade-off curves of
+// Figs. 7 and 8, plus the policy, battery and start-up transient
+// extensions. The comparisons are one procedure (compare.go): a driver
+// per phase, Markovian and general, applied to two case-study values,
+// rpcCase and streamingCase, each naming its DPM knob, its indices and
+// its models. Each experiment returns structured results; the catalog
+// (catalog.go) lists them once, and RunStudy, the command line of
+// cmd/rpcstudy and cmd/streamingstudy, runs and prints them from it.
 package experiments
 
 import (

@@ -65,7 +65,7 @@ func TestSect3StreamingFullScale(t *testing.T) {
 }
 
 func TestFig3MarkovShapes(t *testing.T) {
-	pts, err := newStudy().Fig3Markov([]float64{0.5, 5, 25})
+	pts, err := newStudy().compareMarkov(rpcCase, Full, []float64{0.5, 5, 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,45 +73,45 @@ func TestFig3MarkovShapes(t *testing.T) {
 		t.Fatalf("points = %d", len(pts))
 	}
 	for _, pt := range pts {
-		if !(pt.WithDPM.Throughput < pt.NoDPM.Throughput) {
+		if !(pt.WithDPM["thr"] < pt.NoDPM["thr"]) {
 			t.Errorf("timeout %v: DPM throughput %v !< no-DPM %v",
-				pt.Timeout, pt.WithDPM.Throughput, pt.NoDPM.Throughput)
+				pt.Knob, pt.WithDPM["thr"], pt.NoDPM["thr"])
 		}
-		if !(pt.WithDPM.WaitingTime > pt.NoDPM.WaitingTime) {
+		if !(pt.WithDPM["wait"] > pt.NoDPM["wait"]) {
 			t.Errorf("timeout %v: DPM waiting %v !> no-DPM %v",
-				pt.Timeout, pt.WithDPM.WaitingTime, pt.NoDPM.WaitingTime)
+				pt.Knob, pt.WithDPM["wait"], pt.NoDPM["wait"])
 		}
-		if !(pt.WithDPM.EnergyPerRequest < pt.NoDPM.EnergyPerRequest) {
+		if !(pt.WithDPM["energy_per_req"] < pt.NoDPM["energy_per_req"]) {
 			t.Errorf("timeout %v: DPM energy/req %v !< no-DPM %v (Markovian DPM is never counterproductive)",
-				pt.Timeout, pt.WithDPM.EnergyPerRequest, pt.NoDPM.EnergyPerRequest)
+				pt.Knob, pt.WithDPM["energy_per_req"], pt.NoDPM["energy_per_req"])
 		}
 	}
 	// Shorter timeout → larger impact.
-	if !(pts[0].WithDPM.EnergyPerRequest < pts[2].WithDPM.EnergyPerRequest) {
+	if !(pts[0].WithDPM["energy_per_req"] < pts[2].WithDPM["energy_per_req"]) {
 		t.Error("energy/request should grow with the timeout")
 	}
-	if !(pts[0].WithDPM.Throughput < pts[2].WithDPM.Throughput) {
+	if !(pts[0].WithDPM["thr"] < pts[2].WithDPM["thr"]) {
 		t.Error("throughput should grow with the timeout")
 	}
 }
 
 func TestFig3GeneralBimodal(t *testing.T) {
 	settings := pipeline.SimSettings{RunLength: 4000, Replications: 6}
-	pts, err := newStudy().Fig3General([]float64{2, 10, 20}, settings)
+	pts, err := newStudy().compareGeneral(rpcCase, Full, []float64{2, 10, 20}, settings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	small, knee, large := pts[0], pts[1], pts[2]
 	// Region 1 (timeout below the ~11.3 ms mean idle period): flat
 	// penalty, energy grows with the timeout.
-	if !(small.WithDPM.EnergyPerRequest < knee.WithDPM.EnergyPerRequest) {
+	if !(small.WithDPM["energy_per_req"] < knee.WithDPM["energy_per_req"]) {
 		t.Errorf("energy should grow with timeout below the knee: %v !< %v",
-			small.WithDPM.EnergyPerRequest, knee.WithDPM.EnergyPerRequest)
+			small.WithDPM["energy_per_req"], knee.WithDPM["energy_per_req"])
 	}
 	// Near the knee the DPM is counterproductive (paper's key finding).
-	if !(knee.WithDPM.EnergyPerRequest > knee.NoDPM.EnergyPerRequest) {
+	if !(knee.WithDPM["energy_per_req"] > knee.NoDPM["energy_per_req"]) {
 		t.Errorf("DPM should be counterproductive near the knee: %v !> %v",
-			knee.WithDPM.EnergyPerRequest, knee.NoDPM.EnergyPerRequest)
+			knee.WithDPM["energy_per_req"], knee.NoDPM["energy_per_req"])
 	}
 	// Region 2 (timeout above the idle period): DPM has no effect.
 	relDiff := func(a, b float64) float64 {
@@ -121,40 +121,40 @@ func TestFig3GeneralBimodal(t *testing.T) {
 		}
 		return d / b
 	}
-	if relDiff(large.WithDPM.Throughput, large.NoDPM.Throughput) > 0.02 {
+	if relDiff(large.WithDPM["thr"], large.NoDPM["thr"]) > 0.02 {
 		t.Errorf("above the knee the DPM should be inert: thr %v vs %v",
-			large.WithDPM.Throughput, large.NoDPM.Throughput)
+			large.WithDPM["thr"], large.NoDPM["thr"])
 	}
-	if !(small.WithDPM.Throughput < large.WithDPM.Throughput) {
+	if !(small.WithDPM["thr"] < large.WithDPM["thr"]) {
 		t.Error("throughput penalty should vanish above the knee")
 	}
 }
 
 func TestFig4MarkovShapes(t *testing.T) {
-	pts, err := newStudy().Fig4Markov([]float64{25, 100, 400}, Quick)
+	pts, err := newStudy().compareMarkov(streamingCase, Quick, []float64{25, 100, 400})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Energy per frame decreases with the awake period and is always
 	// below the no-DPM level.
 	for _, pt := range pts {
-		if !(pt.WithDPM.EnergyPerFrame < pt.NoDPM.EnergyPerFrame) {
+		if !(pt.WithDPM["energy_per_frame"] < pt.NoDPM["energy_per_frame"]) {
 			t.Errorf("period %v: energy %v !< no-DPM %v",
-				pt.Period, pt.WithDPM.EnergyPerFrame, pt.NoDPM.EnergyPerFrame)
+				pt.Knob, pt.WithDPM["energy_per_frame"], pt.NoDPM["energy_per_frame"])
 		}
 	}
-	if !(pts[2].WithDPM.EnergyPerFrame < pts[0].WithDPM.EnergyPerFrame) {
+	if !(pts[2].WithDPM["energy_per_frame"] < pts[0].WithDPM["energy_per_frame"]) {
 		t.Error("energy per frame should decrease with the awake period")
 	}
 	// Miss grows, quality falls.
-	if !(pts[2].WithDPM.Miss > pts[0].WithDPM.Miss) {
+	if !(pts[2].WithDPM["miss"] > pts[0].WithDPM["miss"]) {
 		t.Error("miss should increase with the awake period")
 	}
-	if !(pts[2].WithDPM.Quality < pts[0].WithDPM.Quality) {
+	if !(pts[2].WithDPM["quality"] < pts[0].WithDPM["quality"]) {
 		t.Error("quality should decrease with the awake period")
 	}
 	// Loss grows for large periods.
-	if !(pts[2].WithDPM.Loss > pts[0].WithDPM.Loss) {
+	if !(pts[2].WithDPM["loss"] > pts[0].WithDPM["loss"]) {
 		t.Error("loss should increase for large awake periods")
 	}
 }
@@ -177,45 +177,45 @@ func TestFig5ValidationConsistency(t *testing.T) {
 
 func TestFig6GeneralShapes(t *testing.T) {
 	settings := pipeline.SimSettings{RunLength: 60000, Warmup: 30000, Replications: 4}
-	pts, err := newStudy().Fig6General([]float64{50, 800}, Full, settings)
+	pts, err := newStudy().compareGeneral(streamingCase, Full, []float64{50, 800}, settings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	smallP, largeP := pts[0], pts[1]
 	// Plateau: small awake periods have no loss and (near-)perfect
 	// quality while already saving sizeable energy.
-	if smallP.WithDPM.Loss != 0 {
-		t.Errorf("no loss expected at 50 ms, got %v", smallP.WithDPM.Loss)
+	if smallP.WithDPM["loss"] != 0 {
+		t.Errorf("no loss expected at 50 ms, got %v", smallP.WithDPM["loss"])
 	}
-	if smallP.WithDPM.Quality < 0.95 {
-		t.Errorf("quality at 50 ms should stay high, got %v", smallP.WithDPM.Quality)
+	if smallP.WithDPM["quality"] < 0.95 {
+		t.Errorf("quality at 50 ms should stay high, got %v", smallP.WithDPM["quality"])
 	}
-	if !(smallP.WithDPM.EnergyPerFrame < 0.6*smallP.NoDPM.EnergyPerFrame) {
+	if !(smallP.WithDPM["energy_per_frame"] < 0.6*smallP.NoDPM["energy_per_frame"]) {
 		t.Errorf("at 50 ms expect >40%% saving: %v vs %v",
-			smallP.WithDPM.EnergyPerFrame, smallP.NoDPM.EnergyPerFrame)
+			smallP.WithDPM["energy_per_frame"], smallP.NoDPM["energy_per_frame"])
 	}
 	// Beyond the client-buffer cushion, quality collapses and loss
 	// appears.
-	if !(largeP.WithDPM.Miss > smallP.WithDPM.Miss+0.05) {
+	if !(largeP.WithDPM["miss"] > smallP.WithDPM["miss"]+0.05) {
 		t.Errorf("miss should rise at 800 ms: %v vs %v",
-			largeP.WithDPM.Miss, smallP.WithDPM.Miss)
+			largeP.WithDPM["miss"], smallP.WithDPM["miss"])
 	}
-	if !(largeP.WithDPM.Loss > 0) {
+	if !(largeP.WithDPM["loss"] > 0) {
 		t.Error("loss should appear at 800 ms")
 	}
 }
 
 func TestFig7TradeoffMonotone(t *testing.T) {
 	r, timeouts := newStudy(), []float64{1, 8, 20}
-	markov, err := r.Fig3Markov(timeouts)
+	markov, err := r.compareMarkov(rpcCase, Full, timeouts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	general, err := r.Fig3General(timeouts, pipeline.SimSettings{RunLength: 3000, Replications: 4})
+	general, err := r.compareGeneral(rpcCase, Full, timeouts, pipeline.SimSettings{RunLength: 3000, Replications: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	curves := RPCTradeoffCurves(markov, general)
+	curves := tradeoff(markov, general, "wait", "energy_per_req")
 	if len(curves.Markov) != 3 || len(curves.General) != 3 {
 		t.Fatalf("curve sizes: %d, %d", len(curves.Markov), len(curves.General))
 	}
@@ -234,16 +234,16 @@ func TestFig7TradeoffMonotone(t *testing.T) {
 
 func TestFig8TradeoffShapes(t *testing.T) {
 	r, periods := newStudy(), []float64{50, 400}
-	markov, err := r.Fig4Markov(periods, Quick)
+	markov, err := r.compareMarkov(streamingCase, Quick, periods)
 	if err != nil {
 		t.Fatal(err)
 	}
-	general, err := r.Fig6General(periods, Quick,
+	general, err := r.compareGeneral(streamingCase, Quick, periods,
 		pipeline.SimSettings{RunLength: 30000, Warmup: 5000, Replications: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := StreamingTradeoffCurves(markov, general).Markov
+	m := tradeoff(markov, general, "miss", "energy_per_frame").Markov
 	// Longer awake period: lower energy, higher miss.
 	if !(m[1].Y < m[0].Y && m[1].X > m[0].X) {
 		t.Errorf("Markov streaming tradeoff not monotone: %+v", m)
@@ -279,18 +279,14 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestRowRenderers(t *testing.T) {
-	pts := []RPCPoint{{Timeout: 5}}
-	h, rows := Fig3Rows(pts)
-	if len(h) != 7 || len(rows) != 1 || rows[0][0] != "5" {
-		t.Errorf("Fig3Rows: %v %v", h, rows)
-	}
-	sp := []StreamingPoint{{Period: 100}}
-	h, rows = Fig4Rows(sp)
-	if len(h) != 9 || len(rows) != 1 {
-		t.Errorf("Fig4Rows: %v %v", h, rows)
+	for c, cols := range map[*caseStudy]int{rpcCase: 7, streamingCase: 9} {
+		h, rows := c.rows([]Comparison{{Knob: 5}})
+		if len(h) != cols || h[0] != c.knob || len(rows) != 1 || rows[0][0] != "5" {
+			t.Errorf("%s rows: %v %v", c.knob, h, rows)
+		}
 	}
 	vp := []ValidationPoint{{Timeout: 5, WithinCI: true}}
-	h, rows = Fig5Rows(vp)
+	h, rows := Fig5Rows(vp)
 	if len(h) != 8 || rows[0][6] != "yes" {
 		t.Errorf("Fig5Rows: %v %v", h, rows)
 	}
@@ -309,7 +305,7 @@ func TestPolicyComparisonOrderings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := make(map[string]RPCMetrics, len(pts))
+	byName := make(map[string]map[string]float64, len(pts))
 	for _, pt := range pts {
 		byName[pt.Policy.String()] = pt.Metrics
 	}
@@ -320,24 +316,24 @@ func TestPolicyComparisonOrderings(t *testing.T) {
 		if name == "none" {
 			continue
 		}
-		if !(m.EnergyPerRequest < none.EnergyPerRequest) {
-			t.Errorf("%s should save energy: %v !< %v", name, m.EnergyPerRequest, none.EnergyPerRequest)
+		if !(m["energy_per_req"] < none["energy_per_req"]) {
+			t.Errorf("%s should save energy: %v !< %v", name, m["energy_per_req"], none["energy_per_req"])
 		}
-		if !(m.Throughput < none.Throughput) {
-			t.Errorf("%s should cost throughput: %v !< %v", name, m.Throughput, none.Throughput)
+		if !(m["thr"] < none["thr"]) {
+			t.Errorf("%s should cost throughput: %v !< %v", name, m["thr"], none["thr"])
 		}
 	}
 	// Trivial is the most aggressive (most saving, worst latency);
 	// predictive the most conservative among the active policies.
-	if !(trivial.EnergyPerRequest < timeout.EnergyPerRequest &&
-		timeout.EnergyPerRequest < predictive.EnergyPerRequest) {
+	if !(trivial["energy_per_req"] < timeout["energy_per_req"] &&
+		timeout["energy_per_req"] < predictive["energy_per_req"]) {
 		t.Errorf("energy ordering trivial < timeout < predictive violated: %v %v %v",
-			trivial.EnergyPerRequest, timeout.EnergyPerRequest, predictive.EnergyPerRequest)
+			trivial["energy_per_req"], timeout["energy_per_req"], predictive["energy_per_req"])
 	}
-	if !(predictive.WaitingTime < timeout.WaitingTime &&
-		timeout.WaitingTime < trivial.WaitingTime) {
+	if !(predictive["wait"] < timeout["wait"] &&
+		timeout["wait"] < trivial["wait"]) {
 		t.Errorf("waiting ordering predictive < timeout < trivial violated: %v %v %v",
-			predictive.WaitingTime, timeout.WaitingTime, trivial.WaitingTime)
+			predictive["wait"], timeout["wait"], trivial["wait"])
 	}
 	h, rows := PolicyRows(pts)
 	if len(h) != 4 || len(rows) != 4 {
@@ -451,19 +447,14 @@ func TestBatteryLifetimeAsymptote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	steady, err := runPolicies(r, 5, func(_ models.Policy, _ models.RPCParams, s *pipeline.Session) (*pipeline.Phase2Report, error) {
+		return s.Phase2()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, pt := range short {
-		p := models.DefaultRPCParams()
-		p.Policy = pt.Policy
-		p.WithDPM = pt.Policy != models.PolicyNone
-		p.ShutdownTimeout = 5
-		s, err := r.rpcSession(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Phase2()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := steady[i]
 		dL := long[i].Lifetime - pt.Lifetime
 		if want := budget / rep.Values["energy"]; math.Abs(dL-want) > 1e-9*want {
 			t.Errorf("%s: L(2B) − L(B) = %v, want B ÷ g = %v", pt.Policy, dL, want)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/models"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
@@ -29,17 +28,15 @@ type ValidationPoint struct {
 // Markovian model with no duration overrides, so every activity draws
 // from the exponential its rate declares (30 runs, 90% confidence
 // intervals in the paper's setting), and the server energy consumption is
-// compared with the analytic solution (rpcWithDPM). The simulated points
+// compared with the analytic solution (dpmValues). The simulated points
 // run concurrently (Config.Workers) and are reported in timeout order.
 func (r *Runner) Fig5Validation(timeouts []float64, settings pipeline.SimSettings) ([]ValidationPoint, error) {
 	if timeouts == nil {
 		timeouts = []float64{1, 5, 10, 15, 20, 25}
 	}
-	r.applyRPCSimDefaults(&settings)
+	settings = rpcCase.simSettings(settings)
 
-	p0 := models.DefaultRPCParams()
-	p0.WithDPM = false
-	s0, err := r.rpcSession(p0)
+	s0, _, err := rpcCase.model(r, Full, variant{})
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +49,7 @@ func (r *Runner) Fig5Validation(timeouts []float64, settings pipeline.SimSetting
 		return nil, err
 	}
 	exact0, sim0 := rep0.Values["energy"], simRep0.Estimates["energy"]
-	exact, err := r.rpcWithDPM(timeouts)
+	exact, err := r.dpmValues(rpcCase, Full, timeouts)
 	if err != nil {
 		return nil, err
 	}
@@ -63,9 +60,7 @@ func (r *Runner) Fig5Validation(timeouts []float64, settings pipeline.SimSetting
 	}
 	return RunPoints(idx, r.cfg.Workers, func(i int) (ValidationPoint, error) {
 		T := timeouts[i]
-		p := models.DefaultRPCParams()
-		p.ShutdownTimeout = T
-		s, err := r.rpcSession(p)
+		s, _, err := rpcCase.model(r, Full, variant{dpm: true, knob: T})
 		if err != nil {
 			return ValidationPoint{}, err
 		}

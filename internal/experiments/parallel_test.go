@@ -32,22 +32,30 @@ func TestRunPointsPanic(t *testing.T) {
 	}
 }
 
-// TestFig3GeneralWorkerDeterminism is the tentpole's acceptance check:
-// the same seed produces identical sweep output at workers=1 and
-// workers=8, both across sweep points and across the replications inside
-// each point.
-func TestFig3GeneralWorkerDeterminism(t *testing.T) {
-	run := func(workers int) []RPCPoint {
-		pts, err := NewRunner(pipeline.Config{Workers: workers}).Fig3General([]float64{2, 10, 20},
-			pipeline.SimSettings{RunLength: 600, Replications: 4})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+// TestCompareWorkerDeterminism pins both comparison drivers to the
+// engine's determinism contract: the same seed produces identical output
+// at workers=1 and workers=8, across knob points and the replications
+// inside each point (the general phase), and through the rate-parametric
+// sweep with no simulation (the Markovian phase).
+func TestCompareWorkerDeterminism(t *testing.T) {
+	for name, compare := range map[string]func(*Runner) ([]Comparison, error){
+		"general rpc": func(r *Runner) ([]Comparison, error) {
+			return r.compareGeneral(rpcCase, Full, []float64{2, 10, 20}, pipeline.SimSettings{RunLength: 600, Replications: 4})
+		},
+		"Markovian streaming": func(r *Runner) ([]Comparison, error) {
+			return r.compareMarkov(streamingCase, Quick, []float64{50, 200, 400})
+		},
+	} {
+		var pts [2][]Comparison
+		for i, workers := range []int{1, 8} {
+			var err error
+			if pts[i], err = compare(NewRunner(pipeline.Config{Workers: workers})); err != nil {
+				t.Fatalf("%s, workers=%d: %v", name, workers, err)
+			}
 		}
-		return pts
-	}
-	seq, par := run(1), run(8)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("Fig3General differs between workers=1 and workers=8:\nseq: %+v\npar: %+v", seq, par)
+		if !reflect.DeepEqual(pts[0], pts[1]) {
+			t.Errorf("%s comparison differs between workers=1 and workers=8:\nseq: %+v\npar: %+v", name, pts[0], pts[1])
+		}
 	}
 }
 
@@ -66,22 +74,6 @@ func TestFig5ValidationWorkerDeterminism(t *testing.T) {
 	seq, par := run(1), run(8)
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("Fig5Validation differs between workers=1 and workers=8:\nseq: %+v\npar: %+v", seq, par)
-	}
-}
-
-// TestFig4MarkovWorkerDeterminism pins the pure-Markovian sweep path
-// (RunPoints + cached models, no simulation) to the same contract.
-func TestFig4MarkovWorkerDeterminism(t *testing.T) {
-	run := func(workers int) []StreamingPoint {
-		pts, err := NewRunner(pipeline.Config{Workers: workers}).Fig4Markov([]float64{50, 200, 400}, Quick)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return pts
-	}
-	seq, par := run(1), run(8)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("Fig4Markov differs between workers=1 and workers=8:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
 

@@ -38,15 +38,15 @@ func NewRunner(cfg pipeline.Config) *Runner {
 	return &Runner{cfg: cfg}
 }
 
-// dpmValues solves the with-DPM model at every knob value x of grid
-// (shutdown timeout or awake period) and returns the measure values in
-// grid order. The positive values share one generated state space and
-// built chain: they run as one rate-parametric sweep of param, whose slot
-// takes 1/x (the value a fresh build at x would use). A non-positive
-// value makes the DPM action immediate — a structurally different model
-// — and is solved on its own session, at(x); such points run
-// concurrently (Config.Workers).
-func (r *Runner) dpmValues(grid []float64, param *pipeline.Session, at func(x float64) (*pipeline.Session, error)) ([]map[string]float64, error) {
+// dpmValues solves the with-DPM model of c at every knob value x of grid
+// and returns the measure values in grid order. The positive values share
+// one generated state space and built chain: they run as one
+// rate-parametric sweep of the parametric variant, whose slot takes 1/x
+// (the value a fresh build at x would use). A non-positive value makes
+// the DPM action immediate — a structurally different model — and is
+// solved on its own session; such points run concurrently
+// (Config.Workers).
+func (r *Runner) dpmValues(c *caseStudy, scale Scale, grid []float64) ([]map[string]float64, error) {
 	vals := make([]map[string]float64, len(grid))
 	var swept [][]float64
 	var sweptIdx, fallback []int
@@ -59,6 +59,10 @@ func (r *Runner) dpmValues(grid []float64, param *pipeline.Session, at func(x fl
 		}
 	}
 	if len(swept) > 0 {
+		param, _, err := c.model(r, scale, variant{dpm: true, parametric: true})
+		if err != nil {
+			return nil, err
+		}
 		reps, err := param.Sweep(swept)
 		if err != nil {
 			return nil, err
@@ -68,7 +72,7 @@ func (r *Runner) dpmValues(grid []float64, param *pipeline.Session, at func(x fl
 		}
 	}
 	solved, err := RunPoints(fallback, r.cfg.Workers, func(i int) (map[string]float64, error) {
-		s, err := at(grid[i])
+		s, _, err := c.model(r, scale, variant{dpm: true, knob: grid[i]})
 		if err != nil {
 			return nil, err
 		}
@@ -101,14 +105,4 @@ func (r *Runner) rpcSession(p models.RPCParams) (*pipeline.Session, error) {
 		return nil, err
 	}
 	return r.session(a, models.RPCMeasures(p)), nil
-}
-
-// streamingSession returns a session on the streaming model at p (see
-// rpcSession).
-func (r *Runner) streamingSession(p models.StreamingParams) (*pipeline.Session, error) {
-	a, err := models.BuildStreaming(p)
-	if err != nil {
-		return nil, err
-	}
-	return r.session(a, models.StreamingMeasures(p)), nil
 }

@@ -9,78 +9,66 @@ import (
 	"repro/internal/lts"
 )
 
-// TestFig3MarkovGeneratesOncePerStructure pins the generate-once contract
-// of the rate-parametric sweep engine with the lts.GenerateCalls hook: a
-// Fig. 3 sweep over positive timeouts generates exactly two state spaces
-// (the no-DPM baseline and the shared with-DPM structure), however many
-// points it has; a structure-changing timeout (<= 0) adds one generation
-// for its own per-point build. No test in this package runs in parallel,
-// so the process-wide counter deltas are exact.
-func TestFig3MarkovGeneratesOncePerStructure(t *testing.T) {
-	before := lts.GenerateCalls()
-	if _, err := newStudy().Fig3Markov([]float64{0.5, 5, 25}); err != nil {
-		t.Fatal(err)
-	}
-	if got := lts.GenerateCalls() - before; got != 2 {
-		t.Fatalf("Fig3Markov over 3 positive timeouts ran Generate %d times, want 2 (baseline + one shared sweep structure)", got)
-	}
-
-	before = lts.GenerateCalls()
-	if _, err := newStudy().Fig3Markov([]float64{0, 5, 25}); err != nil {
-		t.Fatal(err)
-	}
-	if got := lts.GenerateCalls() - before; got != 3 {
-		t.Fatalf("Fig3Markov with a structure-changing timeout ran Generate %d times, want 3 (baseline + sweep + timeout-0 fallback)", got)
-	}
-}
-
-// TestFig4MarkovGeneratesOncePerStructure is the streaming counterpart:
-// one generation for the no-DPM baseline, one for all positive periods.
-func TestFig4MarkovGeneratesOncePerStructure(t *testing.T) {
-	before := lts.GenerateCalls()
-	if _, err := newStudy().Fig4Markov([]float64{50, 100, 400}, Quick); err != nil {
-		t.Fatal(err)
-	}
-	if got := lts.GenerateCalls() - before; got != 2 {
-		t.Fatalf("Fig4Markov over 3 positive periods ran Generate %d times, want 2 (baseline + one shared sweep structure)", got)
+// TestCompareMarkovGeneratesOncePerStructure pins the generate-once
+// contract of the rate-parametric sweep engine with the lts.GenerateCalls
+// hook: a Markovian comparison over positive knob values generates
+// exactly two state spaces (the no-DPM baseline and the shared with-DPM
+// structure), however many points it has; a structure-changing knob
+// (<= 0) adds one generation for its own per-point build. No test in this
+// package runs in parallel, so the process-wide counter deltas are exact.
+func TestCompareMarkovGeneratesOncePerStructure(t *testing.T) {
+	for _, c := range []struct {
+		study *caseStudy
+		scale Scale
+		grid  []float64
+		want  int64
+	}{
+		{rpcCase, Full, []float64{0.5, 5, 25}, 2},
+		{rpcCase, Full, []float64{0, 5, 25}, 3},
+		{streamingCase, Quick, []float64{50, 100, 400}, 2},
+	} {
+		before := lts.GenerateCalls()
+		if _, err := newStudy().compareMarkov(c.study, c.scale, c.grid); err != nil {
+			t.Fatal(err)
+		}
+		if got := lts.GenerateCalls() - before; got != c.want {
+			t.Errorf("%s %v ran Generate %d times, want %d (baseline + one shared sweep structure + one per knob <= 0)",
+				c.study.knob, c.grid, got, c.want)
+		}
 	}
 }
 
 // TestTradeoffCurvesFromPoints covers the trade-off grid construction in
-// isolation: already-computed Fig. 3/4 point slices map into curves with
-// the right knob/penalty/energy coordinates and no further solves.
+// isolation: already-computed comparisons map into curves with the right
+// knob/penalty/energy coordinates and no further solves.
 func TestTradeoffCurvesFromPoints(t *testing.T) {
-	rpc := []RPCPoint{
-		{Timeout: 1, WithDPM: RPCMetrics{Throughput: 0.09, WaitingTime: 3, EnergyPerRequest: 20}},
-		{Timeout: 10, WithDPM: RPCMetrics{Throughput: 0.08, WaitingTime: 5, EnergyPerRequest: 12}},
-	}
-	curves := RPCTradeoffCurves(rpc, rpc[:1])
-	if len(curves.Markov) != 2 || len(curves.General) != 1 {
-		t.Fatalf("curve sizes: markov %d, general %d", len(curves.Markov), len(curves.General))
-	}
-	for i, pt := range rpc {
-		got := curves.Markov[i]
-		if got.Knob != pt.Timeout || got.X != pt.WithDPM.WaitingTime || got.Y != pt.WithDPM.EnergyPerRequest {
-			t.Errorf("rpc point %d mapped to %+v", i, got)
+	for _, c := range []struct {
+		x, y    string
+		points  []Comparison
+		general int // the points the general curve is built from
+	}{
+		{"wait", "energy_per_req", []Comparison{
+			{Knob: 1, WithDPM: map[string]float64{"thr": 0.09, "wait": 3, "energy_per_req": 20}},
+			{Knob: 10, WithDPM: map[string]float64{"thr": 0.08, "wait": 5, "energy_per_req": 12}},
+		}, 1},
+		{"miss", "energy_per_frame", []Comparison{
+			{Knob: 100, WithDPM: map[string]float64{"energy_per_frame": 2, "miss": 0.01}},
+			{Knob: 400, WithDPM: map[string]float64{"energy_per_frame": 1, "miss": 0.2}},
+		}, 0},
+	} {
+		curves := tradeoff(c.points, c.points[:c.general], c.x, c.y)
+		if len(curves.Markov) != len(c.points) || len(curves.General) != c.general || (c.general == 0) != (curves.General == nil) {
+			t.Fatalf("%s curve sizes: markov %d, general %v", c.x, len(curves.Markov), curves.General)
 		}
-	}
-
-	str := []StreamingPoint{
-		{Period: 100, WithDPM: StreamingMetrics{EnergyPerFrame: 2, Miss: 0.01}},
-		{Period: 400, WithDPM: StreamingMetrics{EnergyPerFrame: 1, Miss: 0.2}},
-	}
-	sc := StreamingTradeoffCurves(str, nil)
-	if len(sc.Markov) != 2 || sc.General != nil {
-		t.Fatalf("curve sizes: markov %d, general %v", len(sc.Markov), sc.General)
-	}
-	for i, pt := range str {
-		got := sc.Markov[i]
-		if got.Knob != pt.Period || got.X != pt.WithDPM.Miss || got.Y != pt.WithDPM.EnergyPerFrame {
-			t.Errorf("streaming point %d mapped to %+v", i, got)
+		for i, pt := range c.points {
+			got := curves.Markov[i]
+			if got.Knob != pt.Knob || got.X != pt.WithDPM[c.x] || got.Y != pt.WithDPM[c.y] {
+				t.Errorf("%s point %d mapped to %+v", c.x, i, got)
+			}
 		}
-	}
-	if d := ParetoDominated(sc.Markov); len(d) != 0 {
-		t.Errorf("neither synthetic streaming point dominates the other, got %v", d)
+		if d := ParetoDominated(curves.Markov); len(d) != 0 {
+			t.Errorf("%s: neither synthetic point dominates the other, got %v", c.x, d)
+		}
 	}
 }
 
