@@ -32,31 +32,29 @@ func TestRunPointsPanic(t *testing.T) {
 	}
 }
 
-// TestCompareWorkerDeterminism pins both comparison drivers to the
-// engine's determinism contract: the same seed produces identical output
-// at workers=1 and workers=8, across knob points and the replications
-// inside each point (the general phase), and through the rate-parametric
-// sweep with no simulation (the Markovian phase).
-func TestCompareWorkerDeterminism(t *testing.T) {
-	for name, compare := range map[string]func(*Runner) ([]Comparison, error){
-		"general rpc": func(r *Runner) ([]Comparison, error) {
-			return r.compareGeneral(rpcCase, Full, []float64{2, 10, 20}, pipeline.SimSettings{RunLength: 600, Replications: 4})
-		},
-		"Markovian streaming": func(r *Runner) ([]Comparison, error) {
-			return r.compareMarkov(streamingCase, Quick, []float64{50, 200, 400})
-		},
-	} {
-		var pts [2][]Comparison
-		for i, workers := range []int{1, 8} {
-			var err error
-			if pts[i], err = compare(NewRunner(pipeline.Config{Workers: workers})); err != nil {
-				t.Fatalf("%s, workers=%d: %v", name, workers, err)
-			}
-		}
-		if !reflect.DeepEqual(pts[0], pts[1]) {
-			t.Errorf("%s comparison differs between workers=1 and workers=8:\nseq: %+v\npar: %+v", name, pts[0], pts[1])
+// checkWorkerDeterminism pins a comparison driver to the engine's
+// determinism contract: the same seed produces identical output at
+// workers=1 and workers=8.
+func checkWorkerDeterminism(t *testing.T, name string, compare func(*Runner) ([]Comparison, error)) {
+	t.Helper()
+	var pts [2][]Comparison
+	for i, workers := range []int{1, 8} {
+		var err error
+		if pts[i], err = compare(NewRunner(pipeline.Config{Workers: workers})); err != nil {
+			t.Fatalf("%s, workers=%d: %v", name, workers, err)
 		}
 	}
+	if !reflect.DeepEqual(pts[0], pts[1]) {
+		t.Errorf("%s comparison differs between workers=1 and workers=8:\nseq: %+v\npar: %+v", name, pts[0], pts[1])
+	}
+}
+
+// TestFig3GeneralWorkerDeterminism covers the general phase of the rpc
+// comparison, across knob points and the replications inside each point.
+func TestFig3GeneralWorkerDeterminism(t *testing.T) {
+	checkWorkerDeterminism(t, "general rpc", func(r *Runner) ([]Comparison, error) {
+		return r.compareGeneral(rpcCase, Full, []float64{2, 10, 20}, pipeline.SimSettings{RunLength: 600, Replications: 4})
+	})
 }
 
 // TestFig5ValidationWorkerDeterminism covers the mixed analytic+simulated
@@ -75,6 +73,14 @@ func TestFig5ValidationWorkerDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("Fig5Validation differs between workers=1 and workers=8:\nseq: %+v\npar: %+v", seq, par)
 	}
+}
+
+// TestFig4MarkovWorkerDeterminism covers the Markovian phase of the
+// streaming comparison: the rate-parametric sweep with no simulation.
+func TestFig4MarkovWorkerDeterminism(t *testing.T) {
+	checkWorkerDeterminism(t, "Markovian streaming", func(r *Runner) ([]Comparison, error) {
+		return r.compareMarkov(streamingCase, Quick, []float64{50, 200, 400})
+	})
 }
 
 // TestBatteryWorkerDeterminism pins the battery lifetimes, one series and

@@ -9,33 +9,37 @@ import (
 	"repro/internal/lts"
 )
 
-// TestCompareMarkovGeneratesOncePerStructure pins the generate-once
-// contract of the rate-parametric sweep engine with the lts.GenerateCalls
-// hook: a Markovian comparison over positive knob values generates
-// exactly two state spaces (the no-DPM baseline and the shared with-DPM
-// structure), however many points it has; a structure-changing knob
-// (<= 0) adds one generation for its own per-point build. No test in this
-// package runs in parallel, so the process-wide counter deltas are exact.
-func TestCompareMarkovGeneratesOncePerStructure(t *testing.T) {
-	for _, c := range []struct {
-		study *caseStudy
-		scale Scale
-		grid  []float64
-		want  int64
-	}{
-		{rpcCase, Full, []float64{0.5, 5, 25}, 2},
-		{rpcCase, Full, []float64{0, 5, 25}, 3},
-		{streamingCase, Quick, []float64{50, 100, 400}, 2},
-	} {
-		before := lts.GenerateCalls()
-		if _, err := newStudy().compareMarkov(c.study, c.scale, c.grid); err != nil {
-			t.Fatal(err)
-		}
-		if got := lts.GenerateCalls() - before; got != c.want {
-			t.Errorf("%s %v ran Generate %d times, want %d (baseline + one shared sweep structure + one per knob <= 0)",
-				c.study.knob, c.grid, got, c.want)
-		}
+// checkMarkovGenerations pins the generate-once contract of the
+// rate-parametric sweep engine with the lts.GenerateCalls hook: a
+// Markovian comparison over positive knob values generates exactly two
+// state spaces (the no-DPM baseline and the shared with-DPM structure),
+// however many points it has; a structure-changing knob (<= 0) adds one
+// generation for its own per-point build. No test in this package runs
+// in parallel, so the process-wide counter deltas are exact.
+func checkMarkovGenerations(t *testing.T, study *caseStudy, scale Scale, grid []float64, want int64) {
+	t.Helper()
+	before := lts.GenerateCalls()
+	if _, err := newStudy().compareMarkov(study, scale, grid); err != nil {
+		t.Fatal(err)
 	}
+	if got := lts.GenerateCalls() - before; got != want {
+		t.Errorf("%s %v ran Generate %d times, want %d (baseline + one shared sweep structure + one per knob <= 0)",
+			study.knob, grid, got, want)
+	}
+}
+
+// TestFig3MarkovGeneratesOncePerStructure checks the rpc comparison:
+// three positive timeouts share one sweep structure, and a timeout of 0
+// adds its own build.
+func TestFig3MarkovGeneratesOncePerStructure(t *testing.T) {
+	checkMarkovGenerations(t, rpcCase, Full, []float64{0.5, 5, 25}, 2)
+	checkMarkovGenerations(t, rpcCase, Full, []float64{0, 5, 25}, 3)
+}
+
+// TestFig4MarkovGeneratesOncePerStructure is the streaming counterpart:
+// one generation for the no-DPM baseline, one for all positive periods.
+func TestFig4MarkovGeneratesOncePerStructure(t *testing.T) {
+	checkMarkovGenerations(t, streamingCase, Quick, []float64{50, 100, 400}, 2)
 }
 
 // TestTradeoffCurvesFromPoints covers the trade-off grid construction in
