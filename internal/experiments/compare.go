@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"cmp"
+	"math"
 
 	"repro/internal/dist"
 	"repro/internal/models"
@@ -274,18 +275,32 @@ func tradeoff(markov, general []Comparison, x, y string) *TradeoffCurves {
 	return &TradeoffCurves{Markov: curve(markov), General: curve(general)}
 }
 
+// paretoTol is the relative gap within which ParetoDominated takes two
+// coordinates as equal. Simulated means carry summation rounding of about
+// 1e-15 relative and confidence half-widths of about 1e-3, so a gap this
+// small is rounding, and a dominance verdict must not turn on it.
+const paretoTol = 1e-9
+
 // ParetoDominated returns the indices of points dominated by another
 // point of the same curve (strictly worse in one coordinate, not better
-// in the other) — the paper observes such sub-optimal points on the
-// general rpc curve near the knee.
+// in the other, with coordinates within paretoTol relative taken as
+// equal) — the paper observes such sub-optimal points on the general rpc
+// curve near the knee.
 func ParetoDominated(points []TradeoffPoint) []int {
+	// order compares a with b: -1 below, 0 within paretoTol, +1 above.
+	order := func(a, b float64) int {
+		if math.Abs(a-b) <= paretoTol*max(math.Abs(a), math.Abs(b)) {
+			return 0
+		}
+		return cmp.Compare(a, b)
+	}
 	var out []int
 	for i, p := range points {
 		for j, q := range points {
 			if i == j {
 				continue
 			}
-			if q.X <= p.X && q.Y <= p.Y && (q.X < p.X || q.Y < p.Y) {
+			if x, y := order(q.X, p.X), order(q.Y, p.Y); x <= 0 && y <= 0 && (x < 0 || y < 0) {
 				out = append(out, i)
 				break
 			}

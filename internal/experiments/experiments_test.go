@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -262,6 +263,27 @@ func TestParetoDominated(t *testing.T) {
 	}
 	if ParetoDominated(pts[:1]) != nil {
 		t.Error("single point cannot be dominated")
+	}
+
+	// Ties within rounding: the full-scale general rpc curve's waiting
+	// times at T = 3 and 5 ms may differ in the last bit, one way or the
+	// other, yet T = 5 has more energy at equal waiting and is dominated.
+	// Points that differ by more than rounding keep their exact order.
+	const wait = 4.8608319083177518
+	for _, c := range []struct {
+		name string
+		pts  []TradeoffPoint
+		want []int
+	}{
+		{"equal", []TradeoffPoint{{X: wait, Y: 14.76}, {X: wait, Y: 18.76}}, []int{1}},
+		{"one ulp above", []TradeoffPoint{{X: wait, Y: 14.76}, {X: math.Nextafter(wait, 10), Y: 18.76}}, []int{1}},
+		{"one ulp below", []TradeoffPoint{{X: wait, Y: 14.76}, {X: math.Nextafter(wait, 0), Y: 18.76}}, []int{1}},
+		{"both within rounding", []TradeoffPoint{{X: wait, Y: 14.76}, {X: math.Nextafter(wait, 0), Y: math.Nextafter(14.76, 20)}}, nil},
+		{"beyond rounding", []TradeoffPoint{{X: wait, Y: 14.76}, {X: wait * (1 - 1e-6), Y: 18.76}}, nil},
+	} {
+		if got := ParetoDominated(c.pts); !slices.Equal(got, c.want) {
+			t.Errorf("%s: ParetoDominated = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
