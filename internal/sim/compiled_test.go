@@ -63,7 +63,7 @@ func TestExactTieBreaksByName(t *testing.T) {
 	if err := r.compile(0); err != nil {
 		t.Fatal(err)
 	}
-	acts := r.recs[0].acts
+	acts := r.rec(0).acts
 	if len(acts) != 2 || r.acts[acts[0]].Action != "zeta" || r.acts[acts[1]].Action != "alpha" || acts[0] > acts[1] {
 		t.Fatalf("initial activities %v, want zeta then alpha in slot order", acts)
 	}
@@ -154,8 +154,8 @@ func TestClockStepKeepsRunningClocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s1 []int32
-	for _, rec := range r.recs {
-		if len(rec.acts) == 2 && r.acts[rec.acts[1]].Action == "anew" {
+	for s := range int32(r.keys.Len()) {
+		if rec := r.rec(s); len(rec.acts) == 2 && r.acts[rec.acts[1]].Action == "anew" {
 			s1 = rec.acts
 		}
 	}
@@ -260,8 +260,8 @@ func TestReplicateZeroAllocsPerEvent(t *testing.T) {
 	if _, _, err := r.replicate(0, rnd); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.recs) != 2 || !r.recs[0].ready || !r.recs[1].ready {
-		t.Fatalf("memo holds %d states after warm-up, want 2 compiled ones", len(r.recs))
+	if r.keys.Len() != 2 || !r.rec(0).ready || !r.rec(1).ready {
+		t.Fatalf("memo holds %d states after warm-up, want 2 compiled ones", r.keys.Len())
 	}
 	allocs := func(runLength float64) (float64, int64) {
 		p.cfg.RunLength = runLength

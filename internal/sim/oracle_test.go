@@ -1,11 +1,13 @@
 package sim_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/aemilia"
 	"repro/internal/dist"
+	"repro/internal/expr"
 	"repro/internal/measure"
 	"repro/internal/pipeline"
 	"repro/internal/rates"
@@ -219,4 +221,74 @@ func TestRaceOracleTimeoutVsNormal(t *testing.T) {
 		want:      map[string]float64{"delivered": q / (timeout + reset)},
 		runLength: 2000,
 	}.check(t)
+}
+
+// An M/G/1 queue: Poisson arrivals at rate lambda and one server whose
+// service times S follow the given distribution, so rho = lambda·E[S].
+// The queue Q holds n customers and stops accepting them at queueCap,
+// which it reaches with negligible probability at the loads below: P(N ≥
+// k) falls geometrically in k, by about 0.29 per customer for the M/D/1
+// and at most rho ≈ 0.51 (the M/M/1 factor) for the less variable
+// normal service. Two state rewards have
+// closed forms: the utilization rho, and the Pollaczek–Khinchine mean
+// number in system rho + lambda²·E[S²]/(2(1 − rho)). The mean is the sum
+// over k ≥ 1 of P(N ≥ k), one monitor per k, with the tail past
+// watchedLevels negligible too; each monitor's clause sums the
+// occupancies of every reward class at or above its level, and the
+// monitors fill two 64-clause words.
+func mg1(lambda float64, service dist.Distribution, mean, second float64) raceOracle {
+	const (
+		queueCap      = 100
+		watchedLevels = 70
+	)
+	rho := lambda * mean
+	n := expr.Ref("n")
+	body := []aemilia.Process{
+		aemilia.When(expr.Bin(expr.OpLt, n, expr.Int(queueCap)),
+			aemilia.Pre("arrive", rates.ExpRate(lambda), aemilia.Invoke("Queue", expr.Bin(expr.OpAdd, n, expr.Int(1))))),
+		aemilia.When(expr.Bin(expr.OpGt, n, expr.Int(0)),
+			aemilia.Pre("serve", rates.ExpRate(1), aemilia.Invoke("Queue", expr.Bin(expr.OpSub, n, expr.Int(1))))),
+		aemilia.When(expr.Bin(expr.OpGt, n, expr.Int(0)),
+			aemilia.Pre("mon_busy", rates.PassiveRate(), aemilia.Invoke("Queue", n))),
+	}
+	mons := []string{"mon_busy"}
+	var levels []on
+	for k := 1; k <= watchedLevels; k++ {
+		mon := fmt.Sprintf("mon_ge%d", k)
+		mons = append(mons, mon)
+		levels = append(levels, on{mon, 1})
+		body = append(body, aemilia.When(expr.Bin(expr.OpGe, n, expr.Int(int64(k))),
+			aemilia.Pre(mon, rates.PassiveRate(), aemilia.Invoke("Queue", n))))
+	}
+	queue := aemilia.NewElemType("Queue_Type", nil, mons,
+		aemilia.NewBehavior("Queue", []aemilia.Param{aemilia.IntParam("n")}, aemilia.Ch(body...)))
+	return raceOracle{
+		arch: aemilia.NewArchiType("MG1", []*aemilia.ElemType{queue},
+			[]*aemilia.Instance{aemilia.NewInstance("Q", "Queue_Type", expr.Int(0))}, nil),
+		dists: map[sim.Activity]dist.Distribution{{Instance: "Q", Action: "serve"}: service},
+		measures: []measure.Measure{
+			reward("utilization", "Q", measure.StateReward, on{"mon_busy", 1}),
+			reward("in_system", "Q", measure.StateReward, levels...),
+		},
+		want: map[string]float64{
+			"utilization": rho,
+			"in_system":   rho + lambda*lambda*second/(2*(1-rho)),
+		},
+		runLength: 2000,
+	}
+}
+
+// M/D/1: a deterministic service of 0.5 at unit arrival rate, rho = 0.5
+// and 0.75 customers in system.
+func TestQueueOracleMD1(t *testing.T) { mg1(1, dist.NewDet(0.5), 0.5, 0.25).check(t) }
+
+// M/G/1 with the zero-truncated normal service of the rpc channel's kind:
+// N(mu, sigma) conditioned on S > 0. With a = mu/sigma and
+// h = φ(a)/Φ(a), E[S] = mu + sigma·h and E[S²] = mu² + sigma² + mu·sigma·h;
+// at a = 2 the truncation removes 2.3% of the mass and moves E[S] by 3%.
+func TestQueueOracleMG1(t *testing.T) {
+	const mu, sigma = 0.5, 0.25
+	a := mu / sigma
+	h := math.Exp(-a*a/2) / math.Sqrt(2*math.Pi) / (0.5 * (1 + math.Erf(a/math.Sqrt2)))
+	mg1(1, dist.NewNormal(mu, sigma), mu+sigma*h, mu*mu+sigma*sigma+mu*sigma*h).check(t)
 }

@@ -20,10 +20,14 @@
 // STATE_REWARD clauses accumulate value × time while locally enabled,
 // TRANS_REWARD clauses count weighted firings; both are normalized by the
 // measured time, estimated over independent replications with Student-t
-// confidence intervals.
+// confidence intervals. The event loop only keeps time: a sojourn adds its
+// length to the occupancy of its state's reward class (the set of
+// state-reward clauses the state enables), a firing adds one to its
+// label's count, and the clause values weight both once per replication.
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -137,22 +141,34 @@ type plan struct {
 	acts      []Activity
 	overrides []dist.Distribution
 	// clIdx[clOff[l]:clOff[l+1]] lists the transition-reward clauses a
-	// firing with compiled label l counts toward; a numbered transition
-	// keeps its label's bounds in its transRec.
+	// firing with compiled label l counts toward.
 	clOff []int32
 	clIdx []int32
 }
+
+// recPageBits sizes the pages that hold the state records: 1<<recPageBits
+// records each.
+const recPageBits = 8
+
+// recPage is one page of state records. A page never moves once
+// allocated, so a record pointer stays valid while later states are
+// interned.
+type recPage [1 << recPageBits]stateRec
 
 // stateRec is the compiled form of a visited state, built once when the
 // state is first entered. Every later event in the state touches only
 // integers and float slices: no label, activity name or state key is
 // hashed on the hot path. Transitions are numbered by the runner's
 // transition records; a record whose state has been interned (as a
-// transition target) but not yet entered is not ready.
+// transition target) but not yet entered is not ready. The lists are
+// carved from the runner's arenas and never grow.
 type stateRec struct {
 	// The fields every event reads come first, so that a timed step finds
-	// ready, immTotal, acts and candOff in the record's first 64 bytes.
+	// ready, class, immTotal, acts and candOff in the record's first 64
+	// bytes.
 	ready bool
+	// class is the state's reward class, a runner-local id.
+	class int32
 	// A nonzero immTotal makes the state vanishing: it is the total weight
 	// of imm, the immediate transitions of the top priority level in
 	// successor order, whose weights immW lists.
@@ -167,11 +183,9 @@ type stateRec struct {
 	acts    []int32
 	candOff []int32
 	cands   []int32
-	// on lists the state-reward clauses enabled in the state, ascending.
-	on    []int32
-	dists []dist.Distribution
-	imm   []int32
-	immW  []float64
+	dists   []dist.Distribution
+	imm     []int32
+	immW    []float64
 }
 
 // transRec is the hot record of one numbered transition: everything a
@@ -186,9 +200,61 @@ type transRec struct {
 	// step through this transition finds the target one-way, and forever
 	// if it is not.
 	next1 int32
-	// clIdx[clLo:clHi] lists the transition-reward clauses a firing counts
-	// toward.
-	clLo, clHi int32
+	// label is the transition's compiled label id: a firing counts toward
+	// it.
+	label int32
+}
+
+// rewardClass is a set of state-reward clauses that some state enables
+// together. Sojourns in all of its states add to one occupancy.
+type rewardClass struct {
+	// key has bit i%8 of byte i/8 set for each clause i in the set.
+	key string
+	// on lists the clauses, ascending.
+	on []int32
+}
+
+// compareKeys is the canonical order of reward classes: by their clause
+// sets read as binary numbers with clause i worth 2^i. It does not depend
+// on the order in which a runner met the classes.
+func compareKeys(a, b string) int {
+	for i := len(a) - 1; i >= 0; i-- {
+		if a[i] != b[i] {
+			return cmp.Compare(a[i], b[i])
+		}
+	}
+	return 0
+}
+
+// arena hands out slices carved from chunks it owns. A carved slice has
+// capacity equal to its length and is never handed out again, so records
+// that hold carved slices never share or move their lists; each new
+// chunk doubles the last, so a runner allocates a few chunks, not a few
+// slices per state.
+type arena[T any] struct {
+	free []T // the uncarved rest of the current chunk
+	size int // the current chunk's length
+}
+
+// take returns n zero elements.
+func (a *arena[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(a.free) < n {
+		a.size = max(2*a.size, 256, n)
+		a.free = make([]T, a.size)
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
+}
+
+// clone returns a carved copy of src.
+func (a *arena[T]) clone(src []T) []T {
+	s := a.take(len(src))
+	copy(s, src)
+	return s
 }
 
 // clock is the timing slot of one activity. Under enabling memory a clock
@@ -215,17 +281,40 @@ type runner struct {
 	succNext []uint32
 
 	// States are interned by their tuples; state s is keys.Tuple(s) and
-	// recs[s] its record. State 0 is the initial state.
-	keys *statespace.TupleTable
-	n    int
-	recs []stateRec
+	// rec(s) its record. State 0 is the initial state. The records' lists
+	// are carved from ints, floats and dists; scr is compile's scratch.
+	keys   *statespace.TupleTable
+	n      int
+	pages  []*recPage
+	ints   arena[int32]
+	floats arena[float64]
+	dists  arena[dist.Distribution]
+	exps   []dist.Distribution // exps[id]: the exponential of rate id, or nil
+	scr    struct {
+		acts, actOf, fill, imm, on []int32
+		dists                      []dist.Distribution
+		immW                       []float64
+		key                        []byte
+	}
 
-	// Indexed by transition number: trans holds each transition's hot
-	// record and label its compiled label id, read only to name an
-	// activity that has no duration distribution. Pre-empted transitions
-	// of vanishing states are never numbered.
+	// trans holds each numbered transition's hot record. Pre-empted
+	// transitions of vanishing states are never numbered.
 	trans []transRec
-	label []int32
+
+	// Reward classes are interned by their keys as states compile:
+	// classes[c] is class c, order lists the class ids in the canonical
+	// order (compareKeys), and occ[c] is the replication's occupancy of
+	// class c — the measured time spent in its states.
+	classOf map[string]int32
+	classes []rewardClass
+	order   []int32
+	occ     []float64
+
+	// fired[l] counts the replication's measured firings with compiled
+	// label l. stateAcc and transN are the per-clause totals.
+	fired    []int64
+	stateAcc []float64
+	transN   []int64
 
 	// clocks is indexed by activity slot; epoch numbers the timed steps
 	// from 1 and never restarts, so a replication begins by skipping one.
@@ -373,11 +462,15 @@ func newPlan(cfg Config) (*plan, error) {
 func (p *plan) newRunner() *runner {
 	c := p.cfg.Model.Compile(p.statePreds)
 	r := &runner{
-		plan:   p,
-		c:      c,
-		keys:   statespace.NewTupleTable(c.NumInstances()),
-		n:      c.NumInstances(),
-		clocks: make([]clock, len(p.acts)),
+		plan:     p,
+		c:        c,
+		keys:     statespace.NewTupleTable(c.NumInstances()),
+		n:        c.NumInstances(),
+		classOf:  map[string]int32{},
+		fired:    make([]int64, len(p.clOff)-1),
+		stateAcc: make([]float64, len(p.stateVals)),
+		transN:   make([]int64, len(p.transVals)),
+		clocks:   make([]clock, len(p.acts)),
 	}
 	r.visit(c.Initial())
 	return r
@@ -419,119 +512,162 @@ func (p *plan) runAll() ([][]float64, int64, error) {
 }
 
 // visit returns the memo id of a state tuple, interning it (with a record
-// that is not ready) on first sight.
+// that is not ready) on first sight. Ids are dense from 0, so a fresh id
+// that starts a page adds the page.
 func (r *runner) visit(t []uint32) int32 {
 	id, fresh := r.keys.Intern(t)
-	if fresh {
-		if len(r.recs) == cap(r.recs) {
-			// Double: append alone grows a long slice by 1.25×, copying
-			// the records several times over.
-			r.recs = slices.Grow(r.recs, max(64, cap(r.recs)))
-		}
-		r.recs = append(r.recs, stateRec{})
+	if fresh && id%(1<<recPageBits) == 0 {
+		r.pages = append(r.pages, new(recPage))
 	}
 	return int32(id)
+}
+
+// rec returns the record of state s.
+func (r *runner) rec(s int32) *stateRec {
+	return &r.pages[s>>recPageBits][s&(1<<recPageBits-1)]
 }
 
 // transition numbers successor k of the state being compiled and interns
 // its target.
 func (r *runner) transition(k int) int32 {
 	t := int32(len(r.trans))
-	l := r.succ[k].Label
 	r.trans = append(r.trans, transRec{
 		target: r.visit(r.succNext[k*r.n : (k+1)*r.n]),
 		next1:  -1,
-		clLo:   r.clOff[l],
-		clHi:   r.clOff[l+1],
+		label:  r.succ[k].Label,
 	})
-	r.label = append(r.label, l)
 	return t
 }
 
+// exp returns the exponential distribution of rate id, boxed once per
+// runner rather than once per state that enables it.
+func (r *runner) exp(id int32, lambda float64) dist.Distribution {
+	if int(id) >= len(r.exps) {
+		r.exps = append(r.exps, make([]dist.Distribution, int(id)+1-len(r.exps))...)
+	}
+	if r.exps[id] == nil {
+		r.exps[id] = dist.NewExp(lambda)
+	}
+	return r.exps[id]
+}
+
+// class returns the reward class of state tuple src, interning it on
+// first sight.
+func (r *runner) class(src []uint32) (int32, error) {
+	key, on := r.scr.key[:0], r.scr.on[:0]
+	for i := range r.statePreds {
+		if i%8 == 0 {
+			key = append(key, 0)
+		}
+		enabled, err := r.c.Enabled(i, src)
+		if err != nil {
+			return 0, err
+		}
+		if enabled {
+			key[i/8] |= 1 << (i % 8)
+			on = append(on, int32(i))
+		}
+	}
+	r.scr.key, r.scr.on = key, on
+	if c, ok := r.classOf[string(key)]; ok {
+		return c, nil
+	}
+	c := int32(len(r.classes))
+	rc := rewardClass{key: string(key), on: r.ints.clone(on)}
+	r.classOf[rc.key] = c
+	r.classes = append(r.classes, rc)
+	r.occ = append(r.occ, 0)
+	at, _ := slices.BinarySearchFunc(r.order, rc.key, func(o int32, key string) int {
+		return compareKeys(r.classes[o].key, key)
+	})
+	r.order = slices.Insert(r.order, at, c)
+	return c, nil
+}
+
 // compile builds the record of state s from its compiled successors: the
-// state-reward predicates, the top-priority immediate choice, and — in a
-// timed state — the activities with their distributions and candidate
+// reward class, the top-priority immediate choice, and — in a timed
+// state — the activities with their distributions and candidate
 // transitions. Every transition that can fire is numbered, with its
-// target interned. A runner whose compile failed is discarded with its
-// run.
+// target interned; interning never moves the record. A runner whose
+// compile failed is discarded with its run.
 func (r *runner) compile(s int32) error {
-	src := r.keys.Tuple(uint32(s))
+	rec, src := r.rec(s), r.keys.Tuple(uint32(s))
 	var err error
 	r.succ, r.succNext, err = r.c.Successors(src, r.succ[:0], r.succNext[:0])
 	if err != nil {
 		return err
 	}
-	rec := stateRec{ready: true}
-	for p := range r.statePreds {
-		on, err := r.c.Enabled(p, src)
-		if err != nil {
-			return err
-		}
-		if on {
-			rec.on = append(rec.on, int32(p))
-		}
+	if rec.class, err = r.class(src); err != nil {
+		return err
 	}
 
-	// rec.imm holds successor indices until the state is known vanishing.
-	maxPrio := math.MinInt32
+	// imm holds the successor indices of the top priority level.
+	maxPrio, total := math.MinInt32, 0.0
+	imm, immW := r.scr.imm[:0], r.scr.immW[:0]
 	for k := range r.succ {
 		rt := r.c.Rate(r.succ[k].Rate)
 		if rt.Kind != rates.Immediate {
 			continue
 		}
 		if rt.Priority > maxPrio {
-			maxPrio, rec.immTotal = rt.Priority, 0
-			rec.imm, rec.immW = rec.imm[:0], rec.immW[:0]
+			maxPrio, total = rt.Priority, 0
+			imm, immW = imm[:0], immW[:0]
 		}
 		if rt.Priority == maxPrio {
-			rec.immTotal += rt.Weight
-			rec.imm = append(rec.imm, int32(k))
-			rec.immW = append(rec.immW, rt.Weight)
+			total += rt.Weight
+			imm = append(imm, int32(k))
+			immW = append(immW, rt.Weight)
 		}
 	}
-	if rec.immTotal != 0 {
+	r.scr.imm, r.scr.immW = imm, immW
+	if total != 0 {
 		// Vanishing: the top-priority immediate transitions pre-empt every
 		// other one, which therefore never fires and is not numbered.
-		for i, k := range rec.imm {
+		rec.imm = r.ints.take(len(imm))
+		for i, k := range imm {
 			rec.imm[i] = r.transition(int(k))
 		}
-		r.recs[s] = rec
+		rec.immW, rec.immTotal = r.floats.clone(immW), total
+		rec.ready = true
 		return nil
 	}
-	rec.imm, rec.immW = nil, nil
 
-	actOf := make([]int32, len(r.succ)) // index into rec.acts per successor
+	// actOf[k] indexes acts for successor k.
+	acts, dists, actOf := r.scr.acts[:0], r.scr.dists[:0], r.scr.actOf[:0]
 	for k := range r.succ {
 		sc := &r.succ[k]
 		slot := r.slotBase[sc.ActiveInst] + sc.ActiveAction
-		i := slices.Index(rec.acts, slot)
+		i := slices.Index(acts, slot)
 		if i < 0 {
-			i = len(rec.acts)
-			rec.acts = append(rec.acts, slot)
+			i = len(acts)
+			acts = append(acts, slot)
 			d := r.overrides[slot]
 			if rt := r.c.Rate(sc.Rate); d == nil && rt.Kind == rates.Exp {
-				d = dist.NewExp(rt.Lambda)
+				d = r.exp(sc.Rate, rt.Lambda)
 			}
-			rec.dists = append(rec.dists, d)
+			dists = append(dists, d)
 		}
-		actOf[k] = int32(i)
+		actOf = append(actOf, int32(i))
 	}
+	r.scr.acts, r.scr.dists, r.scr.actOf = acts, dists, actOf
+	rec.acts, rec.dists = r.ints.clone(acts), r.dists.clone(dists)
 
 	// Group the transitions by activity, keeping successor order.
-	rec.candOff = make([]int32, len(rec.acts)+1)
+	rec.candOff = r.ints.take(len(acts) + 1)
 	for _, i := range actOf {
 		rec.candOff[i+1]++
 	}
-	for i := range rec.acts {
+	for i := range acts {
 		rec.candOff[i+1] += rec.candOff[i]
 	}
-	rec.cands = make([]int32, len(r.succ))
-	fill := slices.Clone(rec.candOff[:len(rec.acts)])
+	rec.cands = r.ints.take(len(r.succ))
+	fill := append(r.scr.fill[:0], rec.candOff[:len(acts)]...)
 	for k, i := range actOf {
 		rec.cands[fill[i]] = r.transition(k)
 		fill[i]++
 	}
-	r.recs[s] = rec
+	r.scr.fill = fill
+	rec.ready = true
 	return nil
 }
 
@@ -563,24 +699,20 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 	// No clock was stamped at the step before this replication's first,
 	// so none carries over from an earlier replication.
 	r.epoch++
-	stateAcc := make([]float64, len(r.stateVals))
-	transAcc := make([]float64, len(r.transVals))
+	clear(r.occ)
+	clear(r.fired)
 
-	// accrue credits the state's enabled state-reward clauses with the
-	// part of [now, now+dt] inside the measurement window.
+	// accrue credits the state's reward class with the part of
+	// [now, now+dt] inside the measurement window.
 	accrue := func(rec *stateRec, dt float64) {
 		if w := min(now+dt, endTime) - max(now, warmup); w > 0 {
-			for _, i := range rec.on {
-				stateAcc[i] += r.stateVals[i] * w
-			}
+			r.occ[rec.class] += w
 		}
 	}
+	// countFiring counts a measured firing toward its label.
 	countFiring := func(tr *transRec) {
-		if tr.clLo == tr.clHi || now < warmup {
-			return
-		}
-		for _, j := range r.clIdx[tr.clLo:tr.clHi] {
-			transAcc[j] += r.transVals[j]
+		if now >= warmup {
+			r.fired[tr.label]++
 		}
 	}
 
@@ -597,12 +729,12 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 		if via >= 0 {
 			cur = r.trans[via].target
 		}
-		if !r.recs[cur].ready {
+		rec := r.rec(cur)
+		if !rec.ready {
 			if err := r.compile(cur); err != nil {
 				return nil, events, err
 			}
 		}
-		rec := &r.recs[cur]
 
 		if rec.immTotal != 0 {
 			// Immediate transitions pre-empt time. A one-way state is
@@ -647,7 +779,7 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 					if d == nil {
 						act, first := r.acts[a], rec.cands[rec.candOff[i]]
 						return nil, events, fmt.Errorf("%w: %s.%s (label %s)",
-							ErrNoDistribution, act.Instance, act.Action, r.c.Label(r.label[first]))
+							ErrNoDistribution, act.Instance, act.Action, r.c.Label(r.trans[first].label))
 					}
 					c.rem = d.Sample(rnd)
 				}
@@ -707,15 +839,34 @@ func (r *runner) replicate(rep int, rnd *rng.Rand) ([]float64, int64, error) {
 		}
 	}
 
+	// Weight the occupancies and counts by the clause values. A state
+	// clause sums its classes in canonical order, so its total does not
+	// depend on the class ids this runner happened to assign; a
+	// transition clause's count is an exact integer sum. The products are
+	// rounded on their own, never fused into the sums.
+	clear(r.stateAcc)
+	for _, c := range r.order {
+		t := r.occ[c]
+		for _, i := range r.classes[c].on {
+			r.stateAcc[i] += float64(r.stateVals[i] * t)
+		}
+	}
+	clear(r.transN)
+	for l, n := range r.fired {
+		for _, j := range r.clIdx[r.clOff[l]:r.clOff[l+1]] {
+			r.transN[j] += n
+		}
+	}
+
 	// Normalize by the window length.
 	vals := make([]float64, len(r.cfg.Measures))
 	for mi := range r.cfg.Measures {
 		v := 0.0
 		for _, i := range r.stateOf[mi] {
-			v += stateAcc[i] / runLength
+			v += r.stateAcc[i] / runLength
 		}
-		for _, i := range r.transOf[mi] {
-			v += transAcc[i] / runLength
+		for _, j := range r.transOf[mi] {
+			v += float64(r.transVals[j]*float64(r.transN[j])) / runLength
 		}
 		vals[mi] = v
 	}

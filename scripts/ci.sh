@@ -29,11 +29,14 @@ go build ./...
 echo "== cross-arch build (arm64) =="
 GOARCH=arm64 go vet ./internal/ctmc/ && GOARCH=arm64 go build ./...
 
-# The simulator's per-event cost rests on the compiler inlining four
+# The simulator's per-event cost rests on the compiler inlining these
 # functions: rng's Uint64 with Float64 around it (into every uniform,
 # normal and exponential draw), the accrue and countFiring closures of
-# sim's event loop, and the stateRec.pickImmediate method that picks the
-# transition of every zero-time step the link walk cannot take. An edit
+# sim's event loop (one addition to a reward class's occupancy, one
+# increment of a label's count), the stateRec.pickImmediate method that
+# picks the transition of every zero-time step the link walk cannot take,
+# and the runner.rec method that finds each step's state record in its
+# page. An edit
 # that pushes one over the inlining budget still builds and passes every
 # test, only slower, so this step reads the compiler's own report. A
 # closure can be reported inlinable and still not be inlined where it is
@@ -42,8 +45,8 @@ GOARCH=arm64 go vet ./internal/ctmc/ && GOARCH=arm64 go build ./...
 # opening parenthesis (the position the compiler reports). Matching
 # sites rather than counting report lines matters: a call inside a
 # closure that is itself inlined at two sites is reported twice, and a
-# count would take that for an extra call. The method is checked the
-# same way at each of its ".pickImmediate(" calls. The .aem lexer's
+# count would take that for an extra call. Each method is checked the
+# same way at each of its ".name(" calls. The .aem lexer's
 # per-byte helpers get the same check as rng: each description the front
 # end builds runs them once per source byte. So does lts's Row, read once
 # per visited state by the branching-bisimulation passes of every Sect. 3
@@ -105,22 +108,25 @@ for fn in accrue countFiring; do
         fi
     done
 done
-picks=$(awk '{
-    line = $0; sub(/\/\/.*/, "", line); off = 0
-    while ((i = index(line, ".pickImmediate(")) > 0) {
-        off += i + length(".pickImmediate"); print NR ":" off
-        line = substr(line, i + length(".pickImmediate") + 1)
-    }
-}' internal/sim/sim.go)
-if ! echo "$inl" | grep -q 'can inline (\*stateRec)\.pickImmediate$' || [ -z "$picks" ]; then
-    echo "internal/sim: (*stateRec).pickImmediate is not reported inlinable, or has no call site" >&2
-    exit 1
-fi
-for site in $picks; do
-    if ! echo "$inl" | grep -qF "sim.go:$site: inlining call to (*stateRec).pickImmediate"; then
-        echo "internal/sim: (*stateRec).pickImmediate is not inlined at sim.go:$site" >&2
+for method in stateRec.pickImmediate runner.rec; do
+    recv=${method%.*} fn=${method#*.}
+    calls=$(awk -v call=".$fn" '{
+        line = $0; sub(/\/\/.*/, "", line); off = 0
+        while ((i = index(line, call "(")) > 0) {
+            off += i + length(call); print NR ":" off
+            line = substr(line, i + length(call) + 1)
+        }
+    }' internal/sim/sim.go)
+    if ! echo "$inl" | grep -q "can inline (\*$recv)\.$fn\$" || [ -z "$calls" ]; then
+        echo "internal/sim: (*$recv).$fn is not reported inlinable, or has no call site" >&2
         exit 1
     fi
+    for site in $calls; do
+        if ! echo "$inl" | grep -qF "sim.go:$site: inlining call to (*$recv).$fn"; then
+            echo "internal/sim: (*$recv).$fn is not inlined at sim.go:$site" >&2
+            exit 1
+        fi
+    done
 done
 inl=$(go build -gcflags=-m ./internal/aemilia/parser 2>&1)
 for fn in '(\*lexer)\.peekByte' '(\*lexer)\.advance' isSpace isIdentStart isIdentPart; do
@@ -222,14 +228,17 @@ go test -timeout 10m -race -cpu 1,2 -run 'Minimize|Fold' \
 
 # Simulator race smoke at -cpu 1,2: the worker-count bit-identity and
 # reproducibility properties, the measurement window, the exact-tie
-# tie-break, the paper-model fingerprints at one and two workers, the
-# override resolution and the closed-form race oracles
-# (TestParallelReplicationsBitIdentical, TestReproducible*,
-# TestWindowAccruesFully, TestExactTieBreaksByName, TestSimFingerprints,
-# TestUnknownOverrideRejected, TestModelOverridesResolve, TestRaceOracle*
-# and TestOracleMissBound in internal/sim), plus the samplers every
-# replication draws from: the ziggurat's KS test and table pin, the
-# truncated normal's moments and the known answers (TestNormFloat64KS,
+# tie-break, the paper-model fingerprints at one, two and eight workers,
+# a replication's independence from its runner's earlier replications,
+# the override resolution, the closed-form race oracles and the M/D/1
+# and M/G/1 state-reward oracles (TestParallelReplicationsBitIdentical,
+# TestReproducible*, TestWindowAccruesFully, TestExactTieBreaksByName,
+# TestSimFingerprints, TestReplicationIgnoresRunnerHistory,
+# TestUnknownOverrideRejected, TestModelOverridesResolve, TestRaceOracle*,
+# TestQueueOracle* and TestOracleMissBound in internal/sim), plus the
+# samplers every replication draws from: the ziggurat's KS test and
+# table pin, the truncated normal's moments and the known answers
+# (TestNormFloat64KS,
 # TestZigguratTables, TestTruncatedNormalMoments,
 # TestTruncNormalMomentsUntruncatedLimit, TestKnownAnswers in
 # internal/rng). Each replication worker owns a runner whose
@@ -238,7 +247,7 @@ go test -timeout 10m -race -cpu 1,2 -run 'Minimize|Fold' \
 # samplers' tables are built once at init and only read after.
 echo "== simulator race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
-    -run 'ParallelReplicationsBitIdentical|Reproducible|WindowAccrues|Tie|SimFingerprints|Override|RaceOracle|OracleMissBound|NormFloat64KS|ZigguratTables|TruncatedNormalMoments|TruncNormalMoments|KnownAnswers' \
+    -run 'ParallelReplicationsBitIdentical|Reproducible|WindowAccrues|Tie|SimFingerprints|RunnerHistory|Override|RaceOracle|QueueOracle|OracleMissBound|NormFloat64KS|ZigguratTables|TruncatedNormalMoments|TruncNormalMoments|KnownAnswers' \
     ./internal/sim/ ./internal/rng/
 
 # Sect. 3 check race smoke at -cpu 1,2: noninterference.Check builds the
