@@ -147,97 +147,110 @@ func sortPairs(ps []pair) {
 }
 
 // tauComponents computes the strongly connected components of the
-// tau-only graph (iterative Tarjan). It returns the component id of every
-// state, the states in the order their components were popped — the
-// members of component 0, then of component 1, and so on — and the number
-// of components. Component ids are assigned in pop order, which is reverse
-// topological order of the condensation (sources last). A visited state is
-// on Tarjan's stack exactly while it has no component, so no on-stack
-// flags are kept.
+// tau-only graph with Pearce's one-array variant of Tarjan's algorithm
+// (D. J. Pearce, "A space-efficient algorithm for finding strongly
+// connected components", Inf. Process. Lett. 116(1), 2016). It returns
+// the component id of every state, the states in the order their
+// components were popped — the members of component 0, then of component
+// 1, and so on — and the number of components. Component ids are
+// assigned in pop order, which is reverse topological order of the
+// condensation (sources last).
+//
+// One array, rindex, serves as both the DFS index and the component id.
+// An open state holds its index, lowered to the least index it reaches,
+// and open indices are handed out from 1 and taken back as components
+// close; a closed state holds its component's number, counted down from
+// n-1, which stays above every open index. So a closed component never
+// lowers an open state's rindex, and no on-stack flags are kept. Whether
+// a state is its component's root rides in its DFS frame.
 func tauComponents(l *lts.LTS) (comp, order []int32, numComp int) {
 	l.Seal() // for Row, here and in condense
-	n := l.NumStates
-	index := make([]int32, n)
-	low := make([]int32, n)
-	comp = make([]int32, n)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	// The pop order fills buf from the front and Tarjan's stack fills it
-	// from the back, top at buf[sp]. A visited state is in exactly one of
-	// the two, so they never overlap.
+	n := int32(l.NumStates)
+	rindex := make([]int32, n) // 0 = not visited
+	// The pop order fills buf from the front and the stack of visited
+	// states whose component is still open fills it from the back, top
+	// at buf[sp]. A state is in at most one of the two, so they never
+	// overlap.
 	buf := make([]int32, n)
-	popped, sp := 0, n
-	counter := int32(0)
-	type frame struct{ v, ei int32 }
+	popped, sp := int32(0), n
+	index, c := int32(1), n-1
+	type frame struct {
+		v, ei int32
+		root  bool // no edge has reached an index below v's own yet
+	}
 	var frames []frame // the DFS stack, reused across roots
 	visit := func(v int32) {
-		index[v] = counter
-		low[v] = counter
-		counter++
-		sp--
-		buf[sp] = v
-		frames = append(frames, frame{v: v})
+		rindex[v] = index
+		index++
+		frames = append(frames, frame{v: v, root: true})
 	}
-	for start := 0; start < n; start++ {
-		if index[start] >= 0 {
+	for start := range n {
+		if rindex[start] != 0 {
 			continue
 		}
-		visit(int32(start))
+		visit(start)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			v := f.v
 			dst, label := l.Row(int(v))
 			advanced := false
-			lv := low[v]
 			for ei := int(f.ei); ei < len(dst); ei++ {
 				if label[ei] != lts.TauIndex {
 					continue
 				}
 				w := dst[ei]
-				if index[w] < 0 {
+				if rindex[w] == 0 {
 					f.ei = int32(ei + 1)
-					low[v] = lv
 					visit(w)
 					advanced = true
 					break
 				}
-				if comp[w] < 0 && index[w] < lv {
-					lv = index[w]
+				if rindex[w] < rindex[v] {
+					rindex[v] = rindex[w]
+					f.root = false
 				}
 			}
 			if advanced {
 				continue
 			}
-			low[v] = lv
+			root := f.root
 			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
-			}
-			if low[v] == index[v] {
+			if root {
+				// v closes its component: the members are the stack
+				// states above the first with an index below v's.
+				index--
 				end := sp
-				for buf[end] != v {
+				for end < n && rindex[v] <= rindex[buf[end]] {
+					rindex[buf[end]] = c
+					index--
 					end++
 				}
-				end++
-				for _, w := range buf[sp:end] {
-					comp[w] = int32(numComp)
-				}
-				popped += copy(buf[popped:], buf[sp:end])
+				rindex[v] = c
+				c--
+				popped += int32(copy(buf[popped:], buf[sp:end]))
+				buf[popped] = v
+				popped++
 				sp = end
 				numComp++
+			} else {
+				sp--
+				buf[sp] = v
+			}
+			if len(frames) > 0 {
+				p := &frames[len(frames)-1]
+				if rindex[v] < rindex[p.v] {
+					rindex[p.v] = rindex[v]
+					p.root = false
+				}
 			}
 		}
 	}
-	return comp, buf, numComp
+	// Component numbers count down from n-1 in pop order.
+	for v, r := range rindex {
+		rindex[v] = n - 1 - r
+	}
+	return rindex, buf, numComp
 }
-
-// cedge is one edge of the tau-SCC condensation.
-type cedge struct{ src, label, dst int32 }
 
 // condensation is an LTS with every tau strongly connected component
 // collapsed to one node: mutually tau-reachable states are branching (and
@@ -247,16 +260,21 @@ type cedge struct{ src, label, dst int32 }
 type condensation struct {
 	comp []int32 // node of every original state
 	n    int
-	// edges are sorted by (src, label, dst) and deduplicated, without tau
-	// self-loops; node c owns edges[rowOff[c]:rowOff[c+1]].
-	edges  []cedge
+	// edges are packed label<<32|dst words, each row sorted and
+	// deduplicated, without tau self-loops; node c owns
+	// edges[rowOff[c]:rowOff[c+1]].
+	edges  []uint64
 	rowOff []int32
 }
 
+// edgeLabel and edgeDst unpack a condensed edge.
+func edgeLabel(e uint64) int32 { return int32(e >> 32) }
+func edgeDst(e uint64) int32   { return int32(uint32(e)) }
+
 // condense builds the condensation in one pass over the edges. Components
-// come out of Tarjan in pop order, their members side by side, so each
-// node's row is gathered from its members' edges as packed label<<32|dst
-// keys, sorted and compacted, and appended whole: the edges are sorted by
+// come out of tauComponents in pop order, their members side by side, so
+// each node's row is gathered from its members' edges as packed edges,
+// sorted and compacted, and appended whole: the edges are sorted by
 // (src, label, dst) and deduplicated without a global sort.
 func condense(l *lts.LTS) *condensation {
 	comp, order, nc := tauComponents(l)
@@ -279,16 +297,14 @@ func condense(l *lts.LTS) *condensation {
 			// Double: append alone grows a long slice by 1.25×.
 			cd.edges = slices.Grow(cd.edges, max(len(row), cap(cd.edges), nc))
 		}
-		for _, k := range row {
-			cd.edges = append(cd.edges, cedge{src: c, label: int32(k >> 32), dst: int32(uint32(k))})
-		}
+		cd.edges = append(cd.edges, row...)
 		cd.rowOff[c+1] = int32(len(cd.edges))
 	}
 	return cd
 }
 
 // row returns the condensed edges of node c.
-func (cd *condensation) row(c int32) []cedge { return cd.edges[cd.rowOff[c]:cd.rowOff[c+1]] }
+func (cd *condensation) row(c int32) []uint64 { return cd.edges[cd.rowOff[c]:cd.rowOff[c+1]] }
 
 // saturate builds the successor structure for the chosen relation. The
 // weak closure is only ever built over a branching quotient (see
@@ -331,10 +347,11 @@ func saturate(l *lts.LTS, rel Relation) *sat {
 		clo = append(clo, c)
 		mark[c] = c
 		for _, e := range cd.row(c) {
-			if e.label != lts.TauIndex {
+			if edgeLabel(e) != lts.TauIndex {
 				continue
 			}
-			for _, x := range clo[cloOff[e.dst]:cloOff[e.dst+1]] {
+			d := edgeDst(e)
+			for _, x := range clo[cloOff[d]:cloOff[d+1]] {
 				if mark[x] != c {
 					mark[x] = c
 					clo = append(clo, x)
@@ -368,10 +385,10 @@ func saturate(l *lts.LTS, rel Relation) *sat {
 		buf = buf[:0]
 		for _, u := range closure(c) {
 			for _, e := range cd.row(u) {
-				if e.label == lts.TauIndex {
+				if edgeLabel(e) == lts.TauIndex {
 					continue
 				}
-				buf = append(buf, pair{label: e.label, dst: e.dst})
+				buf = append(buf, pair{label: edgeLabel(e), dst: edgeDst(e)})
 			}
 		}
 		sortPairs(buf)
@@ -470,11 +487,11 @@ func Partition(l *lts.LTS, rel Relation) []int {
 	if rel == Strong {
 		return partition(l, Strong)
 	}
-	q, toQuot := branchingQuotient(l)
+	q, comp, blk := branchingQuotient(l)
 	qblocks := partition(q, Weak)
 	out := make([]int, l.NumStates)
-	for st, b := range toQuot {
-		out[st] = qblocks[b]
+	for st, c := range comp {
+		out[st] = qblocks[blk[c]]
 	}
 	return renumber(out)
 }
@@ -520,7 +537,7 @@ func Equivalent(l1, l2 *lts.LTS, rel Relation) (bool, hml.Formula) {
 		// which may be one system.
 		l1.Seal()
 		l2.Seal()
-		fault.Both(func() { l2, _ = branchingQuotient(l2) }, func() { l1, _ = branchingQuotient(l1) })
+		fault.Both(func() { l2, _, _ = branchingQuotient(l2) }, func() { l1, _, _ = branchingQuotient(l1) })
 	}
 	u, init1, init2 := union(l1, l2)
 	s := saturate(u, rel)

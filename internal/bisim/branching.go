@@ -10,9 +10,10 @@ import (
 // branchingQuotient reduces l modulo branching bisimulation (divergence
 // blind) by signature refinement on the tau-SCC condensation, after Blom
 // & Orzan. It returns the quotient, whose state b is the block numbered
-// b in order of smallest original member, and the block of every state
-// of l.
-func branchingQuotient(l *lts.LTS) (*lts.LTS, []int32) {
+// b in order of smallest original member, and, for a caller that maps
+// states to blocks, the condensation node of every state of l and the
+// block of every node: state st is in block blk[comp[st]].
+func branchingQuotient(l *lts.LTS) (q *lts.LTS, comp, blk []int32) {
 	cd := condense(l)
 	blk, numBlocks := refineBranching(cd, nil)
 
@@ -21,15 +22,12 @@ func branchingQuotient(l *lts.LTS) (*lts.LTS, []int32) {
 	for i := range id {
 		id[i] = -1
 	}
-	block := make([]int32, l.NumStates)
 	m := int32(0)
-	for st, c := range cd.comp {
-		b := blk[c]
-		if id[b] < 0 {
+	for _, c := range cd.comp {
+		if b := blk[c]; id[b] < 0 {
 			id[b] = m
 			m++
 		}
-		block[st] = id[b]
 	}
 	for c, b := range blk {
 		blk[c] = id[b]
@@ -50,16 +48,16 @@ func branchingQuotient(l *lts.LTS) (*lts.LTS, []int32) {
 		nodes[start[b]] = int32(c)
 		start[b]++
 	}
-	q := lts.NewShared(int(m), l.Symbols())
-	q.Initial = int(block[l.Initial])
+	q = lts.NewShared(int(m), l.Symbols())
+	q.Initial = int(blk[cd.comp[l.Initial]])
 	var row []uint64
 	lo := int32(0)
 	for b := int32(0); b < m; b++ {
 		row = row[:0]
 		for _, c := range nodes[lo:start[b]] {
 			for _, e := range cd.row(c) {
-				if d := blk[e.dst]; e.label != lts.TauIndex || d != b {
-					row = append(row, sigPairOf(e.label, d))
+				if d := blk[edgeDst(e)]; edgeLabel(e) != lts.TauIndex || d != b {
+					row = append(row, sigPairOf(edgeLabel(e), d))
 				}
 			}
 		}
@@ -69,7 +67,7 @@ func branchingQuotient(l *lts.LTS) (*lts.LTS, []int32) {
 			q.AddTransition(int(b), int(uint32(k)), int(k>>32), rates.UntimedRate())
 		}
 	}
-	return q, block
+	return q, cd.comp, blk
 }
 
 // refineBranching computes the branching-bisimulation partition of the
@@ -136,10 +134,10 @@ func refineBranching(cd *condensation, each func(blk []int32)) (blk []int32, num
 			}
 			b, lo := blk[c], len(sigs)
 			for _, e := range cd.row(c) {
-				if e.label == lts.TauIndex && blk[e.dst] == b {
-					sigs = append(sigs, sigs[off[e.dst]:off[e.dst+1]]...)
+				if d := edgeDst(e); edgeLabel(e) == lts.TauIndex && blk[d] == b {
+					sigs = append(sigs, sigs[off[d]:off[d+1]]...)
 				} else {
-					sigs = append(sigs, sigPairOf(e.label, blk[e.dst]))
+					sigs = append(sigs, sigPairOf(edgeLabel(e), blk[d]))
 				}
 			}
 			sig := sortDedup(sigs[lo:])
@@ -220,19 +218,22 @@ func refineBranching(cd *condensation, each func(blk []int32)) (blk []int32, num
 func (cd *condensation) predecessors() (off, preds []int32) {
 	off = make([]int32, cd.n+1)
 	for _, e := range cd.edges {
-		off[e.dst+1]++
+		off[edgeDst(e)+1]++
 	}
 	for c := 1; c <= cd.n; c++ {
 		off[c] += off[c-1]
 	}
 	preds = make([]int32, len(cd.edges))
-	for _, e := range cd.edges {
-		p := e.src << 1
-		if e.label == lts.TauIndex {
-			p |= 1
+	for src := int32(0); src < int32(cd.n); src++ {
+		for _, e := range cd.row(src) {
+			p := src << 1
+			if edgeLabel(e) == lts.TauIndex {
+				p |= 1
+			}
+			d := edgeDst(e)
+			preds[off[d]] = p
+			off[d]++
 		}
-		preds[off[e.dst]] = p
-		off[e.dst]++
 	}
 	// Each cursor now sits at the next row's start.
 	copy(off[1:], off[:cd.n])

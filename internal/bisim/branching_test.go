@@ -12,12 +12,6 @@ import (
 	"repro/internal/rates"
 )
 
-// tauSCCs is tauComponents without the pop order.
-func tauSCCs(l *lts.LTS) (comp []int32, numComp int) {
-	comp, _, numComp = tauComponents(l)
-	return comp, numComp
-}
-
 // referenceBranchingPartition is the refinement refineBranching replaced:
 // every round re-signs every node and renumbers all blocks. each is shown
 // the partition after every round.
@@ -34,10 +28,10 @@ func referenceBranchingPartition(cd *condensation, each func(blk []int32)) []int
 		for c := int32(0); c < int32(cd.n); c++ {
 			sig = sig[:0]
 			for _, e := range cd.row(c) {
-				if e.label == lts.TauIndex && cur[e.dst] == cur[c] {
-					sig = append(sig, sigs[sigOff[e.dst]:sigOff[e.dst+1]]...)
+				if d := edgeDst(e); edgeLabel(e) == lts.TauIndex && cur[d] == cur[c] {
+					sig = append(sig, sigs[sigOff[d]:sigOff[d+1]]...)
 				} else {
-					sig = append(sig, sigPairOf(e.label, cur[e.dst]))
+					sig = append(sig, sigPairOf(edgeLabel(e), cur[d]))
 				}
 			}
 			sig = sortDedup(sig)
@@ -73,12 +67,14 @@ func referenceBranchingQuotient(l *lts.LTS) (edges []qedge, block []int32) {
 		}
 		block[st] = b
 	}
-	for _, e := range cd.edges {
-		src, dst := int(id[part[e.src]]), int(id[part[e.dst]])
-		if e.label == lts.TauIndex && src == dst {
-			continue
+	for c := range int32(cd.n) {
+		for _, e := range cd.row(c) {
+			src, dst := int(id[part[c]]), int(id[part[edgeDst(e)]])
+			if edgeLabel(e) == lts.TauIndex && src == dst {
+				continue
+			}
+			edges = append(edges, qedge{src: src, label: int(edgeLabel(e)), dst: dst})
 		}
-		edges = append(edges, qedge{src: src, label: int(e.label), dst: dst})
 	}
 	slices.SortFunc(edges, func(a, b qedge) int {
 		if a.src != b.src {
@@ -129,7 +125,11 @@ func checkBranching(t *testing.T, name string, l *lts.LTS) {
 		}
 	}
 
-	q, block := branchingQuotient(l)
+	q, comp, blk := branchingQuotient(l)
+	block := make([]int32, l.NumStates)
+	for st, c := range comp {
+		block[st] = blk[c]
+	}
 	wantEdges, wantBlock := referenceBranchingQuotient(l)
 	if !slices.Equal(block, wantBlock) {
 		t.Fatalf("%s: block map %v, reference %v\n%s", name, block, wantBlock, dump(l))

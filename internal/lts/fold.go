@@ -382,7 +382,7 @@ func (fc *foldCtx) addTerm(state uint32, p float64) int32 {
 }
 
 // doubling returns s with room for extra more elements, doubling its
-// capacity when it has to grow, as TupleTable and RowBuilder do: append
+// capacity when it has to grow, as RowBuilder does: append
 // alone grows a large slice by 1.25×, copying the pool several times
 // more on its way to a given size.
 func doubling[T any](s []T, extra int) []T {

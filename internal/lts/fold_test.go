@@ -343,10 +343,11 @@ func TestFoldMaxStatesExactFit(t *testing.T) {
 }
 
 // TestFoldGenerateAllocsScale gates folded generation's allocations on
-// the minimized 6×6, 12×12 and 20×20 streaming systems. The state table,
-// the fold memo and its pools grow by doubling slabs, never by a
-// per-state or per-expansion allocation, so the 12×12 and 20×20
-// generations make at most 1.5× the allocations of the 6×6 one. The memo
+// the minimized 6×6, 12×12 and 20×20 streaming systems. The state table
+// and the fold memo grow by pages of tuples and the memo's pools by
+// doubling slabs, never by a per-state or per-expansion allocation, so
+// the 12×12 and 20×20 generations make at most 1.5× the allocations of
+// the 6×6 one. The memo
 // lives for one BFS level, so it holds one level's expansions and its
 // pools grow only until the widest level: one warm generation allocates
 // at most 5× the bytes the finished system retains (its state table, CSR

@@ -309,17 +309,17 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 	if len(auxStart) > 1 {
 		l.setAuxPool(auxStart, auxLabel, auxCount)
 	}
-	// The tuple slab is the state table the finished system retains (for
-	// descriptions), and all of it: the table's index is left to the
-	// collector, so the bytes MemStats reports, slab capacity included,
-	// are the bytes the system keeps.
-	slab := states.Tuples()
-	l.SetMemBytes(4 * cap(slab))
+	// The tuple pages are the state table the finished system retains
+	// (for descriptions), and all of it: the table's index is dropped, so
+	// the bytes MemStats reports, every page in full, are the bytes the
+	// system keeps.
+	states.DropIndex()
+	l.SetMemBytes(states.SizeBytes())
 
 	// Descriptions are lazy: a state's tuple is expanded into local
 	// configurations and rendered only when actually requested
 	// (diagnostics, DOT output) — bulk sweeps never render one.
-	l.descFn = func(s int) string { return m.Describe(c.State(slab[s*n : (s+1)*n : (s+1)*n])) }
+	l.descFn = func(s int) string { return m.Describe(c.State(tuple(s))) }
 
 	if len(opts.Predicates) > 0 {
 		l.PredNames = make([]string, len(opts.Predicates))

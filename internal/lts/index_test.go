@@ -139,17 +139,19 @@ func TestDirectIndexAllocatesNoMore(t *testing.T) {
 
 // TestGenerateAllocBound bounds the bytes one unfolded generation of the
 // functional 7×5 streaming shape (16,632 states) allocates. Its one rate
-// leaves the CSR without a rate-id column, and the row builder doubles
-// its row starts and edge columns; a third edge column or a return to
-// append's 1.25× regrowth costs more than the margin left below the
-// bound. A race build is skipped: instrumented code compiles the append of
+// leaves the CSR without a rate-id column, the row builder doubles its
+// row starts and edge columns, and the state table stores its tuples in
+// pages that never move. It allocates 1,969,704 bytes; a state table
+// grown as one doubling slab allocated 2,278,768, and that, a third edge
+// column or a return to append's 1.25× regrowth costs more than the
+// margin left below the bound. A race build is skipped: instrumented code compiles the append of
 // a make inside slices.Grow with a separate temporary, so it allocates
 // about a third more.
 func TestGenerateAllocBound(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
 		t.Skip("allocation counts of a race build are not the program's")
 	}
-	const bound = 2_400_000
+	const bound = 2_100_000
 	m := streamingModel(functionalShape(7, 5))(t)
 	if _, err := lts.Generate(m, lts.GenerateOptions{}); err != nil { // warm the model
 		t.Fatal(err)

@@ -2,6 +2,9 @@ package noninterference
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -255,4 +258,59 @@ func checkModel(m *elab.Model, highInstance, lowInstance string, opts lts.Genera
 		High: lts.LabelMatcherByInstance(highInstance),
 		Low:  lts.LabelMatcherByInstance(lowInstance),
 	})
+}
+
+// TestCheckAllocBound bounds the bytes one Check of the functional 7×5
+// streaming shape (16,632 states, a transparent verdict) allocates, the
+// least over three calls after a warm one: the restricted and hidden
+// variants, both branching quotients and the weak check of the quotients.
+// Check allocated 1,705,456 bytes when the tau-SCC search kept four
+// per-state arrays, the condensation 12-byte edges and every quotient a
+// per-state block map, and allocates 1,383,864 without them; the bound
+// leaves a 5% margin above that. A race build is skipped: its
+// instrumentation allocates more.
+func TestCheckAllocBound(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("allocation counts of a race build are not the program's")
+	}
+	const bound = 1_450_000
+	p := models.DefaultStreamingParams()
+	p.Mode = models.Functional
+	p.APCapacity, p.ClientCapacity = 7, 5
+	arch, err := models.BuildStreaming(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := elab.Elaborate(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := lts.Generate(m, lts.GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{
+		High: lts.LabelMatcherByNames(models.StreamingHighLabels()...),
+		Low:  lts.LabelMatcherByInstance("C"),
+	}
+	least := uint64(0)
+	for i := range 4 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Check(l, spec)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Transparent {
+			t.Fatalf("functional/7x5: not transparent: %s", res.FormulaText)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; i == 1 || i > 1 && d < least {
+			least = d
+		}
+	}
+	t.Logf("functional/7x5: Check allocates %d bytes", least)
+	if least > bound {
+		t.Errorf("functional/7x5: Check allocates %d bytes, more than %d", least, bound)
+	}
 }

@@ -2,14 +2,15 @@ package statespace
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 )
 
 // TupleTable assigns dense uint32 identifiers to fixed-width tuples of
 // uint32 words (global states as tuples of local ids). Tuples are stored
-// in place, back to back in one word slab, and located through one of two
-// indexes over that slab; identifiers are assigned in first-intern order
-// whichever index finds them, so the index never shows in an id.
+// in place, back to back in pages that never move, and located through
+// one of two indexes over those pages; identifiers are assigned in
+// first-intern order whichever index finds them, so the index never
+// shows in an id.
 //
 //   - The hash index (NewTupleTable) is an open-addressing table over a
 //     word-wise hash: a hit costs one hash, a short probe chain and a word
@@ -25,11 +26,18 @@ import (
 //     a tuple that would take it past either bound moves the table to the
 //     hash index for good.
 //
+// The first pages double in size, from firstPageTuples tuples up to
+// pageTuples, and every later page holds pageTuples: a small table costs
+// little, and a large one never copies a stored tuple, where a doubling
+// slab copies the whole table at every doubling and drops the old copy.
+//
 // Like Interner, a TupleTable is single-writer: each generation, fold
 // memo and simulation runner owns its tables.
 type TupleTable struct {
 	width int
-	slab  []uint32 // tuple id is slab[id*width : (id+1)*width]
+	// pages[p] holds the tuples pageOf maps to page p, width words each;
+	// Reset keeps every page for reuse.
+	pages [][]uint32
 	// table is the index; in a slot, 0 = empty, otherwise id+1. Hashing,
 	// it is open addressing over a power-of-two length; direct, v's slot
 	// is table[Σ v[i]·stride[i]].
@@ -71,6 +79,18 @@ const (
 	// 16×16 shape would need a floor of 84,527.
 	maxReindexPerState = 8
 	reindexFloor       = 1 << 16
+
+	// Page p below growingPages holds firstPageTuples<<p tuples, and
+	// every later page pageTuples (= firstPageTuples<<growingPages).
+	// A simulation runner keeps a few hundred states, which the growing
+	// pages hold in about the words a doubling slab would take; fixed
+	// pageTuples pages allocated 5% more bytes on the simulator's
+	// workload.
+	firstPageShift  = 4
+	firstPageTuples = 1 << firstPageShift
+	pageShift       = 9
+	pageTuples      = 1 << pageShift
+	growingPages    = pageShift - firstPageShift
 )
 
 // NewTupleTable returns an empty hash-indexed table of tuples of the
@@ -105,21 +125,47 @@ func NewDirectTupleTable(width int) *TupleTable {
 // Len returns the number of interned tuples.
 func (t *TupleTable) Len() int { return t.n }
 
-// Tuple returns the stored tuple of an identifier. The slice aliases the
-// slab and must not be modified; it stays valid (and unchanged) across
-// later Intern calls, which never rewrite a stored tuple, but not across
-// Reset.
-func (t *TupleTable) Tuple(id uint32) []uint32 {
-	lo := int(id) * t.width
-	return t.slab[lo : lo+t.width : lo+t.width]
+// pageOf returns the page that holds tuple id and the tuple's index in
+// that page. From x = pageTuples on, a shift and a mask find it; below,
+// page p holds x in [firstPageTuples<<p, firstPageTuples<<(p+1)), so p is
+// the bit length of x>>(firstPageShift+1). A large table's ids take the
+// first branch; it costs a compare where the bit length's BSR, clamped,
+// took 13% of a hash-probe microbenchmark.
+func pageOf(id uint32) (page, index uint32) {
+	x := id + firstPageTuples
+	if x >= pageTuples {
+		return x>>pageShift + (growingPages - 1), x & (pageTuples - 1)
+	}
+	p := uint32(bits.Len32(x >> (firstPageShift + 1)))
+	return p, x - firstPageTuples<<p
 }
 
-// Tuples returns every stored tuple, back to back in identifier order:
-// tuple id is the slice's words [id·width, (id+1)·width). The slice
-// aliases the slab, with its spare capacity, and must not be modified.
-// Holding it keeps the tuples without the index, which is what a
-// finished state space needs for its descriptions.
-func (t *TupleTable) Tuples() []uint32 { return t.slab }
+// Tuple returns the stored tuple of an identifier. The slice aliases a
+// page and must not be modified; it stays valid (and unchanged) across
+// later Intern calls, which never move or rewrite a stored tuple, but not
+// across Reset.
+func (t *TupleTable) Tuple(id uint32) []uint32 {
+	p, i := pageOf(id)
+	lo := int(i) * t.width
+	return t.pages[p][lo : lo+t.width : lo+t.width]
+}
+
+// SizeBytes returns the bytes of the table's pages: every page it has
+// allocated, in use or kept by Reset. The index is not counted.
+func (t *TupleTable) SizeBytes() int {
+	words := 0
+	for _, page := range t.pages {
+		words += len(page)
+	}
+	return 4 * words
+}
+
+// DropIndex releases the index, keeping the tuples: Len, Tuple and
+// SizeBytes still answer, and Intern and Reset must not be called again.
+// A finished state space keeps its table this way, for descriptions.
+func (t *TupleTable) DropIndex() {
+	t.table, t.radix, t.stride = nil, nil, nil
+}
 
 // hashTuple mixes the words of v into a 32-bit hash whose low bits (the
 // ones the table masks) depend on every bit of every word. Each
@@ -136,10 +182,12 @@ func hashTuple(v []uint32) uint32 {
 	return uint32(h ^ h>>32)
 }
 
-// equal reports whether stored tuple id equals v.
+// equal reports whether stored tuple id equals v. It finds the page
+// itself: through Tuple it would cost more than the inliner allows, and
+// the hash index's hit path calls it on every probe.
 func (t *TupleTable) equal(id uint32, v []uint32) bool {
-	lo := int(id) * t.width
-	s := t.slab[lo : lo+len(v)]
+	p, k := pageOf(id)
+	s := t.pages[p][int(k)*len(v):]
 	for i, w := range v {
 		if s[i] != w {
 			return false
@@ -149,8 +197,8 @@ func (t *TupleTable) equal(id uint32, v []uint32) bool {
 }
 
 // Intern returns the identifier of v, assigning the next free one when
-// the tuple is new (fresh reports which). The words are copied into the
-// slab, so the caller may reuse v. len(v) must equal the table's width.
+// the tuple is new (fresh reports which). The words are copied into a
+// page, so the caller may reuse v. len(v) must equal the table's width.
 func (t *TupleTable) Intern(v []uint32) (id uint32, fresh bool) {
 	if len(v) != t.width {
 		panic("statespace: tuple width mismatch")
@@ -189,16 +237,18 @@ func (t *TupleTable) Intern(v []uint32) (id uint32, fresh bool) {
 	}
 }
 
-// store appends v to the slab as the next identifier and returns it.
+// store copies v into the next identifier's page slot and returns the
+// identifier.
 func (t *TupleTable) store(v []uint32) uint32 {
-	if len(t.slab)+t.width > cap(t.slab) {
-		// Double the slab (append alone grows large slices by
-		// 1.25×, copying the whole state table several times).
-		t.slab = slices.Grow(t.slab, max(t.width, cap(t.slab)))
+	id := uint32(t.n)
+	p, i := pageOf(id)
+	if int(p) == len(t.pages) {
+		tuples := firstPageTuples << min(p, growingPages)
+		t.pages = append(t.pages, make([]uint32, tuples*t.width))
 	}
-	t.slab = append(t.slab, v...)
+	copy(t.pages[p][int(i)*t.width:], v)
 	t.n++
-	return uint32(t.n - 1)
+	return id
 }
 
 // widen interns v, a fresh tuple with a word at or beyond its position's
@@ -273,11 +323,10 @@ func (t *TupleTable) slot(v []uint32) int {
 	return s
 }
 
-// Reset empties the table, keeping its storage and its index kind for
-// reuse. Identifiers and tuples handed out before the reset are invalid
-// afterwards.
+// Reset empties the table, keeping its pages, its index buffer and its
+// index kind for reuse. Identifiers and tuples handed out before the
+// reset are invalid afterwards.
 func (t *TupleTable) Reset() {
-	t.slab = t.slab[:0]
 	t.n = 0
 	t.reindexed = 0
 	if t.radix != nil {
@@ -290,7 +339,7 @@ func (t *TupleTable) Reset() {
 }
 
 // rehash rebuilds the hash index over the given number of slots (a power
-// of two) from the slab, in the current buffer when it is large enough.
+// of two) from the stored tuples, in the current buffer when it is large enough.
 func (t *TupleTable) rehash(slots int) {
 	if cap(t.table) >= slots {
 		t.table = t.table[:slots]

@@ -71,10 +71,10 @@ func TestTupleTableLookupMisses(t *testing.T) {
 	}
 }
 
-// TestTupleTableRoundTripAfterGrowth interns past 100k tuples — several
-// slab and hash-table doublings — and checks every Tuple(id) still reads
-// back what was interned, and that a view taken before the growth is
-// unchanged.
+// TestTupleTableRoundTripAfterGrowth interns past 100k tuples — every
+// growing page, hundreds of full ones and several hash-table doublings —
+// and checks every Tuple(id) still reads back what was interned, and that
+// a view taken before the growth is unchanged.
 func TestTupleTableRoundTripAfterGrowth(t *testing.T) {
 	const n, w = 120_000, 5
 	tt := NewTupleTable(w)
@@ -114,6 +114,75 @@ func TestTupleTableRoundTripAfterGrowth(t *testing.T) {
 	for k := range early {
 		if early[k] != want[9][k] {
 			t.Fatalf("early view of tuple 9 = %v, want %v", early, want[9])
+		}
+	}
+}
+
+// checkNeverMoves interns stream into tt and checks, after every intern,
+// that each stored tuple still sits at the address and holds the words it
+// had when it was stored. It returns the address of every tuple.
+func checkNeverMoves(t *testing.T, name string, tt *TupleTable, stream [][]uint32) []*uint32 {
+	t.Helper()
+	var addr []*uint32
+	var want [][]uint32
+	for k, v := range stream {
+		if _, fresh := tt.Intern(v); fresh {
+			id := uint32(len(addr))
+			addr = append(addr, &tt.Tuple(id)[0])
+			want = append(want, v)
+		}
+		for id := range addr {
+			got := tt.Tuple(uint32(id))
+			if &got[0] != addr[id] || !slices.Equal(got, want[id]) {
+				t.Fatalf("%s: after tuple #%d, tuple %d is %v at %p, stored as %v at %p",
+					name, k, id, got, &got[0], want[id], addr[id])
+			}
+		}
+	}
+	return addr
+}
+
+// TestTupleTableTuplesNeverMove interns past every growing page and at
+// least three full pages into a hash-indexed table, a direct-indexed one
+// that stays direct and one that falls back to hashing midway, and checks
+// after every intern that no stored tuple has moved or changed. It then
+// resets each table and interns the same count of other tuples, which
+// must reuse the pages: every id lands where the same id was before.
+func TestTupleTableTuplesNeverMove(t *testing.T) {
+	const w, r = 3, 14 // a dense grid of r^3 = 2,744 tuples
+	full := firstPageTuples<<growingPages - firstPageTuples + 3*pageTuples
+	grid := lateRadixStream(w, r, 1)[:r*r*r]
+	if len(grid) < full {
+		t.Fatalf("the grid holds %d tuples, not the %d that fill three full pages", len(grid), full)
+	}
+	sparse := fallbackStream(w, r, full)
+	shifted := make([][]uint32, len(grid))
+	for k, v := range grid {
+		shifted[k] = []uint32{v[0] + r, v[1], v[2]}
+	}
+	for _, c := range []struct {
+		name   string
+		tt     *TupleTable
+		stream [][]uint32
+		direct bool // the index kind at the end
+	}{
+		{"hash", NewTupleTable(w), grid, false},
+		{"direct", NewDirectTupleTable(w), grid, true},
+		{"direct fallback", NewDirectTupleTable(w), sparse, false},
+	} {
+		before := checkNeverMoves(t, c.name, c.tt, c.stream)
+		if len(before) < full {
+			t.Fatalf("%s: %d tuples stored, fewer than the %d that fill three full pages", c.name, len(before), full)
+		}
+		if direct, _, _ := c.tt.IndexStats(); direct != c.direct {
+			t.Fatalf("%s: direct index at the end is %t, want %t", c.name, direct, c.direct)
+		}
+		c.tt.Reset()
+		after := checkNeverMoves(t, c.name+" after Reset", c.tt, shifted)
+		for id := range min(len(before), len(after)) {
+			if after[id] != before[id] {
+				t.Fatalf("%s: after Reset, tuple %d is stored at %p, not in the kept page at %p", c.name, id, after[id], before[id])
+			}
 		}
 	}
 }
@@ -410,6 +479,7 @@ func FuzzTupleTable(f *testing.F) {
 	fallback := fallbackStream(2, 6, 40)
 	f.Add(uint8(2), uint8(len(fallback)-36), encodeTuples(fallback))
 	f.Add(uint8(0), uint8(0), encodeTuples(counterStream(600)))
+	f.Add(uint8(1), uint8(0), encodeTuples(lateRadixStream(2, 48, 1)))
 	f.Fuzz(func(t *testing.T, width, resetAt uint8, data []byte) {
 		w := 1 + int(width)%12
 		checkIndexesAgree(t, w, decodeTuples(w, data), int(resetAt))

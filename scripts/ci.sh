@@ -142,11 +142,16 @@ for fn in '(\*LTS)\.Row' 'Span\.Rate'; do
         exit 1
     fi
 done
+# The tuple table's page lookup sits on the intern hit path: every probe
+# of the hash index calls equal, and every expansion reads its state
+# through Tuple, so both must stay inlinable.
 inl=$(go build -gcflags=-m ./internal/statespace 2>&1)
-if ! echo "$inl" | grep -q "can inline (\*CSR)\.Rate\$"; then
-    echo "internal/statespace: (*CSR).Rate is no longer inlinable" >&2
-    exit 1
-fi
+for fn in '(\*CSR)\.Rate' '(\*TupleTable)\.Tuple' '(\*TupleTable)\.equal'; do
+    if ! echo "$inl" | grep -q "can inline $fn\$"; then
+        echo "internal/statespace: $fn is no longer inlinable" >&2
+        exit 1
+    fi
+done
 
 # Every test invocation carries an explicit -timeout: a deadlocked worker
 # pool (the exact failure class the fault-tolerance layer guards against)
