@@ -158,7 +158,14 @@ func runMC(args []string) error {
 	if err != nil {
 		return err
 	}
-	l, err := loadLTS(ctx, path)
+	m, err := loadModel(path)
+	if err != nil {
+		return err
+	}
+	if err := checkInstance(m, "hide-except", *hideExcept); err != nil {
+		return err
+	}
+	l, err := lts.Generate(m, lts.GenerateOptions{Ctx: ctx})
 	if err != nil {
 		return err
 	}
@@ -379,6 +386,20 @@ func loadLTS(ctx context.Context, path string) (*lts.LTS, error) {
 	return lts.Generate(m, lts.GenerateOptions{Ctx: ctx})
 }
 
+// checkInstance rejects a flag value naming no instance of m: it would
+// match no label and check or hide an empty set. An empty value passes.
+func checkInstance(m *elab.Model, flag, name string) error {
+	if _, ok := m.InstanceIndex(name); name == "" || ok {
+		return nil
+	}
+	names := make([]string, m.NumInstances())
+	for i := range names {
+		names[i] = m.InstanceName(i)
+	}
+	return fmt.Errorf("-%s %q is not an instance of the model (instances: %s)",
+		flag, name, strings.Join(names, ", "))
+}
+
 func loadModel(path string) (*elab.Model, error) {
 	arch, err := loadArch(path)
 	if err != nil {
@@ -499,27 +520,28 @@ func runCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	// A name the model lacks would match no label and check an empty
-	// high or low set, so reject it here.
 	for _, f := range [][2]string{{"high", *high}, {"low", *low}} {
-		if _, ok := m.InstanceIndex(f[1]); f[1] != "" && !ok {
-			names := make([]string, m.NumInstances())
-			for i := range names {
-				names[i] = m.InstanceName(i)
-			}
-			return fmt.Errorf("-%s %q is not an instance of the model (instances: %s)",
-				f[0], f[1], strings.Join(names, ", "))
+		if err := checkInstance(m, f[0], f[1]); err != nil {
+			return err
 		}
-	}
-	spec := noninterference.Spec{Low: lts.LabelMatcherByInstance(*low)}
-	if *highLabels != "" {
-		spec.High = lts.LabelMatcherByNames(strings.Split(*highLabels, ",")...)
-	} else {
-		spec.High = lts.LabelMatcherByInstance(*high)
 	}
 	l, err := lts.Generate(m, lts.GenerateOptions{Ctx: ctx})
 	if err != nil {
 		return err
+	}
+	spec := noninterference.Spec{Low: lts.LabelMatcherByInstance(*low)}
+	if *highLabels != "" {
+		names := strings.Split(*highLabels, ",")
+		// A label the state space lacks restricts nothing, so the check
+		// would compare a variant with itself.
+		for _, name := range names {
+			if _, ok := l.LookupLabel(name); !ok {
+				return fmt.Errorf("-high-labels entry %q is not a label of the state space", name)
+			}
+		}
+		spec.High = lts.LabelMatcherByNames(names...)
+	} else {
+		spec.High = lts.LabelMatcherByInstance(*high)
 	}
 	res, err := noninterference.Check(l, spec)
 	if err != nil {

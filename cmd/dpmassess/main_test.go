@@ -69,6 +69,11 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"minimize", "-relation", "markovian", spec}, `unknown relation "markovian"`},
 		{[]string{"equiv", "-relation", "markovian", spec, spec}, `unknown relation "markovian"`},
 		{[]string{"equiv", "-relation", "nope", "a.x", "b.x"}, `unknown relation "nope"`}, // before any load
+		// A name that matches nothing would restrict or observe nothing.
+		{[]string{"check", "-high-labels", "DPM.send_shutdwn#S.receive_shutdown", "-low", "C", spec},
+			`-high-labels entry "DPM.send_shutdwn#S.receive_shutdown" is not a label of the state space`},
+		{[]string{"mc", "-hide-except", "Cx", "-formula", "TRUE", spec},
+			`-hide-except "Cx" is not an instance of the model (instances: S, RCS, RSC, C, DPM)`},
 	} {
 		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("run(%q): got %v, want an error containing %q", c.args, err, c.want)

@@ -34,7 +34,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hml"
 	"repro/internal/lts"
-	"repro/internal/rates"
 	"repro/internal/statespace"
 )
 
@@ -164,7 +163,6 @@ func sortPairs(ps []pair) {
 // lowers an open state's rindex, and no on-stack flags are kept. Whether
 // a state is its component's root rides in its DFS frame.
 func tauComponents(l *lts.LTS) (comp, order []int32, numComp int) {
-	l.Seal() // for Row, here and in condense
 	n := int32(l.NumStates)
 	rindex := make([]int32, n) // 0 = not visited
 	// The pop order fills buf from the front and the stack of visited
@@ -533,10 +531,6 @@ func renumber(blocks []int) []int {
 // originals. The two quotients are computed on two goroutines.
 func Equivalent(l1, l2 *lts.LTS, rel Relation) (bool, hml.Formula) {
 	if rel == Weak {
-		// Sealing first makes both quotients pure reads of their inputs,
-		// which may be one system.
-		l1.Seal()
-		l2.Seal()
 		fault.Both(func() { l2, _, _ = branchingQuotient(l2) }, func() { l1, _, _ = branchingQuotient(l1) })
 	}
 	u, init1, init2 := union(l1, l2)
@@ -556,23 +550,26 @@ func Equivalent(l1, l2 *lts.LTS, rel Relation) (bool, hml.Formula) {
 // pipeline share a symbol table, in which case label indices are copied
 // verbatim; otherwise labels are matched by name into a fresh table.
 func union(l1, l2 *lts.LTS) (u *lts.LTS, init1, init2 int) {
-	shared := l1.Symbols() == l2.Symbols()
-	if shared {
-		u = lts.NewShared(l1.NumStates+l2.NumStates, l1.Symbols())
-	} else {
-		u = lts.New(l1.NumStates + l2.NumStates)
+	syms := l1.Symbols()
+	shared := syms == l2.Symbols()
+	if !shared {
+		syms = statespace.NewSymbols()
 	}
-	u.Initial = l1.Initial
-	copyInto := func(l *lts.LTS, off int) {
-		l.Edges(func(src, dst, label int, r rates.Rate) {
-			li := label
-			if !shared && label != lts.TauIndex {
-				li = u.LabelIndex(l.LabelName(label))
+	rows := statespace.NewRowBuilder()
+	rows.Reserve(l1.NumStates+l2.NumStates, l1.NumTransitions()+l2.NumTransitions())
+	copyRows := func(l *lts.LTS, off int32) {
+		for s := range l.NumStates {
+			sp := l.Out(s)
+			for k, label := range sp.Label {
+				if !shared && label != lts.TauIndex {
+					label = int32(syms.Intern(l.LabelName(int(label))))
+				}
+				rows.Add(sp.Dst[k]+off, label, 0, sp.Rate(k))
 			}
-			u.AddTransition(src+off, dst+off, li, r)
-		})
+			rows.EndRow()
+		}
 	}
-	copyInto(l1, 0)
-	copyInto(l2, l1.NumStates)
-	return u, l1.Initial, l2.Initial + l1.NumStates
+	copyRows(l1, 0)
+	copyRows(l2, int32(l1.NumStates))
+	return lts.New(syms, l1.Initial, rows.CSR()), l1.Initial, l2.Initial + l1.NumStates
 }

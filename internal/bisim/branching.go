@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/lts"
 	"repro/internal/rates"
+	"repro/internal/statespace"
 )
 
 // branchingQuotient reduces l modulo branching bisimulation (divergence
@@ -48,8 +49,7 @@ func branchingQuotient(l *lts.LTS) (q *lts.LTS, comp, blk []int32) {
 		nodes[start[b]] = int32(c)
 		start[b]++
 	}
-	q = lts.NewShared(int(m), l.Symbols())
-	q.Initial = int(blk[cd.comp[l.Initial]])
+	rows := statespace.NewRowBuilder()
 	var row []uint64
 	lo := int32(0)
 	for b := int32(0); b < m; b++ {
@@ -64,9 +64,11 @@ func branchingQuotient(l *lts.LTS) (q *lts.LTS, comp, blk []int32) {
 		lo = start[b]
 		slices.Sort(row)
 		for _, k := range slices.Compact(row) {
-			q.AddTransition(int(b), int(uint32(k)), int(k>>32), rates.UntimedRate())
+			rows.Add(int32(uint32(k)), int32(k>>32), 0, rates.UntimedRate())
 		}
+		rows.EndRow()
 	}
+	q = lts.New(l.Symbols(), int(blk[cd.comp[l.Initial]]), rows.CSR())
 	return q, cd.comp, blk
 }
 

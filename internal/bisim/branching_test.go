@@ -1,6 +1,7 @@
 package bisim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/lts"
 	"repro/internal/models"
 	"repro/internal/rates"
+	"repro/internal/statespace"
 )
 
 // referenceBranchingPartition is the refinement refineBranching replaced:
@@ -48,13 +50,10 @@ func referenceBranchingPartition(cd *condensation, each func(blk []int32)) []int
 	}
 }
 
-// qedge is one quotient edge.
-type qedge struct{ src, label, dst int }
-
 // referenceBranchingQuotient builds the quotient from the reference
 // partition: blocks numbered by smallest original member, every condensed
 // edge lifted, inert tau steps dropped, one global sort and deduplication.
-func referenceBranchingQuotient(l *lts.LTS) (edges []qedge, block []int32) {
+func referenceBranchingQuotient(l *lts.LTS) (q *lts.LTS, block []int32) {
 	cd := condense(l)
 	part := referenceBranchingPartition(cd, func([]int32) {})
 	id := make(map[int32]int32)
@@ -67,25 +66,21 @@ func referenceBranchingQuotient(l *lts.LTS) (edges []qedge, block []int32) {
 		}
 		block[st] = b
 	}
+	var edges []edge
 	for c := range int32(cd.n) {
 		for _, e := range cd.row(c) {
 			src, dst := int(id[part[c]]), int(id[part[edgeDst(e)]])
 			if edgeLabel(e) == lts.TauIndex && src == dst {
 				continue
 			}
-			edges = append(edges, qedge{src: src, label: int(edgeLabel(e)), dst: dst})
+			edges = append(edges, edge{src: src, label: int(edgeLabel(e)), dst: dst, rate: rates.UntimedRate()})
 		}
 	}
-	slices.SortFunc(edges, func(a, b qedge) int {
-		if a.src != b.src {
-			return a.src - b.src
-		}
-		if a.label != b.label {
-			return a.label - b.label
-		}
-		return a.dst - b.dst
+	slices.SortFunc(edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.label, b.label), cmp.Compare(a.dst, b.dst))
 	})
-	return slices.Compact(edges), block
+	edges = slices.Compact(edges)
+	return fromEdges(l.Symbols(), len(id), int(block[l.Initial]), edges), block
 }
 
 // samePartition reports whether two block assignments induce the same
@@ -130,16 +125,12 @@ func checkBranching(t *testing.T, name string, l *lts.LTS) {
 	for st, c := range comp {
 		block[st] = blk[c]
 	}
-	wantEdges, wantBlock := referenceBranchingQuotient(l)
+	wantQ, wantBlock := referenceBranchingQuotient(l)
 	if !slices.Equal(block, wantBlock) {
 		t.Fatalf("%s: block map %v, reference %v\n%s", name, block, wantBlock, dump(l))
 	}
-	var gotEdges []qedge
-	q.Edges(func(src, dst, label int, _ rates.Rate) {
-		gotEdges = append(gotEdges, qedge{src: src, label: label, dst: dst})
-	})
-	if !slices.Equal(gotEdges, wantEdges) || q.Initial != int(block[l.Initial]) {
-		t.Fatalf("%s: quotient edges %v (initial %d), reference %v\n%s", name, gotEdges, q.Initial, wantEdges, dump(l))
+	if d := diffSystems(q, wantQ); d != "" {
+		t.Fatalf("%s: quotient differs from the reference: %s\n%s", name, d, dump(l))
 	}
 }
 
@@ -213,19 +204,15 @@ func FuzzBranchingQuotient(f *testing.F) {
 			return
 		}
 		n := 1 + int(data[0])%24
-		l := lts.New(n)
-		l.Initial = int(data[1]) % n
-		edges := data[2:]
-		if len(edges) > 2*80 {
-			edges = edges[:2*80]
-		}
-		for ; len(edges) >= 2; edges = edges[2:] {
+		syms := statespace.NewSymbols()
+		var edges []edge
+		for b := data[2:min(len(data), 2+2*80)]; len(b) >= 2; b = b[2:] {
 			li := lts.TauIndex
-			if k := edges[0] >> 5; k >= 4 {
-				li = l.LabelIndex(string(rune('a' + k - 4)))
+			if k := b[0] >> 5; k >= 4 {
+				li = syms.Intern(string(rune('a' + k - 4)))
 			}
-			l.AddTransition(int(edges[0]&31)%n, int(edges[1])%n, li, rates.UntimedRate())
+			edges = append(edges, edge{src: int(b[0]&31) % n, dst: int(b[1]) % n, label: li, rate: rates.UntimedRate()})
 		}
-		checkBranching(t, "fuzz", l)
+		checkBranching(t, "fuzz", fromEdges(syms, n, int(data[1])%n, edges))
 	})
 }

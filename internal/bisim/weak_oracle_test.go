@@ -10,6 +10,7 @@ import (
 	"repro/internal/hml"
 	"repro/internal/lts"
 	"repro/internal/rates"
+	"repro/internal/statespace"
 )
 
 // The weak entry points reduce every input to its branching quotient
@@ -79,9 +80,9 @@ func checkAgainstOracle(t *testing.T, l1, l2 *lts.LTS) (equivalent bool) {
 func dump(l *lts.LTS) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "init %d:", l.Initial)
-	l.Edges(func(src, dst, label int, _ rates.Rate) {
-		fmt.Fprintf(&sb, " %d-%s->%d", src, l.LabelName(label), dst)
-	})
+	for _, e := range edgeList(l) {
+		fmt.Fprintf(&sb, " %d-%s->%d", e.src, l.LabelName(e.label), e.dst)
+	}
 	return sb.String()
 }
 
@@ -90,25 +91,25 @@ func dump(l *lts.LTS) string {
 // table; otherwise it interns its visible labels in the given order into a
 // table of its own.
 func tauHeavyLTS(r *rand.Rand, n int, shared *lts.LTS, order []string) *lts.LTS {
-	var l *lts.LTS
+	var syms *statespace.Symbols
 	if shared != nil {
-		l = lts.NewShared(n, shared.Symbols())
+		syms = shared.Symbols()
 	} else {
-		l = lts.New(n)
+		syms = statespace.NewSymbols()
 		for _, name := range order {
-			l.LabelIndex(name)
+			syms.Intern(name)
 		}
 	}
-	l.Initial = r.Intn(n)
-	edges := r.Intn(3 * n)
-	for range edges {
+	initial := r.Intn(n)
+	edges := make([]edge, r.Intn(3*n))
+	for i := range edges {
 		li := lts.TauIndex
 		if r.Intn(2) == 0 {
-			li = l.LabelIndex(order[r.Intn(len(order))])
+			li = syms.Intern(order[r.Intn(len(order))])
 		}
-		l.AddTransition(r.Intn(n), r.Intn(n), li, rates.UntimedRate())
+		edges[i] = edge{src: r.Intn(n), dst: r.Intn(n), label: li, rate: rates.UntimedRate()}
 	}
-	return l
+	return fromEdges(syms, n, initial, edges)
 }
 
 // Property: on random tau-heavy pairs, with shared and with separate
@@ -151,35 +152,28 @@ func FuzzWeakEquivalent(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		n1, n2 := 1+int(data[0])%6, 1+int(data[1])%6
-		l1 := lts.New(n1)
-		var l2 *lts.LTS
+		n := [2]int{1 + int(data[0])%6, 1 + int(data[1])%6}
+		syms := [2]*statespace.Symbols{statespace.NewSymbols(), nil}
 		if data[2]&1 == 0 {
-			l2 = lts.NewShared(n2, l1.Symbols())
+			syms[1] = syms[0]
 		} else {
-			l2 = lts.New(n2)
-			l2.LabelIndex("b")
+			syms[1] = statespace.NewSymbols()
+			syms[1].Intern("b")
 		}
-		l1.Initial = int(data[2]>>1) % n1
-		l2.Initial = int(data[2]>>4) % n2
-		edges := data[3:]
-		if len(edges) > 3*40 {
-			edges = edges[:3*40]
-		}
-		for ; len(edges) >= 3; edges = edges[3:] {
-			l, n := l1, n1
-			if edges[0]&128 != 0 {
-				l, n = l2, n2
-			}
+		var edges [2][]edge
+		for b := data[3:min(len(data), 3+3*40)]; len(b) >= 3; b = b[3:] {
+			i := int(b[0] >> 7)
 			li := lts.TauIndex
-			switch edges[1] % 3 {
+			switch b[1] % 3 {
 			case 1:
-				li = l.LabelIndex("a")
+				li = syms[i].Intern("a")
 			case 2:
-				li = l.LabelIndex("b")
+				li = syms[i].Intern("b")
 			}
-			l.AddTransition(int(edges[0]&127)%n, int(edges[2])%n, li, rates.UntimedRate())
+			edges[i] = append(edges[i], edge{src: int(b[0]&127) % n[i], dst: int(b[2]) % n[i], label: li, rate: rates.UntimedRate()})
 		}
+		l1 := fromEdges(syms[0], n[0], int(data[2]>>1)%n[0], edges[0])
+		l2 := fromEdges(syms[1], n[1], int(data[2]>>4)%n[1], edges[1])
 		checkAgainstOracle(t, l1, l2)
 	})
 }

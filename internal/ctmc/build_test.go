@@ -11,6 +11,7 @@ import (
 	"repro/internal/measure"
 	"repro/internal/models"
 	"repro/internal/rates"
+	"repro/internal/statespace"
 )
 
 // minimizedStreamingLTS generates the folded streaming system at the
@@ -46,9 +47,11 @@ func minimizedStreamingLTS(t testing.TB, capacity int64) *lts.LTS {
 // form but never cycle. The others carry exponential moves, some slotted,
 // with self-loops and parallel edges, some through vanishing states.
 func randomRatedLTS(r *rand.Rand, n int) *lts.LTS {
-	l := lts.New(n)
-	l.Initial = r.Intn(n)
-	labels := []int{l.LabelIndex("a"), l.LabelIndex("b"), l.LabelIndex("c")}
+	initial := r.Intn(n)
+	syms := statespace.NewSymbols()
+	labels := []int32{int32(syms.Intern("a")), int32(syms.Intern("b")), int32(syms.Intern("c"))}
+	// States are drawn in order, so the edges go straight into their rows.
+	rows := statespace.NewRowBuilder()
 	vanishing := make([]bool, n)
 	for s := range vanishing {
 		vanishing[s] = s < n-1 && r.Intn(3) == 0
@@ -64,17 +67,18 @@ func randomRatedLTS(r *rand.Rand, n int) *lts.LTS {
 						dst = n - 1
 					}
 				}
-				l.AddTransition(s, dst, label, rates.Inf(1+r.Intn(2), 0.5+r.Float64()))
+				rows.Add(int32(dst), label, 0, rates.Inf(1+r.Intn(2), 0.5+r.Float64()))
 				continue
 			}
 			rate := rates.ExpRate(0.1 + 5*r.Float64())
 			if r.Intn(3) == 0 {
 				rate = rates.ExpSlot(1+r.Intn(2), 0.1+5*r.Float64())
 			}
-			l.AddTransition(s, r.Intn(n), label, rate)
+			rows.Add(int32(r.Intn(n)), label, 0, rate)
 		}
+		rows.EndRow()
 	}
-	return l
+	return lts.New(syms, initial, rows.CSR())
 }
 
 // TestBuildMatchesReference pins Build to the map-based reference

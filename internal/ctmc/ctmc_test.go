@@ -1,30 +1,58 @@
 package ctmc
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/lts"
 	"repro/internal/rates"
+	"repro/internal/statespace"
 )
+
+// edge is one transition of a test system in edge-list form.
+type edge struct {
+	src, dst int
+	label    string
+	rate     rates.Rate
+}
+
+// system assembles the system over n states from edges listed in any
+// order, interning their labels in list order: it sorts the edges stably
+// by source, in place, and hands each state's edges to a RowBuilder row
+// in list order.
+func system(n, initial int, edges []edge) *lts.LTS {
+	syms := statespace.NewSymbols()
+	for _, e := range edges {
+		syms.Intern(e.label)
+	}
+	slices.SortStableFunc(edges, func(a, b edge) int { return cmp.Compare(a.src, b.src) })
+	rows := statespace.NewRowBuilder()
+	for s := range n {
+		for ; len(edges) > 0 && edges[0].src == s; edges = edges[1:] {
+			label, _ := syms.Lookup(edges[0].label)
+			rows.Add(int32(edges[0].dst), int32(label), 0, edges[0].rate)
+		}
+		rows.EndRow()
+	}
+	return lts.New(syms, initial, rows.CSR())
+}
 
 // mm1k builds the LTS of an M/M/1/K queue: states 0..K, arrivals at rate
 // lambda, services at rate mu.
 func mm1k(k int, lambda, mu float64) *lts.LTS {
-	l := lts.New(k + 1)
-	l.Initial = 0
-	arr := l.LabelIndex("arrive")
-	srv := l.LabelIndex("serve")
+	var edges []edge
 	for n := 0; n < k; n++ {
-		l.AddTransition(n, n+1, arr, rates.ExpRate(lambda))
+		edges = append(edges, edge{n, n + 1, "arrive", rates.ExpRate(lambda)})
 	}
 	for n := 1; n <= k; n++ {
-		l.AddTransition(n, n-1, srv, rates.ExpRate(mu))
+		edges = append(edges, edge{n, n - 1, "serve", rates.ExpRate(mu)})
 	}
-	return l
+	return system(k+1, 0, edges)
 }
 
 // analyticMM1K returns the steady-state distribution of M/M/1/K.
@@ -119,18 +147,13 @@ func TestStateReward(t *testing.T) {
 
 // vanishing chain: t0 -exp(2)-> v0 -imm-> {s1 w=1, s2 w=3}; s1,s2 -exp-> t0.
 func vanishingLTS() *lts.LTS {
-	l := lts.New(4) // 0=t0, 1=v0, 2=s1, 3=s2
-	l.Initial = 0
-	go1 := l.LabelIndex("go")
-	a := l.LabelIndex("pick_a")
-	b := l.LabelIndex("pick_b")
-	back := l.LabelIndex("back")
-	l.AddTransition(0, 1, go1, rates.ExpRate(2))
-	l.AddTransition(1, 2, a, rates.Inf(1, 1))
-	l.AddTransition(1, 3, b, rates.Inf(1, 3))
-	l.AddTransition(2, 0, back, rates.ExpRate(1))
-	l.AddTransition(3, 0, back, rates.ExpRate(1))
-	return l
+	return system(4, 0, []edge{ // 0=t0, 1=v0, 2=s1, 3=s2
+		{0, 1, "go", rates.ExpRate(2)},
+		{1, 2, "pick_a", rates.Inf(1, 1)},
+		{1, 3, "pick_b", rates.Inf(1, 3)},
+		{2, 0, "back", rates.ExpRate(1)},
+		{3, 0, "back", rates.ExpRate(1)},
+	})
 }
 
 func TestVanishingElimination(t *testing.T) {
@@ -190,12 +213,12 @@ func TestImmediateThroughput(t *testing.T) {
 func TestImmediatePriorityPreemption(t *testing.T) {
 	// A vanishing state with branches at priorities 1 and 2: only the
 	// higher-priority branch can fire.
-	l := lts.New(3)
-	l.Initial = 0
-	l.AddTransition(0, 1, l.LabelIndex("low"), rates.Inf(1, 1))
-	l.AddTransition(0, 2, l.LabelIndex("high"), rates.Inf(2, 1))
-	l.AddTransition(1, 0, l.LabelIndex("back1"), rates.ExpRate(1))
-	l.AddTransition(2, 0, l.LabelIndex("back2"), rates.ExpRate(1))
+	l := system(3, 0, []edge{
+		{0, 1, "low", rates.Inf(1, 1)},
+		{0, 2, "high", rates.Inf(2, 1)},
+		{1, 0, "back1", rates.ExpRate(1)},
+		{2, 0, "back2", rates.ExpRate(1)},
+	})
 	c, err := Build(l)
 	if err != nil {
 		t.Fatal(err)
@@ -211,12 +234,12 @@ func TestImmediatePriorityPreemption(t *testing.T) {
 
 func TestImmediateChainElimination(t *testing.T) {
 	// v0 -imm-> v1 -imm-> tangible: chains of vanishing states resolve.
-	l := lts.New(4)
-	l.Initial = 0
-	l.AddTransition(0, 1, l.LabelIndex("a"), rates.Inf(1, 1))
-	l.AddTransition(1, 2, l.LabelIndex("b"), rates.Inf(1, 1))
-	l.AddTransition(2, 3, l.LabelIndex("c"), rates.ExpRate(5))
-	l.AddTransition(3, 2, l.LabelIndex("d"), rates.ExpRate(5))
+	l := system(4, 0, []edge{
+		{0, 1, "a", rates.Inf(1, 1)},
+		{1, 2, "b", rates.Inf(1, 1)},
+		{2, 3, "c", rates.ExpRate(5)},
+		{3, 2, "d", rates.ExpRate(5)},
+	})
 	c, err := Build(l)
 	if err != nil {
 		t.Fatal(err)
@@ -230,10 +253,10 @@ func TestImmediateChainElimination(t *testing.T) {
 }
 
 func TestTimelessTrap(t *testing.T) {
-	l := lts.New(2)
-	l.Initial = 0
-	l.AddTransition(0, 1, l.LabelIndex("a"), rates.Inf(1, 1))
-	l.AddTransition(1, 0, l.LabelIndex("b"), rates.Inf(1, 1))
+	l := system(2, 0, []edge{
+		{0, 1, "a", rates.Inf(1, 1)},
+		{1, 0, "b", rates.Inf(1, 1)},
+	})
 	_, err := Build(l)
 	if !errors.Is(err, ErrTimelessTrap) {
 		t.Fatalf("want ErrTimelessTrap, got %v", err)
@@ -241,9 +264,9 @@ func TestTimelessTrap(t *testing.T) {
 }
 
 func TestNotRated(t *testing.T) {
-	l := lts.New(2)
-	l.Initial = 0
-	l.AddTransition(0, 1, l.LabelIndex("a"), rates.PassiveRate())
+	l := system(2, 0, []edge{
+		{0, 1, "a", rates.PassiveRate()},
+	})
 	_, err := Build(l)
 	if !errors.Is(err, ErrNotRated) {
 		t.Fatalf("want ErrNotRated, got %v", err)
@@ -251,10 +274,10 @@ func TestNotRated(t *testing.T) {
 }
 
 func TestMultipleBSCCRejected(t *testing.T) {
-	l := lts.New(3)
-	l.Initial = 0
-	l.AddTransition(0, 1, l.LabelIndex("a"), rates.ExpRate(1))
-	l.AddTransition(0, 2, l.LabelIndex("b"), rates.ExpRate(1))
+	l := system(3, 0, []edge{
+		{0, 1, "a", rates.ExpRate(1)},
+		{0, 2, "b", rates.ExpRate(1)},
+	})
 	// 1 and 2 are absorbing.
 	c, err := Build(l)
 	if err != nil {
@@ -267,9 +290,9 @@ func TestMultipleBSCCRejected(t *testing.T) {
 
 func TestAbsorbingSteadyState(t *testing.T) {
 	// Transient start, single absorbing state.
-	l := lts.New(2)
-	l.Initial = 0
-	l.AddTransition(0, 1, l.LabelIndex("die"), rates.ExpRate(3))
+	l := system(2, 0, []edge{
+		{0, 1, "die", rates.ExpRate(3)},
+	})
 	c, err := Build(l)
 	if err != nil {
 		t.Fatal(err)
@@ -285,11 +308,11 @@ func TestAbsorbingSteadyState(t *testing.T) {
 
 func TestReducibleTransientPart(t *testing.T) {
 	// 0 -> 1 <-> 2: state 0 transient, BSCC {1,2}.
-	l := lts.New(3)
-	l.Initial = 0
-	l.AddTransition(0, 1, l.LabelIndex("enter"), rates.ExpRate(1))
-	l.AddTransition(1, 2, l.LabelIndex("f"), rates.ExpRate(2))
-	l.AddTransition(2, 1, l.LabelIndex("g"), rates.ExpRate(4))
+	l := system(3, 0, []edge{
+		{0, 1, "enter", rates.ExpRate(1)},
+		{1, 2, "f", rates.ExpRate(2)},
+		{2, 1, "g", rates.ExpRate(4)},
+	})
 	c, err := Build(l)
 	if err != nil {
 		t.Fatal(err)
@@ -315,9 +338,9 @@ func unit(c *CTMC, i int) []float64 {
 }
 
 func TestTransientExponentialDecay(t *testing.T) {
-	l := lts.New(2)
-	l.Initial = 0
-	l.AddTransition(0, 1, l.LabelIndex("die"), rates.ExpRate(1))
+	l := system(2, 0, []edge{
+		{0, 1, "die", rates.ExpRate(1)},
+	})
 	c, err := Build(l)
 	if err != nil {
 		t.Fatal(err)
@@ -461,9 +484,9 @@ func TestMeanExitRate(t *testing.T) {
 
 func TestDeadlockStateAllowed(t *testing.T) {
 	// A deadlocked (absorbing, no transitions) tangible state is fine.
-	l := lts.New(2)
-	l.Initial = 0
-	l.AddTransition(0, 1, l.LabelIndex("end"), rates.ExpRate(1))
+	l := system(2, 0, []edge{
+		{0, 1, "end", rates.ExpRate(1)},
+	})
 	c, err := Build(l)
 	if err != nil {
 		t.Fatal(err)

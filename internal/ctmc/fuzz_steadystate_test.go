@@ -31,12 +31,10 @@ func steadyStateInput(tb testing.TB, data []byte) (*CTMC, [][]float64, bool) {
 		points[k] = []float64{math.Exp2((float64(data[k]) - 127.5) / 64)}
 	}
 	data = data[K:]
-	l := lts.New(n)
-	l.Initial = n - 1
-	a := l.LabelIndex("a")
+	var edges []edge
 	add := func(from, to int, r rates.Rate) {
 		if from != to {
-			l.AddTransition(from, to, a, r)
+			edges = append(edges, edge{from, to, "a", r})
 		}
 	}
 	for s := 0; s < n-1; s++ {
@@ -50,7 +48,7 @@ func steadyStateInput(tb testing.TB, data []byte) (*CTMC, [][]float64, bool) {
 		}
 		add(int(data[0])%n, int(data[1])%n, r)
 	}
-	c, err := Build(l)
+	c, err := Build(system(n, n-1, edges))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -210,20 +210,17 @@ func RandomChainForTest(t *testing.T, r *rand.Rand, n int) *CTMC { return random
 // start state, so the bottom component is a proper subset of the chain.
 func randomChain(t testing.TB, r *rand.Rand, n int) *CTMC {
 	t.Helper()
-	l := lts.New(n + 1)
-	l.Initial = n
-	a := l.LabelIndex("a")
 	rate := func() rates.Rate { return rates.ExpRate(0.1 + 10*r.Float64()) }
-	l.AddTransition(n, r.Intn(n), a, rate())
+	edges := []edge{{n, r.Intn(n), "a", rate()}}
 	for s := 0; s < n; s++ {
-		l.AddTransition(s, (s+1)%n, a, rate())
+		edges = append(edges, edge{s, (s + 1) % n, "a", rate()})
 		for k := 0; k < 2; k++ {
 			if to := r.Intn(n); to != s && to != (s+1)%n {
-				l.AddTransition(s, to, a, rate())
+				edges = append(edges, edge{s, to, "a", rate()})
 			}
 		}
 	}
-	c, err := Build(l)
+	c, err := Build(system(n+1, n, edges))
 	if err != nil {
 		t.Fatal(err)
 	}

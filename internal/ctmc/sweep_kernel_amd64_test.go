@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/lts"
 	"repro/internal/rates"
 )
 
@@ -26,20 +25,18 @@ type kernelEdge struct {
 // generator entry.
 func kernelChain(tb testing.TB, n int, edges []kernelEdge) *CTMC {
 	tb.Helper()
-	l := lts.New(n)
-	a := l.LabelIndex("a")
-	rate := func(e kernelEdge) rates.Rate {
-		if e.slot > 0 {
-			return rates.ExpSlot(e.slot, e.rate)
-		}
-		return rates.ExpRate(e.rate)
-	}
+	var list []edge
 	for _, e := range edges {
-		if e.from != e.to {
-			l.AddTransition(e.from, e.to, a, rate(e))
+		if e.from == e.to {
+			continue
 		}
+		r := rates.ExpRate(e.rate)
+		if e.slot > 0 {
+			r = rates.ExpSlot(e.slot, e.rate)
+		}
+		list = append(list, edge{e.from, e.to, "a", r})
 	}
-	c, err := Build(l)
+	c, err := Build(system(n, 0, list))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -1,29 +1,36 @@
 package hml
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/lts"
 	"repro/internal/rates"
+	"repro/internal/statespace"
 )
 
-// build constructs an LTS from (src, label, dst) triples; "tau" is the
-// invisible action.
+// build constructs an LTS from (src, label, dst) triples listed in any
+// order; "tau" is the invisible action. Labels are interned in list
+// order, and a stable sort by source hands each state's triples to a
+// RowBuilder row in list order.
 func build(n, initial int, edges [][3]any) *lts.LTS {
-	l := lts.New(n)
-	l.Initial = initial
+	syms := statespace.NewSymbols()
 	for _, e := range edges {
-		src := e[0].(int)
-		label := e[1].(string)
-		dst := e[2].(int)
-		li := lts.TauIndex
-		if label != lts.TauName {
-			li = l.LabelIndex(label)
-		}
-		l.AddTransition(src, dst, li, rates.UntimedRate())
+		syms.Intern(e[1].(string))
 	}
-	return l
+	edges = slices.Clone(edges)
+	slices.SortStableFunc(edges, func(a, b [3]any) int { return cmp.Compare(a[0].(int), b[0].(int)) })
+	rows := statespace.NewRowBuilder()
+	for s := range n {
+		for ; len(edges) > 0 && edges[0][0].(int) == s; edges = edges[1:] {
+			label, _ := syms.Lookup(edges[0][1].(string))
+			rows.Add(int32(edges[0][2].(int)), int32(label), 0, rates.UntimedRate())
+		}
+		rows.EndRow()
+	}
+	return lts.New(syms, initial, rows.CSR())
 }
 
 func TestSatStrongDiamond(t *testing.T) {

@@ -8,14 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/rates"
+	"repro/internal/statespace"
 )
 
 func TestWriteAUT(t *testing.T) {
-	l := New(3)
-	l.Initial = 0
-	l.AddTransition(0, 1, l.LabelIndex("a"), rates.ExpRate(2))
-	l.AddTransition(1, 2, TauIndex, rates.UntimedRate())
-	l.AddTransition(2, 0, l.LabelIndex("b"), rates.UntimedRate())
+	syms := statespace.NewSymbols()
+	l := build(syms, 3, 0, []edge{
+		{src: 0, dst: 1, label: syms.Intern("a"), rate: rates.ExpRate(2)},
+		{src: 1, dst: 2, label: TauIndex, rate: rates.UntimedRate()},
+		{src: 2, dst: 0, label: syms.Intern("b"), rate: rates.UntimedRate()},
+	})
 	var sb strings.Builder
 	if err := WriteAUT(&sb, l); err != nil {
 		t.Fatal(err)
@@ -33,13 +35,22 @@ func TestWriteAUT(t *testing.T) {
 	}
 }
 
+// xyCycle is the four-state cycle 1 -x-> 0 -tau-> 2 -"y y"-> 3 -x-> 1,
+// entered at state 1, whose first edge carries rate r and the others
+// none; the label with a space tests the quoting.
+func xyCycle(r rates.Rate) *LTS {
+	syms := statespace.NewSymbols()
+	x := syms.Intern("x")
+	return build(syms, 4, 1, []edge{
+		{src: 1, dst: 0, label: x, rate: r},
+		{src: 0, dst: 2, label: TauIndex, rate: rates.UntimedRate()},
+		{src: 2, dst: 3, label: syms.Intern("y y"), rate: rates.UntimedRate()},
+		{src: 3, dst: 1, label: x, rate: rates.UntimedRate()},
+	})
+}
+
 func TestReadAUTRoundTrip(t *testing.T) {
-	l := New(4)
-	l.Initial = 1
-	l.AddTransition(1, 0, l.LabelIndex("x"), rates.UntimedRate())
-	l.AddTransition(0, 2, TauIndex, rates.UntimedRate())
-	l.AddTransition(2, 3, l.LabelIndex("y y"), rates.UntimedRate()) // label with space
-	l.AddTransition(3, 1, l.LabelIndex("x"), rates.UntimedRate())
+	l := xyCycle(rates.UntimedRate())
 	var sb strings.Builder
 	if err := WriteAUT(&sb, l); err != nil {
 		t.Fatal(err)
@@ -138,12 +149,7 @@ func FuzzReadAUT(f *testing.F) {
 	for _, tt := range autErrorCases {
 		f.Add([]byte(tt.src))
 	}
-	rated := New(4)
-	rated.Initial = 1
-	rated.AddTransition(1, 0, rated.LabelIndex("x"), rates.ExpRate(2))
-	rated.AddTransition(0, 2, TauIndex, rates.UntimedRate())
-	rated.AddTransition(2, 3, rated.LabelIndex("y y"), rates.UntimedRate())
-	rated.AddTransition(3, 1, rated.LabelIndex("x"), rates.UntimedRate())
+	rated := xyCycle(rates.ExpRate(2))
 	var seed bytes.Buffer
 	if err := WriteAUT(&seed, rated); err != nil {
 		f.Fatal(err)

@@ -1,5 +1,17 @@
 package lts
 
+import "repro/internal/rates"
+
+// Edges calls fn for every transition in canonical order.
+func (l *LTS) Edges(fn func(src, dst, label int, r rates.Rate)) {
+	for s := 0; s < l.NumStates; s++ {
+		sp := l.Out(s)
+		for k := range sp.Len() {
+			fn(s, int(sp.Dst[k]), int(sp.Label[k]), sp.Rate(k))
+		}
+	}
+}
+
 // ReferenceRestrictForTest exposes referenceRestrict to the external
 // tests that need the paper models.
 func ReferenceRestrictForTest(l *LTS, match func(string) bool) *LTS {
@@ -14,7 +26,6 @@ func DiffSystemsForTest(got, want *LTS) string { return diffSystems(got, want) }
 // at which BindSlotsForTest leaves every rate as it was. It returns nil
 // when the system carries no rate slots.
 func (l *LTS) SlotDefaults() []float64 {
-	l.Seal()
 	n := l.NumRateSlots()
 	if n == 0 {
 		return nil
@@ -22,11 +33,11 @@ func (l *LTS) SlotDefaults() []float64 {
 	out := make([]float64, n)
 	// Loop over the edges, not the RateID column, which is nil when every
 	// edge has the table's first rate.
-	for i := range int32(l.csr.NumEdges()) {
-		if r := l.csr.Rate(i); r.Slot > 0 {
+	l.Edges(func(_, _, _ int, r rates.Rate) {
+		if r.Slot > 0 {
 			out[r.Slot-1] = r.Lambda
 		}
-	}
+	})
 	return out
 }
 

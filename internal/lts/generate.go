@@ -141,8 +141,7 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		return nil, err
 	}
 
-	l := NewShared(0, statespace.NewSymbols())
-	l.Initial = 0
+	syms := statespace.NewSymbols()
 	// States are expanded in identifier order, so the CSR is assembled
 	// row by row.
 	rows := statespace.NewRowBuilder()
@@ -155,7 +154,7 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 			labelSym = append(labelSym, -1)
 		}
 		if labelSym[id] < 0 {
-			labelSym[id] = int32(l.syms.Intern(c.Label(id)))
+			labelSym[id] = int32(syms.Intern(c.Label(id)))
 		}
 		return labelSym[id]
 	}
@@ -304,22 +303,24 @@ func Generate(m *elab.Model, opts GenerateOptions) (*LTS, error) {
 		levelStart = levelEnd
 	}
 	numStates := states.Len()
-	l.NumStates = numStates
-	l.setCSR(rows.CSR())
-	if len(auxStart) > 1 {
-		l.setAuxPool(auxStart, auxLabel, auxCount)
-	}
 	// The tuple pages are the state table the finished system retains
 	// (for descriptions), and all of it: the table's index is dropped, so
 	// the bytes MemStats reports, every page in full, are the bytes the
 	// system keeps.
 	states.DropIndex()
-	l.SetMemBytes(states.SizeBytes())
-
-	// Descriptions are lazy: a state's tuple is expanded into local
-	// configurations and rendered only when actually requested
-	// (diagnostics, DOT output) — bulk sweeps never render one.
-	l.descFn = func(s int) string { return m.Describe(c.State(tuple(s))) }
+	l := &LTS{
+		NumStates: numStates,
+		syms:      syms,
+		csr:       rows.CSR(),
+		// Descriptions are lazy: a state's tuple is expanded into local
+		// configurations and rendered only when actually requested
+		// (diagnostics, DOT output) — bulk sweeps never render one.
+		descFn:   func(s int) string { return m.Describe(c.State(tuple(s))) },
+		memBytes: states.SizeBytes(),
+	}
+	if len(auxStart) > 1 {
+		l.auxStart, l.auxLabel, l.auxCount = auxStart, auxLabel, auxCount
+	}
 
 	if len(opts.Predicates) > 0 {
 		l.PredNames = make([]string, len(opts.Predicates))

@@ -9,6 +9,12 @@
 // derived from it, and state descriptions are computed lazily from the
 // generator's state tuples, so analyses never pay for diagnostics they do
 // not print.
+//
+// A system is a value: it is built once, row by row through a
+// statespace.RowBuilder, and no method changes it. Hiding, restriction
+// and every quotient return a new system that shares the arrays it does
+// not change, so goroutines may read one system at once (Equivalent(l, l)
+// included) with no preparation.
 package lts
 
 import (
@@ -64,11 +70,9 @@ type LTS struct {
 	// Preds holds predicate truth per state: Preds[p][s].
 	Preds [][]bool
 
-	syms    *statespace.Symbols
-	csr     statespace.CSR
-	pending []statespace.Edge
-	sealed  bool
-	descFn  func(int) string
+	syms   *statespace.Symbols
+	csr    statespace.CSR
+	descFn func(int) string
 
 	// Folded reward-attribution pool (vanishing-state folding): when the
 	// generator folds measure-unobserved vanishing states into their
@@ -86,26 +90,15 @@ type LTS struct {
 	memBytes int
 }
 
-// New creates an empty LTS with a tau label and n states.
-func New(n int) *LTS {
-	return &LTS{NumStates: n, syms: statespace.NewSymbols()}
-}
-
-// NewShared creates an empty LTS with n states sharing an existing symbol
-// table — the constructor for systems derived from another LTS, so label
-// indices stay stable across a whole pipeline.
-func NewShared(n int, syms *statespace.Symbols) *LTS {
-	if syms == nil {
-		syms = statespace.NewSymbols()
-	}
-	return &LTS{NumStates: n, syms: syms}
+// New returns the transition system over the rows of a CSR, one state
+// per row, whose labels index syms. The rows are assembled by a
+// statespace.RowBuilder; the system keeps them and never changes.
+func New(syms *statespace.Symbols, initial int, rows statespace.CSR) *LTS {
+	return &LTS{Initial: initial, NumStates: len(rows.RowStart) - 1, syms: syms, csr: rows}
 }
 
 // Symbols returns the label symbol table of the LTS.
 func (l *LTS) Symbols() *statespace.Symbols { return l.syms }
-
-// LabelIndex interns a label name and returns its index.
-func (l *LTS) LabelIndex(name string) int { return l.syms.Intern(name) }
 
 // LookupLabel returns the index of a label name, if present.
 func (l *LTS) LookupLabel(name string) (int, bool) { return l.syms.Lookup(name) }
@@ -118,68 +111,8 @@ func (l *LTS) LabelName(i int) string { return l.syms.Name(i) }
 // transitions use.
 func (l *LTS) NumLabels() int { return l.syms.Len() }
 
-// AddTransition appends a transition. The transition becomes part of the
-// canonical CSR form at the next read.
-func (l *LTS) AddTransition(src, dst, label int, r rates.Rate) {
-	l.unseal()
-	l.pending = append(l.pending, statespace.Edge{
-		Src: int32(src), Dst: int32(dst), Label: int32(label), Rate: r,
-	})
-}
-
-// unseal exports the CSR form back to the pending edge list so more
-// transitions can be added (a rare, construction-time path).
-func (l *LTS) unseal() {
-	if !l.sealed {
-		return
-	}
-	edges := make([]statespace.Edge, 0, l.csr.NumEdges())
-	for s := 0; s < l.NumStates; s++ {
-		lo, hi := l.csr.Row(s)
-		for i := lo; i < hi; i++ {
-			e := statespace.Edge{
-				Src: int32(s), Dst: l.csr.Dst[i], Label: l.csr.Label[i], Rate: l.csr.Rate(i),
-			}
-			if l.csr.Aux != nil {
-				e.Aux = l.csr.Aux[i]
-			}
-			edges = append(edges, e)
-		}
-	}
-	l.pending = edges
-	l.csr = statespace.CSR{}
-	l.sealed = false
-}
-
-// Seal builds the canonical CSR form from the pending edges; every read
-// but Row seals first. Reads of a sealed system write nothing, so goroutines may
-// share one once it is sealed (AddTransition unseals it again).
-func (l *LTS) Seal() {
-	if !l.sealed {
-		l.seal()
-	}
-}
-
-// seal is Seal's slow path, kept out of line so that Seal stays within
-// the inlining budget.
-//
-//go:noinline
-func (l *LTS) seal() {
-	l.csr = statespace.Build(l.NumStates, l.pending)
-	l.pending = nil
-	l.sealed = true
-}
-
-// setCSR installs an externally built CSR as the canonical storage.
-func (l *LTS) setCSR(c statespace.CSR) {
-	l.csr = c
-	l.pending = nil
-	l.sealed = true
-}
-
 // Out returns the span of transitions leaving state s.
 func (l *LTS) Out(s int) Span {
-	l.Seal()
 	lo, hi := l.csr.Row(s)
 	sp := Span{Dst: l.csr.Dst[lo:hi], Label: l.csr.Label[lo:hi], rates: l.csr.Rates}
 	if l.csr.RateID != nil {
@@ -189,14 +122,8 @@ func (l *LTS) Out(s int) Span {
 }
 
 // Row returns the destinations and labels of the transitions leaving
-// state s: the narrow view for passes that never read rates, which seal
-// the system once before their loops. Row itself does not seal — a call
-// to the out-of-line slow path alone would push it past the inlining
-// budget — so it panics on an unsealed system.
+// state s: the narrow view for passes that never read rates.
 func (l *LTS) Row(s int) (dst, label []int32) {
-	if !l.sealed {
-		panic("lts: Row of an unsealed system")
-	}
 	lo, hi := l.csr.Row(s)
 	return l.csr.Dst[lo:hi], l.csr.Label[lo:hi]
 }
@@ -205,21 +132,18 @@ func (l *LTS) Row(s int) (dst, label []int32) {
 // s; together with Out it gives every transition of s a stable global
 // index (used by the CTMC extraction to key reward bookkeeping).
 func (l *LTS) EdgeBase(s int) int {
-	l.Seal()
 	return int(l.csr.RowStart[s])
 }
 
 // EdgeLabel returns the label index of the transition at global CSR index
 // i.
 func (l *LTS) EdgeLabel(i int) int {
-	l.Seal()
 	return int(l.csr.Label[i])
 }
 
 // EdgeAux returns the reward-attribution handle of the transition at
 // global CSR index i (0 = none); see AuxTerms.
 func (l *LTS) EdgeAux(i int) int {
-	l.Seal()
 	if l.csr.Aux == nil {
 		return 0
 	}
@@ -245,25 +169,10 @@ func (l *LTS) NumAux() int {
 	return len(l.auxStart) - 1
 }
 
-// setAuxPool installs the attribution pool (generator-side).
-func (l *LTS) setAuxPool(start []int32, label []int32, count []float64) {
-	l.auxStart, l.auxLabel, l.auxCount = start, label, count
-}
-
-// shareAux copies the attribution pool reference from a parent system.
-func (l *LTS) shareAux(p *LTS) {
-	l.auxStart, l.auxLabel, l.auxCount = p.auxStart, p.auxLabel, p.auxCount
-}
-
-// SetMemBytes records extra resident memory attributed to the LTS by its
-// producer (the generator's state tuples).
-func (l *LTS) SetMemBytes(n int) { l.memBytes = n }
-
 // MemStats reports the resident memory of the system's canonical storage:
 // the state-table bytes recorded by the producer (0 when the LTS was not
 // generated), the CSR transition arrays, and the attribution pool.
 func (l *LTS) MemStats() (stateTable, csrBytes, auxBytes int) {
-	l.Seal()
 	return l.memBytes, l.csr.SizeBytes(), 4*len(l.auxStart) + 4*len(l.auxLabel) + 8*len(l.auxCount)
 }
 
@@ -273,7 +182,6 @@ func (l *LTS) MemStats() (stateTable, csrBytes, auxBytes int) {
 // bookkeeping of its rate points; derived systems (Hide, Restrict)
 // preserve rates and with them the slot column.
 func (l *LTS) NumRateSlots() int {
-	l.Seal()
 	ids := l.csr.RateID
 	if ids == nil && l.csr.NumEdges() > 0 {
 		ids = []int32{0} // every edge has rate id 0
@@ -294,7 +202,6 @@ func (l *LTS) NumRateSlots() int {
 // calls it; it lives outside export_test.go because those tests are in
 // other packages. The copy shares every array with l but the rate table.
 func BindSlotsForTest(l *LTS, values []float64) *LTS {
-	l.Seal()
 	out := *l
 	out.csr.Rates = slices.Clone(l.csr.Rates)
 	for i := range out.csr.Rates {
@@ -305,19 +212,8 @@ func BindSlotsForTest(l *LTS, values []float64) *LTS {
 	return &out
 }
 
-// Edges calls fn for every transition in canonical order.
-func (l *LTS) Edges(fn func(src, dst, label int, r rates.Rate)) {
-	l.Seal()
-	for s := 0; s < l.NumStates; s++ {
-		lo, hi := l.csr.Row(s)
-		for i := lo; i < hi; i++ {
-			fn(s, int(l.csr.Dst[i]), int(l.csr.Label[i]), l.csr.Rate(i))
-		}
-	}
-}
-
 // NumTransitions returns the number of transitions.
-func (l *LTS) NumTransitions() int { return l.csr.NumEdges() + len(l.pending) }
+func (l *LTS) NumTransitions() int { return l.csr.NumEdges() }
 
 // StateDesc returns a readable description of state s, or "s<n>" when no
 // provider is installed. Descriptions are rendered on demand so bulk
@@ -364,15 +260,6 @@ func (l *LTS) PredColumn(name string) ([]bool, error) {
 // per distinct label rather than once per transition.
 // Rates, predicates and state descriptions are preserved.
 func Hide(l *LTS, match func(label string) bool) *LTS {
-	l.Seal()
-	out := &LTS{
-		Initial:   l.Initial,
-		NumStates: l.NumStates,
-		PredNames: l.PredNames,
-		Preds:     l.Preds,
-		syms:      l.syms,
-		descFn:    l.descFn,
-	}
 	// Per-label verdicts, computed once over the symbol table.
 	hideLab := make([]bool, l.syms.Len())
 	for i := range hideLab {
@@ -386,16 +273,20 @@ func Hide(l *LTS, match func(label string) bool) *LTS {
 			labels[i] = li
 		}
 	}
-	out.setCSR(statespace.CSR{
-		RowStart: l.csr.RowStart,
-		Dst:      l.csr.Dst,
-		Label:    labels,
-		RateID:   l.csr.RateID,
-		Rates:    l.csr.Rates,
-		Aux:      l.csr.Aux,
-	})
-	out.shareAux(l)
-	return out
+	csr := l.csr
+	csr.Label = labels
+	return &LTS{
+		Initial:   l.Initial,
+		NumStates: l.NumStates,
+		PredNames: l.PredNames,
+		Preds:     l.Preds,
+		syms:      l.syms,
+		csr:       csr,
+		descFn:    l.descFn,
+		auxStart:  l.auxStart,
+		auxLabel:  l.auxLabel,
+		auxCount:  l.auxCount,
+	}
 }
 
 // Restrict returns the sub-LTS obtained by removing every transition whose
@@ -406,7 +297,6 @@ func Hide(l *LTS, match func(label string) bool) *LTS {
 // row by row, reusing the input's rate ids, into columns sized once from
 // the edge count the breadth-first search takes.
 func Restrict(l *LTS, match func(label string) bool) *LTS {
-	l.Seal()
 	keepLab := make([]bool, l.syms.Len())
 	for i := range keepLab {
 		keepLab[i] = i == TauIndex || !match(l.syms.Name(i))
@@ -434,8 +324,13 @@ func Restrict(l *LTS, match func(label string) bool) *LTS {
 			}
 		}
 	}
-	out := NewShared(len(order), l.syms)
-	out.Initial = 0
+	out := &LTS{
+		NumStates: len(order),
+		syms:      l.syms,
+		auxStart:  l.auxStart,
+		auxLabel:  l.auxLabel,
+		auxCount:  l.auxCount,
+	}
 	if l.descFn != nil {
 		parent := l.descFn
 		out.descFn = func(s int) string { return parent(int(order[s])) }
@@ -472,8 +367,7 @@ func Restrict(l *LTS, match func(label string) bool) *LTS {
 		}
 		rows.EndRow()
 	}
-	out.setCSR(rows.CSR())
-	out.shareAux(l)
+	out.csr = rows.CSR()
 	return out
 }
 

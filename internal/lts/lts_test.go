@@ -1,6 +1,8 @@
 package lts
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,7 +10,30 @@ import (
 	"repro/internal/elab"
 	"repro/internal/expr"
 	"repro/internal/rates"
+	"repro/internal/statespace"
 )
+
+// edge is one transition of a test system in edge-list form.
+type edge struct {
+	src, dst, label, aux int
+	rate                 rates.Rate
+}
+
+// build assembles the system over n states whose labels index syms from
+// edges listed in any order: it sorts them stably by source, in place,
+// and hands each state's edges to a RowBuilder row in list order.
+func build(syms *statespace.Symbols, n, initial int, edges []edge) *LTS {
+	slices.SortStableFunc(edges, func(a, b edge) int { return cmp.Compare(a.src, b.src) })
+	rows := statespace.NewRowBuilder()
+	for s := range n {
+		for ; len(edges) > 0 && edges[0].src == s; edges = edges[1:] {
+			e := &edges[0]
+			rows.Add(int32(e.dst), int32(e.label), int32(e.aux), e.rate)
+		}
+		rows.EndRow()
+	}
+	return New(syms, initial, rows.CSR())
+}
 
 func mustModel(t *testing.T, a *aemilia.ArchiType) *elab.Model {
 	t.Helper()
@@ -287,8 +312,8 @@ func TestWriteDOT(t *testing.T) {
 // contains a double quote must render as \" in the DOT output, not \\\"
 // (the old code pre-escaped quotes before handing the label to %q).
 func TestWriteDOTQuotedLabel(t *testing.T) {
-	l := New(2)
-	l.AddTransition(0, 1, l.LabelIndex(`say "hi"`), rates.UntimedRate())
+	syms := statespace.NewSymbols()
+	l := build(syms, 2, 0, []edge{{src: 0, dst: 1, label: syms.Intern(`say "hi"`), rate: rates.UntimedRate()}})
 	var sb strings.Builder
 	if err := WriteDOT(&sb, l, "q"); err != nil {
 		t.Fatal(err)
@@ -303,38 +328,13 @@ func TestWriteDOTQuotedLabel(t *testing.T) {
 }
 
 func TestLookupLabel(t *testing.T) {
-	l := New(1)
-	i := l.LabelIndex("a.b")
+	syms := statespace.NewSymbols()
+	i := syms.Intern("a.b")
+	l := build(syms, 1, 0, nil)
 	if j, ok := l.LookupLabel("a.b"); !ok || j != i {
 		t.Errorf("LookupLabel = (%d, %t), want (%d, true)", j, ok, i)
 	}
 	if _, ok := l.LookupLabel("missing"); ok {
 		t.Error("missing label should not be found")
-	}
-	if l.LabelIndex("a.b") != i {
-		t.Error("LabelIndex must be idempotent")
-	}
-}
-
-// TestRowNeedsSeal pins Row's contract: it reads the sealed rows and
-// panics on a system with pending edges instead of returning stale ones.
-func TestRowNeedsSeal(t *testing.T) {
-	l := New(2)
-	l.AddTransition(0, 1, TauIndex, rates.UntimedRate())
-	rowPanics := func() (panicked bool) {
-		defer func() { panicked = recover() != nil }()
-		l.Row(0)
-		return false
-	}
-	if !rowPanics() {
-		t.Fatal("Row of an unsealed system did not panic")
-	}
-	l.Seal()
-	if dst, label := l.Row(0); len(dst) != 1 || dst[0] != 1 || label[0] != TauIndex {
-		t.Fatalf("Row(0) = %v, %v after Seal, want [1], [tau]", dst, label)
-	}
-	l.AddTransition(1, 0, TauIndex, rates.UntimedRate())
-	if !rowPanics() {
-		t.Fatal("Row after AddTransition did not panic")
 	}
 }

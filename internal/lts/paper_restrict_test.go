@@ -37,7 +37,7 @@ func streamingParams(mode models.Mode, ap, client int64) models.StreamingParams 
 	return p
 }
 
-// TestRestrictMatchesReferencePaperModels pins Restrict to the Build-based
+// TestRestrictMatchesReferencePaperModels pins Restrict to the edge-list
 // reference on the restricted variants of both paper models'
 // noninterference checks, before and after hiding the non-low labels,
 // and on a Markovian streaming model whose edges carry several rates.

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/rates"
+	"repro/internal/statespace"
 )
 
 // ReadAUT parses an Aldebaran .aut description into an LTS. It is the
@@ -37,8 +38,8 @@ func ReadAUT(r io.Reader) (*LTS, error) {
 	if numStates > DefaultMaxStates {
 		return nil, fmt.Errorf("lts: aut header declares %d states, above the limit of %d", numStates, DefaultMaxStates)
 	}
-	l := New(numStates)
-	l.Initial = initial
+	syms := statespace.NewSymbols()
+	var edges []edge
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
@@ -55,18 +56,18 @@ func ReadAUT(r io.Reader) (*LTS, error) {
 		}
 		li := TauIndex
 		if label != TauName && label != "i" {
-			li = l.LabelIndex(label)
+			li = syms.Intern(label)
 		}
-		l.AddTransition(src, dst, li, rates.UntimedRate())
+		edges = append(edges, edge{src: src, dst: dst, label: li, rate: rates.UntimedRate()})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if l.NumTransitions() != numTrans {
+	if len(edges) != numTrans {
 		return nil, fmt.Errorf("lts: aut header declares %d transitions, found %d",
-			numTrans, l.NumTransitions())
+			numTrans, len(edges))
 	}
-	return l, nil
+	return build(syms, numStates, initial, edges), nil
 }
 
 // parseAUTLine parses one `(src, "label", dst)` or `(src, label, dst)`

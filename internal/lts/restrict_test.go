@@ -15,12 +15,10 @@ import (
 
 // referenceRestrict is the restriction Restrict replaced: the same
 // breadth-first compaction, but the kept edges are collected into one
-// statespace.Edge list (resolved rates included) and handed to
-// statespace.Build, whose global stable sort orders them and whose rate
-// table is interned afresh. Restrict assembles the rows directly and
-// shares the input's rate table; the two must agree edge for edge.
+// edge list (resolved rates included) and handed to build, which interns
+// every rate afresh through RowBuilder.Add. Restrict reuses the input's
+// rate ids and shares its rate table; the two must agree edge for edge.
 func referenceRestrict(l *LTS, match func(label string) bool) *LTS {
-	l.Seal()
 	keepLab := make([]bool, l.syms.Len())
 	for i := range keepLab {
 		keepLab[i] = i == TauIndex || !match(l.syms.Name(i))
@@ -40,7 +38,20 @@ func referenceRestrict(l *LTS, match func(label string) bool) *LTS {
 			}
 		}
 	}
-	out := NewShared(len(order), l.syms)
+	var edges []edge
+	for _, oldIdx := range order {
+		sp, base := l.Out(int(oldIdx)), l.EdgeBase(int(oldIdx))
+		for k, d := range sp.Dst {
+			if !keepLab[sp.Label[k]] || remap[d] < 0 {
+				continue
+			}
+			edges = append(edges, edge{
+				src: int(remap[oldIdx]), dst: int(remap[d]), label: int(sp.Label[k]),
+				aux: l.EdgeAux(base + k), rate: sp.Rate(k),
+			})
+		}
+	}
+	out := build(l.syms, len(order), 0, edges)
 	if l.descFn != nil {
 		parent := l.descFn
 		out.descFn = func(s int) string { return parent(int(order[s])) }
@@ -56,24 +67,7 @@ func referenceRestrict(l *LTS, match func(label string) bool) *LTS {
 			out.Preds[p] = col
 		}
 	}
-	var edges []statespace.Edge
-	for _, oldIdx := range order {
-		lo, hi := l.csr.Row(int(oldIdx))
-		for i := lo; i < hi; i++ {
-			if !keepLab[l.csr.Label[i]] || remap[l.csr.Dst[i]] < 0 {
-				continue
-			}
-			e := statespace.Edge{
-				Src: remap[oldIdx], Dst: remap[l.csr.Dst[i]], Label: l.csr.Label[i], Rate: l.csr.Rate(i),
-			}
-			if l.csr.Aux != nil {
-				e.Aux = l.csr.Aux[i]
-			}
-			edges = append(edges, e)
-		}
-	}
-	out.setCSR(statespace.Build(len(order), edges))
-	out.shareAux(l)
+	out.auxStart, out.auxLabel, out.auxCount = l.auxStart, l.auxLabel, l.auxCount
 	return out
 }
 
@@ -89,8 +83,6 @@ func sameRateBits(a, b rates.Rate) bool {
 // attribution pool — and describes the first difference, or returns "".
 // Rate tables may differ; only what each edge resolves to counts.
 func diffSystems(got, want *LTS) string {
-	got.Seal()
-	want.Seal()
 	g, w := &got.csr, &want.csr
 	switch {
 	case got.NumStates != want.NumStates || got.Initial != want.Initial:
@@ -108,9 +100,12 @@ func diffSystems(got, want *LTS) string {
 	case got.NumAux() != want.NumAux():
 		return "attribution pool"
 	}
-	for i := range int32(g.NumEdges()) {
-		if !sameRateBits(g.Rate(i), w.Rate(i)) {
-			return fmt.Sprintf("rate of edge %d: %+v vs %+v", i, g.Rate(i), w.Rate(i))
+	for s := range got.NumStates {
+		gs, ws := got.Out(s), want.Out(s)
+		for k := range gs.Len() {
+			if !sameRateBits(gs.Rate(k), ws.Rate(k)) {
+				return fmt.Sprintf("rate of edge %d of state %d: %+v vs %+v", k, s, gs.Rate(k), ws.Rate(k))
+			}
 		}
 	}
 	return ""
@@ -126,23 +121,25 @@ func randomAuxLTS(r *rand.Rand, n int) *LTS {
 		rates.ExpSlot(2, 3), rates.Inf(1, 1), rates.Inf(2, 0.25), rates.PassiveRate(),
 		rates.ExpRate(0), rates.ExpRate(math.Copysign(0, -1)), rates.ExpRate(math.NaN()),
 	}
-	l := New(n)
-	l.Initial = r.Intn(n)
-	labels := []int{TauIndex, l.LabelIndex("a"), l.LabelIndex("b"), l.LabelIndex("c")}
+	initial := r.Intn(n)
+	syms := statespace.NewSymbols()
+	labels := []int{TauIndex, syms.Intern("a"), syms.Intern("b"), syms.Intern("c")}
 	const numAux = 3
-	l.setAuxPool([]int32{0, 1, 3, 4}, []int32{1, 1, 2, 3}, []float64{0.5, 1, 2, 0.25})
+	var edges []edge
 	for s := 0; s < n; s++ {
 		for k := r.Intn(4); k > 0; k-- {
-			e := statespace.Edge{
-				Src: int32(s), Dst: int32(r.Intn(n)), Label: int32(labels[r.Intn(len(labels))]),
-				Rate: alphabet[r.Intn(len(alphabet))],
+			e := edge{
+				src: s, dst: r.Intn(n), label: labels[r.Intn(len(labels))],
+				rate: alphabet[r.Intn(len(alphabet))],
 			}
 			if r.Intn(3) == 0 {
-				e.Aux = int32(1 + r.Intn(numAux))
+				e.aux = 1 + r.Intn(numAux)
 			}
-			l.pending = append(l.pending, e)
+			edges = append(edges, e)
 		}
 	}
+	l := build(syms, n, initial, edges)
+	l.auxStart, l.auxLabel, l.auxCount = []int32{0, 1, 3, 4}, []int32{1, 1, 2, 3}, []float64{0.5, 1, 2, 0.25}
 	if r.Intn(2) == 0 {
 		l.PredNames = []string{"p"}
 		col := make([]bool, n)
@@ -155,7 +152,7 @@ func randomAuxLTS(r *rand.Rand, n int) *LTS {
 }
 
 // TestRestrictMatchesReference pins Restrict, and Hide over its result,
-// to the Build-based reference on random rated systems with Aux columns.
+// to the edge-list reference on random rated systems with Aux columns.
 func TestRestrictMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 200; trial++ {
@@ -173,23 +170,27 @@ func TestRestrictMatchesReference(t *testing.T) {
 }
 
 // TestUntimedSystemsStoreNoRateIDs: a system whose edges all carry one
-// rate stores no RateID column — generated, sealed from AddTransition,
-// hidden or restricted — and its edges still resolve to that rate, a
-// slotted one included. The first transition with a second rate brings
-// the column back.
+// rate stores no RateID column — generated, built row by row, hidden or
+// restricted — and its edges still resolve to that rate, a slotted one
+// included. The first transition with a second rate brings the column
+// back.
 func TestUntimedSystemsStoreNoRateIDs(t *testing.T) {
 	gen, err := Generate(workerModel(t), GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	added := New(3)
-	a, b := added.LabelIndex("a"), added.LabelIndex("b")
-	added.AddTransition(0, 1, a, rates.UntimedRate())
-	added.AddTransition(1, 2, b, rates.UntimedRate())
-	added.AddTransition(1, 0, a, rates.UntimedRate())
-	slotted := New(2)
-	slotted.AddTransition(0, 1, slotted.LabelIndex("a"), rates.ExpSlot(2, 0.5))
-	slotted.AddTransition(1, 0, TauIndex, rates.ExpSlot(2, 0.5))
+	syms := statespace.NewSymbols()
+	a, b := syms.Intern("a"), syms.Intern("b")
+	untimed := []edge{
+		{src: 0, dst: 1, label: a, rate: rates.UntimedRate()},
+		{src: 1, dst: 2, label: b, rate: rates.UntimedRate()},
+		{src: 1, dst: 0, label: a, rate: rates.UntimedRate()},
+	}
+	built := build(syms, 3, 0, slices.Clone(untimed))
+	slotted := build(syms, 2, 0, []edge{
+		{src: 0, dst: 1, label: a, rate: rates.ExpSlot(2, 0.5)},
+		{src: 1, dst: 0, label: TauIndex, rate: rates.ExpSlot(2, 0.5)},
+	})
 	for _, c := range []struct {
 		name  string
 		l     *LTS
@@ -199,12 +200,11 @@ func TestUntimedSystemsStoreNoRateIDs(t *testing.T) {
 		{"generated", gen, rates.UntimedRate(), nil},
 		{"hidden", Hide(gen, LabelMatcherByNames("W.work")), rates.UntimedRate(), nil},
 		{"restricted", Restrict(gen, LabelMatcherByInstance("S")), rates.UntimedRate(), nil},
-		{"AddTransition", added, rates.UntimedRate(), nil},
-		{"restricted AddTransition", Restrict(added, LabelMatcherByNames("b")), rates.UntimedRate(), nil},
+		{"built", built, rates.UntimedRate(), nil},
+		{"restricted built", Restrict(built, LabelMatcherByNames("b")), rates.UntimedRate(), nil},
 		{"slotted", slotted, rates.ExpSlot(2, 0.5), []float64{0, 0.5}},
 		{"restricted slotted", Restrict(slotted, LabelMatcherByNames("x")), rates.ExpSlot(2, 0.5), []float64{0, 0.5}},
 	} {
-		c.l.Seal()
 		if c.l.csr.RateID != nil {
 			t.Errorf("%s: RateID column of %d entries, want none", c.name, len(c.l.csr.RateID))
 		}
@@ -220,10 +220,9 @@ func TestUntimedSystemsStoreNoRateIDs(t *testing.T) {
 			t.Errorf("%s: slot defaults %v, want %v", c.name, c.l.SlotDefaults(), c.slots)
 		}
 	}
-	added.AddTransition(2, 0, b, rates.ExpRate(1))
-	added.Seal()
-	if want := []int32{0, 0, 0, 1}; !slices.Equal(added.csr.RateID, want) {
-		t.Errorf("after a timed transition: RateID %v, want %v", added.csr.RateID, want)
+	timed := build(syms, 3, 0, append(untimed, edge{src: 2, dst: 0, label: b, rate: rates.ExpRate(1)}))
+	if want := []int32{0, 0, 0, 1}; !slices.Equal(timed.csr.RateID, want) {
+		t.Errorf("after a timed transition: RateID %v, want %v", timed.csr.RateID, want)
 	}
 }
 
@@ -276,22 +275,19 @@ func FuzzRestrictHide(f *testing.F) {
 		}
 		n := 1 + int(data[0])%8
 		high, low := data[1]&7, data[1]>>3&7 // label masks over a, b, c
-		l := New(n)
-		l.Initial = int(data[1]>>6) % n
-		l.descFn = strconv.Itoa
-		labels := []int{TauIndex, l.LabelIndex("a"), l.LabelIndex("b"), l.LabelIndex("c")}
-		l.setAuxPool([]int32{0, 1, 3}, []int32{1, 1, 2}, []float64{0.5, 1, 2})
-		edges := data[2:]
-		if len(edges) > 4*64 {
-			edges = edges[:4*64]
-		}
-		for ; len(edges) >= 4; edges = edges[4:] {
-			l.pending = append(l.pending, statespace.Edge{
-				Src: int32(int(edges[0]) % n), Dst: int32(int(edges[1]) % n),
-				Label: int32(labels[edges[2]%4]), Aux: int32(edges[2] / 4 % 3),
-				Rate: alphabet[int(edges[3])%len(alphabet)],
+		syms := statespace.NewSymbols()
+		labels := []int{TauIndex, syms.Intern("a"), syms.Intern("b"), syms.Intern("c")}
+		var edges []edge
+		for b := data[2:min(len(data), 2+4*64)]; len(b) >= 4; b = b[4:] {
+			edges = append(edges, edge{
+				src: int(b[0]) % n, dst: int(b[1]) % n,
+				label: labels[b[2]%4], aux: int(b[2] / 4 % 3),
+				rate: alphabet[int(b[3])%len(alphabet)],
 			})
 		}
+		l := build(syms, n, int(data[1]>>6)%n, edges)
+		l.descFn = strconv.Itoa
+		l.auxStart, l.auxLabel, l.auxCount = []int32{0, 1, 3}, []int32{1, 1, 2}, []float64{0.5, 1, 2}
 		inMask := func(mask byte) func(string) bool {
 			return func(label string) bool {
 				for i, name := range []string{"a", "b", "c"} {

@@ -80,7 +80,6 @@ func Check(l *lts.LTS, spec Spec) (*Result, error) {
 	}
 	notLow := func(label string) bool { return !low(label) }
 
-	l.Seal()
 	var hidden, restricted *lts.LTS
 	fault.Both(func() {
 		restricted = lts.Hide(lts.Restrict(l, spec.High), notLow)

@@ -9,22 +9,6 @@ import (
 	"repro/internal/rates"
 )
 
-// Edge is one transition in edge-list form, used while a system is being
-// built; Build converts an edge list into CSR storage.
-type Edge struct {
-	// Src and Dst are state indices.
-	Src, Dst int32
-	// Label indexes the pipeline's Symbols table.
-	Label int32
-	// Aux is an opaque per-edge annotation handle (0 = none). The
-	// compositional-minimization generator uses it to key folded reward
-	// attributions; Build carries it into the CSR Aux column only when at
-	// least one edge sets it, so plain systems pay nothing.
-	Aux int32
-	// Rate is the timing annotation.
-	Rate rates.Rate
-}
-
 // CSR is compressed-sparse-row transition storage: the canonical form of
 // an explicit transition system. Dst, Label and RateID are parallel arrays;
 // the edges of state s occupy positions RowStart[s]..RowStart[s+1]. Edge
@@ -32,12 +16,12 @@ type Edge struct {
 // rates, so each edge stores a 4-byte id into a per-system table instead
 // of a 40-byte rates.Rate. RateID is nil when every edge uses id 0 — a
 // functional model, whose only rate is Untimed — so such a system costs
-// 8 bytes an edge instead of 12. Read rates through Rate, which resolves
-// a nil column.
-// Rows produced by Build are sorted by (Label, Dst); derived systems
-// (hiding relabels in place) preserve the parent's within-row order, which
-// is still deterministic. A CSR is immutable once built — derived systems
-// share the arrays that they do not change, the rate table included.
+// 8 bytes an edge instead of 12; readers take a nil column as id 0.
+// A RowBuilder is the one constructor: its rows are sorted by (Label,
+// Dst), stably. Derived systems (hiding relabels in place) preserve the
+// parent's within-row order, which is still deterministic. A CSR is
+// immutable once built — derived systems share the arrays that they do
+// not change, the rate table included.
 type CSR struct {
 	RowStart []int32
 	Dst      []int32
@@ -57,14 +41,6 @@ func (c *CSR) NumEdges() int { return len(c.Dst) }
 
 // Row returns the index range of state s's transitions.
 func (c *CSR) Row(s int) (lo, hi int32) { return c.RowStart[s], c.RowStart[s+1] }
-
-// Rate returns the timing annotation of the edge at index i.
-func (c *CSR) Rate(i int32) rates.Rate {
-	if c.RateID == nil {
-		return c.Rates[0]
-	}
-	return c.Rates[c.RateID[i]]
-}
 
 // SizeBytes returns the resident size of the CSR arrays in bytes — the
 // memory the canonical transition storage pins, used by the capacity
@@ -157,77 +133,13 @@ func (t *RateTable) rehash(n int) {
 	}
 }
 
-// Build constructs canonical CSR storage over n states from an edge list:
-// edges grouped by source, each row sorted by (label, destination) with
-// insertion order breaking exact ties (the sort is stable), so the result
-// is a pure function of the edge list. Rates are interned in edge-list
-// order, as a RowBuilder fed the same edges would intern them; the RateID
-// column stays nil when every edge has the first rate.
-func Build(n int, edges []Edge) CSR {
-	c := CSR{
-		RowStart: make([]int32, n+1),
-		Dst:      make([]int32, len(edges)),
-		Label:    make([]int32, len(edges)),
-	}
-	var rt RateTable
-	ids := make([]int32, len(edges))
-	for i := range edges {
-		ids[i] = rt.Intern(&edges[i].Rate)
-	}
-	c.Rates = rt.table
-	if len(rt.table) > 1 {
-		c.RateID = make([]int32, len(edges))
-	}
-	perm := make([]int32, len(edges))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.SliceStable(perm, func(x, y int) bool {
-		a, b := &edges[perm[x]], &edges[perm[y]]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		return a.Dst < b.Dst
-	})
-	for _, e := range edges {
-		c.RowStart[e.Src+1]++
-	}
-	for s := 1; s <= n; s++ {
-		c.RowStart[s] += c.RowStart[s-1]
-	}
-	hasAux := false
-	for i := range edges {
-		if edges[i].Aux != 0 {
-			hasAux = true
-			break
-		}
-	}
-	if hasAux {
-		c.Aux = make([]int32, len(edges))
-	}
-	for i, p := range perm {
-		e := &edges[p]
-		c.Dst[i] = e.Dst
-		c.Label[i] = e.Label
-		if c.RateID != nil {
-			c.RateID[i] = ids[p]
-		}
-		if hasAux {
-			c.Aux[i] = e.Aux
-		}
-	}
-	return c
-}
-
 // RowBuilder assembles CSR storage row by row, for producers that emit
 // every edge of state 0, then of state 1, and so on (a breadth-first
 // generator expands its states in identifier order). EndRow sorts the
-// finished row in place by (label, destination), stably, so the result
-// equals Build over the same edges in the same order — without Build's
-// intermediate edge list and global sort.
+// finished row in place by (label, destination), stably, so the result is
+// a pure function of the edges added and their order, with no
+// intermediate edge list and no global sort. A producer whose edges come
+// out of row order groups them by source first.
 type RowBuilder struct {
 	c   CSR
 	rt  RateTable
@@ -265,8 +177,8 @@ func (b *RowBuilder) InternRate(r *rates.Rate) int32 { return b.rt.Intern(r) }
 // AddID appends an edge whose rate is the table entry rateID. The RateID
 // column materializes on the first non-zero id, zero-filled for the edges
 // before it, and the Aux column on the first non-zero annotation, so a
-// builder whose edges all use rate 0 and no annotation stores two columns,
-// as Build does.
+// builder whose edges all use rate 0 and no annotation stores two
+// columns.
 func (b *RowBuilder) AddID(dst, label, aux, rateID int32) {
 	if len(b.c.Dst) == cap(b.c.Dst) {
 		b.grow()

@@ -1,6 +1,18 @@
 package statespace
 
-import "bytes"
+import (
+	"bytes"
+
+	"repro/internal/rates"
+)
+
+// Rate returns the timing annotation of the edge at index i.
+func (c *CSR) Rate(i int32) rates.Rate {
+	if c.RateID == nil {
+		return c.Rates[0]
+	}
+	return c.Rates[c.RateID[i]]
+}
 
 // ProbeStats returns the mean and the longest probe sequence that finds a
 // stored tuple, over every tuple in the table, and the table's load. The

@@ -14,9 +14,8 @@
 //     deterministic exploration (BFS in internal/lts) yields the same
 //     identifier for the same state on every run.
 //   - Symbols index 0 is always the invisible action "tau".
-//   - CSR edges are grouped by source row; rows built by Build are further
-//     sorted by (label, destination), matching the historical canonical
-//     transition order of internal/lts, so every float accumulation
+//   - CSR edges are grouped by source row, and a RowBuilder sorts each
+//     row stably by (label, destination), so every float accumulation
 //     downstream visits transitions in a reproducible order.
 package statespace
 

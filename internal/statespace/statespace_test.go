@@ -136,6 +136,84 @@ func TestInternerEmptyKey(t *testing.T) {
 	}
 }
 
+// Edge is one transition in edge-list form, the input of Build.
+type Edge struct {
+	// Src and Dst are state indices.
+	Src, Dst int32
+	// Label indexes a Symbols table.
+	Label int32
+	// Aux is the per-edge annotation handle (0 = none); Build carries it
+	// into the CSR Aux column only when at least one edge sets it.
+	Aux int32
+	// Rate is the timing annotation.
+	Rate rates.Rate
+}
+
+// Build constructs CSR storage over n states from an edge list in any
+// order, by one global stable sort: edges grouped by source, each row
+// sorted by (label, destination) with insertion order breaking exact
+// ties. Rates are interned in edge-list order; the RateID column stays
+// nil when every edge has the first rate. It shares no sorting code with
+// RowBuilder, which the tests below hold to it.
+func Build(n int, edges []Edge) CSR {
+	c := CSR{
+		RowStart: make([]int32, n+1),
+		Dst:      make([]int32, len(edges)),
+		Label:    make([]int32, len(edges)),
+	}
+	var rt RateTable
+	ids := make([]int32, len(edges))
+	for i := range edges {
+		ids[i] = rt.Intern(&edges[i].Rate)
+	}
+	c.Rates = rt.table
+	if len(rt.table) > 1 {
+		c.RateID = make([]int32, len(edges))
+	}
+	perm := make([]int32, len(edges))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.SliceStable(perm, func(x, y int) bool {
+		a, b := &edges[perm[x]], &edges[perm[y]]
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		if a.Label != b.Label {
+			return a.Label < b.Label
+		}
+		return a.Dst < b.Dst
+	})
+	for _, e := range edges {
+		c.RowStart[e.Src+1]++
+	}
+	for s := 1; s <= n; s++ {
+		c.RowStart[s] += c.RowStart[s-1]
+	}
+	hasAux := false
+	for i := range edges {
+		if edges[i].Aux != 0 {
+			hasAux = true
+			break
+		}
+	}
+	if hasAux {
+		c.Aux = make([]int32, len(edges))
+	}
+	for i, p := range perm {
+		e := &edges[p]
+		c.Dst[i] = e.Dst
+		c.Label[i] = e.Label
+		if c.RateID != nil {
+			c.RateID[i] = ids[p]
+		}
+		if hasAux {
+			c.Aux[i] = e.Aux
+		}
+	}
+	return c
+}
+
 func TestCSRBuildSortsAndIndexes(t *testing.T) {
 	edges := []Edge{
 		{Src: 1, Dst: 0, Label: 2, Rate: rates.UntimedRate()},

@@ -50,10 +50,10 @@ GOARCH=arm64 go vet ./internal/ctmc/ && GOARCH=arm64 go build ./...
 # per-byte helpers get the same check as rng: each description the front
 # end builds runs them once per source byte. So does lts's Row, read once
 # per visited state by the branching-bisimulation passes of every Sect. 3
-# check. lts's Span.Rate, which ctmc.Build calls once per edge, and the
-# statespace CSR's own Rate each resolve a missing rate-id column (an
-# untimed system stores none) with a branch, which must not cost them
-# their inlining.
+# check, and Out, which ctmc.Build calls once per state. lts's Span.Rate,
+# which ctmc.Build calls once per edge, resolves a missing rate-id column
+# (an untimed system stores none) with a branch, which must not cost it
+# its inlining.
 echo "== hot-path inlining (internal/rng, internal/sim, internal/aemilia/parser, internal/lts, internal/statespace) =="
 inl=$(go build -gcflags=-m ./internal/rng 2>&1)
 for fn in Uint64 Float64; do
@@ -136,7 +136,7 @@ for fn in '(\*lexer)\.peekByte' '(\*lexer)\.advance' isSpace isIdentStart isIden
     fi
 done
 inl=$(go build -gcflags=-m ./internal/lts 2>&1)
-for fn in '(\*LTS)\.Row' 'Span\.Rate'; do
+for fn in '(\*LTS)\.Row' '(\*LTS)\.Out' 'Span\.Rate'; do
     if ! echo "$inl" | grep -q "can inline $fn\$"; then
         echo "internal/lts: $fn is no longer inlinable" >&2
         exit 1
@@ -146,7 +146,7 @@ done
 # of the hash index calls equal, and every expansion reads its state
 # through Tuple, so both must stay inlinable.
 inl=$(go build -gcflags=-m ./internal/statespace 2>&1)
-for fn in '(\*CSR)\.Rate' '(\*TupleTable)\.Tuple' '(\*TupleTable)\.equal'; do
+for fn in '(\*TupleTable)\.Tuple' '(\*TupleTable)\.equal'; do
     if ! echo "$inl" | grep -q "can inline $fn\$"; then
         echo "internal/statespace: $fn is no longer inlinable" >&2
         exit 1
@@ -258,9 +258,9 @@ go test -timeout 10m -race -cpu 1,2 \
 # Sect. 3 check race smoke at -cpu 1,2: noninterference.Check builds the
 # restricted variant on a second goroutine while the hidden one is built,
 # and bisim.Equivalent reduces its two inputs to branching quotients
-# concurrently (both through fault.Both, over sealed inputs that may be
-# one system). Every test of both packages runs, on the degenerate and a
-# two-core schedule.
+# concurrently (both through fault.Both; a system is never changed once
+# built, so the two inputs may be one system). Every test of both
+# packages runs, on the degenerate and a two-core schedule.
 echo "== noninterference race smoke (-cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 ./internal/noninterference/ ./internal/bisim/
 
